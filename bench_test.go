@@ -198,11 +198,11 @@ func BenchmarkANNPipeline(b *testing.B) {
 	var recall float64
 	for _, q := range bench.Queries {
 		want := map[string]bool{}
-		for _, h := range exact.TopK(q, k) {
+		for _, h := range search.TopK(exact, q, k) {
 			want[h.Table.Name] = true
 		}
 		hits := 0
-		for _, h := range approx.TopK(q, k) {
+		for _, h := range search.TopK(approx, q, k) {
 			if want[h.Table.Name] {
 				hits++
 			}
@@ -214,13 +214,13 @@ func BenchmarkANNPipeline(b *testing.B) {
 	b.Run("exact", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			exact.TopK(q, k)
+			search.TopK(exact, q, k)
 		}
 	})
 	b.Run("hnsw", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			approx.TopK(q, k)
+			search.TopK(approx, q, k)
 		}
 		b.ReportMetric(recall, "recall@10")
 	})
@@ -294,7 +294,7 @@ func BenchmarkStarmieIndexAndSearch(b *testing.B) {
 	q := bench.Queries[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.TopK(q, 6)
+		search.TopK(s, q, 6)
 	}
 }
 

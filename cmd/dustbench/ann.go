@@ -77,7 +77,7 @@ func runANNBench(searcher string, quick bool, k int, oversample float64, efSearc
 		s := search.NewStarmie(bench.Lake, search.WithQuantized(quantized))
 		s.SetOversample(oversample)
 		s.SetEfSearch(efSearch)
-		run = func(q *table.Table) []string { return scoredKeys(s.TopK(q, k)) }
+		run = func(q *table.Table) []string { return scoredKeys(search.TopK(s, q, k)) }
 		toANN = func() error { return s.SetMode(search.ANN) }
 	case "tuples":
 		ts := search.NewTupleSearch(bench.Lake.Tables(), search.WithQuantized(quantized))

@@ -89,7 +89,7 @@ func runScaleBench(tables, workers, k int, oversample float64, efSearch int, out
 	var exTotal time.Duration
 	for i, q := range bench.Queries {
 		t0 := time.Now()
-		exact[i] = scoredKeys(s.TopK(q, k))
+		exact[i] = scoredKeys(search.TopK(s, q, k))
 		exTotal += time.Since(t0)
 	}
 	rep.ExactMS = ms(exTotal) / float64(len(bench.Queries))
@@ -110,7 +110,7 @@ func runScaleBench(tables, workers, k int, oversample float64, efSearch int, out
 		var recallSum float64
 		for i, q := range bench.Queries {
 			t1 := time.Now()
-			got := scoredKeys(s.TopK(q, k))
+			got := scoredKeys(search.TopK(s, q, k))
 			annTotal += time.Since(t1)
 			recallSum += recallOf(exact[i], got)
 		}

@@ -95,16 +95,12 @@ func runShardBench(shards int, quick bool, k int, out string) error {
 		// cheap and the minimum needs them to converge.
 		reps = 11
 	}
-	timeOnce := func(s interface {
-		TopK(*table.Table, int) []search.Scored
-	}, q *table.Table) (time.Duration, []search.Scored) {
+	timeOnce := func(s search.Searcher, q *table.Table) (time.Duration, []search.Scored) {
 		t0 := time.Now()
-		h := s.TopK(q, k)
+		h := search.TopK(s, q, k)
 		return time.Since(t0), h
 	}
-	timeTopK := func(s interface {
-		TopK(*table.Table, int) []search.Scored
-	}, q *table.Table) (time.Duration, []search.Scored) {
+	timeTopK := func(s search.Searcher, q *table.Table) (time.Duration, []search.Scored) {
 		best, hits := timeOnce(s, q)
 		for r := 1; r < reps; r++ {
 			if d, h := timeOnce(s, q); d < best {
@@ -126,9 +122,7 @@ func runShardBench(shards int, quick bool, k int, out string) error {
 			durs[i] = d
 		}
 	}
-	measureExact := func(s interface {
-		TopK(*table.Table, int) []search.Scored
-	}, durs []time.Duration, names [][]string) {
+	measureExact := func(s search.Searcher, durs []time.Duration, names [][]string) {
 		runtime.GC()
 		gcOff := debug.SetGCPercent(-1)
 		defer debug.SetGCPercent(gcOff)
@@ -139,9 +133,7 @@ func runShardBench(shards int, quick bool, k int, out string) error {
 			runtime.GC()
 		}
 	}
-	measureANN := func(s interface {
-		TopK(*table.Table, int) []search.Scored
-	}, durs []time.Duration) {
+	measureANN := func(s search.Searcher, durs []time.Duration) {
 		runtime.GC()
 		gcOff := debug.SetGCPercent(-1)
 		defer debug.SetGCPercent(gcOff)
@@ -171,7 +163,7 @@ func runShardBench(shards int, quick bool, k int, out string) error {
 	start = time.Now()
 	sharded := shard.NewStarmie(bench.Lake, shards, shard.Config{})
 	rep.ShardIndexMS = ms(time.Since(start))
-	var stages shard.StageTimings
+	var stages search.StageTimings
 	sharded.Instrument(&stages)
 	measureExact(sharded, shardDurs, shardNames)
 	sharded.Instrument(nil)
@@ -183,7 +175,7 @@ func runShardBench(shards int, quick bool, k int, out string) error {
 	shardedBytes := uint64(0)
 	for _, q := range bench.Queries {
 		runtime.ReadMemStats(&memBefore)
-		sharded.TopK(q, k)
+		search.TopK(sharded, q, k)
 		runtime.ReadMemStats(&memAfter)
 		shardedBytes += memAfter.TotalAlloc - memBefore.TotalAlloc
 	}
@@ -208,7 +200,7 @@ func runShardBench(shards int, quick bool, k int, out string) error {
 	for r := 0; r < rounds; r++ {
 		for _, q := range bench.Queries {
 			q := q
-			pool.Submit(func() { sharded.TopK(q, k) })
+			pool.Submit(func() { search.TopK(sharded, q, k) })
 		}
 	}
 	pool.Close()

@@ -63,6 +63,11 @@ type Pipeline struct {
 type Option func(*Pipeline)
 
 // WithSearcher replaces the table union searcher (default: Starmie-like).
+// The searcher must satisfy the whole search.Searcher contract — the
+// pipeline calls all of it, unconditionally — and stays the live index:
+// the pipeline queries, tunes and mutates s itself, not a copy (except
+// that an explicit WithWorkers queries through s.QueryWorkers(n), a view
+// sharing s's index).
 func WithSearcher(s search.Searcher) Option { return func(p *Pipeline) { p.searcher = s } }
 
 // WithColumnEncoder replaces the column encoder used for alignment
@@ -91,10 +96,8 @@ func WithTopTables(n int) Option { return func(p *Pipeline) { p.topTables = n } 
 // candidates are re-scored exactly, so query latency tracks the candidate
 // pool instead of the lake size. DUST itself only needs a candidate pool of
 // unionable tuples before diversification, which is what makes the
-// approximate stage safe for the pipeline's quality. A searcher supplied
-// via WithSearcher that does not implement search.Staged keeps its own
-// retrieval and ignores this option; a Mode value the search package does
-// not define makes New panic.
+// approximate stage safe for the pipeline's quality. A Mode value the
+// search package does not define makes New panic.
 func WithRetriever(m search.Mode) Option { return func(p *Pipeline) { p.retrieval = m } }
 
 // WithShards partitions the lake into n hash-assigned shards, each with
@@ -143,8 +146,7 @@ func WithEfSearch(ef int) Option { return func(p *Pipeline) { p.efSearch = ef } 
 // kernels — and the number of queries SearchBatch serves concurrently.
 // n <= 0 (the default) derives the bound from GOMAXPROCS; n == 1 forces
 // the sequential path. A searcher supplied via WithSearcher is re-bounded
-// to n as well when it implements search.QueryBounded (the built-in
-// searchers do). Results are bit-identical for every setting.
+// to n as well. Results are bit-identical for every setting.
 func WithWorkers(n int) Option {
 	return func(p *Pipeline) { p.workers, p.workersSet = n, true }
 }
@@ -175,34 +177,26 @@ func New(l *lake.Lake, opts ...Option) *Pipeline {
 	} else if p.workersSet {
 		// An explicit WithWorkers also re-bounds a supplied searcher's
 		// query-time scoring; without it the searcher keeps its own bound.
-		if qb, ok := p.searcher.(search.QueryBounded); ok {
-			p.searcher = qb.QueryWorkers(p.workers)
-		}
+		p.searcher = p.searcher.QueryWorkers(p.workers)
 	}
 	// Retrieval tuning applies to supplied and warm-started searchers too,
 	// and quantization lands before the mode flip below so a graph built by
 	// SetMode comes up in the requested storage directly.
 	if p.quantizedSet {
-		if q, ok := p.searcher.(interface{ SetQuantized(bool) }); ok {
-			q.SetQuantized(p.quantized)
-		}
+		p.searcher.SetQuantized(p.quantized)
 	}
-	if t, ok := p.searcher.(search.Tunable); ok {
-		if p.oversample > 0 {
-			t.SetOversample(p.oversample)
-		}
-		if p.efSearch > 0 {
-			t.SetEfSearch(p.efSearch)
-		}
+	if p.oversample > 0 {
+		p.searcher.SetOversample(p.oversample)
+	}
+	if p.efSearch > 0 {
+		p.searcher.SetEfSearch(p.efSearch)
 	}
 	if p.retrieval != search.Exact {
-		if st, ok := p.searcher.(search.Staged); ok {
-			if err := st.SetMode(p.retrieval); err != nil {
-				// A Mode value this package does not define is a
-				// programming error; silently serving the exact scan
-				// would hide it behind nothing but latency.
-				panic(err)
-			}
+		if err := p.searcher.SetMode(p.retrieval); err != nil {
+			// A Mode value this package does not define is a programming
+			// error; silently serving the exact scan would hide it behind
+			// nothing but latency.
+			panic(err)
 		}
 	}
 	return p
@@ -343,13 +337,12 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 // a bounded worker pool of WithWorkers size (the pool suits the irregular
 // per-query cost better than static chunking). The worker budget shifts
 // from data parallelism to query parallelism: each query's alignment,
-// embedding, diversification, and (for QueryBounded searchers, which the
-// defaults are) scoring kernels run sequentially so the batch as a whole
-// stays within the WithWorkers bound instead of multiplying it. Results are
-// index-aligned with queries; a query that fails leaves a nil slot and
-// contributes its error — wrapped with the query's position and name — to
-// the joined error. Each result is identical to what a lone Search call
-// would return.
+// embedding, diversification, and scoring kernels run sequentially so the
+// batch as a whole stays within the WithWorkers bound instead of
+// multiplying it. Results are index-aligned with queries; a query that
+// fails leaves a nil slot and contributes its error — wrapped with the
+// query's position and name — to the joined error. Each result is identical
+// to what a lone Search call would return.
 func (p *Pipeline) SearchBatch(queries []*table.Table, k int) ([]*Result, error) {
 	return p.SearchBatchContext(context.Background(), queries, k)
 }
@@ -395,10 +388,10 @@ func (p *Pipeline) ConfigTag() string {
 
 // QueryBound returns a pipeline view sharing this pipeline's lake, index,
 // and encoders whose per-query parallelism — alignment, embedding,
-// diversification, and (for QueryBounded searchers, which the defaults are)
-// candidate scoring — is bounded to n workers. Concurrent servers use it so
-// per-query fan-out does not multiply their request-level concurrency;
-// SearchBatch builds its inner per-query pipeline with it. The returned
+// diversification, and candidate scoring — is bounded to n workers.
+// Concurrent servers use it so per-query fan-out does not multiply their
+// request-level concurrency; SearchBatch builds its inner per-query
+// pipeline with it. The returned
 // pipeline is for querying only: it shares mutable index state with the
 // receiver, so do not call AddTable/RemoveTable on it (Clone exists for
 // that).
@@ -406,40 +399,25 @@ func (p *Pipeline) QueryBound(n int) *Pipeline {
 	c := *p
 	c.workers = n
 	c.workersSet = true
-	if qb, ok := p.searcher.(search.QueryBounded); ok {
-		c.searcher = qb.QueryWorkers(n)
-	}
+	c.searcher = p.searcher.QueryWorkers(n)
 	return &c
 }
 
 // MaintenanceStats reports the tombstone debt of the searcher's mutable
 // index structures (HNSW graphs, LSH banding indexes), merged across
-// shards for sharded searchers; ok is false when the searcher does not
-// track maintenance state. A background maintainer watches it to decide
-// when a compaction pass (Compact on a Clone, then a snapshot swap) is
-// worth running.
-func (p *Pipeline) MaintenanceStats() (search.MaintenanceStats, bool) {
-	m, ok := p.searcher.(search.Maintainable)
-	if !ok {
-		return search.MaintenanceStats{}, false
-	}
-	return m.MaintenanceStats(), true
+// shards for sharded searchers. A background maintainer watches it to
+// decide when a compaction pass (Compact on a Clone, then a snapshot swap)
+// is worth running.
+func (p *Pipeline) MaintenanceStats() search.MaintenanceStats {
+	return p.searcher.MaintenanceStats()
 }
 
-// SetAutoCompact toggles the searcher's inline compaction policy and
-// reports whether the searcher supports the hook. With auto compaction
-// off, AddTable/RemoveTable never rebuild index structures inline — the
-// threshold check that normally runs inside mutations moves behind this
-// policy hook — so mutations stay O(delta) and a maintenance layer
-// compacts on its own schedule via Compact.
-func (p *Pipeline) SetAutoCompact(on bool) bool {
-	m, ok := p.searcher.(search.Maintainable)
-	if !ok {
-		return false
-	}
-	m.SetAutoCompact(on)
-	return true
-}
+// SetAutoCompact toggles the searcher's inline compaction policy. With auto
+// compaction off, AddTable/RemoveTable never rebuild index structures
+// inline — the threshold check that normally runs inside mutations moves
+// behind this policy hook — so mutations stay O(delta) and a maintenance
+// layer compacts on its own schedule via Compact.
+func (p *Pipeline) SetAutoCompact(on bool) { p.searcher.SetAutoCompact(on) }
 
 // Compact rebuilds the searcher's tombstoned index structures now,
 // reporting whether any work was done. Compaction preserves result
@@ -448,29 +426,18 @@ func (p *Pipeline) SetAutoCompact(on bool) bool {
 // keyed by (tag, epoch) stay valid across it. Not safe concurrently with
 // queries or mutations: run it on a Clone and swap, as
 // serve.WithMaintenance does.
-func (p *Pipeline) Compact() bool {
-	m, ok := p.searcher.(search.Maintainable)
-	if !ok {
-		return false
-	}
-	return m.Compact()
-}
+func (p *Pipeline) Compact() bool { return p.searcher.Compact() }
 
 // ModeView returns a query-only pipeline view whose searcher runs under
 // retrieval mode m, sharing every piece of index state with the receiver;
-// ok is false when the searcher cannot produce the view (not Staged, or
-// the mode's backend is not installed — see PrepareANN). The view is for
-// querying only — never mutate it — and concurrent queries on view and
-// receiver are safe. A serving layer uses it to degrade individual
-// requests to ANN retrieval under load; the view's ConfigTag differs from
-// the receiver's (the searcher name carries the mode), so caches keyed by
-// tag never mix the two plans' results.
+// ok is false when the mode's backend is not installed (see PrepareANN).
+// The view is for querying only — never mutate it — and concurrent queries
+// on view and receiver are safe. A serving layer uses it to degrade
+// individual requests to ANN retrieval under load; the view's ConfigTag
+// differs from the receiver's (the searcher name carries the mode), so
+// caches keyed by tag never mix the two plans' results.
 func (p *Pipeline) ModeView(m search.Mode) (*Pipeline, bool) {
-	mv, ok := p.searcher.(search.ModeViewer)
-	if !ok {
-		return nil, false
-	}
-	v, ok := mv.ModeView(m)
+	v, ok := p.searcher.ModeView(m)
 	if !ok {
 		return nil, false
 	}
@@ -485,97 +452,75 @@ func (p *Pipeline) ModeView(m search.Mode) (*Pipeline, bool) {
 // ModeView(search.ANN) becomes available on an exact-mode pipeline. An
 // installed graph survives mode flips and keeps absorbing mutations, so
 // the preparation stays valid across the pipeline's life (clones
-// included). Reports whether the ANN view is now available; false for
-// searchers without a staged retrieval surface. Not safe concurrently
-// with queries — call before serving starts.
+// included). Reports whether the ANN view is now available. Not safe
+// concurrently with queries — call before serving starts.
 func (p *Pipeline) PrepareANN() bool {
-	st, ok := p.searcher.(search.Staged)
-	if !ok {
-		return false
-	}
-	cur := st.RetrievalMode()
+	cur := p.searcher.RetrievalMode()
 	if cur == search.ANN {
 		return true
 	}
-	if err := st.SetMode(search.ANN); err != nil {
+	if err := p.searcher.SetMode(search.ANN); err != nil {
 		return false
 	}
-	if err := st.SetMode(cur); err != nil {
+	if err := p.searcher.SetMode(cur); err != nil {
 		// cur came from RetrievalMode and always round-trips.
 		panic(err)
 	}
-	_, ok = p.ModeView(search.ANN)
+	_, ok := p.ModeView(search.ANN)
 	return ok
 }
 
 // Close releases long-lived resources held by the pipeline's searcher —
 // today, the sharded searcher's scatter worker pool, which is shared by
-// every clone in its family (snapshot swaps reuse it). Call Close once the
-// pipeline family is done serving queries; monolithic searchers hold no
-// such resources and Close is then a no-op. Queries after Close panic for
-// sharded pipelines.
-func (p *Pipeline) Close() {
-	if c, ok := p.searcher.(interface{ Close() }); ok {
-		c.Close()
-	}
-}
+// every clone and view in its family (snapshot swaps reuse it). Call Close
+// once the pipeline family is done serving queries; monolithic searchers
+// hold no such resources and Close is then a no-op. Queries after Close
+// panic for sharded pipelines that scatter on the pool.
+func (p *Pipeline) Close() { p.searcher.Close() }
 
-// ShardSizes reports the per-shard table counts of a sharded searcher in
-// shard order, or nil for a monolithic index. Serving layers expose the
-// partition balance through it without reaching into the shard layout.
+// Shards reports how many index shards back the pipeline's searcher: 1 for
+// a monolithic index (the default), n for a WithShards(n) or warm-started
+// sharded layout.
+func (p *Pipeline) Shards() int { return len(p.searcher.Parts()) }
+
+// ShardSizes reports the table count of every index part in shard order —
+// one entry, the whole lake, for a monolithic index. Serving layers expose
+// the partition balance through it without reaching into the shard layout.
 func (p *Pipeline) ShardSizes() []int {
-	st, ok := p.searcher.(interface{ ShardTables() [][]string })
-	if !ok {
-		return nil
-	}
-	tables := st.ShardTables()
-	sizes := make([]int, len(tables))
-	for i, names := range tables {
-		sizes[i] = len(names)
+	parts := p.searcher.Parts()
+	sizes := make([]int, len(parts))
+	for i, part := range parts {
+		sizes[i] = part.Lake().Len()
 	}
 	return sizes
 }
 
 // IndexBytes reports the resident footprint of the searcher's ANN index
-// structures (summed across shards for a sharded searcher): the storage
-// kind — "quantized", "float", "none" when no graph is installed, or
-// "mixed" for a heterogeneous shard set — and the estimated bytes. The
+// structures, merged across its parts (see search.IndexFootprint). The
 // serving layer exports it as the dust_index_bytes gauge.
-func (p *Pipeline) IndexBytes() search.IndexFootprint {
-	if sz, ok := p.searcher.(search.IndexSizer); ok {
-		st, b := sz.IndexBytes()
-		return search.IndexFootprint{Storage: st, Bytes: b}
-	}
-	return search.IndexFootprint{Storage: "none"}
-}
+func (p *Pipeline) IndexBytes() search.IndexFootprint { return p.searcher.IndexBytes() }
 
-// ShardIndexBytes reports the per-shard resident index footprints of a
-// sharded searcher in shard order, or nil for a monolithic index —
-// the per-shard series behind the serving layer's dust_index_bytes
-// gauge.
+// ShardIndexBytes reports every index part's own resident footprint in
+// shard order — the per-shard series behind the serving layer's
+// dust_index_bytes gauge.
 func (p *Pipeline) ShardIndexBytes() []search.IndexFootprint {
-	if s, ok := p.searcher.(interface {
-		ShardIndexBytes() []search.IndexFootprint
-	}); ok {
-		return s.ShardIndexBytes()
+	parts := p.searcher.Parts()
+	out := make([]search.IndexFootprint, len(parts))
+	for i, part := range parts {
+		out[i] = part.IndexBytes()
 	}
-	return nil
+	return out
 }
 
-// InstrumentScatter attaches st to the pipeline's sharded searcher so the
+// InstrumentScatter attaches st to the pipeline's searcher so a sharded
 // scatter path accumulates per-stage (encode/scatter/gather) wall time into
-// it, and reports whether the searcher supports the hook (monolithic
-// searchers do not; the call is then a no-op returning false). Views and
-// clones derived from the pipeline after the call — snapshot swaps included
-// — keep recording into the same accumulator. Attach before querying
-// starts; the hook is not synchronized with in-flight queries.
-func (p *Pipeline) InstrumentScatter(st *shard.StageTimings) bool {
-	in, ok := p.searcher.(interface{ Instrument(*shard.StageTimings) })
-	if !ok {
-		return false
-	}
-	in.Instrument(st)
-	return true
+// it, and reports whether the searcher has such a path (monolithic
+// searchers do not; nothing is then recorded). Views and clones derived
+// from the pipeline after the call — snapshot swaps included — keep
+// recording into the same accumulator. Attach before querying starts; the
+// hook is not synchronized with in-flight queries.
+func (p *Pipeline) InstrumentScatter(st *search.StageTimings) bool {
+	return p.searcher.Instrument(st)
 }
 
 // tableRows collects a table's rows for batch encoding.

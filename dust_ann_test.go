@@ -52,7 +52,7 @@ func TestPipelineANNWarmStart(t *testing.T) {
 	if err := cold.SaveIndex(idxDir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(idxDir, "ann.dustidx")); err != nil {
+	if _, err := os.Stat(filepath.Join(idxDir, "shard-000.ann.dustidx")); err != nil {
 		t.Fatalf("ann graph file not written: %v", err)
 	}
 
@@ -60,7 +60,7 @@ func TestPipelineANNWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := warm.searcher.(search.Staged); !ok || st.RetrievalMode() != search.ANN {
+	if warm.searcher.RetrievalMode() != search.ANN {
 		t.Fatal("warm start did not restore ANN mode")
 	}
 	got, err := warm.Search(q, 10)
@@ -73,8 +73,8 @@ func TestPipelineANNWarmStart(t *testing.T) {
 	if err := New(b.Lake, WithTopTables(5)).SaveIndex(idxDir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(idxDir, "ann.dustidx")); !os.IsNotExist(err) {
-		t.Errorf("stale ann.dustidx survived an exact-mode overwrite (err = %v)", err)
+	if _, err := os.Stat(filepath.Join(idxDir, "shard-000.ann.dustidx")); !os.IsNotExist(err) {
+		t.Errorf("stale shard-000.ann.dustidx survived an exact-mode overwrite (err = %v)", err)
 	}
 }
 
@@ -90,10 +90,7 @@ func TestPipelineANNMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	shadow, err := p.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	shadow := p.Clone()
 	grown := q.Clone("late_arrival")
 	if err := shadow.AddTable(grown); err != nil {
 		t.Fatal(err)

@@ -124,10 +124,7 @@ func TestPipelineCloneIsolation(t *testing.T) {
 	}
 	baseLen := p.Lake().Len()
 
-	c, err := p.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := p.Clone()
 	if c.Epoch() != p.Epoch() {
 		t.Fatalf("clone epoch %d, want %d", c.Epoch(), p.Epoch())
 	}

@@ -1,9 +1,11 @@
 package dust
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dust/internal/datagen"
@@ -158,12 +160,12 @@ func TestLoadPipelineErrors(t *testing.T) {
 	}
 
 	// A corrupted searcher file must be rejected by its checksum.
-	raw, err := os.ReadFile(filepath.Join(idxDir, "searcher.dustidx"))
+	raw, err := os.ReadFile(filepath.Join(idxDir, "shard-000.dustidx"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0x20
-	if err := os.WriteFile(filepath.Join(idxDir, "searcher.dustidx"), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(idxDir, "shard-000.dustidx"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadPipeline(lakeDir, idxDir); err == nil {
@@ -171,24 +173,85 @@ func TestLoadPipelineErrors(t *testing.T) {
 	}
 }
 
-func TestSaveIndexUnsupportedSearcher(t *testing.T) {
-	b, _ := benchLake(t)
-	p := New(b.Lake, WithSearcher(fakeSearcher{}))
-	if err := p.SaveIndex(t.TempDir()); !errors.Is(err, ErrUnsupportedSearcher) {
-		t.Errorf("err = %v, want ErrUnsupportedSearcher", err)
+// TestLoadGoldenMonolithicV4 reads an index directory written by the commit
+// before the single on-disk layout — a monolithic Starmie index in ANN mode
+// saved as searcher.dustidx + ann.dustidx under a zero-shard v4 manifest
+// (testdata/golden_v4_mono, 4 tables) — as one part: it must load, answer
+// exactly like a fresh build over the same lake, and re-save in the one
+// layout with the very same component bytes under the shard-000 names.
+func TestLoadGoldenMonolithicV4(t *testing.T) {
+	golden := filepath.Join("testdata", "golden_v4_mono")
+	lakeDir, idxDir := filepath.Join(golden, "lake"), filepath.Join(golden, "index")
+	q, err := table.LoadCSV(filepath.Join(golden, "query.csv"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := p.AddTable(table.New("x", "a")); !errors.Is(err, ErrNotIncremental) {
-		t.Errorf("AddTable err = %v, want ErrNotIncremental", err)
+	warm, err := LoadPipeline(lakeDir, idxDir)
+	if err != nil {
+		t.Fatalf("golden index did not load: %v", err)
 	}
-	if err := p.RemoveTable("x"); !errors.Is(err, ErrNotIncremental) {
-		t.Errorf("RemoveTable err = %v, want ErrNotIncremental", err)
+	fresh := New(warm.Lake(), WithRetriever(search.ANN))
+	if warm.Shards() != 1 || warm.ConfigTag() != fresh.ConfigTag() {
+		t.Fatalf("loaded %d shard(s) tagged %q, want 1 tagged %q", warm.Shards(), warm.ConfigTag(), fresh.ConfigTag())
 	}
+	if warm.IndexBytes().Storage != "float" {
+		t.Fatalf("saved graph not installed: index footprint %+v", warm.IndexBytes())
+	}
+	check := func(label string, p *Pipeline) {
+		t.Helper()
+		for _, mode := range []search.Mode{search.ANN, search.Exact} {
+			pv, ok := p.ModeView(mode)
+			fv, fok := fresh.ModeView(mode)
+			if !ok || !fok {
+				t.Fatalf("%s: no %v view", label, mode)
+			}
+			got, err := pv.Search(q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fv.Search(q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, label+" vs fresh "+mode.String(), got, want)
+		}
+	}
+	check("golden", warm)
+
+	out := filepath.Join(t.TempDir(), "index")
+	if err := warm.SaveIndex(out); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got, want := strings.Join(names, " "), "manifest.dustidx shard-000.ann.dustidx shard-000.dustidx"; got != want {
+		t.Fatalf("re-save wrote %q, want %q", got, want)
+	}
+	for legacy, part := range map[string]string{"searcher.dustidx": "shard-000.dustidx", "ann.dustidx": "shard-000.ann.dustidx"} {
+		want, err := os.ReadFile(filepath.Join(idxDir, legacy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(out, part))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the golden %s it was loaded from", part, legacy)
+		}
+	}
+	resaved, err := LoadPipeline(lakeDir, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("re-saved", resaved)
 }
-
-type fakeSearcher struct{}
-
-func (fakeSearcher) Name() string                               { return "fake" }
-func (fakeSearcher) TopK(q *table.Table, k int) []search.Scored { return nil }
 
 func TestPipelineIncrementalMatchesRebuild(t *testing.T) {
 	b, q := benchLake(t)

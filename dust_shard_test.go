@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"dust/internal/datagen"
 	"dust/internal/lake"
@@ -79,7 +81,7 @@ func TestPipelineShardedSaveLoadWarmStart(t *testing.T) {
 				}
 			}
 			if _, err := os.Stat(filepath.Join(idxDir, "searcher.dustidx")); !os.IsNotExist(err) {
-				t.Error("sharded save left a monolithic searcher file behind")
+				t.Error("save wrote a legacy monolithic searcher file")
 			}
 
 			warm, err := LoadPipeline(lakeDir, idxDir, WithTopTables(5))
@@ -125,12 +127,12 @@ func TestPipelineShardedOverwriteChangesLayout(t *testing.T) {
 	if got := warm.Shards(); got != 2 {
 		t.Fatalf("Shards() = %d after re-save, want 2", got)
 	}
-	// Back to monolithic: every shard file must disappear.
+	// Back to monolithic: one part, so only shard-000 may remain.
 	if err := New(b.Lake).SaveIndex(idxDir); err != nil {
 		t.Fatal(err)
 	}
-	if m, _ := filepath.Glob(filepath.Join(idxDir, "shard-*.dustidx")); len(m) != 0 {
-		t.Errorf("monolithic re-save left shard files behind: %v", m)
+	if m, _ := filepath.Glob(filepath.Join(idxDir, "shard-*.dustidx")); len(m) != 1 || filepath.Base(m[0]) != "shard-000.dustidx" {
+		t.Errorf("monolithic re-save left shard files %v, want only shard-000.dustidx", m)
 	}
 	warm, err = LoadPipeline(lakeDir, idxDir)
 	if err != nil {
@@ -181,10 +183,7 @@ func TestPipelineShardedMutationsAndClone(t *testing.T) {
 	}
 	sameResult(t, "sharded after AddTable vs fresh unsharded", got, want)
 
-	cl, err := p.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := p.Clone()
 	if err := cl.RemoveTable("late_arrival"); err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +209,44 @@ func TestPipelineShardedMutationsAndClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "sharded after RemoveTable vs fresh unsharded", got, want)
+}
+
+// TestPipelineCloseReleasesReboundPool is the regression test for the
+// scatter-pool leak on re-bounded supplied searchers: a warm start with
+// WithWorkers — every dustserve/dustsearch -index-dir boot of a sharded
+// index — queries through the sharded searcher's QueryWorkers view, and
+// Close on the pipeline must still release the family pool behind it.
+func TestPipelineCloseReleasesReboundPool(t *testing.T) {
+	b, q := benchLake(t)
+	idxDir := filepath.Join(t.TempDir(), "index")
+	cold := New(b.Lake, WithShards(3))
+	if err := cold.SaveIndex(idxDir); err != nil {
+		t.Fatal(err)
+	}
+	cold.Close()
+
+	before := runtime.NumGoroutine()
+	for _, opts := range [][]Option{nil, {WithWorkers(4)}} {
+		p, err := LoadPipelineLake(b.Lake, idxDir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Search(q, 5); err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		// Close waits for the pool's workers to signal their exit; give
+		// goroutines that have signalled (here and in the query's own
+		// fan-out) a moment to actually leave the scheduler. A leaked pool
+		// never does.
+		after := runtime.NumGoroutine()
+		for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if after > before {
+			t.Fatalf("options %d: %d goroutines before load, %d after Close", len(opts), before, after)
+		}
+	}
 }
 
 // TestShardedIndexErrorPaths drives every failure mode of the sharded

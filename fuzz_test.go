@@ -34,12 +34,13 @@ func FuzzLoadManifest(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	// Order matters: each save retires the other layout's files, so save
+	// Order matters: each save retires the previous one's files, so save
 	// the monolithic index first and let the final sharded save lay down
-	// the shard files, then restore the monolithic searcher file beside
-	// them for manifests that mutate back to a zero-shard layout.
+	// the shard files, then put the monolithic searcher file beside them
+	// under its legacy name for manifests that mutate to the zero-shard
+	// (pre-single-layout) form.
 	seed(New(b.Lake))
-	mono, err := os.ReadFile(filepath.Join(dir, "searcher.dustidx"))
+	mono, err := os.ReadFile(filepath.Join(dir, "shard-000.dustidx"))
 	if err != nil {
 		f.Fatal(err)
 	}

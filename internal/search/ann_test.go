@@ -2,7 +2,6 @@ package search
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -79,8 +78,8 @@ func TestANNRecall(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := recallAtK(b.Queries, k,
-			func(q *table.Table, k int) []string { return scoredNames(exact.TopK(q, k)) },
-			func(q *table.Table, k int) []string { return scoredNames(approx.TopK(q, k)) })
+			func(q *table.Table, k int) []string { return scoredNames(TopK(exact, q, k)) },
+			func(q *table.Table, k int) []string { return scoredNames(TopK(approx, q, k)) })
 		if r < 0.95 {
 			t.Fatalf("starmie ANN recall@%d = %.3f, want >= 0.95", k, r)
 		}
@@ -106,7 +105,7 @@ func TestANNRecall(t *testing.T) {
 	})
 }
 
-// TestExactModeUnchanged pins the refactor: a Staged searcher in Exact
+// TestExactModeUnchanged pins the refactor: a searcher in Exact
 // mode — including one that visited ANN mode and came back, carrying a
 // graph — ranks bit-identically to the plain constructor-default path,
 // at workers 1 and 8. This is the "exact mode stays seed behavior"
@@ -116,7 +115,7 @@ func TestExactModeUnchanged(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			base := NewStarmie(b.Lake, WithWorkers(workers))
-			want := snapshotScored(b.Queries[:3], base.TopK)
+			want := snapshotScored(b.Queries[:3], base)
 
 			toggled := base.CloneWithLake(b.Lake).(*Starmie)
 			if err := toggled.SetMode(ANN); err != nil {
@@ -125,7 +124,7 @@ func TestExactModeUnchanged(t *testing.T) {
 			if err := toggled.SetMode(Exact); err != nil {
 				t.Fatal(err)
 			}
-			if got := snapshotScored(b.Queries[:3], toggled.TopK); !reflect.DeepEqual(got, want) {
+			if got := snapshotScored(b.Queries[:3], toggled); !reflect.DeepEqual(got, want) {
 				t.Fatal("exact mode after an ANN round trip ranks differently")
 			}
 			if base.Name() != "starmie" || toggled.Name() != "starmie" {
@@ -133,14 +132,14 @@ func TestExactModeUnchanged(t *testing.T) {
 			}
 
 			d := NewD3L(b.Lake, WithWorkers(workers))
-			wantD := snapshotScored(b.Queries[:3], d.TopK)
+			wantD := snapshotScored(b.Queries[:3], d)
 			if err := d.SetMode(ANN); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.SetMode(Exact); err != nil {
 				t.Fatal(err)
 			}
-			if got := snapshotScored(b.Queries[:3], d.TopK); !reflect.DeepEqual(got, wantD) {
+			if got := snapshotScored(b.Queries[:3], d); !reflect.DeepEqual(got, wantD) {
 				t.Fatal("d3l exact mode after a mode round trip ranks differently")
 			}
 		})
@@ -154,7 +153,7 @@ func TestANNWorkersAgree(t *testing.T) {
 	b := annBenchSmall(t)
 	s1 := NewStarmie(b.Lake, WithWorkers(1), WithMode(ANN))
 	s8 := NewStarmie(b.Lake, WithWorkers(8), WithMode(ANN))
-	if got, want := snapshotScored(b.Queries[:4], s8.TopK), snapshotScored(b.Queries[:4], s1.TopK); !reflect.DeepEqual(got, want) {
+	if got, want := snapshotScored(b.Queries[:4], s8), snapshotScored(b.Queries[:4], s1); !reflect.DeepEqual(got, want) {
 		t.Fatal("starmie ANN results differ between workers=1 and workers=8")
 	}
 	t1 := NewTupleSearch(b.Lake.Tables(), WithWorkers(1), WithMode(ANN))
@@ -185,9 +184,9 @@ func TestANNIncrementalMutations(t *testing.T) {
 
 	step := func(i int) {
 		exact := NewStarmie(l)
-		wantNames := scoredNames(exact.TopK(q, 5))
+		wantNames := scoredNames(TopK(exact, q, 5))
 		in := map[string]bool{}
-		for _, h := range s.TopK(q, 5) {
+		for _, h := range TopK(s, q, 5) {
 			in[h.Table.Name] = true
 		}
 		hits := 0
@@ -269,8 +268,8 @@ func TestSaveLoadANN(t *testing.T) {
 	if err := loaded.SetMode(ANN); err != nil {
 		t.Fatal(err)
 	}
-	want := snapshotScored(b.Queries[:3], s.TopK)
-	if got := snapshotScored(b.Queries[:3], loaded.TopK); !reflect.DeepEqual(got, want) {
+	want := snapshotScored(b.Queries[:3], s)
+	if got := snapshotScored(b.Queries[:3], loaded); !reflect.DeepEqual(got, want) {
 		t.Fatal("loaded ANN graph ranks differently from the saved one")
 	}
 
@@ -316,51 +315,6 @@ func TestSaveLoadANN(t *testing.T) {
 	}
 }
 
-// TestStagedInterface checks the Retriever plumbing: exact retrievers
-// nominate the whole lake, approximate ones a subset, and mode flips are
-// reflected in names (which serving config tags key on).
-func TestStagedInterface(t *testing.T) {
-	// The full-size fixture: LSH candidate generation needs enough value
-	// overlap between derived tables to populate its buckets at all.
-	b := annBench(t)
-	for _, mk := range []func() Staged{
-		func() Staged { return NewStarmie(b.Lake) },
-		func() Staged { return NewD3L(b.Lake) },
-	} {
-		s := mk()
-		if s.RetrievalMode() != Exact {
-			t.Fatalf("%s: default mode = %v, want Exact", s.Name(), s.RetrievalMode())
-		}
-		if got := s.Retriever().Name(); got != "exact" {
-			t.Fatalf("%s: exact retriever named %q", s.Name(), got)
-		}
-		names, err := s.Retriever().Retrieve(context.Background(), b.Queries[0], 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(names) != b.Lake.Len() {
-			t.Fatalf("%s: exact retriever nominated %d of %d tables", s.Name(), len(names), b.Lake.Len())
-		}
-		exactName := s.Name()
-		if err := s.SetMode(ANN); err != nil {
-			t.Fatal(err)
-		}
-		if s.Name() == exactName {
-			t.Fatalf("%s: ANN mode did not change the searcher name", exactName)
-		}
-		names, err = s.Retriever().Retrieve(context.Background(), b.Queries[0], 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(names) == 0 || len(names) >= b.Lake.Len() {
-			t.Fatalf("%s: approximate retriever nominated %d of %d tables", s.Name(), len(names), b.Lake.Len())
-		}
-		if err := s.SetMode(Mode(99)); !errors.Is(err, ErrUnknownMode) {
-			t.Fatalf("%s: SetMode(99) err = %v, want ErrUnknownMode", s.Name(), err)
-		}
-	}
-}
-
 // TestD3LANNEmptyBucketsFallBack pins the behavior cliff at zero LSH
 // candidates: a query overlapping nothing must still get the exact
 // best-effort ranking in ANN mode, not an empty result.
@@ -370,11 +324,11 @@ func TestD3LANNEmptyBucketsFallBack(t *testing.T) {
 	q := table.New("alien", "Zzx")
 	q.MustAppendRow("qqqqqq-no-overlap-1")
 	q.MustAppendRow("qqqqqq-no-overlap-2")
-	if cands := d.CandidateTables(q); len(cands) != 0 {
+	if cands := lshCandidates(d, q); len(cands) != 0 {
 		t.Skipf("fixture unexpectedly overlaps the query (%d candidates)", len(cands))
 	}
-	got := d.TopK(q, 5)
-	want := NewD3L(b.Lake).TopK(q, 5)
+	got := TopK(d, q, 5)
+	want := TopK(NewD3L(b.Lake), q, 5)
 	if len(got) != len(want) {
 		t.Fatalf("ANN fallback returned %d hits, exact returns %d", len(got), len(want))
 	}

@@ -26,6 +26,7 @@ import (
 // value-overlap candidates so the signal does not require scanning the
 // whole lake per column.
 type D3L struct {
+	leaf
 	lake    *lake.Lake
 	enc     *embed.Encoder
 	workers int
@@ -35,22 +36,21 @@ type D3L struct {
 	// bucketed candidates with the full five-signal aggregate.
 	mode Mode
 
-	hasher  *minhash.Hasher
-	sigs    map[string][]minhash.Signature // per table: column signatures
-	vecs    map[string][]vector.Vec        // per table: column word embeddings
-	formats map[string][]formatProfile
-	numeric map[string][]numericProfile
-	lsh     *minhash.Index
+	hasher *minhash.Hasher
+	tables map[string]d3lTableIndex // per table: the per-column signals
+	lsh    *minhash.Index
 }
 
 // d3lBands is the LSH banding width of the value-overlap index; it must
 // divide the hasher's signature length (128).
 const d3lBands = 32
 
-// d3lTableIndex holds the per-table signals computed during indexing.
+// d3lTableIndex holds one table's per-column signals — what indexing
+// stores for a lake table and Prepare derives for a query. All four are
+// corpus-independent.
 type d3lTableIndex struct {
-	sigs []minhash.Signature
-	vecs []vector.Vec
+	sigs []minhash.Signature // value overlap (and the LSH key)
+	vecs []vector.Vec        // word embeddings
 	fps  []formatProfile
 	nps  []numericProfile
 }
@@ -66,10 +66,7 @@ func NewD3L(l *lake.Lake, opts ...Option) *D3L {
 		enc:     embed.NewFastText(),
 		workers: o.workers,
 		hasher:  minhash.NewHasher(128),
-		sigs:    map[string][]minhash.Signature{},
-		vecs:    map[string][]vector.Vec{},
-		formats: map[string][]formatProfile{},
-		numeric: map[string][]numericProfile{},
+		tables:  map[string]d3lTableIndex{},
 	}
 	d.lsh, _ = minhash.NewIndex(d.hasher, d3lBands)
 	tables := l.Tables()
@@ -110,10 +107,7 @@ func (d *D3L) install(name string, idx d3lTableIndex) {
 	for i := range idx.sigs {
 		d.lsh.AddSignature(name, idx.sigs[i])
 	}
-	d.sigs[name] = idx.sigs
-	d.vecs[name] = idx.vecs
-	d.formats[name] = idx.fps
-	d.numeric[name] = idx.nps
+	d.tables[name] = idx
 }
 
 // Name implements Searcher; the suffix keeps config tags distinct
@@ -125,7 +119,13 @@ func (d *D3L) Name() string {
 	return "d3l"
 }
 
-// SetMode implements Staged. D3L's approximate backend is its LSH banding
+// Lake implements Searcher.
+func (d *D3L) Lake() *lake.Lake { return d.lake }
+
+// Parts implements Searcher: a monolithic index is its own single part.
+func (d *D3L) Parts() []Searcher { return []Searcher{d} }
+
+// SetMode implements Searcher. D3L's approximate backend is its LSH banding
 // index rather than HNSW, so switching is free: the index already exists
 // for the value-overlap signal.
 func (d *D3L) SetMode(m Mode) error {
@@ -136,41 +136,26 @@ func (d *D3L) SetMode(m Mode) error {
 	return nil
 }
 
-// RetrievalMode implements Staged.
+// RetrievalMode implements Searcher.
 func (d *D3L) RetrievalMode() Mode { return d.mode }
 
-// Retriever implements Staged.
-func (d *D3L) Retriever() Retriever {
-	if d.mode == ANN {
-		return lshRetriever{d}
-	}
-	return exactRetriever{d.lake}
-}
+// SetOversample implements Searcher as a no-op: LSH buckets are set-shaped,
+// there is no pool to size.
+func (d *D3L) SetOversample(float64) {}
 
-// lshRetriever re-expresses D3L's pruning path (CandidateTables) through
-// the staged Retriever interface: candidates are the tables sharing an
-// LSH bucket with any query column. The limit is advisory — LSH buckets
-// are set-shaped — and recall depends on value overlap, so queries whose
-// unionable tables share few values retrieve less than the HNSW backends
-// would.
-type lshRetriever struct{ d *D3L }
+// SetEfSearch implements Searcher as a no-op: D3L has no HNSW stage.
+func (d *D3L) SetEfSearch(int) {}
 
-func (lshRetriever) Name() string { return "lsh" }
+// SetQuantized implements Searcher as a no-op: D3L builds no vector graph.
+func (d *D3L) SetQuantized(bool) {}
 
-func (r lshRetriever) Retrieve(ctx context.Context, query *table.Table, _ int) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sigs := make([]minhash.Signature, query.NumCols())
-	for i := range query.Columns {
-		sigs[i] = r.d.hasher.Sign(query.Columns[i].Values)
-	}
-	return r.d.candidateNamesSigned(sigs), nil
-}
+// IndexBytes implements Searcher: D3L's approximate backend is the LSH
+// index its exact scorer needs anyway, so there is no ANN-only footprint.
+func (d *D3L) IndexBytes() IndexFootprint { return IndexFootprint{Storage: "none"} }
 
 // candidateNamesSigned is the LSH retrieval stage for query-column
-// signatures the caller already computed (TopKContext signs every column
-// for the value-overlap score anyway), name-sorted for determinism.
+// signatures the caller already computed (Prepare signs every column for
+// the value-overlap score anyway), name-sorted for determinism.
 func (d *D3L) candidateNamesSigned(sigs []minhash.Signature) []string {
 	set := map[string]bool{}
 	for _, sig := range sigs {
@@ -186,33 +171,30 @@ func (d *D3L) candidateNamesSigned(sigs []minhash.Signature) []string {
 	return names
 }
 
-// AddTable implements Incremental: only the new table's signals are
+// AddTable implements Searcher: only the new table's signals are
 // computed; everything already indexed is untouched, so the update costs
 // O(new table). The table must (also) be added to the lake before querying.
 func (d *D3L) AddTable(t *table.Table) error {
-	if _, ok := d.sigs[t.Name]; ok {
+	if _, ok := d.tables[t.Name]; ok {
 		return fmt.Errorf("d3l: AddTable(%q): %w", t.Name, ErrDuplicateTable)
 	}
 	d.install(t.Name, d.indexTable(t))
 	return nil
 }
 
-// RemoveTable implements Incremental: the table's signals are dropped and
+// RemoveTable implements Searcher: the table's signals are dropped and
 // its LSH entries tombstoned (the banding index compacts itself once dead
 // entries dominate). Remove the table from the lake afterwards.
 func (d *D3L) RemoveTable(name string) error {
-	if _, ok := d.sigs[name]; !ok {
+	if _, ok := d.tables[name]; !ok {
 		return fmt.Errorf("d3l: RemoveTable(%q): %w", name, ErrUnknownTable)
 	}
-	delete(d.sigs, name)
-	delete(d.vecs, name)
-	delete(d.formats, name)
-	delete(d.numeric, name)
+	delete(d.tables, name)
 	d.lsh.Remove(name)
 	return nil
 }
 
-// QueryWorkers implements QueryBounded: the returned searcher shares this
+// QueryWorkers implements Searcher: the returned searcher shares this
 // searcher's index (immutable after construction) and scores queries with
 // at most n workers.
 func (d *D3L) QueryWorkers(n int) Searcher {
@@ -221,15 +203,15 @@ func (d *D3L) QueryWorkers(n int) Searcher {
 	return &c
 }
 
-// SetAutoCompact implements Maintainable, delegating to the LSH banding
+// SetAutoCompact implements Searcher, delegating to the LSH banding
 // index (D3L's only tombstoning structure).
 func (d *D3L) SetAutoCompact(on bool) { d.lsh.SetAutoCompact(on) }
 
-// Compact implements Maintainable: it compacts the LSH banding index,
+// Compact implements Searcher: it compacts the LSH banding index,
 // reporting whether any tombstones were reclaimed.
 func (d *D3L) Compact() bool { return d.lsh.Compact() }
 
-// MaintenanceStats implements Maintainable.
+// MaintenanceStats implements Searcher.
 func (d *D3L) MaintenanceStats() MaintenanceStats {
 	return MaintenanceStats{
 		LSHEntries:      d.lsh.Len() + d.lsh.Dead(),
@@ -238,7 +220,7 @@ func (d *D3L) MaintenanceStats() MaintenanceStats {
 	}
 }
 
-// ModeView implements ModeViewer. D3L's approximate backend is its LSH
+// ModeView implements Searcher. D3L's approximate backend is its LSH
 // banding index, which always exists, so a view of either mode is a free
 // shallow copy.
 func (d *D3L) ModeView(m Mode) (Searcher, bool) {
@@ -253,30 +235,18 @@ func (d *D3L) ModeView(m Mode) (Searcher, bool) {
 	return &c, true
 }
 
-// CloneWithLake implements Cloner: the clone is bound to l and owns its own
-// signal maps and LSH banding index, sharing the per-column signature,
-// vector, and profile slices (install replaces whole slices; nothing writes
-// into one). Mutations on the clone leave this searcher — and queries in
+// CloneWithLake implements Searcher: the clone is bound to l and owns its own
+// signal map and LSH banding index, sharing the per-column signature,
+// vector, and profile slices (install replaces whole entries; nothing
+// writes into one). Mutations on the clone leave this searcher — and queries in
 // flight against it — untouched.
 func (d *D3L) CloneWithLake(l *lake.Lake) Searcher {
 	c := *d
 	c.lake = l
 	c.lsh = d.lsh.Clone()
-	c.sigs = make(map[string][]minhash.Signature, len(d.sigs))
-	for n, v := range d.sigs {
-		c.sigs[n] = v
-	}
-	c.vecs = make(map[string][]vector.Vec, len(d.vecs))
-	for n, v := range d.vecs {
-		c.vecs[n] = v
-	}
-	c.formats = make(map[string][]formatProfile, len(d.formats))
-	for n, v := range d.formats {
-		c.formats[n] = v
-	}
-	c.numeric = make(map[string][]numericProfile, len(d.numeric))
-	for n, v := range d.numeric {
-		c.numeric[n] = v
+	c.tables = make(map[string]d3lTableIndex, len(d.tables))
+	for n, v := range d.tables {
+		c.tables[n] = v
 	}
 	return &c
 }
@@ -289,74 +259,38 @@ func (d *D3L) embedColumn(col *table.Column) vector.Vec {
 	return d.enc.EncodeTokens(toks)
 }
 
-// columnScore aggregates the five signals for one query/candidate column
-// pair.
-func (d *D3L) columnScore(q *table.Column, qSig minhash.Signature, qVec vector.Vec, qFmt formatProfile, qNum numericProfile,
-	t *table.Table, ci int) float64 {
-	name := headerSimilarity(q.Name, t.Columns[ci].Name)
-	value := minhash.Estimate(qSig, d.sigs[t.Name][ci])
-	format := qFmt.similarity(d.formats[t.Name][ci])
-	emb := math.Max(0, vector.Cosine(qVec, d.vecs[t.Name][ci]))
-	dist := qNum.similarity(d.numeric[t.Name][ci])
+// columnScore aggregates the five signals for query column qi of p against
+// column ci of the indexed table t (whose signals are idx).
+func columnScore(p *d3lPrepared, qi int, t *table.Table, idx *d3lTableIndex, ci int) float64 {
+	name := headerSimilarity(p.query.Columns[qi].Name, t.Columns[ci].Name)
+	value := minhash.Estimate(p.sigs[qi], idx.sigs[ci])
+	format := p.fps[qi].similarity(idx.fps[ci])
+	emb := math.Max(0, vector.Cosine(p.vecs[qi], idx.vecs[ci]))
+	dist := p.nps[qi].similarity(idx.nps[ci])
 	return (name + value + format + emb + dist) / 5
 }
 
-// TopK implements Searcher.
-func (d *D3L) TopK(query *table.Table, k int) []Scored {
-	out, _ := d.TopKContext(context.Background(), query, k)
-	return out
-}
-
-// d3lPrepared is D3L's PreparedQuery: the per-column signatures, word
-// embeddings, and profiles of the query, derived once. All four are
+// d3lPrepared is D3L's PreparedQuery: the query's per-column signals,
+// derived once exactly as indexing derives a lake table's. They are
 // corpus-independent, so any D3L index — every shard of a partitioned lake
 // — accepts the preparation interchangeably.
 type d3lPrepared struct {
 	query *table.Table
-	sigs  []minhash.Signature
-	vecs  []vector.Vec
-	fmts  []formatProfile
-	nums  []numericProfile
+	d3lTableIndex
 }
 
 // Query implements PreparedQuery.
 func (p *d3lPrepared) Query() *table.Table { return p.query }
 
-// Prepare implements PreparedSearcher: the query's five per-column signals
+// Prepare implements Searcher: the query's five per-column signals
 // are derived exactly once.
 func (d *D3L) Prepare(query *table.Table) PreparedQuery {
-	n := query.NumCols()
-	p := &d3lPrepared{
-		query: query,
-		sigs:  make([]minhash.Signature, n),
-		vecs:  make([]vector.Vec, n),
-		fmts:  make([]formatProfile, n),
-		nums:  make([]numericProfile, n),
-	}
-	for i := range query.Columns {
-		col := &query.Columns[i]
-		p.sigs[i] = d.hasher.Sign(col.Values)
-		p.vecs[i] = d.embedColumn(col)
-		p.fmts[i] = profileFormat(col.Values)
-		p.nums[i] = profileNumeric(col.Values)
-	}
-	return p
+	return &d3lPrepared{query: query, d3lTableIndex: d.indexTable(query)}
 }
 
-// TopKContext implements ContextSearcher: the candidate scan stops scoring
-// further tables once ctx is cancelled and the call returns ctx.Err().
-func (d *D3L) TopKContext(ctx context.Context, query *table.Table, k int) ([]Scored, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	pq := d.Prepare(query)
-	TraceFrom(ctx).AddEncode(t0)
-	return d.TopKPrepared(ctx, pq, k)
-}
-
-// TopKPrepared implements PreparedSearcher: TopKContext minus the signal
-// derivation, which pq already carries.
+// TopKPrepared implements Searcher: the candidate scan (the whole lake, or
+// the LSH nominees in ANN mode) stops scoring further tables once ctx is
+// cancelled and the call returns ctx.Err().
 func (d *D3L) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error) {
 	p, ok := pq.(*d3lPrepared)
 	if !ok {
@@ -371,17 +305,11 @@ func (d *D3L) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scor
 	if d.mode == ANN && k > 0 {
 		// The prepared signatures serve double duty: the value-overlap
 		// score and, here, the LSH candidate lookup.
-		names := d.candidateNamesSigned(p.sigs)
-		if len(names) > 0 {
-			// Empty LSH buckets (no value overlap anywhere) fall through
-			// to the exact scan: a best-effort ranking, like exact mode,
-			// beats turning a valid query into "no results".
-			cands = cands[:0:0]
-			for _, name := range names {
-				if t := d.lake.Get(name); t != nil {
-					cands = append(cands, t)
-				}
-			}
+		// Empty LSH buckets (no value overlap anywhere) fall through to
+		// the exact scan: a best-effort ranking, like exact mode, beats
+		// turning a valid query into "no results".
+		if names := d.candidateNamesSigned(p.sigs); len(names) > 0 {
+			cands = tablesNamed(d.lake, names)
 		}
 	}
 	tr.AddRetrieve(t0)
@@ -402,11 +330,12 @@ func (d *D3L) scorePrepared(p *d3lPrepared, t *table.Table) float64 {
 	if t.NumCols() == 0 || n == 0 {
 		return 0
 	}
+	idx := d.tables[t.Name]
 	var sum float64
 	for i := range p.query.Columns {
 		best := 0.0
 		for ci := range t.Columns {
-			if s := d.columnScore(&p.query.Columns[i], p.sigs[i], p.vecs[i], p.fmts[i], p.nums[i], t, ci); s > best {
+			if s := columnScore(p, i, t, &idx, ci); s > best {
 				best = s
 			}
 		}
@@ -415,7 +344,7 @@ func (d *D3L) scorePrepared(p *d3lPrepared, t *table.Table) float64 {
 	return sum / float64(n)
 }
 
-// NominatePrepared implements PreparedNominator: the tables sharing an LSH
+// NominatePrepared implements Searcher: the tables sharing an LSH
 // bucket with any query column in ANN mode (depth is advisory — buckets are
 // set-shaped), every lake table otherwise. An empty return means no bucket
 // matched anywhere; the coordinator picks the fallback, mirroring the
@@ -434,7 +363,7 @@ func (d *D3L) NominatePrepared(ctx context.Context, pq PreparedQuery, depth int)
 	return d.candidateNamesSigned(p.sigs), nil
 }
 
-// ScorePrepared implements PreparedNominator.
+// ScorePrepared implements Searcher.
 func (d *D3L) ScorePrepared(pq PreparedQuery, t *table.Table) float64 {
 	return d.scorePrepared(pq.(*d3lPrepared), t)
 }
@@ -443,19 +372,6 @@ func (d *D3L) ScorePrepared(pq PreparedQuery, t *table.Table) float64 {
 // Tests instrument it to count encoding calls — the prepared-query gate
 // that proves a sharded query derives its signals exactly once.
 func (d *D3L) Encoder() *embed.Encoder { return d.enc }
-
-// CandidateTables returns lake table names sharing an LSH bucket with any
-// of the query's columns — D3L's pruning path, exposed for tests and the
-// pipeline's fast path on large lakes.
-func (d *D3L) CandidateTables(query *table.Table) map[string]bool {
-	out := map[string]bool{}
-	for i := range query.Columns {
-		for _, c := range d.lsh.Query(query.Columns[i].Values) {
-			out[c.Key] = true
-		}
-	}
-	return out
-}
 
 // headerSimilarity is token Jaccard between headers, with synonym classes
 // from the embedding lexicon counted through the token set.

@@ -56,10 +56,10 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A successful load must yield a usable index; errors just return.
 		if s, err := LoadStarmie(bytes.NewReader(data), b.Lake); err == nil {
-			s.TopK(b.Queries[0], 3)
+			TopK(s, b.Queries[0], 3)
 		}
 		if d, err := LoadD3L(bytes.NewReader(data), b.Lake); err == nil {
-			d.TopK(b.Queries[0], 3)
+			TopK(d, b.Queries[0], 3)
 		}
 		if ts, err := LoadTupleSearch(bytes.NewReader(data), tables); err == nil {
 			ts.TopK(b.Queries[0], 3)
@@ -68,7 +68,7 @@ func FuzzLoadIndex(f *testing.F) {
 		// must survive being searched.
 		host := annHost.CloneWithLake(b.Lake).(*Starmie)
 		if err := host.LoadANN(bytes.NewReader(data)); err == nil {
-			host.TopK(b.Queries[0], 3)
+			TopK(host, b.Queries[0], 3)
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"dust/internal/datagen"
@@ -28,20 +27,27 @@ func bigTable(name string, seed int64) *table.Table {
 	return t
 }
 
+// mutator is the delta-update surface the three searchers share (the
+// tuple-level one by name only: it is not a table-level Searcher).
+type mutator interface {
+	AddTable(t *table.Table) error
+	RemoveTable(name string) error
+}
+
 // incSearcher abstracts the three searchers for the equivalence harness:
-// mutate is the Incremental surface, results snapshots a few queries'
+// mutate is the delta-update surface, results snapshots a few queries'
 // ranked output as comparable strings, rebuild constructs the same searcher
 // from scratch over the current lake.
 type incSearcher struct {
-	mutate  Incremental
+	mutate  mutator
 	results func() []string
 	rebuild func() incSearcher
 }
 
-func snapshotScored(queries []*table.Table, topK func(*table.Table, int) []Scored) []string {
+func snapshotScored(queries []*table.Table, s Searcher) []string {
 	var out []string
 	for _, q := range queries {
-		for i, sc := range topK(q, 8) {
+		for i, sc := range TopK(s, q, 8) {
 			out = append(out, fmt.Sprintf("%s#%d:%s=%x", q.Name, i, sc.Table.Name, sc.Score))
 		}
 	}
@@ -65,7 +71,7 @@ func newIncSearcher(t *testing.T, kind string, l *lake.Lake, queries []*table.Ta
 		s := NewStarmie(l, WithWorkers(workers))
 		return incSearcher{
 			mutate:  s,
-			results: func() []string { return snapshotScored(queries, s.TopK) },
+			results: func() []string { return snapshotScored(queries, s) },
 			rebuild: func() incSearcher { return newIncSearcher(t, kind, l, queries, workers) },
 		}
 	case "d3l":
@@ -73,17 +79,10 @@ func newIncSearcher(t *testing.T, kind string, l *lake.Lake, queries []*table.Ta
 		return incSearcher{
 			mutate: d,
 			results: func() []string {
-				out := snapshotScored(queries, d.TopK)
-				// CandidateTables (the LSH pruning path) must also match a
-				// rebuilt index; set semantics, so emit sorted via map print.
+				out := snapshotScored(queries, d)
+				// The LSH pruning path must also match a rebuilt index.
 				for _, q := range queries {
-					cands := d.CandidateTables(q)
-					names := make([]string, 0, len(cands))
-					for n := range cands {
-						names = append(names, n)
-					}
-					sort.Strings(names)
-					out = append(out, fmt.Sprintf("cands(%s)=%v", q.Name, names))
+					out = append(out, fmt.Sprintf("cands(%s)=%v", q.Name, lshCandidates(d, q)))
 				}
 				return out
 			},
@@ -234,7 +233,7 @@ func TestIncrementalErrors(t *testing.T) {
 	s := NewStarmie(b.Lake)
 	d := NewD3L(b.Lake)
 	ts := NewTupleSearch(b.Lake.Tables())
-	for name, inc := range map[string]Incremental{"starmie": s, "d3l": d, "tuples": ts} {
+	for name, inc := range map[string]mutator{"starmie": s, "d3l": d, "tuples": ts} {
 		if err := inc.AddTable(tab); !errors.Is(err, ErrDuplicateTable) {
 			t.Errorf("%s: duplicate AddTable err = %v, want ErrDuplicateTable", name, err)
 		}

@@ -31,7 +31,7 @@ func TestStarmieTopKDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		par := NewStarmie(b.Lake, WithWorkers(workers))
 		for _, q := range b.Queries {
-			assertSameHits(t, "starmie", par.TopK(q, 8), seq.TopK(q, 8))
+			assertSameHits(t, "starmie", TopK(par, q, 8), TopK(seq, q, 8))
 		}
 	}
 }
@@ -42,7 +42,7 @@ func TestD3LTopKDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		par := NewD3L(b.Lake, WithWorkers(workers))
 		for _, q := range b.Queries {
-			assertSameHits(t, "d3l", par.TopK(q, 8), seq.TopK(q, 8))
+			assertSameHits(t, "d3l", TopK(par, q, 8), TopK(seq, q, 8))
 		}
 	}
 }

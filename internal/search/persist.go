@@ -11,7 +11,6 @@ import (
 	"dust/internal/lake"
 	"dust/internal/minhash"
 	"dust/internal/table"
-	"dust/internal/tokenize"
 	"dust/internal/vector"
 )
 
@@ -86,17 +85,7 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 		return nil, fmt.Errorf("starmie: load: %w", err)
 	}
 	o := applyOptions(opts)
-	s := &Starmie{
-		enc:        embed.NewStarmie(),
-		lake:       l,
-		corpus:     &tokenize.Corpus{},
-		cols:       make(map[string][]vector.Vec, l.Len()),
-		big:        make(map[string]bool),
-		workers:    o.workers,
-		quantized:  o.quantized,
-		Oversample: DefaultOversample,
-		EfSearch:   DefaultEfSearch,
-	}
+	s := emptyStarmie(l, embed.NewStarmie(), o)
 
 	sc := codec.NewScanner(payload)
 	encName := sc.String()
@@ -256,9 +245,9 @@ func (s *Starmie) LoadANN(r io.Reader) error {
 // load).
 func (d *D3L) Save(w io.Writer) error {
 	tables := d.lake.Tables()
-	if len(tables) != len(d.sigs) {
+	if len(tables) != len(d.tables) {
 		return fmt.Errorf("d3l: save: index holds %d tables, lake holds %d: %w",
-			len(d.sigs), len(tables), ErrLakeMismatch)
+			len(d.tables), len(tables), ErrLakeMismatch)
 	}
 	var b codec.Buffer
 	b.String(d.enc.Fingerprint())
@@ -268,16 +257,16 @@ func (d *D3L) Save(w io.Writer) error {
 
 	b.Int(len(tables))
 	for _, t := range tables {
-		sigs, ok := d.sigs[t.Name]
+		idx, ok := d.tables[t.Name]
 		if !ok {
 			return fmt.Errorf("d3l: save: lake table %q not indexed: %w", t.Name, ErrLakeMismatch)
 		}
 		b.String(t.Name)
-		b.Int(len(sigs))
-		vecs, fps, nps := d.vecs[t.Name], d.formats[t.Name], d.numeric[t.Name]
-		for i := range sigs {
-			b.Uint64s(sigs[i])
-			b.Float64s(vecs[i])
+		b.Int(len(idx.sigs))
+		fps, nps := idx.fps, idx.nps
+		for i := range idx.sigs {
+			b.Uint64s(idx.sigs[i])
+			b.Float64s(idx.vecs[i])
 			b.Float64(fps[i].letters)
 			b.Float64(fps[i].digits)
 			b.Float64(fps[i].punct)
@@ -304,10 +293,7 @@ func LoadD3L(r io.Reader, l *lake.Lake, opts ...Option) (*D3L, error) {
 		lake:    l,
 		enc:     embed.NewFastText(),
 		workers: o.workers,
-		sigs:    map[string][]minhash.Signature{},
-		vecs:    map[string][]vector.Vec{},
-		formats: map[string][]formatProfile{},
-		numeric: map[string][]numericProfile{},
+		tables:  map[string]d3lTableIndex{},
 	}
 
 	sc := codec.NewScanner(payload)
@@ -365,7 +351,7 @@ func LoadD3L(r io.Reader, l *lake.Lake, opts ...Option) (*D3L, error) {
 			idx.nps = append(idx.nps, np)
 		}
 		if sc.Err() == nil {
-			if _, dup := d.sigs[name]; dup {
+			if _, dup := d.tables[name]; dup {
 				return nil, fmt.Errorf("d3l: load: table %q indexed twice: %w", name, codec.ErrCorrupt)
 			}
 			d.install(name, idx)
@@ -375,18 +361,18 @@ func LoadD3L(r io.Reader, l *lake.Lake, opts ...Option) (*D3L, error) {
 		return nil, fmt.Errorf("d3l: load: %w", err)
 	}
 
-	if len(d.sigs) != l.Len() {
+	if len(d.tables) != l.Len() {
 		return nil, fmt.Errorf("d3l: load: index holds %d tables, lake holds %d: %w",
-			len(d.sigs), l.Len(), ErrLakeMismatch)
+			len(d.tables), l.Len(), ErrLakeMismatch)
 	}
-	for name, sigs := range d.sigs {
+	for name, idx := range d.tables {
 		lt := l.Get(name)
 		if lt == nil {
 			return nil, fmt.Errorf("d3l: load: indexed table %q not in lake: %w", name, ErrLakeMismatch)
 		}
-		if lt.NumCols() != len(sigs) {
+		if lt.NumCols() != len(idx.sigs) {
 			return nil, fmt.Errorf("d3l: load: table %q has %d columns, index holds %d: %w",
-				name, lt.NumCols(), len(sigs), ErrLakeMismatch)
+				name, lt.NumCols(), len(idx.sigs), ErrLakeMismatch)
 		}
 	}
 	if o.mode != Exact {
@@ -440,11 +426,10 @@ func LoadTupleSearch(r io.Reader, tables []*table.Table, opts ...Option) (*Tuple
 	}
 	o := applyOptions(opts)
 	ts := &TupleSearch{
-		enc:        embed.NewRoBERTa(),
-		workers:    o.workers,
-		quantized:  o.quantized,
-		Oversample: DefaultOversample,
-		EfSearch:   DefaultEfSearch,
+		enc:       embed.NewRoBERTa(),
+		workers:   o.workers,
+		quantized: o.quantized,
+		annTuning: annTuning{DefaultOversample, DefaultEfSearch},
 	}
 
 	byName := make(map[string]*table.Table, len(tables))

@@ -53,7 +53,7 @@ func TestStarmieSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range b.Queries {
-		sameScored(t, loaded.TopK(q, 8), orig.TopK(q, 8))
+		sameScored(t, TopK(loaded, q, 8), TopK(orig, q, 8))
 	}
 
 	// A loaded index keeps working incrementally: mutate both sides and
@@ -69,7 +69,7 @@ func TestStarmieSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range b.Queries {
-		sameScored(t, loaded.TopK(q, 8), orig.TopK(q, 8))
+		sameScored(t, TopK(loaded, q, 8), TopK(orig, q, 8))
 	}
 }
 
@@ -86,8 +86,8 @@ func TestD3LSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range b.Queries {
-		sameScored(t, loaded.TopK(q, 8), orig.TopK(q, 8))
-		if got, want := loaded.CandidateTables(q), orig.CandidateTables(q); !reflect.DeepEqual(got, want) {
+		sameScored(t, TopK(loaded, q, 8), TopK(orig, q, 8))
+		if got, want := lshCandidates(loaded, q), lshCandidates(orig, q); !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %s: candidates %v, want %v", q.Name, got, want)
 		}
 	}

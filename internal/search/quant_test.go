@@ -18,8 +18,8 @@ func TestQuantizedExactIdentical(t *testing.T) {
 	b := annBenchSmall(t)
 	plain := NewStarmie(b.Lake)
 	quant := NewStarmie(b.Lake, WithQuantized(true))
-	want := snapshotScored(b.Queries, plain.TopK)
-	if got := snapshotScored(b.Queries, quant.TopK); !reflect.DeepEqual(got, want) {
+	want := snapshotScored(b.Queries, plain)
+	if got := snapshotScored(b.Queries, quant); !reflect.DeepEqual(got, want) {
 		t.Fatal("exact-mode results changed under WithQuantized before any graph exists")
 	}
 	if err := quant.SetMode(ANN); err != nil {
@@ -28,7 +28,7 @@ func TestQuantizedExactIdentical(t *testing.T) {
 	if err := quant.SetMode(Exact); err != nil {
 		t.Fatal(err)
 	}
-	if got := snapshotScored(b.Queries, quant.TopK); !reflect.DeepEqual(got, want) {
+	if got := snapshotScored(b.Queries, quant); !reflect.DeepEqual(got, want) {
 		t.Fatal("exact-mode results changed after building a quantized graph")
 	}
 
@@ -57,38 +57,38 @@ func TestQuantizedANNRecall(t *testing.T) {
 	const k = 10
 	exact := NewStarmie(b.Lake)
 	quant := NewStarmie(b.Lake, WithQuantized(true), WithMode(ANN))
-	if st, n := quant.IndexBytes(); st != "quantized" || n <= 0 {
-		t.Fatalf("IndexBytes = %s/%d, want quantized storage with a positive footprint", st, n)
+	if fp := quant.IndexBytes(); fp.Storage != "quantized" || fp.Bytes <= 0 {
+		t.Fatalf("IndexBytes = %+v, want quantized storage with a positive footprint", fp)
 	}
 	r := recallAtK(b.Queries, k,
-		func(q *table.Table, k int) []string { return scoredNames(exact.TopK(q, k)) },
-		func(q *table.Table, k int) []string { return scoredNames(quant.TopK(q, k)) })
+		func(q *table.Table, k int) []string { return scoredNames(TopK(exact, q, k)) },
+		func(q *table.Table, k int) []string { return scoredNames(TopK(quant, q, k)) })
 	if r < 0.95 {
 		t.Fatalf("quantized recall@%d = %.3f, want >= 0.95", k, r)
 	}
 }
 
-// TestIndexFootprint checks the IndexSizer accounting that feeds the
+// TestIndexFootprint checks the IndexBytes accounting that feeds the
 // dust_index_bytes gauge and /stats: no graph reports "none", a float
 // graph reports "float", and flipping to SQ8 shrinks the stored-vector
 // payload to at most 0.3x of float (d+16 vs 4d bytes per vector).
 func TestIndexFootprint(t *testing.T) {
 	b := annBenchSmall(t)
 	s := NewStarmie(b.Lake)
-	if st, n := s.IndexBytes(); st != "none" || n != 0 {
-		t.Fatalf("graphless IndexBytes = %s/%d, want none/0", st, n)
+	if fp := s.IndexBytes(); fp.Storage != "none" || fp.Bytes != 0 {
+		t.Fatalf("graphless IndexBytes = %+v, want none/0", fp)
 	}
 	if err := s.SetMode(ANN); err != nil {
 		t.Fatal(err)
 	}
-	st, fbytes := s.IndexBytes()
+	st, fbytes := s.IndexBytes().Storage, s.IndexBytes().Bytes
 	if st != "float" || fbytes <= 0 {
 		t.Fatalf("float IndexBytes = %s/%d, want float/>0", st, fbytes)
 	}
 	fvec := s.Graph().VectorBytes()
 
 	s.SetQuantized(true)
-	st, qbytes := s.IndexBytes()
+	st, qbytes := s.IndexBytes().Storage, s.IndexBytes().Bytes
 	if st != "quantized" || qbytes <= 0 {
 		t.Fatalf("quantized IndexBytes = %s/%d, want quantized/>0", st, qbytes)
 	}
@@ -103,11 +103,11 @@ func TestIndexFootprint(t *testing.T) {
 	// SetQuantized is idempotent and reversible: flipping back rebuilds
 	// float storage.
 	s.SetQuantized(true)
-	if st, _ := s.IndexBytes(); st != "quantized" {
+	if st := s.IndexBytes().Storage; st != "quantized" {
 		t.Fatalf("idempotent SetQuantized(true) left storage %s", st)
 	}
 	s.SetQuantized(false)
-	if st, _ := s.IndexBytes(); st != "float" {
+	if st := s.IndexBytes().Storage; st != "float" {
 		t.Fatalf("SetQuantized(false) left storage %s", st)
 	}
 }
@@ -133,8 +133,8 @@ func TestSaveLoadANNQuantized(t *testing.T) {
 	if err := loaded.SetMode(ANN); err != nil {
 		t.Fatal(err)
 	}
-	want := snapshotScored(b.Queries[:3], s.TopK)
-	if got := snapshotScored(b.Queries[:3], loaded.TopK); !reflect.DeepEqual(got, want) {
+	want := snapshotScored(b.Queries[:3], s)
+	if got := snapshotScored(b.Queries[:3], loaded); !reflect.DeepEqual(got, want) {
 		t.Fatal("loaded quantized graph ranks differently from the saved one")
 	}
 }
@@ -182,8 +182,8 @@ func TestLoadANNV1Float(t *testing.T) {
 	if err := loaded.SetMode(ANN); err != nil {
 		t.Fatal(err)
 	}
-	want := snapshotScored(b.Queries[:3], s.TopK)
-	if got := snapshotScored(b.Queries[:3], loaded.TopK); !reflect.DeepEqual(got, want) {
+	want := snapshotScored(b.Queries[:3], s)
+	if got := snapshotScored(b.Queries[:3], loaded); !reflect.DeepEqual(got, want) {
 		t.Fatal("v1-loaded graph ranks differently from the v2 original")
 	}
 }

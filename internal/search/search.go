@@ -29,14 +29,125 @@ type Scored struct {
 	Score float64
 }
 
-// Searcher retrieves the top-k tables unionable with a query.
+// Searcher is the one contract behind Algorithm 1's SearchTables call: an
+// index over a lake's tables that ranks them by unionability with a query.
+// Starmie, D3L and the sharded scatter-gather searcher (internal/shard)
+// implement all of it, so the pipeline, persistence, serving and sharding
+// layers compose against this type alone. Queries run prepared — Prepare
+// once, then TopKPrepared (or, for a coordinator that scores a merged pool
+// itself, NominatePrepared + ScorePrepared); TopK and TopKCtx wrap the two
+// steps. Queries are safe concurrently with each other; everything that
+// changes the index (SetMode, the Set* tuners, AddTable/RemoveTable,
+// Compact) is not safe concurrently with queries — mutate a CloneWithLake
+// copy and swap.
 type Searcher interface {
+	// Name identifies the searcher and its retrieval mode; config tags and
+	// the serving caches keyed by them build on it.
 	Name() string
-	TopK(query *table.Table, k int) []Scored
+	// Lake returns the lake this searcher indexes.
+	Lake() *lake.Lake
+	// Parts returns the independently built, persisted and sized
+	// sub-indexes in shard order. A monolithic searcher is its own single
+	// part.
+	Parts() []Searcher
+
+	// Prepare encodes the query once; the result may be reused across any
+	// number of calls below and across searchers sharing this searcher's
+	// encoder state (see PreparedQuery).
+	Prepare(query *table.Table) PreparedQuery
+	// TopKPrepared retrieves candidates for pq (every indexed table in
+	// Exact mode, the approximate backend's nominees in ANN mode), scores
+	// them exactly and returns the top k by (score desc, name asc); k <= 0
+	// asks for the full ranking, which only the exact scan provides. A
+	// cancelled ctx yields ctx.Err(), never a truncated ranking; a
+	// preparation from another searcher family yields ErrForeignPrepared.
+	TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error)
+	// NominatePrepared is the candidate-only half of the plan: candidate
+	// table names, unscored, in a deterministic but unranked order — ranking
+	// is the scorer's job. depth bounds the per-query-vector neighbor count
+	// of graph backends (HNSW); set-shaped backends (the exact scan, LSH
+	// buckets) ignore it and return their whole set. An approximate backend
+	// may return nothing when it has no signal (empty LSH buckets); the
+	// caller picks the fallback.
+	NominatePrepared(ctx context.Context, pq PreparedQuery, depth int) ([]string, error)
+	// ScorePrepared exactly scores one indexed table under pq. It panics on
+	// a foreign preparation or an unindexed table — composition errors of
+	// the calling coordinator, not runtime conditions.
+	ScorePrepared(pq PreparedQuery, t *table.Table) float64
+
+	// SetMode switches the retrieval backend; entering ANN builds the
+	// approximate index on first use (O(n log n) for HNSW) and reuses an
+	// installed one (e.g. loaded from disk). An installed index survives
+	// mode flips and keeps absorbing mutations.
+	SetMode(Mode) error
+	// RetrievalMode reports the active retrieval backend.
+	RetrievalMode() Mode
+	// ModeView returns a read-only view under mode m sharing all index
+	// state with the receiver, so a serving layer can degrade single
+	// requests to ANN without flipping the shared searcher. ok is false
+	// when m's backend is not installed (an ANN view of a graph-less
+	// searcher). Concurrent queries on view and receiver are safe.
+	ModeView(m Mode) (s Searcher, ok bool)
+	// QueryWorkers returns a view sharing the index that scores queries
+	// with at most n workers; batch-serving callers use it to stop
+	// per-query fan-out from multiplying their own query-level parallelism.
+	QueryWorkers(n int) Searcher
+
+	// SetOversample sizes the ANN candidate pool of a top-k query
+	// (ceil(v*k) nominees before exact re-ranking) and SetEfSearch sets the
+	// HNSW traversal beam width; non-positive values restore the package
+	// defaults, exact-mode queries and searchers without the backend ignore
+	// them.
+	SetOversample(v float64)
+	SetEfSearch(ef int)
+	// SetQuantized selects SQ8 storage for the ANN graphs this searcher
+	// builds (see WithQuantized); an installed graph of the other storage
+	// is rebuilt at once. Searchers without a quantized form ignore it.
+	SetQuantized(on bool)
+	// IndexBytes reports the resident footprint of the ANN index
+	// structures, summed over the parts.
+	IndexBytes() IndexFootprint
+
+	// AddTable indexes one new table and RemoveTable un-indexes one, in
+	// O(delta) work, leaving query results bit-identical to an index built
+	// from scratch over the mutated table set. The searcher and its lake
+	// must agree whenever a query runs: add to the lake before (or right
+	// after) AddTable; call RemoveTable while the table is still in the
+	// lake, then remove it there. dust.Pipeline sequences both sides.
+	AddTable(t *table.Table) error
+	RemoveTable(name string) error
+	// CloneWithLake returns an independently mutable copy bound to l, a
+	// clone of this searcher's lake holding the same table set. Mutations
+	// on the clone never disturb the original, while the heavy immutable
+	// index state — embedding vectors, signatures — is shared, so
+	// snapshot-swapped serving builds copy-on-write shadows with it.
+	CloneWithLake(l *lake.Lake) Searcher
+
+	// MaintenanceStats exposes the accumulated tombstone debt,
+	// SetAutoCompact(false) stops mutations from rebuilding tombstoned
+	// structures inline, and Compact pays the debt down now, reporting
+	// whether any work was done — typically on a clone, off the query
+	// path. A compacted index ranks exactly like its tombstoned self.
+	MaintenanceStats() MaintenanceStats
+	SetAutoCompact(on bool)
+	Compact() bool
+
+	// Instrument attaches a scatter-stage accumulator (nil detaches) and
+	// reports whether this searcher has a scatter stage to time; a
+	// monolithic searcher has none.
+	Instrument(st *StageTimings) bool
+	// Close releases long-lived resources — the sharded searcher's scatter
+	// pool, shared by its whole clone family. A monolithic searcher holds
+	// none.
+	Close()
 }
 
-// Mode selects the candidate-generation backend of a Staged searcher's
-// query plan (retrieve -> score -> diversify).
+// QueryBounded names the part of the contract that re-bounds query
+// parallelism; every Searcher has it.
+type QueryBounded = Searcher
+
+// Mode selects the candidate-generation backend of a searcher's query plan
+// (retrieve -> score -> diversify).
 type Mode int
 
 const (
@@ -76,35 +187,34 @@ const (
 	rebuildThreshold = 0.5
 )
 
+// annTuning shapes the HNSW candidate stage of the searchers that have one
+// (Starmie and the tuple-level searcher): stage one retrieves
+// ceil(Oversample*k) nearest neighbours per query vector, with beam width
+// EfSearch, and nominates them for exact re-ranking. Raise Oversample to
+// trade latency for recall.
+type annTuning struct {
+	Oversample float64
+	EfSearch   int
+}
+
+// SetOversample sizes the ANN candidate pool; v <= 0 restores the default.
+func (a *annTuning) SetOversample(v float64) {
+	if v <= 0 {
+		v = DefaultOversample
+	}
+	a.Oversample = v
+}
+
+// SetEfSearch sets the HNSW beam width; ef <= 0 restores the default.
+func (a *annTuning) SetEfSearch(ef int) {
+	if ef <= 0 {
+		ef = DefaultEfSearch
+	}
+	a.EfSearch = ef
+}
+
 // ErrUnknownMode reports SetMode of a Mode this package does not define.
 var ErrUnknownMode = errors.New("search: unknown retrieval mode")
-
-// Retriever is the candidate-generation stage of the staged query plan:
-// given a query it nominates lake tables worth exact scoring, unranked —
-// ranking is the scorer's job. limit is the rank depth the caller
-// intends to score (the k of its top-k); backends oversample internally
-// exactly as the owning searcher's TopK does, and set-shaped backends
-// (the exact scan, LSH buckets) ignore it and return their whole set.
-type Retriever interface {
-	Name() string
-	Retrieve(ctx context.Context, query *table.Table, limit int) ([]string, error)
-}
-
-// Staged is a Searcher whose retrieval stage is pluggable between the
-// exact full scan and an approximate candidate generator whose nominees
-// are re-scored exactly. Starmie and D3L implement it (the tuple-level
-// searcher has the same surface, typed for tuple hits).
-type Staged interface {
-	Searcher
-	// SetMode switches the retrieval backend; entering ANN builds the
-	// approximate index on first use (O(n log n) for HNSW) and is a
-	// no-op when one is already installed (e.g. loaded from disk).
-	SetMode(Mode) error
-	// RetrievalMode reports the active retrieval backend.
-	RetrievalMode() Mode
-	// Retriever exposes the active candidate-generation stage.
-	Retriever() Retriever
-}
 
 // staleGraph reports whether a mutated HNSW graph has crossed the
 // rebuild threshold — the one compaction policy both ANN-capable
@@ -112,20 +222,6 @@ type Staged interface {
 // rebuilding on every other mutation).
 func staleGraph(ix *ann.Index) bool {
 	return ix != nil && ix.Len() >= 8 && ix.DeletedFraction() > rebuildThreshold
-}
-
-// exactRetriever nominates every lake table: stage one of the default
-// query plan and the recall oracle approximate retrievers are measured
-// against.
-type exactRetriever struct{ l *lake.Lake }
-
-func (exactRetriever) Name() string { return "exact" }
-
-func (r exactRetriever) Retrieve(ctx context.Context, _ *table.Table, _ int) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r.l.Names(), nil
 }
 
 // Typed failures of the incremental-mutation and persistence surfaces.
@@ -142,53 +238,23 @@ var (
 	ErrEncoderMismatch = errors.New("search: saved index built with a different encoder")
 )
 
-// Incremental is an index that supports delta updates: AddTable indexes one
-// new table and RemoveTable un-indexes one, in O(delta) work rather than a
-// full rebuild, while keeping query results bit-identical to an index built
-// from scratch over the mutated table set. All three searchers in this
-// package implement it.
-//
-// Contract for the lake-backed searchers (Starmie, D3L): the searcher and
-// its lake must agree whenever a query runs. Call lake.Add before (or right
-// after) AddTable; call RemoveTable while the table is still in the lake,
-// then lake.Remove. dust.Pipeline.AddTable/RemoveTable sequence both sides
-// correctly. Mutations are not safe concurrently with queries.
-type Incremental interface {
-	AddTable(t *table.Table) error
-	RemoveTable(name string) error
-}
-
-// QueryBounded is a Searcher whose query-time scoring parallelism can be
-// re-bounded without re-indexing: QueryWorkers returns a searcher sharing
-// the same immutable index that scores queries with at most n workers.
-// Batch-serving callers use it to stop per-query fan-out from multiplying
-// their own query-level parallelism.
-type QueryBounded interface {
-	Searcher
-	QueryWorkers(n int) Searcher
-}
-
-// ContextSearcher is a Searcher with a cancellation path: TopKContext
-// abandons the ranking once ctx is cancelled and returns ctx.Err() instead
-// of a truncated (and therefore wrong) ranking. All three searchers in this
-// package implement it; their plain TopK is TopKContext under a background
-// context.
-type ContextSearcher interface {
-	Searcher
-	TopKContext(ctx context.Context, query *table.Table, k int) ([]Scored, error)
-}
-
-// TopKCtx runs a search under ctx: ContextSearchers get real mid-query
-// cancellation, arbitrary Searchers are checked before the (uninterruptible)
-// call. The error is ctx.Err() when the query was cancelled.
+// TopKCtx is the whole query under ctx: Prepare, then TopKPrepared, with the
+// encoding charged to the encode stage of a Trace carried by ctx. The error
+// is ctx.Err() when the query was cancelled.
 func TopKCtx(ctx context.Context, s Searcher, query *table.Table, k int) ([]Scored, error) {
-	if cs, ok := s.(ContextSearcher); ok {
-		return cs.TopKContext(ctx, query, k)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.TopK(query, k), nil
+	t0 := time.Now()
+	pq := s.Prepare(query)
+	TraceFrom(ctx).AddEncode(t0)
+	return s.TopKPrepared(ctx, pq, k)
+}
+
+// TopK is TopKCtx under a background context, which cannot fail.
+func TopK(s Searcher, query *table.Table, k int) []Scored {
+	out, _ := TopKCtx(context.Background(), s, query, k)
+	return out
 }
 
 // Trace accumulates the per-stage wall time of one query through the
@@ -262,12 +328,46 @@ func TraceFrom(ctx context.Context) *Trace {
 	return tr
 }
 
+// StageTimings accumulates per-stage wall time across the queries of a
+// scatter-gather searcher (internal/shard); attach one with
+// Searcher.Instrument. All fields are atomic so concurrent queries can share
+// an accumulator. dustbench -shards reports these as encode/scatter/gather
+// milliseconds per query, the serving layer as dust_scatter_* counters.
+type StageTimings struct {
+	// Queries counts the top-k queries recorded.
+	Queries atomic.Int64
+	// EncodeNS is nanoseconds spent preparing the query representation
+	// (the encode-once stage).
+	EncodeNS atomic.Int64
+	// ScatterNS is nanoseconds spent in per-shard fan-out work: local
+	// top-k retrieval rounds in exact mode, candidate nomination in ANN
+	// mode.
+	ScatterNS atomic.Int64
+	// GatherNS is nanoseconds spent merging: the k-way heap merge plus, in
+	// ANN mode, the single global exact-scoring pass over the merged pool.
+	GatherNS atomic.Int64
+}
+
+// leaf answers the part of the Searcher contract that is trivial for a
+// monolithic index: there is no scatter stage to time and nothing
+// long-lived to release. Starmie and D3L embed it.
+type leaf struct{}
+
+// Instrument implements Searcher: a monolithic searcher has no scatter
+// stage, so nothing is attached.
+func (leaf) Instrument(*StageTimings) bool { return false }
+
+// Close implements Searcher as a no-op.
+func (leaf) Close() {}
+
 // PreparedQuery is a query's encoded representation — column embeddings,
-// MinHash signatures, signal profiles — computed once by Prepare and
-// reusable across many TopKPrepared calls. A prepared query is only
-// meaningful to searchers sharing the encoder state of the one that
-// prepared it: identically configured encoders over the same (shared)
-// corpus, which is exactly what the shards of one partitioned lake hold.
+// MinHash signatures, signal profiles — computed once by Searcher.Prepare
+// and reusable across many TopKPrepared calls, so a fan-out caller (the
+// sharded scatter in internal/shard) never re-derives it per sub-index. A
+// prepared query is only meaningful to searchers sharing the encoder state
+// of the one that prepared it: identically configured encoders over the
+// same (shared) corpus, which is exactly what the shards of one partitioned
+// lake hold.
 // Implementations type-assert the concrete preparation and report
 // ErrForeignPrepared for one produced by a different searcher family.
 type PreparedQuery interface {
@@ -278,43 +378,6 @@ type PreparedQuery interface {
 // ErrForeignPrepared reports a PreparedQuery handed to a searcher family
 // that did not produce it.
 var ErrForeignPrepared = errors.New("search: prepared query from a different searcher family")
-
-// PreparedSearcher splits query encoding out of the search, so fan-out
-// callers — the sharded scatter in internal/shard — encode a query exactly
-// once and search many sub-indexes with the prepared form instead of
-// re-deriving the representation per shard. TopKPrepared(ctx, Prepare(q), k)
-// returns exactly what TopKContext(ctx, q, k) would: in exact mode the
-// results are bit-identical. All three searchers in this package implement
-// it (the tuple-level searcher with a typed analogue).
-type PreparedSearcher interface {
-	ContextSearcher
-	// Prepare encodes the query once; the result may be reused across
-	// any number of TopKPrepared calls and across searchers sharing this
-	// searcher's encoder state.
-	Prepare(query *table.Table) PreparedQuery
-	// TopKPrepared is TopKContext over an already-encoded query.
-	TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error)
-}
-
-// PreparedNominator is the candidate-only half of the prepared surface: it
-// nominates candidate tables for a prepared query WITHOUT scoring them,
-// and scores single tables on demand. A scatter-gather coordinator uses it
-// to run retrieval per shard but exact scoring exactly once, globally, on
-// the merged candidate pool — instead of every shard exactly scoring its
-// own oversampled pool.
-type PreparedNominator interface {
-	// NominatePrepared returns candidate table names, name-sorted. depth
-	// bounds the per-query-vector neighbor count for graph backends
-	// (HNSW); set-shaped backends (the exact scan, LSH buckets) ignore it
-	// and return their whole set. An approximate backend may return an
-	// empty list when it has no signal (e.g. empty LSH buckets); callers
-	// decide the fallback.
-	NominatePrepared(ctx context.Context, pq PreparedQuery, depth int) ([]string, error)
-	// ScorePrepared exactly scores one indexed table under pq. It panics
-	// on a foreign preparation or an unindexed table — both composition
-	// errors of the owning coordinator, not runtime conditions.
-	ScorePrepared(pq PreparedQuery, t *table.Table) float64
-}
 
 // MaintenanceStats describes the tombstone debt of a searcher's mutable
 // index structures — the signal a background maintainer watches to decide
@@ -359,81 +422,52 @@ func (m MaintenanceStats) Merge(o MaintenanceStats) MaintenanceStats {
 	return m
 }
 
-// Maintainable is an index whose compaction policy can be taken over by a
-// background maintainer: SetAutoCompact(false) stops mutations from
-// rebuilding inline (the threshold check that normally runs inside
-// AddTable/RemoveTable moves behind this hook), MaintenanceStats exposes the
-// accumulated tombstone debt, and Compact pays it down — typically on a
-// clone, off the query path, with a snapshot swap on completion. Compact
-// preserves result identity: a compacted index ranks exactly like its
-// tombstoned self. All three searchers in this package implement it.
-type Maintainable interface {
-	MaintenanceStats() MaintenanceStats
-	SetAutoCompact(on bool)
-	// Compact rebuilds tombstoned structures now and reports whether any
-	// work was done. Not safe concurrently with queries or mutations.
-	Compact() bool
-}
-
-// ModeViewer is a Staged searcher that can produce a cheap read-only view
-// of itself under a different retrieval mode, sharing all index state with
-// the original. A serving layer uses it to degrade individual requests to
-// ANN retrieval under load without flipping the shared searcher's mode.
-// The view must not be mutated; concurrent queries on view and original
-// are safe. ok is false when the target mode's backend is not installed
-// (e.g. an ANN view of a graph-less searcher).
-type ModeViewer interface {
-	ModeView(m Mode) (s Searcher, ok bool)
-}
-
-// Tunable is a searcher whose ANN candidate stage can be reshaped after
-// construction: SetOversample sizes the candidate pool of a top-k query
-// (ceil(Oversample*k) nominees before exact re-ranking) and SetEfSearch
-// sets the HNSW traversal beam width. Non-positive values restore the
-// package defaults. Exact-mode queries ignore both.
-type Tunable interface {
-	SetOversample(v float64)
-	SetEfSearch(ef int)
-}
-
 // IndexFootprint is one index's resident-size report: the storage kind
-// ("quantized", "float", or "none") and its estimated bytes.
+// ("quantized", "float", "none" when no graph is installed, or "mixed" for
+// parts that disagree) and its estimated bytes. The serving layer exports
+// it as the dust_index_bytes gauge.
 type IndexFootprint struct {
 	Storage string
 	Bytes   int64
 }
 
-// IndexSizer reports the resident footprint of a searcher's ANN index
-// structures. The serving layer exports it as the dust_index_bytes gauge,
-// where the storage label separates quantized from float graphs.
-type IndexSizer interface {
-	// IndexBytes returns the storage kind — "quantized", "float", or
-	// "none" when no graph is installed — and the estimated resident
-	// bytes of the candidate index.
-	IndexBytes() (storage string, bytes int64)
+// Merge folds another part's footprint into f: bytes sum, and storage is
+// the parts' common kind — "none" parts are transparent, parts that
+// disagree report "mixed".
+func (f IndexFootprint) Merge(o IndexFootprint) IndexFootprint {
+	f.Bytes += o.Bytes
+	switch {
+	case o.Storage == "none":
+	case f.Storage == "none":
+		f.Storage = o.Storage
+	case f.Storage != o.Storage:
+		f.Storage = "mixed"
+	}
+	return f
 }
 
-// indexBytes derives the IndexSizer answer for a (possibly nil) graph.
-func indexBytes(ix *ann.Index) (string, int64) {
-	switch {
-	case ix == nil:
-		return "none", 0
-	case ix.Quantized():
-		return "quantized", ix.Bytes()
-	default:
-		return "float", ix.Bytes()
+// graphStats is the MaintenanceStats answer for a (possibly nil) graph.
+func graphStats(ix *ann.Index) MaintenanceStats {
+	if ix == nil {
+		return MaintenanceStats{}
+	}
+	return MaintenanceStats{
+		GraphNodes:           ix.Len(),
+		GraphLive:            ix.Live(),
+		GraphDeletedFraction: ix.DeletedFraction(),
 	}
 }
 
-// Cloner is a Searcher that can produce an independently mutable copy of
-// itself bound to a (cloned) lake: Incremental mutations on the clone never
-// disturb the original, while the heavy immutable index state — embedding
-// vectors, signatures — is shared between the two. Snapshot-swapped serving
-// (internal/serve) builds its copy-on-write shadows with it, so queries in
-// flight on the original keep reading a frozen index with no locking.
-type Cloner interface {
-	Searcher
-	CloneWithLake(l *lake.Lake) Searcher
+// graphFootprint is the IndexBytes answer for a (possibly nil) graph.
+func graphFootprint(ix *ann.Index) IndexFootprint {
+	switch {
+	case ix == nil:
+		return IndexFootprint{Storage: "none"}
+	case ix.Quantized():
+		return IndexFootprint{Storage: "quantized", Bytes: ix.Bytes()}
+	default:
+		return IndexFootprint{Storage: "float", Bytes: ix.Bytes()}
+	}
 }
 
 // Option configures a searcher's execution, shared by every searcher in
@@ -487,6 +521,18 @@ func applyOptions(opts []Option) options {
 	return o
 }
 
+// tablesNamed resolves an approximate backend's nominees to the lake's
+// tables, skipping names the lake no longer holds.
+func tablesNamed(l *lake.Lake, names []string) []*table.Table {
+	tables := make([]*table.Table, 0, len(names))
+	for _, n := range names {
+		if t := l.Get(n); t != nil {
+			tables = append(tables, t)
+		}
+	}
+	return tables
+}
+
 // rankTablesCtx is the scoring stage of the staged query plan: it scores
 // the given candidate tables (in parallel across workers) and returns the
 // top k, ties broken by table name for determinism. Scores are written by
@@ -530,7 +576,7 @@ func MAP(s Searcher, b *datagen.Benchmark, k int) float64 {
 		}
 		hits := 0
 		var ap float64
-		for i, sc := range s.TopK(q, k) {
+		for i, sc := range TopK(s, q, k) {
 			if truth[sc.Table.Name] {
 				hits++
 				ap += float64(hits) / float64(i+1)

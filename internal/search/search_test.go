@@ -2,6 +2,7 @@ package search
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dust/internal/datagen"
@@ -25,7 +26,7 @@ func TestStarmieRetrievesUnionableTables(t *testing.T) {
 		truth[n] = true
 	}
 	hits := 0
-	for _, sc := range s.TopK(q, 6) {
+	for _, sc := range TopK(s, q, 6) {
 		if truth[sc.Table.Name] {
 			hits++
 		}
@@ -59,7 +60,7 @@ func TestD3LRetrievesUnionableTables(t *testing.T) {
 func TestSearchersRankedDescending(t *testing.T) {
 	b := testBench(t)
 	for _, s := range []Searcher{NewStarmie(b.Lake), NewD3L(b.Lake)} {
-		res := s.TopK(b.Queries[0], 10)
+		res := TopK(s, b.Queries[0], 10)
 		for i := 1; i < len(res); i++ {
 			if res[i].Score > res[i-1].Score {
 				t.Errorf("%s results not sorted at %d", s.Name(), i)
@@ -71,22 +72,28 @@ func TestSearchersRankedDescending(t *testing.T) {
 func TestTopKBounds(t *testing.T) {
 	b := testBench(t)
 	s := NewStarmie(b.Lake)
-	if got := len(s.TopK(b.Queries[0], 3)); got != 3 {
+	if got := len(TopK(s, b.Queries[0], 3)); got != 3 {
 		t.Errorf("TopK(3) = %d results", got)
 	}
-	if got := len(s.TopK(b.Queries[0], 0)); got != b.Lake.Len() {
+	if got := len(TopK(s, b.Queries[0], 0)); got != b.Lake.Len() {
 		t.Errorf("TopK(0) = %d results, want all %d", got, b.Lake.Len())
 	}
+}
+
+// lshCandidates is D3L's pruning path for a whole query: the name-sorted
+// tables sharing an LSH bucket with any of its columns.
+func lshCandidates(d *D3L, q *table.Table) []string {
+	return d.candidateNamesSigned(d.Prepare(q).(*d3lPrepared).sigs)
 }
 
 func TestD3LCandidateTablesCoverUnionable(t *testing.T) {
 	b := testBench(t)
 	d := NewD3L(b.Lake)
 	q := b.Queries[0]
-	cands := d.CandidateTables(q)
+	cands := lshCandidates(d, q)
 	found := 0
 	for _, n := range b.Unionable[q.Name] {
-		if cands[n] {
+		if slices.Contains(cands, n) {
 			found++
 		}
 	}

@@ -24,6 +24,7 @@ import (
 // by maximum-weight bipartite matching over cosine similarity and the
 // normalized matching weight is the table's unionability score (§6.2.3).
 type Starmie struct {
+	leaf
 	enc    embed.StarmieEncoder
 	lake   *lake.Lake
 	corpus *tokenize.Corpus
@@ -59,12 +60,9 @@ type Starmie struct {
 	graph     *ann.Index
 	annTables []string
 	annIDs    map[string][]int
-	// Oversample and EfSearch shape the ANN candidate stage: stage one
-	// retrieves ceil(Oversample*k) nearest column embeddings per query
-	// column (beam width EfSearch) and nominates their owner tables for
-	// exact re-ranking. Raise Oversample to trade latency for recall.
-	Oversample float64
-	EfSearch   int
+	// annTuning sizes the candidate stage: nearest column embeddings per
+	// query column, whose owner tables are nominated.
+	annTuning
 	// manualCompact (set via SetAutoCompact(false)) stops mutations from
 	// rebuilding the graph inline once tombstones dominate; an attached
 	// maintainer calls Compact on its own schedule instead. Zero value
@@ -84,18 +82,7 @@ func NewStarmie(l *lake.Lake, opts ...Option) *Starmie {
 // the same frozen document frequencies.
 func NewStarmieWithEncoder(l *lake.Lake, enc embed.StarmieEncoder, opts ...Option) *Starmie {
 	o := applyOptions(opts)
-	s := &Starmie{
-		enc:        enc,
-		lake:       l,
-		corpus:     &tokenize.Corpus{},
-		cols:       make(map[string][]vector.Vec, l.Len()),
-		big:        make(map[string]bool),
-		workers:    o.workers,
-		quantized:  o.quantized,
-		MinSim:     0.3,
-		Oversample: DefaultOversample,
-		EfSearch:   DefaultEfSearch,
-	}
+	s := emptyStarmie(l, enc, o)
 	if o.corpus != nil {
 		s.corpus, s.sharedCorpus = o.corpus, true
 	}
@@ -125,6 +112,22 @@ func NewStarmieWithEncoder(l *lake.Lake, enc embed.StarmieEncoder, opts ...Optio
 	return s
 }
 
+// emptyStarmie is the searcher before any table is indexed — what the
+// constructor fills by embedding the lake and LoadStarmie from a file.
+func emptyStarmie(l *lake.Lake, enc embed.StarmieEncoder, o options) *Starmie {
+	return &Starmie{
+		enc:       enc,
+		lake:      l,
+		corpus:    &tokenize.Corpus{},
+		cols:      make(map[string][]vector.Vec, l.Len()),
+		big:       make(map[string]bool),
+		workers:   o.workers,
+		quantized: o.quantized,
+		MinSim:    0.3,
+		annTuning: annTuning{DefaultOversample, DefaultEfSearch},
+	}
+}
+
 // Name implements Searcher; the ANN suffix keeps config tags (and the
 // serving caches keyed by them) distinct between the two query plans.
 func (s *Starmie) Name() string {
@@ -134,7 +137,13 @@ func (s *Starmie) Name() string {
 	return "starmie"
 }
 
-// SetMode implements Staged: ANN switches the retrieval stage to HNSW
+// Lake implements Searcher.
+func (s *Starmie) Lake() *lake.Lake { return s.lake }
+
+// Parts implements Searcher: a monolithic index is its own single part.
+func (s *Starmie) Parts() []Searcher { return []Searcher{s} }
+
+// SetMode implements Searcher: ANN switches the retrieval stage to HNSW
 // candidates exactly re-ranked, building the graph over the indexed
 // column embeddings if none is installed yet; Exact restores the full
 // scan. An installed graph survives mode flips (and keeps absorbing
@@ -153,51 +162,23 @@ func (s *Starmie) SetMode(m Mode) error {
 	return nil
 }
 
-// RetrievalMode implements Staged.
+// RetrievalMode implements Searcher.
 func (s *Starmie) RetrievalMode() Mode { return s.mode }
 
-// Retriever implements Staged.
-func (s *Starmie) Retriever() Retriever {
-	if s.mode == ANN {
-		return starmieRetriever{s}
-	}
-	return exactRetriever{s.lake}
-}
-
-// HasANN reports whether an HNSW graph is installed (persistence asks
-// before writing the graph file).
-func (s *Starmie) HasANN() bool { return s.graph != nil }
-
-// IndexBytes implements IndexSizer: the storage mode and estimated
-// resident bytes of the installed candidate graph.
-func (s *Starmie) IndexBytes() (string, int64) { return indexBytes(s.graph) }
+// IndexBytes implements Searcher: the storage mode and estimated resident
+// bytes of the installed candidate graph.
+func (s *Starmie) IndexBytes() IndexFootprint { return graphFootprint(s.graph) }
 
 // Graph exposes the installed candidate graph (nil without one) so
 // benchmarks and serving instrumentation can read its size and storage
 // breakdown. Callers must not mutate it.
 func (s *Starmie) Graph() *ann.Index { return s.graph }
 
-// SetOversample implements Tunable; v <= 0 restores the default.
-func (s *Starmie) SetOversample(v float64) {
-	if v <= 0 {
-		v = DefaultOversample
-	}
-	s.Oversample = v
-}
-
-// SetEfSearch implements Tunable; ef <= 0 restores the default.
-func (s *Starmie) SetEfSearch(ef int) {
-	if ef <= 0 {
-		ef = DefaultEfSearch
-	}
-	s.EfSearch = ef
-}
-
-// SetQuantized switches the storage mode used when this searcher builds
-// its candidate graph (WithQuantized's post-construction form). If a
-// graph with a different storage is already installed it is rebuilt from
-// the stored embeddings in lake order immediately — any accumulated
-// tombstones compact away with it.
+// SetQuantized implements Searcher: it switches the storage mode used when
+// this searcher builds its candidate graph (WithQuantized's
+// post-construction form). If a graph with a different storage is already
+// installed it is rebuilt from the stored embeddings in lake order
+// immediately — any accumulated tombstones compact away with it.
 func (s *Starmie) SetQuantized(on bool) {
 	s.quantized = on
 	if s.graph != nil && s.graph.Quantized() != on {
@@ -246,14 +227,6 @@ func (s *Starmie) annRemove(name string) {
 	delete(s.annIDs, name)
 }
 
-// annReplace swaps a table's nodes for its (re-embedded) current columns:
-// the corpus-sensitive refresh path changes stored vectors, and graph
-// nodes are immutable once inserted.
-func (s *Starmie) annReplace(name string) {
-	s.annRemove(name)
-	s.annAdd(name)
-}
-
 // maybeRebuild compacts the graph once tombstones dominate (the shared
 // staleGraph policy), unless a maintainer owns compaction
 // (SetAutoCompact(false)).
@@ -279,12 +252,12 @@ func (s *Starmie) rebuildGraph() {
 	})
 }
 
-// SetAutoCompact implements Maintainable: with auto compaction off,
+// SetAutoCompact implements Searcher: with auto compaction off,
 // AddTable/RemoveTable/RefreshBig never rebuild the graph inline and
 // tombstones accumulate until Compact runs.
 func (s *Starmie) SetAutoCompact(on bool) { s.manualCompact = !on }
 
-// Compact implements Maintainable: it rebuilds the graph from its live
+// Compact implements Searcher: it rebuilds the graph from its live
 // nodes when any tombstones exist, reporting whether a rebuild ran.
 func (s *Starmie) Compact() bool {
 	if s.graph == nil || s.graph.Len() == s.graph.Live() {
@@ -294,18 +267,10 @@ func (s *Starmie) Compact() bool {
 	return true
 }
 
-// MaintenanceStats implements Maintainable.
-func (s *Starmie) MaintenanceStats() MaintenanceStats {
-	var st MaintenanceStats
-	if s.graph != nil {
-		st.GraphNodes = s.graph.Len()
-		st.GraphLive = s.graph.Live()
-		st.GraphDeletedFraction = s.graph.DeletedFraction()
-	}
-	return st
-}
+// MaintenanceStats implements Searcher.
+func (s *Starmie) MaintenanceStats() MaintenanceStats { return graphStats(s.graph) }
 
-// ModeView implements ModeViewer: the view is a shallow copy sharing every
+// ModeView implements Searcher: the view is a shallow copy sharing every
 // piece of index state (including the graph, whose searches are safe
 // concurrently) under the requested retrieval mode. An ANN view of a
 // graph-less searcher is unavailable — build the graph first via SetMode.
@@ -350,30 +315,7 @@ func (s *Starmie) annCandidateNames(qCols []vector.Vec, perColumn int) []string 
 	return names
 }
 
-// starmieRetriever adapts the HNSW candidate stage to the Retriever
-// interface for external composition; the searcher's own hot path calls
-// annCandidateNames directly with the query columns it already encoded.
-type starmieRetriever struct{ s *Starmie }
-
-func (starmieRetriever) Name() string { return "hnsw" }
-
-// Retrieve nominates candidates for a top-`limit` query with exactly the
-// searcher's own plan: Oversample*limit nearest column embeddings per
-// query column, so composing through the interface has the same recall
-// as TopK itself. limit <= 0 asks for everything, which only the exact
-// scan provides — the same fallback the searcher's own TopK applies.
-func (r starmieRetriever) Retrieve(ctx context.Context, query *table.Table, limit int) ([]string, error) {
-	if limit <= 0 {
-		return exactRetriever{r.s.lake}.Retrieve(ctx, query, limit)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	perColumn := int(math.Ceil(r.s.Oversample * float64(limit)))
-	return r.s.annCandidateNames(r.s.EncodeQuery(query), perColumn), nil
-}
-
-// AddTable implements Incremental: the new table's columns join the corpus
+// AddTable implements Searcher: the new table's columns join the corpus
 // and are embedded with it; tables whose TF-IDF token selection depends on
 // the corpus (those with over-budget columns) are re-embedded so every
 // stored embedding matches what a from-scratch index over the new table set
@@ -400,7 +342,7 @@ func (s *Starmie) AddTable(t *table.Table) error {
 	return nil
 }
 
-// RemoveTable implements Incremental. It must run while the table is still
+// RemoveTable implements Searcher. It must run while the table is still
 // in the lake (its columns have to leave the corpus); remove it from the
 // lake afterwards.
 func (s *Starmie) RemoveTable(name string) error {
@@ -449,12 +391,14 @@ func (s *Starmie) refreshBig(skip string) {
 		old := s.cols[t.Name]
 		s.cols[t.Name] = embedded[i]
 		if s.graph != nil && !sameVecs(old, embedded[i]) {
-			// The stored vectors actually changed; the graph must follow.
+			// The stored vectors actually changed; the graph must follow
+			// (nodes are immutable once inserted, so swap them).
 			// Corpus refreshes usually re-select the same TF-IDF tokens
 			// and reproduce the old embeddings bit-for-bit — skipping
 			// those keeps mutation cost O(delta) instead of tombstoning
 			// (and eventually rebuilding over) every big table each time.
-			s.annReplace(t.Name)
+			s.annRemove(t.Name)
+			s.annAdd(t.Name)
 		}
 	}
 }
@@ -464,7 +408,7 @@ func sameVecs(a, b []vector.Vec) bool {
 	return slices.EqualFunc(a, b, slices.Equal[vector.Vec])
 }
 
-// QueryWorkers implements QueryBounded: the returned searcher shares this
+// QueryWorkers implements Searcher: the returned searcher shares this
 // searcher's index (immutable after construction) and scores queries with
 // at most n workers.
 func (s *Starmie) QueryWorkers(n int) Searcher {
@@ -507,7 +451,7 @@ func (s *Starmie) AdoptSharedCorpus(c *tokenize.Corpus) {
 	s.corpus, s.sharedCorpus = c, true
 }
 
-// CloneWithLake implements Cloner: the returned searcher is bound to l (a
+// CloneWithLake implements Searcher: the returned searcher is bound to l (a
 // clone of this searcher's lake holding the same table set) and owns its
 // own corpus and column-embedding maps, so AddTable/RemoveTable on it never
 // disturb this searcher. The embedding vectors themselves are shared — both
@@ -569,12 +513,6 @@ func (s *Starmie) EncodeQuery(q *table.Table) []vector.Vec {
 	return s.enc.EncodeTableColumns(q, s.corpus)
 }
 
-// TopK implements Searcher. Candidate tables are scored in parallel.
-func (s *Starmie) TopK(query *table.Table, k int) []Scored {
-	out, _ := s.TopKContext(context.Background(), query, k)
-	return out
-}
-
 // starmiePrepared is Starmie's PreparedQuery: the query's contextualized
 // column embeddings, encoded once against the index corpus.
 type starmiePrepared struct {
@@ -585,30 +523,18 @@ type starmiePrepared struct {
 // Query implements PreparedQuery.
 func (p *starmiePrepared) Query() *table.Table { return p.query }
 
-// Prepare implements PreparedSearcher: the query's columns are embedded
+// Prepare implements Searcher: the query's columns are embedded
 // exactly once. Searchers sharing this searcher's corpus — the shards of a
 // partitioned lake — accept the preparation interchangeably.
 func (s *Starmie) Prepare(query *table.Table) PreparedQuery {
 	return &starmiePrepared{query: query, cols: s.EncodeQuery(query)}
 }
 
-// TopKContext implements ContextSearcher as the staged plan: retrieve
-// candidates (every lake table in Exact mode; the owners of the nearest
-// column embeddings in ANN mode), then score them exactly and keep the
-// top k. The candidate scan stops scoring further tables once ctx is
+// TopKPrepared implements Searcher as the staged plan: retrieve candidates
+// (every lake table in Exact mode; the owners of the nearest column
+// embeddings in ANN mode), then score them exactly, in parallel, and keep
+// the top k. The candidate scan stops scoring further tables once ctx is
 // cancelled and the call returns ctx.Err().
-func (s *Starmie) TopKContext(ctx context.Context, query *table.Table, k int) ([]Scored, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	pq := s.Prepare(query)
-	TraceFrom(ctx).AddEncode(t0)
-	return s.TopKPrepared(ctx, pq, k)
-}
-
-// TopKPrepared implements PreparedSearcher: TopKContext minus the query
-// encoding, which pq already carries.
 func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error) {
 	p, ok := pq.(*starmiePrepared)
 	if !ok {
@@ -619,9 +545,12 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	}
 	tr := TraceFrom(ctx)
 	t0 := time.Now()
-	cands, err := s.candidates(ctx, p.cols, k)
-	if err != nil {
-		return nil, err
+	cands := s.lake.Tables()
+	if s.mode == ANN && s.graph != nil && k > 0 {
+		// ANN retrieval needs a positive k to size its pool; k <= 0 asks
+		// for the full ranking, which only the exact scan can provide.
+		perColumn := int(math.Ceil(s.Oversample * float64(k)))
+		cands = tablesNamed(s.lake, s.annCandidateNames(p.cols, perColumn))
 	}
 	tr.AddRetrieve(t0)
 	t0 = time.Now()
@@ -634,7 +563,7 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	return out, err
 }
 
-// NominatePrepared implements PreparedNominator: the depth nearest column
+// NominatePrepared implements Searcher: the depth nearest column
 // embeddings per query column in ANN mode (the per-shard nomination stage
 // of the sharded candidate-only plan), every lake table otherwise.
 func (s *Starmie) NominatePrepared(ctx context.Context, pq PreparedQuery, depth int) ([]string, error) {
@@ -651,28 +580,7 @@ func (s *Starmie) NominatePrepared(ctx context.Context, pq PreparedQuery, depth 
 	return s.annCandidateNames(p.cols, depth), nil
 }
 
-// ScorePrepared implements PreparedNominator.
+// ScorePrepared implements Searcher.
 func (s *Starmie) ScorePrepared(pq PreparedQuery, t *table.Table) float64 {
 	return s.Score(pq.(*starmiePrepared).cols, t)
-}
-
-// candidates is the retrieval stage. ANN retrieval needs a positive k to
-// size its pool; k <= 0 asks for the full ranking, which only the exact
-// scan can provide.
-func (s *Starmie) candidates(ctx context.Context, qCols []vector.Vec, k int) ([]*table.Table, error) {
-	if s.mode != ANN || s.graph == nil || k <= 0 {
-		return s.lake.Tables(), nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	perColumn := int(math.Ceil(s.Oversample * float64(k)))
-	names := s.annCandidateNames(qCols, perColumn)
-	tables := make([]*table.Table, 0, len(names))
-	for _, n := range names {
-		if t := s.lake.Get(n); t != nil {
-			tables = append(tables, t)
-		}
-	}
-	return tables, nil
 }

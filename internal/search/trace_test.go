@@ -58,7 +58,7 @@ func TestTracePopulatedByStagedSearch(t *testing.T) {
 	b := ctxLake()
 	s := NewStarmie(b.Lake)
 	tr := &Trace{}
-	if _, err := s.TopKContext(WithTrace(context.Background(), tr), b.Queries[0], 3); err != nil {
+	if _, err := TopKCtx(WithTrace(context.Background(), tr), s, b.Queries[0], 3); err != nil {
 		t.Fatal(err)
 	}
 	if tr.EncodeNS.Load() <= 0 {

@@ -47,10 +47,9 @@ type TupleSearch struct {
 	annTuples []ScoredTuple
 	annVecs   []vector.Vec
 	annIDs    map[string][]int
-	// Oversample and EfSearch shape the candidate stage exactly as on
-	// Starmie: ceil(Oversample*k) nearest tuples per query tuple.
-	Oversample float64
-	EfSearch   int
+	// annTuning sizes the candidate stage exactly as on Starmie: nearest
+	// tuples per query tuple.
+	annTuning
 	// manualCompact mirrors Starmie's: SetAutoCompact(false) moves graph
 	// compaction off the mutation path and into explicit Compact calls.
 	manualCompact bool
@@ -62,11 +61,10 @@ type TupleSearch struct {
 func NewTupleSearch(tables []*table.Table, opts ...Option) *TupleSearch {
 	o := applyOptions(opts)
 	ts := &TupleSearch{
-		enc:        embed.NewRoBERTa(),
-		workers:    o.workers,
-		quantized:  o.quantized,
-		Oversample: DefaultOversample,
-		EfSearch:   DefaultEfSearch,
+		enc:       embed.NewRoBERTa(),
+		workers:   o.workers,
+		quantized: o.quantized,
+		annTuning: annTuning{DefaultOversample, DefaultEfSearch},
 	}
 	type job struct {
 		headers []string
@@ -97,10 +95,11 @@ func (ts *TupleSearch) Name() string {
 	return "starmie-tuples"
 }
 
-// SetMode is the tuple-level analogue of Staged.SetMode (TupleSearch is
-// not a table-level Searcher, so it cannot implement the interface):
-// ANN retrieves candidates from an HNSW graph over the tuple embeddings
-// and re-scores them exactly; Exact restores the full scan.
+// SetMode is the tuple-level analogue of Searcher.SetMode (TupleSearch
+// ranks tuples, not tables, so it shares the contract's names, typed for
+// tuple hits, rather than the interface): ANN retrieves candidates from an
+// HNSW graph over the tuple embeddings and re-scores them exactly; Exact
+// restores the full scan.
 func (ts *TupleSearch) SetMode(m Mode) error {
 	switch m {
 	case Exact:
@@ -136,25 +135,9 @@ func (ts *TupleSearch) buildGraph() {
 	}
 }
 
-// IndexBytes implements IndexSizer: the storage mode and estimated
-// resident bytes of the installed candidate graph.
-func (ts *TupleSearch) IndexBytes() (string, int64) { return indexBytes(ts.graph) }
-
-// SetOversample implements Tunable; v <= 0 restores the default.
-func (ts *TupleSearch) SetOversample(v float64) {
-	if v <= 0 {
-		v = DefaultOversample
-	}
-	ts.Oversample = v
-}
-
-// SetEfSearch implements Tunable; ef <= 0 restores the default.
-func (ts *TupleSearch) SetEfSearch(ef int) {
-	if ef <= 0 {
-		ef = DefaultEfSearch
-	}
-	ts.EfSearch = ef
-}
+// IndexBytes reports the storage mode and estimated resident bytes of the
+// installed candidate graph.
+func (ts *TupleSearch) IndexBytes() IndexFootprint { return graphFootprint(ts.graph) }
 
 func (ts *TupleSearch) annAddOne(tu ScoredTuple, v vector.Vec) {
 	id := ts.graph.Add(vector.ToVec32(v))
@@ -173,9 +156,8 @@ func (ts *TupleSearch) maybeRebuild() {
 	ts.rebuildGraph()
 }
 
-// SetAutoCompact implements the Maintainable surface (typed locally, as
-// with SetMode): with auto compaction off, mutations never rebuild the
-// graph inline.
+// SetAutoCompact mirrors Searcher.SetAutoCompact: with auto compaction
+// off, mutations never rebuild the graph inline.
 func (ts *TupleSearch) SetAutoCompact(on bool) { ts.manualCompact = !on }
 
 // Compact rebuilds the graph from its live nodes when any tombstones
@@ -189,15 +171,7 @@ func (ts *TupleSearch) Compact() bool {
 }
 
 // MaintenanceStats reports the graph's tombstone debt.
-func (ts *TupleSearch) MaintenanceStats() MaintenanceStats {
-	var st MaintenanceStats
-	if ts.graph != nil {
-		st.GraphNodes = ts.graph.Len()
-		st.GraphLive = ts.graph.Live()
-		st.GraphDeletedFraction = ts.graph.DeletedFraction()
-	}
-	return st
-}
+func (ts *TupleSearch) MaintenanceStats() MaintenanceStats { return graphStats(ts.graph) }
 
 // rebuildGraph compacts the graph from its live nodes, rebooking the
 // id-parallel tuple shadows as ann.Compact reports the surviving ids.
@@ -217,7 +191,7 @@ func (ts *TupleSearch) rebuildGraph() {
 // Len returns the number of indexed tuples.
 func (ts *TupleSearch) Len() int { return len(ts.tuples) }
 
-// AddTable implements Incremental: the table's tuples are embedded and
+// AddTable mirrors Searcher.AddTable: the table's tuples are embedded and
 // appended, exactly where a from-scratch index over the mutated table list
 // would place them. A table with no rows contributes no tuples (and is
 // therefore unknown to RemoveTable).
@@ -244,7 +218,7 @@ func (ts *TupleSearch) AddTable(t *table.Table) error {
 	return nil
 }
 
-// RemoveTable implements Incremental: the table's tuples leave the index;
+// RemoveTable mirrors Searcher.RemoveTable: the table's tuples leave the index;
 // the relative order of the survivors — which the stable TopK sort depends
 // on — is preserved.
 func (ts *TupleSearch) RemoveTable(name string) error {
@@ -276,21 +250,11 @@ func (ts *TupleSearch) RemoveTable(name string) error {
 	return nil
 }
 
-// TopK returns the k tuples most similar to the query table's tuples.
-// Query embedding and per-tuple scoring both run in parallel; scores are
-// written by tuple index, so the stable sort sees the same input for every
-// worker count.
-func (ts *TupleSearch) TopK(query *table.Table, k int) []ScoredTuple {
-	out, _ := ts.TopKContext(context.Background(), query, k)
-	return out
-}
-
 // PreparedTupleQuery is the tuple-level analogue of PreparedQuery: the
-// query's tuple embeddings, computed once by PrepareTuples and reusable
-// across every TupleSearch built from the same encoder family (the
-// embeddings depend only on the deterministic base model, not on the
-// index contents — so one preparation serves every shard of a
-// partitioned tuple index).
+// query's tuple embeddings, computed once by Prepare and reusable across
+// every TupleSearch built from the same encoder family (the embeddings
+// depend only on the deterministic base model, not on the index contents —
+// so one preparation serves every shard of a partitioned tuple index).
 type PreparedTupleQuery struct {
 	query *table.Table
 	vecs  []vector.Vec
@@ -299,9 +263,9 @@ type PreparedTupleQuery struct {
 // Query returns the query table the preparation was derived from.
 func (p *PreparedTupleQuery) Query() *table.Table { return p.query }
 
-// PrepareTuples embeds the query's tuples exactly once. The result feeds
-// TopKPreparedContext on any number of indexes.
-func (ts *TupleSearch) PrepareTuples(query *table.Table) *PreparedTupleQuery {
+// Prepare embeds the query's tuples exactly once, in parallel. The result
+// feeds TopKPrepared on any number of indexes.
+func (ts *TupleSearch) Prepare(query *table.Table) *PreparedTupleQuery {
 	headers := query.Headers()
 	rows := make([][]string, query.NumRows())
 	for r := range rows {
@@ -313,39 +277,39 @@ func (ts *TupleSearch) PrepareTuples(query *table.Table) *PreparedTupleQuery {
 	}
 }
 
-// TopKContext is TopK with a cancellation path (the tuple-level analogue of
-// ContextSearcher, typed for tuple hits): once ctx is cancelled the
-// remaining tuples are not scored and ctx.Err() is returned. In ANN mode
-// the scan covers only the HNSW candidate pool instead of every tuple;
-// k <= 0 asks for the full ranking, which only the exact scan provides.
-func (ts *TupleSearch) TopKContext(ctx context.Context, query *table.Table, k int) ([]ScoredTuple, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return ts.TopKPreparedContext(ctx, ts.PrepareTuples(query), k)
+// TopK returns the k tuples most similar to the query table's tuples:
+// Prepare then TopKPrepared under a background context, which cannot fail.
+func (ts *TupleSearch) TopK(query *table.Table, k int) []ScoredTuple {
+	out, _ := ts.TopKPrepared(context.Background(), ts.Prepare(query), k)
+	return out
 }
 
-// TopKPreparedContext is TopKContext minus the query embedding, which pq
-// already carries — the scatter path of a sharded tuple index calls this so
-// the embedding cost is paid once, not once per shard.
-func (ts *TupleSearch) TopKPreparedContext(ctx context.Context, pq *PreparedTupleQuery, k int) ([]ScoredTuple, error) {
+// TopKPrepared ranks the indexed tuples by their best similarity to any
+// query tuple. Per-tuple scoring runs in parallel; scores are written by
+// tuple index, so the stable sort sees the same input for every worker
+// count. Once ctx is cancelled the remaining tuples are not scored and
+// ctx.Err() is returned. In ANN mode the scan covers only the HNSW
+// candidate pool instead of every tuple; k <= 0 asks for the full ranking,
+// which only the exact scan provides.
+func (ts *TupleSearch) TopKPrepared(ctx context.Context, pq *PreparedTupleQuery, k int) ([]ScoredTuple, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	qVecs := pq.vecs
+	// The candidate pool: every indexed tuple, or the graph's nominees.
+	n, candidate := len(ts.tuples), func(i int) (ScoredTuple, vector.Vec) { return ts.tuples[i], ts.vecs[i] }
 	if ts.mode == ANN && ts.graph != nil && k > 0 {
-		return ts.topKANN(ctx, qVecs, k)
+		ids := ts.annCandidates(pq.vecs, k)
+		n, candidate = len(ids), func(i int) (ScoredTuple, vector.Vec) { return ts.annTuples[ids[i]], ts.annVecs[ids[i]] }
 	}
-	out := make([]ScoredTuple, len(ts.tuples))
-	copy(out, ts.tuples)
-	if err := par.ForCtx(ctx, ts.workers, len(out), func(i int) {
-		best := 0.0
-		for _, qv := range qVecs {
-			if sim := vector.Cosine(qv, ts.vecs[i]); sim > best {
-				best = sim
+	out := make([]ScoredTuple, n)
+	if err := par.ForCtx(ctx, ts.workers, n, func(i int) {
+		tu, v := candidate(i)
+		for _, qv := range pq.vecs {
+			if sim := vector.Cosine(qv, v); sim > tu.Score {
+				tu.Score = sim
 			}
 		}
-		out[i].Score = best
+		out[i] = tu
 	}); err != nil {
 		return nil, err
 	}
@@ -356,13 +320,13 @@ func (ts *TupleSearch) TopKPreparedContext(ctx context.Context, pq *PreparedTupl
 	return out, nil
 }
 
-// topKANN is the staged plan: retrieve ceil(Oversample*k) nearest tuples
-// per query tuple from the graph, then score the deduplicated pool
-// exactly. Candidates are ordered by node id — their insertion order,
-// the same relative order the exact scan's stable sort ties on — so the
-// ranking is deterministic and agrees with exact mode wherever the pool
-// covers the true top k.
-func (ts *TupleSearch) topKANN(ctx context.Context, qVecs []vector.Vec, k int) ([]ScoredTuple, error) {
+// annCandidates is the retrieval stage of the staged plan: the
+// ceil(Oversample*k) nearest tuples per query tuple from the graph,
+// deduplicated and ordered by node id — their insertion order, the same
+// relative order the exact scan's stable sort ties on — so the ranking is
+// deterministic and agrees with exact mode wherever the pool covers the
+// true top k.
+func (ts *TupleSearch) annCandidates(qVecs []vector.Vec, k int) []int {
 	perTuple := int(math.Ceil(ts.Oversample * float64(k)))
 	seen := make(map[int]bool)
 	for _, qv := range qVecs {
@@ -375,23 +339,5 @@ func (ts *TupleSearch) topKANN(ctx context.Context, qVecs []vector.Vec, k int) (
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	out := make([]ScoredTuple, len(ids))
-	if err := par.ForCtx(ctx, ts.workers, len(ids), func(i int) {
-		id := ids[i]
-		best := 0.0
-		for _, qv := range qVecs {
-			if sim := vector.Cosine(qv, ts.annVecs[id]); sim > best {
-				best = sim
-			}
-		}
-		out[i] = ts.annTuples[id]
-		out[i].Score = best
-	}); err != nil {
-		return nil, err
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out, nil
+	return ids
 }

@@ -110,10 +110,8 @@ func TestSoakConcurrentSearchAndMutation(t *testing.T) {
 	record(0, p)
 	replay := p
 	for i, mu := range schedule {
-		next, err := replay.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
+		next := replay.Clone()
+		var err error
 		if mu.add != nil {
 			err = next.AddTable(mu.add.Clone(mu.add.Name))
 		} else {

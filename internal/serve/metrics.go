@@ -11,7 +11,6 @@ import (
 
 	"dust/internal/obs"
 	"dust/internal/search"
-	"dust/internal/shard"
 )
 
 // serverMetrics bundles the registry and the vec handles the request path
@@ -131,8 +130,12 @@ func newServerMetrics(s *Server, scatterOn bool) *serverMetrics {
 		"Tables per index shard of the published snapshot (absent for a monolithic index).",
 		[]string{"shard"},
 		func(emit func(float64, ...string)) {
-			for i, n := range s.snap.Load().master.ShardSizes() {
-				emit(float64(n), strconv.Itoa(i))
+			// A monolithic index is one part holding the whole lake,
+			// which dust_lake_tables already reports.
+			if sizes := s.snap.Load().master.ShardSizes(); len(sizes) > 1 {
+				for i, n := range sizes {
+					emit(float64(n), strconv.Itoa(i))
+				}
 			}
 		})
 
@@ -144,9 +147,12 @@ func newServerMetrics(s *Server, scatterOn bool) *serverMetrics {
 			if fp := master.IndexBytes(); fp.Storage != "none" {
 				emit(float64(fp.Bytes), "all", fp.Storage)
 			}
-			for i, fp := range master.ShardIndexBytes() {
-				if fp.Storage != "none" {
-					emit(float64(fp.Bytes), strconv.Itoa(i), fp.Storage)
+			// The single part of a monolithic index is the "all" series.
+			if parts := master.ShardIndexBytes(); len(parts) > 1 {
+				for i, fp := range parts {
+					if fp.Storage != "none" {
+						emit(float64(fp.Bytes), strconv.Itoa(i), fp.Storage)
+					}
 				}
 			}
 		})
@@ -346,4 +352,4 @@ func WithRequestLog(w io.Writer) Option { return func(s *Server) { s.logw = w } 
 // scatterTimings returns the shard-path stage accumulator the server
 // attached to its pipeline, or nil for monolithic indexes — the serving
 // twin of dustbench's -shards stage report.
-func (s *Server) scatterTimings() *shard.StageTimings { return s.scatter }
+func (s *Server) scatterTimings() *search.StageTimings { return s.scatter }

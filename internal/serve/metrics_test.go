@@ -93,24 +93,6 @@ func TestStatusCodeContract(t *testing.T) {
 			}
 		})
 	}
-
-	// A pipeline whose searcher cannot clone is a server misconfiguration:
-	// mutations fail with 500, not 501 — the endpoint is implemented, the
-	// deployment is broken. 501 stays reserved for ErrNotIncremental.
-	t.Run("clone failure is 500", func(t *testing.T) {
-		p := dust.New(fixedLake().Lake, dust.WithSearcher(stubSearcher{}))
-		ts := httptest.NewServer(New(p))
-		t.Cleanup(ts.Close)
-		resp, body := postBody(t, "PUT", ts.URL+"/tables/newt", "application/json",
-			`{"headers":["a"],"rows":[["1"]]}`)
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("status %d, want 500 (body %s)", resp.StatusCode, body)
-		}
-		var e errorJSON
-		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "does not support cloning") {
-			t.Fatalf("error body %q does not name the clone failure (err %v)", body, err)
-		}
-	})
 }
 
 // TestRejectedVsCanceled pins the accounting split at admission: a request

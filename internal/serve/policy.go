@@ -174,14 +174,10 @@ func (s *Server) maintenanceLoop() {
 // Reports whether a swap happened.
 func (s *Server) maintain() bool {
 	cur := s.snap.Load()
-	st, ok := cur.master.MaintenanceStats()
-	if !ok || st.MaxDeadFraction() < s.maintThreshold {
+	if cur.master.MaintenanceStats().MaxDeadFraction() < s.maintThreshold {
 		return false
 	}
-	clone, err := cur.master.Clone()
-	if err != nil {
-		return false
-	}
+	clone := cur.master.Clone()
 	if !clone.Compact() {
 		return false
 	}

@@ -13,17 +13,7 @@ import (
 
 	"dust"
 	"dust/internal/search"
-	"dust/internal/table"
 )
-
-// stubSearcher is a minimal search.Searcher: no cloning, no staged
-// retrieval, no mode views. It exists to exercise the serve paths for
-// pipelines without the incremental/degradable surface.
-type stubSearcher struct{}
-
-func (stubSearcher) Name() string { return "stub" }
-
-func (stubSearcher) TopK(q *table.Table, k int) []search.Scored { return nil }
 
 // occupySlot fills srv's only admission slot and returns a release func.
 // Tests call it to make the load factor 1.0 deterministically.
@@ -124,17 +114,18 @@ func TestDegradedModeUnderLoad(t *testing.T) {
 	}
 }
 
-// TestShedWithRetryAfter pins the other overload branch: a pipeline whose
-// searcher offers no ANN view cannot degrade, so past the threshold the
-// request is refused with 503 + Retry-After instead of queueing.
+// TestShedWithRetryAfter pins the other overload branch: a pipeline already
+// answering from its ANN plan has nothing cheaper to degrade to, so past the
+// threshold the request is refused with 503 + Retry-After instead of
+// queueing.
 func TestShedWithRetryAfter(t *testing.T) {
 	b := fixedLake()
-	p := dust.New(b.Lake, dust.WithSearcher(stubSearcher{}))
+	p := dust.New(b.Lake, dust.WithRetriever(search.ANN))
 	srv := New(p, WithDegradeThreshold(0.5), WithMaxInFlight(1), WithTimeout(10*time.Second))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	if srv.Snapshot().degraded != nil {
-		t.Fatal("stub searcher unexpectedly produced a degraded view")
+		t.Fatal("ANN-mode pipeline unexpectedly produced a distinct degraded view")
 	}
 
 	release := occupySlot(t, srv)
@@ -292,10 +283,7 @@ func TestMaintenanceCompactionUnderLoad(t *testing.T) {
 
 	// With the maintainer attached, none of those removals may have
 	// rebuilt inline: the tombstone debt must still be visible.
-	st, ok := srv.Snapshot().Pipeline().MaintenanceStats()
-	if !ok {
-		t.Fatal("pipeline lost its maintenance surface")
-	}
+	st := srv.Snapshot().Pipeline().MaintenanceStats()
 	if st.GraphDeletedFraction < 0.25 {
 		t.Fatalf("graph deleted fraction %.2f after removing %d/%d tables — a mutation compacted inline",
 			st.GraphDeletedFraction, len(doomed), len(names))
@@ -331,7 +319,7 @@ func TestMaintenanceCompactionUnderLoad(t *testing.T) {
 	if epoch := srv.Snapshot().Epoch(); epoch != epochBefore {
 		t.Fatalf("compaction moved the epoch %d -> %d", epochBefore, epoch)
 	}
-	st, _ = srv.Snapshot().Pipeline().MaintenanceStats()
+	st = srv.Snapshot().Pipeline().MaintenanceStats()
 	if st.GraphDeletedFraction != 0 || st.GraphNodes != st.GraphLive {
 		t.Fatalf("post-compaction stats %+v, want zero tombstones", st)
 	}
@@ -388,7 +376,7 @@ func TestMaintenanceLoopCompacts(t *testing.T) {
 	if srv.maintRuns.Load() == 0 {
 		t.Fatal("maintenance loop never compacted")
 	}
-	st, _ := srv.Snapshot().Pipeline().MaintenanceStats()
+	st := srv.Snapshot().Pipeline().MaintenanceStats()
 	if st.GraphDeletedFraction != 0 {
 		t.Fatalf("deleted fraction %.2f after background compaction, want 0", st.GraphDeletedFraction)
 	}

@@ -19,7 +19,6 @@ import (
 	"dust/internal/lake"
 	"dust/internal/par"
 	"dust/internal/search"
-	"dust/internal/shard"
 	"dust/internal/table"
 )
 
@@ -82,9 +81,9 @@ type Server struct {
 	maintRuns atomic.Uint64 // maintenance passes that compacted and swapped
 
 	metrics *serverMetrics
-	scatter *shard.StageTimings // shard-path stage accumulator, always non-nil
-	logw    io.Writer           // request log sink; nil disables logging
-	logmu   sync.Mutex          // serializes request-log writes
+	scatter *search.StageTimings // shard-path stage accumulator, always non-nil
+	logw    io.Writer            // request log sink; nil disables logging
+	logmu   sync.Mutex           // serializes request-log writes
 
 	mux *http.ServeMux
 }
@@ -181,8 +180,7 @@ func New(p *dust.Pipeline, opts ...Option) *Server {
 	if s.degradeThreshold > 0 {
 		// Degraded admission needs an ANN view; install the graph up front
 		// (it survives clones and mode flips) so the very first overload
-		// can degrade instead of shedding. Best-effort: searchers without
-		// a staged retrieval surface simply shed.
+		// can degrade instead of shedding.
 		p.PrepareANN()
 	}
 	if s.maintInterval > 0 {
@@ -194,7 +192,7 @@ func New(p *dust.Pipeline, opts ...Option) *Server {
 	// Attach the scatter-stage accumulator before the first snapshot is
 	// published: pipeline clones copy the searcher by value, so the pointer
 	// installed here survives into every view and every future swap.
-	s.scatter = &shard.StageTimings{}
+	s.scatter = &search.StageTimings{}
 	scatterOn := p.InstrumentScatter(s.scatter)
 	s.snap.Store(newSnapshot(p, s.queryWorkers))
 	s.metrics = newServerMetrics(s, scatterOn)
@@ -597,17 +595,9 @@ func (s *Server) mutate(apply func(p *dust.Pipeline) error) (*Snapshot, int, err
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.snap.Load()
-	shadow, err := cur.master.Clone()
-	if err != nil {
-		// A pipeline that cannot clone is a server misconfiguration, not a
-		// missing feature of this endpoint: 500, reserving 501 for the
-		// per-operation ErrNotIncremental below.
-		return nil, http.StatusInternalServerError, err
-	}
+	shadow := cur.master.Clone()
 	if err := apply(shadow); err != nil {
 		switch {
-		case errors.Is(err, dust.ErrNotIncremental):
-			return nil, http.StatusNotImplemented, err
 		case errors.Is(err, lake.ErrUnknownTable):
 			// A concurrent mutation beat this one to the table.
 			return nil, http.StatusNotFound, err

@@ -30,9 +30,9 @@ func TestPreparedEquivalence(t *testing.T) {
 					for qi, q := range queries {
 						for _, k := range []int{1, 5, 12} {
 							label := fmt.Sprintf("query %d k=%d", qi, k)
-							sameHits(t, label, s.TopK(q, k), want.TopK(q, k))
+							sameHits(t, label, search.TopK(s, q, k), search.TopK(want, q, k))
 						}
-						sameHits(t, fmt.Sprintf("query %d full", qi), s.TopK(q, 0), want.TopK(q, 0))
+						sameHits(t, fmt.Sprintf("query %d full", qi), search.TopK(s, q, 0), search.TopK(want, q, 0))
 					}
 				})
 			}
@@ -52,11 +52,11 @@ func TestPreparedEquivalence(t *testing.T) {
 		var sum float64
 		for _, q := range queries {
 			truth := map[string]bool{}
-			for _, h := range exact.TopK(q, k) {
+			for _, h := range search.TopK(exact, q, k) {
 				truth[h.Table.Name] = true
 			}
 			hits := 0
-			for _, h := range approx.TopK(q, k) {
+			for _, h := range search.TopK(approx, q, k) {
 				if truth[h.Table.Name] {
 					hits++
 				}
@@ -76,12 +76,12 @@ func TestPreparedEquivalence(t *testing.T) {
 			s := NewStarmie(b.Lake, shards, Config{Workers: 4})
 			defer s.Close()
 			var calls atomic.Int64
-			for i := 0; i < s.NumShards(); i++ {
-				s.Shard(i).(*search.Starmie).Encoder().Model.Instrument(&calls)
+			for _, part := range s.Parts() {
+				part.(*search.Starmie).Encoder().Model.Instrument(&calls)
 			}
 			for qi, q := range queries {
 				calls.Store(0)
-				s.TopK(q, 5)
+				search.TopK(s, q, 5)
 				if got, want := calls.Load(), int64(q.NumCols()); got != want {
 					t.Fatalf("shards=%d query %d: %d encode calls, want %d (encode-once)",
 						shards, qi, got, want)
@@ -100,15 +100,15 @@ func TestCloseSharedPool(t *testing.T) {
 	q := queries[0]
 	s := NewD3L(b.Lake, 3, Config{Workers: 4})
 	bound := s.QueryWorkers(1).(*Searcher)
-	want := s.TopK(q, 6)
+	want := search.TopK(s, q, 6)
 
 	cl := s.CloneWithLake(b.Lake.Clone()).(*Searcher)
-	sameHits(t, "clone before close", cl.TopK(q, 6), want)
+	sameHits(t, "clone before close", search.TopK(cl, q, 6), want)
 
 	s.Close()
 	s.Close()  // idempotent on the same member
 	cl.Close() // and across the family
-	sameHits(t, "bound view after family close", bound.TopK(q, 6), want)
+	sameHits(t, "bound view after family close", search.TopK(bound, q, 6), want)
 }
 
 // TestStageTimings checks the instrumentation hook: an attached
@@ -118,10 +118,10 @@ func TestStageTimings(t *testing.T) {
 	b, queries := shardBench(t)
 	s := NewStarmie(b.Lake, 4, Config{Workers: 4})
 	defer s.Close()
-	var st StageTimings
+	var st search.StageTimings
 	s.Instrument(&st)
 	for _, q := range queries {
-		s.TopK(q, 8)
+		search.TopK(s, q, 8)
 	}
 	if got, want := st.Queries.Load(), int64(len(queries)); got != want {
 		t.Fatalf("recorded %d queries, want %d", got, want)
@@ -260,7 +260,7 @@ func BenchmarkExactMono(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mono.TopK(queries[i%len(queries)], 10)
+		search.TopK(mono, queries[i%len(queries)], 10)
 	}
 }
 
@@ -274,6 +274,6 @@ func BenchmarkExactSharded(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.TopK(queries[i%len(queries)], 10)
+		search.TopK(s, queries[i%len(queries)], 10)
 	}
 }

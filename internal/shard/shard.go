@@ -15,8 +15,8 @@
 //
 //   - Encode once, scatter prepared. The query's representation (Starmie
 //     column embeddings, D3L signatures and profiles) is derived exactly
-//     once via search.PreparedSearcher and the prepared form fans out, so
-//     shard count never multiplies encoding cost.
+//     once (Searcher.Prepare) and the prepared form fans out, so shard
+//     count never multiplies encoding cost.
 //   - Bounded gather. In exact mode each shard returns a truncated local
 //     top list (k/n plus slack, never more than k) merged by a k-way heap;
 //     a threshold-style bound then re-fetches only shards whose truncated
@@ -36,11 +36,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dust/internal/embed"
@@ -73,25 +71,6 @@ const (
 	// true neighbours.
 	annNominateSlack = 4
 )
-
-// StageTimings accumulates per-stage wall time across sharded queries.
-// Attach one with Searcher.Instrument; all fields are atomic so concurrent
-// queries can share an accumulator. dustbench -shards reports these as
-// encode/scatter/gather milliseconds per query.
-type StageTimings struct {
-	// Queries counts the TopK queries recorded.
-	Queries atomic.Int64
-	// EncodeNS is nanoseconds spent preparing the query representation
-	// (the encode-once stage).
-	EncodeNS atomic.Int64
-	// ScatterNS is nanoseconds spent in per-shard fan-out work: local
-	// top-k retrieval rounds in exact mode, candidate nomination in ANN
-	// mode.
-	ScatterNS atomic.Int64
-	// GatherNS is nanoseconds spent merging: the k-way heap merge plus, in
-	// ANN mode, the single global exact-scoring pass over the merged pool.
-	GatherNS atomic.Int64
-}
 
 // scatterPool wraps the long-lived worker pool behind a shard family's
 // query scatter. The wrapper — and thus the pool — is shared by the
@@ -156,9 +135,6 @@ type Config struct {
 	// GOMAXPROCS and 1 forces the sequential path. Results are
 	// bit-identical for every setting.
 	Workers int
-	// Mode selects the retrieval backend every shard starts in (default
-	// search.Exact). Equivalent to SetMode right after construction.
-	Mode search.Mode
 	// Quantized selects SQ8 storage for the HNSW graphs the shards build
 	// (search.WithQuantized per shard); graphs loaded from disk keep
 	// their stored representation regardless.
@@ -166,16 +142,14 @@ type Config struct {
 }
 
 // Searcher is a sharded table-union searcher: search.Searcher backed by N
-// independent per-shard indexes. It implements the full searcher surface
-// the pipeline composes against — ContextSearcher, Staged, Incremental,
-// QueryBounded, Cloner — by scattering to the shards and merging, so a
-// dust.Pipeline (and everything above it: persistence, serving, snapshot
-// swaps) treats a shard set exactly like a monolithic index.
+// independent per-shard indexes, its Parts. It implements the contract by
+// scattering to the shards and merging, so a dust.Pipeline (and everything
+// above it: persistence, serving, snapshot swaps) treats a shard set
+// exactly like a monolithic index.
 type Searcher struct {
-	kind     string
-	full     *lake.Lake
-	sublakes []*lake.Lake
-	subs     []search.Searcher
+	full *lake.Lake
+	// subs are the per-shard indexes, each over its own sub-lake (Lake()).
+	subs []search.Searcher
 	// corpus is the one TF-IDF corpus shared by every Starmie shard. It
 	// covers the FULL lake, so per-shard embeddings — and therefore
 	// per-shard exact scores — are bit-identical to an unsharded index's;
@@ -186,14 +160,17 @@ type Searcher struct {
 	corpus  *tokenize.Corpus
 	workers int
 	mode    search.Mode
-	// pool runs the query scatter. It is created at construction, shared
-	// with every clone (snapshot swaps reuse the same workers), and nil on
-	// query-bounded views, which scatter inline instead — a serving request
-	// must not pay goroutine spin-up, and must not leak pool workers.
+	// pool runs the query scatter. It is created at construction and shared
+	// with every clone (snapshot swaps reuse the same workers) and every
+	// view, so Close on any family member releases it.
 	pool *scatterPool
+	// inline marks a query-bounded view, which scatters on the calling
+	// goroutine's par.For instead of the pool — a serving request must
+	// neither pay goroutine spin-up nor borrow the family's full-width pool.
+	inline bool
 	// timings, when non-nil, accumulates per-stage query wall time; see
 	// Instrument.
-	timings *StageTimings
+	timings *search.StageTimings
 	// Oversample sizes the ANN candidate pool for a top-k query: the
 	// shards' nomination depths sum to about ceil(Oversample*k) before the
 	// single global exact re-score. Exact mode ignores it — the bounded
@@ -213,176 +190,106 @@ func NewStarmie(l *lake.Lake, n int, cfg Config) *Searcher {
 			corpus.AddDocument(embed.ColumnTokens(&t.Columns[i]))
 		}
 	}
-	s := newSearcher(KindStarmie, l, n, cfg)
-	s.corpus = corpus
-	for i, sl := range s.sublakes {
-		s.subs[i] = search.NewStarmie(sl,
-			search.WithWorkers(cfg.Workers), search.WithSharedCorpus(corpus),
-			search.WithQuantized(cfg.Quantized))
-	}
-	s.finish(cfg)
-	return s
+	return newSearcher(l, n, cfg, corpus, func(sl *lake.Lake) search.Searcher {
+		return search.NewStarmie(sl, search.WithWorkers(cfg.Workers),
+			search.WithSharedCorpus(corpus), search.WithQuantized(cfg.Quantized))
+	})
 }
 
 // NewD3L builds a D3L shard set over l with n shards. D3L's five signals
 // are all per-column (no cross-table statistics), so shards need no shared
 // state and per-shard scores equal the unsharded ones by construction.
 func NewD3L(l *lake.Lake, n int, cfg Config) *Searcher {
-	s := newSearcher(KindD3L, l, n, cfg)
-	for i, sl := range s.sublakes {
-		s.subs[i] = search.NewD3L(sl, search.WithWorkers(cfg.Workers))
-	}
-	s.finish(cfg)
-	return s
+	return newSearcher(l, n, cfg, nil, func(sl *lake.Lake) search.Searcher {
+		return search.NewD3L(sl, search.WithWorkers(cfg.Workers))
+	})
 }
 
-// newSearcher allocates the shard frame: partitioned sub-lakes and empty
-// searcher slots for the kind-specific constructors to fill.
-func newSearcher(kind string, l *lake.Lake, n int, cfg Config) *Searcher {
-	if n < 1 {
-		n = 1
-	}
-	return &Searcher{
-		kind:       kind,
+// newSearcher partitions l and indexes every sub-lake with index.
+func newSearcher(l *lake.Lake, n int, cfg Config, corpus *tokenize.Corpus, index func(*lake.Lake) search.Searcher) *Searcher {
+	s := &Searcher{
 		full:       l,
-		sublakes:   Partition(l, n),
-		subs:       make([]search.Searcher, n),
+		corpus:     corpus,
 		workers:    cfg.Workers,
 		pool:       newScatterPool(cfg.Workers),
 		Oversample: search.DefaultOversample,
 	}
-}
-
-// finish applies the construction-time retrieval mode once every shard
-// index exists.
-func (s *Searcher) finish(cfg Config) {
-	if cfg.Mode != search.Exact {
-		// The modes Config can express never fail SetMode; a bogus numeric
-		// Mode falls back to the exact scan, mirroring search.WithMode.
-		_ = s.SetMode(cfg.Mode)
+	for _, sl := range Partition(l, n) {
+		s.subs = append(s.subs, index(sl))
 	}
+	return s
 }
 
-// Part pairs one shard's sub-lake with its loaded searcher; Assemble
-// reconstitutes a shard set from them on the warm-start path.
-type Part struct {
-	Lake     *lake.Lake
-	Searcher search.Searcher
-}
-
-// Assemble reconstitutes a sharded searcher from independently loaded
-// parts — the warm-start dual of NewStarmie/NewD3L. The parts must
-// partition full exactly (every lake table in exactly one part) and each
-// part's searcher must match kind; violations return ErrLayoutMismatch or
-// ErrUnknownKind. For Starmie, every shard is rebound to part 0's restored
-// corpus so the set again shares one global TF-IDF state (each saved shard
-// recorded the identical full-lake corpus, so any part's restore works).
-func Assemble(full *lake.Lake, kind string, parts []Part, cfg Config) (*Searcher, error) {
-	if kind != KindStarmie && kind != KindD3L {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, kind)
-	}
+// Assemble reconstitutes an index from independently loaded parts — the
+// warm-start dual of NewStarmie/NewD3L. The parts' lakes must partition
+// full exactly (every lake table in exactly one part) and the parts must
+// all be Starmie or all D3L searchers; violations return ErrLayoutMismatch
+// or ErrUnknownKind. A single part bound to full itself already is the
+// whole index — a monolithic searcher — and is returned as is, with no
+// scatter in front of it. Otherwise the result is a sharded Searcher; for
+// Starmie, every shard is rebound to part 0's restored corpus so the set
+// again shares one global TF-IDF state (each saved shard recorded the
+// identical full-lake corpus, so any part's restore works).
+func Assemble(full *lake.Lake, parts []search.Searcher) (search.Searcher, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("%w: no parts", ErrLayoutMismatch)
 	}
-	s := &Searcher{
-		kind:       kind,
-		full:       full,
-		sublakes:   make([]*lake.Lake, len(parts)),
-		subs:       make([]search.Searcher, len(parts)),
-		workers:    cfg.Workers,
-		Oversample: search.DefaultOversample,
-	}
-	seen := 0
+	// Every part table must be the lake's own and no table may sit in two
+	// parts; then the counts agree iff the parts cover the lake exactly once.
+	seen := make(map[string]bool, full.Len())
+	var starmies []*search.Starmie
 	for i, p := range parts {
-		for _, name := range p.Lake.Names() {
-			t := full.Get(name)
-			if t == nil || t != p.Lake.Get(name) {
+		for _, name := range p.Lake().Names() {
+			if t := full.Get(name); t == nil || t != p.Lake().Get(name) {
 				return nil, fmt.Errorf("%w: shard %d holds %q, the lake does not", ErrLayoutMismatch, i, name)
 			}
-			seen++
-		}
-		switch kind {
-		case KindStarmie:
-			if _, ok := p.Searcher.(*search.Starmie); !ok {
-				return nil, fmt.Errorf("%w: shard %d is %T, want %s", ErrLayoutMismatch, i, p.Searcher, kind)
-			}
-		case KindD3L:
-			if _, ok := p.Searcher.(*search.D3L); !ok {
-				return nil, fmt.Errorf("%w: shard %d is %T, want %s", ErrLayoutMismatch, i, p.Searcher, kind)
-			}
-		}
-		s.sublakes[i], s.subs[i] = p.Lake, p.Searcher
-	}
-	// Every part table exists in the lake and sub-lakes cannot hold
-	// duplicates internally, so seen == full.Len() iff the parts cover the
-	// lake exactly once (a cross-part duplicate would overshoot only if
-	// another table were missing — both are layout corruption).
-	if seen != full.Len() {
-		return nil, fmt.Errorf("%w: parts hold %d tables, lake holds %d", ErrLayoutMismatch, seen, full.Len())
-	}
-	dup := make(map[string]bool, full.Len())
-	for _, sl := range s.sublakes {
-		for _, name := range sl.Names() {
-			if dup[name] {
+			if seen[name] {
 				return nil, fmt.Errorf("%w: table %q in two shards", ErrLayoutMismatch, name)
 			}
-			dup[name] = true
+			seen[name] = true
+		}
+		switch sub := p.(type) {
+		case *search.Starmie:
+			starmies = append(starmies, sub)
+		case *search.D3L:
+		default:
+			return nil, fmt.Errorf("%w: shard %d is %T", ErrUnknownKind, i, p)
 		}
 	}
-	if kind == KindStarmie {
-		s.corpus = s.subs[0].(*search.Starmie).Corpus()
-		for _, sub := range s.subs {
-			sub.(*search.Starmie).AdoptSharedCorpus(s.corpus)
-		}
+	if len(seen) != full.Len() {
+		return nil, fmt.Errorf("%w: parts hold %d tables, lake holds %d", ErrLayoutMismatch, len(seen), full.Len())
 	}
-	// The pool starts only once the layout is validated, so a rejected
+	if len(starmies) != 0 && len(starmies) != len(parts) {
+		return nil, fmt.Errorf("%w: parts mix starmie and d3l shards", ErrLayoutMismatch)
+	}
+	if len(parts) == 1 && parts[0].Lake() == full {
+		return parts[0], nil
+	}
+	// The pool starts only now that the layout is validated, so a rejected
 	// Assemble leaks no worker goroutines.
-	s.pool = newScatterPool(cfg.Workers)
-	s.mode = s.shardMode()
+	s := &Searcher{
+		full:       full,
+		subs:       parts,
+		mode:       parts[0].RetrievalMode(),
+		pool:       newScatterPool(0),
+		Oversample: search.DefaultOversample,
+	}
+	if len(starmies) > 0 {
+		s.corpus = starmies[0].Corpus()
+		for _, st := range starmies {
+			st.AdoptSharedCorpus(s.corpus)
+		}
+	}
 	return s, nil
 }
 
-// shardMode reads the retrieval mode the shards are actually in (uniform
-// by construction; Assemble trusts shard 0).
-func (s *Searcher) shardMode() search.Mode {
-	if st, ok := s.subs[0].(search.Staged); ok {
-		return st.RetrievalMode()
-	}
-	return search.Exact
-}
+// Lake implements search.Searcher: the full, unpartitioned lake.
+func (s *Searcher) Lake() *lake.Lake { return s.full }
 
-// NumShards returns the shard count.
-func (s *Searcher) NumShards() int { return len(s.subs) }
-
-// Kind names the per-shard searcher family (KindStarmie or KindD3L), the
-// value index manifests record.
-func (s *Searcher) Kind() string { return s.kind }
-
-// Shard exposes shard i's searcher; the persistence layer saves each shard
-// through it.
-func (s *Searcher) Shard(i int) search.Searcher { return s.subs[i] }
-
-// ShardTables returns every shard's table names in sub-lake iteration
-// order — the shard map an index manifest records and a warm start rebuilds
-// the partition from.
-func (s *Searcher) ShardTables() [][]string {
-	out := make([][]string, len(s.sublakes))
-	for i, sl := range s.sublakes {
-		out[i] = sl.Names()
-	}
-	return out
-}
-
-// SaveShard writes shard i's index through its kind's codec.
-func (s *Searcher) SaveShard(i int, w io.Writer) error {
-	switch sub := s.subs[i].(type) {
-	case *search.Starmie:
-		return sub.Save(w)
-	case *search.D3L:
-		return sub.Save(w)
-	}
-	return fmt.Errorf("%w: shard %d is %T", ErrUnknownKind, i, s.subs[i])
-}
+// Parts implements search.Searcher: the per-shard searchers in shard order,
+// each bound to its own sub-lake — what the persistence layer saves one
+// file per and a warm start hands back to Assemble.
+func (s *Searcher) Parts() []search.Searcher { return s.subs }
 
 // Name implements search.Searcher. The shard count and the sub-searcher
 // name (which carries the +ann suffix in ANN mode) both shape rankings, so
@@ -392,15 +299,20 @@ func (s *Searcher) Name() string {
 	return fmt.Sprintf("sharded%d(%s)", len(s.subs), s.subs[0].Name())
 }
 
-// TopK implements search.Searcher.
-func (s *Searcher) TopK(query *table.Table, k int) []search.Scored {
-	out, _ := s.TopKContext(context.Background(), query, k)
-	return out
+// Prepare implements search.Searcher: the query representation is derived
+// exactly once, by shard 0 — every shard shares its encoder state, so the
+// preparation serves them all.
+func (s *Searcher) Prepare(query *table.Table) search.PreparedQuery {
+	t0 := time.Now()
+	pq := s.subs[0].Prepare(query)
+	if s.timings != nil {
+		s.timings.EncodeNS.Add(time.Since(t0).Nanoseconds())
+	}
+	return pq
 }
 
-// TopKContext implements search.ContextSearcher as prepared scatter-gather:
-// the query representation is derived exactly once (search.PreparedSearcher)
-// and fans out across every shard on the family's long-lived pool; the
+// TopKPrepared implements search.Searcher as scatter-gather: the prepared
+// query fans out across every shard on the family's long-lived pool; the
 // gather merges the shards' exactly-scored answers under the global (score
 // desc, name asc) order — the same total order the unsharded scorer
 // applies, which with the shared corpus makes the exact-mode merge
@@ -410,76 +322,33 @@ func (s *Searcher) TopK(query *table.Table, k int) []search.Scored {
 // (shards nominate, one global exact re-score). k <= 0 asks for the full
 // ranking. Cancelling ctx abandons the remaining shards and returns
 // ctx.Err().
-func (s *Searcher) TopKContext(ctx context.Context, query *table.Table, k int) ([]search.Scored, error) {
+func (s *Searcher) TopKPrepared(ctx context.Context, pq search.PreparedQuery, k int) ([]search.Scored, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	subs, ok := s.preparedSubs()
-	if !ok {
-		// A shard kind without prepared-query support (none of the built-in
-		// kinds) still works: whole-query scatter at per-shard limit k.
-		return s.topKLegacy(ctx, query, k)
-	}
-	// The coordinator owns the per-request trace: encode maps to the
-	// encode-once stage, scatter to retrieve, gather to score. Sub-searcher
-	// calls get a masked context so the shards' own stage recording does not
-	// double-count the same wall time.
+	// The coordinator owns the per-request trace: scatter maps to retrieve,
+	// gather to score. Sub-searcher calls get a masked context so the
+	// shards' own stage recording does not double-count the same wall time.
 	tr := search.TraceFrom(ctx)
 	if tr != nil {
 		ctx = search.WithTrace(ctx, nil)
 	}
-	t0 := time.Now()
-	pq := subs[0].Prepare(query)
-	encodeNS := time.Since(t0).Nanoseconds()
-	if tr != nil {
-		tr.EncodeNS.Add(encodeNS)
-	}
-
 	var hits []search.Scored
 	var err error
-	if noms, ok := s.nominatorSubs(); ok && s.mode == search.ANN && k > 0 {
-		hits, err = s.topKANN(ctx, pq, noms, k, tr)
+	if s.mode == search.ANN && k > 0 {
+		hits, err = s.topKANN(ctx, pq, k, tr)
 	} else {
-		hits, err = s.topKExact(ctx, pq, subs, k, tr)
+		hits, err = s.topKExact(ctx, pq, k, tr)
 	}
 	if s.timings != nil && err == nil {
 		s.timings.Queries.Add(1)
-		s.timings.EncodeNS.Add(encodeNS)
 	}
 	return hits, err
 }
 
-// preparedSubs returns every shard as a search.PreparedSearcher when the
-// whole set supports the encode-once scatter (both built-in kinds do).
-func (s *Searcher) preparedSubs() ([]search.PreparedSearcher, bool) {
-	out := make([]search.PreparedSearcher, len(s.subs))
-	for i, sub := range s.subs {
-		ps, ok := sub.(search.PreparedSearcher)
-		if !ok {
-			return nil, false
-		}
-		out[i] = ps
-	}
-	return out, true
-}
-
-// nominatorSubs returns every shard as a search.PreparedNominator when the
-// whole set supports the candidate-only ANN plan.
-func (s *Searcher) nominatorSubs() ([]search.PreparedNominator, bool) {
-	out := make([]search.PreparedNominator, len(s.subs))
-	for i, sub := range s.subs {
-		nom, ok := sub.(search.PreparedNominator)
-		if !ok {
-			return nil, false
-		}
-		out[i] = nom
-	}
-	return out, true
-}
-
 // runScatter runs fn(i) for i in [0, n) across the shard family's
-// long-lived pool, or inline via par.For on pool-less query-bounded views
-// (the serving path, where per-request goroutine spin-up is exactly the
+// long-lived pool, or inline via par.For on query-bounded views (the
+// serving path, where per-request goroutine spin-up is exactly the
 // fixed cost this layer removes). Shards are handed to the pool in
 // min(workers, n) contiguous chunks rather than one task per shard: extra
 // tasks beyond the worker count cannot add parallelism, but each one costs
@@ -487,7 +356,7 @@ func (s *Searcher) nominatorSubs() ([]search.PreparedNominator, bool) {
 // Pool tasks from concurrent queries share the worker bound but never
 // wait on each other (par.Pool.Run).
 func (s *Searcher) runScatter(n int, fn func(i int)) {
-	if s.pool == nil {
+	if s.inline {
 		par.For(s.workers, n, fn)
 		return
 	}
@@ -513,36 +382,31 @@ func (s *Searcher) runScatter(n int, fn func(i int)) {
 
 // topKExact is the bounded gather. Round one asks every shard for its local
 // top limit = min(k, ceil(k/n)+gatherSlack) (exact mode with several
-// shards; otherwise limit = k). The merged top k is final for every shard
-// whose list was exhausted (shorter than limit) or whose last returned hit
-// ranks at or below the merged k-th — any unseen hit on such a shard ranks
-// strictly after that last hit, so it cannot displace the current top k.
+// shards; limit = k for one shard and for the ANN plan's fallback, whose
+// per-shard pools are approximate, so the threshold bound does not apply).
+// The merged top k is final for every shard whose list was exhausted
+// (shorter than limit) or whose last returned hit ranks at or below the
+// merged k-th — any unseen hit on such a shard ranks strictly after that
+// last hit, so it cannot displace the current top k.
 // Only the remaining "open" shards are re-fetched, at limit k, which closes
 // them for good: a shard that returned k hits cannot hold an unseen hit in
 // the global top k (its k seen hits would all have to rank above it,
 // overfilling the top k). One second round therefore always suffices, and
 // the result is bit-identical to an unsharded scan. k <= 0 requests the
 // full ranking from every shard in one round.
-func (s *Searcher) topKExact(ctx context.Context, pq search.PreparedQuery, subs []search.PreparedSearcher, k int, tr *search.Trace) ([]search.Scored, error) {
-	n := len(subs)
+func (s *Searcher) topKExact(ctx context.Context, pq search.PreparedQuery, k int, tr *search.Trace) ([]search.Scored, error) {
+	n := len(s.subs)
 	limit := k
-	if k > 0 {
-		if s.mode == search.Exact && n > 1 {
-			if l := (k+n-1)/n + gatherSlack; l < k {
-				limit = l
-			}
-		} else if s.mode != search.Exact {
-			// ANN fallback (a shard kind that prepares but cannot nominate):
-			// per-shard candidate pools are approximate, so the threshold
-			// bound does not apply; keep the oversampled single round.
-			limit = int(math.Ceil(s.Oversample * float64(k)))
+	if k > 0 && s.mode == search.Exact && n > 1 {
+		if l := (k+n-1)/n + gatherSlack; l < k {
+			limit = l
 		}
 	}
 	tScatter := time.Now()
 	hits := make([][]search.Scored, n)
 	errs := make([]error, n)
 	s.runScatter(n, func(i int) {
-		hits[i], errs[i] = subs[i].TopKPrepared(ctx, pq, limit)
+		hits[i], errs[i] = s.subs[i].TopKPrepared(ctx, pq, limit)
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
@@ -565,7 +429,7 @@ func (s *Searcher) topKExact(ctx context.Context, pq search.PreparedQuery, subs 
 			more := make([][]search.Scored, len(open))
 			errs2 := make([]error, len(open))
 			s.runScatter(len(open), func(i int) {
-				more[i], errs2[i] = subs[open[i]].TopKPrepared(ctx, pq, k)
+				more[i], errs2[i] = s.subs[open[i]].TopKPrepared(ctx, pq, k)
 			})
 			if err := errors.Join(errs2...); err != nil {
 				return nil, err
@@ -579,6 +443,14 @@ func (s *Searcher) topKExact(ctx context.Context, pq search.PreparedQuery, subs 
 			gatherNS += time.Since(t3).Nanoseconds()
 		}
 	}
+	s.record(tr, scatterNS, gatherNS)
+	return merged, nil
+}
+
+// record charges stage wall time to the attached accumulator and to the
+// request's trace, where scatter is the retrieve stage and gather the score
+// stage.
+func (s *Searcher) record(tr *search.Trace, scatterNS, gatherNS int64) {
 	if s.timings != nil {
 		s.timings.ScatterNS.Add(scatterNS)
 		s.timings.GatherNS.Add(gatherNS)
@@ -587,7 +459,6 @@ func (s *Searcher) topKExact(ctx context.Context, pq search.PreparedQuery, subs 
 		tr.RetrieveNS.Add(scatterNS)
 		tr.ScoreNS.Add(gatherNS)
 	}
-	return merged, nil
 }
 
 // topKANN is the candidate-only ANN plan: every shard nominates its local
@@ -599,29 +470,15 @@ func (s *Searcher) topKExact(ctx context.Context, pq search.PreparedQuery, subs 
 // the exact path, mirroring the monolithic searchers' own fallback. The
 // final ranking sorts by the same (score desc, name asc) total order as
 // everywhere else, so results are deterministic for every worker count.
-func (s *Searcher) topKANN(ctx context.Context, pq search.PreparedQuery, noms []search.PreparedNominator, k int, tr *search.Trace) ([]search.Scored, error) {
-	n := len(noms)
-	depth := int(math.Ceil(s.Oversample*float64(k)/float64(n))) + annNominateSlack
+func (s *Searcher) topKANN(ctx context.Context, pq search.PreparedQuery, k int, tr *search.Trace) ([]search.Scored, error) {
+	depth := int(math.Ceil(s.Oversample*float64(k)/float64(len(s.subs)))) + annNominateSlack
 
 	tScatter := time.Now()
-	nameLists := make([][]string, n)
-	errs := make([]error, n)
-	s.runScatter(n, func(i int) {
-		nameLists[i], errs[i] = noms[i].NominatePrepared(ctx, pq, depth)
-	})
-	if err := errors.Join(errs...); err != nil {
+	nameLists, err := s.nominate(ctx, pq, depth)
+	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	scatterNS := time.Since(tScatter).Nanoseconds()
-	if s.timings != nil {
-		s.timings.ScatterNS.Add(scatterNS)
-	}
-	if tr != nil {
-		tr.RetrieveNS.Add(scatterNS)
-	}
+	s.record(tr, time.Since(tScatter).Nanoseconds(), 0)
 
 	tGather := time.Now()
 	type cand struct {
@@ -634,20 +491,19 @@ func (s *Searcher) topKANN(ctx context.Context, pq search.PreparedQuery, noms []
 			// Shards partition the lake, so cross-shard duplicates cannot
 			// occur; a nominee unknown to its own sub-lake would be an
 			// index bug and is simply skipped.
-			if t := s.sublakes[i].Get(name); t != nil {
+			if t := s.subs[i].Lake().Get(name); t != nil {
 				pool = append(pool, cand{t, i})
 			}
 		}
 	}
 	if len(pool) == 0 {
-		subs, _ := s.preparedSubs() // nominators are a superset of prepared
-		return s.topKExact(ctx, pq, subs, k, tr)
+		return s.topKExact(ctx, pq, k, tr)
 	}
 	scored := make([]search.Scored, len(pool))
 	if err := par.ForCtx(ctx, s.workers, len(pool), func(i int) {
 		scored[i] = search.Scored{
 			Table: pool[i].t,
-			Score: noms[pool[i].owner].ScorePrepared(pq, pool[i].t),
+			Score: s.subs[pool[i].owner].ScorePrepared(pq, pool[i].t),
 		}
 	}); err != nil {
 		return nil, err
@@ -656,35 +512,42 @@ func (s *Searcher) topKANN(ctx context.Context, pq search.PreparedQuery, noms []
 	if len(scored) > k {
 		scored = scored[:k]
 	}
-	gatherNS := time.Since(tGather).Nanoseconds()
-	if s.timings != nil {
-		s.timings.GatherNS.Add(gatherNS)
-	}
-	if tr != nil {
-		tr.ScoreNS.Add(gatherNS)
-	}
+	s.record(tr, 0, time.Since(tGather).Nanoseconds())
 	return scored, nil
 }
 
-// topKLegacy is the whole-query scatter kept for shard kinds without
-// prepared-query support: every shard runs its own encode + local top-k at
-// per-shard limit k, and the gather merges. Exact-mode parity holds (each
-// shard's local top k always covers its share of the global top k); it
-// just pays the duplicated encoding the prepared path removes.
-func (s *Searcher) topKLegacy(ctx context.Context, query *table.Table, k int) ([]search.Scored, error) {
-	limit := k
-	if k > 0 && s.mode != search.Exact {
-		limit = int(math.Ceil(s.Oversample * float64(k)))
-	}
-	hits := make([][]search.Scored, len(s.subs))
+// nominate scatters NominatePrepared across the shards at the given
+// per-shard depth and returns each shard's nominees, shard-indexed.
+func (s *Searcher) nominate(ctx context.Context, pq search.PreparedQuery, depth int) ([][]string, error) {
+	nameLists := make([][]string, len(s.subs))
 	errs := make([]error, len(s.subs))
 	s.runScatter(len(s.subs), func(i int) {
-		hits[i], errs[i] = search.TopKCtx(ctx, s.subs[i], query, limit)
+		nameLists[i], errs[i] = s.subs[i].NominatePrepared(ctx, pq, depth)
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	return mergeHits(hits, k), nil
+	return nameLists, ctx.Err()
+}
+
+// NominatePrepared implements search.Searcher: every shard's nominees at
+// the given depth, concatenated in shard order (shards partition the lake,
+// so the lists are disjoint).
+func (s *Searcher) NominatePrepared(ctx context.Context, pq search.PreparedQuery, depth int) ([]string, error) {
+	nameLists, err := s.nominate(ctx, pq, depth)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, l := range nameLists {
+		names = append(names, l...)
+	}
+	return names, nil
+}
+
+// ScorePrepared implements search.Searcher through the shard that owns t.
+func (s *Searcher) ScorePrepared(pq search.PreparedQuery, t *table.Table) float64 {
+	return s.subs[s.owner(t.Name)].ScorePrepared(pq, t)
 }
 
 // hitLess is the global ranking order: score descending, table name
@@ -776,79 +639,50 @@ func mergeHits(hits [][]search.Scored, k int) []search.Scored {
 	return out
 }
 
-// SetMode implements search.Staged by fanning the mode to every shard:
+// SetMode implements search.Searcher by fanning the mode to every shard:
 // entering ANN builds one HNSW graph per Starmie shard (or is a no-op for
 // shards that already carry one, e.g. after a warm start).
 func (s *Searcher) SetMode(m search.Mode) error {
-	if m != search.Exact && m != search.ANN {
-		return fmt.Errorf("shard: SetMode(%d): %w", int(m), search.ErrUnknownMode)
-	}
 	for _, sub := range s.subs {
-		if st, ok := sub.(search.Staged); ok {
-			if err := st.SetMode(m); err != nil {
-				return err
-			}
+		if err := sub.SetMode(m); err != nil {
+			return err
 		}
 	}
 	s.mode = m
 	return nil
 }
 
-// RetrievalMode implements search.Staged.
+// RetrievalMode implements search.Searcher.
 func (s *Searcher) RetrievalMode() search.Mode { return s.mode }
-
-// Retriever implements search.Staged: the candidate stage is the union of
-// every shard's own retrieval stage.
-func (s *Searcher) Retriever() search.Retriever { return scatterRetriever{s} }
-
-// scatterRetriever adapts the per-shard candidate stages to the Retriever
-// interface: candidates are the union of each shard's nominees,
-// name-sorted for determinism.
-type scatterRetriever struct{ s *Searcher }
-
-func (r scatterRetriever) Name() string {
-	if st, ok := r.s.subs[0].(search.Staged); ok {
-		return "scatter(" + st.Retriever().Name() + ")"
-	}
-	return "scatter"
-}
-
-func (r scatterRetriever) Retrieve(ctx context.Context, query *table.Table, limit int) ([]string, error) {
-	seen := make(map[string]bool)
-	for _, sub := range r.s.subs {
-		st, ok := sub.(search.Staged)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T is not staged", ErrUnknownKind, sub)
-		}
-		names, err := st.Retriever().Retrieve(ctx, query, limit)
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range names {
-			seen[n] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names, nil
-}
 
 // owner returns the index of the shard holding name, or -1. Removals route
 // by membership rather than re-deriving Assign so a layout loaded from a
 // manifest keeps working even if the assignment policy evolves.
 func (s *Searcher) owner(name string) int {
-	for i, sl := range s.sublakes {
-		if sl.Get(name) != nil {
+	for i, sub := range s.subs {
+		if sub.Lake().Get(name) != nil {
 			return i
 		}
 	}
 	return -1
 }
 
-// AddTable implements search.Incremental: the table routes to its
+// corpusDocs adds (or, with add false, removes) a table's column documents
+// to the shared corpus; a no-op for corpus-insensitive kinds.
+func (s *Searcher) corpusDocs(t *table.Table, add bool) {
+	if s.corpus == nil {
+		return
+	}
+	for i := range t.Columns {
+		if tokens := embed.ColumnTokens(&t.Columns[i]); add {
+			s.corpus.AddDocument(tokens)
+		} else {
+			s.corpus.RemoveDocument(tokens)
+		}
+	}
+}
+
+// AddTable implements search.Searcher: the table routes to its
 // hash-assigned shard, whose index absorbs it as a delta update. For
 // Starmie the shared corpus gains the table's column documents first —
 // exactly when an unsharded AddTable would — and every OTHER shard then
@@ -860,34 +694,22 @@ func (s *Searcher) AddTable(t *table.Table) error {
 		return fmt.Errorf("shard: AddTable(%q): %w", t.Name, search.ErrDuplicateTable)
 	}
 	o := Assign(t.Name, len(s.subs))
-	inc, ok := s.subs[o].(search.Incremental)
-	if !ok {
-		return fmt.Errorf("%w: shard %d is %T", ErrUnknownKind, o, s.subs[o])
-	}
-	if err := s.sublakes[o].Add(t); err != nil {
+	if err := s.subs[o].Lake().Add(t); err != nil {
 		return err
 	}
-	if s.corpus != nil {
-		for i := range t.Columns {
-			s.corpus.AddDocument(embed.ColumnTokens(&t.Columns[i]))
-		}
-	}
-	if err := inc.AddTable(t); err != nil {
+	s.corpusDocs(t, true)
+	if err := s.subs[o].AddTable(t); err != nil {
 		// Roll the shared state back so a refused table leaves no trace.
-		if s.corpus != nil {
-			for i := range t.Columns {
-				s.corpus.RemoveDocument(embed.ColumnTokens(&t.Columns[i]))
-			}
-		}
-		_ = s.sublakes[o].Remove(t.Name)
+		s.corpusDocs(t, false)
+		_ = s.subs[o].Lake().Remove(t.Name)
 		return err
 	}
 	s.refreshOthers(o)
 	return nil
 }
 
-// RemoveTable implements search.Incremental, routing to the owning shard
-// and (for Starmie) retiring the table's documents from the shared corpus
+// RemoveTable implements search.Searcher, routing to the owning shard and
+// (for Starmie) retiring the table's documents from the shared corpus
 // before the shard un-indexes, so the owner's own refresh already sees the
 // post-removal statistics; the remaining shards refresh afterwards.
 func (s *Searcher) RemoveTable(name string) error {
@@ -895,25 +717,13 @@ func (s *Searcher) RemoveTable(name string) error {
 	if o < 0 {
 		return fmt.Errorf("shard: RemoveTable(%q): %w", name, search.ErrUnknownTable)
 	}
-	inc, ok := s.subs[o].(search.Incremental)
-	if !ok {
-		return fmt.Errorf("%w: shard %d is %T", ErrUnknownKind, o, s.subs[o])
-	}
-	t := s.sublakes[o].Get(name)
-	if s.corpus != nil {
-		for i := range t.Columns {
-			s.corpus.RemoveDocument(embed.ColumnTokens(&t.Columns[i]))
-		}
-	}
-	if err := inc.RemoveTable(name); err != nil {
-		if s.corpus != nil {
-			for i := range t.Columns {
-				s.corpus.AddDocument(embed.ColumnTokens(&t.Columns[i]))
-			}
-		}
+	t := s.subs[o].Lake().Get(name)
+	s.corpusDocs(t, false)
+	if err := s.subs[o].RemoveTable(name); err != nil {
+		s.corpusDocs(t, true)
 		return err
 	}
-	_ = s.sublakes[o].Remove(name)
+	_ = s.subs[o].Lake().Remove(name)
 	s.refreshOthers(o)
 	return nil
 }
@@ -926,178 +736,30 @@ func (s *Searcher) refreshOthers(mutated int) {
 		return
 	}
 	for i, sub := range s.subs {
-		if i == mutated {
-			continue
+		if i != mutated {
+			sub.(*search.Starmie).RefreshBig()
 		}
-		sub.(*search.Starmie).RefreshBig()
 	}
 }
 
-// QueryWorkers implements search.QueryBounded: the returned searcher
-// shares every shard's immutable index and bounds both the scatter width
-// and each shard's scoring to n workers. The view drops the family pool
-// and scatters inline (par.For; fully sequential at n = 1) — a bounded
-// view exists to cap one request's parallelism, so it must neither borrow
-// the family's full-width pool nor spin up goroutines of its own.
+// QueryWorkers implements search.Searcher: the returned searcher shares
+// every shard's immutable index and bounds both the scatter width and each
+// shard's scoring to n workers. The view scatters inline (par.For; fully
+// sequential at n = 1) — a bounded view exists to cap one request's
+// parallelism, so it must neither borrow the family's full-width pool nor
+// spin up goroutines of its own. It still belongs to the family: Close on
+// it releases the family pool.
 func (s *Searcher) QueryWorkers(n int) search.Searcher {
 	c := *s
-	c.workers = n
-	c.pool = nil
+	c.workers, c.inline = n, true
 	c.subs = make([]search.Searcher, len(s.subs))
 	for i, sub := range s.subs {
-		if qb, ok := sub.(search.QueryBounded); ok {
-			c.subs[i] = qb.QueryWorkers(n)
-		} else {
-			c.subs[i] = sub
-		}
+		c.subs[i] = sub.QueryWorkers(n)
 	}
 	return &c
 }
 
-// Instrument attaches a per-stage timing accumulator to this searcher (nil
-// detaches). Views and clones created before the call keep their previous
-// accumulator. Not synchronized with in-flight queries — attach before
-// querying starts.
-func (s *Searcher) Instrument(st *StageTimings) { s.timings = st }
-
-// SetQuantized fans the graph storage mode to every shard (see
-// search.Starmie.SetQuantized): shards already carrying a graph of a
-// different storage rebuild it from their stored embeddings. Shards
-// whose searcher kind has no quantized form (D3L) are unaffected.
-func (s *Searcher) SetQuantized(on bool) {
-	for _, sub := range s.subs {
-		if q, ok := sub.(interface{ SetQuantized(bool) }); ok {
-			q.SetQuantized(on)
-		}
-	}
-}
-
-// SetOversample implements search.Tunable: it sizes this set's merged ANN
-// candidate pool and fans the factor to the shards (whose own Oversample
-// only matters on their local fallback paths). v <= 0 restores the
-// default.
-func (s *Searcher) SetOversample(v float64) {
-	if v <= 0 {
-		v = search.DefaultOversample
-	}
-	s.Oversample = v
-	for _, sub := range s.subs {
-		if t, ok := sub.(search.Tunable); ok {
-			t.SetOversample(v)
-		}
-	}
-}
-
-// SetEfSearch implements search.Tunable by fanning the beam width to
-// every shard's own graph traversal. ef <= 0 restores the default.
-func (s *Searcher) SetEfSearch(ef int) {
-	for _, sub := range s.subs {
-		if t, ok := sub.(search.Tunable); ok {
-			t.SetEfSearch(ef)
-		}
-	}
-}
-
-// IndexBytes implements search.IndexSizer as the sum over the shards.
-// Storage is uniform across shards by construction; a hand-assembled set
-// that disagrees reports "mixed".
-func (s *Searcher) IndexBytes() (string, int64) {
-	storage, total := "none", int64(0)
-	for _, sub := range s.subs {
-		sz, ok := sub.(search.IndexSizer)
-		if !ok {
-			continue
-		}
-		st, b := sz.IndexBytes()
-		total += b
-		switch {
-		case st == "none":
-		case storage == "none":
-			storage = st
-		case storage != st:
-			storage = "mixed"
-		}
-	}
-	return storage, total
-}
-
-// ShardIndexBytes returns every shard's own storage mode and resident
-// index bytes in shard order — the per-shard series behind the serving
-// layer's dust_index_bytes gauge. Shards without an ANN index report
-// ("none", 0).
-func (s *Searcher) ShardIndexBytes() []search.IndexFootprint {
-	out := make([]search.IndexFootprint, len(s.subs))
-	for i, sub := range s.subs {
-		out[i].Storage = "none"
-		if sz, ok := sub.(search.IndexSizer); ok {
-			out[i].Storage, out[i].Bytes = sz.IndexBytes()
-		}
-	}
-	return out
-}
-
-// ShardMaintenanceStats returns every shard's own tombstone debt, indexed
-// by shard — the per-shard view a maintainer (or an operator dashboard)
-// drills into when the merged MaintenanceStats trips a threshold. Shards
-// whose searcher is not Maintainable report zero stats.
-func (s *Searcher) ShardMaintenanceStats() []search.MaintenanceStats {
-	out := make([]search.MaintenanceStats, len(s.subs))
-	for i, sub := range s.subs {
-		if m, ok := sub.(search.Maintainable); ok {
-			out[i] = m.MaintenanceStats()
-		}
-	}
-	return out
-}
-
-// MaintenanceStats implements search.Maintainable as the merged per-shard
-// view: counts sum across shards, dead fractions take the per-shard
-// maximum (one rotten shard should trip the maintainer even if the rest
-// of the lake is clean).
-func (s *Searcher) MaintenanceStats() search.MaintenanceStats {
-	var agg search.MaintenanceStats
-	for _, st := range s.ShardMaintenanceStats() {
-		agg = agg.Merge(st)
-	}
-	return agg
-}
-
-// SetAutoCompact implements search.Maintainable by fanning the policy to
-// every shard.
-func (s *Searcher) SetAutoCompact(on bool) {
-	for _, sub := range s.subs {
-		if m, ok := sub.(search.Maintainable); ok {
-			m.SetAutoCompact(on)
-		}
-	}
-}
-
-// Compact implements search.Maintainable: every shard compacts its own
-// tombstoned structures (in parallel on the family pool — compaction runs
-// on clones, off the query path, so the pool is otherwise idle for this
-// searcher). Reports whether any shard did work.
-func (s *Searcher) Compact() bool {
-	maints := make([]search.Maintainable, len(s.subs))
-	for i, sub := range s.subs {
-		if m, ok := sub.(search.Maintainable); ok {
-			maints[i] = m
-		}
-	}
-	did := make([]bool, len(maints))
-	s.runScatter(len(maints), func(i int) {
-		if maints[i] != nil {
-			did[i] = maints[i].Compact()
-		}
-	})
-	for _, d := range did {
-		if d {
-			return true
-		}
-	}
-	return false
-}
-
-// ModeView implements search.ModeViewer: a shallow copy of the shard set
+// ModeView implements search.Searcher: a shallow copy of the shard set
 // whose sub-searchers are themselves mode views, sharing all index state
 // (graphs included) with the originals. The view keeps the family pool —
 // it serves queries exactly like the original — and is unavailable unless
@@ -1110,11 +772,7 @@ func (s *Searcher) ModeView(m search.Mode) (search.Searcher, bool) {
 	c.mode = m
 	c.subs = make([]search.Searcher, len(s.subs))
 	for i, sub := range s.subs {
-		mv, ok := sub.(search.ModeViewer)
-		if !ok {
-			return nil, false
-		}
-		v, ok := mv.ModeView(m)
+		v, ok := sub.ModeView(m)
 		if !ok {
 			return nil, false
 		}
@@ -1123,21 +781,10 @@ func (s *Searcher) ModeView(m search.Mode) (search.Searcher, bool) {
 	return &c, true
 }
 
-// Close releases the scatter pool's worker goroutines. The pool is shared
-// by every clone in the searcher's family, so call Close once the whole
-// family is done serving — dust.Pipeline.Close does this at pipeline
-// teardown — not per snapshot clone. Close is idempotent across the
-// family; queries on any family member after Close panic.
-func (s *Searcher) Close() {
-	if s.pool != nil {
-		s.pool.close()
-	}
-}
-
-// CloneWithLake implements search.Cloner for snapshot-swapped serving: l
+// CloneWithLake implements search.Searcher for snapshot-swapped serving: l
 // must be a clone of the full lake holding the same table set. Every shard
 // clones against a clone of its own sub-lake (heavy embedding state stays
-// shared, per the sub-searchers' Clone contracts), and the Starmie shards
+// shared, per the sub-searchers' clone contracts), and the Starmie shards
 // are rebound to a single clone of the shared corpus so the new shard set
 // again owns exactly one global TF-IDF state. The clone keeps the family's
 // scatter pool — snapshot swaps must not churn worker goroutines — so
@@ -1145,17 +792,111 @@ func (s *Searcher) Close() {
 func (s *Searcher) CloneWithLake(l *lake.Lake) search.Searcher {
 	c := *s
 	c.full = l
-	c.sublakes = make([]*lake.Lake, len(s.sublakes))
 	c.subs = make([]search.Searcher, len(s.subs))
 	if s.corpus != nil {
 		c.corpus = s.corpus.Clone()
 	}
 	for i, sub := range s.subs {
-		c.sublakes[i] = s.sublakes[i].Clone()
-		c.subs[i] = sub.(search.Cloner).CloneWithLake(c.sublakes[i])
+		c.subs[i] = sub.CloneWithLake(sub.Lake().Clone())
 		if st, ok := c.subs[i].(*search.Starmie); ok {
 			st.AdoptSharedCorpus(c.corpus)
 		}
 	}
 	return &c
 }
+
+// Instrument implements search.Searcher: st (nil detaches) accumulates the
+// per-stage wall time of this searcher's queries. Views and clones created
+// before the call keep their previous accumulator. Not synchronized with
+// in-flight queries — attach before querying starts.
+func (s *Searcher) Instrument(st *search.StageTimings) bool {
+	s.timings = st
+	return true
+}
+
+// SetQuantized implements search.Searcher by fanning the graph storage
+// mode to every shard (see search.Starmie.SetQuantized): shards already
+// carrying a graph of a different storage rebuild it from their stored
+// embeddings.
+func (s *Searcher) SetQuantized(on bool) {
+	for _, sub := range s.subs {
+		sub.SetQuantized(on)
+	}
+}
+
+// SetOversample implements search.Searcher: it sizes this set's merged ANN
+// candidate pool and fans the factor to the shards (whose own Oversample
+// only matters on their local fallback paths). v <= 0 restores the
+// default.
+func (s *Searcher) SetOversample(v float64) {
+	if v <= 0 {
+		v = search.DefaultOversample
+	}
+	s.Oversample = v
+	for _, sub := range s.subs {
+		sub.SetOversample(v)
+	}
+}
+
+// SetEfSearch implements search.Searcher by fanning the beam width to
+// every shard's own graph traversal. ef <= 0 restores the default.
+func (s *Searcher) SetEfSearch(ef int) {
+	for _, sub := range s.subs {
+		sub.SetEfSearch(ef)
+	}
+}
+
+// IndexBytes implements search.Searcher as the merged footprint of the
+// shards. Storage is uniform across shards by construction; a
+// hand-assembled set that disagrees reports "mixed".
+func (s *Searcher) IndexBytes() search.IndexFootprint {
+	total := search.IndexFootprint{Storage: "none"}
+	for _, sub := range s.subs {
+		total = total.Merge(sub.IndexBytes())
+	}
+	return total
+}
+
+// MaintenanceStats implements search.Searcher as the merged per-shard
+// view: counts sum across shards, dead fractions take the per-shard
+// maximum (one rotten shard should trip the maintainer even if the rest
+// of the lake is clean).
+func (s *Searcher) MaintenanceStats() search.MaintenanceStats {
+	var agg search.MaintenanceStats
+	for _, sub := range s.subs {
+		agg = agg.Merge(sub.MaintenanceStats())
+	}
+	return agg
+}
+
+// SetAutoCompact implements search.Searcher by fanning the policy to every
+// shard.
+func (s *Searcher) SetAutoCompact(on bool) {
+	for _, sub := range s.subs {
+		sub.SetAutoCompact(on)
+	}
+}
+
+// Compact implements search.Searcher: every shard compacts its own
+// tombstoned structures (in parallel on the family pool — compaction runs
+// on clones, off the query path, so the pool is otherwise idle for this
+// searcher). Reports whether any shard did work.
+func (s *Searcher) Compact() bool {
+	did := make([]bool, len(s.subs))
+	s.runScatter(len(s.subs), func(i int) { did[i] = s.subs[i].Compact() })
+	for _, d := range did {
+		if d {
+			return true
+		}
+	}
+	return false
+}
+
+// Close implements search.Searcher: it releases the scatter pool's worker
+// goroutines. The pool is shared by every clone and view in the searcher's
+// family, so call Close once the whole family is done serving —
+// dust.Pipeline.Close does this at pipeline teardown — not per snapshot
+// clone. Close is idempotent across the family; queries on a family member
+// that scatters on the pool panic after Close (query-bounded views, which
+// scatter inline, keep working).
+func (s *Searcher) Close() { s.pool.close() }

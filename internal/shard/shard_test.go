@@ -95,16 +95,16 @@ func TestShardedEquivalence(t *testing.T) {
 			for _, workers := range []int{1, 8} {
 				t.Run(fmt.Sprintf("%s/shards=%d/workers=%d", kind, shards, workers), func(t *testing.T) {
 					s := buildSharded(t, kind, b.Lake, shards, workers)
-					if got := s.NumShards(); got != shards {
-						t.Fatalf("NumShards = %d, want %d", got, shards)
+					if got := len(s.Parts()); got != shards {
+						t.Fatalf("len(Parts()) = %d, want %d", got, shards)
 					}
 					for qi, q := range queries {
 						for _, k := range []int{1, 5, 12} {
 							label := fmt.Sprintf("query %d k=%d", qi, k)
-							sameHits(t, label, s.TopK(q, k), want.TopK(q, k))
+							sameHits(t, label, search.TopK(s, q, k), search.TopK(want, q, k))
 						}
 						// k <= 0 asks for the full ranking.
-						sameHits(t, fmt.Sprintf("query %d full", qi), s.TopK(q, 0), want.TopK(q, 0))
+						sameHits(t, fmt.Sprintf("query %d full", qi), search.TopK(s, q, 0), search.TopK(want, q, 0))
 					}
 				})
 			}
@@ -124,11 +124,11 @@ func TestShardedEquivalence(t *testing.T) {
 		var sum float64
 		for _, q := range queries {
 			truth := map[string]bool{}
-			for _, h := range exact.TopK(q, k) {
+			for _, h := range search.TopK(exact, q, k) {
 				truth[h.Table.Name] = true
 			}
 			hits := 0
-			for _, h := range approx.TopK(q, k) {
+			for _, h := range search.TopK(approx, q, k) {
 				if truth[h.Table.Name] {
 					hits++
 				}
@@ -175,7 +175,7 @@ func TestShardedIncrementalEquivalence(t *testing.T) {
 					}
 					want := buildUnsharded(t, kind, oracle, workers)
 					for qi, q := range queries {
-						sameHits(t, fmt.Sprintf("%s query %d", step, qi), s.TopK(q, 8), want.TopK(q, 8))
+						sameHits(t, fmt.Sprintf("%s query %d", step, qi), search.TopK(s, q, 8), search.TopK(want, q, 8))
 					}
 				}
 
@@ -209,7 +209,10 @@ func TestShardedIncrementalEquivalence(t *testing.T) {
 // ANN shard set over the same table set.
 func TestShardedANNMutationsStayConsistent(t *testing.T) {
 	b, queries := shardBench(t)
-	s := NewStarmie(b.Lake, 2, Config{Mode: search.ANN})
+	s := NewStarmie(b.Lake, 2, Config{})
+	if err := s.SetMode(search.ANN); err != nil {
+		t.Fatal(err)
+	}
 	extra := table.New("late_small", queries[0].Headers()...)
 	for i := 0; i < queries[0].NumRows(); i++ {
 		extra.MustAppendRow(queries[0].Row(i)...)
@@ -219,9 +222,12 @@ func TestShardedANNMutationsStayConsistent(t *testing.T) {
 	}
 	grown := b.Lake.Clone()
 	grown.MustAdd(extra)
-	fresh := NewStarmie(grown, 2, Config{Mode: search.ANN})
+	fresh := NewStarmie(grown, 2, Config{})
+	if err := fresh.SetMode(search.ANN); err != nil {
+		t.Fatal(err)
+	}
 	for qi, q := range queries {
-		sameHits(t, fmt.Sprintf("ann query %d", qi), s.TopK(q, 8), fresh.TopK(q, 8))
+		sameHits(t, fmt.Sprintf("ann query %d", qi), search.TopK(s, q, 8), search.TopK(fresh, q, 8))
 	}
 }
 
@@ -231,7 +237,7 @@ func TestShardedCloneIsolation(t *testing.T) {
 	b, queries := shardBench(t)
 	q := queries[0]
 	s := NewStarmie(b.Lake, 3, Config{})
-	before := s.TopK(q, 8)
+	before := search.TopK(s, q, 8)
 
 	cl := s.CloneWithLake(b.Lake.Clone()).(*Searcher)
 	if err := cl.RemoveTable("wide_vocab"); err != nil {
@@ -244,7 +250,7 @@ func TestShardedCloneIsolation(t *testing.T) {
 	if err := cl.AddTable(extra); err != nil {
 		t.Fatal(err)
 	}
-	sameHits(t, "original after clone mutations", s.TopK(q, 8), before)
+	sameHits(t, "original after clone mutations", search.TopK(s, q, 8), before)
 	if cl.owner("clone_only") < 0 {
 		t.Error("clone lost its own mutation")
 	}
@@ -261,12 +267,12 @@ func TestShardedQueryBoundAndCancel(t *testing.T) {
 	q := queries[0]
 	s := NewD3L(b.Lake, 2, Config{Workers: 4})
 	bound := s.QueryWorkers(1).(*Searcher)
-	sameHits(t, "rebound", bound.TopK(q, 6), s.TopK(q, 6))
+	sameHits(t, "rebound", search.TopK(bound, q, 6), search.TopK(s, q, 6))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.TopKContext(ctx, q, 5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled TopKContext err = %v, want context.Canceled", err)
+	if _, err := search.TopKCtx(ctx, s, q, 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled TopKCtx err = %v, want context.Canceled", err)
 	}
 }
 
@@ -302,23 +308,34 @@ func TestPartitionAndAssign(t *testing.T) {
 func TestAssembleValidatesLayout(t *testing.T) {
 	b, _ := shardBench(t)
 	s := NewD3L(b.Lake, 2, Config{})
-	parts := []Part{
-		{Lake: s.sublakes[0], Searcher: s.subs[0]},
-		{Lake: s.sublakes[1], Searcher: s.subs[1]},
-	}
-	if _, err := Assemble(b.Lake, KindD3L, parts, Config{}); err != nil {
+	defer s.Close()
+	parts := s.Parts()
+	got, err := Assemble(b.Lake, parts)
+	if err != nil {
 		t.Fatalf("valid parts rejected: %v", err)
 	}
-	if _, err := Assemble(b.Lake, "bogus", parts, Config{}); !errors.Is(err, ErrUnknownKind) {
-		t.Errorf("bogus kind err = %v, want ErrUnknownKind", err)
+	defer got.Close()
+	if n := len(got.Parts()); n != 2 {
+		t.Errorf("assembled %d parts, want 2", n)
 	}
-	if _, err := Assemble(b.Lake, KindD3L, parts[:1], Config{}); !errors.Is(err, ErrLayoutMismatch) {
+	// One part bound to the lake itself already is the whole index: no
+	// scatter is put in front of it.
+	mono := search.NewD3L(b.Lake)
+	if got, err := Assemble(b.Lake, []search.Searcher{mono}); err != nil || got != search.Searcher(mono) {
+		t.Errorf("single full-lake part = %v, %v; want the part itself", got, err)
+	}
+	foreign := []search.Searcher{struct{ search.Searcher }{parts[0]}, parts[1]}
+	if _, err := Assemble(b.Lake, foreign); !errors.Is(err, ErrUnknownKind) {
+		t.Errorf("foreign searcher type err = %v, want ErrUnknownKind", err)
+	}
+	if _, err := Assemble(b.Lake, parts[:1]); !errors.Is(err, ErrLayoutMismatch) {
 		t.Errorf("partial cover err = %v, want ErrLayoutMismatch", err)
 	}
-	if _, err := Assemble(b.Lake, KindD3L, append(parts, parts[0]), Config{}); !errors.Is(err, ErrLayoutMismatch) {
+	if _, err := Assemble(b.Lake, append(parts[:2:2], parts[0])); !errors.Is(err, ErrLayoutMismatch) {
 		t.Errorf("duplicated shard err = %v, want ErrLayoutMismatch", err)
 	}
-	if _, err := Assemble(b.Lake, KindStarmie, parts, Config{}); !errors.Is(err, ErrLayoutMismatch) {
-		t.Errorf("kind mismatch err = %v, want ErrLayoutMismatch", err)
+	mixed := []search.Searcher{parts[0], search.NewStarmie(parts[1].Lake())}
+	if _, err := Assemble(b.Lake, mixed); !errors.Is(err, ErrLayoutMismatch) {
+		t.Errorf("kind mix err = %v, want ErrLayoutMismatch", err)
 	}
 }

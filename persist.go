@@ -19,63 +19,47 @@ import (
 // Version 2 appended the pipeline's mutation epoch; version 3 appended the
 // staged-retrieval state (whether the searcher runs in ANN mode and
 // whether an HNSW graph file sits alongside the searcher index); version 4
-// appended the shard map (shard count plus each shard's table list — zero
-// shards means a monolithic index). Older manifests still load: their
-// epoch reads as 0, their mode as exact, and their layout as monolithic.
+// appended the shard map (shard count plus each shard's table list). Older
+// manifests still load: their epoch reads as 0, their mode as exact, and
+// their layout — like a version 4 manifest recording zero shards, which is
+// how a monolithic index used to be saved — as one part in the legacy
+// files.
 const ManifestFormatVersion uint16 = 4
 
-// Index-directory layout. The manifest is written last so a directory with
-// a partial save (crash mid-write) is treated as having no index at all.
-// A monolithic index stores its searcher as searcher.dustidx (plus
-// ann.dustidx for a saved HNSW graph); a sharded index stores one
-// shard-NNN.dustidx per shard (plus shard-NNN.ann.dustidx), with the shard
-// map recorded in the manifest.
+// Index-directory layout. Every index is a set of n >= 1 parts (a
+// monolithic index is its own single part): part i stores its searcher as
+// shard-NNN.dustidx (plus shard-NNN.ann.dustidx for a saved HNSW graph),
+// with the shard map recorded in the manifest. The manifest is written last
+// so a directory with a partial save (crash mid-write) is treated as having
+// no index at all. Directories written before the single layout hold a
+// monolithic index as searcher.dustidx/ann.dustidx under a zero-shard
+// manifest; they still load, and are rewritten in the one layout on save.
 const (
-	manifestFile = "manifest.dustidx"
-	searcherFile = "searcher.dustidx"
-	annFile      = "ann.dustidx"
-	modelFile    = "tuple.model"
+	manifestFile       = "manifest.dustidx"
+	modelFile          = "tuple.model"
+	legacySearcherFile = "searcher.dustidx"
+	legacyANNFile      = "ann.dustidx"
 )
 
-// shardSearcherFile names shard i's searcher index file.
+// shardSearcherFile names part i's searcher index file.
 func shardSearcherFile(i int) string { return fmt.Sprintf("shard-%03d.dustidx", i) }
 
-// shardANNFile names shard i's HNSW candidate-graph file.
+// shardANNFile names part i's HNSW candidate-graph file.
 func shardANNFile(i int) string { return fmt.Sprintf("shard-%03d.ann.dustidx", i) }
 
-// Typed failures of the pipeline persistence and mutation surfaces.
+// Typed failures of the pipeline persistence surface.
 var (
 	// ErrNoIndex reports a LoadPipeline directory without a manifest.
 	ErrNoIndex = errors.New("dust: no saved index in directory")
-	// ErrUnsupportedSearcher reports SaveIndex on a pipeline whose
-	// searcher has no persistent form (only the built-in Starmie and D3L
-	// searchers do).
-	ErrUnsupportedSearcher = errors.New("dust: searcher does not support persistence")
-	// ErrNotIncremental reports AddTable/RemoveTable on a pipeline whose
-	// searcher does not implement search.Incremental.
-	ErrNotIncremental = errors.New("dust: searcher does not support incremental updates")
-	// ErrNotCloneable reports Clone on a pipeline whose searcher does not
-	// implement search.Cloner (the built-in Starmie and D3L searchers do).
-	ErrNotCloneable = errors.New("dust: searcher does not support cloning")
-	// ErrShardLayout reports a sharded index directory whose shard files
-	// do not match the manifest's recorded shard map — most often a shard
-	// count mismatch (files missing after a partial copy, or a manifest
-	// from a different save).
+	// ErrShardLayout reports an index directory whose shard files do not
+	// match the manifest's recorded shard map — most often a shard count
+	// mismatch (files missing after a partial copy, or a manifest from a
+	// different save).
 	ErrShardLayout = errors.New("dust: shard files do not match the saved shard map")
 )
 
 // Lake returns the data lake this pipeline searches.
 func (p *Pipeline) Lake() *lake.Lake { return p.lake }
-
-// Shards reports how many index shards back the pipeline's searcher: 1 for
-// a monolithic index (the default), n for a WithShards(n) or warm-started
-// sharded layout.
-func (p *Pipeline) Shards() int {
-	if s, ok := p.searcher.(*shard.Searcher); ok {
-		return s.NumShards()
-	}
-	return 1
-}
 
 // Epoch returns the pipeline's index mutation epoch: 0 for a freshly built
 // pipeline (or the saved epoch for one warm-started from an index
@@ -90,30 +74,22 @@ func (p *Pipeline) Epoch() uint64 { return p.epoch }
 // O(tables), not O(index). AddTable/RemoveTable on the clone leave the
 // original — and any queries in flight against it — untouched, which is
 // what lets a serving layer apply mutations on a copy-on-write shadow and
-// atomically swap it in. Requires a search.Cloner searcher.
-func (p *Pipeline) Clone() (*Pipeline, error) {
-	cl, ok := p.searcher.(search.Cloner)
-	if !ok {
-		return nil, fmt.Errorf("dust: Clone: %T: %w", p.searcher, ErrNotCloneable)
-	}
+// atomically swap it in.
+func (p *Pipeline) Clone() *Pipeline {
 	c := *p
 	c.lake = p.lake.Clone()
-	c.searcher = cl.CloneWithLake(c.lake)
-	return &c, nil
+	c.searcher = p.searcher.CloneWithLake(c.lake)
+	return &c
 }
 
 // AddTable adds a table to the lake and, via the searcher's delta update,
 // to the search index — no rebuild. Query results afterwards are
 // bit-identical to a pipeline constructed from scratch over the grown lake.
 func (p *Pipeline) AddTable(t *table.Table) error {
-	inc, ok := p.searcher.(search.Incremental)
-	if !ok {
-		return fmt.Errorf("dust: AddTable: %T: %w", p.searcher, ErrNotIncremental)
-	}
 	if err := p.lake.Add(t); err != nil {
 		return err
 	}
-	if err := inc.AddTable(t); err != nil {
+	if err := p.searcher.AddTable(t); err != nil {
 		// Keep lake and index in sync: a table the index refused must not
 		// linger in the lake (the lake Add above was this call's own).
 		_ = p.lake.Remove(t.Name)
@@ -126,10 +102,6 @@ func (p *Pipeline) AddTable(t *table.Table) error {
 // RemoveTable removes a table from the search index and the lake, costing
 // O(delta) instead of a rebuild.
 func (p *Pipeline) RemoveTable(name string) error {
-	inc, ok := p.searcher.(search.Incremental)
-	if !ok {
-		return fmt.Errorf("dust: RemoveTable: %T: %w", p.searcher, ErrNotIncremental)
-	}
 	// Reject up front a table the lake does not hold, before the index is
 	// touched: not every searcher consults the lake on removal, and a
 	// half-applied removal would leave the index and lake disagreeing.
@@ -138,7 +110,7 @@ func (p *Pipeline) RemoveTable(name string) error {
 	}
 	// Searchers un-index while the table is still in the lake (Starmie has
 	// to retire its columns from the corpus).
-	if err := inc.RemoveTable(name); err != nil {
+	if err := p.searcher.RemoveTable(name); err != nil {
 		return err
 	}
 	// The index has mutated: bump the epoch before the lake sync so an
@@ -149,37 +121,71 @@ func (p *Pipeline) RemoveTable(name string) error {
 	return p.lake.Remove(name)
 }
 
-// searcherKind names the persistent form of the pipeline's searcher (the
-// base kind for a sharded layout; the manifest's shard map, not the kind,
-// records shardedness).
-func (p *Pipeline) searcherKind() (string, error) {
-	switch s := p.searcher.(type) {
+// savePart writes part i of an index under dir through its kind's codec —
+// the searcher file and, when withANN, the HNSW candidate graph beside it
+// (Starmie only: D3L's approximate backend is its LSH index, rebuilt from
+// the searcher file) — and returns the kind name the manifest records.
+func savePart(dir string, i int, part search.Searcher, withANN bool) (kind string, err error) {
+	path := filepath.Join(dir, shardSearcherFile(i))
+	switch s := part.(type) {
 	case *search.Starmie:
-		return "starmie", nil
-	case *search.D3L:
-		return "d3l", nil
-	case *shard.Searcher:
-		switch s.Kind() {
-		case shard.KindStarmie, shard.KindD3L:
-			return s.Kind(), nil
+		if err := writeFile(path, s.Save); err != nil {
+			return "", err
 		}
-		return "", fmt.Errorf("dust: sharded %q: %w", s.Kind(), ErrUnsupportedSearcher)
-	default:
-		return "", fmt.Errorf("dust: %T: %w", p.searcher, ErrUnsupportedSearcher)
+		if withANN {
+			err = writeFile(filepath.Join(dir, shardANNFile(i)), s.SaveANN)
+		}
+		return shard.KindStarmie, err
+	case *search.D3L:
+		return shard.KindD3L, writeFile(path, s.Save)
 	}
+	return "", fmt.Errorf("%T has no persistent form", part)
+}
+
+// loadPart reads one part written by savePart (or, through the legacy file
+// names, by a pre-single-layout save) and binds it to sl.
+func loadPart(kind, searcherPath, annPath string, sl *lake.Lake, withANN bool) (search.Searcher, error) {
+	sf, err := os.Open(searcherPath)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, fmt.Errorf("missing %s: %w", filepath.Base(searcherPath), ErrShardLayout)
+		}
+		return nil, err
+	}
+	defer sf.Close()
+	switch kind {
+	case shard.KindStarmie:
+		st, err := search.LoadStarmie(sf, sl)
+		if err != nil {
+			return nil, err
+		}
+		if !withANN {
+			return st, nil
+		}
+		af, err := os.Open(annPath)
+		if err != nil {
+			if os.IsNotExist(err) {
+				return nil, fmt.Errorf("missing %s: %w", filepath.Base(annPath), ErrShardLayout)
+			}
+			return nil, err
+		}
+		defer af.Close()
+		return st, st.LoadANN(af)
+	case shard.KindD3L:
+		if withANN {
+			return nil, fmt.Errorf("manifest records ann graphs for searcher kind %q: %w", kind, codec.ErrCorrupt)
+		}
+		return search.LoadD3L(sf, sl)
+	}
+	return nil, fmt.Errorf("manifest names unknown searcher kind %q: %w", kind, codec.ErrCorrupt)
 }
 
 // SaveIndex persists the pipeline's index state under dir so a later
 // LoadPipeline can skip the cold rebuild: the searcher index (versioned,
-// checksummed; one file per shard for a sharded layout), the fine-tuned
-// tuple model when one is installed, and a manifest recording the searcher
-// kind, the lake's table set, and the shard map.
+// checksummed; one file per part), the fine-tuned tuple model when one is
+// installed, and a manifest recording the searcher kind, the lake's table
+// set, and the shard map.
 func (p *Pipeline) SaveIndex(dir string) error {
-	kind, err := p.searcherKind()
-	if err != nil {
-		return err
-	}
-	sh, sharded := p.searcher.(*shard.Searcher)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -190,13 +196,13 @@ func (p *Pipeline) SaveIndex(dir string) error {
 	if err := os.Remove(filepath.Join(dir, manifestFile)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("dust: save index: %w", err)
 	}
-	// Drop every shard file of an earlier save (and, for a sharded save,
-	// the monolithic files) so the directory mirrors exactly this save —
-	// a layout change must never leave orphans for a later load to trip
-	// over.
+	// Drop every component file of an earlier save — shard files, the
+	// legacy monolithic pair, the model — so the directory mirrors exactly
+	// this save: a layout change must never leave orphans for a later load
+	// to trip over.
 	stale, _ := filepath.Glob(filepath.Join(dir, "shard-*.dustidx"))
-	if sharded {
-		stale = append(stale, filepath.Join(dir, searcherFile), filepath.Join(dir, annFile))
+	for _, f := range []string{legacySearcherFile, legacyANNFile, modelFile} {
+		stale = append(stale, filepath.Join(dir, f))
 	}
 	for _, f := range stale {
 		if err := os.Remove(f); err != nil && !os.IsNotExist(err) {
@@ -204,72 +210,25 @@ func (p *Pipeline) SaveIndex(dir string) error {
 		}
 	}
 
-	if sharded {
-		for i := 0; i < sh.NumShards(); i++ {
-			i := i
-			if err := writeFile(filepath.Join(dir, shardSearcherFile(i)), func(f io.Writer) error {
-				return sh.SaveShard(i, f)
-			}); err != nil {
-				return fmt.Errorf("dust: save shard %d: %w", i, err)
-			}
+	// Staged retrieval state: the HNSW graphs persist beside the searcher
+	// files so an ANN warm start skips the graph builds too. hasANN means
+	// every part carries one.
+	parts := p.searcher.Parts()
+	hasANN := true
+	for _, part := range parts {
+		hasANN = hasANN && part.IndexBytes().Storage != "none"
+	}
+	var kind string
+	for i, part := range parts {
+		var err error
+		if kind, err = savePart(dir, i, part, hasANN); err != nil {
+			return fmt.Errorf("dust: save shard %d: %w", i, err)
 		}
-	} else if err := writeFile(filepath.Join(dir, searcherFile), func(f io.Writer) error {
-		switch s := p.searcher.(type) {
-		case *search.Starmie:
-			return s.Save(f)
-		case *search.D3L:
-			return s.Save(f)
-		}
-		panic("unreachable: searcherKind accepted " + kind)
-	}); err != nil {
-		return fmt.Errorf("dust: save index: %w", err)
 	}
 	m, hasModel := p.tupleEnc.(*model.Model)
 	if hasModel {
 		if err := writeFile(filepath.Join(dir, modelFile), m.Save); err != nil {
 			return fmt.Errorf("dust: save model: %w", err)
-		}
-	} else if err := os.Remove(filepath.Join(dir, modelFile)); err != nil && !os.IsNotExist(err) {
-		// A model file from an earlier save of a model-bearing pipeline
-		// would be orphaned; drop it so the directory mirrors this save.
-		return fmt.Errorf("dust: save index: %w", err)
-	}
-
-	// Staged retrieval state: the HNSW graphs (Starmie only — D3L's
-	// approximate backend is its LSH index, already rebuilt from the
-	// searcher file) persist beside the searcher index so an ANN warm
-	// start skips the graph builds too. A sharded layout saves one graph
-	// per shard; hasANN means every shard carries one.
-	annMode := false
-	if st, ok := p.searcher.(search.Staged); ok {
-		annMode = st.RetrievalMode() == search.ANN
-	}
-	hasANN := false
-	switch {
-	case sharded && kind == shard.KindStarmie:
-		hasANN = true
-		for i := 0; i < sh.NumShards(); i++ {
-			if !sh.Shard(i).(*search.Starmie).HasANN() {
-				hasANN = false
-				break
-			}
-		}
-		if hasANN {
-			for i := 0; i < sh.NumShards(); i++ {
-				st := sh.Shard(i).(*search.Starmie)
-				if err := writeFile(filepath.Join(dir, shardANNFile(i)), st.SaveANN); err != nil {
-					return fmt.Errorf("dust: save shard %d ann graph: %w", i, err)
-				}
-			}
-		}
-	case !sharded:
-		if s, ok := p.searcher.(*search.Starmie); ok && s.HasANN() {
-			hasANN = true
-			if err := writeFile(filepath.Join(dir, annFile), s.SaveANN); err != nil {
-				return fmt.Errorf("dust: save ann graph: %w", err)
-			}
-		} else if err := os.Remove(filepath.Join(dir, annFile)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("dust: save index: %w", err)
 		}
 	}
 
@@ -279,19 +238,14 @@ func (p *Pipeline) SaveIndex(dir string) error {
 	b.Strings(p.lake.Names())
 	b.Bool(hasModel)
 	b.Uvarint(p.epoch)
-	b.Bool(annMode)
+	b.Bool(p.searcher.RetrievalMode() == search.ANN)
 	b.Bool(hasANN)
-	// v4: the shard map. Zero shards marks a monolithic index; n >= 1
-	// promises shard-000..shard-(n-1) files, each covering the recorded
-	// table list (in sub-lake iteration order, which the loaders rebuild
-	// the partition in).
-	if sharded {
-		b.Uvarint(uint64(sh.NumShards()))
-		for _, names := range sh.ShardTables() {
-			b.Strings(names)
-		}
-	} else {
-		b.Uvarint(0)
+	// v4: the shard map. n >= 1 promises shard-000..shard-(n-1) files, each
+	// covering the recorded table list (in sub-lake iteration order, which
+	// the loaders rebuild the partition in).
+	b.Uvarint(uint64(len(parts)))
+	for _, part := range parts {
+		b.Strings(part.Lake().Names())
 	}
 	if err := writeFile(filepath.Join(dir, manifestFile), func(f io.Writer) error {
 		return codec.WriteEnvelope(f, codec.KindManifest, ManifestFormatVersion, b.Bytes())
@@ -378,45 +332,31 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 		}
 	}
 
-	var searcher search.Searcher
-	if len(shardTables) > 0 {
-		searcher, err = loadShardedSearcher(indexDir, kind, shardTables, l, hasANN)
+	// Every index is a set of parts. A zero-shard manifest is the legacy
+	// monolithic layout: one part covering the whole lake, in the legacy
+	// files.
+	searcherPath, annPath := shardSearcherFile, shardANNFile
+	if len(shardTables) == 0 {
+		shardTables = [][]string{names}
+		searcherPath = func(int) string { return legacySearcherFile }
+		annPath = func(int) string { return legacyANNFile }
+	}
+	lakes, err := partLakes(l, shardTables)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]search.Searcher, len(lakes))
+	for i, sl := range lakes {
+		parts[i], err = loadPart(kind, filepath.Join(indexDir, searcherPath(i)),
+			filepath.Join(indexDir, annPath(i)), sl, hasANN)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("dust: load shard %d/%d: %w", i, len(lakes), err)
 		}
-	} else {
-		sf, err := os.Open(filepath.Join(indexDir, searcherFile))
-		if err != nil {
-			return nil, fmt.Errorf("dust: load index: %w", err)
-		}
-		switch kind {
-		case "starmie":
-			searcher, err = search.LoadStarmie(sf, l)
-		case "d3l":
-			searcher, err = search.LoadD3L(sf, l)
-		default:
-			err = fmt.Errorf("dust: manifest names unknown searcher kind %q: %w", kind, codec.ErrCorrupt)
-		}
-		sf.Close()
-		if err != nil {
-			return nil, err
-		}
-		if hasANN {
-			s, ok := searcher.(*search.Starmie)
-			if !ok {
-				return nil, fmt.Errorf("dust: manifest records an ann graph for searcher kind %q: %w",
-					kind, codec.ErrCorrupt)
-			}
-			af, err := os.Open(filepath.Join(indexDir, annFile))
-			if err != nil {
-				return nil, fmt.Errorf("dust: load ann graph: %w", err)
-			}
-			err = s.LoadANN(af)
-			af.Close()
-			if err != nil {
-				return nil, err
-			}
-		}
+	}
+	searcher, err := shard.Assemble(l, parts)
+	if err != nil {
+		// Keeps shard.ErrLayoutMismatch reachable through errors.Is.
+		return nil, fmt.Errorf("dust: load index: %w", err)
 	}
 
 	loaded := []Option{WithSearcher(searcher)}
@@ -445,76 +385,29 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 	return p, nil
 }
 
-// loadShardedSearcher reconstitutes a sharded searcher from per-shard
-// index files: the manifest's shard map rebuilds each sub-lake (tables in
-// their saved order), every shard file loads against its own sub-lake
-// (self-validating: encoder fingerprint, table set, checksums), per-shard
-// ANN graphs install when the manifest promises them, and shard.Assemble
-// re-binds the set to one shared corpus. A shard file missing for a
-// recorded shard is ErrShardLayout — the count in the manifest and the
-// files on disk disagree.
-func loadShardedSearcher(indexDir, kind string, shardTables [][]string, l *lake.Lake, hasANN bool) (search.Searcher, error) {
-	parts := make([]shard.Part, len(shardTables))
+// partLakes rebuilds each part's lake from the manifest's shard map, tables
+// in their saved order (which the part loaders self-validate against:
+// encoder fingerprint, table set, checksums). The single part of a
+// monolithic index is bound to l itself, as a monolithic searcher always
+// is, so pipeline mutations — which add to the lake first — reach it.
+func partLakes(l *lake.Lake, shardTables [][]string) ([]*lake.Lake, error) {
+	if len(shardTables) == 1 && len(shardTables[0]) == l.Len() {
+		return []*lake.Lake{l}, nil
+	}
+	lakes := make([]*lake.Lake, len(shardTables))
 	for i, names := range shardTables {
-		sl := lake.New(fmt.Sprintf("%s#%d", l.Name, i))
+		lakes[i] = lake.New(fmt.Sprintf("%s#%d", l.Name, i))
 		for _, name := range names {
 			t := l.Get(name)
 			if t == nil {
 				return nil, fmt.Errorf("dust: shard %d table %q not in lake: %w", i, name, search.ErrLakeMismatch)
 			}
-			if err := sl.Add(t); err != nil {
+			if err := lakes[i].Add(t); err != nil {
 				return nil, fmt.Errorf("dust: shard %d map: %v: %w", i, err, codec.ErrCorrupt)
 			}
 		}
-		sf, err := os.Open(filepath.Join(indexDir, shardSearcherFile(i)))
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil, fmt.Errorf("dust: shard %d/%d missing %s: %w",
-					i, len(shardTables), shardSearcherFile(i), ErrShardLayout)
-			}
-			return nil, fmt.Errorf("dust: load shard %d: %w", i, err)
-		}
-		var sub search.Searcher
-		switch kind {
-		case shard.KindStarmie:
-			sub, err = search.LoadStarmie(sf, sl)
-		case shard.KindD3L:
-			sub, err = search.LoadD3L(sf, sl)
-		default:
-			err = fmt.Errorf("dust: manifest names unknown searcher kind %q: %w", kind, codec.ErrCorrupt)
-		}
-		sf.Close()
-		if err != nil {
-			return nil, fmt.Errorf("dust: load shard %d: %w", i, err)
-		}
-		if hasANN {
-			st, ok := sub.(*search.Starmie)
-			if !ok {
-				return nil, fmt.Errorf("dust: manifest records ann graphs for searcher kind %q: %w",
-					kind, codec.ErrCorrupt)
-			}
-			af, err := os.Open(filepath.Join(indexDir, shardANNFile(i)))
-			if err != nil {
-				if os.IsNotExist(err) {
-					return nil, fmt.Errorf("dust: shard %d missing %s: %w",
-						i, shardANNFile(i), ErrShardLayout)
-				}
-				return nil, fmt.Errorf("dust: load shard %d ann graph: %w", i, err)
-			}
-			err = st.LoadANN(af)
-			af.Close()
-			if err != nil {
-				return nil, fmt.Errorf("dust: load shard %d: %w", i, err)
-			}
-		}
-		parts[i] = shard.Part{Lake: sl, Searcher: sub}
 	}
-	s, err := shard.Assemble(l, kind, parts, shard.Config{})
-	if err != nil {
-		// Keeps shard.ErrLayoutMismatch reachable through errors.Is.
-		return nil, fmt.Errorf("dust: load sharded index: %w", err)
-	}
-	return s, nil
+	return lakes, nil
 }
 
 // writeFile creates path, streams content through write, and closes it,
