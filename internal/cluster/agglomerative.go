@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"runtime"
 	"sort"
 )
 
@@ -54,11 +55,43 @@ type Options struct {
 	CannotLink func(i, j int) bool
 }
 
+// workBufs keeps the working matrices of finished Agglomerative runs for the
+// next ones, so a run allocates no second n² buffer. It is a plain free list
+// rather than a sync.Pool because the collector empties a pool every other
+// cycle, and a search allocates enough elsewhere to run several cycles
+// between two clusterings. Runs are CPU-bound, so one buffer per processor
+// is all that concurrent runs can use; a run that finds the list empty
+// allocates, and a buffer that finds it full is left to the collector.
+var workBufs = make(chan []float32, runtime.GOMAXPROCS(0))
+
+// takeWorkBuf returns n² cells of scratch with arbitrary contents.
+func takeWorkBuf(n int) []float32 {
+	select {
+	case buf := <-workBufs:
+		if cap(buf) >= n*n {
+			return buf[:n*n]
+		}
+	default:
+	}
+	return make([]float32, n*n)
+}
+
+func returnWorkBuf(buf []float32) {
+	select {
+	case workBufs <- buf:
+	default:
+	}
+}
+
 // Agglomerative clusters the items of m bottom-up using the
 // nearest-neighbour-chain algorithm with Lance-Williams distance updates
 // (O(n^2) for the reducible linkages offered here). Pairs forbidden by
 // CannotLink get +Inf distance, which Lance-Williams propagates, so the
 // returned dendrogram may stop early if only forbidden merges remain.
+//
+// Cluster distances are kept at the matrix's own float32 precision: each
+// update is computed in float64 from two stored cells and rounded once,
+// which keeps it between them, so the linkages stay reducible.
 func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 	n := m.Len()
 	dend := &Dendrogram{N: n}
@@ -68,43 +101,41 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 
 	// Working distance matrix between active clusters, indexed by slot.
 	// Slot i initially holds leaf i; merged clusters reuse slot of A.
-	d := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			d[i*n+j] = m.At(i, j)
-		}
-	}
+	// Every cell is overwritten here, so nothing of the run that last held
+	// the buffer survives.
+	d := takeWorkBuf(n)
+	defer returnWorkBuf(d)
+	copy(d, m.d)
 	if opts.CannotLink != nil {
+		inf := float32(math.Inf(1))
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if opts.CannotLink(i, j) {
-					d[i*n+j] = math.Inf(1)
-					d[j*n+i] = math.Inf(1)
+					d[i*n+j] = inf
+					d[j*n+i] = inf
 				}
 			}
 		}
 	}
 
-	active := make([]bool, n)
+	// active lists the slots still holding a cluster, in ascending order,
+	// so scans visit exactly the live slots and ties break to the lowest.
+	active := make([]int, n)
 	size := make([]int, n)
 	id := make([]int, n) // dendrogram id currently held by each slot
 	for i := 0; i < n; i++ {
-		active[i] = true
+		active[i] = i
 		size[i] = 1
 		id[i] = i
 	}
 	nextID := n
-	remaining := n
 
 	// nearest returns the active slot nearest to slot a and the distance.
-	nearest := func(a int) (int, float64) {
-		best, bestD := -1, math.Inf(1)
+	nearest := func(a int) (int, float32) {
+		best, bestD := -1, float32(math.Inf(1))
 		row := d[a*n : (a+1)*n]
-		for j := 0; j < n; j++ {
-			if j == a || !active[j] {
-				continue
-			}
-			if row[j] < bestD {
+		for _, j := range active {
+			if row[j] < bestD && j != a {
 				best, bestD = j, row[j]
 			}
 		}
@@ -114,11 +145,11 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 	chain := make([]int, 0, n)
 	frozen := make([]bool, n) // slots with no finite-distance neighbour left
 
-	for remaining > 1 {
+	for len(active) > 1 {
 		if len(chain) == 0 {
 			start := -1
-			for i := 0; i < n; i++ {
-				if active[i] && !frozen[i] {
+			for _, i := range active {
+				if !frozen[i] {
 					start = i
 					break
 				}
@@ -130,7 +161,7 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 		}
 		a := chain[len(chain)-1]
 		b, dist := nearest(a)
-		if b == -1 || math.IsInf(dist, 1) {
+		if b == -1 {
 			// a cannot merge with anything anymore.
 			frozen[a] = true
 			chain = chain[:len(chain)-1]
@@ -139,30 +170,33 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 		if len(chain) >= 2 && b == chain[len(chain)-2] {
 			// Reciprocal nearest neighbours: merge a and b into slot a.
 			chain = chain[:len(chain)-2]
-			dend.Merges = append(dend.Merges, Merge{A: id[a], B: id[b], Distance: dist, New: nextID})
-			sa, sb := float64(size[a]), float64(size[b])
-			for k := 0; k < n; k++ {
-				if k == a || k == b || !active[k] {
+			dend.Merges = append(dend.Merges, Merge{A: id[a], B: id[b], Distance: float64(dist), New: nextID})
+			// Average-linkage weights of the two merged clusters.
+			wa := float64(size[a]) / float64(size[a]+size[b])
+			wb := float64(size[b]) / float64(size[a]+size[b])
+			rowA, rowB := d[a*n:(a+1)*n], d[b*n:(b+1)*n]
+			for _, k := range active {
+				if k == a || k == b {
 					continue
 				}
-				dak, dbk := d[a*n+k], d[b*n+k]
-				var nd float64
+				dak, dbk := rowA[k], rowB[k]
+				var nd float32
 				switch opts.Linkage {
 				case Single:
-					nd = math.Min(dak, dbk)
+					nd = min(dak, dbk)
 				case Complete:
-					nd = math.Max(dak, dbk)
+					nd = max(dak, dbk)
 				default: // Average
-					nd = (sa*dak + sb*dbk) / (sa + sb)
+					nd = float32(wa*float64(dak) + wb*float64(dbk))
 				}
-				d[a*n+k] = nd
+				rowA[k] = nd
 				d[k*n+a] = nd
 			}
-			active[b] = false
+			at := sort.SearchInts(active, b)
+			active = append(active[:at], active[at+1:]...)
 			size[a] += size[b]
 			id[a] = nextID
 			nextID++
-			remaining--
 			// The merge can unfreeze nothing (distances only grow to Inf),
 			// but it may have removed some slot's nearest neighbour; the
 			// chain discipline handles that because we re-derive neighbours
@@ -214,15 +248,16 @@ func (d *Dendrogram) Cut(k int) (labels []int, actual int) {
 		clusters--
 	}
 	labels = make([]int, d.N)
-	compact := map[int]int{}
+	compact := make([]int, len(parent)) // root id -> label+1; 0 = unseen
 	for i := 0; i < d.N; i++ {
 		r := find(i)
-		if _, ok := compact[r]; !ok {
-			compact[r] = len(compact)
+		if compact[r] == 0 {
+			actual++
+			compact[r] = actual
 		}
-		labels[i] = compact[r]
+		labels[i] = compact[r] - 1
 	}
-	return labels, len(compact)
+	return labels, actual
 }
 
 // Members groups leaf indices by label.

@@ -14,8 +14,11 @@ import (
 	"dust/internal/vector"
 )
 
-// Matrix is a symmetric pairwise distance matrix stored in float32 to halve
-// memory for the larger tuple-clustering workloads.
+// Matrix is a symmetric pairwise distance matrix: n² float32 cells, 4·n²
+// bytes, both halves stored. It is the only n² buffer a clustering run
+// allocates — Agglomerative works on a recycled float32 copy (another 4·n²
+// bytes held per concurrent run, not allocated per run), and the cosine
+// path adds a transient 8·n·dim unit-row arena while the matrix is filled.
 type Matrix struct {
 	n int
 	d []float32
@@ -32,10 +35,48 @@ func NewMatrix(items []vector.Vec, dist vector.DistanceFunc) *Matrix {
 // the GOMAXPROCS default, 1 the sequential path). dist must be safe for
 // concurrent calls when workers != 1; each cell is computed exactly once,
 // so the result is identical for every worker count.
+//
+// When dist is vector.CosineDistance itself the matrix is filled from unit
+// rows (normalise once, one multiply-add per element, see vector.UnitRows)
+// and agrees with the generic loop to float32 rounding; every other
+// distance takes the generic per-pair loop.
 func NewMatrixWorkers(items []vector.Vec, dist vector.DistanceFunc, workers int) *Matrix {
+	if vector.IsCosineDistance(dist) {
+		return newCosineMatrix(items, workers)
+	}
 	return NewMatrixFromFuncWorkers(len(items), func(i, j int) float64 {
 		return dist(items[i], items[j])
 	}, workers)
+}
+
+// mirrorBlock is the side of the square blocks the cosine path copies from
+// the upper triangle into the lower one: a 32x32 float32 block is 4 KB read
+// and 4 KB written, so both stay in L1 while the copy turns rows into
+// columns, instead of one store a whole matrix row apart per cell.
+const mirrorBlock = 32
+
+// newCosineMatrix fills the upper triangle row by row from unit rows, then
+// mirrors it in blocks. The mirror pass hands each worker whole block-rows
+// of the lower triangle, so writes are disjoint in both passes, and every
+// cell depends only on its two rows — the matrix is bit-identical for every
+// worker count.
+func newCosineMatrix(items []vector.Vec, workers int) *Matrix {
+	n := len(items)
+	m := &Matrix{n: n, d: make([]float32, n*n)}
+	u := vector.NewUnitRows(items)
+	forPairedRows(workers, n, func(i int) { u.CosineDistances(i, i+1, m.d[i*n:(i+1)*n]) })
+	par.For(workers, (n+mirrorBlock-1)/mirrorBlock, func(bi int) {
+		i0, i1 := bi*mirrorBlock, min((bi+1)*mirrorBlock, n)
+		for j0 := 0; j0 < i1; j0 += mirrorBlock {
+			for i := i0; i < i1; i++ {
+				row := m.d[i*n : (i+1)*n]
+				for j, hi := j0, min(j0+mirrorBlock, i); j < hi; j++ {
+					row[j] = m.d[j*n+i]
+				}
+			}
+		}
+	})
+	return m
 }
 
 // NewMatrixFromFunc builds a distance matrix by calling f for every pair
@@ -45,28 +86,31 @@ func NewMatrixFromFunc(n int, f func(i, j int) float64) *Matrix {
 }
 
 // NewMatrixFromFuncWorkers builds a distance matrix in parallel row blocks.
-// Rows are paired (i with n-1-i) so every work unit covers a near-constant
-// number of upper-triangle cells despite the triangular iteration space.
 // Each worker owns disjoint rows and writes disjoint cells — (i,j) and its
 // mirror (j,i) are written only by the worker computing row min(i,j) — so
 // construction is race-free and bit-identical to the sequential loop.
 func NewMatrixFromFuncWorkers(n int, f func(i, j int) float64, workers int) *Matrix {
 	m := &Matrix{n: n, d: make([]float32, n*n)}
-	fillRow := func(i int) {
+	forPairedRows(workers, n, func(i int) {
 		for j := i + 1; j < n; j++ {
 			v := float32(f(i, j))
 			m.d[i*n+j] = v
 			m.d[j*n+i] = v
 		}
-	}
-	half := (n + 1) / 2
-	par.For(workers, half, func(i int) {
+	})
+	return m
+}
+
+// forPairedRows runs fillRow(i) for every row of an n-row upper triangle.
+// Rows are paired (i with n-1-i) so every work unit covers a near-constant
+// number of upper-triangle cells despite the triangular iteration space.
+func forPairedRows(workers, n int, fillRow func(i int)) {
+	par.For(workers, (n+1)/2, func(i int) {
 		fillRow(i)
 		if j := n - 1 - i; j > i {
 			fillRow(j)
 		}
 	})
-	return m
 }
 
 // Len returns the number of items.

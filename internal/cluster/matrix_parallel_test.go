@@ -25,19 +25,30 @@ func syntheticVecs(n, dim int) []vector.Vec {
 	return out
 }
 
+// TestNewMatrixWorkersDeterministic compares whole matrices bit for bit
+// across worker counts, on the cosine unit-row path (at a tile-aligned and a
+// ragged shape) and on the generic per-pair path.
 func TestNewMatrixWorkersDeterministic(t *testing.T) {
-	items := syntheticVecs(301, 8)
-	seq := NewMatrixWorkers(items, vector.CosineDistance, 1)
-	for _, workers := range []int{2, 8} {
-		got := NewMatrixWorkers(items, vector.CosineDistance, workers)
-		if got.Len() != seq.Len() {
-			t.Fatalf("workers=%d: Len %d, want %d", workers, got.Len(), seq.Len())
-		}
-		for i := 0; i < seq.Len(); i++ {
-			for j := 0; j < seq.Len(); j++ {
-				if got.At(i, j) != seq.At(i, j) {
-					t.Fatalf("workers=%d: At(%d,%d) = %v, want %v",
-						workers, i, j, got.At(i, j), seq.At(i, j))
+	for _, tc := range []struct {
+		name   string
+		n, dim int
+		dist   vector.DistanceFunc
+	}{
+		{"cosine/301x8", 301, 8, vector.CosineDistance},
+		{"cosine/257x127", 257, 127, vector.CosineDistance},
+		{"euclidean/301x8", 301, 8, vector.Euclidean},
+	} {
+		items := syntheticVecs(tc.n, tc.dim)
+		seq := NewMatrixWorkers(items, tc.dist, 1)
+		for _, workers := range []int{2, 8} {
+			got := NewMatrixWorkers(items, tc.dist, workers)
+			if got.Len() != seq.Len() {
+				t.Fatalf("%s workers=%d: Len %d, want %d", tc.name, workers, got.Len(), seq.Len())
+			}
+			for c := range seq.d {
+				if got.d[c] != seq.d[c] {
+					t.Fatalf("%s workers=%d: At(%d,%d) = %v, want %v",
+						tc.name, workers, c/tc.n, c%tc.n, got.d[c], seq.d[c])
 				}
 			}
 		}

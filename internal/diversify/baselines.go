@@ -24,7 +24,7 @@ func (CLT) Select(p Problem) []int {
 	if p.K == 0 || len(p.Tuples) == 0 {
 		return nil
 	}
-	return clusterMedoids(p, allIndices(len(p.Tuples)), p.K)
+	return clusterReps(p, allIndices(len(p.Tuples)), p.K, medoidOf(p.Workers))
 }
 
 // MaxMin is the classic greedy 2-approximation for max-min diversification

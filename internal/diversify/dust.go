@@ -63,12 +63,12 @@ func (d *DUST) Select(p Problem) []int {
 
 	// Step 2: cluster survivors into K*P clusters; one representative per
 	// cluster (medoid by default) becomes a candidate.
-	var candidates []int
+	pick := medoidOf(p.Workers)
 	if d.RandomRep {
-		candidates = clusterRandomReps(p, kept, p.K*pp, d.RepSeed)
-	} else {
-		candidates = clusterMedoids(p, kept, p.K*pp)
+		rng := rand.New(rand.NewSource(d.RepSeed))
+		pick = func(_ *cluster.Matrix, members []int) int { return members[rng.Intn(len(members))] }
 	}
+	candidates := clusterReps(p, kept, p.K*pp, pick)
 
 	// Step 3: re-rank by min distance to query, tie-break by avg distance.
 	ranked := RerankByQueryDistance(p, candidates)
@@ -123,36 +123,16 @@ func Prune(p Problem, s int) []int {
 	return out
 }
 
-// clusterMedoids clusters the kept tuples into numClusters clusters
-// (average-linkage agglomerative, as in the paper's pipeline) and returns
-// the medoid tuple index of every cluster.
-func clusterMedoids(p Problem, kept []int, numClusters int) []int {
-	if numClusters >= len(kept) {
-		out := make([]int, len(kept))
-		copy(out, kept)
-		return out
-	}
-	if numClusters < 1 {
-		numClusters = 1
-	}
-	vecs := make([]vector.Vec, len(kept))
-	for i, idx := range kept {
-		vecs[i] = p.Tuples[idx]
-	}
-	m := cluster.NewMatrixWorkers(vecs, p.Dist, p.Workers)
-	dend := cluster.Agglomerative(m, cluster.Options{Linkage: cluster.Average})
-	labels, k := dend.Cut(numClusters)
-	var out []int
-	for _, members := range cluster.Members(labels, k) {
-		out = append(out, kept[m.MedoidWorkers(members, p.Workers)])
-	}
-	sort.Ints(out)
-	return out
+// medoidOf returns the default representative picker: the cluster's medoid.
+func medoidOf(workers int) func(*cluster.Matrix, []int) int {
+	return func(m *cluster.Matrix, members []int) int { return m.MedoidWorkers(members, workers) }
 }
 
-// clusterRandomReps is clusterMedoids with a seeded random member instead
-// of the medoid (ablation support).
-func clusterRandomReps(p Problem, kept []int, numClusters int, seed int64) []int {
+// clusterReps clusters the kept tuples into numClusters clusters
+// (average-linkage agglomerative, as in the paper's pipeline) and returns
+// one representative tuple index per cluster, chosen by pick from the
+// cluster's members (positions in kept, in cluster-label order).
+func clusterReps(p Problem, kept []int, numClusters int, pick func(m *cluster.Matrix, members []int) int) []int {
 	if numClusters >= len(kept) {
 		out := make([]int, len(kept))
 		copy(out, kept)
@@ -161,17 +141,12 @@ func clusterRandomReps(p Problem, kept []int, numClusters int, seed int64) []int
 	if numClusters < 1 {
 		numClusters = 1
 	}
-	vecs := make([]vector.Vec, len(kept))
-	for i, idx := range kept {
-		vecs[i] = p.Tuples[idx]
-	}
-	m := cluster.NewMatrixWorkers(vecs, p.Dist, p.Workers)
+	m := cluster.NewMatrixWorkers(Gather(p.Tuples, kept), p.Dist, p.Workers)
 	dend := cluster.Agglomerative(m, cluster.Options{Linkage: cluster.Average})
 	labels, k := dend.Cut(numClusters)
-	rng := rand.New(rand.NewSource(seed))
 	var out []int
 	for _, members := range cluster.Members(labels, k) {
-		out = append(out, kept[members[rng.Intn(len(members))]])
+		out = append(out, kept[pick(m, members)])
 	}
 	sort.Ints(out)
 	return out

@@ -1,6 +1,8 @@
 package diversify
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"dust/internal/vector"
@@ -77,6 +79,43 @@ func TestDUSTSelectDeterministicAcrossWorkers(t *testing.T) {
 		got := algo.Select(parallelProblem(900, workers))
 		assertSameIndices(t, "DUST.Select", got, want)
 	}
+}
+
+// TestSelectStableAcrossScratchReuse: Select answers the same on first use,
+// after the clustering scratch has been used by a different problem, at
+// every worker count, and from concurrent goroutines sharing the pool.
+func TestSelectStableAcrossScratchReuse(t *testing.T) {
+	algo := NewDUST()
+	problems := []func(workers int) Problem{
+		func(w int) Problem { p := servedProblem(300); p.Workers = w; return p },
+		func(w int) Problem { return parallelProblem(500, w) },
+	}
+	var want [][]int
+	for _, mk := range problems {
+		want = append(want, algo.Select(mk(1)))
+	}
+	if slices.Equal(want[0], want[1]) {
+		t.Fatal("fixtures select the same indices; the test could not see a leak")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for pi := len(problems) - 1; pi >= 0; pi-- {
+			assertSameIndices(t, "Select after scratch reuse", algo.Select(problems[pi](workers)), want[pi])
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				pi := (g + i) % len(problems)
+				if got := algo.Select(problems[pi](1 + g%3)); !slices.Equal(got, want[pi]) {
+					t.Errorf("goroutine %d: Select = %v, want %v", g, got, want[pi])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestBaselineScoresDeterministicAcrossWorkers(t *testing.T) {

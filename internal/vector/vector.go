@@ -45,18 +45,37 @@ func dotAndNorms(a, b Vec) (dot, na, nb float64) {
 	return dot, na, nb
 }
 
-// Cosine returns the cosine similarity of a and b in [-1, 1].
+// Cosine returns the cosine similarity of a and b, clamped into [-1, 1].
 // If either vector has zero norm the similarity is defined as 0.
+//
+// The denominator is √(na·nb), not √na·√nb: for byte-identical a and b the
+// three sums are one number x, √(x·x) is exactly x under IEEE rounding, and
+// the similarity is exactly 1 — so CosineDistance(v, v) is exactly 0, as
+// DistanceFunc requires, instead of an ulp either side of it. The clamp
+// covers the remaining pairs whose rounded ratio overshoots ±1.
 func Cosine(a, b Vec) float64 {
 	dot, na, nb := dotAndNorms(a, b)
 	if na == 0 || nb == 0 {
 		return 0
 	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
+	p := na * nb
+	den := math.Sqrt(p)
+	if p < 0x1p-1022 || math.IsInf(p, 1) {
+		// The product left float64's normal range; the two roots cannot.
+		den = math.Sqrt(na) * math.Sqrt(nb)
+	}
+	c := dot / den
+	if c > 1 {
+		return 1
+	}
+	if c < -1 {
+		return -1
+	}
+	return c
 }
 
-// CosineDistance returns 1 - Cosine(a, b), the distance used by the paper's
-// tuple representation model and diversification experiments.
+// CosineDistance returns 1 - Cosine(a, b) in [0, 2], the distance used by
+// the paper's tuple representation model and diversification experiments.
 func CosineDistance(a, b Vec) float64 {
 	return 1 - Cosine(a, b)
 }
