@@ -40,6 +40,10 @@ func (s StarmieEncoder) Name() string { return "starmie" }
 func (s StarmieEncoder) Dim() int { return s.Model.Dim() }
 
 // EncodeTableColumns embeds every column of t with table-context mixing.
+// Every returned vector is L2-normalised: unit length, or all-zero when the
+// column and its table context carry nothing to encode. The Starmie index
+// stores them as emitted and scores a pair by its plain dot product on the
+// strength of that.
 func (s StarmieEncoder) EncodeTableColumns(t *table.Table, corpus *tokenize.Corpus) []vector.Vec {
 	content := make([]vector.Vec, t.NumCols())
 	for i := range t.Columns {

@@ -314,9 +314,9 @@ func (d *D3L) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scor
 	}
 	tr.AddRetrieve(t0)
 	t0 = time.Now()
-	out, err := rankTablesCtx(ctx, cands, k, d.workers, func(t *table.Table) float64 {
+	out, err := rankTablesCtx(ctx, cands, k, d.workers, unbounded(func(t *table.Table) float64 {
 		return d.scorePrepared(p, t)
-	})
+	}))
 	if err == nil {
 		tr.AddScore(t0)
 	}

@@ -60,16 +60,14 @@ func (s *Starmie) Save(w io.Writer) error {
 
 	b.Int(len(tables))
 	for _, t := range tables {
-		cols, ok := s.cols[t.Name]
+		block, ok := s.cols[t.Name]
 		if !ok {
 			return fmt.Errorf("starmie: save: lake table %q not indexed: %w", t.Name, ErrLakeMismatch)
 		}
 		b.String(t.Name)
 		b.Bool(s.big[t.Name])
-		b.Int(len(cols))
-		for _, v := range cols {
-			b.Float64s(v)
-		}
+		b.Int(len(block) / s.enc.Dim())
+		s.blockRows(block, b.Float64s)
 	}
 	return codec.WriteEnvelope(w, codec.KindStarmie, StarmieFormatVersion, b.Bytes())
 }
@@ -102,26 +100,41 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 		docFreq[tok] = sc.Int()
 	}
 
+	// The blocks are carved from one allocation sized by the lake the index
+	// must match. A saved table the lake does not hold in the same shape
+	// gets no block — its columns are still scanned, so corruption is
+	// reported before the mismatch, as the checks below order them.
+	lakeTables := l.Tables()
+	lakeBlocks := carveBlocks(lakeTables, s.enc.Dim())
+	blockOf := make(map[string][]float64, len(lakeTables))
+	for i, t := range lakeTables {
+		blockOf[t.Name] = lakeBlocks[i]
+	}
 	nTables := sc.Int()
 	type saved struct {
-		name string
-		cols []vector.Vec
+		name  string
+		ncols int
 	}
-	tabs := make([]saved, 0, nTables)
+	tabs := make([]saved, 0, min(nTables, len(lakeTables)))
 	for i := 0; i < nTables && sc.Err() == nil; i++ {
 		name := sc.String()
 		big := sc.Bool()
 		ncols := sc.Int()
-		cols := make([]vector.Vec, 0, ncols)
+		block := blockOf[name]
+		if dim != s.enc.Dim() || len(block) != ncols*dim {
+			block = nil
+		}
 		for c := 0; c < ncols && sc.Err() == nil; c++ {
 			v := sc.Float64s()
 			if sc.Err() == nil && len(v) != dim {
 				return nil, fmt.Errorf("starmie: load: table %q column %d has dim %d, want %d: %w",
 					name, c, len(v), dim, codec.ErrCorrupt)
 			}
-			cols = append(cols, v)
+			if block != nil {
+				copy(block[c*dim:], v)
+			}
 		}
-		tabs = append(tabs, saved{name, cols})
+		tabs = append(tabs, saved{name, ncols})
 		if big {
 			s.big[name] = true
 		}
@@ -146,11 +159,14 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 		if lt == nil {
 			return nil, fmt.Errorf("starmie: load: indexed table %q not in lake: %w", t.name, ErrLakeMismatch)
 		}
-		if lt.NumCols() != len(t.cols) {
+		if lt.NumCols() != t.ncols {
 			return nil, fmt.Errorf("starmie: load: table %q has %d columns, index holds %d: %w",
-				t.name, lt.NumCols(), len(t.cols), ErrLakeMismatch)
+				t.name, lt.NumCols(), t.ncols, ErrLakeMismatch)
 		}
-		s.cols[t.name] = t.cols
+		s.cols[t.name] = blockOf[t.name]
+	}
+	if len(s.cols) != len(tabs) {
+		return nil, fmt.Errorf("starmie: load: a table is indexed twice: %w", codec.ErrCorrupt)
 	}
 	if o.mode != Exact {
 		_ = s.SetMode(o.mode)
@@ -229,10 +245,10 @@ func (s *Starmie) LoadANN(r io.Reader) error {
 	}
 	// One live node per indexed column; a zero-column table legitimately
 	// has no nodes at all.
-	for name, cols := range s.cols {
-		if len(ids[name]) != len(cols) {
+	for name, block := range s.cols {
+		if ncols := len(block) / s.enc.Dim(); len(ids[name]) != ncols {
 			return fmt.Errorf("starmie: load ann: table %q has %d live nodes, index holds %d columns: %w",
-				name, len(ids[name]), len(cols), ErrLakeMismatch)
+				name, len(ids[name]), ncols, ErrLakeMismatch)
 		}
 	}
 	s.graph, s.annTables, s.annIDs = graph, names, ids

@@ -1,0 +1,467 @@
+package search
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"dust/internal/datagen"
+	"dust/internal/embed"
+	"dust/internal/lake"
+	"dust/internal/match"
+	"dust/internal/table"
+	"dust/internal/vector"
+)
+
+// referenceScore is (*Starmie).Score as it stood before the bounded scan: a
+// fresh [][]float64 of vector.Cosine cells, every table through
+// match.MaxWeight. It survives only here, as the oracle the scan must
+// reproduce.
+func referenceScore(s *Starmie, queryCols []vector.Vec, t *table.Table) float64 {
+	var cand []vector.Vec
+	s.blockRows(s.cols[t.Name], func(v vector.Vec) { cand = append(cand, v) })
+	if len(queryCols) == 0 || len(cand) == 0 {
+		return 0
+	}
+	w := make([][]float64, len(queryCols))
+	for i, qv := range queryCols {
+		w[i] = make([]float64, len(cand))
+		for j, cv := range cand {
+			if sim := vector.Cosine(qv, cv); sim > s.MinSim {
+				w[i][j] = sim
+			}
+		}
+	}
+	_, total := match.MaxWeight(w)
+	return total / float64(len(queryCols))
+}
+
+// referenceRank is the plain full ranking: every candidate at its
+// reference score, sorted by (score desc, name asc), cut at k > 0.
+func referenceRank(score map[*table.Table]float64, cands []*table.Table, k int) []Scored {
+	out := make([]Scored, len(cands))
+	for i, t := range cands {
+		out[i] = Scored{Table: t, Score: score[t]}
+	}
+	slices.SortFunc(out, hitOrder)
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// dirtyLakeSpec draws a lake with the defects a real one has: nulls,
+// empties, mixed types, unicode, FK columns.
+func dirtyLakeSpec(tables int) datagen.LakeSpec {
+	return datagen.LakeSpec{
+		Name: "scan-test", Seed: 16, Tables: tables, Rows: 12, FKFraction: 0.3,
+		Dirty: datagen.DirtySpec{MixedTypes: 0.05, Unicode: 0.05, Null: 0.05, Empty: 0.1},
+	}
+}
+
+// dirtyLake is the oracle tests' searcher and queries: 600 generated tables
+// plus the shapes the generator cannot draw — a table with no columns, one
+// whose every column encodes to the zero vector, and byte-identical copies
+// of ten tables under other names, so that equal scores meet the name
+// tie-break. Every third query is one of the copied tables itself, and the
+// last is the all-blank table, which ties every candidate at 0.
+func dirtyLake(t testing.TB, enc embed.StarmieEncoder) (*Starmie, []*table.Table) {
+	t.Helper()
+	spec := dirtyLakeSpec(600)
+	l := spec.Generate()
+	l.MustAdd(table.New("zz_nocols"))
+	blank := table.New("zz_blank", "", "")
+	for i := 0; i < 4; i++ {
+		blank.MustAppendRow(table.Null, table.Null)
+	}
+	l.MustAdd(blank)
+	var queries []*table.Table
+	for i := 0; i < 10; i++ {
+		src := l.Tables()[20+37*i]
+		l.MustAdd(src.Clone(fmt.Sprintf("aa_copy_%02d", i)))
+		if i%3 == 0 {
+			queries = append(queries, spec.Query(5+31*i), spec.Query(600+i), src.Clone("query"))
+		}
+	}
+	return NewStarmieWithEncoder(l, enc), append(queries, blank.Clone("query"))
+}
+
+// bareEncoder is the Starmie encoder without the base model's shared
+// component and instance noise, so a column with no tokens encodes to the
+// zero vector instead of the common direction.
+func bareEncoder() embed.StarmieEncoder {
+	return embed.StarmieEncoder{
+		Model:         embed.NewRoBERTa(embed.WithAnisotropy(0), embed.WithNoise(0)),
+		ContextWeight: 0.5,
+	}
+}
+
+func queryCols(s *Starmie, q *table.Table) []vector.Vec {
+	return s.Prepare(q).(*starmiePrepared).cols
+}
+
+// sameRanking requires the same tables in the same order with scores
+// within 1e-12 of the reference — a dot of unit rows and a cosine with its
+// norms recomputed round differently in the last bits.
+func sameRanking(t *testing.T, label string, got, want []Scored) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d hits, reference %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Table.Name != want[i].Table.Name || math.Abs(got[i].Score-want[i].Score) > 1e-12 {
+			t.Fatalf("%s: hit %d = (%s, %v), reference (%s, %v)", label, i,
+				got[i].Table.Name, got[i].Score, want[i].Table.Name, want[i].Score)
+		}
+	}
+}
+
+// TestBlocksAreUnitOrZero pins the contract the dot-product cell rests on:
+// every stored row, and every query column, is what EncodeTableColumns
+// emits — unit length or all-zero.
+func TestBlocksAreUnitOrZero(t *testing.T) {
+	s, queries := dirtyLake(t, bareEncoder())
+	unit, zero := 0, 0
+	check := func(v vector.Vec) {
+		switch n := vector.Norm(v); {
+		case n == 0:
+			zero++
+		case math.Abs(n-1) < 1e-12:
+			unit++
+		default:
+			t.Fatalf("encoded column has norm %v, want 1 or 0", n)
+		}
+	}
+	for _, block := range s.cols {
+		s.blockRows(block, check)
+	}
+	for _, q := range queries {
+		for _, v := range queryCols(s, q) {
+			check(v)
+		}
+	}
+	if len(s.cols["zz_nocols"]) != 0 || zero < 2 || unit < 600 {
+		t.Fatalf("lake lacks the shapes under test: %d unit rows, %d zero rows, nocols block of %d",
+			unit, zero, len(s.cols["zz_nocols"]))
+	}
+}
+
+// TestTopKMatchesReference is the exactness gate of the bounded scan: for
+// every k — one hit, ten, the whole lake, and the k <= 0 full ranking — the
+// scan returns the reference ranking, in Exact mode over the lake and in
+// ANN mode over the graph's nominees; the answer is bit-identical at
+// workers 1, 2 and 8; and the scan's outcome counts account for every
+// candidate, with nothing cut when k <= 0 leaves no floor to cut against.
+func TestTopKMatchesReference(t *testing.T) {
+	s, queries := dirtyLake(t, bareEncoder())
+	if err := s.SetMode(ANN); err != nil {
+		t.Fatal(err)
+	}
+	exact, _ := s.ModeView(Exact)
+	n := s.lake.Len()
+	cut := int64(0)
+	for qi, q := range queries {
+		pq := s.Prepare(q)
+		cols := pq.(*starmiePrepared).cols
+		ref := make(map[*table.Table]float64, n)
+		for _, tbl := range s.lake.Tables() {
+			ref[tbl] = referenceScore(s, cols, tbl)
+		}
+		for _, mode := range []Searcher{exact, s} {
+			for _, k := range []int{1, 10, n, 0, -1} {
+				cands := s.lake.Tables()
+				if mode.RetrievalMode() == ANN && k > 0 {
+					perColumn := int(math.Ceil(s.Oversample * float64(k)))
+					cands = tablesNamed(s.lake, s.annCandidateNames(cols, perColumn))
+				}
+				label := fmt.Sprintf("query %d %s k=%d", qi, mode.Name(), k)
+				want := referenceRank(ref, cands, k)
+
+				tr := &Trace{}
+				got, err := mode.QueryWorkers(1).TopKPrepared(WithTrace(context.Background(), tr), pq, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRanking(t, label, got, want)
+				bounded := tr.ScanBounded.Load()
+				if total := bounded + tr.ScanGreedy.Load() + tr.ScanMatched.Load(); total != int64(len(cands)) {
+					t.Fatalf("%s: scan outcomes cover %d of %d candidates", label, total, len(cands))
+				}
+				if k <= 0 && bounded != 0 {
+					t.Fatalf("%s: %d tables cut from a full ranking", label, bounded)
+				}
+				cut += bounded
+				for _, workers := range []int{2, 8} {
+					again, _ := mode.QueryWorkers(workers).TopKPrepared(context.Background(), pq, k)
+					assertSameHits(t, fmt.Sprintf("%s workers=%d", label, workers), again, got)
+				}
+			}
+		}
+	}
+	if cut == 0 {
+		t.Fatal("the bound never cut a table: the test does not exercise it")
+	}
+}
+
+// weightsSearcher builds a searcher whose one table "w" scores, against the
+// returned query, exactly the given weight matrix: query column i is the
+// basis vector e_i and stored column j carries w[i][j] in coordinate i, so
+// each dot is a single exact product.
+func weightsSearcher(w [][]float64, minSim float64) (*Starmie, []vector.Vec, *table.Table) {
+	s := emptyStarmie(lake.New("w"), embed.NewStarmie(), options{})
+	s.MinSim = minSim
+	dim, nc := s.enc.Dim(), len(w[0])
+	q := make([]vector.Vec, len(w))
+	block := make([]float64, nc*dim)
+	for i, row := range w {
+		q[i] = make(vector.Vec, dim)
+		q[i][i] = 1
+		for j, x := range row {
+			block[j*dim+i] = x
+		}
+	}
+	s.cols["w"] = block
+	return s, q, table.New("w")
+}
+
+// TestScoreExitsAreExact checks the three exits of scan.score against the
+// Hungarian total on random weight matrices, ties and empty rows included:
+// the score is the reference score bit for bit whichever exit produced it;
+// the greedy exit is taken exactly when the rows' maxima sit in distinct
+// columns; a floor at the score itself never cuts the table (a tie must
+// reach the name comparison); and whenever a floor does cut, the true score
+// is strictly below it.
+func TestScoreExitsAreExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var sc scan
+	exits := [3]int{}
+	for trial := 0; trial < 3000; trial++ {
+		nq, nc := 1+rng.Intn(6), 1+rng.Intn(6)
+		levels := 1 + rng.Intn(5)
+		w := make([][]float64, nq)
+		for i := range w {
+			w[i] = make([]float64, nc)
+			if rng.Intn(6) == 0 {
+				continue
+			}
+			for j := range w[i] {
+				if trial%2 == 0 {
+					w[i][j] = float64(rng.Intn(levels+1)) / float64(levels)
+				} else {
+					w[i][j] = rng.Float64()
+				}
+			}
+		}
+		s, q, tbl := weightsSearcher(w, 0)
+		_, total := match.MaxWeight(w)
+		want := total / float64(nq)
+
+		got, exit := sc.score(s, q, tbl, math.Inf(-1))
+		if got != want || exit == scanBounded {
+			t.Fatalf("trial %d: score %v (exit %d), Hungarian %v (w=%v)", trial, got, exit, want, w)
+		}
+		exits[exit]++
+		if tied, exit := sc.score(s, q, tbl, want); tied != want || exit == scanBounded {
+			t.Fatalf("trial %d: floor == score cut the table or moved its score: %v exit %d (w=%v)", trial, tied, exit, w)
+		}
+		for _, floor := range []float64{math.Nextafter(want, 2), want + 0.05, want + 0.3, 1} {
+			if _, exit := sc.score(s, q, tbl, floor); exit == scanBounded {
+				exits[exit]++
+			}
+		}
+		for _, floor := range []float64{math.Nextafter(want, -1), want - 0.05, 0} {
+			if _, exit := sc.score(s, q, tbl, floor); exit == scanBounded {
+				t.Fatalf("trial %d: floor %v cut a table scoring %v (w=%v)", trial, floor, want, w)
+			}
+		}
+	}
+	for exit, n := range exits {
+		if n == 0 {
+			t.Errorf("exit %d never taken", exit)
+		}
+	}
+}
+
+// TestGreedyExitNeedsDistinctMaxima pins the shortcut's condition on the
+// textbook counter-example: both rows prefer column 0, their sum 1.6 is no
+// matching, and the Hungarian step must settle for 0.8 + 0.7.
+func TestGreedyExitNeedsDistinctMaxima(t *testing.T) {
+	var sc scan
+	hi, mid, lo := 0.9, 0.8, 0.7
+	s, q, tbl := weightsSearcher([][]float64{{hi, mid}, {lo, 0.1}}, 0)
+	if got, exit := sc.score(s, q, tbl, math.Inf(-1)); got != (mid+lo)/2 || exit != scanMatched {
+		t.Errorf("colliding maxima: score %v exit %d, want 0.75 by matching", got, exit)
+	}
+	s, q, tbl = weightsSearcher([][]float64{{hi, 0.1}, {0.2, mid}}, 0)
+	if got, exit := sc.score(s, q, tbl, math.Inf(-1)); got != (hi+mid)/2 || exit != scanGreedy {
+		t.Errorf("distinct maxima: score %v exit %d, want 0.85 by the shortcut", got, exit)
+	}
+}
+
+// TestScoreDropsSimAtMinSim keeps the verification threshold strict: a
+// similarity equal to MinSim is dropped, the next float above it counts.
+func TestScoreDropsSimAtMinSim(t *testing.T) {
+	const minSim = 0.3
+	above := math.Nextafter(minSim, 1)
+	s, q, tbl := weightsSearcher([][]float64{{minSim, 0.1}, {0.2, above}}, minSim)
+	if got, want := s.Score(q, tbl), above/2; got != want {
+		t.Errorf("Score = %v, want %v: only the cell above MinSim counts", got, want)
+	}
+}
+
+func firstAddr(b []float64) *float64 {
+	if len(b) == 0 {
+		return nil
+	}
+	return &b[0]
+}
+
+// TestCloneSharesBlocks pins copy-on-write at the block level: AddTable,
+// RemoveTable and RefreshBig on a clone leave the parent's answers
+// untouched, and every table the mutations did not re-embed still points at
+// the parent's block — a PUT copies no lake vectors. A save -> load -> save
+// of the mutated clone is byte-identical, and the loaded index answers like
+// the clone.
+func TestCloneSharesBlocks(t *testing.T) {
+	s, queries := dirtyLake(t, embed.NewStarmie())
+	big := bigTable("zz_big", 3)
+	s.lake.MustAdd(big)
+	if err := s.AddTable(big); err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]Scored, len(queries))
+	for i, q := range queries {
+		before[i] = TopK(s, q, 10)
+	}
+
+	l2 := s.lake.Clone()
+	c := s.CloneWithLake(l2).(*Starmie)
+	extra := bigTable("zz_big_too", 4)
+	l2.MustAdd(extra)
+	if err := c.AddTable(extra); err != nil {
+		t.Fatal(err)
+	}
+	victim := l2.Names()[7]
+	if err := c.RemoveTable(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Remove(victim); err != nil {
+		t.Fatal(err)
+	}
+	c.RefreshBig()
+
+	for i, q := range queries {
+		assertSameHits(t, fmt.Sprintf("parent after clone mutations, query %d", i), TopK(s, q, 10), before[i])
+	}
+	if _, ok := s.cols[victim]; !ok {
+		t.Fatalf("RemoveTable on the clone removed %q from the parent", victim)
+	}
+	shared := 0
+	for name, block := range c.cols {
+		switch {
+		case name == extra.Name:
+		case c.big[name]:
+			// Re-embedded against the clone's corpus: a block of its own.
+			if len(block) > 0 && firstAddr(block) == firstAddr(s.cols[name]) {
+				t.Errorf("refreshed table %q still writes through the parent's block", name)
+			}
+		case firstAddr(block) != firstAddr(s.cols[name]) || len(block) != len(s.cols[name]):
+			t.Fatalf("untouched table %q was copied by the clone's mutations", name)
+		default:
+			shared++
+		}
+	}
+	if shared < 600 {
+		t.Fatalf("only %d blocks shared", shared)
+	}
+
+	var first, second bytes.Buffer
+	if err := c.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadStarmie(bytes.NewReader(first.Bytes()), l2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Save(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("save -> load -> save changed the file")
+	}
+	for i, q := range queries {
+		assertSameHits(t, fmt.Sprintf("loaded vs clone, query %d", i), TopK(loaded, q, 10), TopK(c, q, 10))
+	}
+}
+
+// wideSpec is the benchmark's `wide` lake shape (bench/workload.go) at a
+// chosen table count.
+func wideSpec(tables int) datagen.LakeSpec {
+	spec, err := datagen.ParseLakeSpec(fmt.Sprintf(
+		"tables=%d,rows=12,seed=7,zipf=1.5,parents=11,fk=0.3,null=0.01", tables))
+	if err != nil {
+		panic(err)
+	}
+	return spec
+}
+
+// wideQueries prepares n of the spec's queries against s.
+func wideQueries(s Searcher, spec datagen.LakeSpec, n int) []PreparedQuery {
+	pqs := make([]PreparedQuery, n)
+	for i := range pqs {
+		pqs[i] = s.Prepare(spec.Query(i * 7))
+	}
+	return pqs
+}
+
+var benchHits []Scored
+
+// TestTopKAllocs pins the steady state of the exact scan: a top-10 over a
+// 2000-table lake at one worker allocates the candidate list, the result
+// and a few closures — under 64 KB in under 64 allocations, where the
+// per-table weight matrices and Hungarian arrays used to cost ~2.8 MB in
+// ~58 000.
+func TestTopKAllocs(t *testing.T) {
+	spec := wideSpec(2000)
+	s := NewStarmie(spec.Generate()).QueryWorkers(1)
+	pqs := wideQueries(s, spec, 8)
+	ctx := context.Background()
+	run := func() {
+		for _, pq := range pqs {
+			benchHits, _ = s.TopKPrepared(ctx, pq, 10)
+		}
+	}
+	run() // warm the scan pool
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	allocs := testing.AllocsPerRun(5, run) / float64(len(pqs))
+	runtime.ReadMemStats(&m1)
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(6*len(pqs)) // AllocsPerRun runs once to warm up
+	t.Logf("TopKPrepared: %.0f allocs, %.0f B per query", allocs, bytes)
+	if allocs > 64 || bytes > 64<<10 {
+		t.Errorf("TopKPrepared allocates %.0f times, %.0f B per query; want <= 64 and <= 64 KB", allocs, bytes)
+	}
+}
+
+// BenchmarkStarmieTopK is the micro view of the traced run's
+// search.topk_p50_ms: the exact top-10 of a prepared query over the `wide`
+// lake shape, one worker, cycling through 40 queries.
+func BenchmarkStarmieTopK(b *testing.B) {
+	for _, n := range []int{500, 8000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			spec := wideSpec(n)
+			s := NewStarmie(spec.Generate()).QueryWorkers(1)
+			pqs := wideQueries(s, spec, 40)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchHits, _ = s.TopKPrepared(context.Background(), pqs[i%len(pqs)], 10)
+			}
+		})
+	}
+}

@@ -8,10 +8,14 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -278,6 +282,14 @@ type Trace struct {
 	// DiversifyNS is nanoseconds spent in the diversification stage; the
 	// search layer never writes it, the dust pipeline does.
 	DiversifyNS atomic.Int64
+	// ScanBounded, ScanGreedy and ScanMatched count the candidate tables of
+	// Starmie's exact scoring pass by the exit each took: cut by the
+	// matching's upper bound without being scored, scored by distinct
+	// per-column arg-maxes, or scored by the Hungarian step. The split is
+	// input-dependent — a query whose candidates all tie defeats the bound
+	// — so it is counted, not assumed. Candidates a sharded coordinator
+	// scores one by one (its ANN re-rank) are not counted.
+	ScanBounded, ScanGreedy, ScanMatched atomic.Int64
 }
 
 // AddEncode adds the wall time since start to the encode stage. A nil
@@ -310,13 +322,24 @@ func (tr *Trace) AddDiversify(start time.Time) {
 	}
 }
 
+// AddScan adds one scan's candidate counts per exit; nil-safe like the
+// stage helpers.
+func (tr *Trace) AddScan(bounded, greedy, matched int64) {
+	if tr != nil {
+		tr.ScanBounded.Add(bounded)
+		tr.ScanGreedy.Add(greedy)
+		tr.ScanMatched.Add(matched)
+	}
+}
+
 // traceKey keys a *Trace in a context.
 type traceKey struct{}
 
 // WithTrace returns a context carrying tr: staged searchers below the call
 // record their per-stage wall time into it. Passing nil masks any outer
-// trace — the sharded coordinator uses that so its sub-searchers do not
-// double-count stages the coordinator itself reports.
+// trace; the sharded coordinator hands its sub-searchers a trace of its
+// own instead, so their stage times do not double-count the wall time the
+// coordinator reports while their scan counts still reach the request.
 func WithTrace(ctx context.Context, tr *Trace) context.Context {
 	return context.WithValue(ctx, traceKey{}, tr)
 }
@@ -533,26 +556,100 @@ func tablesNamed(l *lake.Lake, names []string) []*table.Table {
 	return tables
 }
 
+// scoreFunc scores one candidate table. floor is the score of the worst hit
+// in the caller's full top k (-Inf while it has room); a scorer that can
+// prove the table scores strictly below floor may report skip instead of
+// computing the score.
+type scoreFunc func(t *table.Table, floor float64) (score float64, skip bool)
+
+// unbounded adapts a scorer with no cheaper-than-exact bound.
+func unbounded(score func(t *table.Table) float64) func() (scoreFunc, func()) {
+	return func() (scoreFunc, func()) {
+		return func(t *table.Table, _ float64) (float64, bool) { return score(t), false }, func() {}
+	}
+}
+
+// hitOrder is the ranking order as a comparison: score descending, ties by
+// table name ascending. Names are unique within a lake, so it is total.
+func hitOrder(a, b Scored) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Table.Name, b.Table.Name)
+}
+
+// siftDown restores a worst-hit-at-the-root heap whose root was replaced.
+func siftDown(h []Scored) {
+	for i := 0; ; {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if hitOrder(h[c], h[worst]) > 0 {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
 // rankTablesCtx is the scoring stage of the staged query plan: it scores
-// the given candidate tables (in parallel across workers) and returns the
-// top k, ties broken by table name for determinism. Scores are written by
-// candidate index, so the ranking is identical for every worker count.
-// Once ctx is cancelled the remaining candidates are not scored and
-// ctx.Err() is returned instead of a partial ranking; cancellation is
-// checked per table, the natural work unit of the scan.
-func rankTablesCtx(ctx context.Context, tables []*table.Table, k, workers int, score func(t *table.Table) float64) ([]Scored, error) {
-	out := make([]Scored, len(tables))
-	if err := par.ForCtx(ctx, workers, len(tables), func(i int) {
-		out[i] = Scored{Table: tables[i], Score: score(tables[i])}
-	}); err != nil {
+// the candidate tables, one contiguous chunk per worker, and returns the
+// top k in ranking order (all of them for k <= 0). open is called once per
+// chunk and yields that chunk's scorer — free to own scratch, since only
+// the chunk's goroutine calls it — and a release func run when the chunk
+// ends. With k > 0 each chunk keeps only its own best k in a heap whose
+// root is the floor handed to the scorer; the global top k is the top k of
+// the chunks' survivors, and a table's score is a function of the table
+// alone, so the ranking is identical for every worker count. Once ctx is
+// cancelled the remaining candidates are not scored and ctx.Err() is
+// returned instead of a partial ranking; cancellation is checked per
+// table, the natural work unit of the scan.
+func rankTablesCtx(ctx context.Context, tables []*table.Table, k, workers int, open func() (scoreFunc, func())) ([]Scored, error) {
+	done := ctx.Done()
+	var mu sync.Mutex
+	var out []Scored
+	par.ForChunks(workers, len(tables), func(lo, hi int) {
+		score, release := open()
+		defer release()
+		size := hi - lo
+		if k > 0 {
+			size = min(size, k)
+		}
+		top := make([]Scored, 0, size) // once k > 0 hits are in: a heap, worst at the root
+		floor := math.Inf(-1)
+		for _, t := range tables[lo:hi] {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			sc, skip := score(t, floor)
+			hit := Scored{Table: t, Score: sc}
+			switch {
+			case skip:
+			case k <= 0 || len(top) < k:
+				top = append(top, hit)
+				if len(top) == k {
+					slices.SortFunc(top, func(a, b Scored) int { return hitOrder(b, a) })
+					floor = top[0].Score
+				}
+			case hitOrder(hit, top[0]) < 0:
+				top[0] = hit
+				siftDown(top)
+				floor = top[0].Score
+			}
+		}
+		mu.Lock()
+		out = append(out, top...)
+		mu.Unlock()
+	})
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Table.Name < out[j].Table.Name
-	})
+	slices.SortFunc(out, hitOrder)
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}

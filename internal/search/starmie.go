@@ -3,9 +3,11 @@ package search
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"dust/internal/ann"
@@ -28,7 +30,14 @@ type Starmie struct {
 	enc    embed.StarmieEncoder
 	lake   *lake.Lake
 	corpus *tokenize.Corpus
-	cols   map[string][]vector.Vec // table name -> column embeddings
+	// cols maps a table name to its block: the table's column embeddings as
+	// NumCols x Dim row-major float64s, exactly as the encoder emitted them
+	// — every row unit length or all-zero (EncodeTableColumns' contract),
+	// which is what lets the scan score a cell as a plain dot product. The
+	// blocks of a built or loaded index are carved from one lake-wide
+	// allocation; AddTable and refreshBig install a block of their own.
+	// Blocks are immutable once installed, so clones share them.
+	cols map[string][]float64
 	// big marks tables with at least one column whose token count exceeds
 	// the encoder budget: their embeddings depend on the corpus TF-IDF
 	// selection and must be refreshed whenever the corpus changes (see
@@ -98,11 +107,10 @@ func NewStarmieWithEncoder(l *lake.Lake, enc embed.StarmieEncoder, opts ...Optio
 			}
 		}
 	}
-	embedded := par.Map(s.workers, len(tables), func(i int) []vector.Vec {
-		return enc.EncodeTableColumns(tables[i], s.corpus)
-	})
+	blocks := carveBlocks(tables, enc.Dim())
+	par.For(s.workers, len(tables), func(i int) { s.embedInto(blocks[i], tables[i]) })
 	for i, t := range tables {
-		s.cols[t.Name] = embedded[i]
+		s.cols[t.Name] = blocks[i]
 	}
 	if o.mode != Exact {
 		// Errors are impossible for the modes WithMode can express; a
@@ -119,12 +127,52 @@ func emptyStarmie(l *lake.Lake, enc embed.StarmieEncoder, o options) *Starmie {
 		enc:       enc,
 		lake:      l,
 		corpus:    &tokenize.Corpus{},
-		cols:      make(map[string][]vector.Vec, l.Len()),
+		cols:      make(map[string][]float64, l.Len()),
 		big:       make(map[string]bool),
 		workers:   o.workers,
 		quantized: o.quantized,
 		MinSim:    0.3,
 		annTuning: annTuning{DefaultOversample, DefaultEfSearch},
+	}
+}
+
+// carveBlocks cuts one allocation sized for every column of tables into
+// per-table blocks (NumCols x dim each, capacity-capped so an append can
+// never run into a neighbour), in table order.
+func carveBlocks(tables []*table.Table, dim int) [][]float64 {
+	total := 0
+	for _, t := range tables {
+		total += t.NumCols() * dim
+	}
+	arena := make([]float64, total)
+	blocks := make([][]float64, len(tables))
+	for i, t := range tables {
+		n := t.NumCols() * dim
+		blocks[i], arena = arena[:n:n], arena[n:]
+	}
+	return blocks
+}
+
+// embedInto encodes t's columns against the current corpus into block.
+func (s *Starmie) embedInto(block []float64, t *table.Table) {
+	dim := s.enc.Dim()
+	for c, v := range s.enc.EncodeTableColumns(t, s.corpus) {
+		copy(block[c*dim:(c+1)*dim], v)
+	}
+}
+
+// embed is embedInto a block of t's own.
+func (s *Starmie) embed(t *table.Table) []float64 {
+	block := make([]float64, t.NumCols()*s.enc.Dim())
+	s.embedInto(block, t)
+	return block
+}
+
+// blockRows iterates the column embeddings stored in block.
+func (s *Starmie) blockRows(block []float64, fn func(v vector.Vec)) {
+	dim := s.enc.Dim()
+	for off := 0; dim > 0 && off+dim <= len(block); off += dim {
+		fn(block[off : off+dim])
 	}
 }
 
@@ -196,10 +244,10 @@ func (s *Starmie) buildGraph() {
 	s.annIDs = make(map[string][]int, s.lake.Len())
 	var vecs []vector.Vec32
 	for _, t := range s.lake.Tables() {
-		for _, v := range s.cols[t.Name] {
+		s.blockRows(s.cols[t.Name], func(v vector.Vec) {
 			vecs = append(vecs, vector.ToVec32(v))
 			s.annTables = append(s.annTables, t.Name)
-		}
+		})
 	}
 	s.graph = ann.Build(s.enc.Dim(), vecs, ann.Config{Quantized: s.quantized}, s.workers)
 	for id, name := range s.annTables {
@@ -209,11 +257,11 @@ func (s *Starmie) buildGraph() {
 
 // annAdd indexes table name's current column embeddings.
 func (s *Starmie) annAdd(name string) {
-	for _, v := range s.cols[name] {
+	s.blockRows(s.cols[name], func(v vector.Vec) {
 		id := s.graph.Add(vector.ToVec32(v))
 		s.annTables = append(s.annTables, name)
 		s.annIDs[name] = append(s.annIDs[name], id)
-	}
+	})
 }
 
 // annRemove tombstones table name's nodes.
@@ -333,7 +381,7 @@ func (s *Starmie) AddTable(t *table.Table) error {
 			s.big[t.Name] = true
 		}
 	}
-	s.cols[t.Name] = s.enc.EncodeTableColumns(t, s.corpus)
+	s.cols[t.Name] = s.embed(t)
 	s.refreshBig(t.Name)
 	if s.graph != nil {
 		s.annAdd(t.Name)
@@ -377,20 +425,18 @@ func (s *Starmie) RemoveTable(name string) error {
 func (s *Starmie) refreshBig(skip string) {
 	var stale []*table.Table
 	for _, t := range s.lake.Tables() {
-		if s.big[t.Name] && t.Name != skip && s.cols[t.Name] != nil {
+		if _, ok := s.cols[t.Name]; ok && s.big[t.Name] && t.Name != skip {
 			stale = append(stale, t)
 		}
 	}
 	if len(stale) == 0 {
 		return
 	}
-	embedded := par.Map(s.workers, len(stale), func(i int) []vector.Vec {
-		return s.enc.EncodeTableColumns(stale[i], s.corpus)
-	})
+	embedded := par.Map(s.workers, len(stale), func(i int) []float64 { return s.embed(stale[i]) })
 	for i, t := range stale {
 		old := s.cols[t.Name]
 		s.cols[t.Name] = embedded[i]
-		if s.graph != nil && !sameVecs(old, embedded[i]) {
+		if s.graph != nil && !slices.Equal(old, embedded[i]) {
 			// The stored vectors actually changed; the graph must follow
 			// (nodes are immutable once inserted, so swap them).
 			// Corpus refreshes usually re-select the same TF-IDF tokens
@@ -401,11 +447,6 @@ func (s *Starmie) refreshBig(skip string) {
 			s.annAdd(t.Name)
 		}
 	}
-}
-
-// sameVecs reports bit-identical embedding slices.
-func sameVecs(a, b []vector.Vec) bool {
-	return slices.EqualFunc(a, b, slices.Equal[vector.Vec])
 }
 
 // QueryWorkers implements Searcher: the returned searcher shares this
@@ -453,10 +494,10 @@ func (s *Starmie) AdoptSharedCorpus(c *tokenize.Corpus) {
 
 // CloneWithLake implements Searcher: the returned searcher is bound to l (a
 // clone of this searcher's lake holding the same table set) and owns its
-// own corpus and column-embedding maps, so AddTable/RemoveTable on it never
-// disturb this searcher. The embedding vectors themselves are shared — both
-// mutation paths replace whole slices (AddTable installs a fresh slice,
-// refreshBig assigns par.Map's fresh output), never write into one. A
+// own corpus and table-to-block map, so AddTable/RemoveTable on it never
+// disturb this searcher. The blocks themselves are shared — both mutation
+// paths install a fresh block (AddTable, refreshBig), never write into
+// one — so a clone costs one map copy, not the lake's vectors. A
 // shared corpus is not cloned: it belongs to the coordinating layer, which
 // clones it once and rebinds every shard clone via AdoptSharedCorpus.
 func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
@@ -465,14 +506,8 @@ func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
 	if !s.sharedCorpus {
 		c.corpus = s.corpus.Clone()
 	}
-	c.cols = make(map[string][]vector.Vec, len(s.cols))
-	for n, v := range s.cols {
-		c.cols[n] = v
-	}
-	c.big = make(map[string]bool, len(s.big))
-	for n, v := range s.big {
-		c.big[n] = v
-	}
+	c.cols = maps.Clone(s.cols)
+	c.big = maps.Clone(s.big)
 	if s.graph != nil {
 		// Insertions rewire existing neighbor lists, so the clone needs its
 		// own adjacency (the vectors stay shared); the id bookkeeping is
@@ -491,21 +526,84 @@ func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
 // Score computes the normalized bipartite matching weight between the query
 // and one lake table.
 func (s *Starmie) Score(queryCols []vector.Vec, t *table.Table) float64 {
-	cand := s.cols[t.Name]
-	if len(queryCols) == 0 || len(cand) == 0 {
-		return 0
+	sc := scanPool.Get().(*scan)
+	defer scanPool.Put(sc)
+	score, _ := sc.score(s, queryCols, t, math.Inf(-1))
+	return score
+}
+
+// scan is one goroutine's scoring scratch: the flat |Q| x ncols weight
+// buffer, the per-row arg-maxes and the matching's working arrays. Scans
+// are pooled, so a steady-state query allocates none of it.
+type scan struct {
+	w    []float64
+	arg  []int
+	hung match.Scratch
+}
+
+// The exits of scan.score, which index the per-query outcome counts.
+const (
+	scanBounded = iota // cut by the upper bound, no matching computed
+	scanGreedy         // distinct arg-maxes: the bound is the matching
+	scanMatched        // ran the Hungarian step
+)
+
+var scanPool = sync.Pool{New: func() any { return new(scan) }}
+
+// score is the exact unionability score of t under the query columns q
+// (unit or all-zero rows, like the stored blocks): the maximum-weight
+// matching over cells w[i][j] = min(q[i]·c[j], 1) where that exceeds MinSim
+// (floored at 0: a non-positive weight never joins a matching), else 0,
+// divided by |Q|. It leaves by the cheapest exact exit. ub = Σᵢ maxⱼ w[i][j]
+// / |Q| bounds every matching from above — in floating point too: both sums
+// run in row order and rounding is monotone — so the table is cut, unscored,
+// once ub cannot reach floor; strictly below only, so that a tie on score
+// still gets its name compared. When the rows' arg-maxes are distinct
+// columns they are a matching that attains ub, and any other optimal
+// matching needs the same per-row weights, so ub is the Hungarian total bit
+// for bit. Otherwise the Hungarian step decides.
+func (sc *scan) score(s *Starmie, q []vector.Vec, t *table.Table, floor float64) (score float64, exit int) {
+	block := s.cols[t.Name]
+	nq, nc := len(q), len(block)/s.enc.Dim()
+	if nq == 0 || nc == 0 {
+		return 0, scanGreedy
 	}
-	w := make([][]float64, len(queryCols))
-	for i, qv := range queryCols {
-		w[i] = make([]float64, len(cand))
-		for j, cv := range cand {
-			if sim := vector.Cosine(qv, cv); sim > s.MinSim {
-				w[i][j] = sim
+	sc.w, sc.arg = slices.Grow(sc.w[:0], nq*nc), slices.Grow(sc.arg[:0], nq)
+	w, arg := sc.w[:nq*nc], sc.arg[:nq]
+	minSim := max(s.MinSim, 0)
+	var ub float64
+	distinct := true
+	for i, qv := range q {
+		row := w[i*nc : (i+1)*nc]
+		vector.DotRows(qv, block, row)
+		best, at := 0.0, -1
+		for j, sim := range row {
+			if !(sim > minSim) {
+				sim = 0
+			}
+			sim = min(sim, 1)
+			row[j] = sim
+			if sim > best {
+				best, at = sim, j
 			}
 		}
+		ub += best
+		// A row adds at most 1, so the rows still to come can lift the
+		// bound no higher than this; on the last row it is the bound.
+		reach := ub
+		for r := i + 1; r < nq; r++ {
+			reach++
+		}
+		if reach/float64(nq) < floor {
+			return 0, scanBounded
+		}
+		arg[i] = at
+		distinct = distinct && (at < 0 || !slices.Contains(arg[:i], at))
 	}
-	_, total := match.MaxWeight(w)
-	return total / float64(len(queryCols))
+	if distinct {
+		return ub / float64(nq), scanGreedy
+	}
+	return sc.hung.Solve(w, nq, nc) / float64(nq), scanMatched
 }
 
 // EncodeQuery embeds a query table's columns with the index corpus.
@@ -554,8 +652,17 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	}
 	tr.AddRetrieve(t0)
 	t0 = time.Now()
-	out, err := rankTablesCtx(ctx, cands, k, s.workers, func(t *table.Table) float64 {
-		return s.Score(p.cols, t)
+	out, err := rankTablesCtx(ctx, cands, k, s.workers, func() (scoreFunc, func()) {
+		sc := scanPool.Get().(*scan)
+		var exits [3]int64
+		return func(t *table.Table, floor float64) (float64, bool) {
+				score, exit := sc.score(s, p.cols, t, floor)
+				exits[exit]++
+				return score, exit == scanBounded
+			}, func() {
+				tr.AddScan(exits[scanBounded], exits[scanGreedy], exits[scanMatched])
+				scanPool.Put(sc)
+			}
 	})
 	if err == nil {
 		tr.AddScore(t0)

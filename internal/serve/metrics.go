@@ -30,6 +30,11 @@ type serverMetrics struct {
 	// score, diversify) from the request's search.Trace; cache hits skip
 	// the pipeline and record no stages.
 	stage *obs.HistogramVec
+	// scanTables counts the candidate tables of served searches by how the
+	// exact scan disposed of each (search.Trace's scan counts): the share
+	// cut by the bound is what keeps the scan cheap, and it depends on the
+	// traffic.
+	scanTables *obs.CounterVec
 	// admissionWait is the time admitted searches spent waiting for an
 	// in-flight slot (shed requests are not recorded here; they show up in
 	// the rejected counter).
@@ -52,6 +57,9 @@ func newServerMetrics(s *Server, scatterOn bool) *serverMetrics {
 		stage: r.NewHistogram("dust_search_stage_seconds",
 			"Per-stage wall time of served (uncached) searches: encode, retrieve, score, diversify.",
 			nil, "stage"),
+		scanTables: r.NewCounter("dust_search_scan_tables_total",
+			"Candidate tables of served (uncached) searches by exact-scan outcome: bounded (cut by the matching's upper bound, not scored), greedy (scored by distinct per-column maxima), matched (scored by the Hungarian step).",
+			"outcome"),
 		admissionWait: r.NewHistogram("dust_admission_wait_seconds",
 			"Time admitted searches waited for an in-flight slot.",
 			nil),
@@ -259,6 +267,9 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			s.metrics.stage.With("retrieve").Observe(float64(tr.RetrieveNS.Load()) / 1e9)
 			s.metrics.stage.With("score").Observe(float64(tr.ScoreNS.Load()) / 1e9)
 			s.metrics.stage.With("diversify").Observe(float64(tr.DiversifyNS.Load()) / 1e9)
+			s.metrics.scanTables.With("bounded").Add(uint64(tr.ScanBounded.Load()))
+			s.metrics.scanTables.With("greedy").Add(uint64(tr.ScanGreedy.Load()))
+			s.metrics.scanTables.With("matched").Add(uint64(tr.ScanMatched.Load()))
 		}
 		s.logRequest(r, endpoint, sw.Status(), dur, info)
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -184,10 +185,26 @@ func scrapeMetrics(t *testing.T, base string) string {
 	return buf.String()
 }
 
+// scanTablesTotal sums dust_search_scan_tables_total over its three
+// outcomes, failing the test when one is not exposed.
+func scanTablesTotal(t *testing.T, text string) int {
+	t.Helper()
+	total := 0
+	for _, outcome := range []string{"bounded", "greedy", "matched"} {
+		m := regexp.MustCompile(`(?m)^dust_search_scan_tables_total\{outcome="` + outcome + `"\} (\d+)$`).FindStringSubmatch(text)
+		if m == nil {
+			t.Fatalf("exposition missing dust_search_scan_tables_total{outcome=%q}", outcome)
+		}
+		n, _ := strconv.Atoi(m[1])
+		total += n
+	}
+	return total
+}
+
 // TestMetricsExposition drives a miss then a hit through /search and pins
 // the exposed samples: request counters and latency histograms advance and
-// split by cache outcome, stage histograms record served searches only,
-// and every line parses as Prometheus text format.
+// split by cache outcome, stage histograms and scan outcome counts record
+// served searches only, and every line parses as Prometheus text format.
 func TestMetricsExposition(t *testing.T) {
 	_, ts, b := newTestServer(t)
 	body := searchBody(t, b.Queries[0], 3)
@@ -217,6 +234,11 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want+"\n") {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// The one served search scanned every lake table exactly once; the
+	// cache hit scanned none.
+	if got, want := scanTablesTotal(t, text), b.Lake.Len(); got != want {
+		t.Errorf("scan outcomes sum to %d tables, want the lake's %d", got, want)
 	}
 
 	// Every line must be a HELP/TYPE comment or a well-formed sample, and
@@ -268,6 +290,11 @@ func TestMetricsSharded(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("sharded exposition missing %q", want)
 		}
+	}
+	// The shards' scan counts reach the request's trace through the
+	// coordinator (a second gather round may scan a shard twice).
+	if got, min := scanTablesTotal(t, text), b.Lake.Len(); got < min {
+		t.Errorf("sharded scan outcomes sum to %d tables, want >= the lake's %d", got, min)
 	}
 }
 

@@ -327,11 +327,13 @@ func (s *Searcher) TopKPrepared(ctx context.Context, pq search.PreparedQuery, k 
 		return nil, err
 	}
 	// The coordinator owns the per-request trace: scatter maps to retrieve,
-	// gather to score. Sub-searcher calls get a masked context so the
-	// shards' own stage recording does not double-count the same wall time.
+	// gather to score. Sub-searcher calls record into a trace of their own,
+	// so the shards' stage times do not double-count the same wall time;
+	// only their scan counts, which nothing else reports, are carried over.
 	tr := search.TraceFrom(ctx)
+	var sub search.Trace
 	if tr != nil {
-		ctx = search.WithTrace(ctx, nil)
+		ctx = search.WithTrace(ctx, &sub)
 	}
 	var hits []search.Scored
 	var err error
@@ -340,6 +342,7 @@ func (s *Searcher) TopKPrepared(ctx context.Context, pq search.PreparedQuery, k 
 	} else {
 		hits, err = s.topKExact(ctx, pq, k, tr)
 	}
+	tr.AddScan(sub.ScanBounded.Load(), sub.ScanGreedy.Load(), sub.ScanMatched.Load())
 	if s.timings != nil && err == nil {
 		s.timings.Queries.Add(1)
 	}

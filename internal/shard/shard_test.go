@@ -84,14 +84,14 @@ func sameHits(t *testing.T, label string, got, want []search.Scored) {
 
 // TestShardedEquivalence is the acceptance gate of the sharding layer:
 // exact-mode scatter-gather TopK must be bit-identical to the unsharded
-// searcher for shards in {1, 2, 4} at workers 1 and 8, for both shardable
+// searcher for shards in {1, 2, 3, 4} at workers 1 and 8, for both shardable
 // kinds; and sharded ANN mode must clear the same recall@10 >= 0.95 bar
 // the monolithic ANN engine is held to.
 func TestShardedEquivalence(t *testing.T) {
 	b, queries := shardBench(t)
 	for _, kind := range []string{KindStarmie, KindD3L} {
 		want := buildUnsharded(t, kind, b.Lake, 0)
-		for _, shards := range []int{1, 2, 4} {
+		for _, shards := range []int{1, 2, 3, 4} {
 			for _, workers := range []int{1, 8} {
 				t.Run(fmt.Sprintf("%s/shards=%d/workers=%d", kind, shards, workers), func(t *testing.T) {
 					s := buildSharded(t, kind, b.Lake, shards, workers)

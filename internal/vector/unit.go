@@ -58,6 +58,23 @@ func (u *UnitRows) CosineDistances(i, lo int, out []float32) {
 	}
 }
 
+// DotRows writes the dot product of a with each of the len(out) rows of the
+// row-major block rows (len(out) x len(a)) to out. For unit (or all-zero)
+// rows that is their cosine similarity, up to rounding just outside
+// [-1, 1], without the norms Cosine recomputes per pair. Like
+// CosineDistances, every cell — the ragged tail included — comes out of
+// the same 1x4 tile, so out[j] is a pure function of a and row j: a row's
+// position in the block, the block's length and the calling worker cannot
+// change it.
+func DotRows(a Vec, rows, out []float64) {
+	dim, last := len(a), len(out)-1
+	row := func(j int) []float64 { j = min(j, last); return rows[j*dim : (j+1)*dim] }
+	for j := 0; j <= last; j += 4 {
+		s := dot1x4(a, row(j), row(j+1), row(j+2), row(j+3))
+		copy(out[j:], s[:])
+	}
+}
+
 // dot1x4 is the one cosine kernel: a against four rows at once, so each
 // element of a is loaded once per four multiply-adds and the four sums
 // form independent dependency chains.

@@ -149,3 +149,47 @@ func TestIsCosineDistance(t *testing.T) {
 		}
 	}
 }
+
+// TestDotRowsPureCells pins DotRows' contract: out[j] is a function of a
+// and row j alone — the same bits wherever the row sits, whatever the
+// block's length (so whatever tile slot or ragged tail it lands in) — it
+// agrees with Dot to rounding, and for normalised inputs it is the cosine
+// the exact scan relies on.
+func TestDotRowsPureCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, dim := range []int{1, 5, 128} {
+		vs := randomVecs(rng, 12, dim)
+		for i, v := range vs {
+			vs[i] = Normalize(v)
+		}
+		a := vs[0]
+		flat := func(rows []Vec) []float64 {
+			var out []float64
+			for _, r := range rows {
+				out = append(out, r...)
+			}
+			return out
+		}
+		alone := make([]float64, len(vs))
+		for j, v := range vs {
+			DotRows(a, v, alone[j:j+1])
+		}
+		if alone[0] < 1-1e-12 || alone[0] > 1+1e-12 {
+			t.Fatalf("dim %d: unit row dotted with itself = %v", dim, alone[0])
+		}
+		for n := 0; n <= len(vs); n++ {
+			for lo := 0; lo+n <= len(vs); lo++ {
+				out := make([]float64, n)
+				DotRows(a, flat(vs[lo:lo+n]), out)
+				for j, got := range out {
+					if got != alone[lo+j] {
+						t.Fatalf("dim %d: row %d in block [%d,%d) = %v, alone %v", dim, lo+j, lo, lo+n, got, alone[lo+j])
+					}
+					if want := Cosine(a, vs[lo+j]); math.Abs(got-want) > 1e-12 {
+						t.Fatalf("dim %d: DotRows %v, Cosine %v", dim, got, want)
+					}
+				}
+			}
+		}
+	}
+}
