@@ -51,67 +51,44 @@ type Result struct {
 // unionable tables using a per-universe TF-IDF corpus (the paper's
 // representative-token selection).
 func EmbedColumns(query *table.Table, tables []*table.Table, enc embed.ColumnEncoder) []Column {
-	var corpus tokenize.Corpus
-	addAll := func(t *table.Table) {
+	return embedUniverse(query, tables, func(t *table.Table, corpus *tokenize.Corpus) []vector.Vec {
+		vecs := make([]vector.Vec, t.NumCols())
 		for i := range t.Columns {
-			corpus.AddDocument(embed.ColumnTokens(&t.Columns[i]))
+			vecs[i] = enc.EncodeColumn(&t.Columns[i], corpus)
 		}
-	}
-	addAll(query)
-	for _, t := range tables {
-		addAll(t)
-	}
-
-	var out []Column
-	encode := func(t *table.Table, isQuery bool) {
-		for i := range t.Columns {
-			out = append(out, Column{
-				Table:   t.Name,
-				Index:   i,
-				Name:    t.Columns[i].Name,
-				IsQuery: isQuery,
-				Vec:     enc.EncodeColumn(&t.Columns[i], &corpus),
-			})
-		}
-	}
-	encode(query, true)
-	for _, t := range tables {
-		encode(t, false)
-	}
-	return out
+		return vecs
+	})
 }
 
 // EmbedColumnsStarmie is EmbedColumns for the Starmie encoder, whose
 // embeddings are computed per table (each column mixes in its table's
 // context).
 func EmbedColumnsStarmie(query *table.Table, tables []*table.Table, enc embed.StarmieEncoder) []Column {
+	return embedUniverse(query, tables, enc.EncodeTableColumns)
+}
+
+// embedUniverse builds the corpus over every column of the query and the
+// tables, then embeds them table by table: encode returns one vector per
+// column of t.
+func embedUniverse(query *table.Table, tables []*table.Table, encode func(t *table.Table, corpus *tokenize.Corpus) []vector.Vec) []Column {
 	var corpus tokenize.Corpus
-	addAll := func(t *table.Table) {
+	all := append([]*table.Table{query}, tables...)
+	for _, t := range all {
 		for i := range t.Columns {
 			corpus.AddDocument(embed.ColumnTokens(&t.Columns[i]))
 		}
 	}
-	addAll(query)
-	for _, t := range tables {
-		addAll(t)
-	}
-
 	var out []Column
-	encode := func(t *table.Table, isQuery bool) {
-		vecs := enc.EncodeTableColumns(t, &corpus)
-		for i := range t.Columns {
+	for ti, t := range all {
+		for i, v := range encode(t, &corpus) {
 			out = append(out, Column{
 				Table:   t.Name,
 				Index:   i,
 				Name:    t.Columns[i].Name,
-				IsQuery: isQuery,
-				Vec:     vecs[i],
+				IsQuery: ti == 0,
+				Vec:     v,
 			})
 		}
-	}
-	encode(query, true)
-	for _, t := range tables {
-		encode(t, false)
 	}
 	return out
 }

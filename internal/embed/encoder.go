@@ -52,7 +52,7 @@ func newEncoder(name string, seed uint64, anisotropy, noise float64, contextual 
 		o(e)
 	}
 	e.common = make(vector.Vec, e.dim)
-	pseudoVector(hashString("::common::"+name, seed), e.common)
+	pseudoVector(hashAdd(hashSeed(seed), "::common::"+name), e.common)
 	return e
 }
 
@@ -103,20 +103,28 @@ func (e *Encoder) Dim() int { return e.dim }
 // EncodeTokens calls — attach before querying starts.
 func (e *Encoder) Instrument(c *atomic.Int64) { e.calls = c }
 
-// EncodeTokens embeds a token sequence. The output is L2-normalized.
+// EncodeTokens embeds a token sequence. The output is L2-normalized. Token
+// vectors are read through a tokenTable the call owns from start to end, so
+// each is derived once for as long as it keeps its slot; the result is the
+// only allocation and aliases nothing of the table.
 func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 	if e.calls != nil {
 		e.calls.Add(1)
 	}
-	content := make(vector.Vec, e.dim)
+	tv := takeTokenTable(e.dim)
+	defer tv.release()
+
+	content := tv.content
+	clear(content)
+	base := hashSeed(e.seed)
 	if len(tokens) > 0 {
-		tok := make(vector.Vec, e.dim)
 		isColHeader := func(t string) bool {
 			return len(t) > 2 && t[0] == 'H' && t[1] == ':'
 		}
+		class := hashAdd(base, "class:")
 		for i, t := range tokens {
-			pseudoVector(hashString(t, e.seed), tok)
-			vecAddScaled(content, tok, 1)
+			h := hashAdd(base, t)
+			vecAddScaled(content, tv.vector(h), 1)
 			if cls, ok := classOf(t); ok {
 				// Pre-trained lexical semantics: synonym tokens share a
 				// class vector (see lexicon.go). Column-context header
@@ -131,19 +139,18 @@ func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 				case len(t) > 2 && t[0] == 'h' && t[1] == ':':
 					w = 1.2
 				}
-				pseudoVector(hashString("class:"+cls, e.seed), tok)
-				vecAddScaled(content, tok, w)
+				vecAddScaled(content, tv.vector(hashAdd(class, cls)), w)
 			}
 			if e.contextual && i+1 < len(tokens) && !isColHeader(t) && !isColHeader(tokens[i+1]) {
 				// Language-model flavour: bigram context vectors let the
 				// encoder distinguish token order and co-occurrence.
 				// Column-header tokens stay out of the bigram stream so
-				// their repetition does not fabricate context.
-				pseudoVector(hashString(tokens[i]+"\x00"+tokens[i+1], e.seed), tok)
-				vecAddScaled(content, tok, 0.5)
+				// their repetition does not fabricate context. The seed
+				// is the hash of t + "\x00" + next, continued from t's.
+				vecAddScaled(content, tv.vector(hashAdd(hashAdd(h, "\x00"), tokens[i+1])), 0.5)
 			}
 		}
-		content = vector.Normalize(content)
+		normalize(content)
 	}
 
 	// The shared component takes the anisotropy fraction; the remainder is
@@ -154,11 +161,15 @@ func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 	vecAddScaled(out, content, contentScale*(1-e.noise))
 	vecAddScaled(out, e.common, e.anisotropy)
 	if e.noise > 0 {
-		noise := make(vector.Vec, e.dim)
-		pseudoVector(hashString(joinTokens(tokens), e.seed^0xA0A0), noise)
-		vecAddScaled(out, noise, contentScale*e.noise)
+		// Seeded by the whole input: every token followed by 0x1f.
+		h := hashSeed(e.seed ^ 0xA0A0)
+		for _, t := range tokens {
+			h = hashAdd(hashAdd(h, t), "\x1f")
+		}
+		vecAddScaled(out, tv.vector(h), contentScale*e.noise)
 	}
-	return vector.Normalize(out)
+	normalize(out)
+	return out
 }
 
 // vecAddScaled adds s*src into dst.
@@ -168,15 +179,13 @@ func vecAddScaled(dst, src vector.Vec, s float64) {
 	}
 }
 
-func joinTokens(tokens []string) string {
-	n := 0
-	for _, t := range tokens {
-		n += len(t) + 1
+// normalize is vector.Normalize in place: the same divisions, no copy.
+func normalize(v vector.Vec) {
+	n := vector.Norm(v)
+	if n == 0 {
+		return
 	}
-	b := make([]byte, 0, n)
-	for _, t := range tokens {
-		b = append(b, t...)
-		b = append(b, 0x1f)
+	for i := range v {
+		v[i] /= n
 	}
-	return string(b)
 }

@@ -33,13 +33,16 @@ func splitmix64(state uint64) (uint64, uint64) {
 	return state, z
 }
 
-// hashString folds s into a 64-bit FNV-1a hash mixed with seed.
-func hashString(s string, seed uint64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset) ^ (seed * 0x9e3779b97f4a7c15)
+// hashSeed starts a 64-bit FNV-1a hash mixed with seed, and hashAdd continues
+// one through s. The hash is streaming: hashAdd(hashAdd(h, a), b) is the hash
+// of a+b, so a seed over a concatenation is built without concatenating.
+func hashSeed(seed uint64) uint64 {
+	const offset = 14695981039346656037
+	return offset ^ (seed * 0x9e3779b97f4a7c15)
+}
+
+func hashAdd(h uint64, s string) uint64 {
+	const prime = 1099511628211
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= prime

@@ -101,8 +101,9 @@ func (m *Model) EncodeTuple(headers, values []string) vector.Vec {
 }
 
 // EncodeTupleBatch embeds many tuples sharing one header schema across at
-// most workers goroutines. Inference forwards are stateless (nn layers
-// cache activations only during training), so the batch is bit-identical
+// most workers goroutines. Inference forwards keep no state (nn layers
+// cache activations only during training) and the featurizer hashes tokens
+// without the embed package's encode kernel, so the batch is bit-identical
 // to sequential EncodeTuple calls.
 func (m *Model) EncodeTupleBatch(headers []string, rows [][]string, workers int) []vector.Vec {
 	return par.Map(workers, len(rows), func(i int) vector.Vec {
@@ -170,7 +171,9 @@ func EncodeBatch(enc TupleEncoder, headers []string, rows [][]string, workers in
 // is identical to EncodeBatch. Batch-capable encoders are driven through
 // per-row EncodeTuple calls across workers goroutines — the same shape
 // their own EncodeTupleBatch uses, which is what makes those calls
-// concurrency-safe in the first place.
+// concurrency-safe in the first place. For an embed.Encoder that means no
+// encoder state at all: concurrent calls share only the package-level
+// token-vector tables, a scratch that cannot change a value.
 func EncodeBatchContext(ctx context.Context, enc TupleEncoder, headers []string, rows [][]string, workers int) ([]vector.Vec, error) {
 	out := make([]vector.Vec, len(rows))
 	if _, ok := enc.(BatchTupleEncoder); !ok {

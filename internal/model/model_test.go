@@ -2,6 +2,8 @@ package model
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -158,5 +160,32 @@ func TestShuffleRobustness(t *testing.T) {
 	}
 	if worst < 0.999 {
 		t.Errorf("worst shuffle cosine similarity = %v, want ~1 (order-insensitive)", worst)
+	}
+}
+
+// TestEncodeBatchMatchesEncodeTupleBatch: the pipeline's tuple path
+// (EncodeBatchContext over the RoBERTa simulator) returns the encoder's own
+// sequential bits at every worker count — including 8, more goroutines than
+// the encode kernel keeps token-vector tables for.
+func TestEncodeBatchMatchesEncodeTupleBatch(t *testing.T) {
+	enc := embed.NewRoBERTa(embed.WithAnisotropy(0.05))
+	headers := []string{"Park Name", "Supervisor", "City", "Country"}
+	rows := make([][]string, 150)
+	for i := range rows {
+		rows[i] = []string{fmt.Sprintf("Park %d", i), fmt.Sprintf("Supervisor %d", i%17), "", "USA"}
+	}
+	want := enc.EncodeTupleBatch(headers, rows, 1)
+	for _, workers := range []int{1, 2, 8} {
+		got, err := EncodeBatchContext(context.Background(), enc, headers, rows, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("workers=%d row %d dim %d: %v, want %v", workers, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"dust/internal/embed"
 	"dust/internal/obs"
 	"dust/internal/search"
 )
@@ -163,6 +164,15 @@ func newServerMetrics(s *Server, scatterOn bool) *serverMetrics {
 					}
 				}
 			}
+		})
+
+	r.NewCounterFunc("dust_embed_token_vectors_total",
+		"Token vectors read by the encode kernel in this process (index build, PUTs and searches alike): hit = read from a token-vector table, miss = derived.",
+		[]string{"result"},
+		func(emit func(float64, ...string)) {
+			hits, misses := embed.TokenVectorStats()
+			emit(float64(hits), "hit")
+			emit(float64(misses), "miss")
 		})
 
 	if scatterOn {

@@ -240,6 +240,16 @@ func TestMetricsExposition(t *testing.T) {
 	if got, want := scanTablesTotal(t, text), b.Lake.Len(); got != want {
 		t.Errorf("scan outcomes sum to %d tables, want the lake's %d", got, want)
 	}
+	// The encode kernel's counts are the process's: the index build and the
+	// one served search have both derived vectors and read some back.
+	for _, result := range []string{"hit", "miss"} {
+		m := regexp.MustCompile(`(?m)^dust_embed_token_vectors_total\{result="` + result + `"\} (\S+)$`).FindStringSubmatch(text)
+		if m == nil {
+			t.Errorf("exposition missing dust_embed_token_vectors_total{result=%q}", result)
+		} else if n, err := strconv.ParseFloat(m[1], 64); err != nil || n <= 0 {
+			t.Errorf("dust_embed_token_vectors_total{result=%q} = %s, want a positive count", result, m[1])
+		}
+	}
 
 	// Every line must be a HELP/TYPE comment or a well-formed sample, and
 	// every sample's family must have been announced by a TYPE comment.
