@@ -71,7 +71,9 @@ type Option func(*Pipeline)
 func WithSearcher(s search.Searcher) Option { return func(p *Pipeline) { p.searcher = s } }
 
 // WithColumnEncoder replaces the column encoder used for alignment
-// (default: column-level RoBERTa, the paper's best in Table 1).
+// (default: column-level RoBERTa, the paper's best in Table 1). Lake columns'
+// vectors are kept across searches under the encoder's Fingerprint, so two
+// encoders that can differ in output must differ in it.
 func WithColumnEncoder(e embed.ColumnEncoder) Option { return func(p *Pipeline) { p.columnEnc = e } }
 
 // WithTupleEncoder replaces the tuple embedding model (default: a
@@ -256,6 +258,8 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dust: align: %w", err)
 	}
+	tr := search.TraceFrom(ctx)
+	tAlign := time.Now()
 	cols := align.EmbedColumns(query, tables, p.columnEnc)
 	res := align.HolisticWorkers(cols, p.workers)
 	headers, mappings, err := res.Mappings(query, tables)
@@ -276,6 +280,7 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 		keep = coverageRows(unioned, 0)
 	}
 	unioned, prov = filterRows(unioned, prov, keep)
+	tr.AddAlign(tAlign)
 	if unioned.NumRows() == 0 {
 		return nil, fmt.Errorf("dust: alignment produced no unionable tuples for %s", query.Name)
 	}
@@ -283,7 +288,6 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 	// Line 7: embed query and data lake tuples, in parallel batches. The
 	// tuple embedding joins the query encoding under the trace's encode
 	// stage: both derive representations, neither retrieves or ranks.
-	tr := search.TraceFrom(ctx)
 	tEmbed := time.Now()
 	eq, err := model.EncodeBatchContext(ctx, p.tupleEnc, headers, tableRows(query), p.workers)
 	if err != nil {

@@ -48,13 +48,29 @@ type Result struct {
 }
 
 // EmbedColumns builds the alignment universe from a query table and its
-// unionable tables using a per-universe TF-IDF corpus (the paper's
-// representative-token selection).
+// unionable tables. A lake column within embed.TokenBudget is encoded once
+// per process and read back from columnVectors afterwards; the query's
+// columns are encoded every time. The per-universe TF-IDF corpus (the paper's
+// representative-token selection) is built only when some column is over the
+// budget, and such a column's vector is never kept. Every Vec has the bits of
+// a fresh encode against the universe's corpus; it may be shared with other
+// requests and must not be written.
 func EmbedColumns(query *table.Table, tables []*table.Table, enc embed.ColumnEncoder) []Column {
-	return embedUniverse(query, tables, func(t *table.Table, corpus *tokenize.Corpus) []vector.Vec {
+	fp := enc.Fingerprint()
+	return embedUniverse(query, tables, func(t *table.Table, corpus func() *tokenize.Corpus) []vector.Vec {
 		vecs := make([]vector.Vec, t.NumCols())
 		for i := range t.Columns {
-			vecs[i] = enc.EncodeColumn(&t.Columns[i], corpus)
+			col, key := &t.Columns[i], columnKey{fp, t, i}
+			if t != query {
+				if vecs[i] = columnVectors.load(key, col); vecs[i] != nil {
+					continue
+				}
+			}
+			v, pure := enc.EncodeColumn(col, corpus)
+			if t != query {
+				columnVectors.store(key, col, v, pure)
+			}
+			vecs[i] = v
 		}
 		return vecs
 	})
@@ -62,25 +78,31 @@ func EmbedColumns(query *table.Table, tables []*table.Table, enc embed.ColumnEnc
 
 // EmbedColumnsStarmie is EmbedColumns for the Starmie encoder, whose
 // embeddings are computed per table (each column mixes in its table's
-// context).
+// context); nothing of it is memoised.
 func EmbedColumnsStarmie(query *table.Table, tables []*table.Table, enc embed.StarmieEncoder) []Column {
 	return embedUniverse(query, tables, enc.EncodeTableColumns)
 }
 
-// embedUniverse builds the corpus over every column of the query and the
-// tables, then embeds them table by table: encode returns one vector per
-// column of t.
-func embedUniverse(query *table.Table, tables []*table.Table, encode func(t *table.Table, corpus *tokenize.Corpus) []vector.Vec) []Column {
-	var corpus tokenize.Corpus
+// embedUniverse embeds the query and the tables table by table: encode
+// returns one vector per column of t. The corpus it offers encode is built on
+// first use, over every column of the universe.
+func embedUniverse(query *table.Table, tables []*table.Table, encode func(t *table.Table, corpus func() *tokenize.Corpus) []vector.Vec) []Column {
 	all := append([]*table.Table{query}, tables...)
-	for _, t := range all {
-		for i := range t.Columns {
-			corpus.AddDocument(embed.ColumnTokens(&t.Columns[i]))
+	var built *tokenize.Corpus
+	corpus := func() *tokenize.Corpus {
+		if built == nil {
+			built = &tokenize.Corpus{}
+			for _, t := range all {
+				for i := range t.Columns {
+					built.AddDocument(embed.ColumnTokens(&t.Columns[i]))
+				}
+			}
 		}
+		return built
 	}
 	var out []Column
 	for ti, t := range all {
-		for i, v := range encode(t, &corpus) {
+		for i, v := range encode(t, corpus) {
 			out = append(out, Column{
 				Table:   t.Name,
 				Index:   i,

@@ -23,15 +23,38 @@ func benchUniverse() (*table.Table, []*table.Table) {
 var benchCols []Column
 
 // BenchmarkEmbedColumns is the micro view of the traced benchmark's
-// align.embed_columns_p50_ms: corpus pass plus one encode per column of the
-// query and ten tables, with the pipeline's column encoder.
+// align.embed_columns_p50_ms, with the pipeline's column encoder over the query
+// and ten tables: cold embeds table objects the memo has never seen (every
+// lake column is encoded, none read back — a request's worst case), warm the
+// same objects again (only the query's columns are encoded — what the traced
+// replay measures), overbudget a warm universe in which one 600-token column
+// forces the corpus pass and its own TF-IDF selection on every request.
 func BenchmarkEmbedColumns(b *testing.B) {
-	q, tabs := benchUniverse()
 	enc := embed.ColumnLevel{Model: embed.NewRoBERTa()}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchCols = EmbedColumns(q, tabs, enc)
-	}
+	q, tabs := benchUniverse()
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			_, fresh := benchUniverse()
+			b.StartTimer()
+			benchCols = EmbedColumns(q, fresh, enc)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchCols = EmbedColumns(q, tabs, enc)
+		}
+	})
+	b.Run("overbudget", func(b *testing.B) {
+		big := &table.Table{Name: "big", Columns: []table.Column{{Name: "Description", Values: words(0, 600)}}}
+		withBig := append([]*table.Table{big}, tabs...)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchCols = EmbedColumns(q, withBig, enc)
+		}
+	})
 }
 
 // TestEmbedColumnsConcurrentEncodeTokens: requests embed their universes side
@@ -46,18 +69,8 @@ func TestEmbedColumnsConcurrentEncodeTokens(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := EmbedColumns(q, tabs, enc)
-			if len(got) != len(want) {
-				t.Errorf("universe of %d columns, want %d", len(got), len(want))
-				return
-			}
-			for i := range got {
-				for j := range got[i].Vec {
-					if got[i].Vec[j] != want[i].Vec[j] {
-						t.Errorf("column %d (%s.%s) differs from the sequential embedding", i, got[i].Table, got[i].Name)
-						return
-					}
-				}
+			if msg := diffBits(EmbedColumns(q, tabs, enc), want); msg != "" {
+				t.Errorf("differs from the sequential embedding: %s", msg)
 			}
 		}()
 	}

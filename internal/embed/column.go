@@ -8,16 +8,24 @@ import (
 
 // TokenBudget is the maximum number of representative tokens a column-level
 // encoder feeds into the model, mirroring the 512-token input limit of the
-// paper's language models (§6.2.3).
+// paper's language models (§6.2.3). Only a column past it is encoded against
+// a corpus; any other column's vector depends on the column alone.
 const TokenBudget = 512
 
-// ColumnEncoder embeds one table column into a vector. The corpus carries
-// document frequencies across all columns being aligned, enabling TF-IDF
-// token selection.
+// ColumnEncoder embeds one table column into a vector. Name labels the
+// encoder in experiment output; Fingerprint is its identity (differently
+// configured models share a Name): equal fingerprints, equal bits.
+//
+// EncodeColumn takes the corpus (document frequencies across the columns
+// being aligned, for TF-IDF token selection) lazily and calls it only when
+// the vector depends on it; nil means no selection. pure reports that it was
+// not called: v is then a function of (Fingerprint, col) alone, and
+// align.EmbedColumns keeps it. v is a fresh allocation.
 type ColumnEncoder interface {
 	Name() string
 	Dim() int
-	EncodeColumn(col *table.Column, corpus *tokenize.Corpus) vector.Vec
+	Fingerprint() string
+	EncodeColumn(col *table.Column, corpus func() *tokenize.Corpus) (v vector.Vec, pure bool)
 }
 
 // CellLevel embeds each cell value independently and averages the cell
@@ -32,8 +40,12 @@ func (c CellLevel) Name() string { return "cell/" + c.Model.Name() }
 // Dim returns the model dimension.
 func (c CellLevel) Dim() int { return c.Model.Dim() }
 
-// EncodeColumn implements ColumnEncoder.
-func (c CellLevel) EncodeColumn(col *table.Column, _ *tokenize.Corpus) vector.Vec {
+// Fingerprint returns "cell/<model fingerprint>".
+func (c CellLevel) Fingerprint() string { return "cell/" + c.Model.Fingerprint() }
+
+// EncodeColumn implements ColumnEncoder; cells are encoded one by one, so no
+// budget applies and the corpus is never consulted.
+func (c CellLevel) EncodeColumn(col *table.Column, _ func() *tokenize.Corpus) (vector.Vec, bool) {
 	acc := make(vector.Vec, c.Model.Dim())
 	n := 0
 	for _, v := range col.Values {
@@ -45,9 +57,9 @@ func (c CellLevel) EncodeColumn(col *table.Column, _ *tokenize.Corpus) vector.Ve
 	}
 	if n == 0 {
 		// An all-null column still needs a stable location in space.
-		return c.Model.EncodeTokens(nil)
+		return c.Model.EncodeTokens(nil), true
 	}
-	return vector.Normalize(acc)
+	return vector.Normalize(acc), true
 }
 
 // ColumnLevel concatenates the column's values into one pseudo-sentence,
@@ -64,13 +76,24 @@ func (c ColumnLevel) Name() string { return "column/" + c.Model.Name() }
 // Dim returns the model dimension.
 func (c ColumnLevel) Dim() int { return c.Model.Dim() }
 
+// Fingerprint returns "column/<model fingerprint>".
+func (c ColumnLevel) Fingerprint() string { return "column/" + c.Model.Fingerprint() }
+
 // EncodeColumn implements ColumnEncoder.
-func (c ColumnLevel) EncodeColumn(col *table.Column, corpus *tokenize.Corpus) vector.Vec {
-	tokens := ColumnTokens(col)
-	if corpus != nil && len(tokens) > TokenBudget {
-		tokens = corpus.TopK(tokens, TokenBudget)
+func (c ColumnLevel) EncodeColumn(col *table.Column, corpus func() *tokenize.Corpus) (vector.Vec, bool) {
+	tokens, pure := budgetTokens(col, corpus)
+	return c.Model.EncodeTokens(tokens), pure
+}
+
+// budgetTokens returns ColumnTokens(col), cut to the TokenBudget most
+// representative by corpus() when there are more and a corpus is on offer;
+// pure reports that corpus was not called.
+func budgetTokens(col *table.Column, corpus func() *tokenize.Corpus) (tokens []string, pure bool) {
+	tokens = ColumnTokens(col)
+	if corpus == nil || len(tokens) <= TokenBudget {
+		return tokens, true
 	}
-	return c.Model.EncodeTokens(tokens)
+	return corpus().TopK(tokens, TokenBudget), false
 }
 
 // ColumnTokens tokenizes every non-null value of a column, including the

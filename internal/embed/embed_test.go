@@ -136,16 +136,24 @@ func TestEncodeTupleSensitiveToValues(t *testing.T) {
 func TestCellLevelColumnEncoder(t *testing.T) {
 	col := &table.Column{Name: "Country", Values: []string{"USA", "USA", "UK"}}
 	enc := CellLevel{Model: NewFastText()}
-	v := enc.EncodeColumn(col, nil)
+	// The corpus is never asked for: cells are encoded one by one.
+	noCorpus := func() *tokenize.Corpus { t.Error("CellLevel called the corpus"); return nil }
+	v, pure := enc.EncodeColumn(col, noCorpus)
+	if !pure {
+		t.Error("CellLevel vector reported corpus-dependent")
+	}
 	if len(v) != enc.Dim() {
 		t.Fatalf("dim = %d, want %d", len(v), enc.Dim())
 	}
 	if enc.Name() != "cell/fasttext" {
 		t.Errorf("Name = %q", enc.Name())
 	}
+	if want := "cell/" + enc.Model.Fingerprint(); enc.Fingerprint() != want {
+		t.Errorf("Fingerprint = %q, want %q", enc.Fingerprint(), want)
+	}
 	// All-null column still embeds.
 	nullCol := &table.Column{Name: "x", Values: []string{table.Null, table.Null}}
-	nv := enc.EncodeColumn(nullCol, nil)
+	nv, _ := enc.EncodeColumn(nullCol, nil)
 	if math.Abs(vector.Norm(nv)-1) > 1e-9 {
 		t.Error("all-null column embedding not unit norm")
 	}
@@ -162,10 +170,44 @@ func TestColumnLevelUsesBudget(t *testing.T) {
 	var corpus tokenize.Corpus
 	corpus.AddDocument(ColumnTokens(col))
 	enc := ColumnLevel{Model: NewRoBERTa()}
-	v1 := enc.EncodeColumn(col, &corpus)
-	v2 := enc.EncodeColumn(col, &corpus)
+	asked := 0
+	lazy := func() *tokenize.Corpus { asked++; return &corpus }
+	v1, pure1 := enc.EncodeColumn(col, lazy)
+	v2, _ := enc.EncodeColumn(col, lazy)
 	if vector.Euclidean(v1, v2) != 0 {
 		t.Error("column-level encoding nondeterministic")
+	}
+	if pure1 || asked != 2 {
+		t.Errorf("over-budget column: pure=%v after %d corpus calls, want false and one call an encode", pure1, asked)
+	}
+	// Without a corpus there is no selection, and nothing was consulted.
+	if all, pure := enc.EncodeColumn(col, nil); !pure || vector.Euclidean(all, v1) == 0 {
+		t.Errorf("nil corpus: pure=%v, same vector as the budgeted one=%v", pure, vector.Euclidean(all, v1) == 0)
+	}
+	// Within budget the corpus is not asked for and the vector is the
+	// column's alone — what lets align.EmbedColumns keep it.
+	small := &table.Column{Name: "big", Values: vals[:100]}
+	asked = 0
+	s1, pure := enc.EncodeColumn(small, lazy)
+	s2, _ := enc.EncodeColumn(small, nil)
+	if !pure || asked != 0 || vector.Euclidean(s1, s2) != 0 {
+		t.Errorf("within-budget column: pure=%v, %d corpus calls, corpus moved the vector=%v", pure, asked, vector.Euclidean(s1, s2) != 0)
+	}
+}
+
+// TestColumnEncoderFingerprintIsFull: Name is a label two differently
+// configured encoders share; Fingerprint tells them apart.
+func TestColumnEncoderFingerprintIsFull(t *testing.T) {
+	a := ColumnLevel{Model: NewRoBERTa()}
+	b := ColumnLevel{Model: NewRoBERTa(WithAnisotropy(0.05))}
+	if a.Name() != b.Name() {
+		t.Fatalf("names differ: %q vs %q", a.Name(), b.Name())
+	}
+	if a.Fingerprint() == b.Fingerprint() {
+		t.Errorf("fingerprints equal across anisotropy: %q", a.Fingerprint())
+	}
+	if c := (CellLevel{Model: a.Model}); c.Fingerprint() == a.Fingerprint() {
+		t.Errorf("cell- and column-level share fingerprint %q", c.Fingerprint())
 	}
 }
 
@@ -174,9 +216,9 @@ func TestColumnLevelSeparatesTopics(t *testing.T) {
 	parks2 := &table.Column{Name: "Park Name", Values: []string{"Chippewa Park", "Lawler Park", "River Park"}}
 	paint := &table.Column{Name: "Painting", Values: []string{"Northern Lake", "Memory Landscape 2"}}
 	enc := ColumnLevel{Model: NewRoBERTa()}
-	p1 := enc.EncodeColumn(parks1, nil)
-	p2 := enc.EncodeColumn(parks2, nil)
-	pt := enc.EncodeColumn(paint, nil)
+	p1, _ := enc.EncodeColumn(parks1, nil)
+	p2, _ := enc.EncodeColumn(parks2, nil)
+	pt, _ := enc.EncodeColumn(paint, nil)
 	if vector.Euclidean(p1, p2) >= vector.Euclidean(p1, pt) {
 		t.Errorf("same-topic columns farther (%v) than cross-topic (%v)",
 			vector.Euclidean(p1, p2), vector.Euclidean(p1, pt))

@@ -104,15 +104,16 @@ func TestEncoderGoldenBits(t *testing.T) {
 		corpus.AddDocument(ColumnTokens(&tbl.Columns[i]))
 	}
 	got["starmie"] = digest(NewStarmie().EncodeTableColumns(tbl, nil)...)
-	got["starmie/corpus"] = digest(NewStarmie().EncodeTableColumns(tbl, &corpus)...)
-	perColumn := func(enc ColumnEncoder, c *tokenize.Corpus) string {
+	lazy := func() *tokenize.Corpus { return &corpus }
+	got["starmie/corpus"] = digest(NewStarmie().EncodeTableColumns(tbl, lazy)...)
+	perColumn := func(enc ColumnEncoder, c func() *tokenize.Corpus) string {
 		out := make([]vector.Vec, len(tbl.Columns))
 		for i := range tbl.Columns {
-			out[i] = enc.EncodeColumn(&tbl.Columns[i], c)
+			out[i], _ = enc.EncodeColumn(&tbl.Columns[i], c)
 		}
 		return digest(out...)
 	}
-	got["column/corpus"] = perColumn(ColumnLevel{Model: NewRoBERTa()}, &corpus)
+	got["column/corpus"] = perColumn(ColumnLevel{Model: NewRoBERTa()}, lazy)
 	got["column/nil"] = perColumn(ColumnLevel{Model: NewRoBERTa()}, nil)
 	got["cell"] = perColumn(CellLevel{Model: NewSBERT()}, nil)
 

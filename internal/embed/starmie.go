@@ -43,14 +43,12 @@ func (s StarmieEncoder) Dim() int { return s.Model.Dim() }
 // Every returned vector is L2-normalised: unit length, or all-zero when the
 // column and its table context carry nothing to encode. The Starmie index
 // stores them as emitted and scores a pair by its plain dot product on the
-// strength of that.
-func (s StarmieEncoder) EncodeTableColumns(t *table.Table, corpus *tokenize.Corpus) []vector.Vec {
+// strength of that. The corpus is taken lazily, as by
+// ColumnEncoder.EncodeColumn: it is called only for a column over TokenBudget.
+func (s StarmieEncoder) EncodeTableColumns(t *table.Table, corpus func() *tokenize.Corpus) []vector.Vec {
 	content := make([]vector.Vec, t.NumCols())
 	for i := range t.Columns {
-		tokens := ColumnTokens(&t.Columns[i])
-		if corpus != nil && len(tokens) > TokenBudget {
-			tokens = corpus.TopK(tokens, TokenBudget)
-		}
+		tokens, _ := budgetTokens(&t.Columns[i], corpus)
 		content[i] = s.Model.EncodeTokens(tokens)
 	}
 	if len(content) == 0 {

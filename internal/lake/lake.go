@@ -37,6 +37,12 @@ func New(name string) *Lake {
 
 // Add inserts a table; adding a second table with the same name is an
 // error because the name is the table's identity within the lake.
+//
+// A table is immutable once it is in a lake: Clone shares the table objects
+// between a lake and its copy-on-write shadows, and search indexes and the
+// alignment column-vector memo (internal/align) key derived state by the
+// object's name and identity without watching its content. To change a
+// table, Remove it and Add a new object; Rename does so itself.
 func (l *Lake) Add(t *table.Table) error {
 	if _, ok := l.tables[t.Name]; ok {
 		return fmt.Errorf("lake %s: %w: %q", l.Name, ErrDuplicateTable, t.Name)
@@ -70,9 +76,11 @@ func (l *Lake) Remove(name string) error {
 	return nil
 }
 
-// Rename changes a table's identity in place: the table keeps its position
-// in the iteration order and its Name field is updated to match. Renaming
-// an absent table or onto an existing name is an error.
+// Rename changes a table's identity: the entry keeps its position in the
+// iteration order and is replaced by a shallow copy of the table carrying
+// the new name (columns shared), so the object other lakes and readers hold
+// keeps its old one. Renaming an absent table or onto an existing name is an
+// error.
 //
 // Rename only touches the lake. Search indexes key their state by table
 // name and do not observe it — rename an indexed table by removing it
@@ -89,8 +97,9 @@ func (l *Lake) Rename(old, new string) error {
 		return fmt.Errorf("lake %s: %w: %q", l.Name, ErrDuplicateTable, new)
 	}
 	delete(l.tables, old)
-	t.Name = new
-	l.tables[new] = t
+	renamed := *t
+	renamed.Name = new
+	l.tables[new] = &renamed
 	for i, n := range l.order {
 		if n == old {
 			l.order[i] = new

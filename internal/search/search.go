@@ -264,11 +264,11 @@ func TopK(s Searcher, query *table.Table, k int) []Scored {
 // Trace accumulates the per-stage wall time of one query through the
 // staged plan: encode (query representation + tuple embedding), retrieve
 // (candidate generation), score (exact ranking of the candidates), and
-// diversify (filled by the dust pipeline). Fields are atomic so a sharded
-// scatter can record from concurrent goroutines; a Trace travels with the
-// request via WithTrace, and searchers that find one in their context add
-// their stage costs to it. Serving layers turn the totals into latency
-// histograms and per-request log fields.
+// align and diversify (both filled by the dust pipeline). Fields are atomic
+// so a sharded scatter can record from concurrent goroutines; a Trace
+// travels with the request via WithTrace, and searchers that find one in
+// their context add their stage costs to it. Serving layers turn the totals
+// into latency histograms and per-request log fields.
 type Trace struct {
 	// EncodeNS is nanoseconds spent deriving representations: the query's
 	// prepared form here, plus tuple embedding in the dust pipeline.
@@ -279,6 +279,10 @@ type Trace struct {
 	// ScoreNS is nanoseconds spent exactly scoring and ranking candidates
 	// (the sharded gather's merge and global re-score included).
 	ScoreNS atomic.Int64
+	// AlignNS is nanoseconds the dust pipeline spent between ranking and
+	// tuple embedding: column embedding, holistic alignment, the mappings,
+	// the outer union and the coverage filter.
+	AlignNS atomic.Int64
 	// DiversifyNS is nanoseconds spent in the diversification stage; the
 	// search layer never writes it, the dust pipeline does.
 	DiversifyNS atomic.Int64
@@ -312,6 +316,13 @@ func (tr *Trace) AddRetrieve(start time.Time) {
 func (tr *Trace) AddScore(start time.Time) {
 	if tr != nil {
 		tr.ScoreNS.Add(time.Since(start).Nanoseconds())
+	}
+}
+
+// AddAlign adds the wall time since start to the align stage.
+func (tr *Trace) AddAlign(start time.Time) {
+	if tr != nil {
+		tr.AlignNS.Add(time.Since(start).Nanoseconds())
 	}
 }
 

@@ -156,7 +156,7 @@ func carveBlocks(tables []*table.Table, dim int) [][]float64 {
 // embedInto encodes t's columns against the current corpus into block.
 func (s *Starmie) embedInto(block []float64, t *table.Table) {
 	dim := s.enc.Dim()
-	for c, v := range s.enc.EncodeTableColumns(t, s.corpus) {
+	for c, v := range s.enc.EncodeTableColumns(t, s.Corpus) {
 		copy(block[c*dim:(c+1)*dim], v)
 	}
 }
@@ -608,7 +608,7 @@ func (sc *scan) score(s *Starmie, q []vector.Vec, t *table.Table, floor float64)
 
 // EncodeQuery embeds a query table's columns with the index corpus.
 func (s *Starmie) EncodeQuery(q *table.Table) []vector.Vec {
-	return s.enc.EncodeTableColumns(q, s.corpus)
+	return s.enc.EncodeTableColumns(q, s.Corpus)
 }
 
 // starmiePrepared is Starmie's PreparedQuery: the query's contextualized

@@ -28,6 +28,7 @@ func TestTraceAddHelpers(t *testing.T) {
 	nilTr.AddEncode(time.Now())
 	nilTr.AddRetrieve(time.Now())
 	nilTr.AddScore(time.Now())
+	nilTr.AddAlign(time.Now())
 	nilTr.AddDiversify(time.Now())
 
 	tr := &Trace{}
@@ -35,11 +36,13 @@ func TestTraceAddHelpers(t *testing.T) {
 	tr.AddEncode(start)
 	tr.AddRetrieve(start)
 	tr.AddScore(start)
+	tr.AddAlign(start)
 	tr.AddDiversify(start)
 	for name, got := range map[string]int64{
 		"encode":    tr.EncodeNS.Load(),
 		"retrieve":  tr.RetrieveNS.Load(),
 		"score":     tr.ScoreNS.Load(),
+		"align":     tr.AlignNS.Load(),
 		"diversify": tr.DiversifyNS.Load(),
 	} {
 		if got < time.Millisecond.Nanoseconds() {

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"dust/internal/align"
 	"dust/internal/embed"
 	"dust/internal/obs"
 	"dust/internal/search"
@@ -28,8 +29,8 @@ type serverMetrics struct {
 	// magnitude, so one merged histogram would hide both.
 	latency *obs.HistogramVec
 	// stage is the per-stage search-latency histogram (encode, retrieve,
-	// score, diversify) from the request's search.Trace; cache hits skip
-	// the pipeline and record no stages.
+	// score, align, diversify) from the request's search.Trace; cache hits
+	// skip the pipeline and record no stages.
 	stage *obs.HistogramVec
 	// scanTables counts the candidate tables of served searches by how the
 	// exact scan disposed of each (search.Trace's scan counts): the share
@@ -56,7 +57,7 @@ func newServerMetrics(s *Server, scatterOn bool) *serverMetrics {
 			"Request latency by endpoint, cache outcome (hit/miss on /search, none elsewhere), and status class.",
 			nil, "endpoint", "cache", "class"),
 		stage: r.NewHistogram("dust_search_stage_seconds",
-			"Per-stage wall time of served (uncached) searches: encode, retrieve, score, diversify.",
+			"Per-stage wall time of served (uncached) searches: encode, retrieve, score, align, diversify.",
 			nil, "stage"),
 		scanTables: r.NewCounter("dust_search_scan_tables_total",
 			"Candidate tables of served (uncached) searches by exact-scan outcome: bounded (cut by the matching's upper bound, not scored), greedy (scored by distinct per-column maxima), matched (scored by the Hungarian step).",
@@ -175,6 +176,20 @@ func newServerMetrics(s *Server, scatterOn bool) *serverMetrics {
 			emit(float64(misses), "miss")
 		})
 
+	r.NewCounterFunc("dust_align_column_vectors_total",
+		"Lake columns embedded for alignment in this process: hit = vector read back from the column-vector memo, miss = encoded and kept, unstorable = encoded against the request's corpus (a column over the token budget) and not kept; evicted = kept vectors dropped to stay within the memo's byte bound.",
+		[]string{"result"},
+		func(emit func(float64, ...string)) {
+			n := align.ColumnVectorStats()
+			emit(float64(n.Hits), "hit")
+			emit(float64(n.Misses), "miss")
+			emit(float64(n.Unstorable), "unstorable")
+			emit(float64(n.Evicted), "evicted")
+		})
+	r.NewGaugeFunc("dust_align_column_vector_bytes",
+		"Bytes of column vectors the alignment memo holds (bounded by a constant, 8 MiB).", nil,
+		func(emit func(float64, ...string)) { emit(float64(align.ColumnVectorStats().Bytes)) })
+
 	if scatterOn {
 		r.NewCounterFunc("dust_scatter_queries_total",
 			"Sharded scatter-gather queries timed by the stage accumulator.", nil,
@@ -276,6 +291,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			s.metrics.stage.With("encode").Observe(float64(tr.EncodeNS.Load()) / 1e9)
 			s.metrics.stage.With("retrieve").Observe(float64(tr.RetrieveNS.Load()) / 1e9)
 			s.metrics.stage.With("score").Observe(float64(tr.ScoreNS.Load()) / 1e9)
+			s.metrics.stage.With("align").Observe(float64(tr.AlignNS.Load()) / 1e9)
 			s.metrics.stage.With("diversify").Observe(float64(tr.DiversifyNS.Load()) / 1e9)
 			s.metrics.scanTables.With("bounded").Add(uint64(tr.ScanBounded.Load()))
 			s.metrics.scanTables.With("greedy").Add(uint64(tr.ScanGreedy.Load()))
@@ -291,6 +307,7 @@ type stagesMS struct {
 	Encode    float64 `json:"encode"`
 	Retrieve  float64 `json:"retrieve"`
 	Score     float64 `json:"score"`
+	Align     float64 `json:"align"`
 	Diversify float64 `json:"diversify"`
 }
 
@@ -338,6 +355,7 @@ func (s *Server) logRequest(r *http.Request, endpoint string, status int, dur ti
 			Encode:    nsToMS(tr.EncodeNS.Load()),
 			Retrieve:  nsToMS(tr.RetrieveNS.Load()),
 			Score:     nsToMS(tr.ScoreNS.Load()),
+			Align:     nsToMS(tr.AlignNS.Load()),
 			Diversify: nsToMS(tr.DiversifyNS.Load()),
 		}
 	}

@@ -185,18 +185,29 @@ func scrapeMetrics(t *testing.T, base string) string {
 	return buf.String()
 }
 
+// sampleValue returns the value of the exposition's sample line for series
+// (family name plus label set, as exposed), failing the test when the series
+// is not exposed.
+func sampleValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + ` (\S+)$`).FindStringSubmatch(text)
+	if m == nil {
+		t.Fatalf("exposition missing %s", series)
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatalf("%s = %q: %v", series, m[1], err)
+	}
+	return v
+}
+
 // scanTablesTotal sums dust_search_scan_tables_total over its three
 // outcomes, failing the test when one is not exposed.
 func scanTablesTotal(t *testing.T, text string) int {
 	t.Helper()
 	total := 0
 	for _, outcome := range []string{"bounded", "greedy", "matched"} {
-		m := regexp.MustCompile(`(?m)^dust_search_scan_tables_total\{outcome="` + outcome + `"\} (\d+)$`).FindStringSubmatch(text)
-		if m == nil {
-			t.Fatalf("exposition missing dust_search_scan_tables_total{outcome=%q}", outcome)
-		}
-		n, _ := strconv.Atoi(m[1])
-		total += n
+		total += int(sampleValue(t, text, `dust_search_scan_tables_total{outcome="`+outcome+`"}`))
 	}
 	return total
 }
@@ -223,6 +234,7 @@ func TestMetricsExposition(t *testing.T) {
 		`dust_search_stage_seconds_count{stage="encode"} 1`,
 		`dust_search_stage_seconds_count{stage="retrieve"} 1`,
 		`dust_search_stage_seconds_count{stage="score"} 1`,
+		`dust_search_stage_seconds_count{stage="align"} 1`,
 		`dust_search_stage_seconds_count{stage="diversify"} 1`,
 		`dust_admission_wait_seconds_count 1`,
 		`dust_searches_total 2`,
@@ -243,12 +255,26 @@ func TestMetricsExposition(t *testing.T) {
 	// The encode kernel's counts are the process's: the index build and the
 	// one served search have both derived vectors and read some back.
 	for _, result := range []string{"hit", "miss"} {
-		m := regexp.MustCompile(`(?m)^dust_embed_token_vectors_total\{result="` + result + `"\} (\S+)$`).FindStringSubmatch(text)
-		if m == nil {
-			t.Errorf("exposition missing dust_embed_token_vectors_total{result=%q}", result)
-		} else if n, err := strconv.ParseFloat(m[1], 64); err != nil || n <= 0 {
-			t.Errorf("dust_embed_token_vectors_total{result=%q} = %s, want a positive count", result, m[1])
+		if n := sampleValue(t, text, `dust_embed_token_vectors_total{result="`+result+`"}`); n <= 0 {
+			t.Errorf("dust_embed_token_vectors_total{result=%q} = %v, want a positive count", result, n)
 		}
+	}
+
+	// The alignment memo's counts are the process's too: all four results
+	// are exposed, the served search embedded lake columns (each a hit or a
+	// miss), and the bytes held stay within the memo's constant bound.
+	embedded := 0.0
+	for _, result := range []string{"hit", "miss", "unstorable", "evicted"} {
+		n := sampleValue(t, text, `dust_align_column_vectors_total{result="`+result+`"}`)
+		if result == "hit" || result == "miss" {
+			embedded += n
+		}
+	}
+	if embedded <= 0 {
+		t.Error("dust_align_column_vectors_total counts no hit and no miss after a served search")
+	}
+	if n := sampleValue(t, text, "dust_align_column_vector_bytes"); n <= 0 || n > 8<<20 {
+		t.Errorf("dust_align_column_vector_bytes = %v, want within (0, 8 MiB]", n)
 	}
 
 	// Every line must be a HELP/TYPE comment or a well-formed sample, and
@@ -418,8 +444,11 @@ func TestRequestLog(t *testing.T) {
 		miss.K != 3 || miss.Epoch == nil || miss.Stages == nil {
 		t.Fatalf("miss line wrong: %+v", miss)
 	}
-	if miss.Stages.Encode <= 0 {
-		t.Fatalf("miss line has no encode time: %+v", miss.Stages)
+	if miss.Stages.Encode <= 0 || miss.Stages.Align <= 0 {
+		t.Fatalf("miss line has no encode or no align time: %+v", miss.Stages)
+	}
+	if !strings.Contains(lines[0], `"align":`) {
+		t.Fatalf("miss line's stages_ms carries no align field: %s", lines[0])
 	}
 	if hit.Cache != "hit" || hit.Stages != nil {
 		t.Fatalf("hit line wrong: %+v", hit)
