@@ -114,7 +114,7 @@ func BenchmarkPipelineSearch(b *testing.B) {
 // mythology lake: "cold" loads the lake CSVs and builds the Starmie index
 // from scratch; "warm" loads the same CSVs plus the index saved by
 // SaveIndex. The acceptance bar for the persistence subsystem is warm >= 5x
-// faster than cold (see BENCH_warmstart.json for recorded runs).
+// faster than cold.
 func BenchmarkColdVsWarmStart(b *testing.B) {
 	bench := datagen.Generate("myth-bench", datagen.Config{
 		Seed: 2026, TablesPerBase: 20, BaseRows: 160, MinRows: 30, MaxRows: 80,
@@ -153,8 +153,8 @@ func BenchmarkColdVsWarmStart(b *testing.B) {
 }
 
 // BenchmarkParallelPipeline measures the end-to-end quick pipeline (index +
-// search) at workers=1 vs workers=NumCPU so BENCH_*.json tracks the
-// parallel speedup. The lake index is rebuilt inside the timed loop: index
+// search) at workers=1 vs workers=NumCPU, the parallel speedup. The lake
+// index is rebuilt inside the timed loop: index
 // construction is a parallelized hot path, and serving-side TopK/embedding/
 // diversification parallelism is covered by the same Search call.
 func BenchmarkParallelPipeline(b *testing.B) {
@@ -181,9 +181,8 @@ func BenchmarkParallelPipeline(b *testing.B) {
 // columns per query column from the HNSW graph, stage two re-scores only
 // their owner tables with the exact bipartite matcher. The hnsw run
 // reports recall@10 against the exact oracle as a custom metric; the
-// acceptance bar is >= 5x TopK speedup with recall@10 >= 0.95, recorded
-// in BENCH_ann.json (see also `dustbench -ann`, which writes it, and
-// TestANNRecall, which gates recall in CI at smaller scale).
+// acceptance bar is >= 5x TopK speedup with recall@10 >= 0.95
+// (TestANNRecall gates the recall at smaller scale).
 func BenchmarkANNPipeline(b *testing.B) {
 	bench := datagen.Generate("bench-ann", datagen.Config{
 		Seed: 997, Domains: 10, TablesPerBase: 1000, QueriesPerBase: 1,

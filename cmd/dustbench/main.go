@@ -1,5 +1,5 @@
 // Command dustbench regenerates the paper's tables and figures over the
-// synthetic benchmark corpus, and benchmarks the staged retrieval engine.
+// synthetic benchmark corpus.
 //
 // Usage:
 //
@@ -8,26 +8,17 @@
 //	dustbench -exp table2       # run one experiment
 //	dustbench -quick            # reduced scale (seconds instead of minutes)
 //
-//	dustbench -ann                     # exact vs HNSW retrieval on a 10k-table lake
-//	dustbench -ann -searcher tuples    # the tuple-level searcher instead of Starmie
-//	dustbench -ann -quick              # 1k tables
+// -cpuprofile and -memprofile wrap the run in pprof collection:
 //
-//	dustbench -shards 8                # monolithic vs scatter-gather on a 10k-table lake
-//	dustbench -shards 8 -quick         # 1k tables
+//	dustbench -quick -exp fig7 -cpuprofile fig7.cpu.pprof
+//	go tool pprof -top fig7.cpu.pprof
 //
-// The -ann run prints per-query exact/ANN latency with a recall@k column
-// and records the aggregate in BENCH_ann.json; the -shards run prints
-// per-query monolithic/sharded latency with an exact-parity column plus
-// scatter-gather throughput and records the aggregate in BENCH_shard.json.
-//
-// -cpuprofile and -memprofile wrap whichever workload runs in pprof
-// collection, so the retrieval benchmarks are profileable end to end:
-//
-//	dustbench -shards 8 -quick -cpuprofile shard.cpu.pprof
-//	go tool pprof -top shard.cpu.pprof
+// Performance claims are not made from here: BENCHMARK.json and
+// bash bench/run.sh are the repository's benchmark.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -38,39 +29,55 @@ import (
 	"dust/internal/experiments"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is main with an exit code instead of os.Exit, so the deferred
+// profile writers flush on every path out.
+func run(args []string) int {
+	fs := flag.NewFlagSet("dustbench", flag.ContinueOnError)
 	var (
-		exp        = flag.String("exp", "", "experiment to run (default: all)")
-		quick      = flag.Bool("quick", false, "reduced workload sizes")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		workers    = flag.Int("workers", 0, "cap parallelism via GOMAXPROCS (0 = all cores); every parallel kernel derives its default from it")
-		ann        = flag.Bool("ann", false, "benchmark staged retrieval (exact vs HNSW + recall@k) instead of the paper experiments")
-		searcher   = flag.String("searcher", "starmie", "searcher for -ann: starmie or tuples")
-		annK       = flag.Int("k", 10, "top-k for the -ann and -shards benchmarks")
-		annOut     = flag.String("ann-out", "BENCH_ann.json", "where -ann writes its JSON report")
-		shards     = flag.Int("shards", 0, "benchmark the sharded scatter-gather index with N shards (monolithic vs sharded TopK + throughput) instead of the paper experiments")
-		shardOut   = flag.String("shard-out", "BENCH_shard.json", "where -shards writes its JSON report")
-		scale      = flag.Int("scale", 0, "benchmark the ANN index at lake scale with N tables (float vs SQ8-quantized storage: resident bytes, build time, latency, recall) instead of the paper experiments; the headline run uses 100000")
-		scaleOut   = flag.String("scale-out", "BENCH_scale.json", "where -scale writes its JSON report")
-		quantized  = flag.Bool("quantized", false, "build the -ann benchmark's graph with SQ8 scalar-quantized storage")
-		oversample = flag.Float64("oversample", 0, "ANN candidate oversampling factor for the retrieval benchmarks (0 = default)")
-		efSearch   = flag.Int("ef-search", 0, "HNSW traversal beam width for the retrieval benchmarks (0 = default)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
+		exp        = fs.String("exp", "", "experiment to run (default: all)")
+		quick      = fs.Bool("quick", false, "reduced workload sizes")
+		list       = fs.Bool("list", false, "list experiments and exit")
+		workers    = fs.Int("workers", 0, "cap parallelism via GOMAXPROCS (0 = all cores); every parallel kernel derives its default from it")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = fs.String("memprofile", "", "write an end-of-run heap profile to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
 	}
+	if *list {
+		for _, r := range experiments.All() {
+			fmt.Printf("%-22s %s\n", r.Name, r.Artifact)
+		}
+		return 0
+	}
+	runners := experiments.All()
+	if *exp != "" {
+		r, err := experiments.Get(*exp)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dustbench:", err)
+			return 2
+		}
+		runners = []experiments.Runner{r}
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dustbench:", err)
-			os.Exit(1)
+			return 1
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "dustbench:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -89,53 +96,12 @@ func main() {
 		}()
 	}
 
-	if *ann {
-		if err := runANNBench(*searcher, *quick, *annK, *oversample, *efSearch, *quantized, *annOut); err != nil {
-			fmt.Fprintln(os.Stderr, "dustbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scale > 0 {
-		if err := runScaleBench(*scale, *workers, *annK, *oversample, *efSearch, *scaleOut); err != nil {
-			fmt.Fprintln(os.Stderr, "dustbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *shards > 0 {
-		if err := runShardBench(*shards, *quick, *annK, *shardOut); err != nil {
-			fmt.Fprintln(os.Stderr, "dustbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *list {
-		for _, r := range experiments.All() {
-			fmt.Printf("%-22s %s\n", r.Name, r.Artifact)
-		}
-		return
-	}
 	cfg := experiments.Config{Quick: *quick}
-
-	run := func(r experiments.Runner) {
+	for _, r := range runners {
 		start := time.Now()
 		rep := r.Run(cfg)
 		fmt.Println(rep.String())
 		fmt.Printf("  (%s finished in %v)\n\n", r.Name, time.Since(start).Round(time.Millisecond))
 	}
-
-	if *exp != "" {
-		r, err := experiments.Get(*exp)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		run(r)
-		return
-	}
-	for _, r := range experiments.All() {
-		run(r)
-	}
+	return 0
 }

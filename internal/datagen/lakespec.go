@@ -275,8 +275,8 @@ func ParseLakeSpec(str string) (LakeSpec, error) {
 }
 
 // String renders the spec back in ParseLakeSpec's key=value form (only
-// non-default dirty rates included) — the workload identity recorded in
-// BENCH_load.json.
+// non-default dirty rates included) — the lake identity the benchmark
+// hashes into inputs_sha256.
 func (s LakeSpec) String() string {
 	s = s.Normalized()
 	parts := []string{

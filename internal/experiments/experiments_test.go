@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -58,36 +59,38 @@ func TestFig5Shapes(t *testing.T) {
 	}
 }
 
-func TestFig6ShapeChecksPass(t *testing.T) {
-	r := Fig6(quick)
-	if len(r.Rows) != 6 {
-		t.Fatalf("Fig6 rows = %d, want 6 models", len(r.Rows))
-	}
-	assertAllShapesPass(t, r)
+// knownGaps are the shape checks that have failed in -quick since the seed,
+// matched exactly: a third FAIL fails TestShapeChecks, and so does a listed
+// gap whose digits move or that starts passing. Close one by fixing the
+// runner and deleting its line here.
+var knownGaps = map[string][]string{
+	// Holistic Starmie alignment trails bipartite by 0.005 F1 on the quick
+	// corpus; the paper has it ahead.
+	"table1": {"shape starmie(H)>starmie(B): FAIL (0.926 vs 0.931)"},
+	// DUST adds 17 unique titles at k=30 where Starmie-D adds 20; the paper
+	// has DUST ~25% ahead.
+	"fig8": {"shape dust >= starmie-d on titles at k=30: FAIL (17 vs 20)"},
 }
 
-func TestFig7ShapeChecksPass(t *testing.T) {
-	assertAllShapesPass(t, Fig7(quick))
-}
-
-func TestPruneAblationShapeChecksPass(t *testing.T) {
-	assertAllShapesPass(t, PruneAblation(quick))
-}
-
-func TestTable2ShapeChecksPass(t *testing.T) {
-	assertAllShapesPass(t, Table2(quick))
-}
-
-func TestFig10ShapeChecksPass(t *testing.T) {
-	assertAllShapesPass(t, Fig10(quick))
-}
-
-// assertAllShapesPass fails the test if any "shape ...: FAIL" note appears.
-func assertAllShapesPass(t *testing.T, r *Report) {
-	t.Helper()
-	for _, n := range r.Notes {
-		if strings.Contains(n, "FAIL") {
-			t.Errorf("%s: %s", r.Title, n)
-		}
+// TestShapeChecks runs every registered experiment in -quick and fails on
+// any "shape ...: FAIL" note that is not a known gap.
+func TestShapeChecks(t *testing.T) {
+	wantRows := map[string]int{"fig6": 6, "fig12": 10} // models; 5 per method
+	for _, r := range All() {
+		t.Run(r.Name, func(t *testing.T) {
+			rep := r.Run(quick)
+			if want, ok := wantRows[r.Name]; ok && len(rep.Rows) != want {
+				t.Fatalf("%s rows = %d, want %d", r.Name, len(rep.Rows), want)
+			}
+			var failed []string
+			for _, n := range rep.Notes {
+				if strings.Contains(n, "FAIL") {
+					failed = append(failed, n)
+				}
+			}
+			if !slices.Equal(failed, knownGaps[r.Name]) {
+				t.Errorf("%s: failed shape checks\n got  %q\n want %q (knownGaps)", rep.Title, failed, knownGaps[r.Name])
+			}
+		})
 	}
 }

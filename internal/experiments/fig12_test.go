@@ -2,27 +2,11 @@ package experiments
 
 import "testing"
 
-func TestFig12ShapeChecksPass(t *testing.T) {
-	r := Fig12(quick)
-	if len(r.Rows) != 10 {
-		t.Fatalf("Fig12 rows = %d, want 10 (5 per method)", len(r.Rows))
-	}
-	assertAllShapesPass(t, r)
-}
-
-func TestFig2ShapeChecksPass(t *testing.T) {
-	assertAllShapesPass(t, Fig2(quick))
-}
-
 func TestFig11ProducesAllPValues(t *testing.T) {
 	r := Fig11(quick)
 	if len(r.Rows) != 10 {
 		t.Fatalf("Fig11 rows = %d, want 10 (p=1..5 on two benchmarks)", len(r.Rows))
 	}
-}
-
-func TestAblationGranularityShapeChecksPass(t *testing.T) {
-	assertAllShapesPass(t, AblationTupleVsTable(quick))
 }
 
 func TestTable2RandomDUSTWins(t *testing.T) {

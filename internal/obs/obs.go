@@ -61,9 +61,7 @@ func (k Kind) typeName() string {
 }
 
 // DefBuckets are the default latency buckets in seconds: sub-millisecond
-// cache hits through multi-second cold queries, roughly logarithmic. They
-// mirror the spread BENCH_serve.json reports between the cached and
-// uncached serving paths.
+// cache hits through multi-second cold queries, roughly logarithmic.
 var DefBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
@@ -131,43 +129,6 @@ func (h *Histogram) Observe(v float64) {
 
 // Count returns how many values were observed.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Quantile estimates the q-th quantile (clamped to [0, 1]) of the
-// observed distribution the way Prometheus' histogram_quantile does:
-// find the bucket containing the target rank and interpolate linearly
-// inside it. The estimate's resolution is therefore the bucket width —
-// callers wanting tight p999 figures must register suitably fine
-// buckets. Observations beyond the last finite bound cannot be
-// interpolated and report that bound. An empty histogram reports NaN.
-// Quantile is safe to call concurrently with Observe; a racing
-// observation may or may not be included.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	lower := 0.0
-	for i, bound := range h.bounds {
-		c := float64(h.counts[i].Load())
-		if c > 0 && cum+c >= rank {
-			return lower + (bound-lower)*((rank-cum)/c)
-		}
-		cum += c
-		lower = bound
-	}
-	if len(h.bounds) == 0 {
-		return math.NaN()
-	}
-	return h.bounds[len(h.bounds)-1]
-}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }

@@ -173,52 +173,3 @@ func TestConcurrentObserve(t *testing.T) {
 		t.Fatalf("lost observations: %d, want 4000", n)
 	}
 }
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("lat", "latency", []float64{1, 2, 4, 8}).With()
-
-	if q := h.Quantile(0.5); q == q { // NaN != NaN
-		t.Fatalf("empty histogram quantile = %v, want NaN", q)
-	}
-
-	// 100 observations per bucket: quantiles land at predictable bucket
-	// boundaries under linear interpolation.
-	for i := 0; i < 100; i++ {
-		h.Observe(0.5)
-		h.Observe(1.5)
-		h.Observe(3)
-		h.Observe(6)
-	}
-	cases := []struct{ q, lo, hi float64 }{
-		{0.25, 0, 1},   // inside the first bucket
-		{0.5, 1, 2},    // inside the second
-		{0.75, 2, 4},   // third
-		{0.99, 4, 8},   // fourth
-		{1, 7.9, 8.01}, // exactly the top of the last bucket
-	}
-	for _, c := range cases {
-		got := h.Quantile(c.q)
-		if got < c.lo || got > c.hi {
-			t.Fatalf("Quantile(%v) = %v, want in [%v, %v]", c.q, got, c.lo, c.hi)
-		}
-	}
-	if p25, p99 := h.Quantile(0.25), h.Quantile(0.99); p25 > p99 {
-		t.Fatalf("quantiles not monotone: p25 %v > p99 %v", p25, p99)
-	}
-
-	// Clamping: out-of-range q behaves like the endpoints.
-	if got := h.Quantile(-1); got != h.Quantile(0) {
-		t.Fatalf("Quantile(-1) = %v, want %v", got, h.Quantile(0))
-	}
-	if got := h.Quantile(2); got != h.Quantile(1) {
-		t.Fatalf("Quantile(2) = %v, want %v", got, h.Quantile(1))
-	}
-
-	// Observations past the last finite bound report that bound.
-	over := r.NewHistogram("over", "overflow", []float64{1}).With()
-	over.Observe(100)
-	if got := over.Quantile(0.99); got != 1 {
-		t.Fatalf("overflowed Quantile = %v, want last bound 1", got)
-	}
-}

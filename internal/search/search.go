@@ -365,8 +365,8 @@ func TraceFrom(ctx context.Context) *Trace {
 // StageTimings accumulates per-stage wall time across the queries of a
 // scatter-gather searcher (internal/shard); attach one with
 // Searcher.Instrument. All fields are atomic so concurrent queries can share
-// an accumulator. dustbench -shards reports these as encode/scatter/gather
-// milliseconds per query, the serving layer as dust_scatter_* counters.
+// an accumulator. The serving layer reports these as dust_scatter_*
+// counters.
 type StageTimings struct {
 	// Queries counts the top-k queries recorded.
 	Queries atomic.Int64

@@ -241,8 +241,8 @@ func TestSoakConcurrentSearchAndMutation(t *testing.T) {
 	}
 }
 
-// Fixed specs for the throughput benchmarks; BENCH_serve.json numbers stay
-// comparable across commits because the seeds pin the lakes bit-for-bit.
+// Fixed specs for the throughput benchmarks: the seeds pin the lakes
+// bit-for-bit, so numbers stay comparable across commits.
 var (
 	benchSpec      = datagen.LakeSpec{Name: "serve-bench", Seed: 81, Tables: 20, Rows: 22}
 	largeBenchSpec = datagen.LakeSpec{Name: "serve-bench-large", Seed: 82, Tables: 600, Rows: 22}
@@ -268,8 +268,8 @@ func specServer(b *testing.B, spec datagen.LakeSpec, opts ...Option) (*Server, *
 // BenchmarkServeThroughput measures end-to-end request latency and
 // aggregate QPS through the full HTTP stack, uncached (cache disabled, the
 // pipeline runs every time) vs cached (every request after the first is a
-// fingerprint lookup). Recorded in BENCH_serve.json; the acceptance floor
-// is cached >= 5x faster than uncached.
+// fingerprint lookup). The acceptance floor is cached >= 5x faster than
+// uncached.
 func BenchmarkServeThroughput(b *testing.B) {
 	run := func(b *testing.B, ts *httptest.Server, body []byte) {
 		b.ResetTimer()
@@ -313,8 +313,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 	// a larger lake (ANN pruning has candidates to skip), caching off
 	// (every request computes), and 7 of 8 slots pinned so the load factor
 	// stays above the degrade threshold for every request. The exact arm
-	// is the baseline the degraded arm must beat under the same load;
-	// recorded as the degraded-path entry in BENCH_serve.json.
+	// is the baseline the degraded arm must beat under the same load.
 	saturate := func(b *testing.B, srv *Server) {
 		for i := 0; i < 7; i++ {
 			srv.sem <- struct{}{}

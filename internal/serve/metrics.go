@@ -389,6 +389,5 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 func WithRequestLog(w io.Writer) Option { return func(s *Server) { s.logw = w } }
 
 // scatterTimings returns the shard-path stage accumulator the server
-// attached to its pipeline, or nil for monolithic indexes — the serving
-// twin of dustbench's -shards stage report.
+// attached to its pipeline, or nil for monolithic indexes.
 func (s *Server) scatterTimings() *search.StageTimings { return s.scatter }

@@ -701,8 +701,8 @@ func (s *Server) handleListTables(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatsResponse is the body of GET /stats. It is exported as the wire
-// contract for external harnesses: the open-loop load generator
-// (internal/loadgen) scrapes /stats before and after a run and diffs
+// contract for external harnesses: the benchmark's open-loop driver
+// (bench/traffic.go) scrapes /stats before and after a run and diffs
 // these counters against its client-side accounting.
 type StatsResponse struct {
 	Epoch       uint64 `json:"epoch"`

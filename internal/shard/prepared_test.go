@@ -242,8 +242,8 @@ func BenchmarkMergeHitsSort(b *testing.B) {
 	}
 }
 
-// benchLake builds the dustbench -quick scale workload (1k tables) so the
-// two layouts' exact paths can be compared and profiled in isolation.
+// benchLake builds a 1k-table lake so the two layouts' exact paths can be
+// compared and profiled in isolation.
 func benchLake(b *testing.B) (*datagen.Benchmark, []*table.Table) {
 	b.Helper()
 	bench := datagen.Generate("shard-bench", datagen.Config{
