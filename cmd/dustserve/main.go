@@ -46,6 +46,7 @@ import (
 	"dust/internal/model"
 	"dust/internal/search"
 	"dust/internal/serve"
+	"dust/internal/vector"
 )
 
 func main() {
@@ -193,6 +194,7 @@ func main() {
 		fmt.Printf("pprof: serving on %s\n", *pprofAddr)
 	}
 
+	fmt.Printf("cosine kernel: %s\n", vector.CosineKernel())
 	fmt.Printf("dustserve: serving %s on %s\n", l.Name, *addr)
 	hs := &http.Server{
 		Addr:              *addr,

@@ -55,14 +55,15 @@ type Options struct {
 	CannotLink func(i, j int) bool
 }
 
-// workBufs keeps the working matrices of finished Agglomerative runs for the
-// next ones, so a run allocates no second n² buffer. It is a plain free list
-// rather than a sync.Pool because the collector empties a pool every other
-// cycle, and a search allocates enough elsewhere to run several cycles
-// between two clusterings. Runs are CPU-bound, so one buffer per processor
-// is all that concurrent runs can use; a run that finds the list empty
-// allocates, and a buffer that finds it full is left to the collector.
-var workBufs = make(chan []float32, runtime.GOMAXPROCS(0))
+// workBufs keeps the n² buffers of finished runs — a released cosine Matrix
+// and Agglomerative's working copy of it — for the next ones, so a steady
+// run of clusterings allocates neither. It is a plain free list rather than
+// a sync.Pool because the collector empties a pool every other cycle, and a
+// search allocates enough elsewhere to run several cycles between two
+// clusterings. Runs are CPU-bound, so one matrix and one working copy per
+// processor is all that concurrent runs can use; a run that finds the list
+// empty allocates, and a buffer that finds it full is left to the collector.
+var workBufs = make(chan []float32, 2*runtime.GOMAXPROCS(0))
 
 // takeWorkBuf returns n² cells of scratch with arbitrary contents.
 func takeWorkBuf(n int) []float32 {

@@ -15,10 +15,11 @@ import (
 )
 
 // Matrix is a symmetric pairwise distance matrix: n² float32 cells, 4·n²
-// bytes, both halves stored. It is the only n² buffer a clustering run
-// allocates — Agglomerative works on a recycled float32 copy (another 4·n²
-// bytes held per concurrent run, not allocated per run), and the cosine
-// path adds a transient 8·n·dim unit-row arena while the matrix is filled.
+// bytes, both halves stored. A cosine matrix takes its cells from the free
+// list Agglomerative's working copy comes from (workBufs) and its owner
+// gives them back with Release, so a steady run of clusterings holds two n²
+// buffers and allocates neither; the cosine path adds a transient 8·n·dim
+// unit-row arena while the matrix is filled.
 type Matrix struct {
 	n int
 	d []float32
@@ -59,12 +60,17 @@ const mirrorBlock = 32
 // mirrors it in blocks. The mirror pass hands each worker whole block-rows
 // of the lower triangle, so writes are disjoint in both passes, and every
 // cell depends only on its two rows — the matrix is bit-identical for every
-// worker count.
+// worker count. The cells come off the free list with arbitrary contents and
+// every one is written: the upper triangle by the kernel, the diagonal here,
+// the lower triangle by the mirror.
 func newCosineMatrix(items []vector.Vec, workers int) *Matrix {
 	n := len(items)
-	m := &Matrix{n: n, d: make([]float32, n*n)}
+	m := &Matrix{n: n, d: takeWorkBuf(n)}
 	u := vector.NewUnitRows(items)
-	forPairedRows(workers, n, func(i int) { u.CosineDistances(i, i+1, m.d[i*n:(i+1)*n]) })
+	forPairedRows(workers, n, func(i int) {
+		m.d[i*n+i] = 0
+		u.CosineDistances(i, i+1, m.d[i*n:(i+1)*n])
+	})
 	par.For(workers, (n+mirrorBlock-1)/mirrorBlock, func(bi int) {
 		i0, i1 := bi*mirrorBlock, min((bi+1)*mirrorBlock, n)
 		for j0 := 0; j0 < i1; j0 += mirrorBlock {
@@ -115,6 +121,13 @@ func forPairedRows(workers, n int, fillRow func(i int)) {
 
 // Len returns the number of items.
 func (m *Matrix) Len() int { return m.n }
+
+// Release hands the matrix's cells to the next clustering run. The matrix
+// must not be used afterwards.
+func (m *Matrix) Release() {
+	returnWorkBuf(m.d)
+	m.d = nil
+}
 
 // At returns the distance between items i and j.
 func (m *Matrix) At(i, j int) float64 { return float64(m.d[i*m.n+j]) }

@@ -126,12 +126,38 @@ func drainWorkBufs() {
 // TestAgglomerativeScratchLeaksNothing runs two different problems through
 // the recycled working matrix — each first in a fresh buffer, then back to
 // back in buffers the other one dirtied (larger and smaller), then from
-// concurrent goroutines — and requires the same dendrogram every time.
+// concurrent goroutines — and requires the same dendrogram every time. The
+// cosine matrix comes off the same free list: built in a released buffer
+// poisoned with NaN, larger than needed and exactly as large, it has the
+// cells of one built in fresh memory.
 func TestAgglomerativeScratchLeaksNothing(t *testing.T) {
 	type problem struct {
 		m    *Matrix
 		opts Options
 		want *Dendrogram
+	}
+	for _, n := range []int{1, 2, 31, 32, 33, 257} {
+		items := awkwardVecs(n, 16)
+		drainWorkBufs()
+		fresh := NewMatrixWorkers(items, vector.CosineDistance, 2)
+		for _, side := range []int{n, n + 3} {
+			drainWorkBufs()
+			poisoned := &Matrix{n: side, d: make([]float32, side*side)}
+			for i := range poisoned.d {
+				poisoned.d[i] = float32(math.NaN())
+			}
+			poisoned.Release()
+			if poisoned.d != nil || len(workBufs) != 1 {
+				t.Fatalf("Release left %d cells with the matrix and %d buffers on the list", len(poisoned.d), len(workBufs))
+			}
+			reused := NewMatrixWorkers(items, vector.CosineDistance, 2)
+			if len(workBufs) != 0 {
+				t.Fatalf("n=%d: the matrix did not take the listed buffer", n)
+			}
+			if !reflect.DeepEqual(reused.d, fresh.d) {
+				t.Fatalf("n=%d: matrix built in a poisoned %dx%d buffer differs from the fresh one", n, side, side)
+			}
+		}
 	}
 	big := &problem{m: NewMatrix(awkwardVecs(257, 16), vector.CosineDistance), opts: Options{Linkage: Average}}
 	small := &problem{

@@ -142,6 +142,7 @@ func clusterReps(p Problem, kept []int, numClusters int, pick func(m *cluster.Ma
 		numClusters = 1
 	}
 	m := cluster.NewMatrixWorkers(Gather(p.Tuples, kept), p.Dist, p.Workers)
+	defer m.Release()
 	dend := cluster.Agglomerative(m, cluster.Options{Linkage: cluster.Average})
 	labels, k := dend.Cut(numClusters)
 	var out []int

@@ -166,7 +166,12 @@ func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 		for _, t := range tokens {
 			h = hashAdd(hashAdd(h, t), "\x1f")
 		}
-		vecAddScaled(out, tv.vector(h), contentScale*e.noise)
+		// The vector can never be read again, so it is derived into the
+		// accumulator (content is dead by now), not into a table slot where
+		// it would evict a token vector; it still counts as derived.
+		pseudoVector(h, content)
+		tv.misses++
+		vecAddScaled(out, content, contentScale*e.noise)
 	}
 	normalize(out)
 	return out

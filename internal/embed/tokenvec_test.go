@@ -254,7 +254,8 @@ func TestTokenVectorStatsAndInstrument(t *testing.T) {
 	if h1-h0 < 1 {
 		t.Errorf("first call hit %d times, want >= 1 (the repeated token)", h1-h0)
 	}
-	if h2-h1 != reads || m2 != m1 {
-		t.Errorf("replayed call: %d hits, %d misses, want %d and 0", h2-h1, m2-m1, reads)
+	// The noise vector is seeded by the whole input and never kept.
+	if h2-h1 != reads-1 || m2-m1 != 1 {
+		t.Errorf("replayed call: %d hits, %d misses, want %d and 1", h2-h1, m2-m1, reads-1)
 	}
 }

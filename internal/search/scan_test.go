@@ -212,7 +212,7 @@ func TestTopKMatchesReference(t *testing.T) {
 // returned query, exactly the given weight matrix: query column i is the
 // basis vector e_i and stored column j carries w[i][j] in coordinate i, so
 // each dot is a single exact product.
-func weightsSearcher(w [][]float64, minSim float64) (*Starmie, []vector.Vec, *table.Table) {
+func weightsSearcher(w [][]float64, minSim float64) (*Starmie, *vector.QueryPanels, *table.Table) {
 	s := emptyStarmie(lake.New("w"), embed.NewStarmie(), options{})
 	s.MinSim = minSim
 	dim, nc := s.enc.Dim(), len(w[0])
@@ -226,7 +226,7 @@ func weightsSearcher(w [][]float64, minSim float64) (*Starmie, []vector.Vec, *ta
 		}
 	}
 	s.cols["w"] = block
-	return s, q, table.New("w")
+	return s, vector.NewQueryPanels(q), table.New("w")
 }
 
 // TestScoreExitsAreExact checks the three exits of scan.score against the
@@ -309,7 +309,7 @@ func TestScoreDropsSimAtMinSim(t *testing.T) {
 	const minSim = 0.3
 	above := math.Nextafter(minSim, 1)
 	s, q, tbl := weightsSearcher([][]float64{{minSim, 0.1}, {0.2, above}}, minSim)
-	if got, want := s.Score(q, tbl), above/2; got != want {
+	if got, want := s.score(q, tbl), above/2; got != want {
 		t.Errorf("Score = %v, want %v: only the cell above MinSim counts", got, want)
 	}
 }

@@ -523,12 +523,12 @@ func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
 	return &c
 }
 
-// Score computes the normalized bipartite matching weight between the query
+// score computes the normalized bipartite matching weight between the query
 // and one lake table.
-func (s *Starmie) Score(queryCols []vector.Vec, t *table.Table) float64 {
+func (s *Starmie) score(q *vector.QueryPanels, t *table.Table) float64 {
 	sc := scanPool.Get().(*scan)
 	defer scanPool.Put(sc)
-	score, _ := sc.score(s, queryCols, t, math.Inf(-1))
+	score, _ := sc.score(s, q, t, math.Inf(-1))
 	return score
 }
 
@@ -551,7 +551,9 @@ const (
 var scanPool = sync.Pool{New: func() any { return new(scan) }}
 
 // score is the exact unionability score of t under the query columns q
-// (unit or all-zero rows, like the stored blocks): the maximum-weight
+// (unit or all-zero rows, like the stored blocks; interleaved once per query
+// into the panels the cosine kernel reads, while the blocks stay row-major
+// as built): the maximum-weight
 // matching over cells w[i][j] = min(q[i]·c[j], 1) where that exceeds MinSim
 // (floored at 0: a non-positive weight never joins a matching), else 0,
 // divided by |Q|. It leaves by the cheapest exact exit. ub = Σᵢ maxⱼ w[i][j]
@@ -562,9 +564,9 @@ var scanPool = sync.Pool{New: func() any { return new(scan) }}
 // columns they are a matching that attains ub, and any other optimal
 // matching needs the same per-row weights, so ub is the Hungarian total bit
 // for bit. Otherwise the Hungarian step decides.
-func (sc *scan) score(s *Starmie, q []vector.Vec, t *table.Table, floor float64) (score float64, exit int) {
+func (sc *scan) score(s *Starmie, q *vector.QueryPanels, t *table.Table, floor float64) (score float64, exit int) {
 	block := s.cols[t.Name]
-	nq, nc := len(q), len(block)/s.enc.Dim()
+	nq, nc := q.Len(), len(block)/s.enc.Dim()
 	if nq == 0 || nc == 0 {
 		return 0, scanGreedy
 	}
@@ -573,9 +575,13 @@ func (sc *scan) score(s *Starmie, q []vector.Vec, t *table.Table, floor float64)
 	minSim := max(s.MinSim, 0)
 	var ub float64
 	distinct := true
-	for i, qv := range q {
+	for i := 0; i < nq; i++ {
+		if i%vector.PanelRows == 0 {
+			// The kernel fills four query rows at a time; a table cut
+			// below never pays for the panels after the cut.
+			q.DotBlock(i/vector.PanelRows, block, w)
+		}
 		row := w[i*nc : (i+1)*nc]
-		vector.DotRows(qv, block, row)
 		best, at := 0.0, -1
 		for j, sim := range row {
 			if !(sim > minSim) {
@@ -612,10 +618,12 @@ func (s *Starmie) EncodeQuery(q *table.Table) []vector.Vec {
 }
 
 // starmiePrepared is Starmie's PreparedQuery: the query's contextualized
-// column embeddings, encoded once against the index corpus.
+// column embeddings, encoded once against the index corpus, and the same
+// vectors in the layout the exact scan reads.
 type starmiePrepared struct {
-	query *table.Table
-	cols  []vector.Vec
+	query  *table.Table
+	cols   []vector.Vec
+	panels *vector.QueryPanels
 }
 
 // Query implements PreparedQuery.
@@ -625,7 +633,8 @@ func (p *starmiePrepared) Query() *table.Table { return p.query }
 // exactly once. Searchers sharing this searcher's corpus — the shards of a
 // partitioned lake — accept the preparation interchangeably.
 func (s *Starmie) Prepare(query *table.Table) PreparedQuery {
-	return &starmiePrepared{query: query, cols: s.EncodeQuery(query)}
+	cols := s.EncodeQuery(query)
+	return &starmiePrepared{query: query, cols: cols, panels: vector.NewQueryPanels(cols)}
 }
 
 // TopKPrepared implements Searcher as the staged plan: retrieve candidates
@@ -656,7 +665,7 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 		sc := scanPool.Get().(*scan)
 		var exits [3]int64
 		return func(t *table.Table, floor float64) (float64, bool) {
-				score, exit := sc.score(s, p.cols, t, floor)
+				score, exit := sc.score(s, p.panels, t, floor)
 				exits[exit]++
 				return score, exit == scanBounded
 			}, func() {
@@ -689,5 +698,5 @@ func (s *Starmie) NominatePrepared(ctx context.Context, pq PreparedQuery, depth 
 
 // ScorePrepared implements Searcher.
 func (s *Starmie) ScorePrepared(pq PreparedQuery, t *table.Table) float64 {
-	return s.Score(pq.(*starmiePrepared).cols, t)
+	return s.score(pq.(*starmiePrepared).panels, t)
 }

@@ -13,6 +13,7 @@ import (
 	"dust/internal/embed"
 	"dust/internal/obs"
 	"dust/internal/search"
+	"dust/internal/vector"
 )
 
 // serverMetrics bundles the registry and the vec handles the request path
@@ -166,6 +167,11 @@ func newServerMetrics(s *Server, scatterOn bool) *serverMetrics {
 				}
 			}
 		})
+
+	r.NewGaugeFunc("dust_cosine_kernel",
+		"Body of the cosine kernel this process selected from its architecture and CPUID (avx2 or generic); same answers, the generic one several times slower under the distance matrix and the exact scan.",
+		[]string{"kernel"},
+		func(emit func(float64, ...string)) { emit(1, vector.CosineKernel()) })
 
 	r.NewCounterFunc("dust_embed_token_vectors_total",
 		"Token vectors read by the encode kernel in this process (index build, PUTs and searches alike): hit = read from a token-vector table, miss = derived.",

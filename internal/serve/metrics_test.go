@@ -16,6 +16,7 @@ import (
 
 	"dust"
 	"dust/internal/search"
+	"dust/internal/vector"
 )
 
 // postBody posts body to url with the given content type and returns the
@@ -258,6 +259,11 @@ func TestMetricsExposition(t *testing.T) {
 		if n := sampleValue(t, text, `dust_embed_token_vectors_total{result="`+result+`"}`); n <= 0 {
 			t.Errorf("dust_embed_token_vectors_total{result=%q} = %v, want a positive count", result, n)
 		}
+	}
+
+	// The kernel body this process selected is named, as one series.
+	if n := sampleValue(t, text, `dust_cosine_kernel{kernel="`+vector.CosineKernel()+`"}`); n != 1 {
+		t.Errorf("dust_cosine_kernel{kernel=%q} = %v, want 1", vector.CosineKernel(), n)
 	}
 
 	// The alignment memo's counts are the process's too: all four results

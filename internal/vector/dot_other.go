@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package vector
+
+func dotPanels(a, b []float64, dim int, out *[tileCells]float64) {
+	dotPanelsGeneric(a, b, dim, out)
+}
+
+func dotCols(q, c0, c1, c2, c3 []float64, out *[blockCells]float64) {
+	dotColsGeneric(q, c0, c1, c2, c3, out)
+}

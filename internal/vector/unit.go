@@ -2,93 +2,131 @@ package vector
 
 import "reflect"
 
-// UnitRows is a set of vectors L2-normalised once into one contiguous
-// row-major arena, so that cosine distance between any two of them is
-// 1 - dot: the norms a pairwise CosineDistance recomputes for every pair
-// are paid once per row. A zero-norm input stays an all-zero row; its dot
-// with anything is 0 and its distance to anything is 1, as Cosine defines.
-type UnitRows struct {
+// panels is a set of equally long rows stored four to a panel, the layout
+// the cosine kernel reads (dot.go): element k of rows 4p .. 4p+3 is
+// a[(p*dim+k)*4:][:4]. Rows the last panel lacks, and any whole panels of
+// padding behind it, are zero.
+type panels struct {
 	n, dim int
 	a      []float64
 }
+
+func makePanels(n, dim, padding int) panels {
+	return panels{n: n, dim: dim, a: make([]float64, ((n+PanelRows-1)/PanelRows+padding)*dim*PanelRows)}
+}
+
+// panel returns the count panels starting at panel p.
+func (s *panels) panel(p, count int) []float64 {
+	return s.a[p*s.dim*PanelRows : (p+count)*s.dim*PanelRows]
+}
+
+// row returns row i as the kernel reads it, element k at [4k], through the
+// end of its panel. (The min is for dimension 0, whose panels are empty.)
+func (s *panels) row(i int) []float64 {
+	panel := s.panel(i/PanelRows, 1)
+	return panel[min(i%PanelRows, len(panel)):]
+}
+
+// put stores v/norm as row i; len(v) is the panels' dimension.
+func (s *panels) put(i int, v Vec, norm float64) {
+	row := s.row(i)
+	for k, x := range v {
+		row[k*PanelRows] = x / norm
+	}
+}
+
+// UnitRows is a set of vectors L2-normalised once into one arena of panels,
+// so that cosine distance between any two of them is 1 - dot: the norms a
+// pairwise CosineDistance recomputes for every pair are paid once per row. A
+// zero-norm input stays an all-zero row; its dot with anything is 0 and its
+// distance to anything is 1, as Cosine defines.
+type UnitRows struct{ panels }
 
 // NewUnitRows normalises items into a fresh arena. The inputs are not
 // retained and need not be unit length (a fine-tuned model does not
 // normalise). It panics on a dimension mismatch, like every kernel here.
 func NewUnitRows(items []Vec) *UnitRows {
-	u := &UnitRows{n: len(items)}
-	if u.n == 0 {
-		return u
+	if len(items) == 0 {
+		return &UnitRows{}
 	}
-	u.dim = len(items[0])
-	u.a = make([]float64, u.n*u.dim)
+	// A matrix tile that starts in the last panel runs tilePanels-1 past it.
+	u := &UnitRows{makePanels(len(items), len(items[0]), tilePanels-1)}
 	for i, v := range items {
 		checkLen(items[0], v)
-		norm := Norm(v)
-		if norm == 0 {
-			continue
-		}
-		row := u.row(i)
-		for k, x := range v {
-			row[k] = x / norm
+		if norm := Norm(v); norm != 0 {
+			u.put(i, v, norm)
 		}
 	}
 	return u
 }
 
-func (u *UnitRows) row(i int) []float64 { return u.a[i*u.dim : (i+1)*u.dim] }
-
 // CosineDistances writes the cosine distance between row i and every row j
 // in [lo, n) to out[j]. Each value is a pure function of the two rows:
-// every cell, the ragged tail of a row included, comes out of the same
-// 1x4 tile with one accumulator per cell summing in element order, so
-// neither the tile a cell lands in, the worker that computes it, nor the
-// subset of rows present can change it.
+// every cell comes out of the one kernel with an accumulator of its own
+// summing in element order, so neither the tile a cell lands in, the worker
+// that computes it, nor the subset of rows present can change it.
 func (u *UnitRows) CosineDistances(i, lo int, out []float32) {
-	a := u.row(i)
-	last := u.n - 1
-	for j := lo; j <= last; j += 4 {
-		// Past the end the tile re-reads the last row and the surplus
-		// sums are dropped.
-		s := dot1x4(a, u.row(j),
-			u.row(min(j+1, last)), u.row(min(j+2, last)), u.row(min(j+3, last)))
-		for t := 0; t < 4 && j+t <= last; t++ {
-			out[j+t] = unitDistance(s[t])
+	if lo >= u.n {
+		return
+	}
+	row := u.row(i) // read in place, out of its own panel
+	var s [tileCells]float64
+	for p := lo / PanelRows; p*PanelRows < u.n; p += tilePanels {
+		// Cells before lo, and the zero rows past n, are computed and dropped.
+		dotPanels(row, u.panel(p, tilePanels), u.dim, &s)
+		j0 := p * PanelRows
+		for j := max(j0, lo); j < min(j0+tileCells, u.n); j++ {
+			out[j] = unitDistance(s[j-j0])
 		}
 	}
 }
 
-// DotRows writes the dot product of a with each of the len(out) rows of the
-// row-major block rows (len(out) x len(a)) to out. For unit (or all-zero)
-// rows that is their cosine similarity, up to rounding just outside
-// [-1, 1], without the norms Cosine recomputes per pair. Like
-// CosineDistances, every cell — the ragged tail included — comes out of
-// the same 1x4 tile, so out[j] is a pure function of a and row j: a row's
-// position in the block, the block's length and the calling worker cannot
-// change it.
-func DotRows(a Vec, rows, out []float64) {
-	dim, last := len(a), len(out)-1
-	row := func(j int) []float64 { j = min(j, last); return rows[j*dim : (j+1)*dim] }
-	for j := 0; j <= last; j += 4 {
-		s := dot1x4(a, row(j), row(j+1), row(j+2), row(j+3))
-		copy(out[j:], s[:])
+// QueryPanels is the query side of the exact scan: a handful of rows, stored
+// bit for bit as given in the kernel's panel layout, to be dotted with
+// row-major blocks that stay as they were built.
+type QueryPanels struct{ panels }
+
+// NewQueryPanels copies rows into panels. Nothing is normalised: the scan's
+// rows are unit or all-zero already and must keep their bits.
+func NewQueryPanels(rows []Vec) *QueryPanels {
+	if len(rows) == 0 {
+		return &QueryPanels{}
 	}
+	q := &QueryPanels{makePanels(len(rows), len(rows[0]), 0)}
+	for i, v := range rows {
+		checkLen(rows[0], v)
+		q.put(i, v, 1)
+	}
+	return q
 }
 
-// dot1x4 is the one cosine kernel: a against four rows at once, so each
-// element of a is loaded once per four multiply-adds and the four sums
-// form independent dependency chains.
-func dot1x4(a, b0, b1, b2, b3 []float64) [4]float64 {
-	var s0, s1, s2, s3 float64
-	// Reslicing to len(a) lets the compiler drop the bounds checks below.
-	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
-	for k, x := range a {
-		s0 += x * b0[k]
-		s1 += x * b1[k]
-		s2 += x * b2[k]
-		s3 += x * b3[k]
+// Len returns the number of rows.
+func (q *QueryPanels) Len() int { return q.n }
+
+// DotBlock writes to w[i*nc+j] the dot product of row i with row j of the
+// row-major block (nc rows of the panels' dimension), for the four rows i
+// of panel p that exist. For unit (or all-zero) rows that is their cosine
+// similarity, up to rounding just outside [-1, 1]. Like CosineDistances,
+// every cell comes out of the one kernel, so it is a pure function of its
+// two rows: a row's position in the block or among the query's, the block's
+// length and the calling worker cannot change it.
+func (q *QueryPanels) DotBlock(p int, block []float64, w []float64) {
+	dim := q.dim
+	nc := len(block) / max(dim, 1)
+	last := nc - 1
+	// Past the end the tile re-reads the last stored row and the surplus
+	// sums are dropped, as are those of the zero rows a short panel holds.
+	col := func(j int) []float64 { j = min(j, last); return block[j*dim : (j+1)*dim] }
+	panel, rows := q.panel(p, 1), min(PanelRows, q.n-p*PanelRows)
+	var s [blockCells]float64
+	for j := 0; j <= last; j += PanelRows {
+		dotCols(panel, col(j), col(j+1), col(j+2), col(j+3), &s)
+		for t := 0; t < PanelRows && j+t <= last; t++ {
+			for r := 0; r < rows; r++ {
+				w[(p*PanelRows+r)*nc+j+t] = s[t*PanelRows+r]
+			}
+		}
 	}
-	return [4]float64{s0, s1, s2, s3}
 }
 
 // unitDistance maps the dot product of two unit rows to a cosine distance

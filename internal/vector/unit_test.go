@@ -105,25 +105,32 @@ func TestUnitRowsZeroAndScale(t *testing.T) {
 // its two rows: the same pair yields the same bits whichever tile slot it
 // falls in (every start offset) and whichever other rows are present.
 func TestUnitRowsPositionIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	vs := randomVecs(rng, 23, 127)
-	u := NewUnitRows(vs)
-	want := make([]float32, len(vs))
-	u.CosineDistances(0, 1, want)
-	for lo := 2; lo < len(vs); lo++ {
-		got := make([]float32, len(vs))
-		u.CosineDistances(0, lo, got)
-		for j := lo; j < len(vs); j++ {
-			if got[j] != want[j] {
-				t.Fatalf("cell (0,%d) from offset %d = %g, from offset 1 = %g", j, lo, got[j], want[j])
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		vs := randomVecs(rng, 71, 127)
+		u := NewUnitRows(vs)
+		want := make([]float32, len(vs))
+		u.CosineDistances(0, 1, want)
+		for lo := 2; lo < len(vs); lo++ {
+			got := make([]float32, len(vs))
+			u.CosineDistances(0, lo, got)
+			for j := lo; j < len(vs); j++ {
+				if got[j] != want[j] {
+					t.Fatalf("cell (0,%d) from offset %d = %g, from offset 1 = %g", j, lo, got[j], want[j])
+				}
 			}
 		}
-	}
-	for j := 1; j < len(vs); j++ {
-		if got := unitCell(NewUnitRows([]Vec{vs[0], vs[j]}), 0, 1); got != want[j] {
-			t.Fatalf("cell (0,%d) alone = %g, in the full set = %g", j, got, want[j])
+		for j := 1; j < len(vs); j++ {
+			if got := unitCell(NewUnitRows([]Vec{vs[0], vs[j]}), 0, 1); got != want[j] {
+				t.Fatalf("cell (0,%d) alone = %g, in the full set = %g", j, got, want[j])
+			}
+			// The other way round the row is broadcast from another lane
+			// and the cell lands in another tile slot.
+			if got := unitCell(u, j, 0); got != want[j] {
+				t.Fatalf("cell (%d,0) = %g, cell (0,%d) = %g", j, got, j, want[j])
+			}
 		}
-	}
+	})
 }
 
 func TestIsCosineDistance(t *testing.T) {
@@ -150,46 +157,52 @@ func TestIsCosineDistance(t *testing.T) {
 	}
 }
 
-// TestDotRowsPureCells pins DotRows' contract: out[j] is a function of a
-// and row j alone — the same bits wherever the row sits, whatever the
-// block's length (so whatever tile slot or ragged tail it lands in) — it
-// agrees with Dot to rounding, and for normalised inputs it is the cosine
-// the exact scan relies on.
+// TestDotRowsPureCells pins DotBlock's contract: a cell is a function of
+// its query row and its stored row alone — the same bits wherever the stored
+// row sits, whatever the block's length (so whatever tile slot or ragged
+// tail it lands in) and whichever lane of whichever panel the query row
+// takes — it agrees with Dot to rounding, and for normalised inputs it is
+// the cosine the exact scan relies on.
 func TestDotRowsPureCells(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for _, dim := range []int{1, 5, 128} {
-		vs := randomVecs(rng, 12, dim)
-		for i, v := range vs {
-			vs[i] = Normalize(v)
-		}
-		a := vs[0]
-		flat := func(rows []Vec) []float64 {
-			var out []float64
-			for _, r := range rows {
-				out = append(out, r...)
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(16))
+		for _, dim := range []int{1, 5, 128} {
+			vs := randomVecs(rng, 12, dim)
+			for i, v := range vs {
+				vs[i] = Normalize(v)
 			}
-			return out
-		}
-		alone := make([]float64, len(vs))
-		for j, v := range vs {
-			DotRows(a, v, alone[j:j+1])
-		}
-		if alone[0] < 1-1e-12 || alone[0] > 1+1e-12 {
-			t.Fatalf("dim %d: unit row dotted with itself = %v", dim, alone[0])
-		}
-		for n := 0; n <= len(vs); n++ {
-			for lo := 0; lo+n <= len(vs); lo++ {
-				out := make([]float64, n)
-				DotRows(a, flat(vs[lo:lo+n]), out)
-				for j, got := range out {
-					if got != alone[lo+j] {
-						t.Fatalf("dim %d: row %d in block [%d,%d) = %v, alone %v", dim, lo+j, lo, lo+n, got, alone[lo+j])
-					}
-					if want := Cosine(a, vs[lo+j]); math.Abs(got-want) > 1e-12 {
-						t.Fatalf("dim %d: DotRows %v, Cosine %v", dim, got, want)
+			a := vs[0]
+			flat := func(rows []Vec) []float64 {
+				var out []float64
+				for _, r := range rows {
+					out = append(out, r...)
+				}
+				return out
+			}
+			alone := make([]float64, len(vs))
+			for j, v := range vs {
+				NewQueryPanels([]Vec{a}).DotBlock(0, v, alone[j:j+1])
+			}
+			if alone[0] < 1-1e-12 || alone[0] > 1+1e-12 {
+				t.Fatalf("dim %d: unit row dotted with itself = %v", dim, alone[0])
+			}
+			for n := 0; n <= len(vs); n++ {
+				for lo := 0; lo+n <= len(vs); lo++ {
+					// a is query row at, after at other rows.
+					at := (n + lo) % 7
+					q := NewQueryPanels(append(append([]Vec{}, vs[:at]...), a))
+					w := make([]float64, q.Len()*n)
+					q.DotBlock(at/4, flat(vs[lo:lo+n]), w)
+					for j, got := range w[at*n:] {
+						if got != alone[lo+j] {
+							t.Fatalf("dim %d: row %d in block [%d,%d), query row %d = %v, alone %v", dim, lo+j, lo, lo+n, at, got, alone[lo+j])
+						}
+						if want := Cosine(a, vs[lo+j]); math.Abs(got-want) > 1e-12 {
+							t.Fatalf("dim %d: DotBlock %v, Cosine %v", dim, got, want)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
