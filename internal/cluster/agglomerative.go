@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 )
 
@@ -188,7 +190,7 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 				case Complete:
 					nd = max(dak, dbk)
 				default: // Average
-					nd = float32(wa*float64(dak) + wb*float64(dbk))
+					nd = float32(float64(wa*float64(dak)) + float64(wb*float64(dbk)))
 				}
 				rowA[k] = nd
 				d[k*n+a] = nd
@@ -212,8 +214,8 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 	// intact: for the reducible linkages offered, a merge consuming the
 	// output of another always has a distance >= its input's distance, and
 	// on ties the producing merge was appended first.
-	sort.SliceStable(dend.Merges, func(i, j int) bool {
-		return dend.Merges[i].Distance < dend.Merges[j].Distance
+	slices.SortStableFunc(dend.Merges, func(a, b Merge) int {
+		return cmp.Compare(a.Distance, b.Distance) // never NaN
 	})
 	return dend
 }

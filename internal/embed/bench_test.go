@@ -36,13 +36,14 @@ func benchStreams() map[string][]string {
 // BenchmarkEncodeTokens is the micro view of the traced benchmark's
 // align.embed_columns_p50_ms (column40, column120) and
 // model.encode_tuples_p50_ms (tuple): one warm call of the encode kernel per
-// iteration at the served dimension.
+// iteration at the served dimension, under each body the host can run. It
+// reports the vectors derived per call and the call's time per derived vector.
 func BenchmarkEncodeTokens(b *testing.B) {
 	enc := NewRoBERTa()
 	streams := benchStreams()
 	for _, name := range []string{"tuple", "column40", "column120"} {
 		tokens := streams[name]
-		b.Run(name, func(b *testing.B) {
+		run := func(b *testing.B) {
 			b.ReportAllocs()
 			_, m0 := TokenVectorStats()
 			for i := 0; i < b.N; i++ {
@@ -50,7 +51,14 @@ func BenchmarkEncodeTokens(b *testing.B) {
 			}
 			_, m1 := TokenVectorStats()
 			b.ReportMetric(float64(m1-m0)/float64(b.N), "misses/op")
-		})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m1-m0), "ns/derived")
+		}
+		b.Run(name+"/"+vector.CosineKernel(), run)
+		if vector.CosineKernel() != "generic" {
+			restore := vector.ForceGenericKernel()
+			b.Run(name+"/generic", run)
+			restore()
+		}
 	}
 }
 

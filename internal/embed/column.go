@@ -52,7 +52,7 @@ func (c CellLevel) EncodeColumn(col *table.Column, _ func() *tokenize.Corpus) (v
 		if v == table.Null {
 			continue
 		}
-		vecAddScaled(acc, c.Model.EncodeText(v), 1)
+		vector.AddScaled(acc, c.Model.EncodeText(v), 1)
 		n++
 	}
 	if n == 0 {

@@ -52,7 +52,7 @@ func newEncoder(name string, seed uint64, anisotropy, noise float64, contextual 
 		o(e)
 	}
 	e.common = make(vector.Vec, e.dim)
-	pseudoVector(hashAdd(hashSeed(seed), "::common::"+name), e.common)
+	vector.PseudoUnit(hashAdd(hashSeed(seed), "::common::"+name), e.common)
 	return e
 }
 
@@ -124,7 +124,7 @@ func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 		class := hashAdd(base, "class:")
 		for i, t := range tokens {
 			h := hashAdd(base, t)
-			vecAddScaled(content, tv.vector(h), 1)
+			vector.AddScaled(content, tv.vector(h), 1)
 			if cls, ok := classOf(t); ok {
 				// Pre-trained lexical semantics: synonym tokens share a
 				// class vector (see lexicon.go). Column-context header
@@ -139,7 +139,7 @@ func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 				case len(t) > 2 && t[0] == 'h' && t[1] == ':':
 					w = 1.2
 				}
-				vecAddScaled(content, tv.vector(hashAdd(class, cls)), w)
+				vector.AddScaled(content, tv.vector(hashAdd(class, cls)), w)
 			}
 			if e.contextual && i+1 < len(tokens) && !isColHeader(t) && !isColHeader(tokens[i+1]) {
 				// Language-model flavour: bigram context vectors let the
@@ -147,10 +147,10 @@ func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 				// Column-header tokens stay out of the bigram stream so
 				// their repetition does not fabricate context. The seed
 				// is the hash of t + "\x00" + next, continued from t's.
-				vecAddScaled(content, tv.vector(hashAdd(hashAdd(h, "\x00"), tokens[i+1])), 0.5)
+				vector.AddScaled(content, tv.vector(hashAdd(hashAdd(h, "\x00"), tokens[i+1])), 0.5)
 			}
 		}
-		normalize(content)
+		vector.NormalizeInPlace(content)
 	}
 
 	// The shared component takes the anisotropy fraction; the remainder is
@@ -158,8 +158,8 @@ func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 	// content share so the two knobs are independent).
 	out := make(vector.Vec, e.dim)
 	contentScale := 1 - e.anisotropy
-	vecAddScaled(out, content, contentScale*(1-e.noise))
-	vecAddScaled(out, e.common, e.anisotropy)
+	vector.AddScaled(out, content, contentScale*(1-e.noise))
+	vector.AddScaled(out, e.common, e.anisotropy)
 	if e.noise > 0 {
 		// Seeded by the whole input: every token followed by 0x1f.
 		h := hashSeed(e.seed ^ 0xA0A0)
@@ -169,28 +169,10 @@ func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 		// The vector can never be read again, so it is derived into the
 		// accumulator (content is dead by now), not into a table slot where
 		// it would evict a token vector; it still counts as derived.
-		pseudoVector(h, content)
+		vector.PseudoUnit(h, content)
 		tv.misses++
-		vecAddScaled(out, content, contentScale*e.noise)
+		vector.AddScaled(out, content, contentScale*e.noise)
 	}
-	normalize(out)
+	vector.NormalizeInPlace(out)
 	return out
-}
-
-// vecAddScaled adds s*src into dst.
-func vecAddScaled(dst, src vector.Vec, s float64) {
-	for i := range dst {
-		dst[i] += s * src[i]
-	}
-}
-
-// normalize is vector.Normalize in place: the same divisions, no copy.
-func normalize(v vector.Vec) {
-	n := vector.Norm(v)
-	if n == 0 {
-		return
-	}
-	for i := range v {
-		v[i] /= n
-	}
 }

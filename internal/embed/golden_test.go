@@ -68,7 +68,9 @@ func digest(vs ...vector.Vec) string {
 // saved index behind an unchanged Fingerprint. The digests were generated at
 // the commit before the token-vector table went under EncodeTokens and must
 // only change together with the Fingerprint format.
-func TestEncoderGoldenBits(t *testing.T) {
+func TestEncoderGoldenBits(t *testing.T) { eachKernel(t, testEncoderGoldenBits) }
+
+func testEncoderGoldenBits(t *testing.T) {
 	want := map[string]string{
 		"fasttext":       "12477b97a4ffdbc455264ccf2769cf9f",
 		"glove":          "de4c93dbfcd766f12c878e6186b8cc1b",

@@ -20,19 +20,6 @@
 // (model, input) and experiments are reproducible.
 package embed
 
-import "math"
-
-// splitmix64 advances and scrambles a 64-bit state; it is the PRNG used to
-// derive pseudo-random vector components from token hashes.
-func splitmix64(state uint64) (uint64, uint64) {
-	state += 0x9e3779b97f4a7c15
-	z := state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return state, z
-}
-
 // hashSeed starts a 64-bit FNV-1a hash mixed with seed, and hashAdd continues
 // one through s. The hash is streaming: hashAdd(hashAdd(h, a), b) is the hash
 // of a+b, so a seed over a concatenation is built without concatenating.
@@ -48,36 +35,4 @@ func hashAdd(h uint64, s string) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-// unitGaussian converts a 64-bit word to an approximately standard-normal
-// float via the sum of 4 scaled uniform lanes (Irwin-Hall approximation,
-// plenty for embedding geometry).
-func unitGaussian(z uint64) float64 {
-	var s float64
-	for i := 0; i < 4; i++ {
-		lane := (z >> (i * 16)) & 0xffff
-		s += float64(lane)/65535.0 - 0.5
-	}
-	return s * math.Sqrt(3) // variance of sum of 4 uniforms on [-.5,.5] is 1/3
-}
-
-// pseudoVector fills out with a deterministic pseudo-random unit vector
-// derived from seed.
-func pseudoVector(seed uint64, out []float64) {
-	state := seed
-	var z uint64
-	var norm float64
-	for i := range out {
-		state, z = splitmix64(state)
-		out[i] = unitGaussian(z)
-		norm += out[i] * out[i]
-	}
-	norm = math.Sqrt(norm)
-	if norm == 0 {
-		return
-	}
-	for i := range out {
-		out[i] /= norm
-	}
 }

@@ -59,9 +59,10 @@ func (s StarmieEncoder) EncodeTableColumns(t *table.Table, corpus func() *tokeni
 	for i, c := range content {
 		v := make(vector.Vec, len(c))
 		for j := range v {
-			v[j] = (1-s.ContextWeight)*c[j] + s.ContextWeight*ctx[j]
+			v[j] = float64((1-s.ContextWeight)*c[j]) + float64(s.ContextWeight*ctx[j])
 		}
-		out[i] = vector.Normalize(v)
+		vector.NormalizeInPlace(v)
+		out[i] = v
 	}
 	return out
 }

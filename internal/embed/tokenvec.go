@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"dust/internal/vector"
 )
 
 // tokenTableBytes bounds the vectors of one token-vector table, whatever the
@@ -23,7 +25,7 @@ import (
 const tokenTableBytes = 512 << 10
 
 // tokenTable is the scratch of one EncodeTokens call: a direct-mapped table
-// of the token vectors derived so far, keyed by the seed pseudoVector is
+// of the token vectors derived so far, keyed by the seed vector.PseudoUnit is
 // called with, plus the call's accumulator. A vector is a pure function of
 // (seed, dim), so a hit returns the bits a miss would derive and the table
 // needs no epoch and no invalidation; it only decides when a vector is
@@ -68,7 +70,7 @@ func (t *tokenTable) vector(seed uint64) []float64 {
 	}
 	t.misses++
 	t.seeds[i], t.full[i] = seed, true
-	pseudoVector(seed, v)
+	vector.PseudoUnit(seed, v)
 	return v
 }
 

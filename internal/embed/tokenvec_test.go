@@ -47,8 +47,8 @@ func referenceEncodeTokens(e *Encoder, tokens []string) vector.Vec {
 			return len(t) > 2 && t[0] == 'H' && t[1] == ':'
 		}
 		for i, t := range tokens {
-			pseudoVector(referenceHashString(t, e.seed), tok)
-			vecAddScaled(content, tok, 1)
+			vector.PseudoUnit(referenceHashString(t, e.seed), tok)
+			vector.AddScaled(content, tok, 1)
 			if cls, ok := classOf(t); ok {
 				w := 0.5
 				switch {
@@ -57,26 +57,37 @@ func referenceEncodeTokens(e *Encoder, tokens []string) vector.Vec {
 				case len(t) > 2 && t[0] == 'h' && t[1] == ':':
 					w = 1.2
 				}
-				pseudoVector(referenceHashString("class:"+cls, e.seed), tok)
-				vecAddScaled(content, tok, w)
+				vector.PseudoUnit(referenceHashString("class:"+cls, e.seed), tok)
+				vector.AddScaled(content, tok, w)
 			}
 			if e.contextual && i+1 < len(tokens) && !isColHeader(t) && !isColHeader(tokens[i+1]) {
-				pseudoVector(referenceHashString(tokens[i]+"\x00"+tokens[i+1], e.seed), tok)
-				vecAddScaled(content, tok, 0.5)
+				vector.PseudoUnit(referenceHashString(tokens[i]+"\x00"+tokens[i+1], e.seed), tok)
+				vector.AddScaled(content, tok, 0.5)
 			}
 		}
 		content = vector.Normalize(content)
 	}
 	out := make(vector.Vec, e.dim)
 	contentScale := 1 - e.anisotropy
-	vecAddScaled(out, content, contentScale*(1-e.noise))
-	vecAddScaled(out, e.common, e.anisotropy)
+	vector.AddScaled(out, content, contentScale*(1-e.noise))
+	vector.AddScaled(out, e.common, e.anisotropy)
 	if e.noise > 0 {
 		noise := make(vector.Vec, e.dim)
-		pseudoVector(referenceHashString(referenceJoinTokens(tokens), e.seed^0xA0A0), noise)
-		vecAddScaled(out, noise, contentScale*e.noise)
+		vector.PseudoUnit(referenceHashString(referenceJoinTokens(tokens), e.seed^0xA0A0), noise)
+		vector.AddScaled(out, noise, contentScale*e.noise)
 	}
 	return vector.Normalize(out)
+}
+
+// eachKernel runs f under the encode kernel's selected body and, when that
+// is not the generic one, again with the generic body forced.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	t.Run(vector.CosineKernel(), f)
+	if vector.CosineKernel() == "generic" {
+		return
+	}
+	defer vector.ForceGenericKernel()()
+	t.Run(vector.CosineKernel(), f)
 }
 
 var simulators = []func(...Option) *Encoder{NewFastText, NewGlove, NewBERT, NewRoBERTa, NewSBERT}
@@ -126,7 +137,9 @@ func sameBits(a, b vector.Vec) bool {
 // the old kernel on random streams, for every simulator (and the two option
 // shapes the pipeline uses), with the dimension changing from call to call so
 // that tables change hands between dimensions inside one process.
-func TestEncodeTokensMatchesReference(t *testing.T) {
+func TestEncodeTokensMatchesReference(t *testing.T) { eachKernel(t, testEncodeTokensMatchesReference) }
+
+func testEncodeTokensMatchesReference(t *testing.T) {
 	dims := []int{1, 64, 128, 768}
 	var encs []*Encoder
 	for _, d := range dims {
@@ -162,7 +175,7 @@ func TestEncodeTokensMatchesReference(t *testing.T) {
 // 0, in a full table or in the one-slot fallback.
 func TestTokenVectorSeedZero(t *testing.T) {
 	want := make([]float64, 16)
-	pseudoVector(0, want)
+	vector.PseudoUnit(0, want)
 	if vector.Norm(want) == 0 {
 		t.Fatal("seed 0 derives the zero vector; the probe proves nothing")
 	}
@@ -201,7 +214,9 @@ func TestEncodeTokensResultsDoNotAlias(t *testing.T) {
 // TestEncodeTokensConcurrent: more goroutines than tables, two encoders of
 // different dimensions, every answer equal to the sequential one (run under
 // -race in CI).
-func TestEncodeTokensConcurrent(t *testing.T) {
+func TestEncodeTokensConcurrent(t *testing.T) { eachKernel(t, testEncodeTokensConcurrent) }
+
+func testEncodeTokensConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	encs := []*Encoder{NewRoBERTa(), NewSBERT(WithDim(64))}
 	streams := make([][]string, 300)
@@ -235,6 +250,10 @@ func TestEncodeTokensConcurrent(t *testing.T) {
 // table holds; TokenVectorStats counts every vector a call reads, as a hit or
 // a miss.
 func TestTokenVectorStatsAndInstrument(t *testing.T) {
+	eachKernel(t, testTokenVectorStatsAndInstrument)
+}
+
+func testTokenVectorStatsAndInstrument(t *testing.T) {
 	e := NewFastText() // not contextual: one vector a token, one for the noise
 	var calls atomic.Int64
 	e.Instrument(&calls)

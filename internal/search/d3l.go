@@ -426,7 +426,7 @@ func (p formatProfile) similarity(o formatProfile) float64 {
 	if p.avgLen+o.avgLen > 0 {
 		lenSim = 1 - math.Abs(p.avgLen-o.avgLen)/(p.avgLen+o.avgLen)
 	}
-	return math.Max(0, 1-d/2)*0.7 + lenSim*0.3
+	return float64(math.Max(0, 1-float64(d/2))*0.7) + float64(lenSim*0.3)
 }
 
 // numericProfile summarises the numeric values of a column.
@@ -453,7 +453,7 @@ func profileNumeric(values []string) numericProfile {
 	}
 	p.mean /= float64(len(nums))
 	for _, f := range nums {
-		p.std += (f - p.mean) * (f - p.mean)
+		p.std += float64((f - p.mean) * (f - p.mean)) // persisted: no fusion (docs/ARCHITECTURE.md, "Determinism contract")
 	}
 	p.std = math.Sqrt(p.std / float64(len(nums)))
 	return p

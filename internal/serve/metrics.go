@@ -169,7 +169,7 @@ func newServerMetrics(s *Server, scatterOn bool) *serverMetrics {
 		})
 
 	r.NewGaugeFunc("dust_cosine_kernel",
-		"Body of the cosine kernel this process selected from its architecture and CPUID (avx2 or generic); same answers, the generic one several times slower under the distance matrix and the exact scan.",
+		"Body of the cosine and encode kernels this process selected from its architecture and CPUID (avx2 or generic); same answers, the generic one several times slower under the distance matrix and the exact scan and about twice slower under every embedding.",
 		[]string{"kernel"},
 		func(emit func(float64, ...string)) { emit(1, vector.CosineKernel()) })
 

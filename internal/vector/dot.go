@@ -33,11 +33,23 @@ const (
 // an operating system that saves its registers (dot_amd64.go), and false
 // everywhere else. Nothing else selects a body: no option, no environment
 // variable, no build tag beyond the amd64 / !amd64 file sets, which hold
-// dotPanels and dotCols, the pair that branches on it.
+// the functions that branch on it: dotPanels and dotCols here, the three
+// heads of the encode kernel (encode.go).
 var useAVX2 bool
 
-// CosineKernel names the body the cosine kernel runs in this process,
-// "avx2" or "generic". The answers are the same; the speed is not.
+// ForceGenericKernel makes the process run the generic bodies until the
+// returned function is called. It is for tests, here and in the packages
+// above, that must hold under both bodies; it is not synchronised with
+// running kernels.
+func ForceGenericKernel() (restore func()) {
+	selected := useAVX2
+	useAVX2 = false
+	return func() { useAVX2 = selected }
+}
+
+// CosineKernel names the body the cosine kernel — and the encode kernel,
+// which the same switch drives — runs in this process, "avx2" or "generic".
+// The answers are the same; the speed is not.
 func CosineKernel() string {
 	if useAVX2 {
 		return "avx2"

@@ -15,8 +15,7 @@ func eachKernel(t *testing.T, f func(t *testing.T)) {
 	if !useAVX2 {
 		return
 	}
-	useAVX2 = false
-	defer func() { useAVX2 = true }()
+	defer ForceGenericKernel()()
 	t.Run(CosineKernel(), f)
 }
 

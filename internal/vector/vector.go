@@ -17,12 +17,15 @@ import (
 // methods off it while still passing ordinary slices everywhere.
 type Vec = []float64
 
-// Dot returns the inner product of a and b.
+// Dot returns the inner product of a and b. Here and below a product that
+// feeds a sum is converted explicitly: without the conversion a compiler may
+// fuse x*y + z, and on arm64 it does, which would make the bits of every norm
+// (hence of every stored vector) depend on the architecture.
 func Dot(a, b Vec) float64 {
 	checkLen(a, b)
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
@@ -38,9 +41,9 @@ func Norm(v Vec) float64 {
 func dotAndNorms(a, b Vec) (dot, na, nb float64) {
 	checkLen(a, b)
 	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
+		dot += float64(a[i] * b[i])
+		na += float64(a[i] * a[i])
+		nb += float64(b[i] * b[i])
 	}
 	return dot, na, nb
 }
@@ -90,7 +93,7 @@ func SquaredEuclidean(a, b Vec) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -175,15 +178,8 @@ func AddInPlace(a, b Vec) {
 // Normalize returns v scaled to unit L2 norm; a zero vector is returned
 // unchanged (as a copy).
 func Normalize(v Vec) Vec {
-	n := Norm(v)
-	out := make(Vec, len(v))
-	if n == 0 {
-		copy(out, v)
-		return out
-	}
-	for i := range v {
-		out[i] = v[i] / n
-	}
+	out := Clone(v)
+	NormalizeInPlace(out)
 	return out
 }
 
