@@ -145,7 +145,6 @@ func HolisticWorkers(cols []Column, workers int) *Result {
 	}
 	m := cluster.NewMatrixWorkers(vecs, vector.Euclidean, workers)
 	dend := cluster.Agglomerative(m, cluster.Options{
-		Linkage: cluster.Average,
 		CannotLink: func(i, j int) bool {
 			return cols[i].Table == cols[j].Table
 		},

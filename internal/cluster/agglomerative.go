@@ -6,31 +6,9 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+
+	"dust/internal/vector"
 )
-
-// Linkage selects the cluster-distance update rule.
-type Linkage int
-
-const (
-	// Average linkage (UPGMA) — the paper's configuration (§6.2.1).
-	Average Linkage = iota
-	// Single linkage (nearest member).
-	Single
-	// Complete linkage (farthest member).
-	Complete
-)
-
-// String returns the lowercase linkage name.
-func (l Linkage) String() string {
-	switch l {
-	case Single:
-		return "single"
-	case Complete:
-		return "complete"
-	default:
-		return "average"
-	}
-}
 
 // Merge records one agglomeration step: clusters A and B (ids) merged at
 // the given distance into a new cluster with id New.
@@ -49,7 +27,6 @@ type Dendrogram struct {
 
 // Options configures an agglomerative run.
 type Options struct {
-	Linkage Linkage
 	// CannotLink, if non-nil, reports that leaf items i and j must never
 	// end up in the same cluster (used to forbid aligning two columns of
 	// the same table, paper §3.3). The constraint propagates to merged
@@ -86,15 +63,18 @@ func returnWorkBuf(buf []float32) {
 	}
 }
 
-// Agglomerative clusters the items of m bottom-up using the
+// Agglomerative clusters the items of m bottom-up with average linkage
+// (UPGMA, the paper's configuration, §6.2.1) using the
 // nearest-neighbour-chain algorithm with Lance-Williams distance updates
-// (O(n^2) for the reducible linkages offered here). Pairs forbidden by
-// CannotLink get +Inf distance, which Lance-Williams propagates, so the
-// returned dendrogram may stop early if only forbidden merges remain.
+// (O(n^2): average linkage is reducible). Pairs forbidden by CannotLink get
+// +Inf distance, which Lance-Williams propagates, so the returned dendrogram
+// may stop early if only forbidden merges remain.
 //
 // Cluster distances are kept at the matrix's own float32 precision: each
 // update is computed in float64 from two stored cells and rounded once,
-// which keeps it between them, so the linkages stay reducible.
+// which keeps it between them, so the linkage stays reducible. The
+// nearest-neighbour scan and the row update are internal/vector's cluster
+// kernels (vector.NearestLive, vector.AverageLinkage).
 func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 	n := m.Len()
 	dend := &Dendrogram{N: n}
@@ -102,15 +82,19 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 		return dend
 	}
 
-	// Working distance matrix between active clusters, indexed by slot.
-	// Slot i initially holds leaf i; merged clusters reuse slot of A.
-	// Every cell is overwritten here, so nothing of the run that last held
-	// the buffer survives.
+	// Working distance matrix between live clusters, w slots a row. Slot i
+	// initially holds leaf i; a merged cluster keeps the slot of A. Every
+	// cell is overwritten here, so nothing of the run that last held the
+	// buffer survives. The diagonal is +Inf: no slot is its own neighbour.
+	w := n
 	d := takeWorkBuf(n)
 	defer returnWorkBuf(d)
 	copy(d, m.d)
+	inf := float32(math.Inf(1))
+	for i := 0; i < n; i++ {
+		d[i*n+i] = inf
+	}
 	if opts.CannotLink != nil {
-		inf := float32(math.Inf(1))
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if opts.CannotLink(i, j) {
@@ -121,37 +105,28 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 		}
 	}
 
-	// active lists the slots still holding a cluster, in ascending order,
-	// so scans visit exactly the live slots and ties break to the lowest.
-	active := make([]int, n)
+	// live lists the slots still holding a cluster, in ascending order, and
+	// mask is +0 at those slots and +Inf at the rest: the kernels' generic
+	// bodies walk the list, the AVX2 ones the dense row under the mask.
+	// Either way ties break to the lowest slot.
+	live := make([]int, n)
+	mask := make([]float32, n)
 	size := make([]int, n)
 	id := make([]int, n) // dendrogram id currently held by each slot
 	for i := 0; i < n; i++ {
-		active[i] = i
+		live[i] = i
 		size[i] = 1
 		id[i] = i
 	}
 	nextID := n
 
-	// nearest returns the active slot nearest to slot a and the distance.
-	nearest := func(a int) (int, float32) {
-		best, bestD := -1, float32(math.Inf(1))
-		row := d[a*n : (a+1)*n]
-		for _, j := range active {
-			if row[j] < bestD && j != a {
-				best, bestD = j, row[j]
-			}
-		}
-		return best, bestD
-	}
-
 	chain := make([]int, 0, n)
 	frozen := make([]bool, n) // slots with no finite-distance neighbour left
 
-	for len(active) > 1 {
+	for len(live) > 1 {
 		if len(chain) == 0 {
 			start := -1
-			for _, i := range active {
+			for _, i := range live {
 				if !frozen[i] {
 					start = i
 					break
@@ -163,7 +138,7 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 			chain = append(chain, start)
 		}
 		a := chain[len(chain)-1]
-		b, dist := nearest(a)
+		b, dist := vector.NearestLive(d[a*w:(a+1)*w], mask[:w], live)
 		if b == -1 {
 			// a cannot merge with anything anymore.
 			frozen[a] = true
@@ -177,29 +152,24 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 			// Average-linkage weights of the two merged clusters.
 			wa := float64(size[a]) / float64(size[a]+size[b])
 			wb := float64(size[b]) / float64(size[a]+size[b])
-			rowA, rowB := d[a*n:(a+1)*n], d[b*n:(b+1)*n]
-			for _, k := range active {
-				if k == a || k == b {
-					continue
+			rowA := d[a*w : (a+1)*w]
+			vector.AverageLinkage(rowA, d[b*w:(b+1)*w], live, a, b, wa, wb)
+			at := sort.SearchInts(live, b)
+			live = append(live[:at], live[at+1:]...)
+			mask[b] = inf
+			for _, k := range live {
+				if k != a {
+					d[k*w+a] = rowA[k]
 				}
-				dak, dbk := rowA[k], rowB[k]
-				var nd float32
-				switch opts.Linkage {
-				case Single:
-					nd = min(dak, dbk)
-				case Complete:
-					nd = max(dak, dbk)
-				default: // Average
-					nd = float32(float64(wa*float64(dak)) + float64(wb*float64(dbk)))
-				}
-				rowA[k] = nd
-				d[k*n+a] = nd
 			}
-			at := sort.SearchInts(active, b)
-			active = append(active[:at], active[at+1:]...)
 			size[a] += size[b]
 			id[a] = nextID
 			nextID++
+			if 2*len(live) <= w {
+				compact(d, w, live, chain, size, id, frozen)
+				w = len(live)
+				clear(mask[:w])
+			}
 			// The merge can unfreeze nothing (distances only grow to Inf),
 			// but it may have removed some slot's nearest neighbour; the
 			// chain discipline handles that because we re-derive neighbours
@@ -211,13 +181,37 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 	// NN-chain discovers reciprocal nearest neighbours in chain order, not
 	// in ascending merge distance. Cut applies merges sequentially, so
 	// restore the ascending order here. The stable sort keeps dependencies
-	// intact: for the reducible linkages offered, a merge consuming the
-	// output of another always has a distance >= its input's distance, and
-	// on ties the producing merge was appended first.
+	// intact: average linkage being reducible, a merge consuming the output
+	// of another always has a distance >= its input's distance, and on ties
+	// the producing merge was appended first.
 	slices.SortStableFunc(dend.Merges, func(a, b Merge) int {
 		return cmp.Compare(a.Distance, b.Distance) // never NaN
 	})
 	return dend
+}
+
+// compact moves the rows and columns of the live slots to the front of the
+// working matrix d, keeping their order — w slots a row become len(live) —
+// and renumbers every slot that live, chain, size, id and frozen hold. It
+// runs once at most half the slots are live, so the scans, the scatter and
+// the kernels' dense rows shrink with the live set, and ties still break to
+// the lowest original slot. Every cell moves to an index at or below its
+// own and later cells read later sources, so the move is in place.
+func compact(d []float32, w int, live, chain, size, id []int, frozen []bool) {
+	for c, s := range chain {
+		chain[c] = sort.SearchInts(live, s)
+	}
+	nw := len(live)
+	for ni, oi := range live {
+		src, dst := d[oi*w:(oi+1)*w], d[ni*nw:(ni+1)*nw]
+		for nj, oj := range live {
+			dst[nj] = src[oj]
+		}
+		size[ni], id[ni], frozen[ni] = size[oi], id[oi], frozen[oi]
+	}
+	for i := range live {
+		live[i] = i
+	}
 }
 
 // Cut returns cluster assignments after performing merges until exactly k

@@ -58,28 +58,26 @@ func TestMedoid(t *testing.T) {
 }
 
 func TestAgglomerativeRecoversBlobs(t *testing.T) {
-	for _, linkage := range []Linkage{Average, Single, Complete} {
-		items, truth := threeBlobs(15, 42)
-		m := NewMatrix(items, vector.Euclidean)
-		dend := Agglomerative(m, Options{Linkage: linkage})
-		labels, k := dend.Cut(3)
-		if k != 3 {
-			t.Fatalf("%v: Cut(3) produced %d clusters", linkage, k)
-		}
-		// All items of a true blob must share a label and blobs must differ.
-		blobLabel := map[int]int{}
-		for i, tr := range truth {
-			if l, ok := blobLabel[tr]; ok {
-				if labels[i] != l {
-					t.Fatalf("%v: blob %d split across clusters", linkage, tr)
-				}
-			} else {
-				blobLabel[tr] = labels[i]
+	items, truth := threeBlobs(15, 42)
+	m := NewMatrix(items, vector.Euclidean)
+	dend := Agglomerative(m, Options{})
+	labels, k := dend.Cut(3)
+	if k != 3 {
+		t.Fatalf("Cut(3) produced %d clusters", k)
+	}
+	// All items of a true blob must share a label and blobs must differ.
+	blobLabel := map[int]int{}
+	for i, tr := range truth {
+		if l, ok := blobLabel[tr]; ok {
+			if labels[i] != l {
+				t.Fatalf("blob %d split across clusters", tr)
 			}
+		} else {
+			blobLabel[tr] = labels[i]
 		}
-		if len(blobLabel) != 3 {
-			t.Fatalf("%v: blobs merged", linkage)
-		}
+	}
+	if len(blobLabel) != 3 {
+		t.Fatal("blobs merged")
 	}
 }
 
@@ -90,7 +88,7 @@ func TestDendrogramMergeDistancesMonotone(t *testing.T) {
 	// every k produces nested partitions.
 	items, _ := threeBlobs(10, 7)
 	m := NewMatrix(items, vector.Euclidean)
-	dend := Agglomerative(m, Options{Linkage: Average})
+	dend := Agglomerative(m, Options{})
 	prev, prevK := dend.Cut(len(items))
 	for k := len(items) - 1; k >= 1; k-- {
 		cur, curK := dend.Cut(k)
@@ -117,7 +115,7 @@ func TestCannotLinkConstraint(t *testing.T) {
 	items := []vector.Vec{{0, 0}, {0.1, 0}, {5, 0}, {5.1, 0}}
 	m := NewMatrix(items, vector.Euclidean)
 	forbidden := func(i, j int) bool { return (i == 0 && j == 1) || (i == 1 && j == 0) }
-	dend := Agglomerative(m, Options{Linkage: Average, CannotLink: forbidden})
+	dend := Agglomerative(m, Options{CannotLink: forbidden})
 	for k := len(items); k >= 1; k-- {
 		labels, _ := dend.Cut(k)
 		if labels[0] == labels[1] {
@@ -134,7 +132,7 @@ func TestCannotLinkPropagatesThroughMerges(t *testing.T) {
 	forbidden := func(i, j int) bool {
 		return (i == 0 && j == 3) || (i == 3 && j == 0)
 	}
-	dend := Agglomerative(m, Options{Linkage: Average, CannotLink: forbidden})
+	dend := Agglomerative(m, Options{CannotLink: forbidden})
 	for k := len(items); k >= 1; k-- {
 		labels, _ := dend.Cut(k)
 		if labels[0] == labels[3] {
@@ -203,7 +201,7 @@ func TestSilhouetteQuality(t *testing.T) {
 func TestBestCutFindsTrueK(t *testing.T) {
 	items, _ := threeBlobs(12, 5)
 	m := NewMatrix(items, vector.Euclidean)
-	dend := Agglomerative(m, Options{Linkage: Average})
+	dend := Agglomerative(m, Options{})
 	_, k, score := BestCut(m, dend, 2, 10)
 	if k != 3 {
 		t.Errorf("BestCut chose k=%d (score %v), want 3", k, score)

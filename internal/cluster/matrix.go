@@ -1,10 +1,10 @@
 // Package cluster implements the hierarchical clustering substrate used by
 // three parts of the reproduction: holistic column alignment (paper §3.3),
 // DUST's candidate-tuple selection (§5.2), and the CLT baseline (§6.4.2).
-// It provides agglomerative clustering with average/single/complete linkage
-// via the nearest-neighbour-chain algorithm, cannot-link constraints (no
-// two columns of the same table may align), silhouette-coefficient model
-// selection, and medoid extraction.
+// It provides agglomerative clustering with average linkage (the paper's
+// rule, §6.2.1) via the nearest-neighbour-chain algorithm, cannot-link
+// constraints (no two columns of the same table may align),
+// silhouette-coefficient model selection, and medoid extraction.
 package cluster
 
 import (
@@ -56,20 +56,28 @@ func NewMatrixWorkers(items []vector.Vec, dist vector.DistanceFunc, workers int)
 // columns, instead of one store a whole matrix row apart per cell.
 const mirrorBlock = 32
 
-// newCosineMatrix fills the upper triangle row by row from unit rows, then
-// mirrors it in blocks. The mirror pass hands each worker whole block-rows
-// of the lower triangle, so writes are disjoint in both passes, and every
-// cell depends only on its two rows — the matrix is bit-identical for every
-// worker count. The cells come off the free list with arbitrary contents and
-// every one is written: the upper triangle by the kernel, the diagonal here,
-// the lower triangle by the mirror.
+// newCosineMatrix fills the upper triangle four rows (one panel of unit
+// rows) at a time, then mirrors it in blocks. The mirror pass hands each
+// worker whole block-rows of the lower triangle, so writes are disjoint in
+// both passes, and every cell depends only on its two rows — the matrix is
+// bit-identical for every worker count. The cells come off the free list
+// with arbitrary contents and every one is written: the upper triangle by
+// the kernel (which also writes the panel's own lower cells, for the mirror
+// to overwrite), the diagonal here, the lower triangle by the mirror.
 func newCosineMatrix(items []vector.Vec, workers int) *Matrix {
 	n := len(items)
 	m := &Matrix{n: n, d: takeWorkBuf(n)}
 	u := vector.NewUnitRows(items)
-	forPairedRows(workers, n, func(i int) {
-		m.d[i*n+i] = 0
-		u.CosineDistances(i, i+1, m.d[i*n:(i+1)*n])
+	forPairedRows(workers, (n+vector.PanelRows-1)/vector.PanelRows, func(p int) {
+		var rows [vector.PanelRows][]float32
+		i0, i1 := p*vector.PanelRows, min((p+1)*vector.PanelRows, n)
+		for i := i0; i < i1; i++ {
+			rows[i-i0] = m.d[i*n : (i+1)*n]
+		}
+		u.CosineDistances(p, i0, &rows)
+		for i := i0; i < i1; i++ {
+			m.d[i*n+i] = 0
+		}
 	})
 	par.For(workers, (n+mirrorBlock-1)/mirrorBlock, func(bi int) {
 		i0, i1 := bi*mirrorBlock, min((bi+1)*mirrorBlock, n)
@@ -107,9 +115,10 @@ func NewMatrixFromFuncWorkers(n int, f func(i, j int) float64, workers int) *Mat
 	return m
 }
 
-// forPairedRows runs fillRow(i) for every row of an n-row upper triangle.
-// Rows are paired (i with n-1-i) so every work unit covers a near-constant
-// number of upper-triangle cells despite the triangular iteration space.
+// forPairedRows runs fillRow(i) for every row (or row panel) of an n-row
+// upper triangle. Rows are paired (i with n-1-i) so every work unit covers a
+// near-constant number of upper-triangle cells despite the triangular
+// iteration space.
 func forPairedRows(workers, n int, fillRow func(i int)) {
 	par.For(workers, (n+1)/2, func(i int) {
 		fillRow(i)

@@ -159,10 +159,10 @@ func TestAgglomerativeScratchLeaksNothing(t *testing.T) {
 			}
 		}
 	}
-	big := &problem{m: NewMatrix(awkwardVecs(257, 16), vector.CosineDistance), opts: Options{Linkage: Average}}
+	big := &problem{m: NewMatrix(awkwardVecs(257, 16), vector.CosineDistance), opts: Options{}}
 	small := &problem{
 		m:    NewMatrix(syntheticVecs(60, 5), vector.Euclidean),
-		opts: Options{Linkage: Complete, CannotLink: func(i, j int) bool { return i/4 == j/4 }},
+		opts: Options{CannotLink: func(i, j int) bool { return i/4 == j/4 }},
 	}
 	for _, p := range []*problem{big, small} {
 		drainWorkBufs()

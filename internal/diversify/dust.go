@@ -143,7 +143,7 @@ func clusterReps(p Problem, kept []int, numClusters int, pick func(m *cluster.Ma
 	}
 	m := cluster.NewMatrixWorkers(Gather(p.Tuples, kept), p.Dist, p.Workers)
 	defer m.Release()
-	dend := cluster.Agglomerative(m, cluster.Options{Linkage: cluster.Average})
+	dend := cluster.Agglomerative(m, cluster.Options{})
 	labels, k := dend.Cut(numClusters)
 	var out []int
 	for _, members := range cluster.Members(labels, k) {

@@ -1,9 +1,15 @@
 package experiments
 
 import (
+	"errors"
+	"flag"
+	"fmt"
+	"io/fs"
+	"os"
 	"slices"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 var quick = Config{Quick: true}
@@ -72,10 +78,64 @@ var knownGaps = map[string][]string{
 	"fig8": {"shape dust >= starmie-d on titles at k=30: FAIL (17 vs 20)"},
 }
 
+var update = flag.Bool("update", false, "rewrite "+cellsGolden+" from this run")
+
+// cellsGolden holds every quality cell of every report in -quick, one line
+// each: runner, row, column header, cell, tab-separated.
+const cellsGolden = "testdata/quick_cells.golden"
+
+// timing reports whether a column header or report title names wall-clock
+// time ("SANTOS ms", "Time ms", Fig. 7's "runtime (ms)"): such cells are
+// excluded from the golden, every other cell is compared exactly.
+func timing(s string) bool {
+	return slices.ContainsFunc(strings.FieldsFunc(s, func(r rune) bool { return !unicode.IsLetter(r) }),
+		func(w string) bool { return w == "ms" || w == "Time" })
+}
+
+// qualityCells renders the non-timing cells of rep as golden lines.
+func qualityCells(name string, rep *Report) []string {
+	var lines []string
+	for i, row := range rep.Rows {
+		for c, cell := range row {
+			header := ""
+			if c < len(rep.Columns) {
+				header = rep.Columns[c]
+			}
+			if !timing(rep.Title) && !timing(header) {
+				lines = append(lines, fmt.Sprintf("%s\t%d\t%s\t%s", name, i, header, cell))
+			}
+		}
+	}
+	return lines
+}
+
+// readCellsGolden groups the golden's lines by runner.
+func readCellsGolden(t *testing.T) map[string][]string {
+	data, err := os.ReadFile(cellsGolden)
+	if err != nil {
+		if *update && errors.Is(err, fs.ErrNotExist) {
+			return map[string][]string{}
+		}
+		t.Fatalf("%v (regenerate only with -update, and justify every moved cell)", err)
+	}
+	byRunner := map[string][]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		name, _, _ := strings.Cut(line, "\t")
+		byRunner[name] = append(byRunner[name], line)
+	}
+	return byRunner
+}
+
 // TestShapeChecks runs every registered experiment in -quick and fails on
-// any "shape ...: FAIL" note that is not a known gap.
+// any "shape ...: FAIL" note that is not a known gap, and on any quality
+// cell — every cell but the wall-clock ones — that differs from
+// testdata/quick_cells.golden. Everything is seeded, so the comparison is
+// exact: a moved cell is a regression or a change of answer the commit that
+// regenerates the golden (go test -run TestShapeChecks -update) must justify
+// cell by cell.
 func TestShapeChecks(t *testing.T) {
 	wantRows := map[string]int{"fig6": 6, "fig12": 10} // models; 5 per method
+	golden := readCellsGolden(t)
 	for _, r := range All() {
 		t.Run(r.Name, func(t *testing.T) {
 			rep := r.Run(quick)
@@ -91,6 +151,23 @@ func TestShapeChecks(t *testing.T) {
 			if !slices.Equal(failed, knownGaps[r.Name]) {
 				t.Errorf("%s: failed shape checks\n got  %q\n want %q (knownGaps)", rep.Title, failed, knownGaps[r.Name])
 			}
+			cells := qualityCells(r.Name, rep)
+			if *update {
+				golden[r.Name] = cells
+				return
+			}
+			if !slices.Equal(cells, golden[r.Name]) {
+				t.Errorf("%s: quality cells differ from %s\n got  %q\n want %q", rep.Title, cellsGolden, cells, golden[r.Name])
+			}
 		})
+	}
+	if *update {
+		var out []string
+		for _, r := range All() {
+			out = append(out, golden[r.Name]...)
+		}
+		if err := os.WriteFile(cellsGolden, []byte(strings.Join(out, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -19,13 +19,16 @@ package vector
 //
 // Rows reach the kernel in panels of four: element k of rows 4p .. 4p+3 is
 // panel[4k : 4k+4], so one register load feeds four cells, and one row of a
-// panel is read at stride 4.
+// panel is read at stride 4. A matrix tile is one panel of rows against two
+// panels of columns: each column element fetched serves four rows, where a
+// one-row tile streamed eight bytes of panel from L2 per multiply-add.
 const (
 	// PanelRows is the number of rows interleaved in a panel: the lanes of
 	// a 256-bit register.
 	PanelRows  = 4
-	tilePanels = 8                      // panels under one matrix tile
-	tileCells  = tilePanels * PanelRows // one row against 32: eight accumulator chains hide the add latency
+	tilePanels = 2                      // column panels under one matrix tile
+	tileCols   = tilePanels * PanelRows // the eight columns of a matrix tile
+	tileCells  = PanelRows * tileCols   // four rows against eight: eight accumulator chains, 16 registers
 	blockCells = PanelRows * PanelRows  // a scan tile: four stored rows against one panel
 )
 
@@ -33,8 +36,9 @@ const (
 // an operating system that saves its registers (dot_amd64.go), and false
 // everywhere else. Nothing else selects a body: no option, no environment
 // variable, no build tag beyond the amd64 / !amd64 file sets, which hold
-// the functions that branch on it: dotPanels and dotCols here, the three
-// heads of the encode kernel (encode.go).
+// the functions that branch on it: dotTile and dotCols here, the three
+// heads of the encode kernel (encode.go), nearest and average of the cluster
+// kernels (nnchain.go).
 var useAVX2 bool
 
 // ForceGenericKernel makes the process run the generic bodies until the
@@ -47,8 +51,9 @@ func ForceGenericKernel() (restore func()) {
 	return func() { useAVX2 = selected }
 }
 
-// CosineKernel names the body the cosine kernel — and the encode kernel,
-// which the same switch drives — runs in this process, "avx2" or "generic".
+// CosineKernel names the body the cosine kernel — and the encode and cluster
+// kernels, which the same switch drives — runs in this process, "avx2" or
+// "generic".
 // The answers are the same; the speed is not.
 func CosineKernel() string {
 	if useAVX2 {
@@ -57,21 +62,23 @@ func CosineKernel() string {
 	return "generic"
 }
 
-// dotPanelsGeneric writes to out the dot of the strided row a (element k at
-// a[4k]) with each of the 32 rows in the eight dim-element panels at b.
-func dotPanelsGeneric(a, b []float64, dim int, out *[tileCells]float64) {
-	for p := 0; p < tilePanels; p++ {
-		panel := b[p*dim*PanelRows : (p+1)*dim*PanelRows]
-		var s0, s1, s2, s3 float64
-		for k := 0; k < len(panel); k += PanelRows {
-			x, c := a[k], (*[PanelRows]float64)(panel[k:])
-			s0 += float64(x * c[0])
-			s1 += float64(x * c[1])
-			s2 += float64(x * c[2])
-			s3 += float64(x * c[3])
+// dotTileGeneric writes to out[8r+c] the dot of row r of the panel a with
+// row c of the two dim-element panels at b.
+func dotTileGeneric(a, b []float64, dim int, out *[tileCells]float64) {
+	for h := 0; h < tilePanels; h++ {
+		panel := b[h*dim*PanelRows : (h+1)*dim*PanelRows]
+		for r := 0; r < PanelRows; r++ {
+			var s0, s1, s2, s3 float64
+			for k := 0; k < len(panel); k += PanelRows {
+				x, c := a[k+r], (*[PanelRows]float64)(panel[k:])
+				s0 += float64(x * c[0])
+				s1 += float64(x * c[1])
+				s2 += float64(x * c[2])
+				s3 += float64(x * c[3])
+			}
+			o := out[r*tileCols+h*PanelRows:][:PanelRows]
+			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
 		}
-		o := out[p*PanelRows : (p+1)*PanelRows]
-		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
 	}
 }
 

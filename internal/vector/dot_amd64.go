@@ -2,11 +2,11 @@ package vector
 
 func init() { useAVX2 = cpuHasAVX2() }
 
-func dotPanels(a, b []float64, dim int, out *[tileCells]float64) {
+func dotTile(a, b []float64, dim int, out *[tileCells]float64) {
 	if useAVX2 {
-		dotPanelsAVX2(a, b, dim, out)
+		dotTileAVX2(a, b, dim, out)
 	} else {
-		dotPanelsGeneric(a, b, dim, out)
+		dotTileGeneric(a, b, dim, out)
 	}
 }
 
@@ -23,7 +23,7 @@ func dotCols(q, c0, c1, c2, c3 []float64, out *[blockCells]float64) {
 func cpuHasAVX2() bool
 
 //go:noescape
-func dotPanelsAVX2(a, b []float64, dim int, out *[tileCells]float64)
+func dotTileAVX2(a, b []float64, dim int, out *[tileCells]float64)
 
 //go:noescape
 func dotColsAVX2(q, c0, c1, c2, c3 []float64, out *[blockCells]float64)

@@ -35,23 +35,28 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func dotPanelsAVX2(a, b []float64, dim int, out *[32]float64)
+// TILEROW broadcasts element k of the row at byte offset off of the row
+// panel's group k into b and adds its products with the two column panels
+// (Y12, Y13) into the row's two accumulators.
+#define TILEROW(off, b, p0, p1, acc0, acc1) \
+	VBROADCASTSD off(AX)(DX*1), b \
+	VMULPD Y12, b, p0               \
+	VADDPD p0, acc0, acc0           \
+	VMULPD Y13, b, p1               \
+	VADDPD p1, acc1, acc1
+
+// func dotTileAVX2(a, b []float64, dim int, out *[32]float64)
 //
-// Y0..Y7 accumulate the eight panels; element k of the row is broadcast from
-// a[4k], which is the same byte offset (32k) as element k of every panel.
-TEXT ·dotPanelsAVX2(SB), NOSPLIT, $0-64
+// Y(2r) and Y(2r+1) accumulate row r of the row panel a against the first
+// and second column panel of b; element k of every panel is at byte offset
+// 32k, so one index walks all three.
+TEXT ·dotTileAVX2(SB), NOSPLIT, $0-64
 	MOVQ a_base+0(FP), AX
 	MOVQ b_base+24(FP), R8
 	MOVQ dim+48(FP), CX
 	MOVQ out+56(FP), DI
 	SHLQ $5, CX              // bytes in a panel, and the end offset
 	LEAQ (R8)(CX*1), R9
-	LEAQ (R9)(CX*1), R10
-	LEAQ (R10)(CX*1), R11
-	LEAQ (R11)(CX*1), R12
-	LEAQ (R12)(CX*1), R13
-	LEAQ (R13)(CX*1), BX
-	LEAQ (BX)(CX*1), SI
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -64,23 +69,12 @@ TEXT ·dotPanelsAVX2(SB), NOSPLIT, $0-64
 	CMPQ DX, CX
 	JGE  panelsDone
 panelsLoop:
-	VBROADCASTSD (AX)(DX*1), Y8
-	VMULPD (R8)(DX*1), Y8, Y9
-	VADDPD Y9, Y0, Y0
-	VMULPD (R9)(DX*1), Y8, Y10
-	VADDPD Y10, Y1, Y1
-	VMULPD (R10)(DX*1), Y8, Y11
-	VADDPD Y11, Y2, Y2
-	VMULPD (R11)(DX*1), Y8, Y12
-	VADDPD Y12, Y3, Y3
-	VMULPD (R12)(DX*1), Y8, Y9
-	VADDPD Y9, Y4, Y4
-	VMULPD (R13)(DX*1), Y8, Y10
-	VADDPD Y10, Y5, Y5
-	VMULPD (BX)(DX*1), Y8, Y11
-	VADDPD Y11, Y6, Y6
-	VMULPD (SI)(DX*1), Y8, Y12
-	VADDPD Y12, Y7, Y7
+	VMOVUPD (R8)(DX*1), Y12
+	VMOVUPD (R9)(DX*1), Y13
+	TILEROW(0, Y8, Y14, Y15, Y0, Y1)
+	TILEROW(8, Y9, Y10, Y11, Y2, Y3)
+	TILEROW(16, Y8, Y14, Y15, Y4, Y5)
+	TILEROW(24, Y9, Y10, Y11, Y6, Y7)
 	ADDQ $32, DX
 	CMPQ DX, CX
 	JLT  panelsLoop

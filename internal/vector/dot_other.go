@@ -2,8 +2,8 @@
 
 package vector
 
-func dotPanels(a, b []float64, dim int, out *[tileCells]float64) {
-	dotPanelsGeneric(a, b, dim, out)
+func dotTile(a, b []float64, dim int, out *[tileCells]float64) {
+	dotTileGeneric(a, b, dim, out)
 }
 
 func dotCols(q, c0, c1, c2, c3 []float64, out *[blockCells]float64) {

@@ -43,29 +43,36 @@ func hostileVec(rng *rand.Rand, dim int) Vec {
 }
 
 // checkTiles compares, bitwise, both bodies of both tiles with the naive
-// loop on the given rows: rows[0] against up to 32 of the rest through the
-// matrix tile, and up to four stored rows against up to four query rows
-// through the scan tile.
+// loop on the given rows: the first four rows against every pair of panels
+// through the matrix tile (rows past the end are zero, as in an arena), and
+// up to four stored rows against up to four query rows through the scan
+// tile.
 func checkTiles(t testing.TB, rows []Vec) {
 	dim := len(rows[0])
 	arena := makePanels(len(rows), dim, tilePanels)
 	for i, v := range rows {
 		arena.put(i, v, 1)
 	}
-	var want, got [tileCells]float64
-	for t0 := 0; t0 < tileCells; t0++ {
-		if t0 < len(rows) {
-			want[t0] = naiveDot(rows[0], 1, rows[t0], 1, dim)
+	row := func(i int) Vec {
+		if i < len(rows) {
+			return rows[i]
 		}
+		return make(Vec, dim)
 	}
-	for name, body := range map[string]func(a, b []float64, dim int, out *[tileCells]float64){
-		CosineKernel(): dotPanels, "generic": dotPanelsGeneric,
-	} {
-		body(arena.panel(0, 1), arena.panel(0, tilePanels), dim, &got)
-		for c := range want {
-			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
-				t.Fatalf("matrix tile, %s body, dim %d, cell %d: %v (%#x), naive %v (%#x)",
-					name, dim, c, got[c], math.Float64bits(got[c]), want[c], math.Float64bits(want[c]))
+	for c := 0; c*PanelRows < len(rows); c++ {
+		var want, got [tileCells]float64
+		for cell := range want {
+			want[cell] = naiveDot(row(cell/tileCols), 1, row(c*PanelRows+cell%tileCols), 1, dim)
+		}
+		for name, body := range map[string]func(a, b []float64, dim int, out *[tileCells]float64){
+			CosineKernel(): dotTile, "generic": dotTileGeneric,
+		} {
+			body(arena.panel(0, 1), arena.panel(c, tilePanels), dim, &got)
+			for cell := range want {
+				if math.Float64bits(got[cell]) != math.Float64bits(want[cell]) {
+					t.Fatalf("matrix tile, %s body, dim %d, column panel %d, cell %d: %v (%#x), naive %v (%#x)",
+						name, dim, c, cell, got[cell], math.Float64bits(got[cell]), want[cell], math.Float64bits(want[cell]))
+				}
 			}
 		}
 	}
@@ -104,13 +111,14 @@ func awkwardUnitRows(rng *rand.Rand, n, dim int) []Vec {
 // TestKernelsMatchReference compares the selected body, the generic body
 // and the naive one-accumulator loop bit for bit: the raw tiles on hostile
 // magnitudes, then both entry points over every ragged shape — 0 to 70 rows
-// for the matrix, 1 to 13 stored rows by 1 to 9 query rows for the scan —
-// on rows with zeros and byte-identical copies among them.
+// for the matrix, four rows a call from every start, most not a multiple of
+// four, 1 to 13 stored rows by 1 to 9 query rows for the scan — on rows with
+// zeros and byte-identical copies among them.
 func TestKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	dims := []int{0, 1, 3, 127, 128, 129, 768}
 	for _, dim := range dims {
-		for _, n := range []int{1, 2, 5, 32, 33} {
+		for _, n := range []int{1, 2, 5, 11, 32, 33} {
 			rows := make([]Vec, n)
 			for i := range rows {
 				rows[i] = hostileVec(rng, dim)
@@ -144,19 +152,28 @@ func testEntryPoints(t *testing.T, dims []int) {
 		}
 		for n := 0; n <= maxRows; n++ {
 			u := NewUnitRows(vs[:n])
-			got := make([]float32, n)
-			for i := 0; i < n; i++ {
-				for _, lo := range []int{0, i + 1} {
-					for j := range got {
-						got[j] = -1
-					}
-					u.CosineDistances(i, lo, got)
-					for j := 0; j < n; j++ {
-						if j < lo && got[j] != -1 {
-							t.Fatalf("dim %d, %d rows: CosineDistances(%d, %d) wrote cell %d", dim, n, i, lo, j)
+			for p := 0; p*PanelRows < n; p++ {
+				for _, lo := range []int{0, p*PanelRows + 1, n - 1} {
+					var out [PanelRows][]float32
+					for r := range out {
+						if (p+r)%5 == 4 {
+							continue // a row the caller does not ask for
 						}
-						if j >= lo && math.Float32bits(got[j]) != math.Float32bits(want[i][j]) {
-							t.Fatalf("dim %d, %d rows: cell (%d,%d) from %d = %g, naive %g", dim, n, i, j, lo, got[j], want[i][j])
+						out[r] = make([]float32, n)
+						for j := range out[r] {
+							out[r][j] = -1
+						}
+					}
+					u.CosineDistances(p, lo, &out)
+					for r, got := range out {
+						i := p*PanelRows + r
+						for j := range got {
+							if (i >= n || j < lo) && got[j] != -1 {
+								t.Fatalf("dim %d, %d rows: CosineDistances(%d, %d) wrote cell (%d,%d)", dim, n, p, lo, i, j)
+							}
+							if i < n && j >= lo && math.Float32bits(got[j]) != math.Float32bits(want[i][j]) {
+								t.Fatalf("dim %d, %d rows: cell (%d,%d) from %d = %g, naive %g", dim, n, i, j, lo, got[j], want[i][j])
+							}
 						}
 					}
 				}
@@ -209,7 +226,7 @@ func FuzzDotKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, dim uint8, raw []byte) {
 		d := int(dim)%130 + 1
 		var rows []Vec
-		for len(raw) >= 8*d && len(rows) < tileCells+1 {
+		for len(raw) >= 8*d && len(rows) < 2*tileCols+1 {
 			v := make(Vec, d)
 			for k := range v {
 				x := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*k:]))
@@ -228,7 +245,7 @@ func FuzzDotKernels(f *testing.F) {
 }
 
 // BenchmarkDotKernels times each tile through its entry point at the served
-// dimension — a 1000-row upper triangle, and a 12-row block against 5 query
+// dimension — a 1000-row upper triangle, four rows a call, and a 12-row block against 5 query
 // rows (two panels, the second mostly padding) — and reports the
 // multiply-adds it retires per second, padding included. Without fused
 // multiply-add a core's ceiling is lanes x (add ports + multiply ports) / 2
@@ -245,15 +262,19 @@ func BenchmarkDotKernels(b *testing.B) {
 		useAVX2 = avx2
 		b.Run("matrix/"+CosineKernel(), func(b *testing.B) {
 			u := NewUnitRows(randomVecs(rng, 1000, dim))
-			out := make([]float32, u.n)
+			var out [PanelRows][]float32
+			for r := range out {
+				out[r] = make([]float32, u.n)
+			}
+			np := (u.n + PanelRows - 1) / PanelRows
 			tiles := 0
-			for i := 0; i < u.n; i++ {
-				tiles += (u.n/PanelRows - (i+1)/PanelRows + tilePanels - 1) / tilePanels
+			for p := 0; p < np; p++ {
+				tiles += (np - p + tilePanels - 1) / tilePanels
 			}
 			b.ResetTimer()
 			for it := 0; it < b.N; it++ {
-				for i := 0; i < u.n; i++ {
-					u.CosineDistances(i, i+1, out)
+				for p := 0; p < np; p++ {
+					u.CosineDistances(p, p*PanelRows, &out)
 				}
 			}
 			b.ReportMetric(float64(b.N)*float64(tiles*tileCells*dim)/b.Elapsed().Seconds()/1e6, "MMAC/s")

@@ -60,23 +60,30 @@ func NewUnitRows(items []Vec) *UnitRows {
 	return u
 }
 
-// CosineDistances writes the cosine distance between row i and every row j
-// in [lo, n) to out[j]. Each value is a pure function of the two rows:
-// every cell comes out of the one kernel with an accumulator of its own
-// summing in element order, so neither the tile a cell lands in, the worker
-// that computes it, nor the subset of rows present can change it.
-func (u *UnitRows) CosineDistances(i, lo int, out []float32) {
+// CosineDistances writes the cosine distance between row i = 4p+r of panel
+// p and every row j in [lo, n) to out[r][j], for each of the panel's rows
+// that exists and has a non-nil out[r]. Each value is a pure function of
+// the two rows: every cell comes out of the one kernel with an accumulator
+// of its own summing in element order, so neither the tile a cell lands in,
+// the worker that computes it, nor the subset of rows present can change it.
+func (u *UnitRows) CosineDistances(p, lo int, out *[PanelRows][]float32) {
 	if lo >= u.n {
 		return
 	}
-	row := u.row(i) // read in place, out of its own panel
+	rows := u.panel(p, 1) // read in place, four rows at once
 	var s [tileCells]float64
-	for p := lo / PanelRows; p*PanelRows < u.n; p += tilePanels {
-		// Cells before lo, and the zero rows past n, are computed and dropped.
-		dotPanels(row, u.panel(p, tilePanels), u.dim, &s)
-		j0 := p * PanelRows
-		for j := max(j0, lo); j < min(j0+tileCells, u.n); j++ {
-			out[j] = unitDistance(s[j-j0])
+	for c := lo / PanelRows; c*PanelRows < u.n; c += tilePanels {
+		// Cells before lo, and those of the zero rows past n, are computed
+		// and dropped.
+		dotTile(rows, u.panel(c, tilePanels), u.dim, &s)
+		j0 := c * PanelRows
+		for r, o := range out {
+			if o == nil || p*PanelRows+r >= u.n {
+				continue
+			}
+			for j := max(j0, lo); j < min(j0+tileCols, u.n); j++ {
+				o[j] = unitDistance(s[r*tileCols+j-j0])
+			}
 		}
 	}
 }

@@ -21,10 +21,17 @@ func randomVecs(rng *rand.Rand, n, dim int) []Vec {
 	return out
 }
 
+// rowDistances is CosineDistances for row i alone.
+func rowDistances(u *UnitRows, i, lo int, out []float32) {
+	var rows [PanelRows][]float32
+	rows[i%PanelRows] = out
+	u.CosineDistances(i/PanelRows, lo, &rows)
+}
+
 // unitCell returns the unit-row distance between rows i and j of u.
 func unitCell(u *UnitRows, i, j int) float32 {
 	out := make([]float32, u.n)
-	u.CosineDistances(i, j, out)
+	rowDistances(u, i, j, out)
 	return out[j]
 }
 
@@ -98,7 +105,7 @@ func TestUnitRowsZeroAndScale(t *testing.T) {
 	if a, b := unitCell(u, 1, 4), unitCell(u, 3, 4); a != b {
 		t.Errorf("scaling changed a distance: %g vs %g", a, b)
 	}
-	NewUnitRows(nil).CosineDistances(0, 1, nil) // no rows: nothing to do, nothing to index
+	NewUnitRows(nil).CosineDistances(0, 1, &[PanelRows][]float32{}) // no rows: nothing to do, nothing to index
 }
 
 // TestUnitRowsPositionIndependent checks that a cell is a pure function of
@@ -110,10 +117,10 @@ func TestUnitRowsPositionIndependent(t *testing.T) {
 		vs := randomVecs(rng, 71, 127)
 		u := NewUnitRows(vs)
 		want := make([]float32, len(vs))
-		u.CosineDistances(0, 1, want)
+		rowDistances(u, 0, 1, want)
 		for lo := 2; lo < len(vs); lo++ {
 			got := make([]float32, len(vs))
-			u.CosineDistances(0, lo, got)
+			rowDistances(u, 0, lo, got)
 			for j := lo; j < len(vs); j++ {
 				if got[j] != want[j] {
 					t.Fatalf("cell (0,%d) from offset %d = %g, from offset 1 = %g", j, lo, got[j], want[j])
@@ -124,8 +131,8 @@ func TestUnitRowsPositionIndependent(t *testing.T) {
 			if got := unitCell(NewUnitRows([]Vec{vs[0], vs[j]}), 0, 1); got != want[j] {
 				t.Fatalf("cell (0,%d) alone = %g, in the full set = %g", j, got, want[j])
 			}
-			// The other way round the row is broadcast from another lane
-			// and the cell lands in another tile slot.
+			// The other way round the row is broadcast from another slot
+			// of its panel and the cell lands in another tile slot.
 			if got := unitCell(u, j, 0); got != want[j] {
 				t.Fatalf("cell (%d,0) = %g, cell (0,%d) = %g", j, got, j, want[j])
 			}
