@@ -65,7 +65,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-request budget (0 disables)")
 		degrade    = flag.Float64("degrade-threshold", 0, "load factor at which searches degrade to ANN retrieval (or shed with 503 + Retry-After when no ANN view exists); 0 disables cost-aware admission")
 		maintIvl   = flag.Duration("maintenance-interval", 0, "background index-maintenance period: compact tombstone-heavy indexes on a clone off the query path and swap (0 disables; mutations then compact inline past the rebuild threshold)")
-		maintFrac  = flag.Float64("maintenance-threshold", serve.DefaultMaintenanceThreshold, "dead-entry fraction at which the maintainer compacts")
+		maintFrac  = flag.Float64("maintenance-threshold", serve.DefaultMaintenanceThreshold, "graph tombstone fraction at which the maintainer compacts")
 		ann        = flag.Bool("ann", false, "approximate candidate retrieval (HNSW) with exact re-ranking; the graph persists in -index-dir and follows live table mutations. -ann=false forces exact retrieval even for an index saved in ANN mode; omit the flag to follow the saved index")
 		quantized  = flag.Bool("quantized", false, "SQ8 scalar-quantized graph storage (~4x less resident index memory); candidates are still re-ranked exactly, so exact-mode results are unchanged. A warm-started graph keeps its stored representation until its next rebuild")
 		oversample = flag.Float64("oversample", 0, "ANN candidate oversampling factor: retrieve about N*k candidates before exact re-ranking (0 = default)")

@@ -93,13 +93,12 @@ func WithTopTables(n int) Option { return func(p *Pipeline) { p.topTables = n } 
 
 // WithRetriever selects the candidate-generation backend of the searcher's
 // staged query plan (default search.Exact, the seed behavior). search.ANN
-// switches the built-in searchers to approximate retrieval — HNSW over the
-// column embeddings for Starmie, the LSH banding index for D3L — whose
-// candidates are re-scored exactly, so query latency tracks the candidate
-// pool instead of the lake size. DUST itself only needs a candidate pool of
-// unionable tuples before diversification, which is what makes the
-// approximate stage safe for the pipeline's quality. A Mode value the
-// search package does not define makes New panic.
+// switches Starmie to approximate retrieval — HNSW over its column
+// embeddings — whose candidates are re-scored exactly, so query latency
+// tracks the candidate pool instead of the lake size. DUST itself only
+// needs a candidate pool of unionable tuples before diversification, which
+// is what makes the approximate stage safe for the pipeline's quality. A
+// Mode value the search package does not define makes New panic.
 func WithRetriever(m search.Mode) Option { return func(p *Pipeline) { p.retrieval = m } }
 
 // WithShards partitions the lake into n hash-assigned shards, each with
@@ -125,8 +124,7 @@ func WithShards(n int) Option { return func(p *Pipeline) { p.shards = n } }
 // oversampling as float graphs). Applies when this pipeline builds its
 // graphs (WithRetriever(search.ANN), PrepareANN, or a maintenance
 // rebuild); a graph warm-started from disk keeps its stored
-// representation until its next rebuild. Searchers without a quantized
-// form (D3L) ignore the option.
+// representation until its next rebuild.
 func WithQuantized(on bool) Option {
 	return func(p *Pipeline) { p.quantized, p.quantizedSet = on, true }
 }
@@ -407,11 +405,11 @@ func (p *Pipeline) QueryBound(n int) *Pipeline {
 	return &c
 }
 
-// MaintenanceStats reports the tombstone debt of the searcher's mutable
-// index structures (HNSW graphs, LSH banding indexes), merged across
-// shards for sharded searchers. A background maintainer watches it to
-// decide when a compaction pass (Compact on a Clone, then a snapshot swap)
-// is worth running.
+// MaintenanceStats reports the tombstone debt of the searcher's HNSW
+// graphs — the only index structures that tombstone — merged across shards
+// for sharded searchers. A background maintainer watches its
+// GraphDeletedFraction to decide when a compaction pass (Compact on a
+// Clone, then a snapshot swap) is worth running.
 func (p *Pipeline) MaintenanceStats() search.MaintenanceStats {
 	return p.searcher.MaintenanceStats()
 }

@@ -61,15 +61,15 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 // caller-built searcher's scoring too, and results must stay identical.
 func TestWithWorkersReboundsSuppliedSearcher(t *testing.T) {
 	b, q := benchLake(t)
-	want, err := New(b.Lake, WithSearcher(search.NewD3L(b.Lake)), WithWorkers(1)).Search(q, 10)
+	want, err := New(b.Lake, WithSearcher(search.NewStarmie(b.Lake)), WithWorkers(1)).Search(q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := New(b.Lake, WithSearcher(search.NewD3L(b.Lake)), WithWorkers(8)).Search(q, 10)
+	got, err := New(b.Lake, WithSearcher(search.NewStarmie(b.Lake)), WithWorkers(8)).Search(q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "d3l workers=8 vs 1", got, want)
+	sameResult(t, "supplied searcher workers=8 vs 1", got, want)
 }
 
 func TestSearchBatchMatchesSequentialSearch(t *testing.T) {

@@ -3,11 +3,13 @@ package dust
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"dust/internal/codec"
 	"dust/internal/datagen"
 	"dust/internal/model"
 	"dust/internal/search"
@@ -20,40 +22,34 @@ func TestPipelineSaveLoadWarmStart(t *testing.T) {
 	if err := b.Lake.Save(lakeDir); err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{"starmie", "d3l"} {
-		t.Run(kind, func(t *testing.T) {
-			opts := []Option{WithTopTables(5)}
-			if kind == "d3l" {
-				opts = append(opts, WithSearcher(search.NewD3L(b.Lake)))
-			}
-			cold := New(b.Lake, opts...)
-			want, err := cold.Search(q, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run("starmie", func(t *testing.T) {
+		cold := New(b.Lake, WithTopTables(5))
+		want, err := cold.Search(q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			idxDir := filepath.Join(t.TempDir(), "index")
-			if HasIndex(idxDir) {
-				t.Error("HasIndex true before save")
-			}
-			if err := cold.SaveIndex(idxDir); err != nil {
-				t.Fatal(err)
-			}
-			if !HasIndex(idxDir) {
-				t.Error("HasIndex false after save")
-			}
+		idxDir := filepath.Join(t.TempDir(), "index")
+		if HasIndex(idxDir) {
+			t.Error("HasIndex true before save")
+		}
+		if err := cold.SaveIndex(idxDir); err != nil {
+			t.Fatal(err)
+		}
+		if !HasIndex(idxDir) {
+			t.Error("HasIndex false after save")
+		}
 
-			warm, err := LoadPipeline(lakeDir, idxDir, WithTopTables(5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := warm.Search(q, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, "warm vs cold "+kind, got, want)
-		})
-	}
+		warm, err := LoadPipeline(lakeDir, idxDir, WithTopTables(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := warm.Search(q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "warm vs cold starmie", got, want)
+	})
 }
 
 func TestPipelineSaveLoadWithModel(t *testing.T) {
@@ -170,6 +166,34 @@ func TestLoadPipelineErrors(t *testing.T) {
 	}
 	if _, err := LoadPipeline(lakeDir, idxDir); err == nil {
 		t.Error("corrupted searcher file loaded without error")
+	}
+}
+
+// TestLoadPipelineRetiredKind loads a hand-built manifest recording the
+// "d3l" searcher kind, which earlier builds wrote and this one no longer
+// reads. The intact file is no bit rot: the load must fail as
+// codec.ErrWrongKind naming the kind, before any part file is looked for.
+func TestLoadPipelineRetiredKind(t *testing.T) {
+	b, _ := benchLake(t)
+	var m codec.Buffer
+	m.String("d3l")
+	m.String(b.Lake.Name)
+	m.Strings(b.Lake.Names())
+	m.Bool(false) // no tuple model
+	m.Uvarint(0)  // epoch
+	m.Bool(false) // exact mode
+	m.Bool(false) // no graph files
+	m.Uvarint(1)  // one part, holding the whole lake
+	m.Strings(b.Lake.Names())
+	dir := t.TempDir()
+	if err := writeFile(filepath.Join(dir, manifestFile), func(w io.Writer) error {
+		return codec.WriteEnvelope(w, codec.KindManifest, ManifestFormatVersion, m.Bytes())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadPipelineLake(b.Lake, dir)
+	if !errors.Is(err, codec.ErrWrongKind) || !strings.Contains(err.Error(), "d3l") {
+		t.Fatalf("retired-kind manifest: err = %v, want ErrWrongKind naming d3l", err)
 	}
 }
 

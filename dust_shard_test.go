@@ -9,10 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"dust/internal/codec"
 	"dust/internal/datagen"
 	"dust/internal/lake"
 	"dust/internal/search"
-	"dust/internal/shard"
 	"dust/internal/table"
 )
 
@@ -349,23 +349,21 @@ func TestShardedIndexErrorPaths(t *testing.T) {
 	})
 
 	t.Run("wrong-kind-shard-file", func(t *testing.T) {
-		// A D3L envelope in a Starmie shard slot must fail the codec's
-		// kind check, not decode as garbage.
-		idxDir := save(t)
-		d3lDir := filepath.Join(t.TempDir(), "d3l-index")
-		d3l := New(b.Lake, WithSearcher(shard.NewD3L(b.Lake, 2, shard.Config{})))
-		if err := d3l.SaveIndex(d3lDir); err != nil {
+		// The part's own HNSW graph envelope in its searcher slot must fail
+		// the codec's kind check, not decode as garbage.
+		idxDir := filepath.Join(t.TempDir(), "index")
+		if err := New(b.Lake, WithShards(2), WithRetriever(search.ANN)).SaveIndex(idxDir); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := os.ReadFile(filepath.Join(d3lDir, "shard-000.dustidx"))
+		raw, err := os.ReadFile(filepath.Join(idxDir, "shard-000.ann.dustidx"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(idxDir, "shard-000.dustidx"), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadPipeline(lakeDir, idxDir); err == nil {
-			t.Error("wrong-kind shard file loaded without error")
+		if _, err := LoadPipeline(lakeDir, idxDir); !errors.Is(err, codec.ErrWrongKind) {
+			t.Errorf("wrong-kind shard file: err = %v, want ErrWrongKind", err)
 		}
 	})
 
@@ -422,41 +420,4 @@ func TestPipelineMoreShardsThanTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "warm with empty shards", got, want)
-}
-
-// TestPipelineShardedD3L covers the second shardable kind end to end:
-// construction via WithSearcher, save/load, and equivalence.
-func TestPipelineShardedD3L(t *testing.T) {
-	b, q := benchLake(t)
-	lakeDir := filepath.Join(t.TempDir(), "lake")
-	if err := b.Lake.Save(lakeDir); err != nil {
-		t.Fatal(err)
-	}
-	want, err := New(b.Lake, WithTopTables(5), WithSearcher(search.NewD3L(b.Lake))).Search(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := New(b.Lake, WithTopTables(5), WithSearcher(shard.NewD3L(b.Lake, 3, shard.Config{})))
-	got, err := p.Search(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "sharded d3l vs unsharded", got, want)
-
-	idxDir := filepath.Join(t.TempDir(), "index")
-	if err := p.SaveIndex(idxDir); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := LoadPipeline(lakeDir, idxDir, WithTopTables(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Shards() != 3 {
-		t.Fatalf("warm d3l Shards() = %d, want 3", warm.Shards())
-	}
-	got, err = warm.Search(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "warm sharded d3l", got, want)
 }

@@ -1,8 +1,8 @@
 // Package codec implements the versioned binary envelope and payload
-// primitives shared by every persisted index in the repo (the Starmie, D3L,
-// and tuple-level search indexes, and the pipeline manifest). The format is
-// deliberately simple and self-validating so a warm start never trusts a
-// stale or corrupted file:
+// primitives shared by every persisted index in the repo (the Starmie
+// search index, its HNSW candidate graph, and the pipeline manifest). The
+// format is deliberately simple and self-validating so a warm start never
+// trusts a stale or corrupted file:
 //
 //	magic   "DSTIDX"           (6 bytes)
 //	kind    one byte           (which index family the payload belongs to)
@@ -35,8 +35,8 @@ var (
 	// it is not an index file at all.
 	ErrBadMagic = errors.New("codec: bad magic (not a DUST index file)")
 	// ErrWrongKind means the file is a DUST index of a different family
-	// than the caller expected (e.g. a D3L index passed to the Starmie
-	// loader).
+	// than the caller expected (e.g. an HNSW graph passed to the Starmie
+	// loader, or an index of a retired kind).
 	ErrWrongKind = errors.New("codec: wrong index kind")
 	// ErrVersion means the payload format version is zero or newer than
 	// what this binary understands.
@@ -51,11 +51,12 @@ var (
 	ErrCorrupt = errors.New("codec: corrupt payload")
 )
 
-// Envelope kinds. Each persisted structure owns one kind byte.
+// Envelope kinds. Each persisted structure owns one kind byte. The bytes
+// 'D' (D3L multi-signal index) and 'T' (tuple-level index) are retired:
+// earlier builds wrote them, today's loaders refuse them as ErrWrongKind,
+// and they must never be reused for another payload.
 const (
 	KindStarmie  byte = 'S' // Starmie column-embedding index
-	KindD3L      byte = 'D' // D3L multi-signal index
-	KindTuples   byte = 'T' // tuple-level index
 	KindManifest byte = 'M' // pipeline index-directory manifest
 	KindANN      byte = 'A' // HNSW approximate candidate graph
 )
@@ -207,14 +208,6 @@ func (b *Buffer) Float32(f float32) {
 func (b *Buffer) RawBytes(v []byte) {
 	b.Int(len(v))
 	b.buf = append(b.buf, v...)
-}
-
-// Uint64s appends a length-prefixed []uint64 (fixed width).
-func (b *Buffer) Uint64s(v []uint64) {
-	b.Int(len(v))
-	for _, x := range v {
-		b.buf = binary.LittleEndian.AppendUint64(b.buf, x)
-	}
 }
 
 // Scanner decodes a payload written with Buffer. The first decoding failure
@@ -416,23 +409,5 @@ func (s *Scanner) RawBytes() []byte {
 	out := make([]byte, n)
 	copy(out, s.buf[s.off:s.off+n])
 	s.off += n
-	return out
-}
-
-// Uint64s reads a length-prefixed []uint64.
-func (s *Scanner) Uint64s() []uint64 {
-	n := s.Int()
-	if s.err != nil {
-		return nil
-	}
-	if n > s.remaining()/8 {
-		s.fail(ErrTruncated)
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(s.buf[s.off:])
-		s.off += 8
-	}
 	return out
 }

@@ -127,10 +127,10 @@ func Fig8(cfg Config) *Report {
 	}
 	methods := []method{
 		{"d3l", func(k int) *table.Table {
-			return unionInRankOrder(b, q, search.TopK(d3l, q, 0), k, false)
+			return unionInRankOrder(b, q, d3l.TopK(q, 0), k, false)
 		}},
 		{"d3l-d", func(k int) *table.Table {
-			return unionInRankOrder(b, q, search.TopK(d3l, q, 0), k, true)
+			return unionInRankOrder(b, q, d3l.TopK(q, 0), k, true)
 		}},
 		{"starmie", func(k int) *table.Table {
 			return unionInRankOrder(b, q, search.TopK(starmie, q, 0), k, false)

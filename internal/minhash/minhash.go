@@ -1,15 +1,12 @@
-// Package minhash implements MinHash signatures and an LSH banding index.
-// The D3L baseline (paper §6.5.1) measures column unionability partly by
-// value overlap; like the original D3L and the JOSIE / LSH-Ensemble line of
-// work it builds on, the reproduction estimates Jaccard similarity between
-// column value sets with MinHash and uses LSH banding to shortlist
-// candidate columns without comparing against the whole lake.
+// Package minhash implements MinHash signatures. The D3L baseline (paper
+// §6.5.1) measures column unionability partly by value overlap; like the
+// original D3L and the JOSIE / LSH-Ensemble line of work it builds on, the
+// reproduction estimates Jaccard similarity between column value sets with
+// MinHash. The baseline ranks by an exact scan over every lake table, so no
+// banding index shortlists candidates.
 package minhash
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Signature is a MinHash sketch of a set.
 type Signature []uint64
@@ -34,9 +31,6 @@ func NewHasher(k int) *Hasher {
 	}
 	return h
 }
-
-// K returns the signature length.
-func (h *Hasher) K() int { return h.k }
 
 // Sign computes the MinHash signature of the given set of string values.
 // An empty set yields a signature of all MaxUint64.
@@ -98,232 +92,6 @@ func ExactJaccard(a, b []string) float64 {
 		return 0
 	}
 	return float64(inter) / float64(union)
-}
-
-// Index is an LSH banding index over signatures: signatures agreeing on all
-// rows of any band land in the same bucket and become candidates. Removal is
-// supported via tombstones — removed ids stay in the bucket lists but are
-// skipped by Query — with automatic compaction (a rebuild preserving the
-// surviving insertion order) once dead entries outnumber live ones, so an
-// evolving lake cannot grow the index without bound.
-type Index struct {
-	hasher  *Hasher
-	bands   int
-	rows    int
-	buckets []map[string][]int // one bucket map per band
-	keys    []string           // id -> external key
-	sigs    []Signature
-	byKey   map[string][]int // external key -> ids (for removal)
-	removed []bool           // id -> tombstoned
-	dead    int
-	// manualCompact suppresses the automatic compaction inside Remove: a
-	// maintenance layer that owns compaction (SetAutoCompact(false)) calls
-	// Compact itself, off the mutation path.
-	manualCompact bool
-}
-
-// NewIndex creates an LSH index with the given number of bands; the hasher
-// signature length must be divisible by bands.
-func NewIndex(h *Hasher, bands int) (*Index, error) {
-	if bands < 1 || h.K()%bands != 0 {
-		return nil, fmt.Errorf("minhash: %d bands does not divide signature length %d", bands, h.K())
-	}
-	idx := &Index{
-		hasher:  h,
-		bands:   bands,
-		rows:    h.K() / bands,
-		buckets: make([]map[string][]int, bands),
-		byKey:   make(map[string][]int),
-	}
-	for i := range idx.buckets {
-		idx.buckets[i] = make(map[string][]int)
-	}
-	return idx, nil
-}
-
-// Add signs the value set and indexes it under key. It returns the internal
-// id assigned to the key.
-func (idx *Index) Add(key string, values []string) int {
-	return idx.AddSignature(key, idx.hasher.Sign(values))
-}
-
-// AddSignature indexes a precomputed signature under key, for callers that
-// already signed the value set (e.g. parallel index builds that compute
-// signatures up front and insert them sequentially). The signature must
-// come from this index's hasher.
-func (idx *Index) AddSignature(key string, sig Signature) int {
-	id := len(idx.keys)
-	idx.keys = append(idx.keys, key)
-	idx.sigs = append(idx.sigs, sig)
-	idx.removed = append(idx.removed, false)
-	idx.byKey[key] = append(idx.byKey[key], id)
-	for b := 0; b < idx.bands; b++ {
-		idx.buckets[b][bandKey(sig, b, idx.rows)] = append(idx.buckets[b][bandKey(sig, b, idx.rows)], id)
-	}
-	return id
-}
-
-// Remove tombstones every signature indexed under key and returns how many
-// were removed (0 if the key was never indexed). The index compacts itself
-// once dead entries outnumber live ones; compaction preserves the surviving
-// insertion order, so query results stay identical to an index rebuilt from
-// scratch over the surviving sets.
-func (idx *Index) Remove(key string) int {
-	ids := idx.byKey[key]
-	if len(ids) == 0 {
-		return 0
-	}
-	delete(idx.byKey, key)
-	for _, id := range ids {
-		if !idx.removed[id] {
-			idx.removed[id] = true
-			idx.dead++
-		}
-	}
-	if !idx.manualCompact && idx.dead > len(idx.keys)-idx.dead {
-		idx.compact()
-	}
-	return len(ids)
-}
-
-// SetAutoCompact toggles the automatic compaction inside Remove. With auto
-// compaction off, tombstones accumulate until Compact is called — the mode a
-// background maintainer uses to keep mutations O(delta) and compact on its
-// own schedule.
-func (idx *Index) SetAutoCompact(on bool) { idx.manualCompact = !on }
-
-// Compact rebuilds the index without tombstoned entries, preserving the
-// survivors' insertion order (so queries are unaffected). It reports whether
-// there was anything to compact.
-func (idx *Index) Compact() bool {
-	if idx.dead == 0 {
-		return false
-	}
-	idx.compact()
-	return true
-}
-
-// Dead returns the number of tombstoned entries awaiting compaction.
-func (idx *Index) Dead() int { return idx.dead }
-
-// DeadFraction returns the tombstoned share of all slots (live + dead),
-// 0 for an empty index.
-func (idx *Index) DeadFraction() float64 {
-	if len(idx.keys) == 0 {
-		return 0
-	}
-	return float64(idx.dead) / float64(len(idx.keys))
-}
-
-// compact rebuilds the bucket lists without tombstoned ids, renumbering the
-// survivors in their original insertion order.
-func (idx *Index) compact() {
-	keys := make([]string, 0, len(idx.keys)-idx.dead)
-	sigs := make([]Signature, 0, cap(keys))
-	byKey := make(map[string][]int, len(idx.byKey))
-	buckets := make([]map[string][]int, idx.bands)
-	for b := range buckets {
-		buckets[b] = make(map[string][]int)
-	}
-	for id, sig := range idx.sigs {
-		if idx.removed[id] {
-			continue
-		}
-		nid := len(keys)
-		key := idx.keys[id]
-		keys = append(keys, key)
-		sigs = append(sigs, sig)
-		byKey[key] = append(byKey[key], nid)
-		for b := 0; b < idx.bands; b++ {
-			buckets[b][bandKey(sig, b, idx.rows)] = append(buckets[b][bandKey(sig, b, idx.rows)], nid)
-		}
-	}
-	idx.keys, idx.sigs, idx.byKey, idx.buckets = keys, sigs, byKey, buckets
-	idx.removed = make([]bool, len(keys))
-	idx.dead = 0
-}
-
-// Clone returns an independently mutable copy of the index: bucket lists,
-// key tables, and tombstone state are deep-copied (with exact-length
-// backing arrays, so appends on either side reallocate instead of writing
-// into shared memory), while the immutable signatures and the hasher are
-// shared. AddSignature/Remove/compaction on the clone never disturb the
-// original, which may still be serving Query calls concurrently.
-func (idx *Index) Clone() *Index {
-	c := &Index{
-		hasher:  idx.hasher,
-		bands:   idx.bands,
-		rows:    idx.rows,
-		buckets: make([]map[string][]int, len(idx.buckets)),
-		keys:    make([]string, len(idx.keys)),
-		sigs:    make([]Signature, len(idx.sigs)),
-		byKey:   make(map[string][]int, len(idx.byKey)),
-		removed: make([]bool, len(idx.removed)),
-		dead:    idx.dead,
-
-		manualCompact: idx.manualCompact,
-	}
-	copy(c.keys, idx.keys)
-	copy(c.sigs, idx.sigs)
-	copy(c.removed, idx.removed)
-	for b, m := range idx.buckets {
-		nm := make(map[string][]int, len(m))
-		for k, ids := range m {
-			nm[k] = append(make([]int, 0, len(ids)), ids...)
-		}
-		c.buckets[b] = nm
-	}
-	for k, ids := range idx.byKey {
-		c.byKey[k] = append(make([]int, 0, len(ids)), ids...)
-	}
-	return c
-}
-
-// Candidate is a query result: an indexed key with its estimated Jaccard.
-type Candidate struct {
-	Key       string
-	Estimated float64
-}
-
-// Query signs the value set and returns all indexed keys sharing at least
-// one LSH bucket, with estimated Jaccard similarities, unsorted. Callers
-// that already hold a signature from this index's hasher use QuerySig and
-// skip the signing pass.
-func (idx *Index) Query(values []string) []Candidate {
-	return idx.QuerySig(idx.hasher.Sign(values))
-}
-
-// QuerySig is Query for a pre-computed signature (which must come from
-// this index's hasher).
-func (idx *Index) QuerySig(sig Signature) []Candidate {
-	seen := map[int]bool{}
-	var out []Candidate
-	for b := 0; b < idx.bands; b++ {
-		for _, id := range idx.buckets[b][bandKey(sig, b, idx.rows)] {
-			if seen[id] || idx.removed[id] {
-				continue
-			}
-			seen[id] = true
-			out = append(out, Candidate{Key: idx.keys[id], Estimated: Estimate(sig, idx.sigs[id])})
-		}
-	}
-	return out
-}
-
-// Len returns the number of indexed sets (excluding removed ones).
-func (idx *Index) Len() int { return len(idx.keys) - idx.dead }
-
-// Bands returns the number of LSH bands the index was created with.
-func (idx *Index) Bands() int { return idx.bands }
-
-func bandKey(sig Signature, band, rows int) string {
-	b := make([]byte, 0, rows*8)
-	for _, v := range sig[band*rows : (band+1)*rows] {
-		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(v>>s))
-		}
-	}
-	return string(b)
 }
 
 // fnv64 hashes s with FNV-1a.

@@ -75,74 +75,6 @@ func TestEstimateEdgeCases(t *testing.T) {
 	}
 }
 
-func TestNewIndexValidatesBands(t *testing.T) {
-	h := NewHasher(64)
-	if _, err := NewIndex(h, 7); err == nil {
-		t.Error("bands not dividing k should error")
-	}
-	if _, err := NewIndex(h, 0); err == nil {
-		t.Error("zero bands should error")
-	}
-	if _, err := NewIndex(h, 16); err != nil {
-		t.Errorf("valid banding errored: %v", err)
-	}
-}
-
-func TestIndexFindsNearDuplicates(t *testing.T) {
-	h := NewHasher(128)
-	idx, err := NewIndex(h, 32) // 32 bands x 4 rows: sensitive at J ~ 0.4+
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := make([]string, 100)
-	for i := range base {
-		base[i] = fmt.Sprintf("val%d", i)
-	}
-	near := make([]string, 100)
-	copy(near, base)
-	near[0], near[1] = "chg0", "chg1" // J ~ 0.96
-	far := make([]string, 100)
-	for i := range far {
-		far[i] = fmt.Sprintf("other%d", i)
-	}
-	idx.Add("near", near)
-	idx.Add("far", far)
-	if idx.Len() != 2 {
-		t.Fatalf("Len = %d", idx.Len())
-	}
-
-	cands := idx.Query(base)
-	foundNear, foundFar := false, false
-	for _, c := range cands {
-		switch c.Key {
-		case "near":
-			foundNear = true
-			if c.Estimated < 0.8 {
-				t.Errorf("near estimate = %v, want > 0.8", c.Estimated)
-			}
-		case "far":
-			foundFar = true
-		}
-	}
-	if !foundNear {
-		t.Error("LSH missed a 0.96-Jaccard near duplicate")
-	}
-	if foundFar {
-		t.Error("LSH returned a 0-Jaccard set as candidate (hash collision across all rows of a band is vanishingly unlikely)")
-	}
-}
-
-func TestIndexQueryDeduplicatesCandidates(t *testing.T) {
-	h := NewHasher(64)
-	idx, _ := NewIndex(h, 64) // 1 row per band: everything collides often
-	vals := []string{"a", "b", "c"}
-	idx.Add("dup", vals)
-	cands := idx.Query(vals)
-	if len(cands) != 1 {
-		t.Errorf("candidates = %v, want exactly one entry per key", cands)
-	}
-}
-
 // Property: estimate is symmetric and within [0, 1].
 func TestEstimateProperties(t *testing.T) {
 	h := NewHasher(32)
@@ -166,104 +98,5 @@ func TestJaccardSelfProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIndexRemove(t *testing.T) {
-	h := NewHasher(64)
-	idx, err := NewIndex(h, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := func(seed string) []string {
-		out := make([]string, 30)
-		for i := range out {
-			out[i] = fmt.Sprintf("%s-%d", seed, i)
-		}
-		return out
-	}
-	// Two signatures under the same key, one under another.
-	idx.Add("dup", set("x"))
-	idx.Add("dup", set("x"))
-	idx.Add("other", set("x"))
-	if idx.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", idx.Len())
-	}
-	if n := idx.Remove("dup"); n != 2 {
-		t.Errorf("Remove(dup) = %d, want 2", n)
-	}
-	if n := idx.Remove("dup"); n != 0 {
-		t.Errorf("second Remove(dup) = %d, want 0", n)
-	}
-	if idx.Len() != 1 {
-		t.Errorf("Len = %d, want 1", idx.Len())
-	}
-	for _, c := range idx.Query(set("x")) {
-		if c.Key == "dup" {
-			t.Error("removed key still returned by Query")
-		}
-	}
-}
-
-func TestIndexRemoveMatchesRebuild(t *testing.T) {
-	h := NewHasher(64)
-	set := func(seed string, n int) []string {
-		out := make([]string, n)
-		for i := range out {
-			out[i] = fmt.Sprintf("%s-%d", seed, i%7)
-		}
-		return out
-	}
-	keys := []string{"a", "b", "c", "d", "e", "f"}
-	build := func(skip map[string]bool) *Index {
-		idx, _ := NewIndex(h, 16)
-		for i, k := range keys {
-			if !skip[k] {
-				idx.Add(k, set(k, 20+i))
-			}
-		}
-		return idx
-	}
-	// Incrementally remove enough keys to trigger compaction, then compare
-	// every query against an index built without them.
-	inc := build(nil)
-	skip := map[string]bool{"a": true, "c": true, "d": true, "e": true}
-	for k := range skip {
-		inc.Remove(k)
-	}
-	fresh := build(skip)
-	if inc.Len() != fresh.Len() {
-		t.Fatalf("Len = %d, want %d", inc.Len(), fresh.Len())
-	}
-	for _, k := range keys {
-		q := set(k, 25)
-		got := map[string]float64{}
-		for _, c := range inc.Query(q) {
-			got[c.Key] = c.Estimated
-		}
-		want := map[string]float64{}
-		for _, c := range fresh.Query(q) {
-			want[c.Key] = c.Estimated
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %s: candidates %v, want %v", k, got, want)
-		}
-		for key, est := range want {
-			if got[key] != est {
-				t.Errorf("query %s: candidate %s est %v, want %v", k, key, got[key], est)
-			}
-		}
-	}
-	// Re-adding a removed key behaves like a fresh insert.
-	inc.Remove("b")
-	inc.Add("b", set("b", 21))
-	found := false
-	for _, c := range inc.Query(set("b", 21)) {
-		if c.Key == "b" && c.Estimated == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("re-added key not found with estimate 1")
 	}
 }

@@ -2,12 +2,9 @@ package search
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"dust/internal/embed"
 	"dust/internal/lake"
@@ -18,47 +15,32 @@ import (
 	"dust/internal/vector"
 )
 
-// D3L is the D3L-like union searcher: it aggregates five column
+// D3L is the D3L-like union baseline: it aggregates five column
 // unionability signals — header-name similarity, value overlap (MinHash),
 // format (character-class profile), word-embedding similarity, and numeric
 // distribution similarity — and scores a table by the mean best aggregate
-// over the query's columns (§6.5.1). An LSH banding index shortlists
-// value-overlap candidates so the signal does not require scanning the
-// whole lake per column.
+// over the query's columns (§6.5.1). It is an evaluation object, built once
+// over a lake and asked for rankings, not a serving index: it has no
+// persistence, mutation, or approximate retrieval of its own.
 type D3L struct {
-	leaf
 	lake    *lake.Lake
 	enc     *embed.Encoder
 	workers int
-	// mode selects the retrieval stage: Exact scans the lake; ANN re-uses
-	// the LSH banding index as the candidate generator (D3L's own pruning
-	// structure — no separate HNSW graph to maintain) and re-scores the
-	// bucketed candidates with the full five-signal aggregate.
-	mode Mode
-
-	hasher *minhash.Hasher
-	tables map[string]d3lTableIndex // per table: the per-column signals
-	lsh    *minhash.Index
+	hasher  *minhash.Hasher
+	tables  map[string]d3lTableIndex // per table: the per-column signals
 }
 
-// d3lBands is the LSH banding width of the value-overlap index; it must
-// divide the hasher's signature length (128).
-const d3lBands = 32
-
 // d3lTableIndex holds one table's per-column signals — what indexing
-// stores for a lake table and Prepare derives for a query. All four are
-// corpus-independent.
+// stores for a lake table and TopK derives for a query.
 type d3lTableIndex struct {
-	sigs []minhash.Signature // value overlap (and the LSH key)
+	sigs []minhash.Signature // value overlap
 	vecs []vector.Vec        // word embeddings
 	fps  []formatProfile
 	nps  []numericProfile
 }
 
-// NewD3L indexes the lake. The five per-column signals are computed in
-// parallel across tables; only the LSH inserts (which mutate the shared
-// banding index) run sequentially, in table order, so the index layout is
-// deterministic.
+// NewD3L indexes the lake, computing the five per-column signals of every
+// table in parallel. Only WithWorkers applies.
 func NewD3L(l *lake.Lake, opts ...Option) *D3L {
 	o := applyOptions(opts)
 	d := &D3L{
@@ -66,18 +48,14 @@ func NewD3L(l *lake.Lake, opts ...Option) *D3L {
 		enc:     embed.NewFastText(),
 		workers: o.workers,
 		hasher:  minhash.NewHasher(128),
-		tables:  map[string]d3lTableIndex{},
 	}
-	d.lsh, _ = minhash.NewIndex(d.hasher, d3lBands)
 	tables := l.Tables()
 	indexed := par.Map(d.workers, len(tables), func(ti int) d3lTableIndex {
 		return d.indexTable(tables[ti])
 	})
+	d.tables = make(map[string]d3lTableIndex, len(tables))
 	for ti, t := range tables {
-		d.install(t.Name, indexed[ti])
-	}
-	if o.mode != Exact {
-		_ = d.SetMode(o.mode)
+		d.tables[t.Name] = indexed[ti]
 	}
 	return d
 }
@@ -101,154 +79,41 @@ func (d *D3L) indexTable(t *table.Table) d3lTableIndex {
 	return idx
 }
 
-// install stores one table's signals and inserts its signatures into the
-// LSH banding index.
-func (d *D3L) install(name string, idx d3lTableIndex) {
-	for i := range idx.sigs {
-		d.lsh.AddSignature(name, idx.sigs[i])
-	}
-	d.tables[name] = idx
+// Name identifies the baseline in experiment output.
+func (d *D3L) Name() string { return "d3l" }
+
+// TopK ranks every lake table by its five-signal score against query and
+// returns the top k by (score desc, name asc); k <= 0 returns the full
+// ranking. The query's signals are derived once; tables are scored in
+// parallel, and the ranking is identical for every worker count.
+func (d *D3L) TopK(query *table.Table, k int) []Scored {
+	q := d.indexTable(query)
+	// A background context cannot be cancelled, so there is no error.
+	out, _ := rankTablesCtx(context.Background(), d.lake.Tables(), k, d.workers, unbounded(func(t *table.Table) float64 {
+		return d.score(query, &q, t)
+	}))
+	return out
 }
 
-// Name implements Searcher; the suffix keeps config tags distinct
-// between the exact and the LSH-pruned query plans.
-func (d *D3L) Name() string {
-	if d.mode == ANN {
-		return "d3l+lsh"
+// score is the five-signal table score of t under the query table and its
+// signals q: the mean best aggregate over the query's columns.
+func (d *D3L) score(query *table.Table, q *d3lTableIndex, t *table.Table) float64 {
+	n := query.NumCols()
+	if t.NumCols() == 0 || n == 0 {
+		return 0
 	}
-	return "d3l"
-}
-
-// Lake implements Searcher.
-func (d *D3L) Lake() *lake.Lake { return d.lake }
-
-// Parts implements Searcher: a monolithic index is its own single part.
-func (d *D3L) Parts() []Searcher { return []Searcher{d} }
-
-// SetMode implements Searcher. D3L's approximate backend is its LSH banding
-// index rather than HNSW, so switching is free: the index already exists
-// for the value-overlap signal.
-func (d *D3L) SetMode(m Mode) error {
-	if m != Exact && m != ANN {
-		return fmt.Errorf("d3l: SetMode(%d): %w", int(m), ErrUnknownMode)
-	}
-	d.mode = m
-	return nil
-}
-
-// RetrievalMode implements Searcher.
-func (d *D3L) RetrievalMode() Mode { return d.mode }
-
-// SetOversample implements Searcher as a no-op: LSH buckets are set-shaped,
-// there is no pool to size.
-func (d *D3L) SetOversample(float64) {}
-
-// SetEfSearch implements Searcher as a no-op: D3L has no HNSW stage.
-func (d *D3L) SetEfSearch(int) {}
-
-// SetQuantized implements Searcher as a no-op: D3L builds no vector graph.
-func (d *D3L) SetQuantized(bool) {}
-
-// IndexBytes implements Searcher: D3L's approximate backend is the LSH
-// index its exact scorer needs anyway, so there is no ANN-only footprint.
-func (d *D3L) IndexBytes() IndexFootprint { return IndexFootprint{Storage: "none"} }
-
-// candidateNamesSigned is the LSH retrieval stage for query-column
-// signatures the caller already computed (Prepare signs every column for
-// the value-overlap score anyway), name-sorted for determinism.
-func (d *D3L) candidateNamesSigned(sigs []minhash.Signature) []string {
-	set := map[string]bool{}
-	for _, sig := range sigs {
-		for _, c := range d.lsh.QuerySig(sig) {
-			set[c.Key] = true
+	idx := d.tables[t.Name]
+	var sum float64
+	for i := range query.Columns {
+		best := 0.0
+		for ci := range t.Columns {
+			if s := columnScore(query, q, i, t, &idx, ci); s > best {
+				best = s
+			}
 		}
+		sum += best
 	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// AddTable implements Searcher: only the new table's signals are
-// computed; everything already indexed is untouched, so the update costs
-// O(new table). The table must (also) be added to the lake before querying.
-func (d *D3L) AddTable(t *table.Table) error {
-	if _, ok := d.tables[t.Name]; ok {
-		return fmt.Errorf("d3l: AddTable(%q): %w", t.Name, ErrDuplicateTable)
-	}
-	d.install(t.Name, d.indexTable(t))
-	return nil
-}
-
-// RemoveTable implements Searcher: the table's signals are dropped and
-// its LSH entries tombstoned (the banding index compacts itself once dead
-// entries dominate). Remove the table from the lake afterwards.
-func (d *D3L) RemoveTable(name string) error {
-	if _, ok := d.tables[name]; !ok {
-		return fmt.Errorf("d3l: RemoveTable(%q): %w", name, ErrUnknownTable)
-	}
-	delete(d.tables, name)
-	d.lsh.Remove(name)
-	return nil
-}
-
-// QueryWorkers implements Searcher: the returned searcher shares this
-// searcher's index (immutable after construction) and scores queries with
-// at most n workers.
-func (d *D3L) QueryWorkers(n int) Searcher {
-	c := *d
-	c.workers = n
-	return &c
-}
-
-// SetAutoCompact implements Searcher, delegating to the LSH banding
-// index (D3L's only tombstoning structure).
-func (d *D3L) SetAutoCompact(on bool) { d.lsh.SetAutoCompact(on) }
-
-// Compact implements Searcher: it compacts the LSH banding index,
-// reporting whether any tombstones were reclaimed.
-func (d *D3L) Compact() bool { return d.lsh.Compact() }
-
-// MaintenanceStats implements Searcher.
-func (d *D3L) MaintenanceStats() MaintenanceStats {
-	return MaintenanceStats{
-		LSHEntries:      d.lsh.Len() + d.lsh.Dead(),
-		LSHDead:         d.lsh.Dead(),
-		LSHDeadFraction: d.lsh.DeadFraction(),
-	}
-}
-
-// ModeView implements Searcher. D3L's approximate backend is its LSH
-// banding index, which always exists, so a view of either mode is a free
-// shallow copy.
-func (d *D3L) ModeView(m Mode) (Searcher, bool) {
-	if m == d.mode {
-		return d, true
-	}
-	if m != Exact && m != ANN {
-		return nil, false
-	}
-	c := *d
-	c.mode = m
-	return &c, true
-}
-
-// CloneWithLake implements Searcher: the clone is bound to l and owns its own
-// signal map and LSH banding index, sharing the per-column signature,
-// vector, and profile slices (install replaces whole entries; nothing
-// writes into one). Mutations on the clone leave this searcher — and queries in
-// flight against it — untouched.
-func (d *D3L) CloneWithLake(l *lake.Lake) Searcher {
-	c := *d
-	c.lake = l
-	c.lsh = d.lsh.Clone()
-	c.tables = make(map[string]d3lTableIndex, len(d.tables))
-	for n, v := range d.tables {
-		c.tables[n] = v
-	}
-	return &c
+	return sum / float64(n)
 }
 
 func (d *D3L) embedColumn(col *table.Column) vector.Vec {
@@ -259,119 +124,17 @@ func (d *D3L) embedColumn(col *table.Column) vector.Vec {
 	return d.enc.EncodeTokens(toks)
 }
 
-// columnScore aggregates the five signals for query column qi of p against
-// column ci of the indexed table t (whose signals are idx).
-func columnScore(p *d3lPrepared, qi int, t *table.Table, idx *d3lTableIndex, ci int) float64 {
-	name := headerSimilarity(p.query.Columns[qi].Name, t.Columns[ci].Name)
-	value := minhash.Estimate(p.sigs[qi], idx.sigs[ci])
-	format := p.fps[qi].similarity(idx.fps[ci])
-	emb := math.Max(0, vector.Cosine(p.vecs[qi], idx.vecs[ci]))
-	dist := p.nps[qi].similarity(idx.nps[ci])
+// columnScore aggregates the five signals for column qi of query (whose
+// signals are q) against column ci of the indexed table t (whose signals are
+// idx).
+func columnScore(query *table.Table, q *d3lTableIndex, qi int, t *table.Table, idx *d3lTableIndex, ci int) float64 {
+	name := headerSimilarity(query.Columns[qi].Name, t.Columns[ci].Name)
+	value := minhash.Estimate(q.sigs[qi], idx.sigs[ci])
+	format := q.fps[qi].similarity(idx.fps[ci])
+	emb := math.Max(0, vector.Cosine(q.vecs[qi], idx.vecs[ci]))
+	dist := q.nps[qi].similarity(idx.nps[ci])
 	return (name + value + format + emb + dist) / 5
 }
-
-// d3lPrepared is D3L's PreparedQuery: the query's per-column signals,
-// derived once exactly as indexing derives a lake table's. They are
-// corpus-independent, so any D3L index — every shard of a partitioned lake
-// — accepts the preparation interchangeably.
-type d3lPrepared struct {
-	query *table.Table
-	d3lTableIndex
-}
-
-// Query implements PreparedQuery.
-func (p *d3lPrepared) Query() *table.Table { return p.query }
-
-// Prepare implements Searcher: the query's five per-column signals
-// are derived exactly once.
-func (d *D3L) Prepare(query *table.Table) PreparedQuery {
-	return &d3lPrepared{query: query, d3lTableIndex: d.indexTable(query)}
-}
-
-// TopKPrepared implements Searcher: the candidate scan (the whole lake, or
-// the LSH nominees in ANN mode) stops scoring further tables once ctx is
-// cancelled and the call returns ctx.Err().
-func (d *D3L) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error) {
-	p, ok := pq.(*d3lPrepared)
-	if !ok {
-		return nil, fmt.Errorf("d3l: %w: %T", ErrForeignPrepared, pq)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tr := TraceFrom(ctx)
-	t0 := time.Now()
-	cands := d.lake.Tables()
-	if d.mode == ANN && k > 0 {
-		// The prepared signatures serve double duty: the value-overlap
-		// score and, here, the LSH candidate lookup.
-		// Empty LSH buckets (no value overlap anywhere) fall through to
-		// the exact scan: a best-effort ranking, like exact mode, beats
-		// turning a valid query into "no results".
-		if names := d.candidateNamesSigned(p.sigs); len(names) > 0 {
-			cands = tablesNamed(d.lake, names)
-		}
-	}
-	tr.AddRetrieve(t0)
-	t0 = time.Now()
-	out, err := rankTablesCtx(ctx, cands, k, d.workers, unbounded(func(t *table.Table) float64 {
-		return d.scorePrepared(p, t)
-	}))
-	if err == nil {
-		tr.AddScore(t0)
-	}
-	return out, err
-}
-
-// scorePrepared is the exact five-signal table score under a prepared
-// query: the mean best aggregate over the query's columns.
-func (d *D3L) scorePrepared(p *d3lPrepared, t *table.Table) float64 {
-	n := p.query.NumCols()
-	if t.NumCols() == 0 || n == 0 {
-		return 0
-	}
-	idx := d.tables[t.Name]
-	var sum float64
-	for i := range p.query.Columns {
-		best := 0.0
-		for ci := range t.Columns {
-			if s := columnScore(p, i, t, &idx, ci); s > best {
-				best = s
-			}
-		}
-		sum += best
-	}
-	return sum / float64(n)
-}
-
-// NominatePrepared implements Searcher: the tables sharing an LSH
-// bucket with any query column in ANN mode (depth is advisory — buckets are
-// set-shaped), every lake table otherwise. An empty return means no bucket
-// matched anywhere; the coordinator picks the fallback, mirroring the
-// exact-scan fallback of TopKPrepared.
-func (d *D3L) NominatePrepared(ctx context.Context, pq PreparedQuery, depth int) ([]string, error) {
-	p, ok := pq.(*d3lPrepared)
-	if !ok {
-		return nil, fmt.Errorf("d3l: %w: %T", ErrForeignPrepared, pq)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if d.mode != ANN || depth <= 0 {
-		return d.lake.Names(), nil
-	}
-	return d.candidateNamesSigned(p.sigs), nil
-}
-
-// ScorePrepared implements Searcher.
-func (d *D3L) ScorePrepared(pq PreparedQuery, t *table.Table) float64 {
-	return d.scorePrepared(pq.(*d3lPrepared), t)
-}
-
-// Encoder exposes the word-embedding model of the value/embedding signal.
-// Tests instrument it to count encoding calls — the prepared-query gate
-// that proves a sharded query derives its signals exactly once.
-func (d *D3L) Encoder() *embed.Encoder { return d.enc }
 
 // headerSimilarity is token Jaccard between headers, with synonym classes
 // from the embedding lexicon counted through the token set.
@@ -453,7 +216,7 @@ func profileNumeric(values []string) numericProfile {
 	}
 	p.mean /= float64(len(nums))
 	for _, f := range nums {
-		p.std += float64((f - p.mean) * (f - p.mean)) // persisted: no fusion (docs/ARCHITECTURE.md, "Determinism contract")
+		p.std += float64((f - p.mean) * (f - p.mean)) // architecture-exact: no fusion (docs/ARCHITECTURE.md, "Determinism contract")
 	}
 	p.std = math.Sqrt(p.std / float64(len(nums)))
 	return p

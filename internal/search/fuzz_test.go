@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-// FuzzLoadIndex throws arbitrary bytes at all four index loaders — the
-// three searcher codecs and the HNSW candidate-graph codec: every input
-// must return cleanly — a loaded index or a typed error — and never panic
-// or over-allocate. Seeds are the golden index files (valid inputs whose
-// mutations explore deep decoder paths), a freshly saved ANN graph, and
-// envelope fragments.
+// FuzzLoadIndex throws arbitrary bytes at both index loaders — the Starmie
+// searcher codec and the HNSW candidate-graph codec: every input must
+// return cleanly — a loaded index or a typed error — and never panic or
+// over-allocate. Seeds are the golden index files (the Starmie index, whose
+// mutations explore deep decoder paths, and the retired D3L and
+// tuple-level kinds, which must keep failing typed), a freshly saved ANN
+// graph, and envelope fragments.
 func FuzzLoadIndex(f *testing.F) {
 	for _, name := range []string{"starmie", "d3l", "tuples"} {
 		if data, err := os.ReadFile(filepath.Join("testdata", "golden_"+name+".idx")); err == nil {
@@ -25,7 +26,6 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Add([]byte("DSTIDXA\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 
 	b := persistBench(f)
-	tables := b.Lake.Tables()
 	// annHost stays pristine; each iteration loads into a throwaway
 	// clone so no fuzz input's graph survives into later iterations —
 	// a recorded crasher must reproduce on a fresh host. The seed
@@ -57,12 +57,6 @@ func FuzzLoadIndex(f *testing.F) {
 		// A successful load must yield a usable index; errors just return.
 		if s, err := LoadStarmie(bytes.NewReader(data), b.Lake); err == nil {
 			TopK(s, b.Queries[0], 3)
-		}
-		if d, err := LoadD3L(bytes.NewReader(data), b.Lake); err == nil {
-			TopK(d, b.Queries[0], 3)
-		}
-		if ts, err := LoadTupleSearch(bytes.NewReader(data), tables); err == nil {
-			ts.TopK(b.Queries[0], 3)
 		}
 		// Corrupt graph bytes must error, never panic; an accepted graph
 		// must survive being searched.

@@ -27,23 +27,6 @@ func bigTable(name string, seed int64) *table.Table {
 	return t
 }
 
-// mutator is the delta-update surface the three searchers share (the
-// tuple-level one by name only: it is not a table-level Searcher).
-type mutator interface {
-	AddTable(t *table.Table) error
-	RemoveTable(name string) error
-}
-
-// incSearcher abstracts the three searchers for the equivalence harness:
-// mutate is the delta-update surface, results snapshots a few queries'
-// ranked output as comparable strings, rebuild constructs the same searcher
-// from scratch over the current lake.
-type incSearcher struct {
-	mutate  mutator
-	results func() []string
-	rebuild func() incSearcher
-}
-
 func snapshotScored(queries []*table.Table, s Searcher) []string {
 	var out []string
 	for _, q := range queries {
@@ -54,54 +37,9 @@ func snapshotScored(queries []*table.Table, s Searcher) []string {
 	return out
 }
 
-func snapshotTuples(queries []*table.Table, ts *TupleSearch) []string {
-	var out []string
-	for _, q := range queries {
-		for i, sc := range ts.TopK(q, 12) {
-			out = append(out, fmt.Sprintf("%s#%d:%s/%d=%x", q.Name, i, sc.Table.Name, sc.Row, sc.Score))
-		}
-	}
-	return out
-}
-
-func newIncSearcher(t *testing.T, kind string, l *lake.Lake, queries []*table.Table, workers int) incSearcher {
-	t.Helper()
-	switch kind {
-	case "starmie":
-		s := NewStarmie(l, WithWorkers(workers))
-		return incSearcher{
-			mutate:  s,
-			results: func() []string { return snapshotScored(queries, s) },
-			rebuild: func() incSearcher { return newIncSearcher(t, kind, l, queries, workers) },
-		}
-	case "d3l":
-		d := NewD3L(l, WithWorkers(workers))
-		return incSearcher{
-			mutate: d,
-			results: func() []string {
-				out := snapshotScored(queries, d)
-				// The LSH pruning path must also match a rebuilt index.
-				for _, q := range queries {
-					out = append(out, fmt.Sprintf("cands(%s)=%v", q.Name, lshCandidates(d, q)))
-				}
-				return out
-			},
-			rebuild: func() incSearcher { return newIncSearcher(t, kind, l, queries, workers) },
-		}
-	case "tuples":
-		ts := NewTupleSearch(l.Tables(), WithWorkers(workers))
-		return incSearcher{
-			mutate:  ts,
-			results: func() []string { return snapshotTuples(queries, ts) },
-			rebuild: func() incSearcher { return newIncSearcher(t, kind, l, queries, workers) },
-		}
-	}
-	panic("unknown searcher kind " + kind)
-}
-
 // TestIncrementalEquivalence drives randomized interleaved AddTable /
-// RemoveTable sequences against each searcher and checks, at every step,
-// that query results are bit-identical to a from-scratch rebuild over the
+// RemoveTable sequences against Starmie and checks, at every step, that
+// query results are bit-identical to a from-scratch rebuild over the
 // mutated lake — for the sequential and the parallel execution paths.
 func TestIncrementalEquivalence(t *testing.T) {
 	base := datagen.Generate("inc-test", datagen.Config{
@@ -114,60 +52,58 @@ func TestIncrementalEquivalence(t *testing.T) {
 	pool := append([]*table.Table{}, base.Lake.Tables()...)
 	pool = append(pool, bigTable("big_a", 1), bigTable("big_b", 2))
 
-	for _, kind := range []string{"starmie", "d3l", "tuples"} {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/workers=%d", kind, workers), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(97))
-				l := lake.New("inc")
-				inLake := map[string]bool{}
-				for _, tab := range pool[:len(pool)/2] {
-					l.MustAdd(tab)
-					inLake[tab.Name] = true
-				}
-				inc := newIncSearcher(t, kind, l, queries, workers)
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("starmie/workers=%d", workers), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(97))
+			l := lake.New("inc")
+			inLake := map[string]bool{}
+			for _, tab := range pool[:len(pool)/2] {
+				l.MustAdd(tab)
+				inLake[tab.Name] = true
+			}
+			s := NewStarmie(l, WithWorkers(workers))
 
-				for step := 0; step < 10; step++ {
-					var absent, present []*table.Table
-					for _, tab := range pool {
-						if inLake[tab.Name] {
-							present = append(present, tab)
-						} else {
-							absent = append(absent, tab)
-						}
-					}
-					// Bias toward adds so the lake stays populated.
-					if len(present) > 1 && (len(absent) == 0 || rng.Intn(3) == 0) {
-						victim := present[rng.Intn(len(present))]
-						if err := inc.mutate.RemoveTable(victim.Name); err != nil {
-							t.Fatalf("step %d: remove %s: %v", step, victim.Name, err)
-						}
-						if err := l.Remove(victim.Name); err != nil {
-							t.Fatal(err)
-						}
-						inLake[victim.Name] = false
+			for step := 0; step < 10; step++ {
+				var absent, present []*table.Table
+				for _, tab := range pool {
+					if inLake[tab.Name] {
+						present = append(present, tab)
 					} else {
-						added := absent[rng.Intn(len(absent))]
-						l.MustAdd(added)
-						if err := inc.mutate.AddTable(added); err != nil {
-							t.Fatalf("step %d: add %s: %v", step, added.Name, err)
-						}
-						inLake[added.Name] = true
-					}
-
-					got := inc.results()
-					want := inc.rebuild().results()
-					if len(got) != len(want) {
-						t.Fatalf("step %d: %d results, rebuild has %d", step, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("step %d result %d:\nincremental: %s\nrebuilt:     %s",
-								step, i, got[i], want[i])
-						}
+						absent = append(absent, tab)
 					}
 				}
-			})
-		}
+				// Bias toward adds so the lake stays populated.
+				if len(present) > 1 && (len(absent) == 0 || rng.Intn(3) == 0) {
+					victim := present[rng.Intn(len(present))]
+					if err := s.RemoveTable(victim.Name); err != nil {
+						t.Fatalf("step %d: remove %s: %v", step, victim.Name, err)
+					}
+					if err := l.Remove(victim.Name); err != nil {
+						t.Fatal(err)
+					}
+					inLake[victim.Name] = false
+				} else {
+					added := absent[rng.Intn(len(absent))]
+					l.MustAdd(added)
+					if err := s.AddTable(added); err != nil {
+						t.Fatalf("step %d: add %s: %v", step, added.Name, err)
+					}
+					inLake[added.Name] = true
+				}
+
+				got := snapshotScored(queries, s)
+				want := snapshotScored(queries, NewStarmie(l, WithWorkers(workers)))
+				if len(got) != len(want) {
+					t.Fatalf("step %d: %d results, rebuild has %d", step, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("step %d result %d:\nincremental: %s\nrebuilt:     %s",
+							step, i, got[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -183,62 +119,55 @@ func TestIncrementalWorkersAgree(t *testing.T) {
 	pool := append([]*table.Table{}, base.Lake.Tables()...)
 	pool = append(pool, bigTable("big_w", 3))
 
-	for _, kind := range []string{"starmie", "d3l", "tuples"} {
-		t.Run(kind, func(t *testing.T) {
-			drive := func(workers int) [][]string {
-				rng := rand.New(rand.NewSource(5))
-				l := lake.New("inc")
-				for _, tab := range pool[:3] {
-					l.MustAdd(tab)
+	t.Run("starmie", func(t *testing.T) {
+		drive := func(workers int) [][]string {
+			rng := rand.New(rand.NewSource(5))
+			l := lake.New("inc")
+			for _, tab := range pool[:3] {
+				l.MustAdd(tab)
+			}
+			s := NewStarmie(l, WithWorkers(workers))
+			var snaps [][]string
+			for _, tab := range pool[3:] {
+				l.MustAdd(tab)
+				if err := s.AddTable(tab); err != nil {
+					t.Fatal(err)
 				}
-				inc := newIncSearcher(t, kind, l, queries, workers)
-				var snaps [][]string
-				for _, tab := range pool[3:] {
-					l.MustAdd(tab)
-					if err := inc.mutate.AddTable(tab); err != nil {
+				snaps = append(snaps, snapshotScored(queries, s))
+				if rng.Intn(2) == 0 {
+					if err := s.RemoveTable(tab.Name); err != nil {
 						t.Fatal(err)
 					}
-					snaps = append(snaps, inc.results())
-					if rng.Intn(2) == 0 {
-						if err := inc.mutate.RemoveTable(tab.Name); err != nil {
-							t.Fatal(err)
-						}
-						if err := l.Remove(tab.Name); err != nil {
-							t.Fatal(err)
-						}
-						snaps = append(snaps, inc.results())
+					if err := l.Remove(tab.Name); err != nil {
+						t.Fatal(err)
 					}
-				}
-				return snaps
-			}
-			seq, par := drive(1), drive(8)
-			if len(seq) != len(par) {
-				t.Fatalf("snapshot counts differ: %d vs %d", len(seq), len(par))
-			}
-			for i := range seq {
-				for j := range seq[i] {
-					if seq[i][j] != par[i][j] {
-						t.Fatalf("snapshot %d entry %d: workers=1 %s, workers=8 %s",
-							i, j, seq[i][j], par[i][j])
-					}
+					snaps = append(snaps, snapshotScored(queries, s))
 				}
 			}
-		})
-	}
+			return snaps
+		}
+		seq, par := drive(1), drive(8)
+		if len(seq) != len(par) {
+			t.Fatalf("snapshot counts differ: %d vs %d", len(seq), len(par))
+		}
+		for i := range seq {
+			for j := range seq[i] {
+				if seq[i][j] != par[i][j] {
+					t.Fatalf("snapshot %d entry %d: workers=1 %s, workers=8 %s",
+						i, j, seq[i][j], par[i][j])
+				}
+			}
+		}
+	})
 }
 
 func TestIncrementalErrors(t *testing.T) {
 	b := persistBench(t)
-	tab := b.Lake.Tables()[0]
 	s := NewStarmie(b.Lake)
-	d := NewD3L(b.Lake)
-	ts := NewTupleSearch(b.Lake.Tables())
-	for name, inc := range map[string]mutator{"starmie": s, "d3l": d, "tuples": ts} {
-		if err := inc.AddTable(tab); !errors.Is(err, ErrDuplicateTable) {
-			t.Errorf("%s: duplicate AddTable err = %v, want ErrDuplicateTable", name, err)
-		}
-		if err := inc.RemoveTable("never-indexed"); !errors.Is(err, ErrUnknownTable) {
-			t.Errorf("%s: RemoveTable of unknown err = %v, want ErrUnknownTable", name, err)
-		}
+	if err := s.AddTable(b.Lake.Tables()[0]); !errors.Is(err, ErrDuplicateTable) {
+		t.Errorf("duplicate AddTable err = %v, want ErrDuplicateTable", err)
+	}
+	if err := s.RemoveTable("never-indexed"); !errors.Is(err, ErrUnknownTable) {
+		t.Errorf("RemoveTable of unknown err = %v, want ErrUnknownTable", err)
 	}
 }

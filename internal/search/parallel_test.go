@@ -42,7 +42,7 @@ func TestD3LTopKDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		par := NewD3L(b.Lake, WithWorkers(workers))
 		for _, q := range b.Queries {
-			assertSameHits(t, "d3l", TopK(par, q, 8), TopK(seq, q, 8))
+			assertSameHits(t, "d3l", par.TopK(q, 8), seq.TopK(q, 8))
 		}
 	}
 }

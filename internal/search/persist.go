@@ -9,9 +9,6 @@ import (
 	"dust/internal/codec"
 	"dust/internal/embed"
 	"dust/internal/lake"
-	"dust/internal/minhash"
-	"dust/internal/table"
-	"dust/internal/vector"
 )
 
 // Payload format versions. Bump when a payload layout changes; loaders
@@ -19,8 +16,6 @@ import (
 // binary never misreads a new index.
 const (
 	StarmieFormatVersion uint16 = 1
-	D3LFormatVersion     uint16 = 1
-	TuplesFormatVersion  uint16 = 1
 	// ANNFormatVersion is the HNSW candidate-graph payload version
 	// (codec.KindANN): encoder identity, node-to-table mapping, graph.
 	// Version 2 added the storage flag and SQ8 quantized layout; version
@@ -253,252 +248,4 @@ func (s *Starmie) LoadANN(r io.Reader) error {
 	}
 	s.graph, s.annTables, s.annIDs = graph, names, ids
 	return nil
-}
-
-// Save writes the D3L index: encoder and hasher identity plus every
-// column's MinHash signature, word embedding, format profile, and numeric
-// profile, in lake order (the order the LSH banding index is rebuilt in on
-// load).
-func (d *D3L) Save(w io.Writer) error {
-	tables := d.lake.Tables()
-	if len(tables) != len(d.tables) {
-		return fmt.Errorf("d3l: save: index holds %d tables, lake holds %d: %w",
-			len(d.tables), len(tables), ErrLakeMismatch)
-	}
-	var b codec.Buffer
-	b.String(d.enc.Fingerprint())
-	b.Int(d.enc.Dim())
-	b.Int(d.hasher.K())
-	b.Int(d.lsh.Bands())
-
-	b.Int(len(tables))
-	for _, t := range tables {
-		idx, ok := d.tables[t.Name]
-		if !ok {
-			return fmt.Errorf("d3l: save: lake table %q not indexed: %w", t.Name, ErrLakeMismatch)
-		}
-		b.String(t.Name)
-		b.Int(len(idx.sigs))
-		fps, nps := idx.fps, idx.nps
-		for i := range idx.sigs {
-			b.Uint64s(idx.sigs[i])
-			b.Float64s(idx.vecs[i])
-			b.Float64(fps[i].letters)
-			b.Float64(fps[i].digits)
-			b.Float64(fps[i].punct)
-			b.Float64(fps[i].spaces)
-			b.Float64(fps[i].avgLen)
-			b.Float64(nps[i].frac)
-			b.Float64(nps[i].mean)
-			b.Float64(nps[i].std)
-		}
-	}
-	return codec.WriteEnvelope(w, codec.KindD3L, D3LFormatVersion, b.Bytes())
-}
-
-// LoadD3L reads an index written by D3L.Save and attaches it to l. The LSH
-// banding index is rebuilt from the saved signatures in their saved order,
-// reproducing the layout of a from-scratch build.
-func LoadD3L(r io.Reader, l *lake.Lake, opts ...Option) (*D3L, error) {
-	_, payload, err := codec.ReadEnvelope(r, codec.KindD3L, D3LFormatVersion)
-	if err != nil {
-		return nil, fmt.Errorf("d3l: load: %w", err)
-	}
-	o := applyOptions(opts)
-	d := &D3L{
-		lake:    l,
-		enc:     embed.NewFastText(),
-		workers: o.workers,
-		tables:  map[string]d3lTableIndex{},
-	}
-
-	sc := codec.NewScanner(payload)
-	encPrint := sc.String()
-	dim := sc.Int()
-	k := sc.Int()
-	bands := sc.Int()
-	if sc.Err() == nil {
-		if encPrint != d.enc.Fingerprint() || dim != d.enc.Dim() {
-			return nil, fmt.Errorf("d3l: load: index built with %s, searcher uses %s: %w",
-				encPrint, d.enc.Fingerprint(), ErrEncoderMismatch)
-		}
-		if k <= 0 || bands <= 0 || k%bands != 0 {
-			return nil, fmt.Errorf("d3l: load: %d bands does not divide signature length %d: %w",
-				bands, k, codec.ErrCorrupt)
-		}
-		d.hasher = minhash.NewHasher(k)
-		d.lsh, _ = minhash.NewIndex(d.hasher, bands)
-	}
-
-	nTables := sc.Int()
-	for t := 0; t < nTables && sc.Err() == nil; t++ {
-		name := sc.String()
-		ncols := sc.Int()
-		idx := d3lTableIndex{
-			sigs: make([]minhash.Signature, 0, ncols),
-			vecs: make([]vector.Vec, 0, ncols),
-			fps:  make([]formatProfile, 0, ncols),
-			nps:  make([]numericProfile, 0, ncols),
-		}
-		for c := 0; c < ncols && sc.Err() == nil; c++ {
-			sig := minhash.Signature(sc.Uint64s())
-			if sc.Err() == nil && len(sig) != k {
-				return nil, fmt.Errorf("d3l: load: table %q column %d signature length %d, want %d: %w",
-					name, c, len(sig), k, codec.ErrCorrupt)
-			}
-			vec := sc.Float64s()
-			if sc.Err() == nil && len(vec) != dim {
-				return nil, fmt.Errorf("d3l: load: table %q column %d has dim %d, want %d: %w",
-					name, c, len(vec), dim, codec.ErrCorrupt)
-			}
-			var fp formatProfile
-			fp.letters = sc.Float64()
-			fp.digits = sc.Float64()
-			fp.punct = sc.Float64()
-			fp.spaces = sc.Float64()
-			fp.avgLen = sc.Float64()
-			var np numericProfile
-			np.frac = sc.Float64()
-			np.mean = sc.Float64()
-			np.std = sc.Float64()
-			idx.sigs = append(idx.sigs, sig)
-			idx.vecs = append(idx.vecs, vec)
-			idx.fps = append(idx.fps, fp)
-			idx.nps = append(idx.nps, np)
-		}
-		if sc.Err() == nil {
-			if _, dup := d.tables[name]; dup {
-				return nil, fmt.Errorf("d3l: load: table %q indexed twice: %w", name, codec.ErrCorrupt)
-			}
-			d.install(name, idx)
-		}
-	}
-	if err := sc.Finish(); err != nil {
-		return nil, fmt.Errorf("d3l: load: %w", err)
-	}
-
-	if len(d.tables) != l.Len() {
-		return nil, fmt.Errorf("d3l: load: index holds %d tables, lake holds %d: %w",
-			len(d.tables), l.Len(), ErrLakeMismatch)
-	}
-	for name, idx := range d.tables {
-		lt := l.Get(name)
-		if lt == nil {
-			return nil, fmt.Errorf("d3l: load: indexed table %q not in lake: %w", name, ErrLakeMismatch)
-		}
-		if lt.NumCols() != len(idx.sigs) {
-			return nil, fmt.Errorf("d3l: load: table %q has %d columns, index holds %d: %w",
-				name, lt.NumCols(), len(idx.sigs), ErrLakeMismatch)
-		}
-	}
-	if o.mode != Exact {
-		_ = d.SetMode(o.mode)
-	}
-	return d, nil
-}
-
-// Save writes the tuple-level index: encoder identity and, for each run of
-// tuples from one table, the table name and every tuple's row index and
-// embedding, in index order (which the stable TopK sort depends on).
-func (ts *TupleSearch) Save(w io.Writer) error {
-	var b codec.Buffer
-	b.String(ts.enc.Fingerprint())
-	b.Int(ts.enc.Dim())
-
-	// Tuples of one table are always contiguous (NewTupleSearch and
-	// AddTable append whole tables; RemoveTable drops whole runs), so the
-	// index serializes as table-named runs.
-	type run struct {
-		t        *table.Table
-		from, to int // [from, to) in ts.tuples
-	}
-	var runs []run
-	for i := range ts.tuples {
-		if len(runs) > 0 && runs[len(runs)-1].t == ts.tuples[i].Table {
-			runs[len(runs)-1].to = i + 1
-			continue
-		}
-		runs = append(runs, run{ts.tuples[i].Table, i, i + 1})
-	}
-	b.Int(len(runs))
-	for _, r := range runs {
-		b.String(r.t.Name)
-		b.Int(r.to - r.from)
-		for i := r.from; i < r.to; i++ {
-			b.Int(ts.tuples[i].Row)
-			b.Float64s(ts.vecs[i])
-		}
-	}
-	return codec.WriteEnvelope(w, codec.KindTuples, TuplesFormatVersion, b.Bytes())
-}
-
-// LoadTupleSearch reads an index written by TupleSearch.Save, resolving
-// table names against the given tables (every indexed name must appear,
-// with at least the indexed row count).
-func LoadTupleSearch(r io.Reader, tables []*table.Table, opts ...Option) (*TupleSearch, error) {
-	_, payload, err := codec.ReadEnvelope(r, codec.KindTuples, TuplesFormatVersion)
-	if err != nil {
-		return nil, fmt.Errorf("tuplesearch: load: %w", err)
-	}
-	o := applyOptions(opts)
-	ts := &TupleSearch{
-		enc:       embed.NewRoBERTa(),
-		workers:   o.workers,
-		quantized: o.quantized,
-		annTuning: annTuning{DefaultOversample, DefaultEfSearch},
-	}
-
-	byName := make(map[string]*table.Table, len(tables))
-	for _, t := range tables {
-		byName[t.Name] = t
-	}
-
-	sc := codec.NewScanner(payload)
-	encPrint := sc.String()
-	dim := sc.Int()
-	if sc.Err() == nil && (encPrint != ts.enc.Fingerprint() || dim != ts.enc.Dim()) {
-		return nil, fmt.Errorf("tuplesearch: load: index built with %s, searcher uses %s: %w",
-			encPrint, ts.enc.Fingerprint(), ErrEncoderMismatch)
-	}
-	nRuns := sc.Int()
-	seen := make(map[string]bool, nRuns)
-	for g := 0; g < nRuns && sc.Err() == nil; g++ {
-		name := sc.String()
-		count := sc.Int()
-		if sc.Err() != nil {
-			break
-		}
-		t := byName[name]
-		if t == nil {
-			return nil, fmt.Errorf("tuplesearch: load: indexed table %q not provided: %w", name, ErrLakeMismatch)
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("tuplesearch: load: table %q indexed twice: %w", name, codec.ErrCorrupt)
-		}
-		seen[name] = true
-		for i := 0; i < count && sc.Err() == nil; i++ {
-			row := sc.Int()
-			vec := sc.Float64s()
-			if sc.Err() != nil {
-				break
-			}
-			if len(vec) != dim {
-				return nil, fmt.Errorf("tuplesearch: load: table %q tuple %d has dim %d, want %d: %w",
-					name, i, len(vec), dim, codec.ErrCorrupt)
-			}
-			if row >= t.NumRows() {
-				return nil, fmt.Errorf("tuplesearch: load: table %q row %d out of range [0,%d): %w",
-					name, row, t.NumRows(), ErrLakeMismatch)
-			}
-			ts.tuples = append(ts.tuples, ScoredTuple{Table: t, Row: row})
-			ts.vecs = append(ts.vecs, vec)
-		}
-	}
-	if err := sc.Finish(); err != nil {
-		return nil, fmt.Errorf("tuplesearch: load: %w", err)
-	}
-	if o.mode != Exact {
-		_ = ts.SetMode(o.mode)
-	}
-	return ts, nil
 }

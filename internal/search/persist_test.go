@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"dust/internal/codec"
@@ -73,151 +72,111 @@ func TestStarmieSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestD3LSaveLoadRoundTrip(t *testing.T) {
-	b := persistBench(t)
-	orig := NewD3L(b.Lake)
-
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadD3L(bytes.NewReader(buf.Bytes()), b.Lake)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range b.Queries {
-		sameScored(t, TopK(loaded, q, 8), TopK(orig, q, 8))
-		if got, want := lshCandidates(loaded, q), lshCandidates(orig, q); !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %s: candidates %v, want %v", q.Name, got, want)
-		}
-	}
-}
-
-func TestTupleSearchSaveLoadRoundTrip(t *testing.T) {
-	b := persistBench(t)
-	orig := NewTupleSearch(b.Lake.Tables())
-
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadTupleSearch(bytes.NewReader(buf.Bytes()), b.Lake.Tables())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != orig.Len() {
-		t.Fatalf("Len = %d, want %d", loaded.Len(), orig.Len())
-	}
-	for _, q := range b.Queries[:2] {
-		got, want := loaded.TopK(q, 10), orig.TopK(q, 10)
-		if len(got) != len(want) {
-			t.Fatalf("got %d hits, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Table.Name != want[i].Table.Name || got[i].Row != want[i].Row || got[i].Score != want[i].Score {
-				t.Fatalf("hit %d: got (%s, %d, %v), want (%s, %d, %v)", i,
-					got[i].Table.Name, got[i].Row, got[i].Score,
-					want[i].Table.Name, want[i].Row, want[i].Score)
-			}
-		}
-	}
-}
-
-// saveAll serializes all three indexes over the benchmark lake.
-func saveAll(t testing.TB, b *datagen.Benchmark) map[string][]byte {
+// saveStarmie serializes a Starmie index over the benchmark lake.
+func saveStarmie(t testing.TB, b *datagen.Benchmark) []byte {
 	t.Helper()
-	out := map[string][]byte{}
 	var buf bytes.Buffer
 	if err := NewStarmie(b.Lake).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out["starmie"] = append([]byte{}, buf.Bytes()...)
-	buf.Reset()
-	if err := NewD3L(b.Lake).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out["d3l"] = append([]byte{}, buf.Bytes()...)
-	buf.Reset()
-	if err := NewTupleSearch(b.Lake.Tables()).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out["tuples"] = append([]byte{}, buf.Bytes()...)
-	return out
+	return buf.Bytes()
 }
 
-// loadAny dispatches raw bytes to the loader matching name.
+// loadAny dispatches raw bytes to the loader matching name: the Starmie
+// index loader, or the HNSW graph loader on a fresh host searcher.
 func loadAny(name string, data []byte, b *datagen.Benchmark) error {
 	switch name {
 	case "starmie":
 		_, err := LoadStarmie(bytes.NewReader(data), b.Lake)
 		return err
-	case "d3l":
-		_, err := LoadD3L(bytes.NewReader(data), b.Lake)
-		return err
-	case "tuples":
-		_, err := LoadTupleSearch(bytes.NewReader(data), b.Lake.Tables())
-		return err
+	case "ann":
+		return NewStarmie(b.Lake).LoadANN(bytes.NewReader(data))
 	}
 	panic("unknown index " + name)
 }
 
-// TestGoldenIndexes pins the on-disk format: indexes saved by older builds
-// must keep loading byte-for-byte. Regenerate with `go test -run Golden
-// -update ./internal/search` after an intentional format-version bump.
+// TestGoldenIndexes pins the on-disk format: a Starmie index saved by an
+// older build must keep loading byte-for-byte. Regenerate with `go test -run
+// Golden -update ./internal/search` after an intentional format-version
+// bump. The golden files of the retired D3L and tuple-level kinds are
+// fixtures of TestLoadErrorPaths and FuzzLoadIndex; -update leaves them be.
 func TestGoldenIndexes(t *testing.T) {
 	b := persistBench(t)
-	fresh := saveAll(t, b)
-	for name, data := range fresh {
-		path := filepath.Join("testdata", "golden_"+name+".idx")
-		if *update {
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
+	data := saveStarmie(t, b)
+	path := filepath.Join("testdata", "golden_starmie.idx")
+	if *update {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		golden, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("missing golden file (run with -update): %v", err)
-		}
-		if err := loadAny(name, golden, b); err != nil {
-			t.Errorf("%s: golden index no longer loads: %v", name, err)
-		}
-		if !bytes.Equal(golden, data) {
-			t.Errorf("%s: serialization changed without a format-version bump (len %d -> %d)",
-				name, len(golden), len(data))
-		}
+		return
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if err := loadAny("starmie", golden, b); err != nil {
+		t.Errorf("golden index no longer loads: %v", err)
+	}
+	if !bytes.Equal(golden, data) {
+		t.Errorf("serialization changed without a format-version bump (len %d -> %d)", len(golden), len(data))
 	}
 }
 
+// TestLoadErrorPaths feeds damaged copies of every index file a loader may
+// meet to it and requires the typed error of the damage. The live kinds are
+// a Starmie index and its HNSW graph, and load when intact. The retired
+// kinds — a D3L and a tuple-level index written by earlier builds — go to
+// the Starmie loader and, intact or with any damage past the header, fail
+// the kind check as codec.ErrWrongKind, never as bit rot. An intact file
+// fed to the other loader fails as ErrWrongKind too.
 func TestLoadErrorPaths(t *testing.T) {
 	b := persistBench(t)
-	for name, valid := range saveAll(t, b) {
+	var ann bytes.Buffer
+	if err := NewStarmie(b.Lake, WithMode(ANN)).SaveANN(&ann); err != nil {
+		t.Fatal(err)
+	}
+	fixtures := map[string][]byte{"starmie": saveStarmie(t, b), "ann": ann.Bytes()}
+	for _, name := range []string{"d3l", "tuples"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "golden_"+name+".idx"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixtures[name] = data
+	}
+	for name, valid := range fixtures {
+		own, other := "starmie", "ann" // the retired kinds go to the Starmie loader
+		if name == "ann" {
+			own, other = other, own
+		}
+		retired := name == "d3l" || name == "tuples"
 		t.Run(name, func(t *testing.T) {
 			cases := []struct {
-				name  string
-				bytes []byte
-				want  error
+				name          string
+				bytes         []byte
+				want, retired error
 			}{
-				{"empty", nil, codec.ErrBadMagic},
-				{"bad magic", []byte("not an index file at all........"), codec.ErrBadMagic},
-				{"truncated header", valid[:12], codec.ErrTruncated},
-				{"truncated payload", valid[:len(valid)/2], codec.ErrTruncated},
-				{"truncated crc", valid[:len(valid)-2], codec.ErrTruncated},
-				{"checksum flip", flipByte(valid, len(valid)/2), codec.ErrChecksum},
-				{"future version", bumpVersion(valid), codec.ErrVersion},
+				{"empty", nil, codec.ErrBadMagic, codec.ErrBadMagic},
+				{"bad magic", []byte("not an index file at all........"), codec.ErrBadMagic, codec.ErrBadMagic},
+				{"truncated header", valid[:12], codec.ErrTruncated, codec.ErrTruncated},
+				{"truncated payload", valid[:len(valid)/2], codec.ErrTruncated, codec.ErrWrongKind},
+				{"truncated crc", valid[:len(valid)-2], codec.ErrTruncated, codec.ErrWrongKind},
+				{"checksum flip", flipByte(valid, len(valid)/2), codec.ErrChecksum, codec.ErrWrongKind},
+				{"future version", bumpVersion(valid), codec.ErrVersion, codec.ErrWrongKind},
+				{"intact", valid, nil, codec.ErrWrongKind},
 			}
 			for _, c := range cases {
 				t.Run(c.name, func(t *testing.T) {
-					err := loadAny(name, c.bytes, b)
-					if !errors.Is(err, c.want) {
-						t.Errorf("err = %v, want %v", err, c.want)
+					want := c.want
+					if retired {
+						want = c.retired
+					}
+					if err := loadAny(own, c.bytes, b); !errors.Is(err, want) {
+						t.Errorf("err = %v, want %v", err, want)
 					}
 				})
 			}
-			// Wrong kind: feed each index to a different family's loader.
-			other := map[string]string{"starmie": "d3l", "d3l": "tuples", "tuples": "starmie"}[name]
 			if err := loadAny(other, valid, b); !errors.Is(err, codec.ErrWrongKind) {
-				t.Errorf("cross-kind load err = %v, want ErrWrongKind", err)
+				t.Errorf("%s loader: err = %v, want ErrWrongKind", other, err)
 			}
 		})
 	}
@@ -225,7 +184,7 @@ func TestLoadErrorPaths(t *testing.T) {
 
 func TestLoadLakeMismatch(t *testing.T) {
 	b := persistBench(t)
-	saved := saveAll(t, b)
+	saved := saveStarmie(t, b)
 
 	// A lake with one extra table no longer matches the index.
 	bigger := lake.New("bigger")
@@ -235,18 +194,8 @@ func TestLoadLakeMismatch(t *testing.T) {
 	extra := table.New("straggler", "a")
 	extra.MustAppendRow("x")
 	bigger.MustAdd(extra)
-	for _, name := range []string{"starmie", "d3l"} {
-		err := func() error {
-			if name == "starmie" {
-				_, err := LoadStarmie(bytes.NewReader(saved[name]), bigger)
-				return err
-			}
-			_, err := LoadD3L(bytes.NewReader(saved[name]), bigger)
-			return err
-		}()
-		if !errors.Is(err, ErrLakeMismatch) {
-			t.Errorf("%s vs bigger lake: err = %v, want ErrLakeMismatch", name, err)
-		}
+	if _, err := LoadStarmie(bytes.NewReader(saved), bigger); !errors.Is(err, ErrLakeMismatch) {
+		t.Errorf("starmie vs bigger lake: err = %v, want ErrLakeMismatch", err)
 	}
 
 	// A lake missing an indexed table fails too (same size, different set).
@@ -256,21 +205,14 @@ func TestLoadLakeMismatch(t *testing.T) {
 		swapped.MustAdd(tab)
 	}
 	swapped.MustAdd(extra)
-	if _, err := LoadStarmie(bytes.NewReader(saved["starmie"]), swapped); !errors.Is(err, ErrLakeMismatch) {
+	if _, err := LoadStarmie(bytes.NewReader(saved), swapped); !errors.Is(err, ErrLakeMismatch) {
 		t.Errorf("starmie vs swapped lake: err = %v, want ErrLakeMismatch", err)
-	}
-	if _, err := LoadD3L(bytes.NewReader(saved["d3l"]), swapped); !errors.Is(err, ErrLakeMismatch) {
-		t.Errorf("d3l vs swapped lake: err = %v, want ErrLakeMismatch", err)
-	}
-	if _, err := LoadTupleSearch(bytes.NewReader(saved["tuples"]), swapped.Tables()); !errors.Is(err, ErrLakeMismatch) {
-		t.Errorf("tuples vs swapped tables: err = %v, want ErrLakeMismatch", err)
 	}
 }
 
 func TestSaveRefusesOutOfSyncIndex(t *testing.T) {
 	b := persistBench(t)
 	s := NewStarmie(b.Lake)
-	d := NewD3L(b.Lake)
 	orphan := table.New("orphan", "a")
 	orphan.MustAppendRow("x")
 	b.Lake.MustAdd(orphan)
@@ -281,9 +223,6 @@ func TestSaveRefusesOutOfSyncIndex(t *testing.T) {
 	}()
 	if err := s.Save(&bytes.Buffer{}); !errors.Is(err, ErrLakeMismatch) {
 		t.Errorf("starmie save err = %v, want ErrLakeMismatch", err)
-	}
-	if err := d.Save(&bytes.Buffer{}); !errors.Is(err, ErrLakeMismatch) {
-		t.Errorf("d3l save err = %v, want ErrLakeMismatch", err)
 	}
 }
 

@@ -31,22 +31,6 @@ func TestQuantizedExactIdentical(t *testing.T) {
 	if got := snapshotScored(b.Queries, quant); !reflect.DeepEqual(got, want) {
 		t.Fatal("exact-mode results changed after building a quantized graph")
 	}
-
-	pt := NewTupleSearch(b.Lake.Tables())
-	qt := NewTupleSearch(b.Lake.Tables(), WithQuantized(true))
-	wantT := snapshotTuples(b.Queries, pt)
-	if got := snapshotTuples(b.Queries, qt); !reflect.DeepEqual(got, wantT) {
-		t.Fatal("tuple exact-mode results changed under WithQuantized")
-	}
-	if err := qt.SetMode(ANN); err != nil {
-		t.Fatal(err)
-	}
-	if err := qt.SetMode(Exact); err != nil {
-		t.Fatal(err)
-	}
-	if got := snapshotTuples(b.Queries, qt); !reflect.DeepEqual(got, wantT) {
-		t.Fatal("tuple exact-mode results changed after building a quantized graph")
-	}
 }
 
 // TestQuantizedANNRecall gates the quantized candidate stage the same way

@@ -1,10 +1,11 @@
 // Package search implements the table-union-search substrate DUST builds
-// on (paper Algorithm 1, line 3) and the two search baselines of the
-// evaluation: a Starmie-like searcher (contextualized column embeddings +
-// maximum-weight bipartite matching, §6.2.3/§6.5.1) and a D3L-like searcher
-// (aggregation of name / value-overlap / format / embedding / distribution
-// signals, §6.5.1). It also provides the tuple-level adaptation of Starmie
-// used as a Table 3 baseline, and the MAP metric (§6.5.2).
+// on (paper Algorithm 1, line 3): a Starmie-like searcher (contextualized
+// column embeddings + maximum-weight bipartite matching, §6.2.3/§6.5.1)
+// behind the one Searcher contract. Beside it sit the evaluation's
+// baselines as plain rankers — a D3L-like table ranker (aggregation of name
+// / value-overlap / format / embedding / distribution signals, §6.5.1) and
+// the tuple-level adaptation of Starmie used in Table 3 — and the MAP
+// metric (§6.5.2).
 package search
 
 import (
@@ -19,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dust/internal/ann"
 	"dust/internal/datagen"
 	"dust/internal/lake"
 	"dust/internal/par"
@@ -35,12 +35,12 @@ type Scored struct {
 
 // Searcher is the one contract behind Algorithm 1's SearchTables call: an
 // index over a lake's tables that ranks them by unionability with a query.
-// Starmie, D3L and the sharded scatter-gather searcher (internal/shard)
-// implement all of it, so the pipeline, persistence, serving and sharding
-// layers compose against this type alone. Queries run prepared — Prepare
-// once, then TopKPrepared (or, for a coordinator that scores a merged pool
-// itself, NominatePrepared + ScorePrepared); TopK and TopKCtx wrap the two
-// steps. Queries are safe concurrently with each other; everything that
+// Starmie and the sharded scatter-gather searcher over Starmie parts
+// (internal/shard) implement all of it, so the pipeline, persistence,
+// serving and sharding layers compose against this type alone. Queries run
+// prepared — Prepare once, then TopKPrepared (or, for a coordinator that
+// scores a merged pool itself, NominatePrepared + ScorePrepared); TopK and
+// TopKCtx wrap the two steps. Queries are safe concurrently with each other; everything that
 // changes the index (SetMode, the Set* tuners, AddTable/RemoveTable,
 // Compact) is not safe concurrently with queries — mutate a CloneWithLake
 // copy and swap.
@@ -68,11 +68,10 @@ type Searcher interface {
 	TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error)
 	// NominatePrepared is the candidate-only half of the plan: candidate
 	// table names, unscored, in a deterministic but unranked order — ranking
-	// is the scorer's job. depth bounds the per-query-vector neighbor count
-	// of graph backends (HNSW); set-shaped backends (the exact scan, LSH
-	// buckets) ignore it and return their whole set. An approximate backend
-	// may return nothing when it has no signal (empty LSH buckets); the
-	// caller picks the fallback.
+	// is the scorer's job. depth bounds the per-query-column neighbor count
+	// of the HNSW backend; the exact scan ignores it and returns every
+	// table. The approximate backend may return nothing (a graph with no
+	// nodes); the caller picks the fallback.
 	NominatePrepared(ctx context.Context, pq PreparedQuery, depth int) ([]string, error)
 	// ScorePrepared exactly scores one indexed table under pq. It panics on
 	// a foreign preparation or an unindexed table — composition errors of
@@ -106,7 +105,7 @@ type Searcher interface {
 	SetEfSearch(ef int)
 	// SetQuantized selects SQ8 storage for the ANN graphs this searcher
 	// builds (see WithQuantized); an installed graph of the other storage
-	// is rebuilt at once. Searchers without a quantized form ignore it.
+	// is rebuilt at once.
 	SetQuantized(on bool)
 	// IndexBytes reports the resident footprint of the ANN index
 	// structures, summed over the parts.
@@ -123,7 +122,7 @@ type Searcher interface {
 	// CloneWithLake returns an independently mutable copy bound to l, a
 	// clone of this searcher's lake holding the same table set. Mutations
 	// on the clone never disturb the original, while the heavy immutable
-	// index state — embedding vectors, signatures — is shared, so
+	// index state — the embedding blocks — is shared, so
 	// snapshot-swapped serving builds copy-on-write shadows with it.
 	CloneWithLake(l *lake.Lake) Searcher
 
@@ -158,10 +157,9 @@ const (
 	// Exact scans and scores every lake table — the seed behavior, the
 	// default, and the recall oracle ANN mode is measured against.
 	Exact Mode = iota
-	// ANN generates candidates approximately — HNSW over the embedding
-	// index for Starmie and the tuple-level searcher, the LSH banding
-	// index for D3L — and re-scores only those candidates exactly, so
-	// query latency tracks the candidate pool instead of the lake size.
+	// ANN generates candidates approximately — HNSW over Starmie's column
+	// embeddings — and re-scores only those candidates exactly, so query
+	// latency tracks the candidate pool instead of the lake size.
 	ANN
 )
 
@@ -177,7 +175,7 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// Staged retrieval defaults, shared by every ANN-capable searcher here.
+// Staged retrieval defaults of Starmie's ANN plan.
 const (
 	// DefaultOversample is the candidate multiplier of the ANN stage:
 	// stage one retrieves about Oversample*k candidates per query vector
@@ -191,42 +189,8 @@ const (
 	rebuildThreshold = 0.5
 )
 
-// annTuning shapes the HNSW candidate stage of the searchers that have one
-// (Starmie and the tuple-level searcher): stage one retrieves
-// ceil(Oversample*k) nearest neighbours per query vector, with beam width
-// EfSearch, and nominates them for exact re-ranking. Raise Oversample to
-// trade latency for recall.
-type annTuning struct {
-	Oversample float64
-	EfSearch   int
-}
-
-// SetOversample sizes the ANN candidate pool; v <= 0 restores the default.
-func (a *annTuning) SetOversample(v float64) {
-	if v <= 0 {
-		v = DefaultOversample
-	}
-	a.Oversample = v
-}
-
-// SetEfSearch sets the HNSW beam width; ef <= 0 restores the default.
-func (a *annTuning) SetEfSearch(ef int) {
-	if ef <= 0 {
-		ef = DefaultEfSearch
-	}
-	a.EfSearch = ef
-}
-
 // ErrUnknownMode reports SetMode of a Mode this package does not define.
 var ErrUnknownMode = errors.New("search: unknown retrieval mode")
-
-// staleGraph reports whether a mutated HNSW graph has crossed the
-// rebuild threshold — the one compaction policy both ANN-capable
-// searchers apply (the size floor keeps tiny, churn-heavy indexes from
-// rebuilding on every other mutation).
-func staleGraph(ix *ann.Index) bool {
-	return ix != nil && ix.Len() >= 8 && ix.DeletedFraction() > rebuildThreshold
-}
 
 // Typed failures of the incremental-mutation and persistence surfaces.
 var (
@@ -382,21 +346,9 @@ type StageTimings struct {
 	GatherNS atomic.Int64
 }
 
-// leaf answers the part of the Searcher contract that is trivial for a
-// monolithic index: there is no scatter stage to time and nothing
-// long-lived to release. Starmie and D3L embed it.
-type leaf struct{}
-
-// Instrument implements Searcher: a monolithic searcher has no scatter
-// stage, so nothing is attached.
-func (leaf) Instrument(*StageTimings) bool { return false }
-
-// Close implements Searcher as a no-op.
-func (leaf) Close() {}
-
-// PreparedQuery is a query's encoded representation — column embeddings,
-// MinHash signatures, signal profiles — computed once by Searcher.Prepare
-// and reusable across many TopKPrepared calls, so a fan-out caller (the
+// PreparedQuery is a query's encoded representation — Starmie's column
+// embeddings — computed once by Searcher.Prepare and reusable across many
+// TopKPrepared calls, so a fan-out caller (the
 // sharded scatter in internal/shard) never re-derives it per sub-index. A
 // prepared query is only meaningful to searchers sharing the encoder state
 // of the one that prepared it: identically configured encoders over the
@@ -413,46 +365,26 @@ type PreparedQuery interface {
 // that did not produce it.
 var ErrForeignPrepared = errors.New("search: prepared query from a different searcher family")
 
-// MaintenanceStats describes the tombstone debt of a searcher's mutable
-// index structures — the signal a background maintainer watches to decide
-// when a compaction pass is worth a snapshot rebuild. Zero values mean the
-// corresponding structure does not exist (no graph installed, no LSH index).
+// MaintenanceStats describes the tombstone debt of a searcher's HNSW
+// graphs — the signal a background maintainer watches to decide when a
+// compaction pass is worth a snapshot rebuild. Zero values mean no graph is
+// installed.
 type MaintenanceStats struct {
 	// GraphNodes is the HNSW node count including tombstones; GraphLive is
-	// the live subset. GraphDeletedFraction is dead/total, 0 for no graph.
+	// the live subset. GraphDeletedFraction is dead/total, 0 for no graph —
+	// the number maintenance thresholds compare against.
 	GraphNodes           int
 	GraphLive            int
 	GraphDeletedFraction float64
-	// LSHEntries is the LSH banding index's slot count including tombstones,
-	// LSHDead the tombstoned subset, LSHDeadFraction their ratio.
-	LSHEntries      int
-	LSHDead         int
-	LSHDeadFraction float64
 }
 
-// MaxDeadFraction returns the worst tombstone fraction across the tracked
-// structures — the single number maintenance thresholds compare against.
-func (m MaintenanceStats) MaxDeadFraction() float64 {
-	if m.GraphDeletedFraction > m.LSHDeadFraction {
-		return m.GraphDeletedFraction
-	}
-	return m.LSHDeadFraction
-}
-
-// Merge combines per-shard stats into a lake-wide view: counts sum,
-// fractions take the per-shard maximum (one rotten shard should trip the
-// maintainer even if the rest of the lake is clean).
+// Merge combines per-shard stats into a lake-wide view: counts sum, the
+// deleted fraction takes the per-shard maximum (one rotten shard should
+// trip the maintainer even if the rest of the lake is clean).
 func (m MaintenanceStats) Merge(o MaintenanceStats) MaintenanceStats {
 	m.GraphNodes += o.GraphNodes
 	m.GraphLive += o.GraphLive
-	if o.GraphDeletedFraction > m.GraphDeletedFraction {
-		m.GraphDeletedFraction = o.GraphDeletedFraction
-	}
-	m.LSHEntries += o.LSHEntries
-	m.LSHDead += o.LSHDead
-	if o.LSHDeadFraction > m.LSHDeadFraction {
-		m.LSHDeadFraction = o.LSHDeadFraction
-	}
+	m.GraphDeletedFraction = max(m.GraphDeletedFraction, o.GraphDeletedFraction)
 	return m
 }
 
@@ -480,32 +412,8 @@ func (f IndexFootprint) Merge(o IndexFootprint) IndexFootprint {
 	return f
 }
 
-// graphStats is the MaintenanceStats answer for a (possibly nil) graph.
-func graphStats(ix *ann.Index) MaintenanceStats {
-	if ix == nil {
-		return MaintenanceStats{}
-	}
-	return MaintenanceStats{
-		GraphNodes:           ix.Len(),
-		GraphLive:            ix.Live(),
-		GraphDeletedFraction: ix.DeletedFraction(),
-	}
-}
-
-// graphFootprint is the IndexBytes answer for a (possibly nil) graph.
-func graphFootprint(ix *ann.Index) IndexFootprint {
-	switch {
-	case ix == nil:
-		return IndexFootprint{Storage: "none"}
-	case ix.Quantized():
-		return IndexFootprint{Storage: "quantized", Bytes: ix.Bytes()}
-	default:
-		return IndexFootprint{Storage: "float", Bytes: ix.Bytes()}
-	}
-}
-
-// Option configures a searcher's execution, shared by every searcher in
-// this package.
+// Option configures a searcher's execution. Starmie honours every option;
+// the two baseline rankers honour WithWorkers only.
 type Option func(*options)
 
 type options struct {
@@ -532,9 +440,7 @@ func WithMode(m Mode) Option { return func(o *options) { o.mode = m } }
 // searcher's own tables: the constructor only computes over-budget flags
 // and embeds against the given statistics. Mutations on a searcher carrying
 // a shared corpus never touch it; the owning layer updates the corpus and
-// calls RefreshBig on every searcher sharing it. Only Starmie consults the
-// corpus (its embeddings are TF-IDF-sensitive); other searchers ignore the
-// option.
+// calls RefreshBig on every searcher sharing it.
 func WithSharedCorpus(c *tokenize.Corpus) Option { return func(o *options) { o.corpus = c } }
 
 // WithQuantized selects SQ8 scalar-quantized storage for the ANN candidate
@@ -573,7 +479,7 @@ func tablesNamed(l *lake.Lake, names []string) []*table.Table {
 // computing the score.
 type scoreFunc func(t *table.Table, floor float64) (score float64, skip bool)
 
-// unbounded adapts a scorer with no cheaper-than-exact bound.
+// unbounded adapts a scorer with no cheaper-than-exact bound (D3L's).
 func unbounded(score func(t *table.Table) float64) func() (scoreFunc, func()) {
 	return func() (scoreFunc, func()) {
 		return func(t *table.Table, _ float64) (float64, bool) { return score(t), false }, func() {}
@@ -667,9 +573,12 @@ func rankTablesCtx(ctx context.Context, tables []*table.Table, k, workers int, o
 	return out, nil
 }
 
-// MAP computes Mean Average Precision of a searcher against a benchmark's
-// unionability ground truth, retrieving k results per query (§6.5.2).
-func MAP(s Searcher, b *datagen.Benchmark, k int) float64 {
+// MAP computes Mean Average Precision of a table ranking against a
+// benchmark's unionability ground truth, retrieving k results per query
+// with topK — a ranker's TopK method, or search.TopK bound to a Searcher
+// (§6.5.2). k <= 0 scores topK's full ranking, so each query's average
+// precision is taken over all of its unionable tables.
+func MAP(topK func(q *table.Table, k int) []Scored, b *datagen.Benchmark, k int) float64 {
 	if len(b.Queries) == 0 {
 		return 0
 	}
@@ -684,19 +593,17 @@ func MAP(s Searcher, b *datagen.Benchmark, k int) float64 {
 		}
 		hits := 0
 		var ap float64
-		for i, sc := range TopK(s, q, k) {
+		for i, sc := range topK(q, k) {
 			if truth[sc.Table.Name] {
 				hits++
 				ap += float64(hits) / float64(i+1)
 			}
 		}
 		denom := len(truth)
-		if k < denom {
-			denom = k
+		if k > 0 {
+			denom = min(denom, k)
 		}
-		if denom > 0 {
-			sum += ap / float64(denom)
-		}
+		sum += ap / float64(denom)
 	}
 	return sum / float64(len(b.Queries))
 }

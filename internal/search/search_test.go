@@ -2,7 +2,6 @@ package search
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"dust/internal/datagen"
@@ -36,10 +35,14 @@ func TestStarmieRetrievesUnionableTables(t *testing.T) {
 	}
 }
 
+// rankWith binds search.TopK to a Searcher, the ranking MAP takes.
+func rankWith(s Searcher) func(*table.Table, int) []Scored {
+	return func(q *table.Table, k int) []Scored { return TopK(s, q, k) }
+}
+
 func TestStarmieMAPReasonable(t *testing.T) {
 	b := testBench(t)
-	s := NewStarmie(b.Lake)
-	m := MAP(s, b, 6)
+	m := MAP(rankWith(NewStarmie(b.Lake)), b, 6)
 	if m < 0.6 {
 		t.Errorf("starmie MAP = %v, want >= 0.6", m)
 	}
@@ -51,19 +54,36 @@ func TestStarmieMAPReasonable(t *testing.T) {
 func TestD3LRetrievesUnionableTables(t *testing.T) {
 	b := testBench(t)
 	d := NewD3L(b.Lake)
-	m := MAP(d, b, 6)
+	m := MAP(d.TopK, b, 6)
 	if m < 0.6 {
 		t.Errorf("d3l MAP = %v, want >= 0.6", m)
 	}
 }
 
+// TestMAPFullRanking pins MAP at k <= 0: it scores the full ranking, whose
+// average precision runs over every unionable table — exactly MAP at a k
+// as large as the lake — instead of counting no query at all.
+func TestMAPFullRanking(t *testing.T) {
+	b := testBench(t)
+	d := NewD3L(b.Lake)
+	full := MAP(d.TopK, b, 0)
+	if full <= 0 {
+		t.Fatalf("MAP at k=0 = %v, want > 0", full)
+	}
+	if whole := MAP(d.TopK, b, b.Lake.Len()); full != whole {
+		t.Errorf("MAP at k=0 = %v, at k=%d = %v; want equal", full, b.Lake.Len(), whole)
+	}
+}
+
 func TestSearchersRankedDescending(t *testing.T) {
 	b := testBench(t)
-	for _, s := range []Searcher{NewStarmie(b.Lake), NewD3L(b.Lake)} {
-		res := TopK(s, b.Queries[0], 10)
+	q := b.Queries[0]
+	for name, res := range map[string][]Scored{
+		"starmie": TopK(NewStarmie(b.Lake), q, 10), "d3l": NewD3L(b.Lake).TopK(q, 10),
+	} {
 		for i := 1; i < len(res); i++ {
 			if res[i].Score > res[i-1].Score {
-				t.Errorf("%s results not sorted at %d", s.Name(), i)
+				t.Errorf("%s results not sorted at %d", name, i)
 			}
 		}
 	}
@@ -77,28 +97,6 @@ func TestTopKBounds(t *testing.T) {
 	}
 	if got := len(TopK(s, b.Queries[0], 0)); got != b.Lake.Len() {
 		t.Errorf("TopK(0) = %d results, want all %d", got, b.Lake.Len())
-	}
-}
-
-// lshCandidates is D3L's pruning path for a whole query: the name-sorted
-// tables sharing an LSH bucket with any of its columns.
-func lshCandidates(d *D3L, q *table.Table) []string {
-	return d.candidateNamesSigned(d.Prepare(q).(*d3lPrepared).sigs)
-}
-
-func TestD3LCandidateTablesCoverUnionable(t *testing.T) {
-	b := testBench(t)
-	d := NewD3L(b.Lake)
-	q := b.Queries[0]
-	cands := lshCandidates(d, q)
-	found := 0
-	for _, n := range b.Unionable[q.Name] {
-		if slices.Contains(cands, n) {
-			found++
-		}
-	}
-	if found < len(b.Unionable[q.Name])/2 {
-		t.Errorf("LSH candidates cover %d/%d unionable tables", found, len(b.Unionable[q.Name]))
 	}
 }
 
@@ -194,7 +192,7 @@ func TestTupleSearchFavorsQueryDuplicates(t *testing.T) {
 
 func TestMAPEmptyBenchmark(t *testing.T) {
 	b := &datagen.Benchmark{}
-	if MAP(NewStarmie(lake.New("empty")), b, 5) != 0 {
+	if MAP(rankWith(NewStarmie(lake.New("empty"))), b, 5) != 0 {
 		t.Error("MAP of empty benchmark should be 0")
 	}
 }

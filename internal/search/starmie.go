@@ -26,7 +26,6 @@ import (
 // by maximum-weight bipartite matching over cosine similarity and the
 // normalized matching weight is the table's unionability score (§6.2.3).
 type Starmie struct {
-	leaf
 	enc    embed.StarmieEncoder
 	lake   *lake.Lake
 	corpus *tokenize.Corpus
@@ -69,9 +68,12 @@ type Starmie struct {
 	graph     *ann.Index
 	annTables []string
 	annIDs    map[string][]int
-	// annTuning sizes the candidate stage: nearest column embeddings per
-	// query column, whose owner tables are nominated.
-	annTuning
+	// Oversample and EfSearch shape the candidate stage: it retrieves the
+	// ceil(Oversample*k) nearest column embeddings per query column, with
+	// beam width EfSearch, and nominates their owner tables for exact
+	// re-ranking. Raise Oversample to trade latency for recall.
+	Oversample float64
+	EfSearch   int
 	// manualCompact (set via SetAutoCompact(false)) stops mutations from
 	// rebuilding the graph inline once tombstones dominate; an attached
 	// maintainer calls Compact on its own schedule instead. Zero value
@@ -124,15 +126,16 @@ func NewStarmieWithEncoder(l *lake.Lake, enc embed.StarmieEncoder, opts ...Optio
 // constructor fills by embedding the lake and LoadStarmie from a file.
 func emptyStarmie(l *lake.Lake, enc embed.StarmieEncoder, o options) *Starmie {
 	return &Starmie{
-		enc:       enc,
-		lake:      l,
-		corpus:    &tokenize.Corpus{},
-		cols:      make(map[string][]float64, l.Len()),
-		big:       make(map[string]bool),
-		workers:   o.workers,
-		quantized: o.quantized,
-		MinSim:    0.3,
-		annTuning: annTuning{DefaultOversample, DefaultEfSearch},
+		enc:        enc,
+		lake:       l,
+		corpus:     &tokenize.Corpus{},
+		cols:       make(map[string][]float64, l.Len()),
+		big:        make(map[string]bool),
+		workers:    o.workers,
+		quantized:  o.quantized,
+		MinSim:     0.3,
+		Oversample: DefaultOversample,
+		EfSearch:   DefaultEfSearch,
 	}
 }
 
@@ -215,7 +218,40 @@ func (s *Starmie) RetrievalMode() Mode { return s.mode }
 
 // IndexBytes implements Searcher: the storage mode and estimated resident
 // bytes of the installed candidate graph.
-func (s *Starmie) IndexBytes() IndexFootprint { return graphFootprint(s.graph) }
+func (s *Starmie) IndexBytes() IndexFootprint {
+	switch {
+	case s.graph == nil:
+		return IndexFootprint{Storage: "none"}
+	case s.graph.Quantized():
+		return IndexFootprint{Storage: "quantized", Bytes: s.graph.Bytes()}
+	default:
+		return IndexFootprint{Storage: "float", Bytes: s.graph.Bytes()}
+	}
+}
+
+// SetOversample implements Searcher; v <= 0 restores DefaultOversample.
+func (s *Starmie) SetOversample(v float64) {
+	if v <= 0 {
+		v = DefaultOversample
+	}
+	s.Oversample = v
+}
+
+// SetEfSearch implements Searcher; ef <= 0 restores DefaultEfSearch.
+func (s *Starmie) SetEfSearch(ef int) {
+	if ef <= 0 {
+		ef = DefaultEfSearch
+	}
+	s.EfSearch = ef
+}
+
+// Instrument implements Searcher: a monolithic searcher has no scatter
+// stage, so nothing is attached.
+func (s *Starmie) Instrument(*StageTimings) bool { return false }
+
+// Close implements Searcher as a no-op: a monolithic searcher holds no
+// long-lived resources.
+func (s *Starmie) Close() {}
 
 // Graph exposes the installed candidate graph (nil without one) so
 // benchmarks and serving instrumentation can read its size and storage
@@ -275,11 +311,12 @@ func (s *Starmie) annRemove(name string) {
 	delete(s.annIDs, name)
 }
 
-// maybeRebuild compacts the graph once tombstones dominate (the shared
-// staleGraph policy), unless a maintainer owns compaction
-// (SetAutoCompact(false)).
+// maybeRebuild compacts the graph once tombstones dominate, unless a
+// maintainer owns compaction (SetAutoCompact(false)). The size floor keeps
+// tiny, churn-heavy indexes from rebuilding on every other mutation.
 func (s *Starmie) maybeRebuild() {
-	if s.manualCompact || !staleGraph(s.graph) {
+	g := s.graph
+	if s.manualCompact || g == nil || g.Len() < 8 || g.DeletedFraction() <= rebuildThreshold {
 		return
 	}
 	s.rebuildGraph()
@@ -316,7 +353,16 @@ func (s *Starmie) Compact() bool {
 }
 
 // MaintenanceStats implements Searcher.
-func (s *Starmie) MaintenanceStats() MaintenanceStats { return graphStats(s.graph) }
+func (s *Starmie) MaintenanceStats() MaintenanceStats {
+	if s.graph == nil {
+		return MaintenanceStats{}
+	}
+	return MaintenanceStats{
+		GraphNodes:           s.graph.Len(),
+		GraphLive:            s.graph.Live(),
+		GraphDeletedFraction: s.graph.DeletedFraction(),
+	}
+}
 
 // ModeView implements Searcher: the view is a shallow copy sharing every
 // piece of index state (including the graph, whose searches are safe

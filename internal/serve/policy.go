@@ -9,7 +9,7 @@ import (
 	"dust/internal/table"
 )
 
-// DefaultMaintenanceThreshold is the dead-entry fraction past which the
+// DefaultMaintenanceThreshold is the graph tombstone fraction past which the
 // background maintainer compacts the index (see WithMaintenance). A
 // quarter of the structure being tombstones roughly doubles per-query
 // graph traversal cost relative to a clean build, which is where paying
@@ -161,8 +161,8 @@ func (s *Server) maintenanceLoop() {
 	}
 }
 
-// maintain runs one maintenance pass: when the published snapshot's worst
-// dead-entry fraction is at or past the threshold, compact a clone of the
+// maintain runs one maintenance pass: when the published snapshot's graph
+// tombstone fraction is at or past the threshold, compact a clone of the
 // master off the query path and swap it in. Masters are immutable once
 // published, so the clone+compact runs without the mutation lock —
 // holding s.mu across a compaction would stall every mutation, the exact
@@ -174,7 +174,7 @@ func (s *Server) maintenanceLoop() {
 // Reports whether a swap happened.
 func (s *Server) maintain() bool {
 	cur := s.snap.Load()
-	if cur.master.MaintenanceStats().MaxDeadFraction() < s.maintThreshold {
+	if cur.master.MaintenanceStats().GraphDeletedFraction < s.maintThreshold {
 		return false
 	}
 	clone := cur.master.Clone()

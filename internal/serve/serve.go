@@ -112,8 +112,8 @@ func WithCacheBytes(n int64) Option { return func(s *Server) { s.cacheBytes = n 
 func WithDegradeThreshold(f float64) Option { return func(s *Server) { s.degradeThreshold = f } }
 
 // WithMaintenance enables background index maintenance: every interval,
-// a serve-owned goroutine inspects the published snapshot's tombstone
-// fractions and, past the maintenance threshold, compacts a clone off the
+// a serve-owned goroutine inspects the published snapshot's graph
+// tombstone fraction and, past the maintenance threshold, compacts a clone off the
 // query path and swaps it in. While a maintainer is attached, mutations
 // never compact inline (auto-compaction is disabled on the pipeline), so
 // AddTable/RemoveTable latency stays O(delta) no matter how much
@@ -123,8 +123,8 @@ func WithMaintenance(interval time.Duration) Option {
 	return func(s *Server) { s.maintInterval = interval }
 }
 
-// WithMaintenanceThreshold overrides the dead-entry fraction at which the
-// maintainer compacts (default DefaultMaintenanceThreshold). Only
+// WithMaintenanceThreshold overrides the graph tombstone fraction at which
+// the maintainer compacts (default DefaultMaintenanceThreshold). Only
 // meaningful together with WithMaintenance.
 func WithMaintenanceThreshold(f float64) Option {
 	return func(s *Server) { s.maintThreshold = f }

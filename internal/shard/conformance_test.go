@@ -8,48 +8,46 @@ import (
 	"dust/internal/datagen"
 	"dust/internal/lake"
 	"dust/internal/search"
+	"dust/internal/table"
 )
 
-// Every searcher in the repository satisfies the one contract in full.
+// Both searchers in the repository satisfy the one contract in full.
 var (
 	_ search.Searcher = (*search.Starmie)(nil)
-	_ search.Searcher = (*search.D3L)(nil)
 	_ search.Searcher = (*Searcher)(nil)
 )
 
-// TestSearcherConformance runs the search.Searcher contract over every
-// implementer — monolithic and 3-shard, Starmie and D3L: the parts
+// alienPrepared is a preparation no searcher in the repository produced.
+type alienPrepared struct{ q *table.Table }
+
+func (a alienPrepared) Query() *table.Table { return a.q }
+
+// TestSearcherConformance runs the search.Searcher contract over both
+// implementers — monolithic Starmie and a 3-shard Starmie set: the parts
 // partition the lake, TopKCtx is bit-identical to Prepare + TopKPrepared,
-// a cancelled context yields ctx.Err() and no hits, a preparation from the
-// other family is refused with ErrForeignPrepared, and a mode flip shows in
-// the name (which serving config tags key on) and turns the nomination
-// stage from the whole lake into a proper subset.
+// a cancelled context yields ctx.Err() and no hits, a foreign preparation
+// is refused with ErrForeignPrepared, and a mode flip shows in the name
+// (which serving config tags key on) and turns the nomination stage from
+// the whole lake into a proper subset. Each searcher built over an empty
+// lake answers every query with nothing, in either mode.
 func TestSearcherConformance(t *testing.T) {
-	// Large enough that ANN nominees are a real subset of the lake and LSH
-	// buckets have value overlap to find.
+	// Large enough that ANN nominees are a real subset of the lake.
 	b := datagen.Generate("conformance", datagen.Config{
 		Seed: 61, Domains: 8, TablesPerBase: 20, QueriesPerBase: 2,
 		BaseRows: 60, MinRows: 8, MaxRows: 16,
 	})
 	q := b.Queries[0]
 	cases := []struct {
-		name    string
-		build   func() search.Searcher
-		parts   int
-		foreign func() search.Searcher // the other family, for ErrForeignPrepared
+		name  string
+		build func(l *lake.Lake) search.Searcher
+		parts int
 	}{
-		{"starmie", func() search.Searcher { return search.NewStarmie(b.Lake) }, 1,
-			func() search.Searcher { return search.NewD3L(lake.New("empty")) }},
-		{"d3l", func() search.Searcher { return search.NewD3L(b.Lake) }, 1,
-			func() search.Searcher { return search.NewStarmie(lake.New("empty")) }},
-		{"sharded3(starmie)", func() search.Searcher { return NewStarmie(b.Lake, 3, Config{}) }, 3,
-			func() search.Searcher { return search.NewD3L(lake.New("empty")) }},
-		{"sharded3(d3l)", func() search.Searcher { return NewD3L(b.Lake, 3, Config{}) }, 3,
-			func() search.Searcher { return search.NewStarmie(lake.New("empty")) }},
+		{"starmie", func(l *lake.Lake) search.Searcher { return search.NewStarmie(l) }, 1},
+		{"sharded3(starmie)", func(l *lake.Lake) search.Searcher { return NewStarmie(l, 3, Config{}) }, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := tc.build()
+			s := tc.build(b.Lake)
 			defer s.Close()
 			ctx := context.Background()
 
@@ -109,7 +107,7 @@ func TestSearcherConformance(t *testing.T) {
 			}
 
 			// A preparation only means something to the family that made it.
-			alien := tc.foreign().Prepare(q)
+			alien := alienPrepared{q}
 			if _, err := s.TopKPrepared(ctx, alien, 5); !errors.Is(err, search.ErrForeignPrepared) {
 				t.Errorf("foreign TopKPrepared err = %v, want ErrForeignPrepared", err)
 			}
@@ -150,6 +148,27 @@ func TestSearcherConformance(t *testing.T) {
 			}
 			if err := s.SetMode(search.Mode(99)); !errors.Is(err, search.ErrUnknownMode) {
 				t.Fatalf("SetMode(99) err = %v, want ErrUnknownMode", err)
+			}
+		})
+		t.Run(tc.name+"/empty-lake", func(t *testing.T) {
+			empty := lake.New("empty")
+			s := tc.build(empty)
+			defer s.Close()
+			if s.Lake() != empty || len(s.Parts()) != tc.parts {
+				t.Fatalf("Lake() is not the empty lake, or %d parts, want %d", len(s.Parts()), tc.parts)
+			}
+			for _, m := range []search.Mode{search.Exact, search.ANN} {
+				if err := s.SetMode(m); err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{5, 0} {
+					if hits, err := search.TopKCtx(context.Background(), s, q, k); err != nil || len(hits) != 0 {
+						t.Fatalf("%v k=%d: %d hits, %v; want none", m, k, len(hits), err)
+					}
+				}
+				if names, err := s.NominatePrepared(context.Background(), s.Prepare(q), 10); err != nil || len(names) != 0 {
+					t.Fatalf("%v: nominated %v, %v; want nothing", m, names, err)
+				}
 			}
 		})
 	}

@@ -20,22 +20,20 @@ import (
 // and a sharded query must encode exactly once, not once per shard.
 func TestPreparedEquivalence(t *testing.T) {
 	b, queries := shardBench(t)
-	for _, kind := range []string{KindStarmie, KindD3L} {
-		want := buildUnsharded(t, kind, b.Lake, 0)
-		for _, shards := range []int{1, 2, 4, 8} {
-			for _, workers := range []int{1, 8} {
-				t.Run(fmt.Sprintf("%s/shards=%d/workers=%d", kind, shards, workers), func(t *testing.T) {
-					s := buildSharded(t, kind, b.Lake, shards, workers)
-					defer s.Close()
-					for qi, q := range queries {
-						for _, k := range []int{1, 5, 12} {
-							label := fmt.Sprintf("query %d k=%d", qi, k)
-							sameHits(t, label, search.TopK(s, q, k), search.TopK(want, q, k))
-						}
-						sameHits(t, fmt.Sprintf("query %d full", qi), search.TopK(s, q, 0), search.TopK(want, q, 0))
+	want := search.NewStarmie(b.Lake)
+	for _, shards := range []int{1, 2, 4, 8} {
+		for _, workers := range []int{1, 8} {
+			t.Run(fmt.Sprintf("starmie/shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				s := NewStarmie(b.Lake, shards, Config{Workers: workers})
+				defer s.Close()
+				for qi, q := range queries {
+					for _, k := range []int{1, 5, 12} {
+						label := fmt.Sprintf("query %d k=%d", qi, k)
+						sameHits(t, label, search.TopK(s, q, k), search.TopK(want, q, k))
 					}
-				})
-			}
+					sameHits(t, fmt.Sprintf("query %d full", qi), search.TopK(s, q, 0), search.TopK(want, q, 0))
+				}
+			})
 		}
 	}
 
@@ -43,7 +41,7 @@ func TestPreparedEquivalence(t *testing.T) {
 	// scored exactly once, and recall@10 holds the monolithic >= 0.95 bar.
 	t.Run("ann-candidate-recall", func(t *testing.T) {
 		const k = 10
-		exact := buildUnsharded(t, KindStarmie, b.Lake, 0)
+		exact := search.NewStarmie(b.Lake)
 		approx := NewStarmie(b.Lake, 4, Config{})
 		defer approx.Close()
 		if err := approx.SetMode(search.ANN); err != nil {
@@ -98,7 +96,7 @@ func TestPreparedEquivalence(t *testing.T) {
 func TestCloseSharedPool(t *testing.T) {
 	b, queries := shardBench(t)
 	q := queries[0]
-	s := NewD3L(b.Lake, 3, Config{Workers: 4})
+	s := NewStarmie(b.Lake, 3, Config{Workers: 4})
 	bound := s.QueryWorkers(1).(*Searcher)
 	want := search.TopK(s, q, 6)
 

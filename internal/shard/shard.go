@@ -1,22 +1,21 @@
 // Package shard partitions a data lake into N independent sub-indexes and
 // serves queries by scatter-gather: a deterministic hash assigns every
-// table to one shard, each shard owns its own searcher (and, in ANN mode,
-// its own HNSW graph) over its own sub-lake, queries fan out across the
-// shards in parallel, and the gather stage merges the shards' answers
+// table to one shard, each shard owns its own Starmie searcher (and, in ANN
+// mode, its own HNSW graph) over its own sub-lake, queries fan out across
+// the shards in parallel, and the gather stage merges the shards' answers
 // under the global score order. Because every shard scores with the exact
-// scorer — against one corpus shared by all shards, for the
-// TF-IDF-sensitive Starmie index — the merged exact-mode ranking is
-// bit-identical to an unsharded scan, while the index itself becomes
-// horizontally partitioned: shards build, persist, mutate, and clone
-// independently, which is the substrate for spreading a lake across
-// processes or machines.
+// scorer — against one TF-IDF corpus shared by all shards — the merged
+// exact-mode ranking is bit-identical to an unsharded scan, while the index
+// itself becomes horizontally partitioned: shards build, persist, mutate,
+// and clone independently, which is the substrate for spreading a lake
+// across processes or machines.
 //
 // The query path is built so sharding adds no per-query duplicate work:
 //
-//   - Encode once, scatter prepared. The query's representation (Starmie
-//     column embeddings, D3L signatures and profiles) is derived exactly
-//     once (Searcher.Prepare) and the prepared form fans out, so shard
-//     count never multiplies encoding cost.
+//   - Encode once, scatter prepared. The query's representation (its
+//     column embeddings) is derived exactly once (Searcher.Prepare) and the
+//     prepared form fans out, so shard count never multiplies encoding
+//     cost.
 //   - Bounded gather. In exact mode each shard returns a truncated local
 //     top list (k/n plus slack, never more than k) merged by a k-way heap;
 //     a threshold-style bound then re-fetches only shards whose truncated
@@ -47,13 +46,6 @@ import (
 	"dust/internal/search"
 	"dust/internal/table"
 	"dust/internal/tokenize"
-)
-
-// Searcher kinds a shard set can be built from; the value is what index
-// manifests record.
-const (
-	KindStarmie = "starmie"
-	KindD3L     = "d3l"
 )
 
 // Gather-stage tuning. Both are slack on provably-sufficient bounds, so
@@ -90,8 +82,8 @@ func (p *scatterPool) close() { p.once.Do(p.pool.Close) }
 
 // Typed failures of the sharding layer.
 var (
-	// ErrUnknownKind reports a shard-set construction for a searcher kind
-	// this package does not shard.
+	// ErrUnknownKind reports Assemble parts that are not Starmie searchers,
+	// the one kind this package shards.
 	ErrUnknownKind = errors.New("shard: unknown searcher kind")
 	// ErrLayoutMismatch reports Assemble parts that do not partition the
 	// full lake exactly (a table missing, duplicated, or unknown).
@@ -150,13 +142,12 @@ type Searcher struct {
 	full *lake.Lake
 	// subs are the per-shard indexes, each over its own sub-lake (Lake()).
 	subs []search.Searcher
-	// corpus is the one TF-IDF corpus shared by every Starmie shard. It
-	// covers the FULL lake, so per-shard embeddings — and therefore
-	// per-shard exact scores — are bit-identical to an unsharded index's;
-	// without it, each shard's document frequencies would drift from the
-	// global statistics and the merged ranking would diverge from the
-	// unsharded one whenever a column exceeds the encoder token budget.
-	// nil for corpus-insensitive kinds (D3L).
+	// corpus is the one TF-IDF corpus shared by every shard. It covers the
+	// FULL lake, so per-shard embeddings — and therefore per-shard exact
+	// scores — are bit-identical to an unsharded index's; without it, each
+	// shard's document frequencies would drift from the global statistics
+	// and the merged ranking would diverge from the unsharded one whenever
+	// a column exceeds the encoder token budget.
 	corpus  *tokenize.Corpus
 	workers int
 	mode    search.Mode
@@ -190,23 +181,6 @@ func NewStarmie(l *lake.Lake, n int, cfg Config) *Searcher {
 			corpus.AddDocument(embed.ColumnTokens(&t.Columns[i]))
 		}
 	}
-	return newSearcher(l, n, cfg, corpus, func(sl *lake.Lake) search.Searcher {
-		return search.NewStarmie(sl, search.WithWorkers(cfg.Workers),
-			search.WithSharedCorpus(corpus), search.WithQuantized(cfg.Quantized))
-	})
-}
-
-// NewD3L builds a D3L shard set over l with n shards. D3L's five signals
-// are all per-column (no cross-table statistics), so shards need no shared
-// state and per-shard scores equal the unsharded ones by construction.
-func NewD3L(l *lake.Lake, n int, cfg Config) *Searcher {
-	return newSearcher(l, n, cfg, nil, func(sl *lake.Lake) search.Searcher {
-		return search.NewD3L(sl, search.WithWorkers(cfg.Workers))
-	})
-}
-
-// newSearcher partitions l and indexes every sub-lake with index.
-func newSearcher(l *lake.Lake, n int, cfg Config, corpus *tokenize.Corpus, index func(*lake.Lake) search.Searcher) *Searcher {
 	s := &Searcher{
 		full:       l,
 		corpus:     corpus,
@@ -215,21 +189,22 @@ func newSearcher(l *lake.Lake, n int, cfg Config, corpus *tokenize.Corpus, index
 		Oversample: search.DefaultOversample,
 	}
 	for _, sl := range Partition(l, n) {
-		s.subs = append(s.subs, index(sl))
+		s.subs = append(s.subs, search.NewStarmie(sl, search.WithWorkers(cfg.Workers),
+			search.WithSharedCorpus(corpus), search.WithQuantized(cfg.Quantized)))
 	}
 	return s
 }
 
 // Assemble reconstitutes an index from independently loaded parts — the
-// warm-start dual of NewStarmie/NewD3L. The parts' lakes must partition
-// full exactly (every lake table in exactly one part) and the parts must
-// all be Starmie or all D3L searchers; violations return ErrLayoutMismatch
-// or ErrUnknownKind. A single part bound to full itself already is the
-// whole index — a monolithic searcher — and is returned as is, with no
-// scatter in front of it. Otherwise the result is a sharded Searcher; for
-// Starmie, every shard is rebound to part 0's restored corpus so the set
-// again shares one global TF-IDF state (each saved shard recorded the
-// identical full-lake corpus, so any part's restore works).
+// warm-start dual of NewStarmie. The parts' lakes must partition full
+// exactly (every lake table in exactly one part) and every part must be a
+// Starmie searcher; violations return ErrLayoutMismatch or ErrUnknownKind.
+// A single part bound to full itself already is the whole index — a
+// monolithic searcher — and is returned as is, with no scatter in front of
+// it. Otherwise the result is a sharded Searcher whose shards are all
+// rebound to part 0's restored corpus, so the set again shares one global
+// TF-IDF state (each saved shard recorded the identical full-lake corpus,
+// so any part's restore works).
 func Assemble(full *lake.Lake, parts []search.Searcher) (search.Searcher, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("%w: no parts", ErrLayoutMismatch)
@@ -248,19 +223,14 @@ func Assemble(full *lake.Lake, parts []search.Searcher) (search.Searcher, error)
 			}
 			seen[name] = true
 		}
-		switch sub := p.(type) {
-		case *search.Starmie:
-			starmies = append(starmies, sub)
-		case *search.D3L:
-		default:
+		st, ok := p.(*search.Starmie)
+		if !ok {
 			return nil, fmt.Errorf("%w: shard %d is %T", ErrUnknownKind, i, p)
 		}
+		starmies = append(starmies, st)
 	}
 	if len(seen) != full.Len() {
 		return nil, fmt.Errorf("%w: parts hold %d tables, lake holds %d", ErrLayoutMismatch, len(seen), full.Len())
-	}
-	if len(starmies) != 0 && len(starmies) != len(parts) {
-		return nil, fmt.Errorf("%w: parts mix starmie and d3l shards", ErrLayoutMismatch)
 	}
 	if len(parts) == 1 && parts[0].Lake() == full {
 		return parts[0], nil
@@ -270,15 +240,13 @@ func Assemble(full *lake.Lake, parts []search.Searcher) (search.Searcher, error)
 	s := &Searcher{
 		full:       full,
 		subs:       parts,
+		corpus:     starmies[0].Corpus(),
 		mode:       parts[0].RetrievalMode(),
 		pool:       newScatterPool(0),
 		Oversample: search.DefaultOversample,
 	}
-	if len(starmies) > 0 {
-		s.corpus = starmies[0].Corpus()
-		for _, st := range starmies {
-			st.AdoptSharedCorpus(s.corpus)
-		}
+	for _, st := range starmies {
+		st.AdoptSharedCorpus(s.corpus)
 	}
 	return s, nil
 }
@@ -469,8 +437,7 @@ func (s *Searcher) record(tr *search.Trace, scatterNS, gatherNS int64) {
 // retrieval structure, and the single exact-scoring pass runs globally on
 // the merged pool — each candidate scored once by its owning shard's
 // scorer (the owner holds the candidate's indexed state). An empty global
-// pool (e.g. D3L's LSH finding no value overlap anywhere) falls back to
-// the exact path, mirroring the monolithic searchers' own fallback. The
+// pool (graphs holding no nodes) falls back to the exact path. The
 // final ranking sorts by the same (score desc, name asc) total order as
 // everywhere else, so results are deterministic for every worker count.
 func (s *Searcher) topKANN(ctx context.Context, pq search.PreparedQuery, k int, tr *search.Trace) ([]search.Scored, error) {
@@ -643,8 +610,8 @@ func mergeHits(hits [][]search.Scored, k int) []search.Scored {
 }
 
 // SetMode implements search.Searcher by fanning the mode to every shard:
-// entering ANN builds one HNSW graph per Starmie shard (or is a no-op for
-// shards that already carry one, e.g. after a warm start).
+// entering ANN builds one HNSW graph per shard (or is a no-op for shards
+// that already carry one, e.g. after a warm start).
 func (s *Searcher) SetMode(m search.Mode) error {
 	for _, sub := range s.subs {
 		if err := sub.SetMode(m); err != nil {
@@ -671,11 +638,8 @@ func (s *Searcher) owner(name string) int {
 }
 
 // corpusDocs adds (or, with add false, removes) a table's column documents
-// to the shared corpus; a no-op for corpus-insensitive kinds.
+// to the shared corpus.
 func (s *Searcher) corpusDocs(t *table.Table, add bool) {
-	if s.corpus == nil {
-		return
-	}
 	for i := range t.Columns {
 		if tokens := embed.ColumnTokens(&t.Columns[i]); add {
 			s.corpus.AddDocument(tokens)
@@ -686,9 +650,9 @@ func (s *Searcher) corpusDocs(t *table.Table, add bool) {
 }
 
 // AddTable implements search.Searcher: the table routes to its
-// hash-assigned shard, whose index absorbs it as a delta update. For
-// Starmie the shared corpus gains the table's column documents first —
-// exactly when an unsharded AddTable would — and every OTHER shard then
+// hash-assigned shard, whose index absorbs it as a delta update. The shared
+// corpus gains the table's column documents first — exactly when an
+// unsharded AddTable would — and every OTHER shard then
 // refreshes its corpus-sensitive embeddings, so all shards keep scoring
 // against the same global statistics a from-scratch unsharded index over
 // the grown lake would hold.
@@ -712,8 +676,8 @@ func (s *Searcher) AddTable(t *table.Table) error {
 }
 
 // RemoveTable implements search.Searcher, routing to the owning shard and
-// (for Starmie) retiring the table's documents from the shared corpus
-// before the shard un-indexes, so the owner's own refresh already sees the
+// retiring the table's documents from the shared corpus before the shard
+// un-indexes, so the owner's own refresh already sees the
 // post-removal statistics; the remaining shards refresh afterwards.
 func (s *Searcher) RemoveTable(name string) error {
 	o := s.owner(name)
@@ -733,11 +697,8 @@ func (s *Searcher) RemoveTable(name string) error {
 
 // refreshOthers re-embeds corpus-sensitive tables on every shard except
 // the one that just mutated (its own AddTable/RemoveTable already
-// refreshed). Only Starmie shards carry corpus-sensitive state.
+// refreshed).
 func (s *Searcher) refreshOthers(mutated int) {
-	if s.corpus == nil {
-		return
-	}
 	for i, sub := range s.subs {
 		if i != mutated {
 			sub.(*search.Starmie).RefreshBig()
@@ -787,8 +748,8 @@ func (s *Searcher) ModeView(m search.Mode) (search.Searcher, bool) {
 // CloneWithLake implements search.Searcher for snapshot-swapped serving: l
 // must be a clone of the full lake holding the same table set. Every shard
 // clones against a clone of its own sub-lake (heavy embedding state stays
-// shared, per the sub-searchers' clone contracts), and the Starmie shards
-// are rebound to a single clone of the shared corpus so the new shard set
+// shared, per the sub-searchers' clone contracts), and the shards are
+// rebound to a single clone of the shared corpus so the new shard set
 // again owns exactly one global TF-IDF state. The clone keeps the family's
 // scatter pool — snapshot swaps must not churn worker goroutines — so
 // Close applies family-wide (see Close).
@@ -796,14 +757,10 @@ func (s *Searcher) CloneWithLake(l *lake.Lake) search.Searcher {
 	c := *s
 	c.full = l
 	c.subs = make([]search.Searcher, len(s.subs))
-	if s.corpus != nil {
-		c.corpus = s.corpus.Clone()
-	}
+	c.corpus = s.corpus.Clone()
 	for i, sub := range s.subs {
 		c.subs[i] = sub.CloneWithLake(sub.Lake().Clone())
-		if st, ok := c.subs[i].(*search.Starmie); ok {
-			st.AdoptSharedCorpus(c.corpus)
-		}
+		c.subs[i].(*search.Starmie).AdoptSharedCorpus(c.corpus)
 	}
 	return &c
 }

@@ -44,31 +44,6 @@ func bigTable(name string, vocab int) *table.Table {
 	return bt
 }
 
-func buildSharded(t testing.TB, kind string, l *lake.Lake, n, workers int) *Searcher {
-	t.Helper()
-	cfg := Config{Workers: workers}
-	switch kind {
-	case KindStarmie:
-		return NewStarmie(l, n, cfg)
-	case KindD3L:
-		return NewD3L(l, n, cfg)
-	}
-	t.Fatalf("unknown kind %q", kind)
-	return nil
-}
-
-func buildUnsharded(t testing.TB, kind string, l *lake.Lake, workers int) search.Searcher {
-	t.Helper()
-	switch kind {
-	case KindStarmie:
-		return search.NewStarmie(l, search.WithWorkers(workers))
-	case KindD3L:
-		return search.NewD3L(l, search.WithWorkers(workers))
-	}
-	t.Fatalf("unknown kind %q", kind)
-	return nil
-}
-
 func sameHits(t *testing.T, label string, got, want []search.Scored) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -84,36 +59,34 @@ func sameHits(t *testing.T, label string, got, want []search.Scored) {
 
 // TestShardedEquivalence is the acceptance gate of the sharding layer:
 // exact-mode scatter-gather TopK must be bit-identical to the unsharded
-// searcher for shards in {1, 2, 3, 4} at workers 1 and 8, for both shardable
-// kinds; and sharded ANN mode must clear the same recall@10 >= 0.95 bar
-// the monolithic ANN engine is held to.
+// searcher for shards in {1, 2, 3, 4} at workers 1 and 8; and sharded ANN
+// mode must clear the same recall@10 >= 0.95 bar the monolithic ANN engine
+// is held to.
 func TestShardedEquivalence(t *testing.T) {
 	b, queries := shardBench(t)
-	for _, kind := range []string{KindStarmie, KindD3L} {
-		want := buildUnsharded(t, kind, b.Lake, 0)
-		for _, shards := range []int{1, 2, 3, 4} {
-			for _, workers := range []int{1, 8} {
-				t.Run(fmt.Sprintf("%s/shards=%d/workers=%d", kind, shards, workers), func(t *testing.T) {
-					s := buildSharded(t, kind, b.Lake, shards, workers)
-					if got := len(s.Parts()); got != shards {
-						t.Fatalf("len(Parts()) = %d, want %d", got, shards)
+	want := search.NewStarmie(b.Lake)
+	for _, shards := range []int{1, 2, 3, 4} {
+		for _, workers := range []int{1, 8} {
+			t.Run(fmt.Sprintf("starmie/shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				s := NewStarmie(b.Lake, shards, Config{Workers: workers})
+				if got := len(s.Parts()); got != shards {
+					t.Fatalf("len(Parts()) = %d, want %d", got, shards)
+				}
+				for qi, q := range queries {
+					for _, k := range []int{1, 5, 12} {
+						label := fmt.Sprintf("query %d k=%d", qi, k)
+						sameHits(t, label, search.TopK(s, q, k), search.TopK(want, q, k))
 					}
-					for qi, q := range queries {
-						for _, k := range []int{1, 5, 12} {
-							label := fmt.Sprintf("query %d k=%d", qi, k)
-							sameHits(t, label, search.TopK(s, q, k), search.TopK(want, q, k))
-						}
-						// k <= 0 asks for the full ranking.
-						sameHits(t, fmt.Sprintf("query %d full", qi), search.TopK(s, q, 0), search.TopK(want, q, 0))
-					}
-				})
-			}
+					// k <= 0 asks for the full ranking.
+					sameHits(t, fmt.Sprintf("query %d full", qi), search.TopK(s, q, 0), search.TopK(want, q, 0))
+				}
+			})
 		}
 	}
 
 	t.Run("ann-recall", func(t *testing.T) {
 		const k = 10
-		exact := buildUnsharded(t, KindStarmie, b.Lake, 0)
+		exact := search.NewStarmie(b.Lake)
 		approx := NewStarmie(b.Lake, 4, Config{})
 		if err := approx.SetMode(search.ANN); err != nil {
 			t.Fatal(err)
@@ -147,60 +120,58 @@ func TestShardedEquivalence(t *testing.T) {
 // like a from-scratch unsharded index over the same table set, at workers
 // 1 and 8.
 func TestShardedIncrementalEquivalence(t *testing.T) {
-	for _, kind := range []string{KindStarmie, KindD3L} {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/workers=%d", kind, workers), func(t *testing.T) {
-				b, queries := shardBench(t)
-				s := buildSharded(t, kind, b.Lake, 3, workers)
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("starmie/workers=%d", workers), func(t *testing.T) {
+			b, queries := shardBench(t)
+			s := NewStarmie(b.Lake, 3, Config{Workers: workers})
 
-				extra := bigTable("late_wide_vocab", 2401)
-				small := table.New("late_small", queries[0].Headers()...)
-				for i := 0; i < queries[0].NumRows(); i++ {
-					small.MustAppendRow(queries[0].Row(i)...)
-				}
-				check := func(step string) {
-					t.Helper()
-					// The oracle lake must hold exactly the shard set's
-					// current tables, in the same insertion order.
-					oracle := lake.New("oracle")
-					for _, sl := range b.Lake.Tables() {
-						if s.owner(sl.Name) >= 0 {
-							oracle.MustAdd(sl)
-						}
-					}
-					for _, late := range []*table.Table{extra, small} {
-						if s.owner(late.Name) >= 0 {
-							oracle.MustAdd(late)
-						}
-					}
-					want := buildUnsharded(t, kind, oracle, workers)
-					for qi, q := range queries {
-						sameHits(t, fmt.Sprintf("%s query %d", step, qi), search.TopK(s, q, 8), search.TopK(want, q, 8))
+			extra := bigTable("late_wide_vocab", 2401)
+			small := table.New("late_small", queries[0].Headers()...)
+			for i := 0; i < queries[0].NumRows(); i++ {
+				small.MustAppendRow(queries[0].Row(i)...)
+			}
+			check := func(step string) {
+				t.Helper()
+				// The oracle lake must hold exactly the shard set's
+				// current tables, in the same insertion order.
+				oracle := lake.New("oracle")
+				for _, sl := range b.Lake.Tables() {
+					if s.owner(sl.Name) >= 0 {
+						oracle.MustAdd(sl)
 					}
 				}
+				for _, late := range []*table.Table{extra, small} {
+					if s.owner(late.Name) >= 0 {
+						oracle.MustAdd(late)
+					}
+				}
+				want := search.NewStarmie(oracle, search.WithWorkers(workers))
+				for qi, q := range queries {
+					sameHits(t, fmt.Sprintf("%s query %d", step, qi), search.TopK(s, q, 8), search.TopK(want, q, 8))
+				}
+			}
 
-				if err := s.AddTable(extra); err != nil {
-					t.Fatal(err)
-				}
-				check("after add big")
-				if err := s.AddTable(extra); !errors.Is(err, search.ErrDuplicateTable) {
-					t.Fatalf("duplicate AddTable err = %v, want ErrDuplicateTable", err)
-				}
-				if err := s.AddTable(small); err != nil {
-					t.Fatal(err)
-				}
-				check("after add small")
-				// Dropping the original big table shifts the global corpus;
-				// every shard must refresh against it.
-				if err := s.RemoveTable("wide_vocab"); err != nil {
-					t.Fatal(err)
-				}
-				check("after remove big")
-				if err := s.RemoveTable("absent"); !errors.Is(err, search.ErrUnknownTable) {
-					t.Fatalf("absent RemoveTable err = %v, want ErrUnknownTable", err)
-				}
-			})
-		}
+			if err := s.AddTable(extra); err != nil {
+				t.Fatal(err)
+			}
+			check("after add big")
+			if err := s.AddTable(extra); !errors.Is(err, search.ErrDuplicateTable) {
+				t.Fatalf("duplicate AddTable err = %v, want ErrDuplicateTable", err)
+			}
+			if err := s.AddTable(small); err != nil {
+				t.Fatal(err)
+			}
+			check("after add small")
+			// Dropping the original big table shifts the global corpus;
+			// every shard must refresh against it.
+			if err := s.RemoveTable("wide_vocab"); err != nil {
+				t.Fatal(err)
+			}
+			check("after remove big")
+			if err := s.RemoveTable("absent"); !errors.Is(err, search.ErrUnknownTable) {
+				t.Fatalf("absent RemoveTable err = %v, want ErrUnknownTable", err)
+			}
+		})
 	}
 }
 
@@ -265,7 +236,7 @@ func TestShardedCloneIsolation(t *testing.T) {
 func TestShardedQueryBoundAndCancel(t *testing.T) {
 	b, queries := shardBench(t)
 	q := queries[0]
-	s := NewD3L(b.Lake, 2, Config{Workers: 4})
+	s := NewStarmie(b.Lake, 2, Config{Workers: 4})
 	bound := s.QueryWorkers(1).(*Searcher)
 	sameHits(t, "rebound", search.TopK(bound, q, 6), search.TopK(s, q, 6))
 
@@ -307,7 +278,7 @@ func TestPartitionAndAssign(t *testing.T) {
 // TestAssembleValidatesLayout exercises the warm-start validator.
 func TestAssembleValidatesLayout(t *testing.T) {
 	b, _ := shardBench(t)
-	s := NewD3L(b.Lake, 2, Config{})
+	s := NewStarmie(b.Lake, 2, Config{})
 	defer s.Close()
 	parts := s.Parts()
 	got, err := Assemble(b.Lake, parts)
@@ -320,7 +291,7 @@ func TestAssembleValidatesLayout(t *testing.T) {
 	}
 	// One part bound to the lake itself already is the whole index: no
 	// scatter is put in front of it.
-	mono := search.NewD3L(b.Lake)
+	mono := search.NewStarmie(b.Lake)
 	if got, err := Assemble(b.Lake, []search.Searcher{mono}); err != nil || got != search.Searcher(mono) {
 		t.Errorf("single full-lake part = %v, %v; want the part itself", got, err)
 	}
@@ -333,9 +304,5 @@ func TestAssembleValidatesLayout(t *testing.T) {
 	}
 	if _, err := Assemble(b.Lake, append(parts[:2:2], parts[0])); !errors.Is(err, ErrLayoutMismatch) {
 		t.Errorf("duplicated shard err = %v, want ErrLayoutMismatch", err)
-	}
-	mixed := []search.Searcher{parts[0], search.NewStarmie(parts[1].Lake())}
-	if _, err := Assemble(b.Lake, mixed); !errors.Is(err, ErrLayoutMismatch) {
-		t.Errorf("kind mix err = %v, want ErrLayoutMismatch", err)
 	}
 }

@@ -41,6 +41,11 @@ const (
 	legacyANNFile      = "ann.dustidx"
 )
 
+// kindStarmie is the searcher kind every manifest this build writes records:
+// each part is a Starmie index. Earlier builds also wrote "d3l", which
+// loads as codec.ErrWrongKind.
+const kindStarmie = "starmie"
+
 // shardSearcherFile names part i's searcher index file.
 func shardSearcherFile(i int) string { return fmt.Sprintf("shard-%03d.dustidx", i) }
 
@@ -70,7 +75,7 @@ func (p *Pipeline) Epoch() uint64 { return p.epoch }
 
 // Clone returns an independently mutable copy of the pipeline: the lake and
 // the searcher's mutable containers are copied while the heavy immutable
-// index state (embedding vectors, signatures) is shared, so the clone costs
+// index state (the embedding blocks) is shared, so the clone costs
 // O(tables), not O(index). AddTable/RemoveTable on the clone leave the
 // original — and any queries in flight against it — untouched, which is
 // what lets a serving layer apply mutations on a copy-on-write shadow and
@@ -121,30 +126,32 @@ func (p *Pipeline) RemoveTable(name string) error {
 	return p.lake.Remove(name)
 }
 
-// savePart writes part i of an index under dir through its kind's codec —
-// the searcher file and, when withANN, the HNSW candidate graph beside it
-// (Starmie only: D3L's approximate backend is its LSH index, rebuilt from
-// the searcher file) — and returns the kind name the manifest records.
-func savePart(dir string, i int, part search.Searcher, withANN bool) (kind string, err error) {
-	path := filepath.Join(dir, shardSearcherFile(i))
-	switch s := part.(type) {
-	case *search.Starmie:
-		if err := writeFile(path, s.Save); err != nil {
-			return "", err
-		}
-		if withANN {
-			err = writeFile(filepath.Join(dir, shardANNFile(i)), s.SaveANN)
-		}
-		return shard.KindStarmie, err
-	case *search.D3L:
-		return shard.KindD3L, writeFile(path, s.Save)
+// savePart writes part i of an index under dir — the Starmie searcher file
+// and, when withANN, the HNSW candidate graph beside it.
+func savePart(dir string, i int, part search.Searcher, withANN bool) error {
+	s, ok := part.(*search.Starmie)
+	if !ok {
+		return fmt.Errorf("%T has no persistent form", part)
 	}
-	return "", fmt.Errorf("%T has no persistent form", part)
+	if err := writeFile(filepath.Join(dir, shardSearcherFile(i)), s.Save); err != nil {
+		return err
+	}
+	if withANN {
+		return writeFile(filepath.Join(dir, shardANNFile(i)), s.SaveANN)
+	}
+	return nil
 }
 
 // loadPart reads one part written by savePart (or, through the legacy file
-// names, by a pre-single-layout save) and binds it to sl.
+// names, by a pre-single-layout save) and binds it to sl. A kind other than
+// kindStarmie — "d3l", from a build that still persisted the D3L baseline —
+// is no damage to the file but an index this build does not read, so it
+// fails as codec.ErrWrongKind.
 func loadPart(kind, searcherPath, annPath string, sl *lake.Lake, withANN bool) (search.Searcher, error) {
+	if kind != kindStarmie {
+		return nil, fmt.Errorf("manifest names searcher kind %q, this build reads only %q: %w",
+			kind, kindStarmie, codec.ErrWrongKind)
+	}
 	sf, err := os.Open(searcherPath)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -153,31 +160,22 @@ func loadPart(kind, searcherPath, annPath string, sl *lake.Lake, withANN bool) (
 		return nil, err
 	}
 	defer sf.Close()
-	switch kind {
-	case shard.KindStarmie:
-		st, err := search.LoadStarmie(sf, sl)
-		if err != nil {
-			return nil, err
-		}
-		if !withANN {
-			return st, nil
-		}
-		af, err := os.Open(annPath)
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil, fmt.Errorf("missing %s: %w", filepath.Base(annPath), ErrShardLayout)
-			}
-			return nil, err
-		}
-		defer af.Close()
-		return st, st.LoadANN(af)
-	case shard.KindD3L:
-		if withANN {
-			return nil, fmt.Errorf("manifest records ann graphs for searcher kind %q: %w", kind, codec.ErrCorrupt)
-		}
-		return search.LoadD3L(sf, sl)
+	st, err := search.LoadStarmie(sf, sl)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("manifest names unknown searcher kind %q: %w", kind, codec.ErrCorrupt)
+	if !withANN {
+		return st, nil
+	}
+	af, err := os.Open(annPath)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, fmt.Errorf("missing %s: %w", filepath.Base(annPath), ErrShardLayout)
+		}
+		return nil, err
+	}
+	defer af.Close()
+	return st, st.LoadANN(af)
 }
 
 // SaveIndex persists the pipeline's index state under dir so a later
@@ -218,10 +216,8 @@ func (p *Pipeline) SaveIndex(dir string) error {
 	for _, part := range parts {
 		hasANN = hasANN && part.IndexBytes().Storage != "none"
 	}
-	var kind string
 	for i, part := range parts {
-		var err error
-		if kind, err = savePart(dir, i, part, hasANN); err != nil {
+		if err := savePart(dir, i, part, hasANN); err != nil {
 			return fmt.Errorf("dust: save shard %d: %w", i, err)
 		}
 	}
@@ -233,7 +229,7 @@ func (p *Pipeline) SaveIndex(dir string) error {
 	}
 
 	var b codec.Buffer
-	b.String(kind)
+	b.String(kindStarmie)
 	b.String(p.lake.Name)
 	b.Strings(p.lake.Names())
 	b.Bool(hasModel)
@@ -362,7 +358,7 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 	loaded := []Option{WithSearcher(searcher)}
 	if annMode {
 		// Restore the saved retrieval mode; SetMode reuses the graph just
-		// installed (or, for D3L / a graphless save, rebuilds cheaply).
+		// installed (or, for a graphless save, builds one).
 		// Explicit caller options apply afterwards and win as usual.
 		loaded = append(loaded, WithRetriever(search.ANN))
 	}
