@@ -40,7 +40,6 @@ func main() {
 		saveIndex  = flag.Bool("save-index", false, "rebuild the index and save it to -index-dir even if one exists")
 		ann        = flag.Bool("ann", false, "approximate candidate retrieval (HNSW) with exact re-ranking; trades a little recall for lake-size-independent latency. -ann=false forces exact retrieval even for an index saved in ANN mode; omit the flag to follow the saved index")
 		shards     = flag.Int("shards", 1, "partition the index into N scatter-gather shards (1 = monolithic); exact-mode results are identical either way. Applies to cold builds only: a warm start keeps the layout saved in -index-dir")
-		quantized  = flag.Bool("quantized", false, "SQ8 scalar-quantized graph storage (~4x less resident index memory); candidates are still re-ranked exactly, so exact-mode results are unchanged")
 		oversample = flag.Float64("oversample", 0, "ANN candidate oversampling factor: retrieve about N*k candidates before exact re-ranking (0 = default)")
 		efSearch   = flag.Int("ef-search", 0, "HNSW traversal beam width of the ANN candidate stage (0 = default)")
 	)
@@ -65,9 +64,6 @@ func main() {
 	opts := []dust.Option{
 		dust.WithTopTables(*topTables), dust.WithWorkers(*workers), dust.WithShards(*shards),
 		dust.WithOversample(*oversample), dust.WithEfSearch(*efSearch),
-	}
-	if *quantized {
-		opts = append(opts, dust.WithQuantized(true))
 	}
 	// Tri-state retrieval: an explicit -ann / -ann=false overrides the
 	// mode recorded in a warm-started index; omitting the flag follows it.

@@ -67,7 +67,6 @@ func main() {
 		maintIvl   = flag.Duration("maintenance-interval", 0, "background index-maintenance period: compact tombstone-heavy indexes on a clone off the query path and swap (0 disables; mutations then compact inline past the rebuild threshold)")
 		maintFrac  = flag.Float64("maintenance-threshold", serve.DefaultMaintenanceThreshold, "graph tombstone fraction at which the maintainer compacts")
 		ann        = flag.Bool("ann", false, "approximate candidate retrieval (HNSW) with exact re-ranking; the graph persists in -index-dir and follows live table mutations. -ann=false forces exact retrieval even for an index saved in ANN mode; omit the flag to follow the saved index")
-		quantized  = flag.Bool("quantized", false, "SQ8 scalar-quantized graph storage (~4x less resident index memory); candidates are still re-ranked exactly, so exact-mode results are unchanged. A warm-started graph keeps its stored representation until its next rebuild")
 		oversample = flag.Float64("oversample", 0, "ANN candidate oversampling factor: retrieve about N*k candidates before exact re-ranking (0 = default)")
 		efSearch   = flag.Int("ef-search", 0, "HNSW traversal beam width of the ANN candidate stage (0 = default)")
 		shards     = flag.Int("shards", 1, "partition the index into N scatter-gather shards (1 = monolithic); table mutations route to the owning shard and exact-mode results are identical either way. Applies to cold builds only: a warm start keeps the layout saved in -index-dir")
@@ -104,9 +103,6 @@ func main() {
 	opts := []dust.Option{
 		dust.WithTopTables(*topTables), dust.WithWorkers(*workers), dust.WithShards(*shards),
 		dust.WithOversample(*oversample), dust.WithEfSearch(*efSearch),
-	}
-	if *quantized {
-		opts = append(opts, dust.WithQuantized(true))
 	}
 	// Tri-state retrieval: an explicit -ann / -ann=false overrides the
 	// mode recorded in a warm-started index; omitting the flag follows it.

@@ -38,21 +38,19 @@ import (
 // Pipeline wires the four stages of Algorithm 1. Construct with New and
 // customize with the With* options.
 type Pipeline struct {
-	lake         *lake.Lake
-	searcher     search.Searcher
-	columnEnc    embed.ColumnEncoder
-	tupleEnc     model.TupleEncoder
-	diversifier  diversify.Algorithm
-	dist         vector.DistanceFunc
-	topTables    int
-	workers      int
-	workersSet   bool
-	retrieval    search.Mode
-	shards       int
-	quantized    bool
-	quantizedSet bool
-	oversample   float64
-	efSearch     int
+	lake        *lake.Lake
+	searcher    search.Searcher
+	columnEnc   embed.ColumnEncoder
+	tupleEnc    model.TupleEncoder
+	diversifier diversify.Algorithm
+	dist        vector.DistanceFunc
+	topTables   int
+	workers     int
+	workersSet  bool
+	retrieval   search.Mode
+	shards      int
+	oversample  float64
+	efSearch    int
 	// epoch counts index mutations (AddTable/RemoveTable) over the
 	// pipeline's lifetime; see Epoch in persist.go. Serving layers key
 	// result caches by it.
@@ -114,21 +112,6 @@ func WithRetriever(m search.Mode) Option { return func(p *Pipeline) { p.retrieva
 // the shard layout recorded in its manifest.
 func WithShards(n int) Option { return func(p *Pipeline) { p.shards = n } }
 
-// WithQuantized selects SQ8 scalar-quantized storage for the searcher's
-// ANN graphs: stored vectors compress to one int8 code per dimension
-// plus a per-vector scale and offset (about 4x less resident memory at
-// typical dimensions), graph traversal runs on fused integer kernels,
-// and every nominated candidate is still re-ranked by the exact scorer —
-// so exact-mode results are bit-identical with quantization on, and only
-// the ANN candidate stage is approximate (recall governed by the same
-// oversampling as float graphs). Applies when this pipeline builds its
-// graphs (WithRetriever(search.ANN), PrepareANN, or a maintenance
-// rebuild); a graph warm-started from disk keeps its stored
-// representation until its next rebuild.
-func WithQuantized(on bool) Option {
-	return func(p *Pipeline) { p.quantized, p.quantizedSet = on, true }
-}
-
 // WithOversample sets the ANN candidate-stage oversampling factor: a
 // top-k query retrieves about ceil(v*k) nearest candidates before exact
 // re-ranking. Raise it to trade latency for recall. v <= 0 keeps the
@@ -165,26 +148,19 @@ func New(l *lake.Lake, opts ...Option) *Pipeline {
 		o(p)
 	}
 	if p.searcher == nil {
-		// Built after the options so the default index honours WithWorkers,
-		// WithShards, and WithQuantized.
+		// Built after the options so the default index honours WithWorkers
+		// and WithShards.
 		if p.shards > 1 {
-			p.searcher = shard.NewStarmie(l, p.shards,
-				shard.Config{Workers: p.workers, Quantized: p.quantized})
+			p.searcher = shard.NewStarmie(l, p.shards, p.workers)
 		} else {
-			p.searcher = search.NewStarmie(l,
-				search.WithWorkers(p.workers), search.WithQuantized(p.quantized))
+			p.searcher = search.NewStarmie(l, search.WithWorkers(p.workers))
 		}
 	} else if p.workersSet {
 		// An explicit WithWorkers also re-bounds a supplied searcher's
 		// query-time scoring; without it the searcher keeps its own bound.
 		p.searcher = p.searcher.QueryWorkers(p.workers)
 	}
-	// Retrieval tuning applies to supplied and warm-started searchers too,
-	// and quantization lands before the mode flip below so a graph built by
-	// SetMode comes up in the requested storage directly.
-	if p.quantizedSet {
-		p.searcher.SetQuantized(p.quantized)
-	}
+	// Retrieval tuning applies to supplied and warm-started searchers too.
 	if p.oversample > 0 {
 		p.searcher.SetOversample(p.oversample)
 	}

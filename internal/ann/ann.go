@@ -1,28 +1,22 @@
 // Package ann implements the approximate candidate-generation backend of
 // the staged query plan (retrieve -> score -> diversify): a Hierarchical
 // Navigable Small World graph (Malkov & Yashunin) over normalized vectors,
-// searched with a fused squared-euclidean kernel — monotone in cosine
-// similarity for unit vectors, so the nearest candidates under it are the
-// highest-cosine ones with no sqrt per hop.
+// searched with vector.SquaredEuclidean — monotone in cosine similarity for
+// unit vectors, so the nearest candidates under it are the highest-cosine
+// ones with no sqrt per hop.
 //
-// Vectors are stored either as float32 (the original layout) or as SQ8
-// scalar-quantized codes (Config.Quantized): one int8 per dimension plus a
-// per-node (scale, offset, Σc, Σc²) record, cutting resident vector memory
-// 4x. Quantized traversal never reconstructs float vectors — node-to-node
-// distances reduce to an int8 dot product plus O(1) algebra, and a query's
-// float vector is folded in through the asymmetric kernel with its own
-// Σq/Σq² computed once per search (see vector.DotCodes). Because the
-// candidates an index nominates are always re-ranked with exact
-// float64 scoring by the owning searcher, quantization moves recall only
-// through nomination quality, never through final scores.
+// The index owns no vectors. Each node holds its row as a vector.Vec that
+// aliases the owner's storage (Starmie's immutable per-table blocks), so
+// the graph costs its adjacency and nothing more, and navigation runs on
+// the very float64 rows the owner scores with.
 //
 // The index is append-only with tombstoned deletion: Remove marks a node
 // dead so searches skip it in their results while still traversing it for
-// connectivity, and DeletedFraction lets the owning searcher decide when
-// to rebuild from the live nodes (the searchers rebuild past one half
-// dead). Searches are safe to run concurrently; mutations (Add/Remove)
-// are not safe concurrently with anything — snapshot-swapped serving
-// mutates a Clone and swaps it in.
+// connectivity — a dead node keeps its row through its slice header — and
+// DeletedFraction lets the owning searcher decide when to rebuild from the
+// live nodes (the searchers rebuild past one half dead). Searches are safe
+// to run concurrently; mutations (Add/Remove) are not safe concurrently
+// with anything — snapshot-swapped serving mutates a Clone and swaps it in.
 //
 // Determinism: level assignment hashes (seed, node id) instead of drawing
 // from a shared RNG, so the graph produced by a given insertion sequence
@@ -35,9 +29,10 @@
 package ann
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"dust/internal/vector"
@@ -63,7 +58,6 @@ type Config struct {
 	M              int    // max neighbors per node per layer (base layer: 2M)
 	EfConstruction int    // insertion beam width
 	Seed           uint64 // level-hash salt
-	Quantized      bool   // store SQ8 codes instead of float32 vectors
 }
 
 func (c *Config) defaults() {
@@ -87,22 +81,10 @@ type Index struct {
 	efCon int
 	seed  uint64
 	mL    float64 // level multiplier, 1/ln(M)
-	quant bool
 
-	// Float storage (quant == false): one slice per node.
-	vecs []vector.Vec32
-
-	// Quantized storage (quant == true): codes is the flat n×dim int8
-	// code matrix (node id strides by dim); qscale/qoff are the per-node
-	// affine dequantization parameters and qs1/qs2 the cached code sums
-	// (Σc, Σc²) that make every distance one dot product plus O(1)
-	// algebra.
-	codes  []int8
-	qscale []float32
-	qoff   []float32
-	qs1    []int32
-	qs2    []int32
-
+	// rows holds each node's row, aliased from the owner, never copied or
+	// written. A decoded graph has no rows until BindRows.
+	rows    []vector.Vec
 	levels  []int32
 	links   [][][]int32 // node -> layer -> neighbor ids
 	deleted []bool
@@ -169,7 +151,6 @@ func New(dim int, cfg Config) *Index {
 		efCon:   cfg.EfConstruction,
 		seed:    cfg.Seed,
 		mL:      1 / math.Log(float64(cfg.M)),
-		quant:   cfg.Quantized,
 		entry:   -1,
 		scratch: &sync.Pool{New: func() any { return new(searchScratch) }},
 	}
@@ -195,66 +176,45 @@ func (ix *Index) DeletedFraction() float64 {
 	return float64(ix.nDel) / float64(ix.Len())
 }
 
-// Quantized reports whether the index stores SQ8 codes instead of float32
-// vectors.
-func (ix *Index) Quantized() bool { return ix.quant }
-
-// Vec returns the stored vector of a node. For a float index this is the
-// stored slice and callers must not mutate it; for a quantized index it is
-// a freshly dequantized (lossy) copy.
-func (ix *Index) Vec(id int) vector.Vec32 {
-	if !ix.quant {
-		return ix.vecs[id]
-	}
-	return vector.Dequantize(vector.QVec32{
-		Codes:  ix.codeAt(int32(id)),
-		Scale:  ix.qscale[id],
-		Offset: ix.qoff[id],
-	})
-}
-
-// VectorBytes returns the resident bytes of vector storage alone: float32
-// payloads for a float index, int8 codes plus the 16-byte per-node
-// quantization record for a quantized one. This is the number the 4x
-// memory claim is about; Bytes adds the adjacency lists shared by both
-// layouts.
-func (ix *Index) VectorBytes() int64 {
-	if ix.quant {
-		return int64(len(ix.codes)) + int64(len(ix.qscale))*16
-	}
-	var b int64
-	for _, v := range ix.vecs {
-		b += int64(len(v)) * 4
-	}
-	return b
-}
-
-// Bytes estimates the index's total resident footprint: vector storage
-// plus adjacency lists and per-node bookkeeping (slice headers included,
-// allocator slack not).
-func (ix *Index) Bytes() int64 {
-	b := ix.VectorBytes()
+// Edges returns the number of directed links over every layer.
+func (ix *Index) Edges() int {
+	n := 0
 	for _, layers := range ix.links {
-		b += 24 // layer-slice header
 		for _, nbs := range layers {
-			b += 24 + int64(len(nbs))*4
+			n += len(nbs)
 		}
 	}
-	b += int64(ix.Len()) * (4 + 1) // levels + tombstones
-	if !ix.quant {
-		b += int64(ix.Len()) * 24 // per-vector slice headers
+	return n
+}
+
+// Bytes estimates the index's resident footprint: adjacency lists and
+// per-node bookkeeping, slice headers included and allocator slack not. The
+// rows belong to the owner and are not counted; their headers are.
+func (ix *Index) Bytes() int64 {
+	b := int64(ix.Edges()) * 4
+	for _, layers := range ix.links {
+		b += 24 + int64(len(layers))*24 // layer-slice header + one per layer
 	}
-	return b
+	return b + int64(ix.Len())*(24+4+1) // row header, level, tombstone
 }
 
 // item is one (distance, node) pair; all orderings tie-break on id so
 // traversal is deterministic.
 type item struct {
-	d  float32
+	d  float64
 	id int32
 }
 
 func (a item) less(b item) bool { return a.d < b.d || (a.d == b.d && a.id < b.id) }
+
+// compareItems is less as a three-way comparison, for slices.SortFunc:
+// the order is total, so any sort yields the same sequence.
+func compareItems(a, b item) int {
+	if c := cmp.Compare(a.d, b.d); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
 
 // splitmix64 is the per-node level hash (Steele et al.); a hash rather
 // than an RNG so node i's level depends only on (seed, i).
@@ -274,136 +234,26 @@ func (ix *Index) levelFor(id int) int {
 	return l
 }
 
-// codeAt returns node id's row of the flat code matrix.
-func (ix *Index) codeAt(id int32) []int8 {
-	off := int(id) * ix.dim
-	return ix.codes[off : off+ix.dim]
-}
-
-// nodeDist is the distance between two stored nodes. For quantized
-// storage it expands the squared distance of the two reconstructions
-// algebraically over the cached per-node sums, so the only per-dimension
-// work is the integer code dot product.
-func (ix *Index) nodeDist(a, b int32) float32 {
-	if !ix.quant {
-		return vector.SquaredEuclidean32(ix.vecs[a], ix.vecs[b])
-	}
-	sa, sb := ix.qscale[a], ix.qscale[b]
-	oa, ob := ix.qoff[a], ix.qoff[b]
-	do := oa - ob
-	dot := vector.DotCodes(ix.codeAt(a), ix.codeAt(b))
-	return float32(ix.dim)*do*do +
-		2*do*(sa*float32(ix.qs1[a])-sb*float32(ix.qs1[b])) +
-		sa*sa*float32(ix.qs2[a]) + sb*sb*float32(ix.qs2[b]) -
-		2*sa*sb*float32(dot)
-}
-
-// queryDist is the asymmetric distance from a float query (with its Σq²
-// and Σq precomputed once per search) to a quantized node: the exact
-// squared distance between q and the node's reconstruction, again one
-// dot product plus O(1) algebra.
-func (ix *Index) queryDist(q vector.Vec32, q2, qs float32, id int32) float32 {
-	s, o := ix.qscale[id], ix.qoff[id]
-	dot := vector.DotF32Codes(q, ix.codeAt(id))
-	term := s*s*float32(ix.qs2[id]) + 2*s*o*float32(ix.qs1[id]) + float32(ix.dim)*o*o
-	return q2 - 2*o*qs - 2*s*dot + term
-}
-
-// probe is a prepared distance source for one traversal: a float query
-// (asymmetric kernel against quantized nodes), or a stored node during
-// insertion (symmetric int8 kernel), or a plain float vector against
-// float storage. Preparing it once hoists the per-search precomputation
-// out of the per-hop path.
-type probe struct {
-	ix *Index
-	v  vector.Vec32 // float query; also the stored vector for float probes
-	id int32        // stored-node probe for quantized storage; -1 otherwise
-	q2 float32      // Σv² (quantized asymmetric path)
-	qs float32      // Σv  (quantized asymmetric path)
-}
-
-func (p probe) dist(to int32) float32 {
-	ix := p.ix
-	if !ix.quant {
-		return vector.SquaredEuclidean32(p.v, ix.vecs[to])
-	}
-	if p.id >= 0 {
-		return ix.nodeDist(p.id, to)
-	}
-	return ix.queryDist(p.v, p.q2, p.qs, to)
-}
-
-// probeFor prepares a probe for stored node id (the insertion vantage).
-func (ix *Index) probeFor(id int32) probe {
-	if ix.quant {
-		return probe{ix: ix, id: id}
-	}
-	return probe{ix: ix, id: -1, v: ix.vecs[id]}
-}
-
-// queryProbe prepares a probe for an external float query.
-func (ix *Index) queryProbe(q vector.Vec32) probe {
-	p := probe{ix: ix, id: -1, v: q}
-	if ix.quant {
-		var q2, qs float32
-		for _, x := range q {
-			q2 += x * x
-			qs += x
-		}
-		p.q2, p.qs = q2, qs
-	}
-	return p
-}
-
-// appendFloat books one node with float32 storage (the vector is copied)
-// and returns its id. The caller must insert the node afterwards.
-func (ix *Index) appendFloat(v vector.Vec32) int32 {
-	stored := make(vector.Vec32, len(v))
-	copy(stored, v)
-	ix.vecs = append(ix.vecs, stored)
-	return ix.appendNode()
-}
-
-// appendCodes books one node with pre-quantized storage (codes are copied
-// verbatim, never re-derived — Compact reuses this so compaction cannot
-// drift the stored representation) and returns its id.
-func (ix *Index) appendCodes(codes []int8, scale, offset float32) int32 {
-	ix.codes = append(ix.codes, codes...)
-	s1, s2 := vector.CodeSums(codes)
-	ix.qscale = append(ix.qscale, scale)
-	ix.qoff = append(ix.qoff, offset)
-	ix.qs1 = append(ix.qs1, s1)
-	ix.qs2 = append(ix.qs2, s2)
-	return ix.appendNode()
-}
-
-// appendVector books storage for v under the index's storage mode.
-func (ix *Index) appendVector(v vector.Vec32) int32 {
-	if ix.quant {
-		q := vector.Quantize(v)
-		return ix.appendCodes(q.Codes, q.Scale, q.Offset)
-	}
-	return ix.appendFloat(v)
-}
-
-// appendNode books the id-parallel graph state for the node whose storage
-// was just appended.
-func (ix *Index) appendNode() int32 {
+// appendNode books row as the next node's row, plus the id-parallel graph
+// state, and returns the node's id. The caller must insert the node
+// afterwards.
+func (ix *Index) appendNode(row vector.Vec) int32 {
 	id := int32(len(ix.levels))
 	lvl := ix.levelFor(int(id))
+	ix.rows = append(ix.rows, row)
 	ix.levels = append(ix.levels, int32(lvl))
 	ix.deleted = append(ix.deleted, false)
 	ix.links = append(ix.links, make([][]int32, lvl+1))
 	return id
 }
 
-// Add inserts a vector (copied; quantized on the way in when the index is
-// quantized) and returns its node id.
-func (ix *Index) Add(v vector.Vec32) int {
-	if len(v) != ix.dim {
-		panic(fmt.Sprintf("ann: Add dimension %d, index holds %d", len(v), ix.dim))
+// Add inserts row and returns its node id. The index keeps row itself, not
+// a copy: the caller must never write to it again.
+func (ix *Index) Add(row vector.Vec) int {
+	if len(row) != ix.dim {
+		panic(fmt.Sprintf("ann: Add dimension %d, index holds %d", len(row), ix.dim))
 	}
-	id := ix.appendVector(v)
+	id := ix.appendNode(row)
 	ix.insert(id)
 	return int(id)
 }
@@ -429,17 +279,17 @@ func (ix *Index) planNode(id int32, sc *searchScratch) [][]int32 {
 	if ix.entry < 0 {
 		return neigh
 	}
-	p := ix.probeFor(id)
+	q := ix.rows[id]
 	ep := ix.entry
 	for l := int(ix.maxLvl); l > lvl; l-- {
-		ep = ix.greedy(p, ep, l)
+		ep = ix.greedy(q, ep, l)
 	}
 	top := lvl
 	if int(ix.maxLvl) < top {
 		top = int(ix.maxLvl)
 	}
 	for l := top; l >= 0; l-- {
-		found := ix.searchLayer(p, sc, ep, ix.efCon, l, false)
+		found := ix.searchLayer(q, sc, ep, ix.efCon, l, false)
 		neigh[l] = ix.selectNeighbors(found, ix.m)
 		if len(found) > 0 {
 			ep = found[0].id
@@ -478,9 +328,9 @@ func (ix *Index) linkBack(nb, id int32, l, budget int) {
 	}
 	cands := make([]item, len(list))
 	for i, o := range list {
-		cands[i] = item{ix.nodeDist(nb, o), o}
+		cands[i] = item{ix.dist(ix.rows[nb], o), o}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].less(cands[j]) })
+	slices.SortFunc(cands, compareItems)
 	ix.links[nb][l] = ix.selectNeighbors(cands, budget)
 }
 
@@ -499,7 +349,7 @@ func (ix *Index) selectNeighbors(cands []item, m int) []int32 {
 		}
 		keep := true
 		for _, s := range out {
-			if ix.nodeDist(c.id, s) < c.d {
+			if ix.dist(ix.rows[c.id], s) < c.d {
 				keep = false
 				break
 			}
@@ -519,14 +369,21 @@ func (ix *Index) selectNeighbors(cands []item, m int) []int32 {
 	return out
 }
 
+// dist is the squared euclidean distance from q to node id's row: the one
+// distance of every hop, in float64 on the owner's rows. An all-zero row
+// (a column with no tokens) sits at distance 1 from every unit row.
+func (ix *Index) dist(q vector.Vec, id int32) float64 {
+	return vector.SquaredEuclidean(q, ix.rows[id])
+}
+
 // greedy descends one layer: repeatedly hop to the neighbor strictly
-// closer to the probe (ties to the smaller id, so the walk cannot cycle).
-func (ix *Index) greedy(p probe, ep int32, layer int) int32 {
-	best := p.dist(ep)
+// closer to q (ties to the smaller id, so the walk cannot cycle).
+func (ix *Index) greedy(q vector.Vec, ep int32, layer int) int32 {
+	best := ix.dist(q, ep)
 	for {
 		improved := false
 		for _, nb := range ix.links[ep][layer] {
-			if d := p.dist(nb); d < best || (d == best && nb < ep) {
+			if d := ix.dist(q, nb); d < best || (d == best && nb < ep) {
 				best, ep, improved = d, nb, true
 			}
 		}
@@ -545,10 +402,10 @@ func (ix *Index) greedy(p probe, ep int32, layer int) int32 {
 // disconnect the graph — but never occupy a beam slot, so queries keep
 // their full ef of live results without widening the beam by the
 // tombstone count.
-func (ix *Index) searchLayer(p probe, sc *searchScratch, ep int32, ef, layer int, liveOnly bool) []item {
+func (ix *Index) searchLayer(q vector.Vec, sc *searchScratch, ep int32, ef, layer int, liveOnly bool) []item {
 	sc.visited.next(ix.Len())
 	sc.visited.visit(ep)
-	first := item{p.dist(ep), ep}
+	first := item{ix.dist(q, ep), ep}
 	cand := append(sc.cand[:0], first)
 	beam := sc.beam[:0]
 	if !liveOnly || !ix.deleted[ep] {
@@ -563,7 +420,7 @@ func (ix *Index) searchLayer(p probe, sc *searchScratch, ep int32, ef, layer int
 			if !sc.visited.visit(nb) {
 				continue
 			}
-			it := item{p.dist(nb), nb}
+			it := item{ix.dist(q, nb), nb}
 			if len(beam) < ef || it.less(beam[0]) {
 				cand.push(it)
 				if liveOnly && ix.deleted[nb] {
@@ -579,7 +436,7 @@ func (ix *Index) searchLayer(p probe, sc *searchScratch, ep int32, ef, layer int
 	sc.cand = cand[:0]
 	sc.beam = beam[:0]
 	out := []item(beam)
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	slices.SortFunc(out, compareItems)
 	return out
 }
 
@@ -587,7 +444,7 @@ func (ix *Index) searchLayer(p probe, sc *searchScratch, ep int32, ef, layer int
 // id). ef bounds the base-layer beam and is clamped to at least n;
 // tombstoned nodes are traversed but never hold beam slots, so query
 // cost does not grow with the tombstone count.
-func (ix *Index) Search(q vector.Vec32, n, ef int) []int {
+func (ix *Index) Search(q vector.Vec, n, ef int) []int {
 	if n <= 0 || ix.entry < 0 || ix.Live() == 0 {
 		return nil
 	}
@@ -600,14 +457,13 @@ func (ix *Index) Search(q vector.Vec32, n, ef int) []int {
 	if ef > ix.Len() {
 		ef = ix.Len()
 	}
-	p := ix.queryProbe(q)
 	sc := ix.scratch.Get().(*searchScratch)
 	defer ix.scratch.Put(sc)
 	ep := ix.entry
 	for l := int(ix.maxLvl); l > 0; l-- {
-		ep = ix.greedy(p, ep, l)
+		ep = ix.greedy(q, ep, l)
 	}
-	found := ix.searchLayer(p, sc, ep, ef, 0, true)
+	found := ix.searchLayer(q, sc, ep, ef, 0, true)
 	if len(found) > n {
 		found = found[:n]
 	}
@@ -635,24 +491,18 @@ func (ix *Index) Remove(id int) error {
 
 // Compact returns a fresh index holding only the live nodes, re-inserted
 // in id order — their original insertion order, so a compacted graph is
-// as deterministic as an incrementally built one. Quantized nodes carry
-// their codes over verbatim (no re-quantization), so compaction preserves
-// stored representations — and therefore distances — exactly. onLive
+// as deterministic as an incrementally built one. Survivors keep their
+// rows, so distances are preserved exactly; only live rows are read. onLive
 // reports each survivor's (old id, new id) pair in insertion order so
 // owners can rebook their id-parallel state. The receiver is not
 // modified.
 func (ix *Index) Compact(onLive func(oldID, newID int)) *Index {
-	out := New(ix.dim, Config{M: ix.m, EfConstruction: ix.efCon, Seed: ix.seed, Quantized: ix.quant})
+	out := New(ix.dim, Config{M: ix.m, EfConstruction: ix.efCon, Seed: ix.seed})
 	for id := 0; id < ix.Len(); id++ {
 		if ix.deleted[id] {
 			continue
 		}
-		var nid int32
-		if ix.quant {
-			nid = out.appendCodes(ix.codeAt(int32(id)), ix.qscale[id], ix.qoff[id])
-		} else {
-			nid = out.appendFloat(ix.vecs[id])
-		}
+		nid := out.appendNode(ix.rows[id])
 		out.insert(nid)
 		if onLive != nil {
 			onLive(id, int(nid))
@@ -663,21 +513,13 @@ func (ix *Index) Compact(onLive func(oldID, newID int)) *Index {
 
 // Clone returns an independently mutable copy: adjacency lists and
 // tombstones are deep-copied (insertion rewires neighbors in place) while
-// the vector payloads — immutable once stored — are shared. Float
-// storage shares the per-node slices behind a copied header slice;
-// quantized storage shares the flat arrays behind capacity-clamped views,
-// so an Add on either side reallocates instead of writing into the other
-// side's tail. Serving layers mutate the clone and atomically swap it in;
-// searches in flight on the original keep reading a frozen graph.
+// the rows are shared behind a capacity-clamped view, so an Add on either
+// side reallocates instead of writing into the other side's tail. Serving
+// layers mutate the clone and atomically swap it in; searches in flight on
+// the original keep reading a frozen graph.
 func (ix *Index) Clone() *Index {
 	c := *ix
-	c.vecs = make([]vector.Vec32, len(ix.vecs))
-	copy(c.vecs, ix.vecs)
-	c.codes = ix.codes[:len(ix.codes):len(ix.codes)]
-	c.qscale = ix.qscale[:len(ix.qscale):len(ix.qscale)]
-	c.qoff = ix.qoff[:len(ix.qoff):len(ix.qoff)]
-	c.qs1 = ix.qs1[:len(ix.qs1):len(ix.qs1)]
-	c.qs2 = ix.qs2[:len(ix.qs2):len(ix.qs2)]
+	c.rows = slices.Clip(ix.rows)
 	c.levels = make([]int32, len(ix.levels))
 	copy(c.levels, ix.levels)
 	c.deleted = make([]bool, len(ix.deleted))

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 
 // randomUnit generates clustered unit vectors: `clusters` centers with
 // small per-point noise, the geometry of a data lake full of near-copies.
-func clusteredVecs(n, dim, clusters int, seed int64) []vector.Vec32 {
+func clusteredVecs(n, dim, clusters int, seed int64) []vector.Vec {
 	rng := rand.New(rand.NewSource(seed))
 	centers := make([]vector.Vec, clusters)
 	for i := range centers {
@@ -26,22 +27,22 @@ func clusteredVecs(n, dim, clusters int, seed int64) []vector.Vec32 {
 		}
 		centers[i] = vector.Normalize(c)
 	}
-	out := make([]vector.Vec32, n)
+	out := make([]vector.Vec, n)
 	for i := range out {
 		c := centers[i%clusters]
 		v := make(vector.Vec, dim)
 		for j := range v {
 			v[j] = c[j] + 0.15*rng.NormFloat64()
 		}
-		out[i] = vector.ToVec32(vector.Normalize(v))
+		out[i] = vector.Normalize(v)
 	}
 	return out
 }
 
 // bruteTopN is the exact oracle: ids sorted by (distance, id).
-func bruteTopN(ix *Index, q vector.Vec32, n int) []int {
+func bruteTopN(ix *Index, q vector.Vec, n int) []int {
 	type di struct {
-		d  float32
+		d  float64
 		id int
 	}
 	var all []di
@@ -49,7 +50,7 @@ func bruteTopN(ix *Index, q vector.Vec32, n int) []int {
 		if ix.Deleted(id) {
 			continue
 		}
-		all = append(all, di{vector.SquaredEuclidean32(q, ix.Vec(id)), id})
+		all = append(all, di{vector.SquaredEuclidean(q, ix.rows[id]), id})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		return all[i].d < all[j].d || (all[i].d == all[j].d && all[i].id < all[j].id)
@@ -64,7 +65,7 @@ func bruteTopN(ix *Index, q vector.Vec32, n int) []int {
 	return out
 }
 
-func buildIndex(vecs []vector.Vec32) *Index {
+func buildIndex(vecs []vector.Vec) *Index {
 	ix := New(len(vecs[0]), Config{})
 	for _, v := range vecs {
 		ix.Add(v)
@@ -183,28 +184,24 @@ func roundTrip(t *testing.T, ix *Index) *Index {
 	var b codec.Buffer
 	ix.Encode(&b)
 	sc := codec.NewScanner(b.Bytes())
-	got, err := Decode(sc)
+	got, err := Decode(sc, 3)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if err := sc.Finish(); err != nil {
 		t.Fatalf("finish: %v", err)
 	}
+	got.BindRows(slices.Clip(ix.rows))
 	return got
 }
 
 func TestCodecRoundTrip(t *testing.T) {
 	vecs := clusteredVecs(300, 16, 4, 41)
 	ix := buildIndex(vecs)
-	for _, id := range []int{5, 77, 142} {
-		if err := ix.Remove(id); err != nil {
-			t.Fatal(err)
-		}
-	}
 	got := roundTrip(t, ix)
-	if got.Len() != ix.Len() || got.Live() != ix.Live() || got.Dim() != ix.Dim() {
+	if got.Len() != ix.Len() || got.Edges() != ix.Edges() || got.Dim() != ix.Dim() {
 		t.Fatalf("round trip changed shape: %d/%d/%d vs %d/%d/%d",
-			got.Len(), got.Live(), got.Dim(), ix.Len(), ix.Live(), ix.Dim())
+			got.Len(), got.Edges(), got.Dim(), ix.Len(), ix.Edges(), ix.Dim())
 	}
 	q := clusteredVecs(1, 16, 4, 42)[0]
 	if a, b := ix.Search(q, 10, 64), got.Search(q, 10, 64); !reflect.DeepEqual(a, b) {
@@ -216,65 +213,129 @@ func TestCodecRoundTrip(t *testing.T) {
 		ix.Add(v)
 		got.Add(v)
 	}
-	if a, b := ix.Search(q, 10, 64), got.Search(q, 10, 64); !reflect.DeepEqual(a, b) {
-		t.Fatalf("post-decode growth diverged: %v vs %v", a, b)
+	if !bytes.Equal(encodeBytes(ix), encodeBytes(got)) {
+		t.Fatal("post-decode growth diverged from the original graph")
 	}
 
 	empty := roundTrip(t, New(8, Config{}))
-	if empty.Len() != 0 || empty.Search(make(vector.Vec32, 8), 3, 8) != nil {
+	if empty.Len() != 0 || empty.Search(make(vector.Vec, 8), 3, 8) != nil {
 		t.Fatal("empty index did not round-trip to an empty index")
 	}
+	// The layout has no tombstones: encoding a graph that has some panics.
+	defer func() {
+		if recover() == nil {
+			t.Error("Encode of a tombstoned graph did not panic")
+		}
+	}()
+	if err := ix.Remove(5); err != nil {
+		t.Fatal(err)
+	}
+	encodeBytes(ix)
 }
 
+// TestDecodeRejectsCorruption feeds Decode every truncation of a real graph
+// and hand-written one-node payloads that each bend one field: all must
+// fail typed, never panic. Version 1 payloads carried a float32 vector per
+// node, which Decode still reads and validates before dropping it; the
+// version 2 SQ8 vector has its own test below.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	ix := buildIndex(clusteredVecs(50, 8, 2, 51))
-	var b codec.Buffer
-	ix.Encode(&b)
-	valid := b.Bytes()
-
-	// Truncations at every prefix must error, never panic.
+	valid := encodeBytes(buildIndex(clusteredVecs(50, 8, 2, 51)))
 	for cut := 0; cut < len(valid); cut += 7 {
 		sc := codec.NewScanner(valid[:cut])
-		if ix, err := Decode(sc); err == nil && sc.Finish() == nil {
-			_ = ix.Search(make(vector.Vec32, ix.Dim()), 3, 8)
+		if _, err := Decode(sc, 3); err == nil && sc.Finish() == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
 	}
 
-	bad := []struct {
-		name string
-		mut  func() *codec.Buffer
-	}{
-		{"zero dim", func() *codec.Buffer {
-			var b codec.Buffer
-			b.Int(0)
-			return &b
-		}},
-		{"huge M", func() *codec.Buffer {
-			var b codec.Buffer
-			b.Int(8)
-			b.Int(1 << 20)
-			b.Int(10)
-			b.Uvarint(1)
-			b.Int(0)
-			return &b
-		}},
-		{"entry out of range", func() *codec.Buffer {
-			var b codec.Buffer
-			b.Int(8)
-			b.Int(4)
-			b.Int(10)
-			b.Uvarint(1)
-			b.Int(1) // one node
-			b.Int(9) // entry 9 of 1
-			b.Int(0) // maxLvl
-			return &b
-		}},
+	// Sanity: the well-formed payloads decode, so the rejections below test
+	// the mutation and not the layout.
+	for v, vec := range map[uint16]func(*codec.Buffer){1: floatVec(8), 3: nil} {
+		if ix, err := Decode(codec.NewScanner(oneNode(v, 8, 4, 0, vec)), v); err != nil || ix.Len() != 1 {
+			t.Fatalf("well-formed v%d payload: %v", v, err)
+		}
 	}
-	for _, tc := range bad {
-		if _, err := Decode(codec.NewScanner(tc.mut().Bytes())); !errors.Is(err, codec.ErrCorrupt) && !errors.Is(err, codec.ErrTruncated) {
+	for _, tc := range []struct {
+		name    string
+		version uint16
+		data    []byte
+	}{
+		{"zero dim", 3, oneNode(3, 0, 4, 0, nil)},
+		{"huge M", 3, oneNode(3, 8, 1<<20, 0, nil)},
+		{"entry out of range", 3, oneNode(3, 8, 4, 9, nil)},
+		{"short float vector", 1, oneNode(1, 8, 4, 0, floatVec(7))},
+	} {
+		if _, err := Decode(codec.NewScanner(tc.data), tc.version); !errors.Is(err, codec.ErrCorrupt) && !errors.Is(err, codec.ErrTruncated) {
 			t.Errorf("%s: err = %v, want ErrCorrupt/ErrTruncated", tc.name, err)
 		}
+	}
+}
+
+// TestDecodeRejectsQuantizedCorruption covers the legacy version 2 SQ8
+// payload (a scale, an offset and dim int8 codes per node), which Decode
+// still parses and validates before dropping it: each case bends one field,
+// and every truncation of the well-formed payload must fail typed too.
+func TestDecodeRejectsQuantizedCorruption(t *testing.T) {
+	valid := oneNode(2, 8, 4, 0, sq8Vec(0.5, 0, 8))
+	if ix, err := Decode(codec.NewScanner(valid), 2); err != nil || ix.Len() != 1 {
+		t.Fatalf("well-formed v2 SQ8 payload: %v", err)
+	}
+	for cut := 0; cut < len(valid); cut++ {
+		sc := codec.NewScanner(valid[:cut])
+		if _, err := Decode(sc, 2); err == nil && sc.Finish() == nil {
+			t.Fatalf("truncation at %d decoded cleanly", cut)
+		}
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"NaN scale", oneNode(2, 8, 4, 0, sq8Vec(nan, 0, 8))},
+		{"Inf offset", oneNode(2, 8, 4, 0, sq8Vec(0.5, inf, 8))},
+		{"negative scale", oneNode(2, 8, 4, 0, sq8Vec(-1, 0, 8))},
+		{"truncated codes", oneNode(2, 8, 4, 0, sq8Vec(0.5, 0, 7))},
+		{"oversized codes", oneNode(2, 8, 4, 0, sq8Vec(0.5, 0, 9))},
+	} {
+		if _, err := Decode(codec.NewScanner(tc.data), 2); !errors.Is(err, codec.ErrCorrupt) && !errors.Is(err, codec.ErrTruncated) {
+			t.Errorf("%s: err = %v, want ErrCorrupt/ErrTruncated", tc.name, err)
+		}
+	}
+}
+
+// oneNode writes a one-node graph file body in the given format version:
+// one level-0 node without links under efConstruction 10 and seed 1; vec
+// writes the vector a version 1 or 2 node carried.
+func oneNode(version uint16, dim, m, entry int, vec func(*codec.Buffer)) []byte {
+	var b codec.Buffer
+	if version == 2 {
+		b.Bool(true) // SQ8 storage
+	}
+	for _, x := range []int{dim, m, 10} {
+		b.Int(x)
+	}
+	b.Uvarint(1)
+	for _, x := range []int{1, entry, 0, 0} { // nodes, entry, max level, node level
+		b.Int(x)
+	}
+	if version < 3 {
+		b.Bool(false) // not a tombstone
+		vec(&b)
+	}
+	b.Int(0) // layer 0: no neighbors
+	return b.Bytes()
+}
+
+// floatVec writes a version 1 node's float32 vector of length n.
+func floatVec(n int) func(*codec.Buffer) {
+	return func(b *codec.Buffer) { b.Float32s(make([]float32, n)) }
+}
+
+// sq8Vec writes a version 2 node's SQ8 vector: scale, offset, then codes bytes.
+func sq8Vec(scale, offset float32, codes int) func(*codec.Buffer) {
+	return func(b *codec.Buffer) {
+		b.Float32(scale)
+		b.Float32(offset)
+		b.RawBytes(make([]byte, codes))
 	}
 }
 
@@ -290,18 +351,10 @@ func encodeBytes(ix *Index) []byte {
 // reproducible regardless of the machine that built it.
 func TestBuildWorkersBitIdentical(t *testing.T) {
 	vecs := clusteredVecs(1500, 24, 6, 71)
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"float", Config{}},
-		{"quantized", Config{Quantized: true}},
-	} {
-		base := encodeBytes(Build(24, vecs, tc.cfg, 1))
-		for _, w := range []int{2, 4, 8} {
-			if got := encodeBytes(Build(24, vecs, tc.cfg, w)); !bytes.Equal(base, got) {
-				t.Fatalf("%s: workers=%d built a different graph than workers=1", tc.name, w)
-			}
+	base := encodeBytes(Build(24, vecs, Config{}, 1))
+	for _, w := range []int{2, 4, 8} {
+		if got := encodeBytes(Build(24, vecs, Config{}, w)); !bytes.Equal(base, got) {
+			t.Fatalf("workers=%d built a different graph than workers=1", w)
 		}
 	}
 }
@@ -318,133 +371,12 @@ func TestBuildMatchesSequentialAdd(t *testing.T) {
 	}
 }
 
-// Quantized navigation must keep recall: the int8 beam search ranks by
-// approximate distances, so we gate it against the true float oracle (a
-// float index over the same vectors — ids line up by insertion order).
-func TestQuantizedRecall(t *testing.T) {
-	vecs := clusteredVecs(2000, 32, 8, 7)
-	oracle := buildIndex(vecs)
-	qix := Build(32, vecs, Config{Quantized: true}, 4)
-	if !qix.Quantized() {
-		t.Fatal("Config.Quantized did not stick")
-	}
-	queries := clusteredVecs(50, 32, 8, 99)
-	const k = 10
-	hits, total := 0, 0
-	for _, q := range queries {
-		want := bruteTopN(oracle, q, k)
-		got := qix.Search(q, k, 100)
-		in := make(map[int]bool, len(got))
-		for _, id := range got {
-			in[id] = true
-		}
-		for _, id := range want {
-			total++
-			if in[id] {
-				hits++
-			}
-		}
-	}
-	if recall := float64(hits) / float64(total); recall < 0.95 {
-		t.Fatalf("quantized recall@%d = %.3f vs float oracle, want >= 0.95", k, recall)
-	}
-}
-
-func TestQuantizedCodecRoundTrip(t *testing.T) {
-	vecs := clusteredVecs(300, 16, 4, 45)
-	ix := Build(16, vecs, Config{Quantized: true}, 2)
-	for _, id := range []int{5, 77, 142} {
-		if err := ix.Remove(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := roundTrip(t, ix)
-	if !got.Quantized() {
-		t.Fatal("round trip dropped the quantized storage flag")
-	}
-	if got.Len() != ix.Len() || got.Live() != ix.Live() || got.Dim() != ix.Dim() {
-		t.Fatalf("round trip changed shape: %d/%d/%d vs %d/%d/%d",
-			got.Len(), got.Live(), got.Dim(), ix.Len(), ix.Live(), ix.Dim())
-	}
-	q := clusteredVecs(1, 16, 4, 46)[0]
-	if a, b := ix.Search(q, 10, 64), got.Search(q, 10, 64); !reflect.DeepEqual(a, b) {
-		t.Fatalf("round trip changed search results: %v vs %v", a, b)
-	}
-	// Growth equivalence: a decoded quantized graph keeps extending exactly
-	// like the original (codes, sums, and links all restored verbatim).
-	for _, v := range clusteredVecs(10, 16, 4, 47) {
-		ix.Add(v)
-		got.Add(v)
-	}
-	if !bytes.Equal(encodeBytes(ix), encodeBytes(got)) {
-		t.Fatal("post-decode growth diverged from the original quantized graph")
-	}
-}
-
-func TestDecodeRejectsQuantizedCorruption(t *testing.T) {
-	// A hand-written single-node quantized payload in the v2 layout; each
-	// case bends one field that Decode must catch.
-	payload := func(scale, offset float32, codes []byte) *codec.Buffer {
-		var b codec.Buffer
-		b.Bool(true) // quantized storage
-		b.Int(8)     // dim
-		b.Int(4)     // M
-		b.Int(10)    // efConstruction
-		b.Uvarint(1) // seed
-		b.Int(1)     // one node
-		b.Int(0)     // entry
-		b.Int(0)     // maxLvl
-		b.Int(0)     // node level
-		b.Bool(false)
-		b.Float32(scale)
-		b.Float32(offset)
-		b.RawBytes(codes)
-		b.Int(0) // layer 0: no neighbors
-		return &b
-	}
-	// Sanity: the well-formed version of the payload decodes cleanly, so
-	// the rejections below test the mutation and not the layout.
-	if ix, err := Decode(codec.NewScanner(payload(0.5, 0, make([]byte, 8)).Bytes())); err != nil {
-		t.Fatalf("well-formed quantized payload rejected: %v", err)
-	} else if !ix.Quantized() || ix.Len() != 1 {
-		t.Fatalf("well-formed payload decoded to Quantized=%v Len=%d", ix.Quantized(), ix.Len())
-	}
-
-	nan := float32(math.NaN())
-	inf := float32(math.Inf(1))
-	bad := []struct {
-		name string
-		buf  *codec.Buffer
-	}{
-		{"NaN scale", payload(nan, 0, make([]byte, 8))},
-		{"Inf offset", payload(0.5, inf, make([]byte, 8))},
-		{"negative scale", payload(-1, 0, make([]byte, 8))},
-		{"truncated codes", payload(0.5, 0, make([]byte, 7))},
-		{"oversized codes", payload(0.5, 0, make([]byte, 9))},
-	}
-	for _, tc := range bad {
-		if _, err := Decode(codec.NewScanner(tc.buf.Bytes())); !errors.Is(err, codec.ErrCorrupt) && !errors.Is(err, codec.ErrTruncated) {
-			t.Errorf("%s: err = %v, want ErrCorrupt/ErrTruncated", tc.name, err)
-		}
-	}
-
-	// Truncations of a real quantized encoding must error, never panic.
-	valid := encodeBytes(Build(8, clusteredVecs(50, 8, 2, 51), Config{Quantized: true}, 2))
-	for cut := 0; cut < len(valid); cut += 7 {
-		sc := codec.NewScanner(valid[:cut])
-		if ix, err := Decode(sc); err == nil && sc.Finish() == nil {
-			_ = ix.Search(make(vector.Vec32, ix.Dim()), 3, 8)
-			t.Fatalf("truncation at %d decoded cleanly", cut)
-		}
-	}
-}
-
-// Compact and Clone must preserve search behaviour exactly on quantized
-// storage: codes are copied verbatim (never re-quantized), so with an
-// exhaustive beam the ranked results match modulo Compact's id remap.
-func TestQuantizedCompactClonePreservesSearch(t *testing.T) {
+// Compact and Clone must preserve search behaviour exactly: nodes keep
+// their rows, so with an exhaustive beam the ranked results match modulo
+// Compact's id remap.
+func TestCompactClonePreservesSearch(t *testing.T) {
 	vecs := clusteredVecs(400, 16, 4, 81)
-	ix := Build(16, vecs, Config{Quantized: true}, 3)
+	ix := Build(16, vecs, Config{}, 3)
 	for _, id := range []int{3, 120, 377} {
 		if err := ix.Remove(id); err != nil {
 			t.Fatal(err)
@@ -459,9 +391,6 @@ func TestQuantizedCompactClonePreservesSearch(t *testing.T) {
 	cl := ix.Clone()
 	remap := make(map[int]int)
 	cp := ix.Compact(func(oldID, newID int) { remap[oldID] = newID })
-	if !cl.Quantized() || !cp.Quantized() {
-		t.Fatalf("storage flag lost: clone=%v compact=%v", cl.Quantized(), cp.Quantized())
-	}
 	if cp.Len() != ix.Live() || cp.Live() != ix.Live() {
 		t.Fatalf("compact Len=%d Live=%d, want %d live nodes", cp.Len(), cp.Live(), ix.Live())
 	}
@@ -485,21 +414,10 @@ func TestQuantizedCompactClonePreservesSearch(t *testing.T) {
 // scratch reuse — regressing to per-query beam/visited allocations blows
 // straight through it.
 func TestSearchAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"float", Config{}},
-		{"quantized", Config{Quantized: true}},
-	} {
-		ix := Build(32, clusteredVecs(2000, 32, 8, 91), tc.cfg, 2)
-		q := clusteredVecs(1, 32, 8, 92)[0]
-		allocs := testing.AllocsPerRun(100, func() {
-			ix.Search(q, 10, 100)
-		})
-		if allocs > 8 {
-			t.Errorf("%s: %.1f allocs per Search, want <= 8", tc.name, allocs)
-		}
+	ix := Build(32, clusteredVecs(2000, 32, 8, 91), Config{}, 2)
+	q := clusteredVecs(1, 32, 8, 92)[0]
+	if allocs := testing.AllocsPerRun(100, func() { ix.Search(q, 10, 100) }); allocs > 8 {
+		t.Errorf("%.1f allocs per Search, want <= 8", allocs)
 	}
 }
 
@@ -507,18 +425,11 @@ func BenchmarkSearch(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		vecs := clusteredVecs(n, 64, 10, 61)
 		ix := buildIndex(vecs)
-		qix := Build(64, vecs, Config{Quantized: true}, 1)
 		q := clusteredVecs(1, 64, 10, 62)[0]
 		b.Run(fmt.Sprintf("hnsw/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ix.Search(q, 10, 100)
-			}
-		})
-		b.Run(fmt.Sprintf("hnsw-quant/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				qix.Search(q, 10, 100)
 			}
 		})
 		b.Run(fmt.Sprintf("brute/n=%d", n), func(b *testing.B) {
@@ -532,20 +443,12 @@ func BenchmarkSearch(b *testing.B) {
 
 func BenchmarkBuild(b *testing.B) {
 	vecs := clusteredVecs(5000, 64, 10, 63)
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"float", Config{}},
-		{"quantized", Config{Quantized: true}},
-	} {
-		for _, w := range []int{1, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", tc.name, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					Build(64, vecs, tc.cfg, w)
-				}
-			})
-		}
+	for _, w := range []int{1, 8} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Build(64, vecs, Config{}, w)
+			}
+		})
 	}
 }

@@ -26,9 +26,10 @@ const buildWarmPrefix = 256
 // batch ends up with no intra-cluster edges at all.
 const buildBatch = 256
 
-// Build constructs an index over vecs (inserted in slice order, so ids
+// Build constructs an index over rows (inserted in slice order, so ids
 // equal slice positions) with a batch-parallel, deterministic schedule
-// running on par worker loops.
+// running on par worker loops. Like Add, it keeps the rows — and the rows
+// slice itself — instead of copying them.
 //
 // The first buildWarmPrefix nodes are inserted sequentially — identical
 // to calling Add in a loop. After that the remaining nodes are committed
@@ -49,41 +50,21 @@ const buildBatch = 256
 // frozen), a window buildBatch keeps narrow — see its comment for why
 // the width is fixed rather than doubling. Recall is gated by the same
 // tests as the sequential builder.
-func Build(dim int, vecs []vector.Vec32, cfg Config, workers int) *Index {
+func Build(dim int, rows []vector.Vec, cfg Config, workers int) *Index {
 	ix := New(dim, cfg)
-	n := len(vecs)
+	n := len(rows)
 	if n == 0 {
 		return ix
 	}
-	for i, v := range vecs {
+	for i, v := range rows {
 		if len(v) != dim {
-			panic(fmt.Sprintf("ann: Build vector %d has dimension %d, index holds %d", i, len(v), dim))
+			panic(fmt.Sprintf("ann: Build row %d has dimension %d, index holds %d", i, len(v), dim))
 		}
 	}
 	workers = par.Normalize(workers)
 
-	// Storage and levels first, in parallel by index: quantization is
-	// per-node independent and levels are a pure hash of (seed, id).
-	if ix.quant {
-		ix.codes = make([]int8, n*dim)
-		ix.qscale = make([]float32, n)
-		ix.qoff = make([]float32, n)
-		ix.qs1 = make([]int32, n)
-		ix.qs2 = make([]int32, n)
-		par.For(workers, n, func(i int) {
-			q := vector.Quantize(vecs[i])
-			copy(ix.codes[i*dim:(i+1)*dim], q.Codes)
-			ix.qscale[i], ix.qoff[i] = q.Scale, q.Offset
-			ix.qs1[i], ix.qs2[i] = vector.CodeSums(q.Codes)
-		})
-	} else {
-		ix.vecs = make([]vector.Vec32, n)
-		par.For(workers, n, func(i int) {
-			stored := make(vector.Vec32, dim)
-			copy(stored, vecs[i])
-			ix.vecs[i] = stored
-		})
-	}
+	// Levels are a pure hash of (seed, id).
+	ix.rows = rows
 	ix.levels = make([]int32, n)
 	ix.links = make([][][]int32, n)
 	ix.deleted = make([]bool, n)

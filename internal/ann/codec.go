@@ -13,17 +13,23 @@ import (
 // embeds the graph alongside its own identity) provides magic, versioning,
 // and the checksum. Decode validates every structural invariant the
 // traversal code relies on — levels, link shapes, neighbor ranges, the
-// entry point, quantization parameters — so a corrupt or hostile graph
-// fails with a typed error instead of panicking mid-search.
+// entry point — so a corrupt or hostile graph fails with a typed error
+// instead of panicking mid-search.
 //
-// The current (envelope version 2) payload leads with a storage flag and
-// carries either float32 vectors or SQ8 codes with their per-node scale
-// and offset; the cached code sums are recomputed on load. Version 1
-// payloads (pre-quantization, float only) remain loadable via DecodeV1.
+// The current layout (envelope version 3) stores adjacency only: the rows
+// belong to the owner, which binds them after decoding (BindRows), and a
+// saved graph carries no tombstones. Versions 1 and 2 stored a tombstone
+// flag and a vector per node — float32 in version 1; a storage flag and
+// then float32, or SQ8 codes with a per-node scale and offset, in version
+// 2. Those payloads are still parsed and validated, then dropped.
 
-// Encode appends the graph to b in the current (version 2) layout.
+// Encode appends the graph to b in the current (version 3) layout. The
+// graph must be tombstone-free (Compact it first): the layout has no room
+// for dead nodes.
 func (ix *Index) Encode(b *codec.Buffer) {
-	b.Bool(ix.quant)
+	if ix.nDel > 0 {
+		panic("ann: Encode of a graph with tombstones")
+	}
 	b.Int(ix.dim)
 	b.Int(ix.m)
 	b.Int(ix.efCon)
@@ -34,23 +40,8 @@ func (ix *Index) Encode(b *codec.Buffer) {
 		b.Int(int(ix.entry))
 		b.Int(int(ix.maxLvl))
 	}
-	var raw []byte
-	if ix.quant {
-		raw = make([]byte, ix.dim)
-	}
 	for i := 0; i < n; i++ {
 		b.Int(int(ix.levels[i]))
-		b.Bool(ix.deleted[i])
-		if ix.quant {
-			b.Float32(ix.qscale[i])
-			b.Float32(ix.qoff[i])
-			for j, c := range ix.codeAt(int32(i)) {
-				raw[j] = byte(c)
-			}
-			b.RawBytes(raw)
-		} else {
-			b.Float32s(ix.vecs[i])
-		}
 		for _, nbs := range ix.links[i] {
 			b.Int(len(nbs))
 			for _, nb := range nbs {
@@ -60,24 +51,17 @@ func (ix *Index) Encode(b *codec.Buffer) {
 	}
 }
 
-// Decode reads a graph written by Encode (the current layout) from sc,
-// validating structure as it goes. On any inconsistency it returns an
-// error wrapping codec.ErrCorrupt (or the scanner's truncation error) and
-// never panics.
-func Decode(sc *codec.Scanner) (*Index, error) { return decode(sc, 2) }
-
-// DecodeV1 reads the pre-quantization float-only payload layout written
-// under KindANN envelope version 1, so indexes saved before the SQ8
-// format bump stay loadable.
-func DecodeV1(sc *codec.Scanner) (*Index, error) { return decode(sc, 1) }
-
-func decode(sc *codec.Scanner, version int) (*Index, error) {
+// Decode reads a graph written under envelope version 1, 2 or 3 from sc,
+// validating structure as it goes. The graph has no rows until BindRows.
+// On any inconsistency it returns an error wrapping codec.ErrCorrupt (or
+// the scanner's truncation error) and never panics.
+func Decode(sc *codec.Scanner, version uint16) (*Index, error) {
 	fail := func(format string, args ...any) (*Index, error) {
 		return nil, fmt.Errorf("ann: "+format+": %w", append(args, codec.ErrCorrupt)...)
 	}
-	quant := false
-	if version >= 2 {
-		quant = sc.Bool()
+	sq8 := false
+	if version == 2 {
+		sq8 = sc.Bool()
 	}
 	dim := sc.Int()
 	m := sc.Int()
@@ -93,7 +77,7 @@ func decode(sc *codec.Scanner, version int) (*Index, error) {
 	if m <= 0 || m > 1<<12 || efCon <= 0 || efCon > 1<<20 {
 		return fail("parameters M=%d ef=%d out of range", m, efCon)
 	}
-	ix := New(dim, Config{M: m, EfConstruction: efCon, Seed: seed, Quantized: quant})
+	ix := New(dim, Config{M: m, EfConstruction: efCon, Seed: seed})
 	if n == 0 {
 		return ix, sc.Err()
 	}
@@ -110,41 +94,20 @@ func decode(sc *codec.Scanner, version int) (*Index, error) {
 	}
 	ix.entry, ix.maxLvl = int32(entry), int32(maxLvl)
 
-	codesOf := make([]int8, dim)
 	for i := 0; i < n && sc.Err() == nil; i++ {
 		lvl := sc.Int()
-		dead := sc.Bool()
-		var vec []float32
-		var scale, offset float32
-		if quant {
-			scale = sc.Float32()
-			offset = sc.Float32()
-			raw := sc.RawBytes()
-			if sc.Err() != nil {
-				break
+		dead := false
+		if version < 3 {
+			dead = sc.Bool()
+			if err := skipLegacyVector(sc, sq8, dim); err != nil {
+				return fail("node %d: %v", i, err)
 			}
-			if len(raw) != dim {
-				return fail("node %d has %d codes, want %d", i, len(raw), dim)
-			}
-			// The affine parameters feed every distance; NaN/Inf or a
-			// negative scale would silently poison traversal ordering.
-			if bad32(scale) || bad32(offset) || scale < 0 {
-				return fail("node %d quantization parameters scale=%v offset=%v invalid", i, scale, offset)
-			}
-			for j, c := range raw {
-				codesOf[j] = int8(c)
-			}
-		} else {
-			vec = sc.Float32s()
 		}
 		if sc.Err() != nil {
 			break
 		}
 		if lvl < 0 || lvl > maxLvl {
 			return fail("node %d level %d out of range [0,%d]", i, lvl, maxLvl)
-		}
-		if !quant && len(vec) != dim {
-			return fail("node %d has dim %d, want %d", i, len(vec), dim)
 		}
 		layers := make([][]int32, lvl+1)
 		for l := 0; l <= lvl && sc.Err() == nil; l++ {
@@ -171,16 +134,6 @@ func decode(sc *codec.Scanner, version int) (*Index, error) {
 				nbs = append(nbs, int32(nb))
 			}
 			layers[l] = nbs
-		}
-		if quant {
-			ix.codes = append(ix.codes, codesOf...)
-			s1, s2 := vector.CodeSums(codesOf)
-			ix.qscale = append(ix.qscale, scale)
-			ix.qoff = append(ix.qoff, offset)
-			ix.qs1 = append(ix.qs1, s1)
-			ix.qs2 = append(ix.qs2, s2)
-		} else {
-			ix.vecs = append(ix.vecs, vec)
 		}
 		ix.levels = append(ix.levels, int32(lvl))
 		ix.deleted = append(ix.deleted, dead)
@@ -209,7 +162,48 @@ func decode(sc *codec.Scanner, version int) (*Index, error) {
 	return ix, nil
 }
 
+// skipLegacyVector reads and validates the vector a version 1 or 2 node
+// carried — float32s, or an SQ8 record (scale, offset, one code byte per
+// dimension) — and drops it. A NaN/Inf or negative scale was a corrupt
+// file when the codes were navigated and still is.
+func skipLegacyVector(sc *codec.Scanner, sq8 bool, dim int) error {
+	if !sq8 {
+		if v := sc.Float32s(); sc.Err() == nil && len(v) != dim {
+			return fmt.Errorf("dim %d, want %d", len(v), dim)
+		}
+		return nil
+	}
+	scale, offset := sc.Float32(), sc.Float32()
+	codes := sc.RawBytes()
+	switch {
+	case sc.Err() != nil:
+	case len(codes) != dim:
+		return fmt.Errorf("%d codes, want %d", len(codes), dim)
+	case bad32(scale) || bad32(offset) || scale < 0:
+		return fmt.Errorf("SQ8 scale=%v offset=%v invalid", scale, offset)
+	}
+	return nil
+}
+
 func bad32(f float32) bool {
 	f64 := float64(f)
 	return math.IsNaN(f64) || math.IsInf(f64, 0)
+}
+
+// BindRows gives a decoded graph its rows, one per node id, aliased like
+// Add's. Only live nodes need one: a tombstoned node may get nil, and such
+// a graph must be compacted before it is searched or grown. It panics
+// unless len(rows) == Len() and every row handed over has the graph's
+// dimension — the owner derives rows from the same table set it has just
+// validated the graph against.
+func (ix *Index) BindRows(rows []vector.Vec) {
+	if len(rows) != ix.Len() {
+		panic(fmt.Sprintf("ann: BindRows got %d rows for %d nodes", len(rows), ix.Len()))
+	}
+	for id, r := range rows {
+		if (r != nil || !ix.deleted[id]) && len(r) != ix.dim {
+			panic(fmt.Sprintf("ann: BindRows row %d has dimension %d, index holds %d", id, len(r), ix.dim))
+		}
+	}
+	ix.rows = rows
 }

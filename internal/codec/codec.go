@@ -188,8 +188,9 @@ func (b *Buffer) Float64s(v []float64) {
 	}
 }
 
-// Float32s appends a length-prefixed []float32 (fixed width; ANN graph
-// vectors are stored at float32 precision).
+// Float32s appends a length-prefixed []float32 (fixed width). Version 1
+// and 2 ANN graphs stored a float32 row per node; the writer stays so
+// tests can build such files.
 func (b *Buffer) Float32s(v []float32) {
 	b.Int(len(v))
 	for _, f := range v {
@@ -197,14 +198,14 @@ func (b *Buffer) Float32s(v []float32) {
 	}
 }
 
-// Float32 appends one float32 as its IEEE-754 bits (per-vector
-// quantization parameters are stored at float32 precision).
+// Float32 appends one float32 as its IEEE-754 bits (the SQ8 scale and
+// offset of a version 2 ANN graph node).
 func (b *Buffer) Float32(f float32) {
 	b.buf = binary.LittleEndian.AppendUint32(b.buf, math.Float32bits(f))
 }
 
-// RawBytes appends a length-prefixed byte slice (quantized vector codes
-// are stored as raw bytes, one per dimension).
+// RawBytes appends a length-prefixed byte slice (the SQ8 codes of a
+// version 2 ANN graph node, one byte per dimension).
 func (b *Buffer) RawBytes(v []byte) {
 	b.Int(len(v))
 	b.buf = append(b.buf, v...)

@@ -13,7 +13,7 @@ import (
 // over-allocate. Seeds are the golden index files (the Starmie index, whose
 // mutations explore deep decoder paths, and the retired D3L and
 // tuple-level kinds, which must keep failing typed), a freshly saved ANN
-// graph, and envelope fragments.
+// graph, the legacy v2 SQ8 graph, and envelope fragments.
 func FuzzLoadIndex(f *testing.F) {
 	for _, name := range []string{"starmie", "d3l", "tuples"} {
 		if data, err := os.ReadFile(filepath.Join("testdata", "golden_"+name+".idx")); err == nil {
@@ -32,26 +32,21 @@ func FuzzLoadIndex(f *testing.F) {
 	// corpus includes annHost's own valid graph so mutations explore
 	// the deep graph-decoder paths.
 	annHost := NewStarmie(b.Lake, WithMode(ANN))
-	var annSeed bytes.Buffer
-	if err := annHost.SaveANN(&annSeed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(annSeed.Bytes())
+	f.Add(saveANN(f, annHost))
 
-	// The SQ8 side of the graph codec: a valid quantized record, one with
-	// bytes flipped deep in the node section (lands in scales/offsets/
-	// codes, steering mutations at the quantization validators), and a
-	// truncation that cuts a node's code block short.
-	qHost := NewStarmie(b.Lake, WithMode(ANN), WithQuantized(true))
-	var qSeed bytes.Buffer
-	if err := qHost.SaveANN(&qSeed); err != nil {
+	// The legacy side of the graph codec: the v2 SQ8 fixture, a copy with a
+	// byte flipped deep in the node section (lands in scales, offsets and
+	// codes, steering mutations at the validators that still read them),
+	// and a truncation that cuts a node short.
+	sq8, err := os.ReadFile(filepath.Join("testdata", "golden_ann_v2_sq8.idx"))
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(qSeed.Bytes())
-	flipped := append([]byte(nil), qSeed.Bytes()...)
+	f.Add(sq8)
+	flipped := append([]byte(nil), sq8...)
 	flipped[len(flipped)*3/4] ^= 0xFF
 	f.Add(flipped)
-	f.Add(qSeed.Bytes()[:len(qSeed.Bytes())*2/3])
+	f.Add(sq8[:len(sq8)*2/3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A successful load must yield a usable index; errors just return.

@@ -9,6 +9,7 @@ import (
 	"dust/internal/codec"
 	"dust/internal/embed"
 	"dust/internal/lake"
+	"dust/internal/vector"
 )
 
 // Payload format versions. Bump when a payload layout changes; loaders
@@ -18,9 +19,10 @@ const (
 	StarmieFormatVersion uint16 = 1
 	// ANNFormatVersion is the HNSW candidate-graph payload version
 	// (codec.KindANN): encoder identity, node-to-table mapping, graph.
-	// Version 2 added the storage flag and SQ8 quantized layout; version
-	// 1 files (float-only) remain loadable.
-	ANNFormatVersion uint16 = 2
+	// Version 3 stores the graph's adjacency only; versions 1 and 2, which
+	// also stored a float32 or SQ8 copy of every row, still load (see
+	// ann.Decode).
+	ANNFormatVersion uint16 = 3
 )
 
 // Save writes the Starmie index — encoder identity, corpus document
@@ -170,28 +172,41 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 }
 
 // SaveANN writes the Starmie searcher's HNSW candidate graph — encoder
-// identity, the node-to-table mapping, and the graph itself — as one
+// identity, the node-to-table mapping, and the graph's adjacency — as one
 // versioned, checksummed envelope, so a warm start skips the O(n log n)
 // graph build the way it skips re-embedding. The graph exists after
 // SetMode(ANN); saving a graphless searcher is an error.
+//
+// A saved graph holds no tombstones: the file has no rows, so a loader
+// could not route through a dead node. A graph that carries some is saved
+// as its compaction (Compact's graph), and the in-memory graph is left as
+// it is.
 func (s *Starmie) SaveANN(w io.Writer) error {
 	if s.graph == nil {
 		return fmt.Errorf("starmie: save ann: no candidate graph (SetMode(ANN) first)")
+	}
+	graph, names := s.graph, s.annTables
+	if graph.Live() != graph.Len() {
+		names = make([]string, 0, graph.Live())
+		graph = graph.Compact(func(oldID, _ int) { names = append(names, s.annTables[oldID]) })
 	}
 	var b codec.Buffer
 	b.String(s.enc.Name())
 	b.String(s.enc.Model.Fingerprint())
 	b.Int(s.enc.Dim())
-	b.Strings(s.annTables)
-	s.graph.Encode(&b)
+	b.Strings(names)
+	graph.Encode(&b)
 	return codec.WriteEnvelope(w, codec.KindANN, ANNFormatVersion, b.Bytes())
 }
 
 // LoadANN installs a candidate graph written by SaveANN into this
 // searcher, validating encoder identity and that the graph's live nodes
 // cover the indexed column embeddings exactly (one live node per indexed
-// column, per table). It does not switch retrieval modes — call
-// SetMode(ANN), which reuses the installed graph instead of rebuilding.
+// column, per table), and binds each live node to its column's row of the
+// loaded blocks. A version 1 or 2 graph with tombstones is compacted on
+// the way in, since their rows went with the vectors the file no longer
+// keeps. It does not switch retrieval modes — call SetMode(ANN), which
+// reuses the installed graph instead of rebuilding.
 func (s *Starmie) LoadANN(r io.Reader) error {
 	version, payload, err := codec.ReadEnvelope(r, codec.KindANN, ANNFormatVersion)
 	if err != nil {
@@ -206,13 +221,7 @@ func (s *Starmie) LoadANN(r io.Reader) error {
 			encName, modelPrint, dim, s.enc.Name(), s.enc.Model.Fingerprint(), s.enc.Dim(), ErrEncoderMismatch)
 	}
 	names := sc.Strings()
-	// The graph layout is selected by the envelope version: v1 files
-	// predate quantization and carry float-only payloads.
-	decodeGraph := ann.Decode
-	if version == 1 {
-		decodeGraph = ann.DecodeV1
-	}
-	graph, err := decodeGraph(sc)
+	graph, err := ann.Decode(sc, version)
 	if err != nil {
 		return fmt.Errorf("starmie: load ann: %w", err)
 	}
@@ -246,6 +255,15 @@ func (s *Starmie) LoadANN(r io.Reader) error {
 				name, len(ids[name]), ncols, ErrLakeMismatch)
 		}
 	}
+	rows := make([]vector.Vec, graph.Len())
+	for name, nodes := range ids {
+		c := 0
+		s.blockRows(s.cols[name], func(v vector.Vec) { rows[nodes[c]] = v; c++ })
+	}
+	graph.BindRows(rows)
 	s.graph, s.annTables, s.annIDs = graph, names, ids
+	if graph.Live() != graph.Len() {
+		s.rebuildGraph()
+	}
 	return nil
 }

@@ -131,11 +131,7 @@ func TestGoldenIndexes(t *testing.T) {
 // fed to the other loader fails as ErrWrongKind too.
 func TestLoadErrorPaths(t *testing.T) {
 	b := persistBench(t)
-	var ann bytes.Buffer
-	if err := NewStarmie(b.Lake, WithMode(ANN)).SaveANN(&ann); err != nil {
-		t.Fatal(err)
-	}
-	fixtures := map[string][]byte{"starmie": saveStarmie(t, b), "ann": ann.Bytes()}
+	fixtures := map[string][]byte{"starmie": saveStarmie(t, b), "ann": saveANN(t, NewStarmie(b.Lake, WithMode(ANN)))}
 	for _, name := range []string{"d3l", "tuples"} {
 		data, err := os.ReadFile(filepath.Join("testdata", "golden_"+name+".idx"))
 		if err != nil {

@@ -103,10 +103,6 @@ type Searcher interface {
 	// them.
 	SetOversample(v float64)
 	SetEfSearch(ef int)
-	// SetQuantized selects SQ8 storage for the ANN graphs this searcher
-	// builds (see WithQuantized); an installed graph of the other storage
-	// is rebuilt at once.
-	SetQuantized(on bool)
 	// IndexBytes reports the resident footprint of the ANN index
 	// structures, summed over the parts.
 	IndexBytes() IndexFootprint
@@ -388,28 +384,11 @@ func (m MaintenanceStats) Merge(o MaintenanceStats) MaintenanceStats {
 	return m
 }
 
-// IndexFootprint is one index's resident-size report: the storage kind
-// ("quantized", "float", "none" when no graph is installed, or "mixed" for
-// parts that disagree) and its estimated bytes. The serving layer exports
-// it as the dust_index_bytes gauge.
+// IndexFootprint is one index's resident-size report: the estimated bytes
+// of its ANN graphs' adjacency, zero while none is installed. The serving
+// layer exports it as the dust_index_bytes gauge.
 type IndexFootprint struct {
-	Storage string
-	Bytes   int64
-}
-
-// Merge folds another part's footprint into f: bytes sum, and storage is
-// the parts' common kind — "none" parts are transparent, parts that
-// disagree report "mixed".
-func (f IndexFootprint) Merge(o IndexFootprint) IndexFootprint {
-	f.Bytes += o.Bytes
-	switch {
-	case o.Storage == "none":
-	case f.Storage == "none":
-		f.Storage = o.Storage
-	case f.Storage != o.Storage:
-		f.Storage = "mixed"
-	}
-	return f
+	Bytes int64
 }
 
 // Option configures a searcher's execution. Starmie honours every option;
@@ -417,10 +396,9 @@ func (f IndexFootprint) Merge(o IndexFootprint) IndexFootprint {
 type Option func(*options)
 
 type options struct {
-	workers   int
-	mode      Mode
-	corpus    *tokenize.Corpus
-	quantized bool
+	workers int
+	mode    Mode
+	corpus  *tokenize.Corpus
 }
 
 // WithWorkers bounds the parallelism of index construction and query
@@ -442,16 +420,6 @@ func WithMode(m Mode) Option { return func(o *options) { o.mode = m } }
 // a shared corpus never touch it; the owning layer updates the corpus and
 // calls RefreshBig on every searcher sharing it.
 func WithSharedCorpus(c *tokenize.Corpus) Option { return func(o *options) { o.corpus = c } }
-
-// WithQuantized selects SQ8 scalar-quantized storage for the ANN candidate
-// graph (internal/ann), cutting its resident vector memory 4x. It applies
-// whenever this searcher builds a graph — SetMode(ANN) on a graph-less
-// searcher, or a maintenance rebuild from embeddings; a graph loaded from
-// disk or carried through Compact/Clone keeps its stored representation.
-// Exact-mode results are unaffected (quantization only shapes candidate
-// nomination; scoring always runs on the exact float64 embeddings), and
-// ANN recall stays gated against the exact oracle.
-func WithQuantized(on bool) Option { return func(o *options) { o.quantized = on } }
 
 func applyOptions(opts []Option) options {
 	var o options

@@ -50,15 +50,14 @@ type Starmie struct {
 	// across every searcher sharing it.
 	sharedCorpus bool
 	workers      int
-	// quantized selects SQ8 storage for graphs this searcher builds
-	// (WithQuantized); loaded graphs keep their stored representation.
-	quantized bool
 	// MinSim drops column matches below this similarity (Starmie's
 	// verification threshold).
 	MinSim float64
 
 	// Staged retrieval state (mode ANN): an HNSW graph over every indexed
-	// column embedding. Node ids map to their owning table via annTables
+	// column embedding, whose nodes hold rows of the blocks above (a
+	// tombstoned node keeps the row of a block cols may have dropped, until
+	// compaction). Node ids map to their owning table via annTables
 	// (tombstoned nodes keep stale entries until a rebuild); annIDs holds
 	// the live node ids of each indexed table. The graph exists only after
 	// SetMode(ANN) (or LoadANN) and is kept in sync by AddTable /
@@ -132,7 +131,6 @@ func emptyStarmie(l *lake.Lake, enc embed.StarmieEncoder, o options) *Starmie {
 		cols:       make(map[string][]float64, l.Len()),
 		big:        make(map[string]bool),
 		workers:    o.workers,
-		quantized:  o.quantized,
 		MinSim:     0.3,
 		Oversample: DefaultOversample,
 		EfSearch:   DefaultEfSearch,
@@ -171,11 +169,12 @@ func (s *Starmie) embed(t *table.Table) []float64 {
 	return block
 }
 
-// blockRows iterates the column embeddings stored in block.
+// blockRows iterates the column embeddings stored in block, each a
+// capacity-capped view of it.
 func (s *Starmie) blockRows(block []float64, fn func(v vector.Vec)) {
 	dim := s.enc.Dim()
 	for off := 0; dim > 0 && off+dim <= len(block); off += dim {
-		fn(block[off : off+dim])
+		fn(block[off : off+dim : off+dim])
 	}
 }
 
@@ -216,17 +215,13 @@ func (s *Starmie) SetMode(m Mode) error {
 // RetrievalMode implements Searcher.
 func (s *Starmie) RetrievalMode() Mode { return s.mode }
 
-// IndexBytes implements Searcher: the storage mode and estimated resident
-// bytes of the installed candidate graph.
+// IndexBytes implements Searcher: the estimated resident bytes of the
+// installed candidate graph, zero without one.
 func (s *Starmie) IndexBytes() IndexFootprint {
-	switch {
-	case s.graph == nil:
-		return IndexFootprint{Storage: "none"}
-	case s.graph.Quantized():
-		return IndexFootprint{Storage: "quantized", Bytes: s.graph.Bytes()}
-	default:
-		return IndexFootprint{Storage: "float", Bytes: s.graph.Bytes()}
+	if s.graph == nil {
+		return IndexFootprint{}
 	}
+	return IndexFootprint{Bytes: s.graph.Bytes()}
 }
 
 // SetOversample implements Searcher; v <= 0 restores DefaultOversample.
@@ -253,39 +248,27 @@ func (s *Starmie) Instrument(*StageTimings) bool { return false }
 // long-lived resources.
 func (s *Starmie) Close() {}
 
-// Graph exposes the installed candidate graph (nil without one) so
-// benchmarks and serving instrumentation can read its size and storage
-// breakdown. Callers must not mutate it.
+// Graph exposes the installed candidate graph (nil without one) so tests
+// can read its shape. Callers must not mutate it.
 func (s *Starmie) Graph() *ann.Index { return s.graph }
-
-// SetQuantized implements Searcher: it switches the storage mode used when
-// this searcher builds its candidate graph (WithQuantized's
-// post-construction form). If a graph with a different storage is already
-// installed it is rebuilt from the stored embeddings in lake order
-// immediately — any accumulated tombstones compact away with it.
-func (s *Starmie) SetQuantized(on bool) {
-	s.quantized = on
-	if s.graph != nil && s.graph.Quantized() != on {
-		s.buildGraph()
-	}
-}
 
 // buildGraph indexes every column embedding into a fresh HNSW graph, in
 // lake iteration order so the graph is identical across processes. The
 // bulk path goes through ann.Build — batch-parallel and bit-reproducible
 // at every worker count — with node ids equal to insertion positions,
-// exactly as the incremental annAdd path books them.
+// exactly as the incremental annAdd path books them. The graph's nodes
+// are the blocks' own rows.
 func (s *Starmie) buildGraph() {
 	s.annTables = nil
 	s.annIDs = make(map[string][]int, s.lake.Len())
-	var vecs []vector.Vec32
+	var rows []vector.Vec
 	for _, t := range s.lake.Tables() {
 		s.blockRows(s.cols[t.Name], func(v vector.Vec) {
-			vecs = append(vecs, vector.ToVec32(v))
+			rows = append(rows, v)
 			s.annTables = append(s.annTables, t.Name)
 		})
 	}
-	s.graph = ann.Build(s.enc.Dim(), vecs, ann.Config{Quantized: s.quantized}, s.workers)
+	s.graph = ann.Build(s.enc.Dim(), rows, ann.Config{}, s.workers)
 	for id, name := range s.annTables {
 		s.annIDs[name] = append(s.annIDs[name], id)
 	}
@@ -294,7 +277,7 @@ func (s *Starmie) buildGraph() {
 // annAdd indexes table name's current column embeddings.
 func (s *Starmie) annAdd(name string) {
 	s.blockRows(s.cols[name], func(v vector.Vec) {
-		id := s.graph.Add(vector.ToVec32(v))
+		id := s.graph.Add(v)
 		s.annTables = append(s.annTables, name)
 		s.annIDs[name] = append(s.annIDs[name], id)
 	})
@@ -397,7 +380,7 @@ func (s *Starmie) annCandidateNames(qCols []vector.Vec, perColumn int) []string 
 	}
 	seen := make(map[string]bool)
 	for _, qv := range qCols {
-		for _, id := range s.graph.Search(vector.ToVec32(qv), perColumn, ef) {
+		for _, id := range s.graph.Search(qv, perColumn, ef) {
 			seen[s.annTables[id]] = true
 		}
 	}
@@ -556,7 +539,7 @@ func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
 	c.big = maps.Clone(s.big)
 	if s.graph != nil {
 		// Insertions rewire existing neighbor lists, so the clone needs its
-		// own adjacency (the vectors stay shared); the id bookkeeping is
+		// own adjacency (the rows stay shared); the id bookkeeping is
 		// append-mutated and is deep-copied for the same reason.
 		c.graph = s.graph.Clone()
 		c.annTables = make([]string, len(s.annTables))

@@ -151,18 +151,18 @@ func newServerMetrics(s *Server, scatterOn bool) *serverMetrics {
 		})
 
 	r.NewGaugeFunc("dust_index_bytes",
-		"Resident bytes of the published snapshot's ANN index structures by shard and storage (quantized/float); shard \"all\" is the whole index. Absent while no graph is installed.",
-		[]string{"shard", "storage"},
+		"Resident bytes of the published snapshot's ANN graphs (adjacency; the rows are the searcher's own embeddings) by shard; shard \"all\" is the whole index. Absent while no graph holds a node.",
+		[]string{"shard"},
 		func(emit func(float64, ...string)) {
 			master := s.snap.Load().master
-			if fp := master.IndexBytes(); fp.Storage != "none" {
-				emit(float64(fp.Bytes), "all", fp.Storage)
+			if fp := master.IndexBytes(); fp.Bytes > 0 {
+				emit(float64(fp.Bytes), "all")
 			}
 			// The single part of a monolithic index is the "all" series.
 			if parts := master.ShardIndexBytes(); len(parts) > 1 {
 				for i, fp := range parts {
-					if fp.Storage != "none" {
-						emit(float64(fp.Bytes), strconv.Itoa(i), fp.Storage)
+					if fp.Bytes > 0 {
+						emit(float64(fp.Bytes), strconv.Itoa(i))
 					}
 				}
 			}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -304,6 +306,16 @@ func TestMetricsExposition(t *testing.T) {
 			t.Fatalf("sample %q has no TYPE comment", name)
 		}
 	}
+	// Every family this server exports is documented for operators.
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for family := range typed {
+		if !strings.Contains(string(doc), "`"+family+"`") {
+			t.Errorf("family %s is not named in docs/OPERATIONS.md", family)
+		}
+	}
 }
 
 // TestMetricsSharded checks the scatter-stage families that exist only for
@@ -341,65 +353,34 @@ func TestMetricsSharded(t *testing.T) {
 }
 
 // TestIndexBytesSurfaces pins the index-footprint observability: an
-// exact-mode pipeline has no graph (gauge absent, /stats reports none), an
-// ANN pipeline exports dust_index_bytes with the right storage label, a
-// quantized one is smaller and labeled "quantized", and a sharded pipeline
-// adds per-shard samples that sum to the "all" row.
+// exact-mode pipeline has no graph (gauge absent, /stats reports 0 bytes),
+// an ANN pipeline exports dust_index_bytes{shard="all"} equal to /stats,
+// and a sharded pipeline adds per-shard samples that sum to the "all" row.
 func TestIndexBytesSurfaces(t *testing.T) {
 	b := fixedLake()
-
-	statsIndex := func(url string) (string, int64) {
+	serveFor := func(opts ...dust.Option) (int64, string) {
 		t.Helper()
+		ts := httptest.NewServer(New(dust.New(b.Lake, opts...)))
+		t.Cleanup(ts.Close)
 		var st StatsResponse
-		if code := getJSON(t, url+"/stats", &st); code != http.StatusOK {
+		if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
 			t.Fatalf("stats status %d", code)
 		}
-		return st.Index.Storage, st.Index.Bytes
-	}
-	serveFor := func(opts ...dust.Option) (*httptest.Server, string) {
-		t.Helper()
-		p := dust.New(b.Lake, opts...)
-		ts := httptest.NewServer(New(p))
-		t.Cleanup(ts.Close)
-		return ts, scrapeMetrics(t, ts.URL)
+		return st.Index.Bytes, scrapeMetrics(t, ts.URL)
 	}
 
-	ts, text := serveFor()
-	if strings.Contains(text, "dust_index_bytes{") {
-		t.Error("exact-mode pipeline exports dust_index_bytes samples")
+	n, text := serveFor()
+	if strings.Contains(text, "dust_index_bytes{") || n != 0 {
+		t.Errorf("exact-mode pipeline: /stats index bytes %d, exposition:\n%s", n, text)
 	}
-	if st, n := statsIndex(ts.URL); st != "none" || n != 0 {
-		t.Errorf("exact-mode /stats index = %s/%d, want none/0", st, n)
+	n, text = serveFor(dust.WithRetriever(search.ANN))
+	if all := sampleValue(t, text, `dust_index_bytes{shard="all"}`); n <= 0 || all != float64(n) {
+		t.Errorf("ANN pipeline: /stats index bytes %d, gauge %v; want equal and positive", n, all)
 	}
-
-	ts, text = serveFor(dust.WithRetriever(search.ANN))
-	if !strings.Contains(text, `dust_index_bytes{shard="all",storage="float"} `) {
-		t.Errorf("float exposition missing the all-shards sample:\n%s", text)
-	}
-	stf, fbytes := statsIndex(ts.URL)
-	if stf != "float" || fbytes <= 0 {
-		t.Errorf("float /stats index = %s/%d, want float/>0", stf, fbytes)
-	}
-
-	ts, text = serveFor(dust.WithRetriever(search.ANN), dust.WithQuantized(true))
-	if !strings.Contains(text, `dust_index_bytes{shard="all",storage="quantized"} `) {
-		t.Errorf("quantized exposition missing the all-shards sample:\n%s", text)
-	}
-	stq, qbytes := statsIndex(ts.URL)
-	if stq != "quantized" || qbytes <= 0 || qbytes >= fbytes {
-		t.Errorf("quantized /stats index = %s/%d, want quantized and smaller than float %d",
-			stq, qbytes, fbytes)
-	}
-
-	_, text = serveFor(dust.WithRetriever(search.ANN), dust.WithQuantized(true), dust.WithShards(2))
-	for _, want := range []string{
-		`dust_index_bytes{shard="all",storage="quantized"} `,
-		`dust_index_bytes{shard="0",storage="quantized"} `,
-		`dust_index_bytes{shard="1",storage="quantized"} `,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("sharded exposition missing %q", want)
-		}
+	_, text = serveFor(dust.WithRetriever(search.ANN), dust.WithShards(2))
+	parts := sampleValue(t, text, `dust_index_bytes{shard="0"}`) + sampleValue(t, text, `dust_index_bytes{shard="1"}`)
+	if all := sampleValue(t, text, `dust_index_bytes{shard="all"}`); parts != all || all <= 0 {
+		t.Errorf("sharded gauge: shards sum to %v, all = %v", parts, all)
 	}
 }
 

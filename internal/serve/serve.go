@@ -724,12 +724,11 @@ type StatsResponse struct {
 		Entries int    `json:"entries"`
 		Bytes   int64  `json:"bytes"`
 	} `json:"cache"`
-	// Index reports the resident footprint of the snapshot's ANN index
-	// structures ("none" storage with zero bytes while no graph is
-	// installed), mirroring the dust_index_bytes gauge.
+	// Index reports the resident footprint of the snapshot's ANN graphs
+	// (zero bytes while no graph is installed), mirroring the
+	// dust_index_bytes gauge.
 	Index struct {
-		Storage string `json:"storage"`
-		Bytes   int64  `json:"bytes"`
+		Bytes int64 `json:"bytes"`
 	} `json:"index"`
 	ConfigTag string `json:"config"`
 }
@@ -754,8 +753,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ConfigTag:   snap.tag,
 	}
 	resp.Cache.Hits, resp.Cache.Misses, resp.Cache.Entries, resp.Cache.Bytes = s.cache.Stats()
-	fp := snap.master.IndexBytes()
-	resp.Index.Storage, resp.Index.Bytes = fp.Storage, fp.Bytes
+	resp.Index.Bytes = snap.master.IndexBytes().Bytes
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -43,7 +43,7 @@ func TestSearcherConformance(t *testing.T) {
 		parts int
 	}{
 		{"starmie", func(l *lake.Lake) search.Searcher { return search.NewStarmie(l) }, 1},
-		{"sharded3(starmie)", func(l *lake.Lake) search.Searcher { return NewStarmie(l, 3, Config{}) }, 3},
+		{"sharded3(starmie)", func(l *lake.Lake) search.Searcher { return NewStarmie(l, 3, 0) }, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,90 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"dust/internal/datagen"
 	"dust/internal/search"
 	"dust/internal/table"
 )
-
-// TestPreparedEquivalence is the acceptance gate of the prepared
-// scatter-gather rewrite: with the encode-once scatter, the bounded gather,
-// and the candidate-only ANN plan in place, exact sharded results must stay
-// bit-identical to the unsharded searcher across shard counts {1, 2, 4, 8}
-// and scatter widths {1, 8}; sharded ANN must keep monolithic-grade recall;
-// and a sharded query must encode exactly once, not once per shard.
-func TestPreparedEquivalence(t *testing.T) {
-	b, queries := shardBench(t)
-	want := search.NewStarmie(b.Lake)
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("starmie/shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				s := NewStarmie(b.Lake, shards, Config{Workers: workers})
-				defer s.Close()
-				for qi, q := range queries {
-					for _, k := range []int{1, 5, 12} {
-						label := fmt.Sprintf("query %d k=%d", qi, k)
-						sameHits(t, label, search.TopK(s, q, k), search.TopK(want, q, k))
-					}
-					sameHits(t, fmt.Sprintf("query %d full", qi), search.TopK(s, q, 0), search.TopK(want, q, 0))
-				}
-			})
-		}
-	}
-
-	// The candidate-only ANN plan: shards nominate, the merged pool is
-	// scored exactly once, and recall@10 holds the monolithic >= 0.95 bar.
-	t.Run("ann-candidate-recall", func(t *testing.T) {
-		const k = 10
-		exact := search.NewStarmie(b.Lake)
-		approx := NewStarmie(b.Lake, 4, Config{})
-		defer approx.Close()
-		if err := approx.SetMode(search.ANN); err != nil {
-			t.Fatal(err)
-		}
-		var sum float64
-		for _, q := range queries {
-			truth := map[string]bool{}
-			for _, h := range search.TopK(exact, q, k) {
-				truth[h.Table.Name] = true
-			}
-			hits := 0
-			for _, h := range search.TopK(approx, q, k) {
-				if truth[h.Table.Name] {
-					hits++
-				}
-			}
-			sum += float64(hits) / float64(len(truth))
-		}
-		if r := sum / float64(len(queries)); r < 0.95 {
-			t.Fatalf("sharded candidate-only ANN recall@%d = %.3f, want >= 0.95", k, r)
-		}
-	})
-
-	// Encode-once: one sharded query costs exactly NumCols base-model
-	// encoding calls — the same as unsharded — regardless of shard count.
-	// Before the prepared scatter it cost shards x NumCols.
-	t.Run("encode-once", func(t *testing.T) {
-		for _, shards := range []int{1, 4, 8} {
-			s := NewStarmie(b.Lake, shards, Config{Workers: 4})
-			defer s.Close()
-			var calls atomic.Int64
-			for _, part := range s.Parts() {
-				part.(*search.Starmie).Encoder().Model.Instrument(&calls)
-			}
-			for qi, q := range queries {
-				calls.Store(0)
-				search.TopK(s, q, 5)
-				if got, want := calls.Load(), int64(q.NumCols()); got != want {
-					t.Fatalf("shards=%d query %d: %d encode calls, want %d (encode-once)",
-						shards, qi, got, want)
-				}
-			}
-		}
-	})
-}
 
 // TestCloseSharedPool pins the family-wide pool lifecycle: Close is
 // idempotent, clones share the pool so closing either side closes both,
@@ -96,7 +18,7 @@ func TestPreparedEquivalence(t *testing.T) {
 func TestCloseSharedPool(t *testing.T) {
 	b, queries := shardBench(t)
 	q := queries[0]
-	s := NewStarmie(b.Lake, 3, Config{Workers: 4})
+	s := NewStarmie(b.Lake, 3, 4)
 	bound := s.QueryWorkers(1).(*Searcher)
 	want := search.TopK(s, q, 6)
 
@@ -114,7 +36,7 @@ func TestCloseSharedPool(t *testing.T) {
 // non-zero encode stage.
 func TestStageTimings(t *testing.T) {
 	b, queries := shardBench(t)
-	s := NewStarmie(b.Lake, 4, Config{Workers: 4})
+	s := NewStarmie(b.Lake, 4, 4)
 	defer s.Close()
 	var st search.StageTimings
 	s.Instrument(&st)
@@ -267,7 +189,7 @@ func BenchmarkExactMono(b *testing.B) {
 // monolithic baseline.
 func BenchmarkExactSharded(b *testing.B) {
 	bench, queries := benchLake(b)
-	s := NewStarmie(bench.Lake, 8, Config{})
+	s := NewStarmie(bench.Lake, 8, 0)
 	defer s.Close()
 	b.ReportAllocs()
 	b.ResetTimer()

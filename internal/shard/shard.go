@@ -120,19 +120,6 @@ func Partition(l *lake.Lake, n int) []*lake.Lake {
 	return subs
 }
 
-// Config shapes shard-set construction.
-type Config struct {
-	// Workers bounds both the per-shard indexing/scoring parallelism and
-	// the width of the query scatter; <= 0 derives the bound from
-	// GOMAXPROCS and 1 forces the sequential path. Results are
-	// bit-identical for every setting.
-	Workers int
-	// Quantized selects SQ8 storage for the HNSW graphs the shards build
-	// (search.WithQuantized per shard); graphs loaded from disk keep
-	// their stored representation regardless.
-	Quantized bool
-}
-
 // Searcher is a sharded table-union searcher: search.Searcher backed by N
 // independent per-shard indexes, its Parts. It implements the contract by
 // scattering to the shards and merging, so a dust.Pipeline (and everything
@@ -173,8 +160,11 @@ type Searcher struct {
 // NewStarmie builds a Starmie shard set over l with n shards: one global
 // corpus pass over the full lake (identical document statistics to an
 // unsharded build), then one Starmie index per sub-lake embedded against
-// that shared corpus.
-func NewStarmie(l *lake.Lake, n int, cfg Config) *Searcher {
+// that shared corpus. workers bounds both the per-shard indexing/scoring
+// parallelism and the width of the query scatter; <= 0 derives the bound
+// from GOMAXPROCS and 1 forces the sequential path. Results are
+// bit-identical for every setting.
+func NewStarmie(l *lake.Lake, n, workers int) *Searcher {
 	corpus := &tokenize.Corpus{}
 	for _, t := range l.Tables() {
 		for i := range t.Columns {
@@ -184,13 +174,13 @@ func NewStarmie(l *lake.Lake, n int, cfg Config) *Searcher {
 	s := &Searcher{
 		full:       l,
 		corpus:     corpus,
-		workers:    cfg.Workers,
-		pool:       newScatterPool(cfg.Workers),
+		workers:    workers,
+		pool:       newScatterPool(workers),
 		Oversample: search.DefaultOversample,
 	}
 	for _, sl := range Partition(l, n) {
-		s.subs = append(s.subs, search.NewStarmie(sl, search.WithWorkers(cfg.Workers),
-			search.WithSharedCorpus(corpus), search.WithQuantized(cfg.Quantized)))
+		s.subs = append(s.subs, search.NewStarmie(sl, search.WithWorkers(workers),
+			search.WithSharedCorpus(corpus)))
 	}
 	return s
 }
@@ -774,16 +764,6 @@ func (s *Searcher) Instrument(st *search.StageTimings) bool {
 	return true
 }
 
-// SetQuantized implements search.Searcher by fanning the graph storage
-// mode to every shard (see search.Starmie.SetQuantized): shards already
-// carrying a graph of a different storage rebuild it from their stored
-// embeddings.
-func (s *Searcher) SetQuantized(on bool) {
-	for _, sub := range s.subs {
-		sub.SetQuantized(on)
-	}
-}
-
 // SetOversample implements search.Searcher: it sizes this set's merged ANN
 // candidate pool and fans the factor to the shards (whose own Oversample
 // only matters on their local fallback paths). v <= 0 restores the
@@ -806,13 +786,11 @@ func (s *Searcher) SetEfSearch(ef int) {
 	}
 }
 
-// IndexBytes implements search.Searcher as the merged footprint of the
-// shards. Storage is uniform across shards by construction; a
-// hand-assembled set that disagrees reports "mixed".
+// IndexBytes implements search.Searcher as the shards' summed footprint.
 func (s *Searcher) IndexBytes() search.IndexFootprint {
-	total := search.IndexFootprint{Storage: "none"}
+	var total search.IndexFootprint
 	for _, sub := range s.subs {
-		total = total.Merge(sub.IndexBytes())
+		total.Bytes += sub.IndexBytes().Bytes
 	}
 	return total
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"dust/internal/datagen"
@@ -57,59 +58,122 @@ func sameHits(t *testing.T, label string, got, want []search.Scored) {
 	}
 }
 
-// TestShardedEquivalence is the acceptance gate of the sharding layer:
-// exact-mode scatter-gather TopK must be bit-identical to the unsharded
-// searcher for shards in {1, 2, 3, 4} at workers 1 and 8; and sharded ANN
-// mode must clear the same recall@10 >= 0.95 bar the monolithic ANN engine
-// is held to.
-func TestShardedEquivalence(t *testing.T) {
-	b, queries := shardBench(t)
+// rank ranks q on s for each k in ks (k <= 0 asks for the full ranking).
+// With prepared, one PreparedQuery is reused for every k; otherwise
+// search.TopK prepares the query afresh each time.
+func rank(s search.Searcher, q *table.Table, ks []int, prepared bool) [][]search.Scored {
+	var pq search.PreparedQuery
+	if prepared {
+		pq = s.Prepare(q)
+	}
+	out := make([][]search.Scored, len(ks))
+	for i, k := range ks {
+		if prepared {
+			out[i], _ = s.TopKPrepared(context.Background(), pq, k) // cannot fail uncancelled
+		} else {
+			out[i] = search.TopK(s, q, k)
+		}
+	}
+	return out
+}
+
+// checkExactEquivalence requires exact sharded rankings to be bit-identical
+// to the unsharded searcher's for every shard count at scatter widths 1 and 8.
+func checkExactEquivalence(t *testing.T, b *datagen.Benchmark, queries []*table.Table, shardCounts []int, prepared bool) {
 	want := search.NewStarmie(b.Lake)
-	for _, shards := range []int{1, 2, 3, 4} {
+	ks := []int{1, 5, 12, 0}
+	for _, shards := range shardCounts {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("starmie/shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				s := NewStarmie(b.Lake, shards, Config{Workers: workers})
+				s := NewStarmie(b.Lake, shards, workers)
+				defer s.Close()
 				if got := len(s.Parts()); got != shards {
 					t.Fatalf("len(Parts()) = %d, want %d", got, shards)
 				}
 				for qi, q := range queries {
-					for _, k := range []int{1, 5, 12} {
-						label := fmt.Sprintf("query %d k=%d", qi, k)
-						sameHits(t, label, search.TopK(s, q, k), search.TopK(want, q, k))
+					got, exp := rank(s, q, ks, prepared), rank(want, q, ks, false)
+					for i, k := range ks {
+						sameHits(t, fmt.Sprintf("query %d k=%d", qi, k), got[i], exp[i])
 					}
-					// k <= 0 asks for the full ranking.
-					sameHits(t, fmt.Sprintf("query %d full", qi), search.TopK(s, q, 0), search.TopK(want, q, 0))
 				}
 			})
 		}
 	}
+}
 
-	t.Run("ann-recall", func(t *testing.T) {
-		const k = 10
-		exact := search.NewStarmie(b.Lake)
-		approx := NewStarmie(b.Lake, 4, Config{})
-		if err := approx.SetMode(search.ANN); err != nil {
-			t.Fatal(err)
+// checkANNRecall requires sharded ANN retrieval over the given shard count
+// (shards nominate, the merged pool is scored exactly once) to clear the
+// recall@10 >= 0.95 bar the monolithic ANN engine is held to.
+func checkANNRecall(t *testing.T, b *datagen.Benchmark, queries []*table.Table, shards int, prepared bool) {
+	t.Helper()
+	const k = 10
+	exact := search.NewStarmie(b.Lake)
+	approx := NewStarmie(b.Lake, shards, 0)
+	defer approx.Close()
+	if err := approx.SetMode(search.ANN); err != nil {
+		t.Fatal(err)
+	}
+	if got := approx.RetrievalMode(); got != search.ANN {
+		t.Fatalf("RetrievalMode = %v, want ANN", got)
+	}
+	var sum float64
+	for _, q := range queries {
+		truth := map[string]bool{}
+		for _, h := range search.TopK(exact, q, k) {
+			truth[h.Table.Name] = true
 		}
-		if got := approx.RetrievalMode(); got != search.ANN {
-			t.Fatalf("RetrievalMode = %v, want ANN", got)
-		}
-		var sum float64
-		for _, q := range queries {
-			truth := map[string]bool{}
-			for _, h := range search.TopK(exact, q, k) {
-				truth[h.Table.Name] = true
+		hits := 0
+		for _, h := range rank(approx, q, []int{k}, prepared)[0] {
+			if truth[h.Table.Name] {
+				hits++
 			}
-			hits := 0
-			for _, h := range search.TopK(approx, q, k) {
-				if truth[h.Table.Name] {
-					hits++
+		}
+		sum += float64(hits) / float64(len(truth))
+	}
+	if r := sum / float64(len(queries)); r < 0.95 {
+		t.Fatalf("sharded ANN recall@%d over %d shards = %.3f, want >= 0.95", k, shards, r)
+	}
+}
+
+// TestShardedEquivalence is the acceptance gate of the sharding layer
+// through search.TopK: exact scatter-gather TopK must be bit-identical to
+// the unsharded searcher for shards in {1, 2, 3, 4} at scatter widths 1 and
+// 8, and sharded ANN over 4 shards must keep monolithic-grade recall.
+func TestShardedEquivalence(t *testing.T) {
+	b, queries := shardBench(t)
+	checkExactEquivalence(t, b, queries, []int{1, 2, 3, 4}, false)
+	t.Run("ann-recall", func(t *testing.T) { checkANNRecall(t, b, queries, 4, false) })
+}
+
+// TestPreparedEquivalence is the same gate through the prepared surface,
+// where one PreparedQuery is reused across every k: exact results must stay
+// bit-identical to the unsharded searcher for shards in {1, 2, 4, 8} at
+// scatter widths 1 and 8; the candidate-only ANN plan at the widest fan-out
+// (8 shards) must keep monolithic-grade recall; and a sharded query must
+// encode exactly once, not once per shard.
+func TestPreparedEquivalence(t *testing.T) {
+	b, queries := shardBench(t)
+	checkExactEquivalence(t, b, queries, []int{1, 2, 4, 8}, true)
+	t.Run("ann-candidate-recall", func(t *testing.T) { checkANNRecall(t, b, queries, 8, true) })
+
+	// Encode-once: one sharded query costs exactly NumCols base-model
+	// encoding calls — the same as unsharded — regardless of shard count.
+	t.Run("encode-once", func(t *testing.T) {
+		for _, shards := range []int{1, 4, 8} {
+			s := NewStarmie(b.Lake, shards, 4)
+			defer s.Close()
+			var calls atomic.Int64
+			for _, part := range s.Parts() {
+				part.(*search.Starmie).Encoder().Model.Instrument(&calls)
+			}
+			for qi, q := range queries {
+				calls.Store(0)
+				search.TopK(s, q, 5)
+				if got, want := calls.Load(), int64(q.NumCols()); got != want {
+					t.Fatalf("shards=%d query %d: %d encode calls, want %d (encode-once)",
+						shards, qi, got, want)
 				}
 			}
-			sum += float64(hits) / float64(len(truth))
-		}
-		if r := sum / float64(len(queries)); r < 0.95 {
-			t.Fatalf("sharded ANN recall@%d = %.3f, want >= 0.95", k, r)
 		}
 	})
 }
@@ -123,7 +187,7 @@ func TestShardedIncrementalEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("starmie/workers=%d", workers), func(t *testing.T) {
 			b, queries := shardBench(t)
-			s := NewStarmie(b.Lake, 3, Config{Workers: workers})
+			s := NewStarmie(b.Lake, 3, workers)
 
 			extra := bigTable("late_wide_vocab", 2401)
 			small := table.New("late_small", queries[0].Headers()...)
@@ -180,7 +244,7 @@ func TestShardedIncrementalEquivalence(t *testing.T) {
 // ANN shard set over the same table set.
 func TestShardedANNMutationsStayConsistent(t *testing.T) {
 	b, queries := shardBench(t)
-	s := NewStarmie(b.Lake, 2, Config{})
+	s := NewStarmie(b.Lake, 2, 0)
 	if err := s.SetMode(search.ANN); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +257,7 @@ func TestShardedANNMutationsStayConsistent(t *testing.T) {
 	}
 	grown := b.Lake.Clone()
 	grown.MustAdd(extra)
-	fresh := NewStarmie(grown, 2, Config{})
+	fresh := NewStarmie(grown, 2, 0)
 	if err := fresh.SetMode(search.ANN); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +271,7 @@ func TestShardedANNMutationsStayConsistent(t *testing.T) {
 func TestShardedCloneIsolation(t *testing.T) {
 	b, queries := shardBench(t)
 	q := queries[0]
-	s := NewStarmie(b.Lake, 3, Config{})
+	s := NewStarmie(b.Lake, 3, 0)
 	before := search.TopK(s, q, 8)
 
 	cl := s.CloneWithLake(b.Lake.Clone()).(*Searcher)
@@ -236,7 +300,7 @@ func TestShardedCloneIsolation(t *testing.T) {
 func TestShardedQueryBoundAndCancel(t *testing.T) {
 	b, queries := shardBench(t)
 	q := queries[0]
-	s := NewStarmie(b.Lake, 2, Config{Workers: 4})
+	s := NewStarmie(b.Lake, 2, 4)
 	bound := s.QueryWorkers(1).(*Searcher)
 	sameHits(t, "rebound", search.TopK(bound, q, 6), search.TopK(s, q, 6))
 
@@ -278,7 +342,7 @@ func TestPartitionAndAssign(t *testing.T) {
 // TestAssembleValidatesLayout exercises the warm-start validator.
 func TestAssembleValidatesLayout(t *testing.T) {
 	b, _ := shardBench(t)
-	s := NewStarmie(b.Lake, 2, Config{})
+	s := NewStarmie(b.Lake, 2, 0)
 	defer s.Close()
 	parts := s.Parts()
 	got, err := Assemble(b.Lake, parts)

@@ -194,3 +194,27 @@ func TestDistanceOrderingProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestSquaredEuclideanMatchesEuclidean(t *testing.T) {
+	a := Vec{0.3, -0.4, 0.86}
+	b := Vec{-0.1, 0.2, 0.5}
+	if got, want := Euclidean(a, b), math.Sqrt(SquaredEuclidean(a, b)); got != want {
+		t.Errorf("Euclidean = %v, sqrt(SquaredEuclidean) = %v", got, want)
+	}
+	// For unit vectors, squared L2 must equal 2(1-cosine): the monotone
+	// equivalence the HNSW candidate stage relies on.
+	na, nb := Normalize(a), Normalize(b)
+	if got, want := SquaredEuclidean(na, nb), 2*(1-Cosine(na, nb)); math.Abs(got-want) > 1e-12 {
+		t.Errorf("unit-vector identity: %v vs %v", got, want)
+	}
+}
+
+func TestCosineFusedKernel(t *testing.T) {
+	a := Vec{1, 2, 3}
+	b := Vec{-1, 0, 2}
+	dot, na, nb := dotAndNorms(a, b)
+	if dot != Dot(a, b) || na != Dot(a, a) || nb != Dot(b, b) {
+		t.Errorf("dotAndNorms = (%v,%v,%v), want (%v,%v,%v)",
+			dot, na, nb, Dot(a, b), Dot(a, a), Dot(b, b))
+	}
+}

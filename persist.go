@@ -214,7 +214,8 @@ func (p *Pipeline) SaveIndex(dir string) error {
 	parts := p.searcher.Parts()
 	hasANN := true
 	for _, part := range parts {
-		hasANN = hasANN && part.IndexBytes().Storage != "none"
+		_, ok := part.ModeView(search.ANN)
+		hasANN = hasANN && ok
 	}
 	for i, part := range parts {
 		if err := savePart(dir, i, part, hasANN); err != nil {
