@@ -39,7 +39,7 @@ func main() {
 		indexDir   = flag.String("index-dir", "", "saved-index directory: warm-start from it when present, create it otherwise")
 		saveIndex  = flag.Bool("save-index", false, "rebuild the index and save it to -index-dir even if one exists")
 		ann        = flag.Bool("ann", false, "approximate candidate retrieval (HNSW) with exact re-ranking; trades a little recall for lake-size-independent latency. -ann=false forces exact retrieval even for an index saved in ANN mode; omit the flag to follow the saved index")
-		shards     = flag.Int("shards", 1, "partition the index into N scatter-gather shards (1 = monolithic); exact-mode results are identical either way. Applies to cold builds only: a warm start keeps the layout saved in -index-dir")
+		shards     = flag.Int("shards", 1, "partition the index into N shards, each with its own HNSW graph and saved files (1 = monolithic); exact-mode results are identical either way. Applies to cold builds only: a warm start keeps the layout saved in -index-dir")
 		oversample = flag.Float64("oversample", 0, "ANN candidate oversampling factor: retrieve about N*k candidates before exact re-ranking (0 = default)")
 		efSearch   = flag.Int("ef-search", 0, "HNSW traversal beam width of the ANN candidate stage (0 = default)")
 	)

@@ -69,7 +69,7 @@ func main() {
 		ann        = flag.Bool("ann", false, "approximate candidate retrieval (HNSW) with exact re-ranking; the graph persists in -index-dir and follows live table mutations. -ann=false forces exact retrieval even for an index saved in ANN mode; omit the flag to follow the saved index")
 		oversample = flag.Float64("oversample", 0, "ANN candidate oversampling factor: retrieve about N*k candidates before exact re-ranking (0 = default)")
 		efSearch   = flag.Int("ef-search", 0, "HNSW traversal beam width of the ANN candidate stage (0 = default)")
-		shards     = flag.Int("shards", 1, "partition the index into N scatter-gather shards (1 = monolithic); table mutations route to the owning shard and exact-mode results are identical either way. Applies to cold builds only: a warm start keeps the layout saved in -index-dir")
+		shards     = flag.Int("shards", 1, "partition the index into N shards, each with its own HNSW graph and saved files (1 = monolithic); table mutations route to the owning shard and exact-mode results are identical either way. Applies to cold builds only: a warm start keeps the layout saved in -index-dir")
 		logReqs    = flag.Bool("log-requests", false, "log one JSON line per request to stderr (method, endpoint, status, duration, cache outcome, per-stage search timings)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables profiling")
 	)

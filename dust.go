@@ -30,7 +30,6 @@ import (
 	"dust/internal/model"
 	"dust/internal/par"
 	"dust/internal/search"
-	"dust/internal/shard"
 	"dust/internal/table"
 	"dust/internal/vector"
 )
@@ -99,17 +98,15 @@ func WithTopTables(n int) Option { return func(p *Pipeline) { p.topTables = n } 
 // Mode value the search package does not define makes New panic.
 func WithRetriever(m search.Mode) Option { return func(p *Pipeline) { p.retrieval = m } }
 
-// WithShards partitions the lake into n hash-assigned shards, each with
-// its own searcher index (and its own HNSW graph under search.ANN);
-// queries scatter across the shards in parallel and the merged candidates
-// are re-ranked under the global score order, so exact-mode results stay
-// bit-identical to the unsharded pipeline while the index becomes
-// horizontally partitioned — shards build, persist, and mutate
-// independently, the substrate for spreading a lake beyond one process.
-// n <= 1 keeps the single monolithic index (the default). The option
-// shapes the default searcher only: it is ignored when WithSearcher
-// supplies one, and a pipeline warm-started from an index directory keeps
-// the shard layout recorded in its manifest.
+// WithShards partitions the default Starmie index into n hash-assigned
+// parts (search.WithShards): each part has its own HNSW graph under
+// search.ANN and its own saved file set, while one corpus and one exact
+// scan cover the whole lake, so exact-mode results are bit-identical to
+// the unsharded pipeline. Under search.ANN every part's graph nominates
+// candidates for the one exact re-rank. n <= 1 keeps the single monolithic
+// index (the default). The option shapes the default searcher only: it is
+// ignored when WithSearcher supplies one, and a pipeline warm-started from
+// an index directory keeps the shard layout recorded in its manifest.
 func WithShards(n int) Option { return func(p *Pipeline) { p.shards = n } }
 
 // WithOversample sets the ANN candidate-stage oversampling factor: a
@@ -150,11 +147,7 @@ func New(l *lake.Lake, opts ...Option) *Pipeline {
 	if p.searcher == nil {
 		// Built after the options so the default index honours WithWorkers
 		// and WithShards.
-		if p.shards > 1 {
-			p.searcher = shard.NewStarmie(l, p.shards, p.workers)
-		} else {
-			p.searcher = search.NewStarmie(l, search.WithWorkers(p.workers))
-		}
+		p.searcher = search.NewStarmie(l, search.WithWorkers(p.workers), search.WithShards(p.shards))
 	} else if p.workersSet {
 		// An explicit WithWorkers also re-bounds a supplied searcher's
 		// query-time scoring; without it the searcher keeps its own bound.
@@ -448,13 +441,10 @@ func (p *Pipeline) PrepareANN() bool {
 	return ok
 }
 
-// Close releases long-lived resources held by the pipeline's searcher —
-// today, the sharded searcher's scatter worker pool, which is shared by
-// every clone and view in its family (snapshot swaps reuse it). Call Close
-// once the pipeline family is done serving queries; monolithic searchers
-// hold no such resources and Close is then a no-op. Queries after Close
-// panic for sharded pipelines that scatter on the pool.
-func (p *Pipeline) Close() { p.searcher.Close() }
+// Close releases nothing: a pipeline holds no goroutines, files or other
+// long-lived resources, sharded or not, and keeps serving after Close. It
+// stays so that callers written to close a pipeline keep compiling.
+func (p *Pipeline) Close() {}
 
 // Shards reports how many index shards back the pipeline's searcher: 1 for
 // a monolithic index (the default), n for a WithShards(n) or warm-started
@@ -488,17 +478,6 @@ func (p *Pipeline) ShardIndexBytes() []search.IndexFootprint {
 		out[i] = part.IndexBytes()
 	}
 	return out
-}
-
-// InstrumentScatter attaches st to the pipeline's searcher so a sharded
-// scatter path accumulates per-stage (encode/scatter/gather) wall time into
-// it, and reports whether the searcher has such a path (monolithic
-// searchers do not; nothing is then recorded). Views and clones derived
-// from the pipeline after the call — snapshot swaps included — keep
-// recording into the same accumulator. Attach before querying starts; the
-// hook is not synchronized with in-flight queries.
-func (p *Pipeline) InstrumentScatter(st *search.StageTimings) bool {
-	return p.searcher.Instrument(st)
 }
 
 // tableRows collects a table's rows for batch encoding.

@@ -20,7 +20,6 @@ import (
 func columnVectorTraffic(t *testing.T, spec datagen.LakeSpec, n int, opts ...Option) align.ColumnVectorCounts {
 	t.Helper()
 	p := New(spec.Generate(), append([]Option{WithWorkers(1)}, opts...)...)
-	defer p.Close()
 	n0 := align.ColumnVectorStats()
 	for i := 0; i < n; i++ {
 		// A generated query may align with nothing (422 when served); the
@@ -69,7 +68,6 @@ func TestColumnVectorsSurviveSearches(t *testing.T) {
 	spec := datagen.LakeSpec{Seed: 11, Tables: 60, Rows: 20}
 	l := spec.Generate()
 	p := New(l, WithWorkers(2))
-	defer p.Close()
 	// The pipeline's default column encoder: same fingerprint, same vectors.
 	cols := align.EmbedColumns(spec.Query(0), l.Tables(), embed.ColumnLevel{Model: embed.NewRoBERTa()})
 	bits := make([][]uint64, len(cols))
@@ -100,7 +98,6 @@ func TestColumnVectorsSurviveSearches(t *testing.T) {
 func TestTraceStagesCoverSearch(t *testing.T) {
 	spec := datagen.LakeSpec{Seed: 7, Tables: 120, Rows: 40}
 	p := New(spec.Generate(), WithWorkers(1))
-	defer p.Close()
 	var queries []*table.Table
 	for i := 0; len(queries) < 20; i++ {
 		// Skip the generated queries that align with nothing.

@@ -30,7 +30,6 @@ func measureSelfSampled(t *testing.T, tables, rows int) selfSampled {
 		t.Fatal(err)
 	}
 	p := New(spec.Generate(), WithWorkers(1))
-	defer p.Close()
 	var got selfSampled
 	for i := 0; i < 120; i++ {
 		q := spec.Query(i)

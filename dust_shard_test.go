@@ -1,13 +1,12 @@
 package dust
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
-	"time"
 
 	"dust/internal/codec"
 	"dust/internal/datagen"
@@ -211,40 +210,86 @@ func TestPipelineShardedMutationsAndClone(t *testing.T) {
 	sameResult(t, "sharded after RemoveTable vs fresh unsharded", got, want)
 }
 
-// TestPipelineCloseReleasesReboundPool is the regression test for the
-// scatter-pool leak on re-bounded supplied searchers: a warm start with
-// WithWorkers — every dustserve/dustsearch -index-dir boot of a sharded
-// index — queries through the sharded searcher's QueryWorkers view, and
-// Close on the pipeline must still release the family pool behind it.
-func TestPipelineCloseReleasesReboundPool(t *testing.T) {
-	b, q := benchLake(t)
-	idxDir := filepath.Join(t.TempDir(), "index")
-	cold := New(b.Lake, WithShards(3))
-	if err := cold.SaveIndex(idxDir); err != nil {
+// TestLoadGoldenShardedV4 reads a two-part index directory written by an
+// earlier build (testdata/golden_v4_sharded: 7 tables, one of them over the
+// encoder's token budget, so its vectors depend on the lake-wide corpus).
+// It must answer exactly like a fresh WithShards(2) build in both retrieval
+// modes, and re-save every part file byte for byte. The fixture was written
+// by commit e5bdf00 with
+//
+//	b := datagen.Generate("golden", datagen.Config{Seed: 5, Domains: 2, TablesPerBase: 3,
+//		QueriesPerBase: 1, BaseRows: 12, MinRows: 4, MaxRows: 6})
+//	big := table.New("wide_vocab", "terms")
+//	for i := 0; i < 90; i++ {
+//		big.MustAppendRow(fmt.Sprintf("w%d_a w%d_b w%d_c w%d_d w%d_e w%d_f %s",
+//			i, i, i, i, i, i, b.Lake.Tables()[i%6].Cell(0, 0)))
+//	}
+//	b.Lake.MustAdd(big)
+//	b.Lake.Save("lake"); b.Queries[0].SaveCSV("query.csv")
+//	l, _ := lake.Load("lake") // directory order, as a later load reads it
+//	dust.New(l, dust.WithShards(2), dust.WithRetriever(search.ANN)).SaveIndex("index")
+//
+// Do not regenerate it: the point is that directories saved before keep
+// loading.
+func TestLoadGoldenShardedV4(t *testing.T) {
+	golden := filepath.Join("testdata", "golden_v4_sharded")
+	idxDir := filepath.Join(golden, "index")
+	q, err := table.LoadCSV(filepath.Join(golden, "query.csv"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	cold.Close()
-
-	before := runtime.NumGoroutine()
-	for _, opts := range [][]Option{nil, {WithWorkers(4)}} {
-		p, err := LoadPipelineLake(b.Lake, idxDir, opts...)
+	warm, err := LoadPipeline(filepath.Join(golden, "lake"), idxDir)
+	if err != nil {
+		t.Fatalf("golden index did not load: %v", err)
+	}
+	fresh := New(warm.Lake(), WithShards(2), WithRetriever(search.ANN))
+	if warm.Shards() != 2 || warm.ConfigTag() != fresh.ConfigTag() {
+		t.Fatalf("loaded %d shard(s) tagged %q, want 2 tagged %q", warm.Shards(), warm.ConfigTag(), fresh.ConfigTag())
+	}
+	hits := func(p *Pipeline, k int) string {
+		var out []string
+		for _, h := range search.TopK(p.searcher, q, k) {
+			out = append(out, fmt.Sprintf("%s=%x", h.Table.Name, h.Score))
+		}
+		return fmt.Sprint(out)
+	}
+	for _, mode := range []search.Mode{search.ANN, search.Exact} {
+		wv, ok := warm.ModeView(mode)
+		fv, fok := fresh.ModeView(mode)
+		if !ok || !fok {
+			t.Fatalf("no %v view", mode)
+		}
+		for _, k := range []int{1, 3, 0} {
+			if got, want := hits(wv, k), hits(fv, k); got != want {
+				t.Fatalf("%v k=%d: golden %s, fresh %s", mode, k, got, want)
+			}
+		}
+		got, err := wv.Search(q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Search(q, 5); err != nil {
+		want, err := fv.Search(q, 5)
+		if err != nil {
 			t.Fatal(err)
 		}
-		p.Close()
-		// Close waits for the pool's workers to signal their exit; give
-		// goroutines that have signalled (here and in the query's own
-		// fan-out) a moment to actually leave the scheduler. A leaked pool
-		// never does.
-		after := runtime.NumGoroutine()
-		for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
-			time.Sleep(time.Millisecond)
+		sameResult(t, "golden vs fresh "+mode.String(), got, want)
+	}
+
+	out := filepath.Join(t.TempDir(), "index")
+	if err := warm.SaveIndex(out); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"shard-000.dustidx", "shard-000.ann.dustidx", "shard-001.dustidx", "shard-001.ann.dustidx"} {
+		want, err := os.ReadFile(filepath.Join(idxDir, name))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if after > before {
-			t.Fatalf("options %d: %d goroutines before load, %d after Close", len(opts), before, after)
+		got, err := os.ReadFile(filepath.Join(out, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("re-saved %s differs from the golden file", name)
 		}
 	}
 }

@@ -1,5 +1,5 @@
-// Sharded: partition a lake into scatter-gather shards and verify the
-// sharded pipeline reproduces the monolithic one bit-for-bit. The example
+// Sharded: partition a lake's index into shards and verify the sharded
+// pipeline reproduces the monolithic one bit-for-bit. The example
 // generates a benchmark lake, builds the pipeline twice — monolithic and
 // WithShards(4) — compares end-to-end Search results and latency, saves
 // the sharded index (one shard-NNN.dustidx per shard plus the manifest's
@@ -53,7 +53,7 @@ func main() {
 	fmt.Printf("monolithic: indexed %s in %v, query %v\n",
 		b.Lake.Stats(), monoBuild.Round(time.Millisecond), monoQuery.Round(time.Millisecond))
 
-	// Sharded: same lake, hash-partitioned into independent sub-indexes.
+	// Sharded: same lake, the index hash-partitioned into parts.
 	t0 = time.Now()
 	sharded := dust.New(b.Lake, dust.WithShards(shards))
 	shardBuild := time.Since(t0)
@@ -63,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	shardQuery := time.Since(t0)
-	fmt.Printf("sharded(%d): indexed in %v, scatter-gather query %v\n",
+	fmt.Printf("sharded(%d): indexed in %v, query %v\n",
 		sharded.Shards(), shardBuild.Round(time.Millisecond), shardQuery.Round(time.Millisecond))
 
 	mustMatch(want, got, "sharded vs monolithic")

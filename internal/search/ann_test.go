@@ -342,7 +342,7 @@ func saveANN(t testing.TB, s *Starmie) []byte {
 // With dead, one more node, a tombstone under the first table's name,
 // closes the ring.
 func legacyV1(t *testing.T, s *Starmie, dead bool) []byte {
-	names := slices.Clone(s.annTables)
+	names := slices.Clone(s.parts[0].annTables)
 	if dead {
 		names = append(names, names[0])
 	}

@@ -26,14 +26,12 @@ const (
 )
 
 // Save writes the Starmie index — encoder identity, corpus document
-// frequencies, and every table's column embeddings — as one versioned,
-// checksummed envelope. The index must cover the lake exactly.
+// frequencies, and the column embeddings of every table of its lake — as
+// one versioned, checksummed envelope. Every lake table must be indexed. A
+// sharded index saves through its Parts, one file per part, each with the
+// lake-wide corpus.
 func (s *Starmie) Save(w io.Writer) error {
 	tables := s.lake.Tables()
-	if len(tables) != len(s.cols) {
-		return fmt.Errorf("starmie: save: index holds %d tables, lake holds %d: %w",
-			len(s.cols), len(tables), ErrLakeMismatch)
-	}
 	var b codec.Buffer
 	b.String(s.enc.Name())
 	b.String(s.enc.Model.Fingerprint())
@@ -71,7 +69,8 @@ func (s *Starmie) Save(w io.Writer) error {
 
 // LoadStarmie reads an index written by Starmie.Save and attaches it to l,
 // which must hold exactly the saved table set (lake iteration order may
-// differ; TopK results do not depend on it). The index must have been built
+// differ; TopK results do not depend on it); Join merges the parts of a
+// sharded index, loaded one file each. The index must have been built
 // with the default NewStarmie encoder — a different encoder name, base
 // model, or dimension fails with ErrEncoderMismatch.
 func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
@@ -171,24 +170,29 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 	return s, nil
 }
 
-// SaveANN writes the Starmie searcher's HNSW candidate graph — encoder
+// SaveANN writes a one-part searcher's HNSW candidate graph — encoder
 // identity, the node-to-table mapping, and the graph's adjacency — as one
 // versioned, checksummed envelope, so a warm start skips the O(n log n)
 // graph build the way it skips re-embedding. The graph exists after
-// SetMode(ANN); saving a graphless searcher is an error.
+// SetMode(ANN); saving a graphless searcher is an error, and a sharded one
+// saves through its Parts.
 //
 // A saved graph holds no tombstones: the file has no rows, so a loader
 // could not route through a dead node. A graph that carries some is saved
 // as its compaction (Compact's graph), and the in-memory graph is left as
 // it is.
 func (s *Starmie) SaveANN(w io.Writer) error {
-	if s.graph == nil {
+	if len(s.parts) != 1 {
+		return fmt.Errorf("starmie: save ann: %d parts, save each of Parts()", len(s.parts))
+	}
+	p := s.parts[0]
+	if p.graph == nil {
 		return fmt.Errorf("starmie: save ann: no candidate graph (SetMode(ANN) first)")
 	}
-	graph, names := s.graph, s.annTables
+	graph, names := p.graph, p.annTables
 	if graph.Live() != graph.Len() {
 		names = make([]string, 0, graph.Live())
-		graph = graph.Compact(func(oldID, _ int) { names = append(names, s.annTables[oldID]) })
+		graph = graph.Compact(func(oldID, _ int) { names = append(names, p.annTables[oldID]) })
 	}
 	var b codec.Buffer
 	b.String(s.enc.Name())
@@ -199,7 +203,7 @@ func (s *Starmie) SaveANN(w io.Writer) error {
 	return codec.WriteEnvelope(w, codec.KindANN, ANNFormatVersion, b.Bytes())
 }
 
-// LoadANN installs a candidate graph written by SaveANN into this
+// LoadANN installs a candidate graph written by SaveANN into this one-part
 // searcher, validating encoder identity and that the graph's live nodes
 // cover the indexed column embeddings exactly (one live node per indexed
 // column, per table), and binds each live node to its column's row of the
@@ -208,6 +212,9 @@ func (s *Starmie) SaveANN(w io.Writer) error {
 // keeps. It does not switch retrieval modes — call SetMode(ANN), which
 // reuses the installed graph instead of rebuilding.
 func (s *Starmie) LoadANN(r io.Reader) error {
+	if len(s.parts) != 1 {
+		return fmt.Errorf("starmie: load ann: %d parts, load each before Join", len(s.parts))
+	}
 	version, payload, err := codec.ReadEnvelope(r, codec.KindANN, ANNFormatVersion)
 	if err != nil {
 		return fmt.Errorf("starmie: load ann: %w", err)
@@ -261,9 +268,10 @@ func (s *Starmie) LoadANN(r io.Reader) error {
 		s.blockRows(s.cols[name], func(v vector.Vec) { rows[nodes[c]] = v; c++ })
 	}
 	graph.BindRows(rows)
-	s.graph, s.annTables, s.annIDs = graph, names, ids
+	p := s.parts[0]
+	p.graph, p.annTables, p.annIDs = graph, names, ids
 	if graph.Live() != graph.Len() {
-		s.rebuildGraph()
+		p.rebuildGraph()
 	}
 	return nil
 }

@@ -176,8 +176,7 @@ func TestTopKMatchesReference(t *testing.T) {
 			for _, k := range []int{1, 10, n, 0, -1} {
 				cands := s.lake.Tables()
 				if mode.RetrievalMode() == ANN && k > 0 {
-					perColumn := int(math.Ceil(s.Oversample * float64(k)))
-					cands = tablesNamed(s.lake, s.annCandidateNames(cols, perColumn))
+					cands = tablesNamed(s.lake, s.annCandidateNames(cols, k))
 				}
 				label := fmt.Sprintf("query %d %s k=%d", qi, mode.Name(), k)
 				want := referenceRank(ref, cands, k)
@@ -321,8 +320,8 @@ func firstAddr(b []float64) *float64 {
 	return &b[0]
 }
 
-// TestCloneSharesBlocks pins copy-on-write at the block level: AddTable,
-// RemoveTable and RefreshBig on a clone leave the parent's answers
+// TestCloneSharesBlocks pins copy-on-write at the block level: AddTable
+// and RemoveTable on a clone leave the parent's answers
 // untouched, and every table the mutations did not re-embed still points at
 // the parent's block — a PUT copies no lake vectors. A save -> load -> save
 // of the mutated clone is byte-identical, and the loaded index answers like
@@ -353,7 +352,6 @@ func TestCloneSharesBlocks(t *testing.T) {
 	if err := l2.Remove(victim); err != nil {
 		t.Fatal(err)
 	}
-	c.RefreshBig()
 
 	for i, q := range queries {
 		assertSameHits(t, fmt.Sprintf("parent after clone mutations, query %d", i), TopK(s, q, 10), before[i])

@@ -24,7 +24,6 @@ import (
 	"dust/internal/lake"
 	"dust/internal/par"
 	"dust/internal/table"
-	"dust/internal/tokenize"
 )
 
 // Scored is a search hit: a lake table and its unionability score.
@@ -35,48 +34,35 @@ type Scored struct {
 
 // Searcher is the one contract behind Algorithm 1's SearchTables call: an
 // index over a lake's tables that ranks them by unionability with a query.
-// Starmie and the sharded scatter-gather searcher over Starmie parts
-// (internal/shard) implement all of it, so the pipeline, persistence,
-// serving and sharding layers compose against this type alone. Queries run
-// prepared — Prepare once, then TopKPrepared (or, for a coordinator that
-// scores a merged pool itself, NominatePrepared + ScorePrepared); TopK and
-// TopKCtx wrap the two steps. Queries are safe concurrently with each other; everything that
-// changes the index (SetMode, the Set* tuners, AddTable/RemoveTable,
-// Compact) is not safe concurrently with queries — mutate a CloneWithLake
-// copy and swap.
+// Starmie, over one part or several (WithShards), implements it, and the
+// pipeline, persistence and serving layers compose against this type
+// alone. Queries run prepared — Prepare once, then TopKPrepared; TopK and
+// TopKCtx wrap the two steps. Queries are safe concurrently with each
+// other; everything that changes the index (SetMode, the Set* tuners,
+// AddTable/RemoveTable, Compact) is not safe concurrently with queries —
+// mutate a CloneWithLake copy and swap.
 type Searcher interface {
 	// Name identifies the searcher and its retrieval mode; config tags and
 	// the serving caches keyed by them build on it.
 	Name() string
 	// Lake returns the lake this searcher indexes.
 	Lake() *lake.Lake
-	// Parts returns the independently built, persisted and sized
-	// sub-indexes in shard order. A monolithic searcher is its own single
-	// part.
+	// Parts returns the persisted and sized sub-indexes in shard order, each
+	// a read-only view over its own sub-lake. A one-part searcher is its own
+	// single part.
 	Parts() []Searcher
 
 	// Prepare encodes the query once; the result may be reused across any
-	// number of calls below and across searchers sharing this searcher's
-	// encoder state (see PreparedQuery).
+	// number of TopKPrepared calls on this searcher and its views.
 	Prepare(query *table.Table) PreparedQuery
 	// TopKPrepared retrieves candidates for pq (every indexed table in
 	// Exact mode, the approximate backend's nominees in ANN mode), scores
 	// them exactly and returns the top k by (score desc, name asc); k <= 0
-	// asks for the full ranking, which only the exact scan provides. A
+	// asks for the full ranking, which only the exact scan provides. ANN
+	// retrieval that nominates nothing (no graph nodes) ranks nothing. A
 	// cancelled ctx yields ctx.Err(), never a truncated ranking; a
 	// preparation from another searcher family yields ErrForeignPrepared.
 	TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error)
-	// NominatePrepared is the candidate-only half of the plan: candidate
-	// table names, unscored, in a deterministic but unranked order — ranking
-	// is the scorer's job. depth bounds the per-query-column neighbor count
-	// of the HNSW backend; the exact scan ignores it and returns every
-	// table. The approximate backend may return nothing (a graph with no
-	// nodes); the caller picks the fallback.
-	NominatePrepared(ctx context.Context, pq PreparedQuery, depth int) ([]string, error)
-	// ScorePrepared exactly scores one indexed table under pq. It panics on
-	// a foreign preparation or an unindexed table — composition errors of
-	// the calling coordinator, not runtime conditions.
-	ScorePrepared(pq PreparedQuery, t *table.Table) float64
 
 	// SetMode switches the retrieval backend; entering ANN builds the
 	// approximate index on first use (O(n log n) for HNSW) and reuses an
@@ -130,15 +116,6 @@ type Searcher interface {
 	MaintenanceStats() MaintenanceStats
 	SetAutoCompact(on bool)
 	Compact() bool
-
-	// Instrument attaches a scatter-stage accumulator (nil detaches) and
-	// reports whether this searcher has a scatter stage to time; a
-	// monolithic searcher has none.
-	Instrument(st *StageTimings) bool
-	// Close releases long-lived resources — the sharded searcher's scatter
-	// pool, shared by its whole clone family. A monolithic searcher holds
-	// none.
-	Close()
 }
 
 // QueryBounded names the part of the contract that re-bounds query
@@ -179,6 +156,11 @@ const (
 	DefaultOversample = 4.0
 	// DefaultEfSearch bounds the HNSW base-layer beam width.
 	DefaultEfSearch = 120
+	// annNominateSlack widens each part's nomination depth beyond its
+	// ceil(Oversample*k/n) share, so the union of n parts' nominees keeps
+	// the recall of one graph even when one part owns most of the true
+	// neighbours.
+	annNominateSlack = 4
 	// rebuildThreshold is the tombstone fraction past which a mutated
 	// HNSW graph is rebuilt from its live nodes instead of accumulating
 	// more dead weight.
@@ -200,6 +182,9 @@ var (
 	// ErrEncoderMismatch reports a saved index built with a different
 	// encoder configuration than the loading searcher.
 	ErrEncoderMismatch = errors.New("search: saved index built with a different encoder")
+	// ErrLayoutMismatch reports Join parts that do not partition the lake
+	// exactly (a table missing, duplicated, or unknown).
+	ErrLayoutMismatch = errors.New("search: parts do not partition the lake")
 )
 
 // TopKCtx is the whole query under ctx: Prepare, then TopKPrepared, with the
@@ -225,19 +210,18 @@ func TopK(s Searcher, query *table.Table, k int) []Scored {
 // staged plan: encode (query representation + tuple embedding), retrieve
 // (candidate generation), score (exact ranking of the candidates), and
 // align and diversify (both filled by the dust pipeline). Fields are atomic
-// so a sharded scatter can record from concurrent goroutines; a Trace
-// travels with the request via WithTrace, and searchers that find one in
-// their context add their stage costs to it. Serving layers turn the totals
-// into latency histograms and per-request log fields.
+// so the scan's parallel chunks can record from concurrent goroutines; a
+// Trace travels with the request via WithTrace, and searchers that find one
+// in their context add their stage costs to it. Serving layers turn the
+// totals into latency histograms and per-request log fields.
 type Trace struct {
 	// EncodeNS is nanoseconds spent deriving representations: the query's
 	// prepared form here, plus tuple embedding in the dust pipeline.
 	EncodeNS atomic.Int64
 	// RetrieveNS is nanoseconds spent generating candidates (the exact
-	// scan's table listing, ANN lookups, or the sharded scatter).
+	// scan's table listing, or every part's ANN lookups).
 	RetrieveNS atomic.Int64
-	// ScoreNS is nanoseconds spent exactly scoring and ranking candidates
-	// (the sharded gather's merge and global re-score included).
+	// ScoreNS is nanoseconds spent exactly scoring and ranking candidates.
 	ScoreNS atomic.Int64
 	// AlignNS is nanoseconds the dust pipeline spent between ranking and
 	// tuple embedding: column embedding, holistic alignment, the mappings,
@@ -251,8 +235,7 @@ type Trace struct {
 	// matching's upper bound without being scored, scored by distinct
 	// per-column arg-maxes, or scored by the Hungarian step. The split is
 	// input-dependent — a query whose candidates all tie defeats the bound
-	// — so it is counted, not assumed. Candidates a sharded coordinator
-	// scores one by one (its ANN re-rank) are not counted.
+	// — so it is counted, not assumed.
 	ScanBounded, ScanGreedy, ScanMatched atomic.Int64
 }
 
@@ -308,9 +291,7 @@ type traceKey struct{}
 
 // WithTrace returns a context carrying tr: staged searchers below the call
 // record their per-stage wall time into it. Passing nil masks any outer
-// trace; the sharded coordinator hands its sub-searchers a trace of its
-// own instead, so their stage times do not double-count the wall time the
-// coordinator reports while their scan counts still reach the request.
+// trace.
 func WithTrace(ctx context.Context, tr *Trace) context.Context {
 	return context.WithValue(ctx, traceKey{}, tr)
 }
@@ -322,36 +303,13 @@ func TraceFrom(ctx context.Context) *Trace {
 	return tr
 }
 
-// StageTimings accumulates per-stage wall time across the queries of a
-// scatter-gather searcher (internal/shard); attach one with
-// Searcher.Instrument. All fields are atomic so concurrent queries can share
-// an accumulator. The serving layer reports these as dust_scatter_*
-// counters.
-type StageTimings struct {
-	// Queries counts the top-k queries recorded.
-	Queries atomic.Int64
-	// EncodeNS is nanoseconds spent preparing the query representation
-	// (the encode-once stage).
-	EncodeNS atomic.Int64
-	// ScatterNS is nanoseconds spent in per-shard fan-out work: local
-	// top-k retrieval rounds in exact mode, candidate nomination in ANN
-	// mode.
-	ScatterNS atomic.Int64
-	// GatherNS is nanoseconds spent merging: the k-way heap merge plus, in
-	// ANN mode, the single global exact-scoring pass over the merged pool.
-	GatherNS atomic.Int64
-}
-
 // PreparedQuery is a query's encoded representation — Starmie's column
 // embeddings — computed once by Searcher.Prepare and reusable across many
-// TopKPrepared calls, so a fan-out caller (the
-// sharded scatter in internal/shard) never re-derives it per sub-index. A
-// prepared query is only meaningful to searchers sharing the encoder state
-// of the one that prepared it: identically configured encoders over the
-// same (shared) corpus, which is exactly what the shards of one partitioned
-// lake hold.
-// Implementations type-assert the concrete preparation and report
-// ErrForeignPrepared for one produced by a different searcher family.
+// TopKPrepared calls (a query asked for several k never re-encodes). A
+// prepared query is only meaningful to the searcher that prepared it and
+// the views sharing its index. Implementations type-assert the concrete
+// preparation and report ErrForeignPrepared for one produced by a
+// different searcher family.
 type PreparedQuery interface {
 	// Query returns the query table the preparation encodes.
 	Query() *table.Table
@@ -374,8 +332,8 @@ type MaintenanceStats struct {
 	GraphDeletedFraction float64
 }
 
-// Merge combines per-shard stats into a lake-wide view: counts sum, the
-// deleted fraction takes the per-shard maximum (one rotten shard should
+// Merge combines per-part stats into a lake-wide view: counts sum, the
+// deleted fraction takes the per-part maximum (one rotten part should
 // trip the maintainer even if the rest of the lake is clean).
 func (m MaintenanceStats) Merge(o MaintenanceStats) MaintenanceStats {
 	m.GraphNodes += o.GraphNodes
@@ -398,7 +356,7 @@ type Option func(*options)
 type options struct {
 	workers int
 	mode    Mode
-	corpus  *tokenize.Corpus
+	shards  int
 }
 
 // WithWorkers bounds the parallelism of index construction and query
@@ -411,15 +369,13 @@ func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 // of indexing. Equivalent to SetMode right after construction.
 func WithMode(m Mode) Option { return func(o *options) { o.mode = m } }
 
-// WithSharedCorpus installs an externally owned TF-IDF corpus instead of
-// building one from the indexed tables. The corpus must already contain the
-// column documents of every table in the wider table universe the caller
-// coordinates — e.g. all shards of a partitioned lake — including this
-// searcher's own tables: the constructor only computes over-budget flags
-// and embeds against the given statistics. Mutations on a searcher carrying
-// a shared corpus never touch it; the owning layer updates the corpus and
-// calls RefreshBig on every searcher sharing it.
-func WithSharedCorpus(c *tokenize.Corpus) Option { return func(o *options) { o.corpus = c } }
+// WithShards partitions Starmie's index into n parts by Assign (n <= 1:
+// one part, the default). Each part has its own sub-lake, HNSW graph and
+// saved file set; the corpus, the column blocks and the exact scan stay
+// one, so exact rankings do not depend on n. In ANN mode each part's graph
+// nominates ceil(Oversample*k/n)+annNominateSlack neighbours per query
+// column, so ANN rankings do, and the searcher's Name carries n.
+func WithShards(n int) Option { return func(o *options) { o.shards = n } }
 
 func applyOptions(opts []Option) options {
 	var o options

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"math"
 	"slices"
@@ -25,6 +26,10 @@ import (
 // at query time the query's columns are matched to each candidate's columns
 // by maximum-weight bipartite matching over cosine similarity and the
 // normalized matching weight is the table's unionability score (§6.2.3).
+//
+// The index is one or more parts (WithShards): each part owns the tables
+// Assign routes to it, its own HNSW graph and its own saved file set, while
+// the corpus, the blocks and the exact scan stay one over the whole lake.
 type Starmie struct {
 	enc    embed.StarmieEncoder
 	lake   *lake.Lake
@@ -41,44 +46,77 @@ type Starmie struct {
 	// the encoder budget: their embeddings depend on the corpus TF-IDF
 	// selection and must be refreshed whenever the corpus changes (see
 	// AddTable/RemoveTable). Every other table embeds corpus-independently.
-	big map[string]bool
-	// sharedCorpus marks a corpus installed via WithSharedCorpus (or
-	// AdoptSharedCorpus): its document statistics cover a wider table
-	// universe than this searcher's lake and are owned by a coordinating
-	// layer (internal/shard), so AddTable/RemoveTable must not add or
-	// remove documents — the owner mutates the corpus and fans RefreshBig
-	// across every searcher sharing it.
-	sharedCorpus bool
-	workers      int
+	big     map[string]bool
+	workers int
 	// MinSim drops column matches below this similarity (Starmie's
 	// verification threshold).
 	MinSim float64
 
-	// Staged retrieval state (mode ANN): an HNSW graph over every indexed
-	// column embedding, whose nodes hold rows of the blocks above (a
-	// tombstoned node keeps the row of a block cols may have dropped, until
-	// compaction). Node ids map to their owning table via annTables
-	// (tombstoned nodes keep stale entries until a rebuild); annIDs holds
-	// the live node ids of each indexed table. The graph exists only after
-	// SetMode(ANN) (or LoadANN) and is kept in sync by AddTable /
-	// RemoveTable / refreshBig from then on; exact-mode searchers carry no
-	// graph and pay nothing.
-	mode      Mode
-	graph     *ann.Index
-	annTables []string
-	annIDs    map[string][]int
-	// Oversample and EfSearch shape the candidate stage: it retrieves the
-	// ceil(Oversample*k) nearest column embeddings per query column, with
-	// beam width EfSearch, and nominates their owner tables for exact
-	// re-ranking. Raise Oversample to trade latency for recall.
+	// mode selects the candidate stage; parts partition the lake, n >= 1.
+	// A one-part index's part is bound to lake itself; the parts of a
+	// sharded index hold sub-lakes of their own, which AddTable and
+	// RemoveTable keep in step.
+	mode  Mode
+	parts []*part
+	// Oversample and EfSearch shape the candidate stage: every part's graph
+	// retrieves the nearest column embeddings per query column — ceil(
+	// Oversample*k) of them for one part, ceil(Oversample*k/n)+
+	// annNominateSlack for n — with beam width at most EfSearch, and the
+	// owner tables are re-ranked exactly. Raise Oversample to trade latency
+	// for recall.
 	Oversample float64
 	EfSearch   int
 	// manualCompact (set via SetAutoCompact(false)) stops mutations from
-	// rebuilding the graph inline once tombstones dominate; an attached
+	// rebuilding graphs inline once tombstones dominate; an attached
 	// maintainer calls Compact on its own schedule instead. Zero value
 	// keeps the inline policy, so clones and views inherit the setting
 	// through plain struct copies.
 	manualCompact bool
+}
+
+// part is one shard of the index: its tables and the staged retrieval
+// state over them (mode ANN). The HNSW graph's nodes are rows of the
+// blocks in Starmie.cols (a tombstoned node keeps the row of a block cols
+// may have dropped, until compaction). Node ids map to their owning table
+// via annTables (tombstoned nodes keep stale entries until a rebuild);
+// annIDs holds the live node ids of each table. The graph exists only after
+// SetMode(ANN) (or LoadANN) and is kept in sync by AddTable / RemoveTable /
+// refreshBig from then on; exact-mode searchers carry no graph and pay
+// nothing.
+type part struct {
+	lake      *lake.Lake
+	graph     *ann.Index
+	annTables []string
+	annIDs    map[string][]int
+}
+
+// Assign returns the part a table name belongs to under n parts: FNV-1a of
+// the name modulo n. It depends only on (name, n), so every process
+// partitioning the same lake the same way routes a table identically.
+func Assign(name string, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	h := fnv.New32a()
+	h.Write([]byte(name))
+	return int(h.Sum32() % uint32(n))
+}
+
+// partition splits l into n parts by Assign, keeping l's iteration order
+// within each part. One part is bound to l itself; several get sub-lakes
+// sharing l's table objects, so partitioning costs O(tables), not O(cells).
+func partition(l *lake.Lake, n int) []*part {
+	if n <= 1 {
+		return []*part{{lake: l}}
+	}
+	parts := make([]*part, n)
+	for i := range parts {
+		parts[i] = &part{lake: lake.New(fmt.Sprintf("%s#%d", l.Name, i))}
+	}
+	for _, t := range l.Tables() {
+		parts[Assign(t.Name, n)].lake.MustAdd(t)
+	}
+	return parts
 }
 
 // NewStarmie indexes the lake with the default Starmie encoder.
@@ -93,16 +131,11 @@ func NewStarmie(l *lake.Lake, opts ...Option) *Starmie {
 func NewStarmieWithEncoder(l *lake.Lake, enc embed.StarmieEncoder, opts ...Option) *Starmie {
 	o := applyOptions(opts)
 	s := emptyStarmie(l, enc, o)
-	if o.corpus != nil {
-		s.corpus, s.sharedCorpus = o.corpus, true
-	}
 	tables := l.Tables()
 	for _, t := range tables {
 		for i := range t.Columns {
 			tokens := embed.ColumnTokens(&t.Columns[i])
-			if !s.sharedCorpus {
-				s.corpus.AddDocument(tokens)
-			}
+			s.corpus.AddDocument(tokens)
 			if len(tokens) > embed.TokenBudget {
 				s.big[t.Name] = true
 			}
@@ -132,6 +165,7 @@ func emptyStarmie(l *lake.Lake, enc embed.StarmieEncoder, o options) *Starmie {
 		big:        make(map[string]bool),
 		workers:    o.workers,
 		MinSim:     0.3,
+		parts:      partition(l, o.shards),
 		Oversample: DefaultOversample,
 		EfSearch:   DefaultEfSearch,
 	}
@@ -154,10 +188,14 @@ func carveBlocks(tables []*table.Table, dim int) [][]float64 {
 	return blocks
 }
 
+// indexCorpus hands the encoder the index corpus, which it reads only for
+// a column over the token budget.
+func (s *Starmie) indexCorpus() *tokenize.Corpus { return s.corpus }
+
 // embedInto encodes t's columns against the current corpus into block.
 func (s *Starmie) embedInto(block []float64, t *table.Table) {
 	dim := s.enc.Dim()
-	for c, v := range s.enc.EncodeTableColumns(t, s.Corpus) {
+	for c, v := range s.enc.EncodeTableColumns(t, s.indexCorpus) {
 		copy(block[c*dim:(c+1)*dim], v)
 	}
 }
@@ -179,31 +217,52 @@ func (s *Starmie) blockRows(block []float64, fn func(v vector.Vec)) {
 }
 
 // Name implements Searcher; the ANN suffix keeps config tags (and the
-// serving caches keyed by them) distinct between the two query plans.
+// serving caches keyed by them) distinct between the two query plans, and a
+// sharded index names its part count, which shapes ANN rankings.
 func (s *Starmie) Name() string {
+	name := "starmie"
 	if s.mode == ANN {
-		return "starmie+ann"
+		name = "starmie+ann"
 	}
-	return "starmie"
+	if len(s.parts) > 1 {
+		return fmt.Sprintf("sharded%d(%s)", len(s.parts), name)
+	}
+	return name
 }
 
 // Lake implements Searcher.
 func (s *Starmie) Lake() *lake.Lake { return s.lake }
 
-// Parts implements Searcher: a monolithic index is its own single part.
-func (s *Starmie) Parts() []Searcher { return []Searcher{s} }
+// Parts implements Searcher: a one-part index is its own single part; a
+// sharded one returns a read-only view per part, bound to the part's
+// sub-lake and graph and sharing everything else — what the persistence
+// layer saves one file set per, and what Join merges back.
+func (s *Starmie) Parts() []Searcher {
+	if len(s.parts) == 1 {
+		return []Searcher{s}
+	}
+	views := make([]Searcher, len(s.parts))
+	for i, p := range s.parts {
+		v := *s
+		v.lake, v.parts = p.lake, s.parts[i:i+1:i+1]
+		views[i] = &v
+	}
+	return views
+}
 
 // SetMode implements Searcher: ANN switches the retrieval stage to HNSW
-// candidates exactly re-ranked, building the graph over the indexed
+// candidates exactly re-ranked, building every part's graph over its
 // column embeddings if none is installed yet; Exact restores the full
-// scan. An installed graph survives mode flips (and keeps absorbing
+// scan. Installed graphs survive mode flips (and keep absorbing
 // mutations) so toggling is cheap.
 func (s *Starmie) SetMode(m Mode) error {
 	switch m {
 	case Exact:
 	case ANN:
-		if s.graph == nil {
-			s.buildGraph()
+		for _, p := range s.parts {
+			if p.graph == nil {
+				s.buildGraph(p)
+			}
 		}
 	default:
 		return fmt.Errorf("starmie: SetMode(%d): %w", int(m), ErrUnknownMode)
@@ -215,13 +274,20 @@ func (s *Starmie) SetMode(m Mode) error {
 // RetrievalMode implements Searcher.
 func (s *Starmie) RetrievalMode() Mode { return s.mode }
 
+// hasGraphs reports whether the parts carry their candidate graphs, which
+// they are built, loaded and cloned with all together.
+func (s *Starmie) hasGraphs() bool { return s.parts[0].graph != nil }
+
 // IndexBytes implements Searcher: the estimated resident bytes of the
-// installed candidate graph, zero without one.
+// installed candidate graphs, zero without them.
 func (s *Starmie) IndexBytes() IndexFootprint {
-	if s.graph == nil {
-		return IndexFootprint{}
+	var fp IndexFootprint
+	for _, p := range s.parts {
+		if p.graph != nil {
+			fp.Bytes += p.graph.Bytes()
+		}
 	}
-	return IndexFootprint{Bytes: s.graph.Bytes()}
+	return fp
 }
 
 // SetOversample implements Searcher; v <= 0 restores DefaultOversample.
@@ -240,122 +306,122 @@ func (s *Starmie) SetEfSearch(ef int) {
 	s.EfSearch = ef
 }
 
-// Instrument implements Searcher: a monolithic searcher has no scatter
-// stage, so nothing is attached.
-func (s *Starmie) Instrument(*StageTimings) bool { return false }
+// Graph exposes the first part's candidate graph (nil without one) so
+// tests can read its shape. Callers must not mutate it.
+func (s *Starmie) Graph() *ann.Index { return s.parts[0].graph }
 
-// Close implements Searcher as a no-op: a monolithic searcher holds no
-// long-lived resources.
-func (s *Starmie) Close() {}
-
-// Graph exposes the installed candidate graph (nil without one) so tests
-// can read its shape. Callers must not mutate it.
-func (s *Starmie) Graph() *ann.Index { return s.graph }
-
-// buildGraph indexes every column embedding into a fresh HNSW graph, in
-// lake iteration order so the graph is identical across processes. The
-// bulk path goes through ann.Build — batch-parallel and bit-reproducible
-// at every worker count — with node ids equal to insertion positions,
-// exactly as the incremental annAdd path books them. The graph's nodes
-// are the blocks' own rows.
-func (s *Starmie) buildGraph() {
-	s.annTables = nil
-	s.annIDs = make(map[string][]int, s.lake.Len())
+// buildGraph indexes every column embedding of p's tables into a fresh
+// HNSW graph, in p's lake order so the graph is identical across
+// processes. The bulk path goes through ann.Build — batch-parallel and
+// bit-reproducible at every worker count — with node ids equal to
+// insertion positions, exactly as the incremental annAdd path books them.
+// The graph's nodes are the blocks' own rows.
+func (s *Starmie) buildGraph(p *part) {
+	p.annTables = nil
+	p.annIDs = make(map[string][]int, p.lake.Len())
 	var rows []vector.Vec
-	for _, t := range s.lake.Tables() {
+	for _, t := range p.lake.Tables() {
 		s.blockRows(s.cols[t.Name], func(v vector.Vec) {
 			rows = append(rows, v)
-			s.annTables = append(s.annTables, t.Name)
+			p.annTables = append(p.annTables, t.Name)
 		})
 	}
-	s.graph = ann.Build(s.enc.Dim(), rows, ann.Config{}, s.workers)
-	for id, name := range s.annTables {
-		s.annIDs[name] = append(s.annIDs[name], id)
+	p.graph = ann.Build(s.enc.Dim(), rows, ann.Config{}, s.workers)
+	for id, name := range p.annTables {
+		p.annIDs[name] = append(p.annIDs[name], id)
 	}
 }
 
-// annAdd indexes table name's current column embeddings.
-func (s *Starmie) annAdd(name string) {
+// annAdd indexes table name's current column embeddings into p's graph.
+func (s *Starmie) annAdd(p *part, name string) {
 	s.blockRows(s.cols[name], func(v vector.Vec) {
-		id := s.graph.Add(v)
-		s.annTables = append(s.annTables, name)
-		s.annIDs[name] = append(s.annIDs[name], id)
+		id := p.graph.Add(v)
+		p.annTables = append(p.annTables, name)
+		p.annIDs[name] = append(p.annIDs[name], id)
 	})
 }
 
-// annRemove tombstones table name's nodes.
-func (s *Starmie) annRemove(name string) {
-	for _, id := range s.annIDs[name] {
-		if err := s.graph.Remove(id); err != nil {
+// annRemove tombstones table name's nodes in p's graph.
+func (p *part) annRemove(name string) {
+	for _, id := range p.annIDs[name] {
+		if err := p.graph.Remove(id); err != nil {
 			// Ids come from annIDs bookkeeping and are always live.
 			panic(err)
 		}
 	}
-	delete(s.annIDs, name)
+	delete(p.annIDs, name)
 }
 
-// maybeRebuild compacts the graph once tombstones dominate, unless a
+// maybeRebuild compacts every graph in which tombstones dominate, unless a
 // maintainer owns compaction (SetAutoCompact(false)). The size floor keeps
 // tiny, churn-heavy indexes from rebuilding on every other mutation.
 func (s *Starmie) maybeRebuild() {
-	g := s.graph
-	if s.manualCompact || g == nil || g.Len() < 8 || g.DeletedFraction() <= rebuildThreshold {
-		return
+	for _, p := range s.parts {
+		g := p.graph
+		if s.manualCompact || g == nil || g.Len() < 8 || g.DeletedFraction() <= rebuildThreshold {
+			continue
+		}
+		p.rebuildGraph()
 	}
-	s.rebuildGraph()
 }
 
-// rebuildGraph compacts the graph from its live nodes, rebooking the
+// rebuildGraph compacts p's graph from its live nodes, rebooking the
 // node-to-table mapping as ann.Compact reports the surviving ids. Live
 // insertion order is preserved, so searches rank identically before and
 // after.
-func (s *Starmie) rebuildGraph() {
-	oldTables := s.annTables
-	s.annTables = nil
-	s.annIDs = make(map[string][]int, len(s.annIDs))
-	s.graph = s.graph.Compact(func(oldID, newID int) {
+func (p *part) rebuildGraph() {
+	oldTables := p.annTables
+	p.annTables = nil
+	p.annIDs = make(map[string][]int, len(p.annIDs))
+	p.graph = p.graph.Compact(func(oldID, newID int) {
 		name := oldTables[oldID]
-		s.annTables = append(s.annTables, name)
-		s.annIDs[name] = append(s.annIDs[name], newID)
+		p.annTables = append(p.annTables, name)
+		p.annIDs[name] = append(p.annIDs[name], newID)
 	})
 }
 
 // SetAutoCompact implements Searcher: with auto compaction off,
-// AddTable/RemoveTable/RefreshBig never rebuild the graph inline and
-// tombstones accumulate until Compact runs.
+// AddTable/RemoveTable never rebuild a graph inline and tombstones
+// accumulate until Compact runs.
 func (s *Starmie) SetAutoCompact(on bool) { s.manualCompact = !on }
 
-// Compact implements Searcher: it rebuilds the graph from its live
-// nodes when any tombstones exist, reporting whether a rebuild ran.
+// Compact implements Searcher: it rebuilds every graph holding tombstones
+// from its live nodes, reporting whether any rebuild ran.
 func (s *Starmie) Compact() bool {
-	if s.graph == nil || s.graph.Len() == s.graph.Live() {
-		return false
+	did := false
+	for _, p := range s.parts {
+		if p.graph != nil && p.graph.Len() != p.graph.Live() {
+			p.rebuildGraph()
+			did = true
+		}
 	}
-	s.rebuildGraph()
-	return true
+	return did
 }
 
-// MaintenanceStats implements Searcher.
+// MaintenanceStats implements Searcher, merged over the parts' graphs.
 func (s *Starmie) MaintenanceStats() MaintenanceStats {
-	if s.graph == nil {
-		return MaintenanceStats{}
+	var m MaintenanceStats
+	for _, p := range s.parts {
+		if g := p.graph; g != nil {
+			m = m.Merge(MaintenanceStats{
+				GraphNodes:           g.Len(),
+				GraphLive:            g.Live(),
+				GraphDeletedFraction: g.DeletedFraction(),
+			})
+		}
 	}
-	return MaintenanceStats{
-		GraphNodes:           s.graph.Len(),
-		GraphLive:            s.graph.Live(),
-		GraphDeletedFraction: s.graph.DeletedFraction(),
-	}
+	return m
 }
 
 // ModeView implements Searcher: the view is a shallow copy sharing every
-// piece of index state (including the graph, whose searches are safe
+// piece of index state (including the graphs, whose searches are safe
 // concurrently) under the requested retrieval mode. An ANN view of a
-// graph-less searcher is unavailable — build the graph first via SetMode.
+// graph-less searcher is unavailable — build the graphs first via SetMode.
 func (s *Starmie) ModeView(m Mode) (Searcher, bool) {
 	if m == s.mode {
 		return s, true
 	}
-	if m == ANN && s.graph == nil {
+	if m == ANN && !s.hasGraphs() {
 		return nil, false
 	}
 	if m != Exact && m != ANN {
@@ -366,22 +432,32 @@ func (s *Starmie) ModeView(m Mode) (Searcher, bool) {
 	return &c, true
 }
 
-// annCandidateNames nominates the owner tables of the perColumn nearest
-// column embeddings to each query column, name-sorted for determinism. The
-// beam width ef caps at the searcher's EfSearch but shrinks with shallow
-// fetches: HNSW traversal cost is ef-proportional, and a beam several
-// times the fetch depth already saturates recall, so a sharded nomination
-// at depth ~k/n must not pay the full-depth beam the monolithic plan is
-// tuned for.
-func (s *Starmie) annCandidateNames(qCols []vector.Vec, perColumn int) []string {
+// annCandidateNames nominates, from every part's graph, the owner tables
+// of the nearest column embeddings to each query column for a top-k
+// query, name-sorted for determinism. One part fetches ceil(Oversample*k)
+// neighbours per query column; n parts fetch ceil(Oversample*k/n) plus
+// annNominateSlack each. The beam width ef caps at the searcher's EfSearch
+// but shrinks with shallow fetches: HNSW traversal cost is
+// ef-proportional, and a beam several times the fetch depth already
+// saturates recall, so a part fetching ~k/n must not pay the full-depth
+// beam one graph over the whole lake is tuned for. No graph nodes (every
+// table without columns) means no nominees, and the ranking is empty, at
+// every part count.
+func (s *Starmie) annCandidateNames(qCols []vector.Vec, k int) []string {
+	perColumn := int(math.Ceil(s.Oversample * float64(k)))
+	if n := len(s.parts); n > 1 {
+		perColumn = int(math.Ceil(s.Oversample*float64(k)/float64(n))) + annNominateSlack
+	}
 	ef := s.EfSearch
 	if scaled := 4*perColumn + 16; scaled < ef {
 		ef = scaled
 	}
 	seen := make(map[string]bool)
-	for _, qv := range qCols {
-		for _, id := range s.graph.Search(qv, perColumn, ef) {
-			seen[s.annTables[id]] = true
+	for _, p := range s.parts {
+		for _, qv := range qCols {
+			for _, id := range p.graph.Search(qv, perColumn, ef) {
+				seen[p.annTables[id]] = true
+			}
 		}
 	}
 	names := make([]string, 0, len(seen))
@@ -392,88 +468,114 @@ func (s *Starmie) annCandidateNames(qCols []vector.Vec, perColumn int) []string 
 	return names
 }
 
+// owner returns the part holding name, or nil. It asks the parts' lakes
+// rather than Assign, so a layout loaded from a manifest routes its tables
+// where it saved them.
+func (s *Starmie) owner(name string) *part {
+	for _, p := range s.parts {
+		if p.lake.Get(name) != nil {
+			return p
+		}
+	}
+	return nil
+}
+
 // AddTable implements Searcher: the new table's columns join the corpus
 // and are embedded with it; tables whose TF-IDF token selection depends on
 // the corpus (those with over-budget columns) are re-embedded so every
 // stored embedding matches what a from-scratch index over the new table set
-// would hold. The table must (also) be added to the lake before querying.
+// would hold. The table must (also) be added to the lake before querying; a
+// sharded index adds it to its part's sub-lake itself.
 func (s *Starmie) AddTable(t *table.Table) error {
 	if _, ok := s.cols[t.Name]; ok {
 		return fmt.Errorf("starmie: AddTable(%q): %w", t.Name, ErrDuplicateTable)
 	}
+	p := s.parts[Assign(t.Name, len(s.parts))]
+	if p.lake != s.lake {
+		if err := p.lake.Add(t); err != nil {
+			return err
+		}
+	}
 	for i := range t.Columns {
 		tokens := embed.ColumnTokens(&t.Columns[i])
-		if !s.sharedCorpus {
-			s.corpus.AddDocument(tokens)
-		}
+		s.corpus.AddDocument(tokens)
 		if len(tokens) > embed.TokenBudget {
 			s.big[t.Name] = true
 		}
 	}
 	s.cols[t.Name] = s.embed(t)
 	s.refreshBig(t.Name)
-	if s.graph != nil {
-		s.annAdd(t.Name)
-		s.maybeRebuild()
+	if p.graph != nil {
+		s.annAdd(p, t.Name)
 	}
+	s.maybeRebuild()
 	return nil
 }
 
 // RemoveTable implements Searcher. It must run while the table is still
 // in the lake (its columns have to leave the corpus); remove it from the
-// lake afterwards.
+// lake afterwards. A sharded index removes it from its part's sub-lake
+// itself.
 func (s *Starmie) RemoveTable(name string) error {
 	if _, ok := s.cols[name]; !ok {
 		return fmt.Errorf("starmie: RemoveTable(%q): %w", name, ErrUnknownTable)
 	}
-	t := s.lake.Get(name)
-	if t == nil {
+	p := s.owner(name)
+	if p == nil {
 		return fmt.Errorf("starmie: RemoveTable(%q): table already left the lake: %w", name, ErrUnknownTable)
 	}
-	if !s.sharedCorpus {
-		for i := range t.Columns {
-			s.corpus.RemoveDocument(embed.ColumnTokens(&t.Columns[i]))
-		}
+	t := p.lake.Get(name)
+	for i := range t.Columns {
+		s.corpus.RemoveDocument(embed.ColumnTokens(&t.Columns[i]))
 	}
 	delete(s.cols, name)
 	delete(s.big, name)
-	if s.graph != nil {
-		s.annRemove(name)
+	if p.graph != nil {
+		p.annRemove(name)
 	}
 	s.refreshBig("")
-	if s.graph != nil {
-		s.maybeRebuild()
+	if p.lake != s.lake {
+		_ = p.lake.Remove(name) // present: owner found it there
 	}
+	s.maybeRebuild()
 	return nil
 }
 
 // refreshBig re-embeds every indexed table marked corpus-sensitive, in
-// parallel, skipping the one just encoded with the current corpus. Tables
-// under the token budget never enter s.big, so the common mutation costs
+// parallel, skipping the one just encoded with the current corpus. Each
+// part's graph follows its tables in the part's lake order. Tables under
+// the token budget never enter s.big, so the common mutation costs
 // O(new table) only.
 func (s *Starmie) refreshBig(skip string) {
-	var stale []*table.Table
-	for _, t := range s.lake.Tables() {
-		if _, ok := s.cols[t.Name]; ok && s.big[t.Name] && t.Name != skip {
-			stale = append(stale, t)
+	type staleTable struct {
+		t *table.Table
+		p *part
+	}
+	var stale []staleTable
+	for _, p := range s.parts {
+		for _, t := range p.lake.Tables() {
+			if _, ok := s.cols[t.Name]; ok && s.big[t.Name] && t.Name != skip {
+				stale = append(stale, staleTable{t, p})
+			}
 		}
 	}
 	if len(stale) == 0 {
 		return
 	}
-	embedded := par.Map(s.workers, len(stale), func(i int) []float64 { return s.embed(stale[i]) })
-	for i, t := range stale {
-		old := s.cols[t.Name]
-		s.cols[t.Name] = embedded[i]
-		if s.graph != nil && !slices.Equal(old, embedded[i]) {
+	embedded := par.Map(s.workers, len(stale), func(i int) []float64 { return s.embed(stale[i].t) })
+	for i, st := range stale {
+		name := st.t.Name
+		old := s.cols[name]
+		s.cols[name] = embedded[i]
+		if st.p.graph != nil && !slices.Equal(old, embedded[i]) {
 			// The stored vectors actually changed; the graph must follow
 			// (nodes are immutable once inserted, so swap them).
 			// Corpus refreshes usually re-select the same TF-IDF tokens
 			// and reproduce the old embeddings bit-for-bit — skipping
 			// those keeps mutation cost O(delta) instead of tombstoning
 			// (and eventually rebuilding over) every big table each time.
-			s.annRemove(t.Name)
-			s.annAdd(t.Name)
+			st.p.annRemove(name)
+			s.annAdd(st.p, name)
 		}
 	}
 }
@@ -487,67 +589,37 @@ func (s *Starmie) QueryWorkers(n int) Searcher {
 	return &c
 }
 
-// RefreshBig re-embeds every corpus-sensitive (over-budget) table against
-// the corpus's current statistics and keeps the ANN graph, when one is
-// installed, in step. It is the cross-searcher half of a shared-corpus
-// mutation: after the owning layer changes the shared corpus on behalf of
-// one searcher, every other searcher sharing it must refresh, exactly as
-// AddTable/RemoveTable refresh a private corpus. A searcher with no big
-// tables returns immediately.
-func (s *Starmie) RefreshBig() {
-	s.refreshBig("")
-	if s.graph != nil {
-		s.maybeRebuild()
-	}
-}
-
-// Encoder exposes the searcher's column encoder. Tests instrument its
-// shared base model to count encoding calls — the prepared-query gate that
-// proves a sharded query encodes exactly once.
-func (s *Starmie) Encoder() embed.StarmieEncoder { return s.enc }
-
-// Corpus exposes the TF-IDF corpus the index was embedded against. The
-// sharding layer uses it to recover the one shared corpus instance after a
-// per-shard warm start; treat it as read-only unless you own the searcher's
-// mutation surface.
-func (s *Starmie) Corpus() *tokenize.Corpus { return s.corpus }
-
-// AdoptSharedCorpus rebinds the searcher to an externally owned corpus and
-// marks it shared (see WithSharedCorpus). The given corpus's statistics
-// must reproduce the ones the stored embeddings were built with
-// bit-for-bit — the caller typically hands every shard the corpus restored
-// by one shard's load, or a fresh clone after CloneWithLake.
-func (s *Starmie) AdoptSharedCorpus(c *tokenize.Corpus) {
-	s.corpus, s.sharedCorpus = c, true
-}
-
 // CloneWithLake implements Searcher: the returned searcher is bound to l (a
 // clone of this searcher's lake holding the same table set) and owns its
-// own corpus and table-to-block map, so AddTable/RemoveTable on it never
-// disturb this searcher. The blocks themselves are shared — both mutation
-// paths install a fresh block (AddTable, refreshBig), never write into
-// one — so a clone costs one map copy, not the lake's vectors. A
-// shared corpus is not cloned: it belongs to the coordinating layer, which
-// clones it once and rebinds every shard clone via AdoptSharedCorpus.
+// own corpus, table-to-block map, sub-lakes and graph adjacency, so
+// AddTable/RemoveTable on it never disturb this searcher. The blocks
+// themselves are shared — both mutation paths install a fresh block
+// (AddTable, refreshBig), never write into one — so a clone costs one map
+// copy, not the lake's vectors.
 func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
 	c := *s
 	c.lake = l
-	if !s.sharedCorpus {
-		c.corpus = s.corpus.Clone()
-	}
+	c.corpus = s.corpus.Clone()
 	c.cols = maps.Clone(s.cols)
 	c.big = maps.Clone(s.big)
-	if s.graph != nil {
-		// Insertions rewire existing neighbor lists, so the clone needs its
-		// own adjacency (the rows stay shared); the id bookkeeping is
-		// append-mutated and is deep-copied for the same reason.
-		c.graph = s.graph.Clone()
-		c.annTables = make([]string, len(s.annTables))
-		copy(c.annTables, s.annTables)
-		c.annIDs = make(map[string][]int, len(s.annIDs))
-		for n, ids := range s.annIDs {
-			c.annIDs[n] = append([]int(nil), ids...)
+	c.parts = make([]*part, len(s.parts))
+	for i, p := range s.parts {
+		cp := &part{lake: l}
+		if p.lake != s.lake {
+			cp.lake = p.lake.Clone()
 		}
+		if p.graph != nil {
+			// Insertions rewire existing neighbor lists, so the clone needs
+			// its own adjacency (the rows stay shared); the id bookkeeping
+			// is append-mutated and is deep-copied for the same reason.
+			cp.graph = p.graph.Clone()
+			cp.annTables = slices.Clone(p.annTables)
+			cp.annIDs = make(map[string][]int, len(p.annIDs))
+			for n, ids := range p.annIDs {
+				cp.annIDs[n] = slices.Clone(ids)
+			}
+		}
+		c.parts[i] = cp
 	}
 	return &c
 }
@@ -643,7 +715,7 @@ func (sc *scan) score(s *Starmie, q *vector.QueryPanels, t *table.Table, floor f
 
 // EncodeQuery embeds a query table's columns with the index corpus.
 func (s *Starmie) EncodeQuery(q *table.Table) []vector.Vec {
-	return s.enc.EncodeTableColumns(q, s.Corpus)
+	return s.enc.EncodeTableColumns(q, s.indexCorpus)
 }
 
 // starmiePrepared is Starmie's PreparedQuery: the query's contextualized
@@ -659,8 +731,7 @@ type starmiePrepared struct {
 func (p *starmiePrepared) Query() *table.Table { return p.query }
 
 // Prepare implements Searcher: the query's columns are embedded
-// exactly once. Searchers sharing this searcher's corpus — the shards of a
-// partitioned lake — accept the preparation interchangeably.
+// exactly once.
 func (s *Starmie) Prepare(query *table.Table) PreparedQuery {
 	cols := s.EncodeQuery(query)
 	return &starmiePrepared{query: query, cols: cols, panels: vector.NewQueryPanels(cols)}
@@ -668,9 +739,9 @@ func (s *Starmie) Prepare(query *table.Table) PreparedQuery {
 
 // TopKPrepared implements Searcher as the staged plan: retrieve candidates
 // (every lake table in Exact mode; the owners of the nearest column
-// embeddings in ANN mode), then score them exactly, in parallel, and keep
-// the top k. The candidate scan stops scoring further tables once ctx is
-// cancelled and the call returns ctx.Err().
+// embeddings in every part's graph in ANN mode), then score them exactly,
+// in parallel, and keep the top k. The candidate scan stops scoring further
+// tables once ctx is cancelled and the call returns ctx.Err().
 func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error) {
 	p, ok := pq.(*starmiePrepared)
 	if !ok {
@@ -682,11 +753,10 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	tr := TraceFrom(ctx)
 	t0 := time.Now()
 	cands := s.lake.Tables()
-	if s.mode == ANN && s.graph != nil && k > 0 {
+	if s.mode == ANN && s.hasGraphs() && k > 0 {
 		// ANN retrieval needs a positive k to size its pool; k <= 0 asks
 		// for the full ranking, which only the exact scan can provide.
-		perColumn := int(math.Ceil(s.Oversample * float64(k)))
-		cands = tablesNamed(s.lake, s.annCandidateNames(p.cols, perColumn))
+		cands = tablesNamed(s.lake, s.annCandidateNames(p.cols, k))
 	}
 	tr.AddRetrieve(t0)
 	t0 = time.Now()
@@ -708,24 +778,45 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	return out, err
 }
 
-// NominatePrepared implements Searcher: the depth nearest column
-// embeddings per query column in ANN mode (the per-shard nomination stage
-// of the sharded candidate-only plan), every lake table otherwise.
-func (s *Starmie) NominatePrepared(ctx context.Context, pq PreparedQuery, depth int) ([]string, error) {
-	p, ok := pq.(*starmiePrepared)
-	if !ok {
-		return nil, fmt.Errorf("starmie: %w: %T", ErrForeignPrepared, pq)
+// Join merges an index's parts, each loaded on its own (LoadStarmie,
+// LoadANN) against its sub-lake, back into one searcher over full — the
+// warm-start dual of WithShards. The parts' lakes must partition full
+// exactly, every table in one part; anything else fails as
+// ErrLayoutMismatch. Every part saved the same lake-wide corpus, so part 0's
+// serves all. A single part bound to full already is the whole index and is
+// returned as is.
+func Join(full *lake.Lake, parts []*Starmie) (*Starmie, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("%w: no parts", ErrLayoutMismatch)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	// Every part table must be the lake's own and no table may sit in two
+	// parts; then the counts agree iff the parts cover the lake exactly once.
+	seen := make(map[string]bool, full.Len())
+	for i, p := range parts {
+		for _, name := range p.lake.Names() {
+			if t := full.Get(name); t == nil || t != p.lake.Get(name) {
+				return nil, fmt.Errorf("%w: part %d holds %q, the lake does not", ErrLayoutMismatch, i, name)
+			}
+			if seen[name] {
+				return nil, fmt.Errorf("%w: table %q in two parts", ErrLayoutMismatch, name)
+			}
+			seen[name] = true
+		}
 	}
-	if s.mode != ANN || s.graph == nil || depth <= 0 {
-		return s.lake.Names(), nil
+	if len(seen) != full.Len() {
+		return nil, fmt.Errorf("%w: parts hold %d tables, lake holds %d", ErrLayoutMismatch, len(seen), full.Len())
 	}
-	return s.annCandidateNames(p.cols, depth), nil
-}
-
-// ScorePrepared implements Searcher.
-func (s *Starmie) ScorePrepared(pq PreparedQuery, t *table.Table) float64 {
-	return s.score(pq.(*starmiePrepared).panels, t)
+	if len(parts) == 1 && parts[0].lake == full {
+		return parts[0], nil
+	}
+	s := *parts[0]
+	s.lake, s.parts = full, nil
+	s.cols = make(map[string][]float64, full.Len())
+	s.big = make(map[string]bool)
+	for _, p := range parts {
+		maps.Copy(s.cols, p.cols)
+		maps.Copy(s.big, p.big)
+		s.parts = append(s.parts, p.parts...)
+	}
+	return &s, nil
 }

@@ -15,8 +15,7 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	if TraceFrom(ctx) != tr {
 		t.Fatal("trace did not round-trip through the context")
 	}
-	// A nil trace masks an outer one — the shard coordinator uses this so
-	// sub-searchers below it do not double-count stages it records itself.
+	// A nil trace masks an outer one.
 	if TraceFrom(WithTrace(ctx, nil)) != nil {
 		t.Fatal("nil trace did not mask the outer trace")
 	}

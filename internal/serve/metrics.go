@@ -44,10 +44,8 @@ type serverMetrics struct {
 	admissionWait *obs.HistogramVec
 }
 
-// newServerMetrics registers every serving metric against s. The scatter
-// accumulator is registered only when the pipeline actually fans out to
-// shards (scatterOn).
-func newServerMetrics(s *Server, scatterOn bool) *serverMetrics {
+// newServerMetrics registers every serving metric against s.
+func newServerMetrics(s *Server) *serverMetrics {
 	r := obs.NewRegistry()
 	m := &serverMetrics{
 		reg: r,
@@ -195,20 +193,6 @@ func newServerMetrics(s *Server, scatterOn bool) *serverMetrics {
 	r.NewGaugeFunc("dust_align_column_vector_bytes",
 		"Bytes of column vectors the alignment memo holds (bounded by a constant, 8 MiB).", nil,
 		func(emit func(float64, ...string)) { emit(float64(align.ColumnVectorStats().Bytes)) })
-
-	if scatterOn {
-		r.NewCounterFunc("dust_scatter_queries_total",
-			"Sharded scatter-gather queries timed by the stage accumulator.", nil,
-			func(emit func(float64, ...string)) { emit(float64(s.scatter.Queries.Load())) })
-		r.NewCounterFunc("dust_scatter_stage_seconds_total",
-			"Cumulative wall time of the sharded scatter path by stage (encode, scatter, gather).",
-			[]string{"stage"},
-			func(emit func(float64, ...string)) {
-				emit(float64(s.scatter.EncodeNS.Load())/1e9, "encode")
-				emit(float64(s.scatter.ScatterNS.Load())/1e9, "scatter")
-				emit(float64(s.scatter.GatherNS.Load())/1e9, "gather")
-			})
-	}
 	return m
 }
 
@@ -393,7 +377,3 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 // serialized by the server; w need not be concurrency-safe. nil (the
 // default) disables request logging.
 func WithRequestLog(w io.Writer) Option { return func(s *Server) { s.logw = w } }
-
-// scatterTimings returns the shard-path stage accumulator the server
-// attached to its pipeline, or nil for monolithic indexes.
-func (s *Server) scatterTimings() *search.StageTimings { return s.scatter }

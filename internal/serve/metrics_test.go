@@ -318,44 +318,11 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsSharded checks the scatter-stage families that exist only for
-// a sharded pipeline: the serve layer's accumulator sees the shard path's
-// queries and per-shard lake sizes are exported.
-func TestMetricsSharded(t *testing.T) {
-	b := fixedLake()
-	p := dust.New(b.Lake, dust.WithTopTables(5), dust.WithShards(2))
-	srv := New(p)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-
-	if resp, _ := postSearch(t, ts.URL, searchBody(t, b.Queries[0], 3)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("search status %d", resp.StatusCode)
-	}
-	if got := srv.scatterTimings().Queries.Load(); got < 1 {
-		t.Fatalf("scatter accumulator saw %d queries, want >= 1", got)
-	}
-	text := scrapeMetrics(t, ts.URL)
-	for _, want := range []string{
-		"dust_scatter_queries_total ",
-		`dust_scatter_stage_seconds_total{stage="scatter"} `,
-		`dust_shard_tables{shard="0"} `,
-		`dust_shard_tables{shard="1"} `,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("sharded exposition missing %q", want)
-		}
-	}
-	// The shards' scan counts reach the request's trace through the
-	// coordinator (a second gather round may scan a shard twice).
-	if got, min := scanTablesTotal(t, text), b.Lake.Len(); got < min {
-		t.Errorf("sharded scan outcomes sum to %d tables, want >= the lake's %d", got, min)
-	}
-}
-
 // TestIndexBytesSurfaces pins the index-footprint observability: an
 // exact-mode pipeline has no graph (gauge absent, /stats reports 0 bytes),
 // an ANN pipeline exports dust_index_bytes{shard="all"} equal to /stats,
-// and a sharded pipeline adds per-shard samples that sum to the "all" row.
+// and a sharded pipeline adds per-shard samples that sum to the "all" row,
+// beside per-shard table counts that sum to the lake.
 func TestIndexBytesSurfaces(t *testing.T) {
 	b := fixedLake()
 	serveFor := func(opts ...dust.Option) (int64, string) {
@@ -381,6 +348,10 @@ func TestIndexBytesSurfaces(t *testing.T) {
 	parts := sampleValue(t, text, `dust_index_bytes{shard="0"}`) + sampleValue(t, text, `dust_index_bytes{shard="1"}`)
 	if all := sampleValue(t, text, `dust_index_bytes{shard="all"}`); parts != all || all <= 0 {
 		t.Errorf("sharded gauge: shards sum to %v, all = %v", parts, all)
+	}
+	tables := sampleValue(t, text, `dust_shard_tables{shard="0"}`) + sampleValue(t, text, `dust_shard_tables{shard="1"}`)
+	if tables != float64(b.Lake.Len()) {
+		t.Errorf("dust_shard_tables sum to %v, the lake holds %d", tables, b.Lake.Len())
 	}
 }
 

@@ -81,9 +81,8 @@ type Server struct {
 	maintRuns atomic.Uint64 // maintenance passes that compacted and swapped
 
 	metrics *serverMetrics
-	scatter *search.StageTimings // shard-path stage accumulator, always non-nil
-	logw    io.Writer            // request log sink; nil disables logging
-	logmu   sync.Mutex           // serializes request-log writes
+	logw    io.Writer  // request log sink; nil disables logging
+	logmu   sync.Mutex // serializes request-log writes
 
 	mux *http.ServeMux
 }
@@ -189,13 +188,8 @@ func New(p *dust.Pipeline, opts ...Option) *Server {
 		// absorb). The policy bit is cloned into every future snapshot.
 		p.SetAutoCompact(false)
 	}
-	// Attach the scatter-stage accumulator before the first snapshot is
-	// published: pipeline clones copy the searcher by value, so the pointer
-	// installed here survives into every view and every future swap.
-	s.scatter = &search.StageTimings{}
-	scatterOn := p.InstrumentScatter(s.scatter)
 	s.snap.Store(newSnapshot(p, s.queryWorkers))
-	s.metrics = newServerMetrics(s, scatterOn)
+	s.metrics = newServerMetrics(s)
 	if s.maintInterval > 0 {
 		s.maintStop = make(chan struct{})
 		go s.maintenanceLoop()
@@ -225,19 +219,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // embedding callers; requests load it exactly once themselves).
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
-// Close stops the background maintainer (if any) and releases resources
-// owned by the served pipeline — with a sharded index, the shard family's
-// long-lived scatter pool (shared across every snapshot clone, so one call
-// covers the whole swap history). Call it only once the server stops
-// receiving requests: queries already in flight are unaffected (request
-// views scatter inline, without the pool), but the master pipeline must
-// not serve new work after Close. Close is idempotent.
+// Close stops the background maintainer, if any; the served pipeline holds
+// nothing else to release. Requests keep being answered after Close, from
+// the last published snapshot. Close is idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.maintStop != nil {
 			close(s.maintStop)
 		}
-		s.snap.Load().master.Close()
 	})
 }
 

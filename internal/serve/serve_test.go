@@ -643,11 +643,9 @@ func TestConfigTagInStats(t *testing.T) {
 	}
 }
 
-// TestServerClose pins the serving-side lifecycle of the shard family's
-// long-lived scatter pool: Close releases it once the server is done with
-// new work, one call covers every pipeline clone the swap history
-// produced, repeated calls are no-ops, and requests — which run on
-// pool-less query views — still serve identical results afterwards.
+// TestServerClose pins Close on a sharded server with a swap history:
+// repeated calls are no-ops, and requests still serve identical results
+// afterwards.
 func TestServerClose(t *testing.T) {
 	b := fixedLake()
 	p := dust.New(b.Lake, dust.WithTopTables(5), dust.WithShards(3))

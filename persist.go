@@ -11,7 +11,6 @@ import (
 	"dust/internal/lake"
 	"dust/internal/model"
 	"dust/internal/search"
-	"dust/internal/shard"
 	"dust/internal/table"
 )
 
@@ -147,7 +146,7 @@ func savePart(dir string, i int, part search.Searcher, withANN bool) error {
 // kindStarmie — "d3l", from a build that still persisted the D3L baseline —
 // is no damage to the file but an index this build does not read, so it
 // fails as codec.ErrWrongKind.
-func loadPart(kind, searcherPath, annPath string, sl *lake.Lake, withANN bool) (search.Searcher, error) {
+func loadPart(kind, searcherPath, annPath string, sl *lake.Lake, withANN bool) (*search.Starmie, error) {
 	if kind != kindStarmie {
 		return nil, fmt.Errorf("manifest names searcher kind %q, this build reads only %q: %w",
 			kind, kindStarmie, codec.ErrWrongKind)
@@ -342,7 +341,7 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]search.Searcher, len(lakes))
+	parts := make([]*search.Starmie, len(lakes))
 	for i, sl := range lakes {
 		parts[i], err = loadPart(kind, filepath.Join(indexDir, searcherPath(i)),
 			filepath.Join(indexDir, annPath(i)), sl, hasANN)
@@ -350,9 +349,9 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 			return nil, fmt.Errorf("dust: load shard %d/%d: %w", i, len(lakes), err)
 		}
 	}
-	searcher, err := shard.Assemble(l, parts)
+	searcher, err := search.Join(l, parts)
 	if err != nil {
-		// Keeps shard.ErrLayoutMismatch reachable through errors.Is.
+		// Keeps search.ErrLayoutMismatch reachable through errors.Is.
 		return nil, fmt.Errorf("dust: load index: %w", err)
 	}
 
