@@ -182,7 +182,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 // their owner tables with the exact bipartite matcher. The hnsw run
 // reports recall@10 against the exact oracle as a custom metric; the
 // acceptance bar is >= 5x TopK speedup with recall@10 >= 0.95
-// (TestANNRecall gates the recall at smaller scale).
+// (TestMatrix gates the recall at smaller scale).
 func BenchmarkANNPipeline(b *testing.B) {
 	bench := datagen.Generate("bench-ann", datagen.Config{
 		Seed: 997, Domains: 10, TablesPerBase: 1000, QueriesPerBase: 1,

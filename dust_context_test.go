@@ -115,56 +115,6 @@ func extraTable(q *table.Table, name string) *table.Table {
 	return t
 }
 
-func TestPipelineCloneIsolation(t *testing.T) {
-	b, q := benchLake(t)
-	p := New(b.Lake, WithTopTables(5))
-	want, err := p.Search(q, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseLen := p.Lake().Len()
-
-	c := p.Clone()
-	if c.Epoch() != p.Epoch() {
-		t.Fatalf("clone epoch %d, want %d", c.Epoch(), p.Epoch())
-	}
-	if err := c.AddTable(extraTable(q, "zz_clone_extra")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RemoveTable(b.Lake.Names()[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	// The clone diverged...
-	if c.Epoch() != p.Epoch()+2 {
-		t.Fatalf("clone epoch %d after two mutations, want %d", c.Epoch(), p.Epoch()+2)
-	}
-	if c.Lake().Len() != baseLen {
-		t.Fatalf("clone lake has %d tables, want %d", c.Lake().Len(), baseLen)
-	}
-	// ...and the original did not: same table set, same epoch, bit-identical
-	// results.
-	if p.Lake().Len() != baseLen {
-		t.Fatalf("original lake has %d tables after clone mutations, want %d", p.Lake().Len(), baseLen)
-	}
-	if p.Lake().Get("zz_clone_extra") != nil {
-		t.Fatal("clone's AddTable leaked into the original lake")
-	}
-	if p.Epoch() != 0 {
-		t.Fatalf("original epoch %d after clone mutations, want 0", p.Epoch())
-	}
-	got, err := p.Search(q, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "original after clone mutations", got, want)
-
-	// The clone answers queries over its own mutated state.
-	if _, err := c.Search(q, 8); err != nil {
-		t.Fatalf("clone search: %v", err)
-	}
-}
-
 func TestEpochPersistsThroughSaveLoad(t *testing.T) {
 	b, q := benchLake(t)
 	p := New(b.Lake, WithTopTables(5))

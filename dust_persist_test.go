@@ -16,42 +16,6 @@ import (
 	"dust/internal/table"
 )
 
-func TestPipelineSaveLoadWarmStart(t *testing.T) {
-	b, q := benchLake(t)
-	lakeDir := filepath.Join(t.TempDir(), "lake")
-	if err := b.Lake.Save(lakeDir); err != nil {
-		t.Fatal(err)
-	}
-	t.Run("starmie", func(t *testing.T) {
-		cold := New(b.Lake, WithTopTables(5))
-		want, err := cold.Search(q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		idxDir := filepath.Join(t.TempDir(), "index")
-		if HasIndex(idxDir) {
-			t.Error("HasIndex true before save")
-		}
-		if err := cold.SaveIndex(idxDir); err != nil {
-			t.Fatal(err)
-		}
-		if !HasIndex(idxDir) {
-			t.Error("HasIndex false after save")
-		}
-
-		warm, err := LoadPipeline(lakeDir, idxDir, WithTopTables(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := warm.Search(q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, "warm vs cold starmie", got, want)
-	})
-}
-
 func TestPipelineSaveLoadWithModel(t *testing.T) {
 	b, q := benchLake(t)
 	lakeDir := filepath.Join(t.TempDir(), "lake")
@@ -275,54 +239,4 @@ func TestLoadGoldenMonolithicV4(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("re-saved", resaved)
-}
-
-func TestPipelineIncrementalMatchesRebuild(t *testing.T) {
-	b, q := benchLake(t)
-	p := New(b.Lake, WithTopTables(5))
-
-	grown := table.New("late_arrival", q.Headers()...)
-	for i := 0; i < q.NumRows(); i++ {
-		grown.MustAppendRow(q.Row(i)...)
-	}
-	if err := p.AddTable(grown); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddTable(grown); err == nil {
-		t.Error("duplicate AddTable should error")
-	}
-	if p.Lake().Get("late_arrival") == nil {
-		t.Fatal("AddTable did not reach the lake")
-	}
-
-	fresh := New(b.Lake, WithTopTables(5))
-	want, err := fresh.Search(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Search(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "after AddTable", got, want)
-
-	if err := p.RemoveTable("late_arrival"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.RemoveTable("late_arrival"); err == nil {
-		t.Error("second RemoveTable should error")
-	}
-	if p.Lake().Get("late_arrival") != nil {
-		t.Error("RemoveTable left the table in the lake")
-	}
-	fresh = New(b.Lake, WithTopTables(5))
-	want, err = fresh.Search(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = p.Search(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "after RemoveTable", got, want)
 }

@@ -15,93 +15,9 @@ import (
 	"dust/internal/table"
 )
 
-// TestPipelineShardedMatchesUnsharded is the pipeline-level face of the
-// sharding equivalence gate: end-to-end Search results (diverse tuples,
-// provenance, retrieved tables) through a WithShards pipeline must be
-// bit-identical to the unsharded pipeline, for 2 and 4 shards at workers 1
-// and 8 — and WithShards(1) must mean "no sharding at all".
-func TestPipelineShardedMatchesUnsharded(t *testing.T) {
-	b, q := benchLake(t)
-	want, err := New(b.Lake, WithTopTables(5)).Search(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := New(b.Lake, WithShards(1)); p.Shards() != 1 {
-		t.Errorf("WithShards(1) built %d shards, want a monolithic index", p.Shards())
-	}
-	for _, shards := range []int{2, 4} {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				p := New(b.Lake, WithTopTables(5), WithShards(shards), WithWorkers(workers))
-				if got := p.Shards(); got != shards {
-					t.Fatalf("Shards() = %d, want %d", got, shards)
-				}
-				got, err := p.Search(q, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResult(t, "sharded vs unsharded", got, want)
-			})
-		}
-	}
-}
-
-// TestPipelineShardedSaveLoadWarmStart saves a sharded index — exact and
-// ANN — and warm-starts it: the loaded pipeline must keep the shard
-// layout, the retrieval mode, and the exact results of the cold one.
-func TestPipelineShardedSaveLoadWarmStart(t *testing.T) {
-	b, q := benchLake(t)
-	lakeDir := filepath.Join(t.TempDir(), "lake")
-	if err := b.Lake.Save(lakeDir); err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []string{"exact", "ann"} {
-		t.Run(mode, func(t *testing.T) {
-			opts := []Option{WithTopTables(5), WithShards(3)}
-			if mode == "ann" {
-				opts = append(opts, WithRetriever(search.ANN))
-			}
-			cold := New(b.Lake, opts...)
-			want, err := cold.Search(q, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			idxDir := filepath.Join(t.TempDir(), "index")
-			if err := cold.SaveIndex(idxDir); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 3; i++ {
-				if _, err := os.Stat(filepath.Join(idxDir, fmt.Sprintf("shard-%03d.dustidx", i))); err != nil {
-					t.Fatalf("shard file %d not written: %v", i, err)
-				}
-				annPath := filepath.Join(idxDir, fmt.Sprintf("shard-%03d.ann.dustidx", i))
-				if _, err := os.Stat(annPath); (err == nil) != (mode == "ann") {
-					t.Fatalf("shard %d ann file presence wrong for %s mode (stat err = %v)", i, mode, err)
-				}
-			}
-			if _, err := os.Stat(filepath.Join(idxDir, "searcher.dustidx")); !os.IsNotExist(err) {
-				t.Error("save wrote a legacy monolithic searcher file")
-			}
-
-			warm, err := LoadPipeline(lakeDir, idxDir, WithTopTables(5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := warm.Shards(); got != 3 {
-				t.Fatalf("warm Shards() = %d, want 3", got)
-			}
-			got, err := warm.Search(q, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, "warm vs cold sharded "+mode, got, want)
-		})
-	}
-}
-
 // TestPipelineShardedOverwriteChangesLayout re-saves a different layout
 // into the same directory and checks no stale component files survive in
-// either direction.
+// either direction, graph files of an ANN save included.
 func TestPipelineShardedOverwriteChangesLayout(t *testing.T) {
 	b, q := benchLake(t)
 	lakeDir := filepath.Join(t.TempDir(), "lake")
@@ -109,15 +25,18 @@ func TestPipelineShardedOverwriteChangesLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	idxDir := filepath.Join(t.TempDir(), "index")
-	if err := New(b.Lake, WithShards(4)).SaveIndex(idxDir); err != nil {
+	if err := New(b.Lake, WithShards(4), WithRetriever(search.ANN)).SaveIndex(idxDir); err != nil {
 		t.Fatal(err)
 	}
-	// Shrink to 2 shards: shard-002/003 must disappear.
+	// Shrink to 2 exact shards: shard-002/003 and every graph file must disappear.
 	if err := New(b.Lake, WithShards(2)).SaveIndex(idxDir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(idxDir, "shard-002.dustidx")); !os.IsNotExist(err) {
 		t.Error("stale shard file survived a smaller re-save")
+	}
+	if m, _ := filepath.Glob(filepath.Join(idxDir, "*.ann.dustidx")); len(m) != 0 {
+		t.Errorf("stale graph files %v survived an exact-mode re-save", m)
 	}
 	warm, err := LoadPipeline(lakeDir, idxDir)
 	if err != nil {
@@ -149,65 +68,6 @@ func TestPipelineShardedOverwriteChangesLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "after layout churn", got, want)
-}
-
-// TestPipelineShardedMutationsAndClone drives the serving-facing pipeline
-// surface over shards: AddTable/RemoveTable route to the owning shard and
-// keep results bit-identical to a from-scratch unsharded pipeline, the
-// epoch advances, and Clone isolates mutations (the snapshot-swap
-// contract).
-func TestPipelineShardedMutationsAndClone(t *testing.T) {
-	b, q := benchLake(t)
-	p := New(b.Lake, WithTopTables(5), WithShards(2))
-
-	grown := table.New("late_arrival", q.Headers()...)
-	for i := 0; i < q.NumRows(); i++ {
-		grown.MustAppendRow(q.Row(i)...)
-	}
-	e0 := p.Epoch()
-	if err := p.AddTable(grown); err != nil {
-		t.Fatal(err)
-	}
-	if p.Epoch() != e0+1 {
-		t.Errorf("epoch = %d after AddTable, want %d", p.Epoch(), e0+1)
-	}
-	fresh := New(b.Lake, WithTopTables(5))
-	want, err := fresh.Search(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Search(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "sharded after AddTable vs fresh unsharded", got, want)
-
-	cl := p.Clone()
-	if err := cl.RemoveTable("late_arrival"); err != nil {
-		t.Fatal(err)
-	}
-	if p.Lake().Get("late_arrival") == nil {
-		t.Error("clone removal reached the original lake")
-	}
-	after, err := p.Search(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "original after clone mutation", after, want)
-
-	if err := p.RemoveTable("late_arrival"); err != nil {
-		t.Fatal(err)
-	}
-	fresh = New(b.Lake, WithTopTables(5))
-	want, err = fresh.Search(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = p.Search(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "sharded after RemoveTable vs fresh unsharded", got, want)
 }
 
 // TestLoadGoldenShardedV4 reads a two-part index directory written by an

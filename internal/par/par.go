@@ -171,41 +171,6 @@ func (p *Pool) Submit(task func()) {
 	}
 }
 
-// Run executes the given tasks on the pool and returns once all of them
-// have finished, re-raising the first panic among them in the caller.
-// Unlike Submit+Wait — which track pool-global completion — Run tracks only
-// its own tasks, so concurrent Run calls sharing one long-lived pool (e.g.
-// scatter-gather queries in flight together) never wait on each other's
-// work. Tasks still compete for the pool's workers, so the pool bound
-// applies across all concurrent callers combined. Run must not race with
-// Close: quiesce callers before closing the pool, exactly as with Submit.
-func (p *Pool) Run(tasks ...func()) {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var panicked any
-	wg.Add(len(tasks))
-	for _, task := range tasks {
-		task := task
-		p.tasks <- func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					mu.Unlock()
-				}
-			}()
-			task()
-		}
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-}
-
 // Wait blocks until every submitted task has finished, then re-raises the
 // first captured task panic, if any.
 func (p *Pool) Wait() {

@@ -119,76 +119,3 @@ func TestPoolPanicPropagatesOnWait(t *testing.T) {
 	}()
 	p.Wait()
 }
-
-func TestPoolRunCompletesAllTasks(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	var sum int64
-	tasks := make([]func(), 100)
-	for i := range tasks {
-		i := i
-		tasks[i] = func() { atomic.AddInt64(&sum, int64(i+1)) }
-	}
-	p.Run(tasks...)
-	if sum != 5050 {
-		t.Errorf("sum = %d, want 5050", sum)
-	}
-	// The pool stays usable across Run calls, and an empty Run is a no-op.
-	p.Run()
-	p.Run(func() { atomic.AddInt64(&sum, 1) })
-	if sum != 5051 {
-		t.Errorf("after second round sum = %d, want 5051", sum)
-	}
-}
-
-// TestPoolRunIsolation pins the property the long-lived scatter pool
-// depends on: a Run call returns when ITS tasks finish, without waiting on
-// other callers' in-flight tasks.
-func TestPoolRunIsolation(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	block := make(chan struct{})
-	slowStarted := make(chan struct{})
-	slowDone := make(chan struct{})
-	go func() {
-		defer close(slowDone)
-		p.Run(func() {
-			close(slowStarted)
-			<-block
-		})
-	}()
-	<-slowStarted
-	// The slow caller's task occupies one worker; this Run must finish on
-	// the other worker while the slow task is still blocked.
-	ran := false
-	p.Run(func() { ran = true })
-	if !ran {
-		t.Fatal("fast Run returned without executing its task")
-	}
-	select {
-	case <-slowDone:
-		t.Fatal("slow Run finished while its task was still blocked")
-	default:
-	}
-	close(block)
-	<-slowDone
-}
-
-func TestPoolRunPanicPropagates(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	func() {
-		defer func() {
-			if r := recover(); r != "run failed" {
-				t.Errorf("recovered %v, want run failed", r)
-			}
-		}()
-		p.Run(func() {}, func() { panic("run failed") })
-	}()
-	// A panic in one Run never poisons the pool for the next caller.
-	ok := false
-	p.Run(func() { ok = true })
-	if !ok {
-		t.Error("pool unusable after a panicking Run")
-	}
-}

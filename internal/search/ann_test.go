@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -17,203 +16,12 @@ import (
 	"dust/internal/table"
 )
 
-// annBench is the recall fixture: large enough that the ANN candidate
-// pool is a real subset of the lake (not everything), small enough for CI.
-func annBench(t testing.TB) *datagen.Benchmark {
-	t.Helper()
-	return datagen.Generate("ann-bench", datagen.Config{
-		Seed: 61, Domains: 8, TablesPerBase: 40, QueriesPerBase: 2,
-		BaseRows: 60, MinRows: 8, MaxRows: 16,
-	})
-}
-
-// annBenchSmall backs the behavioral tests (determinism, mode flips,
-// persistence) that do not need lake scale; it keeps the race-enabled CI
-// run affordable.
-func annBenchSmall(t testing.TB) *datagen.Benchmark {
-	t.Helper()
-	return datagen.Generate("ann-bench-small", datagen.Config{
-		Seed: 62, Domains: 6, TablesPerBase: 12, QueriesPerBase: 2,
-		BaseRows: 40, MinRows: 6, MaxRows: 12,
-	})
-}
-
-// recallAtK measures |approx∩exact|/k averaged over queries, the metric
-// the acceptance bar (>= 0.95) is stated in.
-func recallAtK(queries []*table.Table, k int, exact, approx func(*table.Table, int) []string) float64 {
-	var sum float64
-	for _, q := range queries {
-		want := exact(q, k)
-		got := approx(q, k)
-		in := make(map[string]bool, len(got))
-		for _, n := range got {
-			in[n] = true
-		}
-		hits := 0
-		for _, n := range want {
-			if in[n] {
-				hits++
-			}
-		}
-		sum += float64(hits) / float64(len(want))
-	}
-	return sum / float64(len(queries))
-}
-
-func scoredNames(hits []Scored) []string {
-	out := make([]string, len(hits))
-	for i, h := range hits {
-		out[i] = h.Table.Name
-	}
-	return out
-}
-
-// TestANNRecall is the recall regression gate: HNSW candidates + exact
-// re-rank must find at least 95% of the brute-force top 10 on the datagen
-// benchmark.
-func TestANNRecall(t *testing.T) {
-	b := annBench(t)
-	const k = 10
-
-	t.Run("starmie", func(t *testing.T) {
-		exact := NewStarmie(b.Lake)
-		approx := exact.CloneWithLake(b.Lake).(*Starmie)
-		if err := approx.SetMode(ANN); err != nil {
-			t.Fatal(err)
-		}
-		r := recallAtK(b.Queries, k,
-			func(q *table.Table, k int) []string { return scoredNames(TopK(exact, q, k)) },
-			func(q *table.Table, k int) []string { return scoredNames(TopK(approx, q, k)) })
-		if r < 0.95 {
-			t.Fatalf("starmie ANN recall@%d = %.3f, want >= 0.95", k, r)
-		}
-	})
-}
-
-// TestExactModeUnchanged pins the refactor: a searcher in Exact
-// mode — including one that visited ANN mode and came back, carrying a
-// graph — ranks bit-identically to the plain constructor-default path,
-// at workers 1 and 8. This is the "exact mode stays seed behavior"
-// equivalence the staged query plan must not disturb.
-func TestExactModeUnchanged(t *testing.T) {
-	b := annBenchSmall(t)
-	for _, workers := range []int{1, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			base := NewStarmie(b.Lake, WithWorkers(workers))
-			want := snapshotScored(b.Queries[:3], base)
-
-			toggled := base.CloneWithLake(b.Lake).(*Starmie)
-			if err := toggled.SetMode(ANN); err != nil {
-				t.Fatal(err)
-			}
-			if err := toggled.SetMode(Exact); err != nil {
-				t.Fatal(err)
-			}
-			if got := snapshotScored(b.Queries[:3], toggled); !reflect.DeepEqual(got, want) {
-				t.Fatal("exact mode after an ANN round trip ranks differently")
-			}
-			if base.Name() != "starmie" || toggled.Name() != "starmie" {
-				t.Fatalf("exact-mode names changed: %q / %q", base.Name(), toggled.Name())
-			}
-		})
-	}
-}
-
-// TestANNWorkersAgree pins the ANN plan's determinism across worker
-// counts: the staged plan threads the same candidate set through the
-// parallel scorer, so workers must not change results.
-func TestANNWorkersAgree(t *testing.T) {
-	b := annBenchSmall(t)
-	s1 := NewStarmie(b.Lake, WithWorkers(1), WithMode(ANN))
-	s8 := NewStarmie(b.Lake, WithWorkers(8), WithMode(ANN))
-	if got, want := snapshotScored(b.Queries[:4], s8), snapshotScored(b.Queries[:4], s1); !reflect.DeepEqual(got, want) {
-		t.Fatal("starmie ANN results differ between workers=1 and workers=8")
-	}
-}
-
-// TestANNIncrementalMutations drives AddTable/RemoveTable through an
-// ANN-mode Starmie — including enough removals to trip the tombstone
-// rebuild — checking after every step that the staged results match a
-// from-scratch ANN index over the same lake built in the same table
-// order, and that recall against the exact oracle holds.
-func TestANNIncrementalMutations(t *testing.T) {
-	b := datagen.Generate("ann-inc", datagen.Config{
-		Seed: 67, Domains: 4, TablesPerBase: 10, QueriesPerBase: 1,
-		BaseRows: 40, MinRows: 8, MaxRows: 12,
-	})
-	pool := b.Lake.Tables()
-	q := b.Queries[0]
-
-	l := lake.New("ann-inc")
-	for _, tab := range pool[:len(pool)/2] {
-		l.MustAdd(tab)
-	}
-	s := NewStarmie(l, WithMode(ANN))
-
-	step := func(i int) {
-		exact := NewStarmie(l)
-		wantNames := scoredNames(TopK(exact, q, 5))
-		in := map[string]bool{}
-		for _, h := range TopK(s, q, 5) {
-			in[h.Table.Name] = true
-		}
-		hits := 0
-		for _, n := range wantNames {
-			if in[n] {
-				hits++
-			}
-		}
-		if float64(hits)/float64(len(wantNames)) < 0.8 {
-			t.Fatalf("step %d: mutated ANN index recalls %d/%d of the exact top-5", i, hits, len(wantNames))
-		}
-	}
-
-	// Grow to the full pool, then shrink far enough to force a rebuild.
-	for i, tab := range pool[len(pool)/2:] {
-		l.MustAdd(tab)
-		if err := s.AddTable(tab); err != nil {
-			t.Fatal(err)
-		}
-		step(i)
-	}
-	removed := 0
-	for _, tab := range pool {
-		if l.Len() <= 6 || tab.Name == "" {
-			break
-		}
-		// Keep the query's own domain so TopK stays meaningful.
-		if b.Unionable[q.Name] != nil {
-			skip := false
-			for _, n := range b.Unionable[q.Name] {
-				if n == tab.Name {
-					skip = true
-					break
-				}
-			}
-			if skip {
-				continue
-			}
-		}
-		if err := s.RemoveTable(tab.Name); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Remove(tab.Name); err != nil {
-			t.Fatal(err)
-		}
-		removed++
-		step(100 + removed)
-	}
-	if removed < 10 {
-		t.Fatalf("only %d removals, not enough to exercise the rebuild threshold", removed)
-	}
-}
-
 // TestIndexFootprint checks the IndexBytes accounting behind the
 // dust_index_bytes gauge and /stats: no graph reports 0 bytes, and a graph
 // reports its adjacency alone, which stays under the float32 copy of its
 // rows the graph no longer keeps (the rows are the blocks').
 func TestIndexFootprint(t *testing.T) {
-	s := NewStarmie(annBenchSmall(t).Lake)
+	s := NewStarmie(persistBench(t).Lake)
 	if n := s.IndexBytes().Bytes; n != 0 {
 		t.Fatalf("graphless IndexBytes = %d, want 0", n)
 	}
@@ -231,7 +39,7 @@ func TestIndexFootprint(t *testing.T) {
 // one reloads equal to its own compaction while the saver keeps its
 // tombstones, and corrupt and mismatched inputs fail with typed errors.
 func TestSaveLoadANN(t *testing.T) {
-	b := annBenchSmall(t)
+	b := persistBench(t)
 	s := NewStarmie(b.Lake, WithMode(ANN))
 	data := saveANN(t, s)
 
@@ -251,10 +59,12 @@ func TestSaveLoadANN(t *testing.T) {
 	if err := loaded.SetMode(ANN); err != nil {
 		t.Fatal(err)
 	}
-	want := snapshotScored(b.Queries[:3], s)
-	if got := snapshotScored(b.Queries[:3], loaded); !reflect.DeepEqual(got, want) {
-		t.Fatal("loaded ANN graph ranks differently from the saved one")
+	sameAnswers := func(label string, got, want Searcher) {
+		for qi, q := range b.Queries {
+			assertSameHits(t, fmt.Sprintf("%s, query %d", label, qi), TopK(got, q, 8), TopK(want, q, 8))
+		}
 	}
+	sameAnswers("loaded ANN graph vs the saved one", loaded, s)
 	if !bytes.Equal(saveANN(t, loaded), data) {
 		t.Fatal("loaded ANN graph re-saves with different adjacency")
 	}
@@ -290,9 +100,7 @@ func TestSaveLoadANN(t *testing.T) {
 	if reloaded.Graph().Len() != compacted.Graph().Len() || !bytes.Equal(saveANN(t, compacted), tomb) {
 		t.Fatal("a tombstoned graph did not save as its compaction")
 	}
-	if got, want := snapshotScored(b.Queries[:3], reloaded), snapshotScored(b.Queries[:3], compacted); !reflect.DeepEqual(got, want) {
-		t.Fatal("reloaded tombstoned graph ranks differently from its compaction")
-	}
+	sameAnswers("reloaded tombstoned graph vs its compaction", reloaded, compacted)
 
 	// Corruption: flip a payload byte -> checksum failure.
 	bad := append([]byte(nil), data...)

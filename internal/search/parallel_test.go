@@ -1,16 +1,10 @@
 package search
 
 import (
+	"context"
+	"errors"
 	"testing"
-
-	"dust/internal/datagen"
 )
-
-func parallelBenchmark() *datagen.Benchmark {
-	return datagen.Generate("par-search", datagen.Config{
-		Seed: 77, Domains: 4, TablesPerBase: 5, BaseRows: 40, MinRows: 10, MaxRows: 20,
-	})
-}
 
 func assertSameHits(t *testing.T, label string, got, want []Scored) {
 	t.Helper()
@@ -26,7 +20,7 @@ func assertSameHits(t *testing.T, label string, got, want []Scored) {
 }
 
 func TestStarmieTopKDeterministicAcrossWorkers(t *testing.T) {
-	b := parallelBenchmark()
+	b := testBench(t)
 	seq := NewStarmie(b.Lake, WithWorkers(1))
 	for _, workers := range []int{2, 8} {
 		par := NewStarmie(b.Lake, WithWorkers(workers))
@@ -36,8 +30,24 @@ func TestStarmieTopKDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestShardedQueryBoundAndCancel covers the serving-facing surfaces of a
+// sharded index: QueryWorkers re-bounds without changing results, and a
+// cancelled context aborts the query with the context's error.
+func TestShardedQueryBoundAndCancel(t *testing.T) {
+	b := testBench(t)
+	q := b.Queries[0]
+	s := NewStarmie(b.Lake, WithShards(2), WithWorkers(4))
+	assertSameHits(t, "rebound", TopK(s.QueryWorkers(1), q, 6), TopK(s, q, 6))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := TopKCtx(ctx, s, q, 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled TopKCtx err = %v, want context.Canceled", err)
+	}
+}
+
 func TestD3LTopKDeterministicAcrossWorkers(t *testing.T) {
-	b := parallelBenchmark()
+	b := testBench(t)
 	seq := NewD3L(b.Lake, WithWorkers(1))
 	for _, workers := range []int{2, 8} {
 		par := NewD3L(b.Lake, WithWorkers(workers))
@@ -48,7 +58,7 @@ func TestD3LTopKDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestTupleSearchDeterministicAcrossWorkers(t *testing.T) {
-	b := parallelBenchmark()
+	b := testBench(t)
 	seq := NewTupleSearch(b.Lake.Tables(), WithWorkers(1))
 	q := b.Queries[0]
 	want := seq.TopK(q, 20)

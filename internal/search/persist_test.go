@@ -26,37 +26,19 @@ func persistBench(t testing.TB) *datagen.Benchmark {
 	})
 }
 
-func sameScored(t *testing.T, got, want []Scored) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("got %d hits, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Table.Name != want[i].Table.Name || got[i].Score != want[i].Score {
-			t.Fatalf("hit %d: got (%s, %v), want (%s, %v)",
-				i, got[i].Table.Name, got[i].Score, want[i].Table.Name, want[i].Score)
-		}
-	}
-}
-
+// TestStarmieSaveLoadRoundTrip: a loaded index answers like the one saved,
+// and keeps doing so after the same mutation on both.
 func TestStarmieSaveLoadRoundTrip(t *testing.T) {
 	b := persistBench(t)
 	orig := NewStarmie(b.Lake)
-
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadStarmie(bytes.NewReader(buf.Bytes()), b.Lake)
+	loaded, err := LoadStarmie(bytes.NewReader(saveStarmie(t, b)), b.Lake)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range b.Queries {
-		sameScored(t, TopK(loaded, q, 8), TopK(orig, q, 8))
+		assertSameHits(t, "loaded "+q.Name, TopK(loaded, q, 8), TopK(orig, q, 8))
 	}
 
-	// A loaded index keeps working incrementally: mutate both sides and
-	// results must stay identical.
 	extra := table.New("postload_extra", "Myth", "Origin")
 	extra.MustAppendRow("Kraken", "Norse")
 	extra.MustAppendRow("Sphinx", "Egyptian")
@@ -68,7 +50,18 @@ func TestStarmieSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range b.Queries {
-		sameScored(t, TopK(loaded, q, 8), TopK(orig, q, 8))
+		assertSameHits(t, "loaded then mutated "+q.Name, TopK(loaded, q, 8), TopK(orig, q, 8))
+	}
+}
+
+func TestIncrementalErrors(t *testing.T) {
+	b := persistBench(t)
+	s := NewStarmie(b.Lake)
+	if err := s.AddTable(b.Lake.Tables()[0]); !errors.Is(err, ErrDuplicateTable) {
+		t.Errorf("duplicate AddTable err = %v, want ErrDuplicateTable", err)
+	}
+	if err := s.RemoveTable("never-indexed"); !errors.Is(err, ErrUnknownTable) {
+		t.Errorf("RemoveTable of unknown err = %v, want ErrUnknownTable", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 
 	"dust/internal/datagen"
@@ -18,43 +17,6 @@ import (
 	"dust/internal/vector"
 )
 
-// referenceScore is (*Starmie).Score as it stood before the bounded scan: a
-// fresh [][]float64 of vector.Cosine cells, every table through
-// match.MaxWeight. It survives only here, as the oracle the scan must
-// reproduce.
-func referenceScore(s *Starmie, queryCols []vector.Vec, t *table.Table) float64 {
-	var cand []vector.Vec
-	s.blockRows(s.cols[t.Name], func(v vector.Vec) { cand = append(cand, v) })
-	if len(queryCols) == 0 || len(cand) == 0 {
-		return 0
-	}
-	w := make([][]float64, len(queryCols))
-	for i, qv := range queryCols {
-		w[i] = make([]float64, len(cand))
-		for j, cv := range cand {
-			if sim := vector.Cosine(qv, cv); sim > s.MinSim {
-				w[i][j] = sim
-			}
-		}
-	}
-	_, total := match.MaxWeight(w)
-	return total / float64(len(queryCols))
-}
-
-// referenceRank is the plain full ranking: every candidate at its
-// reference score, sorted by (score desc, name asc), cut at k > 0.
-func referenceRank(score map[*table.Table]float64, cands []*table.Table, k int) []Scored {
-	out := make([]Scored, len(cands))
-	for i, t := range cands {
-		out[i] = Scored{Table: t, Score: score[t]}
-	}
-	slices.SortFunc(out, hitOrder)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
 // dirtyLakeSpec draws a lake with the defects a real one has: nulls,
 // empties, mixed types, unicode, FK columns.
 func dirtyLakeSpec(tables int) datagen.LakeSpec {
@@ -64,7 +26,7 @@ func dirtyLakeSpec(tables int) datagen.LakeSpec {
 	}
 }
 
-// dirtyLake is the oracle tests' searcher and queries: 600 generated tables
+// dirtyLake is the block tests' searcher and queries: 600 generated tables
 // plus the shapes the generator cannot draw — a table with no columns, one
 // whose every column encodes to the zero vector, and byte-identical copies
 // of ten tables under other names, so that equal scores meet the name
@@ -105,22 +67,6 @@ func queryCols(s *Starmie, q *table.Table) []vector.Vec {
 	return s.Prepare(q).(*starmiePrepared).cols
 }
 
-// sameRanking requires the same tables in the same order with scores
-// within 1e-12 of the reference — a dot of unit rows and a cosine with its
-// norms recomputed round differently in the last bits.
-func sameRanking(t *testing.T, label string, got, want []Scored) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d hits, reference %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Table.Name != want[i].Table.Name || math.Abs(got[i].Score-want[i].Score) > 1e-12 {
-			t.Fatalf("%s: hit %d = (%s, %v), reference (%s, %v)", label, i,
-				got[i].Table.Name, got[i].Score, want[i].Table.Name, want[i].Score)
-		}
-	}
-}
-
 // TestBlocksAreUnitOrZero pins the contract the dot-product cell rests on:
 // every stored row, and every query column, is what EncodeTableColumns
 // emits — unit length or all-zero.
@@ -148,62 +94,6 @@ func TestBlocksAreUnitOrZero(t *testing.T) {
 	if len(s.cols["zz_nocols"]) != 0 || zero < 2 || unit < 600 {
 		t.Fatalf("lake lacks the shapes under test: %d unit rows, %d zero rows, nocols block of %d",
 			unit, zero, len(s.cols["zz_nocols"]))
-	}
-}
-
-// TestTopKMatchesReference is the exactness gate of the bounded scan: for
-// every k — one hit, ten, the whole lake, and the k <= 0 full ranking — the
-// scan returns the reference ranking, in Exact mode over the lake and in
-// ANN mode over the graph's nominees; the answer is bit-identical at
-// workers 1, 2 and 8; and the scan's outcome counts account for every
-// candidate, with nothing cut when k <= 0 leaves no floor to cut against.
-func TestTopKMatchesReference(t *testing.T) {
-	s, queries := dirtyLake(t, bareEncoder())
-	if err := s.SetMode(ANN); err != nil {
-		t.Fatal(err)
-	}
-	exact, _ := s.ModeView(Exact)
-	n := s.lake.Len()
-	cut := int64(0)
-	for qi, q := range queries {
-		pq := s.Prepare(q)
-		cols := pq.(*starmiePrepared).cols
-		ref := make(map[*table.Table]float64, n)
-		for _, tbl := range s.lake.Tables() {
-			ref[tbl] = referenceScore(s, cols, tbl)
-		}
-		for _, mode := range []Searcher{exact, s} {
-			for _, k := range []int{1, 10, n, 0, -1} {
-				cands := s.lake.Tables()
-				if mode.RetrievalMode() == ANN && k > 0 {
-					cands = tablesNamed(s.lake, s.annCandidateNames(cols, k))
-				}
-				label := fmt.Sprintf("query %d %s k=%d", qi, mode.Name(), k)
-				want := referenceRank(ref, cands, k)
-
-				tr := &Trace{}
-				got, err := mode.QueryWorkers(1).TopKPrepared(WithTrace(context.Background(), tr), pq, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameRanking(t, label, got, want)
-				bounded := tr.ScanBounded.Load()
-				if total := bounded + tr.ScanGreedy.Load() + tr.ScanMatched.Load(); total != int64(len(cands)) {
-					t.Fatalf("%s: scan outcomes cover %d of %d candidates", label, total, len(cands))
-				}
-				if k <= 0 && bounded != 0 {
-					t.Fatalf("%s: %d tables cut from a full ranking", label, bounded)
-				}
-				cut += bounded
-				for _, workers := range []int{2, 8} {
-					again, _ := mode.QueryWorkers(workers).TopKPrepared(context.Background(), pq, k)
-					assertSameHits(t, fmt.Sprintf("%s workers=%d", label, workers), again, got)
-				}
-			}
-		}
-	}
-	if cut == 0 {
-		t.Fatal("the bound never cut a table: the test does not exercise it")
 	}
 }
 
@@ -311,6 +201,21 @@ func TestScoreDropsSimAtMinSim(t *testing.T) {
 	if got, want := s.score(q, tbl), above/2; got != want {
 		t.Errorf("Score = %v, want %v: only the cell above MinSim counts", got, want)
 	}
+}
+
+// bigTable builds a table whose columns exceed the encoder token budget, so
+// its Starmie embedding depends on the corpus TF-IDF selection — the hard
+// case for incremental updates, where mutating any table must refresh it.
+func bigTable(name string, seed int64) *table.Table {
+	rng := rand.New(rand.NewSource(seed))
+	t := table.New(name, "Myth", "Definition")
+	for i := 0; i < 3*embed.TokenBudget/4; i++ {
+		t.MustAppendRow(
+			fmt.Sprintf("creature%d%d", seed, rng.Intn(1000)),
+			fmt.Sprintf("legend%d whispered%d", rng.Intn(1000), rng.Intn(1000)),
+		)
+	}
+	return t
 }
 
 func firstAddr(b []float64) *float64 {

@@ -57,7 +57,7 @@ func TestTraceAddHelpers(t *testing.T) {
 }
 
 func TestTracePopulatedByStagedSearch(t *testing.T) {
-	b := ctxLake()
+	b := persistBench(t)
 	s := NewStarmie(b.Lake)
 	tr := &Trace{}
 	if _, err := TopKCtx(WithTrace(context.Background(), tr), s, b.Queries[0], 3); err != nil {

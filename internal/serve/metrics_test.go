@@ -68,6 +68,11 @@ func TestStatusCodeContract(t *testing.T) {
 		{"put json over cap", "PUT", "/tables/newt", "application/json",
 			fmt.Sprintf(`{"headers":["a"],"rows":[["%s"]]}`, strings.Repeat("x", 4096)),
 			http.StatusRequestEntityTooLarge, "1024-byte cap"},
+		{"put json trailing data", "PUT", "/tables/newt", "application/json",
+			`{"headers":["a"],"rows":[["1"]]} {"headers":["b"]}`, http.StatusBadRequest, "trailing data"},
+		{"put json padded past the cap", "PUT", "/tables/newt", "application/json",
+			`{"headers":["a"],"rows":[["1"]]}` + strings.Repeat(" ", 4096),
+			http.StatusRequestEntityTooLarge, "1024-byte cap"},
 		{"search malformed json", "POST", "/search", "application/json",
 			`{"query": {`, http.StatusBadRequest, "bad request body"},
 		{"put malformed csv names cause", "PUT", "/tables/newt", "text/csv",

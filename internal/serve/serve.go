@@ -342,10 +342,43 @@ func decodeError(err error) (int, string) {
 	return http.StatusBadRequest, err.Error()
 }
 
-// decodeSearchRequest parses a /search body: JSON by default, or a raw
-// query CSV when Content-Type is text/csv (k then comes from the ?k= query
-// parameter) — the latter makes `curl --data-binary @query.csv` work
-// without any JSON assembly.
+// decodeBody reads a request body that carries one table into tj: a raw
+// CSV, header row first, when Content-Type is text/csv — which makes
+// `curl --data-binary @table.csv` work without any JSON assembly — and
+// otherwise exactly one JSON value into v, which is tj itself or a request
+// wrapping it; unknown fields and trailing data are refused. Past the body
+// cap the error is the cap's own, which decodeError answers with 413.
+func decodeBody(r *http.Request, tj *tableJSON, v any) error {
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "text/csv") {
+		rec, err := csv.NewReader(r.Body).ReadAll()
+		if err != nil {
+			return fmt.Errorf("bad csv body: %w", err)
+		}
+		if len(rec) == 0 {
+			return errors.New("empty csv body")
+		}
+		*tj = tableJSON{Headers: rec[0], Rows: rec[1:]}
+		return nil
+	}
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		// A capped body also fails this probe; keep the cause so the
+		// handler reports 413, not a bogus trailing-data 400.
+		if err != nil && bodyCapMessage(err) != "" {
+			return err
+		}
+		return errors.New("trailing data after request body")
+	}
+	return nil
+}
+
+// decodeSearchRequest parses a /search body through decodeBody: a search
+// request in JSON, or the query alone as CSV, in which case k comes from
+// the ?k= query parameter.
 func decodeSearchRequest(r *http.Request) (*table.Table, int, error) {
 	k := 0
 	if raw := r.URL.Query().Get("k"); raw != "" {
@@ -355,34 +388,9 @@ func decodeSearchRequest(r *http.Request) (*table.Table, int, error) {
 		}
 		k = n
 	}
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "text/csv") {
-		rec, err := csv.NewReader(r.Body).ReadAll()
-		if err != nil {
-			return nil, 0, fmt.Errorf("bad csv body: %w", err)
-		}
-		if len(rec) == 0 {
-			return nil, 0, errors.New("empty csv body")
-		}
-		tj := tableJSON{Headers: rec[0], Rows: rec[1:]}
-		q, err := tj.toTable("query")
-		if err != nil {
-			return nil, 0, err
-		}
-		return q, k, nil
-	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req searchRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, 0, fmt.Errorf("bad request body: %w", err)
-	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		// A capped body also fails this probe; keep the cause so the
-		// handler reports 413, not a bogus trailing-data 400.
-		if err != nil && bodyCapMessage(err) != "" {
-			return nil, 0, err
-		}
-		return nil, 0, errors.New("trailing data after request body")
+	if err := decodeBody(r, &req.Query, &req); err != nil {
+		return nil, 0, err
 	}
 	if k == 0 {
 		k = req.K
@@ -611,26 +619,10 @@ type mutationResponse struct {
 func (s *Server) handlePutTable(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var tj tableJSON
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "text/csv") {
-		rec, err := csv.NewReader(r.Body).ReadAll()
-		if err != nil {
-			status, msg := decodeError(fmt.Errorf("bad csv body: %w", err))
-			httpError(w, status, msg)
-			return
-		}
-		if len(rec) == 0 {
-			httpError(w, http.StatusBadRequest, "empty csv body")
-			return
-		}
-		tj = tableJSON{Headers: rec[0], Rows: rec[1:]}
-	} else {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&tj); err != nil {
-			status, msg := decodeError(fmt.Errorf("bad request body: %w", err))
-			httpError(w, status, msg)
-			return
-		}
+	if err := decodeBody(r, &tj, &tj); err != nil {
+		status, msg := decodeError(err)
+		httpError(w, status, msg)
+		return
 	}
 	t, err := tj.toTable(name)
 	if err != nil {

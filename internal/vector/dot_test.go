@@ -42,11 +42,11 @@ func hostileVec(rng *rand.Rand, dim int) Vec {
 	return v
 }
 
-// checkTiles compares, bitwise, both bodies of both tiles with the naive
-// loop on the given rows: the first four rows against every pair of panels
-// through the matrix tile (rows past the end are zero, as in an arena), and
-// up to four stored rows against up to four query rows through the scan
-// tile.
+// checkTiles compares, bitwise, the selected body of both tiles with the
+// naive loop on the given rows: the first four rows against every pair of
+// panels through the matrix tile (rows past the end are zero, as in an
+// arena), and up to four stored rows against up to four query rows through
+// the scan tile.
 func checkTiles(t testing.TB, rows []Vec) {
 	dim := len(rows[0])
 	arena := makePanels(len(rows), dim, tilePanels)
@@ -64,30 +64,22 @@ func checkTiles(t testing.TB, rows []Vec) {
 		for cell := range want {
 			want[cell] = naiveDot(row(cell/tileCols), 1, row(c*PanelRows+cell%tileCols), 1, dim)
 		}
-		for name, body := range map[string]func(a, b []float64, dim int, out *[tileCells]float64){
-			CosineKernel(): dotTile, "generic": dotTileGeneric,
-		} {
-			body(arena.panel(0, 1), arena.panel(c, tilePanels), dim, &got)
-			for cell := range want {
-				if math.Float64bits(got[cell]) != math.Float64bits(want[cell]) {
-					t.Fatalf("matrix tile, %s body, dim %d, column panel %d, cell %d: %v (%#x), naive %v (%#x)",
-						name, dim, c, cell, got[cell], math.Float64bits(got[cell]), want[cell], math.Float64bits(want[cell]))
-				}
+		dotTile(arena.panel(0, 1), arena.panel(c, tilePanels), dim, &got)
+		for cell := range want {
+			if math.Float64bits(got[cell]) != math.Float64bits(want[cell]) {
+				t.Fatalf("matrix tile, %s body, dim %d, column panel %d, cell %d: %v (%#x), naive %v (%#x)",
+					CosineKernel(), dim, c, cell, got[cell], math.Float64bits(got[cell]), want[cell], math.Float64bits(want[cell]))
 			}
 		}
 	}
 	stored := func(j int) []float64 { return rows[min(j, len(rows)-1)] }
-	for name, body := range map[string]func(q, c0, c1, c2, c3 []float64, out *[blockCells]float64){
-		CosineKernel(): dotCols, "generic": dotColsGeneric,
-	} {
-		var got [blockCells]float64
-		body(arena.panel(0, 1), stored(0), stored(1), stored(2), stored(3), &got)
-		for c := range got {
-			want := naiveDot(stored(c/PanelRows), 1, arena.row(c%PanelRows), PanelRows, dim)
-			if math.Float64bits(got[c]) != math.Float64bits(want) {
-				t.Fatalf("scan tile, %s body, dim %d, cell %d: %v (%#x), naive %v (%#x)",
-					name, dim, c, got[c], math.Float64bits(got[c]), want, math.Float64bits(want))
-			}
+	var got [blockCells]float64
+	dotCols(arena.panel(0, 1), stored(0), stored(1), stored(2), stored(3), &got)
+	for c := range got {
+		want := naiveDot(stored(c/PanelRows), 1, arena.row(c%PanelRows), PanelRows, dim)
+		if math.Float64bits(got[c]) != math.Float64bits(want) {
+			t.Fatalf("scan tile, %s body, dim %d, cell %d: %v (%#x), naive %v (%#x)",
+				CosineKernel(), dim, c, got[c], math.Float64bits(got[c]), want, math.Float64bits(want))
 		}
 	}
 }
@@ -108,14 +100,13 @@ func awkwardUnitRows(rng *rand.Rand, n, dim int) []Vec {
 	return vs
 }
 
-// TestKernelsMatchReference compares the selected body, the generic body
-// and the naive one-accumulator loop bit for bit: the raw tiles on hostile
-// magnitudes, then both entry points over every ragged shape — 0 to 70 rows
-// for the matrix, four rows a call from every start, most not a multiple of
-// four, 1 to 13 stored rows by 1 to 9 query rows for the scan — on rows with
-// zeros and byte-identical copies among them.
-func TestKernelsMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
+// sweepCosine is the cosine family's sweep: the raw tiles on hostile
+// magnitudes, both bodies beside the naive one-accumulator loop, then the
+// entry points over every ragged shape — 0 to 70 rows for the matrix, four
+// rows a call from every start, most not a multiple of four, 1 to 13 stored
+// rows by 1 to 9 query rows for the scan — on rows with zeros and
+// byte-identical copies among them.
+func sweepCosine(t *testing.T, rng *rand.Rand) {
 	dims := []int{0, 1, 3, 127, 128, 129, 768}
 	for _, dim := range dims {
 		for _, n := range []int{1, 2, 5, 11, 32, 33} {
@@ -130,13 +121,6 @@ func TestKernelsMatchReference(t *testing.T) {
 			checkTiles(t, rows)
 		}
 	}
-	eachKernel(t, func(t *testing.T) { testEntryPoints(t, dims) })
-}
-
-// testEntryPoints is the ragged-shape half of TestKernelsMatchReference,
-// under whichever body is selected when it runs.
-func testEntryPoints(t *testing.T, dims []int) {
-	rng := rand.New(rand.NewSource(29))
 	for _, dim := range dims {
 		const maxRows = 70
 		vs := awkwardUnitRows(rng, maxRows, dim)
@@ -208,41 +192,162 @@ func testEntryPoints(t *testing.T, dims []int) {
 	}
 }
 
-// FuzzDotKernels feeds both tiles arbitrary finite rows — the fuzzer owns
-// the dimension, the row count and every bit of every element — and
-// requires the selected body, the generic body and the naive loop to agree
-// bitwise.
-func FuzzDotKernels(f *testing.F) {
-	seed := func(dim uint8, xs ...float64) {
-		raw := make([]byte, 8*len(xs))
-		for i, x := range xs {
-			binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(x))
+// fuzzCosine gives the fuzzer the dimension and every bit of every element
+// of up to seventeen rows, kept finite, for checkTiles.
+func fuzzCosine(t *testing.T, in fuzzInput) {
+	d := int(in.u8())%130 + 1
+	var rows []Vec
+	for len(in) >= 8*d && len(rows) < 2*tileCols+1 {
+		v := make(Vec, d)
+		for k := range v {
+			v[k] = finite(in.f64())
 		}
-		f.Add(dim, raw)
+		rows = append(rows, v)
 	}
-	seed(1, 1, -1)
-	seed(2, 1e150, 1e150, -1e150, 1e150, 3, 5e-324)
-	seed(3, 0.1, 0.2, 0.3, 0.1, 0.2, 0.3, math.Copysign(0, -1), 1e-160, -1e-160)
-	f.Fuzz(func(t *testing.T, dim uint8, raw []byte) {
-		d := int(dim)%130 + 1
-		var rows []Vec
-		for len(raw) >= 8*d && len(rows) < 2*tileCols+1 {
-			v := make(Vec, d)
-			for k := range v {
-				x := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*k:]))
-				// Keep it finite and NaN-free: |x| <= 1e150 cannot overflow a sum.
-				if math.IsNaN(x) || math.Abs(x) > 1e150 {
-					x = math.Copysign(1e150, x)
-				}
-				v[k] = x
-			}
-			rows, raw = append(rows, v), raw[8*d:]
+	if len(rows) > 0 {
+		checkTiles(t, rows)
+	}
+}
+
+// finite maps NaN and every |x| > 1e150 to ±1e150, where no sum of products
+// overflows.
+func finite(x float64) float64 {
+	if math.IsNaN(x) || math.Abs(x) > 1e150 {
+		return math.Copysign(1e150, x)
+	}
+	return x
+}
+
+// kernelFamily is one row of the kernel-conformance table: one kernel
+// family under the useAVX2 switch. A family's naive transcription is its
+// specification; sweep draws the family's hostile inputs from rng (seeded
+// with seed) and holds the body selected when it runs to the naive one,
+// bitwise, on each, and fuzz does the same on one input decoded from fuzzer
+// bytes, of which seeds are the fuzzer's starting corpus.
+type kernelFamily struct {
+	name  string
+	seed  int64
+	sweep func(t *testing.T, rng *rand.Rand)
+	fuzz  func(t *testing.T, in fuzzInput)
+	seeds [][]byte
+}
+
+// kernelFamilies is the kernel-conformance table.
+var kernelFamilies = []kernelFamily{
+	{"cosine", 23, sweepCosine, fuzzCosine, cosineSeeds()},
+	{"encode", 31, sweepEncode, fuzzEncode, encodeSeeds()},
+	{"cluster", 37, sweepCluster, fuzzCluster, clusterSeeds()},
+}
+
+// checkFamily runs the named row's sweep under the selected body and, on a
+// machine that selected AVX2, the generic one.
+func checkFamily(t *testing.T, name string) {
+	for _, fam := range kernelFamilies {
+		if fam.name == name {
+			eachKernel(t, func(t *testing.T) { fam.sweep(t, rand.New(rand.NewSource(fam.seed))) })
+			return
 		}
-		if len(rows) > 0 {
-			checkTiles(t, rows)
+	}
+	t.Fatalf("no kernel family %q", name)
+}
+
+func TestKernelsMatchReference(t *testing.T)        { checkFamily(t, "cosine") }
+func TestEncodeKernelsMatchReference(t *testing.T)  { checkFamily(t, "encode") }
+func TestClusterKernelsMatchReference(t *testing.T) { checkFamily(t, "cluster") }
+
+// fuzzInput hands out a fuzzer's bytes field by field; a field past the
+// end reads as zeros, and what is left is the rows' raw bits.
+type fuzzInput []byte
+
+func (in *fuzzInput) bytes(n int) []byte {
+	out := make([]byte, n)
+	*in = (*in)[copy(out, *in):]
+	return out
+}
+
+func (in *fuzzInput) u8() uint8    { return in.bytes(1)[0] }
+func (in *fuzzInput) u64() uint64  { return binary.LittleEndian.Uint64(in.bytes(8)) }
+func (in *fuzzInput) f64() float64 { return math.Float64frombits(in.u64()) }
+
+func floatBytes(xs ...float64) (raw []byte) {
+	for _, x := range xs {
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(x))
+	}
+	return raw
+}
+
+// cosineSeeds: dimension, then the rows.
+func cosineSeeds() [][]byte {
+	return [][]byte{
+		append([]byte{1}, floatBytes(1, -1)...),
+		append([]byte{2}, floatBytes(1e150, 1e150, -1e150, 1e150, 3, 5e-324)...),
+		append([]byte{3}, floatBytes(0.1, 0.2, 0.3, 0.1, 0.2, 0.3, math.Copysign(0, -1), 1e-160, -1e-160)...),
+	}
+}
+
+// encodeSeeds: seed, dimension, weight and norm, then both vectors.
+func encodeSeeds() [][]byte {
+	encode := func(seed uint64, dim uint8, s, n float64, raw string) []byte {
+		b := append(binary.LittleEndian.AppendUint64(nil, seed), dim)
+		return append(append(b, floatBytes(s, n)...), raw...)
+	}
+	return [][]byte{
+		encode(0, 4, 1, 1, ""),
+		encode(^uint64(0), 129, 0.5, 1e-300, "0123456789abcdef0123456789abcdef"),
+		encode(7, 7, 1e300, 5e-324, "\x00\x00\x00\x00\x00\x00\xf0\x7f"),
+	}
+}
+
+// clusterSeeds: length, offset, the two cluster sizes and the mask, then the
+// rows.
+func clusterSeeds() [][]byte {
+	cluster := func(n, off, sa, sb uint8, mask uint64, raw string) []byte {
+		return append(binary.LittleEndian.AppendUint64([]byte{n, off, sa, sb}, mask), raw...)
+	}
+	return [][]byte{
+		cluster(9, 1, 1, 1, 0, ""),
+		cluster(17, 3, 5, 64, 0xaaaa, "00\x80\x7f01\xc0\x7f\x00\x00\x80\x7f\x00\x00\x00\x80"),
+		cluster(70, 7, 2, 3, ^uint64(1), "0123456789abcdef0123456789abcdef"),
+	}
+}
+
+// fuzzBoth runs fam's fuzz on raw under the selected body and again under
+// the generic one.
+func fuzzBoth(t *testing.T, fam kernelFamily, raw []byte) {
+	fam.fuzz(t, fuzzInput(raw))
+	if useAVX2 {
+		defer ForceGenericKernel()()
+		fam.fuzz(t, fuzzInput(raw))
+	}
+}
+
+// FuzzKernels is the fuzzer of the whole kernel-conformance table, the one
+// CI gives a budget: the first byte picks the family, the rest is that
+// family's input.
+func FuzzKernels(f *testing.F) {
+	for i, fam := range kernelFamilies {
+		for _, s := range fam.seeds {
+			f.Add(append([]byte{byte(i)}, s...))
 		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		in := fuzzInput(raw)
+		fuzzBoth(t, kernelFamilies[int(in.u8())%len(kernelFamilies)], in)
 	})
 }
+
+// fuzzFamily fuzzes one row of the table alone, from its own seeds.
+func fuzzFamily(f *testing.F, row int) {
+	fam := kernelFamilies[row]
+	for _, s := range fam.seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) { fuzzBoth(t, fam, raw) })
+}
+
+func FuzzDotKernels(f *testing.F)     { fuzzFamily(f, 0) }
+func FuzzEncodeKernels(f *testing.F)  { fuzzFamily(f, 1) }
+func FuzzClusterKernels(f *testing.F) { fuzzFamily(f, 2) }
 
 // BenchmarkDotKernels times each tile through its entry point at the served
 // dimension — a 1000-row upper triangle, four rows a call, and a 12-row block against 5 query

@@ -1,7 +1,6 @@
 package vector
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -112,89 +111,69 @@ func checkEncodeKernels(t testing.TB, seed uint64, a, b Vec, s, n float64) {
 	}
 }
 
-// TestEncodeKernelsMatchReference compares both bodies of the encode
-// kernel's three loops with the naive transcription bit for bit: derive over
-// ragged dimensions and strided seeds, accumulate over the weights
-// EncodeTokens uses and two that underflow and overflow, scale over tiny, unit
-// and huge norms — all on unaligned sub-slices — and then the lane-to-float
-// step over its whole domain: every 16-bit value in each of the four lane
-// positions, in each of the assembly's four element slots, against a zero, a
-// near-cancelling (0x8000: lane/65535 - 0.5 is 7.6e-6, so the sum keeps the
-// swept lane's low bits) and a scrambled background in the other three lanes.
-// Measured on the mutant the kernel refuses: multiplying by 1/65535 moves the
-// quotient on 88 lane values and lane/65535 - 0.5 on 24 of them, and the
-// 0x8000 background shows all 24 in all four positions.
-func TestEncodeKernelsMatchReference(t *testing.T) {
-	eachKernel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(31))
-		seeds := []uint64{0, 1, ^uint64(0)}
-		for i := uint64(0); i < 10000; i++ {
-			seeds = append(seeds, i*0x9e3779b97f4a7c15+i)
-		}
-		for _, dim := range []int{0, 1, 3, 4, 5, 127, 128, 129, 768} {
-			a, b := hostileVec(rng, dim), hostileVec(rng, dim)
-			weights := []float64{1, 0.5, 1.2, 4.0, 1e-300, 1e300}
-			norms := []float64{5e-324, 1e-160, 1, 1e150, math.MaxFloat64}
-			for i, seed := range seeds {
-				if dim > 129 && i%50 != 0 {
-					continue
-				}
-				checkEncodeKernels(t, seed, a, b, weights[i%len(weights)], norms[i%len(norms)])
+// sweepEncode is the encode family's sweep over the three loops: derive
+// over ragged dimensions and strided seeds, accumulate over the weights
+// EncodeTokens uses and two that underflow and overflow, scale over tiny,
+// unit and huge norms — all on unaligned sub-slices — and then the
+// lane-to-float step over its whole domain: every 16-bit value in each of
+// the four lane positions, in each of the assembly's four element slots,
+// against a zero, a near-cancelling (0x8000: lane/65535 - 0.5 is 7.6e-6, so
+// the sum keeps the swept lane's low bits) and a scrambled background in the
+// other three lanes. Measured on the mutant the kernel refuses: multiplying
+// by 1/65535 moves the quotient on 88 lane values and lane/65535 - 0.5 on 24
+// of them, and the 0x8000 background shows all 24 in all four positions.
+func sweepEncode(t *testing.T, rng *rand.Rand) {
+	seeds := []uint64{0, 1, ^uint64(0)}
+	for i := uint64(0); i < 10000; i++ {
+		seeds = append(seeds, i*0x9e3779b97f4a7c15+i)
+	}
+	for _, dim := range []int{0, 1, 3, 4, 5, 127, 128, 129, 768} {
+		a, b := hostileVec(rng, dim), hostileVec(rng, dim)
+		weights := []float64{1, 0.5, 1.2, 4.0, 1e-300, 1e300}
+		norms := []float64{5e-324, 1e-160, 1, 1e150, math.MaxFloat64}
+		for i, seed := range seeds {
+			if dim > 129 && i%50 != 0 {
+				continue
 			}
+			checkEncodeKernels(t, seed, a, b, weights[i%len(weights)], norms[i%len(norms)])
 		}
+	}
 
-		var got [4]float64
-		for pos := 0; pos < 4; pos++ {
-			for lane := uint64(0); lane <= 0xffff; lane++ {
-				keep := ^(uint64(0xffff) << (16 * pos))
-				_, scrambled := splitmix64(lane<<2 | uint64(pos))
-				for _, background := range []uint64{0, 0x8000800080008000, scrambled} {
-					z := background&keep | lane<<(16*pos)
-					want := naiveGaussian(z)
-					for slot := range got {
-						gaussFill(unsplitmix(z, slot), got[:])
-						if math.Float64bits(got[slot]) != math.Float64bits(want) {
-							t.Fatalf("%s body, lane value %#x in position %d, word %#x in slot %d: %v (%#x), naive %v (%#x)",
-								CosineKernel(), lane, pos, z, slot, got[slot], math.Float64bits(got[slot]), want, math.Float64bits(want))
-						}
+	var got [4]float64
+	for pos := 0; pos < 4; pos++ {
+		for lane := uint64(0); lane <= 0xffff; lane++ {
+			keep := ^(uint64(0xffff) << (16 * pos))
+			_, scrambled := splitmix64(lane<<2 | uint64(pos))
+			for _, background := range []uint64{0, 0x8000800080008000, scrambled} {
+				z := background&keep | lane<<(16*pos)
+				want := naiveGaussian(z)
+				for slot := range got {
+					gaussFill(unsplitmix(z, slot), got[:])
+					if math.Float64bits(got[slot]) != math.Float64bits(want) {
+						t.Fatalf("%s body, lane value %#x in position %d, word %#x in slot %d: %v (%#x), naive %v (%#x)",
+							CosineKernel(), lane, pos, z, slot, got[slot], math.Float64bits(got[slot]), want, math.Float64bits(want))
 					}
 				}
 			}
 		}
-	})
+	}
 }
 
-// FuzzEncodeKernels gives the fuzzer the seed, the dimension, the weight,
-// the norm and every bit of both vectors, and requires the selected body,
-// the generic body and the naive transcription to agree bitwise.
-func FuzzEncodeKernels(f *testing.F) {
-	f.Add(uint64(0), uint8(4), 1.0, 1.0, []byte{})
-	f.Add(^uint64(0), uint8(129), 0.5, 1e-300, []byte("0123456789abcdef0123456789abcdef"))
-	f.Add(uint64(7), uint8(7), 1e300, 5e-324, []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
-	f.Fuzz(func(t *testing.T, seed uint64, dim uint8, s, n float64, raw []byte) {
-		finite := func(x float64) float64 {
-			if math.IsNaN(x) || math.Abs(x) > 1e150 {
-				return math.Copysign(1e150, x)
-			}
-			return x
+// fuzzEncode gives the fuzzer the seed, the dimension, the weight, the norm
+// and every bit of both vectors, kept finite, for checkEncodeKernels.
+func fuzzEncode(t *testing.T, in fuzzInput) {
+	seed, dim := in.u64(), int(in.u8())%131
+	s, n := finite(in.f64()), finite(in.f64())
+	if n == 0 {
+		n = 1
+	}
+	a, b := make(Vec, dim), make(Vec, dim)
+	for k := range a {
+		if len(in) >= 16 {
+			a[k], b[k] = finite(in.f64()), finite(in.f64())
 		}
-		if s, n = finite(s), finite(n); n == 0 {
-			n = 1
-		}
-		a, b := make(Vec, int(dim)%131), make(Vec, int(dim)%131)
-		for k := range a {
-			if len(raw) >= 16 {
-				a[k] = finite(math.Float64frombits(binary.LittleEndian.Uint64(raw)))
-				b[k] = finite(math.Float64frombits(binary.LittleEndian.Uint64(raw[8:])))
-				raw = raw[16:]
-			}
-		}
-		checkEncodeKernels(t, seed, a, b, s, n)
-		if useAVX2 {
-			defer ForceGenericKernel()()
-			checkEncodeKernels(t, seed, a, b, s, n)
-		}
-	})
+	}
+	checkEncodeKernels(t, seed, a, b, s, n)
 }
 
 // BenchmarkEncodeKernels times the three loops at the served dimension

@@ -90,85 +90,69 @@ func checkClusterKernels(t testing.TB, rowA, rowB, mask []float32, off, a, b, sa
 	}
 }
 
-// TestClusterKernelsMatchReference compares both bodies of the cluster
-// kernels with the naive transcription bit for bit over rows of 0 to 70
-// slots at every offset of a register, under four masks — all live, all
-// dead, alternating, one live — on values drawn to tie exactly and to
-// include +0, -0, +Inf (cannot-link) and NaN, with average-linkage weights
-// from cluster sizes 1 to 64.
-func TestClusterKernelsMatchReference(t *testing.T) {
-	eachKernel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(37))
-		inf, nan := float32(math.Inf(1)), float32(math.NaN())
-		pool := []float32{0, float32(math.Copysign(0, -1)), 0.25, 0.5, 0.5, 1, 2, inf, nan, 1e-40}
-		draw := func(n int) []float32 {
-			v := make([]float32, n)
-			for k := range v {
-				if rng.Intn(3) == 0 {
-					v[k] = rng.Float32() * 2
-				} else {
-					v[k] = pool[rng.Intn(len(pool))]
-				}
+// sweepCluster is the cluster family's sweep: rows of 0 to 70 slots at
+// every offset of a register, under four masks — all live, all dead,
+// alternating, one live — on values drawn to tie exactly and to include +0,
+// -0, +Inf (cannot-link) and NaN, with average-linkage weights from cluster
+// sizes 1 to 64.
+func sweepCluster(t *testing.T, rng *rand.Rand) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	pool := []float32{0, float32(math.Copysign(0, -1)), 0.25, 0.5, 0.5, 1, 2, inf, nan, 1e-40}
+	draw := func(n int) []float32 {
+		v := make([]float32, n)
+		for k := range v {
+			if rng.Intn(3) == 0 {
+				v[k] = rng.Float32() * 2
+			} else {
+				v[k] = pool[rng.Intn(len(pool))]
 			}
-			return v
 		}
-		for n := 0; n <= 70; n++ {
-			for off := 0; off < 8; off++ {
-				for trial := 0; trial < 6; trial++ {
-					rowA, rowB := draw(n), draw(n)
-					a, b := 0, 0
-					if n > 0 {
-						a, b = rng.Intn(n), rng.Intn(n)
-					}
-					sa, sb := 1+rng.Intn(64), 1+rng.Intn(64)
-					for shape := 0; shape < 4; shape++ {
-						mask := make([]float32, n)
-						for j := range mask {
-							switch {
-							case shape == 1, shape == 2 && j%2 == 1, shape == 3 && j != (trial*7)%n:
-								mask[j] = inf
-							}
+		return v
+	}
+	for n := 0; n <= 70; n++ {
+		for off := 0; off < 8; off++ {
+			for trial := 0; trial < 6; trial++ {
+				rowA, rowB := draw(n), draw(n)
+				a, b := 0, 0
+				if n > 0 {
+					a, b = rng.Intn(n), rng.Intn(n)
+				}
+				sa, sb := 1+rng.Intn(64), 1+rng.Intn(64)
+				for shape := 0; shape < 4; shape++ {
+					mask := make([]float32, n)
+					for j := range mask {
+						switch {
+						case shape == 1, shape == 2 && j%2 == 1, shape == 3 && j != (trial*7)%n:
+							mask[j] = inf
 						}
-						checkClusterKernels(t, rowA, rowB, mask, off, a, b, sa, sb)
 					}
+					checkClusterKernels(t, rowA, rowB, mask, off, a, b, sa, sb)
 				}
 			}
 		}
-	})
+	}
 }
 
-// FuzzClusterKernels gives the fuzzer the row length, the offset, the two
-// cluster sizes, the mask and every bit of both rows — any float32, NaN
-// payloads and -Inf included — and requires the selected body, the generic
-// body and the naive transcription to agree bitwise (a NaN with any NaN).
-func FuzzClusterKernels(f *testing.F) {
-	f.Add(uint8(9), uint8(1), uint8(1), uint8(1), uint64(0), []byte{})
-	f.Add(uint8(17), uint8(3), uint8(5), uint8(64), uint64(0xaaaa), []byte("00\x80\x7f01\xc0\x7f\x00\x00\x80\x7f\x00\x00\x00\x80"))
-	f.Add(uint8(70), uint8(7), uint8(2), uint8(3), ^uint64(1), []byte("0123456789abcdef0123456789abcdef"))
-	f.Fuzz(func(t *testing.T, n, off, sa, sb uint8, maskBits uint64, raw []byte) {
-		size := int(n) % 72
-		rowA, rowB, mask := make([]float32, size), make([]float32, size), make([]float32, size)
-		for k := 0; k < size; k++ {
-			if len(raw) >= 8 {
-				rowA[k] = math.Float32frombits(binary.LittleEndian.Uint32(raw))
-				rowB[k] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4:]))
-				raw = raw[8:]
-			}
-			if maskBits>>(k%64)&1 == 1 {
-				mask[k] = float32(math.Inf(1))
-			}
+// fuzzCluster gives the fuzzer the row length, the offset, the two cluster
+// sizes, the mask and every bit of both rows — any float32, NaN payloads
+// and -Inf included — for checkClusterKernels (a NaN matches any NaN).
+func fuzzCluster(t *testing.T, in fuzzInput) {
+	size, off, sa, sb := int(in.u8())%72, int(in.u8())%8, int(in.u8()), int(in.u8())
+	maskBits := in.u64()
+	rowA, rowB, mask := make([]float32, size), make([]float32, size), make([]float32, size)
+	for k := 0; k < size; k++ {
+		if len(in) >= 8 {
+			raw := in.bytes(8)
+			rowA[k] = math.Float32frombits(binary.LittleEndian.Uint32(raw))
+			rowB[k] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4:]))
 		}
-		a, b := 0, 0
-		if size > 0 {
-			a, b = int(sa)%size, int(sb)%size
+		if maskBits>>(k%64)&1 == 1 {
+			mask[k] = float32(math.Inf(1))
 		}
-		check := func() {
-			checkClusterKernels(t, rowA, rowB, mask, int(off)%8, a, b, 1+int(sa)%64, 1+int(sb)%64)
-		}
-		check()
-		if useAVX2 {
-			defer ForceGenericKernel()()
-			check()
-		}
-	})
+	}
+	a, b := 0, 0
+	if size > 0 {
+		a, b = sa%size, sb%size
+	}
+	checkClusterKernels(t, rowA, rowB, mask, off, a, b, 1+sa%64, 1+sb%64)
 }
