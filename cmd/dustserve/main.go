@@ -1,11 +1,12 @@
 // Command dustserve exposes a data lake as a long-running diverse-tuple
 // search service: snapshot-swapped live indexes (PUT/DELETE /tables mutate
-// the lake without blocking in-flight queries), a sharded LRU result cache
+// the lake without blocking in-flight queries), an LRU result cache
 // invalidated by epoch and bounded by entries and bytes, bounded request
-// admission with optional cost-aware degradation (-degrade-threshold:
-// overloaded servers answer from the ANN view or shed with Retry-After),
-// background index maintenance (-maintenance-interval compacts tombstone
-// debt off the query path), and per-request timeouts.
+// admission with optional degradation (-degrade-threshold: a server whose
+// load factor reaches it answers from the ANN view, or sheds with
+// Retry-After: 1 when it already serves ANN), background compaction of
+// ANN graphs more than half tombstones (always on, never inside a
+// request), and per-request timeouts.
 //
 // Usage:
 //
@@ -63,9 +64,7 @@ func main() {
 		cacheCap   = flag.Int("cache", 1024, "query-result cache capacity (0 disables)")
 		cacheBy    = flag.Int64("cache-bytes", 0, "query-result cache resident-byte cap (0 = entry bound only)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-request budget (0 disables)")
-		degrade    = flag.Float64("degrade-threshold", 0, "load factor at which searches degrade to ANN retrieval (or shed with 503 + Retry-After when no ANN view exists); 0 disables cost-aware admission")
-		maintIvl   = flag.Duration("maintenance-interval", 0, "background index-maintenance period: compact tombstone-heavy indexes on a clone off the query path and swap (0 disables; mutations then compact inline past the rebuild threshold)")
-		maintFrac  = flag.Float64("maintenance-threshold", serve.DefaultMaintenanceThreshold, "graph tombstone fraction at which the maintainer compacts")
+		degrade    = flag.Float64("degrade-threshold", 0, "load factor ((executing + waiting searches) / -inflight) at which searches degrade to ANN retrieval (or shed with 503 + Retry-After: 1 when the server already serves ANN); 0 disables degraded admission")
 		ann        = flag.Bool("ann", false, "approximate candidate retrieval (HNSW) with exact re-ranking; the graph persists in -index-dir and follows live table mutations. -ann=false forces exact retrieval even for an index saved in ANN mode; omit the flag to follow the saved index")
 		oversample = flag.Float64("oversample", 0, "ANN candidate oversampling factor: retrieve about N*k candidates before exact re-ranking (0 = default)")
 		efSearch   = flag.Int("ef-search", 0, "HNSW traversal beam width of the ANN candidate stage (0 = default)")
@@ -158,8 +157,6 @@ func main() {
 		serve.WithQueryWorkers(*queryWk),
 		serve.WithTimeout(*timeout),
 		serve.WithDegradeThreshold(*degrade),
-		serve.WithMaintenance(*maintIvl),
-		serve.WithMaintenanceThreshold(*maintFrac),
 	}
 	if *logReqs {
 		sopts = append(sopts, serve.WithRequestLog(os.Stderr))
@@ -167,9 +164,6 @@ func main() {
 	srv := serve.New(p, sopts...)
 	if *degrade > 0 {
 		fmt.Printf("admission: degrade threshold %.2f\n", *degrade)
-	}
-	if *maintIvl > 0 {
-		fmt.Printf("maintenance: every %v past dead fraction %.2f\n", *maintIvl, *maintFrac)
 	}
 
 	// Profiling stays off the serving listener: exposing pprof is opt-in

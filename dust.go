@@ -42,7 +42,6 @@ type Pipeline struct {
 	columnEnc   embed.ColumnEncoder
 	tupleEnc    model.TupleEncoder
 	diversifier diversify.Algorithm
-	dist        vector.DistanceFunc
 	topTables   int
 	workers     int
 	workersSet  bool
@@ -67,12 +66,6 @@ type Option func(*Pipeline)
 // sharing s's index).
 func WithSearcher(s search.Searcher) Option { return func(p *Pipeline) { p.searcher = s } }
 
-// WithColumnEncoder replaces the column encoder used for alignment
-// (default: column-level RoBERTa, the paper's best in Table 1). Lake columns'
-// vectors are kept across searches under the encoder's Fingerprint, so two
-// encoders that can differ in output must differ in it.
-func WithColumnEncoder(e embed.ColumnEncoder) Option { return func(p *Pipeline) { p.columnEnc = e } }
-
 // WithTupleEncoder replaces the tuple embedding model (default: a
 // content-dominant pre-trained simulator; install a fine-tuned
 // model.Model for the paper's full setup).
@@ -80,9 +73,6 @@ func WithTupleEncoder(e model.TupleEncoder) Option { return func(p *Pipeline) { 
 
 // WithDiversifier replaces the diversification algorithm (default: DUST).
 func WithDiversifier(a diversify.Algorithm) Option { return func(p *Pipeline) { p.diversifier = a } }
-
-// WithDistance replaces the tuple distance (default: cosine distance).
-func WithDistance(d vector.DistanceFunc) Option { return func(p *Pipeline) { p.dist = d } }
 
 // WithTopTables sets how many unionable tables the search stage retrieves
 // before alignment (default: 10).
@@ -138,7 +128,6 @@ func New(l *lake.Lake, opts ...Option) *Pipeline {
 		columnEnc:   embed.ColumnLevel{Model: embed.NewRoBERTa()},
 		tupleEnc:    embed.NewRoBERTa(embed.WithAnisotropy(0.05)),
 		diversifier: diversify.NewDUST(),
-		dist:        vector.CosineDistance,
 		topTables:   10,
 	}
 	for _, o := range opts {
@@ -282,7 +271,7 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 	}
 	tDiv := time.Now()
 	idx := p.diversifier.Select(diversify.Problem{
-		Query: eq, Tuples: et, Groups: groups, K: k, Dist: p.dist,
+		Query: eq, Tuples: et, Groups: groups, K: k, Dist: vector.CosineDistance,
 		Workers: p.workers,
 	})
 	tr.AddDiversify(tDiv)
@@ -376,9 +365,9 @@ func (p *Pipeline) QueryBound(n int) *Pipeline {
 
 // MaintenanceStats reports the tombstone debt of the searcher's HNSW
 // graphs — the only index structures that tombstone — merged across shards
-// for sharded searchers. A background maintainer watches its
-// GraphDeletedFraction to decide when a compaction pass (Compact on a
-// Clone, then a snapshot swap) is worth running.
+// for sharded searchers. The serving layer starts a compaction pass
+// (Compact on a Clone, then a snapshot swap) once its GraphDeletedFraction
+// passes search.RebuildThreshold.
 func (p *Pipeline) MaintenanceStats() search.MaintenanceStats {
 	return p.searcher.MaintenanceStats()
 }
@@ -395,8 +384,8 @@ func (p *Pipeline) SetAutoCompact(on bool) { p.searcher.SetAutoCompact(on) }
 // identity — a compacted pipeline ranks every query exactly like its
 // tombstoned self — and does not advance the epoch, so serving caches
 // keyed by (tag, epoch) stay valid across it. Not safe concurrently with
-// queries or mutations: run it on a Clone and swap, as
-// serve.WithMaintenance does.
+// queries or mutations: run it on a Clone and swap, as the serving
+// layer's background compaction does.
 func (p *Pipeline) Compact() bool { return p.searcher.Compact() }
 
 // ModeView returns a query-only pipeline view whose searcher runs under

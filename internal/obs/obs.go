@@ -8,7 +8,7 @@
 //
 // Two metric shapes coexist:
 //
-//   - Vec metrics (NewCounter, NewGauge, NewHistogram) own their state:
+//   - Vec metrics (NewCounter, NewHistogram) own their state:
 //     With(labelValues...) returns the child for one label combination,
 //     backed by atomics, safe for concurrent use and allocation-free on
 //     the hot path once a child exists.
@@ -79,25 +79,6 @@ func (c *Counter) Add(n uint64) { c.n.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n.Load() }
 
-// Gauge is an int64 level — in-flight requests, queue depth — safe for
-// concurrent use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the level.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the level by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram is a fixed-bucket distribution of float64 observations
 // (latency in seconds, by convention). Buckets are upper bounds; an
 // observation lands in the first bucket whose bound is >= the value, or in
@@ -143,7 +124,7 @@ type family struct {
 	bounds []float64 // histograms only
 
 	mu       sync.RWMutex
-	children map[string]any // label-value key -> *Counter | *Gauge | *Histogram
+	children map[string]any // label-value key -> *Counter | *Histogram
 	keys     []string       // insertion-ordered child keys, sorted at scrape
 
 	collect func(emit func(value float64, labelValues ...string))
@@ -166,13 +147,10 @@ func (f *family) child(lvs []string) any {
 	if c, ok := f.children[key]; ok {
 		return c
 	}
-	switch f.kind {
-	case KindCounter:
-		c = new(Counter)
-	case KindGauge:
-		c = new(Gauge)
-	case KindHistogram:
+	if f.kind == KindHistogram {
 		c = newHistogram(f.bounds)
+	} else {
+		c = new(Counter)
 	}
 	f.children[key] = c
 	f.keys = append(f.keys, key)
@@ -186,15 +164,6 @@ type CounterVec struct{ f *family }
 // in registration order), creating it on first use.
 func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.child(labelValues).(*Counter)
-}
-
-// GaugeVec is a gauge family keyed by label values.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values, creating it on first
-// use.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return v.f.child(labelValues).(*Gauge)
 }
 
 // HistogramVec is a histogram family keyed by label values; every child
@@ -235,13 +204,6 @@ func (r *Registry) NewCounter(name, help string, labelKeys ...string) *CounterVe
 	f := &family{name: name, help: help, kind: KindCounter, labels: labelKeys, children: map[string]any{}}
 	r.register(f)
 	return &CounterVec{f}
-}
-
-// NewGauge registers a gauge family.
-func (r *Registry) NewGauge(name, help string, labelKeys ...string) *GaugeVec {
-	f := &family{name: name, help: help, kind: KindGauge, labels: labelKeys, children: map[string]any{}}
-	r.register(f)
-	return &GaugeVec{f}
 }
 
 // NewHistogram registers a histogram family with the given bucket upper
@@ -307,8 +269,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 				lvs := splitKey(key, len(f.labels))
 				switch c := children[i].(type) {
 				case *Counter:
-					writeSample(&b, f.name, f.labels, lvs, float64(c.Value()))
-				case *Gauge:
 					writeSample(&b, f.name, f.labels, lvs, float64(c.Value()))
 				case *Histogram:
 					writeHistogram(&b, f.name, f.labels, lvs, c)

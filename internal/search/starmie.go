@@ -358,7 +358,7 @@ func (p *part) annRemove(name string) {
 func (s *Starmie) maybeRebuild() {
 	for _, p := range s.parts {
 		g := p.graph
-		if s.manualCompact || g == nil || g.Len() < 8 || g.DeletedFraction() <= rebuildThreshold {
+		if s.manualCompact || g == nil || g.Len() < 8 || g.DeletedFraction() <= RebuildThreshold {
 			continue
 		}
 		p.rebuildGraph()

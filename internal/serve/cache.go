@@ -12,39 +12,31 @@ import (
 	"dust/internal/table"
 )
 
-// cacheShards is the shard count of the query-result cache. Sharding keeps
-// the per-shard mutex short-lived under concurrent request load; 16 shards
-// comfortably out-scale the in-flight query bound of a single server.
-const cacheShards = 16
-
 // cacheEntryOverhead approximates the per-entry bookkeeping bytes beyond
 // key and body (list element, map slot, entry header) so the byte bound
 // cannot be dodged by caching many tiny responses.
 const cacheEntryOverhead = 128
 
-// Cache is a sharded LRU over marshaled search responses. Entries are keyed
-// by (query fingerprint, k, pipeline config tag, index epoch) — see
-// cacheKey — so a snapshot swap invalidates every prior entry by
-// construction: the bumped epoch changes the key, stale entries simply stop
-// being reachable and age out of the LRU. Residency is bounded on two axes:
-// entry count (NewCache capacity) and, optionally, resident bytes
-// (NewCacheBytes) — a max-k workload can pin multi-megabyte bodies, so a
-// count bound alone does not bound memory. Eviction runs when either bound
-// is exceeded. A nil *Cache is valid and caches nothing (Get always misses,
-// Put is a no-op).
+// Cache is an LRU over marshaled search responses. Entries are keyed by
+// (query fingerprint, k, pipeline config tag, index epoch) — see cacheKey —
+// so a snapshot swap invalidates every prior entry by construction: the
+// bumped epoch changes the key, stale entries simply stop being reachable
+// and age out of the LRU. Residency is bounded on two axes: entry count
+// and, optionally, resident bytes — a max-k workload can pin multi-megabyte
+// bodies, so a count bound alone does not bound memory. Eviction runs when
+// either bound is exceeded. One mutex guards the whole cache: a lookup is
+// a map probe and a list splice, short beside the searches the admission
+// bound lets run at once. A nil *Cache is valid and caches nothing (Get
+// always misses, Put is a no-op).
 type Cache struct {
-	shards        [cacheShards]cacheShard
-	perShard      int
-	bytesPerShard int64 // 0 = no byte bound
-	hits          atomic.Uint64
-	misses        atomic.Uint64
-}
-
-type cacheShard struct {
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-	bytes int64 // resident entry sizes (key + body + overhead)
+	mu       sync.Mutex
+	ll       *list.List // front = most recently used
+	items    map[string]*list.Element
+	bytes    int64 // resident entry sizes (key + body + overhead)
+	capacity int
+	maxBytes int64 // 0 = no byte bound
+	hits     atomic.Uint64
+	misses   atomic.Uint64
 }
 
 type cacheEntry struct {
@@ -52,48 +44,26 @@ type cacheEntry struct {
 	body []byte
 }
 
-// size is the entry's contribution to the shard's byte accounting.
+// size is the entry's contribution to the cache's byte accounting.
 func (e *cacheEntry) size() int64 {
 	return int64(len(e.key)) + int64(len(e.body)) + cacheEntryOverhead
 }
 
-// NewCache creates a cache holding about capacity responses in total,
-// split evenly across shards, with no byte bound. capacity <= 0 disables
-// caching (returns nil).
-func NewCache(capacity int) *Cache { return NewCacheBytes(capacity, 0) }
-
-// NewCacheBytes is NewCache with an additional bound on resident bytes
-// (key + body + per-entry overhead), split evenly across shards; entries
-// are evicted LRU-first when either bound is exceeded, and a single entry
-// larger than its shard's byte budget is not cached at all. maxBytes <= 0
-// means no byte bound; capacity <= 0 disables caching entirely.
+// NewCacheBytes creates a cache holding at most capacity responses and, when
+// maxBytes > 0, at most maxBytes resident bytes (key + body + per-entry
+// overhead); entries are evicted LRU-first when either bound is exceeded,
+// and a single entry larger than maxBytes is not cached at all. capacity
+// <= 0 disables caching (returns nil).
 func NewCacheBytes(capacity int, maxBytes int64) *Cache {
 	if capacity <= 0 {
 		return nil
 	}
-	c := &Cache{perShard: (capacity + cacheShards - 1) / cacheShards}
-	if maxBytes > 0 {
-		c.bytesPerShard = (maxBytes + cacheShards - 1) / cacheShards
+	return &Cache{
+		ll:       list.New(),
+		items:    make(map[string]*list.Element),
+		capacity: capacity,
+		maxBytes: max(maxBytes, 0),
 	}
-	for i := range c.shards {
-		c.shards[i].ll = list.New()
-		c.shards[i].items = make(map[string]*list.Element)
-	}
-	return c
-}
-
-// shardFor picks the shard owning key (FNV-1a over the key bytes).
-func (c *Cache) shardFor(key string) *cacheShard {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime
-	}
-	return &c.shards[h%cacheShards]
 }
 
 // Get returns the cached body for key, marking it most recently used.
@@ -101,54 +71,49 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	el, ok := s.items[key]
+	c.mu.Lock()
+	el, ok := c.items[key]
 	if !ok {
-		s.mu.Unlock()
+		c.mu.Unlock()
 		c.misses.Add(1)
 		return nil, false
 	}
-	s.ll.MoveToFront(el)
+	c.ll.MoveToFront(el)
 	body := el.Value.(*cacheEntry).body
-	s.mu.Unlock()
+	c.mu.Unlock()
 	c.hits.Add(1)
 	return body, true
 }
 
 // Put stores body under key, evicting least-recently-used entries while the
-// shard exceeds either its entry capacity or its byte budget. A body too
-// large to ever fit the byte budget is dropped rather than cached (caching
+// cache exceeds either its entry capacity or its byte bound. A body too
+// large to ever fit the byte bound is dropped rather than cached (caching
 // it would immediately evict everything else for a single entry).
 func (c *Cache) Put(key string, body []byte) {
 	if c == nil {
 		return
 	}
 	e := &cacheEntry{key: key, body: body}
-	if c.bytesPerShard > 0 && e.size() > c.bytesPerShard {
+	if c.maxBytes > 0 && e.size() > c.maxBytes {
 		return
 	}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
 		old := el.Value.(*cacheEntry)
-		s.bytes += e.size() - old.size()
+		c.bytes += e.size() - old.size()
 		old.body = body
-		s.ll.MoveToFront(el)
+		c.ll.MoveToFront(el)
 	} else {
-		s.items[key] = s.ll.PushFront(e)
-		s.bytes += e.size()
+		c.items[key] = c.ll.PushFront(e)
+		c.bytes += e.size()
 	}
-	for s.ll.Len() > c.perShard || (c.bytesPerShard > 0 && s.bytes > c.bytesPerShard) {
-		back := s.ll.Back()
-		if back == nil {
-			break
-		}
+	for c.ll.Len() > c.capacity || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
+		back := c.ll.Back()
 		evicted := back.Value.(*cacheEntry)
-		s.ll.Remove(back)
-		delete(s.items, evicted.key)
-		s.bytes -= evicted.size()
+		c.ll.Remove(back)
+		delete(c.items, evicted.key)
+		c.bytes -= evicted.size()
 	}
 }
 
@@ -158,13 +123,9 @@ func (c *Cache) Stats() (hits, misses uint64, entries int, bytes int64) {
 	if c == nil {
 		return 0, 0, 0, 0
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		entries += s.ll.Len()
-		bytes += s.bytes
-		s.mu.Unlock()
-	}
+	c.mu.Lock()
+	entries, bytes = c.ll.Len(), c.bytes
+	c.mu.Unlock()
 	return c.hits.Load(), c.misses.Load(), entries, bytes
 }
 

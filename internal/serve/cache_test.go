@@ -8,32 +8,23 @@ import (
 )
 
 func TestCacheGetPutLRU(t *testing.T) {
-	// One entry per shard: hammer keys that land in one shard to observe
-	// strict LRU order without cross-shard noise.
-	c := NewCache(cacheShards) // perShard = 1
-	shard := c.shardFor("a")
-	keys := []string{}
-	for i := 0; len(keys) < 3; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if c.shardFor(k) == shard {
-			keys = append(keys, k)
-		}
-	}
-	c.Put(keys[0], []byte("v0"))
-	if got, ok := c.Get(keys[0]); !ok || string(got) != "v0" {
+	c := NewCacheBytes(2, 0)
+	c.Put("a", []byte("va"))
+	c.Put("b", []byte("vb"))
+	if got, ok := c.Get("a"); !ok || string(got) != "va" {
 		t.Fatalf("Get after Put = %q/%v", got, ok)
 	}
-	// Same shard, capacity 1: inserting the second evicts the first.
-	c.Put(keys[1], []byte("v1"))
-	if _, ok := c.Get(keys[0]); ok {
-		t.Fatal("evicted entry still served")
+	// Capacity 2 and "a" was just read: the third entry evicts "b".
+	c.Put("c", []byte("vc"))
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("least recently used entry still served")
 	}
-	if got, ok := c.Get(keys[1]); !ok || string(got) != "v1" {
+	if got, ok := c.Get("c"); !ok || string(got) != "vc" {
 		t.Fatalf("survivor = %q/%v", got, ok)
 	}
 	hits, misses, entries, bytes := c.Stats()
-	if hits != 2 || misses != 1 || entries < 1 {
-		t.Fatalf("stats = %d hits / %d misses / %d entries, want 2/1/>=1", hits, misses, entries)
+	if hits != 2 || misses != 1 || entries != 2 {
+		t.Fatalf("stats = %d hits / %d misses / %d entries, want 2/1/2", hits, misses, entries)
 	}
 	if bytes <= 0 {
 		t.Fatalf("bytes = %d with %d resident entries, want > 0", bytes, entries)
@@ -41,7 +32,7 @@ func TestCacheGetPutLRU(t *testing.T) {
 }
 
 func TestCacheUpdateExistingKey(t *testing.T) {
-	c := NewCache(64)
+	c := NewCacheBytes(64, 0)
 	c.Put("k", []byte("old"))
 	c.Put("k", []byte("new"))
 	if got, ok := c.Get("k"); !ok || string(got) != "new" {
@@ -54,36 +45,35 @@ func TestCacheUpdateExistingKey(t *testing.T) {
 
 func TestCacheCapacityBound(t *testing.T) {
 	const capacity = 64
-	c := NewCache(capacity)
+	c := NewCacheBytes(capacity, 0)
 	for i := 0; i < capacity*4; i++ {
 		c.Put(fmt.Sprintf("key-%d", i), []byte("v"))
 	}
-	_, _, entries, _ := c.Stats()
-	// Shard-local rounding can push the total slightly over capacity, never
-	// unboundedly.
-	if entries > capacity+cacheShards {
+	if _, _, entries, _ := c.Stats(); entries != capacity {
 		t.Fatalf("cache holds %d entries, capacity %d", entries, capacity)
 	}
 }
 
 func TestCacheByteBound(t *testing.T) {
 	// Generous entry capacity, tight byte budget: eviction must trigger on
-	// bytes alone. One shard's budget fits roughly two of these entries.
+	// bytes alone. The budget fits two of these entries.
 	const perEntry = 1024
-	c := NewCacheBytes(1<<20, cacheShards*2*(perEntry+cacheEntryOverhead+16))
+	const budget = 2 * (perEntry + cacheEntryOverhead + 16)
+	c := NewCacheBytes(1<<20, budget)
 	body := make([]byte, perEntry)
 	for i := 0; i < 512; i++ {
 		c.Put(fmt.Sprintf("key-%d", i), body)
 	}
-	_, _, entries, bytes := c.Stats()
-	if entries == 0 || bytes == 0 {
-		t.Fatal("byte-bounded cache retained nothing")
+	if _, _, entries, bytes := c.Stats(); entries != 2 || bytes > budget {
+		t.Fatalf("%d entries / %d bytes resident, want 2 within the %d budget", entries, bytes, budget)
 	}
-	if max := int64(cacheShards * 2 * (perEntry + cacheEntryOverhead + 16)); bytes > max {
-		t.Fatalf("resident bytes %d exceed the %d budget", bytes, max)
-	}
-	if entries >= 512 {
-		t.Fatalf("no eviction happened: %d entries resident", entries)
+
+	// An entry a quarter of the byte bound is cached: the bound is the
+	// whole cache's, not a sixteenth of it per shard.
+	c4 := NewCacheBytes(16, 4*budget)
+	c4.Put("quarter", make([]byte, budget))
+	if _, ok := c4.Get("quarter"); !ok {
+		t.Fatal("entry a quarter of the byte bound was refused")
 	}
 
 	// Accounting must shrink when an update replaces a large body with a
@@ -97,8 +87,8 @@ func TestCacheByteBound(t *testing.T) {
 		t.Fatalf("bytes %d -> %d after shrinking update, want a decrease", before, after)
 	}
 
-	// An entry larger than a whole shard budget is refused outright.
-	c3 := NewCacheBytes(16, cacheShards*64)
+	// An entry larger than the whole byte bound is refused outright.
+	c3 := NewCacheBytes(16, 1024)
 	c3.Put("huge", make([]byte, 4096))
 	if _, ok := c3.Get("huge"); ok {
 		t.Fatal("oversized entry was cached")
@@ -117,8 +107,8 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	if h, m, e, b := c.Stats(); h != 0 || m != 0 || e != 0 || b != 0 {
 		t.Fatalf("nil cache stats %d/%d/%d/%d", h, m, e, b)
 	}
-	if NewCache(0) != nil {
-		t.Fatal("NewCache(0) should disable caching")
+	if NewCacheBytes(0, 0) != nil {
+		t.Fatal("NewCacheBytes(0, 0) should disable caching")
 	}
 }
 

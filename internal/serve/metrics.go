@@ -79,14 +79,14 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Searches abandoned because the client went away.", nil,
 		func(emit func(float64, ...string)) { emit(float64(s.canceled.Load())) })
 	r.NewCounterFunc("dust_serve_degraded_total",
-		"Searches answered by the degraded (ANN) view under cost-aware admission.", nil,
+		"Searches answered by the degraded (ANN) view under degraded admission.", nil,
 		func(emit func(float64, ...string)) { emit(float64(s.degraded.Load())) })
 	r.NewCounterFunc("dust_serve_shed_total",
 		"Searches refused with 503 + Retry-After because the server was overloaded and no degraded mode was available.", nil,
 		func(emit func(float64, ...string)) { emit(float64(s.shed.Load())) })
 	r.NewCounterFunc("dust_maintenance_compactions_total",
-		"Background maintenance passes that compacted the index and swapped the snapshot.", nil,
-		func(emit func(float64, ...string)) { emit(float64(s.maintRuns.Load())) })
+		"Background compaction passes that compacted the index and swapped the snapshot.", nil,
+		func(emit func(float64, ...string)) { emit(float64(s.compactions.Load())) })
 
 	r.NewGaugeFunc("dust_in_flight",
 		"Searches currently executing in the pipeline.", nil,
@@ -204,7 +204,7 @@ type requestInfo struct {
 	k        int
 	epoch    uint64
 	isSearch bool
-	degraded bool // answered by the ANN view under cost-aware admission
+	degraded bool // answered by the ANN view under degraded admission
 	trace    *search.Trace
 	errMsg   string
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -24,7 +23,7 @@ func occupySlot(t *testing.T, srv *Server) func() {
 	return func() { once.Do(func() { <-srv.sem }) }
 }
 
-// TestDegradedModeUnderLoad pins cost-aware admission end to end: with the
+// TestDegradedModeUnderLoad pins degraded admission end to end: with the
 // single admission slot held, a search degrades to the snapshot's ANN view
 // instead of queueing — flagged in the response, the request log, the
 // degraded counter, and /metrics — and the degraded result is cached under
@@ -116,7 +115,7 @@ func TestDegradedModeUnderLoad(t *testing.T) {
 
 // TestShedWithRetryAfter pins the other overload branch: a pipeline already
 // answering from its ANN plan has nothing cheaper to degrade to, so past the
-// threshold the request is refused with 503 + Retry-After instead of
+// threshold the request is refused with 503 + Retry-After: 1 instead of
 // queueing.
 func TestShedWithRetryAfter(t *testing.T) {
 	b := fixedLake()
@@ -140,9 +139,8 @@ func TestShedWithRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("shed status %d, want 503", resp.StatusCode)
 	}
-	ra := resp.Header.Get("Retry-After")
-	if secs, err := strconv.Atoi(ra); err != nil || secs < 1 || secs > 60 {
-		t.Fatalf("Retry-After %q, want an integer in [1, 60]", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After %q, want 1", ra)
 	}
 	var e errorJSON
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || !strings.Contains(e.Error, "no degraded mode") {
@@ -162,30 +160,6 @@ func TestShedWithRetryAfter(t *testing.T) {
 	}
 	if st.Shed != 1 {
 		t.Fatalf("stats shed = %d, want 1", st.Shed)
-	}
-}
-
-// TestCheapQueriesBypassDegradation pins the cost-estimate bypass: once
-// the EWMA knows searches of this shape are cheap, they are admitted
-// exactly even past the load threshold.
-func TestCheapQueriesBypassDegradation(t *testing.T) {
-	srv, _, _ := newTestServer(t, WithDegradeThreshold(0.5), WithMaxInFlight(1))
-	// Pretend observed searches were ~1ns per unit: any realistic query
-	// estimates far under the 1ms floor.
-	srv.observeCost(1, time.Nanosecond)
-	if !srv.cheap(100) {
-		t.Fatalf("estCost(100) = %.0fns judged not cheap", srv.estCostNS(100))
-	}
-	// And an expensive history keeps degradation on.
-	srv2, _, _ := newTestServer(t, WithDegradeThreshold(0.5), WithMaxInFlight(1))
-	srv2.observeCost(1, 50*time.Millisecond)
-	if srv2.cheap(100) {
-		t.Fatalf("estCost(100) = %.0fns judged cheap", srv2.estCostNS(100))
-	}
-	// Unknown cost is never cheap: the first overloaded requests degrade.
-	srv3, _, _ := newTestServer(t, WithDegradeThreshold(0.5), WithMaxInFlight(1))
-	if srv3.cheap(100) {
-		t.Fatal("unknown cost judged cheap")
 	}
 }
 
@@ -214,48 +188,61 @@ func TestCacheDisabledLabelsNone(t *testing.T) {
 	}
 }
 
-// TestMaintenanceCompactionUnderLoad is the rebuild-under-load contract:
-// removals push the served ANN graph's tombstone fraction past the
-// maintenance threshold while queries are in flight, no inline rebuild
-// happens (mutations stay O(delta) with a maintainer attached), and the
-// background compaction swap preserves the epoch and the exact bytes of
-// every response. Run under -race in CI.
+// TestMaintenanceCompactionUnderLoad is the compaction contract: no DELETE
+// rebuilds the served ANN graph inline, a history that stays at or under
+// half dead never compacts, and the DELETE that crosses it starts a
+// background pass that, with no further request, swaps in a compacted clone
+// at the same epoch while every response keeps its exact bytes. Run under
+// -race in CI.
 func TestMaintenanceCompactionUnderLoad(t *testing.T) {
 	b := fixedLake()
 	p := dust.New(b.Lake, dust.WithTopTables(5), dust.WithRetriever(search.ANN))
-	// An hour-long interval keeps the timer out of the test; passes are
-	// driven explicitly via maintain() so the swap is deterministic.
-	srv := New(p,
-		WithMaintenance(time.Hour), WithMaintenanceThreshold(0.25),
-		WithCacheCapacity(0), WithMaxInFlight(4), WithTimeout(30*time.Second))
+	srv := New(p, WithCacheCapacity(0), WithMaxInFlight(4))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.Close)
 
-	query := b.Queries[0]
-	body := searchBody(t, query, 5)
-	post := func() (int, []byte) {
-		resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+	body := searchBody(t, b.Queries[0], 5)
+	post := func(url string) []byte {
+		resp, err := http.Post(url+"/search", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Error(err)
-			return 0, nil
+			return nil
 		}
 		defer resp.Body.Close()
 		var buf bytes.Buffer
 		_, _ = buf.ReadFrom(resp.Body)
-		return resp.StatusCode, buf.Bytes()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("search status %d: %s", resp.StatusCode, buf.Bytes())
+		}
+		return buf.Bytes()
 	}
 
-	// Remove a third of the lake over HTTP while clients query: enough
-	// tombstones to cross the 0.25 threshold, concurrently enough that the
-	// race detector sees queries against both sides of each swap.
+	// Tombstoning is deterministic: a probe clone finds the first removal
+	// that leaves the graph more than half dead.
 	names := b.Lake.Names()
-	doomed := names[:len(names)/3]
+	probe := srv.Snapshot().Pipeline().Clone()
+	probe.SetAutoCompact(false)
+	cross := 0
+	for ; cross < len(names); cross++ {
+		if err := probe.RemoveTable(names[cross]); err != nil {
+			t.Fatal(err)
+		}
+		if probe.MaintenanceStats().GraphDeletedFraction > search.RebuildThreshold {
+			break
+		}
+	}
+	if cross == 0 || cross == len(names) {
+		t.Fatalf("crossing removal at %d of %d tables", cross, len(names))
+	}
+
+	// Every removal short of it, over HTTP while clients query, so the race
+	// detector sees queries against both sides of each swap.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for _, name := range doomed {
+		for _, name := range names[:cross] {
 			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/tables/"+name, nil)
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
@@ -273,111 +260,62 @@ func TestMaintenanceCompactionUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if status, _ := post(); status != http.StatusOK {
-					t.Errorf("query under churn: status %d", status)
-				}
+				post(ts.URL)
 			}
 		}()
 	}
 	wg.Wait()
-
-	// With the maintainer attached, none of those removals may have
-	// rebuilt inline: the tombstone debt must still be visible.
-	st := srv.Snapshot().Pipeline().MaintenanceStats()
-	if st.GraphDeletedFraction < 0.25 {
-		t.Fatalf("graph deleted fraction %.2f after removing %d/%d tables — a mutation compacted inline",
-			st.GraphDeletedFraction, len(doomed), len(names))
+	if st := srv.Snapshot().Pipeline().MaintenanceStats(); srv.compactions.Load() != 0 ||
+		st.GraphDeletedFraction == 0 || st.GraphDeletedFraction > search.RebuildThreshold {
+		t.Fatalf("at or under half dead: %d compactions, deleted fraction %.3f; want 0 and the debt kept",
+			srv.compactions.Load(), st.GraphDeletedFraction)
 	}
 
-	epochBefore := srv.Snapshot().Epoch()
-	statusBefore, before := post()
-	if statusBefore != http.StatusOK {
-		t.Fatalf("pre-compaction search status %d", statusBefore)
+	// The crossing removal: the snapshot it publishes still holds its
+	// tombstones, so no rebuild ran inside the request.
+	crossing, _, err := srv.mutate(func(p *dust.Pipeline) error { return p.RemoveTable(names[cross]) })
+	if err != nil {
+		t.Fatal(err)
 	}
+	if f := crossing.Pipeline().MaintenanceStats().GraphDeletedFraction; f <= search.RebuildThreshold {
+		t.Fatalf("crossing DELETE published a deleted fraction of %.3f: it compacted inline", f)
+	}
+	// The body before the swap comes from a server over a copy of that
+	// snapshot, which never compacts.
+	ref := httptest.NewServer(New(crossing.Pipeline().Clone(), WithCacheCapacity(0)))
+	t.Cleanup(ref.Close)
+	before := post(ref.URL)
 
-	// Compact while queries are in flight against the served snapshot.
 	var qwg sync.WaitGroup
 	for c := 0; c < 3; c++ {
 		qwg.Add(1)
 		go func() {
 			defer qwg.Done()
 			for i := 0; i < 5; i++ {
-				if status, got := post(); status != http.StatusOK || !bytes.Equal(got, before) {
-					t.Errorf("query racing compaction: status %d, body identical %v", status, bytes.Equal(got, before))
+				if got := post(ts.URL); !bytes.Equal(got, before) {
+					t.Errorf("query racing compaction: body differs:\n%s\nwant:\n%s", got, before)
 				}
 			}
 		}()
 	}
-	if !srv.maintain() {
-		t.Fatal("maintain() did no work above the threshold")
-	}
+	srv.Close() // waits for the pass
 	qwg.Wait()
 
-	if got := srv.maintRuns.Load(); got != 1 {
-		t.Fatalf("compaction counter = %d, want 1", got)
+	st := srv.Snapshot().Pipeline().MaintenanceStats()
+	if got := srv.compactions.Load(); got != 1 || st.GraphDeletedFraction != 0 || st.GraphNodes != st.GraphLive {
+		t.Fatalf("after the pass: %d compactions, stats %+v; want 1 and zero tombstones", got, st)
 	}
-	if epoch := srv.Snapshot().Epoch(); epoch != epochBefore {
-		t.Fatalf("compaction moved the epoch %d -> %d", epochBefore, epoch)
+	if epoch := srv.Snapshot().Epoch(); epoch != crossing.Epoch() {
+		t.Fatalf("compaction moved the epoch %d -> %d", crossing.Epoch(), epoch)
 	}
-	st = srv.Snapshot().Pipeline().MaintenanceStats()
-	if st.GraphDeletedFraction != 0 || st.GraphNodes != st.GraphLive {
-		t.Fatalf("post-compaction stats %+v, want zero tombstones", st)
-	}
-	// Below the threshold now: another pass must be a no-op.
-	if srv.maintain() {
-		t.Fatal("maintain() compacted a clean index")
-	}
-
-	statusAfter, after := post()
-	if statusAfter != http.StatusOK {
-		t.Fatalf("post-compaction search status %d", statusAfter)
-	}
-	if !bytes.Equal(before, after) {
+	if after := post(ts.URL); !bytes.Equal(before, after) {
 		t.Fatalf("compaction changed response bytes:\nbefore: %s\nafter:  %s", before, after)
 	}
-
-	text := scrapeMetrics(t, ts.URL)
-	if !strings.Contains(text, "dust_maintenance_compactions_total 1\n") {
+	if !strings.Contains(scrapeMetrics(t, ts.URL), "dust_maintenance_compactions_total 1\n") {
 		t.Error("exposition missing dust_maintenance_compactions_total 1")
 	}
 	var stats StatsResponse
 	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK || stats.Compactions != 1 {
 		t.Fatalf("stats compactions = %d (code %d), want 1", stats.Compactions, code)
-	}
-}
-
-// TestMaintenanceLoopCompacts covers the timer-driven path WithMaintenance
-// actually ships: a short interval notices accrued tombstones and compacts
-// without any explicit trigger.
-func TestMaintenanceLoopCompacts(t *testing.T) {
-	b := fixedLake()
-	p := dust.New(b.Lake, dust.WithTopTables(5), dust.WithRetriever(search.ANN))
-	srv := New(p, WithMaintenance(10*time.Millisecond), WithMaintenanceThreshold(0.25))
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
-
-	names := b.Lake.Names()
-	for _, name := range names[:len(names)/3] {
-		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/tables/"+name, nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("delete %s: status %d", name, resp.StatusCode)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.maintRuns.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if srv.maintRuns.Load() == 0 {
-		t.Fatal("maintenance loop never compacted")
-	}
-	st := srv.Snapshot().Pipeline().MaintenanceStats()
-	if st.GraphDeletedFraction != 0 {
-		t.Fatalf("deleted fraction %.2f after background compaction, want 0", st.GraphDeletedFraction)
 	}
 }

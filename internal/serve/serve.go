@@ -56,29 +56,23 @@ type Server struct {
 	cacheCap     int   // entry bound handed to the cache at construction
 	cacheBytes   int64 // byte bound handed to the cache; 0 = unbounded
 
-	// Cost-aware admission (WithDegradeThreshold). costNS is an EWMA of
-	// observed exact-search cost per cost unit (query rows x lake tables),
-	// stored as float64 bits; waits is a ring of recent admission waits
-	// whose p99 is a second overload signal beside the in-flight ratio.
-	degradeThreshold float64
-	costNS           atomic.Uint64
-	waits            admissionRing
+	degradeThreshold float64 // load factor at which searches degrade; 0 = off
 
-	// Background maintenance (WithMaintenance): a serve-owned goroutine
-	// that compacts tombstone-heavy indexes on a clone off the query path.
-	maintInterval  time.Duration
-	maintThreshold float64
-	maintStop      chan struct{}
-	closeOnce      sync.Once
+	// Background compaction (see compactLoop). compacting and closed are
+	// guarded by mu, which both the mutation that starts a pass and the
+	// pass's swap hold; passes counts the running pass for Close.
+	compacting bool
+	closed     bool
+	passes     sync.WaitGroup
 
-	searches  atomic.Uint64 // successfully served, cached or not
-	mutations atomic.Uint64
-	rejected  atomic.Uint64 // admission/deadline/pipeline failures
-	canceled  atomic.Uint64 // client went away mid-request
-	waiting   atomic.Int64  // searches parked at admission right now
-	degraded  atomic.Uint64 // searches answered by the ANN view under load
-	shed      atomic.Uint64 // searches refused with 503 + Retry-After under load
-	maintRuns atomic.Uint64 // maintenance passes that compacted and swapped
+	searches    atomic.Uint64 // successfully served, cached or not
+	mutations   atomic.Uint64
+	rejected    atomic.Uint64 // admission/deadline/pipeline failures
+	canceled    atomic.Uint64 // client went away mid-request
+	waiting     atomic.Int64  // searches parked at admission right now
+	degraded    atomic.Uint64 // searches answered by the ANN view under load
+	shed        atomic.Uint64 // searches refused with 503 + Retry-After under load
+	compactions atomic.Uint64 // background passes that compacted and swapped
 
 	metrics *serverMetrics
 	logw    io.Writer  // request log sink; nil disables logging
@@ -99,35 +93,14 @@ func WithCacheCapacity(n int) Option { return func(s *Server) { s.cacheCap = n }
 // with only the entry-count bound of WithCacheCapacity in force.
 func WithCacheBytes(n int64) Option { return func(s *Server) { s.cacheBytes = n } }
 
-// WithDegradeThreshold enables cost-aware admission: when the in-flight
-// load factor (executing + waiting searches over the admission bound)
-// reaches f, or the recent admission-wait p99 exceeds a tenth of the
-// request timeout, non-trivial searches are degraded to the snapshot's
-// ANN view — same index, approximate retrieval — instead of queueing for
-// an exact slot. Pipelines without an ANN view (see dust.PrepareANN) shed
-// instead: 503 with a Retry-After estimated from the observed per-search
-// cost. f <= 0 (the default) disables the policy. Degraded responses
-// carry "degraded": true and count in dust_serve_degraded_total.
+// WithDegradeThreshold enables degraded admission: when the in-flight load
+// factor (executing + waiting searches over the admission bound) reaches
+// f, uncached searches are answered from the snapshot's ANN view — same
+// index, approximate retrieval — instead of the exact plan. A pipeline
+// already in ANN mode has nothing cheaper and sheds instead: 503 with
+// Retry-After: 1. f <= 0 (the default) disables the policy. Degraded
+// responses carry "degraded": true and count in dust_serve_degraded_total.
 func WithDegradeThreshold(f float64) Option { return func(s *Server) { s.degradeThreshold = f } }
-
-// WithMaintenance enables background index maintenance: every interval,
-// a serve-owned goroutine inspects the published snapshot's graph
-// tombstone fraction and, past the maintenance threshold, compacts a clone off the
-// query path and swaps it in. While a maintainer is attached, mutations
-// never compact inline (auto-compaction is disabled on the pipeline), so
-// AddTable/RemoveTable latency stays O(delta) no matter how much
-// tombstone debt has accrued. interval <= 0 (the default) disables the
-// maintainer.
-func WithMaintenance(interval time.Duration) Option {
-	return func(s *Server) { s.maintInterval = interval }
-}
-
-// WithMaintenanceThreshold overrides the graph tombstone fraction at which
-// the maintainer compacts (default DefaultMaintenanceThreshold). Only
-// meaningful together with WithMaintenance.
-func WithMaintenanceThreshold(f float64) Option {
-	return func(s *Server) { s.maintThreshold = f }
-}
 
 // WithMaxInFlight bounds the number of concurrently executing searches
 // (default: the GOMAXPROCS-derived worker count). Excess requests wait for
@@ -159,15 +132,15 @@ func WithMaxK(n int) Option { return func(s *Server) { s.maxK = n } }
 func WithMaxBodyBytes(n int64) Option { return func(s *Server) { s.maxBody = n } }
 
 // New wraps a pipeline in a Server. The pipeline must not be used by the
-// caller afterwards: the server owns it (mutations clone and swap it).
+// caller afterwards: the server owns it (mutations clone and swap it, and
+// graph compaction runs on a background clone, never inside a request).
 func New(p *dust.Pipeline, opts ...Option) *Server {
 	s := &Server{
-		cacheCap:       1024,
-		timeout:        30 * time.Second,
-		maxK:           1000,
-		maxBody:        DefaultMaxBodyBytes,
-		queryWorkers:   1,
-		maintThreshold: DefaultMaintenanceThreshold,
+		cacheCap:     1024,
+		timeout:      30 * time.Second,
+		maxK:         1000,
+		maxBody:      DefaultMaxBodyBytes,
+		queryWorkers: 1,
 	}
 	for _, o := range opts {
 		o(s)
@@ -182,18 +155,12 @@ func New(p *dust.Pipeline, opts ...Option) *Server {
 		// can degrade instead of shedding.
 		p.PrepareANN()
 	}
-	if s.maintInterval > 0 {
-		// The maintainer owns compaction: mutations must never rebuild
-		// inline (that is exactly the stall the maintainer exists to
-		// absorb). The policy bit is cloned into every future snapshot.
-		p.SetAutoCompact(false)
-	}
+	// Mutations never rebuild a graph inline: mutate hands the debt to a
+	// background pass instead. The policy bit is cloned into every future
+	// snapshot.
+	p.SetAutoCompact(false)
 	s.snap.Store(newSnapshot(p, s.queryWorkers))
 	s.metrics = newServerMetrics(s)
-	if s.maintInterval > 0 {
-		s.maintStop = make(chan struct{})
-		go s.maintenanceLoop()
-	}
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /search", s.instrument("/search", s.handleSearch))
@@ -219,15 +186,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // embedding callers; requests load it exactly once themselves).
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
-// Close stops the background maintainer, if any; the served pipeline holds
-// nothing else to release. Requests keep being answered after Close, from
-// the last published snapshot. Close is idempotent.
+// Close waits for a running compaction pass to leave the published
+// snapshot at or under the rebuild threshold, and later mutations start no
+// pass; the served pipeline holds nothing else to release. Requests,
+// mutations included, keep being answered after Close. Close is
+// idempotent.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		if s.maintStop != nil {
-			close(s.maintStop)
-		}
-	})
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.passes.Wait()
 }
 
 // tableJSON is the wire form of a table: a header row plus value rows.
@@ -461,18 +429,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		info.cache = "miss"
 	}
 
-	// Cost-aware admission: past the configured load threshold, a search
-	// worth degrading runs against the snapshot's ANN view — same frozen
-	// index, approximate retrieval, a fraction of the exact cost — and a
-	// pipeline with no such view sheds the request instead of queueing it
-	// into a backlog it cannot drain. Queries estimated cheaper than a
-	// millisecond are admitted exactly even under load: degrading them
-	// frees no meaningful capacity. Degraded requests still pass the
-	// admission gate below — the policy trades work per slot, not the
-	// slot bound itself.
+	// Degraded admission: at or past the load threshold, a search runs
+	// against the snapshot's ANN view — same frozen index, approximate
+	// retrieval — and a pipeline with no such view sheds the request
+	// instead of queueing it into a backlog it cannot drain. Degraded
+	// requests still pass the admission gate below: the policy trades work
+	// per slot, not the slot bound itself.
 	view := snap.query
-	units := costUnits(query, snap)
-	if load, over := s.overloaded(); over && !s.cheap(units) {
+	if load, over := s.overloaded(); over {
 		if snap.degraded != nil {
 			view = snap.degraded
 			info.degraded = true
@@ -490,7 +454,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		} else {
 			s.shed.Add(1)
 			s.rejected.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(units)))
+			w.Header().Set("Retry-After", "1")
 			msg := fmt.Sprintf("server overloaded (load %.2f, threshold %.2f) and no degraded mode is available", load, s.degradeThreshold)
 			info.errMsg = msg
 			httpError(w, http.StatusServiceUnavailable, msg)
@@ -508,9 +472,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.sem <- struct{}{}:
 		s.waiting.Add(-1)
-		wait := time.Since(waitStart)
-		s.waits.observe(wait)
-		s.metrics.admissionWait.With().Observe(wait.Seconds())
+		s.metrics.admissionWait.With().Observe(time.Since(waitStart).Seconds())
 		defer func() { <-s.sem }()
 	case <-ctx.Done():
 		s.waiting.Add(-1)
@@ -526,7 +488,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	tr := &search.Trace{}
-	searchStart := time.Now()
 	res, err := view.SearchContext(search.WithTrace(ctx, tr), query, k)
 	if err != nil {
 		info.errMsg = err.Error()
@@ -545,11 +506,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info.trace = tr
-	if !info.degraded {
-		// Only exact searches feed the cost model; degraded timings would
-		// drag the estimate down and mislabel expensive queries as cheap.
-		s.observeCost(units, time.Since(searchStart))
-	}
 
 	prov := make([]provenanceJSON, len(res.Provenance))
 	for i, p := range res.Provenance {
@@ -587,7 +543,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // published snapshot so callers report an (epoch, table count) pair that
 // actually existed — not state re-read after later swaps. In-flight
 // queries keep reading the old snapshot; they never block this swap and it
-// never blocks them.
+// never blocks them. A published snapshot whose graphs are over the
+// rebuild threshold starts a background compaction pass unless one is
+// already running (which re-checks the published snapshot when it ends).
 func (s *Server) mutate(apply func(p *dust.Pipeline) error) (*Snapshot, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -606,6 +564,11 @@ func (s *Server) mutate(apply func(p *dust.Pipeline) error) (*Snapshot, int, err
 	next := newSnapshot(shadow, s.queryWorkers)
 	s.snap.Store(next)
 	s.mutations.Add(1)
+	if !s.compacting && !s.closed && overCompactThreshold(next) {
+		s.compacting = true
+		s.passes.Add(1)
+		go s.compactLoop()
+	}
 	return next, http.StatusOK, nil
 }
 
@@ -728,7 +691,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Canceled:    s.canceled.Load(),
 		Degraded:    s.degraded.Load(),
 		Shed:        s.shed.Load(),
-		Compactions: s.maintRuns.Load(),
+		Compactions: s.compactions.Load(),
 		InFlight:    len(s.sem),
 		MaxIn:       cap(s.sem),
 		ConfigTag:   snap.tag,

@@ -7,11 +7,14 @@
 // observe a half-applied mutation; a query that started before a swap
 // finishes on the snapshot it started with.
 //
-// On top of the snapshot sit a sharded LRU result cache keyed by (query
+// On top of the snapshot sit an LRU result cache keyed by (query
 // fingerprint, k, pipeline config, index epoch) — invalidated wholesale by
 // the epoch bump a swap implies — and request admission: a bounded
 // in-flight semaphore plus per-request timeouts threaded through
-// context.Context into Pipeline.SearchContext.
+// context.Context into Pipeline.SearchContext. Graph compaction never runs
+// inside a request: a mutation that leaves the graphs more than
+// search.RebuildThreshold tombstones starts a background pass that
+// compacts a clone and swaps it in.
 package serve
 
 import (
@@ -25,7 +28,7 @@ import (
 // requests do not multiply fan-out. When the pipeline can answer in ANN
 // mode distinct from its configured mode, the snapshot also carries a
 // degraded view — the same frozen index behind an approximate retrieval
-// stage — that cost-aware admission routes to under load. All views are
+// stage — that degraded admission routes to under load. All views are
 // frozen: nothing mutates a Snapshot after it is published.
 type Snapshot struct {
 	master      *dust.Pipeline
