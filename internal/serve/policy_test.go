@@ -188,6 +188,64 @@ func TestCacheDisabledLabelsNone(t *testing.T) {
 	}
 }
 
+// crossingRemoval returns the index in names of the first removal that
+// leaves srv's served graph more than half dead. Tombstoning is
+// deterministic, so a probe clone finds it.
+func crossingRemoval(t *testing.T, srv *Server, names []string) int {
+	t.Helper()
+	probe := srv.Snapshot().Pipeline().Clone()
+	probe.SetAutoCompact(false)
+	cross := 0
+	for ; cross < len(names); cross++ {
+		if err := probe.RemoveTable(names[cross]); err != nil {
+			t.Fatal(err)
+		}
+		if probe.MaintenanceStats().GraphDeletedFraction > search.RebuildThreshold {
+			break
+		}
+	}
+	if cross == 0 || cross == len(names) {
+		t.Fatalf("crossing removal at %d of %d tables", cross, len(names))
+	}
+	return cross
+}
+
+// TestMaintenanceLoopCompacts pins compaction with no explicit trigger: an
+// ANN server that sees only HTTP DELETEs, the last of which leaves its graph
+// more than half dead, compacts on its own and then serves zero tombstones,
+// with no further request and no Close.
+func TestMaintenanceLoopCompacts(t *testing.T) {
+	b := fixedLake()
+	p := dust.New(b.Lake, dust.WithTopTables(5), dust.WithRetriever(search.ANN))
+	srv := New(p)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	t.Cleanup(srv.Close)
+
+	names := b.Lake.Names()
+	for _, name := range names[:crossingRemoval(t, srv, names)+1] {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/tables/"+name, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("delete %s: status %d", name, resp.StatusCode)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.compactions.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if srv.compactions.Load() == 0 {
+		t.Fatal("the crossing DELETE started no background compaction")
+	}
+	if st := srv.Snapshot().Pipeline().MaintenanceStats(); st.GraphDeletedFraction != 0 {
+		t.Fatalf("deleted fraction %.2f after background compaction, want 0", st.GraphDeletedFraction)
+	}
+}
+
 // TestMaintenanceCompactionUnderLoad is the compaction contract: no DELETE
 // rebuilds the served ANN graph inline, a history that stays at or under
 // half dead never compacts, and the DELETE that crosses it starts a
@@ -218,23 +276,8 @@ func TestMaintenanceCompactionUnderLoad(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	// Tombstoning is deterministic: a probe clone finds the first removal
-	// that leaves the graph more than half dead.
 	names := b.Lake.Names()
-	probe := srv.Snapshot().Pipeline().Clone()
-	probe.SetAutoCompact(false)
-	cross := 0
-	for ; cross < len(names); cross++ {
-		if err := probe.RemoveTable(names[cross]); err != nil {
-			t.Fatal(err)
-		}
-		if probe.MaintenanceStats().GraphDeletedFraction > search.RebuildThreshold {
-			break
-		}
-	}
-	if cross == 0 || cross == len(names) {
-		t.Fatalf("crossing removal at %d of %d tables", cross, len(names))
-	}
+	cross := crossingRemoval(t, srv, names)
 
 	// Every removal short of it, over HTTP while clients query, so the race
 	// detector sees queries against both sides of each swap.
