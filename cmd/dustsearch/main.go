@@ -9,18 +9,21 @@
 //
 // With -index-dir the search index persists across runs: the first run
 // builds and saves it, later runs warm-start from disk instead of
-// re-indexing the lake. -save-index forces a rebuild of a stale index.
+// re-indexing the lake. -save-index forces a rebuild of a stale index, and
+// an index in another format version is rebuilt the same way.
 //
 //	dustsearch -query q.csv -lake ./lake -index-dir ./lake.idx
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"dust"
+	"dust/internal/codec"
 	"dust/internal/lake"
 	"dust/internal/model"
 	"dust/internal/search"
@@ -91,14 +94,18 @@ func main() {
 	}
 
 	var p *dust.Pipeline
-	switch {
-	case *indexDir != "" && !*saveIndex && dust.HasIndex(*indexDir):
+	if *indexDir != "" && !*saveIndex && dust.HasIndex(*indexDir) {
 		p, err = dust.LoadPipelineLake(l, *indexDir, opts...)
-		if err != nil {
+		switch {
+		case errors.Is(err, codec.ErrVersion):
+			fmt.Printf("rebuilding index in %s: %v\n", *indexDir, err)
+		case err != nil:
 			fatal(err)
+		default:
+			fmt.Printf("warm start: loaded index from %s (%d shard(s))\n", *indexDir, p.Shards())
 		}
-		fmt.Printf("warm start: loaded index from %s (%d shard(s))\n", *indexDir, p.Shards())
-	default:
+	}
+	if p == nil {
 		p = dust.New(l, opts...)
 		if *indexDir != "" {
 			if err := p.SaveIndex(*indexDir); err != nil {

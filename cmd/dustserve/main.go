@@ -15,7 +15,8 @@
 //	dustserve -spec 'tables=1000,rows=40,seed=7' -addr :8080   # synthetic lake
 //
 // With -index-dir the server warm-starts from a saved index when one
-// exists and otherwise builds the index cold and saves it for next boot.
+// exists and otherwise — or when the index is in another format version —
+// builds the index cold and saves it for next boot.
 //
 // Try it:
 //
@@ -34,6 +35,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -42,6 +44,7 @@ import (
 	"time"
 
 	"dust"
+	"dust/internal/codec"
 	"dust/internal/datagen"
 	"dust/internal/lake"
 	"dust/internal/model"
@@ -130,15 +133,19 @@ func main() {
 
 	var p *dust.Pipeline
 	boot := time.Now()
-	switch {
-	case *indexDir != "" && dust.HasIndex(*indexDir):
+	if *indexDir != "" && dust.HasIndex(*indexDir) {
 		p, err = dust.LoadPipelineLake(l, *indexDir, opts...)
-		if err != nil {
+		switch {
+		case errors.Is(err, codec.ErrVersion):
+			fmt.Printf("rebuilding index in %s: %v\n", *indexDir, err)
+		case err != nil:
 			fatal(err)
+		default:
+			fmt.Printf("warm start: loaded index from %s in %v (epoch %d, %d shard(s))\n",
+				*indexDir, time.Since(boot).Round(time.Millisecond), p.Epoch(), p.Shards())
 		}
-		fmt.Printf("warm start: loaded index from %s in %v (epoch %d, %d shard(s))\n",
-			*indexDir, time.Since(boot).Round(time.Millisecond), p.Epoch(), p.Shards())
-	default:
+	}
+	if p == nil {
 		p = dust.New(l, opts...)
 		fmt.Printf("cold start: indexed %s in %v (%d shard(s))\n",
 			l.Stats(), time.Since(boot).Round(time.Millisecond), p.Shards())

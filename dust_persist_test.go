@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"dust/internal/codec"
@@ -65,14 +64,25 @@ func TestSaveIndexOverwriteDropsStaleModel(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// An earlier build's monolithic files, which the CLIs' rebuild of an
+	// older-format directory saves over.
+	for _, f := range []string{"searcher.dustidx", "ann.dustidx"} {
+		if err := os.WriteFile(filepath.Join(idxDir, f), []byte("DSTIDX"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	// Re-saving a model-less pipeline into the same directory must not
-	// leave the old tuple.model behind for the new manifest to miss.
+	// leave the old tuple.model or any other earlier file behind for the
+	// new manifest to miss.
 	cold := New(b.Lake)
 	if err := cold.SaveIndex(idxDir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(idxDir, "tuple.model")); !os.IsNotExist(err) {
-		t.Errorf("stale tuple.model survived the overwrite (err = %v)", err)
+	for _, f := range []string{"tuple.model", "searcher.dustidx", "ann.dustidx"} {
+		if _, err := os.Stat(filepath.Join(idxDir, f)); !os.IsNotExist(err) {
+			t.Errorf("stale %s survived the overwrite (err = %v)", f, err)
+		}
 	}
 	warm, err := LoadPipeline(lakeDir, idxDir)
 	if err != nil {
@@ -133,110 +143,60 @@ func TestLoadPipelineErrors(t *testing.T) {
 	}
 }
 
-// TestLoadPipelineRetiredKind loads a hand-built manifest recording the
-// "d3l" searcher kind, which earlier builds wrote and this one no longer
-// reads. The intact file is no bit rot: the load must fail as
-// codec.ErrWrongKind naming the kind, before any part file is looked for.
+// TestLoadPipelineRetiredKind loads index files in formats earlier builds
+// wrote: a manifest naming the retired "d3l" kind, one recording the
+// zero-shard monolithic layout, today's manifest under an older header
+// version (the CRC covers only the payload), and an older graph envelope.
+// Each must fail as codec.ErrVersion, which the CLIs answer with a cold
+// build. The directory holds the manifest alone, so a loader that opened a
+// part file first would fail as ErrShardLayout instead — as today's
+// manifest does.
 func TestLoadPipelineRetiredKind(t *testing.T) {
 	b, _ := benchLake(t)
-	var m codec.Buffer
-	m.String("d3l")
-	m.String(b.Lake.Name)
-	m.Strings(b.Lake.Names())
-	m.Bool(false) // no tuple model
-	m.Uvarint(0)  // epoch
-	m.Bool(false) // exact mode
-	m.Bool(false) // no graph files
-	m.Uvarint(1)  // one part, holding the whole lake
-	m.Strings(b.Lake.Names())
-	dir := t.TempDir()
-	if err := writeFile(filepath.Join(dir, manifestFile), func(w io.Writer) error {
-		return codec.WriteEnvelope(w, codec.KindManifest, ManifestFormatVersion, m.Bytes())
-	}); err != nil {
-		t.Fatal(err)
+	manifest := func(kind string, shards int) []byte {
+		var m codec.Buffer
+		m.String(kind)
+		m.String(b.Lake.Name)
+		m.Strings(b.Lake.Names())
+		m.Bool(false) // no tuple model
+		m.Uvarint(0)  // epoch
+		m.Bool(false) // exact mode
+		m.Bool(false) // no graph files
+		m.Uvarint(uint64(shards))
+		for i := 0; i < shards; i++ {
+			m.Strings(b.Lake.Names())
+		}
+		return m.Bytes()
 	}
-	_, err := LoadPipelineLake(b.Lake, dir)
-	if !errors.Is(err, codec.ErrWrongKind) || !strings.Contains(err.Error(), "d3l") {
-		t.Fatalf("retired-kind manifest: err = %v, want ErrWrongKind naming d3l", err)
-	}
-}
-
-// TestLoadGoldenMonolithicV4 reads an index directory written by the commit
-// before the single on-disk layout — a monolithic Starmie index in ANN mode
-// saved as searcher.dustidx + ann.dustidx under a zero-shard v4 manifest
-// (testdata/golden_v4_mono, 4 tables) — as one part: it must load, answer
-// exactly like a fresh build over the same lake, and re-save in the one
-// layout under the shard-000 names. The searcher file re-saves byte for
-// byte; ann.dustidx is a version 2 graph and re-saves as version 3, which
-// stores adjacency only (internal/search TestLoadANNLegacy pins that load).
-func TestLoadGoldenMonolithicV4(t *testing.T) {
-	golden := filepath.Join("testdata", "golden_v4_mono")
-	lakeDir, idxDir := filepath.Join(golden, "lake"), filepath.Join(golden, "index")
-	q, err := table.LoadCSV(filepath.Join(golden, "query.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := LoadPipeline(lakeDir, idxDir)
-	if err != nil {
-		t.Fatalf("golden index did not load: %v", err)
-	}
-	fresh := New(warm.Lake(), WithRetriever(search.ANN))
-	if warm.Shards() != 1 || warm.ConfigTag() != fresh.ConfigTag() {
-		t.Fatalf("loaded %d shard(s) tagged %q, want 1 tagged %q", warm.Shards(), warm.ConfigTag(), fresh.ConfigTag())
-	}
-	if warm.IndexBytes().Bytes <= 0 {
-		t.Fatalf("saved graph not installed: index footprint %+v", warm.IndexBytes())
-	}
-	check := func(label string, p *Pipeline) {
-		t.Helper()
-		for _, mode := range []search.Mode{search.ANN, search.Exact} {
-			pv, ok := p.ModeView(mode)
-			fv, fok := fresh.ModeView(mode)
-			if !ok || !fok {
-				t.Fatalf("%s: no %v view", label, mode)
-			}
-			got, err := pv.Search(q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := fv.Search(q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, label+" vs fresh "+mode.String(), got, want)
+	for _, c := range []struct {
+		name    string
+		version uint16
+		payload []byte
+		want    error
+	}{
+		{"d3l kind", ManifestFormatVersion, manifest("d3l", 1), codec.ErrVersion},
+		{"zero shards", ManifestFormatVersion, manifest(kindStarmie, 0), codec.ErrVersion},
+		{"header v3", 3, manifest(kindStarmie, 1), codec.ErrVersion},
+		{"current", ManifestFormatVersion, manifest(kindStarmie, 1), ErrShardLayout},
+	} {
+		dir := t.TempDir()
+		if err := writeFile(filepath.Join(dir, manifestFile), func(w io.Writer) error {
+			return codec.WriteEnvelope(w, codec.KindManifest, c.version, c.payload)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadPipelineLake(b.Lake, dir); !errors.Is(err, c.want) {
+			t.Errorf("%s manifest: err = %v, want %v", c.name, err, c.want)
 		}
 	}
-	check("golden", warm)
 
-	out := filepath.Join(t.TempDir(), "index")
-	if err := warm.SaveIndex(out); err != nil {
+	var graph bytes.Buffer
+	if err := search.NewStarmie(b.Lake, search.WithMode(search.ANN)).SaveANN(&graph); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(out)
-	if err != nil {
-		t.Fatal(err)
+	v2 := graph.Bytes()
+	v2[7], v2[8] = 2, 0
+	if err := search.NewStarmie(b.Lake).LoadANN(bytes.NewReader(v2)); !errors.Is(err, codec.ErrVersion) {
+		t.Errorf("version 2 graph: err = %v, want ErrVersion", err)
 	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	if got, want := strings.Join(names, " "), "manifest.dustidx shard-000.ann.dustidx shard-000.dustidx"; got != want {
-		t.Fatalf("re-save wrote %q, want %q", got, want)
-	}
-	want, err := os.ReadFile(filepath.Join(idxDir, "searcher.dustidx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(out, "shard-000.dustidx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("shard-000.dustidx differs from the golden searcher.dustidx it was loaded from")
-	}
-	resaved, err := LoadPipeline(lakeDir, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("re-saved", resaved)
 }

@@ -11,10 +11,9 @@ import (
 
 // FuzzLoadManifest throws arbitrary bytes at the index-directory manifest
 // loader — the shard-map extension of the FuzzLoadIndex family: the
-// manifest sits over valid component files (two shard files and a
-// monolithic searcher file side by side, so whichever layout the mutated
-// manifest claims, a plausible file exists for the loader to chase) and
-// every input must return a usable pipeline or a typed error, never panic.
+// manifest sits over valid component files (the two shard files of the
+// last save, so a mutated manifest has plausible files to chase) and every
+// input must return a usable pipeline or a typed error, never panic.
 // Seeds are the real manifests of an unsharded, a sharded, and a sharded
 // ANN save.
 func FuzzLoadManifest(f *testing.F) {
@@ -34,21 +33,11 @@ func FuzzLoadManifest(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	// Order matters: each save retires the previous one's files, so save
-	// the monolithic index first and let the final sharded save lay down
-	// the shard files, then put the monolithic searcher file beside them
-	// under its legacy name for manifests that mutate to the zero-shard
-	// (pre-single-layout) form.
+	// Each save retires the previous one's files: the last lays down the
+	// shard files the fuzzed manifests sit over.
 	seed(New(b.Lake))
-	mono, err := os.ReadFile(filepath.Join(dir, "shard-000.dustidx"))
-	if err != nil {
-		f.Fatal(err)
-	}
 	seed(New(b.Lake, WithShards(2)))
 	seed(New(b.Lake, WithShards(2), WithRetriever(search.ANN)))
-	if err := os.WriteFile(filepath.Join(dir, "searcher.dustidx"), mono, 0o644); err != nil {
-		f.Fatal(err)
-	}
 	f.Add([]byte{})
 	f.Add([]byte("DSTIDXM\x04\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 

@@ -165,9 +165,6 @@ func (ix *Index) Len() int { return len(ix.levels) }
 // Live returns the number of non-tombstoned nodes.
 func (ix *Index) Live() int { return ix.Len() - ix.nDel }
 
-// Deleted reports whether id is tombstoned.
-func (ix *Index) Deleted(id int) bool { return ix.deleted[id] }
-
 // DeletedFraction returns the tombstone share, the owner's rebuild signal.
 func (ix *Index) DeletedFraction() float64 {
 	if ix.Len() == 0 {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -47,7 +46,7 @@ func bruteTopN(ix *Index, q vector.Vec, n int) []int {
 	}
 	var all []di
 	for id := 0; id < ix.Len(); id++ {
-		if ix.Deleted(id) {
+		if ix.deleted[id] {
 			continue
 		}
 		all = append(all, di{vector.SquaredEuclidean(q, ix.rows[id]), id})
@@ -140,8 +139,8 @@ func TestRemoveTombstones(t *testing.T) {
 	if err := ix.Remove(-1); err == nil {
 		t.Fatal("Remove(-1) did not error")
 	}
-	if ix.Live() != 199 || !ix.Deleted(17) {
-		t.Fatalf("Live=%d Deleted(17)=%v after remove", ix.Live(), ix.Deleted(17))
+	if ix.Live() != 199 || !ix.deleted[17] {
+		t.Fatalf("Live=%d Deleted(17)=%v after remove", ix.Live(), ix.deleted[17])
 	}
 	for _, id := range ix.Search(q, 50, 64) {
 		if id == 17 {
@@ -184,7 +183,7 @@ func roundTrip(t *testing.T, ix *Index) *Index {
 	var b codec.Buffer
 	ix.Encode(&b)
 	sc := codec.NewScanner(b.Bytes())
-	got, err := Decode(sc, 3)
+	got, err := Decode(sc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -235,108 +234,47 @@ func TestCodecRoundTrip(t *testing.T) {
 
 // TestDecodeRejectsCorruption feeds Decode every truncation of a real graph
 // and hand-written one-node payloads that each bend one field: all must
-// fail typed, never panic. Version 1 payloads carried a float32 vector per
-// node, which Decode still reads and validates before dropping it; the
-// version 2 SQ8 vector has its own test below.
+// fail typed, never panic.
 func TestDecodeRejectsCorruption(t *testing.T) {
 	valid := encodeBytes(buildIndex(clusteredVecs(50, 8, 2, 51)))
 	for cut := 0; cut < len(valid); cut += 7 {
 		sc := codec.NewScanner(valid[:cut])
-		if _, err := Decode(sc, 3); err == nil && sc.Finish() == nil {
+		if _, err := Decode(sc); err == nil && sc.Finish() == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
 	}
 
-	// Sanity: the well-formed payloads decode, so the rejections below test
+	// Sanity: the well-formed payload decodes, so the rejections below test
 	// the mutation and not the layout.
-	for v, vec := range map[uint16]func(*codec.Buffer){1: floatVec(8), 3: nil} {
-		if ix, err := Decode(codec.NewScanner(oneNode(v, 8, 4, 0, vec)), v); err != nil || ix.Len() != 1 {
-			t.Fatalf("well-formed v%d payload: %v", v, err)
-		}
+	if ix, err := Decode(codec.NewScanner(oneNode(8, 4, 0))); err != nil || ix.Len() != 1 {
+		t.Fatalf("well-formed payload: %v", err)
 	}
-	for _, tc := range []struct {
-		name    string
-		version uint16
-		data    []byte
-	}{
-		{"zero dim", 3, oneNode(3, 0, 4, 0, nil)},
-		{"huge M", 3, oneNode(3, 8, 1<<20, 0, nil)},
-		{"entry out of range", 3, oneNode(3, 8, 4, 9, nil)},
-		{"short float vector", 1, oneNode(1, 8, 4, 0, floatVec(7))},
-	} {
-		if _, err := Decode(codec.NewScanner(tc.data), tc.version); !errors.Is(err, codec.ErrCorrupt) && !errors.Is(err, codec.ErrTruncated) {
-			t.Errorf("%s: err = %v, want ErrCorrupt/ErrTruncated", tc.name, err)
-		}
-	}
-}
-
-// TestDecodeRejectsQuantizedCorruption covers the legacy version 2 SQ8
-// payload (a scale, an offset and dim int8 codes per node), which Decode
-// still parses and validates before dropping it: each case bends one field,
-// and every truncation of the well-formed payload must fail typed too.
-func TestDecodeRejectsQuantizedCorruption(t *testing.T) {
-	valid := oneNode(2, 8, 4, 0, sq8Vec(0.5, 0, 8))
-	if ix, err := Decode(codec.NewScanner(valid), 2); err != nil || ix.Len() != 1 {
-		t.Fatalf("well-formed v2 SQ8 payload: %v", err)
-	}
-	for cut := 0; cut < len(valid); cut++ {
-		sc := codec.NewScanner(valid[:cut])
-		if _, err := Decode(sc, 2); err == nil && sc.Finish() == nil {
-			t.Fatalf("truncation at %d decoded cleanly", cut)
-		}
-	}
-	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
-		{"NaN scale", oneNode(2, 8, 4, 0, sq8Vec(nan, 0, 8))},
-		{"Inf offset", oneNode(2, 8, 4, 0, sq8Vec(0.5, inf, 8))},
-		{"negative scale", oneNode(2, 8, 4, 0, sq8Vec(-1, 0, 8))},
-		{"truncated codes", oneNode(2, 8, 4, 0, sq8Vec(0.5, 0, 7))},
-		{"oversized codes", oneNode(2, 8, 4, 0, sq8Vec(0.5, 0, 9))},
+		{"zero dim", oneNode(0, 4, 0)},
+		{"huge M", oneNode(8, 1<<20, 0)},
+		{"entry out of range", oneNode(8, 4, 9)},
 	} {
-		if _, err := Decode(codec.NewScanner(tc.data), 2); !errors.Is(err, codec.ErrCorrupt) && !errors.Is(err, codec.ErrTruncated) {
+		if _, err := Decode(codec.NewScanner(tc.data)); !errors.Is(err, codec.ErrCorrupt) && !errors.Is(err, codec.ErrTruncated) {
 			t.Errorf("%s: err = %v, want ErrCorrupt/ErrTruncated", tc.name, err)
 		}
 	}
 }
 
-// oneNode writes a one-node graph file body in the given format version:
-// one level-0 node without links under efConstruction 10 and seed 1; vec
-// writes the vector a version 1 or 2 node carried.
-func oneNode(version uint16, dim, m, entry int, vec func(*codec.Buffer)) []byte {
+// oneNode writes a one-node graph payload: one level-0 node without links
+// under efConstruction 10 and seed 1.
+func oneNode(dim, m, entry int) []byte {
 	var b codec.Buffer
-	if version == 2 {
-		b.Bool(true) // SQ8 storage
-	}
 	for _, x := range []int{dim, m, 10} {
 		b.Int(x)
 	}
 	b.Uvarint(1)
-	for _, x := range []int{1, entry, 0, 0} { // nodes, entry, max level, node level
+	for _, x := range []int{1, entry, 0, 0, 0} { // nodes, entry, max level, node level, layer 0 neighbors
 		b.Int(x)
 	}
-	if version < 3 {
-		b.Bool(false) // not a tombstone
-		vec(&b)
-	}
-	b.Int(0) // layer 0: no neighbors
 	return b.Bytes()
-}
-
-// floatVec writes a version 1 node's float32 vector of length n.
-func floatVec(n int) func(*codec.Buffer) {
-	return func(b *codec.Buffer) { b.Float32s(make([]float32, n)) }
-}
-
-// sq8Vec writes a version 2 node's SQ8 vector: scale, offset, then codes bytes.
-func sq8Vec(scale, offset float32, codes int) func(*codec.Buffer) {
-	return func(b *codec.Buffer) {
-		b.Float32(scale)
-		b.Float32(offset)
-		b.RawBytes(make([]byte, codes))
-	}
 }
 
 func encodeBytes(ix *Index) []byte {

@@ -2,7 +2,6 @@ package ann
 
 import (
 	"fmt"
-	"math"
 
 	"dust/internal/codec"
 	"dust/internal/vector"
@@ -16,16 +15,12 @@ import (
 // entry point — so a corrupt or hostile graph fails with a typed error
 // instead of panicking mid-search.
 //
-// The current layout (envelope version 3) stores adjacency only: the rows
-// belong to the owner, which binds them after decoding (BindRows), and a
-// saved graph carries no tombstones. Versions 1 and 2 stored a tombstone
-// flag and a vector per node — float32 in version 1; a storage flag and
-// then float32, or SQ8 codes with a per-node scale and offset, in version
-// 2. Those payloads are still parsed and validated, then dropped.
+// The layout stores adjacency only: the rows belong to the owner, which
+// binds them after decoding (BindRows), and a saved graph carries no
+// tombstones.
 
-// Encode appends the graph to b in the current (version 3) layout. The
-// graph must be tombstone-free (Compact it first): the layout has no room
-// for dead nodes.
+// Encode appends the graph to b. The graph must be tombstone-free (Compact
+// it first): the layout has no room for dead nodes.
 func (ix *Index) Encode(b *codec.Buffer) {
 	if ix.nDel > 0 {
 		panic("ann: Encode of a graph with tombstones")
@@ -51,17 +46,13 @@ func (ix *Index) Encode(b *codec.Buffer) {
 	}
 }
 
-// Decode reads a graph written under envelope version 1, 2 or 3 from sc,
-// validating structure as it goes. The graph has no rows until BindRows.
-// On any inconsistency it returns an error wrapping codec.ErrCorrupt (or
-// the scanner's truncation error) and never panics.
-func Decode(sc *codec.Scanner, version uint16) (*Index, error) {
+// Decode reads a graph written by Encode from sc, validating structure as
+// it goes. The graph has no rows until BindRows. On any inconsistency it
+// returns an error wrapping codec.ErrCorrupt (or the scanner's truncation
+// error) and never panics.
+func Decode(sc *codec.Scanner) (*Index, error) {
 	fail := func(format string, args ...any) (*Index, error) {
 		return nil, fmt.Errorf("ann: "+format+": %w", append(args, codec.ErrCorrupt)...)
-	}
-	sq8 := false
-	if version == 2 {
-		sq8 = sc.Bool()
 	}
 	dim := sc.Int()
 	m := sc.Int()
@@ -96,13 +87,6 @@ func Decode(sc *codec.Scanner, version uint16) (*Index, error) {
 
 	for i := 0; i < n && sc.Err() == nil; i++ {
 		lvl := sc.Int()
-		dead := false
-		if version < 3 {
-			dead = sc.Bool()
-			if err := skipLegacyVector(sc, sq8, dim); err != nil {
-				return fail("node %d: %v", i, err)
-			}
-		}
 		if sc.Err() != nil {
 			break
 		}
@@ -136,10 +120,7 @@ func Decode(sc *codec.Scanner, version uint16) (*Index, error) {
 			layers[l] = nbs
 		}
 		ix.levels = append(ix.levels, int32(lvl))
-		ix.deleted = append(ix.deleted, dead)
-		if dead {
-			ix.nDel++
-		}
+		ix.deleted = append(ix.deleted, false)
 		ix.links = append(ix.links, layers)
 	}
 	if err := sc.Err(); err != nil {
@@ -162,38 +143,8 @@ func Decode(sc *codec.Scanner, version uint16) (*Index, error) {
 	return ix, nil
 }
 
-// skipLegacyVector reads and validates the vector a version 1 or 2 node
-// carried — float32s, or an SQ8 record (scale, offset, one code byte per
-// dimension) — and drops it. A NaN/Inf or negative scale was a corrupt
-// file when the codes were navigated and still is.
-func skipLegacyVector(sc *codec.Scanner, sq8 bool, dim int) error {
-	if !sq8 {
-		if v := sc.Float32s(); sc.Err() == nil && len(v) != dim {
-			return fmt.Errorf("dim %d, want %d", len(v), dim)
-		}
-		return nil
-	}
-	scale, offset := sc.Float32(), sc.Float32()
-	codes := sc.RawBytes()
-	switch {
-	case sc.Err() != nil:
-	case len(codes) != dim:
-		return fmt.Errorf("%d codes, want %d", len(codes), dim)
-	case bad32(scale) || bad32(offset) || scale < 0:
-		return fmt.Errorf("SQ8 scale=%v offset=%v invalid", scale, offset)
-	}
-	return nil
-}
-
-func bad32(f float32) bool {
-	f64 := float64(f)
-	return math.IsNaN(f64) || math.IsInf(f64, 0)
-}
-
 // BindRows gives a decoded graph its rows, one per node id, aliased like
-// Add's. Only live nodes need one: a tombstoned node may get nil, and such
-// a graph must be compacted before it is searched or grown. It panics
-// unless len(rows) == Len() and every row handed over has the graph's
+// Add's. It panics unless len(rows) == Len() and every row has the graph's
 // dimension — the owner derives rows from the same table set it has just
 // validated the graph against.
 func (ix *Index) BindRows(rows []vector.Vec) {
@@ -201,7 +152,7 @@ func (ix *Index) BindRows(rows []vector.Vec) {
 		panic(fmt.Sprintf("ann: BindRows got %d rows for %d nodes", len(rows), ix.Len()))
 	}
 	for id, r := range rows {
-		if (r != nil || !ix.deleted[id]) && len(r) != ix.dim {
+		if len(r) != ix.dim {
 			panic(fmt.Sprintf("ann: BindRows row %d has dimension %d, index holds %d", id, len(r), ix.dim))
 		}
 	}

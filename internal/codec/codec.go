@@ -6,17 +6,17 @@
 //
 //	magic   "DSTIDX"           (6 bytes)
 //	kind    one byte           (which index family the payload belongs to)
-//	version uint16 LE          (per-kind payload format version, >= 1)
+//	version uint16 LE          (per-kind payload format version)
 //	length  uint64 LE          (payload byte count)
 //	payload length bytes
 //	crc32   uint32 LE          (IEEE CRC of the payload)
 //
 // Readers fail with typed errors — ErrBadMagic, ErrWrongKind, ErrVersion,
 // ErrTruncated, ErrChecksum, ErrCorrupt — never panics, so callers can
-// distinguish "not an index file" from "index written by a newer version"
-// from "bit rot". Payloads are built with Buffer and decoded with Scanner,
-// whose length reads are bounded by the remaining input so a hostile file
-// cannot force large allocations.
+// distinguish "not an index file" from "index in another format version"
+// (which a caller may rebuild) from "bit rot". Payloads are built with
+// Buffer and decoded with Scanner, whose length reads are bounded by the
+// remaining input so a hostile file cannot force large allocations.
 package codec
 
 import (
@@ -38,8 +38,8 @@ var (
 	// than the caller expected (e.g. an HNSW graph passed to the Starmie
 	// loader, or an index of a retired kind).
 	ErrWrongKind = errors.New("codec: wrong index kind")
-	// ErrVersion means the payload format version is zero or newer than
-	// what this binary understands.
+	// ErrVersion means the payload format version is not the one this
+	// binary reads: the file was written by an older or a newer build.
 	ErrVersion = errors.New("codec: unsupported format version")
 	// ErrTruncated means the input ended before the declared payload and
 	// checksum were read.
@@ -90,49 +90,46 @@ func WriteEnvelope(w io.Writer, kind byte, version uint16, payload []byte) error
 }
 
 // ReadEnvelope consumes all of r and validates one envelope of the expected
-// kind, returning the stored version and payload. maxVersion is the newest
-// payload format this caller understands; files declaring a newer version
-// fail with ErrVersion so old binaries refuse new indexes instead of
-// misreading them.
-func ReadEnvelope(r io.Reader, kind byte, maxVersion uint16) (uint16, []byte, error) {
+// kind and version, returning its payload. A file declaring any other
+// version, older or newer, fails with ErrVersion.
+func ReadEnvelope(r io.Reader, kind byte, version uint16) ([]byte, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return 0, nil, fmt.Errorf("codec: read: %w", err)
+		return nil, fmt.Errorf("codec: read: %w", err)
 	}
 	if len(data) < magicLen || string(data[:magicLen]) != string(magic[:]) {
-		return 0, nil, ErrBadMagic
+		return nil, ErrBadMagic
 	}
 	if len(data) < headerLen+crcLen {
-		return 0, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	if got := data[magicLen]; got != kind {
-		return 0, nil, fmt.Errorf("%w: got %q, want %q", ErrWrongKind, got, kind)
+		return nil, fmt.Errorf("%w: got %q, want %q", ErrWrongKind, got, kind)
 	}
-	version := binary.LittleEndian.Uint16(data[magicLen+1:])
-	if version == 0 || version > maxVersion {
-		return 0, nil, fmt.Errorf("%w: file declares version %d, this build reads <= %d",
-			ErrVersion, version, maxVersion)
+	if got := binary.LittleEndian.Uint16(data[magicLen+1:]); got != version {
+		return nil, fmt.Errorf("%w: file declares version %d, this build reads %d",
+			ErrVersion, got, version)
 	}
 	plen := binary.LittleEndian.Uint64(data[magicLen+3:])
 	rest := uint64(len(data) - headerLen - crcLen)
 	if plen > rest {
-		return 0, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	if plen < rest {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes after envelope", ErrCorrupt, rest-plen)
+		return nil, fmt.Errorf("%w: %d trailing bytes after envelope", ErrCorrupt, rest-plen)
 	}
 	payload := data[headerLen : headerLen+int(plen)]
 	want := binary.LittleEndian.Uint32(data[len(data)-crcLen:])
 	if got := crc32.ChecksumIEEE(payload); got != want {
-		return 0, nil, fmt.Errorf("%w: crc 0x%08x, stored 0x%08x", ErrChecksum, got, want)
+		return nil, fmt.Errorf("%w: crc 0x%08x, stored 0x%08x", ErrChecksum, got, want)
 	}
-	return version, payload, nil
+	return payload, nil
 }
 
 // Buffer accumulates a payload. The zero value is ready to use; writes never
 // fail. Integers are uvarint-encoded (counts and lengths are small),
-// float64 and uint64 slices are fixed-width little-endian (embeddings and
-// MinHash values do not compress under varint).
+// float64 slices are fixed-width little-endian (embeddings do not compress
+// under varint).
 type Buffer struct {
 	buf []byte
 }
@@ -186,29 +183,6 @@ func (b *Buffer) Float64s(v []float64) {
 	for _, f := range v {
 		b.Float64(f)
 	}
-}
-
-// Float32s appends a length-prefixed []float32 (fixed width). Version 1
-// and 2 ANN graphs stored a float32 row per node; the writer stays so
-// tests can build such files.
-func (b *Buffer) Float32s(v []float32) {
-	b.Int(len(v))
-	for _, f := range v {
-		b.buf = binary.LittleEndian.AppendUint32(b.buf, math.Float32bits(f))
-	}
-}
-
-// Float32 appends one float32 as its IEEE-754 bits (the SQ8 scale and
-// offset of a version 2 ANN graph node).
-func (b *Buffer) Float32(f float32) {
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, math.Float32bits(f))
-}
-
-// RawBytes appends a length-prefixed byte slice (the SQ8 codes of a
-// version 2 ANN graph node, one byte per dimension).
-func (b *Buffer) RawBytes(v []byte) {
-	b.Int(len(v))
-	b.buf = append(b.buf, v...)
 }
 
 // Scanner decodes a payload written with Buffer. The first decoding failure
@@ -361,54 +335,5 @@ func (s *Scanner) Float64s() []float64 {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(s.buf[s.off:]))
 		s.off += 8
 	}
-	return out
-}
-
-// Float32s reads a length-prefixed []float32.
-func (s *Scanner) Float32s() []float32 {
-	n := s.Int()
-	if s.err != nil {
-		return nil
-	}
-	if n > s.remaining()/4 {
-		s.fail(ErrTruncated)
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(s.buf[s.off:]))
-		s.off += 4
-	}
-	return out
-}
-
-// Float32 reads one float32.
-func (s *Scanner) Float32() float32 {
-	if s.err != nil {
-		return 0
-	}
-	if s.remaining() < 4 {
-		s.fail(ErrTruncated)
-		return 0
-	}
-	f := math.Float32frombits(binary.LittleEndian.Uint32(s.buf[s.off:]))
-	s.off += 4
-	return f
-}
-
-// RawBytes reads a length-prefixed byte slice. The returned slice is a
-// copy, so callers may retain it after the payload is released.
-func (s *Scanner) RawBytes() []byte {
-	n := s.Int()
-	if s.err != nil {
-		return nil
-	}
-	if n > s.remaining() {
-		s.fail(ErrTruncated)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, s.buf[s.off:s.off+n])
-	s.off += n
 	return out
 }

@@ -4,12 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"slices"
 	"testing"
 
-	"dust/internal/ann"
 	"dust/internal/codec"
 	"dust/internal/datagen"
 	"dust/internal/lake"
@@ -142,111 +138,4 @@ func saveANN(t testing.TB, s *Starmie) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// legacyV1 hand-writes a version 1 graph file over s's columns: one layer,
-// a ring with each node linked to its two neighbours. Every node carries
-// the float32 row version 1 stored (zeros here; the loader drops them).
-// With dead, one more node, a tombstone under the first table's name,
-// closes the ring.
-func legacyV1(t *testing.T, s *Starmie, dead bool) []byte {
-	names := slices.Clone(s.parts[0].annTables)
-	if dead {
-		names = append(names, names[0])
-	}
-	n, dim := len(names), s.enc.Dim()
-	var b codec.Buffer
-	b.String(s.enc.Name())
-	b.String(s.enc.Model.Fingerprint())
-	b.Int(dim)
-	b.Strings(names)
-	b.Int(dim)
-	b.Int(ann.DefaultM)
-	b.Int(ann.DefaultEfConstruction)
-	b.Uvarint(ann.DefaultSeed)
-	b.Int(n)
-	b.Int(0) // entry
-	b.Int(0) // max level
-	for i := 0; i < n; i++ {
-		b.Int(0) // level
-		b.Bool(dead && i == n-1)
-		b.Float32s(make([]float32, dim))
-		b.Int(2)
-		b.Int((i + n - 1) % n)
-		b.Int((i + 1) % n)
-	}
-	var file bytes.Buffer
-	if err := codec.WriteEnvelope(&file, codec.KindANN, 1, b.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	return file.Bytes()
-}
-
-// TestLoadANNLegacy loads graph files from before version 3, whose nodes
-// carried a float32 or SQ8 copy of their rows. Each loads with the file's
-// node and edge counts (a tombstoned one as the compaction of its live
-// nodes), answers ANN queries from Starmie's own rows, and re-saves as
-// version 3. The v2 float file is testdata/golden_v4_mono's. The v2 SQ8
-// file was written by commit f7cfcaa, the last with SQ8 storage, as
-//
-//	NewStarmie(persistBench(t).Lake, WithMode(ANN), WithQuantized(true)).SaveANN(f)
-//
-// into testdata/golden_ann_v2_sq8.idx.
-func TestLoadANNLegacy(t *testing.T) {
-	b := persistBench(t)
-	host := NewStarmie(b.Lake, WithMode(ANN))
-	mono := filepath.Join("..", "..", "testdata", "golden_v4_mono")
-	monoLake, err := lake.Load(filepath.Join(mono, "lake"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	read := func(path string) []byte {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	for _, c := range []struct {
-		name         string
-		lake         *lake.Lake
-		file         []byte
-		nodes, edges int // edges < 0: tombstoned, loads as a fresh build
-	}{
-		{"v1 float", b.Lake, legacyV1(t, host, false), 36, 72},
-		{"v1 float tombstoned", b.Lake, legacyV1(t, host, true), 36, -1},
-		{"v2 float", monoLake, read(filepath.Join(mono, "index", "ann.dustidx")), 19, 342},
-		{"v2 sq8", b.Lake, read(filepath.Join("testdata", "golden_ann_v2_sq8.idx")), 36, 889},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			s := NewStarmie(c.lake)
-			if err := s.LoadANN(bytes.NewReader(c.file)); err != nil {
-				t.Fatal(err)
-			}
-			g := s.Graph()
-			if g.Len() != c.nodes || g.Live() != c.nodes || c.edges >= 0 && g.Edges() != c.edges {
-				t.Fatalf("loaded %d nodes (%d live), %d edges; file holds %d nodes, %d edges",
-					g.Len(), g.Live(), g.Edges(), c.nodes, c.edges)
-			}
-			// Below the build's warm prefix a compaction and a fresh build
-			// both insert one node at a time, in lake order.
-			if c.edges < 0 && !bytes.Equal(saveANN(t, s), saveANN(t, host)) {
-				t.Fatal("tombstoned graph did not load as its compaction")
-			}
-			if err := s.SetMode(ANN); err != nil {
-				t.Fatal(err)
-			}
-			if hits := TopK(s, c.lake.Tables()[0], 2); len(hits) != 2 {
-				t.Fatalf("ANN TopK answered %d hits, want 2", len(hits))
-			}
-			resaved := saveANN(t, s)
-			if v, _, err := codec.ReadEnvelope(bytes.NewReader(resaved), codec.KindANN, ANNFormatVersion); err != nil || v != 3 {
-				t.Fatalf("re-save: version %d, err %v; want version 3", v, err)
-			}
-			again := NewStarmie(c.lake)
-			if err := again.LoadANN(bytes.NewReader(resaved)); err != nil || again.Graph().Edges() != g.Edges() {
-				t.Fatalf("version 3 re-save did not reload to the same graph: %v", err)
-			}
-		})
-	}
 }

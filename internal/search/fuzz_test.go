@@ -10,43 +10,37 @@ import (
 // FuzzLoadIndex throws arbitrary bytes at both index loaders — the Starmie
 // searcher codec and the HNSW candidate-graph codec: every input must
 // return cleanly — a loaded index or a typed error — and never panic or
-// over-allocate. Seeds are the golden index files (the Starmie index, whose
-// mutations explore deep decoder paths, and the retired D3L and
-// tuple-level kinds, which must keep failing typed), a freshly saved ANN
-// graph, the legacy v2 SQ8 graph, and envelope fragments.
+// over-allocate. Seeds are the golden Starmie index and a freshly saved ANN
+// graph (whose mutations explore the deep decoder paths), each also with a
+// byte flipped deep in its body and cut short, the graph under an older
+// header version, and envelope fragments.
 func FuzzLoadIndex(f *testing.F) {
-	for _, name := range []string{"starmie", "d3l", "tuples"} {
-		if data, err := os.ReadFile(filepath.Join("testdata", "golden_"+name+".idx")); err == nil {
-			f.Add(data)
-		}
+	starmie, err := os.ReadFile(filepath.Join("testdata", "golden_starmie.idx"))
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(starmie)
 	f.Add([]byte{})
 	f.Add([]byte("DSTIDX"))
 	f.Add([]byte("DSTIDXS\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
-	f.Add([]byte("DSTIDXA\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add([]byte("DSTIDXA\x03\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 
 	b := persistBench(f)
 	// annHost stays pristine; each iteration loads into a throwaway
 	// clone so no fuzz input's graph survives into later iterations —
-	// a recorded crasher must reproduce on a fresh host. The seed
-	// corpus includes annHost's own valid graph so mutations explore
-	// the deep graph-decoder paths.
+	// a recorded crasher must reproduce on a fresh host.
 	annHost := NewStarmie(b.Lake, WithMode(ANN))
-	f.Add(saveANN(f, annHost))
-
-	// The legacy side of the graph codec: the v2 SQ8 fixture, a copy with a
-	// byte flipped deep in the node section (lands in scales, offsets and
-	// codes, steering mutations at the validators that still read them),
-	// and a truncation that cuts a node short.
-	sq8, err := os.ReadFile(filepath.Join("testdata", "golden_ann_v2_sq8.idx"))
-	if err != nil {
-		f.Fatal(err)
+	graph := saveANN(f, annHost)
+	f.Add(graph)
+	for _, valid := range [][]byte{starmie, graph} {
+		flipped := append([]byte(nil), valid...)
+		flipped[len(flipped)*3/4] ^= 0xFF
+		f.Add(flipped)
+		f.Add(valid[:len(valid)*2/3])
 	}
-	f.Add(sq8)
-	flipped := append([]byte(nil), sq8...)
-	flipped[len(flipped)*3/4] ^= 0xFF
-	f.Add(flipped)
-	f.Add(sq8[:len(sq8)*2/3])
+	older := append([]byte(nil), graph...)
+	older[7] = 2
+	f.Add(older)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A successful load must yield a usable index; errors just return.

@@ -13,15 +13,13 @@ import (
 )
 
 // Payload format versions. Bump when a payload layout changes; loaders
-// refuse files declaring a newer version (codec.ErrVersion), so an old
-// binary never misreads a new index.
+// read exactly their current version and refuse any other, older or newer,
+// as codec.ErrVersion, so a binary never misreads an index.
 const (
 	StarmieFormatVersion uint16 = 1
 	// ANNFormatVersion is the HNSW candidate-graph payload version
-	// (codec.KindANN): encoder identity, node-to-table mapping, graph.
-	// Version 3 stores the graph's adjacency only; versions 1 and 2, which
-	// also stored a float32 or SQ8 copy of every row, still load (see
-	// ann.Decode).
+	// (codec.KindANN): encoder identity, node-to-table mapping, and the
+	// graph's adjacency.
 	ANNFormatVersion uint16 = 3
 )
 
@@ -74,7 +72,7 @@ func (s *Starmie) Save(w io.Writer) error {
 // with the default NewStarmie encoder — a different encoder name, base
 // model, or dimension fails with ErrEncoderMismatch.
 func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
-	_, payload, err := codec.ReadEnvelope(r, codec.KindStarmie, StarmieFormatVersion)
+	payload, err := codec.ReadEnvelope(r, codec.KindStarmie, StarmieFormatVersion)
 	if err != nil {
 		return nil, fmt.Errorf("starmie: load: %w", err)
 	}
@@ -204,18 +202,16 @@ func (s *Starmie) SaveANN(w io.Writer) error {
 }
 
 // LoadANN installs a candidate graph written by SaveANN into this one-part
-// searcher, validating encoder identity and that the graph's live nodes
-// cover the indexed column embeddings exactly (one live node per indexed
-// column, per table), and binds each live node to its column's row of the
-// loaded blocks. A version 1 or 2 graph with tombstones is compacted on
-// the way in, since their rows went with the vectors the file no longer
-// keeps. It does not switch retrieval modes — call SetMode(ANN), which
-// reuses the installed graph instead of rebuilding.
+// searcher, validating encoder identity and that the graph's nodes cover
+// the indexed column embeddings exactly (one node per indexed column, per
+// table), and binds each node to its column's row of the loaded blocks. It
+// does not switch retrieval modes — call SetMode(ANN), which reuses the
+// installed graph instead of rebuilding.
 func (s *Starmie) LoadANN(r io.Reader) error {
 	if len(s.parts) != 1 {
 		return fmt.Errorf("starmie: load ann: %d parts, load each before Join", len(s.parts))
 	}
-	version, payload, err := codec.ReadEnvelope(r, codec.KindANN, ANNFormatVersion)
+	payload, err := codec.ReadEnvelope(r, codec.KindANN, ANNFormatVersion)
 	if err != nil {
 		return fmt.Errorf("starmie: load ann: %w", err)
 	}
@@ -228,7 +224,7 @@ func (s *Starmie) LoadANN(r io.Reader) error {
 			encName, modelPrint, dim, s.enc.Name(), s.enc.Model.Fingerprint(), s.enc.Dim(), ErrEncoderMismatch)
 	}
 	names := sc.Strings()
-	graph, err := ann.Decode(sc, version)
+	graph, err := ann.Decode(sc)
 	if err != nil {
 		return fmt.Errorf("starmie: load ann: %w", err)
 	}
@@ -243,9 +239,6 @@ func (s *Starmie) LoadANN(r io.Reader) error {
 	}
 	ids := make(map[string][]int, len(s.cols))
 	for id, name := range names {
-		if graph.Deleted(id) {
-			continue
-		}
 		ids[name] = append(ids[name], id)
 	}
 	for name := range ids {
@@ -254,11 +247,11 @@ func (s *Starmie) LoadANN(r io.Reader) error {
 				name, ErrLakeMismatch)
 		}
 	}
-	// One live node per indexed column; a zero-column table legitimately
-	// has no nodes at all.
+	// One node per indexed column; a zero-column table legitimately has no
+	// nodes at all.
 	for name, block := range s.cols {
 		if ncols := len(block) / s.enc.Dim(); len(ids[name]) != ncols {
-			return fmt.Errorf("starmie: load ann: table %q has %d live nodes, index holds %d columns: %w",
+			return fmt.Errorf("starmie: load ann: table %q has %d nodes, index holds %d columns: %w",
 				name, len(ids[name]), ncols, ErrLakeMismatch)
 		}
 	}
@@ -270,8 +263,5 @@ func (s *Starmie) LoadANN(r io.Reader) error {
 	graph.BindRows(rows)
 	p := s.parts[0]
 	p.graph, p.annTables, p.annIDs = graph, names, ids
-	if graph.Live() != graph.Len() {
-		p.rebuildGraph()
-	}
 	return nil
 }

@@ -91,8 +91,7 @@ func loadAny(name string, data []byte, b *datagen.Benchmark) error {
 // TestGoldenIndexes pins the on-disk format: a Starmie index saved by an
 // older build must keep loading byte-for-byte. Regenerate with `go test -run
 // Golden -update ./internal/search` after an intentional format-version
-// bump. The golden files of the retired D3L and tuple-level kinds are
-// fixtures of TestLoadErrorPaths and FuzzLoadIndex; -update leaves them be.
+// bump.
 func TestGoldenIndexes(t *testing.T) {
 	b := persistBench(t)
 	data := saveStarmie(t, b)
@@ -118,19 +117,21 @@ func TestGoldenIndexes(t *testing.T) {
 // TestLoadErrorPaths feeds damaged copies of every index file a loader may
 // meet to it and requires the typed error of the damage. The live kinds are
 // a Starmie index and its HNSW graph, and load when intact. The retired
-// kinds — a D3L and a tuple-level index written by earlier builds — go to
-// the Starmie loader and, intact or with any damage past the header, fail
-// the kind check as codec.ErrWrongKind, never as bit rot. An intact file
-// fed to the other loader fails as ErrWrongKind too.
+// kind bytes — 'D' (D3L) and 'T' (tuple-level), here over a Starmie
+// payload — go to the Starmie loader and, intact or with any damage past
+// the header, fail the kind check as codec.ErrWrongKind, never as bit rot.
+// An intact file fed to the other loader fails as ErrWrongKind too.
 func TestLoadErrorPaths(t *testing.T) {
 	b := persistBench(t)
-	fixtures := map[string][]byte{"starmie": saveStarmie(t, b), "ann": saveANN(t, NewStarmie(b.Lake, WithMode(ANN)))}
-	for _, name := range []string{"d3l", "tuples"} {
-		data, err := os.ReadFile(filepath.Join("testdata", "golden_"+name+".idx"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fixtures[name] = data
+	starmie := saveStarmie(t, b)
+	retag := func(kind byte) []byte {
+		out := append([]byte(nil), starmie...)
+		out[6] = kind
+		return out
+	}
+	fixtures := map[string][]byte{
+		"starmie": starmie, "ann": saveANN(t, NewStarmie(b.Lake, WithMode(ANN))),
+		"d3l": retag('D'), "tuples": retag('T'),
 	}
 	for name, valid := range fixtures {
 		own, other := "starmie", "ann" // the retired kinds go to the Starmie loader

@@ -15,14 +15,10 @@ import (
 )
 
 // ManifestFormatVersion is the index-directory manifest payload version.
-// Version 2 appended the pipeline's mutation epoch; version 3 appended the
-// staged-retrieval state (whether the searcher runs in ANN mode and
-// whether an HNSW graph file sits alongside the searcher index); version 4
-// appended the shard map (shard count plus each shard's table list). Older
-// manifests still load: their epoch reads as 0, their mode as exact, and
-// their layout — like a version 4 manifest recording zero shards, which is
-// how a monolithic index used to be saved — as one part in the legacy
-// files.
+// An index directory is a cache rebuildable from its lake, so the loader
+// reads this version alone: any other — or a manifest earlier builds wrote
+// under it, naming kind "d3l" or zero shards — fails with codec.ErrVersion,
+// which the CLIs answer with a cold build and a fresh save.
 const ManifestFormatVersion uint16 = 4
 
 // Index-directory layout. Every index is a set of n >= 1 parts (a
@@ -30,19 +26,14 @@ const ManifestFormatVersion uint16 = 4
 // shard-NNN.dustidx (plus shard-NNN.ann.dustidx for a saved HNSW graph),
 // with the shard map recorded in the manifest. The manifest is written last
 // so a directory with a partial save (crash mid-write) is treated as having
-// no index at all. Directories written before the single layout hold a
-// monolithic index as searcher.dustidx/ann.dustidx under a zero-shard
-// manifest; they still load, and are rewritten in the one layout on save.
+// no index at all.
 const (
-	manifestFile       = "manifest.dustidx"
-	modelFile          = "tuple.model"
-	legacySearcherFile = "searcher.dustidx"
-	legacyANNFile      = "ann.dustidx"
+	manifestFile = "manifest.dustidx"
+	modelFile    = "tuple.model"
 )
 
-// kindStarmie is the searcher kind every manifest this build writes records:
-// each part is a Starmie index. Earlier builds also wrote "d3l", which
-// loads as codec.ErrWrongKind.
+// kindStarmie is the searcher kind every manifest records: each part is a
+// Starmie index.
 const kindStarmie = "starmie"
 
 // shardSearcherFile names part i's searcher index file.
@@ -141,40 +132,33 @@ func savePart(dir string, i int, part search.Searcher, withANN bool) error {
 	return nil
 }
 
-// loadPart reads one part written by savePart (or, through the legacy file
-// names, by a pre-single-layout save) and binds it to sl. A kind other than
-// kindStarmie — "d3l", from a build that still persisted the D3L baseline —
-// is no damage to the file but an index this build does not read, so it
-// fails as codec.ErrWrongKind.
-func loadPart(kind, searcherPath, annPath string, sl *lake.Lake, withANN bool) (*search.Starmie, error) {
-	if kind != kindStarmie {
-		return nil, fmt.Errorf("manifest names searcher kind %q, this build reads only %q: %w",
-			kind, kindStarmie, codec.ErrWrongKind)
-	}
-	sf, err := os.Open(searcherPath)
+// loadPart reads part i written by savePart under dir and binds it to sl.
+func loadPart(dir string, i int, sl *lake.Lake, withANN bool) (*search.Starmie, error) {
+	sf, err := openPartFile(dir, shardSearcherFile(i))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("missing %s: %w", filepath.Base(searcherPath), ErrShardLayout)
-		}
 		return nil, err
 	}
 	defer sf.Close()
 	st, err := search.LoadStarmie(sf, sl)
-	if err != nil {
-		return nil, err
+	if err != nil || !withANN {
+		return st, err
 	}
-	if !withANN {
-		return st, nil
-	}
-	af, err := os.Open(annPath)
+	af, err := openPartFile(dir, shardANNFile(i))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("missing %s: %w", filepath.Base(annPath), ErrShardLayout)
-		}
 		return nil, err
 	}
 	defer af.Close()
 	return st, st.LoadANN(af)
+}
+
+// openPartFile opens one part file under dir; a missing one breaks the
+// manifest's shard map.
+func openPartFile(dir, name string) (*os.File, error) {
+	f, err := os.Open(filepath.Join(dir, name))
+	if os.IsNotExist(err) {
+		return nil, fmt.Errorf("missing %s: %w", name, ErrShardLayout)
+	}
+	return f, err
 }
 
 // SaveIndex persists the pipeline's index state under dir so a later
@@ -193,15 +177,12 @@ func (p *Pipeline) SaveIndex(dir string) error {
 	if err := os.Remove(filepath.Join(dir, manifestFile)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("dust: save index: %w", err)
 	}
-	// Drop every component file of an earlier save — shard files, the
-	// legacy monolithic pair, the model — so the directory mirrors exactly
-	// this save: a layout change must never leave orphans for a later load
-	// to trip over.
-	stale, _ := filepath.Glob(filepath.Join(dir, "shard-*.dustidx"))
-	for _, f := range []string{legacySearcherFile, legacyANNFile, modelFile} {
-		stale = append(stale, filepath.Join(dir, f))
-	}
-	for _, f := range stale {
+	// Drop every component file of an earlier save — every index file,
+	// whichever build wrote it, and the model — so the directory mirrors
+	// exactly this save: a layout change must never leave orphans for a
+	// later load to trip over.
+	stale, _ := filepath.Glob(filepath.Join(dir, "*.dustidx"))
+	for _, f := range append(stale, filepath.Join(dir, modelFile)) {
 		if err := os.Remove(f); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("dust: save index: %w", err)
 		}
@@ -236,7 +217,7 @@ func (p *Pipeline) SaveIndex(dir string) error {
 	b.Uvarint(p.epoch)
 	b.Bool(p.searcher.RetrievalMode() == search.ANN)
 	b.Bool(hasANN)
-	// v4: the shard map. n >= 1 promises shard-000..shard-(n-1) files, each
+	// The shard map. n >= 1 promises shard-000..shard-(n-1) files, each
 	// covering the recorded table list (in sub-lake iteration order, which
 	// the loaders rebuild the partition in).
 	b.Uvarint(uint64(len(parts)))
@@ -280,7 +261,7 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 		}
 		return nil, err
 	}
-	version, payload, err := codec.ReadEnvelope(mf, codec.KindManifest, ManifestFormatVersion)
+	payload, err := codec.ReadEnvelope(mf, codec.KindManifest, ManifestFormatVersion)
 	mf.Close()
 	if err != nil {
 		return nil, fmt.Errorf("dust: load manifest: %w", err)
@@ -290,33 +271,31 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 	_ = sc.String() // saved lake name; informational only
 	names := sc.Strings()
 	hasModel := sc.Bool()
-	var epoch uint64
-	if version >= 2 {
-		epoch = sc.Uvarint()
-	}
-	annMode, hasANN := false, false
-	if version >= 3 {
-		annMode = sc.Bool()
-		hasANN = sc.Bool()
+	epoch := sc.Uvarint()
+	annMode := sc.Bool()
+	hasANN := sc.Bool()
+	numShards := sc.Uvarint()
+	// A hostile manifest could declare an absurd shard count; cap it well
+	// above any real deployment. Empty shards are legal (a lake smaller
+	// than its shard count saves and loads fine), so the cap must not
+	// depend on the table count.
+	const maxShards = 1 << 16
+	if sc.Err() == nil && numShards > maxShards {
+		return nil, fmt.Errorf("dust: load manifest: %d shards exceeds the %d cap: %w",
+			numShards, maxShards, codec.ErrCorrupt)
 	}
 	var shardTables [][]string
-	if version >= 4 {
-		numShards := sc.Uvarint()
-		// A hostile manifest could declare an absurd shard count; cap it
-		// well above any real deployment. Empty shards are legal (a lake
-		// smaller than its shard count saves and loads fine), so the cap
-		// must not depend on the table count.
-		const maxShards = 1 << 16
-		if sc.Err() == nil && numShards > maxShards {
-			return nil, fmt.Errorf("dust: load manifest: %d shards exceeds the %d cap: %w",
-				numShards, maxShards, codec.ErrCorrupt)
-		}
-		for i := uint64(0); i < numShards && sc.Err() == nil; i++ {
-			shardTables = append(shardTables, sc.Strings())
-		}
+	for i := uint64(0); i < numShards && sc.Err() == nil; i++ {
+		shardTables = append(shardTables, sc.Strings())
 	}
 	if err := sc.Finish(); err != nil {
 		return nil, fmt.Errorf("dust: load manifest: %w", err)
+	}
+	// Earlier builds wrote a "d3l" kind and a zero-shard monolithic layout
+	// under this version; neither is an index this build reads.
+	if kind != kindStarmie || numShards == 0 {
+		return nil, fmt.Errorf("dust: load manifest: a %q index in %d shards is an earlier build's layout: %w",
+			kind, numShards, codec.ErrVersion)
 	}
 	if len(names) != l.Len() {
 		return nil, fmt.Errorf("dust: index holds %d tables, lake holds %d: %w",
@@ -328,23 +307,13 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 		}
 	}
 
-	// Every index is a set of parts. A zero-shard manifest is the legacy
-	// monolithic layout: one part covering the whole lake, in the legacy
-	// files.
-	searcherPath, annPath := shardSearcherFile, shardANNFile
-	if len(shardTables) == 0 {
-		shardTables = [][]string{names}
-		searcherPath = func(int) string { return legacySearcherFile }
-		annPath = func(int) string { return legacyANNFile }
-	}
 	lakes, err := partLakes(l, shardTables)
 	if err != nil {
 		return nil, err
 	}
 	parts := make([]*search.Starmie, len(lakes))
 	for i, sl := range lakes {
-		parts[i], err = loadPart(kind, filepath.Join(indexDir, searcherPath(i)),
-			filepath.Join(indexDir, annPath(i)), sl, hasANN)
+		parts[i], err = loadPart(indexDir, i, sl, hasANN)
 		if err != nil {
 			return nil, fmt.Errorf("dust: load shard %d/%d: %w", i, len(lakes), err)
 		}
