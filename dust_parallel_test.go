@@ -1,6 +1,7 @@
 package dust
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -132,8 +133,14 @@ func TestFineTunedBatchEncodeDeterministic(t *testing.T) {
 	for i := range rows {
 		rows[i] = bench.Queries[0].Row(i)
 	}
-	want := m.EncodeTupleBatch(headers, rows, 1)
-	got := m.EncodeTupleBatch(headers, rows, 8)
+	want, err := m.EncodeTupleBatch(context.Background(), headers, rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.EncodeTupleBatch(context.Background(), headers, rows, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range want {
 		for j := range want[i] {
 			if got[i][j] != want[i][j] {

@@ -116,7 +116,7 @@ func ColumnTokens(col *table.Column) []string {
 		if v == table.Null {
 			continue
 		}
-		out = append(out, tokenize.Words(v)...)
+		out = tokenize.AppendWords(out, v)
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package embed
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -22,7 +24,10 @@ func batchRows(n int) ([]string, [][]string) {
 func TestEncodeTupleBatchMatchesSequential(t *testing.T) {
 	enc := NewRoBERTa()
 	headers, rows := batchRows(211)
-	want := enc.EncodeTupleBatch(headers, rows, 1)
+	want, err := enc.EncodeTupleBatch(context.Background(), headers, rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(want) != len(rows) {
 		t.Fatalf("batch returned %d vectors, want %d", len(want), len(rows))
 	}
@@ -35,7 +40,10 @@ func TestEncodeTupleBatchMatchesSequential(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 8} {
-		got := enc.EncodeTupleBatch(headers, rows, workers)
+		got, err := enc.EncodeTupleBatch(context.Background(), headers, rows, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range want {
 			for j := range want[i] {
 				if got[i][j] != want[i][j] {
@@ -49,7 +57,46 @@ func TestEncodeTupleBatchMatchesSequential(t *testing.T) {
 
 func TestEncodeTupleBatchEmpty(t *testing.T) {
 	enc := NewFastText()
-	if got := enc.EncodeTupleBatch([]string{"A"}, nil, 8); len(got) != 0 {
-		t.Errorf("empty batch returned %d vectors", len(got))
+	got, err := enc.EncodeTupleBatch(context.Background(), []string{"A"}, nil, 8)
+	if err != nil || len(got) != 0 {
+		t.Errorf("empty batch returned %d vectors, err %v", len(got), err)
+	}
+}
+
+// TestEncodeTupleBatchCancelled: a cancelled ctx returns ctx.Err() and no
+// vectors, at every worker count.
+func TestEncodeTupleBatchCancelled(t *testing.T) {
+	enc := NewRoBERTa()
+	headers, rows := batchRows(50)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 8} {
+		got, err := enc.EncodeTupleBatch(ctx, headers, rows, workers)
+		if !errors.Is(err, context.Canceled) || got != nil {
+			t.Errorf("workers=%d: got %d vectors, err %v; want nil, context.Canceled", workers, len(got), err)
+		}
+	}
+}
+
+// TestEncodeTupleBatchAllocs pins the batch path's garbage: the header row
+// is tokenized once per batch, a lowercase-ASCII value word is a substring
+// of its cell and the token buffer is reused across rows, so a row costs its
+// output vector and nothing else. The constant covers the schema (its tagged
+// header words), the output slice and the buffer's growth: 24 at this shape.
+func TestEncodeTupleBatchAllocs(t *testing.T) {
+	enc := NewRoBERTa()
+	headers := []string{"park name", "supervisor", "city", "country"}
+	rows := make([][]string, 100)
+	for i := range rows {
+		rows[i] = []string{fmt.Sprintf("park %d", i), fmt.Sprintf("supervisor %d", i%17), "lake city", "usa"}
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := enc.EncodeTupleBatch(ctx, headers, rows, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(len(rows) + 32); allocs > limit {
+		t.Errorf("EncodeTupleBatch over %d rows: %v allocations, want <= %v", len(rows), allocs, limit)
 	}
 }

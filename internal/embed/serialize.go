@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -44,17 +45,64 @@ func SerializeTuple(headers, values []string) string {
 // (the model must be able to tell structure from content), and marker tokens
 // are dropped.
 func TupleTokens(headers, values []string) []string {
-	var out []string
+	return NewTupleSchema(headers).AppendTokens(nil, values)
+}
+
+// TupleSchema is a header row tokenized once, for the many tuples of one
+// schema: the c1 … cn of every Ser(t) in a batch.
+type TupleSchema struct {
+	headers [][]string // each header's "h:"-tagged words
+}
+
+// NewTupleSchema tags the words of every header.
+func NewTupleSchema(headers []string) *TupleSchema {
+	s := &TupleSchema{headers: make([][]string, len(headers))}
 	for i, h := range headers {
+		for _, t := range tokenize.Words(h) {
+			s.headers[i] = append(s.headers[i], "h:"+t)
+		}
+	}
+	return s
+}
+
+// AppendTokens appends TupleTokens(headers, values) to dst. Value tokens
+// may be substrings of the values (tokenize.AppendWords).
+func (s *TupleSchema) AppendTokens(dst []string, values []string) []string {
+	for i, h := range s.headers {
 		if i >= len(values) || values[i] == "" {
 			continue
 		}
-		for _, t := range tokenize.Words(h) {
-			out = append(out, "h:"+t)
-		}
-		out = append(out, tokenize.Words(values[i])...)
+		dst = append(dst, h...)
+		dst = tokenize.AppendWords(dst, values[i])
 	}
-	return out
+	return dst
+}
+
+// EncodeRows embeds every row as encode(AppendTokens(buf, row)) across at
+// most workers goroutines (workers <= 0 selects the GOMAXPROCS default,
+// workers == 1 is the sequential path), one token buffer per chunk of rows.
+// encode must not keep its argument, and it runs concurrently when workers
+// > 1. Once ctx is cancelled the remaining rows are skipped and ctx.Err()
+// is returned, as par.ForCtx does; a row already being encoded finishes.
+func (s *TupleSchema) EncodeRows(ctx context.Context, rows [][]string, workers int, encode func(tokens []string) vector.Vec) ([]vector.Vec, error) {
+	out := make([]vector.Vec, len(rows))
+	done := ctx.Done()
+	par.ForChunks(workers, len(rows), func(lo, hi int) {
+		var buf []string
+		for i := lo; i < hi; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			buf = s.AppendTokens(buf[:0], rows[i])
+			out[i] = encode(buf)
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // EncodeTuple embeds one tuple with this encoder using the paper's
@@ -63,17 +111,14 @@ func (e *Encoder) EncodeTuple(headers, values []string) []float64 {
 	return e.EncodeTokens(TupleTokens(headers, values))
 }
 
-// EncodeTupleBatch embeds many tuples sharing one header schema across at
-// most workers goroutines (workers <= 0 selects the GOMAXPROCS default,
-// workers == 1 is the sequential path). An Encoder holds no state after
+// EncodeTupleBatch embeds many tuples sharing one header schema, tokenizing
+// the headers once (TupleSchema.EncodeRows). An Encoder holds no state after
 // construction; what its calls share is the package's token-vector tables
 // (tokenvec.go), each owned by one call at a time and able to change only
-// when a vector is derived, never its value. So the output is bit-identical
-// to calling EncodeTuple row by row.
-func (e *Encoder) EncodeTupleBatch(headers []string, rows [][]string, workers int) []vector.Vec {
-	return par.Map(workers, len(rows), func(i int) vector.Vec {
-		return e.EncodeTuple(headers, rows[i])
-	})
+// when a vector is derived, never its value. So on the nil error path the
+// output is bit-identical to calling EncodeTuple row by row.
+func (e *Encoder) EncodeTupleBatch(ctx context.Context, headers []string, rows [][]string, workers int) ([]vector.Vec, error) {
+	return NewTupleSchema(headers).EncodeRows(ctx, rows, workers, e.EncodeTokens)
 }
 
 // EncodeText tokenizes s and embeds it.

@@ -36,8 +36,12 @@ func NewRoBERTaFeaturizer() *Featurizer { return &Featurizer{Dim: 128, Seed: 0x4
 // Features returns the L2-normalized hashed bag-of-tokens representation of
 // the serialized tuple.
 func (f *Featurizer) Features(headers, values []string) []float64 {
+	return f.tokenFeatures(embed.TupleTokens(headers, values))
+}
+
+// tokenFeatures is Features over the tuple's tokens.
+func (f *Featurizer) tokenFeatures(tokens []string) []float64 {
 	out := make([]float64, f.Dim)
-	tokens := embed.TupleTokens(headers, values)
 	for _, tok := range tokens {
 		h := hash64(tok, f.Seed)
 		bucket := int(h % uint64(f.Dim))

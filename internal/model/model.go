@@ -7,8 +7,8 @@ import (
 	"math/rand"
 
 	"dust/internal/datagen"
+	"dust/internal/embed"
 	"dust/internal/nn"
-	"dust/internal/par"
 	"dust/internal/vector"
 )
 
@@ -100,14 +100,15 @@ func (m *Model) EncodeTuple(headers, values []string) vector.Vec {
 	return m.net.Forward(m.feat.Features(headers, values), false)
 }
 
-// EncodeTupleBatch embeds many tuples sharing one header schema across at
-// most workers goroutines. Inference forwards keep no state (nn layers
-// cache activations only during training) and the featurizer hashes tokens
-// without the embed package's encode kernel, so the batch is bit-identical
-// to sequential EncodeTuple calls.
-func (m *Model) EncodeTupleBatch(headers []string, rows [][]string, workers int) []vector.Vec {
-	return par.Map(workers, len(rows), func(i int) vector.Vec {
-		return m.EncodeTuple(headers, rows[i])
+// EncodeTupleBatch embeds many tuples sharing one header schema, feeding the
+// featurizer tokens from one embed.TupleSchema per batch. Inference
+// forwards keep no state (nn layers cache activations only during training)
+// and the featurizer hashes tokens without the embed package's encode
+// kernel, so on the nil error path the batch is bit-identical to sequential
+// EncodeTuple calls.
+func (m *Model) EncodeTupleBatch(ctx context.Context, headers []string, rows [][]string, workers int) ([]vector.Vec, error) {
+	return embed.NewTupleSchema(headers).EncodeRows(ctx, rows, workers, func(tokens []string) vector.Vec {
+		return m.net.Forward(m.feat.tokenFeatures(tokens), false)
 	})
 }
 
@@ -146,11 +147,12 @@ type TupleEncoder interface {
 	EncodeTuple(headers, values []string) vector.Vec
 }
 
-// BatchTupleEncoder is a TupleEncoder that can embed many tuples
-// concurrently. Both embed.Encoder and Model implement it.
+// BatchTupleEncoder is a TupleEncoder that can embed many tuples of one
+// header schema concurrently, honouring ctx between rows. Both
+// embed.Encoder and Model implement it.
 type BatchTupleEncoder interface {
 	TupleEncoder
-	EncodeTupleBatch(headers []string, rows [][]string, workers int) []vector.Vec
+	EncodeTupleBatch(ctx context.Context, headers []string, rows [][]string, workers int) ([]vector.Vec, error)
 }
 
 // EncodeBatch embeds every row with enc. Encoders exposing the batch
@@ -168,29 +170,21 @@ func EncodeBatch(enc TupleEncoder, headers []string, rows [][]string, workers in
 // cancelled the remaining rows are skipped and ctx.Err() is returned, so a
 // caller serving queries under a deadline is not forced to embed an entire
 // unioned tuple pool it no longer wants. On the nil error path the output
-// is identical to EncodeBatch. Batch-capable encoders are driven through
-// per-row EncodeTuple calls across workers goroutines — the same shape
-// their own EncodeTupleBatch uses, which is what makes those calls
-// concurrency-safe in the first place. For an embed.Encoder that means no
-// encoder state at all: concurrent calls share only the package-level
-// token-vector tables, a scratch that cannot change a value.
+// is identical to EncodeBatch. A batch-capable encoder runs its own
+// EncodeTupleBatch, which tokenizes the header row once for the batch and
+// reuses one token buffer per chunk of rows across workers goroutines.
 func EncodeBatchContext(ctx context.Context, enc TupleEncoder, headers []string, rows [][]string, workers int) ([]vector.Vec, error) {
-	out := make([]vector.Vec, len(rows))
-	if _, ok := enc.(BatchTupleEncoder); !ok {
-		// Arbitrary TupleEncoders are not guaranteed concurrency-safe:
-		// sequential loop, checking ctx between rows.
-		for i, r := range rows {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out[i] = enc.EncodeTuple(headers, r)
-		}
-		return out, nil
+	if b, ok := enc.(BatchTupleEncoder); ok {
+		return b.EncodeTupleBatch(ctx, headers, rows, workers)
 	}
-	if err := par.ForCtx(ctx, workers, len(rows), func(i int) {
-		out[i] = enc.EncodeTuple(headers, rows[i])
-	}); err != nil {
-		return nil, err
+	// Arbitrary TupleEncoders are not guaranteed concurrency-safe:
+	// sequential loop, checking ctx between rows.
+	out := make([]vector.Vec, len(rows))
+	for i, r := range rows {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		out[i] = enc.EncodeTuple(headers, r)
 	}
 	return out, nil
 }

@@ -3,8 +3,10 @@ package model
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"dust/internal/datagen"
@@ -163,10 +165,56 @@ func TestShuffleRobustness(t *testing.T) {
 	}
 }
 
+// sameVecs fails t unless got and want hold the same bits.
+func sameVecs(t *testing.T, label string, got, want []vector.Vec) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d vectors, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("%s row %d dim %d: %v, want %v", label, i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// perRow embeds rows one EncodeTuple call at a time: the bits every batch
+// path must reproduce.
+func perRow(enc TupleEncoder, headers []string, rows [][]string) []vector.Vec {
+	out := make([]vector.Vec, len(rows))
+	for i, r := range rows {
+		out[i] = enc.EncodeTuple(headers, r)
+	}
+	return out
+}
+
+// dirtyTable is a LakeSpec table with unicode, mixed-type and empty cells.
+func dirtyTable(t *testing.T) ([]string, [][]string) {
+	t.Helper()
+	spec := datagen.LakeSpec{Seed: 5, Tables: 4, Rows: 60, Dirty: datagen.DirtySpec{Unicode: 0.3, MixedTypes: 0.3, Empty: 0.1}}
+	tbl := spec.Table(1)
+	rows := make([][]string, tbl.NumRows())
+	var unicode, empty bool
+	for i := range rows {
+		rows[i] = tbl.Row(i)
+		for _, v := range rows[i] {
+			unicode = unicode || strings.ContainsFunc(v, func(r rune) bool { return r >= 0x80 })
+			empty = empty || v == ""
+		}
+	}
+	if !unicode || !empty {
+		t.Fatalf("dirty table has unicode cells %v, empty cells %v; want both", unicode, empty)
+	}
+	return tbl.Headers(), rows
+}
+
 // TestEncodeBatchMatchesEncodeTupleBatch: the pipeline's tuple path
 // (EncodeBatchContext over the RoBERTa simulator) returns the encoder's own
 // sequential bits at every worker count — including 8, more goroutines than
-// the encode kernel keeps token-vector tables for.
+// the encode kernel keeps token-vector tables for — and per-row EncodeTuple's
+// bits on a dirty lake table. A cancelled ctx returns ctx.Err().
 func TestEncodeBatchMatchesEncodeTupleBatch(t *testing.T) {
 	enc := embed.NewRoBERTa(embed.WithAnisotropy(0.05))
 	headers := []string{"Park Name", "Supervisor", "City", "Country"}
@@ -174,18 +222,46 @@ func TestEncodeBatchMatchesEncodeTupleBatch(t *testing.T) {
 	for i := range rows {
 		rows[i] = []string{fmt.Sprintf("Park %d", i), fmt.Sprintf("Supervisor %d", i%17), "", "USA"}
 	}
-	want := enc.EncodeTupleBatch(headers, rows, 1)
+	dirtyHeaders, dirtyRows := dirtyTable(t)
+	want, err := enc.EncodeTupleBatch(context.Background(), headers, rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDirty := perRow(enc, dirtyHeaders, dirtyRows)
 	for _, workers := range []int{1, 2, 8} {
 		got, err := EncodeBatchContext(context.Background(), enc, headers, rows, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want {
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("workers=%d row %d dim %d: %v, want %v", workers, i, j, got[i][j], want[i][j])
-				}
-			}
+		sameVecs(t, fmt.Sprintf("workers=%d", workers), got, want)
+		got, err = EncodeBatchContext(context.Background(), enc, dirtyHeaders, dirtyRows, workers)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sameVecs(t, fmt.Sprintf("dirty workers=%d", workers), got, wantDirty)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, err := EncodeBatchContext(ctx, enc, headers, rows, 2); !errors.Is(err, context.Canceled) || got != nil {
+		t.Errorf("cancelled: %d vectors, err %v; want nil, context.Canceled", len(got), err)
+	}
+}
+
+// TestModelEncodeTupleBatchMatchesEncodeTuple: a fine-tuned model's batch
+// path, fed tokens from one schema per batch, reproduces per-row
+// EncodeTuple bit for bit.
+func TestModelEncodeTupleBatchMatchesEncodeTuple(t *testing.T) {
+	ds := smallDataset(t)
+	cfg := DefaultConfig()
+	cfg.Epochs = 2
+	m := Train("dust-roberta", NewRoBERTaFeaturizer(), ds.Train[:150], ds.Val[:30], cfg)
+	headers, rows := dirtyTable(t)
+	want := perRow(m, headers, rows)
+	for _, workers := range []int{1, 8} {
+		got, err := m.EncodeTupleBatch(context.Background(), headers, rows, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameVecs(t, fmt.Sprintf("workers=%d", workers), got, want)
 	}
 }

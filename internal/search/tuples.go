@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"sort"
 
 	"dust/internal/embed"
@@ -73,7 +74,7 @@ func (ts *TupleSearch) TopK(query *table.Table, k int) []ScoredTuple {
 	for r := range rows {
 		rows[r] = query.Row(r)
 	}
-	qVecs := ts.enc.EncodeTupleBatch(headers, rows, ts.workers)
+	qVecs, _ := ts.enc.EncodeTupleBatch(context.Background(), headers, rows, ts.workers) // never cancelled, so no error
 	out := make([]ScoredTuple, len(ts.tuples))
 	par.For(ts.workers, len(out), func(i int) {
 		tu := ts.tuples[i]

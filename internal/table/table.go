@@ -14,9 +14,9 @@ import (
 // column that its source table does not have (paper §3.3 uses "nan").
 const Null = ""
 
-// Type classifies the values of a column. The alignment and search
-// substrates use it as a cheap semantic signal (the paper notes numerical
-// columns embed poorly, which the Starmie simulator reproduces).
+// Type classifies the values of a column. InferTypes sets it on loaded and
+// generated tables, but no alignment, search or diversification code reads
+// it; the outer union leaves it unset.
 type Type int
 
 const (

@@ -22,7 +22,8 @@ type Mapping struct {
 
 // OuterUnion unions the mapped tables into a single table with the target
 // headers, padding missing columns with Null (paper §3.3). The returned
-// provenance slice is index-aligned with the unioned rows.
+// provenance slice is index-aligned with the unioned rows. Column types are
+// left unset (Text): nothing reads the union's types.
 func OuterUnion(name string, targetHeaders []string, mappings []Mapping) (*Table, []Provenance, error) {
 	out := New(name, targetHeaders...)
 	var prov []Provenance
@@ -52,7 +53,6 @@ func OuterUnion(name string, targetHeaders []string, mappings []Mapping) (*Table
 			prov = append(prov, Provenance{Table: m.Source.Name, Row: r})
 		}
 	}
-	out.InferTypes()
 	return out, prov, nil
 }
 

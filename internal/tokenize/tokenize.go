@@ -10,30 +10,73 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Words splits s into lowercase word tokens. Letters and digits form words;
 // everything else separates them. Numeric runs are kept as single tokens so
 // values like "773 731-0380" produce stable tokens.
-func Words(s string) []string {
-	var out []string
+func Words(s string) []string { return AppendWords(nil, s) }
+
+// AppendWords appends the tokens of Words(s) to dst. An ASCII word that is
+// already lowercase is a substring of s, not a copy, so the tokens keep s
+// alive as long as they are held; a word with capitals costs one
+// strings.ToLower. From the first non-ASCII byte on, the rest of s (with
+// the word it interrupts) takes the rune-by-rune Unicode path.
+func AppendWords(dst []string, s string) []string {
+	start, upper := -1, false // start of the current word, -1 between words
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf:
+			if start < 0 {
+				start = i
+			}
+			return appendUnicodeWords(dst, s[start:])
+		case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
+		case 'A' <= c && c <= 'Z':
+			upper = true
+		default:
+			if start >= 0 {
+				dst = appendWord(dst, s[start:i], upper)
+			}
+			start, upper = -1, false
+			continue
+		}
+		if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = appendWord(dst, s[start:], upper)
+	}
+	return dst
+}
+
+func appendWord(dst []string, w string, upper bool) []string {
+	if upper {
+		w = strings.ToLower(w)
+	}
+	return append(dst, w)
+}
+
+// appendUnicodeWords is AppendWords for text that may hold any rune.
+func appendUnicodeWords(dst []string, s string) []string {
 	var cur strings.Builder
 	flush := func() {
 		if cur.Len() > 0 {
-			out = append(out, cur.String())
+			dst = append(dst, cur.String())
 			cur.Reset()
 		}
 	}
 	for _, r := range s {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
 			cur.WriteRune(unicode.ToLower(r))
-		default:
+		} else {
 			flush()
 		}
 	}
 	flush()
-	return out
+	return dst
 }
 
 // TermFreq counts token occurrences in tokens.
@@ -60,9 +103,16 @@ func (c *Corpus) AddDocument(tokens []string) {
 	}
 	seen := make(map[string]bool, len(tokens))
 	for _, t := range tokens {
-		if !seen[t] {
-			seen[t] = true
-			c.docFreq[t]++
+		if seen[t] {
+			continue
+		}
+		seen[t] = true
+		if df, ok := c.docFreq[t]; ok {
+			c.docFreq[t] = df + 1
+		} else {
+			// A token may be a substring of a cell (AppendWords); the key
+			// must not keep that cell alive after its table is removed.
+			c.docFreq[strings.Clone(t)] = 1
 		}
 	}
 	c.numDocs++

@@ -2,8 +2,10 @@ package tokenize
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestWords(t *testing.T) {
@@ -25,6 +27,95 @@ func TestWords(t *testing.T) {
 			t.Errorf("Words(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
+}
+
+// referenceWords is Words as first written, one rune at a time; the byte
+// walk of AppendWords must agree with it on every input.
+func referenceWords(s string) []string {
+	var out []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			out = append(out, cur.String())
+			cur.Reset()
+		}
+	}
+	for _, r := range s {
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			cur.WriteRune(unicode.ToLower(r))
+		default:
+			flush()
+		}
+	}
+	flush()
+	return out
+}
+
+// checkWords fails t unless Words and AppendWords onto a non-empty dst
+// agree with referenceWords on s.
+func checkWords(t *testing.T, s string) {
+	t.Helper()
+	want := referenceWords(s)
+	if got := Words(s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Words(%q) = %q, reference %q", s, got, want)
+	}
+	dst := []string{"kept"}
+	if got := AppendWords(dst, s); !reflect.DeepEqual(got, append(dst, want...)) {
+		t.Fatalf("AppendWords(dst, %q) = %q, want dst + %q", s, got, want)
+	}
+}
+
+func TestWordsMatchesReference(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []string
+	}{
+		{"river park 42", []string{"river", "park", "42"}},
+		{"River PARK, mN", []string{"river", "park", "mn"}},
+		{"Café au lait", []string{"café", "au", "lait"}},
+		{"İstanbul", []string{"istanbul"}},
+		{"Straße", []string{"straße"}},
+		{"5\u212A", []string{"5k"}}, // Kelvin sign lowers to ASCII k
+		{"room ٣٤٥", []string{"room", "٣٤٥"}},
+		{"ab\xffcd \xc3", []string{"ab", "cd"}}, // invalid UTF-8 separates
+		{"abcé def", []string{"abcé", "def"}},   // a word cut at a non-ASCII letter
+		{"ab—Cd", []string{"ab", "cd"}},
+		// datagen's dirty-cell pools: unicode, mixed types, empty.
+		{"jalapeño", []string{"jalapeño"}},
+		{"Zürich", []string{"zürich"}},
+		{"北京", []string{"北京"}},
+		{"Köln smörgåsbord naïve", []string{"köln", "smörgåsbord", "naïve"}},
+		{"Москва", []string{"москва"}},
+		{"🦉 owl", []string{"owl"}},
+		{"12px one hundred", []string{"12px", "one", "hundred"}},
+		{"1.2.3", []string{"1", "2", "3"}},
+		{"#REF!", []string{"ref"}},
+		{"NaN-ish", []string{"nan", "ish"}},
+		{"", nil},
+	}
+	for _, c := range cases {
+		if got := referenceWords(c.in); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("referenceWords(%q) = %q, want %q", c.in, got, c.want)
+		}
+		checkWords(t, c.in)
+	}
+}
+
+// TestAppendWordsLowercaseASCIIAllocs: lowercase ASCII words are substrings
+// of the input, so appending them to a buffer with room allocates nothing.
+func TestAppendWordsLowercaseASCIIAllocs(t *testing.T) {
+	buf := make([]string, 0, 8)
+	if n := testing.AllocsPerRun(10, func() { buf = AppendWords(buf[:0], "river park 773 731-0380") }); n != 0 {
+		t.Errorf("AppendWords allocated %v times, want 0", n)
+	}
+}
+
+func FuzzWords(f *testing.F) {
+	for _, s := range []string{"River Park", "773 731-0380", "Zürich", "5\u212A", "ab\xffcd", "İstanbul", "🦉 owl", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(checkWords)
 }
 
 func TestTermFreq(t *testing.T) {
