@@ -191,7 +191,11 @@ func TestLoadPipelineRetiredKind(t *testing.T) {
 	}
 
 	var graph bytes.Buffer
-	if err := search.NewStarmie(b.Lake, search.WithMode(search.ANN)).SaveANN(&graph); err != nil {
+	approx := search.NewStarmie(b.Lake)
+	if err := approx.SetMode(search.ANN); err != nil {
+		t.Fatal(err)
+	}
+	if err := approx.SaveANN(&graph); err != nil {
 		t.Fatal(err)
 	}
 	v2 := graph.Bytes()

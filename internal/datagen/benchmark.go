@@ -102,7 +102,6 @@ func baseTable(d domain, rows int, rng *rand.Rand) (*table.Table, []string) {
 	for r := 0; r < rows; r++ {
 		t.MustAppendRow(d.genRow(rng)...)
 	}
-	t.InferTypes()
 	return t, origins
 }
 
@@ -199,7 +198,6 @@ func deriveTable(name string, base *table.Table, d domain, baseOrigins []string,
 		out.Columns = append(out.Columns, table.Column{Name: header, Values: vals})
 		origins = append(origins, baseOrigins[ci])
 	}
-	out.InferTypes()
 	return out, origins, rowIdx
 }
 
@@ -266,7 +264,6 @@ func altTable(name string, d domain, rows int, renameProb float64, rng *rand.Ran
 	for r := 0; r < rows; r++ {
 		t.MustAppendRow(d.alt.genRow(rng)...)
 	}
-	t.InferTypes()
 	return t, origins
 }
 

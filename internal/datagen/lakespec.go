@@ -570,6 +570,5 @@ func (s LakeSpec) genTable(i int) *table.Table {
 		}
 		t.MustAppendRow(row...)
 	}
-	t.InferTypes()
 	return t
 }

@@ -90,28 +90,6 @@ func TestWithOptions(t *testing.T) {
 	}
 }
 
-func TestSerializeTuple(t *testing.T) {
-	s := SerializeTuple(
-		[]string{"Park Name", "Supervisor", "City", "Country"},
-		[]string{"River Park", "Vera Onate", "Fresno", "USA"})
-	want := "[CLS] Park Name River Park [SEP] Supervisor Vera Onate [SEP] City Fresno [SEP] Country USA [SEP]"
-	if s != want {
-		t.Errorf("SerializeTuple = %q, want %q", s, want)
-	}
-}
-
-func TestSerializeTupleSkipsNulls(t *testing.T) {
-	// Example 4: the Chippewa Park tuple serializes only the aligned
-	// columns; null cells are dropped together with their headers.
-	s := SerializeTuple(
-		[]string{"Park Name", "Supervisor", "City", "Country"},
-		[]string{"Chippewa Park", "", "Brandon, MN", "USA"})
-	want := "[CLS] Park Name Chippewa Park [SEP] City Brandon, MN [SEP] Country USA [SEP]"
-	if s != want {
-		t.Errorf("SerializeTuple = %q, want %q", s, want)
-	}
-}
-
 func TestTupleTokensTagHeaders(t *testing.T) {
 	toks := TupleTokens([]string{"Park"}, []string{"park"})
 	if len(toks) != 2 || toks[0] != "h:park" || toks[1] != "park" {

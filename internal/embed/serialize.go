@@ -3,47 +3,23 @@ package embed
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"dust/internal/par"
 	"dust/internal/tokenize"
 	"dust/internal/vector"
 )
 
-// BERT-style marker tokens used by the paper's serialization (§4).
-const (
-	CLS = "[CLS]"
-	SEP = "[SEP]"
-)
-
-// SerializeTuple renders a tuple as the paper's Ser(t) string:
+// TupleTokens tokenizes a tuple for encoding in the order of the paper's
+// serialization (§4),
 //
 //	[CLS] c1 v1 [SEP] c2 v2 [SEP] ... [SEP] cn vn [SEP]
 //
-// Null values are skipped together with their header, mirroring Example 4
-// where the Park Phone column (unaligned, hence null in the query schema)
-// is left out of the serialization.
-func SerializeTuple(headers, values []string) string {
-	var b strings.Builder
-	b.WriteString(CLS)
-	for i, h := range headers {
-		if i >= len(values) || values[i] == "" {
-			continue
-		}
-		b.WriteByte(' ')
-		b.WriteString(h)
-		b.WriteByte(' ')
-		b.WriteString(values[i])
-		b.WriteByte(' ')
-		b.WriteString(SEP)
-	}
-	return b.String()
-}
-
-// TupleTokens tokenizes a serialized tuple for encoding: headers are tagged
-// so that a header word and an identical value word produce distinct tokens
-// (the model must be able to tell structure from content), and marker tokens
-// are dropped.
+// with the marker tokens dropped. Headers are tagged so that a header word
+// and an identical value word produce distinct tokens (the model must be
+// able to tell structure from content). Null values are skipped together
+// with their header, mirroring Example 4, where the Park Phone column
+// (unaligned, hence null in the query schema) is left out of the
+// serialization.
 func TupleTokens(headers, values []string) []string {
 	return NewTupleSchema(headers).AppendTokens(nil, values)
 }
@@ -83,7 +59,7 @@ func (s *TupleSchema) AppendTokens(dst []string, values []string) []string {
 // workers == 1 is the sequential path), one token buffer per chunk of rows.
 // encode must not keep its argument, and it runs concurrently when workers
 // > 1. Once ctx is cancelled the remaining rows are skipped and ctx.Err()
-// is returned, as par.ForCtx does; a row already being encoded finishes.
+// is returned; a row already being encoded finishes.
 func (s *TupleSchema) EncodeRows(ctx context.Context, rows [][]string, workers int, encode func(tokens []string) vector.Vec) ([]vector.Vec, error) {
 	out := make([]vector.Vec, len(rows))
 	done := ctx.Done()

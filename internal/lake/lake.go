@@ -17,9 +17,9 @@ import (
 // Typed failures of the lake mutation surface, for callers (HTTP layers)
 // that map them to distinct statuses.
 var (
-	// ErrDuplicateTable reports Add (or Rename onto) a name the lake holds.
+	// ErrDuplicateTable reports Add of a name the lake holds.
 	ErrDuplicateTable = errors.New("lake: duplicate table")
-	// ErrUnknownTable reports Remove/Rename of a name the lake never held.
+	// ErrUnknownTable reports Remove of a name the lake never held.
 	ErrUnknownTable = errors.New("lake: no such table")
 )
 
@@ -42,7 +42,7 @@ func New(name string) *Lake {
 // between a lake and its copy-on-write shadows, and search indexes and the
 // alignment column-vector memo (internal/align) key derived state by the
 // object's name and identity without watching its content. To change a
-// table, Remove it and Add a new object; Rename does so itself.
+// table, Remove it and Add a new object.
 func (l *Lake) Add(t *table.Table) error {
 	if _, ok := l.tables[t.Name]; ok {
 		return fmt.Errorf("lake %s: %w: %q", l.Name, ErrDuplicateTable, t.Name)
@@ -76,42 +76,9 @@ func (l *Lake) Remove(name string) error {
 	return nil
 }
 
-// Rename changes a table's identity: the entry keeps its position in the
-// iteration order and is replaced by a shallow copy of the table carrying
-// the new name (columns shared), so the object other lakes and readers hold
-// keeps its old one. Renaming an absent table or onto an existing name is an
-// error.
-//
-// Rename only touches the lake. Search indexes key their state by table
-// name and do not observe it — rename an indexed table by removing it
-// under the old name and re-adding it under the new one (or rebuild).
-func (l *Lake) Rename(old, new string) error {
-	t, ok := l.tables[old]
-	if !ok {
-		return fmt.Errorf("lake %s: %w: %q", l.Name, ErrUnknownTable, old)
-	}
-	if old == new {
-		return nil
-	}
-	if _, ok := l.tables[new]; ok {
-		return fmt.Errorf("lake %s: %w: %q", l.Name, ErrDuplicateTable, new)
-	}
-	delete(l.tables, old)
-	renamed := *t
-	renamed.Name = new
-	l.tables[new] = &renamed
-	for i, n := range l.order {
-		if n == old {
-			l.order[i] = new
-			break
-		}
-	}
-	return nil
-}
-
 // Clone returns a lake owning its own name map and iteration order but
 // sharing the table objects (which nothing in the repo mutates after
-// insertion): Add/Remove/Rename on the clone never observe or disturb the
+// insertion): Add/Remove on the clone never observe or disturb the
 // original, so a serving layer can mutate a copy-on-write shadow while
 // queries keep reading the original lake lock-free.
 func (l *Lake) Clone() *Lake {

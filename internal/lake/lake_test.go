@@ -143,63 +143,3 @@ func TestRemoveFirstAndLast(t *testing.T) {
 		t.Errorf("Names = %v, want [b]", names)
 	}
 }
-
-func TestRename(t *testing.T) {
-	l := New("test")
-	for _, n := range []string{"a", "b", "c"} {
-		l.MustAdd(mkTable(n, 1))
-	}
-	if err := l.Rename("b", "bee"); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a", "bee", "c"}
-	for i, n := range l.Names() {
-		if n != want[i] {
-			t.Fatalf("Names = %v, want %v", l.Names(), want)
-		}
-	}
-	if got := l.Get("bee"); got == nil || got.Name != "bee" {
-		t.Error("renamed table's Name field not updated")
-	}
-	if l.Get("b") != nil {
-		t.Error("old name still resolves")
-	}
-	if err := l.Rename("missing", "x"); err == nil {
-		t.Error("renaming an absent table should error")
-	}
-	if err := l.Rename("a", "c"); err == nil {
-		t.Error("renaming onto an existing name should error")
-	}
-	if err := l.Rename("a", "a"); err != nil {
-		t.Errorf("no-op rename should succeed: %v", err)
-	}
-}
-
-// TestRenameOnCloneLeavesOriginal: Clone shares table objects, so a rename in
-// a copy-on-write shadow must not write the shared one — readers of the
-// original lake keep seeing the old name.
-func TestRenameOnCloneLeavesOriginal(t *testing.T) {
-	l := New("test")
-	l.MustAdd(mkTable("a", 2))
-	shared := l.Get("a")
-	c := l.Clone()
-	if err := c.Rename("a", "z"); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.Get("a"); got != shared || got.Name != "a" {
-		t.Errorf("original lake's table is %p named %q after a rename in its clone, want %p named \"a\"", got, got.Name, shared)
-	}
-	if l.Get("z") != nil {
-		t.Error("original lake resolves the clone's new name")
-	}
-	got := c.Get("z")
-	if got == nil || got.Name != "z" || c.Get("a") != nil {
-		t.Fatalf("clone after rename: Get(z) = %v, Get(a) = %v", got, c.Get("a"))
-	}
-	if got == shared {
-		t.Error("clone renamed the shared object instead of replacing its entry")
-	}
-	if len(got.Columns) == 0 || &got.Columns[0] != &shared.Columns[0] {
-		t.Error("renamed entry does not share the original's columns")
-	}
-}

@@ -115,12 +115,3 @@ func (g *Generator) promptTokens(query *table.Table) int {
 	}
 	return n
 }
-
-// AsTable wraps generated tuples in a table with the query's schema.
-func AsTable(name string, query *table.Table, tuples []table.Tuple) *table.Table {
-	t := table.New(name, query.Headers()...)
-	for _, row := range tuples {
-		t.MustAppendRow(row...)
-	}
-	return t
-}

@@ -94,22 +94,6 @@ func TestLargeQueryExceedsDefaultBudget(t *testing.T) {
 	}
 }
 
-func TestAsTable(t *testing.T) {
-	g := New()
-	q := smallQuery()
-	tuples, err := g.Generate(q, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := AsTable("llm-out", q, tuples)
-	if out.NumRows() != 4 || out.NumCols() != 3 {
-		t.Errorf("AsTable shape %dx%d", out.NumRows(), out.NumCols())
-	}
-	if out.Headers()[0] != "Park Name" {
-		t.Errorf("headers = %v", out.Headers())
-	}
-}
-
 func TestPromptDocumented(t *testing.T) {
 	for _, want := range []string{"{Table}", "{k}", "unionable", "non-redundant"} {
 		if !strings.Contains(Prompt, want) {

@@ -112,16 +112,6 @@ func (m *Model) EncodeTupleBatch(ctx context.Context, headers []string, rows [][
 	})
 }
 
-// Distance returns the cosine distance between two tuples under the model.
-func (m *Model) Distance(h1, v1, h2, v2 []string) float64 {
-	return vector.CosineDistance(m.EncodeTuple(h1, v1), m.EncodeTuple(h2, v2))
-}
-
-// PredictUnionable classifies a tuple pair at ClassifyThreshold.
-func (m *Model) PredictUnionable(h1, v1, h2, v2 []string) bool {
-	return m.Distance(h1, v1, h2, v2) < ClassifyThreshold
-}
-
 // Accuracy evaluates pair classification accuracy (Equation 3 of the
 // paper) at the given cosine-distance threshold for any tuple encoder.
 func Accuracy(enc TupleEncoder, pairs []datagen.TuplePair, threshold float64) float64 {

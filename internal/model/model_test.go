@@ -73,19 +73,6 @@ func TestTrainedModelBeatsPretrainedBaselines(t *testing.T) {
 	}
 }
 
-func TestPredictUnionableConsistentWithDistance(t *testing.T) {
-	ds := smallDataset(t)
-	cfg := DefaultConfig()
-	cfg.Epochs = 5
-	m := Train("dust-bert", NewBERTFeaturizer(), ds.Train[:200], ds.Val[:50], cfg)
-	p := ds.Test[0]
-	d := m.Distance(p.Headers1, p.Values1, p.Headers2, p.Values2)
-	want := d < ClassifyThreshold
-	if got := m.PredictUnionable(p.Headers1, p.Values1, p.Headers2, p.Values2); got != want {
-		t.Errorf("PredictUnionable inconsistent with Distance %v", d)
-	}
-}
-
 func TestModelDimAndName(t *testing.T) {
 	ds := smallDataset(t)
 	cfg := DefaultConfig()

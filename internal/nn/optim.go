@@ -54,8 +54,3 @@ func (s *SGD) Step(params []Param) {
 		}
 	}
 }
-
-// Optimizer updates parameters from accumulated gradients.
-type Optimizer interface {
-	Step(params []Param)
-}

@@ -14,7 +14,6 @@
 package par
 
 import (
-	"context"
 	"runtime"
 	"sync"
 )
@@ -85,32 +84,6 @@ func For(workers, n int, body func(i int)) {
 			body(i)
 		}
 	})
-}
-
-// ForCtx runs body(i) for every i in [0, n) across at most workers
-// goroutines, skipping the remaining iterations once ctx is cancelled. It
-// returns ctx.Err() when the loop was cut short and nil when every index
-// ran. Cancellation is checked at index granularity: a body call already in
-// flight finishes normally, so outputs written by index are always either
-// fully written or untouched — never half-written. A ctx that can never be
-// cancelled takes the plain For path with no per-index overhead.
-func ForCtx(ctx context.Context, workers, n int, body func(i int)) error {
-	done := ctx.Done()
-	if done == nil {
-		For(workers, n, body)
-		return nil
-	}
-	ForChunks(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			body(i)
-		}
-	})
-	return ctx.Err()
 }
 
 // Map evaluates fn(i) for every i in [0, n) across at most workers

@@ -36,7 +36,7 @@ func TestIndexFootprint(t *testing.T) {
 // tombstones, and corrupt and mismatched inputs fail with typed errors.
 func TestSaveLoadANN(t *testing.T) {
 	b := persistBench(t)
-	s := NewStarmie(b.Lake, WithMode(ANN))
+	s := annStarmie(t, b.Lake)
 	data := saveANN(t, s)
 
 	loaded, err := LoadStarmie(func() *bytes.Reader {
@@ -108,7 +108,7 @@ func TestSaveLoadANN(t *testing.T) {
 	other := datagen.Generate("ann-other", datagen.Config{
 		Seed: 68, Domains: 2, TablesPerBase: 3, BaseRows: 20, MinRows: 6, MaxRows: 8,
 	})
-	foreign := saveANN(t, NewStarmie(other.Lake, WithMode(ANN)))
+	foreign := saveANN(t, annStarmie(t, other.Lake))
 	if err := loaded.LoadANN(bytes.NewReader(foreign)); !errors.Is(err, ErrLakeMismatch) {
 		t.Fatalf("foreign graph load err = %v, want ErrLakeMismatch", err)
 	}
@@ -124,10 +124,20 @@ func TestSaveLoadANN(t *testing.T) {
 		withEmpty.MustAdd(tab)
 	}
 	withEmpty.MustAdd(table.New("columnless"))
-	withEmptyGraph := saveANN(t, NewStarmie(withEmpty, WithMode(ANN)))
+	withEmptyGraph := saveANN(t, annStarmie(t, withEmpty))
 	if err := NewStarmie(withEmpty).LoadANN(bytes.NewReader(withEmptyGraph)); err != nil {
 		t.Fatalf("graph over a lake with a zero-column table did not load: %v", err)
 	}
+}
+
+// annStarmie builds a searcher over l and switches it to ANN mode.
+func annStarmie(t testing.TB, l *lake.Lake) *Starmie {
+	t.Helper()
+	s := NewStarmie(l)
+	if err := s.SetMode(ANN); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // saveANN is SaveANN into memory.

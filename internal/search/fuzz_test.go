@@ -29,7 +29,7 @@ func FuzzLoadIndex(f *testing.F) {
 	// annHost stays pristine; each iteration loads into a throwaway
 	// clone so no fuzz input's graph survives into later iterations —
 	// a recorded crasher must reproduce on a fresh host.
-	annHost := NewStarmie(b.Lake, WithMode(ANN))
+	annHost := annStarmie(f, b.Lake)
 	graph := saveANN(f, annHost)
 	f.Add(graph)
 	for _, valid := range [][]byte{starmie, graph} {

@@ -162,9 +162,6 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 	if len(s.cols) != len(tabs) {
 		return nil, fmt.Errorf("starmie: load: a table is indexed twice: %w", codec.ErrCorrupt)
 	}
-	if o.mode != Exact {
-		_ = s.SetMode(o.mode)
-	}
 	return s, nil
 }
 

@@ -130,7 +130,7 @@ func TestLoadErrorPaths(t *testing.T) {
 		return out
 	}
 	fixtures := map[string][]byte{
-		"starmie": starmie, "ann": saveANN(t, NewStarmie(b.Lake, WithMode(ANN))),
+		"starmie": starmie, "ann": saveANN(t, annStarmie(t, b.Lake)),
 		"d3l": retag('D'), "tuples": retag('T'),
 	}
 	for name, valid := range fixtures {

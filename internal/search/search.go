@@ -356,7 +356,6 @@ type Option func(*options)
 
 type options struct {
 	workers int
-	mode    Mode
 	shards  int
 }
 
@@ -364,11 +363,6 @@ type options struct {
 // scoring; n <= 0 selects the GOMAXPROCS-derived default and n == 1 forces
 // the sequential path. Results are identical for every worker count.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
-
-// WithMode selects the retrieval backend at construction time (default
-// Exact); constructing in ANN mode builds the approximate index as part
-// of indexing. Equivalent to SetMode right after construction.
-func WithMode(m Mode) Option { return func(o *options) { o.mode = m } }
 
 // WithShards partitions Starmie's index into n parts by Assign (n <= 1:
 // one part, the default). Each part has its own sub-lake, HNSW graph and

@@ -146,11 +146,6 @@ func NewStarmieWithEncoder(l *lake.Lake, enc embed.StarmieEncoder, opts ...Optio
 	for i, t := range tables {
 		s.cols[t.Name] = blocks[i]
 	}
-	if o.mode != Exact {
-		// Errors are impossible for the modes WithMode can express; a
-		// bogus numeric Mode falls back to the exact scan.
-		_ = s.SetMode(o.mode)
-	}
 	return s
 }
 

@@ -31,6 +31,9 @@ const DefaultK = 10
 // heap.
 const DefaultMaxBodyBytes = 64 << 20
 
+// maxK caps the result count one search request may ask for.
+const maxK = 1000
+
 // Server is an http.Handler exposing one dust.Pipeline as a search service
 // with live mutation. See the package comment for the concurrency model.
 //
@@ -50,7 +53,6 @@ type Server struct {
 	sem   chan struct{}
 
 	timeout      time.Duration
-	maxK         int
 	maxBody      int64
 	queryWorkers int
 	cacheCap     int   // entry bound handed to the cache at construction
@@ -124,9 +126,6 @@ func WithQueryWorkers(n int) Option {
 // (default 30s); d <= 0 disables the server-side deadline.
 func WithTimeout(d time.Duration) Option { return func(s *Server) { s.timeout = d } }
 
-// WithMaxK caps the per-request result count (default 1000).
-func WithMaxK(n int) Option { return func(s *Server) { s.maxK = n } }
-
 // WithMaxBodyBytes caps request body sizes (default DefaultMaxBodyBytes);
 // n <= 0 removes the cap.
 func WithMaxBodyBytes(n int64) Option { return func(s *Server) { s.maxBody = n } }
@@ -138,7 +137,6 @@ func New(p *dust.Pipeline, opts ...Option) *Server {
 	s := &Server{
 		cacheCap:     1024,
 		timeout:      30 * time.Second,
-		maxK:         1000,
 		maxBody:      DefaultMaxBodyBytes,
 		queryWorkers: 1,
 	}
@@ -398,8 +396,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		info.errMsg = msg
 		httpError(w, http.StatusBadRequest, msg)
 		return
-	case k > s.maxK:
-		msg := fmt.Sprintf("k %d exceeds the server cap %d", k, s.maxK)
+	case k > maxK:
+		msg := fmt.Sprintf("k %d exceeds the server cap %d", k, maxK)
 		info.errMsg = msg
 		httpError(w, http.StatusBadRequest, msg)
 		return

@@ -182,7 +182,7 @@ func TestSearchCSVBody(t *testing.T) {
 }
 
 func TestSearchErrorPaths(t *testing.T) {
-	_, ts, b := newTestServer(t, WithMaxK(50))
+	_, ts, b := newTestServer(t)
 	q := b.Queries[0]
 	cases := []struct {
 		name string
@@ -195,7 +195,7 @@ func TestSearchErrorPaths(t *testing.T) {
 		{"no headers", `{"query":{"headers":[],"rows":[]},"k":3}`, http.StatusBadRequest},
 		{"ragged row", `{"query":{"headers":["a","b"],"rows":[["1"]]},"k":3}`, http.StatusBadRequest},
 		{"negative k", string(searchBody(t, q, -2)), http.StatusBadRequest},
-		{"k over cap", string(searchBody(t, q, 51)), http.StatusBadRequest},
+		{"k over cap", string(searchBody(t, q, maxK+1)), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -41,7 +41,7 @@ func (t *Table) SaveCSV(path string) error {
 }
 
 // ReadCSV parses a table from r. The first record is the header. The table
-// name is taken from the name argument; column types are inferred.
+// name is taken from the name argument.
 func ReadCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -72,7 +72,6 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 			return nil, err
 		}
 	}
-	t.InferTypes()
 	return t, nil
 }
 

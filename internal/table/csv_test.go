@@ -75,14 +75,3 @@ func TestLoadCSVMissingFile(t *testing.T) {
 		t.Error("LoadCSV of missing file should error")
 	}
 }
-
-func TestCSVTypeInferenceOnLoad(t *testing.T) {
-	in := "name,age\nalice,30\nbob,41\n"
-	tb, err := ReadCSV("people", strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.Columns[1].Type != Number {
-		t.Errorf("age column type = %v, want Number", tb.Columns[1].Type)
-	}
-}

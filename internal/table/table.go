@@ -1,8 +1,7 @@
 // Package table defines the relational model used throughout the DUST
-// reproduction: tables with named, type-annotated columns; tuples; CSV
-// serialization; projections and selections used by the benchmark
-// generators; and the outer-union operation that forms unionable tuples
-// after column alignment (paper §3.3).
+// reproduction: tables with named columns; tuples; CSV serialization; row
+// selection; and the outer-union operation that forms unionable tuples after
+// column alignment (paper §3.3).
 package table
 
 import (
@@ -14,33 +13,9 @@ import (
 // column that its source table does not have (paper §3.3 uses "nan").
 const Null = ""
 
-// Type classifies the values of a column. InferTypes sets it on loaded and
-// generated tables, but no alignment, search or diversification code reads
-// it; the outer union leaves it unset.
-type Type int
-
-const (
-	Text Type = iota
-	Number
-	Date
-)
-
-// String returns the lowercase name of the type.
-func (t Type) String() string {
-	switch t {
-	case Number:
-		return "number"
-	case Date:
-		return "date"
-	default:
-		return "text"
-	}
-}
-
-// Column is a named, typed column of string-encoded values.
+// Column is a named column of string-encoded values.
 type Column struct {
 	Name   string
-	Type   Type
 	Values []string
 }
 
@@ -139,28 +114,11 @@ func (t *Table) Rows() []Tuple {
 // Cell returns the value of column j in row i.
 func (t *Table) Cell(i, j int) string { return t.Columns[j].Values[i] }
 
-// Project returns a new table containing only the named columns, in the
-// given order. Unknown column names are an error.
-func (t *Table) Project(name string, columns ...string) (*Table, error) {
-	out := &Table{Name: name, Base: t.Base}
-	for _, cn := range columns {
-		idx := t.ColumnIndex(cn)
-		if idx < 0 {
-			return nil, fmt.Errorf("table %s: no column %q", t.Name, cn)
-		}
-		src := t.Columns[idx]
-		vals := make([]string, len(src.Values))
-		copy(vals, src.Values)
-		out.Columns = append(out.Columns, Column{Name: src.Name, Type: src.Type, Values: vals})
-	}
-	return out, nil
-}
-
 // Select returns a new table containing the rows at the given indices.
 func (t *Table) Select(name string, rows []int) (*Table, error) {
 	out := &Table{Name: name, Base: t.Base}
 	for _, c := range t.Columns {
-		out.Columns = append(out.Columns, Column{Name: c.Name, Type: c.Type})
+		out.Columns = append(out.Columns, Column{Name: c.Name})
 	}
 	for _, r := range rows {
 		if r < 0 || r >= t.NumRows() {
@@ -179,41 +137,9 @@ func (t *Table) Clone(name string) *Table {
 	for _, c := range t.Columns {
 		vals := make([]string, len(c.Values))
 		copy(vals, c.Values)
-		out.Columns = append(out.Columns, Column{Name: c.Name, Type: c.Type, Values: vals})
+		out.Columns = append(out.Columns, Column{Name: c.Name, Values: vals})
 	}
 	return out
-}
-
-// DropAllNullColumns removes columns whose values are all Null. The paper's
-// experimental setup removes such columns before running (§6.1).
-func (t *Table) DropAllNullColumns() {
-	kept := t.Columns[:0]
-	for _, c := range t.Columns {
-		allNull := true
-		for _, v := range c.Values {
-			if v != Null {
-				allNull = false
-				break
-			}
-		}
-		if !allNull {
-			kept = append(kept, c)
-		}
-	}
-	t.Columns = kept
-}
-
-// InferTypes assigns each column the majority type of its non-null values.
-func (t *Table) InferTypes() {
-	for i := range t.Columns {
-		t.Columns[i].Type = inferColumnType(t.Columns[i].Values)
-	}
-}
-
-// TupleKey returns a canonical string key for row i, used for duplicate
-// detection in the case study's duplicate-free baselines (§6.6).
-func (t *Table) TupleKey(i int) string {
-	return strings.Join(t.Row(i), "\x1f")
 }
 
 // String renders a compact textual preview (header plus up to 5 rows).

@@ -24,6 +24,9 @@ func TestNewAndAppend(t *testing.T) {
 	if err := tb.AppendRow(Tuple{"too", "short"}); err == nil {
 		t.Error("AppendRow with wrong arity should error")
 	}
+	if s := tb.String(); !strings.Contains(s, "parks (3 rows x 4 cols)") {
+		t.Errorf("String preview = %q", s)
+	}
 }
 
 func TestHeadersAndColumnIndex(t *testing.T) {
@@ -56,28 +59,6 @@ func TestRowAndRows(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	tb := parksTable()
-	p, err := tb.Project("proj", "Country", "Park Name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumCols() != 2 || p.Headers()[0] != "Country" {
-		t.Errorf("Project headers = %v", p.Headers())
-	}
-	if p.Cell(0, 1) != "River Park" {
-		t.Errorf("Project cell = %q", p.Cell(0, 1))
-	}
-	if _, err := tb.Project("bad", "Missing"); err == nil {
-		t.Error("Project with missing column should error")
-	}
-	// Deep copy: mutating the projection must not affect the source.
-	p.Columns[0].Values[0] = "XX"
-	if tb.Cell(0, 3) != "USA" {
-		t.Error("Project shares value slices with source")
-	}
-}
-
 func TestSelect(t *testing.T) {
 	tb := parksTable()
 	s, err := tb.Select("sel", []int{2, 0})
@@ -101,72 +82,5 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if c.Name != "copy" {
 		t.Errorf("Clone name = %q", c.Name)
-	}
-}
-
-func TestDropAllNullColumns(t *testing.T) {
-	tb := New("t", "a", "b", "c")
-	tb.MustAppendRow("1", Null, "x")
-	tb.MustAppendRow("2", Null, Null)
-	tb.DropAllNullColumns()
-	if tb.NumCols() != 2 {
-		t.Fatalf("NumCols = %d, want 2", tb.NumCols())
-	}
-	if tb.Headers()[0] != "a" || tb.Headers()[1] != "c" {
-		t.Errorf("Headers after drop = %v", tb.Headers())
-	}
-}
-
-func TestInferTypes(t *testing.T) {
-	tb := New("t", "name", "count", "when", "year")
-	tb.MustAppendRow("alpha", "10", "2020-01-02", "1999")
-	tb.MustAppendRow("beta", "3.5", "2021/06/30", "2010")
-	tb.MustAppendRow("gamma", "1,200", "12/31/2020", "2024")
-	tb.InferTypes()
-	want := []Type{Text, Number, Date, Date}
-	for i, c := range tb.Columns {
-		if c.Type != want[i] {
-			t.Errorf("column %s type = %v, want %v", c.Name, c.Type, want[i])
-		}
-	}
-}
-
-func TestTypeString(t *testing.T) {
-	if Text.String() != "text" || Number.String() != "number" || Date.String() != "date" {
-		t.Error("Type.String values wrong")
-	}
-}
-
-func TestClassifyValue(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Type
-	}{
-		{"hello", Text},
-		{"42", Number},
-		{"3.14", Number},
-		{"1,234", Number},
-		{"2020-05-06", Date},
-		{"2020/05/06", Date},
-		{"05/06/2020", Date},
-		{"1999", Date}, // 4-digit year
-		{"", Text},
-		{"12-34", Text},
-	}
-	for _, c := range cases {
-		if got := classifyValue(c.in); got != c.want {
-			t.Errorf("classifyValue(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestTupleKeyAndString(t *testing.T) {
-	tb := parksTable()
-	if tb.TupleKey(0) == tb.TupleKey(1) {
-		t.Error("distinct rows share a TupleKey")
-	}
-	s := tb.String()
-	if !strings.Contains(s, "parks (3 rows x 4 cols)") {
-		t.Errorf("String preview = %q", s)
 	}
 }

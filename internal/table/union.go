@@ -22,8 +22,7 @@ type Mapping struct {
 
 // OuterUnion unions the mapped tables into a single table with the target
 // headers, padding missing columns with Null (paper §3.3). The returned
-// provenance slice is index-aligned with the unioned rows. Column types are
-// left unset (Text): nothing reads the union's types.
+// provenance slice is index-aligned with the unioned rows.
 func OuterUnion(name string, targetHeaders []string, mappings []Mapping) (*Table, []Provenance, error) {
 	out := New(name, targetHeaders...)
 	var prov []Provenance
@@ -54,20 +53,4 @@ func OuterUnion(name string, targetHeaders []string, mappings []Mapping) (*Table
 		}
 	}
 	return out, prov, nil
-}
-
-// DeduplicateRows returns the row indices of the first occurrence of every
-// distinct tuple, preserving order. The case study's duplicate-free
-// baselines (Starmie-D, D3L-D) use this.
-func DeduplicateRows(t *Table) []int {
-	seen := make(map[string]bool, t.NumRows())
-	var keep []int
-	for i := 0; i < t.NumRows(); i++ {
-		k := t.TupleKey(i)
-		if !seen[k] {
-			seen[k] = true
-			keep = append(keep, i)
-		}
-	}
-	return keep
 }

@@ -76,18 +76,3 @@ func TestOuterUnionArityErrors(t *testing.T) {
 		t.Error("OuterUnion with out-of-range source index should error")
 	}
 }
-
-func TestDeduplicateRows(t *testing.T) {
-	tb := New("dup", "a", "b")
-	tb.MustAppendRow("x", "1")
-	tb.MustAppendRow("y", "2")
-	tb.MustAppendRow("x", "1")
-	tb.MustAppendRow("x", "3")
-	keep := DeduplicateRows(tb)
-	if len(keep) != 3 {
-		t.Fatalf("kept %d rows, want 3", len(keep))
-	}
-	if keep[0] != 0 || keep[1] != 1 || keep[2] != 3 {
-		t.Errorf("kept indices = %v, want [0 1 3]", keep)
-	}
-}
