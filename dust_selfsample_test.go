@@ -91,3 +91,37 @@ func TestSelfSampledQueriesUnion(t *testing.T) {
 		})
 	}
 }
+
+// TestQueryNamedLikeLakeTable requires a query's name to leave its answer
+// alone: a row sample searched under its source table's name — as
+// `dustsearch -query lake/t000011.csv` or a /search body's "name" gives it —
+// returns the tuples, provenance and unionable tables it returns as "query".
+// The name is not a table: the query's columns may still align with the
+// same-named lake table's.
+func TestQueryNamedLikeLakeTable(t *testing.T) {
+	spec, err := datagen.ParseLakeSpec("tables=120,rows=30,zipf=1.5,parents=11,fk=0.3,null=0.01,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(spec.Generate(), WithWorkers(1))
+	for i := 0; i < 20; i++ {
+		q := spec.Query(i)
+		want, wantErr := p.Search(q.Clone("query"), 10)
+		got, err := p.Search(q.Clone(spec.TableName(i)), 10)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s: error %v under its source's name, %v as \"query\"", q.Name, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if !slices.Equal(got.UnionableTables, want.UnionableTables) {
+			t.Fatalf("%s: tables %v under its source's name, %v as \"query\"", q.Name, got.UnionableTables, want.UnionableTables)
+		}
+		if !slices.Equal(got.Tuples.Headers(), want.Tuples.Headers()) || !slices.EqualFunc(tableRows(got.Tuples), tableRows(want.Tuples), slices.Equal) {
+			t.Fatalf("%s: tuples differ under its source's name", q.Name)
+		}
+		if !slices.Equal(got.Provenance, want.Provenance) {
+			t.Fatalf("%s: provenance %v under its source's name, %v as \"query\"", q.Name, got.Provenance, want.Provenance)
+		}
+	}
+}

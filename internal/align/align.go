@@ -145,8 +145,11 @@ func HolisticWorkers(cols []Column, workers int) *Result {
 	}
 	m := cluster.NewMatrixWorkers(vecs, vector.Euclidean, workers)
 	dend := cluster.Agglomerative(m, cluster.Options{
+		// Two columns of one table never align. The query is never a lake
+		// table, even when it carries one's name (a query file from the
+		// lake directory, or a /search body's "name").
 		CannotLink: func(i, j int) bool {
-			return cols[i].Table == cols[j].Table
+			return cols[i].Table == cols[j].Table && cols[i].IsQuery == cols[j].IsQuery
 		},
 	})
 	// Every query column must land in its own cluster (same-table

@@ -181,7 +181,7 @@ func TestAgglomerativeTrivialSizes(t *testing.T) {
 func TestSilhouetteQuality(t *testing.T) {
 	items, truth := threeBlobs(10, 11)
 	m := NewMatrix(items, vector.Euclidean)
-	good := Silhouette(m, truth, 3)
+	good := silhouette(m, truth, 3)
 	if good < 0.8 {
 		t.Errorf("silhouette of true labels = %v, want > 0.8", good)
 	}
@@ -190,10 +190,10 @@ func TestSilhouetteQuality(t *testing.T) {
 	for i := range bad {
 		bad[i] = i % 3
 	}
-	if s := Silhouette(m, bad, 3); s >= good {
+	if s := silhouette(m, bad, 3); s >= good {
 		t.Errorf("round-robin silhouette %v >= true %v", s, good)
 	}
-	if !math.IsNaN(Silhouette(m, make([]int, len(items)), 1)) {
+	if !math.IsNaN(silhouette(m, make([]int, len(items)), 1)) {
 		t.Error("silhouette of single cluster should be NaN")
 	}
 }

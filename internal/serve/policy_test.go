@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -165,12 +167,21 @@ func TestShedWithRetryAfter(t *testing.T) {
 
 // TestCacheDisabledLabelsNone pins the documented cache-label contract:
 // with caching disabled, /search observations carry cache="none" — not a
-// fictitious "miss" against a cache that does not exist.
+// fictitious "miss" against a cache that does not exist — and the body is
+// byte for byte the one a caching server answers a miss with.
 func TestCacheDisabledLabelsNone(t *testing.T) {
 	var sink lockedBuffer
 	_, ts, b := newTestServer(t, WithCacheCapacity(0), WithRequestLog(&sink))
-	if resp, out := postSearch(t, ts.URL, searchBody(t, b.Queries[0], 3)); resp.StatusCode != http.StatusOK || out.Cached {
-		t.Fatalf("uncached search status %d cached=%v", resp.StatusCode, out.Cached)
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/search", searchBody(t, b.Queries[0], 5))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("uncached search status %d: %s", resp.StatusCode, body)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_search.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("cache-off body differs from the cached server's miss:\ngot:  %s\nwant: %s", body, want)
 	}
 	text := scrapeMetrics(t, ts.URL)
 	if !strings.Contains(text, `dust_http_request_seconds_count{endpoint="/search",cache="none",class="2xx"} 1`+"\n") {

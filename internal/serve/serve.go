@@ -407,23 +407,25 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// lake, config tag, and epoch all come from the same published state,
 	// no matter how many swaps happen while the query runs.
 	snap := s.snap.Load()
-	fp := queryFingerprint(query)
-	key := cacheKey(fp, k, snap.tag, snap.Epoch())
 	info.k, info.epoch = k, snap.Epoch()
 
 	// A cache hit is a map lookup plus a byte write — no pipeline work —
 	// so it is served before admission: a saturated server keeps answering
 	// cached traffic while shedding only queries that would cost compute.
-	if body, ok := s.cache.Get(key); ok {
-		s.searches.Add(1)
-		info.cache = "hit"
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(body)
-		return
-	}
+	// With the cache off there is no fingerprint, key or cached copy.
+	var fp, key string
 	if s.cache == nil {
 		info.cache = "none"
 	} else {
+		fp = queryFingerprint(query)
+		key = cacheKey(fp, k, snap.tag, snap.Epoch())
+		if body, ok := s.cache.Get(key); ok {
+			s.searches.Add(1)
+			info.cache = "hit"
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(body)
+			return
+		}
 		info.cache = "miss"
 	}
 
@@ -441,13 +443,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			s.degraded.Add(1)
 			// The degraded plan has its own config tag, so its cache lines
 			// never mix with exact results; probe them before computing.
-			key = cacheKey(fp, k, snap.degradedTag, snap.Epoch())
-			if body, ok := s.cache.Get(key); ok {
-				s.searches.Add(1)
-				info.cache = "hit"
-				w.Header().Set("Content-Type", "application/json")
-				_, _ = w.Write(body)
-				return
+			if s.cache != nil {
+				key = cacheKey(fp, k, snap.degradedTag, snap.Epoch())
+				if body, ok := s.cache.Get(key); ok {
+					s.searches.Add(1)
+					info.cache = "hit"
+					w.Header().Set("Content-Type", "application/json")
+					_, _ = w.Write(body)
+					return
+				}
 			}
 		} else {
 			s.shed.Add(1)
@@ -527,6 +531,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.searches.Add(1)
 	writeJSON(w, http.StatusOK, resp)
 
+	if s.cache == nil {
+		return
+	}
 	// Cache the response with Cached pre-flipped so hits are a pure
 	// lookup-and-write with zero marshaling on the hot path. marshalJSON
 	// keeps the cached bytes shaped exactly like the live ones.
