@@ -63,9 +63,9 @@ func BenchmarkEncodeTokens(b *testing.B) {
 }
 
 // BenchmarkEncodeTokensParallel is run with -cpu 1,2,8: with more goroutines
-// encoding than tables exist (one per processor at start-up), the surplus
-// calls take the one-slot table, and bytes per call must stay in the
-// kilobytes instead of jumping by a table's half megabyte.
+// encoding than tables exist (the big one and a spare per other processor),
+// the surplus calls take the one-slot table, and bytes per call must stay in
+// the kilobytes instead of jumping by a spare's half megabyte.
 func BenchmarkEncodeTokensParallel(b *testing.B) {
 	enc := NewRoBERTa()
 	tokens := benchStreams()["tuple"]

@@ -104,9 +104,10 @@ func (e *Encoder) Dim() int { return e.dim }
 func (e *Encoder) Instrument(c *atomic.Int64) { e.calls = c }
 
 // EncodeTokens embeds a token sequence. The output is L2-normalized. Token
-// vectors are read through a tokenTable the call owns from start to end, so
-// each is derived once for as long as it keeps its slot; the result is the
-// only allocation and aliases nothing of the table.
+// vectors are read through a tokenTable the call owns from start to end and
+// hands back at its return, so each is derived once for as long as it keeps
+// its slot, across calls; the result is the only allocation and aliases
+// nothing of the table.
 func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 	if e.calls != nil {
 		e.calls.Add(1)

@@ -9,86 +9,134 @@ import (
 	"dust/internal/vector"
 )
 
-// tokenTableBytes bounds the vectors of one token-vector table, whatever the
-// dimension: slots = tokenTableBytes / (8*dim) rounded down to a power of two,
-// 512 at dim 128 and 64 at the 768 of Fig. 2 (tags add 9 bytes a slot).
-// Measured, not guessed: the miss share of a direct-mapped table over 80
-// consecutive searches of the benchmark's balanced / tall / wide lakes (1.21 M
-// / 3.32 M / 0.45 M reads) is 0.44 / 0.40 / 0.44 at 256 slots, 0.36 / 0.33 /
-// 0.35 at 512, 0.29 / 0.27 / 0.28 at 1024 and 0.23 / 0.21 / 0.22 at 2048,
-// against 0.19 / 0.13 / 0.22 for an unbounded per-request memo; 512 slots
-// emptied before every request miss 0.37 / 0.34 / 0.37, so a cold query gains
-// what a replayed one does. 2048 slots (2 MB, out of L2) read 2 ms lower on
-// balanced and nothing resolvable on tall, both inside the host's noise, at
-// four times the resident bytes; ISSUE 17's prototype put 4-way LRU at only 6
-// points of hit rate over direct-mapped at equal size. So: direct-mapped, small.
-const tokenTableBytes = 512 << 10
+// bigTokenTableBytes and tokenTableBytes bound the vectors of the one big
+// token-vector table and of each spare one, whatever the dimension: slots =
+// bytes / (8*dim) rounded down to a power of two, 2 048 and 512 at dim 128,
+// 256 and 64 at the 768 of Fig. 2 (tags add 16 bytes a slot). Measured, not
+// guessed (docs/ARCHITECTURE.md, "The encode kernel"): over 240
+// never-repeated queries of the benchmark's balanced / tall lakes, with the
+// table kept across requests, the token, class and bigram reads miss 0.275 /
+// 0.247 at 512 slots direct-mapped, 0.204 / 0.174 at 512 slots 4-way, 0.152 /
+// 0.126 at 2 048 slots direct-mapped and 0.107 / 0.079 at 2 048 slots 4-way,
+// against 0.147 / 0.089 for an unbounded memo emptied before every request.
+// Ways pay at 2 048 slots and not at 512: a request's own 1 200-1 800
+// distinct vectors overflow 512 slots wherever they go, while 2 048 slots
+// also keep the lake's recurring vocabulary for the next request, and set
+// conflicts are what evicts it. One table is big, not one per processor: the
+// others serve index-build workers and overlapping requests, and 2 MB each
+// would be 128 MB on 64 cores.
+const (
+	bigTokenTableBytes = 2 << 20
+	tokenTableBytes    = 512 << 10
+	tokenTableWays     = 4
+)
 
-// tokenTable is the scratch of one EncodeTokens call: a direct-mapped table
-// of the token vectors derived so far, keyed by the seed vector.PseudoUnit is
-// called with, plus the call's accumulator. A vector is a pure function of
-// (seed, dim), so a hit returns the bits a miss would derive and the table
-// needs no epoch and no invalidation; it only decides when a vector is
-// computed, never what it is.
+// tokenTable holds token vectors derived so far, keyed by the seed
+// vector.PseudoUnit is called with, plus the scratch of the one EncodeTokens
+// call that owns it. It is set-associative with LRU replacement inside a
+// set. A vector is a pure function of (seed, dim), so a hit returns the bits
+// a miss would derive and the table needs no epoch and no invalidation; it
+// only decides when a vector is computed, never what it is.
 type tokenTable struct {
 	dim     int
-	seeds   []uint64  // seed held by each slot; their count is a power of two
-	full    []bool    // false until a slot is first filled, so an empty one cannot match seed 0
+	ways    int       // slots a set holds: tokenTableWays, or 1 in the one-slot fallback
+	sets    int       // a power of two; set s is slots s*ways .. s*ways+ways-1
+	seeds   []uint64  // seed held by each slot
+	used    []uint64  // clock of each slot's last read; 0 while empty, so an empty slot cannot match seed 0
+	clock   uint64    // reads of this table so far
 	vecs    []float64 // slots x dim
-	content []float64 // the call's token-content accumulator
+	content []float64 // the owning call's token-content accumulator
 
 	hits, misses uint64 // of the current call
-	listed       bool   // one of the maxTokenTables that go back on the free list
+	kind         tokenTableKind
 }
 
-// newTokenTable sizes a listed table by tokenTableBytes; an unlisted one is
-// the one-slot fallback.
-func newTokenTable(dim int, listed bool) *tokenTable {
-	slots := 1
-	if s := tokenTableBytes / (8 * max(dim, 1)); listed && s > 1 {
-		slots = 1 << (bits.Len(uint(s)) - 1)
+// tokenTableKind says where a table goes when its call releases it.
+type tokenTableKind uint8
+
+const (
+	fallbackTable tokenTableKind = iota // left to the collector
+	spareTable                          // back on the free list
+	bigTable                            // back into the one big-table place
+)
+
+// resize empties the table for vectors of dim, as many slots as budget bytes
+// hold rounded down to a power of two (one slot if that is under four). An
+// array of the right length is kept, so a table moving between two
+// power-of-two dimensions keeps its vectors' megabytes instead of allocating
+// them again.
+func (t *tokenTable) resize(dim, budget int) {
+	slots, ways := 1, 1
+	if s := budget / (8 * max(dim, 1)); s >= tokenTableWays {
+		slots, ways = 1<<(bits.Len(uint(s))-1), tokenTableWays
 	}
-	return &tokenTable{
-		dim:     dim,
-		seeds:   make([]uint64, slots),
-		full:    make([]bool, slots),
-		vecs:    make([]float64, slots*dim),
-		content: make([]float64, dim),
-		listed:  listed,
-	}
+	t.dim, t.ways, t.sets = dim, ways, slots/ways
+	t.seeds, t.used = fit(t.seeds, slots), fit(t.used, slots)
+	clear(t.used)
+	t.vecs, t.content = fit(t.vecs, slots*dim), fit(t.content, dim)
 }
 
-// vector returns the pseudo-random unit vector of seed, deriving it only if
-// its slot holds another. The slice aliases the slot: it is valid until the
-// next call and must not leave EncodeTokens.
+// fit returns s if it has capacity n, else a new slice of length n.
+func fit[T any](s []T, n int) []T {
+	if cap(s) == n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// bytes is what the table holds: vectors, tags and scratch.
+func (t *tokenTable) bytes() int64 {
+	return 8 * int64(len(t.vecs)+len(t.seeds)+len(t.used)+len(t.content))
+}
+
+// vector returns the pseudo-random unit vector of seed, deriving it into the
+// least recently read slot of its set only if the set does not hold it. The
+// slice aliases the slot: it is valid until the next call and must not leave
+// EncodeTokens.
 func (t *tokenTable) vector(seed uint64) []float64 {
-	i := int(seed) & (len(t.seeds) - 1)
-	v := t.vecs[i*t.dim : (i+1)*t.dim]
-	if t.full[i] && t.seeds[i] == seed {
-		t.hits++
-		return v
+	t.clock++
+	first := (int(seed) & (t.sets - 1)) * t.ways
+	victim := first
+	for i := first; i < first+t.ways; i++ {
+		if t.seeds[i] == seed && t.used[i] != 0 {
+			t.hits++
+			t.used[i] = t.clock
+			return t.vecs[i*t.dim : (i+1)*t.dim]
+		}
+		if t.used[i] < t.used[victim] {
+			victim = i
+		}
 	}
 	t.misses++
-	t.seeds[i], t.full[i] = seed, true
+	t.seeds[victim], t.used[victim] = seed, t.clock
+	v := t.vecs[victim*t.dim : (victim+1)*t.dim]
 	vector.PseudoUnit(seed, v)
 	return v
 }
 
-// tokenTables is the free list of finished calls' tables (the idiom of
-// cluster.workBufs): encoding is CPU-bound, so one table per processor is all
-// that concurrent calls can use. Once maxTokenTables exist, a call that finds
-// the list empty runs the same loop on a one-slot table of its own instead of
-// allocating another half megabyte. The list is a stack because that is what
-// a slice gives; a queue measured the same hit share.
+// tokenTables holds the tables no call owns. The big table is taken by any
+// call that finds it free, so the lake's token, class and bigram vectors
+// survive from one request to the next. A call that finds it taken — an
+// index-build worker, an overlapping request — takes a spare from the free
+// list (the idiom of cluster.workBufs; a stack because that is what a slice
+// gives). Encoding is CPU-bound, so no more than GOMAXPROCS tables can be in
+// use at once: once the big one and maxTokenTables-1 spares exist, a call
+// that finds none free runs the same loop on a one-slot table of its own
+// instead of allocating another half megabyte.
 var tokenTables struct {
 	sync.Mutex
-	free []*tokenTable
-	made int
+	big      *tokenTable // nil while a call owns it, and before the first call
+	bigTaken bool
+	free     []*tokenTable
+	spares   int // spare tables made
 }
 
 var maxTokenTables = runtime.GOMAXPROCS(0)
 
-var tokenVectorHits, tokenVectorMisses atomic.Uint64
+var (
+	tokenVectorHits, tokenVectorMisses atomic.Uint64
+	tokenTableHeld                     atomic.Int64
+)
 
 // TokenVectorStats returns how many token vectors EncodeTokens calls have
 // read from a table (hits) and derived (misses) in this process so far.
@@ -96,25 +144,44 @@ func TokenVectorStats() (hits, misses uint64) {
 	return tokenVectorHits.Load(), tokenVectorMisses.Load()
 }
 
+// TokenVectorBytes returns the bytes the process's token-vector tables hold,
+// owned by a call or not: at most the big table plus GOMAXPROCS-1 spares
+// (2 MB + (GOMAXPROCS-1) × 512 KB of vectors at any dimension, plus tags and
+// scratch). A one-slot fallback table lives for one call and is not counted.
+func TokenVectorBytes() int64 { return tokenTableHeld.Load() }
+
 // takeTokenTable hands the caller a table of the given dimension to own until
 // it calls release.
 func takeTokenTable(dim int) *tokenTable {
 	var t *tokenTable
+	kind, budget := bigTable, bigTokenTableBytes
 	tokenTables.Lock()
-	if n := len(tokenTables.free); n > 0 {
-		t, tokenTables.free = tokenTables.free[n-1], tokenTables.free[:n-1]
-	}
-	grow := t == nil && tokenTables.made < maxTokenTables
-	if grow {
-		tokenTables.made++
+	if !tokenTables.bigTaken {
+		t, tokenTables.big, tokenTables.bigTaken = tokenTables.big, nil, true
+	} else {
+		kind, budget = spareTable, tokenTableBytes
+		if n := len(tokenTables.free); n > 0 {
+			t, tokenTables.free = tokenTables.free[n-1], tokenTables.free[:n-1]
+		} else if tokenTables.spares < maxTokenTables-1 {
+			tokenTables.spares++
+		} else {
+			kind, budget = fallbackTable, 0
+		}
 	}
 	tokenTables.Unlock()
-	if t != nil && t.dim == dim {
+	if t == nil {
+		t = &tokenTable{kind: kind}
+	} else if t.dim == dim {
 		return t
 	}
-	// A vector is valid for one dimension only: a listed table of another
-	// dimension is dropped for a new one in its place.
-	return newTokenTable(dim, t != nil || grow)
+	// A vector is valid for one dimension only: a kept table of another
+	// dimension is emptied for this one.
+	held := t.bytes()
+	t.resize(dim, budget)
+	if kind != fallbackTable {
+		tokenTableHeld.Add(t.bytes() - held)
+	}
+	return t
 }
 
 // release adds the call's counts to the process's and gives the table back.
@@ -122,10 +189,14 @@ func (t *tokenTable) release() {
 	tokenVectorHits.Add(t.hits)
 	tokenVectorMisses.Add(t.misses)
 	t.hits, t.misses = 0, 0
-	if !t.listed {
-		return
+	switch t.kind {
+	case bigTable:
+		tokenTables.Lock()
+		tokenTables.big, tokenTables.bigTaken = t, false
+		tokenTables.Unlock()
+	case spareTable:
+		tokenTables.Lock()
+		tokenTables.free = append(tokenTables.free, t)
+		tokenTables.Unlock()
 	}
-	tokenTables.Lock()
-	tokenTables.free = append(tokenTables.free, t)
-	tokenTables.Unlock()
 }

@@ -171,6 +171,14 @@ func testEncodeTokensMatchesReference(t *testing.T) {
 	}
 }
 
+// newTokenTable is a table of budget bytes of vectors at dim, owned by no
+// call.
+func newTokenTable(dim, budget int) *tokenTable {
+	t := &tokenTable{}
+	t.resize(dim, budget)
+	return t
+}
+
 // TestTokenVectorSeedZero: an empty slot must not pass for the vector of seed
 // 0, in a full table or in the one-slot fallback.
 func TestTokenVectorSeedZero(t *testing.T) {
@@ -179,14 +187,91 @@ func TestTokenVectorSeedZero(t *testing.T) {
 	if vector.Norm(want) == 0 {
 		t.Fatal("seed 0 derives the zero vector; the probe proves nothing")
 	}
-	for _, listed := range []bool{false, true} {
-		tv := newTokenTable(16, listed)
+	for _, budget := range []int{0, tokenTableBytes} {
+		tv := newTokenTable(16, budget)
 		if got := tv.vector(0); !sameBits(got, want) || tv.misses != 1 || tv.hits != 0 {
 			t.Errorf("fresh table of %d slots: vector(0) = %v (hits %d, misses %d), want a miss deriving %v", len(tv.seeds), got, tv.hits, tv.misses, want)
 		}
 		if got := tv.vector(0); !sameBits(got, want) || tv.hits != 1 {
 			t.Errorf("table of %d slots: second vector(0) = %v (hits %d), want a hit", len(tv.seeds), got, tv.hits)
 		}
+	}
+}
+
+// TestTokenVectorLRU: ways+1 seeds that share a set, read in a fixed order.
+// Each miss must re-derive into the slot of the least recently read seed, so
+// the sequence's hits and misses are fixed, and every vector returned is
+// vector.PseudoUnit's bit for bit.
+func TestTokenVectorLRU(t *testing.T) { eachKernel(t, testTokenVectorLRU) }
+
+func testTokenVectorLRU(t *testing.T) {
+	const dim = 16
+	tv := newTokenTable(dim, tokenTableBytes)
+	if tv.ways != tokenTableWays || tv.sets < 2 {
+		t.Fatalf("table of %d sets x %d ways; want several sets of %d", tv.sets, tv.ways, tokenTableWays)
+	}
+	seed := func(j int) uint64 { return 0x5eed + uint64(j*tv.sets) } // all in set 0x5eed mod sets
+	steps := []struct {
+		j   int
+		hit bool
+	}{
+		{0, false}, {1, false}, {2, false}, {3, false}, // fill the set
+		{0, true},                                  // 1 is now the least recently read
+		{4, false},                                 // evicts 1
+		{0, true}, {2, true}, {3, true}, {4, true}, // 1 is gone, the rest stay
+		{1, false}, // evicts 0, read longest ago
+		{2, true}, {3, true}, {4, true}, {1, true},
+		{0, false},
+	}
+	want := make([]float64, dim)
+	var hits, misses uint64
+	for i, st := range steps {
+		if st.hit {
+			hits++
+		} else {
+			misses++
+		}
+		got := tv.vector(seed(st.j))
+		vector.PseudoUnit(seed(st.j), want)
+		if !sameBits(got, want) {
+			t.Fatalf("step %d, seed %d: vector differs from vector.PseudoUnit", i, st.j)
+		}
+		if tv.hits != hits || tv.misses != misses {
+			t.Fatalf("step %d, seed %d: %d hits and %d misses so far, want %d and %d (hit %v)", i, st.j, tv.hits, tv.misses, hits, misses, st.hit)
+		}
+	}
+}
+
+// TestEncodeTokensKeepsBigTable: a call hands the big table back, so a second
+// call on the same stream reads every token vector and derives only its noise
+// vector. The stream has more distinct tokens than a spare table has slots,
+// and no more than a set's ways land in one set of the big table.
+func TestEncodeTokensKeepsBigTable(t *testing.T) { eachKernel(t, testEncodeTokensKeepsBigTable) }
+
+func testEncodeTokensKeepsBigTable(t *testing.T) {
+	e := NewFastText() // not contextual, no class words below: one vector a token
+	probe := newTokenTable(e.dim, bigTokenTableBytes)
+	spare := newTokenTable(e.dim, tokenTableBytes)
+	inSet := make([]int, probe.sets)
+	var tokens []string
+	for i := 0; len(tokens) < len(spare.seeds)+len(spare.seeds)/4; i++ {
+		tok := fmt.Sprintf("keep%d", i)
+		s := int(hashAdd(hashSeed(e.seed), tok)) & (probe.sets - 1)
+		if inSet[s] < probe.ways {
+			inSet[s]++
+			tokens = append(tokens, tok)
+		}
+	}
+	want := referenceEncodeTokens(e, tokens)
+	e.EncodeTokens(tokens)
+	h0, m0 := TokenVectorStats()
+	got := e.EncodeTokens(tokens)
+	h1, m1 := TokenVectorStats()
+	if !sameBits(got, want) {
+		t.Fatal("EncodeTokens differs from the reference")
+	}
+	if h1-h0 != uint64(len(tokens)) || m1-m0 != 1 {
+		t.Errorf("second call on %d tokens: %d hits, %d misses, want %d and 1 (the noise vector)", len(tokens), h1-h0, m1-m0, len(tokens))
 	}
 }
 
@@ -211,9 +296,10 @@ func TestEncodeTokensResultsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestEncodeTokensConcurrent: more goroutines than tables, two encoders of
-// different dimensions, every answer equal to the sequential one (run under
-// -race in CI).
+// TestEncodeTokensConcurrent: at least twice as many goroutines as tables, so
+// calls find the big table taken and take spares or the one-slot fallback, two
+// encoders of different dimensions, every answer equal to the sequential one
+// (run under -race in CI).
 func TestEncodeTokensConcurrent(t *testing.T) { eachKernel(t, testEncodeTokensConcurrent) }
 
 func testEncodeTokensConcurrent(t *testing.T) {
@@ -228,7 +314,7 @@ func testEncodeTokensConcurrent(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < max(8, 2*maxTokenTables); g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()

@@ -179,6 +179,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 			emit(float64(hits), "hit")
 			emit(float64(misses), "miss")
 		})
+	r.NewGaugeFunc("dust_embed_token_vector_bytes",
+		"Bytes the encode kernel's token-vector tables hold (bounded: one 2 MB table plus GOMAXPROCS-1 of 512 KB, with tags and scratch).", nil,
+		func(emit func(float64, ...string)) { emit(float64(embed.TokenVectorBytes())) })
 
 	r.NewCounterFunc("dust_align_column_vectors_total",
 		"Lake columns embedded for alignment in this process: hit = vector read back from the column-vector memo, miss = encoded and kept, unstorable = encoded against the request's corpus (a column over the token budget) and not kept; evicted = kept vectors dropped to stay within the memo's byte bound.",

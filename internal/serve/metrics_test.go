@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -266,6 +267,13 @@ func TestMetricsExposition(t *testing.T) {
 		if n := sampleValue(t, text, `dust_embed_token_vectors_total{result="`+result+`"}`); n <= 0 {
 			t.Errorf("dust_embed_token_vectors_total{result=%q} = %v, want a positive count", result, n)
 		}
+	}
+	// The tables' bytes: at least the big table, at most it plus a spare per
+	// other processor, each with its tags and scratch.
+	bigTable, spare := float64(2<<20), float64(512<<10)
+	maxBytes := 1.1 * (bigTable + spare*float64(runtime.GOMAXPROCS(0)-1))
+	if n := sampleValue(t, text, "dust_embed_token_vector_bytes"); n < bigTable || n > maxBytes {
+		t.Errorf("dust_embed_token_vector_bytes = %v, want within [%v, %v]", n, bigTable, maxBytes)
 	}
 
 	// The kernel body this process selected is named, as one series.
