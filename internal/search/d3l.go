@@ -89,7 +89,8 @@ func (d *D3L) Name() string { return "d3l" }
 func (d *D3L) TopK(query *table.Table, k int) []Scored {
 	q := d.indexTable(query)
 	// A background context cannot be cancelled, so there is no error.
-	out, _ := rankTablesCtx(context.Background(), d.lake.Tables(), k, d.workers, unbounded(func(t *table.Table) float64 {
+	tables := d.lake.Tables()
+	out, _ := rankTablesCtx(context.Background(), len(tables), k, d.workers, unbounded(tables, func(t *table.Table) float64 {
 		return d.score(query, &q, t)
 	}))
 	return out

@@ -53,14 +53,14 @@ func (s *Starmie) Save(w io.Writer) error {
 
 	b.Int(len(tables))
 	for _, t := range tables {
-		block, ok := s.cols[t.Name]
-		if !ok {
+		e := s.idx.get(t.Name)
+		if e == nil {
 			return fmt.Errorf("starmie: save: lake table %q not indexed: %w", t.Name, ErrLakeMismatch)
 		}
 		b.String(t.Name)
-		b.Bool(s.big[t.Name])
-		b.Int(len(block) / s.enc.Dim())
-		s.blockRows(block, b.Float64s)
+		b.Bool(e.big)
+		b.Int(len(e.block) / s.enc.Dim())
+		s.blockRows(e.block, b.Float64s)
 	}
 	return codec.WriteEnvelope(w, codec.KindStarmie, StarmieFormatVersion, b.Bytes())
 }
@@ -94,15 +94,14 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 		docFreq[tok] = sc.Int()
 	}
 
-	// The blocks are carved from one allocation sized by the lake the index
-	// must match. A saved table the lake does not hold in the same shape
-	// gets no block — its columns are still scanned, so corruption is
-	// reported before the mismatch, as the checks below order them.
+	// The entries follow the lake's order, their blocks carved from one
+	// allocation sized by the lake the index must match. A saved table the
+	// lake does not hold in the same shape gets no block — its columns are
+	// still scanned, so corruption is reported before the mismatch, as the
+	// checks below order them.
 	lakeTables := l.Tables()
-	lakeBlocks := carveBlocks(lakeTables, s.enc.Dim())
-	blockOf := make(map[string][]float64, len(lakeTables))
-	for i, t := range lakeTables {
-		blockOf[t.Name] = lakeBlocks[i]
+	for i, block := range carveBlocks(lakeTables, s.enc.Dim()) {
+		s.idx.add(entry{t: lakeTables[i], block: block})
 	}
 	nTables := sc.Int()
 	type saved struct {
@@ -114,9 +113,9 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 		name := sc.String()
 		big := sc.Bool()
 		ncols := sc.Int()
-		block := blockOf[name]
-		if dim != s.enc.Dim() || len(block) != ncols*dim {
-			block = nil
+		var block []float64
+		if e := s.idx.get(name); e != nil && dim == s.enc.Dim() && len(e.block) == ncols*dim {
+			block, e.big = e.block, big
 		}
 		for c := 0; c < ncols && sc.Err() == nil; c++ {
 			v := sc.Float64s()
@@ -129,9 +128,6 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 			}
 		}
 		tabs = append(tabs, saved{name, ncols})
-		if big {
-			s.big[name] = true
-		}
 	}
 	if err := sc.Finish(); err != nil {
 		return nil, fmt.Errorf("starmie: load: %w", err)
@@ -148,6 +144,7 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 		return nil, fmt.Errorf("starmie: load: index holds %d tables, lake holds %d: %w",
 			len(tabs), l.Len(), ErrLakeMismatch)
 	}
+	seen := make(map[string]bool, len(tabs))
 	for _, t := range tabs {
 		lt := l.Get(t.name)
 		if lt == nil {
@@ -157,9 +154,9 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 			return nil, fmt.Errorf("starmie: load: table %q has %d columns, index holds %d: %w",
 				t.name, lt.NumCols(), t.ncols, ErrLakeMismatch)
 		}
-		s.cols[t.name] = blockOf[t.name]
+		seen[t.name] = true
 	}
-	if len(s.cols) != len(tabs) {
+	if len(seen) != len(tabs) {
 		return nil, fmt.Errorf("starmie: load: a table is indexed twice: %w", codec.ErrCorrupt)
 	}
 	return s, nil
@@ -234,28 +231,28 @@ func (s *Starmie) LoadANN(r io.Reader) error {
 	if graph.Len() != len(names) {
 		return fmt.Errorf("starmie: load ann: %d nodes but %d names: %w", graph.Len(), len(names), codec.ErrCorrupt)
 	}
-	ids := make(map[string][]int, len(s.cols))
+	ids := make(map[string][]int, len(s.idx.entries))
 	for id, name := range names {
 		ids[name] = append(ids[name], id)
 	}
 	for name := range ids {
-		if _, ok := s.cols[name]; !ok {
+		if s.idx.get(name) == nil {
 			return fmt.Errorf("starmie: load ann: graph covers table %q the index does not hold: %w",
 				name, ErrLakeMismatch)
 		}
 	}
 	// One node per indexed column; a zero-column table legitimately has no
 	// nodes at all.
-	for name, block := range s.cols {
-		if ncols := len(block) / s.enc.Dim(); len(ids[name]) != ncols {
+	for _, e := range s.idx.entries {
+		if ncols := len(e.block) / s.enc.Dim(); len(ids[e.t.Name]) != ncols {
 			return fmt.Errorf("starmie: load ann: table %q has %d nodes, index holds %d columns: %w",
-				name, len(ids[name]), ncols, ErrLakeMismatch)
+				e.t.Name, len(ids[e.t.Name]), ncols, ErrLakeMismatch)
 		}
 	}
 	rows := make([]vector.Vec, graph.Len())
 	for name, nodes := range ids {
 		c := 0
-		s.blockRows(s.cols[name], func(v vector.Vec) { rows[nodes[c]] = v; c++ })
+		s.blockRows(s.idx.get(name).block, func(v vector.Vec) { rows[nodes[c]] = v; c++ })
 	}
 	graph.BindRows(rows)
 	p := s.parts[0]

@@ -380,28 +380,17 @@ func applyOptions(opts []Option) options {
 	return o
 }
 
-// tablesNamed resolves an approximate backend's nominees to the lake's
-// tables, skipping names the lake no longer holds.
-func tablesNamed(l *lake.Lake, names []string) []*table.Table {
-	tables := make([]*table.Table, 0, len(names))
-	for _, n := range names {
-		if t := l.Get(n); t != nil {
-			tables = append(tables, t)
-		}
-	}
-	return tables
-}
+// scoreFunc scores candidate i, returning its table. floor is the score of
+// the worst hit in the caller's full top k (-Inf while it has room); a
+// scorer that can prove the table scores strictly below floor may report
+// skip instead of computing the score.
+type scoreFunc func(i int, floor float64) (t *table.Table, score float64, skip bool)
 
-// scoreFunc scores one candidate table. floor is the score of the worst hit
-// in the caller's full top k (-Inf while it has room); a scorer that can
-// prove the table scores strictly below floor may report skip instead of
-// computing the score.
-type scoreFunc func(t *table.Table, floor float64) (score float64, skip bool)
-
-// unbounded adapts a scorer with no cheaper-than-exact bound (D3L's).
-func unbounded(score func(t *table.Table) float64) func() (scoreFunc, func()) {
+// unbounded adapts a scorer of tables with no cheaper-than-exact bound
+// (D3L's).
+func unbounded(tables []*table.Table, score func(t *table.Table) float64) func() (scoreFunc, func()) {
 	return func() (scoreFunc, func()) {
-		return func(t *table.Table, _ float64) (float64, bool) { return score(t), false }, func() {}
+		return func(i int, _ float64) (*table.Table, float64, bool) { return tables[i], score(tables[i]), false }, func() {}
 	}
 }
 
@@ -432,7 +421,7 @@ func siftDown(h []Scored) {
 }
 
 // rankTablesCtx is the scoring stage of the staged query plan: it scores
-// the candidate tables, one contiguous chunk per worker, and returns the
+// the n candidates, one contiguous chunk per worker, and returns the
 // top k in ranking order (all of them for k <= 0). open is called once per
 // chunk and yields that chunk's scorer — free to own scratch, since only
 // the chunk's goroutine calls it — and a release func run when the chunk
@@ -443,11 +432,11 @@ func siftDown(h []Scored) {
 // cancelled the remaining candidates are not scored and ctx.Err() is
 // returned instead of a partial ranking; cancellation is checked per
 // table, the natural work unit of the scan.
-func rankTablesCtx(ctx context.Context, tables []*table.Table, k, workers int, open func() (scoreFunc, func())) ([]Scored, error) {
+func rankTablesCtx(ctx context.Context, n, k, workers int, open func() (scoreFunc, func())) ([]Scored, error) {
 	done := ctx.Done()
 	var mu sync.Mutex
 	var out []Scored
-	par.ForChunks(workers, len(tables), func(lo, hi int) {
+	par.ForChunks(workers, n, func(lo, hi int) {
 		score, release := open()
 		defer release()
 		size := hi - lo
@@ -456,13 +445,13 @@ func rankTablesCtx(ctx context.Context, tables []*table.Table, k, workers int, o
 		}
 		top := make([]Scored, 0, size) // once k > 0 hits are in: a heap, worst at the root
 		floor := math.Inf(-1)
-		for _, t := range tables[lo:hi] {
+		for i := lo; i < hi; i++ {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			sc, skip := score(t, floor)
+			t, sc, skip := score(i, floor)
 			hit := Scored{Table: t, Score: sc}
 			switch {
 			case skip:

@@ -34,19 +34,8 @@ type Starmie struct {
 	enc    embed.StarmieEncoder
 	lake   *lake.Lake
 	corpus *tokenize.Corpus
-	// cols maps a table name to its block: the table's column embeddings as
-	// NumCols x Dim row-major float64s, exactly as the encoder emitted them
-	// — every row unit length or all-zero (EncodeTableColumns' contract),
-	// which is what lets the scan score a cell as a plain dot product. The
-	// blocks of a built or loaded index are carved from one lake-wide
-	// allocation; AddTable and refreshBig install a block of their own.
-	// Blocks are immutable once installed, so clones share them.
-	cols map[string][]float64
-	// big marks tables with at least one column whose token count exceeds
-	// the encoder budget: their embeddings depend on the corpus TF-IDF
-	// selection and must be refreshed whenever the corpus changes (see
-	// AddTable/RemoveTable). Every other table embeds corpus-independently.
-	big     map[string]bool
+	// idx is the ordered table list the exact scan walks; views share it.
+	idx     *index
 	workers int
 	// MinSim drops column matches below this similarity (Starmie's
 	// verification threshold).
@@ -76,8 +65,8 @@ type Starmie struct {
 
 // part is one shard of the index: its tables and the staged retrieval
 // state over them (mode ANN). The HNSW graph's nodes are rows of the
-// blocks in Starmie.cols (a tombstoned node keeps the row of a block cols
-// may have dropped, until compaction). Node ids map to their owning table
+// index's blocks (a tombstoned node keeps the row of a block the index may
+// have dropped, until compaction). Node ids map to their owning table
 // via annTables (tombstoned nodes keep stale entries until a rebuild);
 // annIDs holds the live node ids of each table. The graph exists only after
 // SetMode(ANN) (or LoadANN) and is kept in sync by AddTable / RemoveTable /
@@ -88,6 +77,73 @@ type part struct {
 	graph     *ann.Index
 	annTables []string
 	annIDs    map[string][]int
+}
+
+// entry is one indexed table. block holds its column embeddings as NumCols
+// x Dim row-major float64s, exactly as the encoder emitted them — every row
+// unit length or all-zero (EncodeTableColumns' contract), which is what lets
+// the scan score a cell as a plain dot product. The blocks of a built or
+// loaded index are carved from one lake-wide allocation; AddTable and
+// refreshBig install a block of their own. Blocks are immutable once
+// installed, so clones share them. big marks a table with at least one
+// column whose token count exceeds the encoder budget: its embeddings depend
+// on the corpus TF-IDF selection and must be refreshed whenever the corpus
+// changes (see AddTable/RemoveTable). Every other table embeds
+// corpus-independently.
+type entry struct {
+	t     *table.Table
+	block []float64
+	big   bool
+}
+
+// index is the searcher's table list: the entries in lake order, which the
+// exact scan reads as is, and each name's position among them, for the
+// paths that look a table up by name. Views share one index through their
+// pointer, so a mutation through a view reaches its parent. CloneWithLake
+// copies both halves (never the blocks): a clone's removal shifts entries in
+// an array of its own, never in one a published snapshot still scans.
+type index struct {
+	entries []entry
+	pos     map[string]int
+}
+
+func newIndex(n int) *index {
+	return &index{entries: make([]entry, 0, n), pos: make(map[string]int, n)}
+}
+
+func (x *index) add(e entry) {
+	x.pos[e.t.Name] = len(x.entries)
+	x.entries = append(x.entries, e)
+}
+
+// get returns name's entry, or nil when name is not indexed.
+func (x *index) get(name string) *entry {
+	if i, ok := x.pos[name]; ok {
+		return &x.entries[i]
+	}
+	return nil
+}
+
+// remove drops name's entry, keeping the others in order.
+func (x *index) remove(name string) {
+	i := x.pos[name]
+	delete(x.pos, name)
+	x.entries = slices.Delete(x.entries, i, i+1)
+	for j, e := range x.entries[i:] {
+		x.pos[e.t.Name] = i + j
+	}
+}
+
+// named resolves an approximate backend's nominees to their entries,
+// skipping names no longer indexed.
+func (x *index) named(names []string) []entry {
+	out := make([]entry, 0, len(names))
+	for _, n := range names {
+		if e := x.get(n); e != nil {
+			out = append(out, *e)
+		}
+	}
+	return out
 }
 
 // Assign returns the part a table name belongs to under n parts: FNV-1a of
@@ -132,21 +188,23 @@ func NewStarmieWithEncoder(l *lake.Lake, enc embed.StarmieEncoder, opts ...Optio
 	o := applyOptions(opts)
 	s := emptyStarmie(l, enc, o)
 	tables := l.Tables()
-	for _, t := range tables {
-		for i := range t.Columns {
-			tokens := embed.ColumnTokens(&t.Columns[i])
-			s.corpus.AddDocument(tokens)
-			if len(tokens) > embed.TokenBudget {
-				s.big[t.Name] = true
-			}
-		}
-	}
 	blocks := carveBlocks(tables, enc.Dim())
-	par.For(s.workers, len(tables), func(i int) { s.embedInto(blocks[i], tables[i]) })
 	for i, t := range tables {
-		s.cols[t.Name] = blocks[i]
+		s.idx.add(entry{t: t, block: blocks[i], big: s.addColumns(t)})
 	}
+	par.For(s.workers, len(tables), func(i int) { s.embedInto(blocks[i], tables[i]) })
 	return s
+}
+
+// addColumns adds t's columns to the corpus and reports whether any of them
+// exceeds the encoder's token budget.
+func (s *Starmie) addColumns(t *table.Table) (big bool) {
+	for i := range t.Columns {
+		tokens := embed.ColumnTokens(&t.Columns[i])
+		s.corpus.AddDocument(tokens)
+		big = big || len(tokens) > embed.TokenBudget
+	}
+	return big
 }
 
 // emptyStarmie is the searcher before any table is indexed — what the
@@ -156,8 +214,7 @@ func emptyStarmie(l *lake.Lake, enc embed.StarmieEncoder, o options) *Starmie {
 		enc:        enc,
 		lake:       l,
 		corpus:     &tokenize.Corpus{},
-		cols:       make(map[string][]float64, l.Len()),
-		big:        make(map[string]bool),
+		idx:        newIndex(l.Len()),
 		workers:    o.workers,
 		MinSim:     0.3,
 		parts:      partition(l, o.shards),
@@ -231,7 +288,8 @@ func (s *Starmie) Lake() *lake.Lake { return s.lake }
 // Parts implements Searcher: a one-part index is its own single part; a
 // sharded one returns a read-only view per part, bound to the part's
 // sub-lake and graph and sharing everything else — what the persistence
-// layer saves one file set per, and what Join merges back.
+// layer saves one file set per, and what Join merges back. The views are for
+// saving and sizing: their exact scan still walks the whole index.
 func (s *Starmie) Parts() []Searcher {
 	if len(s.parts) == 1 {
 		return []Searcher{s}
@@ -316,7 +374,7 @@ func (s *Starmie) buildGraph(p *part) {
 	p.annIDs = make(map[string][]int, p.lake.Len())
 	var rows []vector.Vec
 	for _, t := range p.lake.Tables() {
-		s.blockRows(s.cols[t.Name], func(v vector.Vec) {
+		s.blockRows(s.idx.get(t.Name).block, func(v vector.Vec) {
 			rows = append(rows, v)
 			p.annTables = append(p.annTables, t.Name)
 		})
@@ -329,7 +387,7 @@ func (s *Starmie) buildGraph(p *part) {
 
 // annAdd indexes table name's current column embeddings into p's graph.
 func (s *Starmie) annAdd(p *part, name string) {
-	s.blockRows(s.cols[name], func(v vector.Vec) {
+	s.blockRows(s.idx.get(name).block, func(v vector.Vec) {
 		id := p.graph.Add(v)
 		p.annTables = append(p.annTables, name)
 		p.annIDs[name] = append(p.annIDs[name], id)
@@ -482,7 +540,7 @@ func (s *Starmie) owner(name string) *part {
 // would hold. The table must (also) be added to the lake before querying; a
 // sharded index adds it to its part's sub-lake itself.
 func (s *Starmie) AddTable(t *table.Table) error {
-	if _, ok := s.cols[t.Name]; ok {
+	if s.idx.get(t.Name) != nil {
 		return fmt.Errorf("starmie: AddTable(%q): %w", t.Name, ErrDuplicateTable)
 	}
 	p := s.parts[Assign(t.Name, len(s.parts))]
@@ -491,14 +549,8 @@ func (s *Starmie) AddTable(t *table.Table) error {
 			return err
 		}
 	}
-	for i := range t.Columns {
-		tokens := embed.ColumnTokens(&t.Columns[i])
-		s.corpus.AddDocument(tokens)
-		if len(tokens) > embed.TokenBudget {
-			s.big[t.Name] = true
-		}
-	}
-	s.cols[t.Name] = s.embed(t)
+	big := s.addColumns(t)
+	s.idx.add(entry{t: t, block: s.embed(t), big: big})
 	s.refreshBig(t.Name)
 	if p.graph != nil {
 		s.annAdd(p, t.Name)
@@ -512,19 +564,18 @@ func (s *Starmie) AddTable(t *table.Table) error {
 // lake afterwards. A sharded index removes it from its part's sub-lake
 // itself.
 func (s *Starmie) RemoveTable(name string) error {
-	if _, ok := s.cols[name]; !ok {
+	e := s.idx.get(name)
+	if e == nil {
 		return fmt.Errorf("starmie: RemoveTable(%q): %w", name, ErrUnknownTable)
 	}
 	p := s.owner(name)
 	if p == nil {
 		return fmt.Errorf("starmie: RemoveTable(%q): table already left the lake: %w", name, ErrUnknownTable)
 	}
-	t := p.lake.Get(name)
-	for i := range t.Columns {
-		s.corpus.RemoveDocument(embed.ColumnTokens(&t.Columns[i]))
+	for i := range e.t.Columns {
+		s.corpus.RemoveDocument(embed.ColumnTokens(&e.t.Columns[i]))
 	}
-	delete(s.cols, name)
-	delete(s.big, name)
+	s.idx.remove(name)
 	if p.graph != nil {
 		p.annRemove(name)
 	}
@@ -537,40 +588,37 @@ func (s *Starmie) RemoveTable(name string) error {
 }
 
 // refreshBig re-embeds every indexed table marked corpus-sensitive, in
-// parallel, skipping the one just encoded with the current corpus. Each
-// part's graph follows its tables in the part's lake order. Tables under
-// the token budget never enter s.big, so the common mutation costs
-// O(new table) only.
+// parallel, skipping the one just encoded with the current corpus. The
+// graphs follow the changed tables in index order. Tables under the token
+// budget are never marked big, so the common mutation costs O(new table)
+// plus one walk of the entries.
 func (s *Starmie) refreshBig(skip string) {
-	type staleTable struct {
-		t *table.Table
-		p *part
-	}
-	var stale []staleTable
-	for _, p := range s.parts {
-		for _, t := range p.lake.Tables() {
-			if _, ok := s.cols[t.Name]; ok && s.big[t.Name] && t.Name != skip {
-				stale = append(stale, staleTable{t, p})
-			}
+	var stale []int
+	for i, e := range s.idx.entries {
+		if e.big && e.t.Name != skip {
+			stale = append(stale, i)
 		}
 	}
 	if len(stale) == 0 {
 		return
 	}
-	embedded := par.Map(s.workers, len(stale), func(i int) []float64 { return s.embed(stale[i].t) })
-	for i, st := range stale {
-		name := st.t.Name
-		old := s.cols[name]
-		s.cols[name] = embedded[i]
-		if st.p.graph != nil && !slices.Equal(old, embedded[i]) {
-			// The stored vectors actually changed; the graph must follow
-			// (nodes are immutable once inserted, so swap them).
+	embedded := par.Map(s.workers, len(stale), func(i int) []float64 { return s.embed(s.idx.entries[stale[i]].t) })
+	for i, at := range stale {
+		e := &s.idx.entries[at]
+		old := e.block
+		e.block = embedded[i]
+		if slices.Equal(old, e.block) {
 			// Corpus refreshes usually re-select the same TF-IDF tokens
 			// and reproduce the old embeddings bit-for-bit — skipping
 			// those keeps mutation cost O(delta) instead of tombstoning
 			// (and eventually rebuilding over) every big table each time.
-			st.p.annRemove(name)
-			s.annAdd(st.p, name)
+			continue
+		}
+		if p := s.owner(e.t.Name); p != nil && p.graph != nil {
+			// The stored vectors actually changed; the graph must follow
+			// (nodes are immutable once inserted, so swap them).
+			p.annRemove(e.t.Name)
+			s.annAdd(p, e.t.Name)
 		}
 	}
 }
@@ -586,17 +634,16 @@ func (s *Starmie) QueryWorkers(n int) Searcher {
 
 // CloneWithLake implements Searcher: the returned searcher is bound to l (a
 // clone of this searcher's lake holding the same table set) and owns its
-// own corpus, table-to-block map, sub-lakes and graph adjacency, so
+// own corpus, table list, sub-lakes and graph adjacency, so
 // AddTable/RemoveTable on it never disturb this searcher. The blocks
 // themselves are shared — both mutation paths install a fresh block
-// (AddTable, refreshBig), never write into one — so a clone costs one map
-// copy, not the lake's vectors.
+// (AddTable, refreshBig), never write into one — so a clone costs one copy
+// of the entries and their name map, not the lake's vectors.
 func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
 	c := *s
 	c.lake = l
 	c.corpus = s.corpus.Clone()
-	c.cols = maps.Clone(s.cols)
-	c.big = maps.Clone(s.big)
+	c.idx = &index{entries: slices.Clone(s.idx.entries), pos: maps.Clone(s.idx.pos)}
 	c.parts = make([]*part, len(s.parts))
 	for i, p := range s.parts {
 		cp := &part{lake: l}
@@ -619,15 +666,6 @@ func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
 	return &c
 }
 
-// score computes the normalized bipartite matching weight between the query
-// and one lake table.
-func (s *Starmie) score(q *vector.QueryPanels, t *table.Table) float64 {
-	sc := scanPool.Get().(*scan)
-	defer scanPool.Put(sc)
-	score, _ := sc.score(s, q, t, math.Inf(-1))
-	return score
-}
-
 // scan is one goroutine's scoring scratch: the flat |Q| x ncols weight
 // buffer, the per-row arg-maxes and the matching's working arrays. Scans
 // are pooled, so a steady-state query allocates none of it.
@@ -646,13 +684,12 @@ const (
 
 var scanPool = sync.Pool{New: func() any { return new(scan) }}
 
-// score is the exact unionability score of t under the query columns q
-// (unit or all-zero rows, like the stored blocks; interleaved once per query
-// into the panels the cosine kernel reads, while the blocks stay row-major
-// as built): the maximum-weight
-// matching over cells w[i][j] = min(q[i]·c[j], 1) where that exceeds MinSim
-// (floored at 0: a non-positive weight never joins a matching), else 0,
-// divided by |Q|. It leaves by the cheapest exact exit. ub = Σᵢ maxⱼ w[i][j]
+// score is the exact unionability score of the table stored in block under
+// the query columns q (unit or all-zero rows, like the stored blocks;
+// interleaved once per query into the panels the cosine kernel reads, while
+// the blocks stay row-major as built): the maximum-weight matching over
+// cells w[i][j] = min(q[i]·c[j], 1) where that exceeds MinSim (floored at
+// 0: a non-positive weight never joins a matching), else 0, divided by |Q|. It leaves by the cheapest exact exit. ub = Σᵢ maxⱼ w[i][j]
 // / |Q| bounds every matching from above — in floating point too: both sums
 // run in row order and rounding is monotone — so the table is cut, unscored,
 // once ub cannot reach floor; strictly below only, so that a tie on score
@@ -660,8 +697,7 @@ var scanPool = sync.Pool{New: func() any { return new(scan) }}
 // columns they are a matching that attains ub, and any other optimal
 // matching needs the same per-row weights, so ub is the Hungarian total bit
 // for bit. Otherwise the Hungarian step decides.
-func (sc *scan) score(s *Starmie, q *vector.QueryPanels, t *table.Table, floor float64) (score float64, exit int) {
-	block := s.cols[t.Name]
+func (sc *scan) score(s *Starmie, q *vector.QueryPanels, block []float64, floor float64) (score float64, exit int) {
 	nq, nc := q.Len(), len(block)/s.enc.Dim()
 	if nq == 0 || nc == 0 {
 		return 0, scanGreedy
@@ -733,8 +769,9 @@ func (s *Starmie) Prepare(query *table.Table) PreparedQuery {
 }
 
 // TopKPrepared implements Searcher as the staged plan: retrieve candidates
-// (every lake table in Exact mode; the owners of the nearest column
-// embeddings in every part's graph in ANN mode), then score them exactly,
+// (every indexed table, in index order, in Exact mode; the owners of the
+// nearest column embeddings in every part's graph in ANN mode, resolved to
+// their entries once), then score them exactly,
 // in parallel, and keep the top k. The candidate scan stops scoring further
 // tables once ctx is cancelled and the call returns ctx.Err().
 func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error) {
@@ -747,21 +784,21 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	}
 	tr := TraceFrom(ctx)
 	t0 := time.Now()
-	cands := s.lake.Tables()
+	cands := s.idx.entries
 	if s.mode == ANN && s.hasGraphs() && k > 0 {
 		// ANN retrieval needs a positive k to size its pool; k <= 0 asks
 		// for the full ranking, which only the exact scan can provide.
-		cands = tablesNamed(s.lake, s.annCandidateNames(p.cols, k))
+		cands = s.idx.named(s.annCandidateNames(p.cols, k))
 	}
 	tr.AddRetrieve(t0)
 	t0 = time.Now()
-	out, err := rankTablesCtx(ctx, cands, k, s.workers, func() (scoreFunc, func()) {
+	out, err := rankTablesCtx(ctx, len(cands), k, s.workers, func() (scoreFunc, func()) {
 		sc := scanPool.Get().(*scan)
 		var exits [3]int64
-		return func(t *table.Table, floor float64) (float64, bool) {
-				score, exit := sc.score(s, p.panels, t, floor)
+		return func(i int, floor float64) (*table.Table, float64, bool) {
+				score, exit := sc.score(s, p.panels, cands[i].block, floor)
 				exits[exit]++
-				return score, exit == scanBounded
+				return cands[i].t, score, exit == scanBounded
 			}, func() {
 				tr.AddScan(exits[scanBounded], exits[scanGreedy], exits[scanMatched])
 				scanPool.Put(sc)
@@ -806,11 +843,14 @@ func Join(full *lake.Lake, parts []*Starmie) (*Starmie, error) {
 	}
 	s := *parts[0]
 	s.lake, s.parts = full, nil
-	s.cols = make(map[string][]float64, full.Len())
-	s.big = make(map[string]bool)
+	s.idx = newIndex(full.Len())
+	for _, t := range full.Tables() {
+		s.idx.add(entry{t: t})
+	}
 	for _, p := range parts {
-		maps.Copy(s.cols, p.cols)
-		maps.Copy(s.big, p.big)
+		for _, e := range p.idx.entries {
+			*s.idx.get(e.t.Name) = e
+		}
 		s.parts = append(s.parts, p.parts...)
 	}
 	return &s, nil
