@@ -109,6 +109,14 @@ func (e *Encoder) Instrument(c *atomic.Int64) { e.calls = c }
 // its slot, across calls; the result is the only allocation and aliases
 // nothing of the table.
 func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
+	out := make(vector.Vec, e.dim)
+	e.EncodeTokensInto(out, tokens)
+	return out
+}
+
+// EncodeTokensInto is EncodeTokens writing the embedding over out, which is
+// Dim long, instead of allocating it.
+func (e *Encoder) EncodeTokensInto(out vector.Vec, tokens []string) {
 	if e.calls != nil {
 		e.calls.Add(1)
 	}
@@ -157,7 +165,7 @@ func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 	// The shared component takes the anisotropy fraction; the remainder is
 	// split between content and instance noise (noise is relative to the
 	// content share so the two knobs are independent).
-	out := make(vector.Vec, e.dim)
+	clear(out)
 	contentScale := 1 - e.anisotropy
 	vector.AddScaled(out, content, contentScale*(1-e.noise))
 	vector.AddScaled(out, e.common, e.anisotropy)
@@ -175,5 +183,4 @@ func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 		vector.AddScaled(out, content, contentScale*e.noise)
 	}
 	vector.NormalizeInPlace(out)
-	return out
 }

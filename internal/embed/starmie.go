@@ -45,24 +45,38 @@ func (s StarmieEncoder) Dim() int { return s.Model.Dim() }
 // stores them as emitted and scores a pair by its plain dot product on the
 // strength of that. The corpus is taken lazily, as by
 // ColumnEncoder.EncodeColumn: it is called only for a column over TokenBudget.
+// The vectors are capacity-capped rows of one allocation.
 func (s StarmieEncoder) EncodeTableColumns(t *table.Table, corpus func() *tokenize.Corpus) []vector.Vec {
-	content := make([]vector.Vec, t.NumCols())
-	for i := range t.Columns {
-		tokens, _ := budgetTokens(&t.Columns[i], corpus)
-		content[i] = s.Model.EncodeTokens(tokens)
-	}
-	if len(content) == 0 {
-		return content
-	}
-	ctx := vector.Mean(content)
-	out := make([]vector.Vec, len(content))
-	for i, c := range content {
-		v := make(vector.Vec, len(c))
-		for j := range v {
-			v[j] = float64((1-s.ContextWeight)*c[j]) + float64(s.ContextWeight*ctx[j])
-		}
-		vector.NormalizeInPlace(v)
-		out[i] = v
+	dim := s.Dim()
+	block := make([]float64, t.NumCols()*dim)
+	s.EncodeTableColumnsInto(block, t, corpus)
+	out := make([]vector.Vec, t.NumCols())
+	for i := range out {
+		out[i] = block[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return out
+}
+
+// EncodeTableColumnsInto writes EncodeTableColumns' vectors over block, as
+// NumCols x Dim row-major float64s: each column is encoded into its row and
+// then mixed with the table context in place, so an index build allocates
+// no vector of its own per column.
+func (s StarmieEncoder) EncodeTableColumnsInto(block []float64, t *table.Table, corpus func() *tokenize.Corpus) {
+	dim := s.Dim()
+	rows := make([]vector.Vec, t.NumCols())
+	for i := range t.Columns {
+		tokens, _ := budgetTokens(&t.Columns[i], corpus)
+		rows[i] = block[i*dim : (i+1)*dim : (i+1)*dim]
+		s.Model.EncodeTokensInto(rows[i], tokens)
+	}
+	if len(rows) == 0 {
+		return
+	}
+	ctx := vector.Mean(rows)
+	for _, v := range rows {
+		for j, c := range v {
+			v[j] = float64((1-s.ContextWeight)*c) + float64(s.ContextWeight*ctx[j])
+		}
+		vector.NormalizeInPlace(v)
+	}
 }

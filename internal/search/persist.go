@@ -9,6 +9,7 @@ import (
 	"dust/internal/codec"
 	"dust/internal/embed"
 	"dust/internal/lake"
+	"dust/internal/par"
 	"dust/internal/vector"
 )
 
@@ -98,10 +99,12 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 	// allocation sized by the lake the index must match. A saved table the
 	// lake does not hold in the same shape gets no block — its columns are
 	// still scanned, so corruption is reported before the mismatch, as the
-	// checks below order them.
+	// checks below order them. The codes are not saved: they are derived
+	// from the loaded blocks once all of them are in.
 	lakeTables := l.Tables()
-	for i, block := range carveBlocks(lakeTables, s.enc.Dim()) {
-		s.idx.add(entry{t: lakeTables[i], block: block})
+	blocks, codes := carveBlocks(lakeTables, s.enc.Dim())
+	for i, block := range blocks {
+		s.idx.add(entry{t: lakeTables[i], block: block, code: codes[i]})
 	}
 	nTables := sc.Int()
 	type saved struct {
@@ -159,6 +162,10 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 	if len(seen) != len(tabs) {
 		return nil, fmt.Errorf("starmie: load: a table is indexed twice: %w", codec.ErrCorrupt)
 	}
+	par.For(s.workers, len(s.idx.entries), func(i int) {
+		e := &s.idx.entries[i]
+		e.code.Quantize(e.block, dim)
+	})
 	return s, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dust/internal/datagen"
@@ -97,11 +98,13 @@ func TestBlocksAreUnitOrZero(t *testing.T) {
 	}
 }
 
-// weightsSearcher builds a searcher and a block that scores, against the
+// weightsSearcher builds a searcher and an entry that scores, against the
 // returned query, exactly the given weight matrix: query column i is the
 // basis vector e_i and stored column j carries w[i][j] in coordinate i, so
-// each dot is a single exact product.
-func weightsSearcher(w [][]float64, minSim float64) (*Starmie, *vector.QueryPanels, []float64) {
+// each dot is a single exact product. (A stored column is not unit length,
+// but against a basis vector the code bound still holds: it is the
+// coordinate's code times its scale plus the row's error bound.)
+func weightsSearcher(w [][]float64, minSim float64) (*Starmie, *starmiePrepared, *entry) {
 	s := emptyStarmie(lake.New("w"), embed.NewStarmie(), options{})
 	s.MinSim = minSim
 	dim, nc := s.enc.Dim(), len(w[0])
@@ -114,20 +117,22 @@ func weightsSearcher(w [][]float64, minSim float64) (*Starmie, *vector.QueryPane
 			block[j*dim+i] = x
 		}
 	}
-	return s, vector.NewQueryPanels(q), block
+	code := vector.NewCodeBlock(nc, dim)
+	code.Quantize(block, dim)
+	return s, &starmiePrepared{cols: q, panels: vector.NewQueryPanels(q), codes: vector.NewQueryCodes(q)}, &entry{block: block, code: code}
 }
 
-// TestScoreExitsAreExact checks the three exits of scan.score against the
+// TestScoreExitsAreExact checks the four exits of scan.score against the
 // Hungarian total on random weight matrices, ties and empty rows included:
 // the score is the reference score bit for bit whichever exit produced it;
 // the greedy exit is taken exactly when the rows' maxima sit in distinct
 // columns; a floor at the score itself never cuts the table (a tie must
-// reach the name comparison); and whenever a floor does cut, the true score
-// is strictly below it.
+// reach the name comparison); and whenever a floor does cut, by either
+// bound, the true score is strictly below it.
 func TestScoreExitsAreExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	var sc scan
-	exits := [3]int{}
+	exits := [scanExits]int{}
 	for trial := 0; trial < 3000; trial++ {
 		nq, nc := 1+rng.Intn(6), 1+rng.Intn(6)
 		levels := 1 + rng.Intn(5)
@@ -145,25 +150,25 @@ func TestScoreExitsAreExact(t *testing.T) {
 				}
 			}
 		}
-		s, q, block := weightsSearcher(w, 0)
+		s, q, e := weightsSearcher(w, 0)
 		_, total := match.MaxWeight(w)
 		want := total / float64(nq)
 
-		got, exit := sc.score(s, q, block, math.Inf(-1))
-		if got != want || exit == scanBounded {
+		got, exit := sc.score(s, q, e, math.Inf(-1))
+		if got != want || exit <= scanBounded {
 			t.Fatalf("trial %d: score %v (exit %d), Hungarian %v (w=%v)", trial, got, exit, want, w)
 		}
 		exits[exit]++
-		if tied, exit := sc.score(s, q, block, want); tied != want || exit == scanBounded {
+		if tied, exit := sc.score(s, q, e, want); tied != want || exit <= scanBounded {
 			t.Fatalf("trial %d: floor == score cut the table or moved its score: %v exit %d (w=%v)", trial, tied, exit, w)
 		}
 		for _, floor := range []float64{math.Nextafter(want, 2), want + 0.05, want + 0.3, 1} {
-			if _, exit := sc.score(s, q, block, floor); exit == scanBounded {
+			if _, exit := sc.score(s, q, e, floor); exit <= scanBounded {
 				exits[exit]++
 			}
 		}
 		for _, floor := range []float64{math.Nextafter(want, -1), want - 0.05, 0} {
-			if _, exit := sc.score(s, q, block, floor); exit == scanBounded {
+			if _, exit := sc.score(s, q, e, floor); exit <= scanBounded {
 				t.Fatalf("trial %d: floor %v cut a table scoring %v (w=%v)", trial, floor, want, w)
 			}
 		}
@@ -181,12 +186,12 @@ func TestScoreExitsAreExact(t *testing.T) {
 func TestGreedyExitNeedsDistinctMaxima(t *testing.T) {
 	var sc scan
 	hi, mid, lo := 0.9, 0.8, 0.7
-	s, q, block := weightsSearcher([][]float64{{hi, mid}, {lo, 0.1}}, 0)
-	if got, exit := sc.score(s, q, block, math.Inf(-1)); got != (mid+lo)/2 || exit != scanMatched {
+	s, q, e := weightsSearcher([][]float64{{hi, mid}, {lo, 0.1}}, 0)
+	if got, exit := sc.score(s, q, e, math.Inf(-1)); got != (mid+lo)/2 || exit != scanMatched {
 		t.Errorf("colliding maxima: score %v exit %d, want 0.75 by matching", got, exit)
 	}
-	s, q, block = weightsSearcher([][]float64{{hi, 0.1}, {0.2, mid}}, 0)
-	if got, exit := sc.score(s, q, block, math.Inf(-1)); got != (hi+mid)/2 || exit != scanGreedy {
+	s, q, e = weightsSearcher([][]float64{{hi, 0.1}, {0.2, mid}}, 0)
+	if got, exit := sc.score(s, q, e, math.Inf(-1)); got != (hi+mid)/2 || exit != scanGreedy {
 		t.Errorf("distinct maxima: score %v exit %d, want 0.85 by the shortcut", got, exit)
 	}
 }
@@ -196,9 +201,9 @@ func TestGreedyExitNeedsDistinctMaxima(t *testing.T) {
 func TestScoreDropsSimAtMinSim(t *testing.T) {
 	const minSim = 0.3
 	above := math.Nextafter(minSim, 1)
-	s, q, block := weightsSearcher([][]float64{{minSim, 0.1}, {0.2, above}}, minSim)
+	s, q, e := weightsSearcher([][]float64{{minSim, 0.1}, {0.2, above}}, minSim)
 	var sc scan
-	if got, _ := sc.score(s, q, block, math.Inf(-1)); got != above/2 {
+	if got, _ := sc.score(s, q, e, math.Inf(-1)); got != above/2 {
 		t.Errorf("Score = %v, want %v: only the cell above MinSim counts", got, above/2)
 	}
 }
@@ -439,7 +444,8 @@ func reload(t *testing.T, s *Starmie, rng *rand.Rand) *Starmie {
 }
 
 // checkIndex holds s's index to its lake and to a from-scratch index over
-// the same lake.
+// the same lake, and each entry's codes to a fresh quantisation of its
+// block.
 func checkIndex(t *testing.T, label string, s *Starmie, queries []*table.Table) {
 	t.Helper()
 	names := s.lake.Names()
@@ -459,11 +465,70 @@ func checkIndex(t *testing.T, label string, s *Starmie, queries []*table.Table) 
 		if !same {
 			t.Fatalf("%s: table %q's block (big %v) differs from a fresh index's (big %v)", label, e.t.Name, e.big, want.big)
 		}
+		fresh := vector.NewCodeBlock(len(e.code.S), s.enc.Dim())
+		fresh.Quantize(e.block, s.enc.Dim())
+		if len(e.code.S)*s.enc.Dim() != len(e.block) || !slices.Equal(e.code.K, fresh.K) || !sameScales(e.code.S, fresh.S) {
+			t.Fatalf("%s: table %q's codes differ from a fresh quantisation of its block", label, e.t.Name)
+		}
 	}
 	for i, q := range queries {
 		for _, k := range []int{10, 0} {
 			assertSameHits(t, fmt.Sprintf("%s: query %d, k=%d", label, i, k), TopK(s, q, k), TopK(ref, q, k))
 		}
+	}
+}
+
+// sameScales reports whether two rows of scales are bit-identical.
+func sameScales(a, b []vector.CodeScale) bool {
+	return slices.EqualFunc(a, b, func(x, y vector.CodeScale) bool {
+		return math.Float64bits(x.Scale) == math.Float64bits(y.Scale) && math.Float64bits(x.Err) == math.Float64bits(y.Err)
+	})
+}
+
+// TestCodeCutIsBoundedCut holds the code pre-pass to what makes it exact:
+// over the dirty lake's every table and query, at floors across the range
+// scores take, whenever score leaves by the coded exit the float64 walk
+// alone (the cells' dots, clamped, summed in row order with its reach cut)
+// cuts the table too, so the ranking and the other exits' counts are those
+// of a scan without the pre-pass. It also pins that the pre-pass cuts most
+// of what the float64 bound cuts, which is what it is for.
+func TestCodeCutIsBoundedCut(t *testing.T) {
+	s, queries := dirtyLake(t, embed.NewStarmie())
+	var sc scan
+	var coded, bounded int
+	for qi, query := range queries {
+		q := s.Prepare(query).(*starmiePrepared)
+		nq := q.panels.Len()
+		for _, e := range s.idx.entries {
+			nc := len(e.code.S)
+			if nq == 0 || nc == 0 {
+				continue
+			}
+			w := make([]float64, nq*nc)
+			for p := 0; p*vector.PanelRows < nq; p++ {
+				q.panels.DotBlock(p, e.block, w)
+			}
+			for _, floor := range []float64{0.05, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95} {
+				floatCut, ub := false, 0.0
+				for i := 0; i < nq && !floatCut; i++ {
+					best, _ := clampRow(slices.Clone(w[i*nc:(i+1)*nc]), max(s.MinSim, 0))
+					ub += best
+					floatCut = cannotReach(ub, i, nq, floor)
+				}
+				switch _, exit := sc.score(s, q, &e, floor); {
+				case exit == scanCoded && !floatCut:
+					t.Fatalf("query %d, table %q, floor %v: the code bound cut a table the float64 bound keeps", qi, e.t.Name, floor)
+				case exit == scanCoded:
+					coded++
+				case floatCut:
+					bounded++
+				}
+			}
+		}
+	}
+	t.Logf("cut by the code bound %d, by the float64 bound after it %d", coded, bounded)
+	if coded < 4*bounded {
+		t.Errorf("the code bound cut %d tables and left %d for the float64 bound: want at least four in five", coded, bounded)
 	}
 }
 

@@ -231,13 +231,15 @@ type Trace struct {
 	// DiversifyNS is nanoseconds spent in the diversification stage; the
 	// search layer never writes it, the dust pipeline does.
 	DiversifyNS atomic.Int64
-	// ScanBounded, ScanGreedy and ScanMatched count the candidate tables of
-	// Starmie's exact scoring pass by the exit each took: cut by the
-	// matching's upper bound without being scored, scored by distinct
-	// per-column arg-maxes, or scored by the Hungarian step. The split is
-	// input-dependent — a query whose candidates all tie defeats the bound
-	// — so it is counted, not assumed.
-	ScanBounded, ScanGreedy, ScanMatched atomic.Int64
+	// ScanCoded, ScanBounded, ScanGreedy and ScanMatched count the
+	// candidate tables of Starmie's exact scoring pass by the exit each
+	// took: cut by the matching's upper bound over the column codes before
+	// a float64 is read, cut by the same bound over the float64 cells
+	// without being scored, scored by distinct per-column arg-maxes, or
+	// scored by the Hungarian step. The split is input-dependent — a query
+	// whose candidates all tie defeats the bounds — so it is counted, not
+	// assumed.
+	ScanCoded, ScanBounded, ScanGreedy, ScanMatched atomic.Int64
 }
 
 // AddEncode adds the wall time since start to the encode stage. A nil
@@ -279,8 +281,9 @@ func (tr *Trace) AddDiversify(start time.Time) {
 
 // AddScan adds one scan's candidate counts per exit; nil-safe like the
 // stage helpers.
-func (tr *Trace) AddScan(bounded, greedy, matched int64) {
+func (tr *Trace) AddScan(coded, bounded, greedy, matched int64) {
 	if tr != nil {
+		tr.ScanCoded.Add(coded)
 		tr.ScanBounded.Add(bounded)
 		tr.ScanGreedy.Add(greedy)
 		tr.ScanMatched.Add(matched)

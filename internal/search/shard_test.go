@@ -79,14 +79,14 @@ type alienPrepared struct{ q *table.Table }
 func (a alienPrepared) Query() *table.Table { return a.q }
 
 // scanned is the number of candidate tables one traced query scored or
-// cut by the bound.
+// cut by either bound.
 func scanned(t *testing.T, s Searcher, q *table.Table, k int) int64 {
 	t.Helper()
 	var tr Trace
 	if _, err := TopKCtx(WithTrace(context.Background(), &tr), s, q, k); err != nil {
 		t.Fatal(err)
 	}
-	return tr.ScanBounded.Load() + tr.ScanGreedy.Load() + tr.ScanMatched.Load()
+	return tr.ScanCoded.Load() + tr.ScanBounded.Load() + tr.ScanGreedy.Load() + tr.ScanMatched.Load()
 }
 
 // TestSearcherConformance runs the Searcher contract over a one-part and a

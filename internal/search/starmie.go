@@ -82,10 +82,13 @@ type part struct {
 // entry is one indexed table. block holds its column embeddings as NumCols
 // x Dim row-major float64s, exactly as the encoder emitted them — every row
 // unit length or all-zero (EncodeTableColumns' contract), which is what lets
-// the scan score a cell as a plain dot product. The blocks of a built or
-// loaded index are carved from one lake-wide allocation; AddTable and
-// refreshBig install a block of their own. Blocks are immutable once
-// installed, so clones share them. big marks a table with at least one
+// the scan score a cell as a plain dot product. code is the same rows
+// quantised to int8 codes with each row's scale and error bound, what the
+// scan's pre-pass reads instead of the float64s; it is derived from block
+// wherever a block is installed, and never saved. The blocks and codes of a
+// built or loaded index are carved from lake-wide allocations; AddTable and
+// refreshBig install a block and codes of their own. Both are immutable
+// once installed, so clones share them. big marks a table with at least one
 // column whose token count exceeds the encoder budget: its embeddings depend
 // on the corpus TF-IDF selection and must be refreshed whenever the corpus
 // changes (see AddTable/RemoveTable). Every other table embeds
@@ -93,6 +96,7 @@ type part struct {
 type entry struct {
 	t     *table.Table
 	block []float64
+	code  vector.CodeBlock
 	big   bool
 }
 
@@ -188,11 +192,11 @@ func NewStarmieWithEncoder(l *lake.Lake, enc embed.StarmieEncoder, opts ...Optio
 	o := applyOptions(opts)
 	s := emptyStarmie(l, enc, o)
 	tables := l.Tables()
-	blocks := carveBlocks(tables, enc.Dim())
+	blocks, codes := carveBlocks(tables, enc.Dim())
 	for i, t := range tables {
-		s.idx.add(entry{t: t, block: blocks[i], big: s.addColumns(t)})
+		s.idx.add(entry{t: t, block: blocks[i], code: codes[i], big: s.addColumns(t)})
 	}
-	par.For(s.workers, len(tables), func(i int) { s.embedInto(blocks[i], tables[i]) })
+	par.For(s.workers, len(tables), func(i int) { s.embedInto(blocks[i], codes[i], tables[i]) })
 	return s
 }
 
@@ -225,38 +229,40 @@ func emptyStarmie(l *lake.Lake, enc embed.StarmieEncoder, o options) *Starmie {
 
 // carveBlocks cuts one allocation sized for every column of tables into
 // per-table blocks (NumCols x dim each, capacity-capped so an append can
-// never run into a neighbour), in table order.
-func carveBlocks(tables []*table.Table, dim int) [][]float64 {
+// never run into a neighbour), in table order, and the blocks' codes
+// likewise.
+func carveBlocks(tables []*table.Table, dim int) ([][]float64, []vector.CodeBlock) {
+	cols := make([]int, len(tables))
 	total := 0
-	for _, t := range tables {
-		total += t.NumCols() * dim
+	for i, t := range tables {
+		cols[i] = t.NumCols()
+		total += cols[i] * dim
 	}
 	arena := make([]float64, total)
 	blocks := make([][]float64, len(tables))
-	for i, t := range tables {
-		n := t.NumCols() * dim
+	for i, n := range cols {
+		n *= dim
 		blocks[i], arena = arena[:n:n], arena[n:]
 	}
-	return blocks
+	return blocks, vector.CarveCodeBlocks(cols, dim)
 }
 
 // indexCorpus hands the encoder the index corpus, which it reads only for
 // a column over the token budget.
 func (s *Starmie) indexCorpus() *tokenize.Corpus { return s.corpus }
 
-// embedInto encodes t's columns against the current corpus into block.
-func (s *Starmie) embedInto(block []float64, t *table.Table) {
-	dim := s.enc.Dim()
-	for c, v := range s.enc.EncodeTableColumns(t, s.indexCorpus) {
-		copy(block[c*dim:(c+1)*dim], v)
-	}
+// embedInto encodes t's columns against the current corpus into block and
+// quantises them into code.
+func (s *Starmie) embedInto(block []float64, code vector.CodeBlock, t *table.Table) {
+	s.enc.EncodeTableColumnsInto(block, t, s.indexCorpus)
+	code.Quantize(block, s.enc.Dim())
 }
 
-// embed is embedInto a block of t's own.
-func (s *Starmie) embed(t *table.Table) []float64 {
-	block := make([]float64, t.NumCols()*s.enc.Dim())
-	s.embedInto(block, t)
-	return block
+// embed is embedInto a block and codes of t's own.
+func (s *Starmie) embed(t *table.Table) ([]float64, vector.CodeBlock) {
+	block, code := make([]float64, t.NumCols()*s.enc.Dim()), vector.NewCodeBlock(t.NumCols(), s.enc.Dim())
+	s.embedInto(block, code, t)
+	return block, code
 }
 
 // blockRows iterates the column embeddings stored in block, each a
@@ -550,7 +556,8 @@ func (s *Starmie) AddTable(t *table.Table) error {
 		}
 	}
 	big := s.addColumns(t)
-	s.idx.add(entry{t: t, block: s.embed(t), big: big})
+	block, code := s.embed(t)
+	s.idx.add(entry{t: t, block: block, code: code, big: big})
 	s.refreshBig(t.Name)
 	if p.graph != nil {
 		s.annAdd(p, t.Name)
@@ -602,11 +609,15 @@ func (s *Starmie) refreshBig(skip string) {
 	if len(stale) == 0 {
 		return
 	}
-	embedded := par.Map(s.workers, len(stale), func(i int) []float64 { return s.embed(s.idx.entries[stale[i]].t) })
+	embedded := par.Map(s.workers, len(stale), func(i int) entry {
+		e := s.idx.entries[stale[i]]
+		e.block, e.code = s.embed(e.t)
+		return e
+	})
 	for i, at := range stale {
 		e := &s.idx.entries[at]
 		old := e.block
-		e.block = embedded[i]
+		*e = embedded[i]
 		if slices.Equal(old, e.block) {
 			// Corpus refreshes usually re-select the same TF-IDF tokens
 			// and reproduce the old embeddings bit-for-bit — skipping
@@ -677,62 +688,67 @@ type scan struct {
 
 // The exits of scan.score, which index the per-query outcome counts.
 const (
-	scanBounded = iota // cut by the upper bound, no matching computed
+	scanCoded   = iota // cut by the code bound, no float64 read
+	scanBounded        // cut by the upper bound, no matching computed
 	scanGreedy         // distinct arg-maxes: the bound is the matching
 	scanMatched        // ran the Hungarian step
+	scanExits
 )
 
 var scanPool = sync.Pool{New: func() any { return new(scan) }}
 
-// score is the exact unionability score of the table stored in block under
-// the query columns q (unit or all-zero rows, like the stored blocks;
-// interleaved once per query into the panels the cosine kernel reads, while
-// the blocks stay row-major as built): the maximum-weight matching over
-// cells w[i][j] = min(q[i]·c[j], 1) where that exceeds MinSim (floored at
-// 0: a non-positive weight never joins a matching), else 0, divided by |Q|. It leaves by the cheapest exact exit. ub = Σᵢ maxⱼ w[i][j]
-// / |Q| bounds every matching from above — in floating point too: both sums
-// run in row order and rounding is monotone — so the table is cut, unscored,
-// once ub cannot reach floor; strictly below only, so that a tie on score
-// still gets its name compared. When the rows' arg-maxes are distinct
-// columns they are a matching that attains ub, and any other optimal
-// matching needs the same per-row weights, so ub is the Hungarian total bit
-// for bit. Otherwise the Hungarian step decides.
-func (sc *scan) score(s *Starmie, q *vector.QueryPanels, block []float64, floor float64) (score float64, exit int) {
-	nq, nc := q.Len(), len(block)/s.enc.Dim()
+// score is the exact unionability score of the table stored in e under the
+// query q (unit or all-zero rows, like the stored blocks; interleaved once
+// per query into the panels the cosine kernel reads, while the blocks stay
+// row-major as built): the maximum-weight matching over cells w[i][j] =
+// min(q[i]·c[j], 1) where that exceeds MinSim (floored at 0: a non-positive
+// weight never joins a matching), else 0, divided by |Q|. It leaves by the
+// cheapest exact exit. ub = Σᵢ maxⱼ w[i][j] / |Q| bounds every matching from
+// above — in floating point too: both sums run in row order and rounding is
+// monotone — so the table is cut, unscored, once ub cannot reach floor;
+// strictly below only, so that a tie on score still gets its name compared.
+// Before a float64 is read, the same walk runs over the code bounds of the
+// cells (vector.QueryCodes.RowBounds), each at least its float64 cell: the
+// clamp is monotone, so a row's clamped largest bound is at least its
+// largest weight, and the walk's sums and reaches are at least the float
+// walk's at every row; a table it cuts the float walk would cut too, and the
+// ranking cannot tell which cut it. When the rows' arg-maxes are
+// distinct columns they are a matching that attains ub, and any other
+// optimal matching needs the same per-row weights, so ub is the Hungarian
+// total bit for bit. Otherwise the Hungarian step decides.
+func (sc *scan) score(s *Starmie, q *starmiePrepared, e *entry, floor float64) (score float64, exit int) {
+	nq, nc := q.panels.Len(), len(e.code.S)
 	if nq == 0 || nc == 0 {
 		return 0, scanGreedy
 	}
 	sc.w, sc.arg = slices.Grow(sc.w[:0], nq*nc), slices.Grow(sc.arg[:0], nq)
 	w, arg := sc.w[:nq*nc], sc.arg[:nq]
 	minSim := max(s.MinSim, 0)
+	if floor > 0 {
+		// No weight is negative, so a floor at or below 0 cuts nothing.
+		var ub float64
+		var bounds [vector.PanelRows]float64
+		for i := 0; i < nq; i++ {
+			if i%vector.PanelRows == 0 {
+				q.codes.RowBounds(i/vector.PanelRows, e.code, &bounds)
+			}
+			ub += clamp(bounds[i%vector.PanelRows], minSim)
+			if cannotReach(ub, i, nq, floor) {
+				return 0, scanCoded
+			}
+		}
+	}
 	var ub float64
 	distinct := true
 	for i := 0; i < nq; i++ {
 		if i%vector.PanelRows == 0 {
 			// The kernel fills four query rows at a time; a table cut
 			// below never pays for the panels after the cut.
-			q.DotBlock(i/vector.PanelRows, block, w)
+			q.panels.DotBlock(i/vector.PanelRows, e.block, w)
 		}
-		row := w[i*nc : (i+1)*nc]
-		best, at := 0.0, -1
-		for j, sim := range row {
-			if !(sim > minSim) {
-				sim = 0
-			}
-			sim = min(sim, 1)
-			row[j] = sim
-			if sim > best {
-				best, at = sim, j
-			}
-		}
+		best, at := clampRow(w[i*nc:(i+1)*nc], minSim)
 		ub += best
-		// A row adds at most 1, so the rows still to come can lift the
-		// bound no higher than this; on the last row it is the bound.
-		reach := ub
-		for r := i + 1; r < nq; r++ {
-			reach++
-		}
-		if reach/float64(nq) < floor {
+		if cannotReach(ub, i, nq, floor) {
 			return 0, scanBounded
 		}
 		arg[i] = at
@@ -744,6 +760,39 @@ func (sc *scan) score(s *Starmie, q *vector.QueryPanels, block []float64, floor 
 	return sc.hung.Solve(w, nq, nc) / float64(nq), scanMatched
 }
 
+// clamp turns a dot into a weight: 0 unless above minSim, at most 1.
+func clamp(sim, minSim float64) float64 {
+	if !(sim > minSim) {
+		return 0
+	}
+	return min(sim, 1)
+}
+
+// clampRow turns a row of dots into weights in place and returns its largest
+// weight and the first column holding it (-1 for an all-zero row).
+func clampRow(row []float64, minSim float64) (best float64, at int) {
+	at = -1
+	for j, sim := range row {
+		sim = clamp(sim, minSim)
+		row[j] = sim
+		if sim > best {
+			best, at = sim, j
+		}
+	}
+	return best, at
+}
+
+// cannotReach reports whether rows 0..i, summing to ub, leave the bound
+// below floor: a row adds at most 1, so the rows still to come can lift it
+// no higher than this; on the last row it is the bound.
+func cannotReach(ub float64, i, nq int, floor float64) bool {
+	reach := ub
+	for r := i + 1; r < nq; r++ {
+		reach++
+	}
+	return reach/float64(nq) < floor
+}
+
 // EncodeQuery embeds a query table's columns with the index corpus.
 func (s *Starmie) EncodeQuery(q *table.Table) []vector.Vec {
 	return s.enc.EncodeTableColumns(q, s.indexCorpus)
@@ -751,11 +800,13 @@ func (s *Starmie) EncodeQuery(q *table.Table) []vector.Vec {
 
 // starmiePrepared is Starmie's PreparedQuery: the query's contextualized
 // column embeddings, encoded once against the index corpus, and the same
-// vectors in the layout the exact scan reads.
+// vectors in the layouts the exact scan reads: panels for the float64 dots,
+// codes for its pre-pass.
 type starmiePrepared struct {
 	query  *table.Table
 	cols   []vector.Vec
 	panels *vector.QueryPanels
+	codes  *vector.QueryCodes
 }
 
 // Query implements PreparedQuery.
@@ -765,7 +816,7 @@ func (p *starmiePrepared) Query() *table.Table { return p.query }
 // exactly once.
 func (s *Starmie) Prepare(query *table.Table) PreparedQuery {
 	cols := s.EncodeQuery(query)
-	return &starmiePrepared{query: query, cols: cols, panels: vector.NewQueryPanels(cols)}
+	return &starmiePrepared{query: query, cols: cols, panels: vector.NewQueryPanels(cols), codes: vector.NewQueryCodes(cols)}
 }
 
 // TopKPrepared implements Searcher as the staged plan: retrieve candidates
@@ -794,13 +845,13 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	t0 = time.Now()
 	out, err := rankTablesCtx(ctx, len(cands), k, s.workers, func() (scoreFunc, func()) {
 		sc := scanPool.Get().(*scan)
-		var exits [3]int64
+		var exits [scanExits]int64
 		return func(i int, floor float64) (*table.Table, float64, bool) {
-				score, exit := sc.score(s, p.panels, cands[i].block, floor)
+				score, exit := sc.score(s, p, &cands[i], floor)
 				exits[exit]++
-				return cands[i].t, score, exit == scanBounded
+				return cands[i].t, score, exit <= scanBounded
 			}, func() {
-				tr.AddScan(exits[scanBounded], exits[scanGreedy], exits[scanMatched])
+				tr.AddScan(exits[scanCoded], exits[scanBounded], exits[scanGreedy], exits[scanMatched])
 				scanPool.Put(sc)
 			}
 	})

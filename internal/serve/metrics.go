@@ -59,7 +59,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Per-stage wall time of served (uncached) searches: encode, retrieve, score, align, diversify.",
 			nil, "stage"),
 		scanTables: r.NewCounter("dust_search_scan_tables_total",
-			"Candidate tables of served (uncached) searches by exact-scan outcome: bounded (cut by the matching's upper bound, not scored), greedy (scored by distinct per-column maxima), matched (scored by the Hungarian step).",
+			"Candidate tables of served (uncached) searches by exact-scan outcome: coded (cut by the matching's upper bound over the column codes, no float64 read), bounded (cut by the matching's upper bound over the float64 cells, not scored), greedy (scored by distinct per-column maxima), matched (scored by the Hungarian step).",
 			"outcome"),
 		admissionWait: r.NewHistogram("dust_admission_wait_seconds",
 			"Time admitted searches waited for an in-flight slot.",
@@ -167,7 +167,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		})
 
 	r.NewGaugeFunc("dust_cosine_kernel",
-		"Body of the cosine and encode kernels this process selected from its architecture and CPUID (avx2 or generic); same answers, the generic one several times slower under the distance matrix and the exact scan and about twice slower under every embedding.",
+		"Body of the cosine, encode, cluster and code kernels this process selected from its architecture and CPUID (avx2 or generic); same answers, the generic one several times slower under the distance matrix and the exact scan and about twice slower under every embedding.",
 		[]string{"kernel"},
 		func(emit func(float64, ...string)) { emit(1, vector.CosineKernel()) })
 
@@ -286,6 +286,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			s.metrics.stage.With("score").Observe(float64(tr.ScoreNS.Load()) / 1e9)
 			s.metrics.stage.With("align").Observe(float64(tr.AlignNS.Load()) / 1e9)
 			s.metrics.stage.With("diversify").Observe(float64(tr.DiversifyNS.Load()) / 1e9)
+			s.metrics.scanTables.With("coded").Add(uint64(tr.ScanCoded.Load()))
 			s.metrics.scanTables.With("bounded").Add(uint64(tr.ScanBounded.Load()))
 			s.metrics.scanTables.With("greedy").Add(uint64(tr.ScanGreedy.Load()))
 			s.metrics.scanTables.With("matched").Add(uint64(tr.ScanMatched.Load()))

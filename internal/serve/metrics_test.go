@@ -210,12 +210,12 @@ func sampleValue(t *testing.T, text, series string) float64 {
 	return v
 }
 
-// scanTablesTotal sums dust_search_scan_tables_total over its three
+// scanTablesTotal sums dust_search_scan_tables_total over its four
 // outcomes, failing the test when one is not exposed.
 func scanTablesTotal(t *testing.T, text string) int {
 	t.Helper()
 	total := 0
-	for _, outcome := range []string{"bounded", "greedy", "matched"} {
+	for _, outcome := range []string{"coded", "bounded", "greedy", "matched"} {
 		total += int(sampleValue(t, text, `dust_search_scan_tables_total{outcome="`+outcome+`"}`))
 	}
 	return total

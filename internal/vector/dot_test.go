@@ -237,6 +237,7 @@ var kernelFamilies = []kernelFamily{
 	{"cosine", 23, sweepCosine, fuzzCosine, cosineSeeds()},
 	{"encode", 31, sweepEncode, fuzzEncode, encodeSeeds()},
 	{"cluster", 37, sweepCluster, fuzzCluster, clusterSeeds()},
+	{"code", 43, sweepCode, fuzzCode, codeSeeds()},
 }
 
 // checkFamily runs the named row's sweep under the selected body and, on a
@@ -254,6 +255,7 @@ func checkFamily(t *testing.T, name string) {
 func TestKernelsMatchReference(t *testing.T)        { checkFamily(t, "cosine") }
 func TestEncodeKernelsMatchReference(t *testing.T)  { checkFamily(t, "encode") }
 func TestClusterKernelsMatchReference(t *testing.T) { checkFamily(t, "cluster") }
+func TestCodeKernelsMatchReference(t *testing.T)    { checkFamily(t, "code") }
 
 // fuzzInput hands out a fuzzer's bytes field by field; a field past the
 // end reads as zeros, and what is left is the rows' raw bits.
@@ -348,10 +350,12 @@ func fuzzFamily(f *testing.F, row int) {
 func FuzzDotKernels(f *testing.F)     { fuzzFamily(f, 0) }
 func FuzzEncodeKernels(f *testing.F)  { fuzzFamily(f, 1) }
 func FuzzClusterKernels(f *testing.F) { fuzzFamily(f, 2) }
+func FuzzCodeKernels(f *testing.F)    { fuzzFamily(f, 3) }
 
 // BenchmarkDotKernels times each tile through its entry point at the served
 // dimension — a 1000-row upper triangle, four rows a call, and a 12-row block against 5 query
-// rows (two panels, the second mostly padding) — and reports the
+// rows (two panels, the second mostly padding), as float64s (scan) and as
+// codes (code, through RowBounds, its bounds included) — and reports the
 // multiply-adds it retires per second, padding included. Without fused
 // multiply-add a core's ceiling is lanes x (add ports + multiply ports) / 2
 // a cycle: 4 on the AVX2 body where adds and multiplies share two ports, 1
@@ -398,6 +402,23 @@ func BenchmarkDotKernels(b *testing.B) {
 				q.DotBlock(1, block, w)
 			}
 			b.ReportMetric(float64(b.N)*float64(2*3*blockCells*dim)/b.Elapsed().Seconds()/1e6, "MMAC/s")
+		})
+		b.Run("code/"+CosineKernel(), func(b *testing.B) {
+			rows := randomVecs(rng, 12+5, dim)
+			var block []float64
+			for _, v := range rows[:12] {
+				block = append(block, v...)
+			}
+			c := NewCodeBlock(12, dim)
+			c.Quantize(block, dim)
+			q := NewQueryCodes(rows[12:])
+			var out [PanelRows]float64
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				q.RowBounds(0, c, &out)
+				q.RowBounds(1, c, &out)
+			}
+			b.ReportMetric(float64(b.N)*float64(2*12*PanelRows*dim)/b.Elapsed().Seconds()/1e6, "MMAC/s")
 		})
 		useAVX2 = saved
 	}

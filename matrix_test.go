@@ -215,7 +215,7 @@ func (c config) String() string {
 type answers struct {
 	ks     []int
 	hits   [][]search.Scored
-	scans  [][3]int64
+	scans  [][4]int64
 	lines  []string
 	passes [2][]string
 	shape  string
@@ -241,7 +241,7 @@ func ask(p *Pipeline, queries []*table.Table) answers {
 				line += fmt.Sprintf(" %s=%x", h.Table.Name, h.Score)
 			}
 			a.hits, a.lines = append(a.hits, hits), append(a.lines, line)
-			a.scans = append(a.scans, [3]int64{tr.ScanBounded.Load(), tr.ScanGreedy.Load(), tr.ScanMatched.Load()})
+			a.scans = append(a.scans, [4]int64{tr.ScanCoded.Load(), tr.ScanBounded.Load(), tr.ScanGreedy.Load(), tr.ScanMatched.Load()})
 		}
 	}
 	digest := func(res *Result, err error) string {
@@ -268,17 +268,18 @@ func ask(p *Pipeline, queries []*table.Table) answers {
 // (before and after the history) the reference's rankings and the answers
 // of the anchor, a fresh one-part, one-worker exact pipeline over the set
 // in shuffled order. The history's last tail steps run twice, on a clone
-// and after a save and load. cut and pruned count the tables the scan's
-// bound cut and the ANN candidate stage left unscanned.
+// and after a save and load. coded, cut and pruned count the tables the
+// scan's code bound and float64 bound cut and the ANN candidate stage left
+// unscanned.
 type matrix struct {
-	spec        datagen.LakeSpec
-	l0          *lake.Lake
-	queries     []*table.Table
-	steps       []step
-	tail        int
-	refs        [2][][]search.Scored
-	anchors     [2]answers
-	cut, pruned int64
+	spec               datagen.LakeSpec
+	l0                 *lake.Lake
+	queries            []*table.Table
+	steps              []step
+	tail               int
+	refs               [2][][]search.Scored
+	anchors            [2]answers
+	coded, cut, pruned int64
 }
 
 // check holds one configuration's answers to the reference's rankings of
@@ -291,10 +292,10 @@ func (m *matrix) check(t *testing.T, c config, a answers, ref [][]search.Scored,
 		k, full := a.ks[i%len(a.ks)], ref[i/len(a.ks)]
 		label := fmt.Sprintf("%s: query %d k=%d", c, i/len(a.ks), k)
 		exact, sc := c.mode == search.Exact || k <= 0, a.scans[i]
-		if total := sc[0] + sc[1] + sc[2]; total == 0 || total > int64(n) || exact && total != int64(n) || k <= 0 && sc[0] != 0 {
+		if total := sc[0] + sc[1] + sc[2] + sc[3]; total == 0 || total > int64(n) || exact && total != int64(n) || k <= 0 && sc[0]+sc[1] != 0 {
 			t.Fatalf("%s: the scan's exits %v cover %d of %d tables", label, sc, total, n)
 		} else {
-			m.cut, m.pruned = m.cut+sc[0], m.pruned+int64(n)-total
+			m.coded, m.cut, m.pruned = m.coded+sc[0], m.cut+sc[1], m.pruned+int64(n)-total
 		}
 		if k > 0 && exact {
 			full = full[:min(k, n)]
@@ -473,7 +474,8 @@ func TestMatrix(t *testing.T) {
 			m.lineage(t, rng, mode, parts)
 		}
 	}
-	if m.cut == 0 || m.pruned == 0 {
-		t.Errorf("the scan's bound cut %d tables and ANN left %d unscanned: the matrix exercises neither", m.cut, m.pruned)
+	if m.coded == 0 || m.cut == 0 || m.pruned == 0 {
+		t.Errorf("the scan's code bound cut %d tables, its float64 bound %d, and ANN left %d unscanned: the matrix exercises not all three",
+			m.coded, m.cut, m.pruned)
 	}
 }
