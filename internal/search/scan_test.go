@@ -154,22 +154,31 @@ func TestScoreExitsAreExact(t *testing.T) {
 		_, total := match.MaxWeight(w)
 		want := total / float64(nq)
 
-		got, exit := sc.score(s, q, e, math.Inf(-1))
-		if got != want || exit <= scanBounded {
-			t.Fatalf("trial %d: score %v (exit %d), Hungarian %v (w=%v)", trial, got, exit, want, w)
+		sc.s, sc.q, sc.cands = s, q, []entry{*e}
+		reach := sc.reach(0)
+		if !(reach >= want) {
+			t.Fatalf("trial %d: reach %v below the score %v (w=%v)", trial, reach, want, w)
 		}
-		exits[exit]++
-		if tied, exit := sc.score(s, q, e, want); tied != want || exit <= scanBounded {
-			t.Fatalf("trial %d: floor == score cut the table or moved its score: %v exit %d (w=%v)", trial, tied, exit, w)
-		}
-		for _, floor := range []float64{math.Nextafter(want, 2), want + 0.05, want + 0.3, 1} {
-			if _, exit := sc.score(s, q, e, floor); exit <= scanBounded {
-				exits[exit]++
+		// With no reach the code walk starts at row 0; with the stored one
+		// it resumes after the first panel.
+		for _, reach := range []float64{math.Inf(1), storeReach(reach).value()} {
+			got, exit := sc.score(s, q, e, math.Inf(-1), reach)
+			if got != want || exit <= scanBounded {
+				t.Fatalf("trial %d: score %v (exit %d), Hungarian %v (w=%v)", trial, got, exit, want, w)
 			}
-		}
-		for _, floor := range []float64{math.Nextafter(want, -1), want - 0.05, 0} {
-			if _, exit := sc.score(s, q, e, floor); exit <= scanBounded {
-				t.Fatalf("trial %d: floor %v cut a table scoring %v (w=%v)", trial, floor, want, w)
+			exits[exit]++
+			if tied, exit := sc.score(s, q, e, want, reach); tied != want || exit <= scanBounded {
+				t.Fatalf("trial %d: floor == score cut the table or moved its score: %v exit %d (w=%v)", trial, tied, exit, w)
+			}
+			for _, floor := range []float64{math.Nextafter(want, 2), want + 0.05, want + 0.3, 1} {
+				if _, exit := sc.score(s, q, e, floor, reach); exit <= scanBounded {
+					exits[exit]++
+				}
+			}
+			for _, floor := range []float64{math.Nextafter(want, -1), want - 0.05, 0} {
+				if _, exit := sc.score(s, q, e, floor, reach); exit <= scanBounded {
+					t.Fatalf("trial %d: floor %v cut a table scoring %v (w=%v)", trial, floor, want, w)
+				}
 			}
 		}
 	}
@@ -187,11 +196,11 @@ func TestGreedyExitNeedsDistinctMaxima(t *testing.T) {
 	var sc scan
 	hi, mid, lo := 0.9, 0.8, 0.7
 	s, q, e := weightsSearcher([][]float64{{hi, mid}, {lo, 0.1}}, 0)
-	if got, exit := sc.score(s, q, e, math.Inf(-1)); got != (mid+lo)/2 || exit != scanMatched {
+	if got, exit := sc.score(s, q, e, math.Inf(-1), math.Inf(1)); got != (mid+lo)/2 || exit != scanMatched {
 		t.Errorf("colliding maxima: score %v exit %d, want 0.75 by matching", got, exit)
 	}
 	s, q, e = weightsSearcher([][]float64{{hi, 0.1}, {0.2, mid}}, 0)
-	if got, exit := sc.score(s, q, e, math.Inf(-1)); got != (hi+mid)/2 || exit != scanGreedy {
+	if got, exit := sc.score(s, q, e, math.Inf(-1), math.Inf(1)); got != (hi+mid)/2 || exit != scanGreedy {
 		t.Errorf("distinct maxima: score %v exit %d, want 0.85 by the shortcut", got, exit)
 	}
 }
@@ -203,7 +212,7 @@ func TestScoreDropsSimAtMinSim(t *testing.T) {
 	above := math.Nextafter(minSim, 1)
 	s, q, e := weightsSearcher([][]float64{{minSim, 0.1}, {0.2, above}}, minSim)
 	var sc scan
-	if got, _ := sc.score(s, q, e, math.Inf(-1)); got != above/2 {
+	if got, _ := sc.score(s, q, e, math.Inf(-1), math.Inf(1)); got != above/2 {
 		t.Errorf("Score = %v, want %v: only the cell above MinSim counts", got, above/2)
 	}
 }
@@ -465,9 +474,9 @@ func checkIndex(t *testing.T, label string, s *Starmie, queries []*table.Table) 
 		if !same {
 			t.Fatalf("%s: table %q's block (big %v) differs from a fresh index's (big %v)", label, e.t.Name, e.big, want.big)
 		}
-		fresh := vector.NewCodeBlock(len(e.code.S), s.enc.Dim())
+		fresh := vector.NewCodeBlock(len(e.block)/s.enc.Dim(), s.enc.Dim())
 		fresh.Quantize(e.block, s.enc.Dim())
-		if len(e.code.S)*s.enc.Dim() != len(e.block) || !slices.Equal(e.code.K, fresh.K) || !sameScales(e.code.S, fresh.S) {
+		if len(e.code.K) != len(e.block) || !slices.Equal(e.code.K, fresh.K) || !sameScale(e.code.S, fresh.S) {
 			t.Fatalf("%s: table %q's codes differ from a fresh quantisation of its block", label, e.t.Name)
 		}
 	}
@@ -478,18 +487,17 @@ func checkIndex(t *testing.T, label string, s *Starmie, queries []*table.Table) 
 	}
 }
 
-// sameScales reports whether two rows of scales are bit-identical.
-func sameScales(a, b []vector.CodeScale) bool {
-	return slices.EqualFunc(a, b, func(x, y vector.CodeScale) bool {
-		return math.Float64bits(x.Scale) == math.Float64bits(y.Scale) && math.Float64bits(x.Err) == math.Float64bits(y.Err)
-	})
+// sameScale reports whether two scales are bit-identical.
+func sameScale(x, y vector.CodeScale) bool {
+	return math.Float64bits(x.Scale) == math.Float64bits(y.Scale) && math.Float64bits(x.Err) == math.Float64bits(y.Err)
 }
 
 // TestCodeCutIsBoundedCut holds the code pre-pass to what makes it exact:
 // over the dirty lake's every table and query, at floors across the range
-// scores take, whenever score leaves by the coded exit the float64 walk
-// alone (the cells' dots, clamped, summed in row order with its reach cut)
-// cuts the table too, so the ranking and the other exits' counts are those
+// scores take, whenever score leaves by the coded exit — walking the code
+// bounds from the first row, or resuming from the first pass's stored
+// reach — the float64 walk alone (the cells' dots, clamped, summed in row
+// order with its reach cut) cuts the table too, so the ranking and the other exits' counts are those
 // of a scan without the pre-pass. It also pins that the pre-pass cuts most
 // of what the float64 bound cuts, which is what it is for.
 func TestCodeCutIsBoundedCut(t *testing.T) {
@@ -500,7 +508,7 @@ func TestCodeCutIsBoundedCut(t *testing.T) {
 		q := s.Prepare(query).(*starmiePrepared)
 		nq := q.panels.Len()
 		for _, e := range s.idx.entries {
-			nc := len(e.code.S)
+			nc := len(e.block) / s.enc.Dim()
 			if nq == 0 || nc == 0 {
 				continue
 			}
@@ -515,7 +523,7 @@ func TestCodeCutIsBoundedCut(t *testing.T) {
 					ub += best
 					floatCut = cannotReach(ub, i, nq, floor)
 				}
-				switch _, exit := sc.score(s, q, &e, floor); {
+				switch _, exit := sc.score(s, q, &e, floor, math.Inf(1)); {
 				case exit == scanCoded && !floatCut:
 					t.Fatalf("query %d, table %q, floor %v: the code bound cut a table the float64 bound keeps", qi, e.t.Name, floor)
 				case exit == scanCoded:
@@ -523,12 +531,88 @@ func TestCodeCutIsBoundedCut(t *testing.T) {
 				case floatCut:
 					bounded++
 				}
+				sc.s, sc.q, sc.cands = s, q, []entry{e}
+				resumed := storeReach(sc.reach(0)).value()
+				if _, exit := sc.score(s, q, &e, floor, resumed); exit == scanCoded && !floatCut {
+					t.Fatalf("query %d, table %q, floor %v: the code bound, resumed from the stored reach %v, cut a table the float64 bound keeps", qi, e.t.Name, floor, resumed)
+				}
 			}
 		}
 	}
 	t.Logf("cut by the code bound %d, by the float64 bound after it %d", coded, bounded)
 	if coded < 4*bounded {
 		t.Errorf("the code bound cut %d tables and left %d for the float64 bound: want at least four in five", coded, bounded)
+	}
+}
+
+// seededLake is a searcher over n tables of the `wide` shape at seed, then
+// copies byte-identical to one of them under names in descending order, so
+// that the lake order of the tied copies runs against their name order,
+// and its queries: that table itself and two of the spec's.
+func seededLake(t *testing.T, seed int64, n, copies int) (*Starmie, []*table.Table) {
+	t.Helper()
+	spec, err := datagen.ParseLakeSpec(fmt.Sprintf("tables=%d,rows=12,seed=%d,zipf=1.5,parents=11,fk=0.3,null=0.01", n, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := spec.Generate()
+	src := l.Tables()[n/3]
+	for i := copies - 1; i >= 0; i-- {
+		l.MustAdd(src.Clone(fmt.Sprintf("copy_%02d", i)))
+	}
+	return NewStarmie(l), []*table.Table{src.Clone("query"), spec.Query(3), spec.Query(11)}
+}
+
+// referenceRanking scores every indexed table with no floor and sorts them
+// by hitOrder: the ranking the two-pass scan must return.
+func referenceRanking(s *Starmie, q *table.Table, k int) []Scored {
+	p := s.Prepare(q).(*starmiePrepared)
+	var sc scan
+	var all []Scored
+	for i := range s.idx.entries {
+		score, _ := sc.score(s, p, &s.idx.entries[i], math.Inf(-1), math.Inf(1))
+		all = append(all, Scored{Table: s.idx.entries[i].t, Score: score})
+	}
+	slices.SortFunc(all, hitOrder)
+	if k > 0 && k < len(all) {
+		all = all[:k]
+	}
+	return all
+}
+
+// TestSeedsAreMarked holds the two-pass ranking to the reference over two
+// searchers with equal candidate counts, queried alternately at one worker
+// and three, so that pooled scratch one query leaves behind meets the
+// other's candidates. k runs over 1, 10, 2·10+1, every table, a k whose
+// double overflows, and the full ranking: at k = n every table is a seed,
+// and in a chunk of fewer than k tables the floor stays -Inf, so a seed
+// kept out of the second pass by its reach instead of the seed list would
+// come back as a duplicate hit. Twenty-five tied copies of the first
+// query's table put equal scores on both sides of the seed boundary, and
+// their lake order runs against their name order.
+func TestSeedsAreMarked(t *testing.T) {
+	a, qa := seededLake(t, 7, 120, 25)
+	b, qb := seededLake(t, 8, 120, 25)
+	n := len(a.idx.entries)
+	if len(b.idx.entries) != n {
+		t.Fatalf("candidate counts %d and %d differ", n, len(b.idx.entries))
+	}
+	if ref := referenceRanking(a, qa[0], 0); ref[9].Score != ref[10].Score || ref[20].Score != ref[21].Score {
+		t.Fatalf("the copies do not tie across k = 10 and 21: %v", ref[:22])
+	}
+	for _, k := range []int{1, 10, 21, n, math.MaxInt, 0} {
+		for _, workers := range []int{1, 3, 1, 3} {
+			for _, c := range []struct {
+				name string
+				s    *Starmie
+				qs   []*table.Table
+			}{{"a", a, qa}, {"b", b, qb}} {
+				for i, q := range c.qs {
+					label := fmt.Sprintf("searcher %s, query %d, k=%d, workers %d", c.name, i, k, workers)
+					assertSameHits(t, label, TopK(c.s.QueryWorkers(workers), q, k), referenceRanking(c.s, q, k))
+				}
+			}
+		}
 	}
 }
 
@@ -592,18 +676,22 @@ func TestTopKAllocs(t *testing.T) {
 
 // BenchmarkStarmieTopK is the micro view of the traced run's
 // search.topk_p50_ms: the exact top-10 of a prepared query over the `wide`
-// lake shape, one worker, cycling through 40 queries.
+// lake shape, one worker, cycling through 40 queries. scored/op is the
+// tables a query fully scores (the greedy and matched exits).
 func BenchmarkStarmieTopK(b *testing.B) {
 	for _, n := range []int{500, 8000} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			spec := wideSpec(n)
 			s := NewStarmie(spec.Generate()).QueryWorkers(1)
 			pqs := wideQueries(s, spec, 40)
+			tr := &Trace{}
+			ctx := WithTrace(context.Background(), tr)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchHits, _ = s.TopKPrepared(context.Background(), pqs[i%len(pqs)], 10)
+				benchHits, _ = s.TopKPrepared(ctx, pqs[i%len(pqs)], 10)
 			}
+			b.ReportMetric(float64(tr.ScanGreedy.Load()+tr.ScanMatched.Load())/float64(b.N), "scored/op")
 		})
 	}
 }

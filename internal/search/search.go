@@ -383,18 +383,40 @@ func applyOptions(opts []Option) options {
 	return o
 }
 
-// scoreFunc scores candidate i, returning its table. floor is the score of
-// the worst hit in the caller's full top k (-Inf while it has room); a
-// scorer that can prove the table scores strictly below floor may report
-// skip instead of computing the score.
-type scoreFunc func(i int, floor float64) (t *table.Table, score float64, skip bool)
+// chunkRanker scores one chunk of candidates for rankTablesCtx. reach is
+// the first pass: called once for every candidate of the chunk, in order,
+// before any scoreAt, it returns an upper bound on candidate i's score —
+// a table whose reach is below a floor is one scoreAt would skip at that
+// floor. scoreAt scores candidate i, returning its table; reach is what
+// the first pass returned for it, stored with a step to spare
+// (storedReach; +Inf when the pass did not run), and floor is the score of
+// the worst hit in the chunk's full top k (-Inf while it has room); a
+// ranker that can prove the table scores strictly below floor may report
+// skip instead of computing the score. release runs as the chunk
+// ends, with the number of candidates rankTablesCtx cut on their reach
+// without calling scoreAt.
+type chunkRanker interface {
+	reach(i int) float64
+	scoreAt(i int, reach, floor float64) (t *table.Table, score float64, skip bool)
+	release(cut int)
+}
 
-// unbounded adapts a scorer of tables with no cheaper-than-exact bound
-// (D3L's).
-func unbounded(tables []*table.Table, score func(t *table.Table) float64) func() (scoreFunc, func()) {
-	return func() (scoreFunc, func()) {
-		return func(i int, _ float64) (*table.Table, float64, bool) { return tables[i], score(tables[i]), false }, func() {}
-	}
+// unboundedRanker is the chunkRanker of a scorer with no cheaper-than-exact
+// bound (D3L's): every reach is +Inf, so the chunk is scored in index order.
+type unboundedRanker struct {
+	tables []*table.Table
+	score  func(t *table.Table) float64
+}
+
+func (u unboundedRanker) reach(int) float64 { return math.Inf(1) }
+func (u unboundedRanker) release(int)       {}
+func (u unboundedRanker) scoreAt(i int, _, _ float64) (*table.Table, float64, bool) {
+	return u.tables[i], u.score(u.tables[i]), false
+}
+
+// unbounded adapts a scorer of tables with no cheaper-than-exact bound.
+func unbounded(tables []*table.Table, score func(t *table.Table) float64) func() chunkRanker {
+	return func() chunkRanker { return unboundedRanker{tables, score} }
 }
 
 // hitOrder is the ranking order as a comparison: score descending, ties by
@@ -406,12 +428,13 @@ func hitOrder(a, b Scored) int {
 	return strings.Compare(a.Table.Name, b.Table.Name)
 }
 
-// siftDown restores a worst-hit-at-the-root heap whose root was replaced.
-func siftDown(h []Scored) {
-	for i := 0; ; {
+// siftDown restores, from node i down, a heap whose worst element by worse
+// sits at the root.
+func siftDown[T any](h []T, i int, worse func(a, b T) bool) {
+	for {
 		worst := i
 		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
-			if hitOrder(h[c], h[worst]) > 0 {
+			if worse(h[c], h[worst]) {
 				worst = c
 			}
 		}
@@ -423,38 +446,129 @@ func siftDown(h []Scored) {
 	}
 }
 
+func worseHit(a, b Scored) bool { return hitOrder(a, b) > 0 }
+
+// rankScratch is one chunk's state across rankTablesCtx's two passes:
+// every candidate's stored reach and the seeds. Chunks take their own from
+// rankPool, so a steady-state query allocates none of it.
+type rankScratch struct {
+	reach []storedReach
+	seeds []int
+}
+
+var rankPool = sync.Pool{New: func() any { return new(rankScratch) }}
+
+// storedReach is a reach rounded up onto a grid of 1/65535 steps, with a
+// step to spare, so that the one buffer that grows with the chunk stays at
+// two bytes a candidate. The top of the grid, where every reach from two
+// steps below 1 up lands (+Inf included), is never cut; a score is at most
+// 1, so that costs next to nothing.
+type storedReach uint16
+
+const reachTop = math.MaxUint16
+
+// storeReach is r's stored reach: ⌊r·65535⌋ + 2, at least a step above
+// r·65535 with room for its rounding, so the grid point stands above r.
+func storeReach(r float64) storedReach {
+	if !(r < 1) {
+		return reachTop
+	}
+	return storedReach(min(int(max(r, 0)*reachTop)+2, reachTop))
+}
+
+// value is the grid point, at least the reach stored; +Inf at the top.
+func (r storedReach) value() float64 {
+	if r == reachTop {
+		return math.Inf(1)
+	}
+	return float64(r) / reachTop
+}
+
+// pickSeeds runs the first pass over candidates lo..hi-1 and returns the
+// min(n, hi-lo) of highest stored reach, ties to the lower index, in that
+// order; false when ctx's done closed first.
+func (rs *rankScratch) pickSeeds(lo, hi, n int, reach func(int) float64, done <-chan struct{}) ([]int, bool) {
+	m := hi - lo
+	rs.reach = slices.Grow(rs.reach[:0], m)[:m]
+	for i := lo; i < hi; i++ {
+		select {
+		case <-done:
+			return nil, false
+		default:
+		}
+		rs.reach[i-lo] = storeReach(reach(i))
+	}
+	worse := func(a, b int) bool {
+		ra, rb := rs.reach[a-lo], rs.reach[b-lo]
+		return ra < rb || ra == rb && a > b
+	}
+	seeds := rs.seeds[:0]
+	for i := lo; i < lo+min(n, m); i++ {
+		seeds = append(seeds, i)
+	}
+	for i := len(seeds)/2 - 1; i >= 0; i-- {
+		siftDown(seeds, i, worse)
+	}
+	for i := lo + len(seeds); i < hi; i++ {
+		if worse(seeds[0], i) {
+			seeds[0] = i
+			siftDown(seeds, 0, worse)
+		}
+	}
+	slices.SortFunc(seeds, func(a, b int) int {
+		if c := cmp.Compare(rs.reach[b-lo], rs.reach[a-lo]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	rs.seeds = seeds
+	return seeds, true
+}
+
 // rankTablesCtx is the scoring stage of the staged query plan: it scores
-// the n candidates, one contiguous chunk per worker, and returns the
-// top k in ranking order (all of them for k <= 0). open is called once per
-// chunk and yields that chunk's scorer — free to own scratch, since only
-// the chunk's goroutine calls it — and a release func run when the chunk
-// ends. With k > 0 each chunk keeps only its own best k in a heap whose
-// root is the floor handed to the scorer; the global top k is the top k of
-// the chunks' survivors, and a table's score is a function of the table
-// alone, so the ranking is identical for every worker count. Once ctx is
-// cancelled the remaining candidates are not scored and ctx.Err() is
-// returned instead of a partial ranking; cancellation is checked per
-// table, the natural work unit of the scan.
-func rankTablesCtx(ctx context.Context, n, k, workers int, open func() (scoreFunc, func())) ([]Scored, error) {
+// the n candidates, one contiguous chunk per worker, and returns the top k
+// in ranking order (all of them for k <= 0). open is called once per chunk
+// and yields that chunk's ranker — free to own scratch, since only the
+// chunk's goroutine calls it. With k > 0 each chunk keeps only its own best
+// k in a heap whose root is the floor handed to the ranker, and ranks in
+// two passes: the first takes every candidate's reach and scores the 2k of
+// highest reach (ties to index order) first, so that the floor starts near
+// its final value; the second walks the rest in index order, cutting a
+// candidate whose reach is strictly below the floor without scoring it; the
+// ranker scores the others knowing their stored reach. Seeds are kept out
+// of the second pass by their own list, never by their reach: while fewer
+// than k hits are in, the floor is -Inf, which no reach is below. Every
+// cut, here or in the ranker, is strictly below the floor, and the floor
+// never exceeds the chunk's final k-th hit, so a cut table is outside the
+// chunk's top k whatever the order, and a table tied with that hit on score
+// still reaches the name comparison. A table's score is a function of the
+// table alone, so the global top k — the top k of the chunks' survivors —
+// is identical for every worker count. An unbounded ranker's reach is +Inf
+// everywhere, which leaves index order; with k <= 0 nothing is cut, and the
+// first pass is skipped. Once ctx is cancelled the remaining candidates are
+// not scored and ctx.Err() is returned instead of a partial ranking;
+// cancellation is checked per table, the natural work unit of the scan.
+func rankTablesCtx(ctx context.Context, n, k, workers int, open func() chunkRanker) ([]Scored, error) {
 	done := ctx.Done()
 	var mu sync.Mutex
 	var out []Scored
 	par.ForChunks(workers, n, func(lo, hi int) {
-		score, release := open()
-		defer release()
+		r := open()
+		cut := 0
+		defer func() { r.release(cut) }()
 		size := hi - lo
 		if k > 0 {
 			size = min(size, k)
 		}
 		top := make([]Scored, 0, size) // once k > 0 hits are in: a heap, worst at the root
 		floor := math.Inf(-1)
-		for i := lo; i < hi; i++ {
-			select {
-			case <-done:
-				return
-			default:
+		var rs *rankScratch
+		offer := func(i int) {
+			reach := math.Inf(1)
+			if rs != nil {
+				reach = rs.reach[i-lo].value()
 			}
-			t, sc, skip := score(i, floor)
+			t, sc, skip := r.scoreAt(i, reach, floor)
 			hit := Scored{Table: t, Score: sc}
 			switch {
 			case skip:
@@ -466,9 +580,43 @@ func rankTablesCtx(ctx context.Context, n, k, workers int, open func() (scoreFun
 				}
 			case hitOrder(hit, top[0]) < 0:
 				top[0] = hit
-				siftDown(top)
+				siftDown(top, 0, worseHit)
 				floor = top[0].Score
 			}
+		}
+		var seeds []int // once scored: the seeds by index, which the second pass skips
+		if k > 0 {
+			rs = rankPool.Get().(*rankScratch)
+			defer rankPool.Put(rs)
+			var ok bool
+			if seeds, ok = rs.pickSeeds(lo, hi, 2*min(k, hi-lo), r.reach, done); !ok {
+				return
+			}
+			for _, i := range seeds {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				offer(i)
+			}
+			slices.Sort(seeds)
+		}
+		for i := lo; i < hi; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if len(seeds) > 0 && seeds[0] == i {
+				seeds = seeds[1:]
+				continue
+			}
+			if rs != nil && rs.reach[i-lo].value() < floor {
+				cut++
+				continue
+			}
+			offer(i)
 		}
 		mu.Lock()
 		out = append(out, top...)

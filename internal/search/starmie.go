@@ -83,16 +83,16 @@ type part struct {
 // x Dim row-major float64s, exactly as the encoder emitted them — every row
 // unit length or all-zero (EncodeTableColumns' contract), which is what lets
 // the scan score a cell as a plain dot product. code is the same rows
-// quantised to int8 codes with each row's scale and error bound, what the
-// scan's pre-pass reads instead of the float64s; it is derived from block
-// wherever a block is installed, and never saved. The blocks and codes of a
-// built or loaded index are carved from lake-wide allocations; AddTable and
-// refreshBig install a block and codes of their own. Both are immutable
-// once installed, so clones share them. big marks a table with at least one
-// column whose token count exceeds the encoder budget: its embeddings depend
-// on the corpus TF-IDF selection and must be refreshed whenever the corpus
-// changes (see AddTable/RemoveTable). Every other table embeds
-// corpus-independently.
+// quantised to int8 codes at one scale for the whole table, with one error
+// bound for all its rows, what the scan's pre-pass reads instead of the
+// float64s; it is derived from block wherever a block is installed, and
+// never saved. The blocks and codes of a built or loaded index are carved
+// from lake-wide allocations; AddTable and refreshBig install a block and
+// codes of their own. Both are immutable once installed, so clones share
+// them. big marks a table with at least one column whose token count
+// exceeds the encoder budget: its embeddings depend on the corpus TF-IDF
+// selection and must be refreshed whenever the corpus changes (see
+// AddTable/RemoveTable). Every other table embeds corpus-independently.
 type entry struct {
 	t     *table.Table
 	block []float64
@@ -196,7 +196,10 @@ func NewStarmieWithEncoder(l *lake.Lake, enc embed.StarmieEncoder, opts ...Optio
 	for i, t := range tables {
 		s.idx.add(entry{t: t, block: blocks[i], code: codes[i], big: s.addColumns(t)})
 	}
-	par.For(s.workers, len(tables), func(i int) { s.embedInto(blocks[i], codes[i], tables[i]) })
+	par.For(s.workers, len(tables), func(i int) {
+		e := &s.idx.entries[i]
+		s.embedInto(e.block, &e.code, e.t)
+	})
 	return s
 }
 
@@ -253,7 +256,7 @@ func (s *Starmie) indexCorpus() *tokenize.Corpus { return s.corpus }
 
 // embedInto encodes t's columns against the current corpus into block and
 // quantises them into code.
-func (s *Starmie) embedInto(block []float64, code vector.CodeBlock, t *table.Table) {
+func (s *Starmie) embedInto(block []float64, code *vector.CodeBlock, t *table.Table) {
 	s.enc.EncodeTableColumnsInto(block, t, s.indexCorpus)
 	code.Quantize(block, s.enc.Dim())
 }
@@ -261,7 +264,7 @@ func (s *Starmie) embedInto(block []float64, code vector.CodeBlock, t *table.Tab
 // embed is embedInto a block and codes of t's own.
 func (s *Starmie) embed(t *table.Table) ([]float64, vector.CodeBlock) {
 	block, code := make([]float64, t.NumCols()*s.enc.Dim()), vector.NewCodeBlock(t.NumCols(), s.enc.Dim())
-	s.embedInto(block, code, t)
+	s.embedInto(block, &code, t)
 	return block, code
 }
 
@@ -677,13 +680,65 @@ func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
 	return &c
 }
 
-// scan is one goroutine's scoring scratch: the flat |Q| x ncols weight
-// buffer, the per-row arg-maxes and the matching's working arrays. Scans
-// are pooled, so a steady-state query allocates none of it.
+// scan is one chunk's ranking state and scratch: the chunk being ranked
+// (the query, the candidates, the trace) and the exits its candidates took,
+// then the flat |Q| x ncols weight buffer, the per-row arg-maxes and the
+// matching's working arrays. Scans are pooled, so a steady-state query
+// allocates none of it. A scan is the chunkRanker of Starmie's exact scan.
 type scan struct {
+	s     *Starmie
+	q     *starmiePrepared
+	cands []entry
+	tr    *Trace
+	exits [scanExits]int64
+
 	w    []float64
 	arg  []int
 	hung match.Scratch
+}
+
+// openScan takes a pooled scan for a chunk of cands.
+func openScan(s *Starmie, q *starmiePrepared, cands []entry, tr *Trace) *scan {
+	sc := scanPool.Get().(*scan)
+	sc.s, sc.q, sc.cands, sc.tr, sc.exits = s, q, cands, tr, [scanExits]int64{}
+	return sc
+}
+
+// reach implements chunkRanker: the code walk of score over the query's
+// first panel, and the reach it leaves there — no less than the table's
+// score, and, when below a floor, what score's walk cuts on at that floor by
+// the same arithmetic. A query without rows scores every table 0 and has
+// no walk: +Inf.
+func (sc *scan) reach(i int) float64 {
+	nq := sc.q.panels.Len()
+	if nq == 0 {
+		return math.Inf(1)
+	}
+	var bounds [vector.PanelRows]float64
+	sc.q.codes.RowBounds(0, sc.cands[i].code, &bounds)
+	minSim := max(sc.s.MinSim, 0)
+	rows := min(nq, vector.PanelRows)
+	var ub float64
+	for r := 0; r < rows; r++ {
+		ub += clamp(bounds[r], minSim)
+	}
+	return reachAfter(ub, rows-1, nq)
+}
+
+// scoreAt implements chunkRanker: score of candidate i, counted by exit.
+func (sc *scan) scoreAt(i int, reach, floor float64) (*table.Table, float64, bool) {
+	score, exit := sc.score(sc.s, sc.q, &sc.cands[i], floor, reach)
+	sc.exits[exit]++
+	return sc.cands[i].t, score, exit <= scanBounded
+}
+
+// release implements chunkRanker: it records the chunk's exits — a table
+// cut on its reach read no float64, so it is coded — and returns the scan
+// to the pool.
+func (sc *scan) release(cut int) {
+	sc.tr.AddScan(sc.exits[scanCoded]+int64(cut), sc.exits[scanBounded], sc.exits[scanGreedy], sc.exits[scanMatched])
+	sc.s, sc.q, sc.cands, sc.tr = nil, nil, nil, nil
+	scanPool.Put(sc)
 }
 
 // The exits of scan.score, which index the per-query outcome counts.
@@ -708,16 +763,21 @@ var scanPool = sync.Pool{New: func() any { return new(scan) }}
 // monotone — so the table is cut, unscored, once ub cannot reach floor;
 // strictly below only, so that a tie on score still gets its name compared.
 // Before a float64 is read, the same walk runs over the code bounds of the
-// cells (vector.QueryCodes.RowBounds), each at least its float64 cell: the
-// clamp is monotone, so a row's clamped largest bound is at least its
-// largest weight, and the walk's sums and reaches are at least the float
-// walk's at every row; a table it cuts the float walk would cut too, and the
-// ranking cannot tell which cut it. When the rows' arg-maxes are
-// distinct columns they are a matching that attains ub, and any other
-// optimal matching needs the same per-row weights, so ub is the Hungarian
-// total bit for bit. Otherwise the Hungarian step decides.
-func (sc *scan) score(s *Starmie, q *starmiePrepared, e *entry, floor float64) (score float64, exit int) {
-	nq, nc := q.panels.Len(), len(e.code.S)
+// query rows over the table (vector.QueryCodes.RowBounds), each at least
+// the row's largest float64 cell: the clamp is monotone, so a row's clamped
+// bound is at least its largest weight, and the walk's sums and reaches are
+// at least the float walk's at every row; a table it cuts the float walk
+// would cut too, and the ranking cannot tell which cut it. A finite reach —
+// the first pass's, stored with a step to spare — resumes that walk after
+// the first panel instead of computing it again: the spare step outweighs
+// every rounding, so reach·|Q| less the rows still to come is at least the
+// panel's sum, every reach after it is at least the exact walk's, and
+// every cut is still one the float walk makes. When the
+// rows' arg-maxes are distinct columns they are a matching that attains
+// ub, and any other optimal matching needs the same per-row weights, so ub
+// is the Hungarian total bit for bit. Otherwise the Hungarian step decides.
+func (sc *scan) score(s *Starmie, q *starmiePrepared, e *entry, floor, reach float64) (score float64, exit int) {
+	nq, nc := q.panels.Len(), len(e.block)/s.enc.Dim()
 	if nq == 0 || nc == 0 {
 		return 0, scanGreedy
 	}
@@ -728,7 +788,15 @@ func (sc *scan) score(s *Starmie, q *starmiePrepared, e *entry, floor float64) (
 		// No weight is negative, so a floor at or below 0 cuts nothing.
 		var ub float64
 		var bounds [vector.PanelRows]float64
-		for i := 0; i < nq; i++ {
+		i := 0
+		if !math.IsInf(reach, 1) {
+			if reach < floor {
+				return 0, scanCoded
+			}
+			i = min(nq, vector.PanelRows)
+			ub = reach*float64(nq) - float64(nq-i)
+		}
+		for ; i < nq; i++ {
 			if i%vector.PanelRows == 0 {
 				q.codes.RowBounds(i/vector.PanelRows, e.code, &bounds)
 			}
@@ -783,14 +851,20 @@ func clampRow(row []float64, minSim float64) (best float64, at int) {
 }
 
 // cannotReach reports whether rows 0..i, summing to ub, leave the bound
-// below floor: a row adds at most 1, so the rows still to come can lift it
-// no higher than this; on the last row it is the bound.
-func cannotReach(ub float64, i, nq int, floor float64) bool {
+// below floor.
+func cannotReach(ub float64, i, nq int, floor float64) bool { return reachAfter(ub, i, nq) < floor }
+
+// reachAfter is the highest score rows 0..i, summing to ub, leave within
+// reach: a row adds at most 1, so the rows still to come can lift it no
+// higher than this; on the last row it is the bound. Rounding is monotone
+// and a row's weight is at most 1, so it never grows from one row to the
+// next.
+func reachAfter(ub float64, i, nq int) float64 {
 	reach := ub
 	for r := i + 1; r < nq; r++ {
 		reach++
 	}
-	return reach/float64(nq) < floor
+	return reach / float64(nq)
 }
 
 // EncodeQuery embeds a query table's columns with the index corpus.
@@ -843,18 +917,7 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	}
 	tr.AddRetrieve(t0)
 	t0 = time.Now()
-	out, err := rankTablesCtx(ctx, len(cands), k, s.workers, func() (scoreFunc, func()) {
-		sc := scanPool.Get().(*scan)
-		var exits [scanExits]int64
-		return func(i int, floor float64) (*table.Table, float64, bool) {
-				score, exit := sc.score(s, p, &cands[i], floor)
-				exits[exit]++
-				return cands[i].t, score, exit <= scanBounded
-			}, func() {
-				tr.AddScan(exits[scanCoded], exits[scanBounded], exits[scanGreedy], exits[scanMatched])
-				scanPool.Put(sc)
-			}
-	})
+	out, err := rankTablesCtx(ctx, len(cands), k, s.workers, func() chunkRanker { return openScan(s, p, cands, tr) })
 	if err == nil {
 		tr.AddScore(t0)
 	}

@@ -59,7 +59,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Per-stage wall time of served (uncached) searches: encode, retrieve, score, align, diversify.",
 			nil, "stage"),
 		scanTables: r.NewCounter("dust_search_scan_tables_total",
-			"Candidate tables of served (uncached) searches by exact-scan outcome: coded (cut by the matching's upper bound over the column codes, no float64 read), bounded (cut by the matching's upper bound over the float64 cells, not scored), greedy (scored by distinct per-column maxima), matched (scored by the Hungarian step).",
+			"Candidate tables of served (uncached) searches by exact-scan outcome: coded (cut by the matching's upper bound over the column codes, no float64 read; this includes a table cut on the bound the scan's first pass stored), bounded (cut by the matching's upper bound over the float64 cells, not scored), greedy (scored by distinct per-column maxima), matched (scored by the Hungarian step).",
 			"outcome"),
 		admissionWait: r.NewHistogram("dust_admission_wait_seconds",
 			"Time admitted searches waited for an in-flight slot.",

@@ -1,19 +1,18 @@
 package vector
 
-// codeDotsHead runs the AVX2 body over the leading multiple of sixteen
-// elements of every row and returns how far it got: 0 under the generic
-// body.
-func codeDotsHead(q []int16, c []int8, dim int, out []int32) int {
-	head := dim &^ 15
-	if !useAVX2 || head == 0 {
-		return 0
+// codeMaxDotsAsm runs the AVX2 body into out when it applies — AVX2
+// selected and dim a positive multiple of sixteen — and reports whether it
+// did.
+func codeMaxDotsAsm(q []int16, c []int8, dim int, out *[PanelRows]int32) bool {
+	if !useAVX2 || dim == 0 || dim%16 != 0 {
+		return false
 	}
-	codeDotsAVX2(q, c, dim, out)
-	return head
+	codeMaxDotsAVX2(q, c, dim, out)
+	return true
 }
 
-// codeDotsAVX2 writes out[4j+r] for every stored row j of c, summing the
-// first dim&^15 (> 0) elements.
+// codeMaxDotsAVX2 writes to out[r] the largest dot of query row r with any
+// stored row of c, MinInt32 for none; dim is a positive multiple of sixteen.
 //
 //go:noescape
-func codeDotsAVX2(q []int16, c []int8, dim int, out []int32)
+func codeMaxDotsAVX2(q []int16, c []int8, dim int, out *[PanelRows]int32)

@@ -2,4 +2,4 @@
 
 package vector
 
-func codeDotsHead(q []int16, c []int8, dim int, out []int32) int { return 0 }
+func codeMaxDotsAsm(q []int16, c []int8, dim int, out *[PanelRows]int32) bool { return false }

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// naiveCodeDot is the code kernel's specification, in int64 so that an
-// overflow of the kernel's int32 would show.
+// naiveCodeDot is one dot of the code kernel's specification, in int64 so
+// that an overflow of the kernel's int32 would show.
 func naiveCodeDot(q []int16, c []int8) int64 {
 	var s int64
 	for k := range c {
@@ -18,27 +18,23 @@ func naiveCodeDot(q []int16, c []int8) int64 {
 	return s
 }
 
-// checkCodeDots holds the selected body of the code kernel to the naive loop
-// on one panel of four query rows and nc stored rows, and checks that it
-// writes nothing past the panel's 4·nc dots.
+// naiveCodeMax is the code kernel's specification in int64: query row r's
+// largest naive dot with a stored row, MinInt32 for a block without rows.
+func naiveCodeMax(q []int16, c []int8, dim, r int) int64 {
+	most := int64(math.MinInt32)
+	for j := 0; j < len(c)/dim; j++ {
+		most = max(most, naiveCodeDot(q[r*dim:(r+1)*dim], c[j*dim:(j+1)*dim]))
+	}
+	return most
+}
+
+// checkCodeDots holds the selected body of the code kernel to its int64
+// transcription on one panel of four query rows and the stored rows c.
 func checkCodeDots(t testing.TB, q []int16, c []int8, dim int) {
-	nc := len(c) / max(dim, 1)
-	out := make([]int32, nc*PanelRows+3)
-	for i := range out {
-		out[i] = -7
-	}
-	codeDots(q, c, dim, out[:nc*PanelRows])
-	for j := 0; j < nc; j++ {
-		for r := 0; r < PanelRows; r++ {
-			want := naiveCodeDot(q[r*dim:(r+1)*dim], c[j*dim:(j+1)*dim])
-			if got := out[j*PanelRows+r]; int64(got) != want {
-				t.Fatalf("%s body, dim %d, stored row %d, query row %d: %d, naive %d", CosineKernel(), dim, j, r, got, want)
-			}
-		}
-	}
-	for _, guard := range out[nc*PanelRows:] {
-		if guard != -7 {
-			t.Fatalf("%s body, dim %d: wrote past %d stored rows", CosineKernel(), dim, nc)
+	got := codeMaxDots(q, c, dim)
+	for r := range got {
+		if want := naiveCodeMax(q, c, dim, r); int64(got[r]) != want {
+			t.Fatalf("%s body, dim %d, %d stored rows, query row %d: largest dot %d, naive %d", CosineKernel(), dim, len(c)/dim, r, got[r], want)
 		}
 	}
 }
@@ -66,8 +62,8 @@ func codeRows(rng *rand.Rand, dim, nc int) ([]int16, []int8) {
 }
 
 // sweepCode is the code family's sweep: every dimension around the AVX2
-// body's sixteen-element step and the served ones, 0 to 9 stored rows, with
-// random codes and codes at the range's edge.
+// body's sixteen-element step and the served ones, 0 to 9 stored rows (one
+// row among them), with random codes and codes at the range's edge.
 func sweepCode(t *testing.T, rng *rand.Rand) {
 	for _, dim := range []int{1, 3, 15, 16, 17, 31, 32, 100, 127, 128, 129, 768} {
 		for nc := 0; nc <= 9; nc++ {
@@ -100,6 +96,7 @@ func codeSeeds() [][]byte {
 		{16, 1, 0xff, 0x7f},
 		{128, 3, 0x01, 0x80, 0xff, 0x7f, 0x81},
 		{17, 8, 0x00, 0x80, 0x00, 0x80, 0x7f, 0x80},
+		{30, 1, 0x80, 0x7f, 0x01},
 	}
 }
 
@@ -156,10 +153,13 @@ func adversarialRows(rng *rand.Rand, dim int) []Vec {
 	return append(rows, make(Vec, dim))
 }
 
-// checkBounds quantises rows as stored and as query rows, certifies every
-// error bound exactly, and holds RowBounds, of every stored row alone, to at
-// least the scan kernel's float64 dot (DotBlock) of every pair, and, of the
-// whole block, to the largest of them.
+// checkBounds quantises rows as one stored block, each row as a one-row
+// block of its own and every row as a query row, certifies every error
+// bound exactly, and holds RowBounds to three rules: a row's own bound is at
+// least the scan kernel's float64 dot (DotBlock) with each query row; the
+// block's bound is codeBound at the int64 transcription's largest integer
+// dot and the block's scales; and it is at least every float64 dot of the
+// block.
 func checkBounds(t testing.TB, rows []Vec) {
 	t.Helper()
 	dim := len(rows[0])
@@ -170,8 +170,12 @@ func checkBounds(t testing.TB, rows []Vec) {
 	stored := NewCodeBlock(len(rows), dim)
 	stored.Quantize(block, dim)
 	query := NewQueryCodes(rows)
+	own := make([]CodeBlock, len(rows))
 	for j, v := range rows {
-		certify(t, "stored row", v, stored.S[j], stored.K[j*dim:(j+1)*dim])
+		own[j] = NewCodeBlock(1, dim)
+		own[j].Quantize(v, dim)
+		certify(t, "row of the block", v, stored.S, stored.K[j*dim:(j+1)*dim])
+		certify(t, "row alone", v, own[j].S, own[j].K)
 		certify(t, "query row", v, query.s[j], query.k[j*dim:(j+1)*dim])
 	}
 	n := len(rows)
@@ -182,22 +186,22 @@ func checkBounds(t testing.TB, rows []Vec) {
 		var whole [PanelRows]float64
 		query.RowBounds(p, stored, &whole)
 		for r := range whole {
-			i, most := p*PanelRows+r, math.Inf(-1)
+			i := p*PanelRows + r
 			if i >= n {
 				break
 			}
+			d := naiveCodeMax(query.k[p*PanelRows*dim:], stored.K, dim, r)
+			if want := codeBound(query.s[i], stored.S, int32(d)); whole[r] != want {
+				t.Fatalf("%s body, dim %d: query row %d's bound over the block is %v, codeBound of its largest dot %d is %v",
+					CosineKernel(), dim, i, whole[r], d, want)
+			}
 			for j := 0; j < n; j++ {
 				var cell [PanelRows]float64
-				query.RowBounds(p, CodeBlock{K: stored.K[j*dim : (j+1)*dim], S: stored.S[j : j+1]}, &cell)
-				if dot := dots[i*n+j]; !(cell[r] >= dot) {
-					t.Fatalf("%s body, dim %d: bound %v below the float64 dot %v of query row %d and stored row %d",
-						CosineKernel(), dim, cell[r], dot, i, j)
+				query.RowBounds(p, own[j], &cell)
+				if dot := dots[i*n+j]; !(cell[r] >= dot) || !(whole[r] >= dot) {
+					t.Fatalf("%s body, dim %d: bound %v (row alone) or %v (block) below the float64 dot %v of query row %d and stored row %d",
+						CosineKernel(), dim, cell[r], whole[r], dot, i, j)
 				}
-				most = max(most, cell[r])
-			}
-			if whole[r] != most {
-				t.Fatalf("%s body, dim %d: query row %d's bound over the block is %v, the largest of its cells %v",
-					CosineKernel(), dim, i, whole[r], most)
 			}
 		}
 	}
@@ -228,11 +232,35 @@ func checkExtremal(t testing.TB, dim int, ec, eq float64) {
 	}
 }
 
+// spreadRows are rows whose largest magnitudes differ 100×, the case one
+// scale per block codes worst: unit rows, and the same rows scaled to a
+// hundredth of the largest magnitude among them.
+func spreadRows(rng *rand.Rand, n, dim int) []Vec {
+	var rows []Vec
+	for _, v := range randomVecs(rng, n, dim) {
+		rows = append(rows, Normalize(v))
+	}
+	top := 0.0
+	for _, v := range rows {
+		top = max(top, largestAbs(v))
+	}
+	for _, v := range rows[:n/2] {
+		small := make(Vec, dim)
+		for k, x := range v {
+			small[k] = x * (top / 100 / largestAbs(v))
+		}
+		rows = append(rows, small)
+	}
+	return rows
+}
+
 // TestCodeBound holds the pre-pass's bound, under both bodies, to the
-// float64 dot it must never undercut: random unit rows and the adversarial
-// ones at the served dimension, 16, 768 and a dimension that is not a
-// multiple of 16, every error bound certified in exact arithmetic, and the
-// bound's formula at the point where its proof is tight.
+// float64 dot it must never undercut: random unit rows beside the
+// adversarial ones (an all-zero row among them), and blocks whose rows'
+// largest magnitudes differ 100×, at the served dimension, 16, 768 and a
+// dimension that is not a multiple of 16, every error bound certified in
+// exact arithmetic, and the bound's formula at the point where its proof is
+// tight.
 func TestCodeBound(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
@@ -242,6 +270,8 @@ func TestCodeBound(t *testing.T) {
 				rows = append(rows, Normalize(v))
 			}
 			checkBounds(t, rows)
+			checkBounds(t, spreadRows(rng, 6, dim))
+			checkBounds(t, append(spreadRows(rng, 2, dim), make(Vec, dim)))
 			for _, ec := range []float64{0, 0x1p-20, 0x1p-8, 0.05} {
 				for _, eq := range []float64{0, 0x1p-16, 0x1p-10, 0.01} {
 					checkExtremal(t, dim, ec, eq)
@@ -249,14 +279,6 @@ func TestCodeBound(t *testing.T) {
 			}
 		}
 	})
-}
-
-func maxAbs(v Vec) float64 {
-	m := 0.0
-	for _, x := range v {
-		m = max(m, math.Abs(x))
-	}
-	return m
 }
 
 // FuzzCodeBound gives the fuzzer the dimension, the extremal overshoots and
@@ -277,7 +299,7 @@ func FuzzCodeBound(f *testing.F) {
 			}
 			// Scaled by its largest magnitude first, so that its norm is
 			// not lost to underflow or overflow.
-			if m := maxAbs(v); m > 0 {
+			if m := largestAbs(v); m > 0 {
 				for k := range v {
 					v[k] /= m
 				}
