@@ -326,31 +326,3 @@ func BenchmarkDiversifyDUST(b *testing.B) {
 		algo.Select(p)
 	}
 }
-
-func BenchmarkDiversifyGMC(b *testing.B) {
-	b.ReportAllocs()
-	p := benchProblem(1000)
-	algo := diversify.NewGMC()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		algo.Select(p)
-	}
-}
-
-func BenchmarkDiversifyCLT(b *testing.B) {
-	b.ReportAllocs()
-	p := benchProblem(1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		diversify.CLT{}.Select(p)
-	}
-}
-
-func BenchmarkDiversifyMaxMin(b *testing.B) {
-	b.ReportAllocs()
-	p := benchProblem(1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		diversify.MaxMin{}.Select(p)
-	}
-}

@@ -14,8 +14,9 @@
 //
 // root defaults to the current directory; -exported defaults to the
 // packages whose surface other code programs against: the dust root, the
-// embeddable serving layer, the metrics registry, and internal/search — the
-// one searcher contract and its implementation. Findings print one
+// embeddable serving layer, the metrics registry, internal/search — the
+// one searcher contract and its implementation — and internal/diversify,
+// whose DUST, Problem and metrics the benchmark calls. Findings print one
 // per line as path:line: message, and any finding exits 1 — wired as a CI
 // step so documentation regressions fail the build.
 package main
@@ -35,7 +36,7 @@ import (
 
 func main() {
 	exported := flag.String("exported",
-		".,internal/obs,internal/search,internal/serve",
+		".,internal/diversify,internal/obs,internal/search,internal/serve",
 		"comma-separated package dirs (relative to root) whose exported symbols must all be documented")
 	flag.Parse()
 	root := "."

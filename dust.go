@@ -41,7 +41,7 @@ type Pipeline struct {
 	searcher    search.Searcher
 	columnEnc   embed.ColumnEncoder
 	tupleEnc    model.TupleEncoder
-	diversifier diversify.Algorithm
+	diversifier *diversify.DUST
 	topTables   int
 	workers     int
 	workersSet  bool
@@ -70,9 +70,6 @@ func WithSearcher(s search.Searcher) Option { return func(p *Pipeline) { p.searc
 // content-dominant pre-trained simulator; install a fine-tuned
 // model.Model for the paper's full setup).
 func WithTupleEncoder(e model.TupleEncoder) Option { return func(p *Pipeline) { p.tupleEnc = e } }
-
-// WithDiversifier replaces the diversification algorithm (default: DUST).
-func WithDiversifier(a diversify.Algorithm) Option { return func(p *Pipeline) { p.diversifier = a } }
 
 // WithTopTables sets how many unionable tables the search stage retrieves
 // before alignment (default: 10).

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dust/internal/datagen"
-	"dust/internal/diversify"
 	"dust/internal/lake"
 	"dust/internal/table"
 )
@@ -91,10 +90,7 @@ func TestPipelineValidation(t *testing.T) {
 
 func TestPipelineOptions(t *testing.T) {
 	b, q := benchLake(t)
-	p := New(b.Lake,
-		WithDiversifier(diversify.CLT{}),
-		WithTopTables(3),
-	)
+	p := New(b.Lake, WithTopTables(3))
 	res, err := p.Search(q, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 
 	"dust"
 	"dust/internal/datagen"
-	"dust/internal/search"
+	"dust/internal/experiments/baselines"
 	"dust/internal/table"
 )
 
@@ -20,7 +20,7 @@ func main() {
 	fmt.Printf("query: %s (%d rows); lake: %d movie tables\n\n", q.Name, q.NumRows(), b.Lake.Len())
 
 	pipe := dust.New(b.Lake)
-	starmie := search.NewTupleSearch(b.Lake.Tables())
+	starmie := baselines.NewTupleSearch(b.Lake.Tables(), 0)
 
 	fmt.Printf("%-4s %-10s %-14s %-14s\n", "k", "method", "new titles", "new languages")
 	for _, k := range []int{10, 20, 30} {

@@ -10,8 +10,8 @@ import (
 	"strings"
 
 	"dust"
+	"dust/internal/experiments/baselines"
 	"dust/internal/lake"
-	"dust/internal/search"
 	"dust/internal/table"
 )
 
@@ -42,7 +42,7 @@ func main() {
 	l.MustAdd(t2)
 
 	// Starmie tuple search: similarity ranking over all lake tuples.
-	ts := search.NewTupleSearch(l.Tables())
+	ts := baselines.NewTupleSearch(l.Tables(), 0)
 	fmt.Println("Starmie top-5 (similarity ranking):")
 	for _, h := range ts.TopK(query, 5) {
 		fmt.Println("   ", strings.Join(h.Table.Row(h.Row), " | "))

@@ -2,7 +2,8 @@
 // returns the tuples of the near-copy table (most unionable, Table (e));
 // DUST returns novel parks from the renamed table (most diverse, Table
 // (f)). This example runs both selections over the same unionable tuple
-// pool and prints them side by side.
+// pool — DUST through the pipeline, the similarity ranking over the pool
+// it returns — and prints them side by side.
 package main
 
 import (
@@ -12,8 +13,12 @@ import (
 
 	"dust"
 	"dust/internal/diversify"
+	"dust/internal/embed"
+	"dust/internal/experiments/baselines"
 	"dust/internal/lake"
+	"dust/internal/model"
 	"dust/internal/table"
+	"dust/internal/vector"
 )
 
 func buildLake() (*table.Table, *lake.Lake) {
@@ -45,32 +50,44 @@ func buildLake() (*table.Table, *lake.Lake) {
 	return query, l
 }
 
-func printRows(t *table.Table) {
-	for i := 0; i < t.NumRows(); i++ {
-		fmt.Println("   ", strings.Join(t.Row(i), " | "))
+func rows(t *table.Table) [][]string {
+	out := make([][]string, t.NumRows())
+	for i := range out {
+		out[i] = t.Row(i)
 	}
+	return out
 }
+
+func printRow(row []string) { fmt.Println("   ", strings.Join(row, " | ")) }
 
 func main() {
 	query, l := buildLake()
-
-	// Existing work (most unionable): rank the pooled tuples by similarity
-	// to the query — the redundant copies win.
-	pipe := dust.New(l, dust.WithTopTables(2), dust.WithDiversifier(diversify.TopTuples{}))
-	similar, err := pipe.Search(query, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("Existing work (most unionable) — Table (e):")
-	printRows(similar.Tuples)
-
-	// Our work (most diverse): DUST avoids tuples the query already has.
 	diverse, err := dust.New(l, dust.WithTopTables(2)).Search(query, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
+
+	// Existing work (most unionable): rank the pooled tuples by similarity
+	// to the query — the redundant copies win. Query and pool are embedded
+	// with the pipeline's default tuple encoder.
+	pool := diverse.Unioned
+	enc := embed.NewRoBERTa(embed.WithAnisotropy(0.05))
+	similar := baselines.TopTuples{}.Select(diversify.Problem{
+		Query:  model.EncodeBatch(enc, pool.Headers(), rows(query), 0),
+		Tuples: model.EncodeBatch(enc, pool.Headers(), rows(pool), 0),
+		K:      2,
+		Dist:   vector.CosineDistance,
+	})
+	fmt.Println("Existing work (most unionable) — Table (e):")
+	for _, i := range similar {
+		printRow(pool.Row(i))
+	}
+
+	// Our work (most diverse): DUST avoids tuples the query already has.
 	fmt.Println("\nDUST (most diverse) — Table (f):")
-	printRows(diverse.Tuples)
+	for i := 0; i < diverse.Tuples.NumRows(); i++ {
+		printRow(diverse.Tuples.Row(i))
+	}
 
 	fmt.Println("\nnon-unionable table_c was ranked below the unionable tables:",
 		strings.Join(diverse.UnionableTables, ", "))

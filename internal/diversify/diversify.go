@@ -1,15 +1,11 @@
 // Package diversify implements the tuple diversification layer of the
 // reproduction: the paper's DUST algorithm (prune -> cluster -> re-rank,
-// Algorithm 2, §5) and the baselines of the evaluation — GMC and GNE
-// (Vieira et al., MMR-based max-sum diversification), CLT (cluster
-// medoids), SWAP, a Max-Min greedy, and random selection — together with
-// the two evaluation metrics of §5.4 (Average Diversity and Min Diversity).
+// Algorithm 2, §5) and the two evaluation metrics of §5.4 (Average
+// Diversity and Min Diversity). The baselines DUST is evaluated against
+// live in internal/experiments/baselines.
 package diversify
 
-import (
-	"dust/internal/par"
-	"dust/internal/vector"
-)
+import "dust/internal/vector"
 
 // Problem is one diversification instance: embedded query tuples, embedded
 // candidate data lake tuples, the number of outputs k, and the tuple
@@ -29,8 +25,9 @@ type Problem struct {
 	Workers int
 }
 
-// normalized returns the problem with defaults filled in.
-func (p Problem) normalized() Problem {
+// Normalized returns the problem with defaults filled in: cosine distance
+// when Dist is nil, and K clamped to [0, len(Tuples)].
+func (p Problem) Normalized() Problem {
 	if p.Dist == nil {
 		p.Dist = vector.CosineDistance
 	}
@@ -41,59 +38,4 @@ func (p Problem) normalized() Problem {
 		p.K = 0
 	}
 	return p
-}
-
-// Algorithm selects k diverse tuple indices for a problem.
-type Algorithm interface {
-	Name() string
-	Select(p Problem) []int
-}
-
-// noveltyScores computes each tuple's novelty: its minimum distance to any
-// query tuple — the quantity DUST re-ranks by (§5.3). Tuples are scored in
-// parallel; each tuple's query scan stays sequential, so scores are
-// bit-identical for every worker count.
-func noveltyScores(p Problem) []float64 {
-	return par.Map(p.Workers, len(p.Tuples), func(i int) float64 {
-		minD := 0.0
-		for qi, q := range p.Query {
-			d := p.Dist(p.Tuples[i], q)
-			if qi == 0 || d < minD {
-				minD = d
-			}
-		}
-		return minD
-	})
-}
-
-// relevanceScores computes IR-style relevance: similarity to the query
-// (1 - minDist/2, mapping cosine distance in [0,2] to [0,1]). The MMR
-// baselines (GMC, GNE, SWAP) trade THIS off against diversity — relevance
-// and diversity are "opposite dimensions" in that literature (§4), which is
-// exactly why they lose ground to DUST on novelty-driven discovery.
-func relevanceScores(p Problem) []float64 {
-	out := noveltyScores(p)
-	for i, d := range out {
-		s := 1 - d/2
-		if s < 0 {
-			s = 0
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// avgQueryDistance computes each tuple's mean distance to the query tuples
-// (DUST's tie-breaking score, §5.3).
-func avgQueryDistance(p Problem) []float64 {
-	if len(p.Query) == 0 {
-		return make([]float64, len(p.Tuples))
-	}
-	return par.Map(p.Workers, len(p.Tuples), func(i int) float64 {
-		var s float64
-		for _, q := range p.Query {
-			s += p.Dist(p.Tuples[i], q)
-		}
-		return s / float64(len(p.Query))
-	})
 }

@@ -37,12 +37,12 @@ type DUST struct {
 // NewDUST returns DUST with the paper's defaults (P=2, S=2500).
 func NewDUST() *DUST { return &DUST{P: 2, S: 2500} }
 
-// Name implements Algorithm.
+// Name identifies DUST in config tags and experiment output.
 func (d *DUST) Name() string { return "dust" }
 
-// Select implements Algorithm.
+// Select returns the indices of p.K diverse tuples in re-ranked order.
 func (d *DUST) Select(p Problem) []int {
-	p = p.normalized()
+	p = p.Normalized()
 	if p.K == 0 || len(p.Tuples) == 0 {
 		return nil
 	}
@@ -71,7 +71,7 @@ func (d *DUST) Select(p Problem) []int {
 	candidates := clusterReps(p, kept, p.K*pp, pick)
 
 	// Step 3: re-rank by min distance to query, tie-break by avg distance.
-	ranked := RerankByQueryDistance(p, candidates)
+	ranked := rerankByQueryDistance(p, candidates)
 	if len(ranked) > p.K {
 		ranked = ranked[:p.K]
 	}
@@ -153,10 +153,10 @@ func clusterReps(p Problem, kept []int, numClusters int, pick func(m *cluster.Ma
 	return out
 }
 
-// RerankByQueryDistance orders candidate indices by descending minimum
+// rerankByQueryDistance orders candidate indices by descending minimum
 // distance to the query tuples, breaking ties by descending average
 // distance (Example 5). With no query tuples the input order is preserved.
-func RerankByQueryDistance(p Problem, candidates []int) []int {
+func rerankByQueryDistance(p Problem, candidates []int) []int {
 	if len(p.Query) == 0 {
 		out := make([]int, len(candidates))
 		copy(out, candidates)

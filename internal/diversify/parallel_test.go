@@ -61,10 +61,10 @@ func TestRerankDeterministicAcrossWorkers(t *testing.T) {
 	for i := range candidates {
 		candidates[i] = i * 2
 	}
-	want := RerankByQueryDistance(parallelProblem(700, 1), candidates)
+	want := rerankByQueryDistance(parallelProblem(700, 1), candidates)
 	for _, workers := range []int{2, 8} {
-		got := RerankByQueryDistance(parallelProblem(700, workers), candidates)
-		assertSameIndices(t, "RerankByQueryDistance", got, want)
+		got := rerankByQueryDistance(parallelProblem(700, workers), candidates)
+		assertSameIndices(t, "rerankByQueryDistance", got, want)
 	}
 }
 
@@ -116,21 +116,4 @@ func TestSelectStableAcrossScratchReuse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestBaselineScoresDeterministicAcrossWorkers(t *testing.T) {
-	want := noveltyScores(parallelProblem(500, 1))
-	wantAvg := avgQueryDistance(parallelProblem(500, 1))
-	for _, workers := range []int{2, 8} {
-		got := noveltyScores(parallelProblem(500, workers))
-		gotAvg := avgQueryDistance(parallelProblem(500, workers))
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: novelty[%d] = %v, want %v", workers, i, got[i], want[i])
-			}
-			if gotAvg[i] != wantAvg[i] {
-				t.Fatalf("workers=%d: avg[%d] = %v, want %v", workers, i, gotAvg[i], wantAvg[i])
-			}
-		}
-	}
 }

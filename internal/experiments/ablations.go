@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"dust/internal/diversify"
+	"dust/internal/experiments/baselines"
 	"dust/internal/vector"
 )
 
@@ -173,7 +174,7 @@ func AblationDistance(cfg Config) *Report {
 				continue
 			}
 			bestMin, winner := -1.0, ""
-			for _, a := range []diversify.Algorithm{diversify.NewGMC(), diversify.CLT{}, diversify.NewDUST()} {
+			for _, a := range []baselines.Algorithm{baselines.NewGMC(), baselines.CLT{}, diversify.NewDUST()} {
 				sel := diversify.Gather(p.Tuples, a.Select(p))
 				if m := diversify.MinDiversity(p.Query, sel, dist); m > bestMin {
 					bestMin, winner = m, a.Name()

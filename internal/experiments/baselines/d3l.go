@@ -1,8 +1,9 @@
-package search
+package baselines
 
 import (
-	"context"
+	"cmp"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -10,6 +11,7 @@ import (
 	"dust/internal/lake"
 	"dust/internal/minhash"
 	"dust/internal/par"
+	"dust/internal/search"
 	"dust/internal/table"
 	"dust/internal/tokenize"
 	"dust/internal/vector"
@@ -40,13 +42,12 @@ type d3lTableIndex struct {
 }
 
 // NewD3L indexes the lake, computing the five per-column signals of every
-// table in parallel. Only WithWorkers applies.
-func NewD3L(l *lake.Lake, opts ...Option) *D3L {
-	o := applyOptions(opts)
+// table with at most workers goroutines (<= 0: the GOMAXPROCS default).
+func NewD3L(l *lake.Lake, workers int) *D3L {
 	d := &D3L{
 		lake:    l,
 		enc:     embed.NewFastText(),
-		workers: o.workers,
+		workers: workers,
 		hasher:  minhash.NewHasher(128),
 	}
 	tables := l.Tables()
@@ -86,13 +87,21 @@ func (d *D3L) Name() string { return "d3l" }
 // returns the top k by (score desc, name asc); k <= 0 returns the full
 // ranking. The query's signals are derived once; tables are scored in
 // parallel, and the ranking is identical for every worker count.
-func (d *D3L) TopK(query *table.Table, k int) []Scored {
+func (d *D3L) TopK(query *table.Table, k int) []search.Scored {
 	q := d.indexTable(query)
-	// A background context cannot be cancelled, so there is no error.
 	tables := d.lake.Tables()
-	out, _ := rankTablesCtx(context.Background(), len(tables), k, d.workers, unbounded(tables, func(t *table.Table) float64 {
-		return d.score(query, &q, t)
-	}))
+	out := par.Map(d.workers, len(tables), func(i int) search.Scored {
+		return search.Scored{Table: tables[i], Score: d.score(query, &q, tables[i])}
+	})
+	slices.SortFunc(out, func(a, b search.Scored) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Table.Name, b.Table.Name)
+	})
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
 	return out
 }
 
@@ -247,7 +256,9 @@ func parseNumber(v string) (float64, bool) {
 		return 0, false
 	}
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+		// ParseFloat accepts "nan" and "inf", and "nan" is a null token of
+		// the generated lakes: a non-finite cell is not a number here.
 		return 0, false
 	}
 	return f, true

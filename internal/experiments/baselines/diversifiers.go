@@ -1,30 +1,46 @@
-package diversify
+// Package baselines holds the evaluation objects of the paper's §6 that
+// the serving path never runs: the tuple diversifiers DUST is compared
+// with — GMC and GNE (Vieira et al., MMR-based max-sum diversification),
+// CLT (cluster medoids), SWAP, a Max-Min greedy, random selection and the
+// top-similar ranking of Example 1 — and the union-search baselines, a
+// D3L-like table ranker and the tuple-level adaptation of Starmie used in
+// Table 3, with the MAP metric (§6.5.2). The experiments, examples and
+// tests import them from here; the serving tree links none of it.
+package baselines
 
 import (
 	"math/rand"
 	"sort"
 
-	"dust/internal/cluster"
-	"dust/internal/vector"
+	"dust/internal/diversify"
+	"dust/internal/par"
 )
+
+// Algorithm selects k diverse tuple indices for a problem. *diversify.DUST
+// implements it, so the experiments compare DUST and the baselines through
+// one type.
+type Algorithm interface {
+	Name() string
+	Select(p diversify.Problem) []int
+}
 
 // CLT is the clustering baseline (van Leuken et al., §6.4.2): cluster the
 // tuples into exactly k clusters and return each cluster's medoid. It uses
 // the same clustering machinery and parameters as DUST for a controlled
 // comparison (as in the paper), but has no query-aware re-ranking step —
-// the gap between CLT and DUST isolates the value of re-ranking.
+// the gap between CLT and DUST isolates the value of re-ranking. It is
+// therefore DUST with one candidate per output (P = 1) and no pruning,
+// whose re-ranking only orders the k medoids; CLT returns them by index.
 type CLT struct{}
 
 // Name implements Algorithm.
 func (CLT) Name() string { return "clt" }
 
 // Select implements Algorithm.
-func (CLT) Select(p Problem) []int {
-	p = p.normalized()
-	if p.K == 0 || len(p.Tuples) == 0 {
-		return nil
-	}
-	return clusterReps(p, allIndices(len(p.Tuples)), p.K, medoidOf(p.Workers))
+func (CLT) Select(p diversify.Problem) []int {
+	idx := (&diversify.DUST{P: 1, DisablePrune: true}).Select(p)
+	sort.Ints(idx)
+	return idx
 }
 
 // MaxMin is the classic greedy 2-approximation for max-min diversification
@@ -37,8 +53,8 @@ type MaxMin struct{}
 func (MaxMin) Name() string { return "maxmin" }
 
 // Select implements Algorithm.
-func (MaxMin) Select(p Problem) []int {
-	p = p.normalized()
+func (MaxMin) Select(p diversify.Problem) []int {
+	p = p.Normalized()
 	n := len(p.Tuples)
 	if p.K == 0 || n == 0 {
 		return nil
@@ -86,8 +102,8 @@ type Swap struct{}
 func (Swap) Name() string { return "swap" }
 
 // Select implements Algorithm.
-func (Swap) Select(p Problem) []int {
-	p = p.normalized()
+func (Swap) Select(p diversify.Problem) []int {
+	p = p.Normalized()
 	n := len(p.Tuples)
 	if p.K == 0 || n == 0 {
 		return nil
@@ -141,8 +157,8 @@ type Random struct {
 func (r Random) Name() string { return "random" }
 
 // Select implements Algorithm.
-func (r Random) Select(p Problem) []int {
-	p = p.normalized()
+func (r Random) Select(p diversify.Problem) []int {
+	p = p.Normalized()
 	n := len(p.Tuples)
 	if p.K == 0 || n == 0 {
 		return nil
@@ -163,8 +179,8 @@ type TopTuples struct{}
 func (TopTuples) Name() string { return "top-similar" }
 
 // Select implements Algorithm.
-func (TopTuples) Select(p Problem) []int {
-	p = p.normalized()
+func (TopTuples) Select(p diversify.Problem) []int {
+	p = p.Normalized()
 	n := len(p.Tuples)
 	if p.K == 0 || n == 0 {
 		return nil
@@ -177,11 +193,53 @@ func (TopTuples) Select(p Problem) []int {
 	return out
 }
 
-// Medoid exposes cluster medoid selection over raw vectors for reuse.
-func Medoid(vs []vector.Vec, dist vector.DistanceFunc) int {
-	if len(vs) == 0 {
-		return -1
+// noveltyScores computes each tuple's novelty: its minimum distance to any
+// query tuple — the quantity DUST re-ranks by (§5.3). Tuples are scored in
+// parallel; each tuple's query scan stays sequential, so scores are
+// bit-identical for every worker count.
+func noveltyScores(p diversify.Problem) []float64 {
+	return par.Map(p.Workers, len(p.Tuples), func(i int) float64 {
+		minD := 0.0
+		for qi, q := range p.Query {
+			d := p.Dist(p.Tuples[i], q)
+			if qi == 0 || d < minD {
+				minD = d
+			}
+		}
+		return minD
+	})
+}
+
+// relevanceScores computes IR-style relevance: similarity to the query
+// (1 - minDist/2, mapping cosine distance in [0,2] to [0,1]). The MMR
+// baselines (GMC, GNE, SWAP) trade THIS off against diversity — relevance
+// and diversity are "opposite dimensions" in that literature (§4), which is
+// exactly why they lose ground to DUST on novelty-driven discovery.
+func relevanceScores(p diversify.Problem) []float64 {
+	out := noveltyScores(p)
+	for i, d := range out {
+		s := 1 - d/2
+		if s < 0 {
+			s = 0
+		}
+		out[i] = s
 	}
-	m := cluster.NewMatrix(vs, dist)
-	return m.Medoid(allIndices(len(vs)))
+	return out
+}
+
+func allIndices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+func contains(xs []int, v int) bool {
+	for _, x := range xs {
+		if x == v {
+			return true
+		}
+	}
+	return false
 }

@@ -1,9 +1,11 @@
-package diversify
+package baselines
 
 import (
 	"container/heap"
 	"math/rand"
 	"sort"
+
+	"dust/internal/diversify"
 )
 
 // GMC is the Greedy Marginal Contribution algorithm of Vieira et al.
@@ -30,8 +32,8 @@ func NewGMC() *GMC { return &GMC{Lambda: 0.5} }
 func (g *GMC) Name() string { return "gmc" }
 
 // Select implements Algorithm.
-func (g *GMC) Select(p Problem) []int {
-	p = p.normalized()
+func (g *GMC) Select(p diversify.Problem) []int {
+	p = p.Normalized()
 	n := len(p.Tuples)
 	if p.K == 0 || n == 0 {
 		return nil
@@ -81,7 +83,7 @@ func (g *GMC) Select(p Problem) []int {
 
 // topKDistancePrefixSums computes, for every tuple, the prefix sums of its
 // k largest distances to other tuples. This is the O(n^2) step.
-func topKDistancePrefixSums(p Problem, k int) [][]float64 {
+func topKDistancePrefixSums(p diversify.Problem, k int) [][]float64 {
 	n := len(p.Tuples)
 	out := make([][]float64, n)
 	for i := 0; i < n; i++ {
@@ -149,8 +151,8 @@ func NewGNE() *GNE { return &GNE{Lambda: 0.5, Iterations: 5, RCLSize: 10, Seed: 
 func (g *GNE) Name() string { return "gne" }
 
 // Select implements Algorithm.
-func (g *GNE) Select(p Problem) []int {
-	p = p.normalized()
+func (g *GNE) Select(p diversify.Problem) []int {
+	p = p.Normalized()
 	n := len(p.Tuples)
 	if p.K == 0 || n == 0 {
 		return nil
@@ -215,7 +217,7 @@ func (g *GNE) Select(p Problem) []int {
 // construct builds a randomized greedy solution: at each step one of the
 // RCLSize best candidates (by GMC-style marginal contribution without the
 // future term) is chosen at random.
-func (g *GNE) construct(p Problem, rel []float64, rng *rand.Rand) []int {
+func (g *GNE) construct(p diversify.Problem, rel []float64, rng *rand.Rand) []int {
 	n := len(p.Tuples)
 	sel := make([]int, 0, p.K)
 	inSel := make([]bool, n)
@@ -256,13 +258,4 @@ func (g *GNE) construct(p Problem, rel []float64, rng *rand.Rand) []int {
 		}
 	}
 	return sel
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

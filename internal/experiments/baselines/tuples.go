@@ -1,4 +1,4 @@
-package search
+package baselines
 
 import (
 	"context"
@@ -32,13 +32,12 @@ type TupleSearch struct {
 	vecs    []vector.Vec
 }
 
-// NewTupleSearch indexes every tuple of the given tables. Embedding runs
-// as one parallel map over the flattened (headers, row) work list so the
-// full worker budget applies even when the lake is many small tables. Only
-// WithWorkers applies.
-func NewTupleSearch(tables []*table.Table, opts ...Option) *TupleSearch {
-	o := applyOptions(opts)
-	ts := &TupleSearch{enc: embed.NewRoBERTa(), workers: o.workers}
+// NewTupleSearch indexes every tuple of the given tables with at most
+// workers goroutines (<= 0: the GOMAXPROCS default). Embedding runs as one
+// parallel map over the flattened (headers, row) work list so the full
+// worker budget applies even when the lake is many small tables.
+func NewTupleSearch(tables []*table.Table, workers int) *TupleSearch {
+	ts := &TupleSearch{enc: embed.NewRoBERTa(), workers: workers}
 	type job struct {
 		headers []string
 		row     []string

@@ -4,8 +4,8 @@ import (
 	"strings"
 
 	"dust"
+	"dust/internal/experiments/baselines"
 	"dust/internal/lake"
-	"dust/internal/search"
 	"dust/internal/table"
 )
 
@@ -47,7 +47,7 @@ func Fig12(cfg Config) *Report {
 	starmieRepeats, dustRepeats := 0, 0
 	origins := map[string]bool{}
 
-	ts := search.NewTupleSearch(l.Tables())
+	ts := baselines.NewTupleSearch(l.Tables(), 0)
 	for _, h := range ts.TopK(query, 5) {
 		row := h.Table.Row(h.Row)
 		r.AddRow("starmie", row[0], row[1], row[3])

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dust/internal/diversify"
+	"dust/internal/experiments/baselines"
 	"dust/internal/vector"
 )
 
@@ -46,7 +47,7 @@ func syntheticProblem(s, k int, seed int64) diversify.Problem {
 }
 
 // timeAlgo runs one algorithm once and returns the wall time.
-func timeAlgo(a diversify.Algorithm, p diversify.Problem) time.Duration {
+func timeAlgo(a baselines.Algorithm, p diversify.Problem) time.Duration {
 	start := time.Now()
 	a.Select(p)
 	return time.Since(start)
@@ -69,7 +70,7 @@ func Fig7(cfg Config) *Report {
 	// sweep); in quick mode the cap shrinks with the sweep.
 	dustAlgo := diversify.NewDUST()
 	dustAlgo.S = cfg.scale(sValues[0], 2500)
-	algos := []diversify.Algorithm{diversify.NewGMC(), diversify.CLT{}, dustAlgo}
+	algos := []baselines.Algorithm{baselines.NewGMC(), baselines.CLT{}, dustAlgo}
 
 	r := &Report{
 		Title:   "Fig. 7 — Diversification runtime (ms)",

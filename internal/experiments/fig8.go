@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"dust/internal/datagen"
+	"dust/internal/experiments/baselines"
 	"dust/internal/search"
 	"dust/internal/table"
 )
@@ -103,7 +104,7 @@ func Fig8(cfg Config) *Report {
 		kValues = []int{10, 30}
 	}
 	starmie := search.NewStarmie(b.Lake)
-	d3l := search.NewD3L(b.Lake)
+	d3l := baselines.NewD3L(b.Lake, 0)
 	pipe := pipelineFor(b, dustModel)
 
 	cols := []string{"Title", "Language", "Filming Location"}

@@ -5,6 +5,7 @@ import (
 
 	"dust/internal/datagen"
 	"dust/internal/diversify"
+	"dust/internal/experiments/baselines"
 	"dust/internal/model"
 	"dust/internal/vector"
 )
@@ -45,7 +46,7 @@ type table2Result struct {
 // runTable2 evaluates the algorithms on one benchmark: per query, each
 // algorithm's Average and Min Diversity are computed and the best method
 // per metric gets a win (§6.4.3's reporting).
-func runTable2(b *datagen.Benchmark, algos []diversify.Algorithm, k, s, maxQueries int, m *model.Model) map[string]*table2Result {
+func runTable2(b *datagen.Benchmark, algos []baselines.Algorithm, k, s, maxQueries int, m *model.Model) map[string]*table2Result {
 	out := map[string]*table2Result{}
 	for _, a := range algos {
 		out[a.Name()] = &table2Result{}
@@ -98,8 +99,8 @@ func Table2(cfg Config) *Report {
 	sCap := 2500
 	maxQ := cfg.scale(4, 0)
 
-	santosAlgos := []diversify.Algorithm{diversify.NewGMC(), diversify.CLT{}, diversify.NewDUST()}
-	ugenAlgos := []diversify.Algorithm{diversify.NewGMC(), diversify.NewGNE(), diversify.CLT{}, diversify.NewDUST()}
+	santosAlgos := []baselines.Algorithm{baselines.NewGMC(), baselines.CLT{}, diversify.NewDUST()}
+	ugenAlgos := []baselines.Algorithm{baselines.NewGMC(), baselines.NewGNE(), baselines.CLT{}, diversify.NewDUST()}
 
 	santos := runTable2(benchSANTOS(), santosAlgos, kSantos, sCap, maxQ, dustModel)
 	ugen := runTable2(benchUGEN(), ugenAlgos, 30, sCap, maxQ, dustModel)
@@ -167,7 +168,7 @@ func Table2Random(cfg Config) *Report {
 			dMin := diversify.MinDiversity(p.Query, chosen, p.Dist)
 			bestRAvg, bestRMin := 0.0, 0.0
 			for seed := int64(1); seed <= 5; seed++ {
-				rsel := diversify.Random{Seed: seed}.Select(p)
+				rsel := baselines.Random{Seed: seed}.Select(p)
 				rch := diversify.Gather(p.Tuples, rsel)
 				if a := diversify.AverageDiversity(p.Query, rch, p.Dist); a > bestRAvg {
 					bestRAvg = a

@@ -5,9 +5,9 @@ import (
 
 	"dust/internal/datagen"
 	"dust/internal/diversify"
+	"dust/internal/experiments/baselines"
 	"dust/internal/llm"
 	"dust/internal/model"
-	"dust/internal/search"
 	"dust/internal/table"
 	"dust/internal/vector"
 )
@@ -39,7 +39,7 @@ func (s dustSource) tuples(q *table.Table, k int) ([][]string, [][]string, error
 
 // starmieSource is the tuple-level Starmie adaptation.
 type starmieSource struct {
-	ts *search.TupleSearch
+	ts *baselines.TupleSearch
 }
 
 func (s starmieSource) name() string { return "starmie" }
@@ -161,7 +161,7 @@ func Table3(cfg Config) *Report {
 	santos := benchSANTOS()
 	santosSources := []tupleSource{
 		dustSource{santos, dustModel},
-		starmieSource{search.NewTupleSearch(santos.Lake.Tables())},
+		starmieSource{baselines.NewTupleSearch(santos.Lake.Tables(), 0)},
 		llmSource{scaledLLM()}, // hits the token limit on SANTOS queries
 	}
 	sAvg, sMin, sSkipped := runTable3(santos, santosSources, kSantos, maxQ, dustModel)
@@ -169,7 +169,7 @@ func Table3(cfg Config) *Report {
 	ugen := benchUGEN()
 	ugenSources := []tupleSource{
 		dustSource{ugen, dustModel},
-		starmieSource{search.NewTupleSearch(ugen.Lake.Tables())},
+		starmieSource{baselines.NewTupleSearch(ugen.Lake.Tables(), 0)},
 		llmSource{scaledLLM()},
 	}
 	uAvg, uMin, _ := runTable3(ugen, ugenSources, 30, maxQ, dustModel)

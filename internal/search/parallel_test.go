@@ -45,36 +45,3 @@ func TestShardedQueryBoundAndCancel(t *testing.T) {
 		t.Fatalf("cancelled TopKCtx err = %v, want context.Canceled", err)
 	}
 }
-
-func TestD3LTopKDeterministicAcrossWorkers(t *testing.T) {
-	b := testBench(t)
-	seq := NewD3L(b.Lake, WithWorkers(1))
-	for _, workers := range []int{2, 8} {
-		par := NewD3L(b.Lake, WithWorkers(workers))
-		for _, q := range b.Queries {
-			assertSameHits(t, "d3l", par.TopK(q, 8), seq.TopK(q, 8))
-		}
-	}
-}
-
-func TestTupleSearchDeterministicAcrossWorkers(t *testing.T) {
-	b := testBench(t)
-	seq := NewTupleSearch(b.Lake.Tables(), WithWorkers(1))
-	q := b.Queries[0]
-	want := seq.TopK(q, 20)
-	for _, workers := range []int{2, 8} {
-		par := NewTupleSearch(b.Lake.Tables(), WithWorkers(workers))
-		got := par.TopK(q, 20)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: got %d hits, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Table.Name != want[i].Table.Name || got[i].Row != want[i].Row ||
-				got[i].Score != want[i].Score {
-				t.Fatalf("workers=%d: hit %d = (%s, %d, %v), want (%s, %d, %v)",
-					workers, i, got[i].Table.Name, got[i].Row, got[i].Score,
-					want[i].Table.Name, want[i].Row, want[i].Score)
-			}
-		}
-	}
-}

@@ -1,11 +1,9 @@
 // Package search implements the table-union-search substrate DUST builds
 // on (paper Algorithm 1, line 3): a Starmie-like searcher (contextualized
 // column embeddings + maximum-weight bipartite matching, §6.2.3/§6.5.1)
-// behind the one Searcher contract. Beside it sit the evaluation's
-// baselines as plain rankers — a D3L-like table ranker (aggregation of name
-// / value-overlap / format / embedding / distribution signals, §6.5.1) and
-// the tuple-level adaptation of Starmie used in Table 3 — and the MAP
-// metric (§6.5.2).
+// behind the one Searcher contract. The evaluation's other rankers — D3L,
+// the tuple-level Starmie of Table 3 — and the MAP metric live in
+// internal/experiments/baselines.
 package search
 
 import (
@@ -20,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dust/internal/datagen"
 	"dust/internal/lake"
 	"dust/internal/par"
 	"dust/internal/table"
@@ -353,8 +350,7 @@ type IndexFootprint struct {
 	Bytes int64
 }
 
-// Option configures a searcher's execution. Starmie honours every option;
-// the two baseline rankers honour WithWorkers only.
+// Option configures Starmie's execution.
 type Option func(*options)
 
 type options struct {
@@ -381,42 +377,6 @@ func applyOptions(opts []Option) options {
 		f(&o)
 	}
 	return o
-}
-
-// chunkRanker scores one chunk of candidates for rankTablesCtx. reach is
-// the first pass: called once for every candidate of the chunk, in order,
-// before any scoreAt, it returns an upper bound on candidate i's score —
-// a table whose reach is below a floor is one scoreAt would skip at that
-// floor. scoreAt scores candidate i, returning its table; reach is what
-// the first pass returned for it, stored with a step to spare
-// (storedReach; +Inf when the pass did not run), and floor is the score of
-// the worst hit in the chunk's full top k (-Inf while it has room); a
-// ranker that can prove the table scores strictly below floor may report
-// skip instead of computing the score. release runs as the chunk
-// ends, with the number of candidates rankTablesCtx cut on their reach
-// without calling scoreAt.
-type chunkRanker interface {
-	reach(i int) float64
-	scoreAt(i int, reach, floor float64) (t *table.Table, score float64, skip bool)
-	release(cut int)
-}
-
-// unboundedRanker is the chunkRanker of a scorer with no cheaper-than-exact
-// bound (D3L's): every reach is +Inf, so the chunk is scored in index order.
-type unboundedRanker struct {
-	tables []*table.Table
-	score  func(t *table.Table) float64
-}
-
-func (u unboundedRanker) reach(int) float64 { return math.Inf(1) }
-func (u unboundedRanker) release(int)       {}
-func (u unboundedRanker) scoreAt(i int, _, _ float64) (*table.Table, float64, bool) {
-	return u.tables[i], u.score(u.tables[i]), false
-}
-
-// unbounded adapts a scorer of tables with no cheaper-than-exact bound.
-func unbounded(tables []*table.Table, score func(t *table.Table) float64) func() chunkRanker {
-	return func() chunkRanker { return unboundedRanker{tables, score} }
 }
 
 // hitOrder is the ranking order as a comparison: score descending, ties by
@@ -484,10 +444,10 @@ func (r storedReach) value() float64 {
 	return float64(r) / reachTop
 }
 
-// pickSeeds runs the first pass over candidates lo..hi-1 and returns the
+// pickSeeds runs sc's first pass over candidates lo..hi-1 and returns the
 // min(n, hi-lo) of highest stored reach, ties to the lower index, in that
 // order; false when ctx's done closed first.
-func (rs *rankScratch) pickSeeds(lo, hi, n int, reach func(int) float64, done <-chan struct{}) ([]int, bool) {
+func (rs *rankScratch) pickSeeds(lo, hi, n int, sc *scan, done <-chan struct{}) ([]int, bool) {
 	m := hi - lo
 	rs.reach = slices.Grow(rs.reach[:0], m)[:m]
 	for i := lo; i < hi; i++ {
@@ -496,7 +456,7 @@ func (rs *rankScratch) pickSeeds(lo, hi, n int, reach func(int) float64, done <-
 			return nil, false
 		default:
 		}
-		rs.reach[i-lo] = storeReach(reach(i))
+		rs.reach[i-lo] = storeReach(sc.reach(i))
 	}
 	worse := func(a, b int) bool {
 		ra, rb := rs.reach[a-lo], rs.reach[b-lo]
@@ -526,34 +486,34 @@ func (rs *rankScratch) pickSeeds(lo, hi, n int, reach func(int) float64, done <-
 }
 
 // rankTablesCtx is the scoring stage of the staged query plan: it scores
-// the n candidates, one contiguous chunk per worker, and returns the top k
-// in ranking order (all of them for k <= 0). open is called once per chunk
-// and yields that chunk's ranker — free to own scratch, since only the
-// chunk's goroutine calls it. With k > 0 each chunk keeps only its own best
-// k in a heap whose root is the floor handed to the ranker, and ranks in
-// two passes: the first takes every candidate's reach and scores the 2k of
-// highest reach (ties to index order) first, so that the floor starts near
-// its final value; the second walks the rest in index order, cutting a
+// the candidates cands of query q, one contiguous chunk per worker of s,
+// and returns the top k in ranking order (all of them for k <= 0). Each
+// chunk takes its own scan — free to own scratch, since only the chunk's
+// goroutine uses it. With k > 0 each chunk keeps only its own best k in a
+// heap whose root is the floor handed to the scan, and ranks in two passes:
+// the first takes every candidate's reach and scores the 2k of highest
+// reach (ties to index order) first, so that the floor starts near its
+// final value; the second walks the rest in index order, cutting a
 // candidate whose reach is strictly below the floor without scoring it; the
-// ranker scores the others knowing their stored reach. Seeds are kept out
-// of the second pass by their own list, never by their reach: while fewer
-// than k hits are in, the floor is -Inf, which no reach is below. Every
-// cut, here or in the ranker, is strictly below the floor, and the floor
-// never exceeds the chunk's final k-th hit, so a cut table is outside the
-// chunk's top k whatever the order, and a table tied with that hit on score
-// still reaches the name comparison. A table's score is a function of the
-// table alone, so the global top k — the top k of the chunks' survivors —
-// is identical for every worker count. An unbounded ranker's reach is +Inf
-// everywhere, which leaves index order; with k <= 0 nothing is cut, and the
+// scan scores the others knowing their stored reach. Seeds are kept out of
+// the second pass by their own list, never by their reach: while fewer than
+// k hits are in, the floor is -Inf, which no reach is below. Every cut,
+// here or in the scan, is strictly below the floor, and the floor never
+// exceeds the chunk's final k-th hit, so a cut table is outside the chunk's
+// top k whatever the order, and a table tied with that hit on score still
+// reaches the name comparison. A table's score is a function of the table
+// alone, so the global top k — the top k of the chunks' survivors — is
+// identical for every worker count. With k <= 0 nothing is cut, and the
 // first pass is skipped. Once ctx is cancelled the remaining candidates are
 // not scored and ctx.Err() is returned instead of a partial ranking;
-// cancellation is checked per table, the natural work unit of the scan.
-func rankTablesCtx(ctx context.Context, n, k, workers int, open func() chunkRanker) ([]Scored, error) {
+// cancellation is checked per table, the natural work unit of the scan; the
+// chunks' exits are added to tr.
+func rankTablesCtx(ctx context.Context, s *Starmie, q *starmiePrepared, cands []entry, k int, tr *Trace) ([]Scored, error) {
 	done := ctx.Done()
 	var mu sync.Mutex
 	var out []Scored
-	par.ForChunks(workers, n, func(lo, hi int) {
-		r := open()
+	par.ForChunks(s.workers, len(cands), func(lo, hi int) {
+		r := openScan(s, q, cands, tr)
 		cut := 0
 		defer func() { r.release(cut) }()
 		size := hi - lo
@@ -589,7 +549,7 @@ func rankTablesCtx(ctx context.Context, n, k, workers int, open func() chunkRank
 			rs = rankPool.Get().(*rankScratch)
 			defer rankPool.Put(rs)
 			var ok bool
-			if seeds, ok = rs.pickSeeds(lo, hi, 2*min(k, hi-lo), r.reach, done); !ok {
+			if seeds, ok = rs.pickSeeds(lo, hi, 2*min(k, hi-lo), r, done); !ok {
 				return
 			}
 			for _, i := range seeds {
@@ -630,39 +590,4 @@ func rankTablesCtx(ctx context.Context, n, k, workers int, open func() chunkRank
 		out = out[:k]
 	}
 	return out, nil
-}
-
-// MAP computes Mean Average Precision of a table ranking against a
-// benchmark's unionability ground truth, retrieving k results per query
-// with topK — a ranker's TopK method, or search.TopK bound to a Searcher
-// (§6.5.2). k <= 0 scores topK's full ranking, so each query's average
-// precision is taken over all of its unionable tables.
-func MAP(topK func(q *table.Table, k int) []Scored, b *datagen.Benchmark, k int) float64 {
-	if len(b.Queries) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, q := range b.Queries {
-		truth := map[string]bool{}
-		for _, n := range b.Unionable[q.Name] {
-			truth[n] = true
-		}
-		if len(truth) == 0 {
-			continue
-		}
-		hits := 0
-		var ap float64
-		for i, sc := range topK(q, k) {
-			if truth[sc.Table.Name] {
-				hits++
-				ap += float64(hits) / float64(i+1)
-			}
-		}
-		denom := len(truth)
-		if k > 0 {
-			denom = min(denom, k)
-		}
-		sum += ap / float64(denom)
-	}
-	return sum / float64(len(b.Queries))
 }

@@ -684,7 +684,7 @@ func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
 // (the query, the candidates, the trace) and the exits its candidates took,
 // then the flat |Q| x ncols weight buffer, the per-row arg-maxes and the
 // matching's working arrays. Scans are pooled, so a steady-state query
-// allocates none of it. A scan is the chunkRanker of Starmie's exact scan.
+// allocates none of it. rankTablesCtx drives one scan a chunk.
 type scan struct {
 	s     *Starmie
 	q     *starmiePrepared
@@ -704,11 +704,11 @@ func openScan(s *Starmie, q *starmiePrepared, cands []entry, tr *Trace) *scan {
 	return sc
 }
 
-// reach implements chunkRanker: the code walk of score over the query's
-// first panel, and the reach it leaves there — no less than the table's
-// score, and, when below a floor, what score's walk cuts on at that floor by
-// the same arithmetic. A query without rows scores every table 0 and has
-// no walk: +Inf.
+// reach is rankTablesCtx's first pass over candidate i: the code walk of
+// score over the query's first panel, and the reach it leaves there — no
+// less than the table's score, and, when below a floor, what score's walk
+// cuts on at that floor by the same arithmetic. A query without rows
+// scores every table 0 and has no walk: +Inf.
 func (sc *scan) reach(i int) float64 {
 	nq := sc.q.panels.Len()
 	if nq == 0 {
@@ -725,14 +725,18 @@ func (sc *scan) reach(i int) float64 {
 	return reachAfter(ub, rows-1, nq)
 }
 
-// scoreAt implements chunkRanker: score of candidate i, counted by exit.
+// scoreAt scores candidate i, counted by exit: reach is what the first pass
+// returned for it, as stored (+Inf when the pass did not run), and floor
+// the score of the worst hit in the chunk's full top k (-Inf while it has
+// room); skip reports a table proven to score strictly below floor.
 func (sc *scan) scoreAt(i int, reach, floor float64) (*table.Table, float64, bool) {
 	score, exit := sc.score(sc.s, sc.q, &sc.cands[i], floor, reach)
 	sc.exits[exit]++
 	return sc.cands[i].t, score, exit <= scanBounded
 }
 
-// release implements chunkRanker: it records the chunk's exits — a table
+// release runs as the chunk ends, with the number of candidates
+// rankTablesCtx cut on their reach: it records the chunk's exits — a table
 // cut on its reach read no float64, so it is coded — and returns the scan
 // to the pool.
 func (sc *scan) release(cut int) {
@@ -794,7 +798,7 @@ func (sc *scan) score(s *Starmie, q *starmiePrepared, e *entry, floor, reach flo
 				return 0, scanCoded
 			}
 			i = min(nq, vector.PanelRows)
-			ub = reach*float64(nq) - float64(nq-i)
+			ub = float64(reach*float64(nq)) - float64(nq-i) // architecture-exact: no fusion (docs/ARCHITECTURE.md, "Determinism contract")
 		}
 		for ; i < nq; i++ {
 			if i%vector.PanelRows == 0 {
@@ -917,7 +921,7 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	}
 	tr.AddRetrieve(t0)
 	t0 = time.Now()
-	out, err := rankTablesCtx(ctx, len(cands), k, s.workers, func() chunkRanker { return openScan(s, p, cands, tr) })
+	out, err := rankTablesCtx(ctx, s, p, cands, k, tr)
 	if err == nil {
 		tr.AddScore(t0)
 	}
