@@ -176,55 +176,6 @@ func BenchmarkParallelPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkANNPipeline pits the staged ANN query plan against the exact
-// full scan on a 10k-table lake: stage one pulls Oversample*k candidate
-// columns per query column from the HNSW graph, stage two re-scores only
-// their owner tables with the exact bipartite matcher. The hnsw run
-// reports recall@10 against the exact oracle as a custom metric; the
-// acceptance bar is >= 5x TopK speedup with recall@10 >= 0.95
-// (TestMatrix gates the recall at smaller scale).
-func BenchmarkANNPipeline(b *testing.B) {
-	bench := datagen.Generate("bench-ann", datagen.Config{
-		Seed: 997, Domains: 10, TablesPerBase: 1000, QueriesPerBase: 1,
-		BaseRows: 30, MinRows: 4, MaxRows: 8,
-	})
-	exact := search.NewStarmie(bench.Lake)
-	approx := exact.CloneWithLake(bench.Lake).(*search.Starmie) // shares the embeddings
-	if err := approx.SetMode(search.ANN); err != nil {
-		b.Fatal(err)
-	}
-	const k = 10
-	var recall float64
-	for _, q := range bench.Queries {
-		want := map[string]bool{}
-		for _, h := range search.TopK(exact, q, k) {
-			want[h.Table.Name] = true
-		}
-		hits := 0
-		for _, h := range search.TopK(approx, q, k) {
-			if want[h.Table.Name] {
-				hits++
-			}
-		}
-		recall += float64(hits) / float64(len(want))
-	}
-	recall /= float64(len(bench.Queries))
-	q := bench.Queries[0]
-	b.Run("exact", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			search.TopK(exact, q, k)
-		}
-	})
-	b.Run("hnsw", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			search.TopK(approx, q, k)
-		}
-		b.ReportMetric(recall, "recall@10")
-	})
-}
-
 // benchWorkerCounts is {1, NumCPU} on multi-core machines and {1} on a
 // single core, where the second entry would just duplicate the first.
 func benchWorkerCounts() []int {

@@ -26,25 +26,21 @@ import (
 	"dust/internal/codec"
 	"dust/internal/lake"
 	"dust/internal/model"
-	"dust/internal/search"
 	"dust/internal/table"
 )
 
 func main() {
 	var (
-		queryPath  = flag.String("query", "", "query table CSV (required)")
-		lakeDir    = flag.String("lake", "", "directory of lake CSVs (required)")
-		k          = flag.Int("k", 20, "number of diverse tuples")
-		topTables  = flag.Int("tables", 10, "unionable tables to retrieve")
-		modelPath  = flag.String("model", "", "fine-tuned model from dusttrain (optional)")
-		outPath    = flag.String("out", "", "write result CSV here instead of stdout")
-		workers    = flag.Int("workers", 0, "parallelism of indexing/embedding/diversification (0 = all cores, 1 = sequential)")
-		indexDir   = flag.String("index-dir", "", "saved-index directory: warm-start from it when present, create it otherwise")
-		saveIndex  = flag.Bool("save-index", false, "rebuild the index and save it to -index-dir even if one exists")
-		ann        = flag.Bool("ann", false, "approximate candidate retrieval (HNSW) with exact re-ranking; trades a little recall for lake-size-independent latency. -ann=false forces exact retrieval even for an index saved in ANN mode; omit the flag to follow the saved index")
-		shards     = flag.Int("shards", 1, "partition the index into N shards, each with its own HNSW graph and saved files (1 = monolithic); exact-mode results are identical either way. Applies to cold builds only: a warm start keeps the layout saved in -index-dir")
-		oversample = flag.Float64("oversample", 0, "ANN candidate oversampling factor: retrieve about N*k candidates before exact re-ranking (0 = default)")
-		efSearch   = flag.Int("ef-search", 0, "HNSW traversal beam width of the ANN candidate stage (0 = default)")
+		queryPath = flag.String("query", "", "query table CSV (required)")
+		lakeDir   = flag.String("lake", "", "directory of lake CSVs (required)")
+		k         = flag.Int("k", 20, "number of diverse tuples")
+		topTables = flag.Int("tables", 10, "unionable tables to retrieve (at least 1)")
+		modelPath = flag.String("model", "", "fine-tuned model from dusttrain (optional)")
+		outPath   = flag.String("out", "", "write result CSV here instead of stdout")
+		workers   = flag.Int("workers", 0, "parallelism of indexing/embedding/diversification (0 = all cores, 1 = sequential)")
+		indexDir  = flag.String("index-dir", "", "saved-index directory: warm-start from it when present, create it otherwise")
+		saveIndex = flag.Bool("save-index", false, "rebuild the index and save it to -index-dir even if one exists")
+		shards    = flag.Int("shards", 1, "partition the index into N shards, each with its own saved files (1 = monolithic); results are identical either way. Applies to cold builds only: a warm start keeps the layout saved in -index-dir")
 	)
 	flag.Parse()
 	if *queryPath == "" || *lakeDir == "" {
@@ -53,6 +49,10 @@ func main() {
 	}
 	if *saveIndex && *indexDir == "" {
 		fmt.Fprintln(os.Stderr, "dustsearch: -save-index requires -index-dir")
+		os.Exit(2)
+	}
+	if *topTables < 1 {
+		fmt.Fprintln(os.Stderr, "dustsearch: -tables must be at least 1")
 		os.Exit(2)
 	}
 
@@ -64,22 +64,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := []dust.Option{
-		dust.WithTopTables(*topTables), dust.WithWorkers(*workers), dust.WithShards(*shards),
-		dust.WithOversample(*oversample), dust.WithEfSearch(*efSearch),
-	}
-	// Tri-state retrieval: an explicit -ann / -ann=false overrides the
-	// mode recorded in a warm-started index; omitting the flag follows it.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name != "ann" {
-			return
-		}
-		mode := search.Exact
-		if *ann {
-			mode = search.ANN
-		}
-		opts = append(opts, dust.WithRetriever(mode))
-	})
+	opts := []dust.Option{dust.WithTopTables(*topTables), dust.WithWorkers(*workers), dust.WithShards(*shards)}
 	if *modelPath != "" {
 		f, err := os.Open(*modelPath)
 		if err != nil {

@@ -3,10 +3,8 @@
 // the lake without blocking in-flight queries), an LRU result cache
 // invalidated by epoch and bounded by entries and bytes, bounded request
 // admission with optional degradation (-degrade-threshold: a server whose
-// load factor reaches it answers from the ANN view, or sheds with
-// Retry-After: 1 when it already serves ANN), background compaction of
-// ANN graphs more than half tombstones (always on, never inside a
-// request), and per-request timeouts.
+// load factor reaches it answers from half the tables, or sheds with
+// Retry-After: 1 when -tables is already 1), and per-request timeouts.
 //
 // Usage:
 //
@@ -48,32 +46,28 @@ import (
 	"dust/internal/datagen"
 	"dust/internal/lake"
 	"dust/internal/model"
-	"dust/internal/search"
 	"dust/internal/serve"
 	"dust/internal/vector"
 )
 
 func main() {
 	var (
-		lakeDir    = flag.String("lake", "", "directory of lake CSVs (required unless -spec)")
-		specStr    = flag.String("spec", "", "serve a synthetic LakeSpec lake instead of -lake: comma-separated key=value knobs (see dustgen -spec)")
-		indexDir   = flag.String("index-dir", "", "saved-index directory: warm-start from it when present, create it otherwise")
-		addr       = flag.String("addr", ":8080", "listen address")
-		topTables  = flag.Int("tables", 10, "unionable tables retrieved per query")
-		modelPath  = flag.String("model", "", "fine-tuned model from dusttrain (optional)")
-		workers    = flag.Int("workers", 0, "index-build parallelism (0 = all cores)")
-		queryWk    = flag.Int("query-workers", 1, "data parallelism inside each request")
-		inflight   = flag.Int("inflight", 0, "max concurrent searches (0 = all cores)")
-		cacheCap   = flag.Int("cache", 1024, "query-result cache capacity (0 disables)")
-		cacheBy    = flag.Int64("cache-bytes", 0, "query-result cache resident-byte cap (0 = entry bound only)")
-		timeout    = flag.Duration("timeout", 30*time.Second, "per-request budget (0 disables)")
-		degrade    = flag.Float64("degrade-threshold", 0, "load factor ((executing + waiting searches) / -inflight) at which searches degrade to ANN retrieval (or shed with 503 + Retry-After: 1 when the server already serves ANN); 0 disables degraded admission")
-		ann        = flag.Bool("ann", false, "approximate candidate retrieval (HNSW) with exact re-ranking; the graph persists in -index-dir and follows live table mutations. -ann=false forces exact retrieval even for an index saved in ANN mode; omit the flag to follow the saved index")
-		oversample = flag.Float64("oversample", 0, "ANN candidate oversampling factor: retrieve about N*k candidates before exact re-ranking (0 = default)")
-		efSearch   = flag.Int("ef-search", 0, "HNSW traversal beam width of the ANN candidate stage (0 = default)")
-		shards     = flag.Int("shards", 1, "partition the index into N shards, each with its own HNSW graph and saved files (1 = monolithic); table mutations route to the owning shard and exact-mode results are identical either way. Applies to cold builds only: a warm start keeps the layout saved in -index-dir")
-		logReqs    = flag.Bool("log-requests", false, "log one JSON line per request to stderr (method, endpoint, status, duration, cache outcome, per-stage search timings)")
-		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables profiling")
+		lakeDir   = flag.String("lake", "", "directory of lake CSVs (required unless -spec)")
+		specStr   = flag.String("spec", "", "serve a synthetic LakeSpec lake instead of -lake: comma-separated key=value knobs (see dustgen -spec)")
+		indexDir  = flag.String("index-dir", "", "saved-index directory: warm-start from it when present, create it otherwise")
+		addr      = flag.String("addr", ":8080", "listen address")
+		topTables = flag.Int("tables", 10, "unionable tables retrieved per query (at least 1)")
+		modelPath = flag.String("model", "", "fine-tuned model from dusttrain (optional)")
+		workers   = flag.Int("workers", 0, "index-build parallelism (0 = all cores)")
+		queryWk   = flag.Int("query-workers", 1, "data parallelism inside each request")
+		inflight  = flag.Int("inflight", 0, "max concurrent searches (0 = all cores)")
+		cacheCap  = flag.Int("cache", 1024, "query-result cache capacity (0 disables)")
+		cacheBy   = flag.Int64("cache-bytes", 0, "query-result cache resident-byte cap (0 = entry bound only)")
+		timeout   = flag.Duration("timeout", 30*time.Second, "per-request budget (0 disables)")
+		degrade   = flag.Float64("degrade-threshold", 0, "load factor ((executing + waiting searches) / -inflight) at which searches degrade to half the -tables (or shed with 503 + Retry-After: 1 when -tables is 1); 0 disables degraded admission; the benchmark's serve_mixed workload runs at 0.5")
+		shards    = flag.Int("shards", 1, "partition the index into N shards, each with its own saved files (1 = monolithic); table mutations route to the owning shard and results are identical either way. Applies to cold builds only: a warm start keeps the layout saved in -index-dir")
+		logReqs   = flag.Bool("log-requests", false, "log one JSON line per request to stderr (method, endpoint, status, duration, cache outcome, per-stage search timings)")
+		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables profiling")
 	)
 	flag.Parse()
 	if *lakeDir == "" && *specStr == "" {
@@ -82,6 +76,10 @@ func main() {
 	}
 	if *lakeDir != "" && *specStr != "" {
 		fmt.Fprintln(os.Stderr, "dustserve: -lake and -spec are mutually exclusive")
+		os.Exit(2)
+	}
+	if *topTables < 1 {
+		fmt.Fprintln(os.Stderr, "dustserve: -tables must be at least 1")
 		os.Exit(2)
 	}
 
@@ -102,22 +100,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	opts := []dust.Option{
-		dust.WithTopTables(*topTables), dust.WithWorkers(*workers), dust.WithShards(*shards),
-		dust.WithOversample(*oversample), dust.WithEfSearch(*efSearch),
-	}
-	// Tri-state retrieval: an explicit -ann / -ann=false overrides the
-	// mode recorded in a warm-started index; omitting the flag follows it.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name != "ann" {
-			return
-		}
-		mode := search.Exact
-		if *ann {
-			mode = search.ANN
-		}
-		opts = append(opts, dust.WithRetriever(mode))
-	})
+	opts := []dust.Option{dust.WithTopTables(*topTables), dust.WithWorkers(*workers), dust.WithShards(*shards)}
 	if *modelPath != "" {
 		f, err := os.Open(*modelPath)
 		if err != nil {

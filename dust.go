@@ -45,10 +45,7 @@ type Pipeline struct {
 	topTables   int
 	workers     int
 	workersSet  bool
-	retrieval   search.Mode
 	shards      int
-	oversample  float64
-	efSearch    int
 	// epoch counts index mutations (AddTable/RemoveTable) over the
 	// pipeline's lifetime; see Epoch in persist.go. Serving layers key
 	// result caches by it.
@@ -61,9 +58,9 @@ type Option func(*Pipeline)
 // WithSearcher replaces the table union searcher (default: Starmie-like).
 // The searcher must satisfy the whole search.Searcher contract — the
 // pipeline calls all of it, unconditionally — and stays the live index:
-// the pipeline queries, tunes and mutates s itself, not a copy (except
-// that an explicit WithWorkers queries through s.QueryWorkers(n), a view
-// sharing s's index).
+// the pipeline queries and mutates s itself, not a copy (except that an
+// explicit WithWorkers queries through s.QueryWorkers(n), a view sharing
+// s's index).
 func WithSearcher(s search.Searcher) Option { return func(p *Pipeline) { p.searcher = s } }
 
 // WithTupleEncoder replaces the tuple embedding model (default: a
@@ -71,42 +68,30 @@ func WithSearcher(s search.Searcher) Option { return func(p *Pipeline) { p.searc
 // model.Model for the paper's full setup).
 func WithTupleEncoder(e model.TupleEncoder) Option { return func(p *Pipeline) { p.tupleEnc = e } }
 
-// WithTopTables sets how many unionable tables the search stage retrieves
-// before alignment (default: 10).
-func WithTopTables(n int) Option { return func(p *Pipeline) { p.topTables = n } }
+// defaultTopTables is how many unionable tables the search stage retrieves
+// unless WithTopTables says otherwise.
+const defaultTopTables = 10
 
-// WithRetriever selects the candidate-generation backend of the searcher's
-// staged query plan (default search.Exact, the seed behavior). search.ANN
-// switches Starmie to approximate retrieval — HNSW over its column
-// embeddings — whose candidates are re-scored exactly, so query latency
-// tracks the candidate pool instead of the lake size. DUST itself only
-// needs a candidate pool of unionable tuples before diversification, which
-// is what makes the approximate stage safe for the pipeline's quality. A
-// Mode value the search package does not define makes New panic.
-func WithRetriever(m search.Mode) Option { return func(p *Pipeline) { p.retrieval = m } }
+// WithTopTables sets how many unionable tables the search stage retrieves
+// before alignment (default: 10). n <= 0 keeps the default: a pipeline
+// always unions a bounded number of tables, never the whole lake.
+func WithTopTables(n int) Option {
+	return func(p *Pipeline) {
+		if n > 0 {
+			p.topTables = n
+		}
+	}
+}
 
 // WithShards partitions the default Starmie index into n hash-assigned
-// parts (search.WithShards): each part has its own HNSW graph under
-// search.ANN and its own saved file set, while one corpus and one exact
-// scan cover the whole lake, so exact-mode results are bit-identical to
-// the unsharded pipeline. Under search.ANN every part's graph nominates
-// candidates for the one exact re-rank. n <= 1 keeps the single monolithic
-// index (the default). The option shapes the default searcher only: it is
-// ignored when WithSearcher supplies one, and a pipeline warm-started from
-// an index directory keeps the shard layout recorded in its manifest.
+// parts (search.WithShards), each with its own saved file set, while one
+// corpus and one exact scan cover the whole lake, so results are
+// bit-identical to the unsharded pipeline. n <= 1 keeps the single
+// monolithic index (the default). The option shapes the default searcher
+// only: it is ignored when WithSearcher supplies one, and a pipeline
+// warm-started from an index directory keeps the shard layout recorded in
+// its manifest.
 func WithShards(n int) Option { return func(p *Pipeline) { p.shards = n } }
-
-// WithOversample sets the ANN candidate-stage oversampling factor: a
-// top-k query retrieves about ceil(v*k) nearest candidates before exact
-// re-ranking. Raise it to trade latency for recall. v <= 0 keeps the
-// default (search.DefaultOversample); exact mode ignores it.
-func WithOversample(v float64) Option { return func(p *Pipeline) { p.oversample = v } }
-
-// WithEfSearch sets the HNSW traversal beam width of the searcher's ANN
-// candidate stage. Higher values raise recall at higher per-query cost.
-// ef <= 0 keeps the default (search.DefaultEfSearch); exact mode and
-// searchers without an HNSW stage ignore it.
-func WithEfSearch(ef int) Option { return func(p *Pipeline) { p.efSearch = ef } }
 
 // WithWorkers bounds the parallelism of each pipeline stage — lake
 // indexing, query scoring, tuple embedding, and the diversifier's distance
@@ -125,7 +110,7 @@ func New(l *lake.Lake, opts ...Option) *Pipeline {
 		columnEnc:   embed.ColumnLevel{Model: embed.NewRoBERTa()},
 		tupleEnc:    embed.NewRoBERTa(embed.WithAnisotropy(0.05)),
 		diversifier: diversify.NewDUST(),
-		topTables:   10,
+		topTables:   defaultTopTables,
 	}
 	for _, o := range opts {
 		o(p)
@@ -138,21 +123,6 @@ func New(l *lake.Lake, opts ...Option) *Pipeline {
 		// An explicit WithWorkers also re-bounds a supplied searcher's
 		// query-time scoring; without it the searcher keeps its own bound.
 		p.searcher = p.searcher.QueryWorkers(p.workers)
-	}
-	// Retrieval tuning applies to supplied and warm-started searchers too.
-	if p.oversample > 0 {
-		p.searcher.SetOversample(p.oversample)
-	}
-	if p.efSearch > 0 {
-		p.searcher.SetEfSearch(p.efSearch)
-	}
-	if p.retrieval != search.Exact {
-		if err := p.searcher.SetMode(p.retrieval); err != nil {
-			// A Mode value this package does not define is a programming
-			// error; silently serving the exact scan would hide it behind
-			// nothing but latency.
-			panic(err)
-		}
 	}
 	return p
 }
@@ -360,72 +330,23 @@ func (p *Pipeline) QueryBound(n int) *Pipeline {
 	return &c
 }
 
-// MaintenanceStats reports the tombstone debt of the searcher's HNSW
-// graphs — the only index structures that tombstone — merged across shards
-// for sharded searchers. The serving layer starts a compaction pass
-// (Compact on a Clone, then a snapshot swap) once its GraphDeletedFraction
-// passes search.RebuildThreshold.
-func (p *Pipeline) MaintenanceStats() search.MaintenanceStats {
-	return p.searcher.MaintenanceStats()
-}
-
-// SetAutoCompact toggles the searcher's inline compaction policy. With auto
-// compaction off, AddTable/RemoveTable never rebuild index structures
-// inline — the threshold check that normally runs inside mutations moves
-// behind this policy hook — so mutations stay O(delta) and a maintenance
-// layer compacts on its own schedule via Compact.
-func (p *Pipeline) SetAutoCompact(on bool) { p.searcher.SetAutoCompact(on) }
-
-// Compact rebuilds the searcher's tombstoned index structures now,
-// reporting whether any work was done. Compaction preserves result
-// identity — a compacted pipeline ranks every query exactly like its
-// tombstoned self — and does not advance the epoch, so serving caches
-// keyed by (tag, epoch) stay valid across it. Not safe concurrently with
-// queries or mutations: run it on a Clone and swap, as the serving
-// layer's background compaction does.
-func (p *Pipeline) Compact() bool { return p.searcher.Compact() }
-
-// ModeView returns a query-only pipeline view whose searcher runs under
-// retrieval mode m, sharing every piece of index state with the receiver;
-// ok is false when the mode's backend is not installed (see PrepareANN).
-// The view is for querying only — never mutate it — and concurrent queries
-// on view and receiver are safe. A serving layer uses it to degrade
-// individual requests to ANN retrieval under load; the view's ConfigTag
-// differs from the receiver's (the searcher name carries the mode), so
-// caches keyed by tag never mix the two plans' results.
-func (p *Pipeline) ModeView(m search.Mode) (*Pipeline, bool) {
-	v, ok := p.searcher.ModeView(m)
-	if !ok {
-		return nil, false
-	}
+// Degraded returns the query view a server answers an overloaded request
+// from: the same frozen index and encoders, retrieving half the tables
+// (max(1, topTables/2)), so alignment, embedding and diversification all
+// work on about half the pool. ConfigTag carries topTables, so the view's
+// cache lines never mix with the receiver's; a pipeline retrieving one
+// table already has nothing cheaper, and its view's tag equals its own.
+// The view is for querying only — never mutate it.
+func (p *Pipeline) Degraded() *Pipeline {
 	c := *p
-	c.searcher = v
-	c.retrieval = m
-	return &c, true
+	c.topTables = max(1, p.topTables/2)
+	return &c
 }
 
-// PrepareANN builds the searcher's approximate retrieval structures (the
-// HNSW graphs) without leaving the current retrieval mode, so that
-// ModeView(search.ANN) becomes available on an exact-mode pipeline. An
-// installed graph survives mode flips and keeps absorbing mutations, so
-// the preparation stays valid across the pipeline's life (clones
-// included). Reports whether the ANN view is now available. Not safe
-// concurrently with queries — call before serving starts.
-func (p *Pipeline) PrepareANN() bool {
-	cur := p.searcher.RetrievalMode()
-	if cur == search.ANN {
-		return true
-	}
-	if err := p.searcher.SetMode(search.ANN); err != nil {
-		return false
-	}
-	if err := p.searcher.SetMode(cur); err != nil {
-		// cur came from RetrievalMode and always round-trips.
-		panic(err)
-	}
-	_, ok := p.ModeView(search.ANN)
-	return ok
-}
+// PrepareANN does nothing and reports true: the exact scan is the one
+// retriever, and Degraded needs nothing built. It is kept for the
+// benchmark, which calls it before timing the degraded view.
+func (p *Pipeline) PrepareANN() bool { return true }
 
 // Close releases nothing: a pipeline holds no goroutines, files or other
 // long-lived resources, sharded or not, and keeps serving after Close. It
@@ -449,22 +370,10 @@ func (p *Pipeline) ShardSizes() []int {
 	return sizes
 }
 
-// IndexBytes reports the resident footprint of the searcher's ANN index
-// structures, merged across its parts (see search.IndexFootprint). The
-// serving layer exports it as the dust_index_bytes gauge.
-func (p *Pipeline) IndexBytes() search.IndexFootprint { return p.searcher.IndexBytes() }
-
-// ShardIndexBytes reports every index part's own resident footprint in
-// shard order — the per-shard series behind the serving layer's
-// dust_index_bytes gauge.
-func (p *Pipeline) ShardIndexBytes() []search.IndexFootprint {
-	parts := p.searcher.Parts()
-	out := make([]search.IndexFootprint, len(parts))
-	for i, part := range parts {
-		out[i] = part.IndexBytes()
-	}
-	return out
-}
+// IndexBytes returns the zero search.IndexFootprint: the exact scan keeps
+// no structure beside its column blocks. It is kept for the benchmark,
+// which reports it as search.index_bytes.
+func (p *Pipeline) IndexBytes() search.IndexFootprint { return search.IndexFootprint{} }
 
 // tableRows collects a table's rows for batch encoding.
 func tableRows(t *table.Table) [][]string {

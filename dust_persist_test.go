@@ -1,7 +1,6 @@
 package dust
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -64,9 +63,11 @@ func TestSaveIndexOverwriteDropsStaleModel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// An earlier build's monolithic files, which the CLIs' rebuild of an
-	// older-format directory saves over.
-	for _, f := range []string{"searcher.dustidx", "ann.dustidx"} {
+	// Earlier builds' files — monolithic ones and a part's candidate
+	// graph — which the CLIs' rebuild of an older-format directory saves
+	// over.
+	stale := []string{"searcher.dustidx", "ann.dustidx", "shard-000.ann.dustidx"}
+	for _, f := range stale {
 		if err := os.WriteFile(filepath.Join(idxDir, f), []byte("DSTIDX"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func TestSaveIndexOverwriteDropsStaleModel(t *testing.T) {
 	if err := cold.SaveIndex(idxDir); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"tuple.model", "searcher.dustidx", "ann.dustidx"} {
+	for _, f := range append(stale, "tuple.model") {
 		if _, err := os.Stat(filepath.Join(idxDir, f)); !os.IsNotExist(err) {
 			t.Errorf("stale %s survived the overwrite (err = %v)", f, err)
 		}
@@ -143,25 +144,28 @@ func TestLoadPipelineErrors(t *testing.T) {
 	}
 }
 
-// TestLoadPipelineRetiredKind loads index files in formats earlier builds
-// wrote: a manifest naming the retired "d3l" kind, one recording the
-// zero-shard monolithic layout, today's manifest under an older header
-// version (the CRC covers only the payload), and an older graph envelope.
-// Each must fail as codec.ErrVersion, which the CLIs answer with a cold
-// build. The directory holds the manifest alone, so a loader that opened a
-// part file first would fail as ErrShardLayout instead — as today's
-// manifest does.
+// TestLoadPipelineRetiredKind loads manifests in formats earlier builds
+// wrote: one naming the retired "d3l" kind, one recording the zero-shard
+// monolithic layout, today's payload under an older header version (the
+// CRC covers only the payload), and a version 4 manifest, which also
+// recorded the retrieval mode and whether graph files were saved. Each
+// must fail as codec.ErrVersion, which the CLIs answer with a cold build.
+// The directory holds the manifest alone, so a loader that opened a part
+// file first would fail as ErrShardLayout instead — as today's manifest
+// does.
 func TestLoadPipelineRetiredKind(t *testing.T) {
 	b, _ := benchLake(t)
-	manifest := func(kind string, shards int) []byte {
+	manifest := func(kind string, shards int, v4 bool) []byte {
 		var m codec.Buffer
 		m.String(kind)
 		m.String(b.Lake.Name)
 		m.Strings(b.Lake.Names())
 		m.Bool(false) // no tuple model
 		m.Uvarint(0)  // epoch
-		m.Bool(false) // exact mode
-		m.Bool(false) // no graph files
+		if v4 {
+			m.Bool(false) // exact mode
+			m.Bool(false) // no graph files
+		}
 		m.Uvarint(uint64(shards))
 		for i := 0; i < shards; i++ {
 			m.Strings(b.Lake.Names())
@@ -174,10 +178,11 @@ func TestLoadPipelineRetiredKind(t *testing.T) {
 		payload []byte
 		want    error
 	}{
-		{"d3l kind", ManifestFormatVersion, manifest("d3l", 1), codec.ErrVersion},
-		{"zero shards", ManifestFormatVersion, manifest(kindStarmie, 0), codec.ErrVersion},
-		{"header v3", 3, manifest(kindStarmie, 1), codec.ErrVersion},
-		{"current", ManifestFormatVersion, manifest(kindStarmie, 1), ErrShardLayout},
+		{"d3l kind", ManifestFormatVersion, manifest("d3l", 1, false), codec.ErrVersion},
+		{"zero shards", ManifestFormatVersion, manifest(kindStarmie, 0, false), codec.ErrVersion},
+		{"header v3", 3, manifest(kindStarmie, 1, false), codec.ErrVersion},
+		{"header v4", 4, manifest(kindStarmie, 1, true), codec.ErrVersion},
+		{"current", ManifestFormatVersion, manifest(kindStarmie, 1, false), ErrShardLayout},
 	} {
 		dir := t.TempDir()
 		if err := writeFile(filepath.Join(dir, manifestFile), func(w io.Writer) error {
@@ -188,19 +193,5 @@ func TestLoadPipelineRetiredKind(t *testing.T) {
 		if _, err := LoadPipelineLake(b.Lake, dir); !errors.Is(err, c.want) {
 			t.Errorf("%s manifest: err = %v, want %v", c.name, err, c.want)
 		}
-	}
-
-	var graph bytes.Buffer
-	approx := search.NewStarmie(b.Lake)
-	if err := approx.SetMode(search.ANN); err != nil {
-		t.Fatal(err)
-	}
-	if err := approx.SaveANN(&graph); err != nil {
-		t.Fatal(err)
-	}
-	v2 := graph.Bytes()
-	v2[7], v2[8] = 2, 0
-	if err := search.NewStarmie(b.Lake).LoadANN(bytes.NewReader(v2)); !errors.Is(err, codec.ErrVersion) {
-		t.Errorf("version 2 graph: err = %v, want ErrVersion", err)
 	}
 }

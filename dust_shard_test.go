@@ -17,7 +17,8 @@ import (
 
 // TestPipelineShardedOverwriteChangesLayout re-saves a different layout
 // into the same directory and checks no stale component files survive in
-// either direction, graph files of an ANN save included.
+// either direction, graph files an earlier build saved beside its parts
+// included.
 func TestPipelineShardedOverwriteChangesLayout(t *testing.T) {
 	b, q := benchLake(t)
 	lakeDir := filepath.Join(t.TempDir(), "lake")
@@ -25,10 +26,15 @@ func TestPipelineShardedOverwriteChangesLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	idxDir := filepath.Join(t.TempDir(), "index")
-	if err := New(b.Lake, WithShards(4), WithRetriever(search.ANN)).SaveIndex(idxDir); err != nil {
+	if err := New(b.Lake, WithShards(4)).SaveIndex(idxDir); err != nil {
 		t.Fatal(err)
 	}
-	// Shrink to 2 exact shards: shard-002/003 and every graph file must disappear.
+	for i := 0; i < 4; i++ {
+		if err := os.WriteFile(filepath.Join(idxDir, fmt.Sprintf("shard-%03d.ann.dustidx", i)), []byte("DSTIDXA"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Shrink to 2 shards: shard-002/003 and every graph file must disappear.
 	if err := New(b.Lake, WithShards(2)).SaveIndex(idxDir); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +42,7 @@ func TestPipelineShardedOverwriteChangesLayout(t *testing.T) {
 		t.Error("stale shard file survived a smaller re-save")
 	}
 	if m, _ := filepath.Glob(filepath.Join(idxDir, "*.ann.dustidx")); len(m) != 0 {
-		t.Errorf("stale graph files %v survived an exact-mode re-save", m)
+		t.Errorf("stale graph files %v survived a re-save", m)
 	}
 	warm, err := LoadPipeline(lakeDir, idxDir)
 	if err != nil {
@@ -70,12 +76,16 @@ func TestPipelineShardedOverwriteChangesLayout(t *testing.T) {
 	sameResult(t, "after layout churn", got, want)
 }
 
-// TestLoadGoldenShardedV4 reads a two-part index directory written by an
-// earlier build (testdata/golden_v4_sharded: 7 tables, one of them over the
-// encoder's token budget, so its vectors depend on the lake-wide corpus).
-// It must answer exactly like a fresh WithShards(2) build in both retrieval
-// modes, and re-save every part file byte for byte. The fixture was written
-// by commit e5bdf00 with
+// TestLoadGoldenShardedV4 pins the cold start of a two-part index
+// directory written by an earlier build (testdata/golden_v4_sharded: 7
+// tables, one of them over the encoder's token budget, so its vectors
+// depend on the lake-wide corpus). Its manifest is format version 4, which
+// also recorded a retrieval mode and graph files, so LoadPipeline refuses
+// it as codec.ErrVersion — what the CLIs answer with a cold build. A fresh
+// WithShards(2) pipeline over the fixture's lake must then answer exactly
+// like the searchers the fixture's part files hold, which are today's
+// Starmie format, and save those files byte for byte. The fixture was
+// written by commit e5bdf00 with
 //
 //	b := datagen.Generate("golden", datagen.Config{Seed: 5, Domains: 2, TablesPerBase: 3,
 //		QueriesPerBase: 1, BaseRows: 12, MinRows: 4, MaxRows: 6})
@@ -89,8 +99,8 @@ func TestPipelineShardedOverwriteChangesLayout(t *testing.T) {
 //	l, _ := lake.Load("lake") // directory order, as a later load reads it
 //	dust.New(l, dust.WithShards(2), dust.WithRetriever(search.ANN)).SaveIndex("index")
 //
-// Do not regenerate it: the point is that directories saved before keep
-// loading.
+// Do not regenerate it: the point is that directories saved before are
+// refused by version and rebuilt to the same answers.
 func TestLoadGoldenShardedV4(t *testing.T) {
 	golden := filepath.Join("testdata", "golden_v4_sharded")
 	idxDir := filepath.Join(golden, "index")
@@ -98,13 +108,37 @@ func TestLoadGoldenShardedV4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := LoadPipeline(filepath.Join(golden, "lake"), idxDir)
+	l, err := lake.Load(filepath.Join(golden, "lake"))
 	if err != nil {
-		t.Fatalf("golden index did not load: %v", err)
+		t.Fatal(err)
 	}
-	fresh := New(warm.Lake(), WithShards(2), WithRetriever(search.ANN))
-	if warm.Shards() != 2 || warm.ConfigTag() != fresh.ConfigTag() {
-		t.Fatalf("loaded %d shard(s) tagged %q, want 2 tagged %q", warm.Shards(), warm.ConfigTag(), fresh.ConfigTag())
+	if _, err := LoadPipelineLake(l, idxDir); !errors.Is(err, codec.ErrVersion) {
+		t.Fatalf("version 4 directory: err = %v, want codec.ErrVersion", err)
+	}
+	fresh := New(l, WithShards(2))
+
+	// The fixture's part files, each loaded against the fresh layout's
+	// sub-lake and joined, are the index a warm start used to serve.
+	var parts []*search.Starmie
+	for i, part := range fresh.searcher.Parts() {
+		f, err := os.Open(filepath.Join(idxDir, shardSearcherFile(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := search.LoadStarmie(f, part.Lake())
+		f.Close()
+		if err != nil {
+			t.Fatalf("golden part %d did not load: %v", i, err)
+		}
+		parts = append(parts, st)
+	}
+	joined, err := search.Join(l, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := New(l, WithSearcher(joined))
+	if fresh.Shards() != 2 || warm.ConfigTag() != fresh.ConfigTag() {
+		t.Fatalf("fresh build: %d shard(s) tagged %q, want 2 tagged %q", fresh.Shards(), fresh.ConfigTag(), warm.ConfigTag())
 	}
 	hits := func(p *Pipeline, k int) string {
 		var out []string
@@ -113,33 +147,27 @@ func TestLoadGoldenShardedV4(t *testing.T) {
 		}
 		return fmt.Sprint(out)
 	}
-	for _, mode := range []search.Mode{search.ANN, search.Exact} {
-		wv, ok := warm.ModeView(mode)
-		fv, fok := fresh.ModeView(mode)
-		if !ok || !fok {
-			t.Fatalf("no %v view", mode)
+	for _, k := range []int{1, 3, 0} {
+		if got, want := hits(fresh, k), hits(warm, k); got != want {
+			t.Fatalf("k=%d: fresh %s, golden parts %s", k, got, want)
 		}
-		for _, k := range []int{1, 3, 0} {
-			if got, want := hits(wv, k), hits(fv, k); got != want {
-				t.Fatalf("%v k=%d: golden %s, fresh %s", mode, k, got, want)
-			}
-		}
-		got, err := wv.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := fv.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, "golden vs fresh "+mode.String(), got, want)
 	}
-
-	out := filepath.Join(t.TempDir(), "index")
-	if err := warm.SaveIndex(out); err != nil {
+	got, err := fresh.Search(q, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"shard-000.dustidx", "shard-000.ann.dustidx", "shard-001.dustidx", "shard-001.ann.dustidx"} {
+	want, err := warm.Search(q, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "fresh vs golden parts", got, want)
+
+	out := filepath.Join(t.TempDir(), "index")
+	if err := fresh.SaveIndex(out); err != nil {
+		t.Fatal(err)
+	}
+	for i := range parts {
+		name := shardSearcherFile(i)
 		want, err := os.ReadFile(filepath.Join(idxDir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -149,7 +177,7 @@ func TestLoadGoldenShardedV4(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("re-saved %s differs from the golden file", name)
+			t.Errorf("fresh %s differs from the golden file", name)
 		}
 	}
 }
@@ -254,13 +282,10 @@ func TestShardedIndexErrorPaths(t *testing.T) {
 	})
 
 	t.Run("wrong-kind-shard-file", func(t *testing.T) {
-		// The part's own HNSW graph envelope in its searcher slot must fail
-		// the codec's kind check, not decode as garbage.
-		idxDir := filepath.Join(t.TempDir(), "index")
-		if err := New(b.Lake, WithShards(2), WithRetriever(search.ANN)).SaveIndex(idxDir); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(filepath.Join(idxDir, "shard-000.ann.dustidx"))
+		// The directory's own manifest envelope in a searcher slot must
+		// fail the codec's kind check, not decode as garbage.
+		idxDir := save(t)
+		raw, err := os.ReadFile(filepath.Join(idxDir, "manifest.dustidx"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,6 +101,33 @@ func TestPipelineOptions(t *testing.T) {
 	if res.Tuples.NumRows() != 5 {
 		t.Errorf("rows = %d", res.Tuples.NumRows())
 	}
+
+	// A non-positive bound keeps the default of 10 rather than unioning
+	// the whole lake.
+	def := New(b.Lake)
+	for _, n := range []int{0, -1} {
+		p := New(b.Lake, WithTopTables(n))
+		if p.ConfigTag() != def.ConfigTag() {
+			t.Errorf("WithTopTables(%d) tagged %q, want the default's %q", n, p.ConfigTag(), def.ConfigTag())
+		}
+		res, err := p.Search(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(res.UnionableTables); got != 10 || b.Lake.Len() <= 10 {
+			t.Errorf("WithTopTables(%d) retrieved %d of %d tables, want 10", n, got, b.Lake.Len())
+		}
+	}
+
+	// Degraded halves the tables and never reaches 0; at one table it has
+	// nothing cheaper, and its tag says so.
+	for _, c := range []struct{ n, want int }{{10, 5}, {3, 1}, {1, 1}} {
+		p := New(b.Lake, WithTopTables(c.n))
+		d := p.Degraded()
+		if d.topTables != c.want || (d.ConfigTag() == p.ConfigTag()) != (c.n == 1) {
+			t.Errorf("Degraded of %d tables: %d tables tagged %q, receiver %q", c.n, d.topTables, d.ConfigTag(), p.ConfigTag())
+		}
+	}
 }
 
 func TestPipelineDiverseBeatsSimilarBaseline(t *testing.T) {

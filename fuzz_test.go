@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dust/internal/datagen"
-	"dust/internal/search"
 )
 
 // FuzzLoadManifest throws arbitrary bytes at the index-directory manifest
@@ -14,8 +13,8 @@ import (
 // manifest sits over valid component files (the two shard files of the
 // last save, so a mutated manifest has plausible files to chase) and every
 // input must return a usable pipeline or a typed error, never panic.
-// Seeds are the real manifests of an unsharded, a sharded, and a sharded
-// ANN save.
+// Seeds are the real manifests of an unsharded and a sharded save, and
+// the version 4 manifest of testdata/golden_v4_sharded.
 func FuzzLoadManifest(f *testing.F) {
 	b := datagen.Generate("manifest-fuzz", datagen.Config{
 		Seed: 23, Domains: 2, TablesPerBase: 3, BaseRows: 16, MinRows: 5, MaxRows: 8,
@@ -37,9 +36,13 @@ func FuzzLoadManifest(f *testing.F) {
 	// shard files the fuzzed manifests sit over.
 	seed(New(b.Lake))
 	seed(New(b.Lake, WithShards(2)))
-	seed(New(b.Lake, WithShards(2), WithRetriever(search.ANN)))
+	v4, err := os.ReadFile(filepath.Join("testdata", "golden_v4_sharded", "index", "manifest.dustidx"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v4)
 	f.Add([]byte{})
-	f.Add([]byte("DSTIDXM\x04\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add([]byte("DSTIDXM\x05\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(manifest, data, 0o644); err != nil {

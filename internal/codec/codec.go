@@ -1,6 +1,6 @@
 // Package codec implements the versioned binary envelope and payload
 // primitives shared by every persisted index in the repo (the Starmie
-// search index, its HNSW candidate graph, and the pipeline manifest). The
+// search index and the pipeline manifest). The
 // format is deliberately simple and self-validating so a warm start never
 // trusts a stale or corrupted file:
 //
@@ -35,7 +35,7 @@ var (
 	// it is not an index file at all.
 	ErrBadMagic = errors.New("codec: bad magic (not a DUST index file)")
 	// ErrWrongKind means the file is a DUST index of a different family
-	// than the caller expected (e.g. an HNSW graph passed to the Starmie
+	// than the caller expected (e.g. a manifest passed to the Starmie
 	// loader, or an index of a retired kind).
 	ErrWrongKind = errors.New("codec: wrong index kind")
 	// ErrVersion means the payload format version is not the one this
@@ -52,13 +52,13 @@ var (
 )
 
 // Envelope kinds. Each persisted structure owns one kind byte. The bytes
-// 'D' (D3L multi-signal index) and 'T' (tuple-level index) are retired:
-// earlier builds wrote them, today's loaders refuse them as ErrWrongKind,
-// and they must never be reused for another payload.
+// 'A' (HNSW candidate graph), 'D' (D3L multi-signal index) and 'T'
+// (tuple-level index) are retired: earlier builds wrote them, today's
+// loaders refuse them as ErrWrongKind, and they must never be reused for
+// another payload.
 const (
 	KindStarmie  byte = 'S' // Starmie column-embedding index
 	KindManifest byte = 'M' // pipeline index-directory manifest
-	KindANN      byte = 'A' // HNSW approximate candidate graph
 )
 
 const (

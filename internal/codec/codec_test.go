@@ -57,7 +57,7 @@ func TestEnvelopeErrors(t *testing.T) {
 		{"payload cut", valid[:len(valid)-8], ErrTruncated},
 		{"crc cut", valid[:len(valid)-1], ErrTruncated},
 		{"trailing junk", append(append([]byte{}, valid...), 0xFF), ErrCorrupt},
-		{"wrong kind", envelope(t, KindANN, 2, []byte("payload bytes")), ErrWrongKind},
+		{"wrong kind", envelope(t, KindManifest, 2, []byte("payload bytes")), ErrWrongKind},
 		{"older version", envelope(t, KindStarmie, 1, []byte("payload bytes")), ErrVersion},
 		{"future version", envelope(t, KindStarmie, 3, []byte("payload bytes")), ErrVersion},
 		{"zero version", func() []byte {

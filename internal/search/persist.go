@@ -5,24 +5,17 @@ import (
 	"io"
 	"sort"
 
-	"dust/internal/ann"
 	"dust/internal/codec"
 	"dust/internal/embed"
 	"dust/internal/lake"
 	"dust/internal/par"
-	"dust/internal/vector"
 )
 
-// Payload format versions. Bump when a payload layout changes; loaders
-// read exactly their current version and refuse any other, older or newer,
-// as codec.ErrVersion, so a binary never misreads an index.
-const (
-	StarmieFormatVersion uint16 = 1
-	// ANNFormatVersion is the HNSW candidate-graph payload version
-	// (codec.KindANN): encoder identity, node-to-table mapping, and the
-	// graph's adjacency.
-	ANNFormatVersion uint16 = 3
-)
+// StarmieFormatVersion is the Starmie index payload version. Bump it when
+// the payload layout changes; the loader reads exactly its current version
+// and refuses any other, older or newer, as codec.ErrVersion, so a binary
+// never misreads an index.
+const StarmieFormatVersion uint16 = 1
 
 // Save writes the Starmie index — encoder identity, corpus document
 // frequencies, and the column embeddings of every table of its lake — as
@@ -167,102 +160,4 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 		e.code.Quantize(e.block, dim)
 	})
 	return s, nil
-}
-
-// SaveANN writes a one-part searcher's HNSW candidate graph — encoder
-// identity, the node-to-table mapping, and the graph's adjacency — as one
-// versioned, checksummed envelope, so a warm start skips the O(n log n)
-// graph build the way it skips re-embedding. The graph exists after
-// SetMode(ANN); saving a graphless searcher is an error, and a sharded one
-// saves through its Parts.
-//
-// A saved graph holds no tombstones: the file has no rows, so a loader
-// could not route through a dead node. A graph that carries some is saved
-// as its compaction (Compact's graph), and the in-memory graph is left as
-// it is.
-func (s *Starmie) SaveANN(w io.Writer) error {
-	if len(s.parts) != 1 {
-		return fmt.Errorf("starmie: save ann: %d parts, save each of Parts()", len(s.parts))
-	}
-	p := s.parts[0]
-	if p.graph == nil {
-		return fmt.Errorf("starmie: save ann: no candidate graph (SetMode(ANN) first)")
-	}
-	graph, names := p.graph, p.annTables
-	if graph.Live() != graph.Len() {
-		names = make([]string, 0, graph.Live())
-		graph = graph.Compact(func(oldID, _ int) { names = append(names, p.annTables[oldID]) })
-	}
-	var b codec.Buffer
-	b.String(s.enc.Name())
-	b.String(s.enc.Model.Fingerprint())
-	b.Int(s.enc.Dim())
-	b.Strings(names)
-	graph.Encode(&b)
-	return codec.WriteEnvelope(w, codec.KindANN, ANNFormatVersion, b.Bytes())
-}
-
-// LoadANN installs a candidate graph written by SaveANN into this one-part
-// searcher, validating encoder identity and that the graph's nodes cover
-// the indexed column embeddings exactly (one node per indexed column, per
-// table), and binds each node to its column's row of the loaded blocks. It
-// does not switch retrieval modes — call SetMode(ANN), which reuses the
-// installed graph instead of rebuilding.
-func (s *Starmie) LoadANN(r io.Reader) error {
-	if len(s.parts) != 1 {
-		return fmt.Errorf("starmie: load ann: %d parts, load each before Join", len(s.parts))
-	}
-	payload, err := codec.ReadEnvelope(r, codec.KindANN, ANNFormatVersion)
-	if err != nil {
-		return fmt.Errorf("starmie: load ann: %w", err)
-	}
-	sc := codec.NewScanner(payload)
-	encName := sc.String()
-	modelPrint := sc.String()
-	dim := sc.Int()
-	if sc.Err() == nil && (encName != s.enc.Name() || modelPrint != s.enc.Model.Fingerprint() || dim != s.enc.Dim()) {
-		return fmt.Errorf("starmie: load ann: graph built with %s/%s/d%d, searcher uses %s/%s/d%d: %w",
-			encName, modelPrint, dim, s.enc.Name(), s.enc.Model.Fingerprint(), s.enc.Dim(), ErrEncoderMismatch)
-	}
-	names := sc.Strings()
-	graph, err := ann.Decode(sc)
-	if err != nil {
-		return fmt.Errorf("starmie: load ann: %w", err)
-	}
-	if err := sc.Finish(); err != nil {
-		return fmt.Errorf("starmie: load ann: %w", err)
-	}
-	if graph.Dim() != s.enc.Dim() {
-		return fmt.Errorf("starmie: load ann: graph dim %d, want %d: %w", graph.Dim(), s.enc.Dim(), codec.ErrCorrupt)
-	}
-	if graph.Len() != len(names) {
-		return fmt.Errorf("starmie: load ann: %d nodes but %d names: %w", graph.Len(), len(names), codec.ErrCorrupt)
-	}
-	ids := make(map[string][]int, len(s.idx.entries))
-	for id, name := range names {
-		ids[name] = append(ids[name], id)
-	}
-	for name := range ids {
-		if s.idx.get(name) == nil {
-			return fmt.Errorf("starmie: load ann: graph covers table %q the index does not hold: %w",
-				name, ErrLakeMismatch)
-		}
-	}
-	// One node per indexed column; a zero-column table legitimately has no
-	// nodes at all.
-	for _, e := range s.idx.entries {
-		if ncols := len(e.block) / s.enc.Dim(); len(ids[e.t.Name]) != ncols {
-			return fmt.Errorf("starmie: load ann: table %q has %d nodes, index holds %d columns: %w",
-				e.t.Name, len(ids[e.t.Name]), ncols, ErrLakeMismatch)
-		}
-	}
-	rows := make([]vector.Vec, graph.Len())
-	for name, nodes := range ids {
-		c := 0
-		s.blockRows(s.idx.get(name).block, func(v vector.Vec) { rows[nodes[c]] = v; c++ })
-	}
-	graph.BindRows(rows)
-	p := s.parts[0]
-	p.graph, p.annTables, p.annIDs = graph, names, ids
-	return nil
 }

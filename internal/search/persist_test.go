@@ -75,17 +75,10 @@ func saveStarmie(t testing.TB, b *datagen.Benchmark) []byte {
 	return buf.Bytes()
 }
 
-// loadAny dispatches raw bytes to the loader matching name: the Starmie
-// index loader, or the HNSW graph loader on a fresh host searcher.
-func loadAny(name string, data []byte, b *datagen.Benchmark) error {
-	switch name {
-	case "starmie":
-		_, err := LoadStarmie(bytes.NewReader(data), b.Lake)
-		return err
-	case "ann":
-		return NewStarmie(b.Lake).LoadANN(bytes.NewReader(data))
-	}
-	panic("unknown index " + name)
+// load is LoadStarmie over raw bytes against b's lake.
+func load(data []byte, b *datagen.Benchmark) error {
+	_, err := LoadStarmie(bytes.NewReader(data), b.Lake)
+	return err
 }
 
 // TestGoldenIndexes pins the on-disk format: a Starmie index saved by an
@@ -106,7 +99,7 @@ func TestGoldenIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update): %v", err)
 	}
-	if err := loadAny("starmie", golden, b); err != nil {
+	if err := load(golden, b); err != nil {
 		t.Errorf("golden index no longer loads: %v", err)
 	}
 	if !bytes.Equal(golden, data) {
@@ -114,13 +107,12 @@ func TestGoldenIndexes(t *testing.T) {
 	}
 }
 
-// TestLoadErrorPaths feeds damaged copies of every index file a loader may
-// meet to it and requires the typed error of the damage. The live kinds are
-// a Starmie index and its HNSW graph, and load when intact. The retired
-// kind bytes — 'D' (D3L) and 'T' (tuple-level), here over a Starmie
-// payload — go to the Starmie loader and, intact or with any damage past
-// the header, fail the kind check as codec.ErrWrongKind, never as bit rot.
-// An intact file fed to the other loader fails as ErrWrongKind too.
+// TestLoadErrorPaths feeds damaged copies of every index file the loader
+// may meet to it and requires the typed error of the damage. The live kind
+// is a Starmie index, which loads when intact. The retired kind bytes — 'A'
+// (HNSW graph), 'D' (D3L) and 'T' (tuple-level), here over a Starmie
+// payload — intact or with any damage past the header, fail the kind check
+// as codec.ErrWrongKind, never as bit rot.
 func TestLoadErrorPaths(t *testing.T) {
 	b := persistBench(t)
 	starmie := saveStarmie(t, b)
@@ -130,15 +122,10 @@ func TestLoadErrorPaths(t *testing.T) {
 		return out
 	}
 	fixtures := map[string][]byte{
-		"starmie": starmie, "ann": saveANN(t, annStarmie(t, b.Lake)),
-		"d3l": retag('D'), "tuples": retag('T'),
+		"starmie": starmie, "ann": retag('A'), "d3l": retag('D'), "tuples": retag('T'),
 	}
 	for name, valid := range fixtures {
-		own, other := "starmie", "ann" // the retired kinds go to the Starmie loader
-		if name == "ann" {
-			own, other = other, own
-		}
-		retired := name == "d3l" || name == "tuples"
+		retired := name != "starmie"
 		t.Run(name, func(t *testing.T) {
 			cases := []struct {
 				name          string
@@ -160,13 +147,10 @@ func TestLoadErrorPaths(t *testing.T) {
 					if retired {
 						want = c.retired
 					}
-					if err := loadAny(own, c.bytes, b); !errors.Is(err, want) {
+					if err := load(c.bytes, b); !errors.Is(err, want) {
 						t.Errorf("err = %v, want %v", err, want)
 					}
 				})
-			}
-			if err := loadAny(other, valid, b); !errors.Is(err, codec.ErrWrongKind) {
-				t.Errorf("%s loader: err = %v, want ErrWrongKind", other, err)
 			}
 		})
 	}

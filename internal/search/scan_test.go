@@ -65,7 +65,7 @@ func bareEncoder() embed.StarmieEncoder {
 }
 
 func queryCols(s *Starmie, q *table.Table) []vector.Vec {
-	return s.Prepare(q).(*starmiePrepared).cols
+	return s.EncodeQuery(q)
 }
 
 // TestBlocksAreUnitOrZero pins the contract the dot-product cell rests on:
@@ -119,7 +119,7 @@ func weightsSearcher(w [][]float64, minSim float64) (*Starmie, *starmiePrepared,
 	}
 	code := vector.NewCodeBlock(nc, dim)
 	code.Quantize(block, dim)
-	return s, &starmiePrepared{cols: q, panels: vector.NewQueryPanels(q), codes: vector.NewQueryCodes(q)}, &entry{block: block, code: code}
+	return s, &starmiePrepared{panels: vector.NewQueryPanels(q), codes: vector.NewQueryCodes(q)}, &entry{block: block, code: code}
 }
 
 // TestScoreExitsAreExact checks the four exits of scan.score against the
@@ -333,12 +333,6 @@ func TestIndexFollowsLake(t *testing.T) {
 		t.Run(fmt.Sprint(parts), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(37 + parts)))
 			s := NewStarmie(spec.Generate(), WithShards(parts), WithWorkers(2))
-			if err := s.SetMode(ANN); err != nil { // graphs absorb the history too
-				t.Fatal(err)
-			}
-			if err := s.SetMode(Exact); err != nil {
-				t.Fatal(err)
-			}
 			added := 0
 			add := func(s *Starmie) {
 				t.Helper()

@@ -35,12 +35,11 @@ type Scored struct {
 // pipeline, persistence and serving layers compose against this type
 // alone. Queries run prepared — Prepare once, then TopKPrepared; TopK and
 // TopKCtx wrap the two steps. Queries are safe concurrently with each
-// other; everything that changes the index (SetMode, the Set* tuners,
-// AddTable/RemoveTable, Compact) is not safe concurrently with queries —
+// other; AddTable and RemoveTable are not safe concurrently with queries —
 // mutate a CloneWithLake copy and swap.
 type Searcher interface {
-	// Name identifies the searcher and its retrieval mode; config tags and
-	// the serving caches keyed by them build on it.
+	// Name identifies the searcher and its layout; config tags and the
+	// serving caches keyed by them build on it.
 	Name() string
 	// Lake returns the lake this searcher indexes.
 	Lake() *lake.Lake
@@ -52,43 +51,16 @@ type Searcher interface {
 	// Prepare encodes the query once; the result may be reused across any
 	// number of TopKPrepared calls on this searcher and its views.
 	Prepare(query *table.Table) PreparedQuery
-	// TopKPrepared retrieves candidates for pq (every indexed table in
-	// Exact mode, the approximate backend's nominees in ANN mode), scores
-	// them exactly and returns the top k by (score desc, name asc); k <= 0
-	// asks for the full ranking, which only the exact scan provides. ANN
-	// retrieval that nominates nothing (no graph nodes) ranks nothing. A
-	// cancelled ctx yields ctx.Err(), never a truncated ranking; a
-	// preparation from another searcher family yields ErrForeignPrepared.
+	// TopKPrepared scores every indexed table against pq exactly and
+	// returns the top k by (score desc, name asc); k <= 0 asks for the full
+	// ranking. A cancelled ctx yields ctx.Err(), never a truncated ranking;
+	// a preparation from another searcher family yields ErrForeignPrepared.
 	TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error)
 
-	// SetMode switches the retrieval backend; entering ANN builds the
-	// approximate index on first use (O(n log n) for HNSW) and reuses an
-	// installed one (e.g. loaded from disk). An installed index survives
-	// mode flips and keeps absorbing mutations.
-	SetMode(Mode) error
-	// RetrievalMode reports the active retrieval backend.
-	RetrievalMode() Mode
-	// ModeView returns a read-only view under mode m sharing all index
-	// state with the receiver, so a serving layer can degrade single
-	// requests to ANN without flipping the shared searcher. ok is false
-	// when m's backend is not installed (an ANN view of a graph-less
-	// searcher). Concurrent queries on view and receiver are safe.
-	ModeView(m Mode) (s Searcher, ok bool)
 	// QueryWorkers returns a view sharing the index that scores queries
 	// with at most n workers; batch-serving callers use it to stop
 	// per-query fan-out from multiplying their own query-level parallelism.
 	QueryWorkers(n int) Searcher
-
-	// SetOversample sizes the ANN candidate pool of a top-k query
-	// (ceil(v*k) nominees before exact re-ranking) and SetEfSearch sets the
-	// HNSW traversal beam width; non-positive values restore the package
-	// defaults, exact-mode queries and searchers without the backend ignore
-	// them.
-	SetOversample(v float64)
-	SetEfSearch(ef int)
-	// IndexBytes reports the resident footprint of the ANN index
-	// structures, summed over the parts.
-	IndexBytes() IndexFootprint
 
 	// AddTable indexes one new table and RemoveTable un-indexes one, in
 	// O(delta) work, leaving query results bit-identical to an index built
@@ -104,37 +76,26 @@ type Searcher interface {
 	// index state — the embedding blocks — is shared, so
 	// snapshot-swapped serving builds copy-on-write shadows with it.
 	CloneWithLake(l *lake.Lake) Searcher
-
-	// MaintenanceStats exposes the accumulated tombstone debt,
-	// SetAutoCompact(false) stops mutations from rebuilding tombstoned
-	// structures inline, and Compact pays the debt down now, reporting
-	// whether any work was done — typically on a clone, off the query
-	// path. A compacted index ranks exactly like its tombstoned self.
-	MaintenanceStats() MaintenanceStats
-	SetAutoCompact(on bool)
-	Compact() bool
 }
 
 // QueryBounded names the part of the contract that re-bounds query
 // parallelism; every Searcher has it.
 type QueryBounded = Searcher
 
-// Mode selects the candidate-generation backend of a searcher's query plan
-// (retrieve -> score -> diversify).
+// Mode names a retrieval backend. The exact scan is the only one, so
+// every Mode answers alike; the type, its two values and String are kept
+// for the benchmark, which still names the view it times by Mode.
 type Mode int
 
 const (
-	// Exact scans and scores every lake table — the seed behavior, the
-	// default, and the recall oracle ANN mode is measured against.
+	// Exact scans and scores every lake table.
 	Exact Mode = iota
-	// ANN generates candidates approximately — HNSW over Starmie's column
-	// embeddings — and re-scores only those candidates exactly, so query
-	// latency tracks the candidate pool instead of the lake size.
+	// ANN names the approximate retriever the index no longer has;
+	// Starmie's ModeView answers it with the exact scan.
 	ANN
 )
 
-// String names the mode the way the CLI -ann flags and searcher Name()
-// suffixes do.
+// String names the mode: "exact", "ann", or mode(n).
 func (m Mode) String() string {
 	switch m {
 	case Exact:
@@ -144,29 +105,6 @@ func (m Mode) String() string {
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
 }
-
-// Staged retrieval defaults of Starmie's ANN plan.
-const (
-	// DefaultOversample is the candidate multiplier of the ANN stage:
-	// stage one retrieves about Oversample*k candidates per query vector
-	// before the exact re-rank, trading extra exact scoring for recall.
-	DefaultOversample = 4.0
-	// DefaultEfSearch bounds the HNSW base-layer beam width.
-	DefaultEfSearch = 120
-	// annNominateSlack widens each part's nomination depth beyond its
-	// ceil(Oversample*k/n) share, so the union of n parts' nominees keeps
-	// the recall of one graph even when one part owns most of the true
-	// neighbours.
-	annNominateSlack = 4
-	// RebuildThreshold is the tombstone fraction past which a mutated
-	// HNSW graph is rebuilt from its live nodes instead of accumulating
-	// more dead weight: inline by a mutation under auto compaction, on a
-	// background clone by the serving layer, which turns it off.
-	RebuildThreshold = 0.5
-)
-
-// ErrUnknownMode reports SetMode of a Mode this package does not define.
-var ErrUnknownMode = errors.New("search: unknown retrieval mode")
 
 // Typed failures of the incremental-mutation and persistence surfaces.
 var (
@@ -217,7 +155,7 @@ type Trace struct {
 	// prepared form here, plus tuple embedding in the dust pipeline.
 	EncodeNS atomic.Int64
 	// RetrieveNS is nanoseconds spent generating candidates (the exact
-	// scan's table listing, or every part's ANN lookups).
+	// scan's table listing).
 	RetrieveNS atomic.Int64
 	// ScoreNS is nanoseconds spent exactly scoring and ranking candidates.
 	ScoreNS atomic.Int64
@@ -320,32 +258,10 @@ type PreparedQuery interface {
 // that did not produce it.
 var ErrForeignPrepared = errors.New("search: prepared query from a different searcher family")
 
-// MaintenanceStats describes the tombstone debt of a searcher's HNSW
-// graphs — the signal a background maintainer watches to decide when a
-// compaction pass is worth a snapshot rebuild. Zero values mean no graph is
-// installed.
-type MaintenanceStats struct {
-	// GraphNodes is the HNSW node count including tombstones; GraphLive is
-	// the live subset. GraphDeletedFraction is dead/total, 0 for no graph —
-	// the number maintenance thresholds compare against.
-	GraphNodes           int
-	GraphLive            int
-	GraphDeletedFraction float64
-}
-
-// Merge combines per-part stats into a lake-wide view: counts sum, the
-// deleted fraction takes the per-part maximum (one rotten part should
-// trip the maintainer even if the rest of the lake is clean).
-func (m MaintenanceStats) Merge(o MaintenanceStats) MaintenanceStats {
-	m.GraphNodes += o.GraphNodes
-	m.GraphLive += o.GraphLive
-	m.GraphDeletedFraction = max(m.GraphDeletedFraction, o.GraphDeletedFraction)
-	return m
-}
-
-// IndexFootprint is one index's resident-size report: the estimated bytes
-// of its ANN graphs' adjacency, zero while none is installed. The serving
-// layer exports it as the dust_index_bytes gauge.
+// IndexFootprint is one index's resident-size report beyond its column
+// blocks. The exact scan keeps no other structure, so it is always zero;
+// it is kept for the benchmark, which reads it through
+// dust.Pipeline.IndexBytes.
 type IndexFootprint struct {
 	Bytes int64
 }
@@ -364,11 +280,9 @@ type options struct {
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
 // WithShards partitions Starmie's index into n parts by Assign (n <= 1:
-// one part, the default). Each part has its own sub-lake, HNSW graph and
-// saved file set; the corpus, the column blocks and the exact scan stay
-// one, so exact rankings do not depend on n. In ANN mode each part's graph
-// nominates ceil(Oversample*k/n)+annNominateSlack neighbours per query
-// column, so ANN rankings do, and the searcher's Name carries n.
+// one part, the default). Each part has its own sub-lake and saved file
+// set; the corpus, the column blocks and the exact scan stay one, so
+// rankings do not depend on n. The searcher's Name carries n.
 func WithShards(n int) Option { return func(o *options) { o.shards = n } }
 
 func applyOptions(opts []Option) options {

@@ -23,8 +23,8 @@ func TestPartitionAndAssign(t *testing.T) {
 		}
 		total := 0
 		for i, p := range parts {
-			total += p.lake.Len()
-			for _, name := range p.lake.Names() {
+			total += p.Len()
+			for _, name := range p.Names() {
 				if Assign(name, n) != i {
 					t.Errorf("n=%d: table %q in part %d, Assign says %d", n, name, i, Assign(name, n))
 				}
@@ -92,14 +92,12 @@ func scanned(t *testing.T, s Searcher, q *table.Table, k int) int64 {
 // TestSearcherConformance runs the Searcher contract over a one-part and a
 // 3-part Starmie: the parts partition the lake, TopKCtx is bit-identical to
 // Prepare + TopKPrepared, a cancelled context yields ctx.Err() and no hits,
-// a foreign preparation is refused with ErrForeignPrepared, and a mode
-// flip shows in the name (which serving config tags key on) and shrinks
-// the scan from the whole lake to a proper subset. Each searcher built
-// over an empty lake answers every query with nothing, in either mode; over
-// tables without columns, ANN mode, whose graphs then have no nodes,
-// nominates and so ranks nothing at every part count.
+// a foreign preparation is refused with ErrForeignPrepared, the scan
+// covers the whole lake, and ModeView answers both modes with the searcher
+// itself and no other value. Each searcher built over an empty lake
+// answers every query with nothing; over tables without columns it ranks
+// every table at score 0, at every part count.
 func TestSearcherConformance(t *testing.T) {
-	// Large enough that ANN nominees are a real subset of the lake.
 	b := datagen.Generate("conformance", datagen.Config{
 		Seed: 61, Domains: 8, TablesPerBase: 20, QueriesPerBase: 2,
 		BaseRows: 60, MinRows: 8, MaxRows: 16,
@@ -114,8 +112,8 @@ func TestSearcherConformance(t *testing.T) {
 			s := NewStarmie(b.Lake, WithShards(tc.parts))
 			ctx := context.Background()
 
-			if s.Name() != tc.name || s.RetrievalMode() != Exact {
-				t.Fatalf("fresh searcher is %q in mode %v, want %q in exact mode", s.Name(), s.RetrievalMode(), tc.name)
+			if s.Name() != tc.name {
+				t.Fatalf("fresh searcher is %q, want %q", s.Name(), tc.name)
 			}
 			if s.Lake() != b.Lake {
 				t.Fatal("Lake() is not the indexed lake")
@@ -168,24 +166,16 @@ func TestSearcherConformance(t *testing.T) {
 				t.Errorf("foreign TopKPrepared err = %v, want ErrForeignPrepared", err)
 			}
 
-			// Mode flip: visible in the name, and the candidate stage shrinks.
 			if n := scanned(t, s, q, 10); n != int64(b.Lake.Len()) {
-				t.Fatalf("exact mode scanned %d of %d tables", n, b.Lake.Len())
+				t.Fatalf("the scan covered %d of %d tables", n, b.Lake.Len())
 			}
-			if err := s.SetMode(ANN); err != nil {
-				t.Fatal(err)
+			for _, m := range []Mode{Exact, ANN} {
+				if view, ok := s.ModeView(m); !ok || view != Searcher(s) {
+					t.Fatalf("%v view: ok=%v, want the searcher itself", m, ok)
+				}
 			}
-			if s.Name() == tc.name || s.RetrievalMode() != ANN {
-				t.Fatalf("after SetMode(ANN): name %q, mode %v", s.Name(), s.RetrievalMode())
-			}
-			if n := scanned(t, s, q, 10); n == 0 || n >= int64(b.Lake.Len()) {
-				t.Fatalf("ANN mode scanned %d of %d tables", n, b.Lake.Len())
-			}
-			if view, ok := s.ModeView(Exact); !ok || view.Name() != tc.name {
-				t.Fatalf("exact view of an ANN searcher: ok=%v", ok)
-			}
-			if err := s.SetMode(Mode(99)); !errors.Is(err, ErrUnknownMode) {
-				t.Fatalf("SetMode(99) err = %v, want ErrUnknownMode", err)
+			if view, ok := s.ModeView(Mode(99)); ok || view != nil {
+				t.Fatalf("ModeView(99) = %v, %v; want nil, false", view, ok)
 			}
 		})
 		t.Run(tc.name+"/empty-lake", func(t *testing.T) {
@@ -194,14 +184,9 @@ func TestSearcherConformance(t *testing.T) {
 			if s.Lake() != empty || len(s.Parts()) != tc.parts {
 				t.Fatalf("Lake() is not the empty lake, or %d parts, want %d", len(s.Parts()), tc.parts)
 			}
-			for _, m := range []Mode{Exact, ANN} {
-				if err := s.SetMode(m); err != nil {
-					t.Fatal(err)
-				}
-				for _, k := range []int{5, 0} {
-					if hits, err := TopKCtx(context.Background(), s, q, k); err != nil || len(hits) != 0 {
-						t.Fatalf("%v k=%d: %d hits, %v; want none", m, k, len(hits), err)
-					}
+			for _, k := range []int{5, 0} {
+				if hits, err := TopKCtx(context.Background(), s, q, k); err != nil || len(hits) != 0 {
+					t.Fatalf("k=%d: %d hits, %v; want none", k, len(hits), err)
 				}
 			}
 		})
@@ -212,13 +197,7 @@ func TestSearcherConformance(t *testing.T) {
 			}
 			s := NewStarmie(bare, WithShards(tc.parts))
 			if hits := TopK(s, q, 5); len(hits) != bare.Len() || hits[0].Score != 0 {
-				t.Fatalf("exact mode ranked %v, want every table at score 0", hits)
-			}
-			if err := s.SetMode(ANN); err != nil {
-				t.Fatal(err)
-			}
-			if hits := TopK(s, q, 5); len(hits) != 0 {
-				t.Fatalf("ANN mode with no graph nodes ranked %d tables, want none", len(hits))
+				t.Fatalf("ranked %v, want every table at score 0", hits)
 			}
 		})
 	}

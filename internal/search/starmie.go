@@ -7,11 +7,9 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
-	"dust/internal/ann"
 	"dust/internal/embed"
 	"dust/internal/lake"
 	"dust/internal/match"
@@ -28,8 +26,8 @@ import (
 // normalized matching weight is the table's unionability score (§6.2.3).
 //
 // The index is one or more parts (WithShards): each part owns the tables
-// Assign routes to it, its own HNSW graph and its own saved file set, while
-// the corpus, the blocks and the exact scan stay one over the whole lake.
+// Assign routes to it and its own saved file set, while the corpus, the
+// blocks and the exact scan stay one over the whole lake.
 type Starmie struct {
 	enc    embed.StarmieEncoder
 	lake   *lake.Lake
@@ -41,42 +39,10 @@ type Starmie struct {
 	// verification threshold).
 	MinSim float64
 
-	// mode selects the candidate stage; parts partition the lake, n >= 1.
-	// A one-part index's part is bound to lake itself; the parts of a
-	// sharded index hold sub-lakes of their own, which AddTable and
-	// RemoveTable keep in step.
-	mode  Mode
-	parts []*part
-	// Oversample and EfSearch shape the candidate stage: every part's graph
-	// retrieves the nearest column embeddings per query column — ceil(
-	// Oversample*k) of them for one part, ceil(Oversample*k/n)+
-	// annNominateSlack for n — with beam width at most EfSearch, and the
-	// owner tables are re-ranked exactly. Raise Oversample to trade latency
-	// for recall.
-	Oversample float64
-	EfSearch   int
-	// manualCompact (set via SetAutoCompact(false)) stops mutations from
-	// rebuilding graphs inline once tombstones dominate; an attached
-	// maintainer calls Compact on its own schedule instead. Zero value
-	// keeps the inline policy, so clones and views inherit the setting
-	// through plain struct copies.
-	manualCompact bool
-}
-
-// part is one shard of the index: its tables and the staged retrieval
-// state over them (mode ANN). The HNSW graph's nodes are rows of the
-// index's blocks (a tombstoned node keeps the row of a block the index may
-// have dropped, until compaction). Node ids map to their owning table
-// via annTables (tombstoned nodes keep stale entries until a rebuild);
-// annIDs holds the live node ids of each table. The graph exists only after
-// SetMode(ANN) (or LoadANN) and is kept in sync by AddTable / RemoveTable /
-// refreshBig from then on; exact-mode searchers carry no graph and pay
-// nothing.
-type part struct {
-	lake      *lake.Lake
-	graph     *ann.Index
-	annTables []string
-	annIDs    map[string][]int
+	// parts partition the lake, n >= 1. A one-part index's part is lake
+	// itself; the parts of a sharded index are sub-lakes of their own,
+	// which AddTable and RemoveTable keep in step.
+	parts []*lake.Lake
 }
 
 // entry is one indexed table. block holds its column embeddings as NumCols
@@ -138,18 +104,6 @@ func (x *index) remove(name string) {
 	}
 }
 
-// named resolves an approximate backend's nominees to their entries,
-// skipping names no longer indexed.
-func (x *index) named(names []string) []entry {
-	out := make([]entry, 0, len(names))
-	for _, n := range names {
-		if e := x.get(n); e != nil {
-			out = append(out, *e)
-		}
-	}
-	return out
-}
-
 // Assign returns the part a table name belongs to under n parts: FNV-1a of
 // the name modulo n. It depends only on (name, n), so every process
 // partitioning the same lake the same way routes a table identically.
@@ -165,16 +119,16 @@ func Assign(name string, n int) int {
 // partition splits l into n parts by Assign, keeping l's iteration order
 // within each part. One part is bound to l itself; several get sub-lakes
 // sharing l's table objects, so partitioning costs O(tables), not O(cells).
-func partition(l *lake.Lake, n int) []*part {
+func partition(l *lake.Lake, n int) []*lake.Lake {
 	if n <= 1 {
-		return []*part{{lake: l}}
+		return []*lake.Lake{l}
 	}
-	parts := make([]*part, n)
+	parts := make([]*lake.Lake, n)
 	for i := range parts {
-		parts[i] = &part{lake: lake.New(fmt.Sprintf("%s#%d", l.Name, i))}
+		parts[i] = lake.New(fmt.Sprintf("%s#%d", l.Name, i))
 	}
 	for _, t := range l.Tables() {
-		parts[Assign(t.Name, n)].lake.MustAdd(t)
+		parts[Assign(t.Name, n)].MustAdd(t)
 	}
 	return parts
 }
@@ -218,15 +172,13 @@ func (s *Starmie) addColumns(t *table.Table) (big bool) {
 // constructor fills by embedding the lake and LoadStarmie from a file.
 func emptyStarmie(l *lake.Lake, enc embed.StarmieEncoder, o options) *Starmie {
 	return &Starmie{
-		enc:        enc,
-		lake:       l,
-		corpus:     &tokenize.Corpus{},
-		idx:        newIndex(l.Len()),
-		workers:    o.workers,
-		MinSim:     0.3,
-		parts:      partition(l, o.shards),
-		Oversample: DefaultOversample,
-		EfSearch:   DefaultEfSearch,
+		enc:     enc,
+		lake:    l,
+		corpus:  &tokenize.Corpus{},
+		idx:     newIndex(l.Len()),
+		workers: o.workers,
+		MinSim:  0.3,
+		parts:   partition(l, o.shards),
 	}
 }
 
@@ -277,18 +229,13 @@ func (s *Starmie) blockRows(block []float64, fn func(v vector.Vec)) {
 	}
 }
 
-// Name implements Searcher; the ANN suffix keeps config tags (and the
-// serving caches keyed by them) distinct between the two query plans, and a
-// sharded index names its part count, which shapes ANN rankings.
+// Name implements Searcher; a sharded index names its part count, so
+// config tags (and the serving caches keyed by them) tell the layouts apart.
 func (s *Starmie) Name() string {
-	name := "starmie"
-	if s.mode == ANN {
-		name = "starmie+ann"
-	}
 	if len(s.parts) > 1 {
-		return fmt.Sprintf("sharded%d(%s)", len(s.parts), name)
+		return fmt.Sprintf("sharded%d(starmie)", len(s.parts))
 	}
-	return name
+	return "starmie"
 }
 
 // Lake implements Searcher.
@@ -296,9 +243,9 @@ func (s *Starmie) Lake() *lake.Lake { return s.lake }
 
 // Parts implements Searcher: a one-part index is its own single part; a
 // sharded one returns a read-only view per part, bound to the part's
-// sub-lake and graph and sharing everything else — what the persistence
-// layer saves one file set per, and what Join merges back. The views are for
-// saving and sizing: their exact scan still walks the whole index.
+// sub-lake and sharing everything else — what the persistence layer saves
+// one file set per, and what Join merges back. The views are for saving
+// and sizing: their exact scan still walks the whole index.
 func (s *Starmie) Parts() []Searcher {
 	if len(s.parts) == 1 {
 		return []Searcher{s}
@@ -306,236 +253,28 @@ func (s *Starmie) Parts() []Searcher {
 	views := make([]Searcher, len(s.parts))
 	for i, p := range s.parts {
 		v := *s
-		v.lake, v.parts = p.lake, s.parts[i:i+1:i+1]
+		v.lake, v.parts = p, s.parts[i:i+1:i+1]
 		views[i] = &v
 	}
 	return views
 }
 
-// SetMode implements Searcher: ANN switches the retrieval stage to HNSW
-// candidates exactly re-ranked, building every part's graph over its
-// column embeddings if none is installed yet; Exact restores the full
-// scan. Installed graphs survive mode flips (and keep absorbing
-// mutations) so toggling is cheap.
-func (s *Starmie) SetMode(m Mode) error {
-	switch m {
-	case Exact:
-	case ANN:
-		for _, p := range s.parts {
-			if p.graph == nil {
-				s.buildGraph(p)
-			}
-		}
-	default:
-		return fmt.Errorf("starmie: SetMode(%d): %w", int(m), ErrUnknownMode)
-	}
-	s.mode = m
-	return nil
-}
-
-// RetrievalMode implements Searcher.
-func (s *Starmie) RetrievalMode() Mode { return s.mode }
-
-// hasGraphs reports whether the parts carry their candidate graphs, which
-// they are built, loaded and cloned with all together.
-func (s *Starmie) hasGraphs() bool { return s.parts[0].graph != nil }
-
-// IndexBytes implements Searcher: the estimated resident bytes of the
-// installed candidate graphs, zero without them.
-func (s *Starmie) IndexBytes() IndexFootprint {
-	var fp IndexFootprint
-	for _, p := range s.parts {
-		if p.graph != nil {
-			fp.Bytes += p.graph.Bytes()
-		}
-	}
-	return fp
-}
-
-// SetOversample implements Searcher; v <= 0 restores DefaultOversample.
-func (s *Starmie) SetOversample(v float64) {
-	if v <= 0 {
-		v = DefaultOversample
-	}
-	s.Oversample = v
-}
-
-// SetEfSearch implements Searcher; ef <= 0 restores DefaultEfSearch.
-func (s *Starmie) SetEfSearch(ef int) {
-	if ef <= 0 {
-		ef = DefaultEfSearch
-	}
-	s.EfSearch = ef
-}
-
-// Graph exposes the first part's candidate graph (nil without one) so
-// tests can read its shape. Callers must not mutate it.
-func (s *Starmie) Graph() *ann.Index { return s.parts[0].graph }
-
-// buildGraph indexes every column embedding of p's tables into a fresh
-// HNSW graph, in p's lake order so the graph is identical across
-// processes. The bulk path goes through ann.Build — batch-parallel and
-// bit-reproducible at every worker count — with node ids equal to
-// insertion positions, exactly as the incremental annAdd path books them.
-// The graph's nodes are the blocks' own rows.
-func (s *Starmie) buildGraph(p *part) {
-	p.annTables = nil
-	p.annIDs = make(map[string][]int, p.lake.Len())
-	var rows []vector.Vec
-	for _, t := range p.lake.Tables() {
-		s.blockRows(s.idx.get(t.Name).block, func(v vector.Vec) {
-			rows = append(rows, v)
-			p.annTables = append(p.annTables, t.Name)
-		})
-	}
-	p.graph = ann.Build(s.enc.Dim(), rows, ann.Config{}, s.workers)
-	for id, name := range p.annTables {
-		p.annIDs[name] = append(p.annIDs[name], id)
-	}
-}
-
-// annAdd indexes table name's current column embeddings into p's graph.
-func (s *Starmie) annAdd(p *part, name string) {
-	s.blockRows(s.idx.get(name).block, func(v vector.Vec) {
-		id := p.graph.Add(v)
-		p.annTables = append(p.annTables, name)
-		p.annIDs[name] = append(p.annIDs[name], id)
-	})
-}
-
-// annRemove tombstones table name's nodes in p's graph.
-func (p *part) annRemove(name string) {
-	for _, id := range p.annIDs[name] {
-		if err := p.graph.Remove(id); err != nil {
-			// Ids come from annIDs bookkeeping and are always live.
-			panic(err)
-		}
-	}
-	delete(p.annIDs, name)
-}
-
-// maybeRebuild compacts every graph in which tombstones dominate, unless a
-// maintainer owns compaction (SetAutoCompact(false)). The size floor keeps
-// tiny, churn-heavy indexes from rebuilding on every other mutation.
-func (s *Starmie) maybeRebuild() {
-	for _, p := range s.parts {
-		g := p.graph
-		if s.manualCompact || g == nil || g.Len() < 8 || g.DeletedFraction() <= RebuildThreshold {
-			continue
-		}
-		p.rebuildGraph()
-	}
-}
-
-// rebuildGraph compacts p's graph from its live nodes, rebooking the
-// node-to-table mapping as ann.Compact reports the surviving ids. Live
-// insertion order is preserved, so searches rank identically before and
-// after.
-func (p *part) rebuildGraph() {
-	oldTables := p.annTables
-	p.annTables = nil
-	p.annIDs = make(map[string][]int, len(p.annIDs))
-	p.graph = p.graph.Compact(func(oldID, newID int) {
-		name := oldTables[oldID]
-		p.annTables = append(p.annTables, name)
-		p.annIDs[name] = append(p.annIDs[name], newID)
-	})
-}
-
-// SetAutoCompact implements Searcher: with auto compaction off,
-// AddTable/RemoveTable never rebuild a graph inline and tombstones
-// accumulate until Compact runs.
-func (s *Starmie) SetAutoCompact(on bool) { s.manualCompact = !on }
-
-// Compact implements Searcher: it rebuilds every graph holding tombstones
-// from its live nodes, reporting whether any rebuild ran.
-func (s *Starmie) Compact() bool {
-	did := false
-	for _, p := range s.parts {
-		if p.graph != nil && p.graph.Len() != p.graph.Live() {
-			p.rebuildGraph()
-			did = true
-		}
-	}
-	return did
-}
-
-// MaintenanceStats implements Searcher, merged over the parts' graphs.
-func (s *Starmie) MaintenanceStats() MaintenanceStats {
-	var m MaintenanceStats
-	for _, p := range s.parts {
-		if g := p.graph; g != nil {
-			m = m.Merge(MaintenanceStats{
-				GraphNodes:           g.Len(),
-				GraphLive:            g.Live(),
-				GraphDeletedFraction: g.DeletedFraction(),
-			})
-		}
-	}
-	return m
-}
-
-// ModeView implements Searcher: the view is a shallow copy sharing every
-// piece of index state (including the graphs, whose searches are safe
-// concurrently) under the requested retrieval mode. An ANN view of a
-// graph-less searcher is unavailable — build the graphs first via SetMode.
+// ModeView answers every Mode with the receiver itself, and any other value
+// with (nil, false): the exact scan is the one retriever. It is kept for
+// the benchmark, which still asks for the view of search.ANN.
 func (s *Starmie) ModeView(m Mode) (Searcher, bool) {
-	if m == s.mode {
-		return s, true
-	}
-	if m == ANN && !s.hasGraphs() {
-		return nil, false
-	}
 	if m != Exact && m != ANN {
 		return nil, false
 	}
-	c := *s
-	c.mode = m
-	return &c, true
-}
-
-// annCandidateNames nominates, from every part's graph, the owner tables
-// of the nearest column embeddings to each query column for a top-k
-// query, name-sorted for determinism. One part fetches ceil(Oversample*k)
-// neighbours per query column; n parts fetch ceil(Oversample*k/n) plus
-// annNominateSlack each. The beam width ef caps at the searcher's EfSearch
-// but shrinks with shallow fetches: HNSW traversal cost is
-// ef-proportional, and a beam several times the fetch depth already
-// saturates recall, so a part fetching ~k/n must not pay the full-depth
-// beam one graph over the whole lake is tuned for. No graph nodes (every
-// table without columns) means no nominees, and the ranking is empty, at
-// every part count.
-func (s *Starmie) annCandidateNames(qCols []vector.Vec, k int) []string {
-	perColumn := int(math.Ceil(s.Oversample * float64(k)))
-	if n := len(s.parts); n > 1 {
-		perColumn = int(math.Ceil(s.Oversample*float64(k)/float64(n))) + annNominateSlack
-	}
-	ef := s.EfSearch
-	if scaled := 4*perColumn + 16; scaled < ef {
-		ef = scaled
-	}
-	seen := make(map[string]bool)
-	for _, p := range s.parts {
-		for _, qv := range qCols {
-			for _, id := range p.graph.Search(qv, perColumn, ef) {
-				seen[p.annTables[id]] = true
-			}
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return s, true
 }
 
 // owner returns the part holding name, or nil. It asks the parts' lakes
 // rather than Assign, so a layout loaded from a manifest routes its tables
 // where it saved them.
-func (s *Starmie) owner(name string) *part {
+func (s *Starmie) owner(name string) *lake.Lake {
 	for _, p := range s.parts {
-		if p.lake.Get(name) != nil {
+		if p.Get(name) != nil {
 			return p
 		}
 	}
@@ -553,8 +292,8 @@ func (s *Starmie) AddTable(t *table.Table) error {
 		return fmt.Errorf("starmie: AddTable(%q): %w", t.Name, ErrDuplicateTable)
 	}
 	p := s.parts[Assign(t.Name, len(s.parts))]
-	if p.lake != s.lake {
-		if err := p.lake.Add(t); err != nil {
+	if p != s.lake {
+		if err := p.Add(t); err != nil {
 			return err
 		}
 	}
@@ -562,10 +301,6 @@ func (s *Starmie) AddTable(t *table.Table) error {
 	block, code := s.embed(t)
 	s.idx.add(entry{t: t, block: block, code: code, big: big})
 	s.refreshBig(t.Name)
-	if p.graph != nil {
-		s.annAdd(p, t.Name)
-	}
-	s.maybeRebuild()
 	return nil
 }
 
@@ -586,22 +321,17 @@ func (s *Starmie) RemoveTable(name string) error {
 		s.corpus.RemoveDocument(embed.ColumnTokens(&e.t.Columns[i]))
 	}
 	s.idx.remove(name)
-	if p.graph != nil {
-		p.annRemove(name)
-	}
 	s.refreshBig("")
-	if p.lake != s.lake {
-		_ = p.lake.Remove(name) // present: owner found it there
+	if p != s.lake {
+		_ = p.Remove(name) // present: owner found it there
 	}
-	s.maybeRebuild()
 	return nil
 }
 
 // refreshBig re-embeds every indexed table marked corpus-sensitive, in
-// parallel, skipping the one just encoded with the current corpus. The
-// graphs follow the changed tables in index order. Tables under the token
-// budget are never marked big, so the common mutation costs O(new table)
-// plus one walk of the entries.
+// parallel, skipping the one just encoded with the current corpus. Tables
+// under the token budget are never marked big, so the common mutation costs
+// O(new table) plus one walk of the entries.
 func (s *Starmie) refreshBig(skip string) {
 	var stale []int
 	for i, e := range s.idx.entries {
@@ -618,22 +348,7 @@ func (s *Starmie) refreshBig(skip string) {
 		return e
 	})
 	for i, at := range stale {
-		e := &s.idx.entries[at]
-		old := e.block
-		*e = embedded[i]
-		if slices.Equal(old, e.block) {
-			// Corpus refreshes usually re-select the same TF-IDF tokens
-			// and reproduce the old embeddings bit-for-bit — skipping
-			// those keeps mutation cost O(delta) instead of tombstoning
-			// (and eventually rebuilding over) every big table each time.
-			continue
-		}
-		if p := s.owner(e.t.Name); p != nil && p.graph != nil {
-			// The stored vectors actually changed; the graph must follow
-			// (nodes are immutable once inserted, so swap them).
-			p.annRemove(e.t.Name)
-			s.annAdd(p, e.t.Name)
-		}
+		s.idx.entries[at] = embedded[i]
 	}
 }
 
@@ -648,8 +363,8 @@ func (s *Starmie) QueryWorkers(n int) Searcher {
 
 // CloneWithLake implements Searcher: the returned searcher is bound to l (a
 // clone of this searcher's lake holding the same table set) and owns its
-// own corpus, table list, sub-lakes and graph adjacency, so
-// AddTable/RemoveTable on it never disturb this searcher. The blocks
+// own corpus, table list and sub-lakes, so AddTable/RemoveTable on it never
+// disturb this searcher. The blocks
 // themselves are shared — both mutation paths install a fresh block
 // (AddTable, refreshBig), never write into one — so a clone costs one copy
 // of the entries and their name map, not the lake's vectors.
@@ -658,24 +373,12 @@ func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
 	c.lake = l
 	c.corpus = s.corpus.Clone()
 	c.idx = &index{entries: slices.Clone(s.idx.entries), pos: maps.Clone(s.idx.pos)}
-	c.parts = make([]*part, len(s.parts))
+	c.parts = make([]*lake.Lake, len(s.parts))
 	for i, p := range s.parts {
-		cp := &part{lake: l}
-		if p.lake != s.lake {
-			cp.lake = p.lake.Clone()
+		c.parts[i] = l
+		if p != s.lake {
+			c.parts[i] = p.Clone()
 		}
-		if p.graph != nil {
-			// Insertions rewire existing neighbor lists, so the clone needs
-			// its own adjacency (the rows stay shared); the id bookkeeping
-			// is append-mutated and is deep-copied for the same reason.
-			cp.graph = p.graph.Clone()
-			cp.annTables = slices.Clone(p.annTables)
-			cp.annIDs = make(map[string][]int, len(p.annIDs))
-			for n, ids := range p.annIDs {
-				cp.annIDs[n] = slices.Clone(ids)
-			}
-		}
-		c.parts[i] = cp
 	}
 	return &c
 }
@@ -877,12 +580,11 @@ func (s *Starmie) EncodeQuery(q *table.Table) []vector.Vec {
 }
 
 // starmiePrepared is Starmie's PreparedQuery: the query's contextualized
-// column embeddings, encoded once against the index corpus, and the same
-// vectors in the layouts the exact scan reads: panels for the float64 dots,
-// codes for its pre-pass.
+// column embeddings, encoded once against the index corpus, in the layouts
+// the exact scan reads: panels for the float64 dots, codes for its
+// pre-pass.
 type starmiePrepared struct {
 	query  *table.Table
-	cols   []vector.Vec
 	panels *vector.QueryPanels
 	codes  *vector.QueryCodes
 }
@@ -894,15 +596,13 @@ func (p *starmiePrepared) Query() *table.Table { return p.query }
 // exactly once.
 func (s *Starmie) Prepare(query *table.Table) PreparedQuery {
 	cols := s.EncodeQuery(query)
-	return &starmiePrepared{query: query, cols: cols, panels: vector.NewQueryPanels(cols), codes: vector.NewQueryCodes(cols)}
+	return &starmiePrepared{query: query, panels: vector.NewQueryPanels(cols), codes: vector.NewQueryCodes(cols)}
 }
 
-// TopKPrepared implements Searcher as the staged plan: retrieve candidates
-// (every indexed table, in index order, in Exact mode; the owners of the
-// nearest column embeddings in every part's graph in ANN mode, resolved to
-// their entries once), then score them exactly,
-// in parallel, and keep the top k. The candidate scan stops scoring further
-// tables once ctx is cancelled and the call returns ctx.Err().
+// TopKPrepared implements Searcher as the staged plan: the candidates are
+// every indexed table, in index order; score them exactly, in parallel, and
+// keep the top k. The candidate scan stops scoring further tables once ctx
+// is cancelled and the call returns ctx.Err().
 func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error) {
 	p, ok := pq.(*starmiePrepared)
 	if !ok {
@@ -914,11 +614,6 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	tr := TraceFrom(ctx)
 	t0 := time.Now()
 	cands := s.idx.entries
-	if s.mode == ANN && s.hasGraphs() && k > 0 {
-		// ANN retrieval needs a positive k to size its pool; k <= 0 asks
-		// for the full ranking, which only the exact scan can provide.
-		cands = s.idx.named(s.annCandidateNames(p.cols, k))
-	}
 	tr.AddRetrieve(t0)
 	t0 = time.Now()
 	out, err := rankTablesCtx(ctx, s, p, cands, k, tr)
@@ -928,8 +623,8 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	return out, err
 }
 
-// Join merges an index's parts, each loaded on its own (LoadStarmie,
-// LoadANN) against its sub-lake, back into one searcher over full — the
+// Join merges an index's parts, each loaded on its own (LoadStarmie)
+// against its sub-lake, back into one searcher over full — the
 // warm-start dual of WithShards. The parts' lakes must partition full
 // exactly, every table in one part; anything else fails as
 // ErrLayoutMismatch. Every part saved the same lake-wide corpus, so part 0's

@@ -310,7 +310,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 	})
 
 	// The saturated pair measures cost-aware degradation where it matters:
-	// a larger lake (ANN pruning has candidates to skip), caching off
+	// a larger lake (half the tables is real work saved), caching off
 	// (every request computes), and 7 of 8 slots pinned so the load factor
 	// stays above the degrade threshold for every request. The exact arm
 	// is the baseline the degraded arm must beat under the same load.

@@ -79,14 +79,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Searches abandoned because the client went away.", nil,
 		func(emit func(float64, ...string)) { emit(float64(s.canceled.Load())) })
 	r.NewCounterFunc("dust_serve_degraded_total",
-		"Searches answered by the degraded (ANN) view under degraded admission.", nil,
+		"Searches answered by the degraded view (half the tables) under degraded admission.", nil,
 		func(emit func(float64, ...string)) { emit(float64(s.degraded.Load())) })
 	r.NewCounterFunc("dust_serve_shed_total",
 		"Searches refused with 503 + Retry-After because the server was overloaded and no degraded mode was available.", nil,
 		func(emit func(float64, ...string)) { emit(float64(s.shed.Load())) })
-	r.NewCounterFunc("dust_maintenance_compactions_total",
-		"Background compaction passes that compacted the index and swapped the snapshot.", nil,
-		func(emit func(float64, ...string)) { emit(float64(s.compactions.Load())) })
 
 	r.NewGaugeFunc("dust_in_flight",
 		"Searches currently executing in the pipeline.", nil,
@@ -148,24 +145,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			}
 		})
 
-	r.NewGaugeFunc("dust_index_bytes",
-		"Resident bytes of the published snapshot's ANN graphs (adjacency; the rows are the searcher's own embeddings) by shard; shard \"all\" is the whole index. Absent while no graph holds a node.",
-		[]string{"shard"},
-		func(emit func(float64, ...string)) {
-			master := s.snap.Load().master
-			if fp := master.IndexBytes(); fp.Bytes > 0 {
-				emit(float64(fp.Bytes), "all")
-			}
-			// The single part of a monolithic index is the "all" series.
-			if parts := master.ShardIndexBytes(); len(parts) > 1 {
-				for i, fp := range parts {
-					if fp.Bytes > 0 {
-						emit(float64(fp.Bytes), strconv.Itoa(i))
-					}
-				}
-			}
-		})
-
 	r.NewGaugeFunc("dust_cosine_kernel",
 		"Body of the cosine, encode, cluster and code kernels this process selected from its architecture and CPUID (avx2 or generic); same answers, the generic one several times slower under the distance matrix and the exact scan and about twice slower under every embedding.",
 		[]string{"kernel"},
@@ -207,7 +186,7 @@ type requestInfo struct {
 	k        int
 	epoch    uint64
 	isSearch bool
-	degraded bool // answered by the ANN view under degraded admission
+	degraded bool // answered by the degraded view under degraded admission
 	trace    *search.Trace
 	errMsg   string
 }

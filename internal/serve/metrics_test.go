@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"dust"
-	"dust/internal/search"
 	"dust/internal/vector"
 )
 
@@ -331,36 +330,29 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestIndexBytesSurfaces pins the index-footprint observability: an
-// exact-mode pipeline has no graph (gauge absent, /stats reports 0 bytes),
-// an ANN pipeline exports dust_index_bytes{shard="all"} equal to /stats,
-// and a sharded pipeline adds per-shard samples that sum to the "all" row,
-// beside per-shard table counts that sum to the lake.
+// TestIndexBytesSurfaces pins what is left of the index-footprint
+// surface: Pipeline.IndexBytes, which the benchmark reads, is zero, since
+// the exact scan keeps no structure beside its column blocks; /stats
+// carries no index field and the exposition no dust_index_bytes family;
+// and a sharded pipeline's dust_shard_tables samples sum to the lake.
 func TestIndexBytesSurfaces(t *testing.T) {
 	b := fixedLake()
-	serveFor := func(opts ...dust.Option) (int64, string) {
-		t.Helper()
-		ts := httptest.NewServer(New(dust.New(b.Lake, opts...)))
-		t.Cleanup(ts.Close)
-		var st StatsResponse
-		if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
-			t.Fatalf("stats status %d", code)
-		}
-		return st.Index.Bytes, scrapeMetrics(t, ts.URL)
+	p := dust.New(b.Lake, dust.WithShards(2))
+	if n := p.IndexBytes().Bytes; n != 0 {
+		t.Errorf("IndexBytes = %d, want 0", n)
 	}
-
-	n, text := serveFor()
-	if strings.Contains(text, "dust_index_bytes{") || n != 0 {
-		t.Errorf("exact-mode pipeline: /stats index bytes %d, exposition:\n%s", n, text)
+	ts := httptest.NewServer(New(p))
+	t.Cleanup(ts.Close)
+	var st map[string]any
+	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
+		t.Fatalf("stats status %d", code)
 	}
-	n, text = serveFor(dust.WithRetriever(search.ANN))
-	if all := sampleValue(t, text, `dust_index_bytes{shard="all"}`); n <= 0 || all != float64(n) {
-		t.Errorf("ANN pipeline: /stats index bytes %d, gauge %v; want equal and positive", n, all)
+	if _, ok := st["index"]; ok {
+		t.Errorf("/stats carries an index field: %v", st["index"])
 	}
-	_, text = serveFor(dust.WithRetriever(search.ANN), dust.WithShards(2))
-	parts := sampleValue(t, text, `dust_index_bytes{shard="0"}`) + sampleValue(t, text, `dust_index_bytes{shard="1"}`)
-	if all := sampleValue(t, text, `dust_index_bytes{shard="all"}`); parts != all || all <= 0 {
-		t.Errorf("sharded gauge: shards sum to %v, all = %v", parts, all)
+	text := scrapeMetrics(t, ts.URL)
+	if strings.Contains(text, "dust_index_bytes") {
+		t.Error("exposition carries dust_index_bytes")
 	}
 	tables := sampleValue(t, text, `dust_shard_tables{shard="0"}`) + sampleValue(t, text, `dust_shard_tables{shard="1"}`)
 	if tables != float64(b.Lake.Len()) {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"dust"
-	"dust/internal/search"
 )
 
 // occupySlot fills srv's only admission slot and returns a release func.
@@ -26,19 +26,26 @@ func occupySlot(t *testing.T, srv *Server) func() {
 }
 
 // TestDegradedModeUnderLoad pins degraded admission end to end: with the
-// single admission slot held, a search degrades to the snapshot's ANN view
-// instead of queueing — flagged in the response, the request log, the
-// degraded counter, and /metrics — and the degraded result is cached under
-// its own config tag. Once load clears, searches run exact again.
+// single admission slot held, a search degrades to the snapshot's degraded
+// view instead of queueing — flagged in the response, the request log, the
+// degraded counter, and /metrics — answers exactly what
+// dust.Pipeline.Degraded answers, over at most half the tables of the full
+// answer, and is cached under its own config tag. Once load clears,
+// searches run the full plan again.
 func TestDegradedModeUnderLoad(t *testing.T) {
 	var sink lockedBuffer
 	srv, ts, b := newTestServer(t,
 		WithDegradeThreshold(0.5), WithMaxInFlight(1),
 		WithTimeout(10*time.Second), WithRequestLog(&sink))
 	if srv.Snapshot().degraded == nil {
-		t.Fatal("degrade threshold set but the snapshot has no ANN view (PrepareANN failed?)")
+		t.Fatal("degrade threshold set but the snapshot has no degraded view")
 	}
-	body := searchBody(t, b.Queries[0], 5)
+	q := b.Queries[0]
+	body := searchBody(t, q, 5)
+	want, err := srv.Snapshot().Pipeline().Degraded().Search(q, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	release := occupySlot(t, srv)
 	defer release()
@@ -65,6 +72,11 @@ func TestDegradedModeUnderLoad(t *testing.T) {
 	if len(out.Tuples.Rows) == 0 {
 		t.Fatal("degraded search returned no tuples")
 	}
+	if fmt.Sprint(out.Tuples.Rows) != fmt.Sprint(want.Tuples.Rows()) || fmt.Sprint(out.Tables) != fmt.Sprint(want.UnionableTables) {
+		t.Fatalf("degraded body: tables %v tuples %v; Degraded().Search: tables %v tuples %v",
+			out.Tables, out.Tuples.Rows, want.UnionableTables, want.Tuples.Rows())
+	}
+	degradedTables := out.Tables
 	if got := srv.degraded.Load(); got != 1 {
 		t.Fatalf("degraded counter = %d, want 1", got)
 	}
@@ -88,6 +100,9 @@ func TestDegradedModeUnderLoad(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || out.Degraded || out.Cached {
 		t.Fatalf("unloaded search: status %d degraded=%v cached=%v, want 200/false/false",
 			resp.StatusCode, out.Degraded, out.Cached)
+	}
+	if len(degradedTables) > len(out.Tables)/2 {
+		t.Fatalf("degraded search retrieved %d tables, the full one %d: want at most half", len(degradedTables), len(out.Tables))
 	}
 
 	text := scrapeMetrics(t, ts.URL)
@@ -115,18 +130,18 @@ func TestDegradedModeUnderLoad(t *testing.T) {
 	}
 }
 
-// TestShedWithRetryAfter pins the other overload branch: a pipeline already
-// answering from its ANN plan has nothing cheaper to degrade to, so past the
+// TestShedWithRetryAfter pins the other overload branch: a pipeline
+// retrieving a single table has nothing cheaper to degrade to, so past the
 // threshold the request is refused with 503 + Retry-After: 1 instead of
 // queueing.
 func TestShedWithRetryAfter(t *testing.T) {
 	b := fixedLake()
-	p := dust.New(b.Lake, dust.WithRetriever(search.ANN))
+	p := dust.New(b.Lake, dust.WithTopTables(1))
 	srv := New(p, WithDegradeThreshold(0.5), WithMaxInFlight(1), WithTimeout(10*time.Second))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	if srv.Snapshot().degraded != nil {
-		t.Fatal("ANN-mode pipeline unexpectedly produced a distinct degraded view")
+		t.Fatal("a one-table pipeline unexpectedly produced a distinct degraded view")
 	}
 
 	release := occupySlot(t, srv)
@@ -196,180 +211,5 @@ func TestCacheDisabledLabelsNone(t *testing.T) {
 	}
 	if rec.Cache != "none" {
 		t.Fatalf("request log cache = %q, want \"none\"", rec.Cache)
-	}
-}
-
-// crossingRemoval returns the index in names of the first removal that
-// leaves srv's served graph more than half dead. Tombstoning is
-// deterministic, so a probe clone finds it.
-func crossingRemoval(t *testing.T, srv *Server, names []string) int {
-	t.Helper()
-	probe := srv.Snapshot().Pipeline().Clone()
-	probe.SetAutoCompact(false)
-	cross := 0
-	for ; cross < len(names); cross++ {
-		if err := probe.RemoveTable(names[cross]); err != nil {
-			t.Fatal(err)
-		}
-		if probe.MaintenanceStats().GraphDeletedFraction > search.RebuildThreshold {
-			break
-		}
-	}
-	if cross == 0 || cross == len(names) {
-		t.Fatalf("crossing removal at %d of %d tables", cross, len(names))
-	}
-	return cross
-}
-
-// TestMaintenanceLoopCompacts pins compaction with no explicit trigger: an
-// ANN server that sees only HTTP DELETEs, the last of which leaves its graph
-// more than half dead, compacts on its own and then serves zero tombstones,
-// with no further request and no Close.
-func TestMaintenanceLoopCompacts(t *testing.T) {
-	b := fixedLake()
-	p := dust.New(b.Lake, dust.WithTopTables(5), dust.WithRetriever(search.ANN))
-	srv := New(p)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
-
-	names := b.Lake.Names()
-	for _, name := range names[:crossingRemoval(t, srv, names)+1] {
-		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/tables/"+name, nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("delete %s: status %d", name, resp.StatusCode)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.compactions.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if srv.compactions.Load() == 0 {
-		t.Fatal("the crossing DELETE started no background compaction")
-	}
-	if st := srv.Snapshot().Pipeline().MaintenanceStats(); st.GraphDeletedFraction != 0 {
-		t.Fatalf("deleted fraction %.2f after background compaction, want 0", st.GraphDeletedFraction)
-	}
-}
-
-// TestMaintenanceCompactionUnderLoad is the compaction contract: no DELETE
-// rebuilds the served ANN graph inline, a history that stays at or under
-// half dead never compacts, and the DELETE that crosses it starts a
-// background pass that, with no further request, swaps in a compacted clone
-// at the same epoch while every response keeps its exact bytes. Run under
-// -race in CI.
-func TestMaintenanceCompactionUnderLoad(t *testing.T) {
-	b := fixedLake()
-	p := dust.New(b.Lake, dust.WithTopTables(5), dust.WithRetriever(search.ANN))
-	srv := New(p, WithCacheCapacity(0), WithMaxInFlight(4))
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
-
-	body := searchBody(t, b.Queries[0], 5)
-	post := func(url string) []byte {
-		resp, err := http.Post(url+"/search", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Error(err)
-			return nil
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		_, _ = buf.ReadFrom(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("search status %d: %s", resp.StatusCode, buf.Bytes())
-		}
-		return buf.Bytes()
-	}
-
-	names := b.Lake.Names()
-	cross := crossingRemoval(t, srv, names)
-
-	// Every removal short of it, over HTTP while clients query, so the race
-	// detector sees queries against both sides of each swap.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for _, name := range names[:cross] {
-			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/tables/"+name, nil)
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Error(err)
-				continue
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("delete %s: status %d", name, resp.StatusCode)
-			}
-		}
-	}()
-	for c := 0; c < 3; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				post(ts.URL)
-			}
-		}()
-	}
-	wg.Wait()
-	if st := srv.Snapshot().Pipeline().MaintenanceStats(); srv.compactions.Load() != 0 ||
-		st.GraphDeletedFraction == 0 || st.GraphDeletedFraction > search.RebuildThreshold {
-		t.Fatalf("at or under half dead: %d compactions, deleted fraction %.3f; want 0 and the debt kept",
-			srv.compactions.Load(), st.GraphDeletedFraction)
-	}
-
-	// The crossing removal: the snapshot it publishes still holds its
-	// tombstones, so no rebuild ran inside the request.
-	crossing, _, err := srv.mutate(func(p *dust.Pipeline) error { return p.RemoveTable(names[cross]) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := crossing.Pipeline().MaintenanceStats().GraphDeletedFraction; f <= search.RebuildThreshold {
-		t.Fatalf("crossing DELETE published a deleted fraction of %.3f: it compacted inline", f)
-	}
-	// The body before the swap comes from a server over a copy of that
-	// snapshot, which never compacts.
-	ref := httptest.NewServer(New(crossing.Pipeline().Clone(), WithCacheCapacity(0)))
-	t.Cleanup(ref.Close)
-	before := post(ref.URL)
-
-	var qwg sync.WaitGroup
-	for c := 0; c < 3; c++ {
-		qwg.Add(1)
-		go func() {
-			defer qwg.Done()
-			for i := 0; i < 5; i++ {
-				if got := post(ts.URL); !bytes.Equal(got, before) {
-					t.Errorf("query racing compaction: body differs:\n%s\nwant:\n%s", got, before)
-				}
-			}
-		}()
-	}
-	srv.Close() // waits for the pass
-	qwg.Wait()
-
-	st := srv.Snapshot().Pipeline().MaintenanceStats()
-	if got := srv.compactions.Load(); got != 1 || st.GraphDeletedFraction != 0 || st.GraphNodes != st.GraphLive {
-		t.Fatalf("after the pass: %d compactions, stats %+v; want 1 and zero tombstones", got, st)
-	}
-	if epoch := srv.Snapshot().Epoch(); epoch != crossing.Epoch() {
-		t.Fatalf("compaction moved the epoch %d -> %d", crossing.Epoch(), epoch)
-	}
-	if after := post(ts.URL); !bytes.Equal(before, after) {
-		t.Fatalf("compaction changed response bytes:\nbefore: %s\nafter:  %s", before, after)
-	}
-	if !strings.Contains(scrapeMetrics(t, ts.URL), "dust_maintenance_compactions_total 1\n") {
-		t.Error("exposition missing dust_maintenance_compactions_total 1")
-	}
-	var stats StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK || stats.Compactions != 1 {
-		t.Fatalf("stats compactions = %d (code %d), want 1", stats.Compactions, code)
 	}
 }

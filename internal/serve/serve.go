@@ -60,21 +60,13 @@ type Server struct {
 
 	degradeThreshold float64 // load factor at which searches degrade; 0 = off
 
-	// Background compaction (see compactLoop). compacting and closed are
-	// guarded by mu, which both the mutation that starts a pass and the
-	// pass's swap hold; passes counts the running pass for Close.
-	compacting bool
-	closed     bool
-	passes     sync.WaitGroup
-
-	searches    atomic.Uint64 // successfully served, cached or not
-	mutations   atomic.Uint64
-	rejected    atomic.Uint64 // admission/deadline/pipeline failures
-	canceled    atomic.Uint64 // client went away mid-request
-	waiting     atomic.Int64  // searches parked at admission right now
-	degraded    atomic.Uint64 // searches answered by the ANN view under load
-	shed        atomic.Uint64 // searches refused with 503 + Retry-After under load
-	compactions atomic.Uint64 // background passes that compacted and swapped
+	searches  atomic.Uint64 // successfully served, cached or not
+	mutations atomic.Uint64
+	rejected  atomic.Uint64 // admission/deadline/pipeline failures
+	canceled  atomic.Uint64 // client went away mid-request
+	waiting   atomic.Int64  // searches parked at admission right now
+	degraded  atomic.Uint64 // searches answered by the degraded view under load
+	shed      atomic.Uint64 // searches refused with 503 + Retry-After under load
 
 	metrics *serverMetrics
 	logw    io.Writer  // request log sink; nil disables logging
@@ -97,11 +89,12 @@ func WithCacheBytes(n int64) Option { return func(s *Server) { s.cacheBytes = n 
 
 // WithDegradeThreshold enables degraded admission: when the in-flight load
 // factor (executing + waiting searches over the admission bound) reaches
-// f, uncached searches are answered from the snapshot's ANN view — same
-// index, approximate retrieval — instead of the exact plan. A pipeline
-// already in ANN mode has nothing cheaper and sheds instead: 503 with
-// Retry-After: 1. f <= 0 (the default) disables the policy. Degraded
-// responses carry "degraded": true and count in dust_serve_degraded_total.
+// f, uncached searches are answered from the snapshot's degraded view —
+// same index, half the tables (dust.Pipeline.Degraded) — instead of the
+// full plan. A pipeline retrieving one table has nothing cheaper and sheds
+// instead: 503 with Retry-After: 1. f <= 0 (the default) disables the
+// policy. Degraded responses carry "degraded": true and count in
+// dust_serve_degraded_total.
 func WithDegradeThreshold(f float64) Option { return func(s *Server) { s.degradeThreshold = f } }
 
 // WithMaxInFlight bounds the number of concurrently executing searches
@@ -131,8 +124,7 @@ func WithTimeout(d time.Duration) Option { return func(s *Server) { s.timeout = 
 func WithMaxBodyBytes(n int64) Option { return func(s *Server) { s.maxBody = n } }
 
 // New wraps a pipeline in a Server. The pipeline must not be used by the
-// caller afterwards: the server owns it (mutations clone and swap it, and
-// graph compaction runs on a background clone, never inside a request).
+// caller afterwards: the server owns it (mutations clone and swap it).
 func New(p *dust.Pipeline, opts ...Option) *Server {
 	s := &Server{
 		cacheCap:     1024,
@@ -147,16 +139,6 @@ func New(p *dust.Pipeline, opts ...Option) *Server {
 	if s.sem == nil {
 		s.sem = make(chan struct{}, par.DefaultWorkers())
 	}
-	if s.degradeThreshold > 0 {
-		// Degraded admission needs an ANN view; install the graph up front
-		// (it survives clones and mode flips) so the very first overload
-		// can degrade instead of shedding.
-		p.PrepareANN()
-	}
-	// Mutations never rebuild a graph inline: mutate hands the debt to a
-	// background pass instead. The policy bit is cloned into every future
-	// snapshot.
-	p.SetAutoCompact(false)
 	s.snap.Store(newSnapshot(p, s.queryWorkers))
 	s.metrics = newServerMetrics(s)
 
@@ -184,17 +166,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // embedding callers; requests load it exactly once themselves).
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
-// Close waits for a running compaction pass to leave the published
-// snapshot at or under the rebuild threshold, and later mutations start no
-// pass; the served pipeline holds nothing else to release. Requests,
-// mutations included, keep being answered after Close. Close is
-// idempotent.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.passes.Wait()
-}
+// Close releases nothing: a server runs no background work and its
+// pipeline holds no resources, so requests, mutations included, keep being
+// answered after it. It stays so that callers written to close a server
+// keep compiling.
+func (s *Server) Close() {}
 
 // tableJSON is the wire form of a table: a header row plus value rows.
 type tableJSON struct {
@@ -430,11 +406,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Degraded admission: at or past the load threshold, a search runs
-	// against the snapshot's ANN view — same frozen index, approximate
-	// retrieval — and a pipeline with no such view sheds the request
-	// instead of queueing it into a backlog it cannot drain. Degraded
-	// requests still pass the admission gate below: the policy trades work
-	// per slot, not the slot bound itself.
+	// against the snapshot's degraded view — same frozen index, half the
+	// tables — and a pipeline with no such view sheds the request instead
+	// of queueing it into a backlog it cannot drain. Degraded requests
+	// still pass the admission gate below: the policy trades work per slot,
+	// not the slot bound itself.
 	view := snap.query
 	if load, over := s.overloaded(); over {
 		if snap.degraded != nil {
@@ -548,9 +524,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // published snapshot so callers report an (epoch, table count) pair that
 // actually existed — not state re-read after later swaps. In-flight
 // queries keep reading the old snapshot; they never block this swap and it
-// never blocks them. A published snapshot whose graphs are over the
-// rebuild threshold starts a background compaction pass unless one is
-// already running (which re-checks the published snapshot when it ends).
+// never blocks them.
 func (s *Server) mutate(apply func(p *dust.Pipeline) error) (*Snapshot, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -569,11 +543,6 @@ func (s *Server) mutate(apply func(p *dust.Pipeline) error) (*Snapshot, int, err
 	next := newSnapshot(shadow, s.queryWorkers)
 	s.snap.Store(next)
 	s.mutations.Add(1)
-	if !s.compacting && !s.closed && overCompactThreshold(next) {
-		s.compacting = true
-		s.passes.Add(1)
-		go s.compactLoop()
-	}
 	return next, http.StatusOK, nil
 }
 
@@ -652,33 +621,27 @@ func (s *Server) handleListTables(w http.ResponseWriter, r *http.Request) {
 // StatsResponse is the body of GET /stats. It is exported as the wire
 // contract for external harnesses: the benchmark's open-loop driver
 // (bench/traffic.go) scrapes /stats before and after a run and diffs
-// these counters against its client-side accounting.
+// these counters against its client-side accounting; Degraded and Shed are
+// its serve.degraded_share and serve.shed_share.
 type StatsResponse struct {
-	Epoch       uint64 `json:"epoch"`
-	Tables      int    `json:"tables"`
-	Columns     int    `json:"columns"`
-	Tuples      int    `json:"tuples"`
-	Searches    uint64 `json:"searches"`
-	Mutations   uint64 `json:"mutations"`
-	Rejected    uint64 `json:"rejected"`
-	Canceled    uint64 `json:"canceled"`
-	Degraded    uint64 `json:"degraded"`
-	Shed        uint64 `json:"shed"`
-	Compactions uint64 `json:"compactions"`
-	InFlight    int    `json:"in_flight"`
-	MaxIn       int    `json:"max_in_flight"`
-	Cache       struct {
+	Epoch     uint64 `json:"epoch"`
+	Tables    int    `json:"tables"`
+	Columns   int    `json:"columns"`
+	Tuples    int    `json:"tuples"`
+	Searches  uint64 `json:"searches"`
+	Mutations uint64 `json:"mutations"`
+	Rejected  uint64 `json:"rejected"`
+	Canceled  uint64 `json:"canceled"`
+	Degraded  uint64 `json:"degraded"`
+	Shed      uint64 `json:"shed"`
+	InFlight  int    `json:"in_flight"`
+	MaxIn     int    `json:"max_in_flight"`
+	Cache     struct {
 		Hits    uint64 `json:"hits"`
 		Misses  uint64 `json:"misses"`
 		Entries int    `json:"entries"`
 		Bytes   int64  `json:"bytes"`
 	} `json:"cache"`
-	// Index reports the resident footprint of the snapshot's ANN graphs
-	// (zero bytes while no graph is installed), mirroring the
-	// dust_index_bytes gauge.
-	Index struct {
-		Bytes int64 `json:"bytes"`
-	} `json:"index"`
 	ConfigTag string `json:"config"`
 }
 
@@ -686,23 +649,21 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := s.snap.Load()
 	st := snap.master.Lake().Stats()
 	resp := StatsResponse{
-		Epoch:       snap.Epoch(),
-		Tables:      st.Tables,
-		Columns:     st.Columns,
-		Tuples:      st.Tuples,
-		Searches:    s.searches.Load(),
-		Mutations:   s.mutations.Load(),
-		Rejected:    s.rejected.Load(),
-		Canceled:    s.canceled.Load(),
-		Degraded:    s.degraded.Load(),
-		Shed:        s.shed.Load(),
-		Compactions: s.compactions.Load(),
-		InFlight:    len(s.sem),
-		MaxIn:       cap(s.sem),
-		ConfigTag:   snap.tag,
+		Epoch:     snap.Epoch(),
+		Tables:    st.Tables,
+		Columns:   st.Columns,
+		Tuples:    st.Tuples,
+		Searches:  s.searches.Load(),
+		Mutations: s.mutations.Load(),
+		Rejected:  s.rejected.Load(),
+		Canceled:  s.canceled.Load(),
+		Degraded:  s.degraded.Load(),
+		Shed:      s.shed.Load(),
+		InFlight:  len(s.sem),
+		MaxIn:     cap(s.sem),
+		ConfigTag: snap.tag,
 	}
 	resp.Cache.Hits, resp.Cache.Misses, resp.Cache.Entries, resp.Cache.Bytes = s.cache.Stats()
-	resp.Index.Bytes = snap.master.IndexBytes().Bytes
 	writeJSON(w, http.StatusOK, resp)
 }
 

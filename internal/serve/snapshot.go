@@ -11,39 +11,36 @@
 // fingerprint, k, pipeline config, index epoch) — invalidated wholesale by
 // the epoch bump a swap implies — and request admission: a bounded
 // in-flight semaphore plus per-request timeouts threaded through
-// context.Context into Pipeline.SearchContext. Graph compaction never runs
-// inside a request: a mutation that leaves the graphs more than
-// search.RebuildThreshold tombstones starts a background pass that
-// compacts a clone and swaps it in.
+// context.Context into Pipeline.SearchContext. Under overload a request is
+// answered by the pipeline's degraded view, which retrieves half the
+// tables, or shed.
 package serve
 
-import (
-	"dust"
-	"dust/internal/search"
-)
+import "dust"
 
 // Snapshot is one immutable published state of the serving pipeline. The
 // master pipeline is the state the next mutation clones from; the query
 // view shares its index but bounds per-query parallelism so concurrent
-// requests do not multiply fan-out. When the pipeline can answer in ANN
-// mode distinct from its configured mode, the snapshot also carries a
-// degraded view — the same frozen index behind an approximate retrieval
-// stage — that degraded admission routes to under load. All views are
+// requests do not multiply fan-out. The snapshot also carries a degraded
+// view — the same frozen index retrieving half the tables
+// (dust.Pipeline.Degraded) — that degraded admission routes to under load,
+// unless the pipeline already retrieves a single table. All views are
 // frozen: nothing mutates a Snapshot after it is published.
 type Snapshot struct {
 	master      *dust.Pipeline
 	query       *dust.Pipeline
 	tag         string
-	degraded    *dust.Pipeline // nil when no distinct ANN view exists
+	degraded    *dust.Pipeline // nil when the pipeline has nothing cheaper
 	degradedTag string
 }
 
 // newSnapshot freezes p (which must not be mutated afterwards except by
 // cloning) behind a query view bounded to queryWorkers, plus a degraded
-// ANN view when the pipeline offers one and is not already in ANN mode.
+// view when it differs from p: ConfigTag carries the table count, so an
+// equal tag means p already retrieves one table.
 func newSnapshot(p *dust.Pipeline, queryWorkers int) *Snapshot {
 	s := &Snapshot{master: p, query: p.QueryBound(queryWorkers), tag: p.ConfigTag()}
-	if view, ok := p.ModeView(search.ANN); ok && view.ConfigTag() != s.tag {
+	if view := p.Degraded(); view.ConfigTag() != s.tag {
 		s.degraded = view.QueryBound(queryWorkers)
 		s.degradedTag = view.ConfigTag()
 	}

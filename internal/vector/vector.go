@@ -84,10 +84,8 @@ func CosineDistance(a, b Vec) float64 {
 }
 
 // SquaredEuclidean returns the squared L2 distance between a and b: the
-// monotone companion of Euclidean that skips the sqrt, so per-hop distance
-// comparisons (the HNSW candidate graph) pay one fused pass and nothing
-// else. For unit vectors it is 2(1-cosine), so nearest-by-SquaredEuclidean
-// is highest-by-cosine.
+// monotone companion of Euclidean that skips the sqrt. For unit vectors it
+// is 2(1-cosine), so nearest-by-SquaredEuclidean is highest-by-cosine.
 func SquaredEuclidean(a, b Vec) float64 {
 	checkLen(a, b)
 	var s float64

@@ -201,8 +201,8 @@ func TestSquaredEuclideanMatchesEuclidean(t *testing.T) {
 	if got, want := Euclidean(a, b), math.Sqrt(SquaredEuclidean(a, b)); got != want {
 		t.Errorf("Euclidean = %v, sqrt(SquaredEuclidean) = %v", got, want)
 	}
-	// For unit vectors, squared L2 must equal 2(1-cosine): the monotone
-	// equivalence the HNSW candidate stage relies on.
+	// For unit vectors, squared L2 must equal 2(1-cosine): nearest by L2 is
+	// highest by cosine.
 	na, nb := Normalize(a), Normalize(b)
 	if got, want := SquaredEuclidean(na, nb), 2*(1-Cosine(na, nb)); math.Abs(got-want) > 1e-12 {
 		t.Errorf("unit-vector identity: %v vs %v", got, want)

@@ -25,10 +25,6 @@ import (
 // and kernel; a configuration's subtest name carries all of it.
 const matrixSeed = 29
 
-// annRecallFloor is ANN's recall@10 against the reference over the matrix
-// queries, per part count: the lowest measured in any state.
-var annRecallFloor = map[int]float64{1: 0.971, 3: 0.980, 8: 0.980}
-
 // reference returns Algorithm 1's SearchTables from scratch over tables: a
 // TF-IDF corpus over every column, Starmie's column embeddings of every
 // table and of the query against that corpus, a fresh matrix of
@@ -130,9 +126,8 @@ type step struct {
 	remove string
 }
 
-// drawHistory removes 360 of l's tables in a seeded order, enough for the
-// graphs' tombstones to cross the rebuild threshold, and adds 36 between
-// them: 31 fresh spec tables, four it removed earlier, and a second
+// drawHistory removes 360 of l's tables in a seeded order, well over half
+// the lake, and adds 36 between them: 31 fresh spec tables, four it removed earlier, and a second
 // over-budget table, which leaves again. The lake's own over-budget table
 // stays, so its vectors must follow every step, and the last step adds, so
 // only AddTable's own refresh leaves them current.
@@ -192,9 +187,9 @@ func applyHistory(t *testing.T, p *Pipeline, steps []step) {
 	}
 }
 
-// config is one point of the matrix.
+// config is one point of the matrix; its name leads with the retriever,
+// the exact scan.
 type config struct {
-	mode    search.Mode
 	parts   int
 	state   string
 	workers int
@@ -202,7 +197,7 @@ type config struct {
 }
 
 func (c config) String() string {
-	return fmt.Sprintf("%v/parts=%d/%s/workers=%d/kernel=%s", c.mode, c.parts, c.state, c.workers,
+	return fmt.Sprintf("exact/parts=%d/%s/workers=%d/kernel=%s", c.parts, c.state, c.workers,
 		map[bool]string{false: "selected", true: "generic"}[c.generic])
 }
 
@@ -210,24 +205,19 @@ func (c config) String() string {
 // k (query-major) with the scan's exit counts, and in lines the bitwise
 // digest of those rankings followed by the pipeline's first-pass answers.
 // passes holds the pipeline's answers again, warm, through SearchContext
-// under a cancellable context and through SearchBatch; shape is the
-// index's footprint and tombstone debt.
+// under a cancellable context and through SearchBatch.
 type answers struct {
 	ks     []int
 	hits   [][]search.Scored
 	scans  [][4]int64
 	lines  []string
 	passes [2][]string
-	shape  string
 }
 
 // ask collects p's answers to queries; the first three also go through the
 // whole pipeline at k = 10.
 func ask(p *Pipeline, queries []*table.Table) answers {
-	a := answers{ks: []int{1, 10, p.Lake().Len(), 0}, shape: fmt.Sprint(p.IndexBytes(), p.MaintenanceStats())}
-	if p.searcher.RetrievalMode() == search.ANN {
-		a.ks = []int{1, 10, 0}
-	}
+	a := answers{ks: []int{1, 10, p.Lake().Len(), 0}}
 	for qi, q := range queries {
 		pq := p.searcher.Prepare(q)
 		for _, k := range a.ks {
@@ -268,18 +258,17 @@ func ask(p *Pipeline, queries []*table.Table) answers {
 // (before and after the history) the reference's rankings and the answers
 // of the anchor, a fresh one-part, one-worker exact pipeline over the set
 // in shuffled order. The history's last tail steps run twice, on a clone
-// and after a save and load. coded, cut and pruned count the tables the
-// scan's code bound and float64 bound cut and the ANN candidate stage left
-// unscanned.
+// and after a save and load. coded and cut count the tables the scan's
+// code bound and float64 bound cut.
 type matrix struct {
-	spec               datagen.LakeSpec
-	l0                 *lake.Lake
-	queries            []*table.Table
-	steps              []step
-	tail               int
-	refs               [2][][]search.Scored
-	anchors            [2]answers
-	coded, cut, pruned int64
+	spec       datagen.LakeSpec
+	l0         *lake.Lake
+	queries    []*table.Table
+	steps      []step
+	tail       int
+	refs       [2][][]search.Scored
+	anchors    [2]answers
+	coded, cut int64
 }
 
 // check holds one configuration's answers to the reference's rankings of
@@ -287,39 +276,26 @@ type matrix struct {
 // answers of a configuration that must agree with it (nil for none).
 func (m *matrix) check(t *testing.T, c config, a answers, ref [][]search.Scored, want *answers) {
 	t.Helper()
-	n, recall := len(ref[0]), 0.0
+	n := len(ref[0])
 	for i, hits := range a.hits {
 		k, full := a.ks[i%len(a.ks)], ref[i/len(a.ks)]
 		label := fmt.Sprintf("%s: query %d k=%d", c, i/len(a.ks), k)
-		exact, sc := c.mode == search.Exact || k <= 0, a.scans[i]
-		if total := sc[0] + sc[1] + sc[2] + sc[3]; total == 0 || total > int64(n) || exact && total != int64(n) || k <= 0 && sc[0]+sc[1] != 0 {
+		sc := a.scans[i]
+		if total := sc[0] + sc[1] + sc[2] + sc[3]; total != int64(n) || k <= 0 && sc[0]+sc[1] != 0 {
 			t.Fatalf("%s: the scan's exits %v cover %d of %d tables", label, sc, total, n)
-		} else {
-			m.coded, m.cut, m.pruned = m.coded+sc[0], m.cut+sc[1], m.pruned+int64(n)-total
 		}
-		if k > 0 && exact {
+		m.coded, m.cut = m.coded+sc[0], m.cut+sc[1]
+		if k > 0 {
 			full = full[:min(k, n)]
 		}
-		if exact && len(hits) != len(full) {
+		if len(hits) != len(full) {
 			t.Fatalf("%s: %d hits, reference %d", label, len(hits), len(full))
 		}
-		pos := make(map[*table.Table]int, n)
-		for j, h := range full {
-			pos[h.Table] = j
-		}
-		at := -1
 		for j, h := range hits {
-			r, ok := pos[h.Table]
-			if !ok || r <= at || exact && r != j || math.Abs(h.Score-full[r].Score) > 1e-12 {
+			if h.Table != full[j].Table || math.Abs(h.Score-full[j].Score) > 1e-12 {
 				t.Fatalf("%s: hit %d = (%s, %v) out of reference order or score", label, j, h.Table.Name, h.Score)
 			}
-			if at = r; k == 10 && r < 10 {
-				recall++
-			}
 		}
-	}
-	if r := recall / float64(10*len(m.queries)); c.mode == search.ANN && r < annRecallFloor[c.parts] {
-		t.Errorf("%s: recall@10 %.4f under the floor %.3f", c, r, annRecallFloor[c.parts])
 	}
 	for i, pass := range a.passes {
 		for j, got := range pass {
@@ -328,9 +304,6 @@ func (m *matrix) check(t *testing.T, c config, a answers, ref [][]search.Scored,
 			}
 		}
 	}
-	if want != nil && want.shape != "" && a.shape != want.shape {
-		t.Fatalf("%s: index shape %s, want %s", c, a.shape, want.shape)
-	}
 	for i := 0; want != nil && i < len(want.lines); i++ {
 		if a.lines[i] != want.lines[i] {
 			t.Fatalf("%s: answer %d differs bitwise:\n%s\nwant\n%s", c, i, a.lines[i], want.lines[i])
@@ -338,23 +311,18 @@ func (m *matrix) check(t *testing.T, c config, a answers, ref [][]search.Scored,
 	}
 }
 
-// lineage takes one mode and part count through five states, each under
-// its own drawn workers and kernel. fresh is built over the lake. history
-// runs the history on a clone of it, compacted where the tail begins (past
-// the rebuild threshold) and cloned again for the tail. original is fresh
-// after its clone's history, which must answer as before. loaded saves the
-// compacted clone, loads it and runs the tail, which must leave it
-// answering like history, down to the graphs' shape. compacted puts a clone
-// of history through one more add and remove, so that its last mutation is
-// a removal, and compacts it; it must answer like history. Exact states
-// answer like the anchors.
-func (m *matrix) lineage(t *testing.T, rng *rand.Rand, mode search.Mode, parts int) {
-	var anchor [2]*answers
-	if mode == search.Exact {
-		anchor = [2]*answers{&m.anchors[0], &m.anchors[1]}
-	}
+// lineage takes one part count through five states, each under its own
+// drawn workers and kernel. fresh is built over the lake. history runs the
+// history on a clone of it, cloned again where the tail begins. original is
+// fresh after its clone's history, which must answer as before. loaded
+// saves the clone where the tail begins, loads it and runs the tail, which
+// must leave it answering like history. compacted puts a clone of history
+// through one more add and remove, so that its last mutation is a removal;
+// it must answer like history. Every state answers like its anchor.
+func (m *matrix) lineage(t *testing.T, rng *rand.Rand, parts int) {
+	anchor := [2]*answers{&m.anchors[0], &m.anchors[1]}
 	state := func(name string, ref int, want *answers, build func(c config) *Pipeline) (*Pipeline, answers) {
-		c := config{mode, parts, name, []int{1, 8}[rng.Intn(2)], rng.Intn(2) == 0}
+		c := config{parts, name, []int{1, 8}[rng.Intn(2)], rng.Intn(2) == 0}
 		var p *Pipeline
 		var a answers
 		func() {
@@ -369,7 +337,7 @@ func (m *matrix) lineage(t *testing.T, rng *rand.Rand, mode search.Mode, parts i
 	}
 	tail := m.steps[len(m.steps)-m.tail:]
 	f, fa := state("fresh", 0, anchor[0], func(c config) *Pipeline {
-		p := New(m.l0.Clone(), WithShards(parts), WithRetriever(mode), WithWorkers(c.workers))
+		p := New(m.l0.Clone(), WithShards(parts), WithWorkers(c.workers))
 		if p.Shards() != parts {
 			t.Fatalf("WithShards(%d) built %d parts", parts, p.Shards())
 		}
@@ -381,10 +349,6 @@ func (m *matrix) lineage(t *testing.T, rng *rand.Rand, mode search.Mode, parts i
 			t.Fatalf("clone at epoch %d of an original at %d", mid.Epoch(), f.Epoch())
 		}
 		applyHistory(t, mid, m.steps[:len(m.steps)-m.tail])
-		if mode == search.ANN && mid.MaintenanceStats().GraphNodes >= f.MaintenanceStats().GraphNodes {
-			t.Fatalf("%v/parts=%d: the history never crossed the graphs' rebuild threshold", mode, parts)
-		}
-		mid.Compact()
 		h := mid.Clone()
 		applyHistory(t, h, tail)
 		return h
@@ -414,32 +378,22 @@ func (m *matrix) lineage(t *testing.T, rng *rand.Rand, mode search.Mode, parts i
 		applyHistory(t, p, tail)
 		return p
 	})
-	compacted := ha
-	compacted.shape = "" // compaction pays the history's tombstones
-	state("compacted", 1, &compacted, func(config) *Pipeline {
+	state("compacted", 1, &ha, func(config) *Pipeline {
 		p, churn := h.Clone(), overBudget("zz_churn", m.spec, 0)
 		applyHistory(t, p, []step{{add: churn}, {remove: churn.Name}})
-		if p.Compact() != (mode == search.ANN) {
-			t.Fatalf("%v/parts=%d: Compact found no tombstones to pay, or found some without a graph", mode, parts)
-		}
-		if st := p.MaintenanceStats(); st.GraphNodes != st.GraphLive {
-			t.Fatalf("compacted graphs hold %d nodes, %d live", st.GraphNodes, st.GraphLive)
-		}
 		return p
 	})
 }
 
-// TestMatrix is the configuration matrix: {Exact, ANN} × parts {1, 3, 8} ×
-// workers {1, 8} × kernel {selected, generic} × the lineage's states. An
-// exact configuration must rank every query at k = 1, 10, n and 0 like the
-// reference — the same names in the same order, scores within 1e-12, since
-// a dot of unit rows and a cosine with its norms recomputed round
-// differently in the last bits — and bit for bit like the anchor, searcher
-// and pipeline alike, with the scan's exits covering every table and none
-// cut from a full ranking. An ANN configuration must rank its nominees in
-// reference order with reference scores, at or above the recall floor, bit
-// for bit like the states its lineage ties it to. Every pipeline answers
-// alike through Search, SearchContext, SearchBatch and a second pass.
+// TestMatrix is the configuration matrix: parts {1, 3, 8} × workers {1, 8}
+// × kernel {selected, generic} × the lineage's states. Every configuration
+// must rank every query at k = 1, 10, n and 0 like the reference — the same
+// names in the same order, scores within 1e-12, since a dot of unit rows
+// and a cosine with its norms recomputed round differently in the last
+// bits — and bit for bit like the anchor, searcher and pipeline alike, with
+// the scan's exits covering every table and none cut from a full ranking.
+// Every pipeline answers alike through Search, SearchContext, SearchBatch
+// and a second pass.
 func TestMatrix(t *testing.T) {
 	spec, l0, queries := matrixLake()
 	if n := len(embed.ColumnTokens(&l0.Get("zz_over_budget").Columns[0])); n <= embed.TokenBudget {
@@ -465,17 +419,15 @@ func TestMatrix(t *testing.T) {
 		for _, tb := range tables {
 			shuffled.MustAdd(tb)
 		}
-		c := config{search.Exact, 1, fmt.Sprintf("anchor%d", i), 1, false}
+		c := config{1, fmt.Sprintf("anchor%d", i), 1, false}
 		m.anchors[i] = ask(New(shuffled, WithWorkers(1)), queries)
 		t.Run(c.String(), func(t *testing.T) { m.check(t, c, m.anchors[i], m.refs[i], nil) })
 	}
-	for _, mode := range []search.Mode{search.Exact, search.ANN} {
-		for _, parts := range []int{1, 3, 8} {
-			m.lineage(t, rng, mode, parts)
-		}
+	for _, parts := range []int{1, 3, 8} {
+		m.lineage(t, rng, parts)
 	}
-	if m.coded == 0 || m.cut == 0 || m.pruned == 0 {
-		t.Errorf("the scan's code bound cut %d tables, its float64 bound %d, and ANN left %d unscanned: the matrix exercises not all three",
-			m.coded, m.cut, m.pruned)
+	if m.coded == 0 || m.cut == 0 {
+		t.Errorf("the scan's code bound cut %d tables and its float64 bound %d: the matrix exercises not both",
+			m.coded, m.cut)
 	}
 }

@@ -16,17 +16,17 @@ import (
 
 // ManifestFormatVersion is the index-directory manifest payload version.
 // An index directory is a cache rebuildable from its lake, so the loader
-// reads this version alone: any other — or a manifest earlier builds wrote
-// under it, naming kind "d3l" or zero shards — fails with codec.ErrVersion,
-// which the CLIs answer with a cold build and a fresh save.
-const ManifestFormatVersion uint16 = 4
+// reads this version alone: any other — or a manifest naming a kind other
+// than "starmie" or zero shards, layouts earlier builds wrote — fails with
+// codec.ErrVersion, which the CLIs answer with a cold build and a fresh
+// save.
+const ManifestFormatVersion uint16 = 5
 
 // Index-directory layout. Every index is a set of n >= 1 parts (a
 // monolithic index is its own single part): part i stores its searcher as
-// shard-NNN.dustidx (plus shard-NNN.ann.dustidx for a saved HNSW graph),
-// with the shard map recorded in the manifest. The manifest is written last
-// so a directory with a partial save (crash mid-write) is treated as having
-// no index at all.
+// shard-NNN.dustidx, with the shard map recorded in the manifest. The
+// manifest is written last so a directory with a partial save (crash
+// mid-write) is treated as having no index at all.
 const (
 	manifestFile = "manifest.dustidx"
 	modelFile    = "tuple.model"
@@ -38,9 +38,6 @@ const kindStarmie = "starmie"
 
 // shardSearcherFile names part i's searcher index file.
 func shardSearcherFile(i int) string { return fmt.Sprintf("shard-%03d.dustidx", i) }
-
-// shardANNFile names part i's HNSW candidate-graph file.
-func shardANNFile(i int) string { return fmt.Sprintf("shard-%03d.ann.dustidx", i) }
 
 // Typed failures of the pipeline persistence surface.
 var (
@@ -116,49 +113,28 @@ func (p *Pipeline) RemoveTable(name string) error {
 	return p.lake.Remove(name)
 }
 
-// savePart writes part i of an index under dir — the Starmie searcher file
-// and, when withANN, the HNSW candidate graph beside it.
-func savePart(dir string, i int, part search.Searcher, withANN bool) error {
+// savePart writes part i of an index under dir: its Starmie searcher file.
+func savePart(dir string, i int, part search.Searcher) error {
 	s, ok := part.(*search.Starmie)
 	if !ok {
 		return fmt.Errorf("%T has no persistent form", part)
 	}
-	if err := writeFile(filepath.Join(dir, shardSearcherFile(i)), s.Save); err != nil {
-		return err
-	}
-	if withANN {
-		return writeFile(filepath.Join(dir, shardANNFile(i)), s.SaveANN)
-	}
-	return nil
+	return writeFile(filepath.Join(dir, shardSearcherFile(i)), s.Save)
 }
 
-// loadPart reads part i written by savePart under dir and binds it to sl.
-func loadPart(dir string, i int, sl *lake.Lake, withANN bool) (*search.Starmie, error) {
-	sf, err := openPartFile(dir, shardSearcherFile(i))
-	if err != nil {
-		return nil, err
-	}
-	defer sf.Close()
-	st, err := search.LoadStarmie(sf, sl)
-	if err != nil || !withANN {
-		return st, err
-	}
-	af, err := openPartFile(dir, shardANNFile(i))
-	if err != nil {
-		return nil, err
-	}
-	defer af.Close()
-	return st, st.LoadANN(af)
-}
-
-// openPartFile opens one part file under dir; a missing one breaks the
-// manifest's shard map.
-func openPartFile(dir, name string) (*os.File, error) {
+// loadPart reads part i written by savePart under dir and binds it to sl; a
+// missing file breaks the manifest's shard map.
+func loadPart(dir string, i int, sl *lake.Lake) (*search.Starmie, error) {
+	name := shardSearcherFile(i)
 	f, err := os.Open(filepath.Join(dir, name))
 	if os.IsNotExist(err) {
 		return nil, fmt.Errorf("missing %s: %w", name, ErrShardLayout)
 	}
-	return f, err
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return search.LoadStarmie(f, sl)
 }
 
 // SaveIndex persists the pipeline's index state under dir so a later
@@ -188,17 +164,9 @@ func (p *Pipeline) SaveIndex(dir string) error {
 		}
 	}
 
-	// Staged retrieval state: the HNSW graphs persist beside the searcher
-	// files so an ANN warm start skips the graph builds too. hasANN means
-	// every part carries one.
 	parts := p.searcher.Parts()
-	hasANN := true
-	for _, part := range parts {
-		_, ok := part.ModeView(search.ANN)
-		hasANN = hasANN && ok
-	}
 	for i, part := range parts {
-		if err := savePart(dir, i, part, hasANN); err != nil {
+		if err := savePart(dir, i, part); err != nil {
 			return fmt.Errorf("dust: save shard %d: %w", i, err)
 		}
 	}
@@ -215,8 +183,6 @@ func (p *Pipeline) SaveIndex(dir string) error {
 	b.Strings(p.lake.Names())
 	b.Bool(hasModel)
 	b.Uvarint(p.epoch)
-	b.Bool(p.searcher.RetrievalMode() == search.ANN)
-	b.Bool(hasANN)
 	// The shard map. n >= 1 promises shard-000..shard-(n-1) files, each
 	// covering the recorded table list (in sub-lake iteration order, which
 	// the loaders rebuild the partition in).
@@ -272,8 +238,6 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 	names := sc.Strings()
 	hasModel := sc.Bool()
 	epoch := sc.Uvarint()
-	annMode := sc.Bool()
-	hasANN := sc.Bool()
 	numShards := sc.Uvarint()
 	// A hostile manifest could declare an absurd shard count; cap it well
 	// above any real deployment. Empty shards are legal (a lake smaller
@@ -291,8 +255,8 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 	if err := sc.Finish(); err != nil {
 		return nil, fmt.Errorf("dust: load manifest: %w", err)
 	}
-	// Earlier builds wrote a "d3l" kind and a zero-shard monolithic layout
-	// under this version; neither is an index this build reads.
+	// Earlier builds wrote a "d3l" kind and a zero-shard monolithic layout;
+	// neither is an index this build reads.
 	if kind != kindStarmie || numShards == 0 {
 		return nil, fmt.Errorf("dust: load manifest: a %q index in %d shards is an earlier build's layout: %w",
 			kind, numShards, codec.ErrVersion)
@@ -313,7 +277,7 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 	}
 	parts := make([]*search.Starmie, len(lakes))
 	for i, sl := range lakes {
-		parts[i], err = loadPart(indexDir, i, sl, hasANN)
+		parts[i], err = loadPart(indexDir, i, sl)
 		if err != nil {
 			return nil, fmt.Errorf("dust: load shard %d/%d: %w", i, len(lakes), err)
 		}
@@ -325,12 +289,6 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 	}
 
 	loaded := []Option{WithSearcher(searcher)}
-	if annMode {
-		// Restore the saved retrieval mode; SetMode reuses the graph just
-		// installed (or, for a graphless save, builds one).
-		// Explicit caller options apply afterwards and win as usual.
-		loaded = append(loaded, WithRetriever(search.ANN))
-	}
 	if hasModel {
 		f, err := os.Open(filepath.Join(indexDir, modelFile))
 		if err != nil {
