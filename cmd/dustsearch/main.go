@@ -40,7 +40,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "parallelism of indexing/embedding/diversification (0 = all cores, 1 = sequential)")
 		indexDir  = flag.String("index-dir", "", "saved-index directory: warm-start from it when present, create it otherwise")
 		saveIndex = flag.Bool("save-index", false, "rebuild the index and save it to -index-dir even if one exists")
-		shards    = flag.Int("shards", 1, "partition the index into N shards, each with its own saved files (1 = monolithic); results are identical either way. Applies to cold builds only: a warm start keeps the layout saved in -index-dir")
 	)
 	flag.Parse()
 	if *queryPath == "" || *lakeDir == "" {
@@ -64,7 +63,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := []dust.Option{dust.WithTopTables(*topTables), dust.WithWorkers(*workers), dust.WithShards(*shards)}
+	opts := []dust.Option{dust.WithTopTables(*topTables), dust.WithWorkers(*workers)}
 	if *modelPath != "" {
 		f, err := os.Open(*modelPath)
 		if err != nil {
@@ -87,7 +86,7 @@ func main() {
 		case err != nil:
 			fatal(err)
 		default:
-			fmt.Printf("warm start: loaded index from %s (%d shard(s))\n", *indexDir, p.Shards())
+			fmt.Printf("warm start: loaded index from %s\n", *indexDir)
 		}
 	}
 	if p == nil {

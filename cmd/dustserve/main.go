@@ -65,7 +65,6 @@ func main() {
 		cacheBy   = flag.Int64("cache-bytes", 0, "query-result cache resident-byte cap (0 = entry bound only)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request budget (0 disables)")
 		degrade   = flag.Float64("degrade-threshold", 0, "load factor ((executing + waiting searches) / -inflight) at which searches degrade to half the -tables (or shed with 503 + Retry-After: 1 when -tables is 1); 0 disables degraded admission; the benchmark's serve_mixed workload runs at 0.5")
-		shards    = flag.Int("shards", 1, "partition the index into N shards, each with its own saved files (1 = monolithic); table mutations route to the owning shard and results are identical either way. Applies to cold builds only: a warm start keeps the layout saved in -index-dir")
 		logReqs   = flag.Bool("log-requests", false, "log one JSON line per request to stderr (method, endpoint, status, duration, cache outcome, per-stage search timings)")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables profiling")
 	)
@@ -100,7 +99,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	opts := []dust.Option{dust.WithTopTables(*topTables), dust.WithWorkers(*workers), dust.WithShards(*shards)}
+	opts := []dust.Option{dust.WithTopTables(*topTables), dust.WithWorkers(*workers)}
 	if *modelPath != "" {
 		f, err := os.Open(*modelPath)
 		if err != nil {
@@ -124,14 +123,13 @@ func main() {
 		case err != nil:
 			fatal(err)
 		default:
-			fmt.Printf("warm start: loaded index from %s in %v (epoch %d, %d shard(s))\n",
-				*indexDir, time.Since(boot).Round(time.Millisecond), p.Epoch(), p.Shards())
+			fmt.Printf("warm start: loaded index from %s in %v (epoch %d)\n",
+				*indexDir, time.Since(boot).Round(time.Millisecond), p.Epoch())
 		}
 	}
 	if p == nil {
 		p = dust.New(l, opts...)
-		fmt.Printf("cold start: indexed %s in %v (%d shard(s))\n",
-			l.Stats(), time.Since(boot).Round(time.Millisecond), p.Shards())
+		fmt.Printf("cold start: indexed %s in %v\n", l.Stats(), time.Since(boot).Round(time.Millisecond))
 		if *indexDir != "" {
 			if err := p.SaveIndex(*indexDir); err != nil {
 				fatal(err)

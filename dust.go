@@ -45,7 +45,6 @@ type Pipeline struct {
 	topTables   int
 	workers     int
 	workersSet  bool
-	shards      int
 	// epoch counts index mutations (AddTable/RemoveTable) over the
 	// pipeline's lifetime; see Epoch in persist.go. Serving layers key
 	// result caches by it.
@@ -83,15 +82,10 @@ func WithTopTables(n int) Option {
 	}
 }
 
-// WithShards partitions the default Starmie index into n hash-assigned
-// parts (search.WithShards), each with its own saved file set, while one
-// corpus and one exact scan cover the whole lake, so results are
-// bit-identical to the unsharded pipeline. n <= 1 keeps the single
-// monolithic index (the default). The option shapes the default searcher
-// only: it is ignored when WithSearcher supplies one, and a pipeline
-// warm-started from an index directory keeps the shard layout recorded in
-// its manifest.
-func WithShards(n int) Option { return func(p *Pipeline) { p.shards = n } }
+// WithShards does nothing: the index is one over the whole lake, saved as
+// one file. It is kept for the benchmark, whose sharded layer still builds
+// its pipeline with it, and so checks the one index against itself.
+func WithShards(int) Option { return func(*Pipeline) {} }
 
 // WithWorkers bounds the parallelism of each pipeline stage — lake
 // indexing, query scoring, tuple embedding, and the diversifier's distance
@@ -116,9 +110,8 @@ func New(l *lake.Lake, opts ...Option) *Pipeline {
 		o(p)
 	}
 	if p.searcher == nil {
-		// Built after the options so the default index honours WithWorkers
-		// and WithShards.
-		p.searcher = search.NewStarmie(l, search.WithWorkers(p.workers), search.WithShards(p.shards))
+		// Built after the options so the default index honours WithWorkers.
+		p.searcher = search.NewStarmie(l, search.WithWorkers(p.workers))
 	} else if p.workersSet {
 		// An explicit WithWorkers also re-bounds a supplied searcher's
 		// query-time scoring; without it the searcher keeps its own bound.
@@ -349,26 +342,9 @@ func (p *Pipeline) Degraded() *Pipeline {
 func (p *Pipeline) PrepareANN() bool { return true }
 
 // Close releases nothing: a pipeline holds no goroutines, files or other
-// long-lived resources, sharded or not, and keeps serving after Close. It
-// stays so that callers written to close a pipeline keep compiling.
+// long-lived resources, and keeps serving after Close. It stays so that
+// callers written to close a pipeline keep compiling.
 func (p *Pipeline) Close() {}
-
-// Shards reports how many index shards back the pipeline's searcher: 1 for
-// a monolithic index (the default), n for a WithShards(n) or warm-started
-// sharded layout.
-func (p *Pipeline) Shards() int { return len(p.searcher.Parts()) }
-
-// ShardSizes reports the table count of every index part in shard order —
-// one entry, the whole lake, for a monolithic index. Serving layers expose
-// the partition balance through it without reaching into the shard layout.
-func (p *Pipeline) ShardSizes() []int {
-	parts := p.searcher.Parts()
-	sizes := make([]int, len(parts))
-	for i, part := range parts {
-		sizes[i] = part.Lake().Len()
-	}
-	return sizes
-}
 
 // IndexBytes returns the zero search.IndexFootprint: the exact scan keeps
 // no structure beside its column blocks. It is kept for the benchmark,

@@ -17,9 +17,9 @@ import (
 // and returns what the searches added to the column-vector memo's counts. The
 // lake's table objects are new, so the memo starts empty as far as these
 // searches can tell, whatever earlier tests left in it.
-func columnVectorTraffic(t *testing.T, spec datagen.LakeSpec, n int, opts ...Option) align.ColumnVectorCounts {
+func columnVectorTraffic(t *testing.T, spec datagen.LakeSpec, n int) align.ColumnVectorCounts {
 	t.Helper()
-	p := New(spec.Generate(), append([]Option{WithWorkers(1)}, opts...)...)
+	p := New(spec.Generate(), WithWorkers(1))
 	n0 := align.ColumnVectorStats()
 	for i := 0; i < n; i++ {
 		// A generated query may align with nothing (422 when served); the
@@ -39,8 +39,6 @@ func columnVectorTraffic(t *testing.T, spec datagen.LakeSpec, n int, opts ...Opt
 // from an empty memo, read back two thirds of the lake-column vectors they
 // need, because different queries retrieve the same tables. Measured 0.776
 // (1 618 hits, 467 misses); the floor leaves room for a change of generator.
-// A sharded searcher must show the same traffic: one that handed out copies
-// of the lake's table objects would answer identically and defeat the memo.
 func TestColumnVectorHitShare(t *testing.T) {
 	spec := datagen.LakeSpec{Seed: 7, Tables: 120, Rows: 40}
 	one := columnVectorTraffic(t, spec, 40)
@@ -54,9 +52,6 @@ func TestColumnVectorHitShare(t *testing.T) {
 	}
 	if one.Unstorable != 0 || one.Evicted != 0 {
 		t.Errorf("%d corpus-dependent columns and %d evictions on a lake with no over-budget column and a working set far under the bound", one.Unstorable, one.Evicted)
-	}
-	if four := columnVectorTraffic(t, spec, 40, WithShards(4)); four != one {
-		t.Errorf("4 shards: %+v, want the unsharded %+v", four, one)
 	}
 }
 

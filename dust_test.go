@@ -1,11 +1,16 @@
 package dust
 
 import (
+	"bytes"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"dust/internal/datagen"
 	"dust/internal/lake"
+	"dust/internal/search"
 	"dust/internal/table"
 )
 
@@ -127,6 +132,49 @@ func TestPipelineOptions(t *testing.T) {
 		if d.topTables != c.want || (d.ConfigTag() == p.ConfigTag()) != (c.n == 1) {
 			t.Errorf("Degraded of %d tables: %d tables tagged %q, receiver %q", c.n, d.topTables, d.ConfigTag(), p.ConfigTag())
 		}
+	}
+
+	// WithShards is inert: the same tag, the same rankings and answers bit
+	// for bit, and a byte-identical saved directory.
+	sharded := New(b.Lake, WithShards(4))
+	if sharded.ConfigTag() != def.ConfigTag() {
+		t.Errorf("WithShards(4) tagged %q, want the default's %q", sharded.ConfigTag(), def.ConfigTag())
+	}
+	for _, k := range []int{1, 10, 0} {
+		got, want := search.TopK(sharded.searcher, q, k), search.TopK(def.searcher, q, k)
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: WithShards(4) ranked %d tables, the default %d", k, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Table != want[i].Table || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("k=%d: hit %d = (%s, %x), want (%s, %x)", k, i, got[i].Table.Name, got[i].Score, want[i].Table.Name, want[i].Score)
+			}
+		}
+	}
+	got, err := sharded.Search(q, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := def.Search(q, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "WithShards(4)", got, want)
+	dirs := [2]string{filepath.Join(t.TempDir(), "sharded"), filepath.Join(t.TempDir(), "default")}
+	for i, p := range []*Pipeline{sharded, def} {
+		if err := p.SaveIndex(dirs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{manifestFile, searcherFile} {
+		got, errGot := os.ReadFile(filepath.Join(dirs[0], name))
+		want, errWant := os.ReadFile(filepath.Join(dirs[1], name))
+		if errGot != nil || errWant != nil || !bytes.Equal(got, want) {
+			t.Errorf("WithShards(4) saved a different %s (%v, %v)", name, errGot, errWant)
+		}
+	}
+	if entries, err := os.ReadDir(dirs[0]); err != nil || len(entries) != 2 {
+		t.Errorf("WithShards(4) saved %d files (%v), want the manifest and the searcher file", len(entries), err)
 	}
 }
 

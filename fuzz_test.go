@@ -9,40 +9,31 @@ import (
 )
 
 // FuzzLoadManifest throws arbitrary bytes at the index-directory manifest
-// loader — the shard-map extension of the FuzzLoadIndex family: the
-// manifest sits over valid component files (the two shard files of the
-// last save, so a mutated manifest has plausible files to chase) and every
+// loader — the directory-level member of the FuzzLoadIndex family: the
+// manifest sits over valid component files (the searcher file of a real
+// save, so a mutated manifest has a plausible file to chase) and every
 // input must return a usable pipeline or a typed error, never panic.
-// Seeds are the real manifests of an unsharded and a sharded save, and
-// the version 4 manifest of testdata/golden_v4_sharded.
+// Seeds are the real manifest of a save, the version 5 manifests an
+// earlier build wrote for a one- and a two-part layout of the same lake,
+// an empty file and a header with a runaway length.
 func FuzzLoadManifest(f *testing.F) {
 	b := datagen.Generate("manifest-fuzz", datagen.Config{
 		Seed: 23, Domains: 2, TablesPerBase: 3, BaseRows: 16, MinRows: 5, MaxRows: 8,
 	})
 	dir := f.TempDir()
-	manifest := filepath.Join(dir, "manifest.dustidx")
-	seed := func(p *Pipeline) {
-		f.Helper()
-		if err := p.SaveIndex(dir); err != nil {
-			f.Fatal(err)
-		}
-		data, err := os.ReadFile(manifest)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+	manifest := filepath.Join(dir, manifestFile)
+	if err := New(b.Lake).SaveIndex(dir); err != nil {
+		f.Fatal(err)
 	}
-	// Each save retires the previous one's files: the last lays down the
-	// shard files the fuzzed manifests sit over.
-	seed(New(b.Lake))
-	seed(New(b.Lake, WithShards(2)))
-	v4, err := os.ReadFile(filepath.Join("testdata", "golden_v4_sharded", "index", "manifest.dustidx"))
+	data, err := os.ReadFile(manifest)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v4)
+	f.Add(data)
+	f.Add(manifestEnvelope(f, 5, manifestPayload(b.Lake, kindStarmie, 5, 2)))
+	f.Add(manifestEnvelope(f, 5, manifestPayload(b.Lake, kindStarmie, 5, 1)))
 	f.Add([]byte{})
-	f.Add([]byte("DSTIDXM\x05\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add([]byte("DSTIDXM\x06\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(manifest, data, 0o644); err != nil {

@@ -3,8 +3,8 @@ package datagen
 // LakeSpec is the lake-scale half of datagen: where Config/Generate
 // reproduce the paper's benchmark derivation (base tables, selections,
 // ground truth), LakeSpec manufactures *workload substrate* — lakes big
-// enough to exercise serving, sharding, and load harnesses, with the
-// value skew, cross-table key structure, and dirty-data pathologies of
+// enough to exercise serving, the index at scale, and load harnesses, with
+// the value skew, cross-table key structure, and dirty-data pathologies of
 // real open-data lakes. Every table is a pure function of (spec, index):
 // table i is generated from its own seeded RNG stream, so generation
 // parallelises with no cross-worker coordination and the output is

@@ -97,10 +97,9 @@ func (e *Encoder) Name() string { return e.name }
 func (e *Encoder) Dim() int { return e.dim }
 
 // Instrument attaches an encoding-call counter: every subsequent
-// EncodeTokens call atomically increments c. Pass nil to detach. The
-// prepared-query tests use this to prove a sharded query is encoded exactly
-// once, not once per shard. Instrument is not synchronized with concurrent
-// EncodeTokens calls — attach before querying starts.
+// EncodeTokens call atomically increments c. Pass nil to detach. Tests use
+// it to count the encoder's calls. Instrument is not synchronized with
+// concurrent EncodeTokens calls — attach before querying starts.
 func (e *Encoder) Instrument(c *atomic.Int64) { e.calls = c }
 
 // EncodeTokens embeds a token sequence. The output is L2-normalized. Token

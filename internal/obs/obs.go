@@ -233,7 +233,7 @@ func (r *Registry) NewCounterFunc(name, help string, labelKeys []string, collect
 
 // NewGaugeFunc registers a gauge family whose samples are produced at
 // scrape time by collect calling emit once per series — live levels like
-// an epoch, a cache's entry count, or per-shard table counts.
+// an epoch, a cache's entry count, or a lake's table count.
 func (r *Registry) NewGaugeFunc(name, help string, labelKeys []string, collect func(emit func(value float64, labelValues ...string))) {
 	r.register(&family{name: name, help: help, kind: KindGauge, labels: labelKeys, collect: collect})
 }

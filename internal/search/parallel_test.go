@@ -30,13 +30,13 @@ func TestStarmieTopKDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedQueryBoundAndCancel covers the serving-facing surfaces of a
-// sharded index: QueryWorkers re-bounds without changing results, and a
-// cancelled context aborts the query with the context's error.
-func TestShardedQueryBoundAndCancel(t *testing.T) {
+// TestQueryBoundAndCancel covers the serving-facing surfaces of the
+// index: QueryWorkers re-bounds without changing results, and a cancelled
+// context aborts the query with the context's error.
+func TestQueryBoundAndCancel(t *testing.T) {
 	b := testBench(t)
 	q := b.Queries[0]
-	s := NewStarmie(b.Lake, WithShards(2), WithWorkers(4))
+	s := NewStarmie(b.Lake, WithWorkers(4))
 	assertSameHits(t, "rebound", TopK(s.QueryWorkers(1), q, 6), TopK(s, q, 6))
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -19,9 +19,7 @@ const StarmieFormatVersion uint16 = 1
 
 // Save writes the Starmie index — encoder identity, corpus document
 // frequencies, and the column embeddings of every table of its lake — as
-// one versioned, checksummed envelope. Every lake table must be indexed. A
-// sharded index saves through its Parts, one file per part, each with the
-// lake-wide corpus.
+// one versioned, checksummed envelope. Every lake table must be indexed.
 func (s *Starmie) Save(w io.Writer) error {
 	tables := s.lake.Tables()
 	var b codec.Buffer
@@ -61,8 +59,7 @@ func (s *Starmie) Save(w io.Writer) error {
 
 // LoadStarmie reads an index written by Starmie.Save and attaches it to l,
 // which must hold exactly the saved table set (lake iteration order may
-// differ; TopK results do not depend on it); Join merges the parts of a
-// sharded index, loaded one file each. The index must have been built
+// differ; TopK results do not depend on it). The index must have been built
 // with the default NewStarmie encoder — a different encoder name, base
 // model, or dimension fails with ErrEncoderMismatch.
 func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {

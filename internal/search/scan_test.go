@@ -317,22 +317,23 @@ func TestCloneSharesBlocks(t *testing.T) {
 	}
 }
 
-// TestIndexFollowsLake runs a seeded mutation history over a one-part and a
-// three-part index — AddTable (over-budget tables among them), RemoveTable,
-// CloneWithLake, mutations through QueryWorkers views, Save -> LoadStarmie
-// and a sharded Join, both against a reordered lake — and after every step
-// holds the index to its lake: the entries name lake.Names() in order, each
-// block is bit-equal to a from-scratch NewStarmie's, and the exact TopK at
-// k = 10 and k = 0 equals it. While a clone deletes, a goroutine queries
-// the parent, whose answers must not move: under -race this is the check
-// that clones never share an entry array with a published index.
+// TestIndexFollowsLake runs a seeded mutation history over an index scanned
+// by one worker and over one scanned by three — AddTable (over-budget
+// tables among them), RemoveTable, CloneWithLake, mutations through
+// QueryWorkers views, and Save -> LoadStarmie against a reordered lake —
+// and after every step holds the index to its lake: the
+// entries name lake.Names() in order, each block is bit-equal to a
+// from-scratch NewStarmie's, and the exact TopK at k = 10 and k = 0 equals
+// it. While a clone deletes, a goroutine queries the parent, whose answers
+// must not move: under -race this is the check that clones never share an
+// entry array with a published index.
 func TestIndexFollowsLake(t *testing.T) {
 	spec := dirtyLakeSpec(40)
 	queries := []*table.Table{spec.Query(3), spec.Query(17), bigTable("query", 9)}
-	for _, parts := range []int{1, 3} {
-		t.Run(fmt.Sprint(parts), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(37 + parts)))
-			s := NewStarmie(spec.Generate(), WithShards(parts), WithWorkers(2))
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprint(workers), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(37 + workers)))
+			s := NewStarmie(spec.Generate(), WithWorkers(workers))
 			added := 0
 			add := func(s *Starmie) {
 				t.Helper()
@@ -397,7 +398,7 @@ func TestIndexFollowsLake(t *testing.T) {
 					s = c
 				case 5:
 					op = "reload"
-					s = reload(t, s, rng)
+					s = reload(t, s, rng, workers)
 				}
 				checkIndex(t, fmt.Sprintf("step %d (%s)", step, op), s, queries)
 			}
@@ -405,45 +406,24 @@ func TestIndexFollowsLake(t *testing.T) {
 	}
 }
 
-// reload saves s part by part and loads it back against a shuffled copy of
-// its lake (and, for a sharded index, copies of its sub-lakes), joining the
-// parts as a warm start does.
-func reload(t *testing.T, s *Starmie, rng *rand.Rand) *Starmie {
+// reload saves s and loads it back, scanned by workers, against a shuffled
+// copy of its lake, as a warm start does.
+func reload(t *testing.T, s *Starmie, rng *rand.Rand, workers int) *Starmie {
 	t.Helper()
 	tables := s.lake.Tables()
-	full := lake.New(s.lake.Name)
+	shuffled := lake.New(s.lake.Name)
 	for _, i := range rng.Perm(len(tables)) {
-		full.MustAdd(tables[i])
+		shuffled.MustAdd(tables[i])
 	}
-	var parts []*Starmie
-	for _, p := range s.Parts() {
-		pl := full
-		if len(s.parts) > 1 {
-			pl = p.Lake().Clone()
-		}
-		var first, second bytes.Buffer
-		if err := p.(*Starmie).Save(&first); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadStarmie(bytes.NewReader(first.Bytes()), pl, WithWorkers(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := loaded.Save(&second); err != nil {
-			t.Fatal(err)
-		}
-		// A sub-lake copy keeps the saved order, so its file must round-trip
-		// byte for byte; the shuffled lake saves in its own order.
-		if pl != full && !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatal("save -> load -> save changed a part's file")
-		}
-		parts = append(parts, loaded)
+	var saved bytes.Buffer
+	if err := s.Save(&saved); err != nil {
+		t.Fatal(err)
 	}
-	joined, err := Join(full, parts)
+	loaded, err := LoadStarmie(&saved, shuffled, WithWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return joined
+	return loaded
 }
 
 // checkIndex holds s's index to its lake and to a from-scratch index over

@@ -31,22 +31,18 @@ type Scored struct {
 
 // Searcher is the one contract behind Algorithm 1's SearchTables call: an
 // index over a lake's tables that ranks them by unionability with a query.
-// Starmie, over one part or several (WithShards), implements it, and the
-// pipeline, persistence and serving layers compose against this type
-// alone. Queries run prepared — Prepare once, then TopKPrepared; TopK and
-// TopKCtx wrap the two steps. Queries are safe concurrently with each
-// other; AddTable and RemoveTable are not safe concurrently with queries —
-// mutate a CloneWithLake copy and swap.
+// Starmie implements it over the whole lake, and the pipeline, persistence
+// and serving layers compose against this type alone. Queries run prepared
+// — Prepare once, then TopKPrepared; TopK and TopKCtx wrap the two steps.
+// Queries are safe concurrently with each other; AddTable and RemoveTable
+// are not safe concurrently with queries — mutate a CloneWithLake copy and
+// swap.
 type Searcher interface {
-	// Name identifies the searcher and its layout; config tags and the
-	// serving caches keyed by them build on it.
+	// Name identifies the searcher; config tags and the serving caches
+	// keyed by them build on it.
 	Name() string
 	// Lake returns the lake this searcher indexes.
 	Lake() *lake.Lake
-	// Parts returns the persisted and sized sub-indexes in shard order, each
-	// a read-only view over its own sub-lake. A one-part searcher is its own
-	// single part.
-	Parts() []Searcher
 
 	// Prepare encodes the query once; the result may be reused across any
 	// number of TopKPrepared calls on this searcher and its views.
@@ -118,9 +114,6 @@ var (
 	// ErrEncoderMismatch reports a saved index built with a different
 	// encoder configuration than the loading searcher.
 	ErrEncoderMismatch = errors.New("search: saved index built with a different encoder")
-	// ErrLayoutMismatch reports Join parts that do not partition the lake
-	// exactly (a table missing, duplicated, or unknown).
-	ErrLayoutMismatch = errors.New("search: parts do not partition the lake")
 )
 
 // TopKCtx is the whole query under ctx: Prepare, then TopKPrepared, with the
@@ -271,19 +264,12 @@ type Option func(*options)
 
 type options struct {
 	workers int
-	shards  int
 }
 
 // WithWorkers bounds the parallelism of index construction and query
 // scoring; n <= 0 selects the GOMAXPROCS-derived default and n == 1 forces
 // the sequential path. Results are identical for every worker count.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
-
-// WithShards partitions Starmie's index into n parts by Assign (n <= 1:
-// one part, the default). Each part has its own sub-lake and saved file
-// set; the corpus, the column blocks and the exact scan stay one, so
-// rankings do not depend on n. The searcher's Name carries n.
-func WithShards(n int) Option { return func(o *options) { o.shards = n } }
 
 func applyOptions(opts []Option) options {
 	var o options

@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"math"
 	"slices"
@@ -24,10 +23,8 @@ import (
 // at query time the query's columns are matched to each candidate's columns
 // by maximum-weight bipartite matching over cosine similarity and the
 // normalized matching weight is the table's unionability score (§6.2.3).
-//
-// The index is one or more parts (WithShards): each part owns the tables
-// Assign routes to it and its own saved file set, while the corpus, the
-// blocks and the exact scan stay one over the whole lake.
+// One index covers the whole lake: one corpus, one ordered list of column
+// blocks, one exact scan and one saved file.
 type Starmie struct {
 	enc    embed.StarmieEncoder
 	lake   *lake.Lake
@@ -38,11 +35,6 @@ type Starmie struct {
 	// MinSim drops column matches below this similarity (Starmie's
 	// verification threshold).
 	MinSim float64
-
-	// parts partition the lake, n >= 1. A one-part index's part is lake
-	// itself; the parts of a sharded index are sub-lakes of their own,
-	// which AddTable and RemoveTable keep in step.
-	parts []*lake.Lake
 }
 
 // entry is one indexed table. block holds its column embeddings as NumCols
@@ -104,35 +96,6 @@ func (x *index) remove(name string) {
 	}
 }
 
-// Assign returns the part a table name belongs to under n parts: FNV-1a of
-// the name modulo n. It depends only on (name, n), so every process
-// partitioning the same lake the same way routes a table identically.
-func Assign(name string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return int(h.Sum32() % uint32(n))
-}
-
-// partition splits l into n parts by Assign, keeping l's iteration order
-// within each part. One part is bound to l itself; several get sub-lakes
-// sharing l's table objects, so partitioning costs O(tables), not O(cells).
-func partition(l *lake.Lake, n int) []*lake.Lake {
-	if n <= 1 {
-		return []*lake.Lake{l}
-	}
-	parts := make([]*lake.Lake, n)
-	for i := range parts {
-		parts[i] = lake.New(fmt.Sprintf("%s#%d", l.Name, i))
-	}
-	for _, t := range l.Tables() {
-		parts[Assign(t.Name, n)].MustAdd(t)
-	}
-	return parts
-}
-
 // NewStarmie indexes the lake with the default Starmie encoder.
 func NewStarmie(l *lake.Lake, opts ...Option) *Starmie {
 	return NewStarmieWithEncoder(l, embed.NewStarmie(), opts...)
@@ -178,7 +141,6 @@ func emptyStarmie(l *lake.Lake, enc embed.StarmieEncoder, o options) *Starmie {
 		idx:     newIndex(l.Len()),
 		workers: o.workers,
 		MinSim:  0.3,
-		parts:   partition(l, o.shards),
 	}
 }
 
@@ -229,35 +191,11 @@ func (s *Starmie) blockRows(block []float64, fn func(v vector.Vec)) {
 	}
 }
 
-// Name implements Searcher; a sharded index names its part count, so
-// config tags (and the serving caches keyed by them) tell the layouts apart.
-func (s *Starmie) Name() string {
-	if len(s.parts) > 1 {
-		return fmt.Sprintf("sharded%d(starmie)", len(s.parts))
-	}
-	return "starmie"
-}
+// Name implements Searcher.
+func (s *Starmie) Name() string { return "starmie" }
 
 // Lake implements Searcher.
 func (s *Starmie) Lake() *lake.Lake { return s.lake }
-
-// Parts implements Searcher: a one-part index is its own single part; a
-// sharded one returns a read-only view per part, bound to the part's
-// sub-lake and sharing everything else — what the persistence layer saves
-// one file set per, and what Join merges back. The views are for saving
-// and sizing: their exact scan still walks the whole index.
-func (s *Starmie) Parts() []Searcher {
-	if len(s.parts) == 1 {
-		return []Searcher{s}
-	}
-	views := make([]Searcher, len(s.parts))
-	for i, p := range s.parts {
-		v := *s
-		v.lake, v.parts = p, s.parts[i:i+1:i+1]
-		views[i] = &v
-	}
-	return views
-}
 
 // ModeView answers every Mode with the receiver itself, and any other value
 // with (nil, false): the exact scan is the one retriever. It is kept for
@@ -269,33 +207,14 @@ func (s *Starmie) ModeView(m Mode) (Searcher, bool) {
 	return s, true
 }
 
-// owner returns the part holding name, or nil. It asks the parts' lakes
-// rather than Assign, so a layout loaded from a manifest routes its tables
-// where it saved them.
-func (s *Starmie) owner(name string) *lake.Lake {
-	for _, p := range s.parts {
-		if p.Get(name) != nil {
-			return p
-		}
-	}
-	return nil
-}
-
 // AddTable implements Searcher: the new table's columns join the corpus
 // and are embedded with it; tables whose TF-IDF token selection depends on
 // the corpus (those with over-budget columns) are re-embedded so every
 // stored embedding matches what a from-scratch index over the new table set
-// would hold. The table must (also) be added to the lake before querying; a
-// sharded index adds it to its part's sub-lake itself.
+// would hold. The table must (also) be added to the lake before querying.
 func (s *Starmie) AddTable(t *table.Table) error {
 	if s.idx.get(t.Name) != nil {
 		return fmt.Errorf("starmie: AddTable(%q): %w", t.Name, ErrDuplicateTable)
-	}
-	p := s.parts[Assign(t.Name, len(s.parts))]
-	if p != s.lake {
-		if err := p.Add(t); err != nil {
-			return err
-		}
 	}
 	big := s.addColumns(t)
 	block, code := s.embed(t)
@@ -306,15 +225,13 @@ func (s *Starmie) AddTable(t *table.Table) error {
 
 // RemoveTable implements Searcher. It must run while the table is still
 // in the lake (its columns have to leave the corpus); remove it from the
-// lake afterwards. A sharded index removes it from its part's sub-lake
-// itself.
+// lake afterwards.
 func (s *Starmie) RemoveTable(name string) error {
 	e := s.idx.get(name)
 	if e == nil {
 		return fmt.Errorf("starmie: RemoveTable(%q): %w", name, ErrUnknownTable)
 	}
-	p := s.owner(name)
-	if p == nil {
+	if s.lake.Get(name) == nil {
 		return fmt.Errorf("starmie: RemoveTable(%q): table already left the lake: %w", name, ErrUnknownTable)
 	}
 	for i := range e.t.Columns {
@@ -322,9 +239,6 @@ func (s *Starmie) RemoveTable(name string) error {
 	}
 	s.idx.remove(name)
 	s.refreshBig("")
-	if p != s.lake {
-		_ = p.Remove(name) // present: owner found it there
-	}
 	return nil
 }
 
@@ -363,9 +277,8 @@ func (s *Starmie) QueryWorkers(n int) Searcher {
 
 // CloneWithLake implements Searcher: the returned searcher is bound to l (a
 // clone of this searcher's lake holding the same table set) and owns its
-// own corpus, table list and sub-lakes, so AddTable/RemoveTable on it never
-// disturb this searcher. The blocks
-// themselves are shared — both mutation paths install a fresh block
+// own corpus and table list, so AddTable/RemoveTable on it never disturb
+// this searcher. The blocks themselves are shared — both mutation paths install a fresh block
 // (AddTable, refreshBig), never write into one — so a clone costs one copy
 // of the entries and their name map, not the lake's vectors.
 func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
@@ -373,13 +286,6 @@ func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
 	c.lake = l
 	c.corpus = s.corpus.Clone()
 	c.idx = &index{entries: slices.Clone(s.idx.entries), pos: maps.Clone(s.idx.pos)}
-	c.parts = make([]*lake.Lake, len(s.parts))
-	for i, p := range s.parts {
-		c.parts[i] = l
-		if p != s.lake {
-			c.parts[i] = p.Clone()
-		}
-	}
 	return &c
 }
 
@@ -621,50 +527,4 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 		tr.AddScore(t0)
 	}
 	return out, err
-}
-
-// Join merges an index's parts, each loaded on its own (LoadStarmie)
-// against its sub-lake, back into one searcher over full — the
-// warm-start dual of WithShards. The parts' lakes must partition full
-// exactly, every table in one part; anything else fails as
-// ErrLayoutMismatch. Every part saved the same lake-wide corpus, so part 0's
-// serves all. A single part bound to full already is the whole index and is
-// returned as is.
-func Join(full *lake.Lake, parts []*Starmie) (*Starmie, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("%w: no parts", ErrLayoutMismatch)
-	}
-	// Every part table must be the lake's own and no table may sit in two
-	// parts; then the counts agree iff the parts cover the lake exactly once.
-	seen := make(map[string]bool, full.Len())
-	for i, p := range parts {
-		for _, name := range p.lake.Names() {
-			if t := full.Get(name); t == nil || t != p.lake.Get(name) {
-				return nil, fmt.Errorf("%w: part %d holds %q, the lake does not", ErrLayoutMismatch, i, name)
-			}
-			if seen[name] {
-				return nil, fmt.Errorf("%w: table %q in two parts", ErrLayoutMismatch, name)
-			}
-			seen[name] = true
-		}
-	}
-	if len(seen) != full.Len() {
-		return nil, fmt.Errorf("%w: parts hold %d tables, lake holds %d", ErrLayoutMismatch, len(seen), full.Len())
-	}
-	if len(parts) == 1 && parts[0].lake == full {
-		return parts[0], nil
-	}
-	s := *parts[0]
-	s.lake, s.parts = full, nil
-	s.idx = newIndex(full.Len())
-	for _, t := range full.Tables() {
-		s.idx.add(entry{t: t})
-	}
-	for _, p := range parts {
-		for _, e := range p.idx.entries {
-			*s.idx.get(e.t.Name) = e
-		}
-		s.parts = append(s.parts, p.parts...)
-	}
-	return &s, nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"dust/internal/align"
@@ -132,19 +131,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.NewGaugeFunc("dust_lake_tuples",
 		"Tuples in the published snapshot's lake.", nil,
 		func(emit func(float64, ...string)) { emit(float64(s.snap.Load().master.Lake().Stats().Tuples)) })
-	r.NewGaugeFunc("dust_shard_tables",
-		"Tables per index shard of the published snapshot (absent for a monolithic index).",
-		[]string{"shard"},
-		func(emit func(float64, ...string)) {
-			// A monolithic index is one part holding the whole lake,
-			// which dust_lake_tables already reports.
-			if sizes := s.snap.Load().master.ShardSizes(); len(sizes) > 1 {
-				for i, n := range sizes {
-					emit(float64(n), strconv.Itoa(i))
-				}
-			}
-		})
-
 	r.NewGaugeFunc("dust_cosine_kernel",
 		"Body of the cosine, encode, cluster and code kernels this process selected from its architecture and CPUID (avx2 or generic); same answers, the generic one several times slower under the distance matrix and the exact scan and about twice slower under every embedding.",
 		[]string{"kernel"},

@@ -333,11 +333,12 @@ func TestMetricsExposition(t *testing.T) {
 // TestIndexBytesSurfaces pins what is left of the index-footprint
 // surface: Pipeline.IndexBytes, which the benchmark reads, is zero, since
 // the exact scan keeps no structure beside its column blocks; /stats
-// carries no index field and the exposition no dust_index_bytes family;
-// and a sharded pipeline's dust_shard_tables samples sum to the lake.
+// carries no index field, and the exposition neither a dust_index_bytes
+// family nor any per-shard one: the index is one over the lake, whose size
+// dust_lake_tables reports.
 func TestIndexBytesSurfaces(t *testing.T) {
 	b := fixedLake()
-	p := dust.New(b.Lake, dust.WithShards(2))
+	p := dust.New(b.Lake)
 	if n := p.IndexBytes().Bytes; n != 0 {
 		t.Errorf("IndexBytes = %d, want 0", n)
 	}
@@ -351,12 +352,13 @@ func TestIndexBytesSurfaces(t *testing.T) {
 		t.Errorf("/stats carries an index field: %v", st["index"])
 	}
 	text := scrapeMetrics(t, ts.URL)
-	if strings.Contains(text, "dust_index_bytes") {
-		t.Error("exposition carries dust_index_bytes")
+	for _, family := range []string{"dust_index_bytes", "dust_shard"} {
+		if strings.Contains(text, family) {
+			t.Errorf("exposition carries %s", family)
+		}
 	}
-	tables := sampleValue(t, text, `dust_shard_tables{shard="0"}`) + sampleValue(t, text, `dust_shard_tables{shard="1"}`)
-	if tables != float64(b.Lake.Len()) {
-		t.Errorf("dust_shard_tables sum to %v, the lake holds %d", tables, b.Lake.Len())
+	if n := sampleValue(t, text, "dust_lake_tables"); n != float64(b.Lake.Len()) {
+		t.Errorf("dust_lake_tables = %v, the lake holds %d", n, b.Lake.Len())
 	}
 }
 

@@ -643,12 +643,11 @@ func TestConfigTagInStats(t *testing.T) {
 	}
 }
 
-// TestServerClose pins Close on a sharded server with a swap history:
-// repeated calls are no-ops, and requests still serve identical results
-// afterwards.
+// TestServerClose pins Close on a server with a swap history: repeated
+// calls are no-ops, and requests still serve identical results afterwards.
 func TestServerClose(t *testing.T) {
 	b := fixedLake()
-	p := dust.New(b.Lake, dust.WithTopTables(5), dust.WithShards(3))
+	p := dust.New(b.Lake, dust.WithTopTables(5))
 	srv := New(p)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

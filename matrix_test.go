@@ -21,8 +21,7 @@ import (
 	"dust/internal/vector"
 )
 
-// matrixSeed draws the mutation history and every configuration's workers
-// and kernel; a configuration's subtest name carries all of it.
+// matrixSeed draws the mutation history and the anchors' lake orders.
 const matrixSeed = 29
 
 // reference returns Algorithm 1's SearchTables from scratch over tables: a
@@ -190,14 +189,13 @@ func applyHistory(t *testing.T, p *Pipeline, steps []step) {
 // config is one point of the matrix; its name leads with the retriever,
 // the exact scan.
 type config struct {
-	parts   int
 	state   string
 	workers int
 	generic bool
 }
 
 func (c config) String() string {
-	return fmt.Sprintf("exact/parts=%d/%s/workers=%d/kernel=%s", c.parts, c.state, c.workers,
+	return fmt.Sprintf("exact/%s/workers=%d/kernel=%s", c.state, c.workers,
 		map[bool]string{false: "selected", true: "generic"}[c.generic])
 }
 
@@ -256,9 +254,9 @@ func ask(p *Pipeline, queries []*table.Table) answers {
 
 // matrix is what the configurations are checked against: per table set
 // (before and after the history) the reference's rankings and the answers
-// of the anchor, a fresh one-part, one-worker exact pipeline over the set
-// in shuffled order. The history's last tail steps run twice, on a clone
-// and after a save and load. coded and cut count the tables the scan's
+// of the anchor, a fresh one-worker exact pipeline over the set in
+// shuffled order. The history's last tail steps run twice, on a clone and
+// after a save and load. coded and cut count the tables the scan's
 // code bound and float64 bound cut.
 type matrix struct {
 	spec       datagen.LakeSpec
@@ -311,18 +309,22 @@ func (m *matrix) check(t *testing.T, c config, a answers, ref [][]search.Scored,
 	}
 }
 
-// lineage takes one part count through five states, each under its own
-// drawn workers and kernel. fresh is built over the lake. history runs the
-// history on a clone of it, cloned again where the tail begins. original is
-// fresh after its clone's history, which must answer as before. loaded
-// saves the clone where the tail begins, loads it and runs the tail, which
-// must leave it answering like history. compacted puts a clone of history
-// through one more add and remove, so that its last mutation is a removal;
-// it must answer like history. Every state answers like its anchor.
-func (m *matrix) lineage(t *testing.T, rng *rand.Rand, parts int) {
+// lineage L takes a pipeline at workers [1, 8][L] through five states;
+// state s runs on the generic kernel when s+L is even, so the two lineages
+// run every state at both worker counts and under both kernel bodies.
+// fresh is built over the lake. history runs the history on a clone of it,
+// cloned again where the tail begins. original is fresh after its clone's
+// history, which must answer as before. loaded saves the clone where the
+// tail begins, loads it and runs the tail, which must leave it answering
+// like history. compacted puts a clone of history through one more add and
+// remove, so that its last mutation is a removal; it must answer like
+// history. Every state answers like its anchor.
+func (m *matrix) lineage(t *testing.T, L int) {
 	anchor := [2]*answers{&m.anchors[0], &m.anchors[1]}
+	s := 0
 	state := func(name string, ref int, want *answers, build func(c config) *Pipeline) (*Pipeline, answers) {
-		c := config{parts, name, []int{1, 8}[rng.Intn(2)], rng.Intn(2) == 0}
+		c := config{name, []int{1, 8}[L], (s+L)%2 == 0}
+		s++
 		var p *Pipeline
 		var a answers
 		func() {
@@ -337,11 +339,7 @@ func (m *matrix) lineage(t *testing.T, rng *rand.Rand, parts int) {
 	}
 	tail := m.steps[len(m.steps)-m.tail:]
 	f, fa := state("fresh", 0, anchor[0], func(c config) *Pipeline {
-		p := New(m.l0.Clone(), WithShards(parts), WithWorkers(c.workers))
-		if p.Shards() != parts {
-			t.Fatalf("WithShards(%d) built %d parts", parts, p.Shards())
-		}
-		return p
+		return New(m.l0.Clone(), WithWorkers(c.workers))
 	})
 	var mid *Pipeline
 	h, ha := state("history", 1, anchor[1], func(config) *Pipeline {
@@ -371,9 +369,8 @@ func (m *matrix) lineage(t *testing.T, rng *rand.Rand, parts int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.ConfigTag() != mid.ConfigTag() || p.Shards() != parts || p.Epoch() != mid.Epoch() {
-			t.Fatalf("loaded %q over %d parts at epoch %d, saved %q over %d at %d",
-				p.ConfigTag(), p.Shards(), p.Epoch(), mid.ConfigTag(), parts, mid.Epoch())
+		if p.ConfigTag() != mid.ConfigTag() || p.Epoch() != mid.Epoch() {
+			t.Fatalf("loaded %q at epoch %d, saved %q at %d", p.ConfigTag(), p.Epoch(), mid.ConfigTag(), mid.Epoch())
 		}
 		applyHistory(t, p, tail)
 		return p
@@ -385,8 +382,9 @@ func (m *matrix) lineage(t *testing.T, rng *rand.Rand, parts int) {
 	})
 }
 
-// TestMatrix is the configuration matrix: parts {1, 3, 8} × workers {1, 8}
-// × kernel {selected, generic} × the lineage's states. Every configuration
+// TestMatrix is the configuration matrix: two lineages of five states, which
+// between them run every state at workers {1, 8} and under kernel
+// {selected, generic}. Every configuration
 // must rank every query at k = 1, 10, n and 0 like the reference — the same
 // names in the same order, scores within 1e-12, since a dot of unit rows
 // and a cosine with its norms recomputed round differently in the last
@@ -419,12 +417,12 @@ func TestMatrix(t *testing.T) {
 		for _, tb := range tables {
 			shuffled.MustAdd(tb)
 		}
-		c := config{1, fmt.Sprintf("anchor%d", i), 1, false}
+		c := config{fmt.Sprintf("anchor%d", i), 1, false}
 		m.anchors[i] = ask(New(shuffled, WithWorkers(1)), queries)
 		t.Run(c.String(), func(t *testing.T) { m.check(t, c, m.anchors[i], m.refs[i], nil) })
 	}
-	for _, parts := range []int{1, 3, 8} {
-		m.lineage(t, rng, parts)
+	for L := range 2 {
+		m.lineage(t, L)
 	}
 	if m.coded == 0 || m.cut == 0 {
 		t.Errorf("the scan's code bound cut %d tables and its float64 bound %d: the matrix exercises not both",

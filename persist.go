@@ -17,38 +17,26 @@ import (
 // ManifestFormatVersion is the index-directory manifest payload version.
 // An index directory is a cache rebuildable from its lake, so the loader
 // reads this version alone: any other — or a manifest naming a kind other
-// than "starmie" or zero shards, layouts earlier builds wrote — fails with
+// than "starmie", which an earlier build wrote — fails with
 // codec.ErrVersion, which the CLIs answer with a cold build and a fresh
-// save.
-const ManifestFormatVersion uint16 = 5
+// save. Version 5 and earlier recorded a shard map beside the table list.
+const ManifestFormatVersion uint16 = 6
 
-// Index-directory layout. Every index is a set of n >= 1 parts (a
-// monolithic index is its own single part): part i stores its searcher as
-// shard-NNN.dustidx, with the shard map recorded in the manifest. The
-// manifest is written last so a directory with a partial save (crash
-// mid-write) is treated as having no index at all.
+// Index-directory layout: the searcher's one index file, the tuple model
+// when one is installed, and the manifest. The manifest is written last so
+// a directory with a partial save (crash mid-write) is treated as having no
+// index at all.
 const (
 	manifestFile = "manifest.dustidx"
+	searcherFile = "starmie.dustidx"
 	modelFile    = "tuple.model"
 )
 
-// kindStarmie is the searcher kind every manifest records: each part is a
-// Starmie index.
+// kindStarmie is the searcher kind every manifest records.
 const kindStarmie = "starmie"
 
-// shardSearcherFile names part i's searcher index file.
-func shardSearcherFile(i int) string { return fmt.Sprintf("shard-%03d.dustidx", i) }
-
-// Typed failures of the pipeline persistence surface.
-var (
-	// ErrNoIndex reports a LoadPipeline directory without a manifest.
-	ErrNoIndex = errors.New("dust: no saved index in directory")
-	// ErrShardLayout reports an index directory whose shard files do not
-	// match the manifest's recorded shard map — most often a shard count
-	// mismatch (files missing after a partial copy, or a manifest from a
-	// different save).
-	ErrShardLayout = errors.New("dust: shard files do not match the saved shard map")
-)
+// ErrNoIndex reports a LoadPipeline directory without a manifest.
+var ErrNoIndex = errors.New("dust: no saved index in directory")
 
 // Lake returns the data lake this pipeline searches.
 func (p *Pipeline) Lake() *lake.Lake { return p.lake }
@@ -113,35 +101,11 @@ func (p *Pipeline) RemoveTable(name string) error {
 	return p.lake.Remove(name)
 }
 
-// savePart writes part i of an index under dir: its Starmie searcher file.
-func savePart(dir string, i int, part search.Searcher) error {
-	s, ok := part.(*search.Starmie)
-	if !ok {
-		return fmt.Errorf("%T has no persistent form", part)
-	}
-	return writeFile(filepath.Join(dir, shardSearcherFile(i)), s.Save)
-}
-
-// loadPart reads part i written by savePart under dir and binds it to sl; a
-// missing file breaks the manifest's shard map.
-func loadPart(dir string, i int, sl *lake.Lake) (*search.Starmie, error) {
-	name := shardSearcherFile(i)
-	f, err := os.Open(filepath.Join(dir, name))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("missing %s: %w", name, ErrShardLayout)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return search.LoadStarmie(f, sl)
-}
-
 // SaveIndex persists the pipeline's index state under dir so a later
-// LoadPipeline can skip the cold rebuild: the searcher index (versioned,
-// checksummed; one file per part), the fine-tuned tuple model when one is
+// LoadPipeline can skip the cold rebuild: the searcher index (one
+// versioned, checksummed file), the fine-tuned tuple model when one is
 // installed, and a manifest recording the searcher kind, the lake's table
-// set, and the shard map.
+// set and the mutation epoch.
 func (p *Pipeline) SaveIndex(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -164,11 +128,12 @@ func (p *Pipeline) SaveIndex(dir string) error {
 		}
 	}
 
-	parts := p.searcher.Parts()
-	for i, part := range parts {
-		if err := savePart(dir, i, part); err != nil {
-			return fmt.Errorf("dust: save shard %d: %w", i, err)
-		}
+	s, ok := p.searcher.(*search.Starmie)
+	if !ok {
+		return fmt.Errorf("dust: save index: %T has no persistent form", p.searcher)
+	}
+	if err := writeFile(filepath.Join(dir, searcherFile), s.Save); err != nil {
+		return fmt.Errorf("dust: save index: %w", err)
 	}
 	m, hasModel := p.tupleEnc.(*model.Model)
 	if hasModel {
@@ -183,13 +148,6 @@ func (p *Pipeline) SaveIndex(dir string) error {
 	b.Strings(p.lake.Names())
 	b.Bool(hasModel)
 	b.Uvarint(p.epoch)
-	// The shard map. n >= 1 promises shard-000..shard-(n-1) files, each
-	// covering the recorded table list (in sub-lake iteration order, which
-	// the loaders rebuild the partition in).
-	b.Uvarint(uint64(len(parts)))
-	for _, part := range parts {
-		b.Strings(part.Lake().Names())
-	}
 	if err := writeFile(filepath.Join(dir, manifestFile), func(f io.Writer) error {
 		return codec.WriteEnvelope(f, codec.KindManifest, ManifestFormatVersion, b.Bytes())
 	}); err != nil {
@@ -238,28 +196,12 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 	names := sc.Strings()
 	hasModel := sc.Bool()
 	epoch := sc.Uvarint()
-	numShards := sc.Uvarint()
-	// A hostile manifest could declare an absurd shard count; cap it well
-	// above any real deployment. Empty shards are legal (a lake smaller
-	// than its shard count saves and loads fine), so the cap must not
-	// depend on the table count.
-	const maxShards = 1 << 16
-	if sc.Err() == nil && numShards > maxShards {
-		return nil, fmt.Errorf("dust: load manifest: %d shards exceeds the %d cap: %w",
-			numShards, maxShards, codec.ErrCorrupt)
-	}
-	var shardTables [][]string
-	for i := uint64(0); i < numShards && sc.Err() == nil; i++ {
-		shardTables = append(shardTables, sc.Strings())
-	}
 	if err := sc.Finish(); err != nil {
 		return nil, fmt.Errorf("dust: load manifest: %w", err)
 	}
-	// Earlier builds wrote a "d3l" kind and a zero-shard monolithic layout;
-	// neither is an index this build reads.
-	if kind != kindStarmie || numShards == 0 {
-		return nil, fmt.Errorf("dust: load manifest: a %q index in %d shards is an earlier build's layout: %w",
-			kind, numShards, codec.ErrVersion)
+	// An earlier build wrote a "d3l" kind, which this build does not read.
+	if kind != kindStarmie {
+		return nil, fmt.Errorf("dust: load manifest: a %q index is an earlier build's layout: %w", kind, codec.ErrVersion)
 	}
 	if len(names) != l.Len() {
 		return nil, fmt.Errorf("dust: index holds %d tables, lake holds %d: %w",
@@ -271,20 +213,8 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 		}
 	}
 
-	lakes, err := partLakes(l, shardTables)
+	searcher, err := loadSearcher(indexDir, l)
 	if err != nil {
-		return nil, err
-	}
-	parts := make([]*search.Starmie, len(lakes))
-	for i, sl := range lakes {
-		parts[i], err = loadPart(indexDir, i, sl)
-		if err != nil {
-			return nil, fmt.Errorf("dust: load shard %d/%d: %w", i, len(lakes), err)
-		}
-	}
-	searcher, err := search.Join(l, parts)
-	if err != nil {
-		// Keeps search.ErrLayoutMismatch reachable through errors.Is.
 		return nil, fmt.Errorf("dust: load index: %w", err)
 	}
 
@@ -308,29 +238,18 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 	return p, nil
 }
 
-// partLakes rebuilds each part's lake from the manifest's shard map, tables
-// in their saved order (which the part loaders self-validate against:
-// encoder fingerprint, table set, checksums). The single part of a
-// monolithic index is bound to l itself, as a monolithic searcher always
-// is, so pipeline mutations — which add to the lake first — reach it.
-func partLakes(l *lake.Lake, shardTables [][]string) ([]*lake.Lake, error) {
-	if len(shardTables) == 1 && len(shardTables[0]) == l.Len() {
-		return []*lake.Lake{l}, nil
+// loadSearcher reads the searcher file under dir and binds it to l. The
+// manifest promised the file, so a missing one is a corrupt directory.
+func loadSearcher(dir string, l *lake.Lake) (*search.Starmie, error) {
+	f, err := os.Open(filepath.Join(dir, searcherFile))
+	if os.IsNotExist(err) {
+		return nil, fmt.Errorf("missing %s: %w", searcherFile, codec.ErrCorrupt)
 	}
-	lakes := make([]*lake.Lake, len(shardTables))
-	for i, names := range shardTables {
-		lakes[i] = lake.New(fmt.Sprintf("%s#%d", l.Name, i))
-		for _, name := range names {
-			t := l.Get(name)
-			if t == nil {
-				return nil, fmt.Errorf("dust: shard %d table %q not in lake: %w", i, name, search.ErrLakeMismatch)
-			}
-			if err := lakes[i].Add(t); err != nil {
-				return nil, fmt.Errorf("dust: shard %d map: %v: %w", i, err, codec.ErrCorrupt)
-			}
-		}
+	if err != nil {
+		return nil, err
 	}
-	return lakes, nil
+	defer f.Close()
+	return search.LoadStarmie(f, l)
 }
 
 // writeFile creates path, streams content through write, and closes it,
