@@ -102,21 +102,23 @@ func budgetTokens(col *table.Column, corpus func() *tokenize.Corpus) (tokens []s
 // column's meaning, and two columns with disjoint value instances (e.g.
 // two supervisor columns naming different people) must still be able to
 // align on header semantics alone.
-func ColumnTokens(col *table.Column) []string {
-	var out []string
+func ColumnTokens(col *table.Column) []string { return AppendColumnTokens(nil, col) }
+
+// AppendColumnTokens appends the tokens of ColumnTokens(col) to dst.
+func AppendColumnTokens(dst []string, col *table.Column) []string {
 	for _, t := range tokenize.Words(col.Name) {
 		// The "H:" prefix marks a column-context header token: the encoder
 		// gives it a strong synonym-class weight and keeps it out of the
 		// bigram stream (see Encoder.EncodeTokens). Emitted three times so
 		// header semantics survive even for small columns.
 		ht := "H:" + t
-		out = append(out, ht, ht, ht)
+		dst = append(dst, ht, ht, ht)
 	}
 	for _, v := range col.Values {
 		if v == table.Null {
 			continue
 		}
-		out = tokenize.AppendWords(out, v)
+		dst = tokenize.AppendWords(dst, v)
 	}
-	return out
+	return dst
 }

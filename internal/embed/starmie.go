@@ -58,14 +58,26 @@ func (s StarmieEncoder) EncodeTableColumns(t *table.Table, corpus func() *tokeni
 }
 
 // EncodeTableColumnsInto writes EncodeTableColumns' vectors over block, as
-// NumCols x Dim row-major float64s: each column is encoded into its row and
-// then mixed with the table context in place, so an index build allocates
-// no vector of its own per column.
+// NumCols x Dim row-major float64s: each column's tokens, cut to the budget
+// as EncodeTableColumns says, go to EncodeColumnTokensInto.
 func (s StarmieEncoder) EncodeTableColumnsInto(block []float64, t *table.Table, corpus func() *tokenize.Corpus) {
-	dim := s.Dim()
-	rows := make([]vector.Vec, t.NumCols())
+	cols := make([][]string, t.NumCols())
 	for i := range t.Columns {
-		tokens, _ := budgetTokens(&t.Columns[i], corpus)
+		cols[i], _ = budgetTokens(&t.Columns[i], corpus)
+	}
+	s.EncodeColumnTokensInto(block, cols)
+}
+
+// EncodeColumnTokensInto writes over block the vectors of a table whose
+// columns feed the model cols, one token list a column: each column is
+// encoded into its row and then mixed with the table context in place, so
+// an index build allocates no vector of its own per column. For a table
+// with no column over TokenBudget, cols[i] = ColumnTokens(&t.Columns[i])
+// gives exactly EncodeTableColumnsInto's vectors under any corpus.
+func (s StarmieEncoder) EncodeColumnTokensInto(block []float64, cols [][]string) {
+	dim := s.Dim()
+	rows := make([]vector.Vec, len(cols))
+	for i, tokens := range cols {
 		rows[i] = block[i*dim : (i+1)*dim : (i+1)*dim]
 		s.Model.EncodeTokensInto(rows[i], tokens)
 	}

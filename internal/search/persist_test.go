@@ -31,7 +31,7 @@ func persistBench(t testing.TB) *datagen.Benchmark {
 func TestStarmieSaveLoadRoundTrip(t *testing.T) {
 	b := persistBench(t)
 	orig := NewStarmie(b.Lake)
-	loaded, err := LoadStarmie(bytes.NewReader(saveStarmie(t, b)), b.Lake)
+	loaded, err := LoadStarmie(bytes.NewReader(saveStarmie(t, NewStarmie(b.Lake))), b.Lake)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestIncrementalErrors(t *testing.T) {
 	}
 }
 
-// saveStarmie serializes a Starmie index over the benchmark lake.
-func saveStarmie(t testing.TB, b *datagen.Benchmark) []byte {
+// saveStarmie serializes a Starmie index.
+func saveStarmie(t testing.TB, s *Starmie) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := NewStarmie(b.Lake).Save(&buf); err != nil {
+	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -87,7 +87,7 @@ func load(data []byte, b *datagen.Benchmark) error {
 // bump.
 func TestGoldenIndexes(t *testing.T) {
 	b := persistBench(t)
-	data := saveStarmie(t, b)
+	data := saveStarmie(t, NewStarmie(b.Lake))
 	path := filepath.Join("testdata", "golden_starmie.idx")
 	if *update {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -115,7 +115,7 @@ func TestGoldenIndexes(t *testing.T) {
 // as codec.ErrWrongKind, never as bit rot.
 func TestLoadErrorPaths(t *testing.T) {
 	b := persistBench(t)
-	starmie := saveStarmie(t, b)
+	starmie := saveStarmie(t, NewStarmie(b.Lake))
 	retag := func(kind byte) []byte {
 		out := append([]byte(nil), starmie...)
 		out[6] = kind
@@ -158,7 +158,7 @@ func TestLoadErrorPaths(t *testing.T) {
 
 func TestLoadLakeMismatch(t *testing.T) {
 	b := persistBench(t)
-	saved := saveStarmie(t, b)
+	saved := saveStarmie(t, NewStarmie(b.Lake))
 
 	// A lake with one extra table no longer matches the index.
 	bigger := lake.New("bigger")

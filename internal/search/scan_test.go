@@ -441,11 +441,7 @@ func checkIndex(t *testing.T, label string, s *Starmie, queries []*table.Table) 
 			t.Fatalf("%s: entry %d is %q (position %d), lake has %q there", label, i, e.t.Name, s.idx.pos[e.t.Name], names[i])
 		}
 		want := ref.idx.entries[i]
-		same := e.big == want.big && len(e.block) == len(want.block)
-		for j := 0; same && j < len(e.block); j++ {
-			same = math.Float64bits(e.block[j]) == math.Float64bits(want.block[j])
-		}
-		if !same {
+		if e.big != want.big || !sameBits(e.block, want.block) {
 			t.Fatalf("%s: table %q's block (big %v) differs from a fresh index's (big %v)", label, e.t.Name, e.big, want.big)
 		}
 		fresh := vector.NewCodeBlock(len(e.block)/s.enc.Dim(), s.enc.Dim())

@@ -101,32 +101,77 @@ func NewStarmie(l *lake.Lake, opts ...Option) *Starmie {
 	return NewStarmieWithEncoder(l, embed.NewStarmie(), opts...)
 }
 
-// NewStarmieWithEncoder indexes the lake with a custom encoder. The
-// per-table column embedding pass — the dominant index-time cost — runs in
-// parallel; the corpus is built sequentially first so every worker reads
-// the same frozen document frequencies.
+// NewStarmieWithEncoder indexes the lake with a custom encoder in one
+// parallel pass over the lake: each chunk of tables tokenizes every column
+// once, counts the tokens into a corpus of its own and encodes each table
+// with no column over the token budget from those same tokens — such a
+// table never reads the corpus. A chunk's corpus is merged into the index
+// corpus as the chunk ends (integer frequencies: the order is immaterial),
+// so at most one lives per worker. Only then are the over-budget tables
+// embedded, in parallel, against the whole lake's corpus.
 func NewStarmieWithEncoder(l *lake.Lake, enc embed.StarmieEncoder, opts ...Option) *Starmie {
 	o := applyOptions(opts)
 	s := emptyStarmie(l, enc, o)
 	tables := l.Tables()
 	blocks, codes := carveBlocks(tables, enc.Dim())
 	for i, t := range tables {
-		s.idx.add(entry{t: t, block: blocks[i], code: codes[i], big: s.addColumns(t)})
+		s.idx.add(entry{t: t, block: blocks[i], code: codes[i]})
 	}
-	par.For(s.workers, len(tables), func(i int) {
-		e := &s.idx.entries[i]
+	var mu sync.Mutex
+	par.ForChunks(s.workers, len(tables), func(lo, hi int) {
+		var tk tokenizer
+		part := &tokenize.Corpus{}
+		for i := lo; i < hi; i++ {
+			e := &s.idx.entries[i]
+			e.big = s.indexTable(&tk, e.t, part, e.block, &e.code)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		s.corpus.Merge(part)
+	})
+	var big []int
+	for i, e := range s.idx.entries {
+		if e.big {
+			big = append(big, i)
+		}
+	}
+	par.For(s.workers, len(big), func(i int) {
+		e := &s.idx.entries[big[i]]
 		s.embedInto(e.block, &e.code, e.t)
 	})
 	return s
 }
 
-// addColumns adds t's columns to the corpus and reports whether any of them
-// exceeds the encoder's token budget.
-func (s *Starmie) addColumns(t *table.Table) (big bool) {
-	for i := range t.Columns {
-		tokens := embed.ColumnTokens(&t.Columns[i])
-		s.corpus.AddDocument(tokens)
+// tokenizer holds the token lists of one table's columns; the next table
+// it tokenizes reuses their arrays.
+type tokenizer struct{ cols [][]string }
+
+// tokens tokenizes t's columns, valid until the next call.
+func (tk *tokenizer) tokens(t *table.Table) [][]string {
+	for len(tk.cols) < t.NumCols() {
+		tk.cols = append(tk.cols, nil)
+	}
+	cols := tk.cols[:t.NumCols()]
+	for i := range cols {
+		cols[i] = embed.AppendColumnTokens(cols[i][:0], &t.Columns[i])
+	}
+	return cols
+}
+
+// indexTable tokenizes t's columns once, counts them into corpus and
+// reports whether any of them exceeds the encoder's token budget. When none
+// does, t's vectors depend on those tokens alone: indexTable encodes them
+// into block and quantises them into code. A big table is left to
+// embedInto, once corpus holds every column its selection is made against.
+func (s *Starmie) indexTable(tk *tokenizer, t *table.Table, corpus *tokenize.Corpus, block []float64, code *vector.CodeBlock) (big bool) {
+	cols := tk.tokens(t)
+	for _, tokens := range cols {
+		corpus.AddDocument(tokens)
 		big = big || len(tokens) > embed.TokenBudget
+	}
+	if !big {
+		s.enc.EncodeColumnTokensInto(block, cols)
+		code.Quantize(block, s.enc.Dim())
 	}
 	return big
 }
@@ -175,9 +220,14 @@ func (s *Starmie) embedInto(block []float64, code *vector.CodeBlock, t *table.Ta
 	code.Quantize(block, s.enc.Dim())
 }
 
+// newBlock allocates a block and codes for t of its own.
+func (s *Starmie) newBlock(t *table.Table) ([]float64, vector.CodeBlock) {
+	return make([]float64, t.NumCols()*s.enc.Dim()), vector.NewCodeBlock(t.NumCols(), s.enc.Dim())
+}
+
 // embed is embedInto a block and codes of t's own.
 func (s *Starmie) embed(t *table.Table) ([]float64, vector.CodeBlock) {
-	block, code := make([]float64, t.NumCols()*s.enc.Dim()), vector.NewCodeBlock(t.NumCols(), s.enc.Dim())
+	block, code := s.newBlock(t)
 	s.embedInto(block, &code, t)
 	return block, code
 }
@@ -216,8 +266,11 @@ func (s *Starmie) AddTable(t *table.Table) error {
 	if s.idx.get(t.Name) != nil {
 		return fmt.Errorf("starmie: AddTable(%q): %w", t.Name, ErrDuplicateTable)
 	}
-	big := s.addColumns(t)
-	block, code := s.embed(t)
+	block, code := s.newBlock(t)
+	big := s.indexTable(&tokenizer{}, t, s.corpus, block, &code)
+	if big {
+		s.embedInto(block, &code, t)
+	}
 	s.idx.add(entry{t: t, block: block, code: code, big: big})
 	s.refreshBig(t.Name)
 	return nil

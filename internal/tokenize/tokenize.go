@@ -6,6 +6,7 @@
 package tokenize
 
 import (
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -92,27 +93,50 @@ func TermFreq(tokens []string) map[string]int {
 // setting, a document is usually one column's value set). The zero value is
 // ready to use.
 type Corpus struct {
-	docFreq map[string]int
+	docFreq map[string]count
 	numDocs int
+	// op numbers the AddDocument and RemoveDocument calls. A token's count
+	// records the last call that moved it, so a call counts each distinct
+	// token once without a set of the tokens it has seen.
+	op uint32
+}
+
+// count is one token's document frequency and the corpus op that last moved
+// it; every stored op is at most the corpus's own, and a merged or restored
+// count carries 0. Both halves are 32 bits, so a count is the size of the
+// int it replaces: a frequency is bounded by the columns a lake holds.
+type count struct {
+	df int32
+	op uint32
+}
+
+// nextOp numbers a new AddDocument or RemoveDocument call. When the number
+// wraps, every stamp is cleared first, so none can match a later call.
+func (c *Corpus) nextOp() {
+	if c.op == math.MaxUint32 {
+		for t, n := range c.docFreq {
+			c.docFreq[t] = count{df: n.df}
+		}
+		c.op = 0
+	}
+	c.op++
 }
 
 // AddDocument records the distinct tokens of one document.
 func (c *Corpus) AddDocument(tokens []string) {
 	if c.docFreq == nil {
-		c.docFreq = make(map[string]int)
+		c.docFreq = make(map[string]count)
 	}
-	seen := make(map[string]bool, len(tokens))
+	c.nextOp()
 	for _, t := range tokens {
-		if seen[t] {
-			continue
-		}
-		seen[t] = true
-		if df, ok := c.docFreq[t]; ok {
-			c.docFreq[t] = df + 1
-		} else {
+		n, ok := c.docFreq[t]
+		switch {
+		case !ok:
 			// A token may be a substring of a cell (AppendWords); the key
 			// must not keep that cell alive after its table is removed.
-			c.docFreq[strings.Clone(t)] = 1
+			c.docFreq[strings.Clone(t)] = count{df: 1, op: c.op}
+		case n.op != c.op:
+			c.docFreq[t] = count{df: n.df + 1, op: c.op}
 		}
 	}
 	c.numDocs++
@@ -128,31 +152,61 @@ func (c *Corpus) RemoveDocument(tokens []string) {
 	if c.numDocs == 0 {
 		return
 	}
-	seen := make(map[string]bool, len(tokens))
+	c.nextOp()
 	for _, t := range tokens {
-		if seen[t] {
-			continue
-		}
-		seen[t] = true
-		if df := c.docFreq[t]; df > 1 {
-			c.docFreq[t] = df - 1
-		} else {
+		n, ok := c.docFreq[t]
+		switch {
+		case !ok || n.op == c.op:
+		case n.df > 1:
+			c.docFreq[t] = count{df: n.df - 1, op: c.op}
+		default:
 			delete(c.docFreq, t)
 		}
 	}
 	c.numDocs--
 }
 
+// Merge adds other's documents to c, as if every document added to other
+// had been added to c too; other is left as it is. Frequencies are
+// integers, so merging any split of a document set, in any order, yields
+// the corpus that added the whole set one document at a time. The tokens
+// new to c are copied into one allocation: a corpus merged from parts holds
+// its keys in one block a part, not one a token scattered among whatever
+// else the parts' builders allocated, and no key pins a part.
+func (c *Corpus) Merge(other *Corpus) {
+	if len(other.docFreq) > 0 && c.docFreq == nil {
+		c.docFreq = make(map[string]count, len(other.docFreq))
+	}
+	size := 0
+	for t := range other.docFreq {
+		if _, ok := c.docFreq[t]; !ok {
+			size += len(t)
+		}
+	}
+	var keys strings.Builder
+	keys.Grow(size)
+	for t, n := range other.docFreq {
+		m, ok := c.docFreq[t]
+		if !ok {
+			// A Builder only appends, so each key stays a view of the
+			// bytes written for it.
+			at := keys.Len()
+			keys.WriteString(t)
+			t = keys.String()[at:]
+		}
+		m.df += n.df
+		c.docFreq[t] = m
+	}
+	c.numDocs += other.numDocs
+}
+
 // Clone returns a corpus with its own document-frequency map, so
 // AddDocument/RemoveDocument on the clone leave the original untouched
 // (copy-on-write index shadows depend on this).
 func (c *Corpus) Clone() *Corpus {
-	cp := &Corpus{numDocs: c.numDocs}
+	cp := &Corpus{numDocs: c.numDocs, op: c.op}
 	if c.docFreq != nil {
-		cp.docFreq = make(map[string]int, len(c.docFreq))
-		for t, df := range c.docFreq {
-			cp.docFreq[t] = df
-		}
+		cp.docFreq = maps.Clone(c.docFreq)
 	}
 	return cp
 }
@@ -163,23 +217,23 @@ func (c *Corpus) NumDocs() int { return c.numDocs }
 // DocFreqs calls fn for every (token, document frequency) pair in
 // unspecified order; index codecs sort the tokens themselves.
 func (c *Corpus) DocFreqs(fn func(token string, df int)) {
-	for t, df := range c.docFreq {
-		fn(t, df)
+	for t, n := range c.docFreq {
+		fn(t, int(n.df))
 	}
 }
 
 // Restore replaces the corpus state wholesale; it is the loading-side dual
 // of DocFreqs, used by index codecs. A negative numDocs or frequency is
-// silently clamped to zero.
+// silently clamped to zero, and a frequency above math.MaxInt32 to that.
 func (c *Corpus) Restore(numDocs int, docFreq map[string]int) {
 	if numDocs < 0 {
 		numDocs = 0
 	}
 	c.numDocs = numDocs
-	c.docFreq = make(map[string]int, len(docFreq))
+	c.docFreq = make(map[string]count, len(docFreq))
 	for t, df := range docFreq {
 		if df > 0 {
-			c.docFreq[t] = df
+			c.docFreq[t] = count{df: int32(min(df, math.MaxInt32))}
 		}
 	}
 }
@@ -188,10 +242,7 @@ func (c *Corpus) Restore(numDocs int, docFreq map[string]int) {
 // ln((1+N)/(1+df)) + 1 (the scikit-learn smoothing used by the baselines the
 // paper builds on).
 func (c *Corpus) IDF(token string) float64 {
-	df := 0
-	if c.docFreq != nil {
-		df = c.docFreq[token]
-	}
+	df := int(c.docFreq[token].df)
 	return math.Log(float64(1+c.numDocs)/float64(1+df)) + 1
 }
 

@@ -1,7 +1,11 @@
 package tokenize
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -283,5 +287,129 @@ func TestCorpusRestore(t *testing.T) {
 		if got, want := c.IDF(tok), fresh.IDF(tok); got != want {
 			t.Errorf("IDF(%q) = %v, want %v", tok, got, want)
 		}
+	}
+}
+
+// TestCorpusMerge splits random documents at random points across k
+// corpora and merges them, into the zero value and into the first part:
+// either way the result is the corpus that added every document in turn —
+// its document frequencies, count, IDF and TopK with its lexicographic
+// ties. Removing the last part's documents from the merge then leaves the
+// corpus of the documents before them.
+func TestCorpusMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vocab := []string{"park", "city", "year", "river", "owl", "oak", "elm", "bay", "73", "h:name"}
+	for trial := 0; trial < 40; trial++ {
+		docs := make([][]string, rng.Intn(30))
+		for i := range docs {
+			for n := rng.Intn(12); n > 0; n-- {
+				docs[i] = append(docs[i], vocab[rng.Intn(len(vocab))])
+			}
+		}
+		var want Corpus
+		for _, d := range docs {
+			want.AddDocument(d)
+		}
+		k := 1 + rng.Intn(5)
+		cuts := []int{0}
+		for i := 1; i < k; i++ {
+			cuts = append(cuts, rng.Intn(len(docs)+1))
+		}
+		sort.Ints(cuts)
+		cuts = append(cuts, len(docs))
+		parts := make([]*Corpus, k)
+		for i := range parts {
+			parts[i] = &Corpus{}
+			for _, d := range docs[cuts[i]:cuts[i+1]] {
+				parts[i].AddDocument(d)
+			}
+		}
+		var zero Corpus
+		first := parts[0].Clone()
+		for i, p := range parts {
+			zero.Merge(p)
+			if i > 0 {
+				first.Merge(p)
+			}
+		}
+		for name, got := range map[string]*Corpus{"zero value": &zero, "first part": first} {
+			checkSameCorpus(t, fmt.Sprintf("trial %d, %d parts, into the %s", trial, k, name), got, &want, vocab)
+		}
+
+		last := docs[cuts[k-1]:]
+		for i := len(last) - 1; i >= 0; i-- {
+			zero.RemoveDocument(last[i])
+		}
+		var before Corpus
+		for _, d := range docs[:cuts[k-1]] {
+			before.AddDocument(d)
+		}
+		checkSameCorpus(t, fmt.Sprintf("trial %d, after removing the last part", trial), &zero, &before, vocab)
+	}
+}
+
+// checkSameCorpus holds got to want: counts, IDF over vocab and TopK.
+func checkSameCorpus(t *testing.T, what string, got, want *Corpus, vocab []string) {
+	t.Helper()
+	if got.NumDocs() != want.NumDocs() {
+		t.Errorf("%s: NumDocs = %d, want %d", what, got.NumDocs(), want.NumDocs())
+	}
+	if g, w := docFreqs(got), docFreqs(want); !reflect.DeepEqual(g, w) {
+		t.Errorf("%s: DocFreqs = %v, want %v", what, g, w)
+	}
+	for _, tok := range append(vocab, "never-seen") {
+		if g, w := got.IDF(tok), want.IDF(tok); g != w {
+			t.Errorf("%s: IDF(%q) = %v, want %v", what, tok, g, w)
+		}
+	}
+	query := append(append([]string{}, vocab...), "park", "park", "owl", "never-seen")
+	for _, k := range []int{0, 1, 3, 7} {
+		if g, w := got.TopK(query, k), want.TopK(query, k); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: TopK(_, %d) = %v, want %v", what, k, g, w)
+		}
+	}
+}
+
+// docFreqs is c's document frequencies as a map.
+func docFreqs(c *Corpus) map[string]int {
+	out := map[string]int{}
+	c.DocFreqs(func(tok string, df int) { out[tok] = df })
+	return out
+}
+
+// TestAddDocumentAllocs: once a document's tokens are in the corpus, adding
+// it again allocates nothing, whatever its repeats.
+func TestAddDocumentAllocs(t *testing.T) {
+	var c Corpus
+	doc := Words("river park river 773 oak park owl river")
+	c.AddDocument(doc)
+	if n := testing.AllocsPerRun(100, func() { c.AddDocument(doc) }); n != 0 {
+		t.Errorf("AddDocument of a seen document allocated %v times, want 0", n)
+	}
+	// AllocsPerRun adds the document once more than it is told, to warm up.
+	if got, want := int(c.docFreq["river"].df), 1+101; got != want || c.NumDocs() != want {
+		t.Errorf("df(river) = %d in %d documents, want %d in %d", got, c.NumDocs(), want, want)
+	}
+}
+
+// TestCorpusOpWraps runs documents across the wrap of the corpus's call
+// number, over restored counts (stamped 0): no stamp left from before the
+// wrap may pass for the current call, so every document still counts each
+// distinct token once.
+func TestCorpusOpWraps(t *testing.T) {
+	docs := [][]string{{"a", "b", "a"}, {"b", "c"}, {"a", "c", "c", "d"}, {"a", "d"}, {"b", "b"}}
+	var want, got Corpus
+	want.Restore(4, map[string]int{"a": 2, "b": 1, "c": 3, "d": 1})
+	got.Restore(4, map[string]int{"a": 2, "b": 1, "c": 3, "d": 1})
+	got.op = math.MaxUint32 - 2
+	for _, d := range docs {
+		want.AddDocument(d)
+		got.AddDocument(d)
+	}
+	got.RemoveDocument(docs[1])
+	want.RemoveDocument(docs[1])
+	checkSameCorpus(t, "across the wrap", &got, &want, []string{"a", "b", "c", "d"})
+	if got.op > 4 {
+		t.Errorf("op = %d after the wrap, want it restarted", got.op)
 	}
 }
