@@ -34,8 +34,9 @@ import (
 	"dust/internal/vector"
 )
 
-// Pipeline wires the four stages of Algorithm 1. Construct with New and
-// customize with the With* options.
+// Pipeline runs Algorithm 1 — SearchTables, AlignColumns, tuple embedding
+// and DiversifyTuples — as the six search.Stage spans. Construct with New
+// and customize with the With* options.
 type Pipeline struct {
 	lake        *lake.Lake
 	searcher    search.Searcher
@@ -146,7 +147,8 @@ func (p *Pipeline) Search(query *table.Table, k int) (*Result, error) {
 // candidate scan, tuple embedding, and the stage boundaries all check ctx —
 // and returns an error wrapping ctx.Err() instead of running the query to
 // completion. Long-running servers use it to bound per-request latency and
-// to stop doing work for clients that have gone away.
+// to stop doing work for clients that have gone away. Each stage's wall
+// time is added to the search.Trace ctx carries, if any.
 func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int) (*Result, error) {
 	if query == nil || query.NumCols() == 0 {
 		return nil, fmt.Errorf("dust: empty query table")
@@ -154,103 +156,133 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 	if k <= 0 {
 		return nil, fmt.Errorf("dust: k must be positive, got %d", k)
 	}
+	var (
+		tables   []*table.Table
+		names    []string
+		cols     []align.Column
+		headers  []string
+		mappings []table.Mapping
+		unioned  *table.Table
+		prov     []table.Provenance
+		eq, et   []vector.Vec
+		res      *Result
+		err      error
+	)
 
 	// Line 3: D' <- SearchTables(Q, D).
-	hits, err := search.TopKCtx(ctx, p.searcher, query, p.topTables)
-	if err != nil {
-		return nil, fmt.Errorf("dust: search: %w", err)
-	}
-	tables := make([]*table.Table, 0, len(hits))
-	names := make([]string, 0, len(hits))
-	for _, h := range hits {
-		tables = append(tables, h.Table)
-		names = append(names, h.Table.Name)
-	}
-	if len(tables) == 0 {
-		return nil, fmt.Errorf("dust: no unionable tables found for %s", query.Name)
-	}
-
-	// Line 5: T <- AlignColumns(Q, D').
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("dust: align: %w", err)
-	}
-	tr := search.TraceFrom(ctx)
-	tAlign := time.Now()
-	cols := align.EmbedColumns(query, tables, p.columnEnc)
-	res := align.HolisticWorkers(cols, p.workers)
-	headers, mappings, err := res.Mappings(query, tables)
-	if err != nil {
-		return nil, fmt.Errorf("dust: align: %w", err)
-	}
-	unioned, prov, err := table.OuterUnion(query.Name+"_unionable", headers, mappings)
-	if err != nil {
-		return nil, fmt.Errorf("dust: union: %w", err)
-	}
-	// Drop rows that aligned on too little: a mostly-null tuple has a
-	// degenerate embedding that looks maximally "diverse" while carrying
-	// almost no information for the query schema. Outer union legitimately
-	// pads missing columns (paper §3.3), so the bar is one third of the
-	// schema, falling back to any-non-null if nothing clears it.
-	keep := coverageRows(unioned, 1.0/3)
-	if len(keep) == 0 {
-		keep = coverageRows(unioned, 0)
-	}
-	unioned, prov = filterRows(unioned, prov, keep)
-	tr.AddAlign(tAlign)
-	if unioned.NumRows() == 0 {
-		return nil, fmt.Errorf("dust: alignment produced no unionable tuples for %s", query.Name)
-	}
-
-	// Line 7: embed query and data lake tuples, in parallel batches. The
-	// tuple embedding joins the query encoding under the trace's encode
-	// stage: both derive representations, neither retrieves or ranks.
-	tEmbed := time.Now()
-	eq, err := model.EncodeBatchContext(ctx, p.tupleEnc, headers, tableRows(query), p.workers)
-	if err != nil {
-		return nil, fmt.Errorf("dust: embed: %w", err)
-	}
-	et, err := model.EncodeBatchContext(ctx, p.tupleEnc, headers, tableRows(unioned), p.workers)
-	if err != nil {
-		return nil, fmt.Errorf("dust: embed: %w", err)
-	}
-	tr.AddEncode(tEmbed)
-	groups := make([]int, unioned.NumRows())
-	groupIDs := map[string]int{}
-	for i := range groups {
-		g, ok := groupIDs[prov[i].Table]
-		if !ok {
-			g = len(groupIDs)
-			groupIDs[prov[i].Table] = g
+	stage(ctx, &err, search.StageTopK, func() error {
+		hits, err := search.TopKCtx(ctx, p.searcher, query, p.topTables)
+		if err != nil {
+			return err
 		}
-		groups[i] = g
-	}
-
-	// Line 8: F <- DiversifyTuples(EQ, ET, k).
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("dust: diversify: %w", err)
-	}
-	tDiv := time.Now()
-	idx := p.diversifier.Select(diversify.Problem{
-		Query: eq, Tuples: et, Groups: groups, K: k, Dist: vector.CosineDistance,
-		Workers: p.workers,
+		if len(hits) == 0 {
+			return fmt.Errorf("no unionable tables found for %s", query.Name)
+		}
+		tables, names = make([]*table.Table, len(hits)), make([]string, len(hits))
+		for i, h := range hits {
+			tables[i], names[i] = h.Table, h.Table.Name
+		}
+		return nil
 	})
-	tr.AddDiversify(tDiv)
 
-	out := table.New(query.Name+"_diverse", headers...)
-	outProv := make([]table.Provenance, 0, len(idx))
-	for _, i := range idx {
-		if err := out.AppendRow(unioned.Row(i)); err != nil {
-			return nil, err
+	// Line 5: T <- AlignColumns(Q, D'): embed every column, then cluster
+	// them holistically into one mapping per table.
+	stage(ctx, &err, search.StageEmbedColumns, func() error {
+		cols = align.EmbedColumns(query, tables, p.columnEnc)
+		return nil
+	})
+	stage(ctx, &err, search.StageHolistic, func() error {
+		var err error
+		headers, mappings, err = align.HolisticWorkers(cols, p.workers).Mappings(query, tables)
+		return err
+	})
+
+	// Outer-union the aligned tables, then drop rows that aligned on too
+	// little: a mostly-null tuple has a degenerate embedding that looks
+	// maximally "diverse" while carrying almost no information for the
+	// query schema. Outer union legitimately pads missing columns (paper
+	// §3.3), so the bar is one third of the schema, falling back to
+	// any-non-null if nothing clears it.
+	stage(ctx, &err, search.StageOuterUnion, func() error {
+		var err error
+		if unioned, prov, err = table.OuterUnion(query.Name+"_unionable", headers, mappings); err != nil {
+			return err
 		}
-		outProv = append(outProv, prov[i])
+		keep := coverageRows(unioned, 1.0/3)
+		if len(keep) == 0 {
+			keep = coverageRows(unioned, 0)
+		}
+		if unioned, prov = filterRows(unioned, prov, keep); unioned.NumRows() == 0 {
+			return fmt.Errorf("alignment produced no unionable tuples for %s", query.Name)
+		}
+		return nil
+	})
+
+	// Line 7: embed query and data lake tuples, in parallel batches.
+	stage(ctx, &err, search.StageEncodeTuples, func() error {
+		var err error
+		if eq, err = model.EncodeBatchContext(ctx, p.tupleEnc, headers, tableRows(query), p.workers); err != nil {
+			return err
+		}
+		et, err = model.EncodeBatchContext(ctx, p.tupleEnc, headers, tableRows(unioned), p.workers)
+		return err
+	})
+
+	// Line 8: F <- DiversifyTuples(EQ, ET, k), each tuple grouped by its
+	// source table.
+	stage(ctx, &err, search.StageDiversify, func() error {
+		groups := make([]int, unioned.NumRows())
+		groupIDs := map[string]int{}
+		for i := range groups {
+			g, ok := groupIDs[prov[i].Table]
+			if !ok {
+				g = len(groupIDs)
+				groupIDs[prov[i].Table] = g
+			}
+			groups[i] = g
+		}
+		idx := p.diversifier.Select(diversify.Problem{
+			Query: eq, Tuples: et, Groups: groups, K: k, Dist: vector.CosineDistance,
+			Workers: p.workers,
+		})
+		res = &Result{
+			Tuples:            table.New(query.Name+"_diverse", headers...),
+			Provenance:        make([]table.Provenance, 0, len(idx)),
+			UnionableTables:   names,
+			Unioned:           unioned,
+			UnionedProvenance: prov,
+		}
+		for _, i := range idx {
+			if err := res.Tuples.AppendRow(unioned.Row(i)); err != nil {
+				return err
+			}
+			res.Provenance = append(res.Provenance, prov[i])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &Result{
-		Tuples:            out,
-		Provenance:        outProv,
-		UnionableTables:   names,
-		Unioned:           unioned,
-		UnionedProvenance: prov,
-	}, nil
+	return res, nil
+}
+
+// stage runs body as stage st of a search under ctx unless *err already
+// holds an earlier stage's failure: it checks ctx first, adds body's wall
+// time to the trace ctx carries, and leaves either error in *err, wrapped
+// with the stage's name.
+func stage(ctx context.Context, err *error, st search.Stage, body func() error) {
+	if *err != nil {
+		return
+	}
+	e := ctx.Err()
+	if e == nil {
+		t0 := time.Now()
+		e = body()
+		search.TraceFrom(ctx).Add(st, time.Since(t0))
+	}
+	if e != nil {
+		*err = fmt.Errorf("dust: %s: %w", st, e)
+	}
 }
 
 // SearchBatch serves many queries against the same lake concurrently over

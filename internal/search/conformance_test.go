@@ -24,7 +24,11 @@ func scanned(t *testing.T, s Searcher, q *table.Table, k int) int64 {
 	if _, err := TopKCtx(WithTrace(context.Background(), &tr), s, q, k); err != nil {
 		t.Fatal(err)
 	}
-	return tr.ScanCoded.Load() + tr.ScanBounded.Load() + tr.ScanGreedy.Load() + tr.ScanMatched.Load()
+	var n int64
+	for exit := range tr.Scan {
+		n += tr.Scan[exit].Load()
+	}
+	return n
 }
 
 // TestSearcherConformance runs the Searcher contract over Starmie: it

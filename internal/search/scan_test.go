@@ -132,7 +132,7 @@ func weightsSearcher(w [][]float64, minSim float64) (*Starmie, *starmiePrepared,
 func TestScoreExitsAreExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	var sc scan
-	exits := [scanExits]int{}
+	exits := [ScanExits]int{}
 	for trial := 0; trial < 3000; trial++ {
 		nq, nc := 1+rng.Intn(6), 1+rng.Intn(6)
 		levels := 1 + rng.Intn(5)
@@ -163,20 +163,20 @@ func TestScoreExitsAreExact(t *testing.T) {
 		// it resumes after the first panel.
 		for _, reach := range []float64{math.Inf(1), storeReach(reach).value()} {
 			got, exit := sc.score(s, q, e, math.Inf(-1), reach)
-			if got != want || exit <= scanBounded {
+			if got != want || exit <= ScanBounded {
 				t.Fatalf("trial %d: score %v (exit %d), Hungarian %v (w=%v)", trial, got, exit, want, w)
 			}
 			exits[exit]++
-			if tied, exit := sc.score(s, q, e, want, reach); tied != want || exit <= scanBounded {
+			if tied, exit := sc.score(s, q, e, want, reach); tied != want || exit <= ScanBounded {
 				t.Fatalf("trial %d: floor == score cut the table or moved its score: %v exit %d (w=%v)", trial, tied, exit, w)
 			}
 			for _, floor := range []float64{math.Nextafter(want, 2), want + 0.05, want + 0.3, 1} {
-				if _, exit := sc.score(s, q, e, floor, reach); exit <= scanBounded {
+				if _, exit := sc.score(s, q, e, floor, reach); exit <= ScanBounded {
 					exits[exit]++
 				}
 			}
 			for _, floor := range []float64{math.Nextafter(want, -1), want - 0.05, 0} {
-				if _, exit := sc.score(s, q, e, floor, reach); exit <= scanBounded {
+				if _, exit := sc.score(s, q, e, floor, reach); exit <= ScanBounded {
 					t.Fatalf("trial %d: floor %v cut a table scoring %v (w=%v)", trial, floor, want, w)
 				}
 			}
@@ -196,11 +196,11 @@ func TestGreedyExitNeedsDistinctMaxima(t *testing.T) {
 	var sc scan
 	hi, mid, lo := 0.9, 0.8, 0.7
 	s, q, e := weightsSearcher([][]float64{{hi, mid}, {lo, 0.1}}, 0)
-	if got, exit := sc.score(s, q, e, math.Inf(-1), math.Inf(1)); got != (mid+lo)/2 || exit != scanMatched {
+	if got, exit := sc.score(s, q, e, math.Inf(-1), math.Inf(1)); got != (mid+lo)/2 || exit != ScanMatched {
 		t.Errorf("colliding maxima: score %v exit %d, want 0.75 by matching", got, exit)
 	}
 	s, q, e = weightsSearcher([][]float64{{hi, 0.1}, {0.2, mid}}, 0)
-	if got, exit := sc.score(s, q, e, math.Inf(-1), math.Inf(1)); got != (hi+mid)/2 || exit != scanGreedy {
+	if got, exit := sc.score(s, q, e, math.Inf(-1), math.Inf(1)); got != (hi+mid)/2 || exit != ScanGreedy {
 		t.Errorf("distinct maxima: score %v exit %d, want 0.85 by the shortcut", got, exit)
 	}
 }
@@ -494,16 +494,16 @@ func TestCodeCutIsBoundedCut(t *testing.T) {
 					floatCut = cannotReach(ub, i, nq, floor)
 				}
 				switch _, exit := sc.score(s, q, &e, floor, math.Inf(1)); {
-				case exit == scanCoded && !floatCut:
+				case exit == ScanCoded && !floatCut:
 					t.Fatalf("query %d, table %q, floor %v: the code bound cut a table the float64 bound keeps", qi, e.t.Name, floor)
-				case exit == scanCoded:
+				case exit == ScanCoded:
 					coded++
 				case floatCut:
 					bounded++
 				}
 				sc.s, sc.q, sc.cands = s, q, []entry{e}
 				resumed := storeReach(sc.reach(0)).value()
-				if _, exit := sc.score(s, q, &e, floor, resumed); exit == scanCoded && !floatCut {
+				if _, exit := sc.score(s, q, &e, floor, resumed); exit == ScanCoded && !floatCut {
 					t.Fatalf("query %d, table %q, floor %v: the code bound, resumed from the stored reach %v, cut a table the float64 bound keeps", qi, e.t.Name, floor, resumed)
 				}
 			}
@@ -661,7 +661,7 @@ func BenchmarkStarmieTopK(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				benchHits, _ = s.TopKPrepared(ctx, pqs[i%len(pqs)], 10)
 			}
-			b.ReportMetric(float64(tr.ScanGreedy.Load()+tr.ScanMatched.Load())/float64(b.N), "scored/op")
+			b.ReportMetric(float64(tr.Scan[ScanGreedy].Load()+tr.Scan[ScanMatched].Load())/float64(b.N), "scored/op")
 		})
 	}
 }

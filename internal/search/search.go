@@ -116,17 +116,13 @@ var (
 	ErrEncoderMismatch = errors.New("search: saved index built with a different encoder")
 )
 
-// TopKCtx is the whole query under ctx: Prepare, then TopKPrepared, with the
-// encoding charged to the encode stage of a Trace carried by ctx. The error
-// is ctx.Err() when the query was cancelled.
+// TopKCtx is the whole query under ctx: Prepare, then TopKPrepared. The
+// error is ctx.Err() when the query was cancelled.
 func TopKCtx(ctx context.Context, s Searcher, query *table.Table, k int) ([]Scored, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	pq := s.Prepare(query)
-	TraceFrom(ctx).AddEncode(t0)
-	return s.TopKPrepared(ctx, pq, k)
+	return s.TopKPrepared(ctx, s.Prepare(query), k)
 }
 
 // TopK is TopKCtx under a background context, which cannot fail.
@@ -135,95 +131,59 @@ func TopK(s Searcher, query *table.Table, k int) []Scored {
 	return out
 }
 
-// Trace accumulates the per-stage wall time of one query through the
-// staged plan: encode (query representation + tuple embedding), retrieve
-// (candidate generation), score (exact ranking of the candidates), and
-// align and diversify (both filled by the dust pipeline). Fields are atomic
-// so the scan's parallel chunks can record from concurrent goroutines; a
-// Trace travels with the request via WithTrace, and searchers that find one
-// in their context add their stage costs to it. Serving layers turn the
-// totals into latency histograms and per-request log fields.
+// Stage is one of the six disjoint spans a search's wall time is split
+// into, in Algorithm 1's order. Each is named after the benchmark layer
+// that times the same calls, and that name is its label on /metrics and in
+// the request log.
+type Stage int
+
+// The stages, in Algorithm 1's order; NumStages counts them.
+const (
+	StageTopK         Stage = iota // line 3: encode the query, rank the lake
+	StageEmbedColumns              // line 5: embed the query's and the hits' columns
+	StageHolistic                  // line 5: cluster the columns into mappings
+	StageOuterUnion                // outer union and the coverage filter
+	StageEncodeTuples              // line 7: embed the query's and the pool's tuples
+	StageDiversify                 // line 8: groups, selection, result table
+	NumStages
+)
+
+var stageNames = [NumStages]string{
+	"search.topk", "align.embed_columns", "align.holistic",
+	"table.outer_union", "model.encode_tuples", "diversify.select",
+}
+
+// String names the stage after its benchmark layer.
+func (s Stage) String() string { return stageNames[s] }
+
+// Trace accumulates one query's wall time per Stage, which the dust
+// pipeline records, and the exits its candidates took through Starmie's
+// exact scan, which the scan's parallel chunks count from concurrent
+// goroutines. A Trace travels with the request via WithTrace; serving
+// layers turn it into latency histograms and per-request log fields.
 type Trace struct {
-	// EncodeNS is nanoseconds spent deriving representations: the query's
-	// prepared form here, plus tuple embedding in the dust pipeline.
-	EncodeNS atomic.Int64
-	// RetrieveNS is nanoseconds spent generating candidates (the exact
-	// scan's table listing).
-	RetrieveNS atomic.Int64
-	// ScoreNS is nanoseconds spent exactly scoring and ranking candidates.
-	ScoreNS atomic.Int64
-	// AlignNS is nanoseconds the dust pipeline spent between ranking and
-	// tuple embedding: column embedding, holistic alignment, the mappings,
-	// the outer union and the coverage filter.
-	AlignNS atomic.Int64
-	// DiversifyNS is nanoseconds spent in the diversification stage; the
-	// search layer never writes it, the dust pipeline does.
-	DiversifyNS atomic.Int64
-	// ScanCoded, ScanBounded, ScanGreedy and ScanMatched count the
-	// candidate tables of Starmie's exact scoring pass by the exit each
-	// took: cut by the matching's upper bound over the column codes before
-	// a float64 is read, cut by the same bound over the float64 cells
-	// without being scored, scored by distinct per-column arg-maxes, or
-	// scored by the Hungarian step. The split is input-dependent — a query
-	// whose candidates all tie defeats the bounds — so it is counted, not
-	// assumed.
-	ScanCoded, ScanBounded, ScanGreedy, ScanMatched atomic.Int64
+	// NS is nanoseconds per stage.
+	NS [NumStages]atomic.Int64
+	// Scan counts candidate tables by scan exit (ScanCoded … ScanMatched).
+	// The split is input-dependent — a query whose candidates all tie
+	// defeats the bounds — so it is counted, not assumed.
+	Scan [ScanExits]atomic.Int64
 }
 
-// AddEncode adds the wall time since start to the encode stage. A nil
-// Trace is a no-op, as for all the Add helpers, so untraced queries cost
-// call sites nothing but the time.Now.
-func (tr *Trace) AddEncode(start time.Time) {
+// Add adds d to stage st. A nil Trace is a no-op, so an untraced query
+// costs the caller nothing but its clock reads.
+func (tr *Trace) Add(st Stage, d time.Duration) {
 	if tr != nil {
-		tr.EncodeNS.Add(time.Since(start).Nanoseconds())
-	}
-}
-
-// AddRetrieve adds the wall time since start to the retrieve stage.
-func (tr *Trace) AddRetrieve(start time.Time) {
-	if tr != nil {
-		tr.RetrieveNS.Add(time.Since(start).Nanoseconds())
-	}
-}
-
-// AddScore adds the wall time since start to the score stage.
-func (tr *Trace) AddScore(start time.Time) {
-	if tr != nil {
-		tr.ScoreNS.Add(time.Since(start).Nanoseconds())
-	}
-}
-
-// AddAlign adds the wall time since start to the align stage.
-func (tr *Trace) AddAlign(start time.Time) {
-	if tr != nil {
-		tr.AlignNS.Add(time.Since(start).Nanoseconds())
-	}
-}
-
-// AddDiversify adds the wall time since start to the diversify stage.
-func (tr *Trace) AddDiversify(start time.Time) {
-	if tr != nil {
-		tr.DiversifyNS.Add(time.Since(start).Nanoseconds())
-	}
-}
-
-// AddScan adds one scan's candidate counts per exit; nil-safe like the
-// stage helpers.
-func (tr *Trace) AddScan(coded, bounded, greedy, matched int64) {
-	if tr != nil {
-		tr.ScanCoded.Add(coded)
-		tr.ScanBounded.Add(bounded)
-		tr.ScanGreedy.Add(greedy)
-		tr.ScanMatched.Add(matched)
+		tr.NS[st].Add(d.Nanoseconds())
 	}
 }
 
 // traceKey keys a *Trace in a context.
 type traceKey struct{}
 
-// WithTrace returns a context carrying tr: staged searchers below the call
-// record their per-stage wall time into it. Passing nil masks any outer
-// trace.
+// WithTrace returns a context carrying tr: the pipeline below the call
+// records its stage times into it and the scan its exits. Passing nil
+// masks any outer trace.
 func WithTrace(ctx context.Context, tr *Trace) context.Context {
 	return context.WithValue(ctx, traceKey{}, tr)
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"time"
 
 	"dust/internal/embed"
 	"dust/internal/lake"
@@ -352,7 +351,7 @@ type scan struct {
 	q     *starmiePrepared
 	cands []entry
 	tr    *Trace
-	exits [scanExits]int64
+	exits [ScanExits]int64
 
 	w    []float64
 	arg  []int
@@ -362,7 +361,7 @@ type scan struct {
 // openScan takes a pooled scan for a chunk of cands.
 func openScan(s *Starmie, q *starmiePrepared, cands []entry, tr *Trace) *scan {
 	sc := scanPool.Get().(*scan)
-	sc.s, sc.q, sc.cands, sc.tr, sc.exits = s, q, cands, tr, [scanExits]int64{}
+	sc.s, sc.q, sc.cands, sc.tr, sc.exits = s, q, cands, tr, [ScanExits]int64{}
 	return sc
 }
 
@@ -394,7 +393,7 @@ func (sc *scan) reach(i int) float64 {
 func (sc *scan) scoreAt(i int, reach, floor float64) (*table.Table, float64, bool) {
 	score, exit := sc.score(sc.s, sc.q, &sc.cands[i], floor, reach)
 	sc.exits[exit]++
-	return sc.cands[i].t, score, exit <= scanBounded
+	return sc.cands[i].t, score, exit <= ScanBounded
 }
 
 // release runs as the chunk ends, with the number of candidates
@@ -402,18 +401,23 @@ func (sc *scan) scoreAt(i int, reach, floor float64) (*table.Table, float64, boo
 // cut on its reach read no float64, so it is coded — and returns the scan
 // to the pool.
 func (sc *scan) release(cut int) {
-	sc.tr.AddScan(sc.exits[scanCoded]+int64(cut), sc.exits[scanBounded], sc.exits[scanGreedy], sc.exits[scanMatched])
+	if sc.tr != nil {
+		sc.exits[ScanCoded] += int64(cut)
+		for exit, n := range sc.exits {
+			sc.tr.Scan[exit].Add(n)
+		}
+	}
 	sc.s, sc.q, sc.cands, sc.tr = nil, nil, nil, nil
 	scanPool.Put(sc)
 }
 
-// The exits of scan.score, which index the per-query outcome counts.
+// The exits of scan.score, which index Trace.Scan.
 const (
-	scanCoded   = iota // cut by the code bound, no float64 read
-	scanBounded        // cut by the upper bound, no matching computed
-	scanGreedy         // distinct arg-maxes: the bound is the matching
-	scanMatched        // ran the Hungarian step
-	scanExits
+	ScanCoded   = iota // cut by the code bound, no float64 read
+	ScanBounded        // cut by the upper bound, no matching computed
+	ScanGreedy         // distinct arg-maxes: the bound is the matching
+	ScanMatched        // ran the Hungarian step
+	ScanExits
 )
 
 var scanPool = sync.Pool{New: func() any { return new(scan) }}
@@ -445,7 +449,7 @@ var scanPool = sync.Pool{New: func() any { return new(scan) }}
 func (sc *scan) score(s *Starmie, q *starmiePrepared, e *entry, floor, reach float64) (score float64, exit int) {
 	nq, nc := q.panels.Len(), len(e.block)/s.enc.Dim()
 	if nq == 0 || nc == 0 {
-		return 0, scanGreedy
+		return 0, ScanGreedy
 	}
 	sc.w, sc.arg = slices.Grow(sc.w[:0], nq*nc), slices.Grow(sc.arg[:0], nq)
 	w, arg := sc.w[:nq*nc], sc.arg[:nq]
@@ -457,7 +461,7 @@ func (sc *scan) score(s *Starmie, q *starmiePrepared, e *entry, floor, reach flo
 		i := 0
 		if !math.IsInf(reach, 1) {
 			if reach < floor {
-				return 0, scanCoded
+				return 0, ScanCoded
 			}
 			i = min(nq, vector.PanelRows)
 			ub = float64(reach*float64(nq)) - float64(nq-i) // architecture-exact: no fusion (docs/ARCHITECTURE.md, "Determinism contract")
@@ -468,7 +472,7 @@ func (sc *scan) score(s *Starmie, q *starmiePrepared, e *entry, floor, reach flo
 			}
 			ub += clamp(bounds[i%vector.PanelRows], minSim)
 			if cannotReach(ub, i, nq, floor) {
-				return 0, scanCoded
+				return 0, ScanCoded
 			}
 		}
 	}
@@ -483,15 +487,15 @@ func (sc *scan) score(s *Starmie, q *starmiePrepared, e *entry, floor, reach flo
 		best, at := clampRow(w[i*nc:(i+1)*nc], minSim)
 		ub += best
 		if cannotReach(ub, i, nq, floor) {
-			return 0, scanBounded
+			return 0, ScanBounded
 		}
 		arg[i] = at
 		distinct = distinct && (at < 0 || !slices.Contains(arg[:i], at))
 	}
 	if distinct {
-		return ub / float64(nq), scanGreedy
+		return ub / float64(nq), ScanGreedy
 	}
-	return sc.hung.Solve(w, nq, nc) / float64(nq), scanMatched
+	return sc.hung.Solve(w, nq, nc) / float64(nq), ScanMatched
 }
 
 // clamp turns a dot into a weight: 0 unless above minSim, at most 1.
@@ -570,14 +574,5 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tr := TraceFrom(ctx)
-	t0 := time.Now()
-	cands := s.idx.entries
-	tr.AddRetrieve(t0)
-	t0 = time.Now()
-	out, err := rankTablesCtx(ctx, s, p, cands, k, tr)
-	if err == nil {
-		tr.AddScore(t0)
-	}
-	return out, err
+	return rankTablesCtx(ctx, s, p, s.idx.entries, k, TraceFrom(ctx))
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"dust/internal/align"
@@ -28,11 +29,11 @@ type serverMetrics struct {
 	// class — the cached and computed paths differ by ~two orders of
 	// magnitude, so one merged histogram would hide both.
 	latency *obs.HistogramVec
-	// stage is the per-stage search-latency histogram (encode, retrieve,
-	// score, align, diversify) from the request's search.Trace; cache hits
-	// skip the pipeline and record no stages.
+	// stage is the per-stage search-latency histogram, one series per
+	// search.Stage, from the request's search.Trace; cache hits skip the
+	// pipeline and record no stages.
 	stage *obs.HistogramVec
-	// scanTables counts the candidate tables of served searches by how the
+	// scanTables counts the candidate tables of uncached searches by how the
 	// exact scan disposed of each (search.Trace's scan counts): the share
 	// cut by the bound is what keeps the scan cheap, and it depends on the
 	// traffic.
@@ -46,6 +47,10 @@ type serverMetrics struct {
 // newServerMetrics registers every serving metric against s.
 func newServerMetrics(s *Server) *serverMetrics {
 	r := obs.NewRegistry()
+	var stages []string
+	for st := range search.NumStages {
+		stages = append(stages, st.String())
+	}
 	m := &serverMetrics{
 		reg: r,
 		requests: r.NewCounter("dust_http_requests_total",
@@ -55,10 +60,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Request latency by endpoint, cache outcome (hit/miss on /search, none elsewhere), and status class.",
 			nil, "endpoint", "cache", "class"),
 		stage: r.NewHistogram("dust_search_stage_seconds",
-			"Per-stage wall time of served (uncached) searches: encode, retrieve, score, align, diversify.",
+			"Per-stage wall time of uncached searches that ran the pipeline, failed ones included (0 for a stage they never reached): "+strings.Join(stages, ", ")+".",
 			nil, "stage"),
 		scanTables: r.NewCounter("dust_search_scan_tables_total",
-			"Candidate tables of served (uncached) searches by exact-scan outcome: coded (cut by the matching's upper bound over the column codes, no float64 read; this includes a table cut on the bound the scan's first pass stored), bounded (cut by the matching's upper bound over the float64 cells, not scored), greedy (scored by distinct per-column maxima), matched (scored by the Hungarian step).",
+			"Candidate tables of uncached searches that ran the pipeline, failed ones included, by exact-scan outcome: coded (cut by the matching's upper bound over the column codes, no float64 read; this includes a table cut on the bound the scan's first pass stored), bounded (cut by the matching's upper bound over the float64 cells, not scored), greedy (scored by distinct per-column maxima), matched (scored by the Hungarian step).",
 			"outcome"),
 		admissionWait: r.NewHistogram("dust_admission_wait_seconds",
 			"Time admitted searches waited for an in-flight slot.",
@@ -165,7 +170,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 }
 
 // requestInfo carries per-request annotations from a handler back to the
-// instrumentation wrapper: the cache outcome and, for served searches, the
+// instrumentation wrapper: the cache outcome and, for searches, the
 // request's k, snapshot epoch, stage trace, and failure message.
 type requestInfo struct {
 	cache    string // "hit"/"miss"/"none" for /search, "" elsewhere
@@ -227,8 +232,9 @@ func statusClass(code int) string {
 
 // instrument wraps a handler with the observability envelope: status
 // capture, per-endpoint counters and latency histograms (split by the
-// handler's cache annotation), per-stage histograms for served searches,
-// and one structured JSON log line per request when request logging is on.
+// handler's cache annotation), per-stage histograms for searches that ran
+// the pipeline, and one structured JSON log line per request when request
+// logging is on.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
@@ -244,47 +250,40 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		}
 		s.metrics.requests.With(endpoint, class).Inc()
 		s.metrics.latency.With(endpoint, cache, class).Observe(dur.Seconds())
-		if info.trace != nil {
-			tr := info.trace
-			s.metrics.stage.With("encode").Observe(float64(tr.EncodeNS.Load()) / 1e9)
-			s.metrics.stage.With("retrieve").Observe(float64(tr.RetrieveNS.Load()) / 1e9)
-			s.metrics.stage.With("score").Observe(float64(tr.ScoreNS.Load()) / 1e9)
-			s.metrics.stage.With("align").Observe(float64(tr.AlignNS.Load()) / 1e9)
-			s.metrics.stage.With("diversify").Observe(float64(tr.DiversifyNS.Load()) / 1e9)
-			s.metrics.scanTables.With("coded").Add(uint64(tr.ScanCoded.Load()))
-			s.metrics.scanTables.With("bounded").Add(uint64(tr.ScanBounded.Load()))
-			s.metrics.scanTables.With("greedy").Add(uint64(tr.ScanGreedy.Load()))
-			s.metrics.scanTables.With("matched").Add(uint64(tr.ScanMatched.Load()))
+		if tr := info.trace; tr != nil {
+			for st := range search.NumStages {
+				s.metrics.stage.With(st.String()).Observe(float64(tr.NS[st].Load()) / 1e9)
+			}
+			for exit, outcome := range scanOutcomes {
+				s.metrics.scanTables.With(outcome).Add(uint64(tr.Scan[exit].Load()))
+			}
 		}
 		s.logRequest(r, endpoint, sw.Status(), dur, info)
 	}
 }
 
-// stagesMS is the request-log rendering of a search.Trace, milliseconds
-// per stage.
-type stagesMS struct {
-	Encode    float64 `json:"encode"`
-	Retrieve  float64 `json:"retrieve"`
-	Score     float64 `json:"score"`
-	Align     float64 `json:"align"`
-	Diversify float64 `json:"diversify"`
+// scanOutcomes labels dust_search_scan_tables_total by scan exit.
+var scanOutcomes = [search.ScanExits]string{
+	search.ScanCoded: "coded", search.ScanBounded: "bounded",
+	search.ScanGreedy: "greedy", search.ScanMatched: "matched",
 }
 
 // requestLogLine is one structured request-log record; search-only fields
 // are omitted elsewhere.
 type requestLogLine struct {
-	Time     string    `json:"time"`
-	Method   string    `json:"method"`
-	Path     string    `json:"path"`
-	Endpoint string    `json:"endpoint"`
-	Status   int       `json:"status"`
-	DurMS    float64   `json:"dur_ms"`
-	Cache    string    `json:"cache,omitempty"`
-	Degraded bool      `json:"degraded,omitempty"`
-	K        int       `json:"k,omitempty"`
-	Epoch    *uint64   `json:"epoch,omitempty"`
-	Stages   *stagesMS `json:"stages_ms,omitempty"`
-	Error    string    `json:"error,omitempty"`
+	Time     string  `json:"time"`
+	Method   string  `json:"method"`
+	Path     string  `json:"path"`
+	Endpoint string  `json:"endpoint"`
+	Status   int     `json:"status"`
+	DurMS    float64 `json:"dur_ms"`
+	Cache    string  `json:"cache,omitempty"`
+	Degraded bool    `json:"degraded,omitempty"`
+	K        int     `json:"k,omitempty"`
+	Epoch    *uint64 `json:"epoch,omitempty"`
+	// Stages is milliseconds per search.Stage, keyed by its name.
+	Stages map[string]float64 `json:"stages_ms,omitempty"`
+	Error  string             `json:"error,omitempty"`
 }
 
 // logRequest emits one JSON line for a finished request when request
@@ -310,12 +309,9 @@ func (s *Server) logRequest(r *http.Request, endpoint string, status int, dur ti
 		line.Epoch = &epoch
 	}
 	if tr := info.trace; tr != nil {
-		line.Stages = &stagesMS{
-			Encode:    nsToMS(tr.EncodeNS.Load()),
-			Retrieve:  nsToMS(tr.RetrieveNS.Load()),
-			Score:     nsToMS(tr.ScoreNS.Load()),
-			Align:     nsToMS(tr.AlignNS.Load()),
-			Diversify: nsToMS(tr.DiversifyNS.Load()),
+		line.Stages = make(map[string]float64, search.NumStages)
+		for st := range search.NumStages {
+			line.Stages[st.String()] = nsToMS(tr.NS[st].Load())
 		}
 	}
 	buf, err := json.Marshal(line)
@@ -342,7 +338,7 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 
 // WithRequestLog enables structured request logging: one JSON line per
 // finished request written to w (method, endpoint, status, duration, cache
-// outcome, and per-stage pipeline timings for served searches). Writes are
-// serialized by the server; w need not be concurrency-safe. nil (the
-// default) disables request logging.
+// outcome, and per-stage pipeline timings for searches that ran the
+// pipeline). Writes are serialized by the server; w need not be
+// concurrency-safe. nil (the default) disables request logging.
 func WithRequestLog(w io.Writer) Option { return func(s *Server) { s.logw = w } }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"dust"
+	"dust/internal/table"
 	"dust/internal/vector"
 )
 
@@ -239,11 +240,12 @@ func TestMetricsExposition(t *testing.T) {
 		`dust_http_requests_total{endpoint="/search",class="2xx"} 2`,
 		`dust_http_request_seconds_count{endpoint="/search",cache="miss",class="2xx"} 1`,
 		`dust_http_request_seconds_count{endpoint="/search",cache="hit",class="2xx"} 1`,
-		`dust_search_stage_seconds_count{stage="encode"} 1`,
-		`dust_search_stage_seconds_count{stage="retrieve"} 1`,
-		`dust_search_stage_seconds_count{stage="score"} 1`,
-		`dust_search_stage_seconds_count{stage="align"} 1`,
-		`dust_search_stage_seconds_count{stage="diversify"} 1`,
+		`dust_search_stage_seconds_count{stage="search.topk"} 1`,
+		`dust_search_stage_seconds_count{stage="align.embed_columns"} 1`,
+		`dust_search_stage_seconds_count{stage="align.holistic"} 1`,
+		`dust_search_stage_seconds_count{stage="table.outer_union"} 1`,
+		`dust_search_stage_seconds_count{stage="model.encode_tuples"} 1`,
+		`dust_search_stage_seconds_count{stage="diversify.select"} 1`,
 		`dust_admission_wait_seconds_count 1`,
 		`dust_searches_total 2`,
 		`dust_cache_hits_total 1`,
@@ -381,8 +383,8 @@ func (b *lockedBuffer) String() string {
 }
 
 // TestRequestLog pins the structured request-log schema: one JSON line per
-// request, stage timings on served searches, no search-only fields on
-// other endpoints.
+// request, stage timings on searches that ran the pipeline — failed ones
+// too — and no search-only fields on other endpoints.
 func TestRequestLog(t *testing.T) {
 	var sink lockedBuffer
 	_, ts, b := newTestServer(t, WithRequestLog(&sink))
@@ -391,13 +393,16 @@ func TestRequestLog(t *testing.T) {
 	postSearch(t, ts.URL, body) // hit
 	getJSON(t, ts.URL+"/stats", nil)
 	postSearch(t, ts.URL, searchBody(t, b.Queries[0], -2)) // bad k: 400
+	nothing := table.New("nothing", "zq")
+	_ = nothing.AppendRow([]string{"qqxv"})
+	postSearch(t, ts.URL, searchBody(t, nothing, 3)) // aligns with nothing: 422
 
 	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d log lines, want 4: %q", len(lines), lines)
+	if len(lines) != 5 {
+		t.Fatalf("got %d log lines, want 5: %q", len(lines), lines)
 	}
-	var miss, hit, stats, badK requestLogLine
-	for i, dst := range []*requestLogLine{&miss, &hit, &stats, &badK} {
+	var miss, hit, stats, badK, failed requestLogLine
+	for i, dst := range []*requestLogLine{&miss, &hit, &stats, &badK, &failed} {
 		if err := json.Unmarshal([]byte(lines[i]), dst); err != nil {
 			t.Fatalf("log line %d not JSON: %v (%s)", i, err, lines[i])
 		}
@@ -409,11 +414,21 @@ func TestRequestLog(t *testing.T) {
 		miss.K != 3 || miss.Epoch == nil || miss.Stages == nil {
 		t.Fatalf("miss line wrong: %+v", miss)
 	}
-	if miss.Stages.Encode <= 0 || miss.Stages.Align <= 0 {
-		t.Fatalf("miss line has no encode or no align time: %+v", miss.Stages)
+	stages := []string{"search.topk", "align.embed_columns", "align.holistic",
+		"table.outer_union", "model.encode_tuples", "diversify.select"}
+	if len(miss.Stages) != len(stages) {
+		t.Fatalf("miss line's stages_ms has %d keys, want the %d stages: %v", len(miss.Stages), len(stages), miss.Stages)
 	}
-	if !strings.Contains(lines[0], `"align":`) {
-		t.Fatalf("miss line's stages_ms carries no align field: %s", lines[0])
+	for _, st := range stages {
+		if _, ok := miss.Stages[st]; !ok {
+			t.Fatalf("miss line's stages_ms carries no %s: %v", st, miss.Stages)
+		}
+	}
+	if miss.Stages["search.topk"] <= 0 || miss.Stages["model.encode_tuples"] <= 0 {
+		t.Fatalf("miss line has no search or no tuple-embedding time: %v", miss.Stages)
+	}
+	if failed.Status != http.StatusUnprocessableEntity || failed.Error == "" || failed.Stages["search.topk"] <= 0 {
+		t.Fatalf("failed search line wrong, want a 422 with its search.topk time: %+v", failed)
 	}
 	if hit.Cache != "hit" || hit.Stages != nil {
 		t.Fatalf("hit line wrong: %+v", hit)

@@ -465,8 +465,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tr := &search.Trace{}
-	res, err := view.SearchContext(search.WithTrace(ctx, tr), query, k)
+	info.trace = &search.Trace{}
+	res, err := view.SearchContext(search.WithTrace(ctx, info.trace), query, k)
 	if err != nil {
 		info.errMsg = err.Error()
 		switch {
@@ -483,7 +483,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	info.trace = tr
 
 	prov := make([]provenanceJSON, len(res.Provenance))
 	for i, p := range res.Provenance {

@@ -229,7 +229,11 @@ func ask(p *Pipeline, queries []*table.Table) answers {
 				line += fmt.Sprintf(" %s=%x", h.Table.Name, h.Score)
 			}
 			a.hits, a.lines = append(a.hits, hits), append(a.lines, line)
-			a.scans = append(a.scans, [4]int64{tr.ScanCoded.Load(), tr.ScanBounded.Load(), tr.ScanGreedy.Load(), tr.ScanMatched.Load()})
+			var scan [4]int64
+			for exit := range scan {
+				scan[exit] = tr.Scan[exit].Load()
+			}
+			a.scans = append(a.scans, scan)
 		}
 	}
 	digest := func(res *Result, err error) string {
