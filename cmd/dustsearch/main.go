@@ -16,16 +16,13 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"dust"
-	"dust/internal/codec"
 	"dust/internal/lake"
-	"dust/internal/model"
 	"dust/internal/table"
 )
 
@@ -63,40 +60,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := []dust.Option{dust.WithTopTables(*topTables), dust.WithWorkers(*workers)}
-	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
-		if err != nil {
-			fatal(err)
-		}
-		m, err := model.Load(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		opts = append(opts, dust.WithTupleEncoder(m))
-	}
-
-	var p *dust.Pipeline
-	if *indexDir != "" && !*saveIndex && dust.HasIndex(*indexDir) {
-		p, err = dust.LoadPipelineLake(l, *indexDir, opts...)
-		switch {
-		case errors.Is(err, codec.ErrVersion):
-			fmt.Printf("rebuilding index in %s: %v\n", *indexDir, err)
-		case err != nil:
-			fatal(err)
-		default:
-			fmt.Printf("warm start: loaded index from %s\n", *indexDir)
-		}
-	}
-	if p == nil {
-		p = dust.New(l, opts...)
-		if *indexDir != "" {
-			if err := p.SaveIndex(*indexDir); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("saved index to %s\n", *indexDir)
-		}
+	p, err := dust.Boot(os.Stdout, l, *indexDir, *modelPath, *saveIndex,
+		dust.WithTopTables(*topTables), dust.WithWorkers(*workers))
+	if err != nil {
+		fatal(err)
 	}
 
 	res, err := p.Search(query, *k)

@@ -33,7 +33,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -42,10 +41,8 @@ import (
 	"time"
 
 	"dust"
-	"dust/internal/codec"
 	"dust/internal/datagen"
 	"dust/internal/lake"
-	"dust/internal/model"
 	"dust/internal/serve"
 	"dust/internal/vector"
 )
@@ -99,43 +96,10 @@ func main() {
 			fatal(err)
 		}
 	}
-	opts := []dust.Option{dust.WithTopTables(*topTables), dust.WithWorkers(*workers)}
-	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
-		if err != nil {
-			fatal(err)
-		}
-		m, err := model.Load(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		opts = append(opts, dust.WithTupleEncoder(m))
-	}
-
-	var p *dust.Pipeline
-	boot := time.Now()
-	if *indexDir != "" && dust.HasIndex(*indexDir) {
-		p, err = dust.LoadPipelineLake(l, *indexDir, opts...)
-		switch {
-		case errors.Is(err, codec.ErrVersion):
-			fmt.Printf("rebuilding index in %s: %v\n", *indexDir, err)
-		case err != nil:
-			fatal(err)
-		default:
-			fmt.Printf("warm start: loaded index from %s in %v (epoch %d)\n",
-				*indexDir, time.Since(boot).Round(time.Millisecond), p.Epoch())
-		}
-	}
-	if p == nil {
-		p = dust.New(l, opts...)
-		fmt.Printf("cold start: indexed %s in %v\n", l.Stats(), time.Since(boot).Round(time.Millisecond))
-		if *indexDir != "" {
-			if err := p.SaveIndex(*indexDir); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("saved index to %s\n", *indexDir)
-		}
+	p, err := dust.Boot(os.Stdout, l, *indexDir, *modelPath, false,
+		dust.WithTopTables(*topTables), dust.WithWorkers(*workers))
+	if err != nil {
+		fatal(err)
 	}
 
 	sopts := []serve.Option{

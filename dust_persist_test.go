@@ -2,16 +2,14 @@ package dust
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"dust/internal/codec"
 	"dust/internal/datagen"
-	"dust/internal/lake"
 	"dust/internal/model"
 	"dust/internal/search"
 	"dust/internal/table"
@@ -37,8 +35,15 @@ func TestPipelineSaveLoadWithModel(t *testing.T) {
 	if err := cold.SaveIndex(idxDir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(idxDir, "tuple.model")); err != nil {
-		t.Fatalf("model file not written: %v", err)
+	onlyIndexFile(t, idxDir)
+	// The searcher's envelope follows the manifest byte for byte as
+	// Starmie.Save writes it, so its golden file and loader hold.
+	var saved bytes.Buffer
+	if err := cold.searcher.(*search.Starmie).Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if _, got := splitIndex(t, readIndex(t, idxDir)); !bytes.Equal(got, saved.Bytes()) {
+		t.Errorf("the saved searcher envelope (%d bytes) is not Starmie.Save's (%d bytes)", len(got), saved.Len())
 	}
 	warm, err := LoadPipeline(lakeDir, idxDir)
 	if err != nil {
@@ -66,28 +71,24 @@ func TestSaveIndexOverwriteDropsStaleModel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Earlier builds' files — monolithic ones, the part files of a sharded
-	// layout and a part's candidate graph — which the CLIs' rebuild of an
-	// older-format directory saves over.
-	stale := []string{"searcher.dustidx", "ann.dustidx", "shard-000.dustidx", "shard-003.dustidx", "shard-000.ann.dustidx"}
+	// The files of the directory layout version 6 and earlier wrote — its
+	// manifest, searcher file and model, a sharded layout's part files and a
+	// part's candidate graph — which the CLIs' cold start saves over.
+	stale := []string{"manifest.dustidx", "starmie.dustidx", "tuple.model", "searcher.dustidx",
+		"ann.dustidx", "shard-000.dustidx", "shard-003.dustidx", "shard-000.ann.dustidx"}
 	for _, f := range stale {
 		if err := os.WriteFile(filepath.Join(idxDir, f), []byte("DSTIDX"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Re-saving a model-less pipeline into the same directory must not
-	// leave the old tuple.model or any other earlier file behind for the
-	// new manifest to miss.
+	// Re-saving a model-less pipeline into the same directory leaves only
+	// the index file: no earlier file, and no model in the new save.
 	cold := New(b.Lake)
 	if err := cold.SaveIndex(idxDir); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range append(stale, "tuple.model") {
-		if _, err := os.Stat(filepath.Join(idxDir, f)); !os.IsNotExist(err) {
-			t.Errorf("stale %s survived the overwrite (err = %v)", f, err)
-		}
-	}
+	onlyIndexFile(t, idxDir)
 	warm, err := LoadPipeline(lakeDir, idxDir)
 	if err != nil {
 		t.Fatal(err)
@@ -101,13 +102,147 @@ func TestSaveIndexOverwriteDropsStaleModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "overwritten index", got, want)
+	if _, ok := warm.tupleEnc.(*model.Model); ok {
+		t.Error("a model-less save loaded with the earlier save's model")
+	}
 }
 
-// TestLoadPipelineErrors drives the failure modes of an index directory
+// TestSaveIndexKeepsLastGoodIndex fails and interrupts saves over a good
+// index: a searcher with no persistent form, a searcher whose lake gained a
+// table behind its back, a temporary path taken by a directory, and a
+// truncated temporary file left by a save that died mid-write. Every failed
+// save returns an error and leaves the last good index byte-identical and
+// loadable; a save after an interrupted one succeeds.
+func TestSaveIndexKeepsLastGoodIndex(t *testing.T) {
+	b, q := benchLake(t)
+	good := New(b.Lake)
+	want, err := good.Search(q, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	save := func(t *testing.T) (string, []byte) {
+		t.Helper()
+		dir := t.TempDir()
+		if err := good.SaveIndex(dir); err != nil {
+			t.Fatal(err)
+		}
+		return dir, readIndex(t, dir)
+	}
+	// intact requires dir to hold raw as its index, answering like good.
+	intact := func(t *testing.T, dir string, raw []byte) {
+		t.Helper()
+		if !bytes.Equal(readIndex(t, dir), raw) {
+			t.Fatal("the last good index changed")
+		}
+		p, err := LoadPipelineLake(b.Lake, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Search(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "last good index", got, want)
+	}
+
+	t.Run("searcher-without-persistent-form", func(t *testing.T) {
+		dir, raw := save(t)
+		wrapped := New(b.Lake, WithSearcher(wrappedSearcher{good.searcher}))
+		if err := wrapped.SaveIndex(dir); err == nil {
+			t.Fatal("a wrapped searcher saved")
+		}
+		intact(t, dir, raw)
+		onlyIndexFile(t, dir)
+	})
+
+	t.Run("searcher-save-fails", func(t *testing.T) {
+		dir, raw := save(t)
+		l := b.Lake.Clone()
+		p := New(l)
+		extra := table.New("unindexed", "a", "b")
+		extra.MustAppendRow("x", "y")
+		if err := l.Add(extra); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SaveIndex(dir); !errors.Is(err, search.ErrLakeMismatch) {
+			t.Fatalf("save over an unindexed table: err = %v, want ErrLakeMismatch", err)
+		}
+		intact(t, dir, raw)
+		onlyIndexFile(t, dir)
+	})
+
+	t.Run("temp-path-is-a-directory", func(t *testing.T) {
+		dir, raw := save(t)
+		if err := os.Mkdir(filepath.Join(dir, indexFile+".tmp"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := good.SaveIndex(dir); err == nil {
+			t.Fatal("saved over a directory at the temporary path")
+		}
+		intact(t, dir, raw)
+	})
+
+	t.Run("truncated-temp-file", func(t *testing.T) {
+		dir, raw := save(t)
+		if err := os.WriteFile(filepath.Join(dir, indexFile+".tmp"), raw[:len(raw)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		intact(t, dir, raw)
+		if err := good.SaveIndex(dir); err != nil {
+			t.Fatal(err)
+		}
+		onlyIndexFile(t, dir)
+		intact(t, dir, raw)
+	})
+}
+
+// wrappedSearcher is a searcher SaveIndex cannot persist: it is not a
+// *search.Starmie, though it wraps one.
+type wrappedSearcher struct{ search.Searcher }
+
+// readIndex returns the index file saved under dir.
+func readIndex(t *testing.T, dir string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, indexFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// splitIndex cuts a saved index file into its manifest envelope and the
+// searcher envelope that follows it.
+func splitIndex(t *testing.T, raw []byte) (manifest, searcher []byte) {
+	t.Helper()
+	r := bytes.NewReader(raw)
+	if _, err := codec.NextEnvelope(r, codec.KindManifest, ManifestFormatVersion); err != nil {
+		t.Fatal(err)
+	}
+	n := len(raw) - r.Len()
+	return raw[:n:n], raw[n:]
+}
+
+// onlyIndexFile requires dir to list exactly the index file.
+func onlyIndexFile(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != indexFile {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("%s lists %v, want only %s", dir, names, indexFile)
+	}
+}
+
+// TestLoadPipelineErrors drives the failure modes of a saved index
 // through LoadPipeline and requires typed errors — never a panic, never a
-// silently wrong index: no manifest, a lake that gained or lost a table
-// since the save, a damaged manifest, and a searcher file that is missing,
-// truncated, bit-flipped, of the wrong kind or another lake's.
+// silently wrong index: no index file, a lake that gained or lost a table
+// since the save, a damaged manifest, and a searcher envelope that is
+// missing, truncated, bit-flipped, of the wrong kind or another lake's.
 func TestLoadPipelineErrors(t *testing.T) {
 	b, _ := benchLake(t)
 	lakeDir := filepath.Join(t.TempDir(), "lake")
@@ -127,163 +262,91 @@ func TestLoadPipelineErrors(t *testing.T) {
 		}
 		return idxDir
 	}
-	// rewrite replaces the named file of idxDir with edit's result.
-	rewrite := func(t *testing.T, idxDir, name string, edit func([]byte) []byte) {
+	// rewrite replaces idxDir's index file with edit's result over its
+	// manifest and searcher envelopes.
+	rewrite := func(t *testing.T, idxDir string, edit func(manifest, searcher []byte) []byte) {
 		t.Helper()
-		path := filepath.Join(idxDir, name)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, edit(raw), 0o644); err != nil {
+		manifest, searcher := splitIndex(t, readIndex(t, idxDir))
+		if err := os.WriteFile(filepath.Join(idxDir, indexFile), edit(manifest, searcher), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	flip := func(raw []byte) []byte { raw[len(raw)/2] ^= 0x41; return raw }
-	half := func(raw []byte) []byte { return raw[:len(raw)/2] }
-
-	t.Run("stale-lake", func(t *testing.T) {
-		// A lake that gained a table since the save must be rejected.
-		idxDir := save(t)
-		staleDir := filepath.Join(t.TempDir(), "stale-lake")
-		if err := b.Lake.Save(staleDir); err != nil {
+	other := datagen.Generate("other-lake", datagen.Config{
+		Seed: 99, Domains: 3, TablesPerBase: 4, BaseRows: 30, MinRows: 8, MaxRows: 12,
+	})
+	otherDir := t.TempDir()
+	if err := New(other.Lake).SaveIndex(otherDir); err != nil {
+		t.Fatal(err)
+	}
+	_, otherSearcher := splitIndex(t, readIndex(t, otherDir))
+	staleLake := func(t *testing.T, edit func(dir string)) string {
+		t.Helper()
+		dir := filepath.Join(t.TempDir(), "stale-lake")
+		if err := b.Lake.Save(dir); err != nil {
 			t.Fatal(err)
 		}
-		extra := table.New("newcomer", "a", "b")
-		extra.MustAppendRow("x", "y")
-		if err := extra.SaveCSV(filepath.Join(staleDir, "newcomer.csv")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadPipeline(staleDir, idxDir); !errors.Is(err, search.ErrLakeMismatch) {
-			t.Errorf("stale lake: err = %v, want ErrLakeMismatch", err)
-		}
-	})
+		edit(dir)
+		return dir
+	}
 
-	t.Run("manifest-table-not-in-lake", func(t *testing.T) {
-		// A table deleted from the lake CSVs must be caught before the
-		// searcher file is trusted.
-		idxDir := save(t)
-		staleDir := filepath.Join(t.TempDir(), "stale-lake")
-		if err := b.Lake.Save(staleDir); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(filepath.Join(staleDir, b.Lake.Names()[0]+".csv")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadPipeline(staleDir, idxDir); !errors.Is(err, search.ErrLakeMismatch) {
-			t.Errorf("missing table: err = %v, want ErrLakeMismatch", err)
-		}
-	})
-
-	t.Run("truncated-manifest", func(t *testing.T) {
-		idxDir := save(t)
-		rewrite(t, idxDir, manifestFile, half)
-		if _, err := LoadPipeline(lakeDir, idxDir); !errors.Is(err, codec.ErrTruncated) {
-			t.Errorf("truncated manifest: err = %v, want codec.ErrTruncated", err)
-		}
-	})
-
-	t.Run("corrupt-manifest", func(t *testing.T) {
-		idxDir := save(t)
-		rewrite(t, idxDir, manifestFile, flip)
-		if _, err := LoadPipeline(lakeDir, idxDir); !errors.Is(err, codec.ErrChecksum) {
-			t.Errorf("corrupted manifest: err = %v, want codec.ErrChecksum", err)
-		}
-	})
-
-	t.Run("missing-searcher-file", func(t *testing.T) {
-		// HasIndex holds for the directory, so this is no ErrNoIndex: the
-		// manifest promised a file that is not there.
-		idxDir := save(t)
-		if err := os.Remove(filepath.Join(idxDir, searcherFile)); err != nil {
-			t.Fatal(err)
-		}
-		_, err := LoadPipeline(lakeDir, idxDir)
-		if !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(fmt.Sprint(err), searcherFile) {
-			t.Errorf("missing searcher file: err = %v, want codec.ErrCorrupt naming %s", err, searcherFile)
-		}
-	})
-
-	t.Run("truncated-searcher-file", func(t *testing.T) {
-		idxDir := save(t)
-		rewrite(t, idxDir, searcherFile, half)
-		if _, err := LoadPipeline(lakeDir, idxDir); !errors.Is(err, codec.ErrTruncated) {
-			t.Errorf("truncated searcher file: err = %v, want codec.ErrTruncated", err)
-		}
-	})
-
-	t.Run("corrupt-searcher-file", func(t *testing.T) {
-		// A corrupted searcher file must be rejected by its checksum.
-		idxDir := save(t)
-		rewrite(t, idxDir, searcherFile, flip)
-		if _, err := LoadPipeline(lakeDir, idxDir); !errors.Is(err, codec.ErrChecksum) {
-			t.Errorf("corrupted searcher file: err = %v, want codec.ErrChecksum", err)
-		}
-	})
-
-	t.Run("wrong-kind-searcher-file", func(t *testing.T) {
-		// The directory's own manifest envelope in the searcher slot must
-		// fail the codec's kind check, not decode as garbage.
-		idxDir := save(t)
-		manifest, err := os.ReadFile(filepath.Join(idxDir, manifestFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rewrite(t, idxDir, searcherFile, func([]byte) []byte { return manifest })
-		if _, err := LoadPipeline(lakeDir, idxDir); !errors.Is(err, codec.ErrWrongKind) {
-			t.Errorf("wrong-kind searcher file: err = %v, want codec.ErrWrongKind", err)
-		}
-	})
-
-	t.Run("other-index-searcher-file", func(t *testing.T) {
-		// A searcher file from a different index (another lake's) dropped
-		// into this one must be rejected by its self-validation.
-		idxDir := save(t)
-		other := datagen.Generate("other-lake", datagen.Config{
-			Seed: 99, Domains: 3, TablesPerBase: 4, BaseRows: 30, MinRows: 8, MaxRows: 12,
+	for _, c := range []struct {
+		name   string
+		lake   func(t *testing.T) string
+		edit   func(manifest, searcher []byte) []byte
+		want   error
+		reason string
+	}{
+		{"stale-lake", func(t *testing.T) string {
+			return staleLake(t, func(dir string) {
+				extra := table.New("newcomer", "a", "b")
+				extra.MustAppendRow("x", "y")
+				if err := extra.SaveCSV(filepath.Join(dir, "newcomer.csv")); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}, nil, search.ErrLakeMismatch, "the lake gained a table since the save"},
+		{"indexed-table-not-in-lake", func(t *testing.T) string {
+			return staleLake(t, func(dir string) {
+				if err := os.Remove(filepath.Join(dir, b.Lake.Names()[0]+".csv")); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}, nil, search.ErrLakeMismatch, "a saved table was deleted from the lake CSVs"},
+		{"truncated-manifest", nil, func(m, _ []byte) []byte { return m[:len(m)/2] },
+			codec.ErrTruncated, "the file ends inside the manifest"},
+		{"corrupt-manifest", nil, func(m, s []byte) []byte {
+			m[17] ^= 0x41 // the first payload byte
+			return append(m, s...)
+		}, codec.ErrChecksum, "a flipped manifest payload bit"},
+		{"missing-searcher-file", nil, func(m, _ []byte) []byte { return m },
+			codec.ErrBadMagic, "the file ends after the manifest"},
+		{"truncated-searcher-file", nil, func(m, s []byte) []byte { return append(m, s[:len(s)/2]...) },
+			codec.ErrTruncated, "the file ends inside the searcher envelope"},
+		{"corrupt-searcher-file", nil, func(m, s []byte) []byte {
+			s[len(s)/2] ^= 0x41
+			return append(m, s...)
+		}, codec.ErrChecksum, "a flipped searcher payload bit"},
+		{"wrong-kind-searcher-file", nil, func(m, _ []byte) []byte { return append(m, m...) },
+			codec.ErrWrongKind, "a second manifest where the searcher envelope belongs"},
+		{"other-index-searcher-file", nil, func(m, _ []byte) []byte { return append(m, otherSearcher...) },
+			search.ErrLakeMismatch, "another lake's searcher envelope"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			idxDir, dir := save(t), lakeDir
+			if c.edit != nil {
+				rewrite(t, idxDir, c.edit)
+			}
+			if c.lake != nil {
+				dir = c.lake(t)
+			}
+			if _, err := LoadPipeline(dir, idxDir); !errors.Is(err, c.want) {
+				t.Errorf("%s: err = %v, want %v", c.reason, err, c.want)
+			}
 		})
-		otherDir := filepath.Join(t.TempDir(), "other-index")
-		if err := New(other.Lake).SaveIndex(otherDir); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(filepath.Join(otherDir, searcherFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rewrite(t, idxDir, searcherFile, func([]byte) []byte { return raw })
-		if _, err := LoadPipeline(lakeDir, idxDir); !errors.Is(err, search.ErrLakeMismatch) {
-			t.Errorf("another index's searcher file: err = %v, want ErrLakeMismatch", err)
-		}
-	})
+	}
 }
 
-// manifestPayload is a manifest payload over l's table set in the layout
-// format version v wrote: version 6 records the kind, the lake's name and
-// table list, whether a tuple model was saved and the epoch; versions 3 to
-// 5 also recorded a shard map of parts parts, each listed here with the
-// whole table list; version 4 also recorded the retrieval mode and whether
-// graph files were saved.
-func manifestPayload(l *lake.Lake, kind string, v uint16, parts int) []byte {
-	var m codec.Buffer
-	m.String(kind)
-	m.String(l.Name)
-	m.Strings(l.Names())
-	m.Bool(false) // no tuple model
-	m.Uvarint(0)  // epoch
-	if v == 4 {
-		m.Bool(false) // exact mode
-		m.Bool(false) // no graph files
-	}
-	if v < 6 {
-		m.Uvarint(uint64(parts))
-		for i := 0; i < parts; i++ {
-			m.Strings(l.Names())
-		}
-	}
-	return m.Bytes()
-}
-
-// manifestEnvelope wraps payload as a manifest file of header version v.
+// manifestEnvelope wraps payload as a manifest envelope of header version v.
 func manifestEnvelope(t testing.TB, v uint16, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -293,36 +356,43 @@ func manifestEnvelope(t testing.TB, v uint16, payload []byte) []byte {
 	return buf.Bytes()
 }
 
-// TestLoadPipelineRetiredKind loads manifests in formats earlier builds
-// wrote: one naming the retired "d3l" kind, one recording the zero-shard
-// monolithic layout, today's payload under an older header version (the
-// CRC covers only the payload), a version 4 manifest, which also recorded
-// the retrieval mode and whether graph files were saved, and a version 5
-// one with its shard map. Each must fail as codec.ErrVersion, which the
-// CLIs answer with a cold build. The directory holds the manifest alone,
-// so a loader that opened the searcher file first would fail as a missing
-// file instead — as today's manifest does.
+// withVersion returns raw with its first envelope's header version set to
+// v; the CRC covers only the payload, so the result is otherwise valid.
+func withVersion(raw []byte, v uint16) []byte {
+	out := bytes.Clone(raw)
+	binary.LittleEndian.PutUint16(out[7:], v)
+	return out
+}
+
+// TestLoadPipelineRetiredKind loads what earlier builds saved. A directory
+// of the layout versions 3 to 6 wrote holds a manifest.dustidx and no index
+// file, so it reads as ErrNoIndex and the CLIs cold-start and re-save. An
+// index file under any header version but today's fails as codec.ErrVersion,
+// which the CLIs answer the same way.
 func TestLoadPipelineRetiredKind(t *testing.T) {
 	b, _ := benchLake(t)
-	for _, c := range []struct {
-		name    string
-		version uint16
-		payload []byte
-		want    error
-	}{
-		{"d3l kind", ManifestFormatVersion, manifestPayload(b.Lake, "d3l", 6, 0), codec.ErrVersion},
-		{"zero shards", 5, manifestPayload(b.Lake, kindStarmie, 5, 0), codec.ErrVersion},
-		{"header v3", 3, manifestPayload(b.Lake, kindStarmie, 6, 0), codec.ErrVersion},
-		{"header v4", 4, manifestPayload(b.Lake, kindStarmie, 4, 1), codec.ErrVersion},
-		{"header v5", 5, manifestPayload(b.Lake, kindStarmie, 5, 1), codec.ErrVersion},
-		{"current", ManifestFormatVersion, manifestPayload(b.Lake, kindStarmie, 6, 0), codec.ErrCorrupt},
-	} {
+	for v := uint16(3); v <= 6; v++ {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, manifestFile), manifestEnvelope(t, c.version, c.payload), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "manifest.dustidx"), manifestEnvelope(t, v, nil), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadPipelineLake(b.Lake, dir); !errors.Is(err, c.want) {
-			t.Errorf("%s manifest: err = %v, want %v", c.name, err, c.want)
+		if _, err := LoadPipelineLake(b.Lake, dir); HasIndex(dir) || !errors.Is(err, ErrNoIndex) {
+			t.Errorf("a version %d directory: HasIndex = %v, err = %v, want ErrNoIndex", v, HasIndex(dir), err)
+		}
+	}
+
+	saved := t.TempDir()
+	if err := New(b.Lake).SaveIndex(saved); err != nil {
+		t.Fatal(err)
+	}
+	raw := readIndex(t, saved)
+	for _, v := range []uint16{0, 1, 5, 6, ManifestFormatVersion + 1, 0xffff} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, indexFile), withVersion(raw, v), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadPipelineLake(b.Lake, dir); !errors.Is(err, codec.ErrVersion) {
+			t.Errorf("an index file of header version %d: err = %v, want codec.ErrVersion", v, err)
 		}
 	}
 }

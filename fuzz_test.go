@@ -6,45 +6,50 @@ import (
 	"testing"
 
 	"dust/internal/datagen"
+	"dust/internal/model"
 )
 
-// FuzzLoadManifest throws arbitrary bytes at the index-directory manifest
-// loader — the directory-level member of the FuzzLoadIndex family: the
-// manifest sits over valid component files (the searcher file of a real
-// save, so a mutated manifest has a plausible file to chase) and every
-// input must return a usable pipeline or a typed error, never panic.
-// Seeds are the real manifest of a save, the version 5 manifests an
-// earlier build wrote for a one- and a two-part layout of the same lake,
-// an empty file and a header with a runaway length.
+// FuzzLoadManifest throws arbitrary bytes at the saved-index loader — the
+// pipeline-level member of the FuzzLoadIndex family: the input is the whole
+// index file, manifest and searcher envelope, and every input must return a
+// usable pipeline or a typed error, never panic. Seeds are a save with a
+// tuple model, a save without one, the latter under header version 6, an
+// empty file and a header with a runaway length.
 func FuzzLoadManifest(f *testing.F) {
 	b := datagen.Generate("manifest-fuzz", datagen.Config{
 		Seed: 23, Domains: 2, TablesPerBase: 3, BaseRows: 16, MinRows: 5, MaxRows: 8,
 	})
+	pairs := datagen.Pairs(b, 20, 3)
+	m := model.Train("dust-tiny", model.NewRoBERTaFeaturizer(), pairs.Train, pairs.Val, model.Config{
+		Hidden: 8, OutDim: 4, Epochs: 1, Patience: 1, LR: 0.01, Seed: 1,
+	})
 	dir := f.TempDir()
-	manifest := filepath.Join(dir, manifestFile)
-	if err := New(b.Lake).SaveIndex(dir); err != nil {
-		f.Fatal(err)
+	save := func(p *Pipeline) []byte {
+		if err := p.SaveIndex(dir); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, indexFile))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
 	}
-	data, err := os.ReadFile(manifest)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(data)
-	f.Add(manifestEnvelope(f, 5, manifestPayload(b.Lake, kindStarmie, 5, 2)))
-	f.Add(manifestEnvelope(f, 5, manifestPayload(b.Lake, kindStarmie, 5, 1)))
+	f.Add(save(New(b.Lake, WithTupleEncoder(m))))
+	plain := save(New(b.Lake))
+	f.Add(plain)
+	f.Add(withVersion(plain, 6))
 	f.Add([]byte{})
-	f.Add([]byte("DSTIDXM\x06\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add([]byte("DSTIDXM\x07\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(manifest, data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, indexFile), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		p, err := LoadPipelineLake(b.Lake, dir)
 		if err != nil {
 			return
 		}
-		// An accepted manifest must yield a pipeline that can serve a
-		// query.
+		// An accepted index must yield a pipeline that can serve a query.
 		if _, err := p.Search(b.Queries[0], 3); err != nil {
 			t.Logf("loaded pipeline failed to search: %v", err)
 		}

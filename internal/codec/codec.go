@@ -58,7 +58,7 @@ var (
 // another payload.
 const (
 	KindStarmie  byte = 'S' // Starmie column-embedding index
-	KindManifest byte = 'M' // pipeline index-directory manifest
+	KindManifest byte = 'M' // pipeline manifest, the first envelope of a saved index
 )
 
 const (
@@ -91,35 +91,59 @@ func WriteEnvelope(w io.Writer, kind byte, version uint16, payload []byte) error
 
 // ReadEnvelope consumes all of r and validates one envelope of the expected
 // kind and version, returning its payload. A file declaring any other
-// version, older or newer, fails with ErrVersion.
+// version, older or newer, fails with ErrVersion; bytes after the envelope
+// fail with ErrCorrupt.
 func ReadEnvelope(r io.Reader, kind byte, version uint16) ([]byte, error) {
-	data, err := io.ReadAll(r)
+	payload, err := NextEnvelope(r, kind, version)
+	if err != nil {
+		return nil, err
+	}
+	n, err := io.Copy(io.Discard, r)
 	if err != nil {
 		return nil, fmt.Errorf("codec: read: %w", err)
 	}
-	if len(data) < magicLen || string(data[:magicLen]) != string(magic[:]) {
+	if n > 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after envelope", ErrCorrupt, n)
+	}
+	return payload, nil
+}
+
+// NextEnvelope is ReadEnvelope for an envelope that another may follow: it
+// reads exactly one envelope from r, leaving r just past its checksum. The
+// payload is read as it arrives, so a hostile length cannot force an
+// allocation larger than the input.
+func NextEnvelope(r io.Reader, kind byte, version uint16) ([]byte, error) {
+	var head [headerLen]byte
+	n, err := io.ReadFull(r, head[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("codec: read: %w", err)
+	}
+	if n < magicLen || string(head[:magicLen]) != string(magic[:]) {
 		return nil, ErrBadMagic
 	}
-	if len(data) < headerLen+crcLen {
+	if n < headerLen {
 		return nil, ErrTruncated
 	}
-	if got := data[magicLen]; got != kind {
+	if got := head[magicLen]; got != kind {
 		return nil, fmt.Errorf("%w: got %q, want %q", ErrWrongKind, got, kind)
 	}
-	if got := binary.LittleEndian.Uint16(data[magicLen+1:]); got != version {
+	if got := binary.LittleEndian.Uint16(head[magicLen+1:]); got != version {
 		return nil, fmt.Errorf("%w: file declares version %d, this build reads %d",
 			ErrVersion, got, version)
 	}
-	plen := binary.LittleEndian.Uint64(data[magicLen+3:])
-	rest := uint64(len(data) - headerLen - crcLen)
-	if plen > rest {
+	plen := binary.LittleEndian.Uint64(head[magicLen+3:])
+	if plen > math.MaxInt64-crcLen {
 		return nil, ErrTruncated
 	}
-	if plen < rest {
-		return nil, fmt.Errorf("%w: %d trailing bytes after envelope", ErrCorrupt, rest-plen)
+	body, err := io.ReadAll(io.LimitReader(r, int64(plen)+crcLen))
+	if err != nil {
+		return nil, fmt.Errorf("codec: read: %w", err)
 	}
-	payload := data[headerLen : headerLen+int(plen)]
-	want := binary.LittleEndian.Uint32(data[len(data)-crcLen:])
+	if uint64(len(body)) < plen+crcLen {
+		return nil, ErrTruncated
+	}
+	payload := body[:plen]
+	want := binary.LittleEndian.Uint32(body[plen:])
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, fmt.Errorf("%w: crc 0x%08x, stored 0x%08x", ErrChecksum, got, want)
 	}

@@ -33,6 +33,18 @@ func TestEnvelopeEmptyPayload(t *testing.T) {
 	}
 }
 
+func TestNextEnvelopeLeavesTheRest(t *testing.T) {
+	// Two envelopes back to back: NextEnvelope reads the first and leaves
+	// the reader at the second, which ReadEnvelope then reads to the end.
+	r := bytes.NewReader(append(envelope(t, KindManifest, 7, []byte("first")), envelope(t, KindStarmie, 2, []byte("second"))...))
+	if got, err := NextEnvelope(r, KindManifest, 7); err != nil || string(got) != "first" {
+		t.Fatalf("first envelope: %q, %v", got, err)
+	}
+	if got, err := ReadEnvelope(r, KindStarmie, 2); err != nil || string(got) != "second" {
+		t.Fatalf("second envelope: %q, %v", got, err)
+	}
+}
+
 func envelope(t *testing.T, kind byte, version uint16, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -56,6 +68,7 @@ func TestEnvelopeErrors(t *testing.T) {
 		{"header cut", valid[:10], ErrTruncated},
 		{"payload cut", valid[:len(valid)-8], ErrTruncated},
 		{"crc cut", valid[:len(valid)-1], ErrTruncated},
+		{"runaway length", []byte("DSTIDXS\x02\x00\xff\xff\xff\xff\xff\xff\xff\xff"), ErrTruncated},
 		{"trailing junk", append(append([]byte{}, valid...), 0xFF), ErrCorrupt},
 		{"wrong kind", envelope(t, KindManifest, 2, []byte("payload bytes")), ErrWrongKind},
 		{"older version", envelope(t, KindStarmie, 1, []byte("payload bytes")), ErrVersion},

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
+	"time"
 
 	"dust/internal/codec"
 	"dust/internal/lake"
@@ -14,28 +16,22 @@ import (
 	"dust/internal/table"
 )
 
-// ManifestFormatVersion is the index-directory manifest payload version.
-// An index directory is a cache rebuildable from its lake, so the loader
-// reads this version alone: any other — or a manifest naming a kind other
-// than "starmie", which an earlier build wrote — fails with
-// codec.ErrVersion, which the CLIs answer with a cold build and a fresh
-// save. Version 5 and earlier recorded a shard map beside the table list.
-const ManifestFormatVersion uint16 = 6
+// ManifestFormatVersion is the version of the manifest envelope that opens
+// a saved index. A saved index is a cache rebuildable from its lake, so the
+// loader reads this version alone: any other fails with codec.ErrVersion,
+// which the CLIs answer with a cold build and a fresh save. Version 6 and
+// earlier saved a directory of files under a manifest.dustidx, which this
+// build does not look for.
+const ManifestFormatVersion uint16 = 7
 
-// Index-directory layout: the searcher's one index file, the tuple model
-// when one is installed, and the manifest. The manifest is written last so
-// a directory with a partial save (crash mid-write) is treated as having no
-// index at all.
-const (
-	manifestFile = "manifest.dustidx"
-	searcherFile = "starmie.dustidx"
-	modelFile    = "tuple.model"
-)
+// indexFile is a saved index: the manifest envelope (mutation epoch and the
+// tuple model, when one is installed) followed by the searcher's envelope,
+// exactly as search.Starmie.Save writes it. SaveIndex writes it under
+// indexFile+".tmp" and renames it into place, so the directory holds either
+// the last complete save or this one.
+const indexFile = "index.dustidx"
 
-// kindStarmie is the searcher kind every manifest records.
-const kindStarmie = "starmie"
-
-// ErrNoIndex reports a LoadPipeline directory without a manifest.
+// ErrNoIndex reports a LoadPipeline directory without an index file.
 var ErrNoIndex = errors.New("dust: no saved index in directory")
 
 // Lake returns the data lake this pipeline searches.
@@ -101,73 +97,131 @@ func (p *Pipeline) RemoveTable(name string) error {
 	return p.lake.Remove(name)
 }
 
-// SaveIndex persists the pipeline's index state under dir so a later
-// LoadPipeline can skip the cold rebuild: the searcher index (one
-// versioned, checksummed file), the fine-tuned tuple model when one is
-// installed, and a manifest recording the searcher kind, the lake's table
-// set and the mutation epoch.
+// SaveIndex persists the pipeline's index state as one file under dir so a
+// later LoadPipeline can skip the cold rebuild: the mutation epoch, the
+// fine-tuned tuple model when one is installed, and the searcher index. The
+// file is written under a temporary name, synced and renamed over the
+// previous save, so a failed or interrupted save leaves that save intact.
 func (p *Pipeline) SaveIndex(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	// Retire any existing manifest before touching component files: the
-	// manifest is the marker of a complete save, so a crash mid-overwrite
-	// must leave a directory that reads as "no index", never as the old
-	// manifest over new component files.
-	if err := os.Remove(filepath.Join(dir, manifestFile)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("dust: save index: %w", err)
-	}
-	// Drop every component file of an earlier save — every index file,
-	// whichever build wrote it, and the model — so the directory mirrors
-	// exactly this save: a layout change must never leave orphans for a
-	// later load to trip over.
-	stale, _ := filepath.Glob(filepath.Join(dir, "*.dustidx"))
-	for _, f := range append(stale, filepath.Join(dir, modelFile)) {
-		if err := os.Remove(f); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("dust: save index: %w", err)
-		}
-	}
-
 	s, ok := p.searcher.(*search.Starmie)
 	if !ok {
 		return fmt.Errorf("dust: save index: %T has no persistent form", p.searcher)
 	}
-	if err := writeFile(filepath.Join(dir, searcherFile), s.Save); err != nil {
-		return fmt.Errorf("dust: save index: %w", err)
-	}
 	m, hasModel := p.tupleEnc.(*model.Model)
+	var b codec.Buffer
+	b.Uvarint(p.epoch)
+	b.Bool(hasModel)
 	if hasModel {
-		if err := writeFile(filepath.Join(dir, modelFile), m.Save); err != nil {
+		var mb strings.Builder
+		if err := m.Save(&mb); err != nil {
 			return fmt.Errorf("dust: save model: %w", err)
 		}
+		b.String(mb.String())
 	}
-
-	var b codec.Buffer
-	b.String(kindStarmie)
-	b.String(p.lake.Name)
-	b.Strings(p.lake.Names())
-	b.Bool(hasModel)
-	b.Uvarint(p.epoch)
-	if err := writeFile(filepath.Join(dir, manifestFile), func(f io.Writer) error {
-		return codec.WriteEnvelope(f, codec.KindManifest, ManifestFormatVersion, b.Bytes())
-	}); err != nil {
-		return fmt.Errorf("dust: save manifest: %w", err)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("dust: save index: %w", err)
+	}
+	path, tmp := filepath.Join(dir, indexFile), filepath.Join(dir, indexFile+".tmp")
+	f, err := os.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("dust: save index: %w", err)
+	}
+	err = codec.WriteEnvelope(f, codec.KindManifest, ManifestFormatVersion, b.Bytes())
+	if err == nil {
+		err = s.Save(f) // streamed: the searcher's payload is not copied again
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort: the error to report is err
+		return fmt.Errorf("dust: save index: %w", err)
+	}
+	// Sync the directory too, so the rename itself survives a crash.
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("dust: save index: %w", err)
+	}
+	// Only now that the new index is in place, sweep the files of the
+	// directory layout version 6 and earlier wrote.
+	stale, _ := filepath.Glob(filepath.Join(dir, "*.dustidx"))
+	for _, f := range append(stale, filepath.Join(dir, "tuple.model")) {
+		if f == path {
+			continue
+		}
+		if err := os.Remove(f); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("dust: save index: %w", err)
+		}
 	}
 	return nil
 }
 
-// HasIndex reports whether dir holds a complete saved index (a manifest is
-// only written after every component file).
+// HasIndex reports whether dir holds a saved index. The file is renamed
+// into place complete, so its presence is the whole test.
 func HasIndex(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, manifestFile))
+	_, err := os.Stat(filepath.Join(dir, indexFile))
 	return err == nil
+}
+
+// Boot returns a pipeline over l for a command-line tool, logging each
+// step to w. It installs the tuple model saved at modelPath when one is
+// named, then warm-starts from indexDir when that holds an index. An index
+// in another format version is logged and rebuilt; with no index, or with
+// rebuild set, the pipeline is built cold and, when indexDir is set, saved
+// there.
+func Boot(w io.Writer, l *lake.Lake, indexDir, modelPath string, rebuild bool, opts ...Option) (*Pipeline, error) {
+	if modelPath != "" {
+		f, err := os.Open(modelPath)
+		if err != nil {
+			return nil, err
+		}
+		m, err := model.Load(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("dust: load model %s: %w", modelPath, err)
+		}
+		opts = append(opts, WithTupleEncoder(m))
+	}
+	start := time.Now()
+	if indexDir != "" && !rebuild && HasIndex(indexDir) {
+		p, err := LoadPipelineLake(l, indexDir, opts...)
+		switch {
+		case errors.Is(err, codec.ErrVersion):
+			fmt.Fprintf(w, "rebuilding index in %s: %v\n", indexDir, err)
+		case err != nil:
+			return nil, err
+		default:
+			fmt.Fprintf(w, "warm start: loaded index from %s in %v (epoch %d)\n",
+				indexDir, time.Since(start).Round(time.Millisecond), p.Epoch())
+			return p, nil
+		}
+	}
+	p := New(l, opts...)
+	fmt.Fprintf(w, "cold start: indexed %s in %v\n", l.Stats(), time.Since(start).Round(time.Millisecond))
+	if indexDir != "" {
+		if err := p.SaveIndex(indexDir); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(w, "saved index to %s\n", indexDir)
+	}
+	return p, nil
 }
 
 // LoadPipeline reconstructs a pipeline from lake CSVs plus an index
 // directory written by SaveIndex, skipping the cold index build. The lake
-// must hold exactly the table set recorded in the manifest (the loaders
-// also self-validate); options apply on top of the restored searcher and
-// model, so e.g. WithWorkers re-bounds query parallelism as usual.
+// must hold exactly the saved table set (the searcher's loader checks it);
+// options apply on top of the restored searcher and model, so e.g.
+// WithWorkers re-bounds query parallelism as usual.
 func LoadPipeline(lakeDir, indexDir string, opts ...Option) (*Pipeline, error) {
 	l, err := lake.Load(lakeDir)
 	if err != nil {
@@ -178,54 +232,36 @@ func LoadPipeline(lakeDir, indexDir string, opts ...Option) (*Pipeline, error) {
 
 // LoadPipelineLake is LoadPipeline for a lake already in memory.
 func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline, error) {
-	mf, err := os.Open(filepath.Join(indexDir, manifestFile))
+	f, err := os.Open(filepath.Join(indexDir, indexFile))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, fmt.Errorf("dust: %s: %w", indexDir, ErrNoIndex)
 		}
 		return nil, err
 	}
-	payload, err := codec.ReadEnvelope(mf, codec.KindManifest, ManifestFormatVersion)
-	mf.Close()
+	defer f.Close()
+	payload, err := codec.NextEnvelope(f, codec.KindManifest, ManifestFormatVersion)
 	if err != nil {
 		return nil, fmt.Errorf("dust: load manifest: %w", err)
 	}
 	sc := codec.NewScanner(payload)
-	kind := sc.String()
-	_ = sc.String() // saved lake name; informational only
-	names := sc.Strings()
-	hasModel := sc.Bool()
 	epoch := sc.Uvarint()
+	hasModel := sc.Bool()
+	var savedModel string
+	if hasModel {
+		savedModel = sc.String()
+	}
 	if err := sc.Finish(); err != nil {
 		return nil, fmt.Errorf("dust: load manifest: %w", err)
 	}
-	// An earlier build wrote a "d3l" kind, which this build does not read.
-	if kind != kindStarmie {
-		return nil, fmt.Errorf("dust: load manifest: a %q index is an earlier build's layout: %w", kind, codec.ErrVersion)
-	}
-	if len(names) != l.Len() {
-		return nil, fmt.Errorf("dust: index holds %d tables, lake holds %d: %w",
-			len(names), l.Len(), search.ErrLakeMismatch)
-	}
-	for _, name := range names {
-		if l.Get(name) == nil {
-			return nil, fmt.Errorf("dust: indexed table %q not in lake: %w", name, search.ErrLakeMismatch)
-		}
-	}
-
-	searcher, err := loadSearcher(indexDir, l)
+	searcher, err := search.LoadStarmie(f, l)
 	if err != nil {
 		return nil, fmt.Errorf("dust: load index: %w", err)
 	}
 
 	loaded := []Option{WithSearcher(searcher)}
 	if hasModel {
-		f, err := os.Open(filepath.Join(indexDir, modelFile))
-		if err != nil {
-			return nil, fmt.Errorf("dust: load model: %w", err)
-		}
-		m, err := model.Load(f)
-		f.Close()
+		m, err := model.Load(strings.NewReader(savedModel))
 		if err != nil {
 			return nil, fmt.Errorf("dust: load model: %w", err)
 		}
@@ -236,32 +272,4 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 	// (fingerprint, epoch) stay distinct across a save/load cycle.
 	p.epoch = epoch
 	return p, nil
-}
-
-// loadSearcher reads the searcher file under dir and binds it to l. The
-// manifest promised the file, so a missing one is a corrupt directory.
-func loadSearcher(dir string, l *lake.Lake) (*search.Starmie, error) {
-	f, err := os.Open(filepath.Join(dir, searcherFile))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("missing %s: %w", searcherFile, codec.ErrCorrupt)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return search.LoadStarmie(f, l)
-}
-
-// writeFile creates path, streams content through write, and closes it,
-// reporting the first error.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
