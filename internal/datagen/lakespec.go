@@ -137,8 +137,16 @@ func (s LakeSpec) Normalized() LakeSpec {
 // and every table's bytes are independent of the worker count.
 func (s LakeSpec) Generate() *lake.Lake {
 	s = s.Normalized()
-	tables := par.Map(s.Workers, s.Tables, func(i int) *table.Table {
-		return s.genTable(i)
+	parentRows := s.parentRows()
+	tables := make([]*table.Table, s.Tables)
+	par.ForChunks(s.Workers, s.Tables, func(lo, hi int) {
+		// One source a chunk, re-seeded to each table's content stream: the
+		// draws of a fresh source, without allocating its 5 KB per table.
+		rng := rand.New(rand.NewSource(0))
+		for i := lo; i < hi; i++ {
+			rng.Seed(s.streamSeed(i, saltContent))
+			tables[i] = s.genTable(i, rng, parentRows)
+		}
 	})
 	l := lake.New(s.Name)
 	for _, t := range tables {
@@ -152,7 +160,8 @@ func (s LakeSpec) Generate() *lake.Lake {
 // the load harness uses them as an endless deterministic supply of
 // tables to PUT that collide with nothing in the generated lake.
 func (s LakeSpec) Table(i int) *table.Table {
-	return s.Normalized().genTable(i)
+	s = s.Normalized()
+	return s.genTable(i, s.rngFor(i, saltContent), nil)
 }
 
 // TableName returns the name table i generates under without generating
@@ -169,7 +178,7 @@ func (s LakeSpec) TableName(i int) string {
 // i mod Tables, so every query has genuine unionable matter in the lake.
 func (s LakeSpec) Query(i int) *table.Table {
 	s = s.Normalized()
-	base := s.genTable(i % s.Tables)
+	base := s.genTable(i%s.Tables, s.rngFor(i%s.Tables, saltContent), nil)
 	rng := s.rngFor(i, saltQuery)
 	n := 4 + rng.Intn(8)
 	if n > base.NumRows() {
@@ -191,7 +200,7 @@ func (s LakeSpec) Query(i int) *table.Table {
 // real lakes have it (table.ReadCSV heals it by padding/truncating).
 func (s LakeSpec) CSV(i int) []byte {
 	s = s.Normalized()
-	t := s.genTable(i)
+	t := s.genTable(i, s.rngFor(i, saltContent), nil)
 	rng := s.rngFor(i, saltRagged)
 	var buf bytes.Buffer
 	w := csv.NewWriter(&buf)
@@ -326,8 +335,12 @@ func mix64(x uint64) uint64 {
 // serialization, query sampling). Streams are independent across tables
 // and salts, which is what makes parallel generation embarrassingly so.
 func (s LakeSpec) rngFor(i int, salt uint64) *rand.Rand {
-	h := mix64(mix64(uint64(s.Seed)^salt) ^ uint64(i+1))
-	return rand.New(rand.NewSource(int64(h)))
+	return rand.New(rand.NewSource(s.streamSeed(i, salt)))
+}
+
+// streamSeed is the seed of table i's stream for one artifact.
+func (s LakeSpec) streamSeed(i int, salt uint64) int64 {
+	return int64(mix64(mix64(uint64(s.Seed)^salt) ^ uint64(i+1)))
 }
 
 // drawRows draws a table's row count: uniform in [Rows/2, 3*Rows/2],
@@ -347,11 +360,25 @@ func (s LakeSpec) rowsFor(i int) int {
 	return s.drawRows(s.rngFor(i, saltContent))
 }
 
+// parentRows returns every parent's row count when the spec has FK tables,
+// else nil: Generate draws each once, instead of re-seeding a parent's
+// stream for every FK table that references it.
+func (s LakeSpec) parentRows() []int {
+	if s.FKFraction == 0 {
+		return nil
+	}
+	rows := make([]int, s.Parents)
+	for p := range rows {
+		rows[p] = s.rowsFor(p)
+	}
+	return rows
+}
+
 // parentKey is the formulaic primary key of parent p's row r. Being
 // derivable from (p, r) alone, a child table can emit valid FK values
 // while generating in parallel with (or without) its parent.
 func parentKey(p, r int) string {
-	return fmt.Sprintf("K%04d-%06d", p, r)
+	return "K" + zeroPad(p, 4) + "-" + zeroPad(r, 6)
 }
 
 // colKind enumerates the generator's column archetypes.
@@ -433,8 +460,10 @@ var (
 
 // buildSpec derives table i's shape from the content RNG stream. The
 // draw order (rows first, then FK decision, then schema) is part of the
-// determinism contract: rowsFor replays the first draw only.
-func (s LakeSpec) buildSpec(i int, rng *rand.Rand) tableSpec {
+// determinism contract: rowsFor replays the first draw only. A FK table
+// reads its parent's row count from parentRows (parentRows()'s result) or,
+// when that is nil, draws it with rowsFor.
+func (s LakeSpec) buildSpec(i int, rng *rand.Rand, parentRows []int) tableSpec {
 	ts := tableSpec{parent: -1, rows: s.drawRows(rng)}
 	addCol := func(k colKind) {
 		name := pick(rng, headerPools[k])
@@ -455,7 +484,11 @@ func (s LakeSpec) buildSpec(i int, rng *rand.Rand) tableSpec {
 		ts.name = fmt.Sprintf("t%06d", i)
 		if s.FKFraction > 0 && rng.Float64() < s.FKFraction {
 			ts.parent = rng.Intn(s.Parents)
-			ts.parentRows = s.rowsFor(ts.parent)
+			if parentRows != nil {
+				ts.parentRows = parentRows[ts.parent]
+			} else {
+				ts.parentRows = s.rowsFor(ts.parent)
+			}
 			ts.kinds = append(ts.kinds, colFK)
 			ts.headers = append(ts.headers, fmt.Sprintf("p%04d_id", ts.parent))
 		}
@@ -525,16 +558,19 @@ func (s LakeSpec) dirtyCell(rng *rand.Rand, k colKind, v string) string {
 	return v
 }
 
-// genTable generates table i in full from its content stream.
-func (s LakeSpec) genTable(i int) *table.Table {
-	rng := s.rngFor(i, saltContent)
-	ts := s.buildSpec(i, rng)
+// genTable generates table i in full from rng, a source at the start of
+// table i's content stream, with parentRows as buildSpec takes it.
+func (s LakeSpec) genTable(i int, rng *rand.Rand, parentRows []int) *table.Table {
+	ts := s.buildSpec(i, rng, parentRows)
 	catRank := s.zipfSampler(rng, s.ZipfDomain)
 	var fkRank func() int
 	if ts.parent >= 0 {
 		fkRank = s.zipfSampler(rng, ts.parentRows)
 	}
 	t := table.New(ts.name, ts.headers...)
+	for j := range t.Columns {
+		t.Columns[j].Values = make([]string, 0, ts.rows)
+	}
 	dirty := s.Dirty.active()
 	row := make(table.Tuple, len(ts.kinds))
 	for r := 0; r < ts.rows; r++ {

@@ -69,6 +69,36 @@ func TestLakeSpecSeedDeterminism(t *testing.T) {
 	}
 }
 
+// TestLakeSpecGenerateMatchesTable: Generate reads each parent's row count
+// once for the whole lake and re-seeds one source per worker, Table(i) draws
+// the row count again from a fresh source; both give table i the same name
+// and bytes, FK tables included.
+func TestLakeSpecGenerateMatchesTable(t *testing.T) {
+	spec := LakeSpec{Seed: 5, Tables: 60, Rows: 15, Parents: 4, FKFraction: 0.6,
+		Dirty: DirtySpec{MixedTypes: 0.1, Null: 0.05, Empty: 0.05}}
+	norm := spec.Normalized()
+	fk := 0
+	for i, got := range spec.Generate().Tables() {
+		want := spec.Table(i)
+		var a, b bytes.Buffer
+		if err := got.WriteCSV(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		if got.Name != want.Name || !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("table %d: Generate gives %q, Table gives %q, or their bytes differ", i, got.Name, want.Name)
+		}
+		if norm.buildSpec(i, norm.rngFor(i, saltContent), nil).parent >= 0 {
+			fk++
+		}
+	}
+	if fk == 0 {
+		t.Fatal("the lake has no FK table; the test proves nothing")
+	}
+}
+
 func TestLakeSpecShape(t *testing.T) {
 	spec := LakeSpec{Seed: 7, Tables: 25, Rows: 16, Parents: 2}
 	l := spec.Generate()
@@ -114,8 +144,8 @@ func categoryRanks(t *testing.T, spec LakeSpec) []int {
 	var ranks []int
 	for i := 0; i < spec.Tables; i++ {
 		rng := spec.rngFor(i, saltContent)
-		ts := spec.buildSpec(i, rng)
-		tb := spec.genTable(i)
+		ts := spec.buildSpec(i, rng, nil)
+		tb := spec.genTable(i, spec.rngFor(i, saltContent), nil)
 		for j, k := range ts.kinds {
 			if k != colCategory {
 				continue
@@ -211,7 +241,7 @@ func TestLakeSpecFKIntegrity(t *testing.T) {
 	children := 0
 	for i := norm.Parents; i < norm.Tables; i++ {
 		rng := norm.rngFor(i, saltContent)
-		ts := norm.buildSpec(i, rng)
+		ts := norm.buildSpec(i, rng, nil)
 		if ts.parent < 0 {
 			t.Fatalf("FKFraction=1 but table %d has no FK", i)
 		}
@@ -257,8 +287,8 @@ func TestLakeSpecDirtyRates(t *testing.T) {
 
 	for i := 0; i < norm.Tables; i++ {
 		rng := norm.rngFor(i, saltContent)
-		ts := norm.buildSpec(i, rng)
-		tb := norm.genTable(i)
+		ts := norm.buildSpec(i, rng, nil)
+		tb := norm.genTable(i, norm.rngFor(i, saltContent), nil)
 		for j, k := range ts.kinds {
 			if k.keylike() {
 				continue

@@ -21,6 +21,8 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 )
 
 // Shared vocabulary pools (used by every domain).
@@ -71,7 +73,7 @@ func person(r *rand.Rand) string {
 
 // year returns a random year in [lo, hi].
 func year(r *rand.Rand, lo, hi int) string {
-	return fmt.Sprintf("%d", lo+r.Intn(hi-lo+1))
+	return strconv.Itoa(lo + r.Intn(hi-lo+1))
 }
 
 // money returns a random dollar amount like "$12,400,000".
@@ -82,7 +84,7 @@ func money(r *rand.Rand, loM, hiM int) string {
 
 // count returns a random integer in [lo, hi] as a string.
 func count(r *rand.Rand, lo, hi int) string {
-	return fmt.Sprintf("%d", lo+r.Intn(hi-lo+1))
+	return strconv.Itoa(lo + r.Intn(hi-lo+1))
 }
 
 // phone returns a random US-style phone number.
@@ -92,7 +94,16 @@ func phone(r *rand.Rand) string {
 
 // date returns a random ISO date in [loYear, hiYear].
 func date(r *rand.Rand, loYear, hiYear int) string {
-	return fmt.Sprintf("%s-%02d-%02d", year(r, loYear, hiYear), 1+r.Intn(12), 1+r.Intn(28))
+	return year(r, loYear, hiYear) + "-" + zeroPad(1+r.Intn(12), 2) + "-" + zeroPad(1+r.Intn(28), 2)
+}
+
+// zeroPad is fmt.Sprintf("%0*d", width, n) for n >= 0.
+func zeroPad(n, width int) string {
+	s := strconv.Itoa(n)
+	if len(s) >= width {
+		return s
+	}
+	return strings.Repeat("0", width-len(s)) + s
 }
 
 // compound builds an entity name "Adjective Noun Suffix" from pools.

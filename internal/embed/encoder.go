@@ -25,6 +25,7 @@ type Encoder struct {
 	common vector.Vec // the shared anisotropy direction for this model
 
 	calls *atomic.Int64 // optional instrumentation; see Instrument
+	hot   *HotSet       // read before a derivation; see withHotSet
 }
 
 // Option configures an Encoder.
@@ -102,6 +103,18 @@ func (e *Encoder) Dim() int { return e.dim }
 // concurrent EncodeTokens calls — attach before querying starts.
 func (e *Encoder) Instrument(c *atomic.Int64) { e.calls = c }
 
+// withHotSet returns a copy of e whose encodes read h for a vector their
+// token-vector table does not hold, before deriving it: the same bits, fewer
+// derivations. A nil h returns e.
+func (e *Encoder) withHotSet(h *HotSet) *Encoder {
+	if h == nil {
+		return e
+	}
+	c := *e
+	c.hot = h
+	return &c
+}
+
 // EncodeTokens embeds a token sequence. The output is L2-normalized. Token
 // vectors are read through a tokenTable the call owns from start to end and
 // hands back at its return, so each is derived once for as long as it keeps
@@ -119,7 +132,7 @@ func (e *Encoder) EncodeTokensInto(out vector.Vec, tokens []string) {
 	if e.calls != nil {
 		e.calls.Add(1)
 	}
-	tv := takeTokenTable(e.dim)
+	tv := takeTokenTable(e.dim, e.hot)
 	defer tv.release()
 
 	content := tv.content

@@ -39,6 +39,14 @@ func (s StarmieEncoder) Name() string { return "starmie" }
 // Dim returns the embedding dimension.
 func (s StarmieEncoder) Dim() int { return s.Model.Dim() }
 
+// WithHotSet returns a copy of s whose encodes read h, a set made by a
+// counter of s.Model, for a vector their token-vector table does not hold,
+// before deriving it: the same bits, fewer derivations. A nil h returns s.
+func (s StarmieEncoder) WithHotSet(h *HotSet) StarmieEncoder {
+	s.Model = s.Model.withHotSet(h)
+	return s
+}
+
 // EncodeTableColumns embeds every column of t with table-context mixing.
 // Every returned vector is L2-normalised: unit length, or all-zero when the
 // column and its table context carry nothing to encode. The Starmie index

@@ -24,7 +24,13 @@ import (
 // also keep the lake's recurring vocabulary for the next request, and set
 // conflicts are what evicts it. One table is big, not one per processor: the
 // others serve index-build workers and overlapping requests, and 2 MB each
-// would be 128 MB on 64 cores.
+// would be 128 MB on 64 cores. These tables are sized for requests; an index
+// build also reads a HotSet of its own (hotset.go) before it derives a
+// vector its table lacks, and the set lives for the build only. Growing the
+// tables for the build instead was refused: at 8 MB each the wide lake's
+// build still derived 183 k vectors against the hot set's ≈ 160 k, and
+// every server kept 17 MB of tables instead of 2.7 MB on a 2-core host (a
+// benchmark run of that variant read wide's peak RSS at 173 against 145 MB).
 const (
 	bigTokenTableBytes = 2 << 20
 	tokenTableBytes    = 512 << 10
@@ -47,7 +53,8 @@ type tokenTable struct {
 	vecs    []float64 // slots x dim
 	content []float64 // the owning call's token-content accumulator
 
-	hits, misses uint64 // of the current call
+	hits, misses uint64  // of the current call
+	hot          *HotSet // the owning call's hot set, read before a derivation; nil on the request path
 	kind         tokenTableKind
 }
 
@@ -107,6 +114,14 @@ func (t *tokenTable) vector(seed uint64) []float64 {
 			victim = i
 		}
 	}
+	// Only now, on the way to a derivation, the call's hot set: a check
+	// before the set scan slowed the hits of requests, which have none.
+	if t.hot != nil {
+		if v := t.hot.vector(seed); v != nil {
+			t.hits++
+			return v
+		}
+	}
 	t.misses++
 	t.seeds[victim], t.used[victim] = seed, t.clock
 	v := t.vecs[victim*t.dim : (victim+1)*t.dim]
@@ -139,7 +154,8 @@ var (
 )
 
 // TokenVectorStats returns how many token vectors EncodeTokens calls have
-// read from a table (hits) and derived (misses) in this process so far.
+// read from a table or a hot set (hits) and derived (misses) in this process
+// so far; a hot set's own derivations are misses.
 func TokenVectorStats() (hits, misses uint64) {
 	return tokenVectorHits.Load(), tokenVectorMisses.Load()
 }
@@ -147,12 +163,13 @@ func TokenVectorStats() (hits, misses uint64) {
 // TokenVectorBytes returns the bytes the process's token-vector tables hold,
 // owned by a call or not: at most the big table plus GOMAXPROCS-1 spares
 // (2 MB + (GOMAXPROCS-1) × 512 KB of vectors at any dimension, plus tags and
-// scratch). A one-slot fallback table lives for one call and is not counted.
+// scratch). A one-slot fallback table lives for one call and is not counted;
+// a hot set is, from its derivation until its build releases it.
 func TokenVectorBytes() int64 { return tokenTableHeld.Load() }
 
-// takeTokenTable hands the caller a table of the given dimension to own until
-// it calls release.
-func takeTokenTable(dim int) *tokenTable {
+// takeTokenTable hands the caller a table of the given dimension, reading hot
+// (nil for none) before a derivation, to own until it calls release.
+func takeTokenTable(dim int, hot *HotSet) *tokenTable {
 	var t *tokenTable
 	kind, budget := bigTable, bigTokenTableBytes
 	tokenTables.Lock()
@@ -169,26 +186,29 @@ func takeTokenTable(dim int) *tokenTable {
 		}
 	}
 	tokenTables.Unlock()
-	if t == nil {
+	fresh := t == nil
+	if fresh {
 		t = &tokenTable{kind: kind}
-	} else if t.dim == dim {
-		return t
 	}
-	// A vector is valid for one dimension only: a kept table of another
-	// dimension is emptied for this one.
-	held := t.bytes()
-	t.resize(dim, budget)
-	if kind != fallbackTable {
-		tokenTableHeld.Add(t.bytes() - held)
+	if fresh || t.dim != dim {
+		// A vector is valid for one dimension only: a kept table of another
+		// dimension is emptied for this one.
+		held := t.bytes()
+		t.resize(dim, budget)
+		if kind != fallbackTable {
+			tokenTableHeld.Add(t.bytes() - held)
+		}
 	}
+	t.hot = hot
 	return t
 }
 
-// release adds the call's counts to the process's and gives the table back.
+// release adds the call's counts to the process's, drops its hot set and
+// gives the table back.
 func (t *tokenTable) release() {
 	tokenVectorHits.Add(t.hits)
 	tokenVectorMisses.Add(t.misses)
-	t.hits, t.misses = 0, 0
+	t.hits, t.misses, t.hot = 0, 0, nil
 	switch t.kind {
 	case bigTable:
 		tokenTables.Lock()

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"dust/internal/datagen"
 	"dust/internal/embed"
 	"dust/internal/lake"
 	"dust/internal/table"
@@ -17,12 +18,14 @@ import (
 
 // TestStarmieBuildMatchesReference holds the one-pass build to a plain
 // two-pass reference: over a dirty lake with over-budget tables in
-// different chunks (and a table without columns), NewStarmie at every
+// different chunks (and a table without columns), the build at every
 // worker count must store the blocks, codes and big flags, and the corpus,
 // of a reference that counts every column in lake order first and then
-// encodes each table with EncodeTableColumns against the whole corpus. An
-// index grown from an empty lake by AddTable, one table at a time, must
-// save the same bytes.
+// encodes each table with EncodeTableColumns against the whole corpus —
+// with its own hot set (NewStarmieWithEncoder), with none, with one counted
+// over the whole lake and with one counted over another lake. An index
+// grown from an empty lake by AddTable, one table at a time, must save the
+// same bytes.
 func TestStarmieBuildMatchesReference(t *testing.T) {
 	l := lake.New("build-test")
 	for i, tbl := range dirtyLakeSpec(90).Generate().Tables() {
@@ -70,33 +73,81 @@ func TestStarmieBuildMatchesReference(t *testing.T) {
 	}
 	want := saveStarmie(t, grown)
 
+	own := hotSet(enc, l.Tables(), 2)
+	defer own.Release()
+	other := hotSet(enc, datagen.LakeSpec{Seed: 3, Tables: 40, Rows: 30}.Generate().Tables(), 2)
+	defer other.Release()
+	if own == nil || other == nil {
+		t.Fatal("a sample made no hot set; the variants prove nothing")
+	}
+	builds := []struct {
+		name  string
+		build func(workers int) *Starmie
+	}{
+		{"sampled hot set", func(w int) *Starmie { return NewStarmieWithEncoder(l, enc, WithWorkers(w)) }},
+		{"no hot set", func(w int) *Starmie { return buildStarmie(l, enc, nil, applyOptions([]Option{WithWorkers(w)})) }},
+		{"hot set of the whole lake", func(w int) *Starmie { return buildStarmie(l, enc, own, applyOptions([]Option{WithWorkers(w)})) }},
+		{"hot set of another lake", func(w int) *Starmie { return buildStarmie(l, enc, other, applyOptions([]Option{WithWorkers(w)})) }},
+	}
 	for _, workers := range []int{1, 2, 3, 8} {
 		t.Run(fmt.Sprint(workers), func(t *testing.T) {
-			s := NewStarmieWithEncoder(l, enc, WithWorkers(workers))
-			if s.corpus.NumDocs() != ref.NumDocs() {
-				t.Errorf("corpus NumDocs = %d, want %d", s.corpus.NumDocs(), ref.NumDocs())
-			}
-			if got, want := docFreqs(s.corpus), docFreqs(ref); !maps.Equal(got, want) {
-				t.Errorf("corpus holds %d document frequencies, want %d, or they differ", len(got), len(want))
-			}
-			for i, e := range s.idx.entries {
-				if e.t != l.Tables()[i] {
-					t.Fatalf("entry %d is %q, want %q", i, e.t.Name, l.Tables()[i].Name)
+			for _, b := range builds {
+				s := b.build(workers)
+				if s.corpus.NumDocs() != ref.NumDocs() {
+					t.Errorf("%s: corpus NumDocs = %d, want %d", b.name, s.corpus.NumDocs(), ref.NumDocs())
 				}
-				if e.big != wantBig[i] {
-					t.Errorf("%s: big = %v, want %v", e.t.Name, e.big, wantBig[i])
+				if got, want := docFreqs(s.corpus), docFreqs(ref); !maps.Equal(got, want) {
+					t.Errorf("%s: corpus holds %d document frequencies, want %d, or they differ", b.name, len(got), len(want))
 				}
-				if !sameBits(e.block, wantBlocks[i]) {
-					t.Errorf("%s: block differs from the reference encoding", e.t.Name)
+				for i, e := range s.idx.entries {
+					if e.t != l.Tables()[i] {
+						t.Fatalf("%s: entry %d is %q, want %q", b.name, i, e.t.Name, l.Tables()[i].Name)
+					}
+					if e.big != wantBig[i] {
+						t.Errorf("%s: %s: big = %v, want %v", b.name, e.t.Name, e.big, wantBig[i])
+					}
+					if !sameBits(e.block, wantBlocks[i]) {
+						t.Errorf("%s: %s: block differs from the reference encoding", b.name, e.t.Name)
+					}
+					if !slices.Equal(e.code.K, wantCodes[i].K) || !sameScale(e.code.S, wantCodes[i].S) {
+						t.Errorf("%s: %s: codes differ from the reference block's", b.name, e.t.Name)
+					}
 				}
-				if !slices.Equal(e.code.K, wantCodes[i].K) || !sameScale(e.code.S, wantCodes[i].S) {
-					t.Errorf("%s: codes differ from the reference block's", e.t.Name)
+				if !bytes.Equal(saveStarmie(t, s), want) {
+					t.Errorf("%s: Save bytes differ from those of the index grown by AddTable", b.name)
 				}
-			}
-			if !bytes.Equal(saveStarmie(t, s), want) {
-				t.Error("Save bytes differ from those of the index grown by AddTable")
 			}
 		})
+	}
+}
+
+// TestBuildHotSetDerivations pins what the hot set saves and that it lives
+// only for the build. A 2 000 x 20 lake with the benchmark's knobs reads
+// ≈ 690 k token, class, bigram and noise vectors; at two workers the build
+// derived 209–215 k of them without a hot set and 82–83 k with one (the
+// 2 000 x 12 shape: 122–134 k against 61–63 k; the benchmark's wide lake,
+// 8 000 x 12: 528–531 k against ≈ 162 k). The bound is half the lower
+// measurement without one. TokenVectorBytes is the same before and after a
+// build: the set's 4 MB are counted while the build runs and released as it
+// returns.
+func TestBuildHotSetDerivations(t *testing.T) {
+	spec, err := datagen.ParseLakeSpec("tables=2000,rows=20,seed=7,zipf=1.5,parents=11,fk=0.3,null=0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := spec.Generate()
+	NewStarmie(l, WithWorkers(2)) // brings the spare tables a two-worker build takes into being
+	b0 := embed.TokenVectorBytes()
+	_, m0 := embed.TokenVectorStats()
+	NewStarmie(l, WithWorkers(2))
+	_, m1 := embed.TokenVectorStats()
+	if b1 := embed.TokenVectorBytes(); b1 != b0 {
+		t.Errorf("TokenVectorBytes = %d after the build, %d before", b1, b0)
+	}
+	const before = 209_000
+	t.Logf("%d derivations", m1-m0)
+	if m1-m0 > before/2 {
+		t.Errorf("the build derived %d token vectors, want at most %d, half of the %d before the hot set", m1-m0, before/2, before)
 	}
 }
 

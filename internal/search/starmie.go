@@ -107,10 +107,54 @@ func NewStarmie(l *lake.Lake, opts ...Option) *Starmie {
 // table never reads the corpus. A chunk's corpus is merged into the index
 // corpus as the chunk ends (integer frequencies: the order is immaterial),
 // so at most one lives per worker. Only then are the over-budget tables
-// embedded, in parallel, against the whole lake's corpus.
+// embedded, in parallel, against the whole lake's corpus. Every encode of
+// the build reads a hot set before it derives a vector its token-vector
+// table lacks: the vectors a stride sample of the lake reads more than
+// once, derived before the pass and dropped as the build returns.
 func NewStarmieWithEncoder(l *lake.Lake, enc embed.StarmieEncoder, opts ...Option) *Starmie {
 	o := applyOptions(opts)
-	s := emptyStarmie(l, enc, o)
+	hot := hotSet(enc, hotSample(l.Tables()), o.workers)
+	defer hot.Release()
+	return buildStarmie(l, enc, hot, o)
+}
+
+// hotSampleStride and hotSampleTables fix the hot set's sample: every 16th
+// table, or a wider stride where that keeps it to about 512 tables.
+const (
+	hotSampleStride = 16
+	hotSampleTables = 512
+)
+
+// hotSample is every stride-th table of tables.
+func hotSample(tables []*table.Table) []*table.Table {
+	stride := max(hotSampleStride, len(tables)/hotSampleTables)
+	var sample []*table.Table
+	for i := 0; i < len(tables); i += stride {
+		sample = append(sample, tables[i])
+	}
+	return sample
+}
+
+// hotSet counts the vectors enc reads encoding every column of sample and
+// derives those read more than once (embed.HotCounter), on up to workers
+// goroutines; nil when there are none.
+func hotSet(enc embed.StarmieEncoder, sample []*table.Table, workers int) *embed.HotSet {
+	c := enc.Model.NewHotCounter()
+	var tk tokenizer
+	for _, t := range sample {
+		for _, tokens := range tk.tokens(t) {
+			c.Add(tokens)
+		}
+	}
+	return c.HotSet(workers)
+}
+
+// buildStarmie is NewStarmieWithEncoder's pass, its encodes reading hot (nil
+// for none) before a derivation. The stored bits do not depend on hot.
+func buildStarmie(l *lake.Lake, enc embed.StarmieEncoder, hot *embed.HotSet, o options) *Starmie {
+	// The build encodes through a copy of enc reading hot; the searcher it
+	// returns holds enc itself.
+	s := emptyStarmie(l, enc.WithHotSet(hot), o)
 	tables := l.Tables()
 	blocks, codes := carveBlocks(tables, enc.Dim())
 	for i, t := range tables {
@@ -138,6 +182,7 @@ func NewStarmieWithEncoder(l *lake.Lake, enc embed.StarmieEncoder, opts ...Optio
 		e := &s.idx.entries[big[i]]
 		s.embedInto(e.block, &e.code, e.t)
 	})
+	s.enc = enc
 	return s
 }
 

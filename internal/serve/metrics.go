@@ -142,7 +142,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func(emit func(float64, ...string)) { emit(1, vector.CosineKernel()) })
 
 	r.NewCounterFunc("dust_embed_token_vectors_total",
-		"Token vectors read by the encode kernel in this process (index build, PUTs and searches alike): hit = read from a token-vector table, miss = derived.",
+		"Token vectors read by the encode kernel in this process (index build, PUTs and searches alike): hit = read from a token-vector table or from an index build's hot set, miss = derived (the hot set's own derivations included).",
 		[]string{"result"},
 		func(emit func(float64, ...string)) {
 			hits, misses := embed.TokenVectorStats()
@@ -150,7 +150,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			emit(float64(misses), "miss")
 		})
 	r.NewGaugeFunc("dust_embed_token_vector_bytes",
-		"Bytes the encode kernel's token-vector tables hold (bounded: one 2 MB table plus GOMAXPROCS-1 of 512 KB, with tags and scratch).", nil,
+		"Bytes the encode kernel's token-vector tables hold (bounded: one 2 MB table plus GOMAXPROCS-1 of 512 KB, with tags and scratch), plus, while an index build runs, its hot set (at most 4 MB of vectors, not held after the build).", nil,
 		func(emit func(float64, ...string)) { emit(float64(embed.TokenVectorBytes())) })
 
 	r.NewCounterFunc("dust_align_column_vectors_total",
