@@ -1,7 +1,8 @@
 // Command dustserve exposes a data lake as a long-running diverse-tuple
 // search service: snapshot-swapped live indexes (PUT/DELETE /tables mutate
 // the lake without blocking in-flight queries), an LRU result cache
-// invalidated by epoch and bounded by entries and bytes, bounded request
+// bounded by entries and bytes whose entries outlive a mutation that
+// provably leaves their answer as it was, bounded request
 // admission with optional degradation (-degrade-threshold: a server whose
 // load factor reaches it answers from half the tables, or sheds with
 // Retry-After: 1 when -tables is already 1), and per-request timeouts.

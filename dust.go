@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dust/internal/align"
@@ -47,8 +48,8 @@ type Pipeline struct {
 	workers     int
 	workersSet  bool
 	// epoch counts index mutations (AddTable/RemoveTable) over the
-	// pipeline's lifetime; see Epoch in persist.go. Serving layers key
-	// result caches by it.
+	// pipeline's lifetime; see Epoch in persist.go. Serving layers stamp
+	// their answers with it.
 	epoch uint64
 }
 
@@ -330,12 +331,81 @@ func (p *Pipeline) SearchBatchContext(ctx context.Context, queries []*table.Tabl
 
 // ConfigTag returns a stable tag of the pipeline's query-shaping
 // configuration: searcher, column encoder, tuple encoder, and diversifier
-// names plus the top-tables bound. Two pipelines with equal tags, equal
-// epochs, and the same lake rank any query identically, which is what lets
-// a serving cache key results by (query fingerprint, k, tag, epoch).
+// names plus the top-tables bound. Two pipelines with equal tags over the
+// same table set answer any query identically, which is what lets a
+// serving cache key results by (query fingerprint, k, tag) and, for an
+// answer from an older epoch of the same lineage, ask Revalidate whether
+// the table set has moved it.
 func (p *Pipeline) ConfigTag() string {
 	return fmt.Sprintf("%s|%s|%s|%s|%d",
 		p.searcher.Name(), p.columnEnc.Name(), p.tupleEnc.Name(), p.diversifier.Name(), p.topTables)
+}
+
+// Staleness is Revalidate's verdict on an answer from an older epoch.
+type Staleness int
+
+const (
+	// Current: a search at the pipeline's epoch gives the same answer.
+	Current Staleness = iota
+	// TableRemoved: a table of the answer was removed since.
+	TableRemoved
+	// Outranked: a table added since ranks among the answer's tables.
+	Outranked
+	// CorpusSensitive: the query or an indexed table embeds against the
+	// corpus, which every mutation moves.
+	CorpusSensitive
+)
+
+// Revalidate reports whether an answer that a pipeline of p's lineage and
+// config tag computed for query at an older epoch is still what p
+// computes. tables is that answer's ranked table list, never empty (a
+// search that ranks no table fails); removed and added name every table
+// removed and added since that epoch, in any order and with repeats.
+//
+// The answer is a function of the query and its ranked tables alone:
+// alignment, the union, tuple embedding and diversification read nothing
+// else. So it stands when the ranking does. It does when no table of it
+// was removed (a name that is still there holds the same table, since a
+// table changes only by a removal and an add), every score is what it was
+// (neither the query nor any indexed table reads the corpus), and every
+// table added since and still indexed ranks after the answer's last table.
+// A table that was there at the older epoch and is not in the answer
+// ranked after it then and still does. A ranking shorter than topTables
+// held the whole lake, so any table added since joins it. The check costs
+// one query encode and one score per table added since.
+func (p *Pipeline) Revalidate(query *table.Table, tables, removed, added []string) Staleness {
+	for _, name := range removed {
+		if slices.Contains(tables, name) {
+			return TableRemoved
+		}
+	}
+	pq := p.searcher.Prepare(query)
+	if !p.searcher.CorpusFree(pq) {
+		return CorpusSensitive
+	}
+	names := []string{tables[len(tables)-1]}
+	for _, name := range added {
+		if p.lake.Get(name) != nil && !slices.Contains(names, name) {
+			names = append(names, name)
+		}
+	}
+	switch {
+	case len(names) == 1:
+		return Current
+	case len(tables) < p.topTables:
+		return Outranked
+	}
+	scored, err := p.searcher.ScoreTables(pq, names)
+	if err != nil {
+		// The log disagrees with the index: an answer table is gone.
+		return TableRemoved
+	}
+	for _, s := range scored[1:] {
+		if search.HitOrder(s, scored[0]) < 0 {
+			return Outranked
+		}
+	}
+	return Current
 }
 
 // QueryBound returns a pipeline view sharing this pipeline's lake, index,

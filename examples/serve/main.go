@@ -2,8 +2,10 @@
 // builds a synthetic lake, starts an in-process server, and then plays a
 // client session against it: an uncached search, a cached repeat of the
 // same search (same epoch, same fingerprint), a live PUT of a new table
-// (snapshot swap, epoch bump), and a post-mutation repeat showing the
-// epoch-keyed cache miss. It finishes with the server's /stats counters.
+// (snapshot swap, epoch bump), and a post-mutation repeat, which the cache
+// answers only if the new table leaves the answer as it was (a revalidated
+// hit, re-stamped with the new epoch) and computes afresh otherwise. It
+// finishes with the server's /stats counters.
 package main
 
 import (
@@ -103,17 +105,18 @@ func main() {
 		Searches  uint64 `json:"searches"`
 		Mutations uint64 `json:"mutations"`
 		Cache     struct {
-			Hits    uint64 `json:"hits"`
-			Misses  uint64 `json:"misses"`
-			Entries int    `json:"entries"`
+			Hits        uint64 `json:"hits"`
+			Misses      uint64 `json:"misses"`
+			Revalidated uint64 `json:"revalidated"`
+			Entries     int    `json:"entries"`
 		} `json:"cache"`
 	}
 	if err := json.NewDecoder(stats.Body).Decode(&st); err != nil {
 		log.Fatal(err)
 	}
 	stats.Body.Close()
-	fmt.Printf("stats: epoch=%d tables=%d searches=%d mutations=%d cache hits=%d misses=%d entries=%d\n",
-		st.Epoch, st.Tables, st.Searches, st.Mutations, st.Cache.Hits, st.Cache.Misses, st.Cache.Entries)
+	fmt.Printf("stats: epoch=%d tables=%d searches=%d mutations=%d cache hits=%d (revalidated %d) misses=%d entries=%d\n",
+		st.Epoch, st.Tables, st.Searches, st.Mutations, st.Cache.Hits, st.Cache.Revalidated, st.Cache.Misses, st.Cache.Entries)
 }
 
 func rows(t *table.Table) [][]string {

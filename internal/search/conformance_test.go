@@ -35,8 +35,9 @@ func scanned(t *testing.T, s Searcher, q *table.Table, k int) int64 {
 // indexes the lake it was built over under the name "starmie", TopKCtx is
 // bit-identical to Prepare + TopKPrepared, a cancelled context yields
 // ctx.Err() and no hits, a foreign preparation is refused with
-// ErrForeignPrepared, the scan covers the whole lake, and ModeView answers
-// both modes with the searcher itself and no other value. A searcher built
+// ErrForeignPrepared (and never reads as corpus-free), the scan covers the
+// whole lake, and ModeView answers both modes with the searcher itself and
+// no other value. A searcher built
 // over an empty lake answers every query with nothing; over tables without
 // columns it ranks every table at score 0.
 func TestSearcherConformance(t *testing.T) {
@@ -87,6 +88,12 @@ func TestSearcherConformance(t *testing.T) {
 		// A preparation only means something to the family that made it.
 		if _, err := s.TopKPrepared(ctx, alienPrepared{q}, 5); !errors.Is(err, ErrForeignPrepared) {
 			t.Errorf("foreign TopKPrepared err = %v, want ErrForeignPrepared", err)
+		}
+		if _, err := s.ScoreTables(alienPrepared{q}, b.Lake.Names()[:1]); !errors.Is(err, ErrForeignPrepared) {
+			t.Errorf("foreign ScoreTables err = %v, want ErrForeignPrepared", err)
+		}
+		if s.CorpusFree(alienPrepared{q}) {
+			t.Error("a foreign preparation reads as corpus-free")
 		}
 
 		if n := scanned(t, s, q, 10); n != int64(b.Lake.Len()) {

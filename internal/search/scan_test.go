@@ -3,6 +3,7 @@ package search
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -534,7 +535,7 @@ func seededLake(t *testing.T, seed int64, n, copies int) (*Starmie, []*table.Tab
 }
 
 // referenceRanking scores every indexed table with no floor and sorts them
-// by hitOrder: the ranking the two-pass scan must return.
+// by HitOrder: the ranking the two-pass scan must return.
 func referenceRanking(s *Starmie, q *table.Table, k int) []Scored {
 	p := s.Prepare(q).(*starmiePrepared)
 	var sc scan
@@ -543,7 +544,7 @@ func referenceRanking(s *Starmie, q *table.Table, k int) []Scored {
 		score, _ := sc.score(s, p, &s.idx.entries[i], math.Inf(-1), math.Inf(1))
 		all = append(all, Scored{Table: s.idx.entries[i].t, Score: score})
 	}
-	slices.SortFunc(all, hitOrder)
+	slices.SortFunc(all, HitOrder)
 	if k > 0 && k < len(all) {
 		all = all[:k]
 	}
@@ -583,6 +584,62 @@ func TestSeedsAreMarked(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestScoreTablesMatchesRanking holds ScoreTables to the scores TopK ranks
+// by, bit for bit, at one worker and three, over a lake with tied copies:
+// a table ScoreTables scores outside a ranking compares with the ranking's
+// tables exactly. A name the index does not hold is ErrUnknownTable.
+func TestScoreTablesMatchesRanking(t *testing.T) {
+	s, qs := seededLake(t, 7, 60, 5)
+	for _, workers := range []int{1, 3} {
+		v := s.QueryWorkers(workers)
+		for i, q := range qs {
+			pq := v.Prepare(q)
+			ranked, err := v.TopKPrepared(context.Background(), pq, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names := make([]string, len(ranked))
+			for j, h := range ranked {
+				names[len(ranked)-1-j] = h.Table.Name // reversed: order is the caller's
+			}
+			scored, err := v.ScoreTables(pq, names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.Reverse(scored)
+			assertSameHits(t, fmt.Sprintf("query %d, workers %d", i, workers), scored, ranked)
+		}
+	}
+	if _, err := s.ScoreTables(s.Prepare(qs[0]), []string{"no_such_table"}); !errors.Is(err, ErrUnknownTable) {
+		t.Fatalf("ScoreTables of an unknown name: %v, want ErrUnknownTable", err)
+	}
+}
+
+// TestCorpusFree pins when a score may move with the corpus: a query or an
+// indexed table with a column over the token budget.
+func TestCorpusFree(t *testing.T) {
+	s, qs := seededLake(t, 7, 30, 0)
+	pq := s.Prepare(qs[0])
+	if !s.CorpusFree(pq) {
+		t.Fatal("a lake and query under the budget read as corpus-dependent")
+	}
+	if s.CorpusFree(s.Prepare(bigTable("big_query", 1))) {
+		t.Fatal("a query over the budget reads as corpus-free")
+	}
+	c := s.CloneWithLake(s.Lake().Clone()).(*Starmie)
+	big := bigTable("big_table", 2)
+	c.Lake().MustAdd(big)
+	if err := c.AddTable(big); err != nil {
+		t.Fatal(err)
+	}
+	if c.CorpusFree(c.Prepare(qs[0])) {
+		t.Fatal("an index holding a table over the budget reads as corpus-free")
+	}
+	if !s.CorpusFree(pq) {
+		t.Fatal("a clone's add reached the original")
 	}
 }
 

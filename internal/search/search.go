@@ -52,6 +52,15 @@ type Searcher interface {
 	// ranking. A cancelled ctx yields ctx.Err(), never a truncated ranking;
 	// a preparation from another searcher family yields ErrForeignPrepared.
 	TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error)
+	// ScoreTables scores the named indexed tables against pq, in the order
+	// named, each to the bits TopKPrepared ranks it by; a name the index
+	// does not hold yields ErrUnknownTable.
+	ScoreTables(pq PreparedQuery, names []string) ([]Scored, error)
+	// CorpusFree reports whether neither pq nor any indexed table was
+	// embedded against the index corpus (no column over the encoder's token
+	// budget). Then every score against pq is a function of pq's query and
+	// the one table alone, which no mutation of other tables moves.
+	CorpusFree(pq PreparedQuery) bool
 
 	// QueryWorkers returns a view sharing the index that scores queries
 	// with at most n workers; batch-serving callers use it to stop
@@ -239,9 +248,10 @@ func applyOptions(opts []Option) options {
 	return o
 }
 
-// hitOrder is the ranking order as a comparison: score descending, ties by
-// table name ascending. Names are unique within a lake, so it is total.
-func hitOrder(a, b Scored) int {
+// HitOrder is the ranking order as a comparison: score descending, ties by
+// table name ascending. Names are unique within a lake, so it is total:
+// TopKPrepared returns its hits in this order.
+func HitOrder(a, b Scored) int {
 	if c := cmp.Compare(b.Score, a.Score); c != 0 {
 		return c
 	}
@@ -266,7 +276,7 @@ func siftDown[T any](h []T, i int, worse func(a, b T) bool) {
 	}
 }
 
-func worseHit(a, b Scored) bool { return hitOrder(a, b) > 0 }
+func worseHit(a, b Scored) bool { return HitOrder(a, b) > 0 }
 
 // rankScratch is one chunk's state across rankTablesCtx's two passes:
 // every candidate's stored reach and the seeds. Chunks take their own from
@@ -395,10 +405,10 @@ func rankTablesCtx(ctx context.Context, s *Starmie, q *starmiePrepared, cands []
 			case k <= 0 || len(top) < k:
 				top = append(top, hit)
 				if len(top) == k {
-					slices.SortFunc(top, func(a, b Scored) int { return hitOrder(b, a) })
+					slices.SortFunc(top, func(a, b Scored) int { return HitOrder(b, a) })
 					floor = top[0].Score
 				}
-			case hitOrder(hit, top[0]) < 0:
+			case HitOrder(hit, top[0]) < 0:
 				top[0] = hit
 				siftDown(top, 0, worseHit)
 				floor = top[0].Score
@@ -445,7 +455,7 @@ func rankTablesCtx(ctx context.Context, s *Starmie, q *starmiePrepared, cands []
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	slices.SortFunc(out, hitOrder)
+	slices.SortFunc(out, HitOrder)
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}

@@ -590,11 +590,13 @@ func (s *Starmie) EncodeQuery(q *table.Table) []vector.Vec {
 // starmiePrepared is Starmie's PreparedQuery: the query's contextualized
 // column embeddings, encoded once against the index corpus, in the layouts
 // the exact scan reads: panels for the float64 dots, codes for its
-// pre-pass.
+// pre-pass. readCorpus reports that the encode read the corpus: a query
+// column is over the token budget.
 type starmiePrepared struct {
-	query  *table.Table
-	panels *vector.QueryPanels
-	codes  *vector.QueryCodes
+	query      *table.Table
+	panels     *vector.QueryPanels
+	codes      *vector.QueryCodes
+	readCorpus bool
 }
 
 // Query implements PreparedQuery.
@@ -603,8 +605,57 @@ func (p *starmiePrepared) Query() *table.Table { return p.query }
 // Prepare implements Searcher: the query's columns are embedded
 // exactly once.
 func (s *Starmie) Prepare(query *table.Table) PreparedQuery {
-	cols := s.EncodeQuery(query)
-	return &starmiePrepared{query: query, panels: vector.NewQueryPanels(cols), codes: vector.NewQueryCodes(cols)}
+	p := &starmiePrepared{query: query}
+	cols := s.enc.EncodeTableColumns(query, func() *tokenize.Corpus {
+		p.readCorpus = true
+		return s.corpus
+	})
+	p.panels, p.codes = vector.NewQueryPanels(cols), vector.NewQueryCodes(cols)
+	return p
+}
+
+// prepared asserts pq is Starmie's own preparation.
+func prepared(pq PreparedQuery) (*starmiePrepared, error) {
+	p, ok := pq.(*starmiePrepared)
+	if !ok {
+		return nil, fmt.Errorf("starmie: %w: %T", ErrForeignPrepared, pq)
+	}
+	return p, nil
+}
+
+// ScoreTables implements Searcher. Each table is scored by the scan's full
+// walk, with no floor to cut at: the score TopKPrepared ranks it by, since
+// a cut only ever skips a table and never changes the score of one it
+// keeps.
+func (s *Starmie) ScoreTables(pq PreparedQuery, names []string) ([]Scored, error) {
+	p, err := prepared(pq)
+	if err != nil {
+		return nil, err
+	}
+	cands := make([]entry, len(names))
+	for i, name := range names {
+		e := s.idx.get(name)
+		if e == nil {
+			return nil, fmt.Errorf("starmie: ScoreTables(%q): %w", name, ErrUnknownTable)
+		}
+		cands[i] = *e
+	}
+	sc := openScan(s, p, cands, nil)
+	defer sc.release(0)
+	out := make([]Scored, len(cands))
+	for i := range cands {
+		t, score, _ := sc.scoreAt(i, math.Inf(1), math.Inf(-1))
+		out[i] = Scored{Table: t, Score: score}
+	}
+	return out, nil
+}
+
+// CorpusFree implements Searcher: pq read no corpus and no entry is marked
+// big. One walk of the entries.
+func (s *Starmie) CorpusFree(pq PreparedQuery) bool {
+	p, err := prepared(pq)
+	return err == nil && !p.readCorpus &&
+		!slices.ContainsFunc(s.idx.entries, func(e entry) bool { return e.big })
 }
 
 // TopKPrepared implements Searcher as the staged plan: the candidates are
@@ -612,9 +663,9 @@ func (s *Starmie) Prepare(query *table.Table) PreparedQuery {
 // keep the top k. The candidate scan stops scoring further tables once ctx
 // is cancelled and the call returns ctx.Err().
 func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error) {
-	p, ok := pq.(*starmiePrepared)
-	if !ok {
-		return nil, fmt.Errorf("starmie: %w: %T", ErrForeignPrepared, pq)
+	p, err := prepared(pq)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

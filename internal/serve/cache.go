@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -18,16 +20,18 @@ import (
 const cacheEntryOverhead = 128
 
 // Cache is an LRU over marshaled search responses. Entries are keyed by
-// (query fingerprint, k, pipeline config tag, index epoch) — see cacheKey —
-// so a snapshot swap invalidates every prior entry by construction: the
-// bumped epoch changes the key, stale entries simply stop being reachable
-// and age out of the LRU. Residency is bounded on two axes: entry count
-// and, optionally, resident bytes — a max-k workload can pin multi-megabyte
-// bodies, so a count bound alone does not bound memory. Eviction runs when
-// either bound is exceeded. One mutex guards the whole cache: a lookup is
-// a map probe and a list splice, short beside the searches the admission
-// bound lets run at once. A nil *Cache is valid and caches nothing (Get
-// always misses, Put is a no-op).
+// (query fingerprint, k, pipeline config tag) — see cacheKey — with no
+// epoch in the key: each entry records the epoch its answer was computed
+// at and the answer's ranked tables, and the server serves an entry from
+// an older epoch only once dust.Pipeline.Revalidate finds that the
+// mutations since leave the answer as it was. Residency is bounded on two
+// axes: entry count and, optionally, resident bytes — a max-k workload can
+// pin multi-megabyte bodies, so a count bound alone does not bound memory.
+// Eviction runs when either bound is exceeded. One mutex guards the whole
+// cache: a lookup is a map probe and a list splice, short beside the
+// searches the admission bound lets run at once. Get and Put count
+// nothing: the server records one outcome per request with Record. A nil
+// *Cache is valid and caches nothing (Get always misses, Put is a no-op).
 type Cache struct {
 	mu       sync.Mutex
 	ll       *list.List // front = most recently used
@@ -39,12 +43,17 @@ type Cache struct {
 	misses   atomic.Uint64
 }
 
+// cacheEntry is one cached answer, immutable once stored: Put replaces an
+// entry, never edits one, so a reader may keep the one Get returned.
 type cacheEntry struct {
-	key  string
-	body []byte
+	key    string
+	body   []byte   // the marshaled response, "cached": true, reporting epoch
+	epoch  uint64   // the epoch the answer was computed at
+	tables []string // the answer's ranked tables, what revalidation checks
 }
 
-// size is the entry's contribution to the cache's byte accounting.
+// size is the entry's contribution to the cache's byte accounting (the
+// table names are the body's own strings).
 func (e *cacheEntry) size() int64 {
 	return int64(len(e.key)) + int64(len(e.body)) + cacheEntryOverhead
 }
@@ -66,46 +75,54 @@ func NewCacheBytes(capacity int, maxBytes int64) *Cache {
 	}
 }
 
-// Get returns the cached body for key, marking it most recently used.
-func (c *Cache) Get(key string) ([]byte, bool) {
+// Get returns the entry stored under key, marking it most recently used.
+func (c *Cache) Get(key string) (*cacheEntry, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.mu.Unlock()
-		c.misses.Add(1)
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	body := el.Value.(*cacheEntry).body
-	c.mu.Unlock()
-	c.hits.Add(1)
-	return body, true
+	return el.Value.(*cacheEntry), true
 }
 
-// Put stores body under key, evicting least-recently-used entries while the
-// cache exceeds either its entry capacity or its byte bound. A body too
-// large to ever fit the byte bound is dropped rather than cached (caching
-// it would immediately evict everything else for a single entry).
-func (c *Cache) Put(key string, body []byte) {
-	if c == nil {
-		return
+// Record counts one request's cache outcome: a hit or a miss.
+func (c *Cache) Record(hit bool) {
+	switch {
+	case c == nil:
+	case hit:
+		c.hits.Add(1)
+	default:
+		c.misses.Add(1)
 	}
-	e := &cacheEntry{key: key, body: body}
-	if c.maxBytes > 0 && e.size() > c.maxBytes {
+}
+
+// Put stores e under e.key unless the entry there is from a later epoch (a
+// request that started on an older snapshot finishing after a newer one),
+// evicting least-recently-used entries while the cache exceeds either its
+// entry capacity or its byte bound. An entry too large to ever fit the
+// byte bound is dropped rather than cached (caching it would immediately
+// evict everything else for a single entry).
+func (c *Cache) Put(e *cacheEntry) {
+	if c == nil || c.maxBytes > 0 && e.size() > c.maxBytes {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	if el, ok := c.items[e.key]; ok {
 		old := el.Value.(*cacheEntry)
+		if old.epoch > e.epoch {
+			return
+		}
 		c.bytes += e.size() - old.size()
-		old.body = body
+		el.Value = e
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[key] = c.ll.PushFront(e)
+		c.items[e.key] = c.ll.PushFront(e)
 		c.bytes += e.size()
 	}
 	for c.ll.Len() > c.capacity || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
@@ -156,8 +173,17 @@ func queryFingerprint(t *table.Table) string {
 }
 
 // cacheKey composes the full cache key for one search: what was asked
-// (query fingerprint, k), how the pipeline answers it (config tag), and
-// which index state answers it (epoch).
-func cacheKey(fingerprint string, k int, configTag string, epoch uint64) string {
-	return fmt.Sprintf("%s|%d|%s|%d", fingerprint, k, configTag, epoch)
+// (query fingerprint, k) and how the pipeline answers it (config tag). The
+// index state that answered it is the entry's epoch, not part of the key:
+// an answer from an older epoch is revalidated, not thrown away.
+func cacheKey(fingerprint string, k int, configTag string) string {
+	return fmt.Sprintf("%s|%d|%s", fingerprint, k, configTag)
+}
+
+// stamped returns body, a search response as marshalJSON renders it,
+// reporting epoch instead of its own: the epoch is the response's first
+// field and only digits, so the body's first comma ends it.
+func stamped(body []byte, epoch uint64) []byte {
+	out := strconv.AppendUint(append(make([]byte, 0, len(body)+20), `{"epoch":`...), epoch, 10)
+	return append(out, body[bytes.IndexByte(body, ','):]...)
 }

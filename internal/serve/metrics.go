@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"dust"
 	"dust/internal/align"
 	"dust/internal/embed"
 	"dust/internal/obs"
@@ -25,9 +26,10 @@ type serverMetrics struct {
 	// requests counts finished requests per endpoint and status class.
 	requests *obs.CounterVec
 	// latency is the per-endpoint request-latency histogram, split by
-	// cache outcome ("hit"/"miss" on /search, "none" elsewhere) and status
-	// class — the cached and computed paths differ by ~two orders of
-	// magnitude, so one merged histogram would hide both.
+	// cache outcome ("hit"/"revalidated"/"miss" on /search, "none"
+	// elsewhere and with the cache off) and status class — the cached and
+	// computed paths differ by ~two orders of magnitude, so one merged
+	// histogram would hide both.
 	latency *obs.HistogramVec
 	// stage is the per-stage search-latency histogram, one series per
 	// search.Stage, from the request's search.Trace; cache hits skip the
@@ -42,6 +44,20 @@ type serverMetrics struct {
 	// in-flight slot (shed requests are not recorded here; they show up in
 	// the rejected counter).
 	admissionWait *obs.HistogramVec
+	// stale counts the cache entries from an older epoch than the
+	// request's snapshot that a lookup found, by what became of each
+	// (staleOutcomes).
+	stale *obs.CounterVec
+}
+
+// staleHorizon is the stale outcome of an entry older than the snapshot's
+// mutation log reaches: the outcomes past Revalidate's own.
+const staleHorizon = dust.CorpusSensitive + 1
+
+// staleOutcomes labels dust_cache_stale_total by outcome.
+var staleOutcomes = [staleHorizon + 1]string{
+	dust.Current: "revalidated", dust.TableRemoved: "table_removed",
+	dust.Outranked: "outranked", dust.CorpusSensitive: "corpus", staleHorizon: "horizon",
 }
 
 // newServerMetrics registers every serving metric against s.
@@ -57,7 +73,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Finished HTTP requests by endpoint and status class.",
 			"endpoint", "class"),
 		latency: r.NewHistogram("dust_http_request_seconds",
-			"Request latency by endpoint, cache outcome (hit/miss on /search, none elsewhere), and status class.",
+			"Request latency by endpoint, cache outcome (hit/revalidated/miss on /search, none elsewhere), and status class.",
 			nil, "endpoint", "cache", "class"),
 		stage: r.NewHistogram("dust_search_stage_seconds",
 			"Per-stage wall time of uncached searches that ran the pipeline, failed ones included (0 for a stage they never reached): "+strings.Join(stages, ", ")+".",
@@ -68,6 +84,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 		admissionWait: r.NewHistogram("dust_admission_wait_seconds",
 			"Time admitted searches waited for an in-flight slot.",
 			nil),
+		stale: r.NewCounter("dust_cache_stale_total",
+			"Cache entries from an epoch older than the request's snapshot, by outcome: revalidated (served, re-stamped with the snapshot's epoch), table_removed (a table of the answer was removed since), outranked (a table added since ranks into the answer), corpus (the query or an indexed table embeds against the corpus), horizon (more mutations since than the snapshot's log holds).",
+			"outcome"),
+	}
+	for _, outcome := range staleOutcomes {
+		m.stale.With(outcome)
 	}
 
 	r.NewCounterFunc("dust_searches_total",
@@ -100,13 +122,13 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func(emit func(float64, ...string)) { emit(float64(s.waiting.Load())) })
 
 	r.NewCounterFunc("dust_cache_hits_total",
-		"Result-cache hits.", nil,
+		"Searches served from the result cache, revalidated ones included.", nil,
 		func(emit func(float64, ...string)) {
 			h, _, _, _ := s.cache.Stats()
 			emit(float64(h))
 		})
 	r.NewCounterFunc("dust_cache_misses_total",
-		"Result-cache misses.", nil,
+		"Searches that reached the result cache and were computed (one a request, whichever views it probed).", nil,
 		func(emit func(float64, ...string)) {
 			_, mi, _, _ := s.cache.Stats()
 			emit(float64(mi))
@@ -173,7 +195,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 // instrumentation wrapper: the cache outcome and, for searches, the
 // request's k, snapshot epoch, stage trace, and failure message.
 type requestInfo struct {
-	cache    string // "hit"/"miss"/"none" for /search, "" elsewhere
+	cache    string // "hit"/"revalidated"/"miss"/"none" for /search, "" elsewhere
 	k        int
 	epoch    uint64
 	isSearch bool

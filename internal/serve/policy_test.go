@@ -213,3 +213,98 @@ func TestCacheDisabledLabelsNone(t *testing.T) {
 		t.Fatalf("request log cache = %q, want \"none\"", rec.Cache)
 	}
 }
+
+// searchUnderLoad posts body with srv's one admission slot held, so the
+// search is overloaded, and frees the slot once the search waits for it.
+func searchUnderLoad(t *testing.T, srv *Server, url string, body []byte) searchResponse {
+	t.Helper()
+	release := occupySlot(t, srv)
+	done := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if srv.waiting.Load() > 0 {
+				release()
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	defer release()
+	defer close(done)
+	resp, out := postSearch(t, url, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("search under load: status %d", resp.StatusCode)
+	}
+	return out
+}
+
+// TestCacheOutcomesOnePerRequest pins the cache counters to one outcome a
+// request: a degraded search probes the exact line and then the degraded
+// one, revalidating either when it is older than the snapshot, and still
+// counts one hit or one miss, so hits plus misses equal the searches that
+// reached the cache, on /stats and on /metrics alike.
+func TestCacheOutcomesOnePerRequest(t *testing.T) {
+	srv, ts, b := newTestServer(t, WithDegradeThreshold(0.5), WithMaxInFlight(1), WithTimeout(10*time.Second))
+	body := searchBody(t, b.Queries[0], 5)
+	steps := []struct {
+		loaded           bool
+		cached, degraded bool
+	}{
+		{true, false, true},   // both lines miss: the degraded view computes
+		{true, true, true},    // the exact line misses, the degraded one hits
+		{false, false, false}, // the exact view computes
+		{false, true, false},  // the exact line hits
+		{true, true, false},   // the exact line hits before the degrade decision
+	}
+	var degraded []string // the degraded answer's tables
+	for i, st := range steps {
+		var out searchResponse
+		if st.loaded {
+			out = searchUnderLoad(t, srv, ts.URL, body)
+		} else {
+			_, out = postSearch(t, ts.URL, body)
+		}
+		if out.Cached != st.cached || out.Degraded != st.degraded {
+			t.Fatalf("step %d: cached=%v degraded=%v, want %v/%v", i, out.Cached, out.Degraded, st.cached, st.degraded)
+		}
+		if i == 0 {
+			degraded = out.Tables
+		}
+	}
+
+	// A copy of the degraded answer's last table, named to sort after it,
+	// ranks into the full answer (the degraded one is its prefix) but not
+	// into the degraded one: under load, the exact line is outranked and
+	// the degraded line revalidated, and the request counts one hit.
+	src := b.Lake.Get(degraded[len(degraded)-1])
+	tb, _ := json.Marshal(tableJSON{Headers: src.Headers(), Rows: rowsOf(src)})
+	if resp, _ := doJSON(t, http.MethodPut, ts.URL+"/tables/zz_degraded_copy", tb); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("put status %d", resp.StatusCode)
+	}
+	if out := searchUnderLoad(t, srv, ts.URL, body); !out.Cached || !out.Degraded || out.Epoch != 1 {
+		t.Fatalf("after the copy: cached=%v degraded=%v epoch %d, want true/true/1", out.Cached, out.Degraded, out.Epoch)
+	}
+
+	var st StatsResponse
+	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
+		t.Fatalf("stats status %d", code)
+	}
+	if st.Cache.Hits != 4 || st.Cache.Misses != 2 || st.Cache.Revalidated != 1 || st.Cache.Hits+st.Cache.Misses != st.Searches {
+		t.Fatalf("cache %d hits (%d revalidated) + %d misses over %d searches, want 4 (1) + 2 = 6",
+			st.Cache.Hits, st.Cache.Revalidated, st.Cache.Misses, st.Searches)
+	}
+	text := scrapeMetrics(t, ts.URL)
+	for _, want := range []string{
+		"dust_cache_hits_total 4", "dust_cache_misses_total 2",
+		`dust_cache_stale_total{outcome="outranked"} 1`, `dust_cache_stale_total{outcome="revalidated"} 1`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}

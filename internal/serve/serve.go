@@ -60,13 +60,14 @@ type Server struct {
 
 	degradeThreshold float64 // load factor at which searches degrade; 0 = off
 
-	searches  atomic.Uint64 // successfully served, cached or not
-	mutations atomic.Uint64
-	rejected  atomic.Uint64 // admission/deadline/pipeline failures
-	canceled  atomic.Uint64 // client went away mid-request
-	waiting   atomic.Int64  // searches parked at admission right now
-	degraded  atomic.Uint64 // searches answered by the degraded view under load
-	shed      atomic.Uint64 // searches refused with 503 + Retry-After under load
+	searches    atomic.Uint64 // successfully served, cached or not
+	revalidated atomic.Uint64 // cache hits on an entry from an older epoch
+	mutations   atomic.Uint64
+	rejected    atomic.Uint64 // admission/deadline/pipeline failures
+	canceled    atomic.Uint64 // client went away mid-request
+	waiting     atomic.Int64  // searches parked at admission right now
+	degraded    atomic.Uint64 // searches answered by the degraded view under load
+	shed        atomic.Uint64 // searches refused with 503 + Retry-After under load
 
 	metrics *serverMetrics
 	logw    io.Writer  // request log sink; nil disables logging
@@ -386,23 +387,21 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	info.k, info.epoch = k, snap.Epoch()
 
 	// A cache hit is a map lookup plus a byte write — no pipeline work —
-	// so it is served before admission: a saturated server keeps answering
-	// cached traffic while shedding only queries that would cost compute.
-	// With the cache off there is no fingerprint, key or cached copy.
+	// and a revalidated one adds a query encode and a score per table
+	// added since its epoch, so both are served before admission: a
+	// saturated server keeps answering cached traffic while shedding only
+	// queries that would cost compute. With the cache off there is no
+	// fingerprint, key, log or cached copy.
 	var fp, key string
 	if s.cache == nil {
 		info.cache = "none"
 	} else {
 		fp = queryFingerprint(query)
-		key = cacheKey(fp, k, snap.tag, snap.Epoch())
-		if body, ok := s.cache.Get(key); ok {
-			s.searches.Add(1)
-			info.cache = "hit"
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(body)
+		key = cacheKey(fp, k, snap.tag)
+		if body := s.lookup(snap, snap.query, key, query, info); body != nil {
+			s.writeCached(w, body)
 			return
 		}
-		info.cache = "miss"
 	}
 
 	// Degraded admission: at or past the load threshold, a search runs
@@ -412,32 +411,35 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// still pass the admission gate below: the policy trades work per slot,
 	// not the slot bound itself.
 	view := snap.query
-	if load, over := s.overloaded(); over {
-		if snap.degraded != nil {
-			view = snap.degraded
-			info.degraded = true
-			s.degraded.Add(1)
-			// The degraded plan has its own config tag, so its cache lines
-			// never mix with exact results; probe them before computing.
-			if s.cache != nil {
-				key = cacheKey(fp, k, snap.degradedTag, snap.Epoch())
-				if body, ok := s.cache.Get(key); ok {
-					s.searches.Add(1)
-					info.cache = "hit"
-					w.Header().Set("Content-Type", "application/json")
-					_, _ = w.Write(body)
-					return
-				}
+	load, over := s.overloaded()
+	if over && snap.degraded != nil {
+		view = snap.degraded
+		info.degraded = true
+		s.degraded.Add(1)
+		// The degraded plan has its own config tag, so its cache lines
+		// never mix with exact results; probe them before computing.
+		if s.cache != nil {
+			key = cacheKey(fp, k, snap.degradedTag)
+			if body := s.lookup(snap, snap.degraded, key, query, info); body != nil {
+				s.writeCached(w, body)
+				return
 			}
-		} else {
-			s.shed.Add(1)
-			s.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			msg := fmt.Sprintf("server overloaded (load %.2f, threshold %.2f) and no degraded mode is available", load, s.degradeThreshold)
-			info.errMsg = msg
-			httpError(w, http.StatusServiceUnavailable, msg)
-			return
 		}
+	}
+	// Whatever it probed, a request that reached the cache records one
+	// outcome: this is its miss.
+	if s.cache != nil {
+		info.cache = "miss"
+		s.cache.Record(false)
+	}
+	if over && snap.degraded == nil {
+		s.shed.Add(1)
+		s.rejected.Add(1)
+		w.Header().Set("Retry-After", "1")
+		msg := fmt.Sprintf("server overloaded (load %.2f, threshold %.2f) and no degraded mode is available", load, s.degradeThreshold)
+		info.errMsg = msg
+		httpError(w, http.StatusServiceUnavailable, msg)
+		return
 	}
 
 	// Admission: wait for an in-flight slot, but never past the request's
@@ -484,25 +486,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	prov := make([]provenanceJSON, len(res.Provenance))
-	for i, p := range res.Provenance {
-		prov[i] = provenanceJSON{Table: p.Table, Row: p.Row}
-	}
-	// The result table's name derives from the client-chosen query name,
-	// which the cache fingerprint deliberately ignores; strip it so a
-	// cached body never leaks one client's name to another and cached
-	// bytes equal what any client's uncached request would produce.
-	tuples := fromTable(res.Tuples)
-	tuples.Name = ""
-	resp := searchResponse{
-		Epoch:      snap.Epoch(),
-		Degraded:   info.degraded,
-		K:          k,
-		Tables:     res.UnionableTables,
-		Pool:       res.Unioned.NumRows(),
-		Tuples:     tuples,
-		Provenance: prov,
-	}
+	resp := newSearchResponse(res, snap.Epoch(), k, info.degraded)
 	s.searches.Add(1)
 	writeJSON(w, http.StatusOK, resp)
 
@@ -514,8 +498,72 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// keeps the cached bytes shaped exactly like the live ones.
 	resp.Cached = true
 	if body, err := marshalJSON(resp); err == nil {
-		s.cache.Put(key, body)
+		s.cache.Put(&cacheEntry{key: key, body: body, epoch: snap.Epoch(), tables: resp.Tables})
 	}
+}
+
+// newSearchResponse is the response to a search answered by res at epoch.
+func newSearchResponse(res *dust.Result, epoch uint64, k int, degraded bool) searchResponse {
+	prov := make([]provenanceJSON, len(res.Provenance))
+	for i, p := range res.Provenance {
+		prov[i] = provenanceJSON{Table: p.Table, Row: p.Row}
+	}
+	// The result table's name derives from the client-chosen query name,
+	// which the cache fingerprint deliberately ignores; strip it so a
+	// cached body never leaks one client's name to another and cached
+	// bytes equal what any client's uncached request would produce.
+	tuples := fromTable(res.Tuples)
+	tuples.Name = ""
+	return searchResponse{
+		Epoch:      epoch,
+		Degraded:   degraded,
+		K:          k,
+		Tables:     res.UnionableTables,
+		Pool:       res.Unioned.NumRows(),
+		Tuples:     tuples,
+		Provenance: prov,
+	}
+}
+
+// lookup returns the cached body that answers key on snap, or nil. An
+// entry from snap's epoch answers as it is. One from an older epoch answers
+// once view — the pipeline that computed it — revalidates it against the
+// mutations since, which snap's log must still hold; it is then re-stamped
+// with snap's epoch and stored back, so later requests on snap hit it
+// plainly. Every older entry's fate counts in dust_cache_stale_total. One
+// from a later epoch than snap's (a request that loaded its snapshot just
+// before a swap) is a miss: revalidation only runs forward.
+func (s *Server) lookup(snap *Snapshot, view *dust.Pipeline, key string, query *table.Table, info *requestInfo) []byte {
+	e, ok := s.cache.Get(key)
+	epoch := snap.Epoch()
+	switch {
+	case !ok || e.epoch > epoch:
+		return nil
+	case e.epoch == epoch:
+		info.cache = "hit"
+		return e.body
+	}
+	outcome := staleHorizon
+	if removed, added, ok := snap.since(e.epoch); ok {
+		outcome = view.Revalidate(query, e.tables, removed, added)
+	}
+	s.metrics.stale.With(staleOutcomes[outcome]).Inc()
+	if outcome != dust.Current {
+		return nil
+	}
+	s.revalidated.Add(1)
+	info.cache = "revalidated"
+	fresh := &cacheEntry{key: key, body: stamped(e.body, epoch), epoch: epoch, tables: e.tables}
+	s.cache.Put(fresh)
+	return fresh.body
+}
+
+// writeCached serves body, a cache hit, and records the request's outcome.
+func (s *Server) writeCached(w http.ResponseWriter, body []byte) {
+	s.cache.Record(true)
+	s.searches.Add(1)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
 }
 
 // mutate runs apply on a copy-on-write clone of the current snapshot's
@@ -524,7 +572,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // actually existed — not state re-read after later swaps. In-flight
 // queries keep reading the old snapshot; they never block this swap and it
 // never blocks them.
-func (s *Server) mutate(apply func(p *dust.Pipeline) error) (*Snapshot, int, error) {
+func (s *Server) mutate(m mutation, apply func(p *dust.Pipeline) error) (*Snapshot, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.snap.Load()
@@ -540,6 +588,9 @@ func (s *Server) mutate(apply func(p *dust.Pipeline) error) (*Snapshot, int, err
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	next := newSnapshot(shadow, s.queryWorkers)
+	if s.cache != nil {
+		next.log = logged(cur.log, m)
+	}
 	s.snap.Store(next)
 	s.mutations.Add(1)
 	return next, http.StatusOK, nil
@@ -571,7 +622,7 @@ func (s *Server) handlePutTable(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, fmt.Sprintf("table %q already in the lake", name))
 		return
 	}
-	next, status, err := s.mutate(func(p *dust.Pipeline) error { return p.AddTable(t) })
+	next, status, err := s.mutate(mutation{name: name, put: true}, func(p *dust.Pipeline) error { return p.AddTable(t) })
 	if err != nil {
 		httpError(w, status, err.Error())
 		return
@@ -587,7 +638,7 @@ func (s *Server) handleDeleteTable(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("no table %q in the lake", name))
 		return
 	}
-	next, status, err := s.mutate(func(p *dust.Pipeline) error { return p.RemoveTable(name) })
+	next, status, err := s.mutate(mutation{name: name}, func(p *dust.Pipeline) error { return p.RemoveTable(name) })
 	if err != nil {
 		httpError(w, status, err.Error())
 		return
@@ -636,10 +687,11 @@ type StatsResponse struct {
 	InFlight  int    `json:"in_flight"`
 	MaxIn     int    `json:"max_in_flight"`
 	Cache     struct {
-		Hits    uint64 `json:"hits"`
-		Misses  uint64 `json:"misses"`
-		Entries int    `json:"entries"`
-		Bytes   int64  `json:"bytes"`
+		Hits        uint64 `json:"hits"` // revalidated ones included
+		Misses      uint64 `json:"misses"`
+		Revalidated uint64 `json:"revalidated"`
+		Entries     int    `json:"entries"`
+		Bytes       int64  `json:"bytes"`
 	} `json:"cache"`
 	ConfigTag string `json:"config"`
 }
@@ -663,6 +715,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ConfigTag: snap.tag,
 	}
 	resp.Cache.Hits, resp.Cache.Misses, resp.Cache.Entries, resp.Cache.Bytes = s.cache.Stats()
+	resp.Cache.Revalidated = s.revalidated.Load()
 	writeJSON(w, http.StatusOK, resp)
 }
 

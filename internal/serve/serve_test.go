@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -397,19 +398,43 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 		t.Fatal("different k served from cache")
 	}
 
-	// A mutation bumps the epoch; the old entry must never resurface.
-	extra := b.Lake.Tables()[0].Clone("zz_cache_extra")
-	tb, _ := json.Marshal(tableJSON{Headers: extra.Headers(), Rows: rowsOf(extra)})
-	resp, _ := doJSON(t, http.MethodPut, ts.URL+"/tables/zz_cache_extra", tb)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("put status %d", resp.StatusCode)
+	// A PUT bumps the epoch; whether the old entry still answers depends
+	// on what the PUT does to the ranking. put adds a copy of one of
+	// first's tables: it scores what that table scores, and ties go to the
+	// name that sorts first.
+	put := func(src, name string) {
+		t.Helper()
+		extra := b.Lake.Get(src).Clone(name)
+		tb, _ := json.Marshal(tableJSON{Headers: extra.Headers(), Rows: rowsOf(extra)})
+		resp, _ := doJSON(t, http.MethodPut, ts.URL+"/tables/"+name, tb)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("put %s: status %d", name, resp.StatusCode)
+		}
 	}
+	if len(first.Tables) != 5 {
+		t.Fatalf("answer holds %d tables, want the full 5", len(first.Tables))
+	}
+	// Answer-preserving: a copy of the last table under a name that sorts
+	// after it ties and stays out, so the old entry is revalidated and
+	// served at the new epoch.
+	put(first.Tables[4], "zz_cache_extra")
+	_, kept := postSearch(t, ts.URL, body)
+	if !kept.Cached || kept.Epoch != first.Epoch+1 {
+		t.Fatalf("after an answer-preserving PUT: cached %v epoch %d, want true/%d", kept.Cached, kept.Epoch, first.Epoch+1)
+	}
+	if strings.Join(kept.Tables, "|") != strings.Join(first.Tables, "|") {
+		t.Fatalf("revalidated tables %v, want %v", kept.Tables, first.Tables)
+	}
+	// Answer-changing: a copy of the first table under a name that sorts
+	// before every other ties with it and enters the ranking; the old
+	// entry must never resurface.
+	put(first.Tables[0], "000_cache_extra")
 	_, after := postSearch(t, ts.URL, body)
 	if after.Cached {
-		t.Fatal("post-mutation search served a stale-epoch cache entry")
+		t.Fatal("search after an answer-changing PUT served the older entry")
 	}
-	if after.Epoch != first.Epoch+1 {
-		t.Fatalf("post-mutation epoch %d, want %d", after.Epoch, first.Epoch+1)
+	if after.Epoch != first.Epoch+2 || !slices.Contains(after.Tables, "000_cache_extra") {
+		t.Fatalf("after an answer-changing PUT: epoch %d tables %v, want %d with 000_cache_extra", after.Epoch, after.Tables, first.Epoch+2)
 	}
 	_, afterHit := postSearch(t, ts.URL, body)
 	if !afterHit.Cached || afterHit.Epoch != after.Epoch {
@@ -420,11 +445,11 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
-	if st.Cache.Hits != 3 || st.Cache.Misses != 3 {
-		t.Fatalf("cache stats %d hits / %d misses, want 3/3", st.Cache.Hits, st.Cache.Misses)
+	if st.Cache.Hits != 4 || st.Cache.Misses != 3 || st.Cache.Revalidated != 1 {
+		t.Fatalf("cache stats %d hits / %d misses / %d revalidated, want 4/3/1", st.Cache.Hits, st.Cache.Misses, st.Cache.Revalidated)
 	}
-	if st.Mutations != 1 || st.Searches != 6 {
-		t.Fatalf("stats mutations %d searches %d, want 1/6", st.Mutations, st.Searches)
+	if st.Mutations != 2 || st.Searches != 7 {
+		t.Fatalf("stats mutations %d searches %d, want 2/7", st.Mutations, st.Searches)
 	}
 }
 

@@ -41,7 +41,8 @@ func (p *Pipeline) Lake() *lake.Lake { return p.lake }
 // pipeline (or the saved epoch for one warm-started from an index
 // directory), incremented by every successful AddTable/RemoveTable and
 // carried over by Clone. Two pipeline states with different epochs may rank
-// queries differently, so serving layers key their result caches by it.
+// queries differently, so a serving layer reports the epoch of every answer
+// and revalidates a cached one from an older epoch (Revalidate).
 func (p *Pipeline) Epoch() uint64 { return p.epoch }
 
 // Clone returns an independently mutable copy of the pipeline: the lake and
@@ -89,10 +90,10 @@ func (p *Pipeline) RemoveTable(name string) error {
 	if err := p.searcher.RemoveTable(name); err != nil {
 		return err
 	}
-	// The index has mutated: bump the epoch before the lake sync so an
-	// epoch-keyed cache can never conflate the new index state with the
-	// old, even if the (practically impossible, membership was checked
-	// above) lake removal fails.
+	// The index has mutated: bump the epoch before the lake sync so a
+	// cache that stamps answers with it can never conflate the new index
+	// state with the old, even if the (practically impossible, membership
+	// was checked above) lake removal fails.
 	p.epoch++
 	return p.lake.Remove(name)
 }
