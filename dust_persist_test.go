@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"dust/internal/codec"
@@ -212,10 +213,17 @@ func readIndex(t *testing.T, dir string) []byte {
 
 // splitIndex cuts a saved index file into its manifest envelope and the
 // searcher envelope that follows it.
-func splitIndex(t *testing.T, raw []byte) (manifest, searcher []byte) {
+func splitIndex(t testing.TB, raw []byte) (manifest, searcher []byte) {
 	t.Helper()
 	r := bytes.NewReader(raw)
-	if _, err := codec.NextEnvelope(r, codec.KindManifest, ManifestFormatVersion); err != nil {
+	err := codec.ReadEnvelope(r, codec.KindManifest, ManifestFormatVersion, func(d *codec.Decoder) error {
+		d.Uvarint()
+		if d.Bool() {
+			_ = d.String()
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	n := len(raw) - r.Len()
@@ -346,11 +354,11 @@ func TestLoadPipelineErrors(t *testing.T) {
 	}
 }
 
-// manifestEnvelope wraps payload as a manifest envelope of header version v.
-func manifestEnvelope(t testing.TB, v uint16, payload []byte) []byte {
+// manifestEnvelope is an empty manifest envelope of header version v.
+func manifestEnvelope(t testing.TB, v uint16) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := codec.WriteEnvelope(&buf, codec.KindManifest, v, payload); err != nil {
+	if err := codec.WriteEnvelope(&buf, codec.KindManifest, v, func(*codec.Encoder) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -373,7 +381,7 @@ func TestLoadPipelineRetiredKind(t *testing.T) {
 	b, _ := benchLake(t)
 	for v := uint16(3); v <= 6; v++ {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "manifest.dustidx"), manifestEnvelope(t, v, nil), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "manifest.dustidx"), manifestEnvelope(t, v), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadPipelineLake(b.Lake, dir); HasIndex(dir) || !errors.Is(err, ErrNoIndex) {
@@ -395,4 +403,43 @@ func TestLoadPipelineRetiredKind(t *testing.T) {
 			t.Errorf("an index file of header version %d: err = %v, want codec.ErrVersion", v, err)
 		}
 	}
+}
+
+// TestIndexFileAllocs bounds what saving and loading an index allocate by
+// the size of its file: both stream, so neither holds the payload whole. A
+// save allocates its sorted document frequencies and its buffer, a load the
+// index it fills (the embedding blocks, which are most of the file, and
+// their codes) and the corpus.
+func TestIndexFileAllocs(t *testing.T) {
+	spec, err := datagen.ParseLakeSpec("tables=1000,rows=12,seed=7,zipf=1.5,parents=11,fk=0.3,null=0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := spec.Generate()
+	p := New(l)
+	dir := t.TempDir()
+	allocated := func(fn func() error) float64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	save := allocated(func() error { return p.SaveIndex(dir) })
+	size := float64(len(readIndex(t, dir)))
+	load := allocated(func() error {
+		_, err := LoadPipelineLake(l, dir)
+		return err
+	})
+	if save > size/4 {
+		t.Errorf("SaveIndex allocated %.0f bytes, %.2f× its %.0f-byte file; want at most 0.25×", save, save/size, size)
+	}
+	if load > size*3/2 {
+		t.Errorf("LoadPipelineLake allocated %.0f bytes, %.2f× its %.0f-byte file; want at most 1.5×", load, load/size, size)
+	}
+	t.Logf("file %.0f bytes: save %.3f×, load %.3f×", size, save/size, load/size)
 }

@@ -1,12 +1,16 @@
 package dust
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"dust/internal/codec"
 	"dust/internal/datagen"
+	"dust/internal/embed"
 	"dust/internal/model"
+	"dust/internal/search"
 )
 
 // FuzzLoadManifest throws arbitrary bytes at the saved-index loader — the
@@ -14,7 +18,9 @@ import (
 // index file, manifest and searcher envelope, and every input must return a
 // usable pipeline or a typed error, never panic. Seeds are a save with a
 // tuple model, a save without one, the latter under header version 6, an
-// empty file and a header with a runaway length.
+// empty file, a header with a runaway length, and a valid manifest followed
+// by a searcher envelope with a valid CRC whose payload declares 2^22
+// document frequencies and ends, so mutations start past both frames.
 func FuzzLoadManifest(f *testing.F) {
 	b := datagen.Generate("manifest-fuzz", datagen.Config{
 		Seed: 23, Domains: 2, TablesPerBase: 3, BaseRows: 16, MinRows: 5, MaxRows: 8,
@@ -40,6 +46,8 @@ func FuzzLoadManifest(f *testing.F) {
 	f.Add(withVersion(plain, 6))
 	f.Add([]byte{})
 	f.Add([]byte("DSTIDXM\x07\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
+	manifest, _ := splitIndex(f, plain)
+	f.Add(append(bytes.Clone(manifest), hostileSearcher(f, 1<<22)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(filepath.Join(dir, indexFile), data, 0o644); err != nil {
@@ -54,4 +62,26 @@ func FuzzLoadManifest(f *testing.F) {
 			t.Logf("loaded pipeline failed to search: %v", err)
 		}
 	})
+}
+
+// hostileSearcher is a searcher envelope with a valid CRC whose payload
+// declares count document frequencies and ends there.
+func hostileSearcher(t testing.TB, count int) []byte {
+	t.Helper()
+	enc := embed.NewStarmie()
+	var buf bytes.Buffer
+	err := codec.WriteEnvelope(&buf, codec.KindStarmie, search.StarmieFormatVersion, func(e *codec.Encoder) error {
+		e.String(enc.Name())
+		e.String(enc.Model.Fingerprint())
+		e.Int(enc.Dim())
+		e.Float64(enc.ContextWeight)
+		e.Float64(0)
+		e.Int(1)     // documents
+		e.Int(count) // document frequencies
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

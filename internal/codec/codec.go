@@ -11,24 +11,34 @@
 //	payload length bytes
 //	crc32   uint32 LE          (IEEE CRC of the payload)
 //
+// Payloads stream both ways and are never held whole: WriteEnvelope runs
+// an Encoder twice, once to count the header's length and once to write,
+// and ReadEnvelope hands a Decoder the payload as it is read, so a loader
+// decodes straight into its own structures and publishes nothing until
+// the CRC has passed. The decoder sees bytes before their CRC is checked,
+// so no read allocates by a count or length from the input.
+//
 // Readers fail with typed errors — ErrBadMagic, ErrWrongKind, ErrVersion,
 // ErrTruncated, ErrChecksum, ErrCorrupt — never panics, so callers can
 // distinguish "not an index file" from "index in another format version"
-// (which a caller may rebuild) from "bit rot". Payloads are built with
-// Buffer and decoded with Scanner, whose length reads are bounded by the
-// remaining input so a hostile file cannot force large allocations.
+// (which a caller may rebuild) from "bit rot". Past the header, whatever
+// the decoding met first, an input that ends early is ErrTruncated, then a
+// CRC mismatch is ErrChecksum, and only then does the decoding's own
+// error, such as ErrCorrupt, surface.
 package codec
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 )
 
-// Typed failure modes of ReadEnvelope and Scanner. Wrapped errors always
+// Typed failure modes of ReadEnvelope and Decoder. Wrapped errors always
 // match these with errors.Is.
 var (
 	// ErrBadMagic means the input does not start with the DSTIDX magic —
@@ -65,299 +75,303 @@ const (
 	magicLen  = 6
 	headerLen = magicLen + 1 + 2 + 8 // magic + kind + version + length
 	crcLen    = 4
+	// bufSize is the buffer an Encoder writes and a Decoder reads through.
+	bufSize = 64 << 10
 )
 
 var magic = [magicLen]byte{'D', 'S', 'T', 'I', 'D', 'X'}
 
-// WriteEnvelope frames payload with the given kind and version and writes
-// the complete envelope to w.
-func WriteEnvelope(w io.Writer, kind byte, version uint16, payload []byte) error {
-	head := make([]byte, 0, headerLen)
-	head = append(head, magic[:]...)
-	head = append(head, kind)
+// WriteEnvelope writes one envelope of the given kind and version to w, its
+// payload the bytes fn encodes. fn runs twice and must encode the same bytes
+// both times: first on an Encoder that only counts them, so an error of
+// fn's is returned before any byte reaches w, then on one that writes them.
+// A second pass of another length fails.
+func WriteEnvelope(w io.Writer, kind byte, version uint16, fn func(*Encoder) error) error {
+	var n counter
+	if err := encode(&n, fn); err != nil {
+		return err
+	}
+	head := append(append(make([]byte, 0, headerLen), magic[:]...), kind)
 	head = binary.LittleEndian.AppendUint16(head, version)
-	head = binary.LittleEndian.AppendUint64(head, uint64(len(payload)))
+	head = binary.LittleEndian.AppendUint64(head, uint64(n))
 	if _, err := w.Write(head); err != nil {
 		return err
 	}
-	if _, err := w.Write(payload); err != nil {
+	var written counter
+	crc := crc32.NewIEEE()
+	if err := encode(io.MultiWriter(w, crc, &written), fn); err != nil {
 		return err
 	}
-	var crc [crcLen]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(crc[:])
+	if written != n {
+		return fmt.Errorf("codec: payload encoded as %d bytes, then as %d", n, written)
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(head[:0], crc.Sum32()))
 	return err
 }
 
-// ReadEnvelope consumes all of r and validates one envelope of the expected
-// kind and version, returning its payload. A file declaring any other
-// version, older or newer, fails with ErrVersion; bytes after the envelope
-// fail with ErrCorrupt.
-func ReadEnvelope(r io.Reader, kind byte, version uint16) ([]byte, error) {
-	payload, err := NextEnvelope(r, kind, version)
-	if err != nil {
-		return nil, err
+// encode runs fn on an Encoder writing to w through a buffer.
+func encode(w io.Writer, fn func(*Encoder) error) error {
+	e := &Encoder{w: bufio.NewWriterSize(w, bufSize)}
+	if err := fn(e); err != nil {
+		return err
 	}
-	n, err := io.Copy(io.Discard, r)
-	if err != nil {
-		return nil, fmt.Errorf("codec: read: %w", err)
-	}
-	if n > 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after envelope", ErrCorrupt, n)
-	}
-	return payload, nil
+	return e.w.Flush()
 }
 
-// NextEnvelope is ReadEnvelope for an envelope that another may follow: it
-// reads exactly one envelope from r, leaving r just past its checksum. The
-// payload is read as it arrives, so a hostile length cannot force an
-// allocation larger than the input.
-func NextEnvelope(r io.Reader, kind byte, version uint16) ([]byte, error) {
+// counter is a writer that counts the bytes written to it.
+type counter int64
+
+func (c *counter) Write(p []byte) (int, error) {
+	*c += counter(len(p))
+	return len(p), nil
+}
+
+// ReadEnvelope reads one envelope of the expected kind and version from r,
+// handing its payload to fn as a Decoder, and leaves r just past the
+// envelope's CRC. A file declaring any other version, older or newer,
+// fails with ErrVersion before fn runs. Whatever fn leaves undecoded is
+// read through the CRC, and the first of these is returned: ErrTruncated
+// when the input ends inside the payload or its CRC, ErrChecksum on a CRC
+// mismatch, then fn's error or else the decoder's, then ErrCorrupt when
+// payload bytes remain undecoded. Until ReadEnvelope returns nil, what fn
+// decoded is unverified.
+func ReadEnvelope(r io.Reader, kind byte, version uint16, fn func(*Decoder) error) error {
 	var head [headerLen]byte
 	n, err := io.ReadFull(r, head[:])
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, fmt.Errorf("codec: read: %w", err)
+		return fmt.Errorf("codec: read: %w", err)
 	}
 	if n < magicLen || string(head[:magicLen]) != string(magic[:]) {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	if n < headerLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if got := head[magicLen]; got != kind {
-		return nil, fmt.Errorf("%w: got %q, want %q", ErrWrongKind, got, kind)
+		return fmt.Errorf("%w: got %q, want %q", ErrWrongKind, got, kind)
 	}
 	if got := binary.LittleEndian.Uint16(head[magicLen+1:]); got != version {
-		return nil, fmt.Errorf("%w: file declares version %d, this build reads %d",
+		return fmt.Errorf("%w: file declares version %d, this build reads %d",
 			ErrVersion, got, version)
 	}
 	plen := binary.LittleEndian.Uint64(head[magicLen+3:])
-	if plen > math.MaxInt64-crcLen {
-		return nil, ErrTruncated
+	if plen > math.MaxInt64 {
+		return ErrTruncated
 	}
-	body, err := io.ReadAll(io.LimitReader(r, int64(plen)+crcLen))
+	payload := &io.LimitedReader{R: r, N: int64(plen)}
+	crc := crc32.NewIEEE()
+	d := &Decoder{r: bufio.NewReaderSize(io.TeeReader(payload, crc), bufSize)}
+	ferr := fn(d)
+	if ferr == nil {
+		ferr = d.err
+	}
+	rest, err := io.Copy(io.Discard, d.r)
 	if err != nil {
-		return nil, fmt.Errorf("codec: read: %w", err)
+		return fmt.Errorf("codec: read: %w", err)
 	}
-	if uint64(len(body)) < plen+crcLen {
-		return nil, ErrTruncated
+	if payload.N > 0 {
+		return ErrTruncated
 	}
-	payload := body[:plen]
-	want := binary.LittleEndian.Uint32(body[plen:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("%w: crc 0x%08x, stored 0x%08x", ErrChecksum, got, want)
+	var sum [crcLen]byte
+	if _, err := io.ReadFull(r, sum[:]); err == io.EOF || err == io.ErrUnexpectedEOF {
+		return ErrTruncated
+	} else if err != nil {
+		return fmt.Errorf("codec: read: %w", err)
 	}
-	return payload, nil
-}
-
-// Buffer accumulates a payload. The zero value is ready to use; writes never
-// fail. Integers are uvarint-encoded (counts and lengths are small),
-// float64 slices are fixed-width little-endian (embeddings do not compress
-// under varint).
-type Buffer struct {
-	buf []byte
-}
-
-// Bytes returns the accumulated payload.
-func (b *Buffer) Bytes() []byte { return b.buf }
-
-// Uvarint appends an unsigned varint.
-func (b *Buffer) Uvarint(x uint64) { b.buf = binary.AppendUvarint(b.buf, x) }
-
-// Int appends a non-negative int as a uvarint; negative values panic (they
-// indicate a programming error, not bad data).
-func (b *Buffer) Int(x int) {
-	if x < 0 {
-		panic(fmt.Sprintf("codec: Buffer.Int(%d): negative", x))
+	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(sum[:]); got != want {
+		return fmt.Errorf("%w: crc 0x%08x, stored 0x%08x", ErrChecksum, got, want)
 	}
-	b.Uvarint(uint64(x))
-}
-
-// Bool appends a bool as one byte.
-func (b *Buffer) Bool(v bool) {
-	if v {
-		b.buf = append(b.buf, 1)
-	} else {
-		b.buf = append(b.buf, 0)
+	if ferr != nil {
+		return ferr
 	}
-}
-
-// String appends a length-prefixed string.
-func (b *Buffer) String(s string) {
-	b.Int(len(s))
-	b.buf = append(b.buf, s...)
-}
-
-// Strings appends a length-prefixed []string.
-func (b *Buffer) Strings(v []string) {
-	b.Int(len(v))
-	for _, s := range v {
-		b.String(s)
-	}
-}
-
-// Float64 appends one float64 as its IEEE-754 bits.
-func (b *Buffer) Float64(f float64) {
-	b.buf = binary.LittleEndian.AppendUint64(b.buf, math.Float64bits(f))
-}
-
-// Float64s appends a length-prefixed []float64.
-func (b *Buffer) Float64s(v []float64) {
-	b.Int(len(v))
-	for _, f := range v {
-		b.Float64(f)
-	}
-}
-
-// Scanner decodes a payload written with Buffer. The first decoding failure
-// sticks: every later read returns a zero value, and Err/Finish report the
-// error, so decoders can run straight-line without per-field checks. Slice
-// and string lengths are validated against the remaining input before
-// allocating, bounding memory by the input size.
-type Scanner struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewScanner wraps a payload for decoding.
-func NewScanner(payload []byte) *Scanner { return &Scanner{buf: payload} }
-
-func (s *Scanner) fail(err error) {
-	if s.err == nil {
-		s.err = err
-	}
-}
-
-func (s *Scanner) remaining() int { return len(s.buf) - s.off }
-
-// Err returns the first decoding error, or nil.
-func (s *Scanner) Err() error { return s.err }
-
-// Finish returns the first decoding error, or ErrCorrupt if undecoded bytes
-// remain — a payload must be consumed exactly.
-func (s *Scanner) Finish() error {
-	if s.err != nil {
-		return s.err
-	}
-	if s.remaining() != 0 {
-		return fmt.Errorf("%w: %d undecoded payload bytes", ErrCorrupt, s.remaining())
+	if rest > 0 {
+		return fmt.Errorf("%w: %d undecoded payload bytes", ErrCorrupt, rest)
 	}
 	return nil
 }
 
+// Encoder encodes a payload for WriteEnvelope. Integers are
+// uvarint-encoded (counts and lengths are small), float64s fixed-width
+// little-endian (embeddings do not compress under varint). The methods drop
+// their writes' errors: the buffered writer keeps its first error, refuses
+// every later write, and WriteEnvelope returns that error from its Flush.
+type Encoder struct {
+	w       *bufio.Writer
+	scratch [512]byte // packs a varint or a run of float64s into one write
+}
+
+// Uvarint encodes an unsigned varint.
+func (e *Encoder) Uvarint(x uint64) { _, _ = e.w.Write(binary.AppendUvarint(e.scratch[:0], x)) }
+
+// Int encodes a non-negative int as a uvarint; negative values panic (they
+// indicate a programming error, not bad data).
+func (e *Encoder) Int(x int) {
+	if x < 0 {
+		panic(fmt.Sprintf("codec: Encoder.Int(%d): negative", x))
+	}
+	e.Uvarint(uint64(x))
+}
+
+// Bool encodes a bool as one byte.
+func (e *Encoder) Bool(v bool) {
+	if v {
+		_ = e.w.WriteByte(1)
+	} else {
+		_ = e.w.WriteByte(0)
+	}
+}
+
+// String encodes a length-prefixed string.
+func (e *Encoder) String(s string) {
+	e.Int(len(s))
+	_, _ = e.w.WriteString(s)
+}
+
+// Float64 encodes one float64 as its IEEE-754 bits.
+func (e *Encoder) Float64(f float64) {
+	_, _ = e.w.Write(binary.LittleEndian.AppendUint64(e.scratch[:0], math.Float64bits(f)))
+}
+
+// Float64s encodes a length-prefixed []float64.
+func (e *Encoder) Float64s(v []float64) {
+	e.Int(len(v))
+	for len(v) > 0 {
+		k := min(len(v), len(e.scratch)/8)
+		for i, f := range v[:k] {
+			binary.LittleEndian.PutUint64(e.scratch[8*i:], math.Float64bits(f))
+		}
+		_, _ = e.w.Write(e.scratch[:8*k])
+		v = v[k:]
+	}
+}
+
+// Decoder decodes a payload as ReadEnvelope reads it. The first decoding
+// failure sticks: every later read returns a zero value and Err reports
+// the error, so decoders can run straight-line without per-field checks.
+// A read allocates only for bytes it has read, never by a count or length
+// the payload declares.
+type Decoder struct {
+	r   *bufio.Reader
+	err error
+}
+
+func (d *Decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+// Err returns the first decoding error, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+// readFail records a failed read: a payload that ended is ErrTruncated,
+// anything else corrupt (a varint past 64 bits; an I/O error is reported
+// first by ReadEnvelope, which reads on to the end of the payload).
+func (d *Decoder) readFail(err error) {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		d.fail(ErrTruncated)
+	} else {
+		d.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
+	}
+}
+
 // Uvarint reads an unsigned varint.
-func (s *Scanner) Uvarint() uint64 {
-	if s.err != nil {
+func (d *Decoder) Uvarint() uint64 {
+	if d.err != nil {
 		return 0
 	}
-	x, n := binary.Uvarint(s.buf[s.off:])
-	if n <= 0 {
-		s.fail(ErrTruncated)
+	x, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		d.readFail(err)
 		return 0
 	}
-	s.off += n
 	return x
 }
 
 // Int reads a uvarint and returns it as an int, failing with ErrCorrupt on
 // values that do not fit.
-func (s *Scanner) Int() int {
-	x := s.Uvarint()
-	if s.err != nil {
+func (d *Decoder) Int() int {
+	x := d.Uvarint()
+	if d.err != nil {
 		return 0
 	}
 	if x > math.MaxInt32 {
-		s.fail(fmt.Errorf("%w: count %d out of range", ErrCorrupt, x))
+		d.fail(fmt.Errorf("%w: count %d out of range", ErrCorrupt, x))
 		return 0
 	}
 	return int(x)
 }
 
 // Bool reads one byte as a bool; bytes other than 0 and 1 are corrupt.
-func (s *Scanner) Bool() bool {
-	if s.err != nil {
+func (d *Decoder) Bool() bool {
+	if d.err != nil {
 		return false
 	}
-	if s.remaining() < 1 {
-		s.fail(ErrTruncated)
-		return false
-	}
-	v := s.buf[s.off]
-	s.off++
-	if v > 1 {
-		s.fail(fmt.Errorf("%w: bool byte 0x%02x", ErrCorrupt, v))
-		return false
+	v, err := d.r.ReadByte()
+	switch {
+	case err != nil:
+		d.readFail(err)
+	case v > 1:
+		d.fail(fmt.Errorf("%w: bool byte 0x%02x", ErrCorrupt, v))
 	}
 	return v == 1
 }
 
-// String reads a length-prefixed string.
-func (s *Scanner) String() string {
-	n := s.Int()
-	if s.err != nil {
+// String reads a length-prefixed string. A string that fits the read
+// buffer is copied out of it once read; a longer one grows as it is read.
+func (d *Decoder) String() string {
+	n := d.Int()
+	if d.err != nil {
 		return ""
 	}
-	if n > s.remaining() {
-		s.fail(ErrTruncated)
+	if n <= d.r.Size() {
+		b, err := d.r.Peek(n)
+		if err != nil {
+			d.readFail(err)
+			return ""
+		}
+		s := string(b)
+		_, _ = d.r.Discard(n) // Peek has buffered all n bytes
+		return s
+	}
+	var sb strings.Builder
+	if _, err := io.CopyN(&sb, d.r, int64(n)); err != nil {
+		d.readFail(err)
 		return ""
 	}
-	out := string(s.buf[s.off : s.off+n])
-	s.off += n
-	return out
-}
-
-// Strings reads a length-prefixed []string. The count is validated
-// against the remaining input (every element costs at least its length
-// prefix) before allocating, so a hostile count cannot force a large
-// allocation.
-func (s *Scanner) Strings() []string {
-	n := s.Int()
-	if s.err != nil {
-		return nil
-	}
-	if n > s.remaining() {
-		s.fail(ErrTruncated)
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n && s.err == nil; i++ {
-		out = append(out, s.String())
-	}
-	if s.err != nil {
-		return nil
-	}
-	return out
+	return sb.String()
 }
 
 // Float64 reads one float64.
-func (s *Scanner) Float64() float64 {
-	if s.err != nil {
-		return 0
-	}
-	if s.remaining() < 8 {
-		s.fail(ErrTruncated)
-		return 0
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(s.buf[s.off:]))
-	s.off += 8
-	return f
+func (d *Decoder) Float64() float64 {
+	var v [1]float64
+	d.float64s(v[:])
+	return v[0]
 }
 
-// Float64s reads a length-prefixed []float64.
-func (s *Scanner) Float64s() []float64 {
-	n := s.Int()
-	if s.err != nil {
-		return nil
+// Float64s reads a length-prefixed []float64 into dst, whose length the
+// prefix must equal; any other length is corrupt.
+func (d *Decoder) Float64s(dst []float64) {
+	if n := d.Int(); d.err == nil && n != len(dst) {
+		d.fail(fmt.Errorf("%w: %d float64s, want %d", ErrCorrupt, n, len(dst)))
 	}
-	if n > s.remaining()/8 {
-		s.fail(ErrTruncated)
-		return nil
+	d.float64s(dst)
+}
+
+// float64s fills dst with the float64s that follow, straight from the read
+// buffer.
+func (d *Decoder) float64s(dst []float64) {
+	for len(dst) > 0 && d.err == nil {
+		b, err := d.r.Peek(min(8*len(dst), d.r.Size()))
+		k := len(b) / 8
+		if k == 0 {
+			d.readFail(err)
+			return
+		}
+		for i := range dst[:k] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		_, _ = d.r.Discard(8 * k) // Peek has buffered them
+		dst = dst[k:]
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(s.buf[s.off:]))
-		s.off += 8
-	}
-	return out
 }

@@ -12,8 +12,9 @@ import (
 // typed error — and never panic or over-allocate. Seeds are the golden
 // Starmie index, also with a byte flipped deep in its body, cut short,
 // under the retired kind bytes (the HNSW graph's 'A', D3L's 'D', the
-// tuple-level index's 'T') and under an older version, and envelope
-// fragments.
+// tuple-level index's 'T') and under an older version, envelope fragments,
+// and an envelope with a valid CRC whose payload declares 2^22 document
+// frequencies and ends, so mutations start past the frame.
 func FuzzLoadIndex(f *testing.F) {
 	starmie, err := os.ReadFile(filepath.Join("testdata", "golden_starmie.idx"))
 	if err != nil {
@@ -36,6 +37,7 @@ func FuzzLoadIndex(f *testing.F) {
 	older := append([]byte(nil), starmie...)
 	older[7], older[8] = 0, 0
 	f.Add(older)
+	f.Add(hostileIndex(f, 1<<22))
 
 	b := persistBench(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

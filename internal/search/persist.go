@@ -19,17 +19,10 @@ const StarmieFormatVersion uint16 = 1
 
 // Save writes the Starmie index — encoder identity, corpus document
 // frequencies, and the column embeddings of every table of its lake — as
-// one versioned, checksummed envelope. Every lake table must be indexed.
+// one versioned, checksummed envelope, streamed to w. Every lake table must
+// be indexed; if one is not, Save fails before it writes a byte.
 func (s *Starmie) Save(w io.Writer) error {
 	tables := s.lake.Tables()
-	var b codec.Buffer
-	b.String(s.enc.Name())
-	b.String(s.enc.Model.Fingerprint())
-	b.Int(s.enc.Dim())
-	b.Float64(s.enc.ContextWeight)
-	b.Float64(s.MinSim)
-
-	b.Int(s.corpus.NumDocs())
 	type df struct {
 		tok string
 		n   int
@@ -37,101 +30,121 @@ func (s *Starmie) Save(w io.Writer) error {
 	var freqs []df
 	s.corpus.DocFreqs(func(tok string, n int) { freqs = append(freqs, df{tok, n}) })
 	sort.Slice(freqs, func(i, j int) bool { return freqs[i].tok < freqs[j].tok })
-	b.Int(len(freqs))
-	for _, f := range freqs {
-		b.String(f.tok)
-		b.Int(f.n)
-	}
+	return codec.WriteEnvelope(w, codec.KindStarmie, StarmieFormatVersion, func(e *codec.Encoder) error {
+		e.String(s.enc.Name())
+		e.String(s.enc.Model.Fingerprint())
+		e.Int(s.enc.Dim())
+		e.Float64(s.enc.ContextWeight)
+		e.Float64(s.MinSim)
 
-	b.Int(len(tables))
-	for _, t := range tables {
-		e := s.idx.get(t.Name)
-		if e == nil {
-			return fmt.Errorf("starmie: save: lake table %q not indexed: %w", t.Name, ErrLakeMismatch)
+		e.Int(s.corpus.NumDocs())
+		e.Int(len(freqs))
+		for _, f := range freqs {
+			e.String(f.tok)
+			e.Int(f.n)
 		}
-		b.String(t.Name)
-		b.Bool(e.big)
-		b.Int(len(e.block) / s.enc.Dim())
-		s.blockRows(e.block, b.Float64s)
-	}
-	return codec.WriteEnvelope(w, codec.KindStarmie, StarmieFormatVersion, b.Bytes())
+
+		e.Int(len(tables))
+		for _, t := range tables {
+			x := s.idx.get(t.Name)
+			if x == nil {
+				return fmt.Errorf("starmie: save: lake table %q not indexed: %w", t.Name, ErrLakeMismatch)
+			}
+			e.String(t.Name)
+			e.Bool(x.big)
+			e.Int(len(x.block) / s.enc.Dim())
+			s.blockRows(x.block, e.Float64s)
+		}
+		return nil
+	})
 }
 
 // LoadStarmie reads an index written by Starmie.Save and attaches it to l,
 // which must hold exactly the saved table set (lake iteration order may
 // differ; TopK results do not depend on it). The index must have been built
 // with the default NewStarmie encoder — a different encoder name, base
-// model, or dimension fails with ErrEncoderMismatch.
+// model, or dimension fails with ErrEncoderMismatch. The envelope must be
+// the last bytes of r.
 func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
-	payload, err := codec.ReadEnvelope(r, codec.KindStarmie, StarmieFormatVersion)
-	if err != nil {
-		return nil, fmt.Errorf("starmie: load: %w", err)
-	}
-	o := applyOptions(opts)
-	s := emptyStarmie(l, embed.NewStarmie(), o)
-
-	sc := codec.NewScanner(payload)
-	encName := sc.String()
-	modelPrint := sc.String()
-	dim := sc.Int()
-	contextWeight := sc.Float64()
-	s.MinSim = sc.Float64()
-
-	numDocs := sc.Int()
-	nFreqs := sc.Int()
-	docFreq := make(map[string]int, nFreqs)
-	for i := 0; i < nFreqs && sc.Err() == nil; i++ {
-		tok := sc.String()
-		docFreq[tok] = sc.Int()
-	}
-
-	// The entries follow the lake's order, their blocks carved from one
-	// allocation sized by the lake the index must match. A saved table the
-	// lake does not hold in the same shape gets no block — its columns are
-	// still scanned, so corruption is reported before the mismatch, as the
-	// checks below order them. The codes are not saved: they are derived
-	// from the loaded blocks once all of them are in.
-	lakeTables := l.Tables()
-	blocks, codes := carveBlocks(lakeTables, s.enc.Dim())
-	for i, block := range blocks {
-		s.idx.add(entry{t: lakeTables[i], block: block, code: codes[i]})
-	}
-	nTables := sc.Int()
+	s := emptyStarmie(l, embed.NewStarmie(), applyOptions(opts))
 	type saved struct {
 		name  string
 		ncols int
 	}
-	tabs := make([]saved, 0, min(nTables, len(lakeTables)))
-	for i := 0; i < nTables && sc.Err() == nil; i++ {
-		name := sc.String()
-		big := sc.Bool()
-		ncols := sc.Int()
-		var block []float64
-		if e := s.idx.get(name); e != nil && dim == s.enc.Dim() && len(e.block) == ncols*dim {
-			block, e.big = e.block, big
+	var tabs []saved
+	var encName, modelPrint string
+	dim := s.enc.Dim()
+	err := codec.ReadEnvelope(r, codec.KindStarmie, StarmieFormatVersion, func(d *codec.Decoder) error {
+		encName = d.String()
+		modelPrint = d.String()
+		savedDim := d.Int()
+		s.enc.ContextWeight = d.Float64()
+		s.MinSim = d.Float64()
+
+		numDocs := d.Int()
+		nFreqs := d.Int()
+		// No size hint: the count is not verified until the CRC is.
+		docFreq := make(map[string]int)
+		for i := 0; i < nFreqs && d.Err() == nil; i++ {
+			tok := d.String()
+			docFreq[tok] = d.Int()
 		}
-		for c := 0; c < ncols && sc.Err() == nil; c++ {
-			v := sc.Float64s()
-			if sc.Err() == nil && len(v) != dim {
-				return nil, fmt.Errorf("starmie: load: table %q column %d has dim %d, want %d: %w",
-					name, c, len(v), dim, codec.ErrCorrupt)
-			}
-			if block != nil {
-				copy(block[c*dim:], v)
-			}
+		s.corpus.Restore(numDocs, docFreq)
+		// Columns of another width cannot be decoded into this index; the
+		// rest of the payload is still read through the CRC, so truncation
+		// and a checksum mismatch are reported before this.
+		if d.Err() == nil && savedDim != dim {
+			return fmt.Errorf("starmie: load: index has dimension %d, searcher %d: %w",
+				savedDim, dim, ErrEncoderMismatch)
 		}
-		tabs = append(tabs, saved{name, ncols})
-	}
-	if err := sc.Finish(); err != nil {
+
+		// Each saved column is decoded straight into the block carved for
+		// its table from one allocation sized by the lake the index must
+		// match. A saved table the lake does not hold in the same shape is
+		// decoded into one scratch column, so corruption in it is reported
+		// before the mismatch, which the checks after the load find. The
+		// codes are not saved: they are derived from the loaded blocks once
+		// the CRC has passed.
+		lakeTables := l.Tables()
+		blocks, codes := carveBlocks(lakeTables, dim)
+		for i, block := range blocks {
+			s.idx.add(entry{t: lakeTables[i], block: block, code: codes[i]})
+		}
+		scratch := make([]float64, dim)
+		nTables := d.Int()
+		tabs = make([]saved, 0, min(nTables, len(lakeTables)))
+		for i := 0; i < nTables && d.Err() == nil; i++ {
+			name := d.String()
+			big := d.Bool()
+			ncols := d.Int()
+			var block []float64
+			if x := s.idx.get(name); x != nil && len(x.block) == ncols*dim {
+				block, x.big = x.block, big
+			}
+			for c := 0; c < ncols && d.Err() == nil; c++ {
+				if block != nil {
+					d.Float64s(block[c*dim : (c+1)*dim])
+				} else {
+					d.Float64s(scratch)
+				}
+			}
+			tabs = append(tabs, saved{name, ncols})
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("starmie: load: %w", err)
 	}
+	if n, err := io.Copy(io.Discard, r); err != nil {
+		return nil, fmt.Errorf("starmie: load: read: %w", err)
+	} else if n > 0 {
+		return nil, fmt.Errorf("starmie: load: %d trailing bytes after the index: %w", n, codec.ErrCorrupt)
+	}
 
-	if encName != s.enc.Name() || modelPrint != s.enc.Model.Fingerprint() || dim != s.enc.Dim() {
+	if encName != s.enc.Name() || modelPrint != s.enc.Model.Fingerprint() {
 		return nil, fmt.Errorf("starmie: load: index built with %s/%s, searcher uses %s/%s: %w",
 			encName, modelPrint, s.enc.Name(), s.enc.Model.Fingerprint(), ErrEncoderMismatch)
 	}
-	s.enc.ContextWeight = contextWeight
-	s.corpus.Restore(numDocs, docFreq)
 
 	if len(tabs) != l.Len() {
 		return nil, fmt.Errorf("starmie: load: index holds %d tables, lake holds %d: %w",

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"dust/internal/codec"
 	"dust/internal/datagen"
+	"dust/internal/embed"
 	"dust/internal/lake"
 	"dust/internal/table"
 )
@@ -139,6 +141,7 @@ func TestLoadErrorPaths(t *testing.T) {
 				{"truncated crc", valid[:len(valid)-2], codec.ErrTruncated, codec.ErrWrongKind},
 				{"checksum flip", flipByte(valid, len(valid)/2), codec.ErrChecksum, codec.ErrWrongKind},
 				{"future version", bumpVersion(valid), codec.ErrVersion, codec.ErrWrongKind},
+				{"trailing bytes", append(bytes.Clone(valid), 0), codec.ErrCorrupt, codec.ErrWrongKind},
 				{"intact", valid, nil, codec.ErrWrongKind},
 			}
 			for _, c := range cases {
@@ -153,6 +156,48 @@ func TestLoadErrorPaths(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// hostileIndex is a Starmie envelope of under 100 bytes with a valid CRC
+// whose payload declares count document frequencies and ends there.
+func hostileIndex(t testing.TB, count int) []byte {
+	t.Helper()
+	enc := embed.NewStarmie()
+	var buf bytes.Buffer
+	err := codec.WriteEnvelope(&buf, codec.KindStarmie, StarmieFormatVersion, func(e *codec.Encoder) error {
+		e.String(enc.Name())
+		e.String(enc.Model.Fingerprint())
+		e.Int(enc.Dim())
+		e.Float64(enc.ContextWeight)
+		e.Float64(0)
+		e.Int(1)     // documents
+		e.Int(count) // document frequencies
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() >= 100 {
+		t.Fatalf("hostile index of %d bytes", buf.Len())
+	}
+	return buf.Bytes()
+}
+
+// TestLoadHostileCount: a count the CRC vouches for but the payload cannot
+// hold fails as a typed error without allocating by the count.
+func TestLoadHostileCount(t *testing.T) {
+	b := persistBench(t)
+	data := hostileIndex(t, 1<<22)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := load(data, b)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, codec.ErrTruncated) && !errors.Is(err, codec.ErrCorrupt) {
+		t.Errorf("err = %v, want codec.ErrTruncated or codec.ErrCorrupt", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("loading %d bytes that declare 2^22 frequencies allocated %d bytes", len(data), n)
 	}
 }
 

@@ -109,15 +109,11 @@ func (p *Pipeline) SaveIndex(dir string) error {
 		return fmt.Errorf("dust: save index: %T has no persistent form", p.searcher)
 	}
 	m, hasModel := p.tupleEnc.(*model.Model)
-	var b codec.Buffer
-	b.Uvarint(p.epoch)
-	b.Bool(hasModel)
+	var savedModel strings.Builder
 	if hasModel {
-		var mb strings.Builder
-		if err := m.Save(&mb); err != nil {
+		if err := m.Save(&savedModel); err != nil {
 			return fmt.Errorf("dust: save model: %w", err)
 		}
-		b.String(mb.String())
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("dust: save index: %w", err)
@@ -127,9 +123,16 @@ func (p *Pipeline) SaveIndex(dir string) error {
 	if err != nil {
 		return fmt.Errorf("dust: save index: %w", err)
 	}
-	err = codec.WriteEnvelope(f, codec.KindManifest, ManifestFormatVersion, b.Bytes())
+	err = codec.WriteEnvelope(f, codec.KindManifest, ManifestFormatVersion, func(e *codec.Encoder) error {
+		e.Uvarint(p.epoch)
+		e.Bool(hasModel)
+		if hasModel {
+			e.String(savedModel.String())
+		}
+		return nil
+	})
 	if err == nil {
-		err = s.Save(f) // streamed: the searcher's payload is not copied again
+		err = s.Save(f)
 	}
 	if err == nil {
 		err = f.Sync()
@@ -241,18 +244,19 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 		return nil, err
 	}
 	defer f.Close()
-	payload, err := codec.NextEnvelope(f, codec.KindManifest, ManifestFormatVersion)
+	var (
+		epoch      uint64
+		hasModel   bool
+		savedModel string
+	)
+	err = codec.ReadEnvelope(f, codec.KindManifest, ManifestFormatVersion, func(d *codec.Decoder) error {
+		epoch = d.Uvarint()
+		if hasModel = d.Bool(); hasModel {
+			savedModel = d.String()
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("dust: load manifest: %w", err)
-	}
-	sc := codec.NewScanner(payload)
-	epoch := sc.Uvarint()
-	hasModel := sc.Bool()
-	var savedModel string
-	if hasModel {
-		savedModel = sc.String()
-	}
-	if err := sc.Finish(); err != nil {
 		return nil, fmt.Errorf("dust: load manifest: %w", err)
 	}
 	searcher, err := search.LoadStarmie(f, l)
