@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dust"
 	"dust/internal/datagen"
@@ -21,6 +22,7 @@ import (
 	"dust/internal/lake"
 	"dust/internal/model"
 	"dust/internal/search"
+	"dust/internal/table"
 	"dust/internal/vector"
 )
 
@@ -150,6 +152,53 @@ func BenchmarkColdVsWarmStart(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWithTable is the micro view of a served PUT and DELETE
+// (serve.put_p50_ms, serve.delete_p50_ms): one WithTable successor of a
+// pipeline over a lake shaped like the benchmark's balanced, tall or wide
+// workload (seed 7, its knobs), adding a fresh spec table as the
+// benchmark's PUTs do, and that successor's WithoutTable successor. The
+// base pipeline is never written, so every pair starts from it. put-ns/op
+// and delete-ns/op split the pair. Run it alone:
+//
+//	go test -run '^$' -bench BenchmarkWithTable -benchtime 100x .
+func BenchmarkWithTable(b *testing.B) {
+	for _, shape := range []struct {
+		name         string
+		tables, rows int
+	}{{"balanced", 500, 40}, {"tall", 300, 120}, {"wide", 8000, 12}} {
+		b.Run(shape.name, func(b *testing.B) {
+			spec, err := datagen.ParseLakeSpec(fmt.Sprintf(
+				"tables=%d,rows=%d,zipf=1.5,parents=11,fk=0.3,null=0.01,seed=7", shape.tables, shape.rows))
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := dust.New(spec.Generate())
+			puts := make([]*table.Table, 16)
+			for i := range puts {
+				puts[i] = spec.Table(spec.Tables + i)
+			}
+			var putNS, deleteNS time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t := puts[i%len(puts)]
+				t0 := time.Now()
+				next, err := p.WithTable(t)
+				t1 := time.Now()
+				if err == nil {
+					_, err = next.WithoutTable(t.Name)
+				}
+				putNS, deleteNS = putNS+t1.Sub(t0), deleteNS+time.Since(t1)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(putNS.Nanoseconds())/float64(b.N), "put-ns/op")
+			b.ReportMetric(float64(deleteNS.Nanoseconds())/float64(b.N), "delete-ns/op")
+		})
+	}
 }
 
 // BenchmarkParallelPipeline measures the end-to-end quick pipeline (index +

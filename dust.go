@@ -39,7 +39,6 @@ import (
 // and DiversifyTuples — as the six search.Stage spans. Construct with New
 // and customize with the With* options.
 type Pipeline struct {
-	lake        *lake.Lake
 	searcher    search.Searcher
 	columnEnc   embed.ColumnEncoder
 	tupleEnc    model.TupleEncoder
@@ -47,9 +46,9 @@ type Pipeline struct {
 	topTables   int
 	workers     int
 	workersSet  bool
-	// epoch counts index mutations (AddTable/RemoveTable) over the
-	// pipeline's lifetime; see Epoch in persist.go. Serving layers stamp
-	// their answers with it.
+	// epoch counts the mutations (WithTable/WithoutTable) between the
+	// pipeline first built and this one; see Epoch in persist.go. Serving
+	// layers stamp their answers with it.
 	epoch uint64
 }
 
@@ -58,10 +57,10 @@ type Option func(*Pipeline)
 
 // WithSearcher replaces the table union searcher (default: Starmie-like).
 // The searcher must satisfy the whole search.Searcher contract — the
-// pipeline calls all of it, unconditionally — and stays the live index:
-// the pipeline queries and mutates s itself, not a copy (except that an
-// explicit WithWorkers queries through s.QueryWorkers(n), a view sharing
-// s's index).
+// pipeline calls all of it, unconditionally — and the pipeline searches
+// s.Lake(), not the lake New was given. The pipeline queries s itself, or,
+// under an explicit WithWorkers, s.QueryWorkers(n), a view sharing s's
+// index.
 func WithSearcher(s search.Searcher) Option { return func(p *Pipeline) { p.searcher = s } }
 
 // WithTupleEncoder replaces the tuple embedding model (default: a
@@ -102,7 +101,6 @@ func WithWorkers(n int) Option {
 // New builds a Pipeline over a lake with the paper's default configuration.
 func New(l *lake.Lake, opts ...Option) *Pipeline {
 	p := &Pipeline{
-		lake:        l,
 		columnEnc:   embed.ColumnLevel{Model: embed.NewRoBERTa()},
 		tupleEnc:    embed.NewRoBERTa(embed.WithAnisotropy(0.05)),
 		diversifier: diversify.NewDUST(),
@@ -385,7 +383,7 @@ func (p *Pipeline) Revalidate(query *table.Table, tables, removed, added []strin
 	}
 	names := []string{tables[len(tables)-1]}
 	for _, name := range added {
-		if p.lake.Get(name) != nil && !slices.Contains(names, name) {
+		if p.Lake().Get(name) != nil && !slices.Contains(names, name) {
 			names = append(names, name)
 		}
 	}
@@ -413,10 +411,9 @@ func (p *Pipeline) Revalidate(query *table.Table, tables, removed, added []strin
 // diversification, and candidate scoring — is bounded to n workers.
 // Concurrent servers use it so per-query fan-out does not multiply their
 // request-level concurrency; SearchBatch builds its inner per-query
-// pipeline with it. The returned
-// pipeline is for querying only: it shares mutable index state with the
-// receiver, so do not call AddTable/RemoveTable on it (Clone exists for
-// that).
+// pipeline with it. Like every pipeline it is never written: its
+// WithTable/WithoutTable successors keep its bound and leave it, and the
+// receiver, as they were.
 func (p *Pipeline) QueryBound(n int) *Pipeline {
 	c := *p
 	c.workers = n
@@ -431,7 +428,8 @@ func (p *Pipeline) QueryBound(n int) *Pipeline {
 // work on about half the pool. ConfigTag carries topTables, so the view's
 // cache lines never mix with the receiver's; a pipeline retrieving one
 // table already has nothing cheaper, and its view's tag equals its own.
-// The view is for querying only — never mutate it.
+// Like every pipeline the view is never written; a successor of it
+// retrieves half the tables too.
 func (p *Pipeline) Degraded() *Pipeline {
 	c := *p
 	c.topTables = max(1, p.topTables/2)

@@ -117,11 +117,11 @@ func extraTable(q *table.Table, name string) *table.Table {
 
 func TestEpochPersistsThroughSaveLoad(t *testing.T) {
 	b, q := benchLake(t)
-	p := New(b.Lake, WithTopTables(5))
-	if err := p.AddTable(extraTable(q, "zz_epoch_a")); err != nil {
+	p, err := New(b.Lake, WithTopTables(5)).WithTable(extraTable(q, "zz_epoch_a"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RemoveTable("zz_epoch_a"); err != nil {
+	if p, err = p.WithoutTable("zz_epoch_a"); err != nil {
 		t.Fatal(err)
 	}
 	if p.Epoch() != 2 {

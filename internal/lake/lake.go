@@ -39,10 +39,10 @@ func New(name string) *Lake {
 // error because the name is the table's identity within the lake.
 //
 // A table is immutable once it is in a lake: Clone shares the table objects
-// between a lake and its copy-on-write shadows, and search indexes and the
-// alignment column-vector memo (internal/align) key derived state by the
-// object's name and identity without watching its content. To change a
-// table, Remove it and Add a new object.
+// between a lake and its copies (every search successor's lake is one), and
+// search indexes and the alignment column-vector memo (internal/align) key
+// derived state by the object's name and identity without watching its
+// content. To change a table, Remove it and Add a new object.
 func (l *Lake) Add(t *table.Table) error {
 	if _, ok := l.tables[t.Name]; ok {
 		return fmt.Errorf("lake %s: %w: %q", l.Name, ErrDuplicateTable, t.Name)
@@ -79,8 +79,8 @@ func (l *Lake) Remove(name string) error {
 // Clone returns a lake owning its own name map and iteration order but
 // sharing the table objects (which nothing in the repo mutates after
 // insertion): Add/Remove on the clone never observe or disturb the
-// original, so a serving layer can mutate a copy-on-write shadow while
-// queries keep reading the original lake lock-free.
+// original, so a search successor can grow or shrink its own lake while
+// queries keep reading the original lock-free.
 func (l *Lake) Clone() *Lake {
 	c := &Lake{
 		Name:   l.Name,

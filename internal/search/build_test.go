@@ -24,7 +24,7 @@ import (
 // encodes each table with EncodeTableColumns against the whole corpus —
 // with its own hot set (NewStarmieWithEncoder), with none, with one counted
 // over the whole lake and with one counted over another lake. An index
-// grown from an empty lake by AddTable, one table at a time, must save the
+// grown from an empty lake by WithTable, one table at a time, must save the
 // same bytes.
 func TestStarmieBuildMatchesReference(t *testing.T) {
 	l := lake.New("build-test")
@@ -66,10 +66,7 @@ func TestStarmieBuildMatchesReference(t *testing.T) {
 
 	grown := NewStarmieWithEncoder(lake.New("build-test"), enc)
 	for _, tbl := range l.Tables() {
-		grown.lake.MustAdd(tbl)
-		if err := grown.AddTable(tbl); err != nil {
-			t.Fatal(err)
-		}
+		grown = withTable(t, grown, tbl)
 	}
 	want := saveStarmie(t, grown)
 
@@ -114,7 +111,7 @@ func TestStarmieBuildMatchesReference(t *testing.T) {
 					}
 				}
 				if !bytes.Equal(saveStarmie(t, s), want) {
-					t.Errorf("%s: Save bytes differ from those of the index grown by AddTable", b.name)
+					t.Errorf("%s: Save bytes differ from those of the index grown by WithTable", b.name)
 				}
 			}
 		})

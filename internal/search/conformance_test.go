@@ -38,8 +38,9 @@ func scanned(t *testing.T, s Searcher, q *table.Table, k int) int64 {
 // ErrForeignPrepared (and never reads as corpus-free), the scan covers the
 // whole lake, and ModeView answers both modes with the searcher itself and
 // no other value. A searcher built
-// over an empty lake answers every query with nothing; over tables without
-// columns it ranks every table at score 0.
+// over an empty lake answers every query with nothing, and so does the
+// successor of its one-table successor; over tables without columns it
+// ranks every table at score 0.
 func TestSearcherConformance(t *testing.T) {
 	b := datagen.Generate("conformance", datagen.Config{
 		Seed: 61, Domains: 8, TablesPerBase: 20, QueriesPerBase: 2,
@@ -118,6 +119,15 @@ func TestSearcherConformance(t *testing.T) {
 			if hits, err := TopKCtx(context.Background(), s, q, k); err != nil || len(hits) != 0 {
 				t.Fatalf("k=%d: %d hits, %v; want none", k, len(hits), err)
 			}
+		}
+		// A successor grows it to one table and its successor empties it
+		// again; neither writes its predecessor's lake.
+		grown := withTable(t, s, q.Clone("only"))
+		if hits := TopK(grown, q, 0); len(hits) != 1 || empty.Len() != 0 {
+			t.Fatalf("grown: %d hits, the empty lake holds %d tables; want 1 and 0", len(hits), empty.Len())
+		}
+		if back := withoutTable(t, grown, "only"); len(TopK(back, q, 0)) != 0 || grown.Lake().Len() != 1 {
+			t.Fatalf("shrunk back: %d tables, its predecessor %d; want 0 and 1", back.Lake().Len(), grown.Lake().Len())
 		}
 	})
 	t.Run("starmie/no-columns", func(t *testing.T) {

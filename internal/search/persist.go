@@ -81,15 +81,14 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 		s.enc.ContextWeight = d.Float64()
 		s.MinSim = d.Float64()
 
-		numDocs := d.Int()
-		nFreqs := d.Int()
-		// No size hint: the count is not verified until the CRC is.
-		docFreq := make(map[string]int)
-		for i := 0; i < nFreqs && d.Err() == nil; i++ {
-			tok := d.String()
-			docFreq[tok] = d.Int()
-		}
-		s.corpus.Restore(numDocs, docFreq)
+		// Each pair goes straight into the corpus, whose map has no size
+		// hint: the count is not verified until the CRC is.
+		s.corpus.Restore(d.Int(), func(set func(string, int)) {
+			for i, n := 0, d.Int(); i < n && d.Err() == nil; i++ {
+				tok := d.String()
+				set(tok, d.Int())
+			}
+		})
 		// Columns of another width cannot be decoded into this index; the
 		// rest of the payload is still read through the CRC, so truncation
 		// and a checksum mismatch are reported before this.
@@ -105,14 +104,10 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 		// before the mismatch, which the checks after the load find. The
 		// codes are not saved: they are derived from the loaded blocks once
 		// the CRC has passed.
-		lakeTables := l.Tables()
-		blocks, codes := carveBlocks(lakeTables, dim)
-		for i, block := range blocks {
-			s.idx.add(entry{t: lakeTables[i], block: block, code: codes[i]})
-		}
+		s.idx = carveIndex(l.Tables(), dim)
 		scratch := make([]float64, dim)
 		nTables := d.Int()
-		tabs = make([]saved, 0, min(nTables, len(lakeTables)))
+		tabs = make([]saved, 0, min(nTables, l.Len()))
 		for i := 0; i < nTables && d.Err() == nil; i++ {
 			name := d.String()
 			big := d.Bool()

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dust/internal/codec"
@@ -29,7 +30,7 @@ func persistBench(t testing.TB) *datagen.Benchmark {
 }
 
 // TestStarmieSaveLoadRoundTrip: a loaded index answers like the one saved,
-// and keeps doing so after the same mutation on both.
+// and their successors after the same mutation answer alike too.
 func TestStarmieSaveLoadRoundTrip(t *testing.T) {
 	b := persistBench(t)
 	orig := NewStarmie(b.Lake)
@@ -44,27 +45,75 @@ func TestStarmieSaveLoadRoundTrip(t *testing.T) {
 	extra := table.New("postload_extra", "Myth", "Origin")
 	extra.MustAppendRow("Kraken", "Norse")
 	extra.MustAppendRow("Sphinx", "Egyptian")
-	b.Lake.MustAdd(extra)
-	if err := orig.AddTable(extra); err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.AddTable(extra); err != nil {
-		t.Fatal(err)
-	}
+	grown, grownLoaded := withTable(t, orig, extra), withTable(t, loaded, extra)
 	for _, q := range b.Queries {
-		assertSameHits(t, "loaded then mutated "+q.Name, TopK(loaded, q, 8), TopK(orig, q, 8))
+		assertSameHits(t, "loaded then mutated "+q.Name, TopK(grownLoaded, q, 8), TopK(grown, q, 8))
 	}
 }
 
+// TestIncrementalErrors: a duplicate WithTable and an unknown WithoutTable
+// return a nil successor and the lake's typed error, and neither they nor a
+// successful call of each kind moves a byte the receiver saves or a name in
+// its lake — also where the receiver holds an over-budget table, which
+// every successor re-embeds. A table written into or out of the
+// constructor's lake is refused by the index.
 func TestIncrementalErrors(t *testing.T) {
 	b := persistBench(t)
-	s := NewStarmie(b.Lake)
-	if err := s.AddTable(b.Lake.Tables()[0]); !errors.Is(err, ErrDuplicateTable) {
-		t.Errorf("duplicate AddTable err = %v, want ErrDuplicateTable", err)
+	s := withTable(t, NewStarmie(b.Lake), bigTable("zz_big", 5))
+	saved, names := saveStarmie(t, s), s.Lake().Names()
+	unmoved := func(after string) {
+		t.Helper()
+		if !bytes.Equal(saveStarmie(t, s), saved) || !slices.Equal(s.Lake().Names(), names) {
+			t.Fatalf("the receiver moved after %s", after)
+		}
 	}
-	if err := s.RemoveTable("never-indexed"); !errors.Is(err, ErrUnknownTable) {
-		t.Errorf("RemoveTable of unknown err = %v, want ErrUnknownTable", err)
+	if c, err := s.WithTable(b.Lake.Tables()[0]); c != nil || !errors.Is(err, lake.ErrDuplicateTable) {
+		t.Errorf("duplicate WithTable = %v, %v; want nil, lake.ErrDuplicateTable", c, err)
 	}
+	unmoved("a duplicate WithTable")
+	if c, err := s.WithoutTable("never-indexed"); c != nil || !errors.Is(err, lake.ErrUnknownTable) {
+		t.Errorf("WithoutTable of unknown = %v, %v; want nil, lake.ErrUnknownTable", c, err)
+	}
+	unmoved("an unknown WithoutTable")
+	withTable(t, s, bigTable("zz_big_too", 6))
+	unmoved("a WithTable")
+	withoutTable(t, s, names[0])
+	unmoved("a WithoutTable")
+
+	// Tables written into the constructor's lake behind the searcher's
+	// back are refused, not mistaken for other tables.
+	base, first := NewStarmie(b.Lake), b.Lake.Tables()[0]
+	stray := bigTable("zz_stray", 7)
+	b.Lake.MustAdd(stray)
+	if err := b.Lake.Remove(first.Name); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := base.WithoutTable(stray.Name); !errors.Is(err, lake.ErrUnknownTable) {
+		t.Errorf("WithoutTable of a table only the lake holds: %v, want lake.ErrUnknownTable", err)
+	}
+	if _, err := base.WithTable(first); !errors.Is(err, lake.ErrDuplicateTable) {
+		t.Errorf("WithTable of a table only the index holds: %v, want lake.ErrDuplicateTable", err)
+	}
+}
+
+// withTable is s.WithTable(tbl), which must succeed.
+func withTable(t testing.TB, s Searcher, tbl *table.Table) *Starmie {
+	t.Helper()
+	c, err := s.WithTable(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.(*Starmie)
+}
+
+// withoutTable is s.WithoutTable(name), which must succeed.
+func withoutTable(t testing.TB, s Searcher, name string) *Starmie {
+	t.Helper()
+	c, err := s.WithoutTable(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.(*Starmie)
 }
 
 // saveStarmie serializes a Starmie index.

@@ -240,44 +240,30 @@ func firstAddr(b []float64) *float64 {
 	return &b[0]
 }
 
-// TestCloneSharesBlocks pins copy-on-write at the block level: AddTable
-// and RemoveTable on a clone leave the parent's answers
-// untouched, and every table the mutations did not re-embed still points at
-// the parent's block — a PUT copies no lake vectors. A save -> load -> save
-// of the mutated clone is byte-identical, and the loaded index answers like
-// the clone.
-func TestCloneSharesBlocks(t *testing.T) {
+// TestSuccessorSharesBlocks pins copy-on-write at the block level: a
+// WithTable successor and its WithoutTable successor leave the parent's
+// answers untouched, and every table the mutations did not re-embed still
+// points at the parent's block — a PUT copies no lake vectors. A save ->
+// load -> save of the last successor is byte-identical, and the loaded
+// index answers like it.
+func TestSuccessorSharesBlocks(t *testing.T) {
 	s, queries := dirtyLake(t, embed.NewStarmie())
-	big := bigTable("zz_big", 3)
-	s.lake.MustAdd(big)
-	if err := s.AddTable(big); err != nil {
-		t.Fatal(err)
-	}
+	s = withTable(t, s, bigTable("zz_big", 3))
 	before := make([][]Scored, len(queries))
 	for i, q := range queries {
 		before[i] = TopK(s, q, 10)
 	}
 
-	l2 := s.lake.Clone()
-	c := s.CloneWithLake(l2).(*Starmie)
 	extra := bigTable("zz_big_too", 4)
-	l2.MustAdd(extra)
-	if err := c.AddTable(extra); err != nil {
-		t.Fatal(err)
-	}
-	victim := l2.Names()[7]
-	if err := c.RemoveTable(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Remove(victim); err != nil {
-		t.Fatal(err)
-	}
+	victim := s.lake.Names()[7]
+	c := withoutTable(t, withTable(t, s, extra), victim)
+	l2 := c.Lake()
 
 	for i, q := range queries {
-		assertSameHits(t, fmt.Sprintf("parent after clone mutations, query %d", i), TopK(s, q, 10), before[i])
+		assertSameHits(t, fmt.Sprintf("parent after its successors, query %d", i), TopK(s, q, 10), before[i])
 	}
-	if s.idx.get(victim) == nil {
-		t.Fatalf("RemoveTable on the clone removed %q from the parent", victim)
+	if s.idx.get(victim) == nil || s.lake.Get(victim) == nil || s.lake.Get(extra.Name) != nil {
+		t.Fatalf("the successors' mutations reached the parent")
 	}
 	shared := 0
 	for _, e := range c.idx.entries {
@@ -285,12 +271,12 @@ func TestCloneSharesBlocks(t *testing.T) {
 		switch {
 		case name == extra.Name:
 		case e.big:
-			// Re-embedded against the clone's corpus: a block of its own.
+			// Re-embedded against the successor's corpus: a block of its own.
 			if len(e.block) > 0 && firstAddr(e.block) == firstAddr(parent.block) {
 				t.Errorf("refreshed table %q still writes through the parent's block", name)
 			}
 		case firstAddr(e.block) != firstAddr(parent.block) || len(e.block) != len(parent.block):
-			t.Fatalf("untouched table %q was copied by the clone's mutations", name)
+			t.Fatalf("untouched table %q was copied by the successors", name)
 		default:
 			shared++
 		}
@@ -314,20 +300,20 @@ func TestCloneSharesBlocks(t *testing.T) {
 		t.Fatal("save -> load -> save changed the file")
 	}
 	for i, q := range queries {
-		assertSameHits(t, fmt.Sprintf("loaded vs clone, query %d", i), TopK(loaded, q, 10), TopK(c, q, 10))
+		assertSameHits(t, fmt.Sprintf("loaded vs successor, query %d", i), TopK(loaded, q, 10), TopK(c, q, 10))
 	}
 }
 
 // TestIndexFollowsLake runs a seeded mutation history over an index scanned
-// by one worker and over one scanned by three — AddTable (over-budget
-// tables among them), RemoveTable, CloneWithLake, mutations through
-// QueryWorkers views, and Save -> LoadStarmie against a reordered lake —
-// and after every step holds the index to its lake: the
-// entries name lake.Names() in order, each block is bit-equal to a
-// from-scratch NewStarmie's, and the exact TopK at k = 10 and k = 0 equals
-// it. While a clone deletes, a goroutine queries the parent, whose answers
-// must not move: under -race this is the check that clones never share an
-// entry array with a published index.
+// by one worker and over one scanned by three — WithTable (over-budget
+// tables among them), WithoutTable, successors of QueryWorkers views, and
+// Save -> LoadStarmie against a reordered lake — and after every step holds
+// the index to its lake: the entries name lake.Names() in order, each block
+// is bit-equal to a from-scratch NewStarmie's, and the exact TopK at k = 10
+// and k = 0 equals it. While successors are built, a goroutine queries
+// their parent, whose answers must not move: under -race this is the check
+// that a successor never writes an entry array, a block or a corpus its
+// parent scans.
 func TestIndexFollowsLake(t *testing.T) {
 	spec := dirtyLakeSpec(40)
 	queries := []*table.Table{spec.Query(3), spec.Query(17), bigTable("query", 9)}
@@ -336,50 +322,38 @@ func TestIndexFollowsLake(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(37 + workers)))
 			s := NewStarmie(spec.Generate(), WithWorkers(workers))
 			added := 0
-			add := func(s *Starmie) {
+			add := func(s Searcher) *Starmie {
 				t.Helper()
 				added++
 				tbl := spec.Query(1000 + added).Clone(fmt.Sprintf("zz_add_%03d", added))
 				if rng.Intn(3) == 0 {
 					tbl = bigTable(fmt.Sprintf("zz_big_%03d", added), int64(added))
 				}
-				s.lake.MustAdd(tbl)
-				if err := s.AddTable(tbl); err != nil {
-					t.Fatal(err)
-				}
+				return withTable(t, s, tbl)
 			}
-			remove := func(s *Starmie) {
+			remove := func(s Searcher) *Starmie {
 				t.Helper()
-				names := s.lake.Names()
-				name := names[rng.Intn(len(names))]
-				if err := s.RemoveTable(name); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.lake.Remove(name); err != nil {
-					t.Fatal(err)
-				}
+				names := s.Lake().Names()
+				return withoutTable(t, s, names[rng.Intn(len(names))])
 			}
 			for step := 0; step < 24; step++ {
 				var op string
 				switch rng.Intn(6) {
 				case 0, 1:
 					op = "add"
-					add(s)
+					s = add(s)
 				case 2:
 					op = "remove"
-					remove(s)
+					s = remove(s)
 				case 3:
 					op = "view"
-					v := s.QueryWorkers(1).(*Starmie)
-					add(v)
-					remove(v)
+					s = remove(add(s.QueryWorkers(1))).QueryWorkers(workers).(*Starmie)
 				case 4:
-					op = "clone"
+					op = "concurrent"
 					before := make([][]Scored, len(queries))
 					for i, q := range queries {
 						before[i] = TopK(s, q, 0)
 					}
-					c := s.CloneWithLake(s.lake.Clone()).(*Starmie)
 					during := make([][]Scored, len(queries))
 					done := make(chan struct{})
 					go func() {
@@ -388,12 +362,11 @@ func TestIndexFollowsLake(t *testing.T) {
 							during[i] = TopK(s, q, 0)
 						}
 					}()
-					remove(c)
-					add(c)
+					c := add(remove(s))
 					<-done
 					for i, q := range queries {
-						assertSameHits(t, fmt.Sprintf("step %d: parent while its clone mutated, query %d", step, i), during[i], before[i])
-						assertSameHits(t, fmt.Sprintf("step %d: parent after its clone mutated, query %d", step, i), TopK(s, q, 0), before[i])
+						assertSameHits(t, fmt.Sprintf("step %d: parent while its successors were built, query %d", step, i), during[i], before[i])
+						assertSameHits(t, fmt.Sprintf("step %d: parent after its successors were built, query %d", step, i), TopK(s, q, 0), before[i])
 					}
 					checkIndex(t, fmt.Sprintf("step %d: parent", step), s, queries)
 					s = c
@@ -590,7 +563,7 @@ func TestSeedsAreMarked(t *testing.T) {
 // TestScoreTablesMatchesRanking holds ScoreTables to the scores TopK ranks
 // by, bit for bit, at one worker and three, over a lake with tied copies:
 // a table ScoreTables scores outside a ranking compares with the ranking's
-// tables exactly. A name the index does not hold is ErrUnknownTable.
+// tables exactly. A name the index does not hold is lake.ErrUnknownTable.
 func TestScoreTablesMatchesRanking(t *testing.T) {
 	s, qs := seededLake(t, 7, 60, 5)
 	for _, workers := range []int{1, 3} {
@@ -613,8 +586,8 @@ func TestScoreTablesMatchesRanking(t *testing.T) {
 			assertSameHits(t, fmt.Sprintf("query %d, workers %d", i, workers), scored, ranked)
 		}
 	}
-	if _, err := s.ScoreTables(s.Prepare(qs[0]), []string{"no_such_table"}); !errors.Is(err, ErrUnknownTable) {
-		t.Fatalf("ScoreTables of an unknown name: %v, want ErrUnknownTable", err)
+	if _, err := s.ScoreTables(s.Prepare(qs[0]), []string{"no_such_table"}); !errors.Is(err, lake.ErrUnknownTable) {
+		t.Fatalf("ScoreTables of an unknown name: %v, want lake.ErrUnknownTable", err)
 	}
 }
 
@@ -629,17 +602,12 @@ func TestCorpusFree(t *testing.T) {
 	if s.CorpusFree(s.Prepare(bigTable("big_query", 1))) {
 		t.Fatal("a query over the budget reads as corpus-free")
 	}
-	c := s.CloneWithLake(s.Lake().Clone()).(*Starmie)
-	big := bigTable("big_table", 2)
-	c.Lake().MustAdd(big)
-	if err := c.AddTable(big); err != nil {
-		t.Fatal(err)
-	}
+	c := withTable(t, s, bigTable("big_table", 2))
 	if c.CorpusFree(c.Prepare(qs[0])) {
 		t.Fatal("an index holding a table over the budget reads as corpus-free")
 	}
 	if !s.CorpusFree(pq) {
-		t.Fatal("a clone's add reached the original")
+		t.Fatal("a successor's add reached its parent")
 	}
 }
 

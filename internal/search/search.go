@@ -34,14 +34,14 @@ type Scored struct {
 // Starmie implements it over the whole lake, and the pipeline, persistence
 // and serving layers compose against this type alone. Queries run prepared
 // — Prepare once, then TopKPrepared; TopK and TopKCtx wrap the two steps.
-// Queries are safe concurrently with each other; AddTable and RemoveTable
-// are not safe concurrently with queries — mutate a CloneWithLake copy and
-// swap.
+// A Searcher is never written once built: queries are safe concurrently
+// with each other and with WithTable/WithoutTable, which build a successor.
 type Searcher interface {
 	// Name identifies the searcher; config tags and the serving caches
 	// keyed by them build on it.
 	Name() string
-	// Lake returns the lake this searcher indexes.
+	// Lake returns the lake this searcher indexes, which it owns: nothing
+	// may change it.
 	Lake() *lake.Lake
 
 	// Prepare encodes the query once; the result may be reused across any
@@ -54,7 +54,7 @@ type Searcher interface {
 	TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error)
 	// ScoreTables scores the named indexed tables against pq, in the order
 	// named, each to the bits TopKPrepared ranks it by; a name the index
-	// does not hold yields ErrUnknownTable.
+	// does not hold yields lake.ErrUnknownTable.
 	ScoreTables(pq PreparedQuery, names []string) ([]Scored, error)
 	// CorpusFree reports whether neither pq nor any indexed table was
 	// embedded against the index corpus (no column over the encoder's token
@@ -67,20 +67,17 @@ type Searcher interface {
 	// per-query fan-out from multiplying their own query-level parallelism.
 	QueryWorkers(n int) Searcher
 
-	// AddTable indexes one new table and RemoveTable un-indexes one, in
-	// O(delta) work, leaving query results bit-identical to an index built
-	// from scratch over the mutated table set. The searcher and its lake
-	// must agree whenever a query runs: add to the lake before (or right
-	// after) AddTable; call RemoveTable while the table is still in the
-	// lake, then remove it there. dust.Pipeline sequences both sides.
-	AddTable(t *table.Table) error
-	RemoveTable(name string) error
-	// CloneWithLake returns an independently mutable copy bound to l, a
-	// clone of this searcher's lake holding the same table set. Mutations
-	// on the clone never disturb the original, while the heavy immutable
-	// index state — the embedding blocks — is shared, so
-	// snapshot-swapped serving builds copy-on-write shadows with it.
-	CloneWithLake(l *lake.Lake) Searcher
+	// WithTable returns a successor indexing the receiver's tables and t,
+	// and WithoutTable one indexing them without the named table, each over
+	// a lake of its own, in O(delta) work plus one copy of the table list
+	// and the corpus: its answers are bit-identical to an index built from
+	// scratch over the new table set. The receiver and its views are left
+	// as they were, and share the column blocks the mutation does not
+	// re-embed. A name already indexed (WithTable) or not indexed
+	// (WithoutTable) yields a nil successor and lake.ErrDuplicateTable or
+	// lake.ErrUnknownTable.
+	WithTable(t *table.Table) (Searcher, error)
+	WithoutTable(name string) (Searcher, error)
 }
 
 // QueryBounded names the part of the contract that re-bounds query
@@ -111,12 +108,8 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// Typed failures of the incremental-mutation and persistence surfaces.
+// Typed failures of the persistence surface.
 var (
-	// ErrDuplicateTable reports AddTable of a name the index already holds.
-	ErrDuplicateTable = errors.New("search: table already indexed")
-	// ErrUnknownTable reports RemoveTable of a name the index never saw.
-	ErrUnknownTable = errors.New("search: table not indexed")
 	// ErrLakeMismatch reports a saved index whose table set does not match
 	// the lake it is being loaded against.
 	ErrLakeMismatch = errors.New("search: saved index does not match the lake")

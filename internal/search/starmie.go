@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -23,13 +22,15 @@ import (
 // by maximum-weight bipartite matching over cosine similarity and the
 // normalized matching weight is the table's unionability score (§6.2.3).
 // One index covers the whole lake: one corpus, one ordered list of column
-// blocks, one exact scan and one saved file.
+// blocks, one exact scan and one saved file. Nothing writes a Starmie once
+// it is built: WithTable and WithoutTable build a successor, so the lake
+// handed to the constructor must not change afterwards either.
 type Starmie struct {
 	enc    embed.StarmieEncoder
 	lake   *lake.Lake
 	corpus *tokenize.Corpus
-	// idx is the ordered table list the exact scan walks; views share it.
-	idx     *index
+	// idx is the ordered table list the exact scan walks.
+	idx     index
 	workers int
 	// MinSim drops column matches below this similarity (Starmie's
 	// verification threshold).
@@ -44,12 +45,12 @@ type Starmie struct {
 // bound for all its rows, what the scan's pre-pass reads instead of the
 // float64s; it is derived from block wherever a block is installed, and
 // never saved. The blocks and codes of a built or loaded index are carved
-// from lake-wide allocations; AddTable and refreshBig install a block and
-// codes of their own. Both are immutable once installed, so clones share
-// them. big marks a table with at least one column whose token count
-// exceeds the encoder budget: its embeddings depend on the corpus TF-IDF
-// selection and must be refreshed whenever the corpus changes (see
-// AddTable/RemoveTable). Every other table embeds corpus-independently.
+// from lake-wide allocations; a successor holds a block and codes of its
+// own for its new table and its big ones. Both are immutable once
+// installed, so successors and views share them. big marks a table with at
+// least one column whose token count exceeds the encoder budget: its
+// embeddings depend on the corpus TF-IDF selection and are re-embedded in
+// every successor. Every other table embeds corpus-independently.
 type entry struct {
 	t     *table.Table
 	block []float64
@@ -59,40 +60,29 @@ type entry struct {
 
 // index is the searcher's table list: the entries in lake order, which the
 // exact scan reads as is, and each name's position among them, for the
-// paths that look a table up by name. Views share one index through their
-// pointer, so a mutation through a view reaches its parent. CloneWithLake
-// copies both halves (never the blocks): a clone's removal shifts entries in
-// an array of its own, never in one a published snapshot still scans.
+// paths that look a table up by name. It is written only while the
+// searcher that holds it is being built; views and successors share or
+// copy it, never write into it.
 type index struct {
 	entries []entry
 	pos     map[string]int
 }
 
-func newIndex(n int) *index {
-	return &index{entries: make([]entry, 0, n), pos: make(map[string]int, n)}
-}
-
-func (x *index) add(e entry) {
-	x.pos[e.t.Name] = len(x.entries)
-	x.entries = append(x.entries, e)
+// newIndex is the index over entries, its name map sized once.
+func newIndex(entries []entry) index {
+	pos := make(map[string]int, len(entries))
+	for i, e := range entries {
+		pos[e.t.Name] = i
+	}
+	return index{entries: entries, pos: pos}
 }
 
 // get returns name's entry, or nil when name is not indexed.
-func (x *index) get(name string) *entry {
+func (x index) get(name string) *entry {
 	if i, ok := x.pos[name]; ok {
 		return &x.entries[i]
 	}
 	return nil
-}
-
-// remove drops name's entry, keeping the others in order.
-func (x *index) remove(name string) {
-	i := x.pos[name]
-	delete(x.pos, name)
-	x.entries = slices.Delete(x.entries, i, i+1)
-	for j, e := range x.entries[i:] {
-		x.pos[e.t.Name] = i + j
-	}
 }
 
 // NewStarmie indexes the lake with the default Starmie encoder.
@@ -155,13 +145,9 @@ func buildStarmie(l *lake.Lake, enc embed.StarmieEncoder, hot *embed.HotSet, o o
 	// The build encodes through a copy of enc reading hot; the searcher it
 	// returns holds enc itself.
 	s := emptyStarmie(l, enc.WithHotSet(hot), o)
-	tables := l.Tables()
-	blocks, codes := carveBlocks(tables, enc.Dim())
-	for i, t := range tables {
-		s.idx.add(entry{t: t, block: blocks[i], code: codes[i]})
-	}
+	s.idx = carveIndex(l.Tables(), enc.Dim())
 	var mu sync.Mutex
-	par.ForChunks(s.workers, len(tables), func(lo, hi int) {
+	par.ForChunks(s.workers, len(s.idx.entries), func(lo, hi int) {
 		var tk tokenizer
 		part := &tokenize.Corpus{}
 		for i := lo; i < hi; i++ {
@@ -227,17 +213,16 @@ func emptyStarmie(l *lake.Lake, enc embed.StarmieEncoder, o options) *Starmie {
 		enc:     enc,
 		lake:    l,
 		corpus:  &tokenize.Corpus{},
-		idx:     newIndex(l.Len()),
 		workers: o.workers,
 		MinSim:  0.3,
 	}
 }
 
-// carveBlocks cuts one allocation sized for every column of tables into
-// per-table blocks (NumCols x dim each, capacity-capped so an append can
-// never run into a neighbour), in table order, and the blocks' codes
-// likewise.
-func carveBlocks(tables []*table.Table, dim int) ([][]float64, []vector.CodeBlock) {
+// carveIndex is the index over tables, in table order, with blocks cut
+// from one allocation sized for every column of tables (NumCols x dim each,
+// capacity-capped so an append can never run into a neighbour) and codes
+// likewise, all still to be filled.
+func carveIndex(tables []*table.Table, dim int) index {
 	cols := make([]int, len(tables))
 	total := 0
 	for i, t := range tables {
@@ -245,12 +230,14 @@ func carveBlocks(tables []*table.Table, dim int) ([][]float64, []vector.CodeBloc
 		total += cols[i] * dim
 	}
 	arena := make([]float64, total)
-	blocks := make([][]float64, len(tables))
-	for i, n := range cols {
-		n *= dim
-		blocks[i], arena = arena[:n:n], arena[n:]
+	codes := vector.CarveCodeBlocks(cols, dim)
+	entries := make([]entry, len(tables))
+	for i, t := range tables {
+		n := cols[i] * dim
+		entries[i] = entry{t: t, block: arena[:n:n], code: codes[i]}
+		arena = arena[n:]
 	}
-	return blocks, vector.CarveCodeBlocks(cols, dim)
+	return newIndex(entries)
 }
 
 // indexCorpus hands the encoder the index corpus, which it reads only for
@@ -301,88 +288,76 @@ func (s *Starmie) ModeView(m Mode) (Searcher, bool) {
 	return s, true
 }
 
-// AddTable implements Searcher: the new table's columns join the corpus
-// and are embedded with it; tables whose TF-IDF token selection depends on
-// the corpus (those with over-budget columns) are re-embedded so every
-// stored embedding matches what a from-scratch index over the new table set
-// would hold. The table must (also) be added to the lake before querying.
-func (s *Starmie) AddTable(t *table.Table) error {
+// WithTable implements Searcher: t's columns join a copy of the corpus and
+// are embedded with it, and the successor holds every block and code of the
+// receiver but those of the over-budget tables, which it re-embeds against
+// the new corpus. The index and the lake both have to accept t, so a table
+// written into the constructor's lake behind the searcher's back is refused,
+// never indexed twice; WithoutTable likewise.
+func (s *Starmie) WithTable(t *table.Table) (Searcher, error) {
 	if s.idx.get(t.Name) != nil {
-		return fmt.Errorf("starmie: AddTable(%q): %w", t.Name, ErrDuplicateTable)
+		return nil, fmt.Errorf("starmie: WithTable(%q): %w", t.Name, lake.ErrDuplicateTable)
 	}
-	block, code := s.newBlock(t)
-	big := s.indexTable(&tokenizer{}, t, s.corpus, block, &code)
-	if big {
-		s.embedInto(block, &code, t)
+	l := s.lake.Clone()
+	if err := l.Add(t); err != nil {
+		return nil, fmt.Errorf("starmie: WithTable: %w", err)
 	}
-	s.idx.add(entry{t: t, block: block, code: code, big: big})
-	s.refreshBig(t.Name)
-	return nil
+	corpus := s.corpus.Clone()
+	e := entry{t: t}
+	e.block, e.code = s.newBlock(t)
+	e.big = s.indexTable(&tokenizer{}, t, corpus, e.block, &e.code)
+	entries := make([]entry, 0, len(s.idx.entries)+1)
+	return s.successor(l, corpus, append(append(entries, s.idx.entries...), e)), nil
 }
 
-// RemoveTable implements Searcher. It must run while the table is still
-// in the lake (its columns have to leave the corpus); remove it from the
-// lake afterwards.
-func (s *Starmie) RemoveTable(name string) error {
-	e := s.idx.get(name)
-	if e == nil {
-		return fmt.Errorf("starmie: RemoveTable(%q): %w", name, ErrUnknownTable)
+// WithoutTable implements Searcher: the table's columns leave a copy of the
+// corpus, and the successor holds the other tables' blocks and codes as
+// WithTable's does.
+func (s *Starmie) WithoutTable(name string) (Searcher, error) {
+	i, ok := s.idx.pos[name]
+	if !ok {
+		return nil, fmt.Errorf("starmie: WithoutTable(%q): %w", name, lake.ErrUnknownTable)
 	}
-	if s.lake.Get(name) == nil {
-		return fmt.Errorf("starmie: RemoveTable(%q): table already left the lake: %w", name, ErrUnknownTable)
+	l := s.lake.Clone()
+	if err := l.Remove(name); err != nil {
+		return nil, fmt.Errorf("starmie: WithoutTable: %w", err)
 	}
-	for i := range e.t.Columns {
-		s.corpus.RemoveDocument(embed.ColumnTokens(&e.t.Columns[i]))
+	gone := s.idx.entries[i].t
+	corpus := s.corpus.Clone()
+	for c := range gone.Columns {
+		corpus.RemoveDocument(embed.ColumnTokens(&gone.Columns[c]))
 	}
-	s.idx.remove(name)
-	s.refreshBig("")
-	return nil
+	entries := make([]entry, 0, len(s.idx.entries)-1)
+	return s.successor(l, corpus, append(append(entries, s.idx.entries[:i]...), s.idx.entries[i+1:]...)), nil
 }
 
-// refreshBig re-embeds every indexed table marked corpus-sensitive, in
-// parallel, skipping the one just encoded with the current corpus. Tables
-// under the token budget are never marked big, so the common mutation costs
-// O(new table) plus one walk of the entries.
-func (s *Starmie) refreshBig(skip string) {
+// successor is s over l, corpus and entries, one mutation on: the entries
+// name l's tables in l's order in an array of the successor's own, and
+// every one marked big is re-embedded against corpus into a block and codes
+// of its own. Tables under the token budget are never marked big, so the
+// common mutation costs O(new table) plus one copy of the entries, their
+// name map, the lake and the corpus.
+func (s *Starmie) successor(l *lake.Lake, corpus *tokenize.Corpus, entries []entry) *Starmie {
+	c := *s
+	c.lake, c.corpus, c.idx = l, corpus, newIndex(entries)
 	var stale []int
-	for i, e := range s.idx.entries {
-		if e.big && e.t.Name != skip {
+	for i, e := range entries {
+		if e.big {
 			stale = append(stale, i)
 		}
 	}
-	if len(stale) == 0 {
-		return
-	}
-	embedded := par.Map(s.workers, len(stale), func(i int) entry {
-		e := s.idx.entries[stale[i]]
-		e.block, e.code = s.embed(e.t)
-		return e
+	par.For(c.workers, len(stale), func(i int) {
+		e := &entries[stale[i]]
+		e.block, e.code = c.embed(e.t)
 	})
-	for i, at := range stale {
-		s.idx.entries[at] = embedded[i]
-	}
-}
-
-// QueryWorkers implements Searcher: the returned searcher shares this
-// searcher's index (immutable after construction) and scores queries with
-// at most n workers.
-func (s *Starmie) QueryWorkers(n int) Searcher {
-	c := *s
-	c.workers = n
 	return &c
 }
 
-// CloneWithLake implements Searcher: the returned searcher is bound to l (a
-// clone of this searcher's lake holding the same table set) and owns its
-// own corpus and table list, so AddTable/RemoveTable on it never disturb
-// this searcher. The blocks themselves are shared — both mutation paths install a fresh block
-// (AddTable, refreshBig), never write into one — so a clone costs one copy
-// of the entries and their name map, not the lake's vectors.
-func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
+// QueryWorkers implements Searcher: the returned searcher shares this
+// searcher's index and scores queries with at most n workers.
+func (s *Starmie) QueryWorkers(n int) Searcher {
 	c := *s
-	c.lake = l
-	c.corpus = s.corpus.Clone()
-	c.idx = &index{entries: slices.Clone(s.idx.entries), pos: maps.Clone(s.idx.pos)}
+	c.workers = n
 	return &c
 }
 
@@ -636,7 +611,7 @@ func (s *Starmie) ScoreTables(pq PreparedQuery, names []string) ([]Scored, error
 	for i, name := range names {
 		e := s.idx.get(name)
 		if e == nil {
-			return nil, fmt.Errorf("starmie: ScoreTables(%q): %w", name, ErrUnknownTable)
+			return nil, fmt.Errorf("starmie: ScoreTables(%q): %w", name, lake.ErrUnknownTable)
 		}
 		cands[i] = *e
 	}

@@ -93,8 +93,8 @@ func TestSoakConcurrentSearchAndMutation(t *testing.T) {
 	}
 
 	// Precompute the expected result for every (epoch, query) pair by
-	// replaying the schedule on clones — the server must never serve
-	// anything else.
+	// replaying the schedule through successors — the server must never
+	// serve anything else.
 	expected := make([]map[string]string, len(schedule)+1)
 	record := func(epoch int, pl *dust.Pipeline) {
 		m := make(map[string]string, len(queries))
@@ -110,12 +110,12 @@ func TestSoakConcurrentSearchAndMutation(t *testing.T) {
 	record(0, p)
 	replay := p
 	for i, mu := range schedule {
-		next := replay.Clone()
+		var next *dust.Pipeline
 		var err error
 		if mu.add != nil {
-			err = next.AddTable(mu.add.Clone(mu.add.Name))
+			next, err = replay.WithTable(mu.add.Clone(mu.add.Name))
 		} else {
-			err = next.RemoveTable(mu.remove)
+			next, err = replay.WithoutTable(mu.remove)
 		}
 		if err != nil {
 			t.Fatalf("replay mutation %d: %v", i, err)

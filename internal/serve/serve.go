@@ -48,7 +48,7 @@ const maxK = 1000
 //	GET    /metrics        Prometheus text exposition (see docs/OPERATIONS.md)
 type Server struct {
 	snap  atomic.Pointer[Snapshot]
-	mu    sync.Mutex // serializes mutations: clone -> apply -> swap
+	mu    sync.Mutex // serializes mutations: successor of the current snapshot -> swap
 	cache *Cache
 	sem   chan struct{}
 
@@ -124,8 +124,9 @@ func WithTimeout(d time.Duration) Option { return func(s *Server) { s.timeout = 
 // n <= 0 removes the cap.
 func WithMaxBodyBytes(n int64) Option { return func(s *Server) { s.maxBody = n } }
 
-// New wraps a pipeline in a Server. The pipeline must not be used by the
-// caller afterwards: the server owns it (mutations clone and swap it).
+// New wraps a pipeline in a Server as its first snapshot. Mutations publish
+// successors and never write p, so the caller may keep querying p, which
+// stays at its epoch.
 func New(p *dust.Pipeline, opts ...Option) *Server {
 	s := &Server{
 		cacheCap:     1024,
@@ -566,28 +567,27 @@ func (s *Server) writeCached(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// mutate runs apply on a copy-on-write clone of the current snapshot's
-// pipeline under the mutation lock and publishes the result, returning the
-// published snapshot so callers report an (epoch, table count) pair that
-// actually existed — not state re-read after later swaps. In-flight
-// queries keep reading the old snapshot; they never block this swap and it
+// mutate publishes apply's successor of the current snapshot's pipeline
+// under the mutation lock, returning the published snapshot so callers
+// report an (epoch, table count) pair that actually existed — not state
+// re-read after later swaps. In-flight queries keep reading the old
+// snapshot, which no successor writes; they never block this swap and it
 // never blocks them.
-func (s *Server) mutate(m mutation, apply func(p *dust.Pipeline) error) (*Snapshot, int, error) {
+func (s *Server) mutate(m mutation, apply func(p *dust.Pipeline) (*dust.Pipeline, error)) (*Snapshot, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.snap.Load()
-	shadow := cur.master.Clone()
-	if err := apply(shadow); err != nil {
-		switch {
-		case errors.Is(err, lake.ErrUnknownTable):
-			// A concurrent mutation beat this one to the table.
-			return nil, http.StatusNotFound, err
-		case errors.Is(err, search.ErrDuplicateTable), errors.Is(err, lake.ErrDuplicateTable):
-			return nil, http.StatusConflict, err
-		}
+	p, err := apply(cur.master)
+	switch {
+	case errors.Is(err, lake.ErrUnknownTable):
+		// A concurrent mutation beat this one to the table.
+		return nil, http.StatusNotFound, err
+	case errors.Is(err, lake.ErrDuplicateTable):
+		return nil, http.StatusConflict, err
+	case err != nil:
 		return nil, http.StatusUnprocessableEntity, err
 	}
-	next := newSnapshot(shadow, s.queryWorkers)
+	next := newSnapshot(p, s.queryWorkers)
 	if s.cache != nil {
 		next.log = logged(cur.log, m)
 	}
@@ -617,12 +617,12 @@ func (s *Server) handlePutTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Duplicate probe outside mutate for a clean 409; the authoritative
-	// check is AddTable's own under the mutation lock.
+	// check is WithTable's own under the mutation lock.
 	if s.snap.Load().master.Lake().Get(name) != nil {
 		httpError(w, http.StatusConflict, fmt.Sprintf("table %q already in the lake", name))
 		return
 	}
-	next, status, err := s.mutate(mutation{name: name, put: true}, func(p *dust.Pipeline) error { return p.AddTable(t) })
+	next, status, err := s.mutate(mutation{name: name, put: true}, func(p *dust.Pipeline) (*dust.Pipeline, error) { return p.WithTable(t) })
 	if err != nil {
 		httpError(w, status, err.Error())
 		return
@@ -638,7 +638,7 @@ func (s *Server) handleDeleteTable(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("no table %q in the lake", name))
 		return
 	}
-	next, status, err := s.mutate(mutation{name: name}, func(p *dust.Pipeline) error { return p.RemoveTable(name) })
+	next, status, err := s.mutate(mutation{name: name}, func(p *dust.Pipeline) (*dust.Pipeline, error) { return p.WithoutTable(name) })
 	if err != nil {
 		httpError(w, status, err.Error())
 		return

@@ -1,9 +1,10 @@
 // Package serve turns a dust.Pipeline into a long-running, concurrently
 // mutable HTTP search service. Its core is snapshot swapping: the live
 // pipeline sits behind an atomic pointer, every request loads the pointer
-// once and runs entirely against that frozen state, and mutations
-// (AddTable/RemoveTable) are applied to a copy-on-write clone that is
-// swapped in atomically. Readers therefore never take a lock and never
+// once and runs entirely against that frozen state, and a mutation builds
+// the pipeline's successor (dust.Pipeline.WithTable/WithoutTable), which
+// shares what the mutation leaves and writes nothing of its predecessor,
+// and swaps it in atomically. Readers therefore never take a lock and never
 // observe a half-applied mutation; a query that started before a swap
 // finishes on the snapshot it started with.
 //
@@ -24,9 +25,9 @@ import (
 )
 
 // Snapshot is one immutable published state of the serving pipeline. The
-// master pipeline is the state the next mutation clones from; the query
-// view shares its index but bounds per-query parallelism so concurrent
-// requests do not multiply fan-out. The snapshot also carries a degraded
+// master pipeline is the state the next mutation builds a successor of;
+// the query view shares its index but bounds per-query parallelism so
+// concurrent requests do not multiply fan-out. The snapshot also carries a degraded
 // view — the same frozen index retrieving half the tables
 // (dust.Pipeline.Degraded) — that degraded admission routes to under load,
 // unless the pipeline already retrieves a single table. With the cache on,
@@ -81,10 +82,9 @@ func (s *Snapshot) since(epoch uint64) (removed, added []string, ok bool) {
 	return removed, added, true
 }
 
-// newSnapshot freezes p (which must not be mutated afterwards except by
-// cloning) behind a query view bounded to queryWorkers, plus a degraded
-// view when it differs from p: ConfigTag carries the table count, so an
-// equal tag means p already retrieves one table.
+// newSnapshot publishes p behind a query view bounded to queryWorkers,
+// plus a degraded view when it differs from p: ConfigTag carries the table
+// count, so an equal tag means p already retrieves one table.
 func newSnapshot(p *dust.Pipeline, queryWorkers int) *Snapshot {
 	s := &Snapshot{master: p, query: p.QueryBound(queryWorkers), tag: p.ConfigTag()}
 	if view := p.Degraded(); view.ConfigTag() != s.tag {

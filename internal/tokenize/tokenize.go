@@ -202,7 +202,7 @@ func (c *Corpus) Merge(other *Corpus) {
 
 // Clone returns a corpus with its own document-frequency map, so
 // AddDocument/RemoveDocument on the clone leave the original untouched
-// (copy-on-write index shadows depend on this).
+// (a search successor's corpus is one).
 func (c *Corpus) Clone() *Corpus {
 	cp := &Corpus{numDocs: c.numDocs, op: c.op}
 	if c.docFreq != nil {
@@ -223,19 +223,21 @@ func (c *Corpus) DocFreqs(fn func(token string, df int)) {
 }
 
 // Restore replaces the corpus state wholesale; it is the loading-side dual
-// of DocFreqs, used by index codecs. A negative numDocs or frequency is
-// silently clamped to zero, and a frequency above math.MaxInt32 to that.
-func (c *Corpus) Restore(numDocs int, docFreq map[string]int) {
-	if numDocs < 0 {
-		numDocs = 0
-	}
-	c.numDocs = numDocs
-	c.docFreq = make(map[string]count, len(docFreq))
-	for t, df := range docFreq {
+// of NumDocs and DocFreqs, used by index codecs: freqs calls set once per
+// (token, document frequency) pair, straight into the corpus. A negative
+// numDocs is clamped to zero, a frequency at or below zero drops its token
+// and one above math.MaxInt32 is clamped to that; a token set twice keeps
+// the last frequency.
+func (c *Corpus) Restore(numDocs int, freqs func(set func(token string, df int))) {
+	c.numDocs = max(numDocs, 0)
+	c.docFreq = make(map[string]count)
+	freqs(func(t string, df int) {
 		if df > 0 {
 			c.docFreq[t] = count{df: int32(min(df, math.MaxInt32))}
+		} else {
+			delete(c.docFreq, t)
 		}
-	}
+	})
 }
 
 // IDF returns the smoothed inverse document frequency of token, defined as

@@ -274,19 +274,45 @@ func TestRemoveDocumentOnEmptyCorpus(t *testing.T) {
 	}
 }
 
+// tokenDF is one (token, document frequency) pair for restore.
+type tokenDF struct {
+	tok string
+	df  int
+}
+
+// restore is Corpus.Restore from freqs, set in order.
+func restore(c *Corpus, numDocs int, freqs ...tokenDF) {
+	c.Restore(numDocs, func(set func(string, int)) {
+		for _, f := range freqs {
+			set(f.tok, f.df)
+		}
+	})
+}
+
+// TestCorpusRestore holds Restore's rules: a frequency at or below zero
+// drops its token, one above math.MaxInt32 is clamped to it, a repeated
+// token keeps its last frequency, and a negative count is zero.
 func TestCorpusRestore(t *testing.T) {
 	var c Corpus
-	c.Restore(2, map[string]int{"a": 2, "b": 1, "dead": 0})
+	restore(&c, 2, tokenDF{"a", 1}, tokenDF{"b", 1}, tokenDF{"dead", 0}, tokenDF{"a", 2},
+		tokenDF{"gone", 3}, tokenDF{"gone", -1}, tokenDF{"huge", math.MaxInt32 + 5})
 	if c.NumDocs() != 2 {
 		t.Errorf("NumDocs = %d", c.NumDocs())
 	}
 	var fresh Corpus
 	fresh.AddDocument([]string{"a", "b"})
 	fresh.AddDocument([]string{"a"})
-	for _, tok := range []string{"a", "b", "dead"} {
+	for _, tok := range []string{"a", "b", "dead", "gone"} {
 		if got, want := c.IDF(tok), fresh.IDF(tok); got != want {
 			t.Errorf("IDF(%q) = %v, want %v", tok, got, want)
 		}
+	}
+	if got, want := docFreqs(&c), map[string]int{"a": 2, "b": 1, "huge": math.MaxInt32}; !reflect.DeepEqual(got, want) {
+		t.Errorf("document frequencies %v, want %v", got, want)
+	}
+	restore(&c, -3)
+	if got := docFreqs(&c); c.NumDocs() != 0 || len(got) != 0 {
+		t.Errorf("restored to a negative count and no frequencies: %d documents, frequencies %v", c.NumDocs(), got)
 	}
 }
 
@@ -399,8 +425,9 @@ func TestAddDocumentAllocs(t *testing.T) {
 func TestCorpusOpWraps(t *testing.T) {
 	docs := [][]string{{"a", "b", "a"}, {"b", "c"}, {"a", "c", "c", "d"}, {"a", "d"}, {"b", "b"}}
 	var want, got Corpus
-	want.Restore(4, map[string]int{"a": 2, "b": 1, "c": 3, "d": 1})
-	got.Restore(4, map[string]int{"a": 2, "b": 1, "c": 3, "d": 1})
+	freqs := []tokenDF{{"a", 2}, {"b", 1}, {"c", 3}, {"d", 1}}
+	restore(&want, 4, freqs...)
+	restore(&got, 4, freqs...)
 	got.op = math.MaxUint32 - 2
 	for _, d := range docs {
 		want.AddDocument(d)

@@ -129,7 +129,7 @@ type step struct {
 // the lake, and adds 36 between them: 31 fresh spec tables, four it removed earlier, and a second
 // over-budget table, which leaves again. The lake's own over-budget table
 // stays, so its vectors must follow every step, and the last step adds, so
-// only AddTable's own refresh leaves them current.
+// only WithTable's own refresh leaves them current.
 func drawHistory(rng *rand.Rand, spec datagen.LakeSpec, l *lake.Lake) []step {
 	names := l.Names()
 	rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
@@ -151,20 +151,28 @@ func drawHistory(rng *rand.Rand, spec datagen.LakeSpec, l *lake.Lake) []step {
 	return append(steps, step{add: spec.Table(spec.Tables + 360)})
 }
 
-// applyHistory runs steps on p through the pipeline. Halfway it asks for a
-// duplicate add and an unknown remove, of the pipeline and of its searcher,
-// which must fail with the typed errors and leave the epoch.
-func applyHistory(t *testing.T, p *Pipeline, steps []step) {
+// applyHistory runs steps from p through the pipeline's successors and
+// returns the last. Halfway it asks for a duplicate add and an unknown
+// remove, of the pipeline and of its searcher, which must return no
+// successor and the typed errors and leave the epoch.
+func applyHistory(t *testing.T, p *Pipeline, steps []step) *Pipeline {
 	t.Helper()
 	e0 := p.Epoch()
 	for i, s := range steps {
 		if i == len(steps)/2 {
 			present, e := p.Lake().Tables()[0], p.Epoch()
+			next, err0 := p.WithTable(present)
+			next1, err1 := p.searcher.WithTable(present)
+			next2, err2 := p.WithoutTable("zz_absent")
+			next3, err3 := p.searcher.WithoutTable("zz_absent")
+			if next != nil || next1 != nil || next2 != nil || next3 != nil {
+				t.Fatalf("history step %d: a failed mutation returned a successor", i)
+			}
 			for _, c := range []struct{ err, want error }{
-				{p.AddTable(present), lake.ErrDuplicateTable},
-				{p.searcher.AddTable(present), search.ErrDuplicateTable},
-				{p.RemoveTable("zz_absent"), lake.ErrUnknownTable},
-				{p.searcher.RemoveTable("zz_absent"), search.ErrUnknownTable},
+				{err0, lake.ErrDuplicateTable},
+				{err1, lake.ErrDuplicateTable},
+				{err2, lake.ErrUnknownTable},
+				{err3, lake.ErrUnknownTable},
 			} {
 				if !errors.Is(c.err, c.want) || p.Epoch() != e {
 					t.Fatalf("history step %d: err = %v at epoch %d, want %v at %d", i, c.err, p.Epoch(), c.want, e)
@@ -173,9 +181,9 @@ func applyHistory(t *testing.T, p *Pipeline, steps []step) {
 		}
 		var err error
 		if s.add != nil {
-			err = p.AddTable(s.add)
+			p, err = p.WithTable(s.add)
 		} else {
-			err = p.RemoveTable(s.remove)
+			p, err = p.WithoutTable(s.remove)
 		}
 		if err != nil {
 			t.Fatalf("history step %d: %v", i, err)
@@ -184,6 +192,7 @@ func applyHistory(t *testing.T, p *Pipeline, steps []step) {
 	if p.Epoch() != e0+uint64(len(steps)) {
 		t.Fatalf("epoch %d after %d mutations from %d", p.Epoch(), len(steps), e0)
 	}
+	return p
 }
 
 // config is one point of the matrix; its name leads with the retriever,
@@ -259,8 +268,8 @@ func ask(p *Pipeline, queries []*table.Table) answers {
 // matrix is what the configurations are checked against: per table set
 // (before and after the history) the reference's rankings and the answers
 // of the anchor, a fresh one-worker exact pipeline over the set in
-// shuffled order. The history's last tail steps run twice, on a clone and
-// after a save and load. coded and cut count the tables the scan's
+// shuffled order. The history's last tail steps run twice, from the
+// pipeline where the tail begins and after a save and load of it. coded and cut count the tables the scan's
 // code bound and float64 bound cut.
 type matrix struct {
 	spec       datagen.LakeSpec
@@ -316,13 +325,13 @@ func (m *matrix) check(t *testing.T, c config, a answers, ref [][]search.Scored,
 // lineage L takes a pipeline at workers [1, 8][L] through five states;
 // state s runs on the generic kernel when s+L is even, so the two lineages
 // run every state at both worker counts and under both kernel bodies.
-// fresh is built over the lake. history runs the history on a clone of it,
-// cloned again where the tail begins. original is fresh after its clone's
-// history, which must answer as before. loaded saves the clone where the
-// tail begins, loads it and runs the tail, which must leave it answering
-// like history. compacted puts a clone of history through one more add and
-// remove, so that its last mutation is a removal; it must answer like
-// history. Every state answers like its anchor.
+// fresh is built over the lake. history runs the history from it through
+// successors, keeping the one where the tail begins. original is fresh
+// after its successors' history, which must answer as before. loaded saves
+// the successor where the tail begins, loads it and runs the tail, which
+// must leave it answering like history. compacted takes history through one
+// more add and remove, so that its last mutation is a removal; it must
+// answer like history. Every state answers like its anchor.
 func (m *matrix) lineage(t *testing.T, L int) {
 	anchor := [2]*answers{&m.anchors[0], &m.anchors[1]}
 	s := 0
@@ -347,17 +356,12 @@ func (m *matrix) lineage(t *testing.T, L int) {
 	})
 	var mid *Pipeline
 	h, ha := state("history", 1, anchor[1], func(config) *Pipeline {
-		if mid = f.Clone(); mid.Epoch() != f.Epoch() {
-			t.Fatalf("clone at epoch %d of an original at %d", mid.Epoch(), f.Epoch())
-		}
-		applyHistory(t, mid, m.steps[:len(m.steps)-m.tail])
-		h := mid.Clone()
-		applyHistory(t, h, tail)
-		return h
+		mid = applyHistory(t, f, m.steps[:len(m.steps)-m.tail])
+		return applyHistory(t, mid, tail)
 	})
 	state("original", 0, &fa, func(config) *Pipeline {
 		if f.Epoch() != 0 || f.Lake().Len() != m.l0.Len() {
-			t.Fatalf("original at epoch %d over %d tables after its clone's history", f.Epoch(), f.Lake().Len())
+			t.Fatalf("original at epoch %d over %d tables after its successors' history", f.Epoch(), f.Lake().Len())
 		}
 		return f
 	})
@@ -376,13 +380,11 @@ func (m *matrix) lineage(t *testing.T, L int) {
 		if p.ConfigTag() != mid.ConfigTag() || p.Epoch() != mid.Epoch() {
 			t.Fatalf("loaded %q at epoch %d, saved %q at %d", p.ConfigTag(), p.Epoch(), mid.ConfigTag(), mid.Epoch())
 		}
-		applyHistory(t, p, tail)
-		return p
+		return applyHistory(t, p, tail)
 	})
 	state("compacted", 1, &ha, func(config) *Pipeline {
-		p, churn := h.Clone(), overBudget("zz_churn", m.spec, 0)
-		applyHistory(t, p, []step{{add: churn}, {remove: churn.Name}})
-		return p
+		churn := overBudget("zz_churn", m.spec, 0)
+		return applyHistory(t, h, []step{{add: churn}, {remove: churn.Name}})
 	})
 }
 

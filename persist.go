@@ -34,68 +34,50 @@ const indexFile = "index.dustidx"
 // ErrNoIndex reports a LoadPipeline directory without an index file.
 var ErrNoIndex = errors.New("dust: no saved index in directory")
 
-// Lake returns the data lake this pipeline searches.
-func (p *Pipeline) Lake() *lake.Lake { return p.lake }
+// Lake returns the data lake this pipeline searches: its searcher's, which
+// nothing may change.
+func (p *Pipeline) Lake() *lake.Lake { return p.searcher.Lake() }
 
 // Epoch returns the pipeline's index mutation epoch: 0 for a freshly built
 // pipeline (or the saved epoch for one warm-started from an index
-// directory), incremented by every successful AddTable/RemoveTable and
-// carried over by Clone. Two pipeline states with different epochs may rank
-// queries differently, so a serving layer reports the epoch of every answer
-// and revalidates a cached one from an older epoch (Revalidate).
+// directory), one more for each WithTable/WithoutTable successor. Two
+// pipeline states with different epochs may rank queries differently, so a
+// serving layer reports the epoch of every answer and revalidates a cached
+// one from an older epoch (Revalidate).
 func (p *Pipeline) Epoch() uint64 { return p.epoch }
 
-// Clone returns an independently mutable copy of the pipeline: the lake and
-// the searcher's mutable containers are copied while the heavy immutable
-// index state (the embedding blocks) is shared, so the clone costs
-// O(tables), not O(index). AddTable/RemoveTable on the clone leave the
-// original — and any queries in flight against it — untouched, which is
-// what lets a serving layer apply mutations on a copy-on-write shadow and
-// atomically swap it in.
-func (p *Pipeline) Clone() *Pipeline {
+// WithTable returns the pipeline one epoch on, whose lake and index hold t
+// too, built by the searcher's delta update — no rebuild — and answering
+// bit-identically to a pipeline constructed from scratch over the grown
+// lake. It shares the receiver's encoders and every embedding block the
+// update does not re-embed, and leaves the receiver, and any query in
+// flight on it, untouched whether it succeeds or fails. A table of t's name
+// already in the lake yields a nil pipeline and lake.ErrDuplicateTable.
+func (p *Pipeline) WithTable(t *table.Table) (*Pipeline, error) {
+	s, err := p.searcher.WithTable(t)
+	if err != nil {
+		return nil, fmt.Errorf("dust: WithTable: %w", err)
+	}
+	return p.successor(s), nil
+}
+
+// WithoutTable is WithTable's dual: the pipeline one epoch on without the
+// named table. A name the lake does not hold yields a nil pipeline and
+// lake.ErrUnknownTable.
+func (p *Pipeline) WithoutTable(name string) (*Pipeline, error) {
+	s, err := p.searcher.WithoutTable(name)
+	if err != nil {
+		return nil, fmt.Errorf("dust: WithoutTable: %w", err)
+	}
+	return p.successor(s), nil
+}
+
+// successor is p over s, one epoch on.
+func (p *Pipeline) successor(s search.Searcher) *Pipeline {
 	c := *p
-	c.lake = p.lake.Clone()
-	c.searcher = p.searcher.CloneWithLake(c.lake)
+	c.searcher = s
+	c.epoch++
 	return &c
-}
-
-// AddTable adds a table to the lake and, via the searcher's delta update,
-// to the search index — no rebuild. Query results afterwards are
-// bit-identical to a pipeline constructed from scratch over the grown lake.
-func (p *Pipeline) AddTable(t *table.Table) error {
-	if err := p.lake.Add(t); err != nil {
-		return err
-	}
-	if err := p.searcher.AddTable(t); err != nil {
-		// Keep lake and index in sync: a table the index refused must not
-		// linger in the lake (the lake Add above was this call's own).
-		_ = p.lake.Remove(t.Name)
-		return err
-	}
-	p.epoch++
-	return nil
-}
-
-// RemoveTable removes a table from the search index and the lake, costing
-// O(delta) instead of a rebuild.
-func (p *Pipeline) RemoveTable(name string) error {
-	// Reject up front a table the lake does not hold, before the index is
-	// touched: not every searcher consults the lake on removal, and a
-	// half-applied removal would leave the index and lake disagreeing.
-	if p.lake.Get(name) == nil {
-		return fmt.Errorf("dust: RemoveTable: %w: %q", lake.ErrUnknownTable, name)
-	}
-	// Searchers un-index while the table is still in the lake (Starmie has
-	// to retire its columns from the corpus).
-	if err := p.searcher.RemoveTable(name); err != nil {
-		return err
-	}
-	// The index has mutated: bump the epoch before the lake sync so a
-	// cache that stamps answers with it can never conflate the new index
-	// state with the old, even if the (practically impossible, membership
-	// was checked above) lake removal fails.
-	p.epoch++
-	return p.lake.Remove(name)
 }
 
 // SaveIndex persists the pipeline's index state as one file under dir so a
