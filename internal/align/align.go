@@ -144,7 +144,8 @@ func HolisticWorkers(cols []Column, workers int) *Result {
 		vecs[i] = c.Vec
 	}
 	m := cluster.NewMatrixWorkers(vecs, vector.Euclidean, workers)
-	dend := cluster.Agglomerative(m, cluster.Options{
+	// BestCut reads the cells that clustering consumes, so cluster a copy.
+	dend := cluster.Agglomerative(m.Clone(), cluster.Options{
 		// Two columns of one table never align. The query is never a lake
 		// table, even when it carries one's name (a query file from the
 		// lake directory, or a /search body's "name").

@@ -3,7 +3,6 @@ package cluster
 import (
 	"cmp"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 
@@ -34,35 +33,6 @@ type Options struct {
 	CannotLink func(i, j int) bool
 }
 
-// workBufs keeps the n² buffers of finished runs — a released cosine Matrix
-// and Agglomerative's working copy of it — for the next ones, so a steady
-// run of clusterings allocates neither. It is a plain free list rather than
-// a sync.Pool because the collector empties a pool every other cycle, and a
-// search allocates enough elsewhere to run several cycles between two
-// clusterings. Runs are CPU-bound, so one matrix and one working copy per
-// processor is all that concurrent runs can use; a run that finds the list
-// empty allocates, and a buffer that finds it full is left to the collector.
-var workBufs = make(chan []float32, 2*runtime.GOMAXPROCS(0))
-
-// takeWorkBuf returns n² cells of scratch with arbitrary contents.
-func takeWorkBuf(n int) []float32 {
-	select {
-	case buf := <-workBufs:
-		if cap(buf) >= n*n {
-			return buf[:n*n]
-		}
-	default:
-	}
-	return make([]float32, n*n)
-}
-
-func returnWorkBuf(buf []float32) {
-	select {
-	case workBufs <- buf:
-	default:
-	}
-}
-
 // Agglomerative clusters the items of m bottom-up with average linkage
 // (UPGMA, the paper's configuration, §6.2.1) using the
 // nearest-neighbour-chain algorithm with Lance-Williams distance updates
@@ -75,21 +45,23 @@ func returnWorkBuf(buf []float32) {
 // which keeps it between them, so the linkage stays reducible. The
 // nearest-neighbour scan and the row update are internal/vector's cluster
 // kernels (vector.NearestLive, vector.AverageLinkage).
+//
+// The run works in m's own cells and consumes them (see Matrix): a caller
+// that reads cells afterwards clusters m.Clone() instead. It panics on a
+// matrix already consumed.
 func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 	n := m.Len()
+	d := m.cells()
+	m.consumed = true
 	dend := &Dendrogram{N: n}
 	if n <= 1 {
 		return dend
 	}
 
-	// Working distance matrix between live clusters, w slots a row. Slot i
-	// initially holds leaf i; a merged cluster keeps the slot of A. Every
-	// cell is overwritten here, so nothing of the run that last held the
-	// buffer survives. The diagonal is +Inf: no slot is its own neighbour.
+	// Working distance matrix between live clusters, w slots a row, in the
+	// matrix's cells. Slot i initially holds leaf i; a merged cluster keeps
+	// the slot of A. The diagonal is +Inf: no slot is its own neighbour.
 	w := n
-	d := takeWorkBuf(n)
-	defer returnWorkBuf(d)
-	copy(d, m.d)
 	inf := float32(math.Inf(1))
 	for i := 0; i < n; i++ {
 		d[i*n+i] = inf

@@ -142,7 +142,7 @@ func TestAgglomerativeKernelsMatchReference(t *testing.T) {
 	}
 	check := func(t *testing.T) {
 		for i, f := range fixtures {
-			if err := sameDendrogram(Agglomerative(f.m, Options{CannotLink: f.cannotLink}), want[i]); err != nil {
+			if err := sameDendrogram(Agglomerative(f.m.Clone(), Options{CannotLink: f.cannotLink}), want[i]); err != nil {
 				t.Fatalf("%s: %v", f.name, err)
 			}
 		}
@@ -156,10 +156,12 @@ func TestAgglomerativeKernelsMatchReference(t *testing.T) {
 
 // BenchmarkAgglomerative times one clustering run of a cosine matrix at the
 // served dimension, duplicates included, under each body of the cluster
-// kernels: n = 1000 is the tall workload's pool.
+// kernels: n = 1000 is the tall workload's pool. Each run consumes the
+// cells, so it first copies them back into one reused matrix.
 func BenchmarkAgglomerative(b *testing.B) {
 	for _, n := range []int{300, 1000} {
 		m := NewMatrix(duplicatedVecs(n, 128), vector.CosineDistance)
+		work := m.Clone()
 		bodies := []string{vector.CosineKernel()}
 		if bodies[0] != "generic" {
 			bodies = append(bodies, "generic")
@@ -170,7 +172,9 @@ func BenchmarkAgglomerative(b *testing.B) {
 					defer vector.ForceGenericKernel()()
 				}
 				for i := 0; i < b.N; i++ {
-					Agglomerative(m, Options{})
+					copy(work.d, m.d)
+					work.consumed = false
+					Agglomerative(work, Options{})
 				}
 			})
 		}

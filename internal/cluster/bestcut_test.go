@@ -38,7 +38,7 @@ func TestBestCutMatchesReference(t *testing.T) {
 			ties := cluster.NewMatrixFromFunc(n, func(i, j int) float64 { return float64((i*j + i + j) % 5) })
 			for _, m := range []*cluster.Matrix{euclid, ties} {
 				for _, link := range links {
-					d := cluster.Agglomerative(m, cluster.Options{CannotLink: link.f})
+					d := cluster.Agglomerative(m.Clone(), cluster.Options{CannotLink: link.f})
 					bounds := [][2]int{{2, n - 1}, {2, n}, {5, n - 1}, {n / 2, n / 2}}
 					for range 4 {
 						lo := rng.Intn(n + 2)
@@ -57,7 +57,7 @@ func TestBestCutMatchesReference(t *testing.T) {
 	t.Run("bounds", func(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 3, 12} {
 			m := cluster.NewMatrix(cluster.DuplicatedVecs(n, 4), vector.Euclidean)
-			d := cluster.Agglomerative(m, cluster.Options{})
+			d := cluster.Agglomerative(m.Clone(), cluster.Options{})
 			for _, b := range [][2]int{{5, 3}, {n + 1, n + 3}, {-3, 1}, {0, n - 1}, {1, n}, {2, n + 9}, {n, n}} {
 				if err := cluster.CheckBestCut(m, d, b[0], b[1]); err != nil {
 					t.Fatal(err)
@@ -91,7 +91,7 @@ func TestBestCutMatchesReference(t *testing.T) {
 				}
 			}
 			m := cluster.NewMatrix(vecs, vector.Euclidean)
-			d := cluster.Agglomerative(m, cluster.Options{CannotLink: func(a, b int) bool {
+			d := cluster.Agglomerative(m.Clone(), cluster.Options{CannotLink: func(a, b int) bool {
 				return cols[a].Table == cols[b].Table && cols[a].IsQuery == cols[b].IsQuery
 			}})
 			if err := cluster.CheckBestCut(m, d, numQuery, len(cols)-1); err != nil {

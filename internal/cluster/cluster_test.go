@@ -201,7 +201,7 @@ func TestSilhouetteQuality(t *testing.T) {
 func TestBestCutFindsTrueK(t *testing.T) {
 	items, _ := threeBlobs(12, 5)
 	m := NewMatrix(items, vector.Euclidean)
-	dend := Agglomerative(m, Options{})
+	dend := Agglomerative(m.Clone(), Options{})
 	_, k, score := BestCut(m, dend, 2, 10)
 	if k != 3 {
 		t.Errorf("BestCut chose k=%d (score %v), want 3", k, score)

@@ -5,10 +5,19 @@
 // rule, §6.2.1) via the nearest-neighbour-chain algorithm, cannot-link
 // constraints (no two columns of the same table may align),
 // silhouette-coefficient model selection, and medoid extraction.
+//
+// Agglomerative clusters in its matrix's own cells and consumes them: a
+// caller that reads cells afterwards (BestCut, a medoid of a matrix built
+// from a function) clusters a Clone. A cosine matrix keeps its unit rows,
+// and its medoid reads them rather than the cells, so DUST's cluster step
+// holds one n² buffer.
 package cluster
 
 import (
 	"math"
+	"runtime"
+	"slices"
+	"sync/atomic"
 
 	"dust/internal/par"
 	"dust/internal/vector"
@@ -16,13 +25,62 @@ import (
 
 // Matrix is a symmetric pairwise distance matrix: n² float32 cells, 4·n²
 // bytes, both halves stored. A cosine matrix takes its cells from the free
-// list Agglomerative's working copy comes from (workBufs) and its owner
-// gives them back with Release, so a steady run of clusterings holds two n²
-// buffers and allocates neither; the cosine path adds a transient 8·n·dim
-// unit-row arena while the matrix is filled.
+// list (workBufs) and its owner gives them back with Release, so a steady
+// run of clusterings holds one n² buffer and allocates none; it also keeps
+// the 8·n·dim unit rows it was filled from until Release, for its medoids.
+// Agglomerative consumes the cells: afterwards At and BestCut panic, and so
+// does Medoid unless the matrix has unit rows.
 type Matrix struct {
-	n int
-	d []float32
+	n        int
+	d        []float32
+	rows     []vector.Vec // cosine matrices only: the unit rows, row-major
+	self     []float64    // cosine matrices only: each row's dot with itself
+	consumed bool         // Agglomerative has clustered in d
+}
+
+// workBufs keeps the n² cells of released cosine matrices for the next
+// ones, so a steady run of clusterings allocates none. It is a plain free
+// list rather than a sync.Pool because the collector empties a pool every
+// other cycle, and a search allocates enough elsewhere to run several
+// cycles between two clusterings. Clustering is CPU-bound, so one buffer
+// per processor is all that concurrent runs can use; a buffer that finds
+// the list full, or is too small for the matrix that takes it, is left to
+// the collector.
+var workBufs = make(chan []float32, runtime.GOMAXPROCS(0))
+
+// bufferBytes counts the bytes of the buffers workBufs hands out, listed
+// or in use, from their allocation until they are left to the collector.
+var bufferBytes atomic.Int64
+
+// BufferBytes returns the bytes of n² buffers the process holds for
+// cosine matrices, listed or in use: at most one buffer per processor, each
+// sized to the largest matrix it has held, once every matrix taken has been
+// released.
+func BufferBytes() int64 { return bufferBytes.Load() }
+
+// takeWorkBuf returns n² cells with arbitrary contents: the first listed
+// buffer large enough, or a new one.
+func takeWorkBuf(n int) []float32 {
+	for {
+		select {
+		case buf := <-workBufs:
+			if cap(buf) >= n*n {
+				return buf[:n*n]
+			}
+			bufferBytes.Add(-4 * int64(cap(buf)))
+		default:
+			bufferBytes.Add(4 * int64(n*n))
+			return make([]float32, n*n)
+		}
+	}
+}
+
+func returnWorkBuf(buf []float32) {
+	select {
+	case workBufs <- buf:
+	default:
+		bufferBytes.Add(-4 * int64(cap(buf)))
+	}
 }
 
 // NewMatrix computes the pairwise distance matrix of items under dist,
@@ -66,8 +124,8 @@ const mirrorBlock = 32
 // to overwrite), the diagonal here, the lower triangle by the mirror.
 func newCosineMatrix(items []vector.Vec, workers int) *Matrix {
 	n := len(items)
-	m := &Matrix{n: n, d: takeWorkBuf(n)}
 	u := vector.NewUnitRows(items)
+	m := &Matrix{n: n, d: takeWorkBuf(n)}
 	forPairedRows(workers, (n+vector.PanelRows-1)/vector.PanelRows, func(p int) {
 		var rows [vector.PanelRows][]float32
 		i0, i1 := p*vector.PanelRows, min((p+1)*vector.PanelRows, n)
@@ -90,6 +148,7 @@ func newCosineMatrix(items []vector.Vec, workers int) *Matrix {
 			}
 		}
 	})
+	m.rows, m.self = u.Unpack()
 	return m
 }
 
@@ -131,53 +190,181 @@ func forPairedRows(workers, n int, fillRow func(i int)) {
 // Len returns the number of items.
 func (m *Matrix) Len() int { return m.n }
 
-// Release hands the matrix's cells to the next clustering run. The matrix
-// must not be used afterwards.
+// Clone returns a copy of m's cells in fresh memory, for a caller that
+// clusters the copy and still reads m. It has no unit rows and never joins
+// the free list.
+func (m *Matrix) Clone() *Matrix {
+	return &Matrix{n: m.n, d: slices.Clone(m.cells())}
+}
+
+// MedoidReadsCells reports whether Medoid reads m's cells — true unless m is
+// a cosine matrix — so that a caller wanting medoids after Agglomerative
+// must cluster a Clone.
+func (m *Matrix) MedoidReadsCells() bool { return m.rows == nil }
+
+// Release hands a cosine matrix's cells back to the free list, clustered or
+// not, and drops its unit rows; a matrix built from a function leaves its
+// cells to the collector. The matrix must not be used afterwards.
 func (m *Matrix) Release() {
-	returnWorkBuf(m.d)
-	m.d = nil
+	if m.rows != nil {
+		returnWorkBuf(m.d)
+	}
+	m.d, m.rows, m.self = nil, nil, nil
+}
+
+// cells returns the matrix's cells, or panics once Agglomerative has
+// consumed them: what they hold then are cluster distances, not items'.
+func (m *Matrix) cells() []float32 {
+	if m.consumed {
+		panic("cluster: distance matrix read after Agglomerative consumed its cells")
+	}
+	return m.d
 }
 
 // At returns the distance between items i and j.
-func (m *Matrix) At(i, j int) float64 { return float64(m.d[i*m.n+j]) }
-
-// medoidParallelThreshold is the member count above which Medoid fans the
-// per-member distance sums out to the worker pool; below it the goroutine
-// overhead dwarfs the O(len(members)^2) scan.
-const medoidParallelThreshold = 128
+func (m *Matrix) At(i, j int) float64 { return float64(m.cells()[i*m.n+j]) }
 
 // Medoid returns the member of the given item set with the minimum total
 // distance to the other members (ties break to the member listed first),
-// sequentially. It panics on an empty set.
+// sequentially. Members are distinct; it panics on an empty set.
 func (m *Matrix) Medoid(members []int) int {
 	return m.MedoidWorkers(members, 1)
 }
 
-// MedoidWorkers is Medoid with an explicit worker bound. Each member's
-// distance sum accumulates sequentially in member order inside one
-// goroutine, and the argmin scan stays sequential, so the selection is
-// bit-identical for every worker count.
+// MedoidWorkers is Medoid with an explicit worker bound. A member's
+// distance sum is accumulated in member order, and the argmin scan is
+// sequential, so the selection is bit-identical for every worker count.
+//
+// A cosine matrix reads its unit rows, not its cells, so it answers after
+// Agglomerative too, and picks the member the cell scan picks, bit for bit
+// (unitMedoid). Any other matrix scans its cells, fanning the members'
+// sums out to the workers above medoidParallelThreshold members.
 func (m *Matrix) MedoidWorkers(members []int, workers int) int {
 	if len(members) == 0 {
 		panic("cluster: Medoid of empty set")
 	}
+	if m.rows != nil {
+		return m.unitMedoid(members)
+	}
+	d := m.cells()
 	if len(members) < medoidParallelThreshold {
 		workers = 1
 	}
 	sums := par.Map(workers, len(members), func(k int) float64 {
 		var sum float64
+		row := d[members[k]*m.n:]
 		for _, j := range members {
-			sum += m.At(members[k], j)
+			sum += float64(row[j])
 		}
 		return sum
 	})
-	best := members[0]
-	bestSum := math.Inf(1)
+	best, bestSum := members[0], math.Inf(1)
 	for k, i := range members {
 		if sums[k] < bestSum {
-			bestSum = sums[k]
-			best = i
+			best, bestSum = i, sums[k]
 		}
 	}
 	return best
+}
+
+// medoidParallelThreshold is the member count above which a cell scan fans
+// the per-member distance sums out to the worker pool; below it the
+// goroutine overhead dwarfs the O(len(members)^2) scan.
+const medoidParallelThreshold = 128
+
+// medoidMargin is how far, in units of the estimate's error bound, a
+// member's estimated sum may lie above the least estimate and still have
+// its exact sum computed. Two is what the bound needs; a test sets it to 0
+// to show that the estimate alone picks other members.
+var medoidMargin = 2.0
+
+// unitMedoid is the cell scan's medoid computed from the unit rows u_i:
+// a cell is 1 − u_i·u_j to within 2⁻²³ (float64 products and sum, then one
+// float32 rounding of the dot and one of the difference), so with S the
+// members' sum vector, member i's sum over the other members is
+//
+//	(|C| − 1) − u_i·S + u_i·u_i
+//
+// to within ε = |C|·2⁻²², the float64 arithmetic of the estimate included.
+// The scan's medoid has an estimate within 2ε of the least one, so only
+// members there are candidates; each candidate's exact sum is then the
+// scan's own, recomputed in member order from cells built by the kernel's
+// per-cell rule (unitSum), and the least one, first on ties, is the scan's
+// medoid. A candidate byte-identical to an earlier one is skipped: their
+// cells agree term by term, or are all exactly 1 for zero rows, so its sum
+// equals the earlier one's and can never be strictly less. A NaN estimate
+// makes every member a candidate.
+func (m *Matrix) unitMedoid(members []int) int {
+	if len(members) <= 2 {
+		return members[0] // one sum, or two of the same cell
+	}
+	sum := make(vector.Vec, len(m.rows[0]))
+	for _, j := range members {
+		vector.AddInPlace(sum, m.rows[j])
+	}
+	// Four members a step.
+	c := float64(len(members))
+	est := make([]float64, len(members))
+	least := math.Inf(1)
+	for k := 0; k < len(members); k += 4 {
+		var a [4]vector.Vec
+		for t := range a {
+			a[t] = m.rows[members[min(k+t, len(members)-1)]]
+		}
+		d := vector.Dots(&a, &[4]vector.Vec{sum, sum, sum, sum})
+		for t := 0; t < 4 && k+t < len(members); t++ {
+			est[k+t] = c - 1 - d[t] + m.self[members[k+t]]
+			least = min(least, est[k+t]) // NaN if any estimate is
+		}
+	}
+	eps := c * 0x1p-22
+	bound := least + float64(medoidMargin*eps) // NaN keeps every member
+	var seen []vector.Vec                      // distinct candidate rows so far
+	best, bestSum := members[0], math.Inf(1)
+	for k, i := range members {
+		row := m.rows[i]
+		if est[k] > bound || repeatsRow(seen, row, m.self[i]) {
+			continue
+		}
+		seen = append(seen, row)
+		if s := m.unitSum(i, members); s < bestSum {
+			best, bestSum = i, s
+		}
+	}
+	return best
+}
+
+// unitSum is member i's distance sum as the cell scan adds it: in member
+// order, each cell by the kernel's rule, the diagonal 0. Four cells a step.
+func (m *Matrix) unitSum(i int, members []int) float64 {
+	a := m.rows[i]
+	var s float64
+	for k := 0; k < len(members); k += 4 {
+		var b [4]vector.Vec
+		for t := range b {
+			b[t] = m.rows[members[min(k+t, len(members)-1)]]
+		}
+		d := vector.Dots(&[4]vector.Vec{a, a, a, a}, &b)
+		for t := 0; t < 4 && k+t < len(members); t++ {
+			if members[k+t] != i {
+				s += float64(vector.UnitDistance(d[t]))
+			}
+		}
+	}
+	return s
+}
+
+// repeatsRow reports whether row is byte-identical to one already seen and
+// its exact sum therefore equal to that one's: its distance to a copy of
+// itself (the cell of self, its dot with itself) is 0, or it is a zero row,
+// at distance exactly 1 from every row.
+func repeatsRow(seen []vector.Vec, row vector.Vec, self float64) bool {
+	if vector.UnitDistance(self) != 0 && slices.ContainsFunc(row, func(x float64) bool { return x != 0 }) {
+		return false
+	}
+	return slices.ContainsFunc(seen, func(r vector.Vec) bool {
+		return slices.EqualFunc(r, row, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		})
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -111,45 +112,39 @@ func TestNonCosineTakesGenericPath(t *testing.T) {
 	}
 }
 
-// drainWorkBufs empties Agglomerative's scratch list, so the next run works
-// in a freshly allocated buffer, as the first run of a process does.
+// drainWorkBufs empties the free list of n² buffers, so the next cosine
+// matrix is built in a freshly allocated one, as the first of a process is.
 func drainWorkBufs() {
 	for {
 		select {
-		case <-workBufs:
+		case buf := <-workBufs:
+			bufferBytes.Add(-4 * int64(cap(buf)))
 		default:
 			return
 		}
 	}
 }
 
-// TestAgglomerativeScratchLeaksNothing runs two different problems through
-// the recycled working matrix — each first in a fresh buffer, then back to
-// back in buffers the other one dirtied (larger and smaller), then from
-// concurrent goroutines — and requires the same dendrogram every time. The
-// cosine matrix comes off the same free list: built in a released buffer
-// poisoned with NaN, larger than needed and exactly as large, it has the
-// cells of one built in fresh memory.
+// TestAgglomerativeScratchLeaksNothing: clustering consumes a cosine
+// matrix's cells, and Release lists the buffer with cluster distances, a
+// +Inf diagonal and compacted rows in it. A matrix built in such a buffer —
+// or in one poisoned with NaN, larger than needed and exactly as large — has
+// the cells of one built in fresh memory and clusters to the same
+// dendrogram: first in a fresh buffer, then back to back in buffers the
+// other problem dirtied (larger and smaller), then from concurrent
+// goroutines.
 func TestAgglomerativeScratchLeaksNothing(t *testing.T) {
-	type problem struct {
-		m    *Matrix
-		opts Options
-		want *Dendrogram
-	}
 	for _, n := range []int{1, 2, 31, 32, 33, 257} {
 		items := awkwardVecs(n, 16)
 		drainWorkBufs()
 		fresh := NewMatrixWorkers(items, vector.CosineDistance, 2)
 		for _, side := range []int{n, n + 3} {
 			drainWorkBufs()
-			poisoned := &Matrix{n: side, d: make([]float32, side*side)}
-			for i := range poisoned.d {
-				poisoned.d[i] = float32(math.NaN())
+			poison := takeWorkBuf(side)
+			for i := range poison {
+				poison[i] = float32(math.NaN())
 			}
-			poisoned.Release()
-			if poisoned.d != nil || len(workBufs) != 1 {
-				t.Fatalf("Release left %d cells with the matrix and %d buffers on the list", len(poisoned.d), len(workBufs))
-			}
+			returnWorkBuf(poison)
 			reused := NewMatrixWorkers(items, vector.CosineDistance, 2)
 			if len(workBufs) != 0 {
 				t.Fatalf("n=%d: the matrix did not take the listed buffer", n)
@@ -157,22 +152,42 @@ func TestAgglomerativeScratchLeaksNothing(t *testing.T) {
 			if !reflect.DeepEqual(reused.d, fresh.d) {
 				t.Fatalf("n=%d: matrix built in a poisoned %dx%d buffer differs from the fresh one", n, side, side)
 			}
+			reused.Release()
+			if reused.d != nil || len(workBufs) != 1 {
+				t.Fatalf("Release left %d cells with the matrix and %d buffers on the list", len(reused.d), len(workBufs))
+			}
 		}
 	}
-	big := &problem{m: NewMatrix(awkwardVecs(257, 16), vector.CosineDistance), opts: Options{}}
+	type problem struct {
+		items []vector.Vec
+		opts  Options
+		want  *Dendrogram
+	}
+	big := &problem{items: awkwardVecs(257, 16)}
 	small := &problem{
-		m:    NewMatrix(syntheticVecs(60, 5), vector.Euclidean),
-		opts: Options{CannotLink: func(i, j int) bool { return i/4 == j/4 }},
+		items: duplicatedVecs(60, 5),
+		opts:  Options{CannotLink: func(i, j int) bool { return i/4 == j/4 }},
+	}
+	run := func(p *problem) *Dendrogram {
+		m := NewMatrixWorkers(p.items, vector.CosineDistance, 1)
+		defer m.Release()
+		return Agglomerative(m, p.opts)
 	}
 	for _, p := range []*problem{big, small} {
 		drainWorkBufs()
-		p.want = Agglomerative(p.m, p.opts)
+		m := NewMatrix(p.items, vector.CosineDistance)
+		cells := slices.Clone(m.d)
+		p.want = Agglomerative(m, p.opts)
 		if len(p.want.Merges) == 0 {
 			t.Fatal("fixture produced no merges")
 		}
+		if slices.Equal(m.d, cells) {
+			t.Fatal("clustering left the cells as built: the buffers below would not be dirty")
+		}
+		m.Release()
 	}
 	check := func(label string, p *problem) error {
-		if got := Agglomerative(p.m, p.opts); !reflect.DeepEqual(got, p.want) {
+		if got := run(p); !reflect.DeepEqual(got, p.want) {
 			return fmt.Errorf("%s: dendrogram differs from the fresh-buffer run", label)
 		}
 		return nil

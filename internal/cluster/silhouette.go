@@ -20,6 +20,9 @@ import "math"
 // additions in the same order as scoring it from scratch — bit for bit —
 // at n·|merged| additions a merge instead of n² a cut, and only the winner
 // is cut.
+//
+// BestCut reads m's cells, so d must come from clustering a Clone of m: it
+// panics on a matrix Agglomerative has consumed.
 func BestCut(m *Matrix, d *Dendrogram, minK, maxK int) (labels []int, k int, score float64) {
 	minK = max(minK, 2)
 	maxK = min(maxK, d.N)
@@ -91,7 +94,7 @@ func newSweep(m *Matrix, d *Dendrogram, t int) *sweep {
 	// Summing over the items in ascending order adds each cluster's members
 	// in ascending order.
 	for i := 0; i < n; i++ {
-		row, dist := s.mean[i*n:(i+1)*n], m.d[i*n:(i+1)*n]
+		row, dist := s.mean[i*n:(i+1)*n], m.cells()[i*n:(i+1)*n]
 		for j, c := range s.slot {
 			if j != i {
 				row[c] += float64(dist[j])

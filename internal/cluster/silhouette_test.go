@@ -122,7 +122,7 @@ func FuzzBestCut(f *testing.F) {
 		if g := int(groups % 16); g > 0 {
 			opts.CannotLink = func(i, j int) bool { return i%g == j%g }
 		}
-		if err := checkBestCut(m, Agglomerative(m, opts), int(minK), int(maxK)); err != nil {
+		if err := checkBestCut(m, Agglomerative(m.Clone(), opts), int(minK), int(maxK)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -138,7 +138,7 @@ func universe65() (*Matrix, *Dendrogram) {
 	}
 	table := func(i int) int { return (i + 1) / 6 }
 	m := NewMatrix(items, vector.Euclidean)
-	return m, Agglomerative(m, Options{CannotLink: func(i, j int) bool { return table(i) == table(j) }})
+	return m, Agglomerative(m.Clone(), Options{CannotLink: func(i, j int) bool { return table(i) == table(j) }})
 }
 
 // TestBestCutAllocs caps BestCut's allocations on a 65-item universe: the

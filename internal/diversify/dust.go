@@ -143,7 +143,13 @@ func clusterReps(p Problem, kept []int, numClusters int, pick func(m *cluster.Ma
 	}
 	m := cluster.NewMatrixWorkers(Gather(p.Tuples, kept), p.Dist, p.Workers)
 	defer m.Release()
-	dend := cluster.Agglomerative(m, cluster.Options{})
+	// Clustering consumes the cells; only a non-cosine Dist (CLT and the
+	// ablations) has medoids that read them afterwards.
+	work := m
+	if m.MedoidReadsCells() {
+		work = m.Clone()
+	}
+	dend := cluster.Agglomerative(work, cluster.Options{})
 	labels, k := dend.Cut(numClusters)
 	var out []int
 	for _, members := range cluster.Members(labels, k) {

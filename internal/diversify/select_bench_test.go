@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dust/internal/cluster"
 	"dust/internal/embed"
 	"dust/internal/vector"
 )
@@ -59,19 +60,20 @@ func BenchmarkSelect(b *testing.B) {
 
 // TestSelectAllocBytes pins the steady-state memory of one Select at the
 // tall shape: the unit-row arena and small per-call slices. The distance
-// matrix and the clustering's working copy of it are recycled (a free list
-// the collector cannot empty), so after the first call neither n² buffer
-// may show up.
+// matrix is recycled (a free list the collector cannot empty) and clustering
+// works in its cells, so after the first call no n² buffer may show up, and
+// the process holds exactly one: the matrix's.
 func TestSelectAllocBytes(t *testing.T) {
 	const n = 1000
 	p := servedProblem(n)
 	algo := NewDUST()
-	// The first calls allocate both matrices, once the buffers smaller
-	// problems left on the list are used up.
+	// The first call allocates the matrix, dropping the smaller buffers
+	// other problems left on the list.
 	for i := 0; i < 3; i++ {
 		algo.Select(p)
 	}
 	const runs = 5
+	held := cluster.BufferBytes()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -82,5 +84,8 @@ func TestSelectAllocBytes(t *testing.T) {
 	limit := uint64(8*n*embed.DefaultDim + 512<<10) // 1.5 MB, against 4 MB for one matrix
 	if perOp > limit {
 		t.Errorf("Select allocates %d bytes per call at n=%d, want <= %d", perOp, n, limit)
+	}
+	if got, want := cluster.BufferBytes(), int64(4*n*n); got != want || held != want {
+		t.Errorf("the process holds %d bytes of n² buffers after warm-up and %d after %d more Selects at n=%d, want one buffer of %d", held, got, runs, n, want)
 	}
 }

@@ -78,13 +78,15 @@ func cltShapes(seed int64) []diversify.Problem {
 
 // cltReference is CLT from scratch: cut the average-linkage dendrogram of
 // all tuples into k clusters and return each cluster's medoid, by index.
+// Clustering consumes the cells a Euclidean medoid reads, so it clusters a
+// copy.
 func cltReference(p diversify.Problem) []int {
 	p = p.Normalized()
 	if p.K == 0 {
 		return nil
 	}
 	m := cluster.NewMatrix(p.Tuples, p.Dist)
-	labels, k := cluster.Agglomerative(m, cluster.Options{}).Cut(p.K)
+	labels, k := cluster.Agglomerative(m.Clone(), cluster.Options{}).Cut(p.K)
 	var out []int
 	for _, members := range cluster.Members(labels, k) {
 		out = append(out, m.Medoid(members))

@@ -11,6 +11,7 @@ import (
 
 	"dust"
 	"dust/internal/align"
+	"dust/internal/cluster"
 	"dust/internal/embed"
 	"dust/internal/obs"
 	"dust/internal/search"
@@ -174,6 +175,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.NewGaugeFunc("dust_embed_token_vector_bytes",
 		"Bytes the encode kernel's token-vector tables hold (bounded: one 2 MB table plus GOMAXPROCS-1 of 512 KB, with tags and scratch), plus, while an index build runs, its hot set (at most 4 MB of vectors, not held after the build).", nil,
 		func(emit func(float64, ...string)) { emit(float64(embed.TokenVectorBytes())) })
+	r.NewGaugeFunc("dust_cluster_buffer_bytes",
+		"Bytes of n² distance-matrix buffers DUST's cluster step holds, listed for the next search or in use: at most one per processor, each 4·n² for the largest pool (n rows after pruning) it has clustered.", nil,
+		func(emit func(float64, ...string)) { emit(float64(cluster.BufferBytes())) })
 
 	r.NewCounterFunc("dust_align_column_vectors_total",
 		"Lake columns embedded for alignment in this process: hit = vector read back from the column-vector memo, miss = encoded and kept, unstorable = encoded against the request's corpus (a column over the token budget) and not kept; evicted = kept vectors dropped to stay within the memo's byte bound.",

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"dust"
+	"dust/internal/cluster"
 	"dust/internal/table"
 	"dust/internal/vector"
 )
@@ -275,6 +276,12 @@ func TestMetricsExposition(t *testing.T) {
 	maxBytes := 1.1 * (bigTable + spare*float64(runtime.GOMAXPROCS(0)-1))
 	if n := sampleValue(t, text, "dust_embed_token_vector_bytes"); n < bigTable || n > maxBytes {
 		t.Errorf("dust_embed_token_vector_bytes = %v, want within [%v, %v]", n, bigTable, maxBytes)
+	}
+
+	// The served search clustered its pool in one listed n² buffer, and the
+	// gauge reads the process's count of such buffers.
+	if n := sampleValue(t, text, "dust_cluster_buffer_bytes"); n <= 0 || n != float64(cluster.BufferBytes()) {
+		t.Errorf("dust_cluster_buffer_bytes = %v, want the process's %d, above 0", n, cluster.BufferBytes())
 	}
 
 	// The kernel body this process selected is named, as one series.

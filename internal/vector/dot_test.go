@@ -128,7 +128,7 @@ func sweepCosine(t *testing.T, rng *rand.Rand) {
 		var want [maxRows][maxRows]float32
 		for i := range want {
 			for j := range want[i] {
-				want[i][j] = unitDistance(naiveDot(full.row(i), PanelRows, full.row(j), PanelRows, dim))
+				want[i][j] = UnitDistance(naiveDot(full.row(i), PanelRows, full.row(j), PanelRows, dim))
 			}
 			if dup := i / 2; i%5 == 4 && slices.Equal(vs[i], vs[dup]) && Norm(vs[i]) != 0 && want[i][dup] != 0 {
 				t.Fatalf("dim %d: naive distance between row %d and its copy %d is %g, want exactly 0", dim, i, dup, want[i][dup])

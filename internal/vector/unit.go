@@ -82,10 +82,57 @@ func (u *UnitRows) CosineDistances(p, lo int, out *[PanelRows][]float32) {
 				continue
 			}
 			for j := max(j0, lo); j < min(j0+tileCols, u.n); j++ {
-				o[j] = unitDistance(s[r*tileCols+j-j0])
+				o[j] = UnitDistance(s[r*tileCols+j-j0])
 			}
 		}
 	}
+}
+
+// Unpack rearranges the arena in place into row-major rows, row i's
+// element k at rows[i][k], and returns them with each row's Dot with itself
+// (bit for bit): the layout a per-row pass reads contiguously, once the
+// matrix no longer needs the panels. u must not be used afterwards.
+func (u *UnitRows) Unpack() (rows []Vec, self []float64) {
+	rows, self = make([]Vec, u.n), make([]float64, u.n)
+	dim := u.dim
+	scratch := make([]float64, dim*PanelRows)
+	for p := 0; p*PanelRows < u.n; p++ {
+		panel := u.panel(p, 1)
+		copy(scratch, panel)
+		r0, r1, r2, r3 := panel[:dim], panel[dim:2*dim], panel[2*dim:3*dim], panel[3*dim:]
+		var s0, s1, s2, s3 float64
+		for k := range r0 {
+			x := (*[PanelRows]float64)(scratch[k*PanelRows:])
+			r0[k], r1[k], r2[k], r3[k] = x[0], x[1], x[2], x[3]
+			s0 += float64(x[0] * x[0])
+			s1 += float64(x[1] * x[1])
+			s2 += float64(x[2] * x[2])
+			s3 += float64(x[3] * x[3])
+		}
+		i := p * PanelRows
+		copy(rows[i:], [][]float64{r0, r1, r2, r3})
+		copy(self[i:], []float64{s0, s1, s2, s3})
+	}
+	u.a = nil
+	return rows, self
+}
+
+// Dots returns Dot(a[t], b[t]) for t < 4, bit for bit: four one-accumulator
+// sums in element order, interleaved so that the four additions of a step
+// do not wait on each other. The eight rows are equally long; a row may
+// appear more than once.
+func Dots(a, b *[4]Vec) [4]float64 {
+	n := len(a[0])
+	a0, a1, a2, a3 := a[0][:n], a[1][:n], a[2][:n], a[3][:n]
+	b0, b1, b2, b3 := b[0][:n], b[1][:n], b[2][:n], b[3][:n]
+	var s0, s1, s2, s3 float64
+	for k := 0; k < n; k++ {
+		s0 += float64(a0[k] * b0[k])
+		s1 += float64(a1[k] * b1[k])
+		s2 += float64(a2[k] * b2[k])
+		s3 += float64(a3[k] * b3[k])
+	}
+	return [4]float64{s0, s1, s2, s3}
 }
 
 // QueryPanels is the query side of the exact scan: a handful of rows, stored
@@ -136,13 +183,16 @@ func (q *QueryPanels) DotBlock(p int, block []float64, w []float64) {
 	}
 }
 
-// unitDistance maps the dot product of two unit rows to a cosine distance
-// in [0, 2]. The similarity is rounded to float32 — the precision the
-// distance is stored at — before it is subtracted from 1: the dot of a
-// normalised row with a byte-identical copy lands within a few float64 ulps
-// of 1, rounds to exactly 1, and the distance between copies is exactly 0
-// rather than rounding noise.
-func unitDistance(dot float64) float32 {
+// UnitDistance maps the dot product of two unit rows to a cosine distance
+// in [0, 2]: the cell CosineDistances writes. The similarity is rounded to
+// float32 — the precision the distance is stored at — before it is
+// subtracted from 1: the dot of a normalised row with a byte-identical copy
+// lands within a few float64 ulps of 1, rounds to exactly 1, and the
+// distance between copies is exactly 0 rather than rounding noise. Given
+// the Dot of two rows as Unpack returns them — Dot is the kernel's per-cell
+// rule — it is the kernel's cell bit for bit on every body and
+// architecture.
+func UnitDistance(dot float64) float32 {
 	d := 1 - float32(dot)
 	if d < 0 {
 		return 0

@@ -213,3 +213,58 @@ func TestDotRowsPureCells(t *testing.T) {
 		}
 	})
 }
+
+// TestUnpackedRowsGiveTheCells holds the one-cell rule to the kernel: once
+// unpacked, the rows are the normalised inputs and self their Dots with
+// themselves, bit for bit; for every
+// ordered pair of distinct rows — zero rows, byte-identical copies and rows
+// at every scale among them — UnitDistance of their Dot is the cell
+// CosineDistances wrote before, under both bodies; and Dots is four Dots.
+func TestUnpackedRowsGiveTheCells(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		for _, n := range []int{0, 1, 5, 23} {
+			for _, dim := range []int{1, 3, 16, 127, 128} {
+				vs := randomVecs(rng, n, dim)
+				if n > 17 {
+					vs[4], vs[9], vs[17] = make(Vec, dim), make(Vec, dim), vs[2]
+				}
+				u := NewUnitRows(vs)
+				cells := make([][]float32, n)
+				for i := range cells {
+					cells[i] = make([]float32, n)
+					rowDistances(u, i, 0, cells[i])
+				}
+				rows, self := u.Unpack()
+				if len(rows) != n || len(self) != n {
+					t.Fatalf("Unpack returned %d rows and %d self-dots, want %d", len(rows), len(self), n)
+				}
+				for i, v := range vs {
+					for k, x := range v {
+						want := 0.0
+						if norm := Norm(v); norm != 0 {
+							want = x / norm
+						}
+						if math.Float64bits(rows[i][k]) != math.Float64bits(want) {
+							t.Fatalf("n %d dim %d: row %d element %d = %v, want %v", n, dim, i, k, rows[i][k], want)
+						}
+					}
+					if math.Float64bits(self[i]) != math.Float64bits(Dot(rows[i], rows[i])) {
+						t.Fatalf("n %d dim %d: row %d's self-dot %v, Dot %v", n, dim, i, self[i], Dot(rows[i], rows[i]))
+					}
+					for j := range vs {
+						if got := UnitDistance(Dot(rows[i], rows[j])); j != i && got != cells[i][j] {
+							t.Fatalf("n %d dim %d: UnitDistance of rows %d and %d = %v, kernel cell %v", n, dim, i, j, got, cells[i][j])
+						}
+						d := Dots(&[4]Vec{rows[i], rows[j], rows[i], rows[0]}, &[4]Vec{rows[j], rows[i], rows[i], rows[j]})
+						for l, want := range []float64{Dot(rows[i], rows[j]), Dot(rows[j], rows[i]), Dot(rows[i], rows[i]), Dot(rows[0], rows[j])} {
+							if math.Float64bits(d[l]) != math.Float64bits(want) {
+								t.Fatalf("n %d dim %d: Dots[%d] for rows %d, %d = %v, Dot %v", n, dim, l, i, j, d[l], want)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
