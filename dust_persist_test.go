@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"dust/internal/codec"
 	"dust/internal/datagen"
@@ -409,7 +410,9 @@ func TestLoadPipelineRetiredKind(t *testing.T) {
 // the size of its file: both stream, so neither holds the payload whole. A
 // save allocates its sorted document frequencies and its buffer, a load the
 // index it fills (the embedding blocks, which are most of the file, and
-// their codes) and the corpus.
+// their codes) and the corpus. The blocks and codes are mapped outside the
+// heap (search.RegionBytes), so what is counted is the heap's allocations
+// plus the growth of the mapped bytes.
 func TestIndexFileAllocs(t *testing.T) {
 	spec, err := datagen.ParseLakeSpec("tables=1000,rows=12,seed=7,zipf=1.5,parents=11,fk=0.3,null=0.01")
 	if err != nil {
@@ -421,13 +424,24 @@ func TestIndexFileAllocs(t *testing.T) {
 	allocated := func(fn func() error) float64 {
 		t.Helper()
 		var before, after runtime.MemStats
-		runtime.GC()
+		// Collect until every dropped region is unmapped, so that none is
+		// released while fn runs and taken off its growth.
+		for still, last := 0, int64(-1); still < 3; {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+			if n := search.RegionBytes(); n != last {
+				still, last = 0, n
+			} else {
+				still++
+			}
+		}
+		mapped := search.RegionBytes()
 		runtime.ReadMemStats(&before)
 		if err := fn(); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc - before.TotalAlloc)
+		return float64(after.TotalAlloc-before.TotalAlloc) + float64(search.RegionBytes()-mapped)
 	}
 	save := allocated(func() error { return p.SaveIndex(dir) })
 	size := float64(len(readIndex(t, dir)))

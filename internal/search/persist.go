@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 
 	"dust/internal/codec"
@@ -30,7 +31,7 @@ func (s *Starmie) Save(w io.Writer) error {
 	var freqs []df
 	s.corpus.DocFreqs(func(tok string, n int) { freqs = append(freqs, df{tok, n}) })
 	sort.Slice(freqs, func(i, j int) bool { return freqs[i].tok < freqs[j].tok })
-	return codec.WriteEnvelope(w, codec.KindStarmie, StarmieFormatVersion, func(e *codec.Encoder) error {
+	err := codec.WriteEnvelope(w, codec.KindStarmie, StarmieFormatVersion, func(e *codec.Encoder) error {
 		e.String(s.enc.Name())
 		e.String(s.enc.Model.Fingerprint())
 		e.Int(s.enc.Dim())
@@ -57,6 +58,8 @@ func (s *Starmie) Save(w io.Writer) error {
 		}
 		return nil
 	})
+	runtime.KeepAlive(s.region)
+	return err
 }
 
 // LoadStarmie reads an index written by Starmie.Save and attaches it to l,
@@ -104,7 +107,7 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 		// before the mismatch, which the checks after the load find. The
 		// codes are not saved: they are derived from the loaded blocks once
 		// the CRC has passed.
-		s.idx = carveIndex(l.Tables(), dim)
+		s.idx, s.region = carveIndex(l.Tables(), dim)
 		scratch := make([]float64, dim)
 		nTables := d.Int()
 		tabs = make([]saved, 0, min(nTables, l.Len()))
@@ -164,5 +167,6 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 		e := &s.idx.entries[i]
 		e.code.Quantize(e.block, dim)
 	})
+	runtime.KeepAlive(s.region)
 	return s, nil
 }

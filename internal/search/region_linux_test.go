@@ -1,0 +1,92 @@
+package search
+
+import (
+	"bytes"
+	"context"
+	"runtime"
+	"sync"
+	"syscall"
+	"testing"
+)
+
+// protectRegions makes every region mapped during the test release its
+// pages and protect them instead of unmapping them: a block read after its
+// region was released faults at once, where an unmapped address could have
+// been mapped again since and read back without a fault.
+func protectRegions(t *testing.T) {
+	releaseRegion = func(b []byte) error {
+		if err := syscall.Madvise(b, syscall.MADV_DONTNEED); err != nil {
+			return err
+		}
+		return syscall.Mprotect(b, syscall.PROT_NONE)
+	}
+	t.Cleanup(func() { releaseRegion = unmapAnon })
+}
+
+// TestScansOutliveTheirSearcher runs scans on views whose every other
+// reference is dropped — the view is loaded, copied and discarded in the
+// expression that scans it — while another goroutine runs the collector in
+// a loop, with released regions protected: the methods that scan keep the
+// region alive until they return, so no scan faults and every answer is
+// the one recorded from a searcher the test holds. The rankings are of
+// every table (k = 0), which the scan scores in full like ScoreTables,
+// so that each scan is long enough for a collection to finish within it.
+func TestScansOutliveTheirSearcher(t *testing.T) {
+	protectRegions(t)
+	spec := wideSpec(1500)
+	l := spec.Generate()
+	held := NewStarmie(l).QueryWorkers(1)
+	var data bytes.Buffer
+	if err := held.(*Starmie).Save(&data); err != nil {
+		t.Fatal(err)
+	}
+	pqs := wideQueries(held, spec, 4)
+	names := l.Names()
+	view := func() *Starmie {
+		s, err := LoadStarmie(bytes.NewReader(data.Bytes()), l)
+		if err != nil {
+			panic(err)
+		}
+		return s.QueryWorkers(1).(*Starmie)
+	}
+	ctx := context.Background()
+	want, wantScores := make([][]Scored, len(pqs)), make([][]Scored, len(pqs))
+	for i, pq := range pqs {
+		want[i], _ = held.TopKPrepared(ctx, pq, 0)
+		wantScores[i], _ = held.ScoreTables(pq, names)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.GC()
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+	rounds := 12
+	if testing.Short() {
+		rounds = 4
+	}
+	for r := 0; r < rounds; r++ {
+		for i, pq := range pqs {
+			got, err := view().TopKPrepared(ctx, pq, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameHits(t, "ranking of a dropped view", got, want[i])
+			scores, err := view().ScoreTables(pq, names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameHits(t, "scores of a dropped view", scores, wantScores[i])
+		}
+	}
+}

@@ -155,7 +155,7 @@ func TestScoreExitsAreExact(t *testing.T) {
 		_, total := match.MaxWeight(w)
 		want := total / float64(nq)
 
-		sc.s, sc.q, sc.cands = s, q, []entry{*e}
+		sc.scanConf, sc.q, sc.cands = s.scanConf(), q, []entry{*e}
 		reach := sc.reach(0)
 		if !(reach >= want) {
 			t.Fatalf("trial %d: reach %v below the score %v (w=%v)", trial, reach, want, w)
@@ -163,21 +163,21 @@ func TestScoreExitsAreExact(t *testing.T) {
 		// With no reach the code walk starts at row 0; with the stored one
 		// it resumes after the first panel.
 		for _, reach := range []float64{math.Inf(1), storeReach(reach).value()} {
-			got, exit := sc.score(s, q, e, math.Inf(-1), reach)
+			got, exit := sc.with(s).score(q, e, math.Inf(-1), reach)
 			if got != want || exit <= ScanBounded {
 				t.Fatalf("trial %d: score %v (exit %d), Hungarian %v (w=%v)", trial, got, exit, want, w)
 			}
 			exits[exit]++
-			if tied, exit := sc.score(s, q, e, want, reach); tied != want || exit <= ScanBounded {
+			if tied, exit := sc.with(s).score(q, e, want, reach); tied != want || exit <= ScanBounded {
 				t.Fatalf("trial %d: floor == score cut the table or moved its score: %v exit %d (w=%v)", trial, tied, exit, w)
 			}
 			for _, floor := range []float64{math.Nextafter(want, 2), want + 0.05, want + 0.3, 1} {
-				if _, exit := sc.score(s, q, e, floor, reach); exit <= ScanBounded {
+				if _, exit := sc.with(s).score(q, e, floor, reach); exit <= ScanBounded {
 					exits[exit]++
 				}
 			}
 			for _, floor := range []float64{math.Nextafter(want, -1), want - 0.05, 0} {
-				if _, exit := sc.score(s, q, e, floor, reach); exit <= ScanBounded {
+				if _, exit := sc.with(s).score(q, e, floor, reach); exit <= ScanBounded {
 					t.Fatalf("trial %d: floor %v cut a table scoring %v (w=%v)", trial, floor, want, w)
 				}
 			}
@@ -197,11 +197,11 @@ func TestGreedyExitNeedsDistinctMaxima(t *testing.T) {
 	var sc scan
 	hi, mid, lo := 0.9, 0.8, 0.7
 	s, q, e := weightsSearcher([][]float64{{hi, mid}, {lo, 0.1}}, 0)
-	if got, exit := sc.score(s, q, e, math.Inf(-1), math.Inf(1)); got != (mid+lo)/2 || exit != ScanMatched {
+	if got, exit := sc.with(s).score(q, e, math.Inf(-1), math.Inf(1)); got != (mid+lo)/2 || exit != ScanMatched {
 		t.Errorf("colliding maxima: score %v exit %d, want 0.75 by matching", got, exit)
 	}
 	s, q, e = weightsSearcher([][]float64{{hi, 0.1}, {0.2, mid}}, 0)
-	if got, exit := sc.score(s, q, e, math.Inf(-1), math.Inf(1)); got != (hi+mid)/2 || exit != ScanGreedy {
+	if got, exit := sc.with(s).score(q, e, math.Inf(-1), math.Inf(1)); got != (hi+mid)/2 || exit != ScanGreedy {
 		t.Errorf("distinct maxima: score %v exit %d, want 0.85 by the shortcut", got, exit)
 	}
 }
@@ -213,7 +213,7 @@ func TestScoreDropsSimAtMinSim(t *testing.T) {
 	above := math.Nextafter(minSim, 1)
 	s, q, e := weightsSearcher([][]float64{{minSim, 0.1}, {0.2, above}}, minSim)
 	var sc scan
-	if got, _ := sc.score(s, q, e, math.Inf(-1), math.Inf(1)); got != above/2 {
+	if got, _ := sc.with(s).score(q, e, math.Inf(-1), math.Inf(1)); got != above/2 {
 		t.Errorf("Score = %v, want %v: only the cell above MinSim counts", got, above/2)
 	}
 }
@@ -467,7 +467,7 @@ func TestCodeCutIsBoundedCut(t *testing.T) {
 					ub += best
 					floatCut = cannotReach(ub, i, nq, floor)
 				}
-				switch _, exit := sc.score(s, q, &e, floor, math.Inf(1)); {
+				switch _, exit := sc.with(s).score(q, &e, floor, math.Inf(1)); {
 				case exit == ScanCoded && !floatCut:
 					t.Fatalf("query %d, table %q, floor %v: the code bound cut a table the float64 bound keeps", qi, e.t.Name, floor)
 				case exit == ScanCoded:
@@ -475,14 +475,15 @@ func TestCodeCutIsBoundedCut(t *testing.T) {
 				case floatCut:
 					bounded++
 				}
-				sc.s, sc.q, sc.cands = s, q, []entry{e}
+				sc.scanConf, sc.q, sc.cands = s.scanConf(), q, []entry{e}
 				resumed := storeReach(sc.reach(0)).value()
-				if _, exit := sc.score(s, q, &e, floor, resumed); exit == ScanCoded && !floatCut {
+				if _, exit := sc.with(s).score(q, &e, floor, resumed); exit == ScanCoded && !floatCut {
 					t.Fatalf("query %d, table %q, floor %v: the code bound, resumed from the stored reach %v, cut a table the float64 bound keeps", qi, e.t.Name, floor, resumed)
 				}
 			}
 		}
 	}
+	runtime.KeepAlive(s) // the loop read s's blocks by hand: its region stays mapped until here
 	t.Logf("cut by the code bound %d, by the float64 bound after it %d", coded, bounded)
 	if coded < 4*bounded {
 		t.Errorf("the code bound cut %d tables and left %d for the float64 bound: want at least four in five", coded, bounded)
@@ -514,7 +515,7 @@ func referenceRanking(s *Starmie, q *table.Table, k int) []Scored {
 	var sc scan
 	var all []Scored
 	for i := range s.idx.entries {
-		score, _ := sc.score(s, p, &s.idx.entries[i], math.Inf(-1), math.Inf(1))
+		score, _ := sc.with(s).score(p, &s.idx.entries[i], math.Inf(-1), math.Inf(1))
 		all = append(all, Scored{Table: s.idx.entries[i].t, Score: score})
 	}
 	slices.SortFunc(all, HitOrder)
@@ -689,4 +690,10 @@ func BenchmarkStarmieTopK(b *testing.B) {
 			b.ReportMetric(float64(tr.Scan[ScanGreedy].Load()+tr.Scan[ScanMatched].Load())/float64(b.N), "scored/op")
 		})
 	}
+}
+
+// with points sc at s's configuration, for a test that scores by hand.
+func (sc *scan) with(s *Starmie) *scan {
+	sc.scanConf = s.scanConf()
+	return sc
 }

@@ -373,10 +373,11 @@ func (rs *rankScratch) pickSeeds(lo, hi, n int, sc *scan, done <-chan struct{}) 
 // chunks' exits are added to tr.
 func rankTablesCtx(ctx context.Context, s *Starmie, q *starmiePrepared, cands []entry, k int, tr *Trace) ([]Scored, error) {
 	done := ctx.Done()
+	conf := s.scanConf() // the chunks never hold s: see scanConf
 	var mu sync.Mutex
 	var out []Scored
 	par.ForChunks(s.workers, len(cands), func(lo, hi int) {
-		r := openScan(s, q, cands, tr)
+		r := openScan(conf, q, cands, tr)
 		cut := 0
 		defer func() { r.release(cut) }()
 		size := hi - lo

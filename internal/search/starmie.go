@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -30,7 +31,11 @@ type Starmie struct {
 	lake   *lake.Lake
 	corpus *tokenize.Corpus
 	// idx is the ordered table list the exact scan walks.
-	idx     index
+	idx index
+	// region is the handle of the mapping idx's built or loaded blocks and
+	// codes are carved from (nil when they live on the heap); every method
+	// reading them ends with runtime.KeepAlive on it.
+	region  *region
 	workers int
 	// MinSim drops column matches below this similarity (Starmie's
 	// verification threshold).
@@ -45,12 +50,13 @@ type Starmie struct {
 // bound for all its rows, what the scan's pre-pass reads instead of the
 // float64s; it is derived from block wherever a block is installed, and
 // never saved. The blocks and codes of a built or loaded index are carved
-// from lake-wide allocations; a successor holds a block and codes of its
-// own for its new table and its big ones. Both are immutable once
-// installed, so successors and views share them. big marks a table with at
-// least one column whose token count exceeds the encoder budget: its
-// embeddings depend on the corpus TF-IDF selection and are re-embedded in
-// every successor. Every other table embeds corpus-independently.
+// from one region (region.go), outside the collected heap; a successor
+// holds a block and codes of its own, on the heap, for its new table and
+// its big ones. Both are immutable once installed, so successors and views
+// share them. big marks a table with at least one column whose token count
+// exceeds the encoder budget: its embeddings depend on the corpus TF-IDF
+// selection and are re-embedded in every successor. Every other table
+// embeds corpus-independently.
 type entry struct {
 	t     *table.Table
 	block []float64
@@ -145,7 +151,7 @@ func buildStarmie(l *lake.Lake, enc embed.StarmieEncoder, hot *embed.HotSet, o o
 	// The build encodes through a copy of enc reading hot; the searcher it
 	// returns holds enc itself.
 	s := emptyStarmie(l, enc.WithHotSet(hot), o)
-	s.idx = carveIndex(l.Tables(), enc.Dim())
+	s.idx, s.region = carveIndex(l.Tables(), enc.Dim())
 	var mu sync.Mutex
 	par.ForChunks(s.workers, len(s.idx.entries), func(lo, hi int) {
 		var tk tokenizer
@@ -169,6 +175,7 @@ func buildStarmie(l *lake.Lake, enc embed.StarmieEncoder, hot *embed.HotSet, o o
 		s.embedInto(e.block, &e.code, e.t)
 	})
 	s.enc = enc
+	runtime.KeepAlive(s.region)
 	return s
 }
 
@@ -219,25 +226,25 @@ func emptyStarmie(l *lake.Lake, enc embed.StarmieEncoder, o options) *Starmie {
 }
 
 // carveIndex is the index over tables, in table order, with blocks cut
-// from one allocation sized for every column of tables (NumCols x dim each,
-// capacity-capped so an append can never run into a neighbour) and codes
-// likewise, all still to be filled.
-func carveIndex(tables []*table.Table, dim int) index {
+// from one new region sized for every column of tables (NumCols x dim
+// each, capacity-capped so an append can never run into a neighbour) and
+// codes likewise, all still to be filled, and the region's handle.
+func carveIndex(tables []*table.Table, dim int) (index, *region) {
 	cols := make([]int, len(tables))
 	total := 0
 	for i, t := range tables {
 		cols[i] = t.NumCols()
 		total += cols[i] * dim
 	}
-	arena := make([]float64, total)
-	codes := vector.CarveCodeBlocks(cols, dim)
+	reg, arena, k := newRegion(total, total)
+	codes := vector.CarveCodeBlocks(cols, dim, k)
 	entries := make([]entry, len(tables))
 	for i, t := range tables {
 		n := cols[i] * dim
 		entries[i] = entry{t: t, block: arena[:n:n], code: codes[i]}
 		arena = arena[n:]
 	}
-	return newIndex(entries)
+	return newIndex(entries), reg
 }
 
 // indexCorpus hands the encoder the index corpus, which it reads only for
@@ -361,13 +368,14 @@ func (s *Starmie) QueryWorkers(n int) Searcher {
 	return &c
 }
 
-// scan is one chunk's ranking state and scratch: the chunk being ranked
-// (the query, the candidates, the trace) and the exits its candidates took,
-// then the flat |Q| x ncols weight buffer, the per-row arg-maxes and the
-// matching's working arrays. Scans are pooled, so a steady-state query
-// allocates none of it. rankTablesCtx drives one scan a chunk.
+// scan is one chunk's ranking state and scratch: what it reads of the
+// searcher, the chunk being ranked (the query, the candidates, the trace)
+// and the exits its candidates took, then the flat |Q| x ncols weight
+// buffer, the per-row arg-maxes and the matching's working arrays. Scans
+// are pooled, so a steady-state query allocates none of it. rankTablesCtx
+// drives one scan a chunk.
 type scan struct {
-	s     *Starmie
+	scanConf
 	q     *starmiePrepared
 	cands []entry
 	tr    *Trace
@@ -378,10 +386,22 @@ type scan struct {
 	hung match.Scratch
 }
 
+// scanConf is what a scan reads of its searcher: MinSim floored at 0 and
+// the dimension. A scan holds a copy, never the searcher, so the blocks it
+// reads stay mapped only as long as the method that runs it keeps the
+// searcher's region alive.
+type scanConf struct {
+	minSim float64
+	dim    int
+}
+
+// scanConf is s's scan configuration.
+func (s *Starmie) scanConf() scanConf { return scanConf{max(s.MinSim, 0), s.enc.Dim()} }
+
 // openScan takes a pooled scan for a chunk of cands.
-func openScan(s *Starmie, q *starmiePrepared, cands []entry, tr *Trace) *scan {
+func openScan(conf scanConf, q *starmiePrepared, cands []entry, tr *Trace) *scan {
 	sc := scanPool.Get().(*scan)
-	sc.s, sc.q, sc.cands, sc.tr, sc.exits = s, q, cands, tr, [ScanExits]int64{}
+	sc.scanConf, sc.q, sc.cands, sc.tr, sc.exits = conf, q, cands, tr, [ScanExits]int64{}
 	return sc
 }
 
@@ -397,11 +417,10 @@ func (sc *scan) reach(i int) float64 {
 	}
 	var bounds [vector.PanelRows]float64
 	sc.q.codes.RowBounds(0, sc.cands[i].code, &bounds)
-	minSim := max(sc.s.MinSim, 0)
 	rows := min(nq, vector.PanelRows)
 	var ub float64
 	for r := 0; r < rows; r++ {
-		ub += clamp(bounds[r], minSim)
+		ub += clamp(bounds[r], sc.minSim)
 	}
 	return reachAfter(ub, rows-1, nq)
 }
@@ -411,7 +430,7 @@ func (sc *scan) reach(i int) float64 {
 // the score of the worst hit in the chunk's full top k (-Inf while it has
 // room); skip reports a table proven to score strictly below floor.
 func (sc *scan) scoreAt(i int, reach, floor float64) (*table.Table, float64, bool) {
-	score, exit := sc.score(sc.s, sc.q, &sc.cands[i], floor, reach)
+	score, exit := sc.score(sc.q, &sc.cands[i], floor, reach)
 	sc.exits[exit]++
 	return sc.cands[i].t, score, exit <= ScanBounded
 }
@@ -427,7 +446,7 @@ func (sc *scan) release(cut int) {
 			sc.tr.Scan[exit].Add(n)
 		}
 	}
-	sc.s, sc.q, sc.cands, sc.tr = nil, nil, nil, nil
+	sc.q, sc.cands, sc.tr = nil, nil, nil
 	scanPool.Put(sc)
 }
 
@@ -466,14 +485,14 @@ var scanPool = sync.Pool{New: func() any { return new(scan) }}
 // rows' arg-maxes are distinct columns they are a matching that attains
 // ub, and any other optimal matching needs the same per-row weights, so ub
 // is the Hungarian total bit for bit. Otherwise the Hungarian step decides.
-func (sc *scan) score(s *Starmie, q *starmiePrepared, e *entry, floor, reach float64) (score float64, exit int) {
-	nq, nc := q.panels.Len(), len(e.block)/s.enc.Dim()
+func (sc *scan) score(q *starmiePrepared, e *entry, floor, reach float64) (score float64, exit int) {
+	nq, nc := q.panels.Len(), len(e.block)/sc.dim
 	if nq == 0 || nc == 0 {
 		return 0, ScanGreedy
 	}
 	sc.w, sc.arg = slices.Grow(sc.w[:0], nq*nc), slices.Grow(sc.arg[:0], nq)
 	w, arg := sc.w[:nq*nc], sc.arg[:nq]
-	minSim := max(s.MinSim, 0)
+	minSim := sc.minSim
 	if floor > 0 {
 		// No weight is negative, so a floor at or below 0 cuts nothing.
 		var ub float64
@@ -615,13 +634,14 @@ func (s *Starmie) ScoreTables(pq PreparedQuery, names []string) ([]Scored, error
 		}
 		cands[i] = *e
 	}
-	sc := openScan(s, p, cands, nil)
+	sc := openScan(s.scanConf(), p, cands, nil)
 	defer sc.release(0)
 	out := make([]Scored, len(cands))
 	for i := range cands {
 		t, score, _ := sc.scoreAt(i, math.Inf(1), math.Inf(-1))
 		out[i] = Scored{Table: t, Score: score}
 	}
+	runtime.KeepAlive(s.region)
 	return out, nil
 }
 
@@ -645,5 +665,7 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return rankTablesCtx(ctx, s, p, s.idx.entries, k, TraceFrom(ctx))
+	hits, err := rankTablesCtx(ctx, s, p, s.idx.entries, k, TraceFrom(ctx))
+	runtime.KeepAlive(s.region)
+	return hits, err
 }

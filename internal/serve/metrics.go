@@ -178,6 +178,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.NewGaugeFunc("dust_cluster_buffer_bytes",
 		"Bytes of n² distance-matrix buffers DUST's cluster step holds, listed for the next search or in use: at most one per processor, each 4·n² for the largest pool (n rows after pruning) it has clustered.", nil,
 		func(emit func(float64, ...string)) { emit(float64(cluster.BufferBytes())) })
+	r.NewGaugeFunc("dust_index_region_bytes",
+		"Bytes mapped outside the Go heap for the blocks and codes of built and loaded indexes (8 bytes of embedding and 1 of code per stored element, one region per index, shared by its successors), counted until the collector finalizes a region no snapshot holds; 0 where the platform cannot map them and they live on the heap.", nil,
+		func(emit func(float64, ...string)) { emit(float64(search.RegionBytes())) })
 
 	r.NewCounterFunc("dust_align_column_vectors_total",
 		"Lake columns embedded for alignment in this process: hit = vector read back from the column-vector memo, miss = encoded and kept, unstorable = encoded against the request's corpus (a column over the token budget) and not kept; evicted = kept vectors dropped to stay within the memo's byte bound.",

@@ -19,6 +19,7 @@ import (
 
 	"dust"
 	"dust/internal/cluster"
+	"dust/internal/search"
 	"dust/internal/table"
 	"dust/internal/vector"
 )
@@ -236,7 +237,9 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatalf("hit search status %d cached %v", resp.StatusCode, out.Cached)
 	}
 
+	mappedBefore := search.RegionBytes()
 	text := scrapeMetrics(t, ts.URL)
+	mappedAfter := search.RegionBytes()
 	for _, want := range []string{
 		`dust_http_requests_total{endpoint="/search",class="2xx"} 2`,
 		`dust_http_request_seconds_count{endpoint="/search",cache="miss",class="2xx"} 1`,
@@ -282,6 +285,14 @@ func TestMetricsExposition(t *testing.T) {
 	// gauge reads the process's count of such buffers.
 	if n := sampleValue(t, text, "dust_cluster_buffer_bytes"); n <= 0 || n != float64(cluster.BufferBytes()) {
 		t.Errorf("dust_cluster_buffer_bytes = %v, want the process's %d, above 0", n, cluster.BufferBytes())
+	}
+
+	// The served index is mapped: the gauge reads the process's mapped
+	// bytes, which only the finalizing of dropped regions moves (down)
+	// while no index is built, and is above 0 where the platform maps.
+	if n := sampleValue(t, text, "dust_index_region_bytes"); n < float64(mappedAfter) || n > float64(mappedBefore) ||
+		runtime.GOOS == "linux" && n <= 0 {
+		t.Errorf("dust_index_region_bytes = %v, want the process's, within [%d, %d], and above 0 on Linux", n, mappedAfter, mappedBefore)
 	}
 
 	// The kernel body this process selected is named, as one series.

@@ -114,14 +114,9 @@ type CodeBlock struct {
 	S CodeScale
 }
 
-// CarveCodeBlocks cuts one allocation of codes into blocks of rows[i] rows
-// each, capacity-capped, in order.
-func CarveCodeBlocks(rows []int, dim int) []CodeBlock {
-	total := 0
-	for _, n := range rows {
-		total += n
-	}
-	k := make([]int8, total*dim)
+// CarveCodeBlocks cuts k, which holds rows[i]·dim codes for every i, into
+// blocks of rows[i] rows each, capacity-capped, in order.
+func CarveCodeBlocks(rows []int, dim int, k []int8) []CodeBlock {
 	out := make([]CodeBlock, len(rows))
 	for i, n := range rows {
 		out[i].K, k = k[:n*dim:n*dim], k[n*dim:]
@@ -129,7 +124,7 @@ func CarveCodeBlocks(rows []int, dim int) []CodeBlock {
 	return out
 }
 
-// NewCodeBlock is CarveCodeBlocks for one block of rows rows.
+// NewCodeBlock is one block of rows rows with codes of its own.
 func NewCodeBlock(rows, dim int) CodeBlock { return CodeBlock{K: make([]int8, rows*dim)} }
 
 // Quantize fills b, sized for it, with the codes of block's rows of
