@@ -30,6 +30,7 @@ import (
 	"dust/internal/lake"
 	"dust/internal/model"
 	"dust/internal/par"
+	"dust/internal/region"
 	"dust/internal/search"
 	"dust/internal/table"
 	"dust/internal/vector"
@@ -164,9 +165,15 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 		unioned  *table.Table
 		prov     []table.Provenance
 		eq, et   []vector.Vec
+		scratch  *region.Region // et's memory, when the encoder writes rows in place
 		res      *Result
 		err      error
 	)
+	defer func() {
+		if scratch != nil {
+			scratch.Release()
+		}
+	}()
 
 	// Line 3: D' <- SearchTables(Q, D).
 	stage(ctx, &err, search.StageTopK, func() error {
@@ -223,7 +230,7 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 		if eq, err = model.EncodeBatchContext(ctx, p.tupleEnc, headers, tableRows(query), p.workers); err != nil {
 			return err
 		}
-		et, err = model.EncodeBatchContext(ctx, p.tupleEnc, headers, tableRows(unioned), p.workers)
+		et, scratch, err = encodePool(ctx, p.tupleEnc, headers, unioned, p.workers)
 		return err
 	})
 
@@ -451,11 +458,45 @@ func (p *Pipeline) Close() {}
 // which reports it as search.index_bytes.
 func (p *Pipeline) IndexBytes() search.IndexFootprint { return search.IndexFootprint{} }
 
-// tableRows collects a table's rows for batch encoding.
+// tuplePool lists the scratch regions of the pool's tuple vectors for the
+// next searches (region.Pool).
+var tuplePool region.Pool
+
+// encodePool embeds the unioned pool's tuples. A batch-capable encoder
+// (model.BatchTupleEncoder) writes them into a region taken from
+// tuplePool, outside the collected heap, which the caller releases once
+// nothing reads the vectors; any other encoder returns heap vectors and a
+// nil region. On an error nothing is left to release.
+func encodePool(ctx context.Context, enc model.TupleEncoder, headers []string, pool *table.Table, workers int) ([]vector.Vec, *region.Region, error) {
+	rows := tableRows(pool)
+	re, ok := enc.(model.BatchTupleEncoder)
+	if !ok {
+		vs, err := model.EncodeBatchContext(ctx, enc, headers, rows, workers)
+		return vs, nil, err
+	}
+	dim := re.Dim()
+	buf := tuplePool.Take(8 * len(rows) * dim)
+	dst := region.View[float64](buf.Bytes(), len(rows)*dim)
+	if err := re.EncodeTupleRows(ctx, headers, rows, workers, dst); err != nil {
+		buf.Release()
+		return nil, nil, err
+	}
+	return embed.SplitRows(dst, dim), buf, nil
+}
+
+// tableRows collects a table's rows for batch encoding, over one backing
+// slice of cells.
 func tableRows(t *table.Table) [][]string {
-	rows := make([][]string, t.NumRows())
+	n, w := t.NumRows(), t.NumCols()
+	cells := make([]string, n*w)
+	rows := make([][]string, n)
 	for i := range rows {
-		rows[i] = t.Row(i)
+		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+	}
+	for j, c := range t.Columns {
+		for i, v := range c.Values {
+			cells[i*w+j] = v
+		}
 	}
 	return rows
 }

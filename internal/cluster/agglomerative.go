@@ -3,6 +3,7 @@ package cluster
 import (
 	"cmp"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -53,6 +54,7 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 	n := m.Len()
 	d := m.cells()
 	m.consumed = true
+	defer runtime.KeepAlive(m) // d may live in m's region
 	dend := &Dendrogram{N: n}
 	if n <= 1 {
 		return dend

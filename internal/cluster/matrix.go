@@ -17,71 +17,37 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync/atomic"
 
 	"dust/internal/par"
+	"dust/internal/region"
 	"dust/internal/vector"
 )
 
 // Matrix is a symmetric pairwise distance matrix: n² float32 cells, 4·n²
-// bytes, both halves stored. A cosine matrix takes its cells from the free
-// list (workBufs) and its owner gives them back with Release, so a steady
-// run of clusterings holds one n² buffer and allocates none; it also keeps
-// the 8·n·dim unit rows it was filled from until Release, for its medoids.
-// Agglomerative consumes the cells: afterwards At and BestCut panic, and so
-// does Medoid unless the matrix has unit rows.
+// bytes, both halves stored. A cosine matrix takes one scratch region from
+// a free list (matrixPool) holding its cells and the 8·n·dim unit rows it
+// was filled from, which it keeps for its medoids; its owner gives the
+// region back with Release, so a steady run of clusterings maps none and
+// holds nothing on the collected heap. Agglomerative consumes the cells:
+// afterwards At and BestCut panic, and so does Medoid unless the matrix
+// has unit rows.
+//
+// The region is outside the collected heap (package region): every method
+// that reads the cells or the unit rows ends with runtime.KeepAlive(m), and
+// a matrix dropped unreleased gives its region back from the finalizer.
 type Matrix struct {
 	n        int
 	d        []float32
-	rows     []vector.Vec // cosine matrices only: the unit rows, row-major
-	self     []float64    // cosine matrices only: each row's dot with itself
-	consumed bool         // Agglomerative has clustered in d
+	rows     []vector.Vec   // cosine matrices only: the unit rows, row-major
+	self     []float64      // cosine matrices only: each row's dot with itself
+	buf      *region.Region // cosine matrices only: the region d and rows live in
+	consumed bool           // Agglomerative has clustered in d
 }
 
-// workBufs keeps the n² cells of released cosine matrices for the next
-// ones, so a steady run of clusterings allocates none. It is a plain free
-// list rather than a sync.Pool because the collector empties a pool every
-// other cycle, and a search allocates enough elsewhere to run several
-// cycles between two clusterings. Clustering is CPU-bound, so one buffer
-// per processor is all that concurrent runs can use; a buffer that finds
-// the list full, or is too small for the matrix that takes it, is left to
-// the collector.
-var workBufs = make(chan []float32, runtime.GOMAXPROCS(0))
-
-// bufferBytes counts the bytes of the buffers workBufs hands out, listed
-// or in use, from their allocation until they are left to the collector.
-var bufferBytes atomic.Int64
-
-// BufferBytes returns the bytes of n² buffers the process holds for
-// cosine matrices, listed or in use: at most one buffer per processor, each
-// sized to the largest matrix it has held, once every matrix taken has been
-// released.
-func BufferBytes() int64 { return bufferBytes.Load() }
-
-// takeWorkBuf returns n² cells with arbitrary contents: the first listed
-// buffer large enough, or a new one.
-func takeWorkBuf(n int) []float32 {
-	for {
-		select {
-		case buf := <-workBufs:
-			if cap(buf) >= n*n {
-				return buf[:n*n]
-			}
-			bufferBytes.Add(-4 * int64(cap(buf)))
-		default:
-			bufferBytes.Add(4 * int64(n*n))
-			return make([]float32, n*n)
-		}
-	}
-}
-
-func returnWorkBuf(buf []float32) {
-	select {
-	case workBufs <- buf:
-	default:
-		bufferBytes.Add(-4 * int64(cap(buf)))
-	}
-}
+// matrixPool lists the regions of released cosine matrices for the next
+// ones: at most one per processor, each sized to the largest matrix it has
+// held (region.Pool).
+var matrixPool region.Pool
 
 // NewMatrix computes the pairwise distance matrix of items under dist,
 // sequentially. Use NewMatrixWorkers when dist is concurrency-safe and the
@@ -123,9 +89,15 @@ const mirrorBlock = 32
 // the kernel (which also writes the panel's own lower cells, for the mirror
 // to overwrite), the diagonal here, the lower triangle by the mirror.
 func newCosineMatrix(items []vector.Vec, workers int) *Matrix {
-	n := len(items)
-	u := vector.NewUnitRows(items)
-	m := &Matrix{n: n, d: takeWorkBuf(n)}
+	n, dim := len(items), 0
+	if n > 0 {
+		dim = len(items[0])
+	}
+	arena := vector.UnitRowsLen(n, dim)
+	buf := matrixPool.Take(8*arena + 4*n*n)
+	mem := buf.Bytes()
+	u := vector.NewUnitRowsIn(items, region.View[float64](mem, arena))
+	m := &Matrix{n: n, d: region.View[float32](mem[8*arena:], n*n), buf: buf}
 	forPairedRows(workers, (n+vector.PanelRows-1)/vector.PanelRows, func(p int) {
 		var rows [vector.PanelRows][]float32
 		i0, i1 := p*vector.PanelRows, min((p+1)*vector.PanelRows, n)
@@ -149,6 +121,7 @@ func newCosineMatrix(items []vector.Vec, workers int) *Matrix {
 		}
 	})
 	m.rows, m.self = u.Unpack()
+	runtime.KeepAlive(m)
 	return m
 }
 
@@ -194,7 +167,9 @@ func (m *Matrix) Len() int { return m.n }
 // clusters the copy and still reads m. It has no unit rows and never joins
 // the free list.
 func (m *Matrix) Clone() *Matrix {
-	return &Matrix{n: m.n, d: slices.Clone(m.cells())}
+	c := &Matrix{n: m.n, d: slices.Clone(m.cells())}
+	runtime.KeepAlive(m)
+	return c
 }
 
 // MedoidReadsCells reports whether Medoid reads m's cells — true unless m is
@@ -202,14 +177,15 @@ func (m *Matrix) Clone() *Matrix {
 // must cluster a Clone.
 func (m *Matrix) MedoidReadsCells() bool { return m.rows == nil }
 
-// Release hands a cosine matrix's cells back to the free list, clustered or
-// not, and drops its unit rows; a matrix built from a function leaves its
-// cells to the collector. The matrix must not be used afterwards.
+// Release hands a cosine matrix's region — its cells, clustered or not,
+// and its unit rows — back to the free list; a matrix built from a
+// function leaves its cells to the collector. The matrix must not be used
+// afterwards; a second Release does nothing.
 func (m *Matrix) Release() {
-	if m.rows != nil {
-		returnWorkBuf(m.d)
+	if m.buf != nil {
+		m.buf.Release()
 	}
-	m.d, m.rows, m.self = nil, nil, nil
+	m.d, m.rows, m.self, m.buf = nil, nil, nil, nil
 }
 
 // cells returns the matrix's cells, or panics once Agglomerative has
@@ -222,7 +198,11 @@ func (m *Matrix) cells() []float32 {
 }
 
 // At returns the distance between items i and j.
-func (m *Matrix) At(i, j int) float64 { return float64(m.cells()[i*m.n+j]) }
+func (m *Matrix) At(i, j int) float64 {
+	d := float64(m.cells()[i*m.n+j])
+	runtime.KeepAlive(m)
+	return d
+}
 
 // Medoid returns the member of the given item set with the minimum total
 // distance to the other members (ties break to the member listed first),
@@ -243,6 +223,7 @@ func (m *Matrix) MedoidWorkers(members []int, workers int) int {
 	if len(members) == 0 {
 		panic("cluster: Medoid of empty set")
 	}
+	defer runtime.KeepAlive(m)
 	if m.rows != nil {
 		return m.unitMedoid(members)
 	}

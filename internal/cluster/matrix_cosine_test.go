@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 	"reflect"
-	"slices"
-	"sync"
 	"testing"
 
 	"dust/internal/vector"
@@ -109,112 +106,5 @@ func TestNonCosineTakesGenericPath(t *testing.T) {
 	}
 	if want := 2 * (33 * 32 / 2); calls != want {
 		t.Errorf("wrapped cosine called %d times, want %d (once per pair per matrix)", calls, want)
-	}
-}
-
-// drainWorkBufs empties the free list of n² buffers, so the next cosine
-// matrix is built in a freshly allocated one, as the first of a process is.
-func drainWorkBufs() {
-	for {
-		select {
-		case buf := <-workBufs:
-			bufferBytes.Add(-4 * int64(cap(buf)))
-		default:
-			return
-		}
-	}
-}
-
-// TestAgglomerativeScratchLeaksNothing: clustering consumes a cosine
-// matrix's cells, and Release lists the buffer with cluster distances, a
-// +Inf diagonal and compacted rows in it. A matrix built in such a buffer —
-// or in one poisoned with NaN, larger than needed and exactly as large — has
-// the cells of one built in fresh memory and clusters to the same
-// dendrogram: first in a fresh buffer, then back to back in buffers the
-// other problem dirtied (larger and smaller), then from concurrent
-// goroutines.
-func TestAgglomerativeScratchLeaksNothing(t *testing.T) {
-	for _, n := range []int{1, 2, 31, 32, 33, 257} {
-		items := awkwardVecs(n, 16)
-		drainWorkBufs()
-		fresh := NewMatrixWorkers(items, vector.CosineDistance, 2)
-		for _, side := range []int{n, n + 3} {
-			drainWorkBufs()
-			poison := takeWorkBuf(side)
-			for i := range poison {
-				poison[i] = float32(math.NaN())
-			}
-			returnWorkBuf(poison)
-			reused := NewMatrixWorkers(items, vector.CosineDistance, 2)
-			if len(workBufs) != 0 {
-				t.Fatalf("n=%d: the matrix did not take the listed buffer", n)
-			}
-			if !reflect.DeepEqual(reused.d, fresh.d) {
-				t.Fatalf("n=%d: matrix built in a poisoned %dx%d buffer differs from the fresh one", n, side, side)
-			}
-			reused.Release()
-			if reused.d != nil || len(workBufs) != 1 {
-				t.Fatalf("Release left %d cells with the matrix and %d buffers on the list", len(reused.d), len(workBufs))
-			}
-		}
-	}
-	type problem struct {
-		items []vector.Vec
-		opts  Options
-		want  *Dendrogram
-	}
-	big := &problem{items: awkwardVecs(257, 16)}
-	small := &problem{
-		items: duplicatedVecs(60, 5),
-		opts:  Options{CannotLink: func(i, j int) bool { return i/4 == j/4 }},
-	}
-	run := func(p *problem) *Dendrogram {
-		m := NewMatrixWorkers(p.items, vector.CosineDistance, 1)
-		defer m.Release()
-		return Agglomerative(m, p.opts)
-	}
-	for _, p := range []*problem{big, small} {
-		drainWorkBufs()
-		m := NewMatrix(p.items, vector.CosineDistance)
-		cells := slices.Clone(m.d)
-		p.want = Agglomerative(m, p.opts)
-		if len(p.want.Merges) == 0 {
-			t.Fatal("fixture produced no merges")
-		}
-		if slices.Equal(m.d, cells) {
-			t.Fatal("clustering left the cells as built: the buffers below would not be dirty")
-		}
-		m.Release()
-	}
-	check := func(label string, p *problem) error {
-		if got := run(p); !reflect.DeepEqual(got, p.want) {
-			return fmt.Errorf("%s: dendrogram differs from the fresh-buffer run", label)
-		}
-		return nil
-	}
-	for i, p := range []*problem{big, small, small, big, small, big} {
-		if err := check(fmt.Sprintf("back to back #%d", i), p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 6; i++ {
-				p := []*problem{big, small}[(g+i)%2]
-				if err := check(fmt.Sprintf("goroutine %d run %d", g, i), p); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
 	}
 }

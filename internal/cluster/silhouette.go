@@ -1,6 +1,9 @@
 package cluster
 
-import "math"
+import (
+	"math"
+	"runtime"
+)
 
 // BestCut returns the labels, cluster count and mean silhouette coefficient
 // of the best-scoring cut of the dendrogram with between minK and maxK
@@ -24,6 +27,7 @@ import "math"
 // BestCut reads m's cells, so d must come from clustering a Clone of m: it
 // panics on a matrix Agglomerative has consumed.
 func BestCut(m *Matrix, d *Dendrogram, minK, maxK int) (labels []int, k int, score float64) {
+	defer runtime.KeepAlive(m) // the sweep reads m's cells, which may live in its region
 	minK = max(minK, 2)
 	maxK = min(maxK, d.N)
 	if minK > maxK {

@@ -1,10 +1,12 @@
 package diversify
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
 
+	"dust/internal/region/regiontest"
 	"dust/internal/vector"
 )
 
@@ -82,8 +84,10 @@ func TestDUSTSelectDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSelectStableAcrossScratchReuse: Select answers the same on first use,
-// after the clustering scratch has been used by a different problem, at
-// every worker count, and from concurrent goroutines sharing the pool.
+// after the clustering scratch has been used by a different problem and
+// filled with NaN as it went back to its free list (regiontest.Poison), at
+// every worker count, under both kernel bodies, and from concurrent
+// goroutines sharing the list.
 func TestSelectStableAcrossScratchReuse(t *testing.T) {
 	algo := NewDUST()
 	problems := []func(workers int) Problem{
@@ -97,10 +101,18 @@ func TestSelectStableAcrossScratchReuse(t *testing.T) {
 	if slices.Equal(want[0], want[1]) {
 		t.Fatal("fixtures select the same indices; the test could not see a leak")
 	}
-	for _, workers := range []int{1, 2, 8} {
-		for pi := len(problems) - 1; pi >= 0; pi-- {
-			assertSameIndices(t, "Select after scratch reuse", algo.Select(problems[pi](workers)), want[pi])
+	regiontest.Poison(t)
+	for _, generic := range []bool{false, true} {
+		restore := func() {}
+		if generic {
+			restore = vector.ForceGenericKernel()
 		}
+		for _, workers := range []int{1, 2, 8} {
+			for pi := len(problems) - 1; pi >= 0; pi-- {
+				assertSameIndices(t, fmt.Sprintf("Select after scratch reuse (generic=%v)", generic), algo.Select(problems[pi](workers)), want[pi])
+			}
+		}
+		restore()
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {

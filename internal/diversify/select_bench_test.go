@@ -5,8 +5,8 @@ import (
 	"runtime"
 	"testing"
 
-	"dust/internal/cluster"
 	"dust/internal/embed"
+	"dust/internal/region"
 	"dust/internal/vector"
 )
 
@@ -58,22 +58,24 @@ func BenchmarkSelect(b *testing.B) {
 	}
 }
 
-// TestSelectAllocBytes pins the steady-state memory of one Select at the
-// tall shape: the unit-row arena and small per-call slices. The distance
-// matrix is recycled (a free list the collector cannot empty) and clustering
-// works in its cells, so after the first call no n² buffer may show up, and
-// the process holds exactly one: the matrix's.
+// TestSelectAllocBytes pins the steady-state heap bytes of one Select at
+// the tall shape: small per-call slices only. The distance matrix and the
+// unit rows it is filled from share one scratch region, recycled through a
+// free list the collector cannot empty, and clustering works in its cells,
+// so after the first call neither the n² cells nor the 8·n·dim unit rows
+// show up on the heap, and the process maps exactly one region: the
+// matrix's.
 func TestSelectAllocBytes(t *testing.T) {
 	const n = 1000
 	p := servedProblem(n)
 	algo := NewDUST()
-	// The first call allocates the matrix, dropping the smaller buffers
+	// The first call maps the matrix's region, dropping the smaller ones
 	// other problems left on the list.
 	for i := 0; i < 3; i++ {
 		algo.Select(p)
 	}
 	const runs = 5
-	held := cluster.BufferBytes()
+	held := region.ScratchBytes()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -81,11 +83,15 @@ func TestSelectAllocBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perOp := (after.TotalAlloc - before.TotalAlloc) / runs
-	limit := uint64(8*n*embed.DefaultDim + 512<<10) // 1.5 MB, against 4 MB for one matrix
+	const limit = 512 << 10 // the 8·n·dim + 512 KB it was with the unit rows on the heap, less 8·n·dim
 	if perOp > limit {
 		t.Errorf("Select allocates %d bytes per call at n=%d, want <= %d", perOp, n, limit)
 	}
-	if got, want := cluster.BufferBytes(), int64(4*n*n); got != want || held != want {
-		t.Errorf("the process holds %d bytes of n² buffers after warm-up and %d after %d more Selects at n=%d, want one buffer of %d", held, got, runs, n, want)
+	want := int64(8*vector.UnitRowsLen(n, embed.DefaultDim) + 4*n*n)
+	if !region.Supported {
+		want = 0 // the region is a heap slice, and not counted
+	}
+	if got := region.ScratchBytes(); got != want || held != want {
+		t.Errorf("the process maps %d scratch bytes after warm-up and %d after %d more Selects at n=%d, want one region of %d", held, got, runs, n, want)
 	}
 }

@@ -54,14 +54,20 @@ func (s *TupleSchema) AppendTokens(dst []string, values []string) []string {
 	return dst
 }
 
-// EncodeRows embeds every row as encode(AppendTokens(buf, row)) across at
-// most workers goroutines (workers <= 0 selects the GOMAXPROCS default,
-// workers == 1 is the sequential path), one token buffer per chunk of rows.
-// encode must not keep its argument, and it runs concurrently when workers
-// > 1. Once ctx is cancelled the remaining rows are skipped and ctx.Err()
-// is returned; a row already being encoded finishes.
-func (s *TupleSchema) EncodeRows(ctx context.Context, rows [][]string, workers int, encode func(tokens []string) vector.Vec) ([]vector.Vec, error) {
-	out := make([]vector.Vec, len(rows))
+// EncodeRows embeds every row as encode(out, AppendTokens(buf, row)) into
+// dst, row-major: row i's vector is out = dst[i*dim:(i+1)*dim], with dim =
+// len(dst)/len(rows), whatever dst held before. It runs across at most
+// workers goroutines (workers <= 0 selects the GOMAXPROCS default, workers
+// == 1 is the sequential path), one token buffer per chunk of rows. encode
+// must overwrite all of out and keep neither argument, and it runs
+// concurrently when workers > 1. Once ctx is cancelled the remaining rows
+// are skipped and ctx.Err() is returned; a row already being encoded
+// finishes.
+func (s *TupleSchema) EncodeRows(ctx context.Context, rows [][]string, workers int, dst []float64, encode func(out vector.Vec, tokens []string)) error {
+	dim := 0
+	if len(rows) > 0 {
+		dim = len(dst) / len(rows)
+	}
 	done := ctx.Done()
 	par.ForChunks(workers, len(rows), func(lo, hi int) {
 		var buf []string
@@ -72,13 +78,24 @@ func (s *TupleSchema) EncodeRows(ctx context.Context, rows [][]string, workers i
 			default:
 			}
 			buf = s.AppendTokens(buf[:0], rows[i])
-			out[i] = encode(buf)
+			encode(dst[i*dim:(i+1)*dim:(i+1)*dim], buf)
 		}
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	return ctx.Err()
+}
+
+// SplitRows returns dst's rows of dim float64s each, capacity-capped so
+// that an append to one never runs into the next.
+func SplitRows(dst []float64, dim int) []vector.Vec {
+	n := 0
+	if dim > 0 {
+		n = len(dst) / dim
 	}
-	return out, nil
+	out := make([]vector.Vec, n)
+	for i := range out {
+		out[i] = dst[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return out
 }
 
 // EncodeTuple embeds one tuple with this encoder using the paper's
@@ -88,13 +105,25 @@ func (e *Encoder) EncodeTuple(headers, values []string) []float64 {
 }
 
 // EncodeTupleBatch embeds many tuples sharing one header schema, tokenizing
-// the headers once (TupleSchema.EncodeRows). An Encoder holds no state after
-// construction; what its calls share is the package's token-vector tables
-// (tokenvec.go), each owned by one call at a time and able to change only
-// when a vector is derived, never its value. So on the nil error path the
-// output is bit-identical to calling EncodeTuple row by row.
+// the headers once (TupleSchema.EncodeRows), into one heap array split into
+// rows. An Encoder holds no state after construction; what its calls share
+// is the package's token-vector tables (tokenvec.go), each owned by one call
+// at a time and able to change only when a vector is derived, never its
+// value. So on the nil error path the output is bit-identical to calling
+// EncodeTuple row by row.
 func (e *Encoder) EncodeTupleBatch(ctx context.Context, headers []string, rows [][]string, workers int) ([]vector.Vec, error) {
-	return NewTupleSchema(headers).EncodeRows(ctx, rows, workers, e.EncodeTokens)
+	dst := make([]float64, len(rows)*e.dim)
+	if err := e.EncodeTupleRows(ctx, headers, rows, workers, dst); err != nil {
+		return nil, err
+	}
+	return SplitRows(dst, e.dim), nil
+}
+
+// EncodeTupleRows is EncodeTupleBatch writing the vectors row-major into
+// dst, len(rows)*Dim() long, instead of allocating them: the pipeline hands
+// it a scratch region.
+func (e *Encoder) EncodeTupleRows(ctx context.Context, headers []string, rows [][]string, workers int, dst []float64) error {
+	return NewTupleSchema(headers).EncodeRows(ctx, rows, workers, dst, e.EncodeTokensInto)
 }
 
 // EncodeText tokenizes s and embeds it.

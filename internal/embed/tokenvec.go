@@ -133,7 +133,7 @@ func (t *tokenTable) vector(seed uint64) []float64 {
 // call that finds it free, so the lake's token, class and bigram vectors
 // survive from one request to the next. A call that finds it taken — an
 // index-build worker, an overlapping request — takes a spare from the free
-// list (the idiom of cluster.workBufs; a stack because that is what a slice
+// list (the idiom of region.Pool; a stack because that is what a slice
 // gives). Encoding is CPU-bound, so no more than GOMAXPROCS tables can be in
 // use at once: once the big one and maxTokenTables-1 spares exist, a call
 // that finds none free runs the same loop on a one-slot table of its own

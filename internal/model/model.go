@@ -107,8 +107,14 @@ func (m *Model) EncodeTuple(headers, values []string) vector.Vec {
 // kernel, so on the nil error path the batch is bit-identical to sequential
 // EncodeTuple calls.
 func (m *Model) EncodeTupleBatch(ctx context.Context, headers []string, rows [][]string, workers int) ([]vector.Vec, error) {
-	return embed.NewTupleSchema(headers).EncodeRows(ctx, rows, workers, func(tokens []string) vector.Vec {
-		return m.net.Forward(m.feat.tokenFeatures(tokens), false)
+	return EncodeBatchContext(ctx, m, headers, rows, workers)
+}
+
+// EncodeTupleRows is EncodeTupleBatch writing the vectors row-major into
+// dst, len(rows)*Dim() long, instead of allocating them.
+func (m *Model) EncodeTupleRows(ctx context.Context, headers []string, rows [][]string, workers int, dst []float64) error {
+	return embed.NewTupleSchema(headers).EncodeRows(ctx, rows, workers, dst, func(out vector.Vec, tokens []string) {
+		copy(out, m.net.Forward(m.feat.tokenFeatures(tokens), false))
 	})
 }
 
@@ -138,11 +144,14 @@ type TupleEncoder interface {
 }
 
 // BatchTupleEncoder is a TupleEncoder that can embed many tuples of one
-// header schema concurrently, honouring ctx between rows. Both
-// embed.Encoder and Model implement it.
+// header schema concurrently, honouring ctx between rows, writing their
+// vectors row-major into memory its caller provides, len(rows)*Dim()
+// float64s: the pipeline hands it a scratch region outside the collected
+// heap. Both embed.Encoder and Model implement it.
 type BatchTupleEncoder interface {
 	TupleEncoder
-	EncodeTupleBatch(ctx context.Context, headers []string, rows [][]string, workers int) ([]vector.Vec, error)
+	Dim() int
+	EncodeTupleRows(ctx context.Context, headers []string, rows [][]string, workers int, dst []float64) error
 }
 
 // EncodeBatch embeds every row with enc. Encoders exposing the batch
@@ -161,11 +170,17 @@ func EncodeBatch(enc TupleEncoder, headers []string, rows [][]string, workers in
 // caller serving queries under a deadline is not forced to embed an entire
 // unioned tuple pool it no longer wants. On the nil error path the output
 // is identical to EncodeBatch. A batch-capable encoder runs its own
-// EncodeTupleBatch, which tokenizes the header row once for the batch and
-// reuses one token buffer per chunk of rows across workers goroutines.
+// EncodeTupleRows, which tokenizes the header row once for the batch and
+// reuses one token buffer per chunk of rows across workers goroutines,
+// into one heap array split into rows.
 func EncodeBatchContext(ctx context.Context, enc TupleEncoder, headers []string, rows [][]string, workers int) ([]vector.Vec, error) {
 	if b, ok := enc.(BatchTupleEncoder); ok {
-		return b.EncodeTupleBatch(ctx, headers, rows, workers)
+		dim := b.Dim()
+		dst := make([]float64, len(rows)*dim)
+		if err := b.EncodeTupleRows(ctx, headers, rows, workers, dst); err != nil {
+			return nil, err
+		}
+		return embed.SplitRows(dst, dim), nil
 	}
 	// Arbitrary TupleEncoders are not guaranteed concurrency-safe:
 	// sequential loop, checking ctx between rows.

@@ -1,8 +1,12 @@
-//go:build unix
+//go:build unix && !race
 
-package search
+package region
 
 import "syscall"
+
+// Supported reports whether this build maps regions: true on unix outside
+// the race detector.
+const Supported = true
 
 // mapAnon maps size zeroed bytes, private and anonymous, readable and
 // writable.

@@ -5,23 +5,10 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"syscall"
 	"testing"
-)
 
-// protectRegions makes every region mapped during the test release its
-// pages and protect them instead of unmapping them: a block read after its
-// region was released faults at once, where an unmapped address could have
-// been mapped again since and read back without a fault.
-func protectRegions(t *testing.T) {
-	releaseRegion = func(b []byte) error {
-		if err := syscall.Madvise(b, syscall.MADV_DONTNEED); err != nil {
-			return err
-		}
-		return syscall.Mprotect(b, syscall.PROT_NONE)
-	}
-	t.Cleanup(func() { releaseRegion = unmapAnon })
-}
+	"dust/internal/region/regiontest"
+)
 
 // TestScansOutliveTheirSearcher runs scans on views whose every other
 // reference is dropped — the view is loaded, copied and discarded in the
@@ -32,7 +19,9 @@ func protectRegions(t *testing.T) {
 // every table (k = 0), which the scan scores in full like ScoreTables,
 // so that each scan is long enough for a collection to finish within it.
 func TestScansOutliveTheirSearcher(t *testing.T) {
-	protectRegions(t)
+	if !regiontest.Protect(t) {
+		t.Skip("this build maps no region (the race detector's runtime does not see mapped memory): there is no released mapping to fault")
+	}
 	spec := wideSpec(1500)
 	l := spec.Generate()
 	held := NewStarmie(l).QueryWorkers(1)

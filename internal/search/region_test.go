@@ -2,13 +2,14 @@ package search
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"dust/internal/embed"
+	"dust/internal/region"
+	"dust/internal/region/regiontest"
 	"dust/internal/table"
 )
 
@@ -43,7 +44,7 @@ func waitRegionBytes(t *testing.T, label string, want int64) {
 // regionSize is the bytes s's region maps: a float64 and an int8 code per
 // stored element; 0 when its blocks live on the heap.
 func regionSize(s *Starmie) int64 {
-	if s.region == nil {
+	if !s.region.Mapped() {
 		return 0
 	}
 	n := 0
@@ -53,15 +54,12 @@ func regionSize(s *Starmie) int64 {
 	return int64(9 * n)
 }
 
-// countMaps makes mapRegion count its calls for the rest of the test.
-func countMaps(t *testing.T) *int {
-	calls, mapped := new(int), mapRegion
-	mapRegion = func(size int) ([]byte, error) {
-		*calls++
-		return mapped(size)
+// needMapping skips a test that counts or protects mapped bytes in a
+// build that maps nothing.
+func needMapping(t *testing.T) {
+	if !region.Supported {
+		t.Skip("this build maps no region (the race detector's runtime does not see mapped memory, so every region is a heap slice): there are no mapped bytes to count")
 	}
-	t.Cleanup(func() { mapRegion = mapped })
-	return calls
 }
 
 // TestIndexRegionFreed: a built and a loaded index each map one region,
@@ -69,7 +67,8 @@ func countMaps(t *testing.T) *int {
 // searcher; a load that fails after carving its index (a truncated file, a
 // checksum mismatch) leaves nothing mapped either.
 func TestIndexRegionFreed(t *testing.T) {
-	protectRegions(t)
+	needMapping(t)
+	regiontest.Protect(t)
 	b := persistBench(t)
 	base := settleRegions()
 	built := NewStarmie(b.Lake)
@@ -79,14 +78,14 @@ func TestIndexRegionFreed(t *testing.T) {
 	}
 	data := saveStarmie(t, built)
 
-	maps := countMaps(t)
+	maps := region.Maps()
 	for _, bad := range [][]byte{data[:len(data)*3/4], flipByte(data, len(data)/2)} {
 		if err := load(bad, b); err == nil {
 			t.Fatal("a damaged index loaded")
 		}
 	}
-	if *maps != 2 {
-		t.Fatalf("the damaged loads mapped %d regions, want 2 (the test needs loads that fail after carving)", *maps)
+	if n := region.Maps() - maps; n != 2 {
+		t.Fatalf("the damaged loads mapped %d regions, want 2 (the test needs loads that fail after carving)", n)
 	}
 	waitRegionBytes(t, "after two failed loads", base+size)
 
@@ -111,7 +110,8 @@ func TestIndexRegionFreed(t *testing.T) {
 // as it did before, bit for bit (with the region released by protection
 // where the platform can, a read of a released block faults).
 func TestSuccessorKeepsRegion(t *testing.T) {
-	protectRegions(t)
+	needMapping(t)
+	regiontest.Protect(t)
 	base := settleRegions()
 	s, queries := dirtyLake(t, embed.NewStarmie())
 	size := regionSize(s)
@@ -142,23 +142,22 @@ func TestSuccessorKeepsRegion(t *testing.T) {
 }
 
 // TestHeapFallbackSameBits: where no mapping can be made the index lives on
-// the heap, unhandled, and builds, saves, loads and answers exactly as a
-// mapped one.
+// the heap, behind a handle that maps nothing, and builds, saves, loads and
+// answers exactly as a mapped one.
 func TestHeapFallbackSameBits(t *testing.T) {
 	b := persistBench(t)
 	mapped := NewStarmie(b.Lake)
 	data := saveStarmie(t, mapped)
 
-	mapRegion = func(int) ([]byte, error) { return nil, errors.ErrUnsupported }
-	t.Cleanup(func() { mapRegion = mapAnon })
+	regiontest.Refuse(t)
 	heap := NewStarmie(b.Lake)
 	loaded, err := LoadStarmie(bytes.NewReader(data), b.Lake)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []*Starmie{heap, loaded} {
-		if s.region != nil {
-			t.Fatal("an index on the heap has a region handle")
+		if s.region.Mapped() {
+			t.Fatal("an index built with mapping refused is mapped")
 		}
 		if !bytes.Equal(saveStarmie(t, s), data) {
 			t.Fatal("an index on the heap saves other bytes")

@@ -12,6 +12,7 @@ import (
 	"dust/internal/lake"
 	"dust/internal/match"
 	"dust/internal/par"
+	"dust/internal/region"
 	"dust/internal/table"
 	"dust/internal/tokenize"
 	"dust/internal/vector"
@@ -33,9 +34,9 @@ type Starmie struct {
 	// idx is the ordered table list the exact scan walks.
 	idx index
 	// region is the handle of the mapping idx's built or loaded blocks and
-	// codes are carved from (nil when they live on the heap); every method
+	// codes are carved from (a heap slice where nothing is mapped); every method
 	// reading them ends with runtime.KeepAlive on it.
-	region  *region
+	region  *region.Region
 	workers int
 	// MinSim drops column matches below this similarity (Starmie's
 	// verification threshold).
@@ -229,15 +230,17 @@ func emptyStarmie(l *lake.Lake, enc embed.StarmieEncoder, o options) *Starmie {
 // from one new region sized for every column of tables (NumCols x dim
 // each, capacity-capped so an append can never run into a neighbour) and
 // codes likewise, all still to be filled, and the region's handle.
-func carveIndex(tables []*table.Table, dim int) (index, *region) {
+func carveIndex(tables []*table.Table, dim int) (index, *region.Region) {
 	cols := make([]int, len(tables))
 	total := 0
 	for i, t := range tables {
 		cols[i] = t.NumCols()
 		total += cols[i] * dim
 	}
-	reg, arena, k := newRegion(total, total)
-	codes := vector.CarveCodeBlocks(cols, dim, k)
+	reg := region.New(9*total, &regionBytes) // a float64 and an int8 code per element
+	mem := reg.Bytes()
+	arena := region.View[float64](mem, total)
+	codes := vector.CarveCodeBlocks(cols, dim, region.View[int8](mem[8*total:], total))
 	entries := make([]entry, len(tables))
 	for i, t := range tables {
 		n := cols[i] * dim

@@ -11,9 +11,10 @@ import (
 
 	"dust"
 	"dust/internal/align"
-	"dust/internal/cluster"
+
 	"dust/internal/embed"
 	"dust/internal/obs"
+	"dust/internal/region"
 	"dust/internal/search"
 	"dust/internal/vector"
 )
@@ -175,9 +176,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.NewGaugeFunc("dust_embed_token_vector_bytes",
 		"Bytes the encode kernel's token-vector tables hold (bounded: one 2 MB table plus GOMAXPROCS-1 of 512 KB, with tags and scratch), plus, while an index build runs, its hot set (at most 4 MB of vectors, not held after the build).", nil,
 		func(emit func(float64, ...string)) { emit(float64(embed.TokenVectorBytes())) })
-	r.NewGaugeFunc("dust_cluster_buffer_bytes",
-		"Bytes of n² distance-matrix buffers DUST's cluster step holds, listed for the next search or in use: at most one per processor, each 4·n² for the largest pool (n rows after pruning) it has clustered.", nil,
-		func(emit func(float64, ...string)) { emit(float64(cluster.BufferBytes())) })
+	r.NewGaugeFunc("dust_scratch_bytes",
+		"Bytes mapped outside the Go heap for searches' float scratch, listed for the next search or in use: the distance-matrix regions of DUST's cluster step (4·n² cells plus 8·n·dim unit rows for a pool of n rows after pruning) and the regions of the pool's tuple vectors (8·n·dim), at most one of each kind listed per processor, each sized to the largest request it has served; 0 where the platform cannot map them and they live on the heap.", nil,
+		func(emit func(float64, ...string)) { emit(float64(region.ScratchBytes())) })
 	r.NewGaugeFunc("dust_index_region_bytes",
 		"Bytes mapped outside the Go heap for the blocks and codes of built and loaded indexes (8 bytes of embedding and 1 of code per stored element, one region per index, shared by its successors), counted until the collector finalizes a region no snapshot holds; 0 where the platform cannot map them and they live on the heap.", nil,
 		func(emit func(float64, ...string)) { emit(float64(search.RegionBytes())) })

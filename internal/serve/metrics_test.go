@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"dust"
-	"dust/internal/cluster"
+	"dust/internal/region"
 	"dust/internal/search"
 	"dust/internal/table"
 	"dust/internal/vector"
@@ -281,18 +281,19 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("dust_embed_token_vector_bytes = %v, want within [%v, %v]", n, bigTable, maxBytes)
 	}
 
-	// The served search clustered its pool in one listed n² buffer, and the
-	// gauge reads the process's count of such buffers.
-	if n := sampleValue(t, text, "dust_cluster_buffer_bytes"); n <= 0 || n != float64(cluster.BufferBytes()) {
-		t.Errorf("dust_cluster_buffer_bytes = %v, want the process's %d, above 0", n, cluster.BufferBytes())
+	// The served search clustered its pool and encoded its tuples in
+	// scratch regions, listed since it returned, and the gauge reads the
+	// process's mapped scratch: above 0 where the build maps regions.
+	if n := sampleValue(t, text, "dust_scratch_bytes"); n != float64(region.ScratchBytes()) || (n > 0) != region.Supported {
+		t.Errorf("dust_scratch_bytes = %v, want the process's %d, above 0 exactly when regions are mapped (%v)", n, region.ScratchBytes(), region.Supported)
 	}
 
 	// The served index is mapped: the gauge reads the process's mapped
 	// bytes, which only the finalizing of dropped regions moves (down)
 	// while no index is built, and is above 0 where the platform maps.
 	if n := sampleValue(t, text, "dust_index_region_bytes"); n < float64(mappedAfter) || n > float64(mappedBefore) ||
-		runtime.GOOS == "linux" && n <= 0 {
-		t.Errorf("dust_index_region_bytes = %v, want the process's, within [%d, %d], and above 0 on Linux", n, mappedAfter, mappedBefore)
+		region.Supported && n <= 0 {
+		t.Errorf("dust_index_region_bytes = %v, want the process's, within [%d, %d], and above 0 where regions are mapped", n, mappedAfter, mappedBefore)
 	}
 
 	// The kernel body this process selected is named, as one series.

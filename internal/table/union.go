@@ -22,10 +22,11 @@ type Mapping struct {
 
 // OuterUnion unions the mapped tables into a single table with the target
 // headers, padding missing columns with Null (paper §3.3). The returned
-// provenance slice is index-aligned with the unioned rows.
+// provenance slice is index-aligned with the unioned rows. Every column and
+// the provenance are sized once, from the mapped tables' total row count,
+// and written in place.
 func OuterUnion(name string, targetHeaders []string, mappings []Mapping) (*Table, []Provenance, error) {
-	out := New(name, targetHeaders...)
-	var prov []Provenance
+	total := 0
 	for _, m := range mappings {
 		if len(m.TargetToSource) != len(targetHeaders) {
 			return nil, nil, fmt.Errorf("outer union: mapping for %s has %d entries, want %d",
@@ -37,19 +38,25 @@ func OuterUnion(name string, targetHeaders []string, mappings []Mapping) (*Table
 					m.Source.Name, src, m.Source.NumCols())
 			}
 		}
+		total += m.Source.NumRows()
+	}
+	out := New(name, targetHeaders...)
+	if total == 0 {
+		return out, nil, nil
+	}
+	for i := range out.Columns {
+		out.Columns[i].Values = make([]string, total) // Null-filled
+	}
+	prov := make([]Provenance, 0, total)
+	for _, m := range mappings {
+		r0 := len(prov)
 		for r := 0; r < m.Source.NumRows(); r++ {
-			row := make(Tuple, len(targetHeaders))
-			for i, src := range m.TargetToSource {
-				if src < 0 {
-					row[i] = Null
-				} else {
-					row[i] = m.Source.Cell(r, src)
-				}
-			}
-			if err := out.AppendRow(row); err != nil {
-				return nil, nil, err
-			}
 			prov = append(prov, Provenance{Table: m.Source.Name, Row: r})
+		}
+		for i, src := range m.TargetToSource {
+			if src >= 0 {
+				copy(out.Columns[i].Values[r0:], m.Source.Columns[src].Values)
+			}
 		}
 	}
 	return out, prov, nil

@@ -1,6 +1,8 @@
 package table
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -74,5 +76,69 @@ func TestOuterUnionArityErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("OuterUnion with out-of-range source index should error")
+	}
+}
+
+// TestOuterUnionMatchesRowByRow holds OuterUnion to the row-by-row union it
+// replaced — a fresh tuple a row, appended — cell for cell and in
+// provenance, over mappings that pad, reorder and repeat columns, and a
+// table with no rows.
+func TestOuterUnionMatchesRowByRow(t *testing.T) {
+	query, b, d := fig1Tables()
+	target := query.Headers()
+	empty := New("table_e", "Park Name")
+	mappings := []Mapping{
+		{Source: b, TargetToSource: []int{0, 1, -1, 2}},
+		{Source: empty, TargetToSource: []int{0, -1, -1, 0}},
+		{Source: d, TargetToSource: []int{0, 4, 1, 2}},
+		{Source: b, TargetToSource: []int{2, 2, 0, -1}},
+	}
+	got, prov, err := OuterUnion("unioned", target, mappings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := New("unioned", target...)
+	var wantProv []Provenance
+	for _, m := range mappings {
+		for r := 0; r < m.Source.NumRows(); r++ {
+			row := make(Tuple, len(target))
+			for i, src := range m.TargetToSource {
+				if src >= 0 {
+					row[i] = m.Source.Cell(r, src)
+				}
+			}
+			want.MustAppendRow(row...)
+			wantProv = append(wantProv, Provenance{Table: m.Source.Name, Row: r})
+		}
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(prov, wantProv) {
+		t.Fatalf("OuterUnion = %v %v, want %v %v", got, prov, want, wantProv)
+	}
+}
+
+// TestOuterUnionAllocs: the union sizes its columns and its provenance
+// once, so its allocation count depends on the column and table counts,
+// not on the row count.
+func TestOuterUnionAllocs(t *testing.T) {
+	allocs := func(rows int) float64 {
+		a := New("a", "x", "y", "z")
+		b := New("b", "y", "x")
+		for r := 0; r < rows; r++ {
+			a.MustAppendRow(fmt.Sprint("x", r), fmt.Sprint("y", r), fmt.Sprint("z", r))
+			b.MustAppendRow(fmt.Sprint("y", r), fmt.Sprint("x", r))
+		}
+		mappings := []Mapping{
+			{Source: a, TargetToSource: []int{0, 1, 2}},
+			{Source: b, TargetToSource: []int{1, 0, -1}},
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := OuterUnion("u", []string{"x", "y", "z"}, mappings); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, big := allocs(10), allocs(5000)
+	if big != small || big > 10 {
+		t.Errorf("OuterUnion allocates %v times over 20 rows and %v over 10 000, want the same, at most 10", small, big)
 	}
 }

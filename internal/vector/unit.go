@@ -35,6 +35,14 @@ func (s *panels) put(i int, v Vec, norm float64) {
 	}
 }
 
+// zero stores an all-zero row i.
+func (s *panels) zero(i int) {
+	row := s.row(i)
+	for k := 0; k < s.dim; k++ {
+		row[k*PanelRows] = 0
+	}
+}
+
 // UnitRows is a set of vectors L2-normalised once into one arena of panels,
 // so that cosine distance between any two of them is 1 - dot: the norms a
 // pairwise CosineDistance recomputes for every pair are paid once per row. A
@@ -49,12 +57,33 @@ func NewUnitRows(items []Vec) *UnitRows {
 	if len(items) == 0 {
 		return &UnitRows{}
 	}
-	// A matrix tile that starts in the last panel runs tilePanels-1 past it.
-	u := &UnitRows{makePanels(len(items), len(items[0]), tilePanels-1)}
+	return NewUnitRowsIn(items, make([]float64, UnitRowsLen(len(items), len(items[0]))))
+}
+
+// UnitRowsLen returns the float64s the arena of n rows of dimension dim
+// takes: whole panels, plus the padding a matrix tile that starts in the
+// last panel runs over (tilePanels-1 panels).
+func UnitRowsLen(n, dim int) int {
+	return ((n+PanelRows-1)/PanelRows + tilePanels - 1) * dim * PanelRows
+}
+
+// NewUnitRowsIn is NewUnitRows normalising into arena, at least
+// UnitRowsLen(len(items), dim) long, whatever it held: every float64 the
+// rows use is written, the zero rows and the padding included. The rows
+// alias arena.
+func NewUnitRowsIn(items []Vec, arena []float64) *UnitRows {
+	if len(items) == 0 {
+		return &UnitRows{}
+	}
+	n, dim := len(items), len(items[0])
+	u := &UnitRows{panels{n: n, dim: dim, a: arena[:UnitRowsLen(n, dim)]}}
+	clear(u.a[(n-1)/PanelRows*dim*PanelRows:]) // the last panel and the padding
 	for i, v := range items {
 		checkLen(items[0], v)
 		if norm := Norm(v); norm != 0 {
 			u.put(i, v, norm)
+		} else {
+			u.zero(i)
 		}
 	}
 	return u

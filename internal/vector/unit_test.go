@@ -268,3 +268,45 @@ func TestUnpackedRowsGiveTheCells(t *testing.T) {
 		}
 	})
 }
+
+// TestUnitRowsInReusedArena: NewUnitRowsIn over an arena holding NaN
+// everywhere, and longer than it needs, writes the bits NewUnitRows writes
+// into fresh memory — zero rows, the rows a short last panel lacks and the
+// padding panels behind it read as zero — leaves the arena's tail past
+// UnitRowsLen as it was, and gives the same distances.
+func TestUnitRowsInReusedArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 3, 4, 5, 8, 37} {
+		for _, dim := range []int{1, 7, 16} {
+			vs := randomVecs(rng, n, dim)
+			vs[n/2] = make(Vec, dim) // a zero row
+			want := NewUnitRows(vs)
+			size := UnitRowsLen(n, dim)
+			if len(want.a) != size {
+				t.Fatalf("n=%d dim=%d: NewUnitRows arena %d long, UnitRowsLen %d", n, dim, len(want.a), size)
+			}
+			arena := make([]float64, size+5)
+			for i := range arena {
+				arena[i] = math.NaN()
+			}
+			got := NewUnitRowsIn(vs, arena)
+			for i, x := range got.a {
+				if math.Float64bits(x) != math.Float64bits(want.a[i]) {
+					t.Fatalf("n=%d dim=%d: arena element %d = %v, want %v", n, dim, i, x, want.a[i])
+				}
+			}
+			for _, x := range arena[size:] {
+				if !math.IsNaN(x) {
+					t.Fatalf("n=%d dim=%d: NewUnitRowsIn wrote past UnitRowsLen", n, dim)
+				}
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if g, w := unitCell(got, i, j), unitCell(want, i, j); math.Float32bits(g) != math.Float32bits(w) {
+						t.Fatalf("n=%d dim=%d: cell (%d,%d) = %v, want %v", n, dim, i, j, g, w)
+					}
+				}
+			}
+		}
+	}
+}
