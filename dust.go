@@ -356,9 +356,6 @@ const (
 	TableRemoved
 	// Outranked: a table added since ranks among the answer's tables.
 	Outranked
-	// CorpusSensitive: the query or an indexed table embeds against the
-	// corpus, which every mutation moves.
-	CorpusSensitive
 )
 
 // Revalidate reports whether an answer that a pipeline of p's lineage and
@@ -372,21 +369,19 @@ const (
 // else. So it stands when the ranking does. It does when no table of it
 // was removed (a name that is still there holds the same table, since a
 // table changes only by a removal and an add), every score is what it was
-// (neither the query nor any indexed table reads the corpus), and every
-// table added since and still indexed ranks after the answer's last table.
-// A table that was there at the older epoch and is not in the answer
-// ranked after it then and still does. A ranking shorter than topTables
-// held the whole lake, so any table added since joins it. The check costs
-// one query encode and one score per table added since.
+// (a stored vector, like the query's, is a function of its own table, so
+// no mutation of another table moves a score), and every table added since
+// and still indexed ranks after the answer's last table. A table that was
+// there at the older epoch and is not in the answer ranked after it then
+// and still does. A ranking shorter than topTables held the whole lake, so
+// any table added since joins it. Only a table that must be scored costs a
+// query encode: then the check costs one, and one score per table added
+// since.
 func (p *Pipeline) Revalidate(query *table.Table, tables, removed, added []string) Staleness {
 	for _, name := range removed {
 		if slices.Contains(tables, name) {
 			return TableRemoved
 		}
-	}
-	pq := p.searcher.Prepare(query)
-	if !p.searcher.CorpusFree(pq) {
-		return CorpusSensitive
 	}
 	names := []string{tables[len(tables)-1]}
 	for _, name := range added {
@@ -400,7 +395,7 @@ func (p *Pipeline) Revalidate(query *table.Table, tables, removed, added []strin
 	case len(tables) < p.topTables:
 		return Outranked
 	}
-	scored, err := p.searcher.ScoreTables(pq, names)
+	scored, err := p.searcher.ScoreTables(p.searcher.Prepare(query), names)
 	if err != nil {
 		// The log disagrees with the index: an answer table is gone.
 		return TableRemoved

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -406,11 +407,52 @@ func TestLoadPipelineRetiredKind(t *testing.T) {
 	}
 }
 
+// TestOlderSearcherPayloadRebuilds boots from an index file whose manifest
+// is today's and whose searcher envelope declares format version 1, the
+// layout that still held the lake-wide corpus. The loader refuses it as
+// codec.ErrVersion on its header alone; Boot logs the rebuild, answers as a
+// cold start does, and re-saves an index that loads.
+func TestOlderSearcherPayloadRebuilds(t *testing.T) {
+	b, q := benchLake(t)
+	dir := t.TempDir()
+	cold := New(b.Lake)
+	if err := cold.SaveIndex(dir); err != nil {
+		t.Fatal(err)
+	}
+	manifest, searcher := splitIndex(t, readIndex(t, dir))
+	if err := os.WriteFile(filepath.Join(dir, indexFile), append(manifest, withVersion(searcher, 1)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadPipelineLake(b.Lake, dir); !errors.Is(err, codec.ErrVersion) {
+		t.Fatalf("a version 1 searcher payload: err = %v, want codec.ErrVersion", err)
+	}
+	var log bytes.Buffer
+	booted, err := Boot(&log, b.Lake, dir, "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(log.String(), "rebuilding index in "+dir) {
+		t.Errorf("Boot logged %q, want a rebuild", log.String())
+	}
+	got, err := booted.Search(q, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cold.Search(q, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "booted vs cold", got, want)
+	if _, err := LoadPipelineLake(b.Lake, dir); err != nil {
+		t.Errorf("the index Boot re-saved does not load: %v", err)
+	}
+}
+
 // TestIndexFileAllocs bounds what saving and loading an index allocate by
 // the size of its file: both stream, so neither holds the payload whole. A
-// save allocates its sorted document frequencies and its buffer, a load the
-// index it fills (the embedding blocks, which are most of the file, and
-// their codes) and the corpus. The blocks and codes are mapped outside the
+// save allocates its buffer, a load the index it fills (the embedding
+// blocks, which are most of the file, and their codes). The blocks and
+// codes are mapped outside the
 // heap (search.RegionBytes), so what is counted is the heap's allocations
 // plus the growth of the mapped bytes.
 func TestIndexFileAllocs(t *testing.T) {

@@ -215,3 +215,50 @@ func TestPipelineDiverseBeatsSimilarBaseline(t *testing.T) {
 		t.Errorf("diverse result contains %d query duplicates of 3 rows", dupCount)
 	}
 }
+
+// countingSearcher is a Searcher that counts its Prepare calls.
+type countingSearcher struct {
+	search.Searcher
+	prepares int
+}
+
+func (c *countingSearcher) Prepare(q *table.Table) search.PreparedQuery {
+	c.prepares++
+	return c.Searcher.Prepare(q)
+}
+
+// TestRevalidateEncodesOnlyToScore holds Revalidate to one query encode,
+// and only when a table added since must be scored: a removal from the
+// answer, deletions outside it, a ranking shorter than topTables and an add
+// that is no longer indexed are all decided without one. The verdict on an
+// add that is scored agrees with the full ranking.
+func TestRevalidateEncodesOnlyToScore(t *testing.T) {
+	b, q := benchLake(t)
+	l := b.Lake.Clone()
+	s := &countingSearcher{Searcher: search.NewStarmie(l)}
+	p := New(l, WithSearcher(s), WithTopTables(3))
+	var full []string
+	for _, h := range search.TopK(s, q, 0) {
+		full = append(full, h.Table.Name)
+	}
+	answer, added, outside := full[:3], full[3], full[len(full)-1]
+	for _, c := range []struct {
+		name            string
+		tables, removed []string
+		added           []string
+		want            Staleness
+		prepares        int
+	}{
+		{"a table of the answer removed", answer, []string{outside, answer[1]}, nil, TableRemoved, 0},
+		{"deletions outside the answer", answer, []string{outside, "zz_gone"}, nil, Current, 0},
+		{"an add since removed again", answer, nil, []string{"zz_gone"}, Current, 0},
+		{"a short ranking", answer[:2], nil, []string{added}, Outranked, 0},
+		{"an add ranked after the answer", answer, nil, []string{added, outside}, Current, 1},
+		{"an add ranked into the answer", []string{answer[0], answer[1], added}, nil, []string{answer[2]}, Outranked, 1},
+	} {
+		s.prepares = 0
+		if got := p.Revalidate(q, c.tables, c.removed, c.added); got != c.want || s.prepares != c.prepares {
+			t.Errorf("%s: %v with %d query encodes, want %v with %d", c.name, got, s.prepares, c.want, c.prepares)
+		}
+	}
+}

@@ -96,6 +96,27 @@ func budgetTokens(col *table.Column, corpus func() *tokenize.Corpus) (tokens []s
 	return corpus().TopK(tokens, TokenBudget), false
 }
 
+// CutToBudget cuts every token list of cols, one a column of a table, that
+// is over TokenBudget to its TokenBudget most representative tokens by
+// TF-IDF over the table's own columns, each column one document (§6.2.3), so
+// that the table's vectors depend on the table alone. The corpus is counted
+// from the uncut lists, and only when some list is over the budget.
+func CutToBudget(cols [][]string) {
+	var own *tokenize.Corpus
+	for i, tokens := range cols {
+		if len(tokens) <= TokenBudget {
+			continue
+		}
+		if own == nil {
+			own = &tokenize.Corpus{}
+			for _, doc := range cols {
+				own.AddDocument(doc)
+			}
+		}
+		cols[i] = own.TopK(tokens, TokenBudget)
+	}
+}
+
 // ColumnTokens tokenizes every non-null value of a column, including the
 // header (tagged so it cannot collide with values). Header tokens are
 // repeated: language models attend strongly to the header when judging a

@@ -56,8 +56,12 @@ func (s StarmieEncoder) WithHotSet(h *HotSet) StarmieEncoder {
 // The vectors are capacity-capped rows of one allocation.
 func (s StarmieEncoder) EncodeTableColumns(t *table.Table, corpus func() *tokenize.Corpus) []vector.Vec {
 	dim := s.Dim()
+	cols := make([][]string, t.NumCols())
+	for i := range t.Columns {
+		cols[i], _ = budgetTokens(&t.Columns[i], corpus)
+	}
 	block := make([]float64, t.NumCols()*dim)
-	s.EncodeTableColumnsInto(block, t, corpus)
+	s.EncodeColumnTokensInto(block, cols)
 	out := make([]vector.Vec, t.NumCols())
 	for i := range out {
 		out[i] = block[i*dim : (i+1)*dim : (i+1)*dim]
@@ -65,23 +69,13 @@ func (s StarmieEncoder) EncodeTableColumns(t *table.Table, corpus func() *tokeni
 	return out
 }
 
-// EncodeTableColumnsInto writes EncodeTableColumns' vectors over block, as
-// NumCols x Dim row-major float64s: each column's tokens, cut to the budget
-// as EncodeTableColumns says, go to EncodeColumnTokensInto.
-func (s StarmieEncoder) EncodeTableColumnsInto(block []float64, t *table.Table, corpus func() *tokenize.Corpus) {
-	cols := make([][]string, t.NumCols())
-	for i := range t.Columns {
-		cols[i], _ = budgetTokens(&t.Columns[i], corpus)
-	}
-	s.EncodeColumnTokensInto(block, cols)
-}
-
-// EncodeColumnTokensInto writes over block the vectors of a table whose
-// columns feed the model cols, one token list a column: each column is
-// encoded into its row and then mixed with the table context in place, so
-// an index build allocates no vector of its own per column. For a table
-// with no column over TokenBudget, cols[i] = ColumnTokens(&t.Columns[i])
-// gives exactly EncodeTableColumnsInto's vectors under any corpus.
+// EncodeColumnTokensInto writes over block, as NumCols x Dim row-major
+// float64s, the vectors of a table whose columns feed the model cols, one
+// token list a column: each column is encoded into its row and then mixed
+// with the table context in place, so an index build allocates no vector of
+// its own per column. cols[i] = ColumnTokens(&t.Columns[i]), cut by
+// CutToBudget, gives EncodeTableColumns' vectors under a corpus of t's own
+// columns.
 func (s StarmieEncoder) EncodeColumnTokensInto(block []float64, cols [][]string) {
 	dim := s.Dim()
 	rows := make([]vector.Vec, len(cols))

@@ -35,7 +35,7 @@ func scanned(t *testing.T, s Searcher, q *table.Table, k int) int64 {
 // indexes the lake it was built over under the name "starmie", TopKCtx is
 // bit-identical to Prepare + TopKPrepared, a cancelled context yields
 // ctx.Err() and no hits, a foreign preparation is refused with
-// ErrForeignPrepared (and never reads as corpus-free), the scan covers the
+// ErrForeignPrepared, the scan covers the
 // whole lake, and ModeView answers both modes with the searcher itself and
 // no other value. A searcher built
 // over an empty lake answers every query with nothing, and so does the
@@ -92,9 +92,6 @@ func TestSearcherConformance(t *testing.T) {
 		}
 		if _, err := s.ScoreTables(alienPrepared{q}, b.Lake.Names()[:1]); !errors.Is(err, ErrForeignPrepared) {
 			t.Errorf("foreign ScoreTables err = %v, want ErrForeignPrepared", err)
-		}
-		if s.CorpusFree(alienPrepared{q}) {
-			t.Error("a foreign preparation reads as corpus-free")
 		}
 
 		if n := scanned(t, s, q, 10); n != int64(b.Lake.Len()) {

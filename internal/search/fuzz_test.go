@@ -13,8 +13,8 @@ import (
 // Starmie index, also with a byte flipped deep in its body, cut short,
 // under the retired kind bytes (the HNSW graph's 'A', D3L's 'D', the
 // tuple-level index's 'T') and under an older version, envelope fragments,
-// and an envelope with a valid CRC whose payload declares 2^22 document
-// frequencies and ends, so mutations start past the frame.
+// and an envelope with a valid CRC whose payload declares 2^22 tables and
+// ends, so mutations start past the frame.
 func FuzzLoadIndex(f *testing.F) {
 	starmie, err := os.ReadFile(filepath.Join("testdata", "golden_starmie.idx"))
 	if err != nil {
@@ -23,7 +23,7 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Add(starmie)
 	f.Add([]byte{})
 	f.Add([]byte("DSTIDX"))
-	f.Add([]byte("DSTIDXS\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add([]byte("DSTIDXS\x02\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Add([]byte("DSTIDXA\x03\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 	flipped := append([]byte(nil), starmie...)
 	flipped[len(flipped)*3/4] ^= 0xFF

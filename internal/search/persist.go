@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 
 	"dust/internal/codec"
 	"dust/internal/embed"
@@ -16,34 +15,20 @@ import (
 // the payload layout changes; the loader reads exactly its current version
 // and refuses any other, older or newer, as codec.ErrVersion, so a binary
 // never misreads an index.
-const StarmieFormatVersion uint16 = 1
+const StarmieFormatVersion uint16 = 2
 
-// Save writes the Starmie index — encoder identity, corpus document
-// frequencies, and the column embeddings of every table of its lake — as
+// Save writes the Starmie index — encoder identity and the column
+// embeddings of every table of its lake — as
 // one versioned, checksummed envelope, streamed to w. Every lake table must
 // be indexed; if one is not, Save fails before it writes a byte.
 func (s *Starmie) Save(w io.Writer) error {
 	tables := s.lake.Tables()
-	type df struct {
-		tok string
-		n   int
-	}
-	var freqs []df
-	s.corpus.DocFreqs(func(tok string, n int) { freqs = append(freqs, df{tok, n}) })
-	sort.Slice(freqs, func(i, j int) bool { return freqs[i].tok < freqs[j].tok })
 	err := codec.WriteEnvelope(w, codec.KindStarmie, StarmieFormatVersion, func(e *codec.Encoder) error {
 		e.String(s.enc.Name())
 		e.String(s.enc.Model.Fingerprint())
 		e.Int(s.enc.Dim())
 		e.Float64(s.enc.ContextWeight)
 		e.Float64(s.MinSim)
-
-		e.Int(s.corpus.NumDocs())
-		e.Int(len(freqs))
-		for _, f := range freqs {
-			e.String(f.tok)
-			e.Int(f.n)
-		}
 
 		e.Int(len(tables))
 		for _, t := range tables {
@@ -52,7 +37,6 @@ func (s *Starmie) Save(w io.Writer) error {
 				return fmt.Errorf("starmie: save: lake table %q not indexed: %w", t.Name, ErrLakeMismatch)
 			}
 			e.String(t.Name)
-			e.Bool(x.big)
 			e.Int(len(x.block) / s.enc.Dim())
 			s.blockRows(x.block, e.Float64s)
 		}
@@ -83,15 +67,6 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 		savedDim := d.Int()
 		s.enc.ContextWeight = d.Float64()
 		s.MinSim = d.Float64()
-
-		// Each pair goes straight into the corpus, whose map has no size
-		// hint: the count is not verified until the CRC is.
-		s.corpus.Restore(d.Int(), func(set func(string, int)) {
-			for i, n := 0, d.Int(); i < n && d.Err() == nil; i++ {
-				tok := d.String()
-				set(tok, d.Int())
-			}
-		})
 		// Columns of another width cannot be decoded into this index; the
 		// rest of the payload is still read through the CRC, so truncation
 		// and a checksum mismatch are reported before this.
@@ -113,11 +88,10 @@ func LoadStarmie(r io.Reader, l *lake.Lake, opts ...Option) (*Starmie, error) {
 		tabs = make([]saved, 0, min(nTables, l.Len()))
 		for i := 0; i < nTables && d.Err() == nil; i++ {
 			name := d.String()
-			big := d.Bool()
 			ncols := d.Int()
 			var block []float64
 			if x := s.idx.get(name); x != nil && len(x.block) == ncols*dim {
-				block, x.big = x.block, big
+				block = x.block
 			}
 			for c := 0; c < ncols && d.Err() == nil; c++ {
 				if block != nil {

@@ -209,7 +209,7 @@ func TestLoadErrorPaths(t *testing.T) {
 }
 
 // hostileIndex is a Starmie envelope of under 100 bytes with a valid CRC
-// whose payload declares count document frequencies and ends there.
+// whose payload declares count tables and ends there.
 func hostileIndex(t testing.TB, count int) []byte {
 	t.Helper()
 	enc := embed.NewStarmie()
@@ -220,8 +220,7 @@ func hostileIndex(t testing.TB, count int) []byte {
 		e.Int(enc.Dim())
 		e.Float64(enc.ContextWeight)
 		e.Float64(0)
-		e.Int(1)     // documents
-		e.Int(count) // document frequencies
+		e.Int(count) // tables
 		return nil
 	})
 	if err != nil {
@@ -246,7 +245,7 @@ func TestLoadHostileCount(t *testing.T) {
 		t.Errorf("err = %v, want codec.ErrTruncated or codec.ErrCorrupt", err)
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
-		t.Errorf("loading %d bytes that declare 2^22 frequencies allocated %d bytes", len(data), n)
+		t.Errorf("loading %d bytes that declare 2^22 tables allocated %d bytes", len(data), n)
 	}
 }
 

@@ -56,11 +56,6 @@ type Searcher interface {
 	// named, each to the bits TopKPrepared ranks it by; a name the index
 	// does not hold yields lake.ErrUnknownTable.
 	ScoreTables(pq PreparedQuery, names []string) ([]Scored, error)
-	// CorpusFree reports whether neither pq nor any indexed table was
-	// embedded against the index corpus (no column over the encoder's token
-	// budget). Then every score against pq is a function of pq's query and
-	// the one table alone, which no mutation of other tables moves.
-	CorpusFree(pq PreparedQuery) bool
 
 	// QueryWorkers returns a view sharing the index that scores queries
 	// with at most n workers; batch-serving callers use it to stop
@@ -69,8 +64,8 @@ type Searcher interface {
 
 	// WithTable returns a successor indexing the receiver's tables and t,
 	// and WithoutTable one indexing them without the named table, each over
-	// a lake of its own, in O(delta) work plus one copy of the table list
-	// and the corpus: its answers are bit-identical to an index built from
+	// a lake of its own, in O(delta) work plus one copy of the table list:
+	// its answers are bit-identical to an index built from
 	// scratch over the new table set. The receiver and its views are left
 	// as they were, and share the column blocks the mutation does not
 	// re-embed. A name already indexed (WithTable) or not indexed

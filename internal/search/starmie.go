@@ -14,7 +14,6 @@ import (
 	"dust/internal/par"
 	"dust/internal/region"
 	"dust/internal/table"
-	"dust/internal/tokenize"
 	"dust/internal/vector"
 )
 
@@ -23,14 +22,15 @@ import (
 // at query time the query's columns are matched to each candidate's columns
 // by maximum-weight bipartite matching over cosine similarity and the
 // normalized matching weight is the table's unionability score (§6.2.3).
-// One index covers the whole lake: one corpus, one ordered list of column
-// blocks, one exact scan and one saved file. Nothing writes a Starmie once
-// it is built: WithTable and WithoutTable build a successor, so the lake
-// handed to the constructor must not change afterwards either.
+// One index covers the whole lake: one ordered list of column blocks, one
+// exact scan and one saved file. Every stored vector is a function of its
+// own table: an over-budget column is cut against that table's columns
+// alone (embed.CutToBudget). Nothing writes a Starmie once it is built:
+// WithTable and WithoutTable build a successor, so the lake handed to the
+// constructor must not change afterwards either.
 type Starmie struct {
-	enc    embed.StarmieEncoder
-	lake   *lake.Lake
-	corpus *tokenize.Corpus
+	enc  embed.StarmieEncoder
+	lake *lake.Lake
 	// idx is the ordered table list the exact scan walks.
 	idx index
 	// region is the handle of the mapping idx's built or loaded blocks and
@@ -52,17 +52,12 @@ type Starmie struct {
 // float64s; it is derived from block wherever a block is installed, and
 // never saved. The blocks and codes of a built or loaded index are carved
 // from one region (region.go), outside the collected heap; a successor
-// holds a block and codes of its own, on the heap, for its new table and
-// its big ones. Both are immutable once installed, so successors and views
-// share them. big marks a table with at least one column whose token count
-// exceeds the encoder budget: its embeddings depend on the corpus TF-IDF
-// selection and are re-embedded in every successor. Every other table
-// embeds corpus-independently.
+// holds a block and codes of its own, on the heap, for its new table. Both
+// are immutable once installed, so successors and views share them.
 type entry struct {
 	t     *table.Table
 	block []float64
 	code  vector.CodeBlock
-	big   bool
 }
 
 // index is the searcher's table list: the entries in lake order, which the
@@ -98,16 +93,12 @@ func NewStarmie(l *lake.Lake, opts ...Option) *Starmie {
 }
 
 // NewStarmieWithEncoder indexes the lake with a custom encoder in one
-// parallel pass over the lake: each chunk of tables tokenizes every column
-// once, counts the tokens into a corpus of its own and encodes each table
-// with no column over the token budget from those same tokens — such a
-// table never reads the corpus. A chunk's corpus is merged into the index
-// corpus as the chunk ends (integer frequencies: the order is immaterial),
-// so at most one lives per worker. Only then are the over-budget tables
-// embedded, in parallel, against the whole lake's corpus. Every encode of
-// the build reads a hot set before it derives a vector its token-vector
-// table lacks: the vectors a stride sample of the lake reads more than
-// once, derived before the pass and dropped as the build returns.
+// parallel pass over the lake: each table's columns are tokenized once, cut
+// to the token budget against the table's own columns, and encoded from
+// those tokens. Every encode of the build reads a hot set before it derives
+// a vector its token-vector table lacks: the vectors a stride sample of the
+// lake reads more than once, derived before the pass and dropped as the
+// build returns.
 func NewStarmieWithEncoder(l *lake.Lake, enc embed.StarmieEncoder, opts ...Option) *Starmie {
 	o := applyOptions(opts)
 	hot := hotSet(enc, hotSample(l.Tables()), o.workers)
@@ -153,27 +144,12 @@ func buildStarmie(l *lake.Lake, enc embed.StarmieEncoder, hot *embed.HotSet, o o
 	// returns holds enc itself.
 	s := emptyStarmie(l, enc.WithHotSet(hot), o)
 	s.idx, s.region = carveIndex(l.Tables(), enc.Dim())
-	var mu sync.Mutex
 	par.ForChunks(s.workers, len(s.idx.entries), func(lo, hi int) {
 		var tk tokenizer
-		part := &tokenize.Corpus{}
 		for i := lo; i < hi; i++ {
 			e := &s.idx.entries[i]
-			e.big = s.indexTable(&tk, e.t, part, e.block, &e.code)
+			s.encodeInto(&tk, e.t, e.block, &e.code)
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		s.corpus.Merge(part)
-	})
-	var big []int
-	for i, e := range s.idx.entries {
-		if e.big {
-			big = append(big, i)
-		}
-	}
-	par.For(s.workers, len(big), func(i int) {
-		e := &s.idx.entries[big[i]]
-		s.embedInto(e.block, &e.code, e.t)
 	})
 	s.enc = enc
 	runtime.KeepAlive(s.region)
@@ -184,7 +160,9 @@ func buildStarmie(l *lake.Lake, enc embed.StarmieEncoder, hot *embed.HotSet, o o
 // it tokenizes reuses their arrays.
 type tokenizer struct{ cols [][]string }
 
-// tokens tokenizes t's columns, valid until the next call.
+// tokens tokenizes t's columns, each cut to the token budget against t's
+// own columns (embed.CutToBudget): the lists t's vectors are encoded from,
+// valid until the next call.
 func (tk *tokenizer) tokens(t *table.Table) [][]string {
 	for len(tk.cols) < t.NumCols() {
 		tk.cols = append(tk.cols, nil)
@@ -193,25 +171,14 @@ func (tk *tokenizer) tokens(t *table.Table) [][]string {
 	for i := range cols {
 		cols[i] = embed.AppendColumnTokens(cols[i][:0], &t.Columns[i])
 	}
+	embed.CutToBudget(cols)
 	return cols
 }
 
-// indexTable tokenizes t's columns once, counts them into corpus and
-// reports whether any of them exceeds the encoder's token budget. When none
-// does, t's vectors depend on those tokens alone: indexTable encodes them
-// into block and quantises them into code. A big table is left to
-// embedInto, once corpus holds every column its selection is made against.
-func (s *Starmie) indexTable(tk *tokenizer, t *table.Table, corpus *tokenize.Corpus, block []float64, code *vector.CodeBlock) (big bool) {
-	cols := tk.tokens(t)
-	for _, tokens := range cols {
-		corpus.AddDocument(tokens)
-		big = big || len(tokens) > embed.TokenBudget
-	}
-	if !big {
-		s.enc.EncodeColumnTokensInto(block, cols)
-		code.Quantize(block, s.enc.Dim())
-	}
-	return big
+// encodeInto encodes t's columns into block and quantises them into code.
+func (s *Starmie) encodeInto(tk *tokenizer, t *table.Table, block []float64, code *vector.CodeBlock) {
+	s.enc.EncodeColumnTokensInto(block, tk.tokens(t))
+	code.Quantize(block, s.enc.Dim())
 }
 
 // emptyStarmie is the searcher before any table is indexed — what the
@@ -220,7 +187,6 @@ func emptyStarmie(l *lake.Lake, enc embed.StarmieEncoder, o options) *Starmie {
 	return &Starmie{
 		enc:     enc,
 		lake:    l,
-		corpus:  &tokenize.Corpus{},
 		workers: o.workers,
 		MinSim:  0.3,
 	}
@@ -250,26 +216,10 @@ func carveIndex(tables []*table.Table, dim int) (index, *region.Region) {
 	return newIndex(entries), reg
 }
 
-// indexCorpus hands the encoder the index corpus, which it reads only for
-// a column over the token budget.
-func (s *Starmie) indexCorpus() *tokenize.Corpus { return s.corpus }
-
-// embedInto encodes t's columns against the current corpus into block and
-// quantises them into code.
-func (s *Starmie) embedInto(block []float64, code *vector.CodeBlock, t *table.Table) {
-	s.enc.EncodeTableColumnsInto(block, t, s.indexCorpus)
-	code.Quantize(block, s.enc.Dim())
-}
-
-// newBlock allocates a block and codes for t of its own.
-func (s *Starmie) newBlock(t *table.Table) ([]float64, vector.CodeBlock) {
-	return make([]float64, t.NumCols()*s.enc.Dim()), vector.NewCodeBlock(t.NumCols(), s.enc.Dim())
-}
-
-// embed is embedInto a block and codes of t's own.
+// embed encodes t into a block and codes of its own.
 func (s *Starmie) embed(t *table.Table) ([]float64, vector.CodeBlock) {
-	block, code := s.newBlock(t)
-	s.embedInto(block, &code, t)
+	block, code := make([]float64, t.NumCols()*s.enc.Dim()), vector.NewCodeBlock(t.NumCols(), s.enc.Dim())
+	s.encodeInto(&tokenizer{}, t, block, &code)
 	return block, code
 }
 
@@ -298,12 +248,11 @@ func (s *Starmie) ModeView(m Mode) (Searcher, bool) {
 	return s, true
 }
 
-// WithTable implements Searcher: t's columns join a copy of the corpus and
-// are embedded with it, and the successor holds every block and code of the
-// receiver but those of the over-budget tables, which it re-embeds against
-// the new corpus. The index and the lake both have to accept t, so a table
-// written into the constructor's lake behind the searcher's back is refused,
-// never indexed twice; WithoutTable likewise.
+// WithTable implements Searcher: t is embedded into a block of its own, and
+// the successor holds every block and code of the receiver beside it. The
+// index and the lake both have to accept t, so a table written into the
+// constructor's lake behind the searcher's back is refused, never indexed
+// twice; WithoutTable likewise.
 func (s *Starmie) WithTable(t *table.Table) (Searcher, error) {
 	if s.idx.get(t.Name) != nil {
 		return nil, fmt.Errorf("starmie: WithTable(%q): %w", t.Name, lake.ErrDuplicateTable)
@@ -312,17 +261,14 @@ func (s *Starmie) WithTable(t *table.Table) (Searcher, error) {
 	if err := l.Add(t); err != nil {
 		return nil, fmt.Errorf("starmie: WithTable: %w", err)
 	}
-	corpus := s.corpus.Clone()
 	e := entry{t: t}
-	e.block, e.code = s.newBlock(t)
-	e.big = s.indexTable(&tokenizer{}, t, corpus, e.block, &e.code)
+	e.block, e.code = s.embed(t)
 	entries := make([]entry, 0, len(s.idx.entries)+1)
-	return s.successor(l, corpus, append(append(entries, s.idx.entries...), e)), nil
+	return s.successor(l, append(append(entries, s.idx.entries...), e)), nil
 }
 
-// WithoutTable implements Searcher: the table's columns leave a copy of the
-// corpus, and the successor holds the other tables' blocks and codes as
-// WithTable's does.
+// WithoutTable implements Searcher: the successor holds the other tables'
+// blocks and codes.
 func (s *Starmie) WithoutTable(name string) (Searcher, error) {
 	i, ok := s.idx.pos[name]
 	if !ok {
@@ -332,34 +278,17 @@ func (s *Starmie) WithoutTable(name string) (Searcher, error) {
 	if err := l.Remove(name); err != nil {
 		return nil, fmt.Errorf("starmie: WithoutTable: %w", err)
 	}
-	gone := s.idx.entries[i].t
-	corpus := s.corpus.Clone()
-	for c := range gone.Columns {
-		corpus.RemoveDocument(embed.ColumnTokens(&gone.Columns[c]))
-	}
 	entries := make([]entry, 0, len(s.idx.entries)-1)
-	return s.successor(l, corpus, append(append(entries, s.idx.entries[:i]...), s.idx.entries[i+1:]...)), nil
+	return s.successor(l, append(append(entries, s.idx.entries[:i]...), s.idx.entries[i+1:]...)), nil
 }
 
-// successor is s over l, corpus and entries, one mutation on: the entries
-// name l's tables in l's order in an array of the successor's own, and
-// every one marked big is re-embedded against corpus into a block and codes
-// of its own. Tables under the token budget are never marked big, so the
-// common mutation costs O(new table) plus one copy of the entries, their
-// name map, the lake and the corpus.
-func (s *Starmie) successor(l *lake.Lake, corpus *tokenize.Corpus, entries []entry) *Starmie {
+// successor is s over l and entries, one mutation on: the entries name l's
+// tables in l's order in an array of the successor's own. No stored vector
+// reads another table, so a mutation costs O(new table) plus one copy of the
+// entries, their name map and the lake.
+func (s *Starmie) successor(l *lake.Lake, entries []entry) *Starmie {
 	c := *s
-	c.lake, c.corpus, c.idx = l, corpus, newIndex(entries)
-	var stale []int
-	for i, e := range entries {
-		if e.big {
-			stale = append(stale, i)
-		}
-	}
-	par.For(c.workers, len(stale), func(i int) {
-		e := &entries[stale[i]]
-		e.block, e.code = c.embed(e.t)
-	})
+	c.lake, c.idx = l, newIndex(entries)
 	return &c
 }
 
@@ -579,21 +508,24 @@ func reachAfter(ub float64, i, nq int) float64 {
 	return reach / float64(nq)
 }
 
-// EncodeQuery embeds a query table's columns with the index corpus.
+// EncodeQuery embeds a query table's columns as the index embeds a table's.
+// The vectors are capacity-capped rows of one allocation.
 func (s *Starmie) EncodeQuery(q *table.Table) []vector.Vec {
-	return s.enc.EncodeTableColumns(q, s.indexCorpus)
+	var tk tokenizer
+	block := make([]float64, q.NumCols()*s.enc.Dim())
+	s.enc.EncodeColumnTokensInto(block, tk.tokens(q))
+	cols := make([]vector.Vec, 0, q.NumCols())
+	s.blockRows(block, func(v vector.Vec) { cols = append(cols, v) })
+	return cols
 }
 
 // starmiePrepared is Starmie's PreparedQuery: the query's contextualized
-// column embeddings, encoded once against the index corpus, in the layouts
-// the exact scan reads: panels for the float64 dots, codes for its
-// pre-pass. readCorpus reports that the encode read the corpus: a query
-// column is over the token budget.
+// column embeddings, encoded once, in the layouts the exact scan reads:
+// panels for the float64 dots, codes for its pre-pass.
 type starmiePrepared struct {
-	query      *table.Table
-	panels     *vector.QueryPanels
-	codes      *vector.QueryCodes
-	readCorpus bool
+	query  *table.Table
+	panels *vector.QueryPanels
+	codes  *vector.QueryCodes
 }
 
 // Query implements PreparedQuery.
@@ -602,13 +534,8 @@ func (p *starmiePrepared) Query() *table.Table { return p.query }
 // Prepare implements Searcher: the query's columns are embedded
 // exactly once.
 func (s *Starmie) Prepare(query *table.Table) PreparedQuery {
-	p := &starmiePrepared{query: query}
-	cols := s.enc.EncodeTableColumns(query, func() *tokenize.Corpus {
-		p.readCorpus = true
-		return s.corpus
-	})
-	p.panels, p.codes = vector.NewQueryPanels(cols), vector.NewQueryCodes(cols)
-	return p
+	cols := s.EncodeQuery(query)
+	return &starmiePrepared{query: query, panels: vector.NewQueryPanels(cols), codes: vector.NewQueryCodes(cols)}
 }
 
 // prepared asserts pq is Starmie's own preparation.
@@ -646,14 +573,6 @@ func (s *Starmie) ScoreTables(pq PreparedQuery, names []string) ([]Scored, error
 	}
 	runtime.KeepAlive(s.region)
 	return out, nil
-}
-
-// CorpusFree implements Searcher: pq read no corpus and no entry is marked
-// big. One walk of the entries.
-func (s *Starmie) CorpusFree(pq PreparedQuery) bool {
-	p, err := prepared(pq)
-	return err == nil && !p.readCorpus &&
-		!slices.ContainsFunc(s.idx.entries, func(e entry) bool { return e.big })
 }
 
 // TopKPrepared implements Searcher as the staged plan: the candidates are

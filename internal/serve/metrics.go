@@ -54,12 +54,12 @@ type serverMetrics struct {
 
 // staleHorizon is the stale outcome of an entry older than the snapshot's
 // mutation log reaches: the outcomes past Revalidate's own.
-const staleHorizon = dust.CorpusSensitive + 1
+const staleHorizon = dust.Outranked + 1
 
 // staleOutcomes labels dust_cache_stale_total by outcome.
 var staleOutcomes = [staleHorizon + 1]string{
 	dust.Current: "revalidated", dust.TableRemoved: "table_removed",
-	dust.Outranked: "outranked", dust.CorpusSensitive: "corpus", staleHorizon: "horizon",
+	dust.Outranked: "outranked", staleHorizon: "horizon",
 }
 
 // newServerMetrics registers every serving metric against s.
@@ -87,7 +87,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Time admitted searches waited for an in-flight slot.",
 			nil),
 		stale: r.NewCounter("dust_cache_stale_total",
-			"Cache entries from an epoch older than the request's snapshot, by outcome: revalidated (served, re-stamped with the snapshot's epoch), table_removed (a table of the answer was removed since), outranked (a table added since ranks into the answer), corpus (the query or an indexed table embeds against the corpus), horizon (more mutations since than the snapshot's log holds).",
+			"Cache entries from an epoch older than the request's snapshot, by outcome: revalidated (served, re-stamped with the snapshot's epoch), table_removed (a table of the answer was removed since), outranked (a table added since ranks into the answer), horizon (more mutations since than the snapshot's log holds).",
 			"outcome"),
 	}
 	for _, outcome := range staleOutcomes {

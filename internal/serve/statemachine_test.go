@@ -239,8 +239,7 @@ func TestCacheStateMachine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Query 3 has one column of 600 words, over the 512-token budget: its
-	// vector depends on the corpus, so no answer to it is ever revalidated.
+	// Query 3 has one column of 600 words, over the 512-token budget.
 	aWords, bWords := wordList("a", 300), wordList("b", 300)
 	o := &smOracle{
 		topTables: 4,
@@ -327,52 +326,53 @@ func TestCacheStateMachine(t *testing.T) {
 	if f := d.search(0, 5); f.Cached {
 		t.Fatal("served an answer holding a table replaced since")
 	}
-	// A table with a column over the budget makes every stored vector of
-	// its kind corpus-dependent: no entry is revalidated while it is in.
+	// A table with a column over the budget is cut against its own columns
+	// alone: adding it moves no other score, so an entry it ranks below is
+	// revalidated, and so is one after it leaves again, with no encode.
 	d.search(0, 5)
 	d.put(wordsTable("zz_big", "text", wordList("x", 600)))
-	if g := d.search(0, 5); g.Cached {
-		t.Fatal("served an older answer while an over-budget table is indexed")
-	}
-	d.put(held[1])
-	if h := d.search(0, 5); h.Cached {
-		t.Fatal("served an older answer while an over-budget table is indexed")
+	if g := d.search(0, 5); !g.Cached {
+		t.Fatal("an over-budget table added below the answer was not revalidated")
 	}
 	d.del("zz_big")
-	d.search(0, 5)
+	if g := d.search(0, 5); !g.Cached {
+		t.Fatal("an answer was not revalidated after a deletion outside it")
+	}
 
-	// The query over the budget picks its 512 words by TF-IDF, so its
-	// vector moves with document frequencies. With six fillers that carry
-	// the a-words (and too much else to score), a-words are commoner than
-	// b-words and the query leans to ab_b; with the fillers gone it leans
-	// to ab_a. The fillers are out of the answer and nothing is added, so
-	// only the corpus check stands between the two answers.
+	// The query over the budget picks its 512 words by TF-IDF over its own
+	// column, so no other table moves its vector. Fillers that carry the
+	// a-words (and too much else to score) rank out of its answer; deleting
+	// them, and adding one back, leaves the answer standing.
 	d.put(wordsTable("ab_a", "words", aWords))
 	d.put(wordsTable("ab_b", "words", bWords))
 	d.put(wordsTable("ab_bf", "words", bWords))
-	var fillers []string
+	var fillers []*table.Table
 	for i := 0; i < 6; i++ {
-		name := fmt.Sprintf("zz_fill%d", i)
 		chunk := aWords[100*(i%3) : 100*(i%3)+100]
-		d.put(wordsTable(name, "noise", append(slices.Clone(chunk), wordList(fmt.Sprintf("n%d_", i), 400)...)))
-		fillers = append(fillers, name)
+		filler := wordsTable(fmt.Sprintf("zz_fill%d", i), "noise", append(slices.Clone(chunk), wordList(fmt.Sprintf("n%d_", i), 400)...))
+		d.put(filler)
+		fillers = append(fillers, filler)
 	}
 	s1 := d.search(3, 5)
-	for _, name := range fillers {
-		if slices.Contains(s1.Tables, name) {
-			t.Fatalf("filler %s in the answer %v: the scenario needs them out", name, s1.Tables)
+	if len(s1.Tables) != o.topTables {
+		t.Fatalf("the over-budget query's answer holds %d tables, want the full %d", len(s1.Tables), o.topTables)
+	}
+	for _, filler := range fillers {
+		if slices.Contains(s1.Tables, filler.Name) {
+			t.Fatalf("filler %s in the answer %v: the scenario needs them out", filler.Name, s1.Tables)
 		}
 	}
-	for _, name := range fillers {
-		d.del(name)
+	for _, filler := range fillers {
+		d.del(filler.Name)
 	}
-	s2 := d.search(3, 5)
-	if s2.Cached {
-		t.Fatal("served an older answer to a query over the budget")
+	if s2 := d.search(3, 5); !s2.Cached || !slices.Equal(s2.Tables, s1.Tables) {
+		t.Fatalf("after deletions outside it: cached=%v tables %v, want a hit on %v", s2.Cached, s2.Tables, s1.Tables)
 	}
-	if slices.Equal(s1.Tables, s2.Tables) {
-		t.Fatalf("both answers rank %v: the fillers no longer move the query", s1.Tables)
+	d.put(fillers[0])
+	if s3 := d.search(3, 5); !s3.Cached || !slices.Equal(s3.Tables, s1.Tables) {
+		t.Fatalf("after re-adding a filler: cached=%v tables %v, want a hit on %v", s3.Cached, s3.Tables, s1.Tables)
 	}
+	d.del(fillers[0].Name)
 	for _, name := range []string{"ab_a", "ab_b", "ab_bf"} {
 		d.del(name)
 	}

@@ -6,7 +6,6 @@
 package tokenize
 
 import (
-	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -95,23 +94,23 @@ func TermFreq(tokens []string) map[string]int {
 type Corpus struct {
 	docFreq map[string]count
 	numDocs int
-	// op numbers the AddDocument and RemoveDocument calls. A token's count
-	// records the last call that moved it, so a call counts each distinct
-	// token once without a set of the tokens it has seen.
+	// op numbers the AddDocument calls. A token's count records the last
+	// call that moved it, so a call counts each distinct token once without
+	// a set of the tokens it has seen.
 	op uint32
 }
 
 // count is one token's document frequency and the corpus op that last moved
-// it; every stored op is at most the corpus's own, and a merged or restored
-// count carries 0. Both halves are 32 bits, so a count is the size of the
-// int it replaces: a frequency is bounded by the columns a lake holds.
+// it; every stored op is at most the corpus's own. Both halves are 32 bits,
+// so a count is the size of the int it replaces: a frequency is bounded by
+// the documents a corpus holds.
 type count struct {
 	df int32
 	op uint32
 }
 
-// nextOp numbers a new AddDocument or RemoveDocument call. When the number
-// wraps, every stamp is cleared first, so none can match a later call.
+// nextOp numbers a new AddDocument call. When the number wraps, every
+// stamp is cleared first, so none can match a later call.
 func (c *Corpus) nextOp() {
 	if c.op == math.MaxUint32 {
 		for t, n := range c.docFreq {
@@ -140,104 +139,6 @@ func (c *Corpus) AddDocument(tokens []string) {
 		}
 	}
 	c.numDocs++
-}
-
-// RemoveDocument reverses a prior AddDocument of the same token multiset:
-// document frequencies of the distinct tokens are decremented (entries
-// reaching zero are deleted, so the corpus state is identical to one built
-// without the document) and the document count drops by one. Removing a
-// document that was never added corrupts the statistics; callers own that
-// invariant.
-func (c *Corpus) RemoveDocument(tokens []string) {
-	if c.numDocs == 0 {
-		return
-	}
-	c.nextOp()
-	for _, t := range tokens {
-		n, ok := c.docFreq[t]
-		switch {
-		case !ok || n.op == c.op:
-		case n.df > 1:
-			c.docFreq[t] = count{df: n.df - 1, op: c.op}
-		default:
-			delete(c.docFreq, t)
-		}
-	}
-	c.numDocs--
-}
-
-// Merge adds other's documents to c, as if every document added to other
-// had been added to c too; other is left as it is. Frequencies are
-// integers, so merging any split of a document set, in any order, yields
-// the corpus that added the whole set one document at a time. The tokens
-// new to c are copied into one allocation: a corpus merged from parts holds
-// its keys in one block a part, not one a token scattered among whatever
-// else the parts' builders allocated, and no key pins a part.
-func (c *Corpus) Merge(other *Corpus) {
-	if len(other.docFreq) > 0 && c.docFreq == nil {
-		c.docFreq = make(map[string]count, len(other.docFreq))
-	}
-	size := 0
-	for t := range other.docFreq {
-		if _, ok := c.docFreq[t]; !ok {
-			size += len(t)
-		}
-	}
-	var keys strings.Builder
-	keys.Grow(size)
-	for t, n := range other.docFreq {
-		m, ok := c.docFreq[t]
-		if !ok {
-			// A Builder only appends, so each key stays a view of the
-			// bytes written for it.
-			at := keys.Len()
-			keys.WriteString(t)
-			t = keys.String()[at:]
-		}
-		m.df += n.df
-		c.docFreq[t] = m
-	}
-	c.numDocs += other.numDocs
-}
-
-// Clone returns a corpus with its own document-frequency map, so
-// AddDocument/RemoveDocument on the clone leave the original untouched
-// (a search successor's corpus is one).
-func (c *Corpus) Clone() *Corpus {
-	cp := &Corpus{numDocs: c.numDocs, op: c.op}
-	if c.docFreq != nil {
-		cp.docFreq = maps.Clone(c.docFreq)
-	}
-	return cp
-}
-
-// NumDocs returns the number of documents added.
-func (c *Corpus) NumDocs() int { return c.numDocs }
-
-// DocFreqs calls fn for every (token, document frequency) pair in
-// unspecified order; index codecs sort the tokens themselves.
-func (c *Corpus) DocFreqs(fn func(token string, df int)) {
-	for t, n := range c.docFreq {
-		fn(t, int(n.df))
-	}
-}
-
-// Restore replaces the corpus state wholesale; it is the loading-side dual
-// of NumDocs and DocFreqs, used by index codecs: freqs calls set once per
-// (token, document frequency) pair, straight into the corpus. A negative
-// numDocs is clamped to zero, a frequency at or below zero drops its token
-// and one above math.MaxInt32 is clamped to that; a token set twice keeps
-// the last frequency.
-func (c *Corpus) Restore(numDocs int, freqs func(set func(token string, df int))) {
-	c.numDocs = max(numDocs, 0)
-	c.docFreq = make(map[string]count)
-	freqs(func(t string, df int) {
-		if df > 0 {
-			c.docFreq[t] = count{df: int32(min(df, math.MaxInt32))}
-		} else {
-			delete(c.docFreq, t)
-		}
-	})
 }
 
 // IDF returns the smoothed inverse document frequency of token, defined as

@@ -1,11 +1,9 @@
 package tokenize
 
 import (
-	"fmt"
+	"maps"
 	"math"
-	"math/rand"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -134,8 +132,8 @@ func TestCorpusIDF(t *testing.T) {
 	c.AddDocument([]string{"common", "rare1"})
 	c.AddDocument([]string{"common", "rare2"})
 	c.AddDocument([]string{"common"})
-	if c.NumDocs() != 3 {
-		t.Fatalf("NumDocs = %d", c.NumDocs())
+	if c.numDocs != 3 {
+		t.Fatalf("numDocs = %d", c.numDocs)
 	}
 	if c.IDF("common") >= c.IDF("rare1") {
 		t.Errorf("IDF(common)=%v should be < IDF(rare1)=%v", c.IDF("common"), c.IDF("rare1"))
@@ -232,177 +230,6 @@ func TestTermFreqTotalProperty(t *testing.T) {
 	}
 }
 
-func TestRemoveDocumentRestoresState(t *testing.T) {
-	docs := [][]string{
-		{"park", "city", "park"},
-		{"city", "country", "year"},
-		{"park", "year"},
-	}
-	// Build the full corpus, then remove the middle document and compare
-	// against a corpus that never saw it.
-	var full Corpus
-	for _, d := range docs {
-		full.AddDocument(d)
-	}
-	full.RemoveDocument(docs[1])
-
-	var fresh Corpus
-	fresh.AddDocument(docs[0])
-	fresh.AddDocument(docs[2])
-
-	if full.NumDocs() != fresh.NumDocs() {
-		t.Fatalf("NumDocs = %d, want %d", full.NumDocs(), fresh.NumDocs())
-	}
-	for _, tok := range []string{"park", "city", "country", "year", "never-seen"} {
-		if got, want := full.IDF(tok), fresh.IDF(tok); got != want {
-			t.Errorf("IDF(%q) = %v, want %v", tok, got, want)
-		}
-	}
-	// Zero-count entries must be deleted, not kept at zero.
-	count := 0
-	full.DocFreqs(func(string, int) { count++ })
-	if count != 3 { // park, city, year
-		t.Errorf("docFreq entries = %d, want 3", count)
-	}
-}
-
-func TestRemoveDocumentOnEmptyCorpus(t *testing.T) {
-	var c Corpus
-	c.RemoveDocument([]string{"a"}) // must not underflow or panic
-	if c.NumDocs() != 0 {
-		t.Errorf("NumDocs = %d", c.NumDocs())
-	}
-}
-
-// tokenDF is one (token, document frequency) pair for restore.
-type tokenDF struct {
-	tok string
-	df  int
-}
-
-// restore is Corpus.Restore from freqs, set in order.
-func restore(c *Corpus, numDocs int, freqs ...tokenDF) {
-	c.Restore(numDocs, func(set func(string, int)) {
-		for _, f := range freqs {
-			set(f.tok, f.df)
-		}
-	})
-}
-
-// TestCorpusRestore holds Restore's rules: a frequency at or below zero
-// drops its token, one above math.MaxInt32 is clamped to it, a repeated
-// token keeps its last frequency, and a negative count is zero.
-func TestCorpusRestore(t *testing.T) {
-	var c Corpus
-	restore(&c, 2, tokenDF{"a", 1}, tokenDF{"b", 1}, tokenDF{"dead", 0}, tokenDF{"a", 2},
-		tokenDF{"gone", 3}, tokenDF{"gone", -1}, tokenDF{"huge", math.MaxInt32 + 5})
-	if c.NumDocs() != 2 {
-		t.Errorf("NumDocs = %d", c.NumDocs())
-	}
-	var fresh Corpus
-	fresh.AddDocument([]string{"a", "b"})
-	fresh.AddDocument([]string{"a"})
-	for _, tok := range []string{"a", "b", "dead", "gone"} {
-		if got, want := c.IDF(tok), fresh.IDF(tok); got != want {
-			t.Errorf("IDF(%q) = %v, want %v", tok, got, want)
-		}
-	}
-	if got, want := docFreqs(&c), map[string]int{"a": 2, "b": 1, "huge": math.MaxInt32}; !reflect.DeepEqual(got, want) {
-		t.Errorf("document frequencies %v, want %v", got, want)
-	}
-	restore(&c, -3)
-	if got := docFreqs(&c); c.NumDocs() != 0 || len(got) != 0 {
-		t.Errorf("restored to a negative count and no frequencies: %d documents, frequencies %v", c.NumDocs(), got)
-	}
-}
-
-// TestCorpusMerge splits random documents at random points across k
-// corpora and merges them, into the zero value and into the first part:
-// either way the result is the corpus that added every document in turn —
-// its document frequencies, count, IDF and TopK with its lexicographic
-// ties. Removing the last part's documents from the merge then leaves the
-// corpus of the documents before them.
-func TestCorpusMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	vocab := []string{"park", "city", "year", "river", "owl", "oak", "elm", "bay", "73", "h:name"}
-	for trial := 0; trial < 40; trial++ {
-		docs := make([][]string, rng.Intn(30))
-		for i := range docs {
-			for n := rng.Intn(12); n > 0; n-- {
-				docs[i] = append(docs[i], vocab[rng.Intn(len(vocab))])
-			}
-		}
-		var want Corpus
-		for _, d := range docs {
-			want.AddDocument(d)
-		}
-		k := 1 + rng.Intn(5)
-		cuts := []int{0}
-		for i := 1; i < k; i++ {
-			cuts = append(cuts, rng.Intn(len(docs)+1))
-		}
-		sort.Ints(cuts)
-		cuts = append(cuts, len(docs))
-		parts := make([]*Corpus, k)
-		for i := range parts {
-			parts[i] = &Corpus{}
-			for _, d := range docs[cuts[i]:cuts[i+1]] {
-				parts[i].AddDocument(d)
-			}
-		}
-		var zero Corpus
-		first := parts[0].Clone()
-		for i, p := range parts {
-			zero.Merge(p)
-			if i > 0 {
-				first.Merge(p)
-			}
-		}
-		for name, got := range map[string]*Corpus{"zero value": &zero, "first part": first} {
-			checkSameCorpus(t, fmt.Sprintf("trial %d, %d parts, into the %s", trial, k, name), got, &want, vocab)
-		}
-
-		last := docs[cuts[k-1]:]
-		for i := len(last) - 1; i >= 0; i-- {
-			zero.RemoveDocument(last[i])
-		}
-		var before Corpus
-		for _, d := range docs[:cuts[k-1]] {
-			before.AddDocument(d)
-		}
-		checkSameCorpus(t, fmt.Sprintf("trial %d, after removing the last part", trial), &zero, &before, vocab)
-	}
-}
-
-// checkSameCorpus holds got to want: counts, IDF over vocab and TopK.
-func checkSameCorpus(t *testing.T, what string, got, want *Corpus, vocab []string) {
-	t.Helper()
-	if got.NumDocs() != want.NumDocs() {
-		t.Errorf("%s: NumDocs = %d, want %d", what, got.NumDocs(), want.NumDocs())
-	}
-	if g, w := docFreqs(got), docFreqs(want); !reflect.DeepEqual(g, w) {
-		t.Errorf("%s: DocFreqs = %v, want %v", what, g, w)
-	}
-	for _, tok := range append(vocab, "never-seen") {
-		if g, w := got.IDF(tok), want.IDF(tok); g != w {
-			t.Errorf("%s: IDF(%q) = %v, want %v", what, tok, g, w)
-		}
-	}
-	query := append(append([]string{}, vocab...), "park", "park", "owl", "never-seen")
-	for _, k := range []int{0, 1, 3, 7} {
-		if g, w := got.TopK(query, k), want.TopK(query, k); !reflect.DeepEqual(g, w) {
-			t.Errorf("%s: TopK(_, %d) = %v, want %v", what, k, g, w)
-		}
-	}
-}
-
-// docFreqs is c's document frequencies as a map.
-func docFreqs(c *Corpus) map[string]int {
-	out := map[string]int{}
-	c.DocFreqs(func(tok string, df int) { out[tok] = df })
-	return out
-}
-
 // TestAddDocumentAllocs: once a document's tokens are in the corpus, adding
 // it again allocates nothing, whatever its repeats.
 func TestAddDocumentAllocs(t *testing.T) {
@@ -413,30 +240,45 @@ func TestAddDocumentAllocs(t *testing.T) {
 		t.Errorf("AddDocument of a seen document allocated %v times, want 0", n)
 	}
 	// AllocsPerRun adds the document once more than it is told, to warm up.
-	if got, want := int(c.docFreq["river"].df), 1+101; got != want || c.NumDocs() != want {
-		t.Errorf("df(river) = %d in %d documents, want %d in %d", got, c.NumDocs(), want, want)
+	if got, want := int(c.docFreq["river"].df), 1+101; got != want || c.numDocs != want {
+		t.Errorf("df(river) = %d in %d documents, want %d in %d", got, c.numDocs, want, want)
 	}
 }
 
 // TestCorpusOpWraps runs documents across the wrap of the corpus's call
-// number, over restored counts (stamped 0): no stamp left from before the
-// wrap may pass for the current call, so every document still counts each
-// distinct token once.
+// number, after documents stamped with the small numbers the calls restart
+// at: no stamp left from before the wrap may pass for the current call, so
+// every document still counts each distinct token once.
 func TestCorpusOpWraps(t *testing.T) {
-	docs := [][]string{{"a", "b", "a"}, {"b", "c"}, {"a", "c", "c", "d"}, {"a", "d"}, {"b", "b"}}
+	docs := [][]string{{"a", "b", "a"}, {"b", "c"}, {"c", "d"}, {"a", "d"}, {"b", "b"}}
 	var want, got Corpus
-	freqs := []tokenDF{{"a", 2}, {"b", 1}, {"c", 3}, {"d", 1}}
-	restore(&want, 4, freqs...)
-	restore(&got, 4, freqs...)
-	got.op = math.MaxUint32 - 2
-	for _, d := range docs {
+	for i, d := range docs {
+		if i == 2 {
+			got.op = math.MaxUint32 - 1
+		}
 		want.AddDocument(d)
 		got.AddDocument(d)
 	}
-	got.RemoveDocument(docs[1])
-	want.RemoveDocument(docs[1])
-	checkSameCorpus(t, "across the wrap", &got, &want, []string{"a", "b", "c", "d"})
-	if got.op > 4 {
-		t.Errorf("op = %d after the wrap, want it restarted", got.op)
+	if got.numDocs != want.numDocs || !maps.Equal(docFreqs(&got), docFreqs(&want)) {
+		t.Errorf("across the wrap: %d documents, frequencies %v; want %d, %v",
+			got.numDocs, docFreqs(&got), want.numDocs, docFreqs(&want))
 	}
+	query := []string{"a", "b", "c", "d", "a", "never-seen"}
+	for _, k := range []int{0, 1, 3} {
+		if g, w := got.TopK(query, k), want.TopK(query, k); !reflect.DeepEqual(g, w) {
+			t.Errorf("across the wrap: TopK(_, %d) = %v, want %v", k, g, w)
+		}
+	}
+	if got.op != 2 {
+		t.Errorf("op = %d after the wrap, want it restarted at 1 and one call on", got.op)
+	}
+}
+
+// docFreqs is c's document frequencies as a map.
+func docFreqs(c *Corpus) map[string]int {
+	out := map[string]int{}
+	for tok, n := range c.docFreq {
+		out[tok] = int(n.df)
+	}
+	return out
 }

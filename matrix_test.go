@@ -24,21 +24,23 @@ import (
 // matrixSeed draws the mutation history and the anchors' lake orders.
 const matrixSeed = 29
 
-// reference returns Algorithm 1's SearchTables from scratch over tables: a
-// TF-IDF corpus over every column, Starmie's column embeddings of every
-// table and of the query against that corpus, a fresh matrix of
+// reference returns Algorithm 1's SearchTables from scratch over tables:
+// Starmie's column embeddings of every table and of the query, each against
+// a TF-IDF corpus of its own table's columns, one document a column, a
+// fresh matrix of
 // vector.Cosine cells above MinSim (0.3), match.MaxWeight divided by |Q|,
 // and a sort by score descending, name ascending. There is no index, block,
 // pool, memo or scan.
 func reference(tables []*table.Table) func(q *table.Table) []search.Scored {
-	enc, corpus := embed.NewStarmie(), &tokenize.Corpus{}
-	for _, t := range tables {
-		for i := range t.Columns {
-			corpus.AddDocument(embed.ColumnTokens(&t.Columns[i]))
-		}
-	}
+	enc := embed.NewStarmie()
 	encode := func(t *table.Table) []vector.Vec {
-		return enc.EncodeTableColumns(t, func() *tokenize.Corpus { return corpus })
+		return enc.EncodeTableColumns(t, func() *tokenize.Corpus {
+			corpus := &tokenize.Corpus{}
+			for i := range t.Columns {
+				corpus.AddDocument(embed.ColumnTokens(&t.Columns[i]))
+			}
+			return corpus
+		})
 	}
 	cols := make([][]vector.Vec, len(tables))
 	for i, t := range tables {
@@ -73,7 +75,7 @@ func reference(tables []*table.Table) func(q *table.Table) []search.Scored {
 // plus the shapes the generator cannot draw: a table with no columns, an
 // all-blank one, byte-identical copies of ten tables under other names (so
 // equal scores meet the name tie-break) and a table over the encoder's
-// token budget (so the corpus-sensitive refresh runs). The queries are 16
+// token budget (so the TF-IDF selection runs). The queries are 16
 // spec queries, three copied tables, the all-blank table and an
 // over-budget table that ranks the lake's own one high.
 func matrixLake() (datagen.LakeSpec, *lake.Lake, []*table.Table) {
@@ -101,19 +103,20 @@ func matrixLake() (datagen.LakeSpec, *lake.Lake, []*table.Table) {
 	return spec, l, append(queries, blank.Clone("query"), overBudget("query", spec, 15))
 }
 
-// overBudget builds a one-column table over embed.TokenBudget from the
-// first rows of 30 spec tables, three times over: its words are the lake's,
-// so every mutation moves their document frequencies and with them the
-// order of its TF-IDF token selection.
+// overBudget builds a table from the first rows of 30 spec tables, three
+// times over: a column of each row's words, over embed.TokenBudget, and a
+// column of its first cell, whose tokens the TF-IDF selection over the
+// table's own columns ranks below the words found in one column alone.
 func overBudget(name string, spec datagen.LakeSpec, from int) *table.Table {
-	var rows []string
+	var rows [][]string
 	for i := from; i < from+30; i++ {
-		rows = append(rows, strings.Join(spec.Table(i).Row(0), " "))
+		row := spec.Table(i).Row(0)
+		rows = append(rows, []string{strings.Join(row, " "), row[0]})
 	}
-	t := table.New(name, "words")
+	t := table.New(name, "words", "lead")
 	for range 3 {
 		for _, row := range rows {
-			t.MustAppendRow(row)
+			t.MustAppendRow(row...)
 		}
 	}
 	return t
@@ -128,8 +131,7 @@ type step struct {
 // drawHistory removes 360 of l's tables in a seeded order, well over half
 // the lake, and adds 36 between them: 31 fresh spec tables, four it removed earlier, and a second
 // over-budget table, which leaves again. The lake's own over-budget table
-// stays, so its vectors must follow every step, and the last step adds, so
-// only WithTable's own refresh leaves them current.
+// stays, so its vectors must be a fresh build's at every step.
 func drawHistory(rng *rand.Rand, spec datagen.LakeSpec, l *lake.Lake) []step {
 	names := l.Names()
 	rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
