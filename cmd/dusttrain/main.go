@@ -1,73 +1,49 @@
-// Command dusttrain fine-tunes the DUST tuple embedding model on a
-// generated TUS-style pair dataset and saves it for dustsearch.
+// Command dusttrain fine-tunes one of the paper's tuple models through the
+// fine-tuning recipe (model.TrainRecipe) and saves it for dustsearch and
+// dustserve -model. Each output is byte-identical to the model of the same
+// name checked in under internal/experiments/models.
 //
 // Usage:
 //
-//	dusttrain -out dust.model            # RoBERTa variant (paper default)
-//	dusttrain -base bert -pairs 4000 -out dust-bert.model
+//	dusttrain -out dust-roberta.model             # DUST (RoBERTa), the paper default
+//	dusttrain -base bert -out dust-bert.model     # DUST (BERT)
+//	dusttrain -base ditto -out ditto.model        # the Ditto baseline simulator
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 
-	"dust/internal/datagen"
 	"dust/internal/model"
 )
 
 func main() {
 	var (
-		base   = flag.String("base", "roberta", "frozen base: roberta or bert")
-		pairs  = flag.Int("pairs", 2000, "total fine-tuning pairs (70/15/15 split)")
-		epochs = flag.Int("epochs", 40, "max training epochs (early stopping patience 10)")
-		out    = flag.String("out", "", "output model file (required)")
-		seed   = flag.Int64("seed", 1, "training seed")
+		base = flag.String("base", "roberta", "model to train: roberta, bert or ditto")
+		out  = flag.String("out", "", "output model file (required)")
 	)
 	flag.Parse()
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "dusttrain: -out is required")
 		os.Exit(2)
 	}
-	var feat *model.Featurizer
-	name := "dust-" + *base
-	switch *base {
-	case "roberta":
-		feat = model.NewRoBERTaFeaturizer()
-	case "bert":
-		feat = model.NewBERTFeaturizer()
-	default:
-		fmt.Fprintf(os.Stderr, "dusttrain: unknown base %q\n", *base)
-		os.Exit(2)
-	}
-
-	fmt.Printf("generating TUS fine-tuning benchmark and %d pairs...\n", *pairs)
-	bench := datagen.Generate("tus-finetune", datagen.Config{
-		Seed: 901, Domains: 8, TablesPerBase: 8, BaseRows: 60, MinRows: 10, MaxRows: 20,
-	})
-	ds := datagen.Pairs(bench, *pairs, 902)
-
-	cfg := model.DefaultConfig()
-	cfg.Epochs = *epochs
-	cfg.Seed = *seed
-	fmt.Printf("training %s (%d train / %d val pairs, <=%d epochs)...\n",
-		name, len(ds.Train), len(ds.Val), cfg.Epochs)
-	m := model.Train(name, feat, ds.Train, ds.Val, cfg)
-
-	acc := model.Accuracy(m, ds.Test, model.ClassifyThreshold)
-	fmt.Printf("test accuracy at threshold %.1f: %.3f\n", model.ClassifyThreshold, acc)
-
-	f, err := os.Create(*out)
+	fmt.Printf("training the recipe's %s model...\n", *base)
+	m, err := model.TrainRecipe(*base)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dusttrain:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
-	if err := m.Save(f); err != nil {
-		f.Close()
+	acc := model.Accuracy(m, model.RecipePairs().Test, model.ClassifyThreshold)
+	fmt.Printf("%s test accuracy at threshold %.1f: %.3f\n", m.Name(), model.ClassifyThreshold, acc)
+
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
 		fmt.Fprintln(os.Stderr, "dusttrain:", err)
 		os.Exit(1)
 	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "dusttrain:", err)
 		os.Exit(1)
 	}

@@ -12,9 +12,8 @@
 //	p := dust.New(lk)                     // defaults: Starmie search + DUST diversifier
 //	res, err := p.Search(queryTable, 50)  // 50 diverse unionable tuples
 //
-// The zero-config pipeline uses simulated pre-trained encoders; production
-// use fine-tunes a tuple model first (cmd/dusttrain) and installs it with
-// WithTupleEncoder.
+// The zero-config pipeline uses simulated pre-trained encoders; the paper's
+// fine-tuned tuple model (cmd/dusttrain) is installed with WithTupleEncoder.
 package dust
 
 import (

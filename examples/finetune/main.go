@@ -1,29 +1,26 @@
-// Finetune: trains a small DUST tuple-embedding model on a generated
-// TUS-style pair dataset and compares its unionability classification
-// accuracy against the pre-trained baselines (the paper's Fig. 6 in
-// miniature).
+// Finetune: trains the paper's DUST tuple-embedding model through the
+// fine-tuning recipe and compares its unionability classification accuracy
+// against the pre-trained baselines on the recipe's test split (the paper's
+// Fig. 6 in miniature).
 package main
 
 import (
 	"fmt"
+	"log"
 
-	"dust/internal/datagen"
 	"dust/internal/embed"
 	"dust/internal/model"
 )
 
 func main() {
-	fmt.Println("generating fine-tuning pairs from a TUS-style benchmark...")
-	bench := datagen.Generate("finetune-demo", datagen.Config{
-		Seed: 7, Domains: 8, TablesPerBase: 8, BaseRows: 60, MinRows: 10, MaxRows: 20,
-	})
-	ds := datagen.Pairs(bench, 1200, 8)
-	fmt.Printf("pairs: %d train / %d val / %d test\n\n", len(ds.Train), len(ds.Val), len(ds.Test))
+	ds := model.RecipePairs()
+	fmt.Printf("recipe pairs: %d train / %d val / %d test\n\n", len(ds.Train), len(ds.Val), len(ds.Test))
 
-	cfg := model.DefaultConfig()
-	cfg.Epochs = 25
 	fmt.Println("fine-tuning DUST (RoBERTa base)...")
-	m := model.Train("dust-roberta", model.NewRoBERTaFeaturizer(), ds.Train, ds.Val, cfg)
+	m, err := model.TrainRecipe("roberta")
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("\n%-14s %s\n", "model", "accuracy @ 0.7 cosine distance")
 	for _, enc := range []model.TupleEncoder{

@@ -9,6 +9,8 @@
 package experiments
 
 import (
+	"bytes"
+	"embed"
 	"sync"
 
 	"dust/internal/datagen"
@@ -31,46 +33,41 @@ func (c Config) scale(q, f int) int {
 	return f
 }
 
-// Shared trained models and benchmarks are expensive; cache per process.
-var (
-	onceModels   sync.Once
-	cachedModels struct {
-		dustRoberta *model.Model
-		dustBert    *model.Model
-		ditto       *model.Model
-		pairs       datagen.PairDataset
-	}
-)
+// modelFiles holds the fine-tuning recipe's three models (model.TrainRecipe),
+// each regenerated byte for byte by
+//
+//	go run ./cmd/dusttrain -base roberta -out internal/experiments/models/dust-roberta.model
+//	go run ./cmd/dusttrain -base bert -out internal/experiments/models/dust-bert.model
+//	go run ./cmd/dusttrain -base ditto -out internal/experiments/models/ditto.model
+//
+//go:embed models/*.model
+var modelFiles embed.FS
 
-// trainingBenchmark returns the TUS-derived fine-tuning corpus (§6.1.1).
-func trainingBenchmark() *datagen.Benchmark {
-	return datagen.Generate("tus-finetune", datagen.Config{
-		Seed: 901, Domains: 8, TablesPerBase: 8, BaseRows: 60, MinRows: 10, MaxRows: 20,
-	})
-}
-
-// Models trains (once per process) the two DUST variants and the Ditto
-// simulator on the TUS fine-tuning benchmark and returns them with the
-// pair dataset used.
+// Models returns the two DUST variants and the Ditto simulator the
+// fine-tuning recipe trains, loaded once per process from modelFiles, with
+// the recipe's pair dataset.
 func Models() (dustRoberta, dustBert, ditto *model.Model, pairs datagen.PairDataset) {
-	onceModels.Do(func() {
-		bench := trainingBenchmark()
-		cachedModels.pairs = datagen.Pairs(bench, 2000, 902)
-		cfg := model.DefaultConfig()
-		cfg.Epochs = 30
-		cachedModels.dustRoberta = model.Train("dust-roberta", model.NewRoBERTaFeaturizer(),
-			cachedModels.pairs.Train, cachedModels.pairs.Val, cfg)
-		cachedModels.dustBert = model.Train("dust-bert", model.NewBERTFeaturizer(),
-			cachedModels.pairs.Train, cachedModels.pairs.Val, cfg)
-		entity := datagen.EntityPairs(bench, len(cachedModels.pairs.Train), 903)
-		cachedModels.ditto = model.Train("ditto", model.NewRoBERTaFeaturizer(),
-			entity, cachedModels.pairs.Val, cfg)
-	})
-	return cachedModels.dustRoberta, cachedModels.dustBert, cachedModels.ditto, cachedModels.pairs
+	ms := loadModels()
+	return ms[0], ms[1], ms[2], model.RecipePairs()
 }
+
+// loadModels loads the checked-in models. They are part of the build, so
+// one that does not load is a broken checkout.
+var loadModels = sync.OnceValue(func() (ms [3]*model.Model) {
+	for i, name := range []string{"dust-roberta", "dust-bert", "ditto"} {
+		b, err := modelFiles.ReadFile("models/" + name + ".model")
+		if err == nil {
+			ms[i], err = model.Load(bytes.NewReader(b))
+		}
+		if err != nil {
+			panic("experiments: " + name + ": " + err.Error())
+		}
+	}
+	return ms
+})
 
 // Benchmarks used across experiments, regenerated on demand (generation is
-// cheap; only model training is cached).
+// cheap; only the loaded models are cached).
 func benchTUSSampled() *datagen.Benchmark { return datagen.TUSSampled() }
 func benchSANTOS() *datagen.Benchmark     { return datagen.SANTOS() }
 func benchUGEN() *datagen.Benchmark       { return datagen.UGEN() }

@@ -37,10 +37,10 @@ type Config struct {
 	Seed     int64
 }
 
-// DefaultConfig returns the laptop-scale analogue of the paper's training
-// setup.
+// DefaultConfig returns the fine-tuning recipe's set-up (TrainRecipe), the
+// laptop-scale analogue of the paper's.
 func DefaultConfig() Config {
-	return Config{Hidden: 96, OutDim: 64, Dropout: 0.1, Epochs: 40, Patience: 10, LR: 0.01, Seed: 1}
+	return Config{Hidden: 96, OutDim: 64, Dropout: 0.1, Epochs: 30, Patience: 10, LR: 0.01, Seed: 1}
 }
 
 // Train fine-tunes a model over labelled tuple pairs using the paper's
@@ -48,15 +48,6 @@ func DefaultConfig() Config {
 // optimized with the cosine embedding loss and early stopping on the
 // validation split.
 func Train(name string, feat *Featurizer, train, val []datagen.TuplePair, cfg Config) *Model {
-	if cfg.Hidden <= 0 || cfg.OutDim <= 0 {
-		def := DefaultConfig()
-		if cfg.Hidden <= 0 {
-			cfg.Hidden = def.Hidden
-		}
-		if cfg.OutDim <= 0 {
-			cfg.OutDim = def.OutDim
-		}
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	net := &nn.Network{Layers: []nn.Layer{
 		nn.NewDropout(cfg.Dropout, rng),
@@ -90,10 +81,7 @@ func Train(name string, feat *Featurizer, train, val []datagen.TuplePair, cfg Co
 func (m *Model) Name() string { return m.name }
 
 // Dim returns the output embedding dimension.
-func (m *Model) Dim() int {
-	probe := m.net.Forward(make([]float64, m.feat.Dim), false)
-	return len(probe)
-}
+func (m *Model) Dim() int { return m.net.Width(m.feat.Dim) }
 
 // EncodeTuple embeds one tuple (inference mode: dropout disabled).
 func (m *Model) EncodeTuple(headers, values []string) vector.Vec {
@@ -202,7 +190,8 @@ func (m *Model) Save(w io.Writer) error {
 	return m.net.Save(w)
 }
 
-// Load reads a model written by Save.
+// Load reads a model written by Save. A featurizer width below 1, or a head
+// that does not take it or whose linear layers do not chain, is an error.
 func Load(r io.Reader) (*Model, error) {
 	var name string
 	var dim int
@@ -210,7 +199,7 @@ func Load(r io.Reader) (*Model, error) {
 	if _, err := fmt.Fscanf(r, "dustmodel %s %d %d\n", &name, &dim, &seed); err != nil {
 		return nil, fmt.Errorf("model: bad header: %w", err)
 	}
-	net, err := nn.Load(r, rand.New(rand.NewSource(1)))
+	net, err := nn.Load(r, dim, rand.New(rand.NewSource(1)))
 	if err != nil {
 		return nil, err
 	}

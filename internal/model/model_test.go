@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"dust/internal/datagen"
 	"dust/internal/embed"
+	"dust/internal/nn"
 	"dust/internal/vector"
 )
 
@@ -48,31 +50,6 @@ func smallDataset(t *testing.T) datagen.PairDataset {
 	return datagen.Pairs(bench, 1200, 52)
 }
 
-func TestTrainedModelBeatsPretrainedBaselines(t *testing.T) {
-	ds := smallDataset(t)
-	cfg := DefaultConfig()
-	cfg.Epochs = 25
-	m := Train("dust-roberta", NewRoBERTaFeaturizer(), ds.Train, ds.Val, cfg)
-
-	dustAcc := Accuracy(m, ds.Test, ClassifyThreshold)
-	bertAcc := Accuracy(embed.NewBERT(), ds.Test, ClassifyThreshold)
-	sbertAcc := Accuracy(embed.NewSBERT(), ds.Test, ClassifyThreshold)
-
-	if dustAcc < 0.75 {
-		t.Errorf("DUST accuracy = %v, want >= 0.75", dustAcc)
-	}
-	// Pre-trained BERT-sim must be near coin toss (anisotropy property).
-	if bertAcc < 0.40 || bertAcc > 0.62 {
-		t.Errorf("BERT accuracy = %v, want near 0.5", bertAcc)
-	}
-	if dustAcc <= sbertAcc {
-		t.Errorf("DUST (%v) must beat sBERT (%v)", dustAcc, sbertAcc)
-	}
-	if dustAcc <= bertAcc {
-		t.Errorf("DUST (%v) must beat BERT (%v)", dustAcc, bertAcc)
-	}
-}
-
 func TestModelDimAndName(t *testing.T) {
 	ds := smallDataset(t)
 	cfg := DefaultConfig()
@@ -87,6 +64,72 @@ func TestModelDimAndName(t *testing.T) {
 	}
 	if len(m.EncodeTuple([]string{"a"}, []string{"b"})) != 48 {
 		t.Error("EncodeTuple dim mismatch")
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Name() != "named" || back.Dim() != 48 {
+		t.Errorf("loaded: Name = %q, Dim = %d; want named, 48", back.Name(), back.Dim())
+	}
+	if len(back.EncodeTuple([]string{"a"}, []string{"b"})) != 48 {
+		t.Error("loaded EncodeTuple dim mismatch")
+	}
+}
+
+// TestLoadRefusesUnchainedShapes: a head that does not take the
+// featurizer's width, a head whose second linear layer does not take the
+// first one's output, and a zero featurizer width each fail to load instead
+// of panicking at the first encode.
+func TestLoadRefusesUnchainedShapes(t *testing.T) {
+	ds := smallDataset(t)
+	cfg := DefaultConfig()
+	cfg.Epochs = 1
+	m := Train("dust-bert", NewBERTFeaturizer(), ds.Train[:50], ds.Val[:10], cfg)
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	header, body, _ := strings.Cut(saved.String(), "\n")
+	if _, err := Load(strings.NewReader(header + "\n" + body)); err != nil {
+		t.Fatalf("unedited model: %v", err)
+	}
+	// The BERT head under a RoBERTa-width featurizer.
+	wide := strings.Replace(header, " 64 ", " 128 ", 1)
+	if wide == header {
+		t.Fatalf("header %q names no width 64", header)
+	}
+	if _, err := Load(strings.NewReader(wide + "\n" + body)); err == nil {
+		t.Error("featurizer width 128 over a head taking 64: nil error")
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	net := &nn.Network{Layers: []nn.Layer{
+		nn.NewDropout(0.1, rng), nn.NewLinear(64, 96, rng), nn.NewLinear(48, 64, rng),
+	}}
+	var unchained bytes.Buffer
+	unchained.WriteString(header + "\n")
+	if err := net.Save(&unchained); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&unchained); err == nil {
+		t.Error("linear 64→96 followed by linear 48→64: nil error")
+	}
+
+	// A zero-width featurizer under a head with no linear layer chains
+	// trivially, and would divide by zero at the first encode.
+	net = &nn.Network{Layers: []nn.Layer{nn.NewDropout(0.1, rng)}}
+	var empty bytes.Buffer
+	empty.WriteString("dustmodel empty 0 1\n")
+	if err := net.Save(&empty); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&empty); err == nil {
+		t.Error("featurizer width 0 over a dropout-only head: nil error")
 	}
 }
 

@@ -20,9 +20,9 @@ func (CosineEmbeddingLoss) Loss(e1, e2 []float64, positive bool) (loss float64, 
 
 	var dot, n1sq, n2sq float64
 	for i := 0; i < n; i++ {
-		dot += e1[i] * e2[i]
-		n1sq += e1[i] * e1[i]
-		n2sq += e2[i] * e2[i]
+		dot += float64(e1[i] * e2[i])
+		n1sq += float64(e1[i] * e1[i])
+		n2sq += float64(e2[i] * e2[i])
 	}
 	n1 := math.Sqrt(n1sq)
 	n2 := math.Sqrt(n2sq)

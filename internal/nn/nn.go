@@ -3,7 +3,9 @@
 // paper's fine-tuning architecture needs: fully-connected (linear) layers, a
 // dropout layer, a tanh nonlinearity, the Adam optimizer, PyTorch's cosine
 // embedding loss, and a training loop with patience-based early stopping
-// (§6.3.3). Everything is float64 and deterministic given a seed.
+// (§6.3.3). Everything is float64 and deterministic given a seed, on every
+// GOARCH: each product that feeds a sum is written float64(x*y), so no
+// compiler fuses it.
 package nn
 
 import (
@@ -53,10 +55,17 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	}
 	limit := math.Sqrt(6.0 / float64(in+out))
 	for i := range l.w {
-		l.w[i] = (rng.Float64()*2 - 1) * limit
+		l.w[i] = (uniform(rng)*2 - 1) * limit
 	}
 	return l
 }
+
+// uniform is rng.Float64 kept out of line: inlined, its exact product
+// float64(n)*2⁻⁶³ is fused on arm64 into NewLinear's f*2 - 1 (compiled as
+// f + f - 1), which keeps the bits but fails the arm64 FMADDD gate.
+//
+//go:noinline
+func uniform(rng *rand.Rand) float64 { return rng.Float64() }
 
 // Forward implements Layer.
 func (l *Linear) Forward(x []float64, train bool) []float64 {
@@ -71,7 +80,7 @@ func (l *Linear) Forward(x []float64, train bool) []float64 {
 		row := l.w[o*l.In : (o+1)*l.In]
 		s := l.b[o]
 		for i, xi := range x {
-			s += row[i] * xi
+			s += float64(row[i] * xi)
 		}
 		y[o] = s
 	}
@@ -89,8 +98,8 @@ func (l *Linear) Backward(grad []float64) []float64 {
 		row := l.w[o*l.In : (o+1)*l.In]
 		grow := l.gw[o*l.In : (o+1)*l.In]
 		for i, xi := range l.x {
-			grow[i] += g * xi
-			dx[i] += g * row[i]
+			grow[i] += float64(g * xi)
+			dx[i] += float64(g * row[i])
 		}
 		l.gb[o] += g
 	}
@@ -123,7 +132,7 @@ func (t *Tanh) Forward(x []float64, train bool) []float64 {
 func (t *Tanh) Backward(grad []float64) []float64 {
 	dx := make([]float64, len(grad))
 	for i, g := range grad {
-		dx[i] = g * (1 - t.y[i]*t.y[i])
+		dx[i] = g * (1 - float64(t.y[i]*t.y[i]))
 	}
 	return dx
 }
@@ -194,6 +203,17 @@ func (n *Network) Forward(x []float64, train bool) []float64 {
 		x = l.Forward(x, train)
 	}
 	return x
+}
+
+// Width returns the width the stack emits for inputs of width in: the last
+// linear layer's Out, or in when it has none.
+func (n *Network) Width(in int) int {
+	for _, l := range n.Layers {
+		if l, ok := l.(*Linear); ok {
+			in = l.Out
+		}
+	}
+	return in
 }
 
 // Backward propagates dL/d(output) through the stack, accumulating

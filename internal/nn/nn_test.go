@@ -160,15 +160,6 @@ func TestAdamMinimizesQuadratic(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	w := []float64{1}
-	g := []float64{0.5}
-	(&SGD{LR: 0.2}).Step([]Param{{w, g}})
-	if math.Abs(w[0]-0.9) > 1e-12 {
-		t.Errorf("SGD step result %v, want 0.9", w[0])
-	}
-}
-
 // The core fine-tuning scenario in miniature: pairs with matching one-hot
 // prefixes are positive, mismatched prefixes negative. Training must
 // separate them in cosine space.
@@ -205,8 +196,7 @@ func TestTrainSiameseSeparatesClasses(t *testing.T) {
 		NewDropout(0.1, rng),
 		NewLinear(16, 8, rng),
 	}}
-	cfg := DefaultTrainConfig()
-	cfg.Epochs = 30
+	cfg := TrainConfig{Epochs: 30, Patience: 10, LR: 0.01, BatchSize: 16, Seed: 1}
 	best := TrainSiamese(net, train, val, cfg)
 	if best > 0.2 {
 		t.Errorf("best validation loss = %v, want < 0.2 after training", best)
@@ -265,7 +255,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := net.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf, rng)
+	back, err := Load(&buf, 4, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +268,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadGarbageErrors(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a gob")), rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not a gob")), 1, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("Load of garbage should error")
 	}
 }

@@ -32,25 +32,11 @@ func (a *Adam) Step(params []Param) {
 	for i, p := range params {
 		m, v := a.m[i], a.v[i]
 		for j, g := range p.G {
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
+			m[j] = float64(a.Beta1*m[j]) + float64((1-a.Beta1)*g)
+			v[j] = float64(a.Beta2*v[j]) + float64((1-a.Beta2)*g*g)
 			mh := m[j] / c1
 			vh := v[j] / c2
 			p.W[j] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
-		}
-	}
-}
-
-// SGD is plain stochastic gradient descent, kept for ablations.
-type SGD struct {
-	LR float64
-}
-
-// Step applies one SGD update.
-func (s *SGD) Step(params []Param) {
-	for _, p := range params {
-		for j, g := range p.G {
-			p.W[j] -= s.LR * g
 		}
 	}
 }

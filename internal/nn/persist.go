@@ -38,10 +38,14 @@ func (n *Network) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(snap)
 }
 
-// Load reads a network previously written by Save. Dropout layers are
-// reconstructed with the given rng (only used if the loaded model is
-// trained further).
-func Load(r io.Reader, rng *rand.Rand) (*Network, error) {
+// Load reads a network previously written by Save that takes inputs of
+// width in. A width below 1, or a linear layer that does not take the width
+// reaching it, is an error. Dropout layers are reconstructed with the given
+// rng (only used if the loaded model is trained further).
+func Load(r io.Reader, in int, rng *rand.Rand) (*Network, error) {
+	if in <= 0 {
+		return nil, fmt.Errorf("nn: Load: input width %d", in)
+	}
 	var snap netSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("nn: Load: %w", err)
@@ -56,8 +60,9 @@ func Load(r io.Reader, rng *rand.Rand) (*Network, error) {
 				gw: make([]float64, len(ls.W)),
 				gb: make([]float64, len(ls.B)),
 			}
-			if len(l.w) != l.In*l.Out || len(l.b) != l.Out {
-				return nil, fmt.Errorf("nn: Load: linear layer shape mismatch")
+			if l.Out <= 0 || l.In != net.Width(in) || len(l.w) != l.In*l.Out || len(l.b) != l.Out {
+				return nil, fmt.Errorf("nn: Load: linear layer %d→%d with %d weights and %d biases given width %d",
+					l.In, l.Out, len(l.w), len(l.b), net.Width(in))
 			}
 			net.Layers = append(net.Layers, l)
 		case "tanh":

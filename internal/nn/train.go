@@ -19,13 +19,8 @@ type TrainConfig struct {
 	BatchSize int     // gradient accumulation window
 	Seed      int64   // shuffling seed
 	// Progress, if non-nil, receives (epoch, trainLoss, valLoss) after each
-	// epoch; useful for the dusttrain CLI.
+	// epoch.
 	Progress func(epoch int, trainLoss, valLoss float64)
-}
-
-// DefaultTrainConfig mirrors the paper's settings at laptop scale.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 100, Patience: 10, LR: 0.01, BatchSize: 16, Seed: 1}
 }
 
 // TrainSiamese fine-tunes net on labelled pairs with the cosine embedding
@@ -119,11 +114,4 @@ func valLoss(net *Network, val []Pair) float64 {
 		sum += l
 	}
 	return sum / float64(len(val))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
