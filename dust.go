@@ -146,9 +146,41 @@ func (p *Pipeline) Search(query *table.Table, k int) (*Result, error) {
 // candidate scan, tuple embedding, and the stage boundaries all check ctx —
 // and returns an error wrapping ctx.Err() instead of running the query to
 // completion. Long-running servers use it to bound per-request latency and
-// to stop doing work for clients that have gone away. Each stage's wall
-// time is added to the search.Trace ctx carries, if any.
+// to stop doing work for clients that have gone away.
 func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int) (*Result, error) {
+	return p.SearchRequest(ctx, p.Prepare(query), k)
+}
+
+// Request is one search of a query table: the table, its preparation
+// (search.PreparedQuery), encoded the first time a revalidation or the
+// search scores it, and the search's Trace. A preparation is a function of
+// its own table and the encoder, so one Request serves the pipeline that
+// prepared it, its views (QueryBound, Degraded) and its successors, and its
+// query is encoded at most once across them. A Request serves one call at
+// a time.
+type Request struct {
+	// Trace holds each stage's wall time and the scan's exits.
+	Trace search.Trace
+	query *table.Table
+	pq    search.PreparedQuery
+}
+
+// Prepare returns a Request for query; nothing is encoded yet.
+func (p *Pipeline) Prepare(query *table.Table) *Request { return &Request{query: query} }
+
+// prepared is r's preparation, encoded by s the first time it is asked for.
+func (r *Request) prepared(s search.Searcher) search.PreparedQuery {
+	if r.pq == nil {
+		r.pq = s.Prepare(r.query)
+	}
+	return r.pq
+}
+
+// SearchRequest is SearchContext for a prepared request: its stages are
+// timed into r.Trace, and the search scores r's preparation, encoding it
+// only if no revalidation has.
+func (p *Pipeline) SearchRequest(ctx context.Context, r *Request, k int) (*Result, error) {
+	query := r.query
 	if query == nil || query.NumCols() == 0 {
 		return nil, fmt.Errorf("dust: empty query table")
 	}
@@ -175,8 +207,8 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 	}()
 
 	// Line 3: D' <- SearchTables(Q, D).
-	stage(ctx, &err, search.StageTopK, func() error {
-		hits, err := search.TopKCtx(ctx, p.searcher, query, p.topTables)
+	r.stage(ctx, &err, search.StageTopK, func() error {
+		hits, err := p.searcher.TopKPrepared(ctx, r.prepared(p.searcher), p.topTables, &r.Trace)
 		if err != nil {
 			return err
 		}
@@ -192,11 +224,11 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 
 	// Line 5: T <- AlignColumns(Q, D'): embed every column, then cluster
 	// them holistically into one mapping per table.
-	stage(ctx, &err, search.StageEmbedColumns, func() error {
+	r.stage(ctx, &err, search.StageEmbedColumns, func() error {
 		cols = align.EmbedColumns(query, tables, p.columnEnc)
 		return nil
 	})
-	stage(ctx, &err, search.StageHolistic, func() error {
+	r.stage(ctx, &err, search.StageHolistic, func() error {
 		var err error
 		headers, mappings, err = align.HolisticWorkers(cols, p.workers).Mappings(query, tables)
 		return err
@@ -208,7 +240,7 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 	// query schema. Outer union legitimately pads missing columns (paper
 	// §3.3), so the bar is one third of the schema, falling back to
 	// any-non-null if nothing clears it.
-	stage(ctx, &err, search.StageOuterUnion, func() error {
+	r.stage(ctx, &err, search.StageOuterUnion, func() error {
 		var err error
 		if unioned, prov, err = table.OuterUnion(query.Name+"_unionable", headers, mappings); err != nil {
 			return err
@@ -224,7 +256,7 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 	})
 
 	// Line 7: embed query and data lake tuples, in parallel batches.
-	stage(ctx, &err, search.StageEncodeTuples, func() error {
+	r.stage(ctx, &err, search.StageEncodeTuples, func() error {
 		var err error
 		if eq, err = model.EncodeBatchContext(ctx, p.tupleEnc, headers, tableRows(query), p.workers); err != nil {
 			return err
@@ -235,7 +267,7 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 
 	// Line 8: F <- DiversifyTuples(EQ, ET, k), each tuple grouped by its
 	// source table.
-	stage(ctx, &err, search.StageDiversify, func() error {
+	r.stage(ctx, &err, search.StageDiversify, func() error {
 		groups := make([]int, unioned.NumRows())
 		groupIDs := map[string]int{}
 		for i := range groups {
@@ -271,11 +303,11 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 	return res, nil
 }
 
-// stage runs body as stage st of a search under ctx unless *err already
+// stage runs body as stage st of r's search under ctx unless *err already
 // holds an earlier stage's failure: it checks ctx first, adds body's wall
-// time to the trace ctx carries, and leaves either error in *err, wrapped
-// with the stage's name.
-func stage(ctx context.Context, err *error, st search.Stage, body func() error) {
+// time to r.Trace, and leaves either error in *err, wrapped with the
+// stage's name.
+func (r *Request) stage(ctx context.Context, err *error, st search.Stage, body func() error) {
 	if *err != nil {
 		return
 	}
@@ -283,7 +315,7 @@ func stage(ctx context.Context, err *error, st search.Stage, body func() error) 
 	if e == nil {
 		t0 := time.Now()
 		e = body()
-		search.TraceFrom(ctx).Add(st, time.Since(t0))
+		r.Trace.Add(st, time.Since(t0))
 	}
 	if e != nil {
 		*err = fmt.Errorf("dust: %s: %w", st, e)
@@ -358,7 +390,7 @@ const (
 )
 
 // Revalidate reports whether an answer that a pipeline of p's lineage and
-// config tag computed for query at an older epoch is still what p
+// config tag computed for r's query at an older epoch is still what p
 // computes. tables is that answer's ranked table list, never empty (a
 // search that ranks no table fails); removed and added name every table
 // removed and added since that epoch, in any order and with repeats.
@@ -373,10 +405,10 @@ const (
 // and still indexed ranks after the answer's last table. A table that was
 // there at the older epoch and is not in the answer ranked after it then
 // and still does. A ranking shorter than topTables held the whole lake, so
-// any table added since joins it. Only a table that must be scored costs a
-// query encode: then the check costs one, and one score per table added
-// since.
-func (p *Pipeline) Revalidate(query *table.Table, tables, removed, added []string) Staleness {
+// any table added since joins it. Only a table that must be scored needs
+// r's preparation, encoded then if nothing has yet, and one score per table
+// added since.
+func (p *Pipeline) Revalidate(r *Request, tables, removed, added []string) Staleness {
 	for _, name := range removed {
 		if slices.Contains(tables, name) {
 			return TableRemoved
@@ -394,7 +426,7 @@ func (p *Pipeline) Revalidate(query *table.Table, tables, removed, added []strin
 	case len(tables) < p.topTables:
 		return Outranked
 	}
-	scored, err := p.searcher.ScoreTables(p.searcher.Prepare(query), names)
+	scored, err := p.searcher.ScoreTables(r.prepared(p.searcher), names)
 	if err != nil {
 		// The log disagrees with the index: an answer table is gone.
 		return TableRemoved

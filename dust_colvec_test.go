@@ -104,9 +104,10 @@ func TestTraceStagesCoverSearch(t *testing.T) {
 	}
 	var staged, wall int64
 	for _, q := range queries {
-		tr := &search.Trace{}
+		r := p.Prepare(q)
+		tr := &r.Trace
 		t0 := time.Now()
-		if _, err := p.SearchContext(search.WithTrace(context.Background(), tr), q, 10); err != nil {
+		if _, err := p.SearchRequest(context.Background(), r, 10); err != nil {
 			t.Fatal(err)
 		}
 		wall += time.Since(t0).Nanoseconds()

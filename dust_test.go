@@ -2,6 +2,7 @@ package dust
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -231,7 +232,8 @@ func (c *countingSearcher) Prepare(q *table.Table) search.PreparedQuery {
 // and only when a table added since must be scored: a removal from the
 // answer, deletions outside it, a ranking shorter than topTables and an add
 // that is no longer indexed are all decided without one. The verdict on an
-// add that is scored agrees with the full ranking.
+// add that is scored agrees with the full ranking. A Request is encoded at
+// most once: a second Revalidate and a search on it add no encode.
 func TestRevalidateEncodesOnlyToScore(t *testing.T) {
 	b, q := benchLake(t)
 	l := b.Lake.Clone()
@@ -257,8 +259,18 @@ func TestRevalidateEncodesOnlyToScore(t *testing.T) {
 		{"an add ranked into the answer", []string{answer[0], answer[1], added}, nil, []string{answer[2]}, Outranked, 1},
 	} {
 		s.prepares = 0
-		if got := p.Revalidate(q, c.tables, c.removed, c.added); got != c.want || s.prepares != c.prepares {
+		r := p.Prepare(q)
+		if got := p.Revalidate(r, c.tables, c.removed, c.added); got != c.want || s.prepares != c.prepares {
 			t.Errorf("%s: %v with %d query encodes, want %v with %d", c.name, got, s.prepares, c.want, c.prepares)
+		}
+		if got := p.Revalidate(r, c.tables, c.removed, c.added); got != c.want || s.prepares != c.prepares {
+			t.Errorf("%s, again: %v with %d query encodes in all, want %v with %d", c.name, got, s.prepares, c.want, c.prepares)
+		}
+		if _, err := p.SearchRequest(context.Background(), r, 3); err != nil {
+			t.Fatal(err)
+		}
+		if s.prepares != 1 {
+			t.Errorf("%s, then searched: %d query encodes in all, want 1", c.name, s.prepares)
 		}
 	}
 }

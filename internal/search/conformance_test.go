@@ -14,14 +14,12 @@ import (
 // alienPrepared is a preparation no searcher in the repository produced.
 type alienPrepared struct{ q *table.Table }
 
-func (a alienPrepared) Query() *table.Table { return a.q }
-
 // scanned is the number of candidate tables one traced query scored or
 // cut by either bound.
 func scanned(t *testing.T, s Searcher, q *table.Table, k int) int64 {
 	t.Helper()
 	var tr Trace
-	if _, err := TopKCtx(WithTrace(context.Background(), &tr), s, q, k); err != nil {
+	if _, err := s.TopKPrepared(context.Background(), s.Prepare(q), k, &tr); err != nil {
 		t.Fatal(err)
 	}
 	var n int64
@@ -60,7 +58,7 @@ func TestSearcherConformance(t *testing.T) {
 
 		// One query path: the helpers are Prepare + TopKPrepared.
 		for _, k := range []int{5, 0} {
-			want, err := s.TopKPrepared(ctx, s.Prepare(q), k)
+			want, err := s.TopKPrepared(ctx, s.Prepare(q), k, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,12 +80,12 @@ func TestSearcherConformance(t *testing.T) {
 		if hits, err := TopKCtx(cctx, s, q, 5); !errors.Is(err, context.Canceled) || hits != nil {
 			t.Errorf("cancelled TopKCtx = %d hits, %v; want nil, context.Canceled", len(hits), err)
 		}
-		if hits, err := s.TopKPrepared(cctx, pq, 5); !errors.Is(err, context.Canceled) || hits != nil {
+		if hits, err := s.TopKPrepared(cctx, pq, 5, nil); !errors.Is(err, context.Canceled) || hits != nil {
 			t.Errorf("cancelled TopKPrepared = %d hits, %v; want nil, context.Canceled", len(hits), err)
 		}
 
 		// A preparation only means something to the family that made it.
-		if _, err := s.TopKPrepared(ctx, alienPrepared{q}, 5); !errors.Is(err, ErrForeignPrepared) {
+		if _, err := s.TopKPrepared(ctx, alienPrepared{q}, 5, nil); !errors.Is(err, ErrForeignPrepared) {
 			t.Errorf("foreign TopKPrepared err = %v, want ErrForeignPrepared", err)
 		}
 		if _, err := s.ScoreTables(alienPrepared{q}, b.Lake.Names()[:1]); !errors.Is(err, ErrForeignPrepared) {

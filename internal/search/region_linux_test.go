@@ -41,7 +41,7 @@ func TestScansOutliveTheirSearcher(t *testing.T) {
 	ctx := context.Background()
 	want, wantScores := make([][]Scored, len(pqs)), make([][]Scored, len(pqs))
 	for i, pq := range pqs {
-		want[i], _ = held.TopKPrepared(ctx, pq, 0)
+		want[i], _ = held.TopKPrepared(ctx, pq, 0, nil)
 		wantScores[i], _ = held.ScoreTables(pq, names)
 	}
 
@@ -66,7 +66,7 @@ func TestScansOutliveTheirSearcher(t *testing.T) {
 	}
 	for r := 0; r < rounds; r++ {
 		for i, pq := range pqs {
-			got, err := view().TopKPrepared(ctx, pq, 0)
+			got, err := view().TopKPrepared(ctx, pq, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

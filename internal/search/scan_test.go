@@ -567,7 +567,7 @@ func TestScoreTablesMatchesRanking(t *testing.T) {
 		v := s.QueryWorkers(workers)
 		for i, q := range qs {
 			pq := v.Prepare(q)
-			ranked, err := v.TopKPrepared(context.Background(), pq, 0)
+			ranked, err := v.TopKPrepared(context.Background(), pq, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -662,7 +662,7 @@ func TestTopKAllocs(t *testing.T) {
 		ctx := context.Background()
 		run := func() {
 			for _, pq := range pqs {
-				benchHits, _ = s.TopKPrepared(ctx, pq, 10)
+				benchHits, _ = s.TopKPrepared(ctx, pq, 10, nil)
 			}
 		}
 		runtime.GC() // no collection left pending to empty the pool mid-measure
@@ -694,11 +694,11 @@ func BenchmarkStarmieTopK(b *testing.B) {
 			s := NewStarmie(spec.Generate()).QueryWorkers(1)
 			pqs := wideQueries(s, spec, 40)
 			tr := &Trace{}
-			ctx := WithTrace(context.Background(), tr)
+			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchHits, _ = s.TopKPrepared(ctx, pqs[i%len(pqs)], 10)
+				benchHits, _ = s.TopKPrepared(ctx, pqs[i%len(pqs)], 10, tr)
 			}
 			b.ReportMetric(float64(tr.Scan[ScanGreedy].Load()+tr.Scan[ScanMatched].Load())/float64(b.N), "scored/op")
 		})

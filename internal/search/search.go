@@ -49,9 +49,10 @@ type Searcher interface {
 	Prepare(query *table.Table) PreparedQuery
 	// TopKPrepared scores every indexed table against pq exactly and
 	// returns the top k by (score desc, name asc); k <= 0 asks for the full
-	// ranking. A cancelled ctx yields ctx.Err(), never a truncated ranking;
+	// ranking. The scan's exits are added to tr; a nil tr leaves the query
+	// untraced. A cancelled ctx yields ctx.Err(), never a truncated ranking;
 	// a preparation from another searcher family yields ErrForeignPrepared.
-	TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error)
+	TopKPrepared(ctx context.Context, pq PreparedQuery, k int, tr *Trace) ([]Scored, error)
 	// ScoreTables scores the named indexed tables against pq, in the order
 	// named, each to the bits TopKPrepared ranks it by; a name the index
 	// does not hold yields lake.ErrUnknownTable.
@@ -113,13 +114,13 @@ var (
 	ErrEncoderMismatch = errors.New("search: saved index built with a different encoder")
 )
 
-// TopKCtx is the whole query under ctx: Prepare, then TopKPrepared. The
-// error is ctx.Err() when the query was cancelled.
+// TopKCtx is the whole query under ctx, untraced: Prepare, then
+// TopKPrepared. The error is ctx.Err() when the query was cancelled.
 func TopKCtx(ctx context.Context, s Searcher, query *table.Table, k int) ([]Scored, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.TopKPrepared(ctx, s.Prepare(query), k)
+	return s.TopKPrepared(ctx, s.Prepare(query), k, nil)
 }
 
 // TopK is TopKCtx under a background context, which cannot fail.
@@ -156,8 +157,8 @@ func (s Stage) String() string { return stageNames[s] }
 // Trace accumulates one query's wall time per Stage, which the dust
 // pipeline records, and the exits its candidates took through Starmie's
 // exact scan, which the scan's parallel chunks count from concurrent
-// goroutines. A Trace travels with the request via WithTrace; serving
-// layers turn it into latency histograms and per-request log fields.
+// goroutines. A dust.Request owns its search's Trace; serving layers turn
+// it into latency histograms and per-request log fields.
 type Trace struct {
 	// NS is nanoseconds per stage.
 	NS [NumStages]atomic.Int64
@@ -175,23 +176,6 @@ func (tr *Trace) Add(st Stage, d time.Duration) {
 	}
 }
 
-// traceKey keys a *Trace in a context.
-type traceKey struct{}
-
-// WithTrace returns a context carrying tr: the pipeline below the call
-// records its stage times into it and the scan its exits. Passing nil
-// masks any outer trace.
-func WithTrace(ctx context.Context, tr *Trace) context.Context {
-	return context.WithValue(ctx, traceKey{}, tr)
-}
-
-// TraceFrom returns the Trace carried by ctx, or nil when the query is
-// untraced.
-func TraceFrom(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(traceKey{}).(*Trace)
-	return tr
-}
-
 // PreparedQuery is a query's encoded representation — Starmie's column
 // embeddings — computed once by Searcher.Prepare and reusable across many
 // TopKPrepared calls (a query asked for several k never re-encodes). A
@@ -199,10 +183,7 @@ func TraceFrom(ctx context.Context) *Trace {
 // the views sharing its index. Implementations type-assert the concrete
 // preparation and report ErrForeignPrepared for one produced by a
 // different searcher family.
-type PreparedQuery interface {
-	// Query returns the query table the preparation encodes.
-	Query() *table.Table
-}
+type PreparedQuery any
 
 // ErrForeignPrepared reports a PreparedQuery handed to a searcher family
 // that did not produce it.

@@ -523,19 +523,15 @@ func (s *Starmie) EncodeQuery(q *table.Table) []vector.Vec {
 // column embeddings, encoded once, in the layouts the exact scan reads:
 // panels for the float64 dots, codes for its pre-pass.
 type starmiePrepared struct {
-	query  *table.Table
 	panels *vector.QueryPanels
 	codes  *vector.QueryCodes
 }
-
-// Query implements PreparedQuery.
-func (p *starmiePrepared) Query() *table.Table { return p.query }
 
 // Prepare implements Searcher: the query's columns are embedded
 // exactly once.
 func (s *Starmie) Prepare(query *table.Table) PreparedQuery {
 	cols := s.EncodeQuery(query)
-	return &starmiePrepared{query: query, panels: vector.NewQueryPanels(cols), codes: vector.NewQueryCodes(cols)}
+	return &starmiePrepared{panels: vector.NewQueryPanels(cols), codes: vector.NewQueryCodes(cols)}
 }
 
 // prepared asserts pq is Starmie's own preparation.
@@ -577,9 +573,10 @@ func (s *Starmie) ScoreTables(pq PreparedQuery, names []string) ([]Scored, error
 
 // TopKPrepared implements Searcher as the staged plan: the candidates are
 // every indexed table, in index order; score them exactly, in parallel, and
-// keep the top k. The candidate scan stops scoring further tables once ctx
-// is cancelled and the call returns ctx.Err().
-func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error) {
+// keep the top k, adding the scan's exits to tr. The candidate scan stops
+// scoring further tables once ctx is cancelled and the call returns
+// ctx.Err().
+func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int, tr *Trace) ([]Scored, error) {
 	p, err := prepared(pq)
 	if err != nil {
 		return nil, err
@@ -587,7 +584,7 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	hits, err := rankTablesCtx(ctx, s, p, s.idx.entries, k, TraceFrom(ctx))
+	hits, err := rankTablesCtx(ctx, s, p, s.idx.entries, k, tr)
 	runtime.KeepAlive(s.region)
 	return hits, err
 }

@@ -6,21 +6,6 @@ import (
 	"time"
 )
 
-func TestTraceContextRoundTrip(t *testing.T) {
-	if TraceFrom(context.Background()) != nil {
-		t.Fatal("empty context yielded a trace")
-	}
-	tr := &Trace{}
-	ctx := WithTrace(context.Background(), tr)
-	if TraceFrom(ctx) != tr {
-		t.Fatal("trace did not round-trip through the context")
-	}
-	// A nil trace masks an outer one.
-	if TraceFrom(WithTrace(ctx, nil)) != nil {
-		t.Fatal("nil trace did not mask the outer trace")
-	}
-}
-
 // TestTraceAddHelpers: Add is nil-safe — untraced queries pay nothing —
 // and accumulates per stage without touching the others.
 func TestTraceAddHelpers(t *testing.T) {
@@ -49,7 +34,7 @@ func TestTracePopulatedByStagedSearch(t *testing.T) {
 	b := persistBench(t)
 	s := NewStarmie(b.Lake)
 	tr := &Trace{}
-	if _, err := TopKCtx(WithTrace(context.Background(), tr), s, b.Queries[0], 3); err != nil {
+	if _, err := s.TopKPrepared(context.Background(), s.Prepare(b.Queries[0]), 3, tr); err != nil {
 		t.Fatal(err)
 	}
 	var scanned int64

@@ -205,9 +205,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 type requestInfo struct {
 	cache    string // "hit"/"revalidated"/"miss"/"none" for /search, "" elsewhere
 	k        int
-	epoch    uint64
-	isSearch bool
-	degraded bool // answered by the degraded view under degraded admission
+	epoch    *uint64 // the snapshot's, once a search loaded one
+	degraded bool    // answered by the degraded view under degraded admission
 	trace    *search.Trace
 	errMsg   string
 }
@@ -219,15 +218,9 @@ func withInfo(ctx context.Context, info *requestInfo) context.Context {
 	return context.WithValue(ctx, infoKey{}, info)
 }
 
-func infoFrom(ctx context.Context) *requestInfo {
-	info, _ := ctx.Value(infoKey{}).(*requestInfo)
-	if info == nil {
-		// Handlers are only reachable through instrument, but a bare
-		// handler call (tests) still gets a sink.
-		info = &requestInfo{}
-	}
-	return info
-}
+// infoFrom returns the requestInfo instrument put in ctx; every handler is
+// reached through instrument.
+func infoFrom(ctx context.Context) *requestInfo { return ctx.Value(infoKey{}).(*requestInfo) }
 
 // statusWriter captures the response status for metrics and logs.
 type statusWriter struct {
@@ -332,11 +325,8 @@ func (s *Server) logRequest(r *http.Request, endpoint string, status int, dur ti
 		Cache:    info.cache,
 		Degraded: info.degraded,
 		K:        info.k,
+		Epoch:    info.epoch,
 		Error:    info.errMsg,
-	}
-	if info.isSearch {
-		epoch := info.epoch
-		line.Epoch = &epoch
 	}
 	if tr := info.trace; tr != nil {
 		line.Stages = make(map[string]float64, search.NumStages)

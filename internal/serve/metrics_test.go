@@ -402,8 +402,9 @@ func (b *lockedBuffer) String() string {
 }
 
 // TestRequestLog pins the structured request-log schema: one JSON line per
-// request, stage timings on searches that ran the pipeline — failed ones
-// too — and no search-only fields on other endpoints.
+// request, stage timings on searches that ran the pipeline (failed ones
+// too), an epoch only on searches that loaded a snapshot, and no
+// search-only fields on other endpoints.
 func TestRequestLog(t *testing.T) {
 	var sink lockedBuffer
 	_, ts, b := newTestServer(t, WithRequestLog(&sink))
@@ -426,8 +427,8 @@ func TestRequestLog(t *testing.T) {
 			t.Fatalf("log line %d not JSON: %v (%s)", i, err, lines[i])
 		}
 	}
-	if badK.Status != http.StatusBadRequest || !strings.Contains(badK.Error, "k must be positive") {
-		t.Fatalf("bad-k line has status %d error %q, want a 400 naming the bad k", badK.Status, badK.Error)
+	if badK.Status != http.StatusBadRequest || !strings.Contains(badK.Error, "k must be positive") || badK.Epoch != nil {
+		t.Fatalf("bad-k line has status %d error %q epoch %v, want a 400 naming the bad k and no epoch", badK.Status, badK.Error, badK.Epoch)
 	}
 	if miss.Endpoint != "/search" || miss.Status != 200 || miss.Cache != "miss" ||
 		miss.K != 3 || miss.Epoch == nil || miss.Stages == nil {

@@ -10,10 +10,13 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dust"
+	"dust/internal/search"
+	"dust/internal/table"
 )
 
 // occupySlot fills srv's only admission slot and returns a release func.
@@ -243,65 +246,101 @@ func searchUnderLoad(t *testing.T, srv *Server, url string, body []byte) searchR
 	return out
 }
 
+// countingSearcher counts the query preparations of a searcher, of its
+// views and of its WithTable successors, which share the counter.
+type countingSearcher struct {
+	search.Searcher
+	prepares *atomic.Int64
+}
+
+func (c countingSearcher) Prepare(q *table.Table) search.PreparedQuery {
+	c.prepares.Add(1)
+	return c.Searcher.Prepare(q)
+}
+
+func (c countingSearcher) QueryWorkers(n int) search.Searcher {
+	return countingSearcher{c.Searcher.QueryWorkers(n), c.prepares}
+}
+
+func (c countingSearcher) WithTable(t *table.Table) (search.Searcher, error) {
+	s, err := c.Searcher.WithTable(t)
+	if err != nil {
+		return nil, err
+	}
+	return countingSearcher{s, c.prepares}, nil
+}
+
 // TestCacheOutcomesOnePerRequest pins the cache counters to one outcome a
 // request: a degraded search probes the exact line and then the degraded
 // one, revalidating either when it is older than the snapshot, and still
 // counts one hit or one miss, so hits plus misses equal the searches that
-// reached the cache, on /stats and on /metrics alike.
+// reached the cache, on /stats and on /metrics alike. Whatever it probes,
+// a request encodes its query at most once: a plain hit never, every other
+// path once.
 func TestCacheOutcomesOnePerRequest(t *testing.T) {
-	srv, ts, b := newTestServer(t, WithDegradeThreshold(0.5), WithMaxInFlight(1), WithTimeout(10*time.Second))
+	b := fixedLake()
+	var prepares atomic.Int64
+	s := countingSearcher{search.NewStarmie(b.Lake), &prepares}
+	srv := New(dust.New(b.Lake, dust.WithTopTables(5), dust.WithSearcher(s)),
+		WithDegradeThreshold(0.5), WithMaxInFlight(1), WithTimeout(10*time.Second))
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
 	body := searchBody(t, b.Queries[0], 5)
-	steps := []struct {
-		loaded           bool
-		cached, degraded bool
-	}{
-		{true, false, true},   // both lines miss: the degraded view computes
-		{true, true, true},    // the exact line misses, the degraded one hits
-		{false, false, false}, // the exact view computes
-		{false, true, false},  // the exact line hits
-		{true, true, false},   // the exact line hits before the degrade decision
-	}
-	var degraded []string // the degraded answer's tables
-	for i, st := range steps {
+	ask := func(step string, loaded, cached, degraded bool, epoch uint64, encodes int64) searchResponse {
+		t.Helper()
+		before := prepares.Load()
 		var out searchResponse
-		if st.loaded {
+		if loaded {
 			out = searchUnderLoad(t, srv, ts.URL, body)
 		} else {
 			_, out = postSearch(t, ts.URL, body)
 		}
-		if out.Cached != st.cached || out.Degraded != st.degraded {
-			t.Fatalf("step %d: cached=%v degraded=%v, want %v/%v", i, out.Cached, out.Degraded, st.cached, st.degraded)
+		if out.Cached != cached || out.Degraded != degraded || out.Epoch != epoch {
+			t.Fatalf("%s: cached=%v degraded=%v epoch %d, want %v/%v/%d", step, out.Cached, out.Degraded, out.Epoch, cached, degraded, epoch)
 		}
-		if i == 0 {
-			degraded = out.Tables
+		if n := prepares.Load() - before; n != encodes {
+			t.Errorf("%s: %d query encodes, want %d", step, n, encodes)
+		}
+		return out
+	}
+	put := func(name string, src *table.Table) {
+		t.Helper()
+		tb, _ := json.Marshal(tableJSON{Headers: src.Headers(), Rows: rowsOf(src)})
+		if resp, _ := doJSON(t, http.MethodPut, ts.URL+"/tables/"+name, tb); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("put %s: status %d", name, resp.StatusCode)
 		}
 	}
+
+	degraded := ask("both lines miss: the degraded view computes", true, false, true, 0, 1).Tables
+	ask("the exact line misses, the degraded one hits", true, true, true, 0, 0)
+	ask("the exact view computes", false, false, false, 0, 1)
+	ask("the exact line hits", false, true, false, 0, 0)
+	ask("the exact line hits before the degrade decision", true, true, false, 0, 0)
 
 	// A copy of the degraded answer's last table, named to sort after it,
 	// ranks into the full answer (the degraded one is its prefix) but not
 	// into the degraded one: under load, the exact line is outranked and
 	// the degraded line revalidated, and the request counts one hit.
-	src := b.Lake.Get(degraded[len(degraded)-1])
-	tb, _ := json.Marshal(tableJSON{Headers: src.Headers(), Rows: rowsOf(src)})
-	if resp, _ := doJSON(t, http.MethodPut, ts.URL+"/tables/zz_degraded_copy", tb); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("put status %d", resp.StatusCode)
-	}
-	if out := searchUnderLoad(t, srv, ts.URL, body); !out.Cached || !out.Degraded || out.Epoch != 1 {
-		t.Fatalf("after the copy: cached=%v degraded=%v epoch %d, want true/true/1", out.Cached, out.Degraded, out.Epoch)
-	}
+	put("zz_degraded_copy", b.Lake.Get(degraded[len(degraded)-1]))
+	ask("the exact line outranked, the degraded one revalidated", true, true, true, 1, 1)
+	ask("the exact line outranked: the exact view computes", false, false, false, 1, 1)
+	// A copy of the degraded answer's first table, named to sort before
+	// it, ranks into both answers.
+	put("aaa_top_copy", b.Lake.Get(degraded[0]))
+	ask("both lines outranked: the degraded view computes", true, false, true, 2, 1)
 
 	var st StatsResponse
 	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
-	if st.Cache.Hits != 4 || st.Cache.Misses != 2 || st.Cache.Revalidated != 1 || st.Cache.Hits+st.Cache.Misses != st.Searches {
-		t.Fatalf("cache %d hits (%d revalidated) + %d misses over %d searches, want 4 (1) + 2 = 6",
+	if st.Cache.Hits != 4 || st.Cache.Misses != 4 || st.Cache.Revalidated != 1 || st.Cache.Hits+st.Cache.Misses != st.Searches {
+		t.Fatalf("cache %d hits (%d revalidated) + %d misses over %d searches, want 4 (1) + 4 = 8",
 			st.Cache.Hits, st.Cache.Revalidated, st.Cache.Misses, st.Searches)
 	}
 	text := scrapeMetrics(t, ts.URL)
 	for _, want := range []string{
-		"dust_cache_hits_total 4", "dust_cache_misses_total 2",
-		`dust_cache_stale_total{outcome="outranked"} 1`, `dust_cache_stale_total{outcome="revalidated"} 1`,
+		"dust_cache_hits_total 4", "dust_cache_misses_total 4",
+		`dust_cache_stale_total{outcome="outranked"} 4`, `dust_cache_stale_total{outcome="revalidated"} 1`,
 	} {
 		if !strings.Contains(text, want+"\n") {
 			t.Errorf("exposition missing %q", want)

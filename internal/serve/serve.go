@@ -18,7 +18,6 @@ import (
 	"dust"
 	"dust/internal/lake"
 	"dust/internal/par"
-	"dust/internal/search"
 	"dust/internal/table"
 )
 
@@ -167,12 +166,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Snapshot returns the currently published snapshot (for tests and
 // embedding callers; requests load it exactly once themselves).
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
-
-// Close releases nothing: a server runs no background work and its
-// pipeline holds no resources, so requests, mutations included, keep being
-// answered after it. It stays so that callers written to close a server
-// keep compiling.
-func (s *Server) Close() {}
 
 // tableJSON is the wire form of a table: a header row plus value rows.
 type tableJSON struct {
@@ -353,7 +346,6 @@ func decodeSearchRequest(r *http.Request) (*table.Table, int, error) {
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	info := infoFrom(ctx)
-	info.isSearch = true
 	if s.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
@@ -383,13 +375,17 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	// One atomic load pins this request to a consistent snapshot: index,
 	// lake, config tag, and epoch all come from the same published state,
-	// no matter how many swaps happen while the query runs.
+	// no matter how many swaps happen while the query runs. Both cache
+	// lines and the search share one Request, so the query is encoded at
+	// most once, by whichever of them first scores it.
 	snap := s.snap.Load()
-	info.k, info.epoch = k, snap.Epoch()
+	epoch := snap.Epoch()
+	info.k, info.epoch = k, &epoch
+	req := snap.query.Prepare(query)
 
 	// A cache hit is a map lookup plus a byte write — no pipeline work —
-	// and a revalidated one adds a query encode and a score per table
-	// added since its epoch, so both are served before admission: a
+	// and a revalidated one adds at most the query's encode and a score per
+	// table added since its epoch, so both are served before admission: a
 	// saturated server keeps answering cached traffic while shedding only
 	// queries that would cost compute. With the cache off there is no
 	// fingerprint, key, log or cached copy.
@@ -399,7 +395,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		fp = queryFingerprint(query)
 		key = cacheKey(fp, k, snap.tag)
-		if body := s.lookup(snap, snap.query, key, query, info); body != nil {
+		if body := s.lookup(snap, snap.query, key, req, info); body != nil {
 			s.writeCached(w, body)
 			return
 		}
@@ -421,7 +417,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// never mix with exact results; probe them before computing.
 		if s.cache != nil {
 			key = cacheKey(fp, k, snap.degradedTag)
-			if body := s.lookup(snap, snap.degraded, key, query, info); body != nil {
+			if body := s.lookup(snap, snap.degraded, key, req, info); body != nil {
 				s.writeCached(w, body)
 				return
 			}
@@ -468,8 +464,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	info.trace = &search.Trace{}
-	res, err := view.SearchContext(search.WithTrace(ctx, info.trace), query, k)
+	info.trace = &req.Trace
+	res, err := view.SearchRequest(ctx, req, k)
 	if err != nil {
 		info.errMsg = err.Error()
 		switch {
@@ -487,7 +483,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := newSearchResponse(res, snap.Epoch(), k, info.degraded)
+	resp := newSearchResponse(res, epoch, k, info.degraded)
 	s.searches.Add(1)
 	writeJSON(w, http.StatusOK, resp)
 
@@ -499,7 +495,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// keeps the cached bytes shaped exactly like the live ones.
 	resp.Cached = true
 	if body, err := marshalJSON(resp); err == nil {
-		s.cache.Put(&cacheEntry{key: key, body: body, epoch: snap.Epoch(), tables: resp.Tables})
+		s.cache.Put(&cacheEntry{key: key, body: body, epoch: epoch, tables: resp.Tables})
 	}
 }
 
@@ -528,13 +524,14 @@ func newSearchResponse(res *dust.Result, epoch uint64, k int, degraded bool) sea
 
 // lookup returns the cached body that answers key on snap, or nil. An
 // entry from snap's epoch answers as it is. One from an older epoch answers
-// once view — the pipeline that computed it — revalidates it against the
-// mutations since, which snap's log must still hold; it is then re-stamped
-// with snap's epoch and stored back, so later requests on snap hit it
-// plainly. Every older entry's fate counts in dust_cache_stale_total. One
-// from a later epoch than snap's (a request that loaded its snapshot just
-// before a swap) is a miss: revalidation only runs forward.
-func (s *Server) lookup(snap *Snapshot, view *dust.Pipeline, key string, query *table.Table, info *requestInfo) []byte {
+// once view — the pipeline that computed it — revalidates it for req
+// against the mutations since, which snap's log must still hold; it is
+// then re-stamped with snap's epoch and stored back, so later requests on
+// snap hit it plainly. Every older entry's fate counts in
+// dust_cache_stale_total. One from a later epoch than snap's (a request
+// that loaded its snapshot just before a swap) is a miss: revalidation
+// only runs forward.
+func (s *Server) lookup(snap *Snapshot, view *dust.Pipeline, key string, req *dust.Request, info *requestInfo) []byte {
 	e, ok := s.cache.Get(key)
 	epoch := snap.Epoch()
 	switch {
@@ -546,7 +543,7 @@ func (s *Server) lookup(snap *Snapshot, view *dust.Pipeline, key string, query *
 	}
 	outcome := staleHorizon
 	if removed, added, ok := snap.since(e.epoch); ok {
-		outcome = view.Revalidate(query, e.tables, removed, added)
+		outcome = view.Revalidate(req, e.tables, removed, added)
 	}
 	s.metrics.stale.With(staleOutcomes[outcome]).Inc()
 	if outcome != dust.Current {

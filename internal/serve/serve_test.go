@@ -667,38 +667,3 @@ func TestConfigTagInStats(t *testing.T) {
 		}
 	}
 }
-
-// TestServerClose pins Close on a server with a swap history: repeated
-// calls are no-ops, and requests still serve identical results afterwards.
-func TestServerClose(t *testing.T) {
-	b := fixedLake()
-	p := dust.New(b.Lake, dust.WithTopTables(5))
-	srv := New(p)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-
-	// Swap in a mutation first so Close has to cover a cloned snapshot too.
-	extra := b.Lake.Tables()[0].Clone("zz_close_extra")
-	putBody, _ := json.Marshal(tableJSON{Headers: extra.Headers(), Rows: rowsOf(extra)})
-	if resp, out := doJSON(t, http.MethodPut, ts.URL+"/tables/zz_close_extra", putBody); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("put status %d: %s", resp.StatusCode, out)
-	}
-
-	body := searchBody(t, b.Queries[0], 3)
-	resp, before := postSearch(t, ts.URL, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("search before close: status %d", resp.StatusCode)
-	}
-
-	srv.Close()
-	srv.Close() // idempotent
-
-	resp, after := postSearch(t, ts.URL, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("search after close: status %d", resp.StatusCode)
-	}
-	if fmt.Sprint(after.Tables) != fmt.Sprint(before.Tables) || after.Epoch != before.Epoch {
-		t.Fatalf("response changed across Close: %v (epoch %d) vs %v (epoch %d)",
-			after.Tables, after.Epoch, before.Tables, before.Epoch)
-	}
-}

@@ -231,7 +231,7 @@ func ask(p *Pipeline, queries []*table.Table) answers {
 		pq := p.searcher.Prepare(q)
 		for _, k := range a.ks {
 			var tr search.Trace
-			hits, err := p.searcher.TopKPrepared(search.WithTrace(context.Background(), &tr), pq, k)
+			hits, err := p.searcher.TopKPrepared(context.Background(), pq, k, &tr)
 			if err != nil {
 				panic(err) // an uncancelled query cannot fail
 			}
