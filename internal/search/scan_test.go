@@ -124,13 +124,13 @@ func weightsSearcher(w [][]float64, minSim float64) (*Starmie, *starmiePrepared,
 	return s, &starmiePrepared{panels: vector.NewQueryPanels(q), codes: vector.NewQueryCodes(q)}, &entry{block: block, code: code}
 }
 
-// TestScoreExitsAreExact checks the four exits of scan.score against the
-// Hungarian total on random weight matrices, ties and empty rows included:
-// the score is the reference score bit for bit whichever exit produced it;
-// the greedy exit is taken exactly when the rows' maxima sit in distinct
-// columns; a floor at the score itself never cuts the table (a tie must
-// reach the name comparison); and whenever a floor does cut, by either
-// bound, the true score is strictly below it.
+// TestScoreExitsAreExact checks the five exits of scan.score against the
+// Hungarian total on random weight matrices, ties and empty rows included,
+// each walked from the first row and resumed from the first pass's stored
+// reach: the score is the reference score bit for bit whichever exit
+// produced it; a floor at the score itself never cuts the table (a tie
+// must reach the name comparison); and whenever a floor does cut, by
+// either side of either bound, the true score is strictly below it.
 func TestScoreExitsAreExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	var sc scan
@@ -432,14 +432,15 @@ func sameScale(x, y vector.CodeScale) bool {
 	return math.Float64bits(x.Scale) == math.Float64bits(y.Scale) && math.Float64bits(x.Err) == math.Float64bits(y.Err)
 }
 
-// TestCodeCutIsBoundedCut holds the code pre-pass to what makes it exact:
-// over the dirty lake's every table and query, at floors across the range
-// scores take, whenever score leaves by the coded exit — walking the code
-// bounds from the first row, or resuming from the first pass's stored
-// reach — the float64 walk alone (the cells' dots, clamped, summed in row
-// order with its reach cut) cuts the table too, so the ranking and the other exits' counts are those
-// of a scan without the pre-pass. It also pins that the pre-pass cuts most
-// of what the float64 bound cuts, which is what it is for.
+// TestCodeCutIsBoundedCut holds the code pre-pass's row side to what makes
+// it exact: over the dirty lake's every table and query, at floors across
+// the range scores take, whenever score leaves by the coded exit — walking
+// the code bounds from the first row, or resuming from the first pass's
+// stored reach — the float64 walk alone (the cells' dots, clamped, summed
+// in row order with its reach cut) cuts the table too, so the ranking and
+// the other exits' counts are those of a scan without the pre-pass. It also
+// pins that the pre-pass cuts most of what the float64 row walk cuts, which
+// is what it is for.
 func TestCodeCutIsBoundedCut(t *testing.T) {
 	s, queries := dirtyLake(t, embed.NewStarmie())
 	var sc scan
@@ -452,10 +453,9 @@ func TestCodeCutIsBoundedCut(t *testing.T) {
 			if nq == 0 || nc == 0 {
 				continue
 			}
-			w := make([]float64, nq*nc)
-			for p := 0; p*vector.PanelRows < nq; p++ {
-				q.panels.DotBlock(p, e.block, w)
-			}
+			w := cells(q, &e, nc)
+			sc.scanConf, sc.q, sc.cands = s.scanConf(), q, []entry{e}
+			resumed := storeReach(sc.reach(0)).value()
 			for _, floor := range []float64{0.05, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95} {
 				floatCut, ub := false, 0.0
 				for i := 0; i < nq && !floatCut; i++ {
@@ -471,8 +471,6 @@ func TestCodeCutIsBoundedCut(t *testing.T) {
 				case floatCut:
 					bounded++
 				}
-				sc.scanConf, sc.q, sc.cands = s.scanConf(), q, []entry{e}
-				resumed := storeReach(sc.reach(0)).value()
 				if _, exit := sc.with(s).score(q, &e, floor, resumed); exit == ScanCoded && !floatCut {
 					t.Fatalf("query %d, table %q, floor %v: the code bound, resumed from the stored reach %v, cut a table the float64 bound keeps", qi, e.t.Name, floor, resumed)
 				}
@@ -484,6 +482,69 @@ func TestCodeCutIsBoundedCut(t *testing.T) {
 	if coded < 4*bounded {
 		t.Errorf("the code bound cut %d tables and left %d for the float64 bound: want at least four in five", coded, bounded)
 	}
+}
+
+// TestColumnCutIsCertified holds the column side of the bound to what makes
+// it exact: over the dirty lake's every table and query, at floors from
+// 0.05 to 0.95, walking from the first row or resuming from the stored
+// reach, whenever score leaves by the column exit, the column side over the
+// float64 cells (columnBound over the clamped cells' column maxima)
+// cuts the table too, and the full Hungarian score is strictly below the
+// floor; so is it whenever any other exit cuts. Some column cuts must
+// happen, so that the check is not vacuous.
+func TestColumnCutIsCertified(t *testing.T) {
+	s, queries := dirtyLake(t, embed.NewStarmie())
+	minSim := max(s.MinSim, 0)
+	var sc scan
+	columns := 0
+	for qi, query := range queries {
+		q := s.Prepare(query).(*starmiePrepared)
+		nq := q.panels.Len()
+		for _, e := range s.idx.entries {
+			nc := len(e.block) / s.enc.Dim()
+			if nq == 0 || nc == 0 {
+				continue
+			}
+			w := cells(q, &e, nc)
+			col := make([]float64, nc)
+			for i, x := range w {
+				col[i%nc] = max(col[i%nc], clamp(x, minSim))
+			}
+			full, _ := sc.with(s).score(q, &e, math.Inf(-1), math.Inf(1))
+			sc.scanConf, sc.q, sc.cands = s.scanConf(), q, []entry{e}
+			resumed := storeReach(sc.reach(0)).value()
+			for f := 0; f < 10; f++ {
+				floor := 0.05 + 0.1*float64(f)
+				for _, reach := range []float64{math.Inf(1), resumed} {
+					_, exit := sc.with(s).score(q, &e, floor, reach)
+					if exit == ScanColumn {
+						columns++
+						if !(columnBound(col, nq)/float64(nq) < floor) {
+							t.Fatalf("query %d, table %q, floor %v: the code bound's column side cut a table the float64 one keeps", qi, e.t.Name, floor)
+						}
+					}
+					if exit <= ScanBounded && !(full < floor) {
+						t.Fatalf("query %d, table %q, floor %v: exit %d cut a table scoring %v", qi, e.t.Name, floor, exit, full)
+					}
+				}
+			}
+		}
+	}
+	runtime.KeepAlive(s) // the loop read s's blocks by hand: its region stays mapped until here
+	t.Logf("cut by the column side of the code bound: %d", columns)
+	if columns == 0 {
+		t.Error("the column side of the code bound cut no table")
+	}
+}
+
+// cells is the float64 dots of q's rows with e's nc stored rows, row-major,
+// as the scan's float walk computes them before clamping.
+func cells(q *starmiePrepared, e *entry, nc int) []float64 {
+	w := make([]float64, q.panels.Len()*nc)
+	for p := 0; p*vector.PanelRows < q.panels.Len(); p++ {
+		q.panels.DotBlock(p, e.block, w)
+	}
+	return w
 }
 
 // seededLake is a searcher over n tables of the `wide` shape at seed, then
@@ -683,16 +744,37 @@ func TestTopKAllocs(t *testing.T) {
 	}
 }
 
+// poolQueries prepares against s the queries the benchmark's pool draws
+// from spec (bench/workload.go): the first perClass of each width class,
+// 3 to 7 columns with narrower and wider queries counted at the nearest, in
+// index order.
+func poolQueries(s Searcher, spec datagen.LakeSpec, perClass int) []PreparedQuery {
+	const minWidth, maxWidth = 3, 7
+	var have [maxWidth - minWidth + 1]int
+	var pqs []PreparedQuery
+	for i := 0; i < spec.Tables && len(pqs) < len(have)*perClass; i++ {
+		q := spec.Query(i)
+		if c := min(max(q.NumCols(), minWidth), maxWidth) - minWidth; have[c] < perClass {
+			have[c]++
+			pqs = append(pqs, s.Prepare(q))
+		}
+	}
+	return pqs
+}
+
 // BenchmarkStarmieTopK is the micro view of the traced run's
 // search.topk_p50_ms: the exact top-10 of a prepared query over the `wide`
-// lake shape, one worker, cycling through 40 queries. scored/op is the
-// tables a query fully scores (the greedy and matched exits).
+// lake shape, one worker, cycling through the benchmark pool's 80 queries,
+// 16 of each width class. It reports the work a query does by scan exit:
+// floatwalks/op is the tables whose float64 cells were read (the bounded,
+// greedy and matched exits), scored/op those fully scored (greedy and
+// matched) and matched/op those the Hungarian step scored.
 func BenchmarkStarmieTopK(b *testing.B) {
 	for _, n := range []int{500, 8000} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			spec := wideSpec(n)
 			s := NewStarmie(spec.Generate()).QueryWorkers(1)
-			pqs := wideQueries(s, spec, 40)
+			pqs := poolQueries(s, spec, 16)
 			tr := &Trace{}
 			ctx := context.Background()
 			b.ReportAllocs()
@@ -700,7 +782,16 @@ func BenchmarkStarmieTopK(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				benchHits, _ = s.TopKPrepared(ctx, pqs[i%len(pqs)], 10, tr)
 			}
-			b.ReportMetric(float64(tr.Scan[ScanGreedy].Load()+tr.Scan[ScanMatched].Load())/float64(b.N), "scored/op")
+			perOp := func(exits ...int) float64 {
+				var n int64
+				for _, exit := range exits {
+					n += tr.Scan[exit].Load()
+				}
+				return float64(n) / float64(b.N)
+			}
+			b.ReportMetric(perOp(ScanBounded, ScanGreedy, ScanMatched), "floatwalks/op")
+			b.ReportMetric(perOp(ScanGreedy, ScanMatched), "scored/op")
+			b.ReportMetric(perOp(ScanMatched), "matched/op")
 		})
 	}
 }

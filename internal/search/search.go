@@ -283,6 +283,22 @@ func (r storedReach) value() float64 {
 	return float64(r) / reachTop
 }
 
+// cancelStride is how many candidates a pass of rankTablesCtx walks
+// between two looks at its context: a look is a select, which costs more
+// than a first-pass candidate's share of the scan would warrant, while 64
+// candidates are a few microseconds of work.
+const cancelStride = 64
+
+// cancelled reports whether done has closed.
+func cancelled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
 // pickSeeds runs sc's first pass over candidates lo..hi-1 and returns the
 // min(n, hi-lo) of highest stored reach, ties to the lower index, in that
 // order; false when ctx's done closed first.
@@ -290,10 +306,8 @@ func (rs *rankScratch) pickSeeds(lo, hi, n int, sc *scan, done <-chan struct{}) 
 	m := hi - lo
 	rs.reach = slices.Grow(rs.reach[:0], m)[:m]
 	for i := lo; i < hi; i++ {
-		select {
-		case <-done:
+		if (i-lo)%cancelStride == 0 && cancelled(done) {
 			return nil, false
-		default:
 		}
 		rs.reach[i-lo] = storeReach(sc.reach(i))
 	}
@@ -345,8 +359,8 @@ func (rs *rankScratch) pickSeeds(lo, hi, n int, sc *scan, done <-chan struct{}) 
 // identical for every worker count. With k <= 0 nothing is cut, and the
 // first pass is skipped. Once ctx is cancelled the remaining candidates are
 // not scored and ctx.Err() is returned instead of a partial ranking;
-// cancellation is checked per table, the natural work unit of the scan; the
-// chunks' exits are added to tr.
+// cancellation is checked before every seed and every cancelStride-th
+// candidate of either pass; the chunks' exits are added to tr.
 func rankTablesCtx(ctx context.Context, s *Starmie, q *starmiePrepared, cands []entry, k int, tr *Trace) ([]Scored, error) {
 	done := ctx.Done()
 	conf := s.scanConf() // the chunks never hold s: see scanConf
@@ -393,20 +407,16 @@ func rankTablesCtx(ctx context.Context, s *Starmie, q *starmiePrepared, cands []
 				return
 			}
 			for _, i := range seeds {
-				select {
-				case <-done:
+				if cancelled(done) {
 					return
-				default:
 				}
 				offer(i)
 			}
 			slices.Sort(seeds)
 		}
 		for i := lo; i < hi; i++ {
-			select {
-			case <-done:
+			if (i-lo)%cancelStride == 0 && cancelled(done) {
 				return
-			default:
 			}
 			if len(seeds) > 0 && seeds[0] == i {
 				seeds = seeds[1:]

@@ -303,9 +303,10 @@ func (s *Starmie) QueryWorkers(n int) Searcher {
 // scan is one chunk's ranking state and scratch: what it reads of the
 // searcher, the chunk being ranked (the query, the candidates, the trace)
 // and the exits its candidates took, then the flat |Q| x ncols weight
-// buffer, the per-row arg-maxes and the matching's working arrays. Scans
-// are pooled, so a steady-state query allocates none of it. rankTablesCtx
-// drives one scan a chunk.
+// buffer, the per-row arg-maxes, the per-column maxima and integer dots of
+// the column side, and the matching's working arrays. Scans are pooled, so a
+// steady-state query allocates none of it. rankTablesCtx drives one scan a
+// chunk.
 type scan struct {
 	scanConf
 	q     *starmiePrepared
@@ -315,6 +316,8 @@ type scan struct {
 
 	w    []float64
 	arg  []int
+	col  []float64
+	dots []int32
 	hung match.Scratch
 }
 
@@ -337,18 +340,18 @@ func openScan(conf scanConf, q *starmiePrepared, cands []entry, tr *Trace) *scan
 	return sc
 }
 
-// reach is rankTablesCtx's first pass over candidate i: the code walk of
-// score over the query's first panel, and the reach it leaves there — no
-// less than the table's score, and, when below a floor, what score's walk
-// cuts on at that floor by the same arithmetic. A query without rows
-// scores every table 0 and has no walk: +Inf.
+// reach is rankTablesCtx's first pass over candidate i: the row side of
+// score's code walk over the query's first panel, and the reach it leaves
+// there — no less than the table's score, and, when below a floor, what
+// score's walk cuts on at that floor by the same arithmetic. A query without
+// rows scores every table 0 and has no walk: +Inf.
 func (sc *scan) reach(i int) float64 {
 	nq := sc.q.panels.Len()
 	if nq == 0 {
 		return math.Inf(1)
 	}
 	var bounds [vector.PanelRows]float64
-	sc.q.codes.RowBounds(0, sc.cands[i].code, &bounds)
+	sc.q.codes.RowBounds(0, sc.cands[i].code, &bounds, nil)
 	rows := min(nq, vector.PanelRows)
 	var ub float64
 	for r := 0; r < rows; r++ {
@@ -382,10 +385,12 @@ func (sc *scan) release(cut int) {
 	scanPool.Put(sc)
 }
 
-// The exits of scan.score, which index Trace.Scan.
+// The exits of scan.score, which index Trace.Scan, from the cheapest: the
+// three cuts, then the two ways of scoring.
 const (
-	ScanCoded   = iota // cut by the code bound, no float64 read
-	ScanBounded        // cut by the upper bound, no matching computed
+	ScanCoded   = iota // cut by the row side of the code bound, no float64 read
+	ScanColumn         // cut by the column side of the code bound, no float64 read
+	ScanBounded        // cut by either side of the float64 bound, no matching computed
 	ScanGreedy         // distinct arg-maxes: the bound is the matching
 	ScanMatched        // ran the Hungarian step
 	ScanExits
@@ -399,52 +404,54 @@ var scanPool = sync.Pool{New: func() any { return new(scan) }}
 // row-major as built): the maximum-weight matching over cells w[i][j] =
 // min(q[i]·c[j], 1) where that exceeds MinSim (floored at 0: a non-positive
 // weight never joins a matching), else 0, divided by |Q|. It leaves by the
-// cheapest exact exit. ub = Σᵢ maxⱼ w[i][j] / |Q| bounds every matching from
-// above — in floating point too: both sums run in row order and rounding is
-// monotone — so the table is cut, unscored, once ub cannot reach floor;
-// strictly below only, so that a tie on score still gets its name compared.
-// Before a float64 is read, the same walk runs over the code bounds of the
-// query rows over the table (vector.QueryCodes.RowBounds), each at least
-// the row's largest float64 cell: the clamp is monotone, so a row's clamped
-// bound is at least its largest weight, and the walk's sums and reaches are
-// at least the float walk's at every row; a table it cuts the float walk
-// would cut too, and the ranking cannot tell which cut it. A finite reach —
-// the first pass's, stored with a step to spare — resumes that walk after
-// the first panel instead of computing it again: the spare step outweighs
-// every rounding, so reach·|Q| less the rows still to come is at least the
-// panel's sum, every reach after it is at least the exact walk's, and
-// every cut is still one the float walk makes. When the
-// rows' arg-maxes are distinct columns they are a matching that attains
-// ub, and any other optimal matching needs the same per-row weights, so ub
-// is the Hungarian total bit for bit. Otherwise the Hungarian step decides.
+// cheapest exact exit, and every cut is strictly below floor, so that a tie
+// on score still gets its name compared.
+//
+// A matching takes at most one cell of each row and of each column, so two
+// sums bound it from above: the row side Σᵢ maxⱼ w[i][j] and the column
+// side Σⱼ maxᵢ w[i][j]. The row side is walked row by row: the rows still to
+// come add at most 1 each, so the table is cut once ub cannot reach floor —
+// in floating point too, since the walk and the Hungarian total both sum in
+// row order and rounding is monotone. The column side is summed once every
+// row is in, with a margin for the different orders of the two sums
+// (columnBound). A cut on either side of the float64 bound leaves by
+// ScanBounded: it has read the table's float64s.
+//
+// Before a float64 is read, both sides are taken over the code bounds of
+// the query rows over the table instead of the cells: each kernel call over
+// a panel returns every row's largest integer dot, whose bound
+// (vector.QueryCodes.RowBounds) is at least the row's largest float64 cell,
+// and writes every cell's integer dot, whose bound (ColumnBounds) is at
+// least that cell. The clamp is monotone, so it commutes with the maxima,
+// and the code walk's sums, reaches and column maxima are at least the
+// float walk's: a table it cuts on a side, the float walk cuts on the same
+// side too, and the ranking cannot tell which cut it. The code level's cuts
+// leave by ScanCoded (row side) and ScanColumn (column side). A finite
+// reach — the first pass's, stored with a step to spare — resumes the row
+// walk after the first panel instead of computing it again: the spare step
+// outweighs every rounding, so reach·|Q| less the rows still to come is at
+// least the panel's sum, every reach after it is at least the exact walk's,
+// and every cut is still one the float walk makes. The first panel's dots
+// are then computed only for a table the row side keeps, for its column
+// side.
+//
+// When the rows' arg-maxes are distinct columns they are a matching that
+// attains the row side, and any other optimal matching needs the same
+// per-row weights, so ub is the Hungarian total bit for bit. Otherwise the
+// column side gets its float64 turn, then the Hungarian step decides.
 func (sc *scan) score(q *starmiePrepared, e *entry, floor, reach float64) (score float64, exit int) {
 	nq, nc := q.panels.Len(), len(e.block)/sc.dim
 	if nq == 0 || nc == 0 {
 		return 0, ScanGreedy
 	}
 	sc.w, sc.arg = slices.Grow(sc.w[:0], nq*nc), slices.Grow(sc.arg[:0], nq)
-	w, arg := sc.w[:nq*nc], sc.arg[:nq]
+	sc.col, sc.dots = slices.Grow(sc.col[:0], nc), slices.Grow(sc.dots[:0], vector.PanelRows*nc)
+	w, arg, col := sc.w[:nq*nc], sc.arg[:nq], sc.col[:nc]
 	minSim := sc.minSim
+	// No weight is negative, so a floor at or below 0 cuts nothing.
 	if floor > 0 {
-		// No weight is negative, so a floor at or below 0 cuts nothing.
-		var ub float64
-		var bounds [vector.PanelRows]float64
-		i := 0
-		if !math.IsInf(reach, 1) {
-			if reach < floor {
-				return 0, ScanCoded
-			}
-			i = min(nq, vector.PanelRows)
-			ub = float64(reach*float64(nq)) - float64(nq-i) // architecture-exact: no fusion (docs/ARCHITECTURE.md, "Determinism contract")
-		}
-		for ; i < nq; i++ {
-			if i%vector.PanelRows == 0 {
-				q.codes.RowBounds(i/vector.PanelRows, e.code, &bounds)
-			}
-			ub += clamp(bounds[i%vector.PanelRows], minSim)
-			if cannotReach(ub, i, nq, floor) {
-				return 0, ScanCoded
-			}
+		if exit, cut := sc.codeWalk(q, e, nq, col, floor, reach); cut {
+			return 0, exit
 		}
 	}
 	var ub float64
@@ -466,7 +473,79 @@ func (sc *scan) score(q *starmiePrepared, e *entry, floor, reach float64) (score
 	if distinct {
 		return ub / float64(nq), ScanGreedy
 	}
+	if floor > 0 {
+		clear(col)
+		for i := 0; i < nq; i++ {
+			for j, x := range w[i*nc : (i+1)*nc] {
+				col[j] = max(col[j], x)
+			}
+		}
+		if columnBound(col, nq)/float64(nq) < floor {
+			return 0, ScanBounded
+		}
+	}
 	return sc.hung.Solve(w, nq, nc) / float64(nq), ScanMatched
+}
+
+// codeWalk is score's code level at a floor above 0, resuming after the
+// first panel from a finite reach: both sides of the bound over the code
+// bounds, one kernel call a panel feeding both, with col (one slot per
+// column of the table) for the column maxima. It reports the exit of a cut
+// — the row side's, row by row as the float walk's, or the column side's
+// once every row is in — and whether there was one.
+func (sc *scan) codeWalk(q *starmiePrepared, e *entry, nq int, col []float64, floor, reach float64) (exit int, cut bool) {
+	dots := sc.dots[:vector.PanelRows*len(col)]
+	for j := range col {
+		col[j] = math.Inf(-1)
+	}
+	var bounds [vector.PanelRows]float64
+	var ub float64
+	first := 0
+	if !math.IsInf(reach, 1) {
+		if reach < floor {
+			return ScanCoded, true
+		}
+		first = min(nq, vector.PanelRows)
+		ub = float64(reach*float64(nq)) - float64(nq-first) // architecture-exact: no fusion (docs/ARCHITECTURE.md, "Determinism contract")
+	}
+	for top := first; top < nq; top += vector.PanelRows {
+		p, rows := top/vector.PanelRows, min(nq-top, vector.PanelRows)
+		q.codes.RowBounds(p, e.code, &bounds, dots)
+		for r := 0; r < rows; r++ {
+			ub += clamp(bounds[r], sc.minSim)
+			if cannotReach(ub, top+r, nq, floor) {
+				return ScanCoded, true
+			}
+		}
+		q.codes.ColumnBounds(p, rows, e.code, dots, col)
+	}
+	if first > 0 {
+		q.codes.RowBounds(0, e.code, &bounds, dots)
+		q.codes.ColumnBounds(0, first, e.code, dots, col)
+	}
+	for j, b := range col {
+		col[j] = clamp(b, sc.minSim)
+	}
+	return ScanColumn, columnBound(col, nq)/float64(nq) < floor
+}
+
+// columnBound is the column side Σⱼ col[j] of the bound of a table under an
+// nq-row query, col holding each column's largest weight (or a bound at
+// least that large), with a margin that makes it at least the Hungarian
+// total. A matching takes at most one cell of each column, so its total is
+// at most the column side; in floating point, the Hungarian total sums at
+// most nq cells in row order and this sum nc = len(col) maxima in column
+// order, all in [0, 1], so each is within a relative γ(n) ≈ n·2⁻⁵³ of its
+// real value. The margin (nq+nc+4)·2⁻⁵² covers both errors and the two
+// roundings of adding it, with room for every n below 2²⁶; by monotone
+// rounding the bound over nq is then at least the score.
+func columnBound(col []float64, nq int) float64 {
+	var sum float64
+	for _, x := range col {
+		sum += x
+	}
+	slack := float64(nq+len(col)+4) * 0x1p-52
+	return sum + float64(sum*slack) // architecture-exact: no fusion (docs/ARCHITECTURE.md, "Determinism contract")
 }
 
 // clamp turns a dot into a weight: 0 unless above minSim, at most 1.

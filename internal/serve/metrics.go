@@ -81,7 +81,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Per-stage wall time of uncached searches that ran the pipeline, failed ones included (0 for a stage they never reached): "+strings.Join(stages, ", ")+".",
 			nil, "stage"),
 		scanTables: r.NewCounter("dust_search_scan_tables_total",
-			"Candidate tables of uncached searches that ran the pipeline, failed ones included, by exact-scan outcome: coded (cut by the matching's upper bound over the column codes, no float64 read; this includes a table cut on the bound the scan's first pass stored), bounded (cut by the matching's upper bound over the float64 cells, not scored), greedy (scored by distinct per-column maxima), matched (scored by the Hungarian step).",
+			"Candidate tables of uncached searches that ran the pipeline, failed ones included, by exact-scan outcome: coded (cut by the row side of the matching's upper bound over the column codes, no float64 read; this includes a table cut on the bound the scan's first pass stored), column (cut by the column side of that bound, no float64 read), bounded (cut by either side of the bound over the float64 cells, not scored), greedy (scored by distinct per-column maxima), matched (scored by the Hungarian step).",
 			"outcome"),
 		admissionWait: r.NewHistogram("dust_admission_wait_seconds",
 			"Time admitted searches waited for an in-flight slot.",
@@ -287,7 +287,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 
 // scanOutcomes labels dust_search_scan_tables_total by scan exit.
 var scanOutcomes = [search.ScanExits]string{
-	search.ScanCoded: "coded", search.ScanBounded: "bounded",
+	search.ScanCoded: "coded", search.ScanColumn: "column", search.ScanBounded: "bounded",
 	search.ScanGreedy: "greedy", search.ScanMatched: "matched",
 }
 

@@ -21,11 +21,13 @@ import "math"
 // against the float64 cell itself, not only against the real dot. The
 // scales are shared by the whole block and the bound is monotone in D, so
 // the bound of a query row over the block is the bound at the block's
-// largest integer dot: that maximum is all the kernel returns.
+// largest integer dot: that maximum is what the kernel returns. A caller
+// that bounds each stored row on its own (the scan's column side) also
+// asks for every dot, which the kernel writes as it computes them.
 //
 // By specification, for each of four query rows r and the n stored rows j,
 //
-//	D_r = MinInt32; for j: d = 0; for k = 0 .. dim-1: d += int32(k_q[r][k]) * int32(k_c[j][k]); D_r = max(D_r, d)
+//	D_r = MinInt32; for j: d = 0; for k = 0 .. dim-1: d += int32(k_q[r][k]) * int32(k_c[j][k]); dots[4j+r] = d; D_r = max(D_r, d)
 //
 // exactly: every product is at most 127·queryCodeRange(dim), and dim of them
 // stay within 2³¹−1, so neither the sum nor any partial sum of it, in any
@@ -172,25 +174,49 @@ func NewQueryCodes(rows []Vec) *QueryCodes {
 // RowBounds writes to out[r] the largest codeBound of row 4p+r with any row
 // of the stored block c: the bound at the block's largest integer dot with
 // the row, -Inf for a block without rows. A row the panel lacks gets a bound
-// too, which callers drop.
-func (q *QueryCodes) RowBounds(p int, c CodeBlock, out *[PanelRows]float64) {
+// too, which callers drop. When dots is not empty — PanelRows int32s for
+// every stored row of c — the same kernel call also writes row 4p+r's
+// integer dot with stored row j to dots[PanelRows·j+r], from which
+// ColumnBounds bounds each stored row's dots on its own.
+func (q *QueryCodes) RowBounds(p int, c CodeBlock, out *[PanelRows]float64, dots []int32) {
 	if len(c.K) == 0 {
 		*out = [PanelRows]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)}
 		return
 	}
 	dim := q.dim
 	s := (*[PanelRows]CodeScale)(q.s[p*PanelRows:])
-	d := codeMaxDots(q.k[p*PanelRows*dim:(p+1)*PanelRows*dim], c.K, dim)
+	d := codeMaxDots(q.k[p*PanelRows*dim:(p+1)*PanelRows*dim], c.K, dim, dots)
 	*out = [PanelRows]float64{codeBound(s[0], c.S, d[0]), codeBound(s[1], c.S, d[1]), codeBound(s[2], c.S, d[2]), codeBound(s[3], c.S, d[3])}
+}
+
+// ColumnBounds raises col[j], for every stored row j of c, to the largest
+// codeBound of rows 4p … 4p+rows-1 with it, from the dots RowBounds wrote
+// for panel p: the certified bound on each of those rows' float64 dots with
+// stored row j, as RowBounds bounds each row's largest.
+func (q *QueryCodes) ColumnBounds(p, rows int, c CodeBlock, dots []int32, col []float64) {
+	for r := 0; r < rows; r++ {
+		s := q.s[p*PanelRows+r]
+		for j := range col {
+			col[j] = max(col[j], codeBound(s, c.S, dots[PanelRows*j+r]))
+		}
+	}
 }
 
 // codeMaxDots returns, for each row r of the four-row panel q, the largest
 // integer dot of row r with any stored row of c (MinInt32 for none), every
 // row dim > 0 long: the AVX2 body when dim is a multiple of sixteen, else
-// the generic one.
-func codeMaxDots(q []int16, c []int8, dim int) [PanelRows]int32 {
+// the generic one. When dots is not empty it must hold PanelRows int32s for
+// every stored row, and stored row j's dot with row r is written to
+// dots[PanelRows·j+r] on the way: the one body computes every dot, so the
+// maxima are those of the dots it writes.
+func codeMaxDots(q []int16, c []int8, dim int, dots []int32) [PanelRows]int32 {
+	if len(dots) > 0 {
+		dots = dots[:PanelRows*(len(c)/dim)] // a buffer too short panics here, not in the body
+	} else {
+		dots = nil
+	}
 	var out [PanelRows]int32
-	if codeMaxDotsAsm(q, c, dim, &out) {
+	if codeMaxDotsAsm(q, c, dim, dots, &out) {
 		return out
 	}
 	out = [PanelRows]int32{math.MinInt32, math.MinInt32, math.MinInt32, math.MinInt32}
@@ -203,6 +229,9 @@ func codeMaxDots(q []int16, c []int8, dim int) [PanelRows]int32 {
 			s1 += v * int32(q1[k])
 			s2 += v * int32(q2[k])
 			s3 += v * int32(q3[k])
+		}
+		if dots != nil {
+			*(*[PanelRows]int32)(dots[PanelRows*j:]) = [PanelRows]int32{s0, s1, s2, s3}
 		}
 		out = [PanelRows]int32{max(out[0], s0), max(out[1], s1), max(out[2], s2), max(out[3], s3)}
 	}

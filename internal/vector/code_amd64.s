@@ -6,17 +6,19 @@
 // products into eight int32 lanes, and VPADDD accumulates the lanes. No sum
 // overflows (code.go), so the lanes' order of addition cannot matter.
 
-// func codeMaxDotsAVX2(q []int16, c []int8, dim int, out *[4]int32)
+// func codeMaxDotsAVX2(q []int16, c []int8, dim int, dots []int32, out *[4]int32)
 //
 // Y0..Y3 accumulate the four query rows against one stored row; the three
-// VPHADDDs and one VPADDD fold their lanes into the row's four dots, and
+// VPHADDDs and one VPADDD fold their lanes into the row's four dots, in row
+// order, which are stored to dots (R11, nil for none) as they stand, and
 // VPMAXSD keeps the largest of each in X9, which starts at MinInt32.
-TEXT ·codeMaxDotsAVX2(SB), NOSPLIT, $0-64
+TEXT ·codeMaxDotsAVX2(SB), NOSPLIT, $0-88
 	MOVQ q_base+0(FP), AX
 	MOVQ c_base+24(FP), SI
 	MOVQ c_len+32(FP), BX
 	MOVQ dim+48(FP), CX
-	MOVQ out+56(FP), DI
+	MOVQ dots_base+56(FP), R11
+	MOVQ out+80(FP), DI
 	ADDQ SI, BX              // end of the stored rows
 	LEAQ (AX)(CX*2), R8      // query row 1
 	LEAQ (R8)(CX*2), R9      // query row 2
@@ -49,6 +51,11 @@ elemLoop:
 	VPHADDD Y2, Y0, Y0
 	VEXTRACTI128 $1, Y0, X1
 	VPADDD X1, X0, X0
+	TESTQ R11, R11
+	JZ   noDots
+	VMOVDQU X0, (R11)
+	ADDQ $16, R11
+noDots:
 	VPMAXSD X0, X9, X9
 	ADDQ CX, SI
 	CMPQ SI, BX

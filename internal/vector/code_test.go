@@ -29,13 +29,38 @@ func naiveCodeMax(q []int16, c []int8, dim, r int) int64 {
 }
 
 // checkCodeDots holds the selected body of the code kernel to its int64
-// transcription on one panel of four query rows and the stored rows c.
+// transcription on one panel of four query rows and the stored rows c: the
+// largest dots it returns without a dots buffer, every dot it writes into
+// one, and the largest it returns beside them, which must be the largest of
+// the dots written. The buffer is one slot longer than the kernel's share,
+// and that slot must stay as it was.
 func checkCodeDots(t testing.TB, q []int16, c []int8, dim int) {
-	got := codeMaxDots(q, c, dim)
+	nc := len(c) / dim
+	got := codeMaxDots(q, c, dim, nil)
+	dots := make([]int32, PanelRows*nc+1)
+	const guard = 0x5eed
+	dots[len(dots)-1] = guard
+	withDots := codeMaxDots(q, c, dim, dots)
 	for r := range got {
-		if want := naiveCodeMax(q, c, dim, r); int64(got[r]) != want {
-			t.Fatalf("%s body, dim %d, %d stored rows, query row %d: largest dot %d, naive %d", CosineKernel(), dim, len(c)/dim, r, got[r], want)
+		want := naiveCodeMax(q, c, dim, r)
+		if int64(got[r]) != want || withDots[r] != got[r] {
+			t.Fatalf("%s body, dim %d, %d stored rows, query row %d: largest dot %d (%d with a dots buffer), naive %d",
+				CosineKernel(), dim, nc, r, got[r], withDots[r], want)
 		}
+		most := int32(math.MinInt32)
+		for j := 0; j < nc; j++ {
+			d := dots[PanelRows*j+r]
+			if want := naiveCodeDot(q[r*dim:(r+1)*dim], c[j*dim:(j+1)*dim]); int64(d) != want {
+				t.Fatalf("%s body, dim %d, query row %d, stored row %d: dot %d, naive %d", CosineKernel(), dim, r, j, d, want)
+			}
+			most = max(most, d)
+		}
+		if most != got[r] {
+			t.Fatalf("%s body, dim %d, query row %d: largest dot written %d, returned %d", CosineKernel(), dim, r, most, got[r])
+		}
+	}
+	if dots[len(dots)-1] != guard {
+		t.Fatalf("%s body, dim %d, %d stored rows: the kernel wrote past its dots", CosineKernel(), dim, nc)
 	}
 }
 
@@ -155,11 +180,13 @@ func adversarialRows(rng *rand.Rand, dim int) []Vec {
 
 // checkBounds quantises rows as one stored block, each row as a one-row
 // block of its own and every row as a query row, certifies every error
-// bound exactly, and holds RowBounds to three rules: a row's own bound is at
+// bound exactly, and holds RowBounds to four rules: a row's own bound is at
 // least the scan kernel's float64 dot (DotBlock) with each query row; the
 // block's bound is codeBound at the int64 transcription's largest integer
-// dot and the block's scales; and it is at least every float64 dot of the
-// block.
+// dot and the block's scales; it is at least every float64 dot of the
+// block; and ColumnBounds over the dots RowBounds writes beside it bounds
+// each stored row's float64 dots with the panel's rows, and is the largest
+// of codeBound at each of those dots.
 func checkBounds(t testing.TB, rows []Vec) {
 	t.Helper()
 	dim := len(rows[0])
@@ -179,12 +206,33 @@ func checkBounds(t testing.TB, rows []Vec) {
 		certify(t, "query row", v, query.s[j], query.k[j*dim:(j+1)*dim])
 	}
 	n := len(rows)
-	dots := make([]float64, n*n)
+	dots, codeDots := make([]float64, n*n), make([]int32, PanelRows*n)
 	panels := NewQueryPanels(rows)
 	for p := 0; p*PanelRows < n; p++ {
 		panels.DotBlock(p, block, dots)
 		var whole [PanelRows]float64
-		query.RowBounds(p, stored, &whole)
+		query.RowBounds(p, stored, &whole, codeDots)
+		rows := min(n-p*PanelRows, PanelRows)
+		col := make([]float64, n)
+		for j := range col {
+			col[j] = math.Inf(-1)
+		}
+		query.ColumnBounds(p, rows, stored, codeDots, col)
+		for j, b := range col {
+			want := math.Inf(-1)
+			for r := 0; r < rows; r++ {
+				i := p*PanelRows + r
+				d := naiveCodeDot(query.k[i*dim:(i+1)*dim], stored.K[j*dim:(j+1)*dim])
+				want = max(want, codeBound(query.s[i], stored.S, int32(d)))
+				if !(b >= dots[i*n+j]) {
+					t.Fatalf("%s body, dim %d: column bound %v of stored row %d below the float64 dot %v of query row %d",
+						CosineKernel(), dim, b, j, dots[i*n+j], i)
+				}
+			}
+			if b != want {
+				t.Fatalf("%s body, dim %d, panel %d: column bound %v of stored row %d, codeBound of its dots %v", CosineKernel(), dim, p, b, j, want)
+			}
+		}
 		for r := range whole {
 			i := p*PanelRows + r
 			if i >= n {
@@ -197,7 +245,7 @@ func checkBounds(t testing.TB, rows []Vec) {
 			}
 			for j := 0; j < n; j++ {
 				var cell [PanelRows]float64
-				query.RowBounds(p, own[j], &cell)
+				query.RowBounds(p, own[j], &cell, nil)
 				if dot := dots[i*n+j]; !(cell[r] >= dot) || !(whole[r] >= dot) {
 					t.Fatalf("%s body, dim %d: bound %v (row alone) or %v (block) below the float64 dot %v of query row %d and stored row %d",
 						CosineKernel(), dim, cell[r], whole[r], dot, i, j)

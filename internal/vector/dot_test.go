@@ -415,8 +415,8 @@ func BenchmarkDotKernels(b *testing.B) {
 			var out [PanelRows]float64
 			b.ResetTimer()
 			for it := 0; it < b.N; it++ {
-				q.RowBounds(0, c, &out)
-				q.RowBounds(1, c, &out)
+				q.RowBounds(0, c, &out, nil)
+				q.RowBounds(1, c, &out, nil)
 			}
 			b.ReportMetric(float64(b.N)*float64(2*12*PanelRows*dim)/b.Elapsed().Seconds()/1e6, "MMAC/s")
 		})

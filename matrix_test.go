@@ -218,7 +218,7 @@ func (c config) String() string {
 type answers struct {
 	ks     []int
 	hits   [][]search.Scored
-	scans  [][4]int64
+	scans  [][search.ScanExits]int64
 	lines  []string
 	passes [2][]string
 }
@@ -240,7 +240,7 @@ func ask(p *Pipeline, queries []*table.Table) answers {
 				line += fmt.Sprintf(" %s=%x", h.Table.Name, h.Score)
 			}
 			a.hits, a.lines = append(a.hits, hits), append(a.lines, line)
-			var scan [4]int64
+			var scan [search.ScanExits]int64
 			for exit := range scan {
 				scan[exit] = tr.Scan[exit].Load()
 			}
@@ -271,17 +271,18 @@ func ask(p *Pipeline, queries []*table.Table) answers {
 // (before and after the history) the reference's rankings and the answers
 // of the anchor, a fresh one-worker exact pipeline over the set in
 // shuffled order. The history's last tail steps run twice, from the
-// pipeline where the tail begins and after a save and load of it. coded and cut count the tables the scan's
-// code bound and float64 bound cut.
+// pipeline where the tail begins and after a save and load of it. coded,
+// column and cut count the tables the scan's code bound cut on its row side
+// and on its column side, and its float64 bound cut.
 type matrix struct {
-	spec       datagen.LakeSpec
-	l0         *lake.Lake
-	queries    []*table.Table
-	steps      []step
-	tail       int
-	refs       [2][][]search.Scored
-	anchors    [2]answers
-	coded, cut int64
+	spec               datagen.LakeSpec
+	l0                 *lake.Lake
+	queries            []*table.Table
+	steps              []step
+	tail               int
+	refs               [2][][]search.Scored
+	anchors            [2]answers
+	coded, column, cut int64
 }
 
 // check holds one configuration's answers to the reference's rankings of
@@ -294,10 +295,11 @@ func (m *matrix) check(t *testing.T, c config, a answers, ref [][]search.Scored,
 		k, full := a.ks[i%len(a.ks)], ref[i/len(a.ks)]
 		label := fmt.Sprintf("%s: query %d k=%d", c, i/len(a.ks), k)
 		sc := a.scans[i]
-		if total := sc[0] + sc[1] + sc[2] + sc[3]; total != int64(n) || k <= 0 && sc[0]+sc[1] != 0 {
+		cut := sc[search.ScanCoded] + sc[search.ScanColumn] + sc[search.ScanBounded]
+		if total := cut + sc[search.ScanGreedy] + sc[search.ScanMatched]; total != int64(n) || k <= 0 && cut != 0 {
 			t.Fatalf("%s: the scan's exits %v cover %d of %d tables", label, sc, total, n)
 		}
-		m.coded, m.cut = m.coded+sc[0], m.cut+sc[1]
+		m.coded, m.column, m.cut = m.coded+sc[search.ScanCoded], m.column+sc[search.ScanColumn], m.cut+sc[search.ScanBounded]
 		if k > 0 {
 			full = full[:min(k, n)]
 		}
@@ -432,8 +434,8 @@ func TestMatrix(t *testing.T) {
 	for L := range 2 {
 		m.lineage(t, L)
 	}
-	if m.coded == 0 || m.cut == 0 {
-		t.Errorf("the scan's code bound cut %d tables and its float64 bound %d: the matrix exercises not both",
-			m.coded, m.cut)
+	if m.coded == 0 || m.column == 0 || m.cut == 0 {
+		t.Errorf("the scan's code bound cut %d tables on its row side and %d on its column side, its float64 bound %d: the matrix exercises not all three",
+			m.coded, m.column, m.cut)
 	}
 }
