@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -109,6 +110,66 @@ func BenchmarkPipelineSearch(b *testing.B) {
 		if _, err := p.Search(q, 10); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPoolSearch runs the benchmark's closed-loop pool in process:
+// for each workload's lake at seed 7 (bench/workload.go's shapes and
+// knobs), the first 16 queries of each width class that the pipeline
+// answers, cycled, at k = 10. Beside the heap bytes and objects per search
+// it reports gc-share, the collector's share of the busy CPU over the timed
+// loop (runtime/metrics: /cpu/classes/gc/total over total less idle), which
+// is what garbage costs a search. Run it at -benchtime 320x: four passes
+// over the pool.
+func BenchmarkPoolSearch(b *testing.B) {
+	for _, w := range []struct{ name, spec string }{
+		{"balanced", "tables=500,rows=40"},
+		{"tall", "tables=300,rows=120"},
+		{"wide", "tables=8000,rows=12"},
+	} {
+		spec, err := datagen.ParseLakeSpec(w.spec + ",zipf=1.5,parents=11,fk=0.3,null=0.01,seed=7")
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := dust.New(spec.Generate())
+		var pool []*table.Table
+		var have [5]int
+		for i := 0; i < spec.Tables && len(pool) < 80; i++ {
+			q := spec.Query(i)
+			class := min(max(q.NumCols(), 3), 7) - 3
+			if have[class] == 16 {
+				continue
+			}
+			if _, err := p.Search(q, 10); err == nil { // the benchmark skips a 422
+				have[class]++
+				pool = append(pool, q)
+			}
+		}
+		b.Run(w.name, func(b *testing.B) {
+			samples := []metrics.Sample{
+				{Name: "/cpu/classes/gc/total:cpu-seconds"},
+				{Name: "/cpu/classes/total:cpu-seconds"},
+				{Name: "/cpu/classes/idle:cpu-seconds"},
+			}
+			read := func() (gc, busy float64) {
+				metrics.Read(samples)
+				return samples[0].Value.Float64(), samples[1].Value.Float64() - samples[2].Value.Float64()
+			}
+			b.ReportAllocs()
+			runtime.GC()
+			b.ResetTimer()
+			gc0, busy0 := read()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Search(pool[i%len(pool)], 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// The runtime brings its CPU accounting up to date at each
+			// collection; a loop too short to see one reports no share.
+			if gc1, busy1 := read(); busy1 > busy0 {
+				b.ReportMetric((gc1-gc0)/(busy1-busy0), "gc-share")
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ package align
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dust/internal/cluster"
 	"dust/internal/embed"
@@ -143,30 +144,21 @@ func HolisticWorkers(cols []Column, workers int) *Result {
 	for i, c := range cols {
 		vecs[i] = c.Vec
 	}
-	m := cluster.NewMatrixWorkers(vecs, vector.Euclidean, workers)
-	// BestCut reads the cells that clustering consumes, so cluster a copy.
-	dend := cluster.Agglomerative(m.Clone(), cluster.Options{
+	// Every query column must land in its own cluster (same-table
+	// constraint), so no cut below numQuery clusters is feasible.
+	clusters, score := cluster.BestPartition(vecs, vector.Euclidean, numQuery, len(cols)-1, cluster.Options{
 		// Two columns of one table never align. The query is never a lake
 		// table, even when it carries one's name (a query file from the
 		// lake directory, or a /search body's "name").
 		CannotLink: func(i, j int) bool {
 			return cols[i].Table == cols[j].Table && cols[i].IsQuery == cols[j].IsQuery
 		},
-	})
-	// Every query column must land in its own cluster (same-table
-	// constraint), so no cut below numQuery clusters is feasible.
-	labels, k, score := cluster.BestCut(m, dend, numQuery, len(cols)-1)
+	}, workers)
 	res.Silhouette = score
-
-	for _, members := range cluster.Members(labels, k) {
-		hasQuery := false
-		for _, idx := range members {
-			if cols[idx].IsQuery {
-				hasQuery = true
-				break
-			}
-		}
-		if hasQuery {
+	// Keep the clusters holding a query column, in place.
+	res.Clusters = clusters[:0]
+	for _, members := range clusters {
+		if slices.ContainsFunc(members, func(idx int) bool { return cols[idx].IsQuery }) {
 			res.Clusters = append(res.Clusters, members)
 		}
 	}
@@ -224,11 +216,30 @@ func Bipartite(cols []Column, minSim float64) *Result {
 // target schema is the query's headers and each unionable table maps its
 // aligned columns onto them (paper Example 3/4). Tables contributing no
 // aligned column are still included (all-null rows are then filtered by the
-// caller if desired).
+// caller if desired). A lake column is named by its table's name and its
+// index, so tables sharing a name share their mapping. Its allocations
+// depend on the number of tables, not of columns.
 func (r *Result) Mappings(query *table.Table, tables []*table.Table) ([]string, []table.Mapping, error) {
 	headers := query.Headers()
-	// clusterOf[ref] = query column index of the cluster containing ref.
-	clusterOf := map[Ref]int{}
+	// The columns of the tables named name are slots at[g] .. at[g+1] of
+	// target, g = group[name], as many as the widest such table has;
+	// target[slot] is the query column the cluster containing that column
+	// aligns it to (the last such cluster), -1 if none.
+	group := make(map[string]int, len(tables))
+	at := make([]int, 1, len(tables)+1)
+	for _, t := range tables {
+		g, ok := group[t.Name]
+		if !ok {
+			g = len(at) - 1
+			group[t.Name] = g
+			at = append(at, at[g])
+		}
+		at[g+1] = max(at[g+1], at[g]+t.NumCols())
+	}
+	target := make([]int, at[len(at)-1])
+	for i := range target {
+		target[i] = -1
+	}
 	for _, members := range r.Clusters {
 		queryCol := -1
 		for _, idx := range members {
@@ -244,23 +255,29 @@ func (r *Result) Mappings(query *table.Table, tables []*table.Table) ([]string, 
 			continue
 		}
 		for _, idx := range members {
-			if !r.Cols[idx].IsQuery {
-				clusterOf[Ref{r.Cols[idx].Table, r.Cols[idx].Index}] = queryCol
+			c := &r.Cols[idx]
+			if g, ok := group[c.Table]; ok && !c.IsQuery && c.Index >= 0 && at[g]+c.Index < at[g+1] {
+				target[at[g]+c.Index] = queryCol
 			}
 		}
 	}
-	var mappings []table.Mapping
-	for _, t := range tables {
-		m := table.Mapping{Source: t, TargetToSource: make([]int, len(headers))}
-		for i := range m.TargetToSource {
-			m.TargetToSource[i] = -1
-		}
+	if len(tables) == 0 {
+		return headers, nil, nil
+	}
+	mappings := make([]table.Mapping, len(tables))
+	slots := make([]int, len(tables)*len(headers))
+	for i := range slots {
+		slots[i] = -1
+	}
+	for ti, t := range tables {
+		m := &mappings[ti]
+		m.Source, m.TargetToSource = t, slots[ti*len(headers):(ti+1)*len(headers):(ti+1)*len(headers)]
+		cols := target[at[group[t.Name]]:]
 		for ci := 0; ci < t.NumCols(); ci++ {
-			if q, ok := clusterOf[Ref{t.Name, ci}]; ok {
+			if q := cols[ci]; q != -1 {
 				m.TargetToSource[q] = ci
 			}
 		}
-		mappings = append(mappings, m)
 	}
 	return headers, mappings, nil
 }

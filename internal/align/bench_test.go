@@ -6,6 +6,7 @@ import (
 
 	"dust/internal/datagen"
 	"dust/internal/embed"
+	"dust/internal/search"
 	"dust/internal/table"
 )
 
@@ -55,6 +56,38 @@ func BenchmarkEmbedColumns(b *testing.B) {
 			benchCols = EmbedColumns(q, withBig, enc)
 		}
 	})
+}
+
+// BenchmarkHolistic is the micro view of the traced benchmark's
+// align.holistic_p50_ms: HolisticWorkers(…).Mappings, as a search runs it,
+// over the universe of the first query of the seed-7 wide and balanced
+// pools — the query and the ten tables the exact scan ranks first, embedded
+// by the pipeline's column encoder. It reports the universe's columns.
+func BenchmarkHolistic(b *testing.B) {
+	for _, w := range []struct{ name, spec string }{
+		{"wide", "tables=8000,rows=12"},
+		{"balanced", "tables=500,rows=40"},
+	} {
+		spec, err := datagen.ParseLakeSpec(w.spec + ",zipf=1.5,parents=11,fk=0.3,null=0.01,seed=7")
+		if err != nil {
+			b.Fatal(err)
+		}
+		q := spec.Query(0)
+		var tables []*table.Table
+		for _, h := range search.TopK(search.NewStarmie(spec.Generate()), q, 10) {
+			tables = append(tables, h.Table)
+		}
+		cols := EmbedColumns(q, tables, embed.ColumnLevel{Model: embed.NewRoBERTa()})
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ReportMetric(float64(len(cols)), "columns")
+			for i := 0; i < b.N; i++ {
+				if _, _, err := HolisticWorkers(cols, 1).Mappings(q, tables); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // TestEmbedColumnsConcurrentEncodeTokens: requests embed their universes side

@@ -3,26 +3,25 @@ package cluster
 import (
 	"cmp"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 
 	"dust/internal/vector"
 )
 
-// Merge records one agglomeration step: clusters A and B (ids) merged at
+// merge records one agglomeration step: clusters A and B (ids) merged at
 // the given distance into a new cluster with id New.
-type Merge struct {
+type merge struct {
 	A, B     int
 	Distance float64
 	New      int
 }
 
-// Dendrogram is the full merge history of an agglomerative run. Leaf items
+// dendrogram is the full merge history of an agglomerative run. Leaf items
 // have ids 0..N-1; merged clusters get ids N, N+1, ...
-type Dendrogram struct {
+type dendrogram struct {
 	N      int
-	Merges []Merge
+	Merges []merge
 }
 
 // Options configures an agglomerative run.
@@ -34,35 +33,29 @@ type Options struct {
 	CannotLink func(i, j int) bool
 }
 
-// Agglomerative clusters the items of m bottom-up with average linkage
-// (UPGMA, the paper's configuration, §6.2.1) using the
-// nearest-neighbour-chain algorithm with Lance-Williams distance updates
-// (O(n^2): average linkage is reducible). Pairs forbidden by CannotLink get
-// +Inf distance, which Lance-Williams propagates, so the returned dendrogram
-// may stop early if only forbidden merges remain.
+// agglomerate clusters n items bottom-up with average linkage (UPGMA, the
+// paper's configuration, §6.2.1) using the nearest-neighbour-chain
+// algorithm with Lance-Williams distance updates (O(n^2): average linkage
+// is reducible), in the n×n cells d, which it consumes. Pairs forbidden by
+// CannotLink get +Inf distance, which Lance-Williams propagates, so the
+// dendrogram may stop early if only forbidden merges remain. The merges are
+// s's memory.
 //
 // Cluster distances are kept at the matrix's own float32 precision: each
 // update is computed in float64 from two stored cells and rounded once,
 // which keeps it between them, so the linkage stays reducible. The
 // nearest-neighbour scan and the row update are internal/vector's cluster
 // kernels (vector.NearestLive, vector.AverageLinkage).
-//
-// The run works in m's own cells and consumes them (see Matrix): a caller
-// that reads cells afterwards clusters m.Clone() instead. It panics on a
-// matrix already consumed.
-func Agglomerative(m *Matrix, opts Options) *Dendrogram {
-	n := m.Len()
-	d := m.cells()
-	m.consumed = true
-	defer runtime.KeepAlive(m) // d may live in m's region
-	dend := &Dendrogram{N: n}
+func (s *scratch) agglomerate(d []float32, n int, opts Options) dendrogram {
+	dend := dendrogram{N: n}
 	if n <= 1 {
 		return dend
 	}
+	dend.Merges = s.merges.take(n - 1)[:0]
 
-	// Working distance matrix between live clusters, w slots a row, in the
-	// matrix's cells. Slot i initially holds leaf i; a merged cluster keeps
-	// the slot of A. The diagonal is +Inf: no slot is its own neighbour.
+	// Working distance matrix between live clusters, w slots a row, in d.
+	// Slot i initially holds leaf i; a merged cluster keeps the slot of A.
+	// The diagonal is +Inf: no slot is its own neighbour.
 	w := n
 	inf := float32(math.Inf(1))
 	for i := 0; i < n; i++ {
@@ -83,19 +76,21 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 	// mask is +0 at those slots and +Inf at the rest: the kernels' generic
 	// bodies walk the list, the AVX2 ones the dense row under the mask.
 	// Either way ties break to the lowest slot.
-	live := make([]int, n)
-	mask := make([]float32, n)
-	size := make([]int, n)
-	id := make([]int, n) // dendrogram id currently held by each slot
+	live := s.ints.take(n)
+	mask := s.f32.take(n)
+	size := s.ints.take(n)
+	id := s.ints.take(n) // dendrogram id currently held by each slot
 	for i := 0; i < n; i++ {
 		live[i] = i
 		size[i] = 1
 		id[i] = i
 	}
+	clear(mask)
 	nextID := n
 
-	chain := make([]int, 0, n)
-	frozen := make([]bool, n) // slots with no finite-distance neighbour left
+	chain := s.ints.take(n)[:0]
+	frozen := s.bools.take(n) // slots with no finite-distance neighbour left
+	clear(frozen)
 
 	for len(live) > 1 {
 		if len(chain) == 0 {
@@ -122,7 +117,7 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 		if len(chain) >= 2 && b == chain[len(chain)-2] {
 			// Reciprocal nearest neighbours: merge a and b into slot a.
 			chain = chain[:len(chain)-2]
-			dend.Merges = append(dend.Merges, Merge{A: id[a], B: id[b], Distance: float64(dist), New: nextID})
+			dend.Merges = append(dend.Merges, merge{A: id[a], B: id[b], Distance: float64(dist), New: nextID})
 			// Average-linkage weights of the two merged clusters.
 			wa := float64(size[a]) / float64(size[a]+size[b])
 			wb := float64(size[b]) / float64(size[a]+size[b])
@@ -153,12 +148,12 @@ func Agglomerative(m *Matrix, opts Options) *Dendrogram {
 		chain = append(chain, b)
 	}
 	// NN-chain discovers reciprocal nearest neighbours in chain order, not
-	// in ascending merge distance. Cut applies merges sequentially, so
+	// in ascending merge distance. cut applies merges sequentially, so
 	// restore the ascending order here. The stable sort keeps dependencies
 	// intact: average linkage being reducible, a merge consuming the output
 	// of another always has a distance >= its input's distance, and on ties
 	// the producing merge was appended first.
-	slices.SortStableFunc(dend.Merges, func(a, b Merge) int {
+	slices.SortStableFunc(dend.Merges, func(a, b merge) int {
 		return cmp.Compare(a.Distance, b.Distance) // never NaN
 	})
 	return dend
@@ -188,40 +183,34 @@ func compact(d []float32, w int, live, chain, size, id []int, frozen []bool) {
 	}
 }
 
-// Cut returns cluster assignments after performing merges until exactly k
+// cut returns cluster assignments after performing merges until exactly k
 // clusters remain (or until the dendrogram runs out of merges, whichever
 // comes first). The result maps each leaf to a compact cluster label in
-// [0, actual); actual is the achieved number of clusters.
-func (d *Dendrogram) Cut(k int) (labels []int, actual int) {
+// [0, actual), numbered in the order of the clusters' least leaves; actual
+// is the achieved number of clusters. The labels are s's memory.
+func (s *scratch) cut(d dendrogram, k int) (labels []int, actual int) {
 	if k < 1 {
 		k = 1
 	}
-	parent := make([]int, d.N+len(d.Merges))
+	parent := s.ints.take(d.N + len(d.Merges))
 	for i := range parent {
 		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
 	}
 	clusters := d.N
 	for _, mg := range d.Merges {
 		if clusters <= k {
 			break
 		}
-		ra, rb := find(mg.A), find(mg.B)
+		ra, rb := find(parent, mg.A), find(parent, mg.B)
 		parent[ra] = mg.New
 		parent[rb] = mg.New
 		clusters--
 	}
-	labels = make([]int, d.N)
-	compact := make([]int, len(parent)) // root id -> label+1; 0 = unseen
+	labels = s.ints.take(d.N)
+	compact := s.ints.take(len(parent)) // root id -> label+1; 0 = unseen
+	clear(compact)
 	for i := 0; i < d.N; i++ {
-		r := find(i)
+		r := find(parent, i)
 		if compact[r] == 0 {
 			actual++
 			compact[r] = actual
@@ -231,9 +220,31 @@ func (d *Dendrogram) Cut(k int) (labels []int, actual int) {
 	return labels, actual
 }
 
-// Members groups leaf indices by label.
-func Members(labels []int, numClusters int) [][]int {
-	out := make([][]int, numClusters)
+// find returns x's root in the union-find forest parent, halving the path.
+func find(parent []int, x int) int {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
+}
+
+// groups returns the leaves of each of the k labels, ascending, in fresh
+// memory: what a caller keeps of a clustering. All the clusters share one
+// array, each capped at its own end.
+func (s *scratch) groups(labels []int, k int) [][]int {
+	out := make([][]int, k)
+	all := make([]int, len(labels))
+	count := s.ints.take(k)
+	clear(count)
+	for _, l := range labels {
+		count[l]++
+	}
+	at := 0
+	for l, c := range count {
+		out[l] = all[at : at : at+c]
+		at += c
+	}
 	for i, l := range labels {
 		out[l] = append(out[l], i)
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -11,13 +12,47 @@ import (
 	"dust/internal/vector"
 )
 
+// agglomerative runs the clustering Partition and BestPartition run, in
+// m's own cells, which it consumes, and returns the dendrogram in fresh
+// memory for a test to read.
+func agglomerative(m *Matrix, opts Options) *dendrogram {
+	defer runtime.KeepAlive(m)
+	d := m.cells()
+	m.consumed = true
+	s := takeScratch()
+	defer s.release()
+	dend := s.agglomerate(d, m.n, opts)
+	return &dendrogram{N: dend.N, Merges: slices.Clone(dend.Merges)}
+}
+
+// cut is the scratch cut of the dendrogram, its labels in fresh memory.
+func (d *dendrogram) cut(k int) (labels []int, actual int) {
+	s := takeScratch()
+	defer s.release()
+	labels, actual = s.cut(*d, k)
+	return slices.Clone(labels), actual
+}
+
+// members groups leaf indices by label as the entry points return them.
+func members(labels []int, k int) [][]int {
+	s := takeScratch()
+	defer s.release()
+	return s.groups(labels, k)
+}
+
+// clone copies m's cells into a matrix of their own, with no unit rows.
+func clone(m *Matrix) *Matrix {
+	defer runtime.KeepAlive(m)
+	return &Matrix{n: m.n, d: slices.Clone(m.cells())}
+}
+
 // referenceAgglomerative is the nearest-neighbour chain as it stood before
 // the cluster kernels: a fresh copy of the matrix with its zero diagonal
 // skipped by index, the scan and the average-linkage update walking the
 // ascending live list, no mask and no compaction.
-func referenceAgglomerative(m *Matrix, cannotLink func(i, j int) bool) *Dendrogram {
+func referenceAgglomerative(m *Matrix, cannotLink func(i, j int) bool) *dendrogram {
 	n := m.n
-	dend := &Dendrogram{N: n}
+	dend := &dendrogram{N: n}
 	if n <= 1 {
 		return dend
 	}
@@ -65,7 +100,7 @@ func referenceAgglomerative(m *Matrix, cannotLink func(i, j int) bool) *Dendrogr
 			continue
 		}
 		chain = chain[:len(chain)-2]
-		dend.Merges = append(dend.Merges, Merge{A: id[a], B: id[b], Distance: float64(dist), New: nextID})
+		dend.Merges = append(dend.Merges, merge{A: id[a], B: id[b], Distance: float64(dist), New: nextID})
 		wa := float64(size[a]) / float64(size[a]+size[b])
 		wb := float64(size[b]) / float64(size[a]+size[b])
 		for _, k := range active {
@@ -80,12 +115,12 @@ func referenceAgglomerative(m *Matrix, cannotLink func(i, j int) bool) *Dendrogr
 		id[a] = nextID
 		nextID++
 	}
-	slices.SortStableFunc(dend.Merges, func(x, y Merge) int { return cmp.Compare(x.Distance, y.Distance) })
+	slices.SortStableFunc(dend.Merges, func(x, y merge) int { return cmp.Compare(x.Distance, y.Distance) })
 	return dend
 }
 
 // sameDendrogram compares two dendrograms merge by merge, distances bitwise.
-func sameDendrogram(got, want *Dendrogram) error {
+func sameDendrogram(got, want *dendrogram) error {
 	if got.N != want.N || len(got.Merges) != len(want.Merges) {
 		return fmt.Errorf("%d leaves, %d merges; want %d, %d", got.N, len(got.Merges), want.N, len(want.Merges))
 	}
@@ -136,13 +171,13 @@ func TestAgglomerativeKernelsMatchReference(t *testing.T) {
 			fixture{fmt.Sprintf("ties/%d", n), ties, nil},
 		)
 	}
-	want := make([]*Dendrogram, len(fixtures))
+	want := make([]*dendrogram, len(fixtures))
 	for i, f := range fixtures {
 		want[i] = referenceAgglomerative(f.m, f.cannotLink)
 	}
 	check := func(t *testing.T) {
 		for i, f := range fixtures {
-			if err := sameDendrogram(Agglomerative(f.m.Clone(), Options{CannotLink: f.cannotLink}), want[i]); err != nil {
+			if err := sameDendrogram(agglomerative(clone(f.m), Options{CannotLink: f.cannotLink}), want[i]); err != nil {
 				t.Fatalf("%s: %v", f.name, err)
 			}
 		}
@@ -161,7 +196,7 @@ func TestAgglomerativeKernelsMatchReference(t *testing.T) {
 func BenchmarkAgglomerative(b *testing.B) {
 	for _, n := range []int{300, 1000} {
 		m := NewMatrix(duplicatedVecs(n, 128), vector.CosineDistance)
-		work := m.Clone()
+		work := clone(m)
 		bodies := []string{vector.CosineKernel()}
 		if bodies[0] != "generic" {
 			bodies = append(bodies, "generic")
@@ -174,7 +209,7 @@ func BenchmarkAgglomerative(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					copy(work.d, m.d)
 					work.consumed = false
-					Agglomerative(work, Options{})
+					agglomerative(work, Options{})
 				}
 			})
 		}

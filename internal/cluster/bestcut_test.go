@@ -14,13 +14,27 @@ import (
 	"dust/internal/vector"
 )
 
-// TestBestCutMatchesReference requires BestCut's sweep to return what
-// scoring every cut from scratch returns — labels, cluster count and score
-// bits — on random matrices with duplicate rows and tied distances, with
-// and without cannot-link (including links that stop the dendrogram early),
-// at every kind of out-of-range bound, and on the alignment universes of a
+// TestBestCutMatchesReference requires BestPartition to return what
+// clustering by the reference chain and scoring every cut from scratch
+// returns — clusters and score bits — on random items with duplicate rows
+// and on a distance of five values with tied cells everywhere, with and
+// without cannot-link (including links that stop the dendrogram early), at
+// every kind of out-of-range bound, and on the alignment universes of a
 // benchmark-shaped lake.
 func TestBestCutMatchesReference(t *testing.T) {
+	// ties is a distance of the items' indices, carried as their one
+	// coordinate: five values, so nearly every scan is a tie.
+	ties := func(a, b vector.Vec) float64 {
+		i, j := int(a[0]), int(b[0])
+		return float64((i*j + i + j) % 5)
+	}
+	indices := func(n int) []vector.Vec {
+		items := make([]vector.Vec, n)
+		for i := range items {
+			items[i] = vector.Vec{float64(i)}
+		}
+		return items
+	}
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		links := []struct {
@@ -34,18 +48,18 @@ func TestBestCutMatchesReference(t *testing.T) {
 			{"isolated", func(i, j int) bool { return i == 0 || j == 0 }},
 		}
 		for _, n := range []int{2, 3, 4, 7, 16, 33, 65, 130} {
-			euclid := cluster.NewMatrix(cluster.DuplicatedVecs(n, 8), vector.Euclidean)
-			ties := cluster.NewMatrixFromFunc(n, func(i, j int) float64 { return float64((i*j + i + j) % 5) })
-			for _, m := range []*cluster.Matrix{euclid, ties} {
+			for _, in := range []struct {
+				items []vector.Vec
+				dist  vector.DistanceFunc
+			}{{cluster.DuplicatedVecs(n, 8), vector.Euclidean}, {indices(n), ties}} {
 				for _, link := range links {
-					d := cluster.Agglomerative(m.Clone(), cluster.Options{CannotLink: link.f})
 					bounds := [][2]int{{2, n - 1}, {2, n}, {5, n - 1}, {n / 2, n / 2}}
 					for range 4 {
 						lo := rng.Intn(n + 2)
 						bounds = append(bounds, [2]int{lo, lo + rng.Intn(n+2)})
 					}
 					for _, b := range bounds {
-						if err := cluster.CheckBestCut(m, d, b[0], b[1]); err != nil {
+						if err := cluster.CheckBestCut(in.items, in.dist, cluster.Options{CannotLink: link.f}, b[0], b[1]); err != nil {
 							t.Fatalf("n=%d, cannot-link %s: %v", n, link.name, err)
 						}
 					}
@@ -56,10 +70,9 @@ func TestBestCutMatchesReference(t *testing.T) {
 
 	t.Run("bounds", func(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 3, 12} {
-			m := cluster.NewMatrix(cluster.DuplicatedVecs(n, 4), vector.Euclidean)
-			d := cluster.Agglomerative(m.Clone(), cluster.Options{})
+			items := cluster.DuplicatedVecs(n, 4)
 			for _, b := range [][2]int{{5, 3}, {n + 1, n + 3}, {-3, 1}, {0, n - 1}, {1, n}, {2, n + 9}, {n, n}} {
-				if err := cluster.CheckBestCut(m, d, b[0], b[1]); err != nil {
+				if err := cluster.CheckBestCut(items, vector.Euclidean, cluster.Options{}, b[0], b[1]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -79,8 +92,8 @@ func TestBestCutMatchesReference(t *testing.T) {
 			for _, h := range search.TopK(s, q, 10) {
 				retrieved = append(retrieved, h.Table)
 			}
-			// The universe, matrix and dendrogram as align.HolisticWorkers
-			// builds them.
+			// The universe and constraint as align.HolisticWorkers
+			// clusters them.
 			cols := align.EmbedColumns(q, retrieved, enc)
 			vecs := make([]vector.Vec, len(cols))
 			numQuery := 0
@@ -90,11 +103,10 @@ func TestBestCutMatchesReference(t *testing.T) {
 					numQuery++
 				}
 			}
-			m := cluster.NewMatrix(vecs, vector.Euclidean)
-			d := cluster.Agglomerative(m.Clone(), cluster.Options{CannotLink: func(a, b int) bool {
+			opts := cluster.Options{CannotLink: func(a, b int) bool {
 				return cols[a].Table == cols[b].Table && cols[a].IsQuery == cols[b].IsQuery
-			}})
-			if err := cluster.CheckBestCut(m, d, numQuery, len(cols)-1); err != nil {
+			}}
+			if err := cluster.CheckBestCut(vecs, vector.Euclidean, opts, numQuery, len(cols)-1); err != nil {
 				t.Fatal(fmt.Errorf("%s: %w", q.Name, err))
 			}
 		}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dust/internal/vector"
@@ -60,8 +61,8 @@ func TestMedoid(t *testing.T) {
 func TestAgglomerativeRecoversBlobs(t *testing.T) {
 	items, truth := threeBlobs(15, 42)
 	m := NewMatrix(items, vector.Euclidean)
-	dend := Agglomerative(m, Options{})
-	labels, k := dend.Cut(3)
+	dend := agglomerative(m, Options{})
+	labels, k := dend.cut(3)
 	if k != 3 {
 		t.Fatalf("Cut(3) produced %d clusters", k)
 	}
@@ -88,10 +89,10 @@ func TestDendrogramMergeDistancesMonotone(t *testing.T) {
 	// every k produces nested partitions.
 	items, _ := threeBlobs(10, 7)
 	m := NewMatrix(items, vector.Euclidean)
-	dend := Agglomerative(m, Options{})
-	prev, prevK := dend.Cut(len(items))
+	dend := agglomerative(m, Options{})
+	prev, prevK := dend.cut(len(items))
 	for k := len(items) - 1; k >= 1; k-- {
-		cur, curK := dend.Cut(k)
+		cur, curK := dend.cut(k)
 		if curK > prevK {
 			t.Fatalf("cluster count increased from %d to %d", prevK, curK)
 		}
@@ -115,9 +116,9 @@ func TestCannotLinkConstraint(t *testing.T) {
 	items := []vector.Vec{{0, 0}, {0.1, 0}, {5, 0}, {5.1, 0}}
 	m := NewMatrix(items, vector.Euclidean)
 	forbidden := func(i, j int) bool { return (i == 0 && j == 1) || (i == 1 && j == 0) }
-	dend := Agglomerative(m, Options{CannotLink: forbidden})
+	dend := agglomerative(m, Options{CannotLink: forbidden})
 	for k := len(items); k >= 1; k-- {
-		labels, _ := dend.Cut(k)
+		labels, _ := dend.cut(k)
 		if labels[0] == labels[1] {
 			t.Fatalf("cut at k=%d put cannot-link items together", k)
 		}
@@ -132,9 +133,9 @@ func TestCannotLinkPropagatesThroughMerges(t *testing.T) {
 	forbidden := func(i, j int) bool {
 		return (i == 0 && j == 3) || (i == 3 && j == 0)
 	}
-	dend := Agglomerative(m, Options{CannotLink: forbidden})
+	dend := agglomerative(m, Options{CannotLink: forbidden})
 	for k := len(items); k >= 1; k-- {
-		labels, _ := dend.Cut(k)
+		labels, _ := dend.cut(k)
 		if labels[0] == labels[3] {
 			t.Fatalf("cut at k=%d violated propagated cannot-link", k)
 		}
@@ -144,8 +145,8 @@ func TestCannotLinkPropagatesThroughMerges(t *testing.T) {
 func TestCutExtremes(t *testing.T) {
 	items, _ := threeBlobs(5, 3)
 	m := NewMatrix(items, vector.Euclidean)
-	dend := Agglomerative(m, Options{})
-	labels, k := dend.Cut(1)
+	dend := agglomerative(m, Options{})
+	labels, k := dend.cut(1)
 	if k != 1 {
 		t.Errorf("Cut(1) gave %d clusters", k)
 	}
@@ -154,7 +155,7 @@ func TestCutExtremes(t *testing.T) {
 			t.Fatal("Cut(1) labels not uniform")
 		}
 	}
-	labels, k = dend.Cut(1000)
+	labels, k = dend.cut(1000)
 	if k != len(items) {
 		t.Errorf("Cut(1000) gave %d clusters, want %d singletons", k, len(items))
 	}
@@ -168,11 +169,11 @@ func TestCutExtremes(t *testing.T) {
 }
 
 func TestAgglomerativeTrivialSizes(t *testing.T) {
-	empty := Agglomerative(&Matrix{n: 0}, Options{})
+	empty := agglomerative(&Matrix{n: 0}, Options{})
 	if len(empty.Merges) != 0 {
 		t.Error("empty matrix produced merges")
 	}
-	one := Agglomerative(NewMatrix([]vector.Vec{{1}}, vector.Euclidean), Options{})
+	one := agglomerative(NewMatrix([]vector.Vec{{1}}, vector.Euclidean), Options{})
 	if len(one.Merges) != 0 {
 		t.Error("single item produced merges")
 	}
@@ -200,21 +201,26 @@ func TestSilhouetteQuality(t *testing.T) {
 
 func TestBestCutFindsTrueK(t *testing.T) {
 	items, _ := threeBlobs(12, 5)
-	m := NewMatrix(items, vector.Euclidean)
-	dend := Agglomerative(m.Clone(), Options{})
-	_, k, score := BestCut(m, dend, 2, 10)
-	if k != 3 {
-		t.Errorf("BestCut chose k=%d (score %v), want 3", k, score)
+	clusters, score := BestPartition(items, vector.Euclidean, 2, 10, Options{}, 1)
+	if len(clusters) != 3 {
+		t.Errorf("BestPartition chose k=%d (score %v), want 3", len(clusters), score)
 	}
 	if score < 0.8 {
-		t.Errorf("BestCut score = %v, want > 0.8", score)
+		t.Errorf("BestPartition score = %v, want > 0.8", score)
 	}
 }
 
+// TestMembers: the entry points group leaves by label, ascending, in one
+// shared array whose groups a caller may append to without reaching the
+// next group.
 func TestMembers(t *testing.T) {
-	groups := Members([]int{0, 1, 0, 2, 1}, 3)
-	if len(groups) != 3 || len(groups[0]) != 2 || len(groups[1]) != 2 || len(groups[2]) != 1 {
-		t.Errorf("Members = %v", groups)
+	groups := members([]int{0, 1, 0, 2, 1}, 3)
+	if want := [][]int{{0, 2}, {1, 4}, {3}}; !reflect.DeepEqual(groups, want) {
+		t.Fatalf("members = %v, want %v", groups, want)
+	}
+	_ = append(groups[0], 99)
+	if groups[1][0] != 1 {
+		t.Errorf("appending to the first group wrote the second: %v", groups)
 	}
 }
 

@@ -1,16 +1,19 @@
 // Package cluster implements the hierarchical clustering substrate used by
 // three parts of the reproduction: holistic column alignment (paper §3.3),
 // DUST's candidate-tuple selection (§5.2), and the CLT baseline (§6.4.2).
-// It provides agglomerative clustering with average linkage (the paper's
-// rule, §6.2.1) via the nearest-neighbour-chain algorithm, cannot-link
-// constraints (no two columns of the same table may align),
-// silhouette-coefficient model selection, and medoid extraction.
+// It clusters with average linkage (the paper's rule, §6.2.1) via the
+// nearest-neighbour-chain algorithm, under cannot-link constraints (no two
+// columns of the same table may align), and picks medoids.
 //
-// Agglomerative clusters in its matrix's own cells and consumes them: a
-// caller that reads cells afterwards (BestCut, a medoid of a matrix built
-// from a function) clusters a Clone. A cosine matrix keeps its unit rows,
-// and its medoid reads them rather than the cells, so DUST's cluster step
-// holds one n² buffer.
+// Two entry points cluster: (*Matrix).Partition cuts a matrix's items into
+// k clusters (Algorithm 2, CLT), and BestPartition builds the matrix of its
+// items itself and keeps the cut with the best silhouette coefficient
+// (alignment). Both return only the clusters; every working array comes
+// from a per-processor scratch that never leaves the call. Partition
+// clusters in the matrix's own cells and consumes them, unless its medoids
+// read them (a matrix of any distance but cosine), when it clusters a copy
+// in its scratch: a cosine matrix keeps its unit rows, and its medoid reads
+// them rather than the cells, so DUST's cluster step holds one n² buffer.
 package cluster
 
 import (
@@ -28,9 +31,9 @@ import (
 // a free list (matrixPool) holding its cells and the 8·n·dim unit rows it
 // was filled from, which it keeps for its medoids; its owner gives the
 // region back with Release, so a steady run of clusterings maps none and
-// holds nothing on the collected heap. Agglomerative consumes the cells:
-// afterwards At and BestCut panic, and so does Medoid unless the matrix
-// has unit rows.
+// holds nothing on the collected heap. Partition consumes a cosine
+// matrix's cells: afterwards At and Partition panic, and Medoid reads the
+// unit rows.
 //
 // The region is outside the collected heap (package region): every method
 // that reads the cells or the unit rows ends with runtime.KeepAlive(m), and
@@ -38,10 +41,10 @@ import (
 type Matrix struct {
 	n        int
 	d        []float32
-	rows     []vector.Vec   // cosine matrices only: the unit rows, row-major
-	self     []float64      // cosine matrices only: each row's dot with itself
-	buf      *region.Region // cosine matrices only: the region d and rows live in
-	consumed bool           // Agglomerative has clustered in d
+	unit     []float64      // cosine matrices only: the unit rows, row-major, dim each
+	dim      int            // cosine matrices only: the rows' dimension
+	buf      *region.Region // cosine matrices only: the region d and unit live in
+	consumed bool           // clustering has run in d
 }
 
 // matrixPool lists the regions of released cosine matrices for the next
@@ -63,15 +66,58 @@ func NewMatrix(items []vector.Vec, dist vector.DistanceFunc) *Matrix {
 //
 // When dist is vector.CosineDistance itself the matrix is filled from unit
 // rows (normalise once, one multiply-add per element, see vector.UnitRows)
-// and agrees with the generic loop to float32 rounding; every other
+// and agrees with the generic loop to float32 rounding. When it is
+// vector.Euclidean itself the cells are filled four a step
+// (vector.SquaredEuclideans), bit for bit the generic loop's. Every other
 // distance takes the generic per-pair loop.
 func NewMatrixWorkers(items []vector.Vec, dist vector.DistanceFunc, workers int) *Matrix {
 	if vector.IsCosineDistance(dist) {
 		return newCosineMatrix(items, workers)
 	}
-	return NewMatrixFromFuncWorkers(len(items), func(i, j int) float64 {
-		return dist(items[i], items[j])
-	}, workers)
+	m := &Matrix{n: len(items), d: make([]float32, len(items)*len(items))}
+	fillCells(items, dist, m.d, workers)
+	return m
+}
+
+// fillCells writes the distance of every pair of items, and a zero
+// diagonal, into the n×n cells d, whatever they held: four Euclidean cells
+// a step, any other distance one pair a call. The worker owning row
+// min(i, j) writes cell (i, j) and its mirror, so the cells are the same
+// for every worker count, and the same as NewMatrixFromFuncWorkers'.
+func fillCells(items []vector.Vec, dist vector.DistanceFunc, d []float32, workers int) {
+	n := len(items)
+	if !vector.IsEuclidean(dist) {
+		fillFunc(n, func(i, j int) float64 { return dist(items[i], items[j]) }, d, workers)
+		return
+	}
+	forPairedRows(workers, n, func(i int) {
+		d[i*n+i] = 0
+		for j := i + 1; j < n; j += 4 {
+			var b [4]vector.Vec
+			for t := range b {
+				b[t] = items[min(j+t, n-1)] // the last row again past the end, dropped
+			}
+			sq := vector.SquaredEuclideans(items[i], &b)
+			for t := 0; t < 4 && j+t < n; t++ {
+				v := float32(math.Sqrt(sq[t])) // vector.Euclidean's value
+				d[i*n+j+t] = v
+				d[(j+t)*n+i] = v
+			}
+		}
+	})
+}
+
+// fillFunc writes f(i, j) for every pair i < j into cells (i, j) and
+// (j, i) of the n×n cells d, and a zero diagonal.
+func fillFunc(n int, f func(i, j int) float64, d []float32, workers int) {
+	forPairedRows(workers, n, func(i int) {
+		d[i*n+i] = 0
+		for j := i + 1; j < n; j++ {
+			v := float32(f(i, j))
+			d[i*n+j] = v
+			d[j*n+i] = v
+		}
+	})
 }
 
 // mirrorBlock is the side of the square blocks the cosine path copies from
@@ -120,7 +166,7 @@ func newCosineMatrix(items []vector.Vec, workers int) *Matrix {
 			}
 		}
 	})
-	m.rows, m.self = u.Unpack()
+	m.unit, m.dim = u.Unpack(), dim
 	runtime.KeepAlive(m)
 	return m
 }
@@ -137,13 +183,7 @@ func NewMatrixFromFunc(n int, f func(i, j int) float64) *Matrix {
 // construction is race-free and bit-identical to the sequential loop.
 func NewMatrixFromFuncWorkers(n int, f func(i, j int) float64, workers int) *Matrix {
 	m := &Matrix{n: n, d: make([]float32, n*n)}
-	forPairedRows(workers, n, func(i int) {
-		for j := i + 1; j < n; j++ {
-			v := float32(f(i, j))
-			m.d[i*n+j] = v
-			m.d[j*n+i] = v
-		}
-	})
+	fillFunc(n, f, m.d, workers)
 	return m
 }
 
@@ -163,19 +203,9 @@ func forPairedRows(workers, n int, fillRow func(i int)) {
 // Len returns the number of items.
 func (m *Matrix) Len() int { return m.n }
 
-// Clone returns a copy of m's cells in fresh memory, for a caller that
-// clusters the copy and still reads m. It has no unit rows and never joins
-// the free list.
-func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{n: m.n, d: slices.Clone(m.cells())}
-	runtime.KeepAlive(m)
-	return c
-}
-
-// MedoidReadsCells reports whether Medoid reads m's cells — true unless m is
-// a cosine matrix — so that a caller wanting medoids after Agglomerative
-// must cluster a Clone.
-func (m *Matrix) MedoidReadsCells() bool { return m.rows == nil }
+// medoidReadsCells reports whether Medoid reads m's cells — true unless m
+// is a cosine matrix — so that Partition must cluster a copy of them.
+func (m *Matrix) medoidReadsCells() bool { return m.unit == nil }
 
 // Release hands a cosine matrix's region — its cells, clustered or not,
 // and its unit rows — back to the free list; a matrix built from a
@@ -185,14 +215,61 @@ func (m *Matrix) Release() {
 	if m.buf != nil {
 		m.buf.Release()
 	}
-	m.d, m.rows, m.self, m.buf = nil, nil, nil, nil
+	m.d, m.unit, m.buf = nil, nil, nil
 }
 
-// cells returns the matrix's cells, or panics once Agglomerative has
-// consumed them: what they hold then are cluster distances, not items'.
+// Partition clusters m's items bottom-up with average linkage (UPGMA, the
+// paper's configuration, §6.2.1, by the nearest-neighbour chain) and cuts
+// the dendrogram at k clusters — more if the cannot-link constraints stop
+// the merges first, all singletons if k >= Len. It returns each cluster's
+// items in ascending order, the clusters in the order of their least
+// items, in fresh memory; nothing else of the run is kept.
+//
+// It clusters in m's own cells and consumes them (At and a second
+// Partition panic afterwards) unless Medoid reads them, as for any
+// distance but cosine: then it clusters a copy in its scratch and m stays
+// whole.
+func (m *Matrix) Partition(k int, opts Options) [][]int {
+	defer runtime.KeepAlive(m) // the cells may live in m's region
+	s := takeScratch()
+	defer s.release()
+	d := m.cells()
+	if m.medoidReadsCells() {
+		d = append(s.f32.take(len(d))[:0], d...)
+	} else {
+		m.consumed = true
+	}
+	labels, actual := s.cut(s.agglomerate(d, m.n, opts), k)
+	return s.groups(labels, actual)
+}
+
+// BestPartition clusters items like Partition, over the cells
+// NewMatrixFromFuncWorkers would fill from dist (Euclidean four cells a
+// step, as NewMatrixWorkers does), and returns the
+// clusters of the cut with between minK and maxK clusters whose mean
+// silhouette coefficient is best (Rousseeuw 1987, the quality measure the
+// paper uses to pick the number of column clusters, §3.3 and §6.2.1), and
+// that score; a tie goes to the fewest clusters. Items in singleton
+// clusters contribute 0, matching scikit-learn, so a score is in [-1, 1].
+// If no cut in range has a valid score, the cut at minK is returned with a
+// NaN score. The matrix, the copy it is clustered in and every other
+// working array are scratch: only the clusters are allocated.
+func BestPartition(items []vector.Vec, dist vector.DistanceFunc, minK, maxK int, opts Options, workers int) ([][]int, float64) {
+	s := takeScratch()
+	defer s.release()
+	n := len(items)
+	cells := s.f32.take(n * n)
+	fillCells(items, dist, cells, workers)
+	work := append(s.f32.take(n * n)[:0], cells...)
+	labels, k, score := s.bestCut(cells, s.agglomerate(work, n, opts), minK, maxK)
+	return s.groups(labels, k), score
+}
+
+// cells returns the matrix's cells, or panics once Partition has consumed
+// them: what they hold then are cluster distances, not items'.
 func (m *Matrix) cells() []float32 {
 	if m.consumed {
-		panic("cluster: distance matrix read after Agglomerative consumed its cells")
+		panic("cluster: distance matrix read after Partition consumed its cells")
 	}
 	return m.d
 }
@@ -216,7 +293,7 @@ func (m *Matrix) Medoid(members []int) int {
 // sequential, so the selection is bit-identical for every worker count.
 //
 // A cosine matrix reads its unit rows, not its cells, so it answers after
-// Agglomerative too, and picks the member the cell scan picks, bit for bit
+// Partition too, and picks the member the cell scan picks, bit for bit
 // (unitMedoid). Any other matrix scans its cells, fanning the members'
 // sums out to the workers above medoidParallelThreshold members.
 func (m *Matrix) MedoidWorkers(members []int, workers int) int {
@@ -224,21 +301,23 @@ func (m *Matrix) MedoidWorkers(members []int, workers int) int {
 		panic("cluster: Medoid of empty set")
 	}
 	defer runtime.KeepAlive(m)
-	if m.rows != nil {
+	if !m.medoidReadsCells() {
 		return m.unitMedoid(members)
 	}
 	d := m.cells()
 	if len(members) < medoidParallelThreshold {
 		workers = 1
 	}
-	sums := par.Map(workers, len(members), func(k int) float64 {
-		var sum float64
-		row := d[members[k]*m.n:]
-		for _, j := range members {
-			sum += float64(row[j])
+	s := takeScratch()
+	defer s.release()
+	sums := s.f64.take(len(members))
+	if workers == 1 {
+		for k, i := range members {
+			sums[k] = cellSum(d[i*m.n:], members)
 		}
-		return sum
-	})
+	} else {
+		par.For(workers, len(members), func(k int) { sums[k] = cellSum(d[members[k]*m.n:], members) })
+	}
 	best, bestSum := members[0], math.Inf(1)
 	for k, i := range members {
 		if sums[k] < bestSum {
@@ -246,6 +325,16 @@ func (m *Matrix) MedoidWorkers(members []int, workers int) int {
 		}
 	}
 	return best
+}
+
+// cellSum is a member's distance sum over its row of cells, in member
+// order.
+func cellSum(row []float32, members []int) float64 {
+	var sum float64
+	for _, j := range members {
+		sum += float64(row[j])
+	}
+	return sum
 }
 
 // medoidParallelThreshold is the member count above which a cell scan fans
@@ -258,6 +347,9 @@ const medoidParallelThreshold = 128
 // its exact sum computed. Two is what the bound needs; a test sets it to 0
 // to show that the estimate alone picks other members.
 var medoidMargin = 2.0
+
+// row returns unit row i of a cosine matrix.
+func (m *Matrix) row(i int) vector.Vec { return m.unit[i*m.dim : (i+1)*m.dim] }
 
 // unitMedoid is the cell scan's medoid computed from the unit rows u_i:
 // a cell is 1 − u_i·u_j to within 2⁻²³ (float64 products and sum, then one
@@ -274,42 +366,47 @@ var medoidMargin = 2.0
 // medoid. A candidate byte-identical to an earlier one is skipped: their
 // cells agree term by term, or are all exactly 1 for zero rows, so its sum
 // equals the earlier one's and can never be strictly less. A NaN estimate
-// makes every member a candidate.
+// makes every member a candidate. The sums, estimates and candidates are
+// scratch.
 func (m *Matrix) unitMedoid(members []int) int {
 	if len(members) <= 2 {
 		return members[0] // one sum, or two of the same cell
 	}
-	sum := make(vector.Vec, len(m.rows[0]))
+	s := takeScratch()
+	defer s.release()
+	sum := s.f64.take(m.dim)
+	clear(sum)
 	for _, j := range members {
-		vector.AddInPlace(sum, m.rows[j])
+		vector.AddInPlace(sum, m.row(j))
 	}
-	// Four members a step.
+	// Four members a step: each one's dot with S and with itself.
 	c := float64(len(members))
-	est := make([]float64, len(members))
+	est, self := s.f64.take(len(members)), s.f64.take(len(members))
+	sums := &[4]vector.Vec{sum, sum, sum, sum}
 	least := math.Inf(1)
 	for k := 0; k < len(members); k += 4 {
 		var a [4]vector.Vec
 		for t := range a {
-			a[t] = m.rows[members[min(k+t, len(members)-1)]]
+			a[t] = m.row(members[min(k+t, len(members)-1)])
 		}
-		d := vector.Dots(&a, &[4]vector.Vec{sum, sum, sum, sum})
+		d, dd := vector.Dots(&a, sums), vector.Dots(&a, &a)
 		for t := 0; t < 4 && k+t < len(members); t++ {
-			est[k+t] = c - 1 - d[t] + m.self[members[k+t]]
+			self[k+t] = dd[t]
+			est[k+t] = c - 1 - d[t] + dd[t]
 			least = min(least, est[k+t]) // NaN if any estimate is
 		}
 	}
 	eps := c * 0x1p-22
 	bound := least + float64(medoidMargin*eps) // NaN keeps every member
-	var seen []vector.Vec                      // distinct candidate rows so far
+	seen := s.ints.take(len(members))[:0]      // items of the distinct candidate rows so far
 	best, bestSum := members[0], math.Inf(1)
 	for k, i := range members {
-		row := m.rows[i]
-		if est[k] > bound || repeatsRow(seen, row, m.self[i]) {
+		if est[k] > bound || m.repeatsRow(seen, i, self[k]) {
 			continue
 		}
-		seen = append(seen, row)
-		if s := m.unitSum(i, members); s < bestSum {
-			best, bestSum = i, s
+		seen = append(seen, i)
+		if total := m.unitSum(i, members); total < bestSum {
+			best, bestSum = i, total
 		}
 	}
 	return best
@@ -318,12 +415,12 @@ func (m *Matrix) unitMedoid(members []int) int {
 // unitSum is member i's distance sum as the cell scan adds it: in member
 // order, each cell by the kernel's rule, the diagonal 0. Four cells a step.
 func (m *Matrix) unitSum(i int, members []int) float64 {
-	a := m.rows[i]
+	a := m.row(i)
 	var s float64
 	for k := 0; k < len(members); k += 4 {
 		var b [4]vector.Vec
 		for t := range b {
-			b[t] = m.rows[members[min(k+t, len(members)-1)]]
+			b[t] = m.row(members[min(k+t, len(members)-1)])
 		}
 		d := vector.Dots(&[4]vector.Vec{a, a, a, a}, &b)
 		for t := 0; t < 4 && k+t < len(members); t++ {
@@ -335,16 +432,17 @@ func (m *Matrix) unitSum(i int, members []int) float64 {
 	return s
 }
 
-// repeatsRow reports whether row is byte-identical to one already seen and
-// its exact sum therefore equal to that one's: its distance to a copy of
-// itself (the cell of self, its dot with itself) is 0, or it is a zero row,
-// at distance exactly 1 from every row.
-func repeatsRow(seen []vector.Vec, row vector.Vec, self float64) bool {
+// repeatsRow reports whether item i's row, whose dot with itself is self,
+// is byte-identical to the row of an item seen and its exact sum therefore
+// equal to that one's: its distance to a copy of itself (the cell of self)
+// is 0, or it is a zero row, at distance exactly 1 from every row.
+func (m *Matrix) repeatsRow(seen []int, i int, self float64) bool {
+	row := m.row(i)
 	if vector.UnitDistance(self) != 0 && slices.ContainsFunc(row, func(x float64) bool { return x != 0 }) {
 		return false
 	}
-	return slices.ContainsFunc(seen, func(r vector.Vec) bool {
-		return slices.EqualFunc(r, row, func(a, b float64) bool {
+	return slices.ContainsFunc(seen, func(j int) bool {
+		return slices.EqualFunc(m.row(j), row, func(a, b float64) bool {
 			return math.Float64bits(a) == math.Float64bits(b)
 		})
 	})

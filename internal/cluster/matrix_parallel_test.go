@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"dust/internal/vector"
@@ -80,6 +81,31 @@ func TestMedoidWorkersDeterministic(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		if got := m.MedoidWorkers(members, workers); got != want {
 			t.Errorf("workers=%d: Medoid = %d, want %d", workers, got, want)
+		}
+	}
+}
+
+// TestEuclideanMatrixMatchesPerPair: the Euclidean matrix, filled four cells
+// a step, is the per-pair loop's cell for cell (a NaN as any NaN), at
+// workers 1 and 8, over every ragged tail, rows at scattered scales,
+// duplicates, zero rows and rows holding NaN, ±Inf and −0.
+func TestEuclideanMatrixMatchesPerPair(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 130} {
+		items := awkwardVecs(n, 7)
+		for i := 3; i < n; i += 5 {
+			v := vector.Clone(items[i])
+			v[i%7] = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}[i%4]
+			items[i] = v
+		}
+		for _, workers := range []int{1, 8} {
+			got := NewMatrixWorkers(items, vector.Euclidean, workers)
+			want := NewMatrixFromFuncWorkers(n, func(i, j int) float64 { return vector.Euclidean(items[i], items[j]) }, workers)
+			for c := range want.d {
+				g, w := got.d[c], want.d[c]
+				if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+					t.Fatalf("n=%d workers=%d: cell (%d,%d) = %v, per pair %v", n, workers, c/n, c%n, g, w)
+				}
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dust/internal/vector"
@@ -87,11 +88,11 @@ func medoidCases(seed int64) []medoidCase {
 	for _, n := range []int{3, 60, 400, 1500} {
 		items := pooledVecs(rng, n, 128)
 		m := NewMatrix(items, vector.CosineDistance)
-		dend := Agglomerative(m, Options{})
+		dend := agglomerative(m, Options{})
 		m.Release()
 		for _, k := range []int{1, max(n/50, 2), n / 3} {
-			labels, got := dend.Cut(k)
-			cases = append(cases, medoidCase{fmt.Sprintf("pool %d cut %d", n, k), items, Members(labels, got)})
+			labels, got := dend.cut(k)
+			cases = append(cases, medoidCase{fmt.Sprintf("pool %d cut %d", n, k), items, members(labels, got)})
 		}
 	}
 	for g := 0; g < 8; g++ {
@@ -128,7 +129,7 @@ func medoidMismatches(cases []medoidCase, workers int) (bad []string) {
 	for _, c := range cases {
 		fresh := NewMatrixWorkers(c.items, vector.CosineDistance, workers)
 		spent := NewMatrixWorkers(c.items, vector.CosineDistance, workers)
-		Agglomerative(spent, Options{})
+		spent.Partition(1, Options{})
 		for _, members := range c.members {
 			want := scanMedoid(fresh, members)
 			for state, m := range map[string]*Matrix{"as built": fresh, "clustered": spent} {
@@ -175,10 +176,11 @@ func TestMedoidMarginIsNeeded(t *testing.T) {
 	t.Logf("%d medoids move without the margin, e.g. %s", len(bad), bad[0])
 }
 
-// FuzzMedoid holds the medoid of small sets of rows to the cell scan. Each
-// row is a zero row, a copy of an earlier row, a one-ulp neighbour of one,
-// or fresh coordinates, as the input bytes say; the members are every row
-// in an order the input picks.
+// FuzzMedoid holds the medoid of small sets of rows to the cell scan, asked
+// of a matrix Partition has consumed. Each row is a zero row, a copy of an
+// earlier row, a one-ulp neighbour of one, or fresh coordinates, as the
+// input bytes say; the members are every row in an order the input picks,
+// and each cluster Partition returned.
 func FuzzMedoid(f *testing.F) {
 	f.Add([]byte{3, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{0, 4, 0xff, 1, 0, 2, 0, 3, 1, 0, 4, 4, 4, 2, 1, 1, 2, 2, 3, 3})
@@ -223,20 +225,26 @@ func FuzzMedoid(f *testing.F) {
 		fresh := NewMatrix(items, vector.CosineDistance)
 		want := scanMedoid(fresh, members)
 		spent := NewMatrix(items, vector.CosineDistance)
-		Agglomerative(spent, Options{})
+		clusters := spent.Partition(max(1, len(items)/4), Options{})
 		if got := spent.Medoid(members); got != want {
 			t.Fatalf("medoid of %d rows at dim %d = %d, cell scan %d", len(items), dim, got, want)
+		}
+		for _, c := range clusters {
+			if got, want := spent.Medoid(c), scanMedoid(fresh, c); got != want {
+				t.Fatalf("medoid of cluster %v of %d rows at dim %d = %d, cell scan %d", c, len(items), dim, got, want)
+			}
 		}
 		fresh.Release()
 		spent.Release()
 	})
 }
 
-// TestConsumedMatrix pins the consuming contract: once Agglomerative has
-// clustered in a matrix, reading its cells, clustering it again or cutting
-// by silhouette over it panics, and so does the medoid of a matrix built
-// from a function — a caller must cluster a Clone — while a cosine matrix's
-// medoid reads its unit rows and answers as before.
+// TestConsumedMatrix pins the consuming contract: Partition clusters a
+// cosine matrix in its own cells, after which reading them or partitioning
+// again panics while its medoid reads the unit rows and answers as before;
+// a matrix of any other distance, whose medoid reads the cells, is
+// clustered in a scratch copy and stays whole, answering a second
+// Partition alike.
 func TestConsumedMatrix(t *testing.T) {
 	items := duplicatedVecs(40, 8)
 	mustPanic := func(what string, f func()) {
@@ -248,29 +256,30 @@ func TestConsumedMatrix(t *testing.T) {
 		}()
 		f()
 	}
-	members := []int{3, 1, 4, 15, 9, 26, 5, 35}
+	set := []int{3, 1, 4, 15, 9, 26, 5, 35}
 	for _, dist := range []vector.DistanceFunc{vector.Euclidean, vector.CosineDistance} {
 		m := NewMatrix(items, dist)
-		want := scanMedoid(m, members)
-		dend := Agglomerative(m.Clone(), Options{})
-		if _, _, score := BestCut(m, dend, 2, 10); math.IsNaN(score) {
-			t.Fatal("BestCut over the matrix a clone was clustered in found no cut")
+		want := scanMedoid(m, set)
+		if m.medoidReadsCells() == vector.IsCosineDistance(dist) {
+			t.Errorf("medoidReadsCells = %v, cosine matrix %v", m.medoidReadsCells(), vector.IsCosineDistance(dist))
 		}
-		if got := m.Medoid(members); got != want {
-			t.Fatalf("medoid after clustering a clone = %d, cell scan %d", got, want)
+		cut := members(agglomerative(clone(m), Options{}).cut(6))
+		if got := m.Partition(6, Options{}); !reflect.DeepEqual(got, cut) {
+			t.Fatalf("Partition = %v, cut of a clone's dendrogram %v", got, cut)
 		}
-		if m.MedoidReadsCells() == vector.IsCosineDistance(dist) {
-			t.Errorf("MedoidReadsCells = %v, cosine matrix %v", m.MedoidReadsCells(), vector.IsCosineDistance(dist))
+		if m.medoidReadsCells() {
+			if got := m.Partition(6, Options{}); !reflect.DeepEqual(got, cut) {
+				t.Errorf("second Partition = %v, first %v", got, cut)
+			}
+			if m.At(0, 1) != clone(m).At(0, 1) {
+				t.Error("At moved under Partition")
+			}
+		} else {
+			mustPanic("At", func() { m.At(0, 1) })
+			mustPanic("Partition", func() { m.Partition(6, Options{}) })
 		}
-		Agglomerative(m, Options{})
-		mustPanic("At", func() { m.At(0, 1) })
-		mustPanic("Agglomerative", func() { Agglomerative(m, Options{}) })
-		mustPanic("BestCut", func() { BestCut(m, dend, 2, 10) })
-		mustPanic("Clone", func() { m.Clone() })
-		if m.MedoidReadsCells() {
-			mustPanic("Medoid", func() { m.Medoid(members) })
-		} else if got := m.Medoid(members); got != want {
-			t.Errorf("cosine medoid after clustering = %d, cell scan %d", got, want)
+		if got := m.Medoid(set); got != want {
+			t.Errorf("medoid after Partition = %d, cell scan %d", got, want)
 		}
 		m.Release()
 	}

@@ -46,19 +46,13 @@ func bitsEqual[T float32 | float64](a, b []T) bool {
 	})
 }
 
-// sameMatrix compares two cosine matrices bit for bit: cells, unit rows and
-// their dots with themselves.
+// sameMatrix compares two cosine matrices bit for bit: cells and unit rows.
 func sameMatrix(got, want *Matrix) error {
 	if !bitsEqual(got.d, want.d) {
 		return fmt.Errorf("cells differ")
 	}
-	if len(got.rows) != len(want.rows) || !bitsEqual(got.self, want.self) {
+	if got.dim != want.dim || !bitsEqual(got.unit, want.unit) {
 		return fmt.Errorf("unit rows differ")
-	}
-	for i := range got.rows {
-		if !bitsEqual(got.rows[i], want.rows[i]) {
-			return fmt.Errorf("unit row %d differs", i)
-		}
 	}
 	return nil
 }
@@ -113,8 +107,8 @@ func testScratchLeaksNothing(t *testing.T) {
 					t.Fatalf("n=%d workers=%d: medoid %d in a poisoned region, want %d", n, workers, got, want)
 				}
 				reused.Release()
-				if reused.d != nil || reused.rows != nil || reused.buf != nil {
-					t.Fatalf("Release left %d cells and %d unit rows with the matrix", len(reused.d), len(reused.rows))
+				if reused.d != nil || reused.unit != nil || reused.buf != nil {
+					t.Fatalf("Release left %d cells and %d unit-row elements with the matrix", len(reused.d), len(reused.unit))
 				}
 			}
 		}
@@ -124,7 +118,7 @@ func testScratchLeaksNothing(t *testing.T) {
 	type problem struct {
 		items   []vector.Vec
 		opts    Options
-		want    *Dendrogram
+		want    *dendrogram
 		medoids []int
 	}
 	big := &problem{items: awkwardVecs(257, dim)}
@@ -134,13 +128,13 @@ func testScratchLeaksNothing(t *testing.T) {
 	}
 	// run clusters p's items and returns the dendrogram and the medoid of
 	// every cluster of the cut at 10, read from the consumed matrix.
-	run := func(p *problem, workers int) (*Dendrogram, []int) {
+	run := func(p *problem, workers int) (*dendrogram, []int) {
 		m := NewMatrixWorkers(p.items, vector.CosineDistance, workers)
 		defer m.Release()
-		d := Agglomerative(m, p.opts)
-		labels, k := d.Cut(10)
+		d := agglomerative(m, p.opts)
+		labels, k := d.cut(10)
 		var medoids []int
-		for _, members := range Members(labels, k) {
+		for _, members := range members(labels, k) {
 			medoids = append(medoids, m.MedoidWorkers(members, workers))
 		}
 		return d, medoids
@@ -153,7 +147,7 @@ func testScratchLeaksNothing(t *testing.T) {
 		}
 		m := NewMatrix(p.items, vector.CosineDistance)
 		cells := slices.Clone(m.d)
-		Agglomerative(m, p.opts)
+		agglomerative(m, p.opts)
 		if bitsEqual(m.d, cells) {
 			t.Fatal("clustering left the cells as built: the regions below would not be dirty")
 		}
@@ -208,7 +202,7 @@ func TestScratchMapsNothingWhenSteady(t *testing.T) {
 	cluster := func() {
 		m := NewMatrixWorkers(items, vector.CosineDistance, 2)
 		defer m.Release()
-		Agglomerative(m, Options{})
+		agglomerative(m, Options{})
 	}
 	cluster()
 	maps, held := region.Maps(), region.ScratchBytes()
@@ -286,7 +280,7 @@ func TestScratchLateReadFaults(t *testing.T) {
 		m.Release() // fills the list
 	}
 	late := ms[procs]
-	row, cells := late.rows[3], late.d
+	row, cells := late.row(3), late.d
 	late.Release()
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	faults := func(read func()) (faulted bool) {
@@ -299,5 +293,52 @@ func TestScratchLateReadFaults(t *testing.T) {
 	}
 	if !faults(func() { sink = float64(cells[0]) }) {
 		t.Error("a cell read after Release did not fault")
+	}
+}
+
+// TestEntryPointAllocs: once warm, the entry points allocate the same few
+// objects at n and at 2n, and a cosine medoid allocates none: the chain,
+// the cut, the medoid's sums and the copy a Euclidean matrix is clustered
+// in are recycled scratch. Partition and the medoids of a Euclidean matrix
+// allocate the clusters alone (2 objects); with the build and release of a
+// cosine matrix around them, 9. BestPartition is held likewise by
+// TestBestCutAllocs.
+func TestEntryPointAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's build keeps regions on the heap")
+	}
+	const limit = 12
+	settleScratch()
+	for _, dist := range []vector.DistanceFunc{vector.CosineDistance, vector.Euclidean} {
+		cosine := vector.IsCosineDistance(dist)
+		var medoids int
+		allocs := func(n int) float64 {
+			items := duplicatedVecs(n, 16)
+			var m *Matrix
+			if !cosine {
+				m = NewMatrix(items, dist) // built once: Partition leaves its cells whole
+			}
+			return testing.AllocsPerRun(20, func() {
+				if cosine {
+					m = NewMatrix(items, dist)
+					defer m.Release()
+				}
+				for _, members := range m.Partition(20, Options{}) {
+					medoids += m.Medoid(members)
+				}
+			})
+		}
+		if small, big := allocs(150), allocs(300); small != big || big > limit {
+			t.Errorf("cosine %v: Partition and its medoids allocate %v objects at n=150 and %v at n=300, want the same, at most %d", cosine, small, big, limit)
+		}
+	}
+	m := NewMatrix(duplicatedVecs(300, 16), vector.CosineDistance)
+	defer m.Release()
+	all := make([]int, 300)
+	for i := range all {
+		all[i] = i
+	}
+	if got := testing.AllocsPerRun(20, func() { m.Medoid(all) }); got != 0 {
+		t.Errorf("a cosine medoid of 300 members allocates %v objects, want 0", got)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
+	"reflect"
 	"testing"
 
 	"dust/internal/vector"
@@ -12,14 +12,14 @@ import (
 
 // silhouette is the mean silhouette coefficient of the labelled clustering,
 // scored from scratch: items in singleton clusters contribute 0, and it is
-// NaN with fewer than 2 clusters or items. It is the scoring BestCut's sweep
+// NaN with fewer than 2 clusters or items. It is the scoring bestCut's sweep
 // replaced, kept as its reference.
 func silhouette(m *Matrix, labels []int, numClusters int) float64 {
 	n := m.Len()
 	if n < 2 || numClusters < 2 {
 		return math.NaN()
 	}
-	members := Members(labels, numClusters)
+	members := members(labels, numClusters)
 	var total float64
 	for i := 0; i < n; i++ {
 		own := members[labels[i]]
@@ -56,18 +56,18 @@ func silhouette(m *Matrix, labels []int, numClusters int) float64 {
 	return total / float64(n)
 }
 
-// bestCutPerCut is BestCut's reference: every cut from minK to maxK clusters
-// cut and scored from scratch, the first best one kept.
-func bestCutPerCut(m *Matrix, d *Dendrogram, minK, maxK int) (labels []int, k int, score float64) {
-	if minK < 2 {
-		minK = 2
-	}
-	if maxK > d.N {
-		maxK = d.N
-	}
-	best := math.Inf(-1)
+// bestCutPerCut is BestPartition's reference: the items' matrix filled
+// pair by pair through dist, clustered by the reference chain, and every
+// cut from minK to maxK clusters cut and scored from scratch, the first
+// best one kept.
+func bestCutPerCut(items []vector.Vec, dist vector.DistanceFunc, minK, maxK int, opts Options) (clusters [][]int, score float64) {
+	m := NewMatrixFromFunc(len(items), func(i, j int) float64 { return dist(items[i], items[j]) })
+	d := referenceAgglomerative(m, opts.CannotLink)
+	minK, maxK = max(minK, 2), min(maxK, d.N)
+	best, k := math.Inf(-1), 0
+	var labels []int
 	for kk := minK; kk <= maxK; kk++ {
-		l, actual := d.Cut(kk)
+		l, actual := d.cut(kk)
 		if actual < 2 {
 			continue
 		}
@@ -78,29 +78,29 @@ func bestCutPerCut(m *Matrix, d *Dendrogram, minK, maxK int) (labels []int, k in
 		}
 	}
 	if labels == nil {
-		labels, k = d.Cut(minK)
+		labels, k = d.cut(minK)
 		score = math.NaN()
 	}
-	return labels, k, score
+	return members(labels, k), score
 }
 
-// checkBestCut requires BestCut to return bestCutPerCut's labels, cluster
-// count and score bits.
-func checkBestCut(m *Matrix, d *Dendrogram, minK, maxK int) error {
-	labels, k, score := BestCut(m, d, minK, maxK)
-	wantLabels, wantK, wantScore := bestCutPerCut(m, d, minK, maxK)
-	if k != wantK || math.Float64bits(score) != math.Float64bits(wantScore) || !slices.Equal(labels, wantLabels) {
-		return fmt.Errorf("BestCut(N=%d, %d merges, minK=%d, maxK=%d) = k %d, score %v (%#x), labels %v; per-cut reference k %d, score %v (%#x), labels %v",
-			d.N, len(d.Merges), minK, maxK, k, score, math.Float64bits(score), labels,
-			wantK, wantScore, math.Float64bits(wantScore), wantLabels)
+// checkBestCut requires BestPartition to return bestCutPerCut's clusters
+// and score bits.
+func checkBestCut(items []vector.Vec, dist vector.DistanceFunc, opts Options, minK, maxK int) error {
+	got, score := BestPartition(items, dist, minK, maxK, opts, 1)
+	want, wantScore := bestCutPerCut(items, dist, minK, maxK, opts)
+	if math.Float64bits(score) != math.Float64bits(wantScore) || !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("BestPartition(%d items, minK=%d, maxK=%d) = score %v (%#x), clusters %v; per-cut reference score %v (%#x), clusters %v",
+			len(items), minK, maxK, score, math.Float64bits(score), got,
+			wantScore, math.Float64bits(wantScore), want)
 	}
 	return nil
 }
 
-// FuzzBestCut holds BestCut to the per-cut reference on points the fuzzer
-// builds: two bytes a point, each a coordinate of 0–7 times 2^-48 to 2^45
-// (so duplicates and tied distances are common, and so are sums whose bits
-// depend on the order of their terms), cannot-link groups
+// FuzzBestCut holds BestPartition to the per-cut reference on points the
+// fuzzer builds: two bytes a point, each a coordinate of 0–7 times 2^-48 to
+// 2^45 (so duplicates and tied distances are common, and so are sums whose
+// bits depend on the order of their terms), cannot-link groups
 // i%groups == j%groups (0: none), and any bounds.
 func FuzzBestCut(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 9, 9, 9, 8, 1, 0, 200, 3}, uint8(0), int8(2), int8(5))
@@ -117,50 +117,54 @@ func FuzzBestCut(f *testing.F) {
 		for i := range items {
 			items[i] = vector.Vec{coord(data[2*i]), coord(data[2*i+1])}
 		}
-		m := NewMatrix(items, vector.Euclidean)
 		var opts Options
 		if g := int(groups % 16); g > 0 {
 			opts.CannotLink = func(i, j int) bool { return i%g == j%g }
 		}
-		if err := checkBestCut(m, Agglomerative(m.Clone(), opts), int(minK), int(maxK)); err != nil {
+		if err := checkBestCut(items, vector.Euclidean, opts, int(minK), int(maxK)); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
-// universe65 is an alignment-shaped fixture: 65 items in 11 "tables" (5
-// query columns, then ten tables of 6), which cannot link within a table.
-func universe65() (*Matrix, *Dendrogram) {
+// universe is an alignment-shaped fixture: n items in "tables" of 6 (the
+// first five items are the query's columns), which cannot link within a
+// table. At n = 65 it is a balanced-workload alignment.
+func universe(n int) ([]vector.Vec, Options) {
 	rng := rand.New(rand.NewSource(3))
-	items := make([]vector.Vec, 65)
+	items := make([]vector.Vec, n)
 	for i := range items {
 		items[i] = vector.Vec{float64(i % 6), rng.NormFloat64(), rng.NormFloat64()}
 	}
 	table := func(i int) int { return (i + 1) / 6 }
-	m := NewMatrix(items, vector.Euclidean)
-	return m, Agglomerative(m.Clone(), Options{CannotLink: func(i, j int) bool { return table(i) == table(j) }})
+	return items, Options{CannotLink: func(i, j int) bool { return table(i) == table(j) }}
 }
 
-// TestBestCutAllocs caps BestCut's allocations on a 65-item universe: the
-// sweep allocates its state once and cuts once, where scoring each cut from
-// scratch allocated a Cut and its Members per cut — 3 705 here.
+// TestBestCutAllocs holds BestPartition to the clusters it returns and its
+// fill's closures, the same count at 65 items and at 130: the matrix, the
+// copy it is clustered in, the dendrogram, the sweep and the cut are
+// scratch. (Scoring each cut from scratch once allocated a Cut and its
+// Members per cut — 3 705 at 65 items.)
 func TestBestCutAllocs(t *testing.T) {
-	m, d := universe65()
-	const limit = 16
-	if got := testing.AllocsPerRun(20, func() { BestCut(m, d, 5, 64) }); got > limit {
-		t.Errorf("BestCut allocates %v times a call on 65 items, want at most %d", got, limit)
+	const limit = 8
+	allocs := func(n int) float64 {
+		items, opts := universe(n)
+		return testing.AllocsPerRun(20, func() { BestPartition(items, vector.Euclidean, 5, n-1, opts, 1) })
+	}
+	if small, big := allocs(65), allocs(130); small != big || big > limit {
+		t.Errorf("BestPartition allocates %v times a call on 65 items and %v on 130, want the same, at most %d", small, big, limit)
 	}
 }
 
-var bestCutSink []int
+var bestCutSink [][]int
 
-// BenchmarkBestCut times cut selection on a 65-item universe, the size
-// of a balanced-workload alignment.
-func BenchmarkBestCut(b *testing.B) {
-	m, d := universe65()
+// BenchmarkBestPartition times column alignment's clustering on a 65-item
+// universe, the size of a balanced-workload alignment: the matrix, the
+// clustering and the silhouette sweep.
+func BenchmarkBestPartition(b *testing.B) {
+	items, opts := universe(65)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bestCutSink, _, _ = BestCut(m, d, 5, 64)
+		bestCutSink, _ = BestPartition(items, vector.Euclidean, 5, 64, opts, 1)
 	}
 }

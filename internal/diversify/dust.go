@@ -143,17 +143,13 @@ func clusterReps(p Problem, kept []int, numClusters int, pick func(m *cluster.Ma
 	}
 	m := cluster.NewMatrixWorkers(Gather(p.Tuples, kept), p.Dist, p.Workers)
 	defer m.Release()
-	// Clustering consumes the cells; only a non-cosine Dist (CLT and the
-	// ablations) has medoids that read them afterwards.
-	work := m
-	if m.MedoidReadsCells() {
-		work = m.Clone()
-	}
-	dend := cluster.Agglomerative(work, cluster.Options{})
-	labels, k := dend.Cut(numClusters)
-	var out []int
-	for _, members := range cluster.Members(labels, k) {
-		out = append(out, kept[pick(m, members)])
+	// Partition consumes a cosine matrix's cells, whose medoids read its
+	// unit rows; any other Dist (CLT and the ablations) has medoids that
+	// read the cells, and Partition clusters a copy of them.
+	clusters := m.Partition(numClusters, cluster.Options{})
+	out := make([]int, len(clusters))
+	for c, members := range clusters {
+		out[c] = kept[pick(m, members)]
 	}
 	sort.Ints(out)
 	return out

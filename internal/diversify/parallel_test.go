@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dust/internal/cluster"
 	"dust/internal/region/regiontest"
 	"dust/internal/vector"
 )
@@ -84,15 +85,19 @@ func TestDUSTSelectDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSelectStableAcrossScratchReuse: Select answers the same on first use,
-// after the clustering scratch has been used by a different problem and
-// filled with NaN as it went back to its free list (regiontest.Poison), at
-// every worker count, under both kernel bodies, and from concurrent
-// goroutines sharing the list.
+// after the clustering scratch — the matrix's region and the cluster
+// package's heap scratch — has been used by a different problem and filled
+// with NaN and garbage as it went back to its free list (regiontest.Poison,
+// cluster.PoisonScratch), at every worker count, under both kernel bodies,
+// on a cosine problem and on a Euclidean one (whose medoids read the cells,
+// so Partition clusters a scratch copy), and from concurrent goroutines
+// sharing the lists.
 func TestSelectStableAcrossScratchReuse(t *testing.T) {
 	algo := NewDUST()
 	problems := []func(workers int) Problem{
 		func(w int) Problem { p := servedProblem(300); p.Workers = w; return p },
 		func(w int) Problem { return parallelProblem(500, w) },
+		func(w int) Problem { p := parallelProblem(400, w); p.Dist = vector.Euclidean; return p },
 	}
 	var want [][]int
 	for _, mk := range problems {
@@ -102,6 +107,7 @@ func TestSelectStableAcrossScratchReuse(t *testing.T) {
 		t.Fatal("fixtures select the same indices; the test could not see a leak")
 	}
 	regiontest.Poison(t)
+	defer cluster.PoisonScratch()()
 	for _, generic := range []bool{false, true} {
 		restore := func() {}
 		if generic {

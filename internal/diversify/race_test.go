@@ -1,0 +1,7 @@
+//go:build race
+
+package diversify
+
+// raceEnabled reports a -race build. Under it every region is a heap
+// slice, so a count of heap allocations may include one.
+const raceEnabled = true

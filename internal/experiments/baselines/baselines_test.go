@@ -76,19 +76,20 @@ func cltShapes(seed int64) []diversify.Problem {
 	return []diversify.Problem{cloud, blobs}
 }
 
-// cltReference is CLT from scratch: cut the average-linkage dendrogram of
-// all tuples into k clusters and return each cluster's medoid, by index.
-// Clustering consumes the cells a Euclidean medoid reads, so it clusters a
-// copy.
+// cltReference is CLT from the cluster package's entry point: partition
+// all tuples into k average-linkage clusters and return each cluster's
+// medoid, by index. A cosine matrix's medoids read its unit rows after
+// Partition consumed its cells; a Euclidean one's read the cells, which
+// Partition leaves whole.
 func cltReference(p diversify.Problem) []int {
 	p = p.Normalized()
 	if p.K == 0 {
 		return nil
 	}
 	m := cluster.NewMatrix(p.Tuples, p.Dist)
-	labels, k := cluster.Agglomerative(m.Clone(), cluster.Options{}).Cut(p.K)
+	defer m.Release()
 	var out []int
-	for _, members := range cluster.Members(labels, k) {
+	for _, members := range m.Partition(p.K, cluster.Options{}) {
 		out = append(out, m.Medoid(members))
 	}
 	sort.Ints(out)

@@ -3,10 +3,11 @@ package vector
 import "math"
 
 // The cluster kernels: the two loops of the nearest-neighbour chain under
-// cluster.Agglomerative, over rows of its float32 working matrix. A row is
-// dense over the slots [0, w); slot j is live while mask[j] is +0 and merged
-// away once it is +Inf; live lists the live slots in ascending order; and a
-// row's own (diagonal) cell is +Inf. By specification,
+// the cluster package's clusterings (Partition, BestPartition), over rows
+// of its float32 working matrix. A row is dense over the slots [0, w); slot
+// j is live while mask[j] is +0 and merged away once it is +Inf; live lists
+// the live slots in ascending order; and a row's own (diagonal) cell is
+// +Inf. By specification,
 //
 //	nearest  the lowest live j with the least row[j] under <, and the stored
 //	         row[j]; -1 and +Inf when no live cell is below +Inf

@@ -117,33 +117,30 @@ func (u *UnitRows) CosineDistances(p, lo int, out *[PanelRows][]float32) {
 	}
 }
 
-// Unpack rearranges the arena in place into row-major rows, row i's
-// element k at rows[i][k], and returns them with each row's Dot with itself
-// (bit for bit): the layout a per-row pass reads contiguously, once the
-// matrix no longer needs the panels. u must not be used afterwards.
-func (u *UnitRows) Unpack() (rows []Vec, self []float64) {
-	rows, self = make([]Vec, u.n), make([]float64, u.n)
-	dim := u.dim
-	scratch := make([]float64, dim*PanelRows)
-	for p := 0; p*PanelRows < u.n; p++ {
+// Unpack rearranges the arena in place into row-major rows — row i's
+// element k at rows[i*dim+k] — and returns them: the layout a per-row pass
+// reads contiguously, once the matrix no longer needs the panels. Each
+// panel is rearranged through the padding panel behind the last one, so
+// nothing is allocated. u must not be used afterwards.
+func (u *UnitRows) Unpack() (rows []float64) {
+	dim, panels := u.dim, (u.n+PanelRows-1)/PanelRows
+	if panels == 0 {
+		u.a = nil
+		return nil
+	}
+	scratch := u.panel(panels, 1)
+	for p := 0; p < panels; p++ {
 		panel := u.panel(p, 1)
 		copy(scratch, panel)
 		r0, r1, r2, r3 := panel[:dim], panel[dim:2*dim], panel[2*dim:3*dim], panel[3*dim:]
-		var s0, s1, s2, s3 float64
 		for k := range r0 {
 			x := (*[PanelRows]float64)(scratch[k*PanelRows:])
 			r0[k], r1[k], r2[k], r3[k] = x[0], x[1], x[2], x[3]
-			s0 += float64(x[0] * x[0])
-			s1 += float64(x[1] * x[1])
-			s2 += float64(x[2] * x[2])
-			s3 += float64(x[3] * x[3])
 		}
-		i := p * PanelRows
-		copy(rows[i:], [][]float64{r0, r1, r2, r3})
-		copy(self[i:], []float64{s0, s1, s2, s3})
 	}
+	rows = u.a[:u.n*dim]
 	u.a = nil
-	return rows, self
+	return rows
 }
 
 // Dots returns Dot(a[t], b[t]) for t < 4, bit for bit: four one-accumulator
@@ -235,6 +232,13 @@ func UnitDistance(dot float64) float32 {
 // IsCosineDistance reports whether d is CosineDistance itself — the one
 // distance with a unit-row fast path. A wrapper around it, or any other
 // function, is not.
-func IsCosineDistance(d DistanceFunc) bool {
-	return d != nil && reflect.ValueOf(d).Pointer() == reflect.ValueOf(CosineDistance).Pointer()
+func IsCosineDistance(d DistanceFunc) bool { return sameFunc(d, CosineDistance) }
+
+// IsEuclidean reports whether d is Euclidean itself, whose pairs a distance
+// matrix fills four at a time (SquaredEuclideans). A wrapper around it, or
+// any other function, is not.
+func IsEuclidean(d DistanceFunc) bool { return sameFunc(d, Euclidean) }
+
+func sameFunc(d, f DistanceFunc) bool {
+	return d != nil && reflect.ValueOf(d).Pointer() == reflect.ValueOf(f).Pointer()
 }

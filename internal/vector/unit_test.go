@@ -164,6 +164,74 @@ func TestIsCosineDistance(t *testing.T) {
 	}
 }
 
+func TestIsEuclidean(t *testing.T) {
+	byName, err := Distance("euclidean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped := func(a, b Vec) float64 { return Euclidean(a, b) }
+	for _, tc := range []struct {
+		name string
+		d    DistanceFunc
+		want bool
+	}{
+		{"Euclidean", Euclidean, true},
+		{"registry euclidean", byName, true},
+		{"wrapper", wrapped, false},
+		{"CosineDistance", CosineDistance, false},
+		{"nil", nil, false},
+	} {
+		if got := IsEuclidean(tc.d); got != tc.want {
+			t.Errorf("IsEuclidean(%s) = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestSquaredEuclideansMatchesSquaredEuclidean holds each of the four cells
+// to SquaredEuclidean bit for bit (a NaN as any NaN: Go does not fix which
+// payload a sum of two NaNs keeps): unit and non-unit rows, lengths 0–9 and
+// 128, rows salted with NaN, ±Inf and −0, the same row in several slots and
+// as a itself.
+func TestSquaredEuclideansMatchesSquaredEuclidean(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	same := func(got, want float64) bool {
+		return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
+	}
+	for _, dim := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 128} {
+		for trial := 0; trial < 40; trial++ {
+			rows := randomVecs(rng, 8, dim)
+			for i, v := range rows {
+				switch {
+				case i%4 == 1:
+					NormalizeInPlace(v)
+				case i%4 == 2 && dim > 0 && trial%3 == 0:
+					v[rng.Intn(dim)] = specials[rng.Intn(len(specials))]
+				}
+			}
+			a := rows[rng.Intn(8)]
+			var b [4]Vec
+			for k := range b {
+				b[k] = rows[rng.Intn(8)]
+			}
+			got := SquaredEuclideans(a, &b)
+			for k := range b {
+				if want := SquaredEuclidean(a, b[k]); !same(got[k], want) {
+					t.Fatalf("dim %d cell %d: SquaredEuclideans %v (%#x), SquaredEuclidean %v (%#x)",
+						dim, k, got[k], math.Float64bits(got[k]), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SquaredEuclideans over rows of different lengths did not panic")
+		}
+	}()
+	v, w := make(Vec, 3), make(Vec, 4)
+	SquaredEuclideans(v, &[4]Vec{v, v, v, w})
+}
+
 // TestDotRowsPureCells pins DotBlock's contract: a cell is a function of
 // its query row and its stored row alone — the same bits wherever the stored
 // row sits, whatever the block's length (so whatever tile slot or ragged
@@ -215,8 +283,7 @@ func TestDotRowsPureCells(t *testing.T) {
 }
 
 // TestUnpackedRowsGiveTheCells holds the one-cell rule to the kernel: once
-// unpacked, the rows are the normalised inputs and self their Dots with
-// themselves, bit for bit; for every
+// unpacked, the rows are the normalised inputs, bit for bit; for every
 // ordered pair of distinct rows — zero rows, byte-identical copies and rows
 // at every scale among them — UnitDistance of their Dot is the cell
 // CosineDistances wrote before, under both bodies; and Dots is four Dots.
@@ -235,9 +302,13 @@ func TestUnpackedRowsGiveTheCells(t *testing.T) {
 					cells[i] = make([]float32, n)
 					rowDistances(u, i, 0, cells[i])
 				}
-				rows, self := u.Unpack()
-				if len(rows) != n || len(self) != n {
-					t.Fatalf("Unpack returned %d rows and %d self-dots, want %d", len(rows), len(self), n)
+				unpacked := u.Unpack()
+				if len(unpacked) != n*dim {
+					t.Fatalf("Unpack returned %d elements, want %d rows of %d", len(unpacked), n, dim)
+				}
+				rows := make([]Vec, n)
+				for i := range rows {
+					rows[i] = unpacked[i*dim : (i+1)*dim]
 				}
 				for i, v := range vs {
 					for k, x := range v {
@@ -248,9 +319,6 @@ func TestUnpackedRowsGiveTheCells(t *testing.T) {
 						if math.Float64bits(rows[i][k]) != math.Float64bits(want) {
 							t.Fatalf("n %d dim %d: row %d element %d = %v, want %v", n, dim, i, k, rows[i][k], want)
 						}
-					}
-					if math.Float64bits(self[i]) != math.Float64bits(Dot(rows[i], rows[i])) {
-						t.Fatalf("n %d dim %d: row %d's self-dot %v, Dot %v", n, dim, i, self[i], Dot(rows[i], rows[i]))
 					}
 					for j := range vs {
 						if got := UnitDistance(Dot(rows[i], rows[j])); j != i && got != cells[i][j] {

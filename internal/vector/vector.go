@@ -96,6 +96,28 @@ func SquaredEuclidean(a, b Vec) float64 {
 	return s
 }
 
+// SquaredEuclideans returns SquaredEuclidean(a, b[t]) for t < 4, bit for
+// bit: four one-accumulator sums in element order, each difference squared
+// and rounded to float64 before it is added, interleaved so that the four
+// additions of a step do not wait on each other (as Dots does for dots).
+// A row of b may appear more than once; each must be as long as a.
+func SquaredEuclideans(a Vec, b *[4]Vec) [4]float64 {
+	for _, r := range b {
+		checkLen(a, r)
+	}
+	n := len(a)
+	b0, b1, b2, b3 := b[0][:n], b[1][:n], b[2][:n], b[3][:n]
+	var s0, s1, s2, s3 float64
+	for k, x := range a {
+		d0, d1, d2, d3 := x-b0[k], x-b1[k], x-b2[k], x-b3[k]
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
+	}
+	return [4]float64{s0, s1, s2, s3}
+}
+
 // Euclidean returns the L2 distance between a and b.
 func Euclidean(a, b Vec) float64 {
 	return math.Sqrt(SquaredEuclidean(a, b))
